@@ -1,0 +1,249 @@
+//! Just enough JSON for the ledger's own files: it writes flat result
+//! lines, and reads them (and `BENCHMARK.json`) back for `compare`.
+
+use std::collections::BTreeMap;
+
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(BTreeMap<String, Json>),
+}
+
+impl Json {
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(m) => m.get(key),
+            _ => None,
+        }
+    }
+
+    pub fn num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    pub fn str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A number as measured, with all its digits (`Display` for `f64` is the
+/// shortest string that reads back to the same value, never an exponent).
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".into()
+    }
+}
+
+pub fn parse(text: &str) -> Result<Json, String> {
+    let mut p = Parser {
+        s: text.as_bytes(),
+        i: 0,
+    };
+    let v = p.value()?;
+    p.ws();
+    if p.i != p.s.len() {
+        return Err(format!("trailing characters at byte {}", p.i));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    s: &'a [u8],
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn ws(&mut self) {
+        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
+            self.i += 1;
+        }
+    }
+
+    fn eat(&mut self, c: u8) -> Result<(), String> {
+        self.ws();
+        if self.s.get(self.i) == Some(&c) {
+            self.i += 1;
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", c as char, self.i))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.ws();
+        match self.s.get(self.i).copied() {
+            Some(b'{') => {
+                self.i += 1;
+                let mut m = BTreeMap::new();
+                self.ws();
+                if self.s.get(self.i) == Some(&b'}') {
+                    self.i += 1;
+                    return Ok(Json::Obj(m));
+                }
+                loop {
+                    self.ws();
+                    let k = self.string()?;
+                    self.eat(b':')?;
+                    m.insert(k, self.value()?);
+                    self.ws();
+                    match self.s.get(self.i) {
+                        Some(b',') => self.i += 1,
+                        Some(b'}') => {
+                            self.i += 1;
+                            return Ok(Json::Obj(m));
+                        }
+                        _ => return Err(format!("expected , or }} at byte {}", self.i)),
+                    }
+                }
+            }
+            Some(b'[') => {
+                self.i += 1;
+                let mut a = Vec::new();
+                self.ws();
+                if self.s.get(self.i) == Some(&b']') {
+                    self.i += 1;
+                    return Ok(Json::Arr(a));
+                }
+                loop {
+                    a.push(self.value()?);
+                    self.ws();
+                    match self.s.get(self.i) {
+                        Some(b',') => self.i += 1,
+                        Some(b']') => {
+                            self.i += 1;
+                            return Ok(Json::Arr(a));
+                        }
+                        _ => return Err(format!("expected , or ] at byte {}", self.i)),
+                    }
+                }
+            }
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.word("true", Json::Bool(true)),
+            Some(b'f') => self.word("false", Json::Bool(false)),
+            Some(b'n') => self.word("null", Json::Null),
+            Some(_) => {
+                let start = self.i;
+                while self
+                    .s
+                    .get(self.i)
+                    .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+                {
+                    self.i += 1;
+                }
+                std::str::from_utf8(&self.s[start..self.i])
+                    .ok()
+                    .and_then(|t| t.parse().ok())
+                    .map(Json::Num)
+                    .ok_or(format!("bad number at byte {start}"))
+            }
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn word(&mut self, w: &str, v: Json) -> Result<Json, String> {
+        if self.s[self.i..].starts_with(w.as_bytes()) {
+            self.i += w.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.i))
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let mut out = Vec::new();
+        loop {
+            match self.s.get(self.i).copied() {
+                Some(b'"') => {
+                    self.i += 1;
+                    return String::from_utf8(out).map_err(|e| e.to_string());
+                }
+                Some(b'\\') => {
+                    let esc = self.s.get(self.i + 1).copied();
+                    self.i += 2;
+                    match esc {
+                        Some(b'n') => out.push(b'\n'),
+                        Some(b't') => out.push(b'\t'),
+                        Some(b'u') => {
+                            let hex = self.s.get(self.i..self.i + 4).ok_or("short \\u escape")?;
+                            let code = std::str::from_utf8(hex)
+                                .ok()
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or("bad \\u escape")?;
+                            out.extend_from_slice(code.to_string().as_bytes());
+                            self.i += 4;
+                        }
+                        Some(c) => out.push(c),
+                        None => return Err("unterminated escape".into()),
+                    }
+                }
+                Some(c) => {
+                    out.push(c);
+                    self.i += 1;
+                }
+                None => return Err("unterminated string".into()),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn round_trips_what_the_ledger_writes() {
+        let text = format!(
+            "{{\"workload\": {}, \"seed\": 7, \"result\": {{\"correct\": true, \"metrics\": \
+             {{\"a.b_us\": {{\"value\": {}, \"unit\": \"us\"}}}}, \"list\": [1, -2.5e3, null]}}}}",
+            quote("read \"x\"\n"),
+            number(1203.4567890123)
+        );
+        let v = parse(&text).unwrap();
+        assert_eq!(v.get("workload").and_then(Json::str), Some("read \"x\"\n"));
+        let value = v
+            .get("result")
+            .and_then(|r| r.get("metrics"))
+            .and_then(|m| m.get("a.b_us"));
+        assert_eq!(
+            value.and_then(|m| m.get("value")).and_then(Json::num),
+            Some(1203.4567890123)
+        );
+        let Some(Json::Arr(list)) = v.get("result").and_then(|r| r.get("list")) else {
+            panic!("list is an array");
+        };
+        assert_eq!(list.len(), 3);
+        assert!(parse("{\"a\": 1} x").is_err());
+        assert!(parse("{\"a\": ").is_err());
+        assert_eq!(number(f64::NAN), "0");
+    }
+}
