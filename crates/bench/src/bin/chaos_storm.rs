@@ -93,7 +93,7 @@ fn cvd_state(odb: &OrpheusDB, name: &str) -> Result<CvdState> {
         .versions
         .iter()
         .map(|m| {
-            let mut m = m.clone();
+            let mut m = VersionMeta::clone(m);
             m.checkout_t = None;
             m.commit_t = 0;
             m

@@ -92,18 +92,20 @@ pub fn load_workload(
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)
         };
-        cvd.versions.push(VersionMeta {
-            vid,
-            parents,
-            parent_weights,
-            checkout_t: None,
-            commit_t: vid.0,
-            message: String::new(),
-            attributes,
-            num_records: rlist.len() as u64,
-            base,
-        });
-        cvd.version_rids.push(std::sync::Arc::new(rlist));
+        cvd.push_version(
+            VersionMeta {
+                vid,
+                parents,
+                parent_weights,
+                checkout_t: None,
+                commit_t: vid.0,
+                message: String::new(),
+                attributes,
+                num_records: rlist.len() as u64,
+                base,
+            },
+            rlist,
+        );
         cvd.next_rid = cvd.next_rid.max(workload.num_records as u64 + 1);
     }
     odb.import_cvd(cvd)?;

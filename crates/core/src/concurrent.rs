@@ -37,12 +37,22 @@
 //! ([`parking_lot::ArcSwap`]): a write guard republishes the shard on
 //! release, and read-only requests — checkouts, diffs, `version_rows`,
 //! `log`, single-CVD `SELECT`s — clone the snapshot instead of taking the
-//! shard lock. Cloning is cheap because row storage is copy-on-write at
-//! table granularity and per-version rid lists are `Arc`-shared. A
-//! checkout materializes its table against such a clone and **parks** the
-//! result under the shard's pending list (`Shard::pending`, private to
-//! this module); the next writer adopts parked tables
-//! into the shard proper on lock acquisition. The net effect is the
+//! shard lock.
+//!
+//! What that costs: **publishing** is an O(tables) clone (a table is
+//! three `Arc`s; version metadata, rlists and staging entries are
+//! `Arc`-shared per element). The **first write after a publish** copies
+//! the chunk directories of the table it touches and then only the heap
+//! chunks and index leaves it lands in (see `orpheus_engine::table`) —
+//! for a commit, the tail of the data table, not the CVD. A **snapshot
+//! read** is another O(tables) clone plus the rows it returns. What
+//! still grows with history is pointer copies — one per version, one per
+//! 64 rows of a written table — never rows, index entries or metadata.
+//!
+//! A checkout materializes its table against such a clone and **parks**
+//! the result under the shard's pending list (`Shard::pending`, private
+//! to this module); the next writer adopts parked tables into the shard
+//! proper on lock acquisition. The net effect is the
 //! paper's reading of checkouts as reads of immutable committed versions:
 //! a checkout or SELECT never waits on a commit in flight, it simply
 //! observes the epoch published by the last *completed* writer. See
@@ -225,6 +235,31 @@ struct ParkedCheckout {
     entry: StagedEntry,
 }
 
+impl ParkedCheckout {
+    /// Make the checkout visible in `db`: add the materialized table,
+    /// register the staging entry. The catalog reservation keeps the name
+    /// unique among *staged* artifacts, but a statement that held the
+    /// shard lock while the checkout materialized against the older
+    /// snapshot can have created an unregistered table of the same name
+    /// (`SELECT .. INTO`); then the overlay is refused, typed, with `db`
+    /// untouched.
+    fn overlay(self, db: &mut OrpheusDB) -> Result<()> {
+        let ParkedCheckout { table, entry } = self;
+        let taken = table.is_some() && db.engine.has_table(&entry.name);
+        if taken || db.staging.get(&entry.name, entry.kind).is_ok() {
+            return Err(CoreError::Invalid(format!(
+                "checkout {} of CVD {} collides with an artifact of that name \
+                 created while it materialized; drop that artifact and check out again",
+                entry.name, entry.cvd
+            )));
+        }
+        if let Some(table) = table {
+            db.engine.add_table(table)?;
+        }
+        db.staging.register(entry)
+    }
+}
+
 /// One CVD's state behind its own lock: a single-CVD [`OrpheusDB`] holding
 /// the CVD's backing tables, version graph, and staged artifacts — plus
 /// the shard's published MVCC snapshot (see the module docs).
@@ -277,16 +312,21 @@ impl Shard {
     /// Acquire the shard's write lock, adopting any parked checkouts
     /// first. The returned guard republishes the snapshot when dropped,
     /// so everything a writer acknowledged is visible to subsequent
-    /// snapshot reads.
+    /// snapshot reads. A checkout the adoption had to refuse is reported
+    /// in the guard's `refused`; request paths fail their request with
+    /// it, the quiesce paths carry on without the dropped checkout.
     fn write(&self) -> ShardWriteGuard<'_> {
         let token = LockToken::shard();
         let mut guard = self.db.write();
-        if !self.is_retired() {
-            self.adopt_pending(&mut guard, true);
-        }
+        let refused = if self.is_retired() {
+            None
+        } else {
+            self.adopt_pending(&mut guard, true).err()
+        };
         ShardWriteGuard {
             shard: self,
             guard,
+            refused,
             _token: token,
         }
     }
@@ -297,26 +337,27 @@ impl Shard {
     /// snapshot republish (`publish`), so a concurrent
     /// [`Shard::load_snapshot`] — which takes the same mutex before
     /// loading the epoch — sees each parked entry in exactly one place.
-    fn adopt_pending(&self, db: &mut OrpheusDB, publish: bool) {
+    ///
+    /// Pending is always drained: a checkout whose overlay is refused
+    /// (see [`ParkedCheckout::overlay`]) is dropped, so one collision
+    /// fails one request instead of every later writer, and the first
+    /// refusal is returned.
+    fn adopt_pending(&self, db: &mut OrpheusDB, publish: bool) -> Result<()> {
         let mut pending = self.pending.lock();
         if pending.is_empty() {
-            return;
+            return Ok(());
         }
+        let mut refused = Ok(());
         for mut parked in pending.drain(..) {
             db.clock += 1;
             parked.entry.created_at = db.clock;
-            if let Some(table) = parked.table {
-                db.engine
-                    .add_table(table)
-                    .expect("reserved checkout names are globally unique across shards");
-            }
-            db.staging
-                .register(parked.entry)
-                .expect("reserved checkout names are globally unique across shards");
+            let adopted = parked.overlay(db);
+            refused = refused.and(adopted);
         }
         if publish {
             self.snapshot.store(Arc::new(db.clone()));
         }
+        refused
     }
 
     /// One consistent clone of this shard's MVCC snapshot: the last
@@ -325,33 +366,34 @@ impl Shard {
     /// this. The pending mutex is acquired *before* the epoch load so an
     /// adoption (which drains pending and republishes under that same
     /// mutex) can never hide a parked entry from this load.
-    fn load_snapshot(&self) -> OrpheusDB {
+    ///
+    /// Costs O(tables): the epoch's tables, versions and staging entries
+    /// are all `Arc`-shared, so the clone copies pointers, not rows. Fails
+    /// — for this request only — when a parked checkout cannot be
+    /// overlaid; the next writer's adoption clears the collision.
+    fn load_snapshot(&self) -> Result<OrpheusDB> {
         let (epoch, parked) = {
             let pending = self.pending.lock();
             (self.snapshot.load(), pending.clone())
         };
         let mut db = OrpheusDB::clone(&epoch);
         for parked in parked {
-            if let Some(table) = parked.table {
-                db.engine
-                    .add_table(table)
-                    .expect("reserved checkout names are globally unique across shards");
-            }
-            db.staging
-                .register(parked.entry)
-                .expect("reserved checkout names are globally unique across shards");
+            parked.overlay(&mut db)?;
         }
-        db
+        Ok(db)
     }
 }
 
 /// Write guard of a [`Shard`] that maintains the MVCC snapshot: parked
 /// checkouts were adopted on acquisition (see [`Shard::write`]), and the
-/// new epoch is published on release — cheap thanks to copy-on-write row
-/// storage and `Arc`-shared rid lists.
+/// new epoch is published on release — an O(tables) clone, because
+/// everything under a table, a version list or the staging area is
+/// `Arc`-shared with the shard proper.
 struct ShardWriteGuard<'a> {
     shard: &'a Shard,
     guard: std::sync::RwLockWriteGuard<'a, OrpheusDB>,
+    /// The first parked checkout the adoption on acquisition refused.
+    refused: Option<CoreError>,
     _token: LockToken,
 }
 
@@ -540,11 +582,11 @@ impl Catalog {
     /// *acknowledged* state (individually consistent); a writer still
     /// inside its critical section is simply not visible yet.
     fn merged_snapshot(&self) -> Result<OrpheusDB> {
-        let mut merged = self.aux.load_snapshot();
+        let mut merged = self.aux.load_snapshot()?;
         merged.access = self.access.clone();
         merged.config = self.config.clone();
         for shard in self.shards.values() {
-            merged.absorb(shard.load_snapshot())?;
+            merged.absorb(shard.load_snapshot()?)?;
         }
         Ok(merged)
     }
@@ -558,11 +600,11 @@ impl Catalog {
             .filter(|k| k.as_str() != AUX_KEY)
             .map(|k| self.shard_by_key(k))
             .collect::<Result<_>>()?;
-        let mut merged = self.aux.load_snapshot();
+        let mut merged = self.aux.load_snapshot()?;
         merged.access = self.access.clone();
         merged.config = self.config.clone();
         for shard in &arcs {
-            merged.absorb(shard.load_snapshot())?;
+            merged.absorb(shard.load_snapshot()?)?;
         }
         Ok(merged)
     }
@@ -587,10 +629,13 @@ impl Catalog {
             arc.retire();
         }
         self.aux.retire();
+        // A refused checkout is dropped, here as in `Shard::write`: the
+        // quiesce goes on, and the checkout's owner learns of it from the
+        // `NotStaged` their commit gets.
         for (arc, guard) in arcs.iter().zip(guards.iter_mut()) {
-            arc.adopt_pending(guard, false);
+            let _ = arc.adopt_pending(guard, false);
         }
-        self.aux.adopt_pending(&mut aux_guard, false);
+        let _ = self.aux.adopt_pending(&mut aux_guard, false);
         let mut merged = std::mem::take(&mut *aux_guard);
         merged.access = self.access.clone();
         merged.config = self.config.clone();
@@ -1138,6 +1183,9 @@ impl ConcurrentExecutor {
             if shard.is_retired() {
                 continue;
             }
+            if let Some(refused) = db.refused.take() {
+                return Err(refused);
+            }
             let f = f.take().expect("closure runs at most once");
             return under_identity(&mut db, &self.user, f);
         }
@@ -1158,7 +1206,7 @@ impl ConcurrentExecutor {
                 let cat = self.inner.catalog_read();
                 resolve(&cat)?
             };
-            let mut clone = shard.load_snapshot();
+            let mut clone = shard.load_snapshot()?;
             if shard.is_retired() {
                 continue;
             }
@@ -1213,7 +1261,7 @@ impl ConcurrentExecutor {
                 let cat = self.inner.catalog_read();
                 cat.shard(cvd_key)?
             };
-            let mut clone = shard.load_snapshot();
+            let mut clone = shard.load_snapshot()?;
             if shard.is_retired() {
                 continue;
             }
@@ -1719,6 +1767,15 @@ impl ConcurrentExecutor {
                 let Some(request) = item.request.take() else {
                     continue;
                 };
+                if let Some(refused) = db.refused.take() {
+                    // Adoption on acquisition dropped a parked checkout:
+                    // one collision fails one request, the first.
+                    if let Some((key, false)) = staged_mark(&request) {
+                        failed_checkouts.push(key);
+                    }
+                    item.out = Some(Err(refused));
+                    continue;
+                }
                 if poisoned {
                     // A panic earlier in this sub-batch: poison the rest
                     // of its in-flight requests instead of running them
@@ -1879,13 +1936,18 @@ impl ConcurrentExecutor {
                 let cat = self.inner.catalog_read();
                 cat.shard_by_key(&cat_key)
             };
-            let shard = match resolved {
-                Ok(shard) => shard,
+            let loaded = resolved.and_then(|shard| {
+                let clone = shard.load_snapshot()?;
+                Ok((shard, clone))
+            });
+            let (shard, clone) = match loaded {
+                Ok(loaded) => loaded,
                 Err(_) => {
                     // The CVD vanished between planning and execution (a
-                    // concurrent drop): run each remaining request through
-                    // the per-request path, which re-resolves and reports
-                    // the ordinary errors.
+                    // concurrent drop), or a parked checkout could not be
+                    // overlaid: run each remaining request through the
+                    // per-request path, which re-resolves and reports the
+                    // ordinary errors.
                     for item in items.iter_mut() {
                         if let Some(request) = item.request.take() {
                             let mut exec = ConcurrentExecutor {
@@ -1898,7 +1960,6 @@ impl ConcurrentExecutor {
                     return;
                 }
             };
-            let clone = shard.load_snapshot();
             if shard.is_retired() {
                 continue;
             }

@@ -28,8 +28,18 @@ pub struct AttrEntry {
 /// the whole schema), so lookups go through a `(name, type)` → id map kept
 /// alongside `entries` instead of a linear scan — wide evolving schemas
 /// would otherwise pay O(n²) interning.
+///
+/// The registry changes only when a commit brings an attribute nobody has
+/// seen, so the whole of it sits behind one [`Arc`]: cloning a `Cvd` — the
+/// backbone of MVCC snapshot publication — shares it, and the rare
+/// interning of a new attribute copies it once.
 #[derive(Debug, Clone, Default)]
 pub struct AttributeRegistry {
+    shared: Arc<RegistryData>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct RegistryData {
     entries: Vec<AttrEntry>,
     /// (lower-cased name, type) → id, kept in sync with `entries`.
     by_key: HashMap<(String, DataType), u32>,
@@ -39,16 +49,17 @@ impl AttributeRegistry {
     /// Get or create the id for an attribute (name, type).
     pub fn intern(&mut self, name: &str, dtype: DataType) -> u32 {
         let key = (name.to_ascii_lowercase(), dtype);
-        if let Some(&id) = self.by_key.get(&key) {
+        if let Some(&id) = self.shared.by_key.get(&key) {
             return id;
         }
-        let id = self.entries.len() as u32 + 1;
-        self.entries.push(AttrEntry {
+        let data = Arc::make_mut(&mut self.shared);
+        let id = data.entries.len() as u32 + 1;
+        data.entries.push(AttrEntry {
             id,
             name: name.to_string(),
             dtype,
         });
-        self.by_key.insert(key, id);
+        data.by_key.insert(key, id);
         id
     }
 
@@ -57,11 +68,11 @@ impl AttributeRegistry {
         // from_entries requires a previous entries() output. A mismatch
         // means a corrupt registry and reports absence.
         let i = (id as usize).checked_sub(1)?;
-        self.entries.get(i).filter(|e| e.id == id)
+        self.shared.entries.get(i).filter(|e| e.id == id)
     }
 
     pub fn entries(&self) -> &[AttrEntry] {
-        &self.entries
+        &self.shared.entries
     }
 
     /// Rebuild a registry from saved entries (snapshot restore). Entries
@@ -72,7 +83,9 @@ impl AttributeRegistry {
             .iter()
             .map(|e| ((e.name.to_ascii_lowercase(), e.dtype), e.id))
             .collect();
-        AttributeRegistry { entries, by_key }
+        AttributeRegistry {
+            shared: Arc::new(RegistryData { entries, by_key }),
+        }
     }
 
     /// Intern every column of a schema, returning the attribute-id list
@@ -114,13 +127,15 @@ pub struct Cvd {
     /// Current logical schema (data attributes only — no `rid`).
     pub schema: Schema,
     pub model: ModelKind,
-    pub versions: Vec<VersionMeta>,
-    /// Sorted rid list per version (the version manager's cache of "which
-    /// version contains which records"). Each rlist is immutable once its
-    /// version commits and is therefore stored behind an [`Arc`], so
-    /// cloning a `Cvd` — the backbone of MVCC snapshot publication — costs
-    /// one refcount bump per version instead of copying every rlist.
+    /// Metadata per version. A version's metadata and its rlist (below)
+    /// are immutable once it commits and are therefore each stored behind
+    /// an [`Arc`], so cloning a `Cvd` — the backbone of MVCC snapshot
+    /// publication — costs two pointer vectors and a refcount bump per
+    /// version instead of copying every message, parent list and rlist.
     /// `PartialEq`/persistence see through the `Arc` transparently.
+    pub versions: Vec<Arc<VersionMeta>>,
+    /// Sorted rid list per version (the version manager's cache of "which
+    /// version contains which records").
     pub version_rids: Vec<Arc<Vec<i64>>>,
     pub next_rid: u64,
     pub attrs: AttributeRegistry,
@@ -228,6 +243,12 @@ impl Cvd {
     pub fn rids_of(&self, vid: Vid) -> Result<&[i64]> {
         self.check_version(vid)?;
         Ok(&self.version_rids[vid.index()])
+    }
+
+    /// Record a committed version: its metadata and its sorted rlist.
+    pub fn push_version(&mut self, meta: VersionMeta, rlist: Vec<i64>) {
+        self.versions.push(Arc::new(meta));
+        self.version_rids.push(Arc::new(rlist));
     }
 
     /// Allocate `n` fresh record ids.
@@ -450,42 +471,48 @@ mod tests {
         let mut cvd = Cvd::new("Protein", protein_schema(), ModelKind::SplitByRlist);
         let attrs = cvd.attrs.intern_schema(&protein_schema());
         // v1: records 1..=3; v2 (parent v1): records 2..=4; v3 merge of 1,2.
-        cvd.versions.push(VersionMeta {
-            vid: Vid(1),
-            parents: vec![],
-            parent_weights: vec![],
-            checkout_t: None,
-            commit_t: 1,
-            message: "init".into(),
-            attributes: attrs.clone(),
-            num_records: 3,
-            base: None,
-        });
-        cvd.version_rids.push(Arc::new(vec![1, 2, 3]));
-        cvd.versions.push(VersionMeta {
-            vid: Vid(2),
-            parents: vec![Vid(1)],
-            parent_weights: vec![2],
-            checkout_t: Some(1),
-            commit_t: 2,
-            message: "edit".into(),
-            attributes: attrs.clone(),
-            num_records: 3,
-            base: Some(Vid(1)),
-        });
-        cvd.version_rids.push(Arc::new(vec![2, 3, 4]));
-        cvd.versions.push(VersionMeta {
-            vid: Vid(3),
-            parents: vec![Vid(1), Vid(2)],
-            parent_weights: vec![3, 3],
-            checkout_t: Some(2),
-            commit_t: 3,
-            message: "merge".into(),
-            attributes: attrs,
-            num_records: 4,
-            base: Some(Vid(2)),
-        });
-        cvd.version_rids.push(Arc::new(vec![1, 2, 3, 4]));
+        cvd.push_version(
+            VersionMeta {
+                vid: Vid(1),
+                parents: vec![],
+                parent_weights: vec![],
+                checkout_t: None,
+                commit_t: 1,
+                message: "init".into(),
+                attributes: attrs.clone(),
+                num_records: 3,
+                base: None,
+            },
+            vec![1, 2, 3],
+        );
+        cvd.push_version(
+            VersionMeta {
+                vid: Vid(2),
+                parents: vec![Vid(1)],
+                parent_weights: vec![2],
+                checkout_t: Some(1),
+                commit_t: 2,
+                message: "edit".into(),
+                attributes: attrs.clone(),
+                num_records: 3,
+                base: Some(Vid(1)),
+            },
+            vec![2, 3, 4],
+        );
+        cvd.push_version(
+            VersionMeta {
+                vid: Vid(3),
+                parents: vec![Vid(1), Vid(2)],
+                parent_weights: vec![3, 3],
+                checkout_t: Some(2),
+                commit_t: 3,
+                message: "merge".into(),
+                attributes: attrs,
+                num_records: 4,
+                base: Some(Vid(2)),
+            },
+            vec![1, 2, 3, 4],
+        );
         cvd.next_rid = 5;
         cvd
     }

@@ -319,18 +319,20 @@ impl OrpheusDB {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)
         };
-        cvd.versions.push(VersionMeta {
-            vid: Vid(1),
-            parents: Vec::new(),
-            parent_weights: Vec::new(),
-            checkout_t: None,
-            commit_t,
-            message: "init".to_string(),
-            attributes,
-            num_records: rids.len() as u64,
-            base: None,
-        });
-        cvd.version_rids.push(std::sync::Arc::new(rids));
+        cvd.push_version(
+            VersionMeta {
+                vid: Vid(1),
+                parents: Vec::new(),
+                parent_weights: Vec::new(),
+                checkout_t: None,
+                commit_t,
+                message: "init".to_string(),
+                attributes,
+                num_records: rids.len() as u64,
+                base: None,
+            },
+            rids,
+        );
         cvd.sync_meta_row(&mut self.engine, Vid(1))?;
         self.cvds.insert(key, cvd);
         if let Some(op) = wal_op {
@@ -440,7 +442,7 @@ impl OrpheusDB {
         // MVCC snapshot reads can be demonstrated deterministically.
         crate::concurrent::hold_commit_if_gated(table);
         let staged_schema = self.engine.table(table)?.schema.clone();
-        let rows = self.engine.table(table)?.rows().to_vec();
+        let rows: Vec<Vec<Value>> = self.engine.table(table)?.rows().cloned().collect();
         let clock_before = self.clock;
         // Staged edits happen through raw SQL the log never sees, so the
         // record materializes the final rows (captured only when logging).
@@ -458,7 +460,7 @@ impl OrpheusDB {
                     parents: entry.parents,
                     owner: entry.owner,
                     created_at: entry.created_at,
-                    schema: staged_schema,
+                    schema: Schema::clone(&staged_schema),
                     rows,
                     message: message.to_string(),
                     vid,
@@ -528,7 +530,7 @@ impl OrpheusDB {
                     parents: entry.parents,
                     owner: entry.owner,
                     created_at: entry.created_at,
-                    schema: staged_schema,
+                    schema: Schema::clone(&staged_schema),
                     rows,
                     message: message.to_string(),
                     vid,
@@ -698,18 +700,20 @@ impl OrpheusDB {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)
         };
-        cvd.versions.push(VersionMeta {
-            vid,
-            parents: entry.parents.clone(),
-            parent_weights,
-            checkout_t: Some(entry.created_at),
-            commit_t,
-            message: message.to_string(),
-            attributes,
-            num_records: rlist.len() as u64,
-            base,
-        });
-        cvd.version_rids.push(std::sync::Arc::new(rlist));
+        cvd.push_version(
+            VersionMeta {
+                vid,
+                parents: entry.parents.clone(),
+                parent_weights,
+                checkout_t: Some(entry.created_at),
+                commit_t,
+                message: message.to_string(),
+                attributes,
+                num_records: rlist.len() as u64,
+                base,
+            },
+            rlist,
+        );
 
         // Finalize: metadata row + online partition maintenance
         // (Section 4.3). The version was just published into the live

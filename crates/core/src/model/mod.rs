@@ -184,7 +184,7 @@ fn strip_vid_from_vlists(db: &mut Database, table: &str, vid: Vid) {
     let target = vid.0 as i64;
     let mut updates = Vec::new();
     let mut deletes = Vec::new();
-    for (slot, row) in t.rows().iter().enumerate() {
+    for (slot, row) in t.rows().enumerate() {
         let Value::IntArray(vlist) = &row[vlist_col] else {
             continue;
         };
@@ -378,7 +378,7 @@ pub(crate) fn checkout_resolved(
                     .map(|(_, slot)| t.row(slot)[..=width].to_vec())
                     .collect()
             }
-            None => t.rows().iter().map(|r| r[..=width].to_vec()).collect(),
+            None => t.rows().map(|r| r[..=width].to_vec()).collect(),
         };
         let mut schema = t.schema.project(&(0..=width).collect::<Vec<_>>());
         schema.primary_key.clear();
@@ -538,7 +538,7 @@ pub fn append_vid_to_vlist(
     let rid_col = t.schema.column_index("rid")?;
     let vlist_col = t.schema.column_index("vlist")?;
     let mut updates = Vec::new();
-    for (slot, row) in t.rows().iter().enumerate() {
+    for (slot, row) in t.rows().enumerate() {
         if let Value::Int(r) = row[rid_col] {
             if kept_set.contains(&r) {
                 let mut new_row = row.clone();
@@ -637,18 +637,20 @@ pub(crate) mod testutil {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)
         };
-        cvd.versions.push(VersionMeta {
-            vid,
-            parents: parents.to_vec(),
-            parent_weights,
-            checkout_t: None,
-            commit_t: vid.0,
-            message: format!("commit {vid}"),
-            attributes,
-            num_records: rlist.len() as u64,
-            base,
-        });
-        cvd.version_rids.push(std::sync::Arc::new(rlist));
+        cvd.push_version(
+            VersionMeta {
+                vid,
+                parents: parents.to_vec(),
+                parent_weights,
+                checkout_t: None,
+                commit_t: vid.0,
+                message: format!("commit {vid}"),
+                attributes,
+                num_records: rlist.len() as u64,
+                base,
+            },
+            rlist,
+        );
         vid
     }
 }

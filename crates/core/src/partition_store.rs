@@ -2,7 +2,9 @@
 //!
 //! After `optimize`, a CVD's records live in per-partition table pairs
 //! `{cvd}__g{G}p{K}_data` / `..._rlist` (G is a migration generation
-//! counter so reused tables can be renamed rather than copied). Checkout
+//! counter: a migration builds generation G+1 beside G — a reused table
+//! starts as a chunk-sharing clone of its predecessor — and drops G only
+//! once G+1 stands, so a failed migration changes nothing). Checkout
 //! touches exactly one partition — the whole point of partitioning: the
 //! number of irrelevant records scanned drops from |R| to |Rk|.
 //!
@@ -44,8 +46,16 @@ pub struct PartitionState {
 }
 
 impl PartitionState {
+    /// The assignment as a [`Partitioning`], partition ids unchanged: id
+    /// `k` names the physical tables `{cvd}__g{generation}p{k}_*`, so a
+    /// migration planned against this must see the same numbering
+    /// ([`Partitioning::from_assignment`] renumbers by first appearance,
+    /// which LyreSplit's output does not follow).
     pub fn partitioning(&self) -> Partitioning {
-        Partitioning::from_assignment(self.assignment.clone())
+        Partitioning {
+            assignment: self.assignment.clone(),
+            num_partitions: self.num_partitions,
+        }
     }
 }
 
@@ -116,6 +126,22 @@ fn fetch_records(
         }
     }
     Ok(out)
+}
+
+/// Those of `rids` that `table`'s rid index does not hold.
+fn missing_rids(
+    db: &Database,
+    table: &str,
+    rids: impl Iterator<Item = i64>,
+) -> Result<HashSet<i64>> {
+    let t = db.table(table)?;
+    Ok(rids
+        .filter(|&rid| {
+            t.index_lookup(&[0], &[Value::Int(rid)])
+                .unwrap_or_default()
+                .is_empty()
+        })
+        .collect())
 }
 
 fn create_partition_tables(
@@ -323,6 +349,12 @@ fn migrate(
     ))
 }
 
+/// Execute `plan`: build generation `state.generation + 1` beside the
+/// current one, then drop the current one. A reused partition starts as a
+/// clone of its old data table — the clone shares every heap chunk and
+/// index leaf, so "copying" it costs what renaming did — and only the
+/// clone is modified. A failure at any step drops whatever exists of the
+/// new generation and leaves the current one exactly as it was.
 fn apply_migration_plan(
     db: &mut Database,
     cvd: &Cvd,
@@ -330,81 +362,81 @@ fn apply_migration_plan(
     new: &Partitioning,
     plan: &MigrationPlan,
 ) -> Result<()> {
-    let old_gen = state.generation;
     let new_gen = state.generation + 1;
-    let new_parts = new.partitions();
-    let mut handled_old: Vec<usize> = Vec::new();
+    let built = build_generation(db, cvd, state.generation, new_gen, new, plan);
+    let (stale_gen, stale_partitions) = match built {
+        Ok(()) => (state.generation, state.num_partitions),
+        Err(_) => (new_gen, new.num_partitions),
+    };
+    for k in 0..stale_partitions {
+        let _ = db.drop_table(&data_table_name(cvd, stale_gen, k));
+        let _ = db.drop_table(&rlist_table_name(cvd, stale_gen, k));
+    }
+    built
+}
 
+fn build_generation(
+    db: &mut Database,
+    cvd: &Cvd,
+    old_gen: usize,
+    new_gen: usize,
+    new: &Partitioning,
+    plan: &MigrationPlan,
+) -> Result<()> {
+    let new_parts = new.partitions();
     for step in &plan.steps {
-        match step {
+        let (new_k, inserts) = match step {
             MigrationStep::Reuse {
                 old,
                 new: new_k,
                 inserts,
                 deletes,
             } => {
-                // Rename the old data table into the new generation, then
-                // apply the (small) record modifications in place.
-                let old_name = data_table_name(cvd, old_gen, *old);
                 let new_name = data_table_name(cvd, new_gen, *new_k);
-                db.rename_table(&old_name, &new_name)?;
-                if !deletes.is_empty() {
-                    let t = db.table_mut(&new_name)?;
-                    let mut slots = Vec::with_capacity(deletes.len());
-                    for rid in deletes {
-                        if let Some(s) = t.index_lookup(&[0], &vec![Value::Int(*rid as i64)]) {
-                            slots.extend_from_slice(s);
-                        }
-                    }
-                    t.delete_slots(slots);
-                }
-                if !inserts.is_empty() {
-                    let rids: HashSet<i64> = inserts.iter().map(|&r| r as i64).collect();
-                    let records = fetch_records(db, cvd, &rids)?;
-                    insert_partition_records(db, &new_name, &records, rids)?;
-                }
-                // rlist tables are tiny; rebuild for the new member set.
-                let _ = db.drop_table(&rlist_table_name(cvd, old_gen, *old));
+                let mut t = db.table(&data_table_name(cvd, old_gen, *old))?.clone();
+                t.rename(&new_name);
+                let slots: Vec<usize> = deletes
+                    .iter()
+                    .filter_map(|rid| t.index_lookup(&[0], &[Value::Int(*rid as i64)]))
+                    .flatten()
+                    .copied()
+                    .collect();
+                t.delete_slots(slots);
+                db.add_table(t)?;
+                // rlist tables are tiny; rebuilt for the new member set.
                 db.execute(&format!(
                     "CREATE TABLE {} (vid INT PRIMARY KEY, rlist INT[])",
                     rlist_table_name(cvd, new_gen, *new_k)
                 ))?;
-                fill_rlist_table(
-                    db,
-                    cvd,
-                    &rlist_table_name(cvd, new_gen, *new_k),
-                    &new_parts[*new_k],
-                )?;
-                handled_old.push(*old);
+                (*new_k, inserts)
             }
             MigrationStep::Build {
                 new: new_k,
                 records,
             } => {
                 create_partition_tables(db, cvd, new_gen, *new_k)?;
-                let rids: HashSet<i64> = records.iter().map(|&r| r as i64).collect();
-                let fetched = fetch_records(db, cvd, &rids)?;
-                let mut sorted: Vec<i64> = rids.into_iter().collect();
-                sorted.sort_unstable();
-                insert_partition_records(
-                    db,
-                    &data_table_name(cvd, new_gen, *new_k),
-                    &fetched,
-                    sorted,
-                )?;
-                fill_rlist_table(
-                    db,
-                    cvd,
-                    &rlist_table_name(cvd, new_gen, *new_k),
-                    &new_parts[*new_k],
-                )?;
+                (*new_k, records)
             }
-            MigrationStep::Drop { old } => {
-                let _ = db.drop_table(&data_table_name(cvd, old_gen, *old));
-                let _ = db.drop_table(&rlist_table_name(cvd, old_gen, *old));
-                handled_old.push(*old);
-            }
+            // The whole old generation goes once the new one stands.
+            MigrationStep::Drop { .. } => continue,
+        };
+        // A rolled-back placement can leave records behind in a reused
+        // table that the plan, made from the version graph, does not
+        // count on; only what is missing goes in.
+        let data_name = data_table_name(cvd, new_gen, new_k);
+        let rids = missing_rids(db, &data_name, inserts.iter().map(|&r| r as i64))?;
+        if !rids.is_empty() {
+            let records = fetch_records(db, cvd, &rids)?;
+            let mut sorted: Vec<i64> = rids.into_iter().collect();
+            sorted.sort_unstable();
+            insert_partition_records(db, &data_name, &records, sorted)?;
         }
+        fill_rlist_table(
+            db,
+            cvd,
+            &rlist_table_name(cvd, new_gen, new_k),
+            &new_parts[new_k],
+        )?;
     }
     Ok(())
 }
@@ -478,18 +510,7 @@ fn place_commit(
     let data_name = data_table_name(cvd, state.generation, partition);
     let rlist_name = rlist_table_name(cvd, state.generation, partition);
     let version_rids = cvd.version_rids[v].clone();
-    let missing: HashSet<i64> = {
-        let t = db.table(&data_name)?;
-        version_rids
-            .iter()
-            .copied()
-            .filter(|&rid| {
-                t.index_lookup(&[0], &vec![Value::Int(rid)])
-                    .map(|s| s.is_empty())
-                    .unwrap_or(true)
-            })
-            .collect()
-    };
+    let missing = missing_rids(db, &data_name, version_rids.iter().copied())?;
     if !missing.is_empty() {
         let records = fetch_records(db, cvd, &missing)?;
         insert_partition_records(db, &data_name, &records, missing)?;
@@ -500,7 +521,7 @@ fn place_commit(
     ])?;
 
     // Drift check: recompute C*avg and migrate when Cavg > µ·C*avg.
-    let current = Partitioning::from_assignment(state.assignment.clone());
+    let current = state.partitioning();
     let cavg = current.checkout_cost_tree(&tree);
     let (best, _) = lyresplit_for_budget(&tree, gamma, EdgePick::BalancedVersions);
     state.cavg_star = best.partitioning.checkout_cost_tree(&tree);
@@ -739,6 +760,50 @@ mod tests {
         checkout_partitioned(&mut db, &cvd, Vid(3), "w_after").unwrap();
         let r = db.query("SELECT count(*) FROM w_after").unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(2)));
+    }
+
+    #[test]
+    fn a_failed_migration_leaves_the_previous_generation_intact() {
+        let (mut db, mut cvd) = build_history();
+        optimize(&mut db, &mut cvd, 1.0, 1.5).unwrap();
+        let before = cvd.partition.clone().unwrap();
+        let tables_before = db.table_names();
+        // Sabotage: the name the migration's last rlist table needs is
+        // taken, so it fails with generation 1 partly built.
+        let tree = cvd.version_tree();
+        let gamma = (3.0 * tree.total_records() as f64) as u64;
+        let fresh = lyresplit_for_budget(&tree, gamma, EdgePick::BalancedVersions).0;
+        let last = fresh.partitioning.num_partitions - 1;
+        db.execute(&format!(
+            "CREATE TABLE {} (x INT)",
+            rlist_table_name(&cvd, 1, last)
+        ))
+        .unwrap();
+        optimize(&mut db, &mut cvd, 3.0, 1.5).unwrap_err();
+
+        let state = cvd.partition.as_ref().unwrap();
+        assert_eq!(state.generation, before.generation);
+        assert_eq!(state.assignment, before.assignment);
+        assert_eq!(
+            db.table_names(),
+            tables_before,
+            "no table of either generation moved"
+        );
+        for v in 1..=3u64 {
+            let target = format!("still{v}");
+            checkout_partitioned(&mut db, &cvd, Vid(v), &target).unwrap();
+            let parted = db
+                .query(&format!("SELECT * FROM {target} ORDER BY rid"))
+                .unwrap();
+            let plain = model::version_rows(&mut db, &cvd, Vid(v)).unwrap();
+            assert_eq!(parted.rows.len(), plain.len(), "version {v}");
+        }
+        // With the name free again the same migration goes through.
+        optimize(&mut db, &mut cvd, 3.0, 1.5).unwrap();
+        assert_eq!(
+            cvd.partition.as_ref().unwrap().generation,
+            before.generation + 1
+        );
     }
 
     #[test]

@@ -288,7 +288,7 @@ fn get_cvd(r: &mut ByteReader<'_>) -> Result<Cvd> {
     let nvers = r.get_u32()? as usize;
     let mut versions = Vec::with_capacity(nvers.min(r.remaining()));
     for _ in 0..nvers {
-        versions.push(get_version_meta(r)?);
+        versions.push(std::sync::Arc::new(get_version_meta(r)?));
     }
     let mut version_rids = Vec::with_capacity(nvers.min(r.remaining()));
     for _ in 0..nvers {

@@ -4,6 +4,7 @@
 //! from without the user restating it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
@@ -32,10 +33,12 @@ pub struct StagedEntry {
     pub kind: StagedKind,
 }
 
-/// Registry of staged artifacts.
+/// Registry of staged artifacts. An entry never changes once registered,
+/// so each sits behind an [`Arc`]: cloning the registry (every MVCC
+/// snapshot does) copies the keys, not the provenance.
 #[derive(Debug, Clone, Default)]
 pub struct StagingArea {
-    entries: HashMap<String, StagedEntry>,
+    entries: HashMap<String, Arc<StagedEntry>>,
 }
 
 impl StagingArea {
@@ -54,19 +57,21 @@ impl StagingArea {
                 entry.name
             )));
         }
-        self.entries.insert(key, entry);
+        self.entries.insert(key, Arc::new(entry));
         Ok(())
     }
 
     pub fn get(&self, name: &str, kind: StagedKind) -> Result<&StagedEntry> {
         self.entries
             .get(&Self::key(name, kind))
+            .map(|e| &**e)
             .ok_or_else(|| CoreError::NotStaged(name.to_string()))
     }
 
     pub fn remove(&mut self, name: &str, kind: StagedKind) -> Result<StagedEntry> {
         self.entries
             .remove(&Self::key(name, kind))
+            .map(Arc::unwrap_or_clone)
             .ok_or_else(|| CoreError::NotStaged(name.to_string()))
     }
 
@@ -81,7 +86,11 @@ impl StagingArea {
 
     /// Take every entry out of the registry (used when merging instances).
     pub fn drain(&mut self) -> Vec<StagedEntry> {
-        let mut out: Vec<StagedEntry> = self.entries.drain().map(|(_, e)| e).collect();
+        let mut out: Vec<StagedEntry> = self
+            .entries
+            .drain()
+            .map(|(_, e)| Arc::unwrap_or_clone(e))
+            .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
@@ -98,7 +107,7 @@ impl StagingArea {
             .collect();
         let mut out: Vec<StagedEntry> = keys
             .into_iter()
-            .map(|k| self.entries.remove(&k).expect("key collected above"))
+            .filter_map(|k| self.entries.remove(&k).map(Arc::unwrap_or_clone))
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
@@ -107,13 +116,18 @@ impl StagingArea {
     /// All staged artifacts for a CVD (used when dropping it).
     pub fn for_cvd(&self, cvd: &str) -> Vec<&StagedEntry> {
         let cvd = cvd.to_ascii_lowercase();
-        let mut v: Vec<&StagedEntry> = self.entries.values().filter(|e| e.cvd == cvd).collect();
+        let mut v: Vec<&StagedEntry> = self
+            .entries
+            .values()
+            .map(|e| &**e)
+            .filter(|e| e.cvd == cvd)
+            .collect();
         v.sort_by(|a, b| a.name.cmp(&b.name));
         v
     }
 
     pub fn list(&self) -> Vec<&StagedEntry> {
-        let mut v: Vec<&StagedEntry> = self.entries.values().collect();
+        let mut v: Vec<&StagedEntry> = self.entries.values().map(|e| &**e).collect();
         v.sort_by(|a, b| a.name.cmp(&b.name));
         v
     }

@@ -4,6 +4,7 @@
 //! issues plain SQL, never version-aware operations.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::{EngineError, Result};
 use crate::exec::{ExecContext, JoinStrategy};
@@ -89,7 +90,7 @@ impl Database {
     pub fn add_table(&mut self, table: Table) -> Result<()> {
         let key = table.name.to_ascii_lowercase();
         if self.tables.contains_key(&key) {
-            return Err(EngineError::TableExists(table.name));
+            return Err(EngineError::TableExists(table.name.to_string()));
         }
         self.tables.insert(key, table);
         Ok(())
@@ -110,23 +111,6 @@ impl Database {
         self.tables
             .remove(&name.to_ascii_lowercase())
             .ok_or_else(|| EngineError::TableNotFound(name.to_string()))
-    }
-
-    /// Rename a table (`ALTER TABLE .. RENAME`), keeping its contents and
-    /// indexes. Used by OrpheusDB's migration engine to repurpose partition
-    /// tables without copying them.
-    pub fn rename_table(&mut self, old: &str, new: &str) -> Result<()> {
-        let new_key = new.to_ascii_lowercase();
-        if self.tables.contains_key(&new_key) {
-            return Err(EngineError::TableExists(new.to_string()));
-        }
-        let mut t = self
-            .tables
-            .remove(&old.to_ascii_lowercase())
-            .ok_or_else(|| EngineError::TableNotFound(old.to_string()))?;
-        t.name = new_key.clone();
-        self.tables.insert(new_key, t);
-        Ok(())
     }
 
     /// Total storage (heap + indexes) across all tables, in bytes.
@@ -386,7 +370,7 @@ impl Database {
         // Phase 1 (immutable): lower expressions and compute replacement rows.
         let updates: Vec<(usize, Row)> = {
             let t = self.table(table)?;
-            let schema = t.schema.clone();
+            let schema = Arc::clone(&t.schema);
             let ctx = ExecContext {
                 tables: &self.tables,
                 stats: &self.stats,
@@ -413,7 +397,7 @@ impl Database {
                 crate::cost::SEQ_PAGE_COST,
             );
             let mut out = Vec::new();
-            for (slot, row) in t.rows().iter().enumerate() {
+            for (slot, row) in t.rows().enumerate() {
                 let matched = match &pred {
                     Some(p) => p.eval_predicate(row)?,
                     None => true,
@@ -449,7 +433,7 @@ impl Database {
     ) -> Result<QueryResult> {
         let slots: Vec<usize> = {
             let t = self.table(table)?;
-            let schema = t.schema.clone();
+            let schema = Arc::clone(&t.schema);
             let ctx = ExecContext {
                 tables: &self.tables,
                 stats: &self.stats,
@@ -467,7 +451,7 @@ impl Database {
             let t = self.table(table)?;
             self.stats.add_rows_scanned(t.len() as u64);
             let mut out = Vec::new();
-            for (slot, row) in t.rows().iter().enumerate() {
+            for (slot, row) in t.rows().enumerate() {
                 let matched = match &pred {
                     Some(p) => p.eval_predicate(row)?,
                     None => true,

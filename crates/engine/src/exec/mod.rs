@@ -138,7 +138,7 @@ impl Plan {
     pub fn output_schema(&self, ctx: &ExecContext) -> Result<Schema> {
         match self {
             Plan::SeqScan { table, .. } | Plan::IndexLookup { table, .. } => {
-                Ok(ctx.table(table)?.schema.clone())
+                Ok(Schema::clone(&ctx.table(table)?.schema))
             }
             Plan::Values { schema, .. } => Ok(schema.clone()),
             Plan::Filter { input, .. } => input.output_schema(ctx),
@@ -213,7 +213,7 @@ fn seq_scan(table: &str, filter: Option<&Expr>, ctx: &ExecContext) -> Result<Chu
         .add_seq_pages(cost::pages_for(n, t.avg_row_bytes()), cost::SEQ_PAGE_COST);
     let mut rows = Vec::new();
     match filter {
-        None => rows.extend(t.rows().iter().cloned()),
+        None => rows.extend(t.rows().cloned()),
         Some(pred) => {
             for row in t.rows() {
                 if pred.eval_predicate(row)? {
@@ -222,7 +222,7 @@ fn seq_scan(table: &str, filter: Option<&Expr>, ctx: &ExecContext) -> Result<Chu
             }
         }
     }
-    Ok(Chunk::new(t.schema.clone(), rows))
+    Ok(Chunk::new(Schema::clone(&t.schema), rows))
 }
 
 fn index_lookup(
@@ -252,7 +252,7 @@ fn index_lookup(
             }
         }
     }
-    Ok(Chunk::new(t.schema.clone(), rows))
+    Ok(Chunk::new(Schema::clone(&t.schema), rows))
 }
 
 fn project(input: &Plan, items: &[ProjItem], schema: &Schema, ctx: &ExecContext) -> Result<Chunk> {

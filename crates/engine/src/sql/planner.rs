@@ -557,7 +557,7 @@ fn flatten_from(
                     filter: None,
                 },
                 binding,
-                t.schema.clone(),
+                Schema::clone(&t.schema),
             ));
             Ok(())
         }

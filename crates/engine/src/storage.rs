@@ -761,7 +761,7 @@ mod tests {
         let orig = db.table("protein").unwrap();
         let loaded = back.table("protein").unwrap();
         assert_eq!(loaded.schema, orig.schema);
-        assert_eq!(loaded.rows(), orig.rows());
+        assert!(loaded.rows().eq(orig.rows()));
         assert_eq!(loaded.heap_bytes(), orig.heap_bytes());
         assert_eq!(loaded.indexes().len(), orig.indexes().len());
         assert_eq!(back.table("empty_t").unwrap().len(), 0);
@@ -801,11 +801,11 @@ mod tests {
         let back = deserialize_database(&serialize_database(&db)).unwrap();
         let t = back.table("d").unwrap();
         assert!(t.is_clustered_on(&[0]));
-        let keys: Vec<i64> = t.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let keys: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![1, 2, 3, 4, 5]);
         let idx = t.index_named("d_v").unwrap();
         assert_eq!(idx.kind(), IndexKind::BTree);
-        assert_eq!(idx.lookup(&vec!["x3".into()]).len(), 1);
+        assert_eq!(idx.lookup(&["x3".into()]).len(), 1);
     }
 
     #[test]

@@ -7,34 +7,144 @@
 //! records which key the heap is ordered by so the cost model can charge
 //! sequential vs. random page accesses appropriately.
 //!
-//! # Copy-on-write storage
+//! # Chunked copy-on-write storage
 //!
-//! The heap, its indexes, and the storage counters live behind one
-//! [`Arc`] (the private `TableData` struct), so cloning a `Table` — and
-//! therefore cloning a whole [`crate::Database`] — is O(1) per table: the
-//! clone shares the row storage until either side mutates. Every mutating
-//! method routes through `Table::data_mut`, which uses [`Arc::make_mut`] to copy the
-//! data exactly once, on the first write after a share. This is what lets
-//! `orpheus-core` publish cheap immutable snapshots of a shard for MVCC
-//! reads: the snapshot clone costs an `Arc` bump per table, and a writer
-//! preparing the next version pays for copies only on the tables it
-//! actually touches.
+//! The heap is a directory of fixed-size row **chunks**, each behind its
+//! own [`Arc`]; every index is a directory of `Arc`-shared leaves (see
+//! [`crate::index`]). The directories, the clustering state and the byte
+//! counters live behind one more `Arc` (the private `TableData`), and the
+//! table's name and schema behind theirs. What each step costs:
+//!
+//! * **Clone** a `Table` — and therefore a whole [`crate::Database`] — is
+//!   three reference-count bumps, whatever the table holds.
+//! * **First write after a clone** copies the directories (one pointer
+//!   per chunk or leaf, via [`Arc::make_mut`] on `TableData`) and then
+//!   only the chunks and leaves the write lands in. Appending rows with
+//!   growing keys copies the tail chunk and the tail leaf: O(rows
+//!   appended), not O(rows stored).
+//! * Operations that rewrite the heap — [`Table::delete_slots`],
+//!   [`Table::cluster_by`], [`Table::add_column`],
+//!   [`Table::alter_column_type`] — cost O(rows stored), shared or not.
+//!
+//! Readers holding an older clone keep seeing exactly their rows and
+//! index entries; this is what `orpheus-core` builds MVCC snapshot reads
+//! on.
 
 use std::sync::Arc;
 
 use crate::error::{EngineError, Result};
-use crate::index::{Index, IndexKey, IndexKind};
+use crate::index::{Index, IndexKey, IndexKind, Probe};
 use crate::schema::Schema;
 use crate::types::{Row, Value};
 
-/// The shared, copy-on-write payload of a [`Table`]: heap rows, secondary
-/// indexes, clustering state, and byte accounting. Snapshot clones of a
-/// table alias one `TableData` until a writer calls [`Table::data_mut`];
-/// readers holding an older `Arc` keep seeing the pre-write rows, which is
-/// the immutability guarantee MVCC snapshot reads are built on.
+/// Rows per heap chunk: what one write after a clone copies at most, per
+/// chunk it touches.
+const CHUNK_ROWS: usize = 64;
+
+/// The heap: rows in slot order, cut into `Arc`-shared chunks. Every chunk
+/// but the last holds exactly [`CHUNK_ROWS`] rows and none is empty, so
+/// slot `s` lives at `chunks[s / CHUNK_ROWS][s % CHUNK_ROWS]`.
+#[derive(Debug, Clone, Default)]
+struct Heap {
+    chunks: Vec<Arc<Vec<Row>>>,
+    len: usize,
+}
+
+impl Heap {
+    fn get(&self, slot: usize) -> &Row {
+        &self.chunks[slot / CHUNK_ROWS][slot % CHUNK_ROWS]
+    }
+
+    /// The row at `slot`, for writing: copies its chunk if shared.
+    fn get_mut(&mut self, slot: usize) -> &mut Row {
+        &mut Arc::make_mut(&mut self.chunks[slot / CHUNK_ROWS])[slot % CHUNK_ROWS]
+    }
+
+    fn push(&mut self, row: Row) {
+        match self.chunks.last_mut() {
+            Some(tail) if tail.len() < CHUNK_ROWS => Arc::make_mut(tail).push(row),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_ROWS);
+                chunk.push(row);
+                self.chunks.push(Arc::new(chunk));
+            }
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> Rows<'_> {
+        Rows {
+            chunks: self.chunks.iter(),
+            chunk: [].iter(),
+            remaining: self.len,
+        }
+    }
+
+    /// Every row, owned: moved out of chunks nobody else holds, cloned
+    /// out of shared ones.
+    fn into_rows(self) -> impl Iterator<Item = Row> {
+        self.chunks.into_iter().flat_map(Arc::unwrap_or_clone)
+    }
+
+    /// Every chunk, for writing: copies the shared ones.
+    fn chunks_mut(&mut self) -> impl Iterator<Item = &mut Vec<Row>> {
+        self.chunks.iter_mut().map(Arc::make_mut)
+    }
+}
+
+/// Iterator over a table's rows in slot order ([`Table::rows`]). It knows
+/// its length, so collecting a scan reserves once, and it folds chunk by
+/// chunk, so `for_each`-style consumers run at slice speed.
+#[derive(Debug, Clone)]
+pub struct Rows<'a> {
+    chunks: std::slice::Iter<'a, Arc<Vec<Row>>>,
+    chunk: std::slice::Iter<'a, Row>,
+    remaining: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a Row;
+
+    fn next(&mut self) -> Option<&'a Row> {
+        loop {
+            if let Some(row) = self.chunk.next() {
+                self.remaining -= 1;
+                return Some(row);
+            }
+            self.chunk = self.chunks.next()?.iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+
+    fn fold<B, F: FnMut(B, &'a Row) -> B>(self, init: B, mut f: F) -> B {
+        let acc = self.chunk.fold(init, &mut f);
+        self.chunks
+            .fold(acc, |acc, chunk| chunk.iter().fold(acc, &mut f))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+impl FromIterator<Row> for Heap {
+    fn from_iter<I: IntoIterator<Item = Row>>(rows: I) -> Heap {
+        let mut heap = Heap::default();
+        for row in rows {
+            heap.push(row);
+        }
+        heap
+    }
+}
+
+/// The shared, copy-on-write payload of a [`Table`]: heap and index
+/// directories, clustering state, and byte accounting. Clones of a table
+/// alias one `TableData` until a writer calls [`Table::data_mut`], which
+/// copies the directories but none of the chunks behind them.
 #[derive(Debug, Clone, Default)]
 struct TableData {
-    rows: Vec<Row>,
+    rows: Heap,
     indexes: Vec<Index>,
     clustered_on: Option<Vec<usize>>,
     row_bytes_total: usize,
@@ -59,14 +169,19 @@ impl TableData {
     }
 }
 
-/// A heap table with schema, rows, and secondary indexes. Rows and indexes
-/// are stored copy-on-write (see the module docs), so `Table::clone` is
-/// cheap and clones diverge lazily.
+/// A heap table with schema, rows, and secondary indexes. Everything is
+/// `Arc`-shared (see the module docs), so `Table::clone` is O(1) and
+/// clones diverge chunk by chunk.
 #[derive(Debug, Clone)]
 pub struct Table {
-    pub name: String,
-    pub schema: Schema,
+    pub name: Arc<str>,
+    pub schema: Arc<Schema>,
     data: Arc<TableData>,
+}
+
+/// Name of the primary-key index [`Table::new`] creates.
+fn pkey_name(table: &str) -> String {
+    format!("{table}_pkey")
 }
 
 impl Table {
@@ -78,49 +193,49 @@ impl Table {
         let mut data = TableData::default();
         if !schema.primary_key.is_empty() {
             let cols = schema.primary_key.clone();
-            data.indexes.push(Index::new(
-                format!("{name}_pkey"),
-                cols,
-                true,
-                IndexKind::Hash,
-            ));
+            data.indexes
+                .push(Index::new(pkey_name(&name), cols, true, IndexKind::Hash));
         }
         Table {
-            name,
-            schema,
+            name: name.into(),
+            schema: Arc::new(schema),
             data: Arc::new(data),
         }
     }
 
+    /// Give the table a new name; the primary-key index follows it.
+    pub fn rename(&mut self, new_name: &str) {
+        let old_pkey = pkey_name(&self.name);
+        if let Some(i) = self.data.indexes.iter().position(|i| i.name == old_pkey) {
+            self.data_mut().indexes[i].name = pkey_name(new_name);
+        }
+        self.name = new_name.into();
+    }
+
     /// The copy-on-write escape hatch every mutating method goes through:
-    /// [`Arc::make_mut`] returns the unique payload, copying it first if a
-    /// snapshot clone still aliases it. Borrowing only the `data` field
-    /// keeps `self.name`/`self.schema` readable during a mutation.
+    /// [`Arc::make_mut`] returns the unique payload, copying its
+    /// directories first if a clone still aliases it. Borrowing only the
+    /// `data` field keeps `self.name`/`self.schema` readable during a
+    /// mutation.
     fn data_mut(&mut self) -> &mut TableData {
         Arc::make_mut(&mut self.data)
     }
 
-    /// True when both tables still alias the same copy-on-write payload —
-    /// i.e. neither side has mutated since the clone. Used by tests to
-    /// prove snapshot clones are O(1) and diverge lazily.
-    pub fn shares_data_with(&self, other: &Table) -> bool {
-        Arc::ptr_eq(&self.data, &other.data)
-    }
-
     pub fn len(&self) -> usize {
-        self.data.rows.len()
+        self.data.rows.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.rows.is_empty()
+        self.data.rows.len == 0
     }
 
-    pub fn rows(&self) -> &[Row] {
-        &self.data.rows
+    /// Every row, in slot order.
+    pub fn rows(&self) -> Rows<'_> {
+        self.data.rows.iter()
     }
 
     pub fn row(&self, slot: usize) -> &Row {
-        &self.data.rows[slot]
+        self.data.rows.get(slot)
     }
 
     /// Column indices the heap is currently physically sorted by, if any.
@@ -135,10 +250,10 @@ impl Table {
 
     /// Average row width in bytes (used by the page cost model).
     pub fn avg_row_bytes(&self) -> usize {
-        if self.data.rows.is_empty() {
+        if self.is_empty() {
             64
         } else {
-            (self.data.row_bytes_total / self.data.rows.len()).max(1)
+            (self.data.row_bytes_total / self.len()).max(1)
         }
     }
 
@@ -159,31 +274,41 @@ impl Table {
         self.data.row_bytes_total
     }
 
+    /// `row`'s key in every index, in index order — built once per write,
+    /// for the uniqueness probe and the insert both.
+    fn keys_of(&self, row: &Row) -> Vec<IndexKey> {
+        self.data.indexes.iter().map(|i| i.key_of(row)).collect()
+    }
+
+    /// Refuse `keys` (from [`Table::keys_of`]) when one of them is already
+    /// held, in a unique index, by a slot other than `own_slot`. Checked
+    /// on all unique indexes before any is mutated.
+    fn check_unique(&self, keys: &[IndexKey], own_slot: Option<usize>) -> Result<()> {
+        for (idx, key) in self.data.indexes.iter().zip(keys) {
+            if idx.unique && idx.lookup(key).iter().any(|&s| Some(s) != own_slot) {
+                return Err(EngineError::UniqueViolation(format!(
+                    "table {}: duplicate key {:?} for index {}",
+                    self.name, key, idx.name
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Insert one row (validated and coerced against the schema).
     pub fn insert(&mut self, row: Row) -> Result<()> {
         let row = self.schema.check_row(&row)?;
-        // Check uniqueness on all unique indexes before mutating any.
-        for idx in &self.data.indexes {
-            if idx.unique {
-                let key = idx.key_of(&row);
-                if !idx.lookup(&key).is_empty() {
-                    return Err(EngineError::UniqueViolation(format!(
-                        "table {}: duplicate key {:?} for index {}",
-                        self.name, key, idx.name
-                    )));
-                }
-            }
-        }
+        let keys = self.keys_of(&row);
+        self.check_unique(&keys, None)?;
         let data = Arc::make_mut(&mut self.data);
-        let slot = data.rows.len();
-        for idx in &mut data.indexes {
-            let key = idx.key_of(&row);
+        let slot = data.rows.len;
+        for (idx, key) in data.indexes.iter_mut().zip(keys) {
             idx.insert(key, slot)?;
         }
         data.row_bytes_total += row_bytes(&row);
         data.rows.push(row);
         // Appends invalidate physical clustering unless the table is empty.
-        if data.rows.len() > 1 {
+        if data.rows.len > 1 {
             data.clustered_on = None;
         }
         Ok(())
@@ -203,29 +328,19 @@ impl Table {
     pub fn replace_row(&mut self, slot: usize, new_row: Row) -> Result<()> {
         let new_row = self.schema.check_row(&new_row)?;
         // Uniqueness: the new key must not collide with a *different* slot.
-        for idx in &self.data.indexes {
-            if idx.unique {
-                let key = idx.key_of(&new_row);
-                if idx.lookup(&key).iter().any(|&s| s != slot) {
-                    return Err(EngineError::UniqueViolation(format!(
-                        "table {}: duplicate key {:?} for index {}",
-                        self.name, key, idx.name
-                    )));
-                }
-            }
-        }
+        let new_keys = self.keys_of(&new_row);
+        self.check_unique(&new_keys, Some(slot))?;
         let data = Arc::make_mut(&mut self.data);
-        let old = data.rows[slot].clone();
-        for idx in &mut data.indexes {
+        let old = std::mem::replace(data.rows.get_mut(slot), new_row);
+        for (idx, new_key) in data.indexes.iter_mut().zip(new_keys) {
             let old_key = idx.key_of(&old);
-            let new_key = idx.key_of(&new_row);
             if old_key != new_key {
                 idx.remove(&old_key, slot);
                 idx.insert(new_key, slot)?;
             }
         }
-        data.row_bytes_total = data.row_bytes_total + row_bytes(&new_row) - row_bytes(&old);
-        data.rows[slot] = new_row;
+        data.row_bytes_total =
+            data.row_bytes_total + row_bytes(data.rows.get(slot)) - row_bytes(&old);
         Ok(())
     }
 
@@ -238,16 +353,13 @@ impl Table {
         slots.sort_unstable();
         slots.dedup();
         let data = self.data_mut();
-        let mut keep = Vec::with_capacity(data.rows.len() - slots.len());
         let mut del_iter = slots.iter().peekable();
-        for (i, row) in data.rows.drain(..).enumerate() {
-            if del_iter.peek() == Some(&&i) {
-                del_iter.next();
-            } else {
-                keep.push(row);
-            }
-        }
-        data.rows = keep;
+        data.rows = std::mem::take(&mut data.rows)
+            .into_rows()
+            .enumerate()
+            .filter(|(i, _)| del_iter.next_if_eq(&i).is_none())
+            .map(|(_, row)| row)
+            .collect();
         data.rebuild_indexes();
         data.recompute_bytes();
         data.clustered_on = None;
@@ -257,7 +369,7 @@ impl Table {
     /// Remove every row, keeping schema and index definitions.
     pub fn truncate(&mut self) {
         let data = self.data_mut();
-        data.rows.clear();
+        data.rows = Heap::default();
         for idx in &mut data.indexes {
             idx.clear();
         }
@@ -285,12 +397,11 @@ impl Table {
             .map(|c| self.schema.column_index(c))
             .collect();
         let mut idx = Index::new(index_name, cols?, unique, kind);
-        let data = self.data_mut();
-        for (slot, row) in data.rows.iter().enumerate() {
+        for (slot, row) in self.data.rows.iter().enumerate() {
             let key = idx.key_of(row);
             idx.insert(key, slot)?;
         }
-        data.indexes.push(idx);
+        self.data_mut().indexes.push(idx);
         Ok(())
     }
 
@@ -318,7 +429,8 @@ impl Table {
             .collect();
         let cols = cols?;
         let data = self.data_mut();
-        data.rows.sort_by(|a, b| {
+        let mut rows: Vec<Row> = std::mem::take(&mut data.rows).into_rows().collect();
+        rows.sort_by(|a, b| {
             for &c in &cols {
                 let ord = a[c].total_cmp(&b[c]);
                 if ord != std::cmp::Ordering::Equal {
@@ -327,6 +439,7 @@ impl Table {
             }
             std::cmp::Ordering::Equal
         });
+        data.rows = rows.into_iter().collect();
         data.rebuild_indexes();
         data.clustered_on = Some(cols);
         Ok(())
@@ -346,12 +459,12 @@ impl Table {
                 "added columns must be nullable (existing rows receive NULL)".into(),
             ));
         }
-        self.schema.columns.push(col);
+        Arc::make_mut(&mut self.schema).columns.push(col);
         let data = self.data_mut();
-        for row in &mut data.rows {
+        for row in data.rows.chunks_mut().flatten() {
             row.push(Value::Null);
         }
-        data.row_bytes_total += data.rows.len(); // 1 byte per NULL
+        data.row_bytes_total += data.rows.len; // 1 byte per NULL
         Ok(())
     }
 
@@ -373,18 +486,17 @@ impl Table {
             )));
         }
         let data = Arc::make_mut(&mut self.data);
-        for row in &mut data.rows {
+        for row in data.rows.chunks_mut().flatten() {
             row[ci] = row[ci].coerce_to(new_type)?;
         }
-        self.schema.columns[ci].dtype = new_type;
-        let data = self.data_mut();
+        Arc::make_mut(&mut self.schema).columns[ci].dtype = new_type;
         data.rebuild_indexes();
         data.recompute_bytes();
         Ok(())
     }
 
     /// Slots matching a key on the index covering `cols`, if one exists.
-    pub fn index_lookup(&self, cols: &[usize], key: &IndexKey) -> Option<&[usize]> {
+    pub fn index_lookup(&self, cols: &[usize], key: &[Value]) -> Option<&[usize]> {
         self.index_on(cols).map(|idx| idx.lookup(key))
     }
 
@@ -397,12 +509,15 @@ impl Table {
     pub fn resolve_int_keys(&self, col: usize, keys: &[i64]) -> Option<Vec<(i64, usize)>> {
         let idx = self.index_on(&[col])?;
         let mut out = Vec::with_capacity(keys.len());
-        // One reusable key buffer: the per-lookup cost is a hash probe,
-        // not an allocation.
-        let mut key: IndexKey = vec![Value::Int(0)];
+        // One reusable key buffer and one remembered position: an rlist
+        // is sorted and mostly runs of neighbouring rids, so the usual
+        // lookup is one comparison with the entry after the previous one,
+        // not an allocation or a directory walk.
+        let mut key = [Value::Int(0)];
+        let mut probe = Probe::default();
         for &k in keys {
             key[0] = Value::Int(k);
-            for &slot in idx.lookup(&key) {
+            for &slot in idx.lookup_near(&mut probe, &key) {
                 out.push((k, slot));
             }
         }
@@ -447,7 +562,7 @@ mod tests {
             t.insert(vec![Value::Int(i), format!("v{i}").into()])
                 .unwrap();
         }
-        let slots = t.index_lookup(&[0], &vec![Value::Int(7)]).unwrap();
+        let slots = t.index_lookup(&[0], &[Value::Int(7)]).unwrap();
         assert_eq!(slots, &[7]);
         assert_eq!(t.row(slots[0])[1], Value::Text("v7".into()));
     }
@@ -458,11 +573,8 @@ mod tests {
         t.insert(vec![Value::Int(1), "a".into()]).unwrap();
         t.insert(vec![Value::Int(2), "b".into()]).unwrap();
         t.replace_row(0, vec![Value::Int(10), "a2".into()]).unwrap();
-        assert!(t
-            .index_lookup(&[0], &vec![Value::Int(1)])
-            .unwrap()
-            .is_empty());
-        assert_eq!(t.index_lookup(&[0], &vec![Value::Int(10)]).unwrap(), &[0]);
+        assert!(t.index_lookup(&[0], &[Value::Int(1)]).unwrap().is_empty());
+        assert_eq!(t.index_lookup(&[0], &[Value::Int(10)]).unwrap(), &[0]);
         // Replacing with an existing other key is rejected.
         let err = t
             .replace_row(0, vec![Value::Int(2), "x".into()])
@@ -484,14 +596,11 @@ mod tests {
         assert_eq!(t.len(), 3);
         // Remaining keys still resolvable post-compaction.
         for k in [0i64, 2, 4] {
-            let slots = t.index_lookup(&[0], &vec![Value::Int(k)]).unwrap();
+            let slots = t.index_lookup(&[0], &[Value::Int(k)]).unwrap();
             assert_eq!(slots.len(), 1);
             assert_eq!(t.row(slots[0])[0], Value::Int(k));
         }
-        assert!(t
-            .index_lookup(&[0], &vec![Value::Int(1)])
-            .unwrap()
-            .is_empty());
+        assert!(t.index_lookup(&[0], &[Value::Int(1)]).unwrap().is_empty());
     }
 
     #[test]
@@ -503,7 +612,7 @@ mod tests {
         assert!(t.clustered_on().is_none());
         t.cluster_by(&["rid"]).unwrap();
         assert!(t.is_clustered_on(&[0]));
-        let keys: Vec<i64> = t.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let keys: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![1, 2, 3, 4, 5]);
         t.insert(vec![Value::Int(0), "x".into()]).unwrap();
         assert!(t.clustered_on().is_none());
@@ -571,39 +680,145 @@ mod tests {
         t.create_index("t_val", &["val"], false, IndexKind::BTree)
             .unwrap();
         let idx = t.index_named("t_val").unwrap();
-        assert_eq!(idx.lookup(&vec!["g0".into()]).len(), 2);
+        assert_eq!(idx.lookup(&["g0".into()]).len(), 2);
         assert!(t
             .create_index("t_val", &["val"], false, IndexKind::Hash)
             .is_err());
     }
 
-    #[test]
-    fn clones_share_storage_until_a_write_diverges_them() {
+    /// `n` rows `(i, "v{i}")` with ascending rids.
+    fn filled(n: usize) -> Table {
         let mut t = table();
-        for i in 0..4 {
+        for i in 0..n as i64 {
             t.insert(vec![Value::Int(i), format!("v{i}").into()])
                 .unwrap();
         }
-        // A clone is a snapshot: same Arc, no row copies.
+        t
+    }
+
+    /// `(heap chunks, index leaves)` that `a` still shares with `b`, and
+    /// the same pair counted over all of `a`.
+    fn shared(a: &Table, b: &Table) -> ((usize, usize), (usize, usize)) {
+        let heap = a
+            .data
+            .rows
+            .chunks
+            .iter()
+            .filter(|c| b.data.rows.chunks.iter().any(|o| Arc::ptr_eq(c, o)))
+            .count();
+        let (leaves, all_leaves) = a.data.indexes[0].shared_leaves(&b.data.indexes[0]);
+        ((heap, leaves), (a.data.rows.chunks.len(), all_leaves))
+    }
+
+    #[test]
+    fn a_clone_shares_every_chunk_and_appends_copy_only_the_tail() {
+        // Ten full heap chunks plus a partial tail.
+        let n = 10 * CHUNK_ROWS + 5;
+        let mut t = filled(n);
         let snapshot = t.clone();
-        assert!(t.shares_data_with(&snapshot));
+        let (held, all) = shared(&t, &snapshot);
+        assert_eq!(held, all, "a clone copies nothing");
+        assert_eq!(all.0, 11);
+        assert!(all.1 > 2, "the test needs several index leaves");
 
-        // The first mutation after a share copies the payload once; the
-        // snapshot keeps seeing the pre-write rows.
-        t.insert(vec![Value::Int(99), "new".into()]).unwrap();
-        assert!(!t.shares_data_with(&snapshot));
-        assert_eq!(t.len(), 5);
-        assert_eq!(snapshot.len(), 4);
-        assert!(snapshot
-            .index_lookup(&[0], &vec![Value::Int(99)])
-            .unwrap()
-            .is_empty());
-        assert_eq!(t.index_lookup(&[0], &vec![Value::Int(99)]).unwrap(), &[4]);
+        // Reads never copy; the row iterator knows its length whether it
+        // is stepped or folded.
+        let mut rows = snapshot.rows();
+        rows.next();
+        assert_eq!(rows.len(), n - 1);
+        assert_eq!(rows.fold(0, |seen, _| seen + 1), n - 1);
+        let _ = snapshot.storage_bytes();
+        assert_eq!(shared(&t, &snapshot).0, all);
 
-        // Reads never diverge a share.
-        let reader = t.clone();
-        let _ = reader.rows();
-        let _ = reader.storage_bytes();
-        assert!(t.shares_data_with(&reader));
+        // Appending rows with growing keys copies the tail heap chunk and
+        // the tail index leaf; everything before them stays shared.
+        for i in 0..3 {
+            t.insert(vec![Value::Int((n + i) as i64), "new".into()])
+                .unwrap();
+        }
+        let (held, now) = shared(&t, &snapshot);
+        assert_eq!(now, all, "three rows fit the tail chunk and leaf");
+        assert_eq!(held, (all.0 - 1, all.1 - 1));
+
+        // The snapshot is untouched, the writer sees its rows.
+        assert_eq!(snapshot.len(), n);
+        assert_eq!(t.len(), n + 3);
+        let fresh = [Value::Int(n as i64)];
+        assert_eq!(snapshot.index_lookup(&[0], &fresh), Some(&[][..]));
+        assert_eq!(t.index_lookup(&[0], &fresh), Some(&[n][..]));
+
+        // An in-place update copies the one chunk it lands in.
+        let before = shared(&t, &snapshot).0;
+        t.replace_row(
+            CHUNK_ROWS + 1,
+            vec![Value::Int(CHUNK_ROWS as i64 + 1), "x".into()],
+        )
+        .unwrap();
+        assert_eq!(shared(&t, &snapshot).0, (before.0 - 1, before.1));
+    }
+
+    #[test]
+    fn a_clone_keeps_its_rows_and_lookups_through_every_write() {
+        let n = 3 * CHUNK_ROWS + 7;
+        type Write = fn(&mut Table);
+        let writes: [(&str, Write); 8] = [
+            ("insert", |t| {
+                t.insert(vec![Value::Int(-1), "low".into()]).unwrap();
+            }),
+            ("replace_row", |t| {
+                t.replace_row(70, vec![Value::Int(9_000), "moved".into()])
+                    .unwrap()
+            }),
+            ("delete_slots", |t| {
+                t.delete_slots(vec![0, 64, 65, 198]);
+            }),
+            ("cluster_by", |t| t.cluster_by(&["val"]).unwrap()),
+            ("truncate", |t| t.truncate()),
+            ("create_index", |t| {
+                t.create_index("t_val", &["val"], false, IndexKind::BTree)
+                    .unwrap()
+            }),
+            ("add_column", |t| {
+                t.add_column(Column::new("extra", DataType::Int)).unwrap()
+            }),
+            ("alter_column_type", |t| {
+                t.alter_column_type("rid", DataType::Double).unwrap()
+            }),
+        ];
+        for (name, write) in writes {
+            let mut t = filled(n);
+            let snapshot = t.clone();
+            let expected: Vec<Row> = snapshot.rows().cloned().collect();
+            let bytes = snapshot.storage_bytes();
+            write(&mut t);
+            assert_eq!(snapshot.len(), n, "{name}");
+            assert_eq!(snapshot.schema.arity(), 2, "{name}");
+            assert!(snapshot.rows().eq(&expected), "{name}");
+            assert_eq!(snapshot.storage_bytes(), bytes, "{name}");
+            assert_eq!(snapshot.indexes().len(), 1, "{name}");
+            for (slot, row) in expected.iter().enumerate() {
+                assert_eq!(snapshot.row(slot), row, "{name}");
+                assert_eq!(
+                    snapshot.index_lookup(&[0], &row[..1]),
+                    Some(&[slot][..]),
+                    "{name}"
+                );
+            }
+            // The writer's own indexes agree with its own heap.
+            for (slot, row) in t.rows().enumerate() {
+                assert_eq!(t.index_lookup(&[0], &row[..1]), Some(&[slot][..]), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn rename_takes_the_primary_key_index_along() {
+        let mut t = filled(3);
+        let snapshot = t.clone();
+        t.rename("u");
+        assert_eq!(&*t.name, "u");
+        assert!(t.index_named("u_pkey").is_some());
+        assert!(t.index_named("t_pkey").is_none());
+        assert!(snapshot.index_named("t_pkey").is_some());
     }
 }

@@ -233,10 +233,124 @@ proptest! {
         let back_t = back.table("t").unwrap();
         prop_assert_eq!(back.settings.join_strategy, db.settings.join_strategy);
         prop_assert_eq!(&back_t.schema, &orig_t.schema);
-        prop_assert_eq!(back_t.rows(), orig_t.rows());
+        prop_assert!(back_t.rows().eq(orig_t.rows()));
         prop_assert_eq!(back_t.heap_bytes(), orig_t.heap_bytes());
         prop_assert_eq!(back_t.storage_bytes(), orig_t.storage_bytes());
         prop_assert_eq!(back_t.clustered_on(), orig_t.clustered_on());
+    }
+
+    /// Clones of a table are frozen: whatever sequence of writes the
+    /// original goes through afterwards — across heap-chunk and index-leaf
+    /// boundaries — every clone keeps answering exactly as a plain
+    /// `Vec<Row>` copied at clone time would, and so does the original.
+    #[test]
+    fn table_clones_match_a_naive_model_frozen_at_clone_time(
+        ops in proptest::collection::vec((0u8..8, any::<u16>(), -50i64..400), 1..60),
+    ) {
+        use orpheusdb::engine::index::IndexKind;
+        use orpheusdb::engine::Table;
+
+        fn row(k: i64) -> Vec<Value> {
+            vec![Value::Int(k), Value::Text(format!("g{}", k.rem_euclid(7)))]
+        }
+        fn agree(t: &Table, model: &[Vec<Value>], what: &str) -> Result<(), TestCaseError> {
+            prop_assert!(t.len() == model.len(), "{}: {} rows, model {}", what, t.len(), model.len());
+            prop_assert!(t.rows().eq(model), "{}: rows differ", what);
+            for (slot, r) in model.iter().enumerate() {
+                prop_assert!(t.row(slot) == r, "{}: slot {}", what, slot);
+                prop_assert!(
+                    t.index_lookup(&[0], &r[..1]) == Some(&[slot][..]),
+                    "{}: key of slot {}",
+                    what,
+                    slot
+                );
+            }
+            prop_assert_eq!(t.index_lookup(&[0], &[Value::Int(-1_000)]), Some(&[][..]));
+            if let Some(by_tag) = t.index_named("t_tag") {
+                for tag in 0..7 {
+                    let key = [Value::Text(format!("g{tag}"))];
+                    let mut got = by_tag.lookup(&key).to_vec();
+                    got.sort_unstable();
+                    let want: Vec<usize> =
+                        (0..model.len()).filter(|&s| model[s][1] == key[0]).collect();
+                    prop_assert!(got == want, "{}: tag {}: {:?} vs {:?}", what, tag, got, want);
+                }
+            }
+            Ok(())
+        }
+
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("tag", DataType::Text),
+        ])
+        .with_primary_key(&["k"])
+        .unwrap();
+        let mut t = Table::new("t", schema);
+        let mut model: Vec<Vec<Value>> = Vec::new();
+        // Start past two heap chunks and one index leaf.
+        for k in 500..650 {
+            t.insert(row(k)).unwrap();
+            model.push(row(k));
+        }
+        let mut next_bulk = 10_000;
+        let mut clones: Vec<(Table, Vec<Vec<Value>>)> = Vec::new();
+        for (kind, a, b) in ops {
+            let a = a as usize;
+            let taken = |k: i64, but: Option<usize>| {
+                model.iter().enumerate().any(|(s, r)| r[0] == Value::Int(k) && Some(s) != but)
+            };
+            match kind {
+                0 | 1 => {
+                    let clash = taken(b, None);
+                    prop_assert_eq!(t.insert(row(b)).is_err(), clash);
+                    if !clash {
+                        model.push(row(b));
+                    }
+                }
+                2 if !model.is_empty() => {
+                    let slot = a % model.len();
+                    let clash = taken(b, Some(slot));
+                    prop_assert_eq!(t.replace_row(slot, row(b)).is_err(), clash);
+                    if !clash {
+                        model[slot] = row(b);
+                    }
+                }
+                3 if !model.is_empty() => {
+                    let slots = vec![a % model.len(), (a / 7) % model.len(), (a / 3) % model.len()];
+                    let mut gone = slots.clone();
+                    gone.sort_unstable();
+                    gone.dedup();
+                    prop_assert_eq!(t.delete_slots(slots), gone.len());
+                    for s in gone.into_iter().rev() {
+                        model.remove(s);
+                    }
+                }
+                4 => {
+                    t.cluster_by(&["k"]).unwrap();
+                    model.sort_by(|x, y| x[0].cmp(&y[0]));
+                }
+                5 => clones.push((t.clone(), model.clone())),
+                6 => {
+                    for k in next_bulk..next_bulk + 70 {
+                        t.insert(row(k)).unwrap();
+                        model.push(row(k));
+                    }
+                    next_bulk += 70;
+                }
+                7 if a % 8 == 0 => {
+                    t.truncate();
+                    model.clear();
+                }
+                7 if t.index_named("t_tag").is_none() => {
+                    t.create_index("t_tag", &["tag"], false, IndexKind::BTree).unwrap();
+                }
+                _ => {}
+            }
+        }
+        agree(&t, &model, "live table")?;
+        for (i, (clone, frozen)) in clones.iter().enumerate() {
+            agree(clone, frozen, &format!("clone {i}"))?;
+        }
     }
 
     /// Any mutation of a serialized snapshot either fails to load or loads

@@ -168,6 +168,54 @@ fn mvcc_parked_checkout_discards_cleanly() {
     shared.read(|odb| assert!(odb.staged().is_empty()));
 }
 
+/// A parked checkout whose name a writer took *under the lock it parked
+/// beside* (`SELECT .. INTO` creates an unregistered table, invisible to
+/// the catalog reservation) cannot be adopted. That is a typed error on
+/// one read and one write — never a panic — after which the shard serves
+/// again and the checkout is gone.
+#[test]
+fn mvcc_parked_checkout_colliding_with_a_table_made_under_the_lock_is_refused() {
+    let _serial = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let shared = shared_with_cvds(&["data"]);
+    let mut writer = shared.session("writer").unwrap();
+    writer.checkout("data", &[Vid(1)], "w").unwrap();
+
+    let gate = arm_commit_gate("w");
+    std::thread::scope(|scope| {
+        // One lock acquisition: create `clash`, then hold the commit open.
+        let handle = scope.spawn(|| {
+            writer.batch([
+                Run::sql("SELECT * INTO clash FROM w").into(),
+                Commit::table("w").message("gated").into(),
+            ])
+        });
+        gate.wait_entered();
+        let reader = shared.session("reader").unwrap();
+        // The published snapshot has no `clash` yet: the checkout parks.
+        reader.checkout("data", &[Vid(1)], "clash").unwrap();
+        gate.release();
+        for result in handle.join().expect("committer panicked") {
+            result.unwrap();
+        }
+
+        let collides = |e: CoreError| {
+            assert!(
+                matches!(&e, CoreError::Invalid(m) if m.contains("clash") && m.contains("collides")),
+                "{e}"
+            );
+        };
+        // Snapshot reads overlay the parked checkout and are refused...
+        collides(reader.version_rows("data", Vid(1)).unwrap_err());
+        // ...until a writer's adoption drops it, failing that one write.
+        collides(reader.sql("DELETE FROM clash WHERE k = 0").unwrap_err());
+        assert_eq!(reader.version_rows("data", Vid(1)).unwrap().len(), 10);
+        assert!(matches!(
+            reader.commit("clash", "gone").unwrap_err(),
+            CoreError::NotStaged(_)
+        ));
+    });
+}
+
 /// A write joining checkouts of two different CVDs is a cross-CVD write
 /// transaction — it succeeds (no `CrossCvd` refusal) and both sides'
 /// effects land atomically.

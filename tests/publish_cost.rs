@@ -1,0 +1,138 @@
+//! The served stack's cost model, as allocation counts: what one commit
+//! cycle and one snapshot checkout cost must not depend on how many
+//! versions the CVD has or how many records its data table holds — only
+//! on the version being read and the rows being written.
+//!
+//! A `SharedOrpheusDB` publishes an immutable snapshot of a shard after
+//! every write and serves every read from a clone of it. Before the
+//! engine's heap and indexes were chunked, that clone was followed by a
+//! deep copy of every row, index entry and `VersionMeta` of the CVD on
+//! the next write; these tests fail on that design.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use orpheusdb::prelude::*;
+
+/// Counts allocation calls per thread, so tests running in parallel do
+/// not see each other's.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// const-initialized thread-local `Cell`, which allocates nothing itself.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs_of(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+const CVD: &str = "ledger";
+
+/// A served CVD whose first version has `base_rows` rows, cut down to
+/// `kept_rows` by the second, and then grown to `versions` versions by
+/// two-row commit cycles on the latest one.
+fn served(base_rows: i64, kept_rows: i64, versions: u64) -> (SharedOrpheusDB, Session) {
+    let schema = Schema::new(vec![
+        Column::new("k", DataType::Int),
+        Column::new("v", DataType::Int),
+    ])
+    .with_primary_key(&["k"])
+    .unwrap();
+    let rows = (0..base_rows)
+        .map(|k| vec![k.into(), (k * 7).into()])
+        .collect();
+    let mut odb = OrpheusDB::new();
+    odb.init_cvd(CVD, schema, rows, None).unwrap();
+    let shared = SharedOrpheusDB::new(odb);
+    let session = shared.session("writer").unwrap();
+    session.checkout(CVD, &[Vid(1)], "work").unwrap();
+    session
+        .run(&format!("DELETE FROM work WHERE k >= {kept_rows}"))
+        .unwrap();
+    assert_eq!(session.commit("work", "cut").unwrap(), Vid(2));
+    for v in 3..=versions {
+        assert_eq!(cycle(&session, v - 1), Vid(v));
+    }
+    (shared, session)
+}
+
+/// One commit cycle on version `parent`: check it out, swap two rows for
+/// two new ones, commit.
+fn cycle(session: &Session, parent: u64) -> Vid {
+    let fresh = 1_000_000 + 2 * parent as i64;
+    session.checkout(CVD, &[Vid(parent)], "work").unwrap();
+    session
+        .run(&format!(
+            "INSERT INTO work VALUES (NULL, {fresh}, 1), (NULL, {}, 2)",
+            fresh + 1
+        ))
+        .unwrap();
+    if parent > 2 {
+        session
+            .run(&format!(
+                "DELETE FROM work WHERE k >= {} AND k < {fresh}",
+                fresh - 2
+            ))
+            .unwrap();
+    }
+    session.commit("work", "cycle").unwrap()
+}
+
+/// `(allocations of a snapshot checkout, allocations of a commit cycle)`
+/// on the latest of `versions` versions.
+fn costs(base_rows: i64, kept_rows: i64, versions: u64) -> (u64, u64) {
+    let (_shared, session) = served(base_rows, kept_rows, versions);
+    // One unmeasured cycle first: lazily sized buffers are warm after it.
+    cycle(&session, versions);
+    let latest = versions + 1;
+    let checkout = allocs_of(|| session.checkout(CVD, &[Vid(latest)], "peek").unwrap());
+    session.discard("peek").unwrap();
+    let commit = allocs_of(|| {
+        cycle(&session, latest);
+    });
+    (checkout, commit)
+}
+
+fn assert_within_15_percent(what: &str, small: u64, large: u64) {
+    assert!(
+        (large as f64) < small as f64 * 1.15,
+        "{what}: {small} allocations on the small CVD, {large} on the large one"
+    );
+}
+
+#[test]
+fn a_served_commit_and_checkout_do_not_pay_for_the_version_count() {
+    let few = costs(50, 50, 100);
+    let many = costs(50, 50, 1_000);
+    assert_within_15_percent("checkout, 100 vs 1000 versions", few.0, many.0);
+    assert_within_15_percent("commit cycle, 100 vs 1000 versions", few.1, many.1);
+}
+
+#[test]
+fn a_served_commit_and_checkout_do_not_pay_for_the_record_count() {
+    let small = costs(2_000, 200, 3);
+    let large = costs(20_000, 200, 3);
+    assert_within_15_percent("checkout, 2k vs 20k records", small.0, large.0);
+    assert_within_15_percent("commit cycle, 2k vs 20k records", small.1, large.1);
+}
