@@ -19,18 +19,16 @@
 //!   shards), so different workers execute them in parallel, while two
 //!   *writing* sub-batches of the *same* shard never run concurrently —
 //!   per-shard submission order is preserved by construction. Workers
-//!   execute writing sub-batches through
-//!   [`ConcurrentExecutor::run_shard_items`](crate::ConcurrentExecutor) —
-//!   one shard-lock acquisition, reservation and staged-index bookkeeping
-//!   in single catalog writes, shared version-row scans, identity swapped
-//!   per request owner. **Read-only** sub-batches (`log`, `diff`,
-//!   single-shard SELECTs — [`Step::Shard`]'s `read_only` flag) skip the
-//!   per-shard FIFO entirely: they are served from the shard's MVCC
-//!   snapshot via
-//!   [`ConcurrentExecutor::run_snapshot_items`](crate::ConcurrentExecutor),
+//!   execute sub-batches through the one request engine,
+//!   `ConcurrentExecutor::run_items` (crate-internal): a writing
+//!   sub-batch — checkouts included — under one shard-lock acquisition,
+//!   reservation and staged-index bookkeeping in single catalog writes,
+//!   shared version-row scans, identity swapped per request owner.
+//!   **Read-only** sub-batches (`log`, `diff`, single-shard SELECTs —
+//!   [`Step::Shard`]'s `read_only` flag) skip the per-shard FIFO
+//!   entirely: they are served from a clone of the shard's MVCC snapshot,
 //!   so a worker answers them even while another worker holds that
-//!   shard's write lock — checkouts never wait on a writer, and neither
-//!   do snapshot reads;
+//!   shard's write lock — snapshot reads never wait on a writer;
 //! * clients hold an [`AsyncHandle`] and get a [`Ticket`] per submission —
 //!   a future-like slot fulfilled by whichever thread finishes the
 //!   request. `submit` never blocks on shard locks; [`Ticket::wait`]
@@ -350,7 +348,7 @@ impl Pool {
 }
 
 /// Execute one shard sub-batch and fulfill its tickets. Panic containment
-/// lives inside [`ConcurrentExecutor::run_shard_items`]; the outer
+/// lives inside `ConcurrentExecutor::run_items`; the outer
 /// `catch_unwind` is a last line of defense (a panic in the surrounding
 /// bookkeeping must not kill the worker thread), after which any item
 /// left without an outcome resolves to [`CoreError::WorkerPanicked`].
@@ -365,11 +363,7 @@ fn run_job(exec: &ConcurrentExecutor, mut job: Job) {
         })
         .collect();
     let _ = catch_unwind(AssertUnwindSafe(|| {
-        if job.read_only {
-            exec.run_snapshot_items(&job.key, &mut items);
-        } else {
-            exec.run_shard_items(&job.plan, &job.key, &mut items);
-        }
+        exec.run_items(&job.plan, &job.key, job.read_only, &mut items);
     }));
     let label = job.key.label();
     for (work, item) in job.items.iter().zip(items) {
@@ -564,13 +558,13 @@ fn process_chunk(
             Step::Sequential(i) => {
                 pool.wait_idle();
                 let request = slots[*i].take().expect("indices are scheduled once");
-                let mut seq = shared.internal_executor(&users[*i]);
-                let outcome = catch_unwind(AssertUnwindSafe(|| seq.execute(request)))
-                    .unwrap_or_else(|_| {
-                        Err(CoreError::WorkerPanicked {
-                            shard: "sequential".to_string(),
-                        })
-                    });
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| exec.execute_as(&users[*i], request)))
+                        .unwrap_or_else(|_| {
+                            Err(CoreError::WorkerPanicked {
+                                shard: "sequential".to_string(),
+                            })
+                        });
                 tickets[*i].fulfill(outcome);
             }
             Step::Shard {

@@ -80,7 +80,7 @@ impl ShardKey {
 /// One scheduling step of a [`BatchPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step {
-    /// Execute request `i` through the ordinary per-request path: catalog
+    /// Execute request `i` on its own, against live state: catalog
     /// requests (CVD create/drop, user management, `ls`), multi-CVD SQL,
     /// and targets the planner could not resolve. Sequential steps are
     /// barriers — everything scheduled before them completes first, and

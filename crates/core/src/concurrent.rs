@@ -24,20 +24,25 @@
 //!   requests resolve through the index, and SQL is analyzed for the CVDs
 //!   it touches. Commits, checkouts, and diffs against different CVDs run
 //!   in parallel; writers to the same CVD still serialize.
-//! * [`Session`] binds a user identity to an executor. Identity-swap
-//!   semantics are per-request, exactly as before: the session logs its
-//!   user into the shard for the duration of one operation and restores
-//!   the previous identity afterwards, so interleaved sessions can never
-//!   observe or act under each other's identity.
+//! * [`Session`] is the same type under its user-facing name: an executor
+//!   bound to one user. Identity-swap semantics are per-request: the
+//!   engine logs the request's user into the shard for the duration of one
+//!   operation and restores the previous identity afterwards, so
+//!   interleaved sessions can never observe or act under each other's
+//!   identity.
 //!
 //! # MVCC snapshot reads
 //!
 //! Every shard additionally publishes an immutable **snapshot** of its
 //! last acknowledged state through an epoch-swap cell
 //! ([`parking_lot::ArcSwap`]): a write guard republishes the shard on
-//! release, and read-only requests — checkouts, diffs, `version_rows`,
-//! `log`, single-CVD `SELECT`s — clone the snapshot instead of taking the
-//! shard lock.
+//! release, and read-only requests — diffs, `version_rows`, `log`,
+//! single- and multi-CVD `SELECT`s — clone the snapshot instead of taking
+//! the shard lock, so they never wait on a commit in flight: they observe
+//! the epoch published by the last *completed* writer. A checkout
+//! *creates* a table (the paper's `SELECT … INTO T'`), so it is a writer
+//! like commit, discard, `optimize` and writing SQL: it takes its shard's
+//! lock. See `docs/CONCURRENCY.md` for the full contract.
 //!
 //! What that costs: **publishing** is an O(tables) clone (a table is
 //! three `Arc`s; version metadata, rlists and staging entries are
@@ -48,15 +53,6 @@
 //! read** is another O(tables) clone plus the rows it returns. What
 //! still grows with history is pointer copies — one per version, one per
 //! 64 rows of a written table — never rows, index entries or metadata.
-//!
-//! A checkout materializes its table against such a clone and **parks**
-//! the result under the shard's pending list (`Shard::pending`, private
-//! to this module); the next writer adopts parked tables into the shard
-//! proper on lock acquisition. The net effect is the
-//! paper's reading of checkouts as reads of immutable committed versions:
-//! a checkout or SELECT never waits on a commit in flight, it simply
-//! observes the epoch published by the last *completed* writer. See
-//! `docs/CONCURRENCY.md` for the full contract.
 //!
 //! ```
 //! use orpheus_core::{OrpheusDB, SharedOrpheusDB, Vid};
@@ -70,9 +66,10 @@
 //!
 //! let shared = SharedOrpheusDB::new(odb);
 //! let alice = shared.session("alice")?;
-//! // All of these are snapshot reads: they complete even while another
-//! // session's commit holds the `data` shard's write lock.
+//! // A checkout writes a staged table: it takes the `data` shard's lock.
 //! alice.checkout("data", &[Vid(1)], "work")?;
+//! // These are snapshot reads: they complete even while another
+//! // session's commit holds that lock.
 //! assert_eq!(alice.version_rows("data", Vid(1))?.len(), 2);
 //! let d = alice.diff("data", Vid(1), Vid(1))?;
 //! assert!(d.only_in_first.is_empty() && d.only_in_second.is_empty());
@@ -106,18 +103,23 @@
 //! shards are split back — atomically with respect to every other path,
 //! which always sees either all of the statement's effects or none.
 //!
-//! # Sub-batch execution
+//! # One request engine
 //!
-//! [`ConcurrentExecutor::execute_batch`] and the async executor
-//! ([`crate::async_exec`]) share one per-shard sub-batch engine,
-//! `ConcurrentExecutor::run_shard_items` (crate-internal): reservations for every
-//! checkout of the sub-batch in one catalog write, the requests under one
-//! shard-lock acquisition (identity-swapped per request owner, so one
-//! sub-batch may carry work from several sessions), and the staged-index
-//! bookkeeping in one closing catalog write. A panic inside a request is
-//! contained there: the panicking request and the rest of its sub-batch
-//! fail with [`CoreError::WorkerPanicked`], reservations are released, and
-//! the shard itself stays usable (the shim locks do not poison).
+//! Every request — a single [`Executor::execute`], a
+//! [`ConcurrentExecutor::execute_batch`], a sub-batch on an async worker
+//! ([`crate::async_exec`]) — runs through the same crate-internal engine,
+//! `ConcurrentExecutor::run_items`: reservations for every checkout of the
+//! sub-batch in one catalog write, the requests under one shard-lock
+//! acquisition (identity-swapped per request owner, so one sub-batch may
+//! carry work from several sessions) or on one snapshot clone when all of
+//! them are reads, and the staged-index bookkeeping in one closing catalog
+//! write. A panic inside a request is contained there: the panicking
+//! request and the rest of its sub-batch fail with
+//! [`CoreError::WorkerPanicked`], reservations are released, and the shard
+//! itself stays usable (the shim locks do not poison). What no single
+//! shard can serve — catalog requests, SQL spanning shards — runs on its
+//! own, as a barrier between sub-batches
+//! (`ConcurrentExecutor::execute_as`).
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -126,10 +128,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
-use parking_lot::{ArcSwap, Mutex, RwLock};
+use parking_lot::{ArcSwap, RwLock};
 
 use orpheus_engine::sql::lexer::{tokenize, Token};
-use orpheus_engine::{EngineError, QueryResult, Table, Value};
+use orpheus_engine::{EngineError, QueryResult, Value};
 
 use crate::access::AccessController;
 use crate::batch::{BatchPlan, BatchRouter, ShardKey, Step};
@@ -137,9 +139,9 @@ use crate::db::{OrpheusConfig, OrpheusDB, VersionDiff};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::partition_store::OptimizeReport;
-use crate::request::{Executor, Request, Target};
+use crate::request::{Checkout, Commit, Diff, Discard, Executor, Optimize, Request, Run, Target};
 use crate::response::Response;
-use crate::staging::{StagedEntry, StagedKind};
+use crate::staging::StagedKind;
 use crate::wal::{WalOp, WalSink};
 
 // ---------------------------------------------------------------------------
@@ -223,43 +225,6 @@ impl<G: DerefMut> DerefMut for Held<G> {
 // Shards and the catalog.
 // ---------------------------------------------------------------------------
 
-/// A checkout that completed against a shard's MVCC snapshot instead of
-/// under its write lock: the materialized table (`None` for CSV exports,
-/// which stage provenance only) plus its staging entry. Parked under
-/// [`Shard::pending`] until the next writer adopts it into the shard
-/// proper; until then, snapshot loads overlay it so the checkout is
-/// immediately visible to its owner.
-#[derive(Debug, Clone)]
-struct ParkedCheckout {
-    table: Option<Table>,
-    entry: StagedEntry,
-}
-
-impl ParkedCheckout {
-    /// Make the checkout visible in `db`: add the materialized table,
-    /// register the staging entry. The catalog reservation keeps the name
-    /// unique among *staged* artifacts, but a statement that held the
-    /// shard lock while the checkout materialized against the older
-    /// snapshot can have created an unregistered table of the same name
-    /// (`SELECT .. INTO`); then the overlay is refused, typed, with `db`
-    /// untouched.
-    fn overlay(self, db: &mut OrpheusDB) -> Result<()> {
-        let ParkedCheckout { table, entry } = self;
-        let taken = table.is_some() && db.engine.has_table(&entry.name);
-        if taken || db.staging.get(&entry.name, entry.kind).is_ok() {
-            return Err(CoreError::Invalid(format!(
-                "checkout {} of CVD {} collides with an artifact of that name \
-                 created while it materialized; drop that artifact and check out again",
-                entry.name, entry.cvd
-            )));
-        }
-        if let Some(table) = table {
-            db.engine.add_table(table)?;
-        }
-        db.staging.register(entry)
-    }
-}
-
 /// One CVD's state behind its own lock: a single-CVD [`OrpheusDB`] holding
 /// the CVD's backing tables, version graph, and staged artifacts — plus
 /// the shard's published MVCC snapshot (see the module docs).
@@ -275,12 +240,6 @@ struct Shard {
     /// [`ShardWriteGuard`] on release. Read-only paths clone this instead
     /// of taking `db`'s lock, so they never wait on a writer.
     snapshot: ArcSwap<OrpheusDB>,
-    /// Checkouts materialized against `snapshot` and awaiting adoption by
-    /// the next writer. Invariant: a parked entry is visible in exactly
-    /// one place — here *or* (after adoption) in the snapshot — never
-    /// both and never neither; [`Shard::load_snapshot`] and
-    /// [`Shard::adopt_pending`] serialize on this mutex to keep it so.
-    pending: Mutex<Vec<ParkedCheckout>>,
 }
 
 impl Shard {
@@ -288,7 +247,6 @@ impl Shard {
         Arc::new(Shard {
             retired: AtomicBool::new(false),
             snapshot: ArcSwap::new(Arc::new(db.clone())),
-            pending: Mutex::new(Vec::new()),
             db: RwLock::new(db),
         })
     }
@@ -301,99 +259,35 @@ impl Shard {
         self.retired.load(Ordering::SeqCst)
     }
 
-    fn read(&self) -> Held<impl Deref<Target = OrpheusDB> + '_> {
-        let token = LockToken::shard();
-        Held {
-            guard: self.db.read(),
-            _token: token,
-        }
-    }
-
-    /// Acquire the shard's write lock, adopting any parked checkouts
-    /// first. The returned guard republishes the snapshot when dropped,
-    /// so everything a writer acknowledged is visible to subsequent
-    /// snapshot reads. A checkout the adoption had to refuse is reported
-    /// in the guard's `refused`; request paths fail their request with
-    /// it, the quiesce paths carry on without the dropped checkout.
+    /// Acquire the shard's write lock. The returned guard republishes the
+    /// snapshot when dropped, so everything a writer acknowledged is
+    /// visible to subsequent snapshot reads.
     fn write(&self) -> ShardWriteGuard<'_> {
         let token = LockToken::shard();
-        let mut guard = self.db.write();
-        let refused = if self.is_retired() {
-            None
-        } else {
-            self.adopt_pending(&mut guard, true).err()
-        };
         ShardWriteGuard {
             shard: self,
-            guard,
-            refused,
+            guard: self.db.write(),
             _token: token,
         }
     }
 
-    /// Move every parked checkout into `db`: assign its real logical
-    /// timestamp, add the materialized table to the engine, register the
-    /// staging entry. Holds the pending mutex across the apply *and* the
-    /// snapshot republish (`publish`), so a concurrent
-    /// [`Shard::load_snapshot`] — which takes the same mutex before
-    /// loading the epoch — sees each parked entry in exactly one place.
-    ///
-    /// Pending is always drained: a checkout whose overlay is refused
-    /// (see [`ParkedCheckout::overlay`]) is dropped, so one collision
-    /// fails one request instead of every later writer, and the first
-    /// refusal is returned.
-    fn adopt_pending(&self, db: &mut OrpheusDB, publish: bool) -> Result<()> {
-        let mut pending = self.pending.lock();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let mut refused = Ok(());
-        for mut parked in pending.drain(..) {
-            db.clock += 1;
-            parked.entry.created_at = db.clock;
-            let adopted = parked.overlay(db);
-            refused = refused.and(adopted);
-        }
-        if publish {
-            self.snapshot.store(Arc::new(db.clone()));
-        }
-        refused
-    }
-
-    /// One consistent clone of this shard's MVCC snapshot: the last
-    /// published epoch overlaid with any still-parked checkouts. No shard
-    /// lock is taken, so a commit holding the write lock never delays
-    /// this. The pending mutex is acquired *before* the epoch load so an
-    /// adoption (which drains pending and republishes under that same
-    /// mutex) can never hide a parked entry from this load.
-    ///
-    /// Costs O(tables): the epoch's tables, versions and staging entries
-    /// are all `Arc`-shared, so the clone copies pointers, not rows. Fails
-    /// — for this request only — when a parked checkout cannot be
-    /// overlaid; the next writer's adoption clears the collision.
-    fn load_snapshot(&self) -> Result<OrpheusDB> {
-        let (epoch, parked) = {
-            let pending = self.pending.lock();
-            (self.snapshot.load(), pending.clone())
-        };
-        let mut db = OrpheusDB::clone(&epoch);
-        for parked in parked {
-            parked.overlay(&mut db)?;
-        }
-        Ok(db)
+    /// A private clone of this shard's MVCC snapshot, the last published
+    /// epoch. No shard lock is taken, so a commit holding the write lock
+    /// never delays this. Costs O(tables): the epoch's tables, versions
+    /// and staging entries are all `Arc`-shared, so the clone copies
+    /// pointers, not rows.
+    fn load_snapshot(&self) -> OrpheusDB {
+        OrpheusDB::clone(&self.snapshot.load())
     }
 }
 
-/// Write guard of a [`Shard`] that maintains the MVCC snapshot: parked
-/// checkouts were adopted on acquisition (see [`Shard::write`]), and the
-/// new epoch is published on release — an O(tables) clone, because
+/// Write guard of a [`Shard`] that maintains the MVCC snapshot: the new
+/// epoch is published on release — an O(tables) clone, because
 /// everything under a table, a version list or the staging area is
 /// `Arc`-shared with the shard proper.
 struct ShardWriteGuard<'a> {
     shard: &'a Shard,
     guard: std::sync::RwLockWriteGuard<'a, OrpheusDB>,
-    /// The first parked checkout the adoption on acquisition refused.
-    refused: Option<CoreError>,
     _token: LockToken,
 }
 
@@ -474,13 +368,18 @@ impl Catalog {
 
     /// Split a whole instance into per-CVD shards plus the auxiliary
     /// shard, and build the staged-name index.
-    fn from_instance(mut odb: OrpheusDB) -> Result<Catalog> {
+    fn from_instance(mut odb: OrpheusDB) -> Catalog {
         let mut names: Vec<String> = odb.cvds.keys().cloned().collect();
         names.sort();
         let mut shards = BTreeMap::new();
         let mut staged = HashMap::new();
         for name in names {
-            let shard_db = odb.detach_cvd(&name)?;
+            let shard_db = odb
+                .detach_cvd(&name)
+                // `name` was just read from `odb.cvds`, and the CVD's
+                // tables and staged entries move into a fresh, empty
+                // instance: neither the lookup nor an insert can fail.
+                .expect("detaching a listed CVD into an empty shard cannot fail");
             for entry in shard_db.staged() {
                 staged.insert(Catalog::staged_key(&entry.name, entry.kind), name.clone());
             }
@@ -497,14 +396,14 @@ impl Catalog {
         let access = odb.access.clone();
         let config = odb.config.clone();
         let wal = odb.wal.clone();
-        Ok(Catalog {
+        Catalog {
             access,
             config,
             shards,
             aux: Shard::new(odb),
             staged,
             wal,
-        })
+        }
     }
 
     fn shard(&self, cvd: &str) -> Result<Arc<Shard>> {
@@ -538,10 +437,10 @@ impl Catalog {
     }
 
     /// Reserve a staged name for a checkout targeting `cvd` — the catalog
-    /// half of every checkout path, keeping staged names globally unique
-    /// across shards without holding the catalog lock during the
-    /// (expensive) materialization. Returns the staged-index key
-    /// inserted; the caller must remove it again if the checkout fails.
+    /// half of every checkout, keeping table names globally unique across
+    /// shards without holding the catalog lock during the (expensive)
+    /// materialization. Returns the staged-index key inserted; the caller
+    /// must remove it again if the checkout fails.
     fn reserve(&mut self, cvd: &str, kind: StagedKind, name: &str) -> Result<String> {
         // CVD existence first (checkout against an unknown CVD is a
         // CvdNotFound error even when the name also collides).
@@ -552,15 +451,14 @@ impl Catalog {
             return Err(CoreError::Invalid(format!("{name} is already staged")));
         }
         if kind == StagedKind::Table {
-            // Names must stay unique across *all* shards, or merging
-            // shards into a snapshot would collide. The target shard's
-            // own checkout catches collisions with tables that exist
-            // right now; here we close the cross-shard cases (another
-            // CVD's backing-table namespace, side tables in the auxiliary
-            // shard) — and *every* CVD's `__` namespace including the
-            // target's own, because a parked checkout adopted later must
-            // never collide with backing tables a writer or the partition
-            // optimizer created in the meantime.
+            // Table names must stay unique across *all* shards, or merging
+            // shards into one instance would collide. Backing tables are
+            // kept apart by the `<cvd>__` namespaces, staged tables by the
+            // index above; what is left are side tables plain SQL created
+            // (`CREATE TABLE`, `SELECT … INTO`), which can sit in any
+            // shard. Each shard's published snapshot answers for those
+            // lock-free (the target shard's own checkout re-checks under
+            // its lock, catching a table still unpublished there).
             let lower = name.to_ascii_lowercase();
             if let Some(owner) = self.claim_by_prefix(&lower) {
                 return Err(CoreError::Invalid(format!(
@@ -568,7 +466,10 @@ impl Catalog {
                      namespace ({owner}__*)"
                 )));
             }
-            if self.aux.read().engine.has_table(&lower) {
+            let taken = std::iter::once(&self.aux)
+                .chain(self.shards.values())
+                .any(|shard| shard.snapshot.load().engine.has_table(&lower));
+            if taken {
                 return Err(CoreError::Invalid(format!("table {name} already exists")));
             }
         }
@@ -576,75 +477,67 @@ impl Catalog {
         Ok(key)
     }
 
-    /// Merged read snapshot of the whole instance, built from every
-    /// shard's published MVCC snapshot — no shard locks, so a commit in
-    /// flight never delays it. Each shard's contribution is its last
-    /// *acknowledged* state (individually consistent); a writer still
+    /// Merged read snapshot of `shards` plus the auxiliary shard, built
+    /// from each shard's published MVCC snapshot — no shard locks, so a
+    /// commit in flight never delays it. Each shard's contribution is its
+    /// last *acknowledged* state (individually consistent); a writer still
     /// inside its critical section is simply not visible yet.
-    fn merged_snapshot(&self) -> Result<OrpheusDB> {
-        let mut merged = self.aux.load_snapshot()?;
+    fn merge_snapshots<'a>(&self, shards: impl Iterator<Item = &'a Arc<Shard>>) -> OrpheusDB {
+        let mut merged = self.aux.load_snapshot();
         merged.access = self.access.clone();
         merged.config = self.config.clone();
-        for shard in self.shards.values() {
-            merged.absorb(shard.load_snapshot()?)?;
+        for shard in shards {
+            merged
+                .absorb(shard.load_snapshot())
+                // Shards hold disjoint CVDs by construction. Their table
+                // names are disjoint because backing tables live in
+                // `<cvd>__` namespaces, staged tables are unique through
+                // the staged index, and `Catalog::reserve` refuses a
+                // checkout into the name of a side table of any shard.
+                // (Known gap, in ROADMAP: plain SQL creating one side-table
+                // name in two CVD shards is not refused.)
+                .expect("disjoint shards merge without collisions");
         }
-        Ok(merged)
+        merged
+    }
+
+    /// Merged read snapshot of the whole instance.
+    fn merged_snapshot(&self) -> OrpheusDB {
+        self.merge_snapshots(self.shards.values())
     }
 
     /// Merged snapshot of a *subset* of shards (plus the auxiliary shard),
-    /// for read-only SQL spanning several CVDs. Snapshot-based like
-    /// [`Catalog::merged_snapshot`].
-    fn merged_subset(&self, keys: &BTreeSet<String>) -> Result<OrpheusDB> {
-        let arcs: Vec<Arc<Shard>> = keys
-            .iter()
-            .filter(|k| k.as_str() != AUX_KEY)
-            .map(|k| self.shard_by_key(k))
-            .collect::<Result<_>>()?;
-        let mut merged = self.aux.load_snapshot()?;
-        merged.access = self.access.clone();
-        merged.config = self.config.clone();
-        for shard in &arcs {
-            merged.absorb(shard.load_snapshot()?)?;
-        }
-        Ok(merged)
+    /// for read-only SQL spanning several CVDs. Keys whose CVD was dropped
+    /// since the statement was analyzed are skipped; the statement then
+    /// fails on the missing table.
+    fn merged_subset(&self, keys: &BTreeSet<String>) -> OrpheusDB {
+        self.merge_snapshots(keys.iter().filter_map(|k| self.shards.get(k)))
     }
 
     /// Quiesce every shard (write locks in sorted order), retire them, and
     /// move all state back into one instance. Caller holds the catalog
     /// lock exclusively and rebuilds the catalog afterwards.
-    fn take_all(&mut self) -> Result<OrpheusDB> {
+    fn take_all(&mut self) -> OrpheusDB {
         let arcs: Vec<Arc<Shard>> = self.shards.values().cloned().collect();
         let mut guards: Vec<_> = arcs.iter().map(|s| s.write()).collect();
         let mut aux_guard = self.aux.write();
-        // Retire *before* the final pending drain below: a checkout that
-        // parks after the drain observes `retired` on its post-park
-        // re-check, finds its entry still parked, removes it, and retries
-        // against the rebuilt catalog (see `park_checkout_reserved`); a
-        // checkout that parked before it is adopted here and carried into
-        // the merge. Retiring while still holding the write guards also
-        // keeps the original guarantee: an operation blocked on the shard
-        // lock observes `retired` the moment it gets through, instead of
-        // running against the emptied shard.
+        // Retire while still holding the write guards: an operation
+        // blocked on a shard lock observes `retired` the moment it gets
+        // through, instead of running against the emptied shard.
         for arc in &arcs {
             arc.retire();
         }
         self.aux.retire();
-        // A refused checkout is dropped, here as in `Shard::write`: the
-        // quiesce goes on, and the checkout's owner learns of it from the
-        // `NotStaged` their commit gets.
-        for (arc, guard) in arcs.iter().zip(guards.iter_mut()) {
-            let _ = arc.adopt_pending(guard, false);
-        }
-        let _ = self.aux.adopt_pending(&mut aux_guard, false);
         let mut merged = std::mem::take(&mut *aux_guard);
         merged.access = self.access.clone();
         merged.config = self.config.clone();
         for guard in guards.iter_mut() {
-            merged.absorb(std::mem::take(&mut **guard))?;
+            merged
+                .absorb(std::mem::take(&mut **guard))
+                // Same invariant as `Catalog::merge_snapshots`.
+                .expect("disjoint shards merge without collisions");
         }
-        drop(aux_guard);
-        drop(guards);
-        Ok(merged)
+        merged
     }
 }
 
@@ -673,6 +566,19 @@ impl Inner {
             _token: token,
         }
     }
+
+    /// Build a [`BatchPlan`] for `requests` under one catalog read.
+    fn plan(&self, requests: &[Request]) -> BatchPlan {
+        let cat = self.catalog_read();
+        BatchPlan::build(requests, &CatalogRouter { catalog: &cat })
+    }
+
+    /// Resolve a staged-index value to its shard. The catalog lock is
+    /// released before returning, so callers never block on a shard lock
+    /// while holding it.
+    fn shard_by_key(&self, key: &str) -> Result<Arc<Shard>> {
+        self.catalog_read().shard_by_key(key)
+    }
 }
 
 /// A thread-safe, shareable OrpheusDB instance with per-CVD locking (see
@@ -692,11 +598,9 @@ impl SharedOrpheusDB {
     /// Wrap an instance for shared use, splitting it into one shard per
     /// CVD so operations on different CVDs execute in parallel.
     pub fn new(odb: OrpheusDB) -> SharedOrpheusDB {
-        let catalog = Catalog::from_instance(odb)
-            .expect("splitting an instance into per-CVD shards cannot collide");
         SharedOrpheusDB {
             inner: Arc::new(Inner {
-                catalog: RwLock::new(catalog),
+                catalog: RwLock::new(Catalog::from_instance(odb)),
             }),
         }
     }
@@ -704,13 +608,11 @@ impl SharedOrpheusDB {
     /// Open a session for `user`, registering the account if it does not
     /// exist yet (the `create_user` + `config` flow in one step).
     pub fn session(&self, user: &str) -> Result<Session> {
-        Ok(Session {
-            exec: self.executor(user)?,
-        })
+        self.executor(user)
     }
 
-    /// A bare [`ConcurrentExecutor`] for `user` — the routing layer behind
-    /// [`Session`], registering the account if needed.
+    /// A [`ConcurrentExecutor`] for `user`, registering the account if
+    /// needed ([`SharedOrpheusDB::session`] under its bus-level name).
     pub fn executor(&self, user: &str) -> Result<ConcurrentExecutor> {
         {
             let mut cat = self.inner.catalog_write();
@@ -731,11 +633,7 @@ impl SharedOrpheusDB {
     /// instance. The cost is proportional to the instance size; do not
     /// put this on a hot path.
     pub fn read<T>(&self, f: impl FnOnce(&OrpheusDB) -> T) -> T {
-        let merged = {
-            let cat = self.inner.catalog_read();
-            cat.merged_snapshot()
-                .expect("disjoint shards merge without collisions")
-        };
+        let merged = self.inner.catalog_read().merged_snapshot();
         f(&merged)
     }
 
@@ -751,9 +649,7 @@ impl SharedOrpheusDB {
     /// release).
     pub fn write<T>(&self, f: impl FnOnce(&mut OrpheusDB) -> T) -> T {
         let mut cat = self.inner.catalog_write();
-        let mut merged = cat
-            .take_all()
-            .expect("disjoint shards merge without collisions");
+        let mut merged = cat.take_all();
         // Index entries with no matching staged artifact at quiesce time
         // are in-flight *reservations*: a checkout resolved its shard
         // before this rebuild and will materialize right after it. They
@@ -773,8 +669,7 @@ impl SharedOrpheusDB {
             .map(|(key, cvd)| (key.clone(), cvd.clone()))
             .collect();
         let out = f(&mut merged);
-        *cat = Catalog::from_instance(merged)
-            .expect("splitting an instance into per-CVD shards cannot collide");
+        *cat = Catalog::from_instance(merged);
         for (key, cvd) in reservations {
             if !cat.staged.contains_key(&key) && (cvd == AUX_KEY || cat.shards.contains_key(&cvd)) {
                 cat.staged.insert(key, cvd);
@@ -787,8 +682,7 @@ impl SharedOrpheusDB {
     /// routing step the async executor's coordinator runs per chunk
     /// ([`crate::async_exec::AsyncExecutor`]).
     pub(crate) fn plan_batch(&self, requests: &[Request]) -> BatchPlan {
-        let cat = self.inner.catalog_read();
-        BatchPlan::build(requests, &CatalogRouter { catalog: &cat })
+        self.inner.plan(requests)
     }
 
     /// The instance-level identity (what non-session tooling operates as).
@@ -826,10 +720,7 @@ impl SharedOrpheusDB {
 
     /// Persist a consistent instance snapshot (see [`crate::persist`]).
     pub fn save_to(&self, path: &std::path::Path) -> Result<()> {
-        let merged = {
-            let cat = self.inner.catalog_read();
-            cat.merged_snapshot()?
-        };
+        let merged = self.inner.catalog_read().merged_snapshot();
         merged.save_to(path)
     }
 
@@ -841,7 +732,7 @@ impl SharedOrpheusDB {
 }
 
 // ---------------------------------------------------------------------------
-// The routing executor.
+// The request engine.
 // ---------------------------------------------------------------------------
 
 /// Swap the shard's identity to `user` for the duration of one operation,
@@ -870,10 +761,9 @@ struct SqlPlan {
     is_select: bool,
 }
 
-/// Scan a statement for CVD references: `CVD <name>` patterns (only when
-/// `versioned` — the `run` surface), staged-table names, and backing-table
-/// names (`<cvd>__...`).
-fn analyze_sql(cat: &Catalog, sql: &str, versioned: bool) -> Result<SqlPlan> {
+/// Scan a statement for CVD references: `CVD <name>` patterns,
+/// staged-table names, and backing-table names (`<cvd>__...`).
+fn analyze_sql(cat: &Catalog, sql: &str) -> Result<SqlPlan> {
     let tokens = tokenize(sql).map_err(CoreError::from)?;
     // `SELECT ... INTO` materializes a table, so it does not count as
     // read-only here — mirroring [`crate::query::is_select`].
@@ -882,7 +772,7 @@ fn analyze_sql(cat: &Catalog, sql: &str, versioned: bool) -> Result<SqlPlan> {
     let mut cvds = BTreeSet::new();
     let mut i = 0;
     while i < tokens.len() {
-        if versioned && tokens[i].is_kw("cvd") {
+        if tokens[i].is_kw("cvd") {
             if let Some(Token::Ident(name)) = tokens.get(i + 1) {
                 let key = name.to_ascii_lowercase();
                 if !cat.shards.contains_key(&key) {
@@ -920,10 +810,10 @@ static PANIC_HOOK_ARMED: AtomicBool = AtomicBool::new(false);
 static PANIC_HOOK_NAME: StdMutex<Option<String>> = StdMutex::new(None);
 
 /// Test-only: make any sub-batch worker panic immediately before it
-/// executes a checkout into `table`. This exercises the panic-containment
-/// path of [`ConcurrentExecutor::run_shard_items`] (and through it the
-/// async executor's worker poisoning) with a real unwinding panic instead
-/// of a simulated error. Disarm with [`disarm_checkout_panic`].
+/// executes a checkout into `table`. This exercises the panic containment
+/// of the request engine (`execute_items`, and through it the async
+/// executor's worker poisoning) with a real unwinding panic instead of a
+/// simulated error. Disarm with [`disarm_checkout_panic`].
 #[doc(hidden)]
 pub fn arm_checkout_panic(table: &str) {
     *PANIC_HOOK_NAME.lock().unwrap_or_else(|e| e.into_inner()) = Some(table.to_string());
@@ -967,9 +857,10 @@ static COMMIT_GATE_CV: std::sync::Condvar = std::sync::Condvar::new();
 /// **mid-flight, inside the shard's write lock**, until the returned
 /// handle is released (or dropped). This is the deterministic way to
 /// prove MVCC snapshot reads: arm the gate, start the commit on another
-/// thread, [`CommitGateHandle::wait_entered`], perform checkouts and
-/// SELECTs against the same CVD (they complete — they never touch the
-/// held lock), then [`CommitGateHandle::release`]. Also powers the
+/// thread, [`CommitGateHandle::wait_entered`], perform diffs and SELECTs
+/// against the same CVD (they complete — they never touch the held lock;
+/// a checkout, from this thread, would wait for the release forever),
+/// then [`CommitGateHandle::release`]. Also powers the
 /// torn-read tests: a reader during the held window sees the *old* graph,
 /// a reader after the commit acknowledges sees the *new* one, never a
 /// mixture.
@@ -1044,9 +935,9 @@ pub(crate) fn hold_commit_if_gated(table: &str) {
 /// request itself (`None` once consumed — executed, or failed before the
 /// shard was touched), and its outcome slot. The synchronous
 /// [`ConcurrentExecutor::execute_batch`] and the async executor's workers
-/// both feed these to [`ConcurrentExecutor::run_shard_items`]; carrying
-/// the user per item (rather than per batch) is what lets one worker
-/// execute a sub-batch assembled from many sessions' submissions.
+/// both feed these to [`ConcurrentExecutor::run_items`]; carrying the user
+/// per item (rather than per batch) is what lets one worker execute a
+/// sub-batch assembled from many sessions' submissions.
 #[derive(Debug)]
 pub(crate) struct SubItem {
     pub(crate) user: String,
@@ -1054,9 +945,17 @@ pub(crate) struct SubItem {
     pub(crate) out: Option<Result<Response>>,
 }
 
-/// Remove staged-index reservations that still point at `cat_key` (a
-/// checkout that failed, or a sub-batch falling back to the per-request
-/// path). Entries re-pointed by someone else are left alone.
+/// The staged-index value naming `key`'s shard.
+fn catalog_key(key: &ShardKey) -> &str {
+    match key {
+        ShardKey::Aux => AUX_KEY,
+        ShardKey::Cvd(k) => k,
+    }
+}
+
+/// Remove staged-index reservations that still point at `cat_key` (their
+/// checkout failed or never ran). Entries re-pointed by someone else are
+/// left alone.
 fn release_reservations(inner: &Inner, cat_key: &str, keys: &[String]) {
     if keys.is_empty() {
         return;
@@ -1070,8 +969,7 @@ fn release_reservations(inner: &Inner, cat_key: &str, keys: &[String]) {
 }
 
 /// The in-shard execution of one `run` statement: the Section 2.3 access
-/// guard plus versioned translation — identical to the closure
-/// `sql_routed` runs under the shard lock.
+/// guard plus versioned translation.
 fn shard_sql(odb: &mut OrpheusDB, user: &str, sql: &str) -> Result<QueryResult> {
     guard_sql(odb, user, sql)?;
     odb.run(sql)
@@ -1090,6 +988,115 @@ fn staged_mark(request: &Request) -> Option<(String, bool)> {
         Request::CheckoutCsv(c) => Some((Catalog::staged_key(&c.path, StagedKind::Csv), false)),
         _ => None,
     }
+}
+
+/// What one pass over a sub-batch's items ([`execute_items`]) leaves for
+/// the steps that need the catalog, which must not be taken under a shard
+/// lock.
+#[derive(Default)]
+struct Leftovers {
+    /// Staged-index keys of the commits and discards that succeeded.
+    consumed: Vec<String>,
+    /// Staged-index keys of the checkouts that failed.
+    failed_checkouts: Vec<String>,
+    /// `(item index, user, sql)` of statements that failed with
+    /// `TableNotFound`: they reference tables outside the shard and are
+    /// retried across shards ([`ConcurrentExecutor::sql_spanning`]).
+    spanning: Vec<(usize, String, String)>,
+}
+
+/// Log `user` into `db`, unless `current` says the previous item already
+/// did.
+fn switch_identity<'a>(
+    db: &mut OrpheusDB,
+    current: &mut Option<&'a str>,
+    user: &'a str,
+) -> Result<()> {
+    if *current != Some(user) {
+        *current = None;
+        db.access.ensure_user(user)?;
+        db.access.login(user)?;
+        *current = Some(user);
+    }
+    Ok(())
+}
+
+/// Run every pending item of one shard's sub-batch against `db` — the
+/// shard itself under its write lock, or a private snapshot clone. Each
+/// item runs under its own identity (switched whenever the owner changes;
+/// the caller restores the shard's), and checkouts of one version set
+/// share a single version-row scan.
+///
+/// A panic while executing a request is contained here: the panicking
+/// request and every item still pending fail with
+/// [`CoreError::WorkerPanicked`] rather than running against state of
+/// unknown integrity, and already-completed items keep their results.
+fn execute_items(
+    db: &mut OrpheusDB,
+    plan: &BatchPlan,
+    key: &ShardKey,
+    items: &mut [SubItem],
+) -> Leftovers {
+    let panicked = || CoreError::WorkerPanicked {
+        shard: key.label().to_string(),
+    };
+    let mut left = Leftovers::default();
+    let mut current: Option<&str> = None;
+    let mut scan_cache = crate::db::ScanCache::new();
+    let mut poisoned = false;
+    for (i, item) in items.iter_mut().enumerate() {
+        let Some(request) = item.request.take() else {
+            continue;
+        };
+        let mark = staged_mark(&request);
+        let user = item.user.as_str();
+        let result = if poisoned {
+            Err(panicked())
+        } else if let Err(e) = switch_identity(db, &mut current, user) {
+            Err(e)
+        } else {
+            let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                maybe_injected_panic(&request);
+                match request {
+                    // Run goes through the guarded session surface: the
+                    // bus must not be a way around the Section 2.3
+                    // staged-table access rule.
+                    Request::Run(run) => {
+                        if !crate::query::is_select(&run.sql) {
+                            // Raw SQL can write into backing tables; the
+                            // cached scans must not outlive it.
+                            scan_cache.clear();
+                        }
+                        match shard_sql(db, user, &run.sql) {
+                            Err(CoreError::Engine(EngineError::TableNotFound(_))) => Err(run.sql),
+                            other => Ok(other.map(Response::Rows)),
+                        }
+                    }
+                    other => Ok(db.execute_batch_step(plan, &mut scan_cache, other)),
+                }
+            }));
+            match executed {
+                Ok(Ok(result)) => result,
+                Ok(Err(sql)) => {
+                    left.spanning.push((i, item.user.clone(), sql));
+                    continue;
+                }
+                Err(_) => {
+                    // The shard state this request already touched is
+                    // whatever the unwind left behind.
+                    poisoned = true;
+                    Err(panicked())
+                }
+            }
+        };
+        match (&result, mark) {
+            (Ok(_), Some((key, true))) => left.consumed.push(key),
+            (Err(_), Some((key, false))) => left.failed_checkouts.push(key),
+            _ => {}
+        }
+        item.out = Some(result);
+    }
+    left
 }
 
 /// [`BatchRouter`] over the catalog: one read acquisition resolves the
@@ -1118,13 +1125,12 @@ impl BatchRouter for CatalogRouter<'_> {
     }
 
     fn sql_shard(&self, sql: &str) -> Option<ShardKey> {
-        match analyze_sql(self.catalog, sql, true) {
-            Ok(plan) if plan.cvds.is_empty() => Some(ShardKey::Aux),
-            Ok(plan) if plan.cvds.len() == 1 => {
-                Some(ShardKey::Cvd(plan.cvds.into_iter().next().expect("len 1")))
-            }
-            // Multi-CVD statements and unparsable SQL go sequential: the
-            // per-request path picks snapshots or surfaces the error.
+        let mut cvds = analyze_sql(self.catalog, sql).ok()?.cvds.into_iter();
+        match (cvds.next(), cvds.next()) {
+            (None, _) => Some(ShardKey::Aux),
+            (Some(only), None) => Some(ShardKey::Cvd(only)),
+            // Multi-CVD statements (and, above, unparsable SQL) go
+            // sequential: the barrier spans shards or surfaces the error.
             _ => None,
         }
     }
@@ -1135,18 +1141,27 @@ impl BatchRouter for CatalogRouter<'_> {
 /// ownership checks apply per session while many sessions share one
 /// instance.
 ///
-/// Routing, by [`Request::target`]:
-/// * [`Target::Catalog`] — catalog lock (CVD create/drop, users, `ls`).
-/// * [`Target::Cvd`] — that CVD's lock; checkouts additionally reserve the
-///   target name in the catalog's staged index first, keeping staged
+/// There is one request engine: a single [`Executor::execute`] is a
+/// sub-batch of one. Requests are planned under a single catalog read
+/// ([`BatchPlan`]) into per-shard sub-batches and barriers, by
+/// [`Request::target`]:
+/// * [`Target::Cvd`] — that CVD's shard; checkouts additionally reserve
+///   the target name in the catalog's staged index first, keeping table
 ///   names globally unique.
 /// * [`Target::StagedTable`] / [`Target::StagedCsv`] — the owning CVD is
-///   resolved through the staged index, then that CVD's lock.
-/// * [`Target::Sql`] — the statement is analyzed; single-CVD reads run on
-///   that shard's MVCC snapshot, single-CVD writes take one CVD lock,
-///   multi-CVD reads run on a merged lock-free snapshot, and multi-CVD
-///   writes run as cross-CVD write transactions that lock every routed
-///   shard in sorted key order (auxiliary shard last).
+///   resolved through the staged index.
+/// * [`Target::Sql`] — the statement is analyzed; a statement on one CVD
+///   joins that shard's sub-batch, one spanning CVDs is a barrier.
+/// * [`Target::Catalog`] — a barrier under the catalog lock (CVD
+///   create/drop, users, `ls`).
+///
+/// A sub-batch of pure reads (`log`, `diff`, `SELECT`) runs on a clone of
+/// the shard's MVCC snapshot without any shard lock; every other
+/// sub-batch — checkouts included — runs under one acquisition of the
+/// shard's write lock. Barriers span shards: a multi-CVD `SELECT` runs on
+/// a merged lock-free snapshot, a multi-CVD write as a cross-CVD write
+/// transaction that locks every involved shard in sorted key order
+/// (auxiliary shard last).
 ///
 /// Two variants get session-level semantics instead of instance-level
 /// ones: `Whoami` reports the executor's user, and `Login` rebinds *this
@@ -1158,237 +1173,83 @@ pub struct ConcurrentExecutor {
     user: String,
 }
 
+/// One user's handle on a [`SharedOrpheusDB`] — the user-facing name of
+/// [`ConcurrentExecutor`]. Sessions on different threads interleave
+/// without identity leaks, ownership checks (commit, discard) apply per
+/// session, and sessions working on *different* CVDs execute in parallel.
+pub type Session = ConcurrentExecutor;
+
+/// The typed methods unpack the one [`Response`] variant their request is
+/// answered with; any other variant is a bug in the engine, reported to
+/// the caller rather than panicked on.
+fn mismatched(response: Response) -> CoreError {
+    CoreError::Invalid(format!("unexpected response: {}", response.summary()))
+}
+
 impl ConcurrentExecutor {
     /// The identity this executor operates under.
     pub fn user(&self) -> &str {
         &self.user
     }
 
-    /// Run `f` under the lock of the shard `resolve` picks, retrying when
-    /// a catalog rebuild retired the shard between resolution and lock
-    /// acquisition. The catalog lock is **not** held while blocking on the
-    /// shard lock.
-    fn locked<T>(
-        &self,
-        resolve: impl Fn(&Catalog) -> Result<Arc<Shard>>,
-        f: impl FnOnce(&mut OrpheusDB) -> Result<T>,
-    ) -> Result<T> {
-        let mut f = Some(f);
-        loop {
-            let shard = {
-                let cat = self.inner.catalog_read();
-                resolve(&cat)?
-            };
-            let mut db = shard.write();
-            if shard.is_retired() {
-                continue;
-            }
-            if let Some(refused) = db.refused.take() {
-                return Err(refused);
-            }
-            let f = f.take().expect("closure runs at most once");
-            return under_identity(&mut db, &self.user, f);
-        }
-    }
-
-    /// Run `f` against a clone of the shard `resolve` picks, taking **no
-    /// shard lock** — the MVCC read path. Retries when a catalog rebuild
-    /// retired the shard between resolution and the snapshot load (the
-    /// load could have observed the emptied post-quiesce state).
-    fn on_snapshot<T>(
-        &self,
-        resolve: impl Fn(&Catalog) -> Result<Arc<Shard>>,
-        f: impl FnOnce(&mut OrpheusDB) -> Result<T>,
-    ) -> Result<T> {
-        let mut f = Some(f);
-        loop {
-            let shard = {
-                let cat = self.inner.catalog_read();
-                resolve(&cat)?
-            };
-            let mut clone = shard.load_snapshot()?;
-            if shard.is_retired() {
-                continue;
-            }
-            let f = f.take().expect("closure runs at most once");
-            return under_identity(&mut clone, &self.user, f);
-        }
-    }
-
-    /// The MVCC checkout path: reserve the staged name in the catalog
-    /// index, **materialize against the shard's snapshot** (no shard
-    /// lock — a commit in flight never delays a checkout), park the
-    /// artifact for the next writer to adopt, and release the reservation
-    /// on failure.
-    fn park_checkout<T>(
-        &self,
-        cvd: &str,
-        kind: StagedKind,
-        name: &str,
-        materialize: impl Fn(&mut OrpheusDB) -> Result<T>,
-    ) -> Result<T> {
-        let cvd_key = cvd.to_ascii_lowercase();
-        let staged_key = {
-            let mut cat = self.inner.catalog_write();
-            cat.reserve(cvd, kind, name)?
-        };
-        let result = self.park_checkout_reserved(&cvd_key, kind, name, &materialize);
-        if result.is_err() {
-            release_reservations(&self.inner, &cvd_key, std::slice::from_ref(&staged_key));
-        }
-        result
-    }
-
-    /// Post-reservation half of [`ConcurrentExecutor::park_checkout`]: the
-    /// snapshot materialization and the park itself, with the
-    /// retired-shard retry protocol. After parking, `retired` is
-    /// re-checked: a quiesce that retired the shard either already adopted
-    /// our entry (its drain runs after `retire`, so the entry is gone from
-    /// pending and travels with the rebuild) or left it parked — in which
-    /// case we un-park it ourselves and retry against the rebuilt catalog.
-    /// The reservation survives the rebuild precisely because the artifact
-    /// was not materialized yet (see [`SharedOrpheusDB::write`]).
-    fn park_checkout_reserved<T>(
-        &self,
-        cvd_key: &str,
-        kind: StagedKind,
-        name: &str,
-        materialize: &impl Fn(&mut OrpheusDB) -> Result<T>,
-    ) -> Result<T> {
-        let staged_key = Catalog::staged_key(name, kind);
-        loop {
-            let shard = {
-                let cat = self.inner.catalog_read();
-                cat.shard(cvd_key)?
-            };
-            let mut clone = shard.load_snapshot()?;
-            if shard.is_retired() {
-                continue;
-            }
-            let out = under_identity(&mut clone, &self.user, |odb| materialize(odb))?;
-            let table = match kind {
-                StagedKind::Table => Some(
-                    clone
-                        .engine
-                        .take_table(name)
-                        .expect("checkout materialized its target table"),
-                ),
-                StagedKind::Csv => None,
-            };
-            let entry = clone
-                .staging
-                .get(name, kind)
-                .expect("checkout registered its staging entry")
-                .clone();
-            shard.pending.lock().push(ParkedCheckout { table, entry });
-            if !shard.is_retired() {
-                return Ok(out);
-            }
-            let adopted = {
-                let mut pending = shard.pending.lock();
-                match pending
-                    .iter()
-                    .position(|p| Catalog::staged_key(&p.entry.name, p.entry.kind) == staged_key)
-                {
-                    Some(i) => {
-                        pending.remove(i);
-                        false
-                    }
-                    None => true,
-                }
-            };
-            if adopted {
-                return Ok(out);
-            }
-        }
-    }
-
-    /// Route a commit/discard-style operation through the staged index to
-    /// the owning CVD's lock; drop the index entry once the operation
-    /// consumed the staged artifact.
-    fn with_staged<T>(
-        &self,
-        kind: StagedKind,
-        name: &str,
-        f: impl FnOnce(&mut OrpheusDB) -> Result<T>,
-    ) -> Result<T> {
-        let key = Catalog::staged_key(name, kind);
-        let result = self.locked(
-            |cat| {
-                let cvd_key = cat
-                    .staged
-                    .get(&key)
-                    .ok_or_else(|| CoreError::NotStaged(name.to_string()))?;
-                cat.shard_by_key(cvd_key)
-            },
-            f,
-        );
-        if result.is_ok() {
-            let mut cat = self.inner.catalog_write();
-            cat.staged.remove(&key);
-        }
-        result
+    /// A table name namespaced to this session's user, the conventional way
+    /// to avoid staged-table name collisions between users.
+    pub fn private_table(&self, name: &str) -> String {
+        format!("{}__{}", self.user.to_ascii_lowercase(), name)
     }
 
     // -- the session-level command surface ----------------------------------
+    //
+    // Request-build + response-unpack over the bus, for callers that hold
+    // the session by shared reference.
 
-    /// `checkout` into a private staged table owned by this executor's
-    /// user. Runs entirely against the CVD's MVCC snapshot — it never
-    /// waits on a commit in flight (the park-and-adopt protocol in the
-    /// module docs).
-    pub fn checkout(&self, cvd: &str, vids: &[Vid], table: &str) -> Result<()> {
-        self.park_checkout(cvd, StagedKind::Table, table, |odb| {
-            odb.checkout(cvd, vids, table)
-        })
+    fn request(&self, request: impl Into<Request>) -> Result<Response> {
+        self.execute_as(&self.user, request.into())
     }
 
-    /// `checkout -f`: export version(s) as CSV text. Snapshot-served like
-    /// [`ConcurrentExecutor::checkout`].
-    pub fn checkout_csv(&self, cvd: &str, vids: &[Vid], path: &str) -> Result<String> {
-        self.park_checkout(cvd, StagedKind::Csv, path, |odb| {
-            odb.checkout_csv(cvd, vids, path)
-        })
+    /// `checkout` into a private staged table owned by this executor's
+    /// user. A checkout creates a table, so it takes the CVD's lock like
+    /// any other write.
+    pub fn checkout(&self, cvd: &str, vids: &[Vid], table: &str) -> Result<()> {
+        let checkout = Checkout::of(cvd)
+            .versions(vids.iter().copied())
+            .into_table(table);
+        self.request(checkout).map(drop)
     }
 
     /// `commit` a staged table (must be owned by this executor's user).
     pub fn commit(&self, table: &str, message: &str) -> Result<Vid> {
-        self.with_staged(StagedKind::Table, table, |odb| odb.commit(table, message))
-    }
-
-    /// `commit -f`: commit edited CSV text previously exported with
-    /// [`ConcurrentExecutor::checkout_csv`].
-    pub fn commit_csv(
-        &self,
-        path: &str,
-        csv: &str,
-        message: &str,
-        schema_text: Option<&str>,
-    ) -> Result<Vid> {
-        self.with_staged(StagedKind::Csv, path, |odb| {
-            odb.commit_csv(path, csv, message, schema_text)
-        })
+        let response = self.request(Commit::table(table).message(message))?;
+        response.version().ok_or_else(|| mismatched(response))
     }
 
     /// Abandon a staged table without committing.
     pub fn discard(&self, table: &str) -> Result<()> {
-        self.with_staged(StagedKind::Table, table, |odb| odb.discard(table))
+        self.request(Discard::table(table)).map(drop)
     }
 
     /// `diff` two versions of a CVD — read-only, served from the CVD's
     /// MVCC snapshot without taking the shard lock.
     pub fn diff(&self, cvd: &str, a: Vid, b: Vid) -> Result<VersionDiff> {
-        self.on_snapshot(|cat| cat.shard(cvd), |odb| odb.diff(cvd, a, b))
+        match self.request(Diff::of(cvd).between(a, b))? {
+            Response::Diffed { diff, .. } => Ok(diff),
+            other => Err(mismatched(other)),
+        }
     }
 
     /// The rows `(rid, attributes)` of one version — read-only, served
-    /// from the CVD's MVCC snapshot without taking the shard lock.
+    /// from the CVD's MVCC snapshot without taking the shard lock. (The
+    /// bus has no request for it, so it reads the snapshot directly.)
     pub fn version_rows(&self, cvd: &str, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
-        self.on_snapshot(|cat| cat.shard(cvd), |odb| odb.version_rows(cvd, vid))
+        self.snapshot_of(cvd)?.version_rows(cvd, vid)
     }
 
     /// Run the partition optimizer.
     pub fn optimize(&self, cvd: &str) -> Result<OptimizeReport> {
-        self.locked(|cat| cat.shard(cvd), |odb| odb.optimize(cvd))
+        match self.request(Optimize::cvd(cvd))? {
+            Response::Optimized { report, .. } => Ok(report),
+            other => Err(mismatched(other)),
+        }
     }
 
     /// List CVDs (catalog lock only — never blocks behind a commit).
@@ -1397,65 +1258,329 @@ impl ConcurrentExecutor {
         cat.shards.keys().cloned().collect()
     }
 
-    /// Versioned SQL (`VERSION n OF CVD x`, `CVD x`) or plain SQL, guarded
-    /// by the Section 2.3 staged-table access rule.
+    /// Versioned SQL (`VERSION n OF CVD x`, `CVD x`) or plain SQL.
+    /// Read-only access to CVDs needs no ownership, but statements
+    /// referencing a staged table owned by a *different* user are
+    /// rejected — the access rule of Section 2.3 ("only the user who
+    /// performed the checkout operation is permitted access to the
+    /// materialized table"). `SELECT`s are served from MVCC snapshots.
     pub fn run(&self, sql: &str) -> Result<QueryResult> {
-        self.sql_routed(sql, true)
+        match self.request(Run::sql(sql))? {
+            Response::Rows(rows) => Ok(rows),
+            other => Err(mismatched(other)),
+        }
     }
 
-    /// Plain SQL against staged tables (no versioned-clause translation),
-    /// same access guard as [`ConcurrentExecutor::run`].
+    /// SQL against staged tables: [`ConcurrentExecutor::run`] under the
+    /// name sessions use for plain statements (`run` passes plain SQL
+    /// through untranslated, so it is the same surface; named `sql` so
+    /// the bus-level [`Executor::execute`] keeps the `execute` name).
     pub fn sql(&self, sql: &str) -> Result<QueryResult> {
-        self.sql_routed(sql, false)
+        self.run(sql)
     }
 
-    fn sql_routed(&self, sql: &str, versioned: bool) -> Result<QueryResult> {
-        let plan = {
-            let cat = self.inner.catalog_read();
-            analyze_sql(&cat, sql, versioned)?
-        };
-        let exec = |odb: &mut OrpheusDB| -> Result<QueryResult> {
-            guard_sql(odb, &self.user, sql)?;
-            if versioned {
-                odb.run(sql)
-            } else {
-                Ok(odb.engine.execute(sql)?)
-            }
-        };
-        let result = match plan.cvds.len() {
-            // Read-only single-shard statements are served from the
-            // shard's MVCC snapshot — no shard lock, so they never wait
-            // on a writer. Writing statements take the shard's write
-            // lock as before.
-            0 if plan.is_select => self.on_snapshot(|cat| Ok(Arc::clone(&cat.aux)), exec),
-            0 => self.locked(|cat| Ok(Arc::clone(&cat.aux)), exec),
-            1 => {
-                let key = plan.cvds.iter().next().expect("len checked").clone();
-                if plan.is_select {
-                    self.on_snapshot(move |cat| cat.shard_by_key(&key), exec)
-                } else {
-                    self.locked(move |cat| cat.shard_by_key(&key), exec)
+    // -- the engine ---------------------------------------------------------
+
+    /// Execute a batch — the [`Executor::batch`] override. The batch is
+    /// planned once under a single catalog read ([`BatchPlan::build`]:
+    /// staged-name resolution and SQL analysis for every request), then
+    /// each shard's sub-batch runs through `run_items` — a writing
+    /// sub-batch under **one** shard-lock acquisition, a read-only one on
+    /// one snapshot clone — and everything the plan cannot pin to one
+    /// shard runs on its own between sub-batches, exactly as a single
+    /// [`Executor::execute`] would. Responses come back in submission
+    /// order and failures stay per-request.
+    ///
+    /// Sub-batches of *different* shards may interleave relative to each
+    /// other (they touch disjoint state); within one shard, submission
+    /// order is preserved. A statement that turns out to reference tables
+    /// outside its shard is retried *after* its sub-batch — reads on a
+    /// merged snapshot, writes as a cross-CVD write transaction — so it
+    /// may observe later requests of its own sub-batch.
+    pub fn execute_batch(&mut self, requests: Vec<Request>) -> Vec<Result<Response>> {
+        let plan = self.inner.plan(&requests);
+        let mut slots: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
+        let mut out: Vec<Option<Result<Response>>> = slots.iter().map(|_| None).collect();
+        for step in plan.steps() {
+            match step {
+                Step::Sequential(i) => {
+                    if let Some(request) = slots[*i].take() {
+                        out[*i] = Some(self.execute_rebinding(request));
+                    }
+                }
+                Step::Shard {
+                    key,
+                    indices,
+                    read_only,
+                } => {
+                    let mut items: Vec<SubItem> = indices
+                        .iter()
+                        .map(|&i| SubItem {
+                            user: self.user.clone(),
+                            request: slots[i].take(),
+                            out: None,
+                        })
+                        .collect();
+                    self.run_items(&plan, key, *read_only, &mut items);
+                    for (&i, item) in indices.iter().zip(items) {
+                        out[i] = item.out;
+                    }
                 }
             }
-            _ if plan.is_select => return self.sql_on_snapshot(&plan.cvds, sql, versioned),
-            _ => return self.sql_cross_cvd_write(&plan.cvds, sql, versioned),
-        };
-        // A statement that joins shard tables with auxiliary tables (or
-        // another CVD's tables the analyzer could not attribute) fails
-        // with TableNotFound inside a single shard. A SELECT retries on a
-        // full merged snapshot; a *writing* statement retries as a
-        // cross-CVD write transaction, which merges the routed shard with
-        // the auxiliary shard (and so sees the side tables) under proper
-        // locks.
-        match result {
-            Err(CoreError::Engine(EngineError::TableNotFound(_))) if plan.is_select => {
-                self.sql_on_snapshot(&plan.cvds, sql, versioned)
-            }
-            Err(CoreError::Engine(EngineError::TableNotFound(_))) if !plan.cvds.is_empty() => {
-                self.sql_cross_cvd_write(&plan.cvds, sql, versioned)
-            }
-            other => other,
         }
+        out.into_iter()
+            // A plan schedules every index in exactly one step, and both
+            // arms above answer every request they are handed.
+            .map(|r| r.expect("every scheduled request is answered"))
+            .collect()
+    }
+
+    /// Execute one shard's sub-batch — the engine shared by
+    /// [`ConcurrentExecutor::execute_batch`] and the async executor's
+    /// workers ([`crate::async_exec`]). Each [`SubItem`] carries its own
+    /// identity, so one sub-batch may interleave requests from many
+    /// sessions. Panics are contained per sub-batch (see
+    /// [`execute_items`]); the shard lock itself does not poison (shim
+    /// `parking_lot` semantics), so later sub-batches on the same shard
+    /// run normally.
+    pub(crate) fn run_items(
+        &self,
+        plan: &BatchPlan,
+        key: &ShardKey,
+        read_only: bool,
+        items: &mut [SubItem],
+    ) {
+        let cat_key = catalog_key(key);
+        let spanning = if read_only {
+            // No shard lock, so a writer holding it never delays these.
+            let Ok(mut db) = self.snapshot_of(cat_key) else {
+                return self.reroute(items);
+            };
+            execute_items(&mut db, plan, key, items).spanning
+        } else {
+            let Some(spanning) = self.run_shard_items(plan, key, items) else {
+                return self.reroute(items);
+            };
+            spanning
+        };
+        for (i, user, sql) in spanning {
+            items[i].out = Some(self.sql_spanning(&user, cat_key, &sql).map(Response::Rows));
+        }
+    }
+
+    /// A writing sub-batch: reservations for every checkout in one catalog
+    /// write, the requests under one acquisition of the shard's write
+    /// lock, and the staged-index bookkeeping in one closing catalog
+    /// write. Returns the statements left to retry across shards, or
+    /// `None` (items untouched) when the shard no longer exists.
+    fn run_shard_items(
+        &self,
+        plan: &BatchPlan,
+        key: &ShardKey,
+        items: &mut [SubItem],
+    ) -> Option<Vec<(usize, String, String)>> {
+        let cat_key = catalog_key(key);
+
+        // Reserve every checkout target name of the sub-batch in one
+        // catalog write; a name that cannot be reserved fails its request
+        // right here, without touching the shard.
+        let mut reserved: Vec<String> = Vec::new();
+        let checks_out = |item: &SubItem| {
+            matches!(
+                item.request,
+                Some(Request::Checkout(_) | Request::CheckoutCsv(_))
+            )
+        };
+        if items.iter().any(checks_out) {
+            let mut cat = self.inner.catalog_write();
+            for item in items.iter_mut() {
+                let reservation = match item.request.as_ref() {
+                    Some(Request::Checkout(c)) => cat.reserve(&c.cvd, StagedKind::Table, &c.table),
+                    Some(Request::CheckoutCsv(c)) => cat.reserve(&c.cvd, StagedKind::Csv, &c.path),
+                    _ => continue,
+                };
+                match reservation {
+                    Ok(staged_key) => reserved.push(staged_key),
+                    Err(e) => {
+                        item.out = Some(Err(e));
+                        item.request = None;
+                    }
+                }
+            }
+        }
+
+        // One shard-lock acquisition for the whole sub-batch. The catalog
+        // lock is not held while blocking on the shard lock, so a catalog
+        // rebuild can retire the shard in between: re-resolve and retry.
+        let left = loop {
+            let Ok(shard) = self.inner.shard_by_key(cat_key) else {
+                // The CVD was dropped since planning. Release the
+                // reservations so re-routing cannot collide with them.
+                release_reservations(&self.inner, cat_key, &reserved);
+                return None;
+            };
+            let mut db = shard.write();
+            if shard.is_retired() {
+                continue;
+            }
+            let prior = db.access.whoami().to_string();
+            let left = execute_items(&mut db, plan, key, items);
+            let _ = db.access.login(&prior);
+            break left;
+        };
+
+        // One closing catalog write: drop the index entries of consumed
+        // staged artifacts, release the reservations of failed checkouts.
+        if !left.consumed.is_empty() {
+            let mut cat = self.inner.catalog_write();
+            for key in &left.consumed {
+                cat.staged.remove(key);
+            }
+        }
+        release_reservations(&self.inner, cat_key, &left.failed_checkouts);
+        Some(left.spanning)
+    }
+
+    /// A private clone of one shard's MVCC snapshot — the lock-free read
+    /// path. Retries when a catalog rebuild retired the shard between
+    /// resolution and the load (the load could have observed the emptied
+    /// post-quiesce state).
+    fn snapshot_of(&self, cat_key: &str) -> Result<OrpheusDB> {
+        loop {
+            let shard = self.inner.shard_by_key(cat_key)?;
+            let db = shard.load_snapshot();
+            if !shard.is_retired() {
+                return Ok(db);
+            }
+        }
+    }
+
+    /// The shard a sub-batch was planned for is gone (its CVD was dropped
+    /// since planning): every request still pending is executed on its
+    /// own, against the live catalog.
+    fn reroute(&self, items: &mut [SubItem]) {
+        for item in items {
+            if let Some(request) = item.request.take() {
+                item.out = Some(self.execute_as(&item.user, request));
+            }
+        }
+    }
+
+    /// Execute one request on its own, as `user`, against live state: a
+    /// single [`Executor::execute`], and what a plan schedules as
+    /// [`Step::Sequential`] — there a barrier, ordered strictly against
+    /// the sub-batches around it. Catalog requests run under the catalog
+    /// lock. Everything else is planned alone — no earlier request of a
+    /// batch can leave its routing uncertain — and is a sub-batch of one
+    /// for `run_items`; what has no single shard even then is SQL spanning
+    /// shards, or gets the typed error (`CvdNotFound`, `NotStaged`).
+    pub(crate) fn execute_as(&self, user: &str, request: Request) -> Result<Response> {
+        match request {
+            // Validation only: rebinding is the caller's business.
+            Request::Login(login) => {
+                let cat = self.inner.catalog_read();
+                if !cat.access.has_user(&login.user) {
+                    return Err(CoreError::Invalid(format!("unknown user {}", login.user)));
+                }
+                Ok(Response::LoggedIn { user: login.user })
+            }
+            Request::Whoami => Ok(Response::CurrentUser {
+                user: user.to_string(),
+            }),
+            Request::CreateUser(r) => {
+                let mut cat = self.inner.catalog_write();
+                cat.ensure_writable()?;
+                cat.access.create_user(&r.user)?;
+                if let Some(wal) = &cat.wal {
+                    wal.append(user, 0, &WalOp::Request(Request::CreateUser(r.clone())))?;
+                }
+                Ok(Response::UserCreated { user: r.user })
+            }
+            Request::Ls => Ok(Response::CvdList(self.ls())),
+            Request::Init(ref r) => {
+                let name = r.cvd.clone();
+                self.create_cvd(user, &name, request)
+            }
+            Request::InitFromCsv(ref r) => {
+                let name = r.cvd.clone();
+                self.create_cvd(user, &name, request)
+            }
+            Request::Drop(r) => self.drop_cvd(user, &r.cvd),
+            other => {
+                let plan = self.inner.plan(std::slice::from_ref(&other));
+                match (plan.steps(), other) {
+                    ([Step::Shard { key, read_only, .. }], other) => {
+                        let mut items = [SubItem {
+                            user: user.to_string(),
+                            request: Some(other),
+                            out: None,
+                        }];
+                        self.run_items(&plan, key, *read_only, &mut items);
+                        let [item] = items;
+                        // `run_items` answers every item it is handed.
+                        item.out.expect("every scheduled request is answered")
+                    }
+                    (_, Request::Run(run)) => self
+                        .sql_spanning(user, AUX_KEY, &run.sql)
+                        .map(Response::Rows),
+                    (_, other) => Err(match other.target() {
+                        Target::Cvd(cvd) => CoreError::CvdNotFound(cvd.to_string()),
+                        Target::StagedTable(name) | Target::StagedCsv(name) => {
+                            CoreError::NotStaged(name.to_string())
+                        }
+                        Target::Catalog(_) | Target::Sql(_) => {
+                            CoreError::Invalid(format!("no route for {} request", other.kind()))
+                        }
+                    }),
+                }
+            }
+        }
+    }
+
+    /// [`ConcurrentExecutor::execute_as`] under this executor's identity,
+    /// with the session-scoped `Login`: success rebinds *this executor*
+    /// without touching the identity other sessions see.
+    fn execute_rebinding(&mut self, request: Request) -> Result<Response> {
+        let login = match &request {
+            Request::Login(login) => Some(login.user.clone()),
+            _ => None,
+        };
+        let result = self.execute_as(&self.user, request);
+        if let (Some(user), Ok(_)) = (login, &result) {
+            self.user = user;
+        }
+        result
+    }
+
+    /// Run a statement no single shard can serve: it names tables of
+    /// several shards, or — routed to its `home` shard — failed there with
+    /// `TableNotFound` because it joins tables the analyzer could not
+    /// attribute (side tables, another CVD's tables). Re-analyzed against
+    /// the live catalog (staged tables materialized earlier in the same
+    /// batch have their index entries by now), a `SELECT` runs on a merged
+    /// lock-free snapshot of the involved shards plus the auxiliary shard —
+    /// of the whole instance when it names no CVD at all — and a writing
+    /// statement as a cross-CVD write transaction.
+    fn sql_spanning(&self, user: &str, home: &str, sql: &str) -> Result<QueryResult> {
+        let cat = self.inner.catalog_read();
+        let SqlPlan {
+            mut cvds,
+            is_select,
+        } = analyze_sql(&cat, sql)?;
+        if home != AUX_KEY {
+            cvds.insert(home.to_string());
+        }
+        if !is_select {
+            drop(cat);
+            return self.sql_cross_cvd_write(user, &cvds, sql);
+        }
+        let mut merged = if cvds.is_empty() {
+            cat.merged_snapshot()
+        } else {
+            cat.merged_subset(&cvds)
+        };
+        drop(cat);
+        shard_sql(&mut merged, user, sql)
     }
 
     /// A writing statement spanning several shards: the **cross-CVD write
@@ -1470,28 +1595,14 @@ impl ConcurrentExecutor {
     /// statement's effects or none.
     fn sql_cross_cvd_write(
         &self,
-        keys: &BTreeSet<String>,
-        sql: &str,
-        versioned: bool,
-    ) -> Result<QueryResult> {
-        self.sql_cross_cvd_write_as(&self.user, keys, sql, versioned)
-    }
-
-    /// [`ConcurrentExecutor::sql_cross_cvd_write`] under an explicit
-    /// identity — sub-batches carry a user per item, so their cross-CVD
-    /// write retries cannot assume this executor's user.
-    fn sql_cross_cvd_write_as(
-        &self,
         user: &str,
         keys: &BTreeSet<String>,
         sql: &str,
-        versioned: bool,
     ) -> Result<QueryResult> {
         let cat = self.inner.catalog_read();
-        let shards: Vec<(String, Arc<Shard>)> = keys
+        let shards: Vec<(&String, Arc<Shard>)> = keys
             .iter()
-            .filter(|k| k.as_str() != AUX_KEY)
-            .map(|k| Ok((k.clone(), cat.shard(k)?)))
+            .map(|k| Ok((k, cat.shard(k)?)))
             .collect::<Result<_>>()?;
         let aux = Arc::clone(&cat.aux);
         let mut guards: Vec<ShardWriteGuard<'_>> =
@@ -1506,511 +1617,22 @@ impl ConcurrentExecutor {
         for guard in guards.iter_mut() {
             merged
                 .absorb(std::mem::take(&mut **guard))
+                // Same invariant as `Catalog::merge_snapshots`.
                 .expect("disjoint shards merge without collisions");
         }
-        let result = under_identity(&mut merged, user, |odb| {
-            guard_sql(odb, user, sql)?;
-            if versioned {
-                odb.run(sql)
-            } else {
-                Ok(odb.engine.execute(sql)?)
-            }
-        });
+        let result = under_identity(&mut merged, user, |odb| shard_sql(odb, user, sql));
         // Split back, whether or not the statement succeeded — the merge
         // itself must never be lossy.
         for ((key, _), guard) in shards.iter().zip(guards.iter_mut()) {
             **guard = merged
                 .detach_cvd(key)
+                // SQL cannot reach the CVD registry, so the CVD absorbed
+                // above is still there, and it detaches into a fresh,
+                // empty instance.
                 .expect("absorbed CVD detaches back out");
         }
         *aux_guard = merged;
-        drop(aux_guard);
-        drop(guards);
-        drop(cat);
         result
-    }
-
-    /// Run a read-only statement on a merged snapshot of the involved
-    /// shards (plus the auxiliary shard).
-    fn sql_on_snapshot(
-        &self,
-        keys: &BTreeSet<String>,
-        sql: &str,
-        versioned: bool,
-    ) -> Result<QueryResult> {
-        self.sql_on_snapshot_as(&self.user, keys, sql, versioned)
-    }
-
-    /// [`ConcurrentExecutor::sql_on_snapshot`] under an explicit identity —
-    /// sub-batches carry a user per item, so their snapshot retries cannot
-    /// assume this executor's user.
-    fn sql_on_snapshot_as(
-        &self,
-        user: &str,
-        keys: &BTreeSet<String>,
-        sql: &str,
-        versioned: bool,
-    ) -> Result<QueryResult> {
-        let mut merged = {
-            let cat = self.inner.catalog_read();
-            if keys.is_empty() {
-                cat.merged_snapshot()?
-            } else {
-                cat.merged_subset(keys)?
-            }
-        };
-        guard_sql(&merged, user, sql)?;
-        if versioned {
-            merged.run(sql)
-        } else {
-            Ok(merged.engine.execute(sql)?)
-        }
-    }
-
-    // -- batching -------------------------------------------------------------
-
-    /// Execute a batch with per-shard lock coalescing — the
-    /// [`Executor::batch`] override. The batch is planned once under a
-    /// single catalog read ([`BatchPlan::build`]: staged-name resolution
-    /// and SQL analysis for every request, instead of one catalog
-    /// acquisition per request), then each shard's sub-batch runs under
-    /// **one** shard-lock acquisition: checkout-name reservations for the
-    /// whole sub-batch in one catalog write, the requests themselves under
-    /// one identity swap, and the staged-index bookkeeping in one closing
-    /// catalog write. Responses come back in submission order and
-    /// failures stay per-request.
-    ///
-    /// Requests the plan cannot pin to one shard — catalog mutations, SQL
-    /// spanning CVDs, staged names it cannot resolve — run through the
-    /// ordinary [`ConcurrentExecutor::execute`] path as barriers between
-    /// sub-batches. Sub-batches of *different* shards may interleave
-    /// relative to each other (they touch disjoint state); within one
-    /// shard, submission order is preserved. A statement that turns out to
-    /// reference tables outside its shard is retried *after* the sub-batch
-    /// (the same fallbacks the per-request path applies inline) — reads on
-    /// a merged snapshot, writes as a cross-CVD write transaction — so it
-    /// may observe later requests of its own sub-batch.
-    pub fn execute_batch(&mut self, requests: Vec<Request>) -> Vec<Result<Response>> {
-        let plan = {
-            let cat = self.inner.catalog_read();
-            BatchPlan::build(&requests, &CatalogRouter { catalog: &cat })
-        };
-        let mut slots: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
-        let mut out: Vec<Option<Result<Response>>> = slots.iter().map(|_| None).collect();
-        for step in plan.steps() {
-            match step {
-                Step::Sequential(i) => {
-                    let request = slots[*i].take().expect("indices are scheduled once");
-                    out[*i] = Some(self.execute(request));
-                }
-                Step::Shard {
-                    key,
-                    indices,
-                    read_only,
-                } => {
-                    if *read_only {
-                        self.execute_snapshot_batch(key, indices, &mut slots, &mut out)
-                    } else {
-                        self.execute_shard_batch(&plan, key, indices, &mut slots, &mut out)
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every index is scheduled"))
-            .collect()
-    }
-
-    /// One shard's sub-batch under a single lock acquisition (see
-    /// [`ConcurrentExecutor::execute_batch`]). Requests that already
-    /// failed reservation arrive as emptied slots and are skipped. Thin
-    /// adapter over [`ConcurrentExecutor::run_shard_items`], which the
-    /// async executor's workers drive directly.
-    fn execute_shard_batch(
-        &mut self,
-        plan: &BatchPlan,
-        key: &ShardKey,
-        indices: &[usize],
-        slots: &mut [Option<Request>],
-        out: &mut [Option<Result<Response>>],
-    ) {
-        let mut items: Vec<SubItem> = indices
-            .iter()
-            .map(|&i| SubItem {
-                user: self.user.clone(),
-                request: slots[i].take(),
-                out: out[i].take(),
-            })
-            .collect();
-        self.run_shard_items(plan, key, &mut items);
-        for (&i, item) in indices.iter().zip(items) {
-            out[i] = item.out;
-        }
-    }
-
-    /// One shard's *read-only* sub-batch against an MVCC snapshot (see
-    /// [`ConcurrentExecutor::execute_batch`]). Thin adapter over
-    /// [`ConcurrentExecutor::run_snapshot_items`].
-    fn execute_snapshot_batch(
-        &mut self,
-        key: &ShardKey,
-        indices: &[usize],
-        slots: &mut [Option<Request>],
-        out: &mut [Option<Result<Response>>],
-    ) {
-        let mut items: Vec<SubItem> = indices
-            .iter()
-            .map(|&i| SubItem {
-                user: self.user.clone(),
-                request: slots[i].take(),
-                out: out[i].take(),
-            })
-            .collect();
-        self.run_snapshot_items(key, &mut items);
-        for (&i, item) in indices.iter().zip(items) {
-            out[i] = item.out;
-        }
-    }
-
-    /// Execute one shard's sub-batch under a single shard-lock
-    /// acquisition — the engine shared by [`Executor::batch`] on this
-    /// executor and by the async executor's per-shard workers
-    /// ([`crate::async_exec`]). Each [`SubItem`] carries its own identity,
-    /// so one sub-batch may interleave requests from many sessions; the
-    /// shard identity is swapped whenever the owner changes and restored
-    /// afterwards.
-    ///
-    /// A panic while executing a request is contained here: the panicking
-    /// request and every item still pending in this sub-batch fail with
-    /// [`CoreError::WorkerPanicked`], their checkout reservations are
-    /// released, and already-completed items keep their results. The shard
-    /// lock itself does not poison (shim `parking_lot` semantics), so
-    /// later sub-batches on the same shard run normally.
-    pub(crate) fn run_shard_items(&self, plan: &BatchPlan, key: &ShardKey, items: &mut [SubItem]) {
-        let cat_key = match key {
-            ShardKey::Aux => AUX_KEY.to_string(),
-            ShardKey::Cvd(k) => k.clone(),
-        };
-
-        // Phase 1 — reserve every checkout target name of the sub-batch
-        // in one catalog write; a name that cannot be reserved fails its
-        // request right here, without touching the shard.
-        let mut reserved: Vec<String> = Vec::new();
-        {
-            let mut cat = self.inner.catalog_write();
-            for item in items.iter_mut() {
-                let (cvd, kind, name) = match item.request.as_ref() {
-                    Some(Request::Checkout(c)) => {
-                        (c.cvd.clone(), StagedKind::Table, c.table.clone())
-                    }
-                    Some(Request::CheckoutCsv(c)) => {
-                        (c.cvd.clone(), StagedKind::Csv, c.path.clone())
-                    }
-                    _ => continue,
-                };
-                match cat.reserve(&cvd, kind, &name) {
-                    Ok(staged_key) => reserved.push(staged_key),
-                    Err(e) => {
-                        item.out = Some(Err(e));
-                        item.request = None;
-                    }
-                }
-            }
-        }
-
-        // Phase 2 — one shard-lock acquisition for the whole sub-batch,
-        // retrying when a catalog rebuild retired the shard between
-        // resolution and acquisition (same protocol as `locked`).
-        let mut consumed: Vec<String> = Vec::new();
-        let mut failed_checkouts: Vec<String> = Vec::new();
-        let mut snapshot_retries: Vec<(usize, String, String, bool)> = Vec::new();
-        loop {
-            let resolved = {
-                let cat = self.inner.catalog_read();
-                cat.shard_by_key(&cat_key)
-            };
-            let shard = match resolved {
-                Ok(shard) => shard,
-                Err(_) => {
-                    // The CVD vanished between planning and execution (a
-                    // concurrent drop). Release our reservations so the
-                    // fallback cannot collide with them, then run each
-                    // remaining request through the per-request path,
-                    // which re-resolves and reports the ordinary errors.
-                    release_reservations(&self.inner, &cat_key, &reserved);
-                    for item in items.iter_mut() {
-                        if let Some(request) = item.request.take() {
-                            let mut exec = ConcurrentExecutor {
-                                inner: Arc::clone(&self.inner),
-                                user: item.user.clone(),
-                            };
-                            item.out = Some(exec.execute(request));
-                        }
-                    }
-                    return;
-                }
-            };
-            let mut db = shard.write();
-            if shard.is_retired() {
-                continue;
-            }
-            // Identity swap whenever the item owner changes (sub-batches
-            // built by `execute_batch` carry one user throughout; async
-            // sub-batches interleave sessions), and one scan cache so
-            // checkouts of the same version set share a single
-            // version-row scan under this lock acquisition.
-            let prior = db.access.whoami().to_string();
-            let mut current: Option<String> = None;
-            let mut scan_cache = crate::db::ScanCache::new();
-            let mut poisoned = false;
-            for (i, item) in items.iter_mut().enumerate() {
-                let Some(request) = item.request.take() else {
-                    continue;
-                };
-                if let Some(refused) = db.refused.take() {
-                    // Adoption on acquisition dropped a parked checkout:
-                    // one collision fails one request, the first.
-                    if let Some((key, false)) = staged_mark(&request) {
-                        failed_checkouts.push(key);
-                    }
-                    item.out = Some(Err(refused));
-                    continue;
-                }
-                if poisoned {
-                    // A panic earlier in this sub-batch: poison the rest
-                    // of its in-flight requests instead of running them
-                    // against state of unknown integrity.
-                    if let Some((key, false)) = staged_mark(&request) {
-                        failed_checkouts.push(key);
-                    }
-                    item.out = Some(Err(CoreError::WorkerPanicked {
-                        shard: key.label().to_string(),
-                    }));
-                    continue;
-                }
-                if current.as_deref() != Some(item.user.as_str()) {
-                    if let Err(e) = db.access.ensure_user(&item.user) {
-                        if let Some((key, false)) = staged_mark(&request) {
-                            failed_checkouts.push(key);
-                        }
-                        item.out = Some(Err(e));
-                        continue;
-                    }
-                    let _ = db.access.login(&item.user);
-                    current = Some(item.user.clone());
-                }
-                // Staged-index bookkeeping for the closing catalog write:
-                // (key, true) = consumed on success, (key, false) =
-                // reservation to release on failure.
-                let finalize = staged_mark(&request);
-                let user = &item.user;
-                let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    maybe_injected_panic(&request);
-                    match request {
-                        // Run goes through the guarded session surface,
-                        // like `sql_routed`'s in-shard closure.
-                        Request::Run(run) => {
-                            if !crate::query::is_select(&run.sql) {
-                                // Raw SQL can write into backing tables;
-                                // the cached scans must not outlive it.
-                                scan_cache.clear();
-                            }
-                            match shard_sql(&mut db, user, &run.sql) {
-                                Err(CoreError::Engine(EngineError::TableNotFound(_))) => {
-                                    if crate::query::is_select(&run.sql) {
-                                        // Retried on a merged snapshot once
-                                        // the shard lock is released
-                                        // (catalog locks must never be
-                                        // taken under a shard lock).
-                                        Err((run.sql, false))
-                                    } else {
-                                        // The write references tables
-                                        // outside this shard: retried as a
-                                        // cross-CVD write transaction once
-                                        // the shard lock is released.
-                                        // (Aux-routed statements retry
-                                        // too — a staged table unknown at
-                                        // plan time resolves in the
-                                        // retry's re-analysis; a name that
-                                        // exists nowhere fails there with
-                                        // this same error.)
-                                        Err((run.sql, true))
-                                    }
-                                }
-                                other => Ok(other.map(Response::Rows)),
-                            }
-                        }
-                        other => Ok(db.execute_batch_step(plan, &mut scan_cache, other)),
-                    }
-                }));
-                let result = match executed {
-                    Ok(Ok(result)) => result,
-                    Ok(Err((retry_sql, is_write))) => {
-                        snapshot_retries.push((i, item.user.clone(), retry_sql, is_write));
-                        continue;
-                    }
-                    Err(_) => {
-                        // The request panicked mid-flight. Treat it as
-                        // failed (its checkout, if any, is released below)
-                        // and poison the rest of the sub-batch; the shard
-                        // state this request already touched is whatever
-                        // the unwind left behind, exactly as a panicking
-                        // single-request executor would leave it.
-                        poisoned = true;
-                        Err(CoreError::WorkerPanicked {
-                            shard: key.label().to_string(),
-                        })
-                    }
-                };
-                match (&result, finalize) {
-                    (Ok(_), Some((key, true))) => consumed.push(key),
-                    (Err(_), Some((key, false))) => failed_checkouts.push(key),
-                    _ => {}
-                }
-                item.out = Some(result);
-            }
-            let _ = db.access.login(&prior);
-            break;
-        }
-
-        // Phase 3 — one closing catalog write: drop the index entries of
-        // consumed staged artifacts, release the reservations of failed
-        // checkouts.
-        if !consumed.is_empty() || !failed_checkouts.is_empty() {
-            let mut cat = self.inner.catalog_write();
-            for key in consumed {
-                cat.staged.remove(&key);
-            }
-            for key in failed_checkouts {
-                if cat.staged.get(&key).map(String::as_str) == Some(cat_key.as_str()) {
-                    cat.staged.remove(&key);
-                }
-            }
-        }
-
-        // Phase 4 — retries for SQL that referenced tables outside the
-        // shard (the fallbacks `sql_routed` applies inline, done here
-        // because they need catalog access): reads run on a merged
-        // snapshot, writes run as cross-CVD write transactions.
-        for (i, user, sql, is_write) in snapshot_retries {
-            let mut keys: BTreeSet<String> = if cat_key == AUX_KEY {
-                BTreeSet::new()
-            } else {
-                std::iter::once(cat_key.clone()).collect()
-            };
-            // Re-analyze against the live catalog: staged tables
-            // materialized earlier in this batch were invisible when the
-            // plan routed this statement, but their index entries exist
-            // now, so the statement's full shard set is known here.
-            {
-                let cat = self.inner.catalog_read();
-                if let Ok(plan) = analyze_sql(&cat, &sql, true) {
-                    keys.extend(plan.cvds);
-                }
-            }
-            let result = if is_write {
-                self.sql_cross_cvd_write_as(&user, &keys, &sql, true)
-            } else {
-                self.sql_on_snapshot_as(&user, &keys, &sql, true)
-            };
-            items[i].out = Some(result.map(Response::Rows));
-        }
-    }
-
-    /// Execute one shard's *read-only* sub-batch against a single MVCC
-    /// snapshot of that shard — no shard lock, no reservation phase
-    /// (read-only steps never contain checkouts). This is what lets the
-    /// async executor serve reads while a writer holds the shard: the
-    /// snapshot load never blocks. The load retries when a catalog
-    /// rebuild retired the shard mid-load, exactly like
-    /// [`ConcurrentExecutor::on_snapshot`]; a statement referencing
-    /// tables outside the shard retries on a merged snapshot, the same
-    /// fallback the locked path applies in its phase 4.
-    pub(crate) fn run_snapshot_items(&self, key: &ShardKey, items: &mut [SubItem]) {
-        let cat_key = match key {
-            ShardKey::Aux => AUX_KEY.to_string(),
-            ShardKey::Cvd(k) => k.clone(),
-        };
-        let mut db = loop {
-            let resolved = {
-                let cat = self.inner.catalog_read();
-                cat.shard_by_key(&cat_key)
-            };
-            let loaded = resolved.and_then(|shard| {
-                let clone = shard.load_snapshot()?;
-                Ok((shard, clone))
-            });
-            let (shard, clone) = match loaded {
-                Ok(loaded) => loaded,
-                Err(_) => {
-                    // The CVD vanished between planning and execution (a
-                    // concurrent drop), or a parked checkout could not be
-                    // overlaid: run each remaining request through the
-                    // per-request path, which re-resolves and reports the
-                    // ordinary errors.
-                    for item in items.iter_mut() {
-                        if let Some(request) = item.request.take() {
-                            let mut exec = ConcurrentExecutor {
-                                inner: Arc::clone(&self.inner),
-                                user: item.user.clone(),
-                            };
-                            item.out = Some(exec.execute(request));
-                        }
-                    }
-                    return;
-                }
-            };
-            if shard.is_retired() {
-                continue;
-            }
-            break clone;
-        };
-        let mut poisoned = false;
-        for item in items.iter_mut() {
-            let Some(request) = item.request.take() else {
-                continue;
-            };
-            if poisoned {
-                item.out = Some(Err(CoreError::WorkerPanicked {
-                    shard: key.label().to_string(),
-                }));
-                continue;
-            }
-            let user = item.user.clone();
-            let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                maybe_injected_panic(&request);
-                match request {
-                    Request::Run(run) => {
-                        match under_identity(&mut db, &user, |odb| shard_sql(odb, &user, &run.sql))
-                        {
-                            Err(CoreError::Engine(EngineError::TableNotFound(_))) => {
-                                // The statement references tables outside
-                                // this shard: retry on a merged snapshot.
-                                let keys: BTreeSet<String> = if cat_key == AUX_KEY {
-                                    BTreeSet::new()
-                                } else {
-                                    std::iter::once(cat_key.clone()).collect()
-                                };
-                                self.sql_on_snapshot_as(&user, &keys, &run.sql, true)
-                            }
-                            other => other,
-                        }
-                        .map(Response::Rows)
-                    }
-                    other => under_identity(&mut db, &user, |odb| odb.execute(other)),
-                }
-            }));
-            let result = executed.unwrap_or_else(|_| {
-                // A panic mid-read leaves the private clone's integrity
-                // unknown; poison the rest of the sub-batch rather than
-                // serving from it, mirroring the locked path.
-                poisoned = true;
-                Err(CoreError::WorkerPanicked {
-                    shard: key.label().to_string(),
-                })
-            });
-            item.out = Some(result);
-        }
     }
 
     // -- catalog-level requests ----------------------------------------------
@@ -2019,7 +1641,7 @@ impl ConcurrentExecutor {
     /// built *outside* any lock — loading a large CSV must not stall
     /// routing for unrelated CVDs — and published under a brief catalog
     /// write, re-checking the name (a lost race surfaces as `CvdExists`).
-    fn create_cvd(&self, name: &str, request: Request) -> Result<Response> {
+    fn create_cvd(&self, user: &str, name: &str, request: Request) -> Result<Response> {
         let key = name.to_ascii_lowercase();
         let (config, access, wal_armed) = {
             let cat = self.inner.catalog_read();
@@ -2038,14 +1660,14 @@ impl ConcurrentExecutor {
         // appended under the catalog write lock, after the re-check and
         // before the shard becomes reachable.
         let logged = wal_armed.then(|| request.clone());
-        let response = under_identity(&mut odb, &self.user, |odb| odb.execute(request))?;
+        let response = under_identity(&mut odb, user, |odb| odb.execute(request))?;
         let mut cat = self.inner.catalog_write();
         if cat.shards.contains_key(&key) {
             return Err(CoreError::CvdExists(name.to_string()));
         }
         if let (Some(wal), Some(request)) = (&cat.wal, logged) {
             // A fresh shard's clock starts at 0 (see OrpheusDB::with_config).
-            wal.append(&self.user, 0, &WalOp::Request(request))?;
+            wal.append(user, 0, &WalOp::Request(request))?;
         }
         odb.wal = cat.wal.clone();
         cat.shards.insert(key, Shard::new(odb));
@@ -2054,7 +1676,7 @@ impl ConcurrentExecutor {
 
     /// `drop`: remove a CVD's shard (and with it the CVD's backing tables
     /// and staged artifacts) and its staged-index entries.
-    fn drop_cvd(&self, name: &str) -> Result<Response> {
+    fn drop_cvd(&self, user: &str, name: &str) -> Result<Response> {
         let mut cat = self.inner.catalog_write();
         cat.ensure_writable()?;
         let key = name.to_ascii_lowercase();
@@ -2066,7 +1688,7 @@ impl ConcurrentExecutor {
         cat.staged.retain(|_, cvd| cvd != &key);
         if let Some(wal) = &cat.wal {
             wal.append(
-                &self.user,
+                user,
                 0,
                 &WalOp::Request(Request::Drop(crate::request::DropCvd {
                     cvd: name.to_string(),
@@ -2081,106 +1703,7 @@ impl ConcurrentExecutor {
 
 impl Executor for ConcurrentExecutor {
     fn execute(&mut self, request: Request) -> Result<Response> {
-        match request {
-            // Session-scoped identity: Login rebinds this executor without
-            // touching the instance identity other sessions see.
-            Request::Login(login) => {
-                {
-                    let cat = self.inner.catalog_read();
-                    if !cat.access.has_user(&login.user) {
-                        return Err(CoreError::Invalid(format!("unknown user {}", login.user)));
-                    }
-                }
-                self.user = login.user.clone();
-                Ok(Response::LoggedIn { user: login.user })
-            }
-            Request::Whoami => Ok(Response::CurrentUser {
-                user: self.user.clone(),
-            }),
-            Request::CreateUser(r) => {
-                let mut cat = self.inner.catalog_write();
-                cat.ensure_writable()?;
-                cat.access.create_user(&r.user)?;
-                if let Some(wal) = &cat.wal {
-                    wal.append(
-                        &self.user,
-                        0,
-                        &WalOp::Request(Request::CreateUser(r.clone())),
-                    )?;
-                }
-                Ok(Response::UserCreated { user: r.user })
-            }
-            Request::Ls => Ok(Response::CvdList(self.ls())),
-            Request::Init(ref r) => {
-                let name = r.cvd.clone();
-                self.create_cvd(&name, request)
-            }
-            Request::InitFromCsv(ref r) => {
-                let name = r.cvd.clone();
-                self.create_cvd(&name, request)
-            }
-            Request::Drop(r) => self.drop_cvd(&r.cvd),
-            // Run goes through the guarded session path: the bus must not
-            // be a way around the Section 2.3 staged-table access rule.
-            Request::Run(run) => Ok(Response::Rows(self.run(&run.sql)?)),
-            // Log only reads the version graph: served from the CVD's
-            // MVCC snapshot, so history inspection never waits on a
-            // writer.
-            Request::Log(l) => self.on_snapshot(
-                |cat| cat.shard(&l.cvd),
-                |odb| {
-                    let entries = odb.log_entries(&l.cvd)?;
-                    Ok(Response::Log {
-                        cvd: l.cvd.clone(),
-                        entries,
-                    })
-                },
-            ),
-            // Diff likewise reads two immutable versions: snapshot-served.
-            Request::Diff(d) => {
-                let cvd = d.cvd.clone();
-                self.on_snapshot(
-                    move |cat| cat.shard(&cvd),
-                    move |odb| odb.execute(Request::Diff(d)),
-                )
-            }
-            // Everything else routes to one CVD's lock, delegating to the
-            // single-threaded executor under the session identity.
-            other => {
-                enum Route {
-                    Cvd(String),
-                    Reserve(String, StagedKind, String),
-                    Staged(StagedKind, String),
-                }
-                let route = match other.target() {
-                    Target::Cvd(cvd) => match &other {
-                        Request::Checkout(c) => {
-                            Route::Reserve(cvd.to_string(), StagedKind::Table, c.table.clone())
-                        }
-                        Request::CheckoutCsv(c) => {
-                            Route::Reserve(cvd.to_string(), StagedKind::Csv, c.path.clone())
-                        }
-                        _ => Route::Cvd(cvd.to_string()),
-                    },
-                    Target::StagedTable(name) => Route::Staged(StagedKind::Table, name.to_string()),
-                    Target::StagedCsv(path) => Route::Staged(StagedKind::Csv, path.to_string()),
-                    Target::Catalog(_) | Target::Sql(_) => {
-                        unreachable!("catalog and SQL requests handled above")
-                    }
-                };
-                match route {
-                    Route::Cvd(cvd) => {
-                        self.locked(|cat| cat.shard(&cvd), move |odb| odb.execute(other))
-                    }
-                    Route::Reserve(cvd, kind, name) => {
-                        self.park_checkout(&cvd, kind, &name, move |odb| odb.execute(other.clone()))
-                    }
-                    Route::Staged(kind, name) => {
-                        self.with_staged(kind, &name, move |odb| odb.execute(other))
-                    }
-                }
-            }
-        }
+        self.execute_rebinding(request)
     }
 
     fn batch<I: IntoIterator<Item = Request>>(&mut self, requests: I) -> Vec<Result<Response>>
@@ -2188,112 +1711,6 @@ impl Executor for ConcurrentExecutor {
         Self: Sized,
     {
         self.execute_batch(requests.into_iter().collect())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sessions.
-// ---------------------------------------------------------------------------
-
-/// One user's handle on a [`SharedOrpheusDB`].
-///
-/// Every operation routes through the per-CVD locking scheme (see
-/// [`ConcurrentExecutor`]): writes acquire the owning CVD's lock, while
-/// reads — [`Session::checkout`], [`Session::diff`],
-/// [`Session::version_rows`], single-CVD SELECTs — resolve against the
-/// shard's MVCC snapshot without blocking on any writer. Either way the
-/// operation runs under this session's identity (switched in, then
-/// restored) — so sessions on different threads interleave without
-/// identity leaks, ownership checks (commit, discard) apply per session,
-/// and sessions working on *different* CVDs execute in parallel.
-#[derive(Debug, Clone)]
-pub struct Session {
-    exec: ConcurrentExecutor,
-}
-
-impl Session {
-    /// The identity this session operates under.
-    pub fn user(&self) -> &str {
-        self.exec.user()
-    }
-
-    /// The routing executor behind this session.
-    pub fn executor(&self) -> &ConcurrentExecutor {
-        &self.exec
-    }
-
-    /// `checkout` into a private staged table owned by this session's user.
-    pub fn checkout(&self, cvd: &str, vids: &[Vid], table: &str) -> Result<()> {
-        self.exec.checkout(cvd, vids, table)
-    }
-
-    /// `commit` a staged table (must be owned by this session's user).
-    pub fn commit(&self, table: &str, message: &str) -> Result<Vid> {
-        self.exec.commit(table, message)
-    }
-
-    /// Abandon a staged table without committing.
-    pub fn discard(&self, table: &str) -> Result<()> {
-        self.exec.discard(table)
-    }
-
-    /// Versioned SQL (`VERSION n OF CVD x`, `CVD x`); read-only access to
-    /// CVDs needs no ownership, but statements referencing another user's
-    /// staged table are rejected just like [`Session::sql`] — `run` passes
-    /// plain SQL through untranslated, so it is the same surface.
-    pub fn run(&self, sql: &str) -> Result<QueryResult> {
-        self.exec.run(sql)
-    }
-
-    /// Plain SQL against staged tables. Statements referencing a staged
-    /// table owned by a *different* user are rejected — the access rule of
-    /// Section 2.3 ("only the user who performed the checkout operation is
-    /// permitted access to the materialized table"). (Named `sql` so the
-    /// bus-level [`Executor::execute`] keeps the `execute` name.)
-    pub fn sql(&self, sql: &str) -> Result<QueryResult> {
-        self.exec.sql(sql)
-    }
-
-    /// `diff` two versions of a CVD.
-    pub fn diff(&self, cvd: &str, a: Vid, b: Vid) -> Result<VersionDiff> {
-        self.exec.diff(cvd, a, b)
-    }
-
-    /// The `(rid, row)` pairs of one version, resolved against the CVD
-    /// shard's MVCC snapshot — never blocks on a writer.
-    pub fn version_rows(&self, cvd: &str, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
-        self.exec.version_rows(cvd, vid)
-    }
-
-    /// List CVDs.
-    pub fn ls(&self) -> Vec<String> {
-        self.exec.ls()
-    }
-
-    /// Run the partition optimizer.
-    pub fn optimize(&self, cvd: &str) -> Result<OptimizeReport> {
-        self.exec.optimize(cvd)
-    }
-
-    /// A table name namespaced to this session's user, the conventional way
-    /// to avoid staged-table name collisions between users.
-    pub fn private_table(&self, name: &str) -> String {
-        format!("{}__{}", self.user().to_ascii_lowercase(), name)
-    }
-}
-
-/// Sessions execute the typed bus by delegating to their
-/// [`ConcurrentExecutor`].
-impl Executor for Session {
-    fn execute(&mut self, request: Request) -> Result<Response> {
-        self.exec.execute(request)
-    }
-
-    fn batch<I: IntoIterator<Item = Request>>(&mut self, requests: I) -> Vec<Result<Response>>
-    where
-        Self: Sized,
-    {
-        self.exec.execute_batch(requests.into_iter().collect())
     }
 }
 
@@ -2701,6 +2118,32 @@ mod tests {
                     .join(format!("orpheus-collision-{}.orpheus", std::process::id())),
             )
             .unwrap();
+    }
+
+    #[test]
+    fn a_side_table_in_one_shard_blocks_checkouts_into_its_name_from_another() {
+        let shared = shared_with_two_cvds();
+        let s = shared.session("u").unwrap();
+        s.checkout("left", &[Vid(1)], "w").unwrap();
+        // Routes to shard `left` and creates an unregistered table there.
+        s.sql("SELECT * INTO clash FROM w").unwrap();
+        let err = s.checkout("right", &[Vid(1)], "clash").unwrap_err();
+        assert!(err.to_string().contains("already exists"), "{err}");
+        // The reverse order — checkout first, `SELECT … INTO` second — is
+        // refused by the engine once the statement spans both shards.
+        s.checkout("right", &[Vid(1)], "taken").unwrap();
+        let err = s.sql("SELECT * INTO taken FROM w").unwrap_err();
+        assert!(
+            matches!(err, CoreError::Engine(EngineError::TableExists(_))),
+            "{err}"
+        );
+        // Shards still merge: the instance-wide paths keep working.
+        shared.read(|odb| assert_eq!(odb.ls().len(), 2));
+        shared.write(|odb| assert!(odb.engine.has_table("clash")));
+        let path =
+            std::env::temp_dir().join(format!("orpheus-side-table-{}.orpheus", std::process::id()));
+        shared.save_to(&path).unwrap();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Keeps `docs/ARCHITECTURE.md` and `docs/CONCURRENCY.md` honest: every
-//! repository path referenced in an inline code span must exist. The
-//! `docs` CI job runs the same check as a shell grep; this test makes it
-//! part of tier-1 so a rename fails fast locally too.
+//! repository path referenced in an inline code span must exist — part of
+//! tier-1, so a rename that forgets a doc fails locally and in CI's `test`
+//! job alike.
 
 use std::path::Path;
 

@@ -244,7 +244,7 @@ fn concurrent_handles_survive_mixed_catalog_churn() {
 }
 
 #[test]
-fn a_panicking_worker_poisons_only_its_shards_in_flight_tickets() {
+fn a_panicking_request_poisons_only_its_shards_in_flight_sub_batch() {
     for workers in [0, 2] {
         let shared = shared_with_two_cvds(6);
         let pool = AsyncExecutor::with_workers(shared.clone(), workers);
@@ -313,4 +313,24 @@ fn a_panicking_worker_poisons_only_its_shards_in_flight_tickets() {
             assert_eq!(odb.staged().len(), 3, "workers={workers}");
         });
     }
+
+    // The direct path runs the same engine: a panic inside a `Session`
+    // request is the same typed error, not an unwind through the caller
+    // (in this test, not a second one, because the hook is one global).
+    let shared = shared_with_two_cvds(6);
+    let session = shared.session("u").unwrap();
+    arm_checkout_panic("__panic_probe");
+    let err = session
+        .checkout("left", &[Vid(1)], "__panic_probe")
+        .unwrap_err();
+    disarm_checkout_panic();
+    assert!(
+        matches!(err, CoreError::WorkerPanicked { ref shard } if shard == "left"),
+        "{err}"
+    );
+    // The reservation was released and the shard serves the next request.
+    session
+        .checkout("left", &[Vid(1)], "__panic_probe")
+        .unwrap();
+    assert_eq!(session.commit("__panic_probe", "after").unwrap(), Vid(2));
 }

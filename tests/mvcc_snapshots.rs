@@ -5,11 +5,11 @@
 //! with the core's test-only commit gate
 //! (`orpheus_core::concurrent::arm_commit_gate`) and prove that reads on
 //! the same CVD still complete — and see exactly the pre-commit state,
-//! never a torn one. The storm tests are scheduler-driven; their
-//! iteration counts are modest by default and scale up under
-//! `ORPHEUS_STRESS=1` (the CI stress job), matching the
-//! `concurrent_sessions` convention. The lock-order rationale lives in
-//! `docs/CONCURRENCY.md`.
+//! never a torn one — while a checkout, which is a writer, waits. The
+//! storm tests are scheduler-driven; their iteration counts are modest by
+//! default and scale up under `ORPHEUS_STRESS=1` (the CI stress job),
+//! matching the `concurrent_sessions` convention. The lock-order
+//! rationale lives in `docs/CONCURRENCY.md`.
 
 use orpheusdb::core::concurrent::arm_commit_gate;
 use orpheusdb::prelude::*;
@@ -104,116 +104,117 @@ fn mvcc_reads_during_a_held_commit_see_the_old_graph_never_a_torn_one() {
     assert_eq!(scalar(&after), 1, "post-release reads see the new version");
 }
 
-/// A checkout *completes* while another session's commit holds the same
-/// CVD's write lock (it parks on the snapshot), the owner can read their
-/// own parked table immediately, and the parked table commits cleanly
-/// after the held commit lands.
+/// A checkout creates a table, so it is a writer: issued while another
+/// session's commit holds the CVD's write lock, it waits for the release,
+/// then holds the right rows and commits as a sibling. `log`, `diff`,
+/// `SELECT` and `version_rows` issued in the same window do not wait.
 #[test]
-fn mvcc_parked_checkout_completes_and_commits_after_a_held_commit() {
+fn mvcc_checkout_waits_for_a_held_commit_while_snapshot_reads_do_not() {
     let _serial = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let shared = shared_with_cvds(&["data"]);
     let writer = shared.session("writer").unwrap();
     writer.checkout("data", &[Vid(1)], "w").unwrap();
+    let reader = shared.session("reader").unwrap();
 
     let gate = arm_commit_gate("w");
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| writer.commit("w", "gated"));
+        let committer = scope.spawn(|| writer.commit("w", "gated"));
         gate.wait_entered();
+        // Not on this thread: it blocks until the gate is released.
+        let checkout = scope.spawn(|| reader.checkout("data", &[Vid(1)], "late"));
 
-        let reader = shared.session("reader").unwrap();
-        reader.checkout("data", &[Vid(1)], "parked").unwrap();
-        // Read-your-writes on the parked table, mid-commit. (A *write*
-        // to it would rightly block — only reads are lock-free.)
-        let count = reader.sql("SELECT count(*) FROM parked").unwrap();
-        assert_eq!(scalar(&count), 10);
+        let mut probe = shared.session("probe").unwrap();
+        let history = match probe.execute(Log::of("data").into()).unwrap() {
+            Response::Log { entries, .. } => entries,
+            other => panic!("log returned {other:?}"),
+        };
+        assert_eq!(history.len(), 1, "mid-commit log sees the old graph");
+        let diff = probe.diff("data", Vid(1), Vid(1)).unwrap();
+        assert!(diff.only_in_first.is_empty() && diff.only_in_second.is_empty());
+        let rows = probe
+            .run("SELECT count(*) FROM VERSION 1 OF CVD data")
+            .unwrap();
+        assert_eq!(scalar(&rows), 10);
+        assert_eq!(probe.version_rows("data", Vid(1)).unwrap().len(), 10);
+        assert!(
+            !checkout.is_finished(),
+            "a checkout cannot complete while a commit holds its CVD's lock"
+        );
 
         gate.release();
-        handle.join().expect("committer panicked").unwrap();
-        reader.sql("UPDATE parked SET v = 5 WHERE k = 1").unwrap();
-
-        // The parked checkout is a first-class staged table afterwards:
-        // it commits as a sibling of version 1.
-        let vid = reader.commit("parked", "from parked checkout").unwrap();
-        assert_eq!(vid, Vid(3));
+        assert_eq!(
+            committer.join().expect("committer panicked").unwrap(),
+            Vid(2)
+        );
+        checkout.join().expect("checkout panicked").unwrap();
     });
 
+    let count = reader.sql("SELECT count(*) FROM late").unwrap();
+    assert_eq!(scalar(&count), 10);
+    reader.sql("UPDATE late SET v = 5 WHERE k = 1").unwrap();
+    assert_eq!(reader.commit("late", "sibling").unwrap(), Vid(3));
     shared.read(|odb| {
-        assert_eq!(odb.log_entries("data").unwrap().len(), 3);
+        let log = odb.log_entries("data").unwrap();
+        assert_eq!(log.len(), 3);
+        assert_eq!(log[2].parents, vec![Vid(1)], "v3 is a sibling of v2");
         assert!(odb.staged().is_empty(), "no leaked staged tables");
     });
 }
 
-/// A parked checkout that the owner *discards* mid-flight leaves nothing
-/// behind: no staged artifact, no leaked index reservation.
+/// A checkout whose name a writer takes *under the lock the checkout is
+/// waiting for* (`SELECT .. INTO` creates an unregistered table, invisible
+/// to the catalog reservation until it is published) fails for the caller
+/// who asked for it — "already exists" — and for nobody else: the
+/// writer's batch succeeds and no snapshot read ever errors.
 #[test]
-fn mvcc_parked_checkout_discards_cleanly() {
-    let _serial = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let shared = shared_with_cvds(&["data"]);
-    let writer = shared.session("writer").unwrap();
-    writer.checkout("data", &[Vid(1)], "w").unwrap();
-
-    let gate = arm_commit_gate("w");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| writer.commit("w", "gated"));
-        gate.wait_entered();
-        let reader = shared.session("reader").unwrap();
-        reader.checkout("data", &[Vid(1)], "parked").unwrap();
-        gate.release();
-        handle.join().expect("committer panicked").unwrap();
-        reader.discard("parked").unwrap();
-        // The name is reusable immediately.
-        reader.checkout("data", &[Vid(2)], "parked").unwrap();
-        reader.discard("parked").unwrap();
-    });
-    shared.read(|odb| assert!(odb.staged().is_empty()));
-}
-
-/// A parked checkout whose name a writer took *under the lock it parked
-/// beside* (`SELECT .. INTO` creates an unregistered table, invisible to
-/// the catalog reservation) cannot be adopted. That is a typed error on
-/// one read and one write — never a panic — after which the shard serves
-/// again and the checkout is gone.
-#[test]
-fn mvcc_parked_checkout_colliding_with_a_table_made_under_the_lock_is_refused() {
+fn mvcc_checkout_colliding_with_a_table_made_under_the_lock_fails_only_its_caller() {
     let _serial = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let shared = shared_with_cvds(&["data"]);
     let mut writer = shared.session("writer").unwrap();
     writer.checkout("data", &[Vid(1)], "w").unwrap();
+    let reader = shared.session("reader").unwrap();
+    let probe = shared.session("probe").unwrap();
+    let snapshot_reads = |when: &str| {
+        assert_eq!(
+            probe.version_rows("data", Vid(1)).unwrap().len(),
+            10,
+            "{when}"
+        );
+        let rows = probe.run("SELECT count(*) FROM VERSION 1 OF CVD data");
+        assert_eq!(scalar(&rows.unwrap()), 10, "{when}");
+    };
 
     let gate = arm_commit_gate("w");
     std::thread::scope(|scope| {
         // One lock acquisition: create `clash`, then hold the commit open.
-        let handle = scope.spawn(|| {
+        let committer = scope.spawn(|| {
             writer.batch([
                 Run::sql("SELECT * INTO clash FROM w").into(),
                 Commit::table("w").message("gated").into(),
             ])
         });
         gate.wait_entered();
-        let reader = shared.session("reader").unwrap();
-        // The published snapshot has no `clash` yet: the checkout parks.
-        reader.checkout("data", &[Vid(1)], "clash").unwrap();
+        let checkout = scope.spawn(|| reader.checkout("data", &[Vid(1)], "clash"));
+        snapshot_reads("while the commit is held");
         gate.release();
-        for result in handle.join().expect("committer panicked") {
+
+        for result in committer.join().expect("committer panicked") {
             result.unwrap();
         }
-
-        let collides = |e: CoreError| {
-            assert!(
-                matches!(&e, CoreError::Invalid(m) if m.contains("clash") && m.contains("collides")),
-                "{e}"
-            );
-        };
-        // Snapshot reads overlay the parked checkout and are refused...
-        collides(reader.version_rows("data", Vid(1)).unwrap_err());
-        // ...until a writer's adoption drops it, failing that one write.
-        collides(reader.sql("DELETE FROM clash WHERE k = 0").unwrap_err());
-        assert_eq!(reader.version_rows("data", Vid(1)).unwrap().len(), 10);
-        assert!(matches!(
-            reader.commit("clash", "gone").unwrap_err(),
-            CoreError::NotStaged(_)
-        ));
+        let err = checkout.join().expect("checkout panicked").unwrap_err();
+        assert!(err.to_string().contains("already exists"), "{err}");
     });
+
+    snapshot_reads("after the refused checkout");
+    // Nothing of the refused checkout is left: it is not staged, and its
+    // reservation is gone — a second attempt is refused for the table
+    // that now exists, not for a name that is "already staged".
+    assert!(matches!(
+        reader.commit("clash", "never staged").unwrap_err(),
+        CoreError::NotStaged(_)
+    ));
+    let err = reader.checkout("data", &[Vid(2)], "clash").unwrap_err();
+    assert!(err.to_string().contains("already exists"), "{err}");
 }
 
 /// A write joining checkouts of two different CVDs is a cross-CVD write
