@@ -1,27 +1,31 @@
-//! Runs the differential oracle gate and every experiment in sequence
-//! (Table 2 and all figures), printing each paper-style report as it
-//! completes and writing a machine-readable `BENCH_experiments.json`.
+//! Runs the two correctness gates — `differential` (one sequential
+//! client per executor arm against the oracle) and `storm` (many
+//! concurrent clients per served arm against a sequential run) — and then
+//! every experiment in sequence (Table 2 and all figures), printing each
+//! paper-style report as it completes and writing a machine-readable
+//! artifact (`harness::write_bench_json`).
 //!
 //! Knobs:
 //! * `ORPHEUS_SCALE={smoke,ci,paper}` (or a numeric figure-dataset
-//!   multiplier) — picks the differential history tier and scales the
-//!   figure datasets;
-//! * `ORPHEUS_EXPERIMENTS=differential,table2,…` — run only the named
-//!   sections (default: all);
+//!   multiplier) — picks the gates' tier and scales the figure datasets;
+//! * `ORPHEUS_EXPERIMENTS=differential,storm,table2,…` — run only the
+//!   named sections (default: all);
 //! * `ORPHEUS_DIFF_ARMS=inproc,concurrent,async,remote,wal_reopen` —
-//!   override the executor arms (default: all five; `paper` defaults to
-//!   `inproc,concurrent` to bound the stress job's time and WAL volume);
+//!   override the gates' arms (default: all five; `paper` defaults to
+//!   `inproc,concurrent` to bound the stress job's time and WAL volume).
+//!   `inproc` is the storm's reference, not one of its arms;
 //! * `ORPHEUS_TRIALS` — timing repetition count for the figure sections.
 //!
-//! The differential gate runs first and a divergence exits non-zero with
-//! a seed-bearing reproduction line, so CI fails before any timing noise
-//! is even measured.
+//! The gates run first and a divergence exits non-zero with a
+//! reproduction line, so CI fails before any timing noise is even
+//! measured. Neither gate judges speed: that is `perf_ledger compare`.
 use std::io::Write;
 use std::time::Instant;
 
 use orpheus_bench::datasets::{self, ScaleTier};
 use orpheus_bench::differential::{run_differential, Arm, DiffConfig};
 use orpheus_bench::harness::{self, JsonObject};
+use orpheus_bench::storm::{run_storm, StormConfig};
 use orpheus_core::ModelKind;
 
 fn main() {
@@ -36,23 +40,24 @@ fn main() {
         .int("scale_multiplier", datasets::scale() as u64)
         .int("trials", harness::trials() as u64);
 
+    let arms = match std::env::var("ORPHEUS_DIFF_ARMS") {
+        Ok(s) => Arm::parse_list(&s).unwrap_or_else(|e| {
+            eprintln!("ORPHEUS_DIFF_ARMS: {e}");
+            std::process::exit(2);
+        }),
+        // The paper tier bounds stress-job time and WAL volume by
+        // default; the smaller tiers run every arm.
+        Err(_) if tier == ScaleTier::Paper => vec![Arm::InProcess, Arm::Concurrent],
+        Err(_) => Arm::ALL.to_vec(),
+    };
+
     if enabled("differential") {
         println!("==================== differential ====================");
         let params = tier.history();
-        let arms = match std::env::var("ORPHEUS_DIFF_ARMS") {
-            Ok(s) => Arm::parse_list(&s).unwrap_or_else(|e| {
-                eprintln!("ORPHEUS_DIFF_ARMS: {e}");
-                std::process::exit(2);
-            }),
-            // The paper tier bounds stress-job time and WAL volume by
-            // default; the smaller tiers run every arm.
-            Err(_) if tier == ScaleTier::Paper => vec![Arm::InProcess, Arm::Concurrent],
-            Err(_) => Arm::ALL.to_vec(),
-        };
         let cfg = DiffConfig {
             params: params.clone(),
             model: ModelKind::SplitByRlist,
-            arms,
+            arms: arms.clone(),
             checkout_samples: tier.checkout_samples(),
             label: tier.name().to_string(),
         };
@@ -103,6 +108,45 @@ fn main() {
         std::io::stdout().flush().expect("flush stdout");
     }
 
+    if enabled("storm") {
+        println!("==================== storm ====================");
+        let shape = tier.storm();
+        let cfg = StormConfig {
+            shape,
+            arms,
+            label: tier.name().to_string(),
+        };
+        let cells = run_storm(&cfg).unwrap_or_else(|e| {
+            eprintln!("STORM GATE FAILED\n{e}");
+            std::process::exit(1);
+        });
+        let mut cells_json = JsonObject::new();
+        for c in &cells {
+            println!(
+                "{:<12} {:<8} {:>6} req  {:>7.2}s  equal to the sequential reference",
+                c.arm, c.mode, c.requests, c.elapsed_s
+            );
+            cells_json = cells_json.obj(
+                &format!("{}_{}", c.arm, c.mode),
+                JsonObject::new()
+                    .int("requests", c.requests as u64)
+                    .num("elapsed_s", c.elapsed_s),
+            );
+        }
+        println!(
+            "storm: {} clients on {} CVDs of {} records, {} rounds of {} exports + checkout + commit",
+            shape.clients, shape.cvds, shape.records, shape.ops, shape.cluster
+        );
+        json = json.obj(
+            "storm",
+            JsonObject::new()
+                .int("clients", shape.clients as u64)
+                .int("cvds", shape.cvds as u64)
+                .obj("cells", cells_json),
+        );
+        std::io::stdout().flush().expect("flush stdout");
+    }
+
     use orpheus_bench::experiments as e;
     type Section = (&'static str, fn() -> String);
     let figures: [Section; 9] = [
@@ -134,7 +178,7 @@ fn main() {
     match harness::write_bench_json("experiments", json) {
         Ok(path) => println!("wrote {path}"),
         Err(err) => {
-            eprintln!("cannot write BENCH_experiments.json: {err}");
+            eprintln!("cannot write the experiments artifact: {err}");
             std::process::exit(1);
         }
     }

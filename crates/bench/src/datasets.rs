@@ -38,6 +38,19 @@ impl DatasetSpec {
     }
 }
 
+/// How big one run of the concurrent gate is: `clients` threads, client
+/// `i` on CVD `i % cvds`, each driving `ops` rounds of
+/// [`crate::harness::clustered_storm`] (`cluster` CSV exports, then
+/// checkout → commit) against CVDs of `records` records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StormShape {
+    pub clients: usize,
+    pub cvds: usize,
+    pub ops: usize,
+    pub cluster: usize,
+    pub records: usize,
+}
+
 /// Named experiment tiers: `ORPHEUS_SCALE={smoke,ci,paper}`. Numeric
 /// values keep their historical meaning (a raw multiplier, tier Smoke).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +106,27 @@ impl ScaleTier {
             ScaleTier::Smoke => 6,
             ScaleTier::Ci => 12,
             ScaleTier::Paper => 6,
+        }
+    }
+
+    /// The concurrent gate's shape for this tier (`crate::storm`). Fewer
+    /// CVDs than clients at every tier, so some clients always contend on
+    /// one CVD while others run beside them on another; and never more
+    /// requests in total than a `NetServer` queues by default, so a client
+    /// submitting its whole stream as one batch is not shed — shedding is
+    /// `chaos_storm`'s subject.
+    pub fn storm(self) -> StormShape {
+        let (clients, cvds, ops, cluster, records) = match self {
+            ScaleTier::Smoke => (4, 2, 6, 4, 400),
+            ScaleTier::Ci => (8, 3, 12, 4, 2_000),
+            ScaleTier::Paper => (12, 4, 12, 4, 10_000),
+        };
+        StormShape {
+            clients,
+            cvds,
+            ops,
+            cluster,
+            records,
         }
     }
 }
@@ -208,6 +242,16 @@ pub fn partitioning_datasets() -> Vec<DatasetSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn storm_shapes_contend_and_fit_the_default_server_queue() {
+        let cap = orpheus_net::ServerConfig::default().max_queue_depth;
+        for tier in [ScaleTier::Smoke, ScaleTier::Ci, ScaleTier::Paper] {
+            let s = tier.storm();
+            assert!(s.cvds < s.clients, "{tier:?}: no two clients share a CVD");
+            assert!(s.clients * s.ops * (s.cluster + 2) < cap, "{tier:?}");
+        }
+    }
 
     #[test]
     fn specs_generate_consistent_workloads() {

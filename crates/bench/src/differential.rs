@@ -25,6 +25,7 @@
 //! command bus — the engine allocates every rid itself, and must agree
 //! with the oracle's allocator rid-for-rid.
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use orpheus_core::{
@@ -205,6 +206,104 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<Vec<ArmStats>, String> {
     Ok(stats)
 }
 
+/// The serving stack one arm puts in front of a fresh, empty instance.
+/// Both gates build their arms here — this one drives a stack with one
+/// sequential client, [`crate::storm`] with many concurrent ones — so what
+/// "the async arm" means cannot drift between them.
+pub(crate) enum Stack {
+    Concurrent(SharedOrpheusDB),
+    Async(AsyncExecutor),
+    Remote(NetServer),
+    /// The instance and the WAL directory it logs to.
+    Wal(SharedOrpheusDB, PathBuf),
+}
+
+impl Stack {
+    /// Build `arm`'s stack. `tag` names the WAL directory, so runs that
+    /// may overlap in one process must pass different tags. The in-process
+    /// arm has no stack: it is a bare `OrpheusDB`.
+    pub(crate) fn open(arm: Arm, tag: &str) -> Result<Stack, String> {
+        let fresh = || SharedOrpheusDB::new(OrpheusDB::new());
+        match arm {
+            Arm::InProcess => Err("the in-process arm has no serving stack".into()),
+            Arm::Concurrent => Ok(Stack::Concurrent(fresh())),
+            Arm::Async => Ok(Stack::Async(AsyncExecutor::new(fresh()))),
+            Arm::Remote => NetServer::bind("127.0.0.1:0", fresh())
+                .map(Stack::Remote)
+                .map_err(|e| format!("bind server: {e}")),
+            Arm::WalReopen => {
+                let dir =
+                    std::env::temp_dir().join(format!("orpheus-{tag}-{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let shared =
+                    recovery::open_shared(&dir).map_err(|e| format!("open WAL dir: {e}"))?;
+                Ok(Stack::Wal(shared, dir))
+            }
+        }
+    }
+
+    /// The instance behind the stack, for reading outcomes directly.
+    pub(crate) fn shared(&self) -> SharedOrpheusDB {
+        match self {
+            Stack::Concurrent(shared) | Stack::Wal(shared, _) => shared.clone(),
+            Stack::Async(pool) => pool.shared().clone(),
+            Stack::Remote(server) => server.shared(),
+        }
+    }
+
+    /// What a verifier should look at once the clients are done: the WAL
+    /// arm drops its instance (and log handle) and reopens the directory —
+    /// durability is the point — every other arm is returned as it is.
+    pub(crate) fn reopened(self) -> Result<Stack, String> {
+        match self {
+            Stack::Wal(shared, dir) => {
+                drop(shared);
+                let shared =
+                    recovery::open_shared(&dir).map_err(|e| format!("reopen WAL dir: {e}"))?;
+                Ok(Stack::Wal(shared, dir))
+            }
+            other => Ok(other),
+        }
+    }
+
+    /// Tear the stack down: stop the server, delete the WAL directory.
+    pub(crate) fn close(self) {
+        match self {
+            Stack::Remote(server) => server.shutdown(),
+            Stack::Wal(shared, dir) => {
+                drop(shared);
+                let _ = std::fs::remove_dir_all(dir);
+            }
+            Stack::Concurrent(_) | Stack::Async(_) => {}
+        }
+    }
+}
+
+/// Open one client of a [`Stack`] as `$user` — a `ConcurrentExecutor`, an
+/// `AsyncHandle` or a `RemoteExecutor` on its own socket — and evaluate
+/// `$body` with it bound to `$exec`. A macro because the three clients are
+/// three types and `Executor::batch` is generic, so neither a closure nor
+/// `dyn Executor` can stand in. Yields `Result<_, String>`: `Err` when the
+/// client could not be opened, else `$body`'s value.
+macro_rules! with_client {
+    ($stack:expr, $user:expr, |$exec:ident| $body:expr) => {
+        match $stack {
+            Stack::Concurrent(shared) | Stack::Wal(shared, _) => shared
+                .executor($user)
+                .map_err(|e| format!("open executor: {e}"))
+                .map(|mut $exec| $body),
+            Stack::Async(pool) => pool
+                .handle($user)
+                .map_err(|e| format!("open async handle: {e}"))
+                .map(|mut $exec| $body),
+            Stack::Remote(server) => RemoteExecutor::connect(server.local_addr(), $user)
+                .map_err(|e| format!("connect: {e}"))
+                .map(|mut $exec| $body),
+        }
+    };
+}
+pub(crate) use with_client;
+
 fn run_arm(
     arm: Arm,
     cfg: &DiffConfig,
@@ -213,74 +312,28 @@ fn run_arm(
     ctx: &Ctx,
 ) -> Result<ArmStats, String> {
     let gen = HistoryGen::new(cfg.params.clone());
-    let (lat, elapsed) = match arm {
-        Arm::InProcess => {
-            let mut odb = OrpheusDB::new();
-            let r = replay(&mut odb, gen, cfg.model, false, ctx)?;
-            verify_against(&mut odb, oracle, samples, ctx)?;
-            r
-        }
-        Arm::Concurrent => {
-            let shared = SharedOrpheusDB::new(OrpheusDB::new());
-            let mut exec = shared
-                .executor("diff_user")
-                .map_err(|e| ctx.fail(format_args!("open executor: {e}")))?;
-            let r = replay(&mut exec, gen, cfg.model, false, ctx)?;
-            verify_against(&mut exec, oracle, samples, ctx)?;
-            r
-        }
-        Arm::Async => {
-            let shared = SharedOrpheusDB::new(OrpheusDB::new());
-            let pool = AsyncExecutor::new(shared);
-            let mut handle = pool
-                .handle("diff_user")
-                .map_err(|e| ctx.fail(format_args!("open async handle: {e}")))?;
-            let r = replay(&mut handle, gen, cfg.model, true, ctx)?;
-            verify_against(&mut handle, oracle, samples, ctx)?;
-            r
-        }
-        Arm::Remote => {
-            let shared = SharedOrpheusDB::new(OrpheusDB::new());
-            let server = NetServer::bind("127.0.0.1:0", shared)
-                .map_err(|e| ctx.fail(format_args!("bind server: {e}")))?;
-            let addr = server.local_addr();
-            let mut exec = RemoteExecutor::connect(addr, "diff_user")
-                .map_err(|e| ctx.fail(format_args!("connect: {e}")))?;
-            let r = replay(&mut exec, gen, cfg.model, false, ctx)?;
-            verify_against(&mut exec, oracle, samples, ctx)?;
-            drop(exec);
-            server.shutdown();
-            r
-        }
-        Arm::WalReopen => {
-            let dir = std::env::temp_dir().join(format!(
-                "orpheus-diff-{}-{}",
-                std::process::id(),
-                ctx.label
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let r = {
-                let shared = recovery::open_shared(&dir)
-                    .map_err(|e| ctx.fail(format_args!("open WAL dir: {e}")))?;
-                let mut exec = shared
-                    .executor("diff_user")
-                    .map_err(|e| ctx.fail(format_args!("open executor: {e}")))?;
-                replay(&mut exec, gen, cfg.model, false, ctx)?
-                // shared (and its WAL) drop here; durability is the point.
-            };
-            let reopened = recovery::open_shared(&dir)
-                .map_err(|e| ctx.fail(format_args!("reopen WAL dir: {e}")))?;
-            let mut exec = reopened
-                .executor("diff_user")
-                .map_err(|e| ctx.fail(format_args!("reopen executor: {e}")))?;
-            verify_against(&mut exec, oracle, samples, ctx)?;
-            drop(exec);
-            drop(reopened);
-            let _ = std::fs::remove_dir_all(&dir);
-            r
-        }
+    let (mut lat_us, elapsed) = if arm == Arm::InProcess {
+        let mut odb = OrpheusDB::new();
+        let r = replay(&mut odb, gen, cfg.model, false, ctx)?;
+        verify_against(&mut odb, oracle, samples, ctx)?;
+        r
+    } else {
+        let fail = |e: String| ctx.fail(e);
+        let stack = Stack::open(arm, &format!("diff-{}", ctx.label)).map_err(fail)?;
+        // One pipelined batch per commit on the async arm.
+        let pipeline = arm == Arm::Async;
+        let r = with_client!(&stack, "diff_user", |exec| replay(
+            &mut exec, gen, cfg.model, pipeline, ctx
+        ))
+        .map_err(fail)??;
+        let stack = stack.reopened().map_err(fail)?;
+        with_client!(&stack, "diff_user", |exec| verify_against(
+            &mut exec, oracle, samples, ctx
+        ))
+        .map_err(fail)??;
+        stack.close();
+        r
     };
-    let mut lat_us: Vec<f64> = lat;
     let p50 = percentile(&mut lat_us, 50.0);
     let p99 = percentile(&mut lat_us, 99.0);
     Ok(ArmStats {

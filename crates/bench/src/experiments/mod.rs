@@ -1,6 +1,6 @@
 //! One module per table/figure of the paper's evaluation (Section 5 and
 //! appendices). Each exposes a `run()` returning the printed report; the
-//! `src/bin/*` entry points call these.
+//! `all_experiments` bin runs them, all or those `ORPHEUS_EXPERIMENTS` names.
 
 pub mod compression;
 pub mod fig10_11;

@@ -13,11 +13,10 @@
 //! measured against the sequential baseline without changing the workload
 //! definition.
 
-use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 use orpheus_core::request::{CommandKind, Executor, Request};
-use orpheus_core::{Checkout, Commit, CoreError, Discard, OrpheusDB, Response, Result, Run};
+use orpheus_core::{Checkout, Commit, CoreError, Discard, Result};
 
 /// Run `op` `trials` times, drop the fastest and slowest trial (when there
 /// are at least three), and return the mean of the rest in milliseconds.
@@ -32,11 +31,9 @@ pub fn time_op<F: FnMut()>(trials: usize, mut op: F) -> f64 {
     protocol_mean(samples)
 }
 
-/// The paper's aggregation applied to already-collected samples: drop the
-/// fastest and slowest (when there are at least three) and average the
-/// rest. Benchmarks whose trials rebuild state themselves (so [`time_op`]
-/// cannot wrap them) share the protocol through this.
-pub fn protocol_mean(mut samples: Vec<f64>) -> f64 {
+/// The paper's aggregation: drop the fastest and slowest sample (when
+/// there are at least three) and average the rest.
+fn protocol_mean(mut samples: Vec<f64>) -> f64 {
     assert!(
         !samples.is_empty(),
         "protocol_mean needs at least one sample"
@@ -77,10 +74,8 @@ pub fn trials() -> usize {
 }
 
 /// Read a `usize` knob from the environment, falling back to `default`
-/// when unset or unparsable. The shared parser behind every bench bin's
-/// `ORPHEUS_*` knob; callers with a lower bound clamp at the use site
-/// (e.g. `.max(1)`), since some knobs — batch size, worker count — take 0
-/// meaningfully.
+/// when unset or unparsable. Callers with a lower bound clamp at the use
+/// site (e.g. `.max(1)`).
 pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
         .ok()
@@ -88,138 +83,19 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// [`env_usize`] for floating-point knobs (finite and positive, else the
-/// default).
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|v| v.is_finite() && *v > 0.0)
-        .unwrap_or(default)
-}
-
-/// The machine's detected hardware parallelism (1 when detection fails).
-/// Every `BENCH_*.json` emitter reports this through one code path, so a
-/// result recorded on a 1-core container is never mistaken for a claim
-/// about the design.
-pub fn detected_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Write a machine-readable benchmark artifact as `BENCH_<name>.json`
-/// into `ORPHEUS_BENCH_OUT` (default: the working directory), stamping
-/// the detected core count into every artifact. Returns the path written.
+/// into `ORPHEUS_BENCH_OUT` (default: the working directory). Returns the
+/// path written. Every artifact is stamped with the detected hardware
+/// parallelism (1 when detection fails), so a result recorded on a 1-core
+/// container is never mistaken for a claim about the design.
 pub fn write_bench_json(name: &str, json: JsonObject) -> Result<String> {
     let out_dir = std::env::var("ORPHEUS_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
     let path = format!("{out_dir}/BENCH_{name}.json");
-    let stamped = json.int("cores", detected_parallelism() as u64);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let stamped = json.int("cores", cores as u64);
     std::fs::write(&path, format!("{}\n", stamped.render()))
         .map_err(|e| CoreError::Io(format!("cannot write {path}: {e}")))?;
     Ok(path)
-}
-
-/// Reader/writer overlap meter for MVCC storms.
-///
-/// Throughput ratios are noisy on shared 1-core containers, so the MVCC
-/// benchmarks also count the thing the snapshot design actually promises:
-/// **reads that completed while a commit was in flight on the instance**.
-/// Writers wrap each commit in [`overlap::commit_guard`]; readers call
-/// [`overlap::note_read`] after each completed read (or drive their
-/// stream through [`drive_overlapped`], which does both). Any
-/// `overlapped() > 0` is direct evidence that a read finished without
-/// waiting for the writer — under a single lock per CVD that interleaving
-/// is impossible for same-CVD traffic.
-///
-/// The counters are process-global (benchmark binaries run one experiment
-/// at a time); call [`overlap::reset`] between arms.
-pub mod overlap {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static COMMITS_IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
-    static READS_TOTAL: AtomicU64 = AtomicU64::new(0);
-    static READS_OVERLAPPED: AtomicU64 = AtomicU64::new(0);
-
-    /// Marks one commit as in flight until dropped.
-    #[must_use = "the commit counts as in flight only while the guard lives"]
-    pub struct CommitGuard(());
-
-    impl Drop for CommitGuard {
-        fn drop(&mut self) {
-            COMMITS_IN_FLIGHT.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Enter a commit: reads completing before the returned guard drops
-    /// count as overlapped.
-    pub fn commit_guard() -> CommitGuard {
-        COMMITS_IN_FLIGHT.fetch_add(1, Ordering::SeqCst);
-        CommitGuard(())
-    }
-
-    /// Record one completed read, checking it against in-flight commits.
-    pub fn note_read() {
-        READS_TOTAL.fetch_add(1, Ordering::SeqCst);
-        if COMMITS_IN_FLIGHT.load(Ordering::SeqCst) > 0 {
-            READS_OVERLAPPED.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Reads recorded since the last [`reset`].
-    pub fn reads() -> u64 {
-        READS_TOTAL.load(Ordering::SeqCst)
-    }
-
-    /// Reads that completed while at least one commit was in flight.
-    pub fn overlapped() -> u64 {
-        READS_OVERLAPPED.load(Ordering::SeqCst)
-    }
-
-    /// Zero the read counters (in-flight commits are guard-owned and not
-    /// touched).
-    pub fn reset() {
-        READS_TOTAL.store(0, Ordering::SeqCst);
-        READS_OVERLAPPED.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Like [`drive`], but feeding the [`overlap`] meter: commits run inside
-/// an [`overlap::commit_guard`], and pure reads — checkouts (MVCC parks
-/// them without the shard lock), `log`, `diff`, and SELECT statements —
-/// are recorded with [`overlap::note_read`] as they complete.
-pub fn drive_overlapped<E: Executor>(
-    executor: &mut E,
-    requests: impl IntoIterator<Item = Request>,
-) -> Result<BusStats> {
-    let mut stats = BusStats::default();
-    for request in requests {
-        let is_read = match &request {
-            Request::Checkout(_) | Request::CheckoutCsv(_) | Request::Log(_) | Request::Diff(_) => {
-                true
-            }
-            Request::Run(r) => r
-                .sql
-                .trim_start()
-                .to_ascii_lowercase()
-                .starts_with("select"),
-            _ => false,
-        };
-        let is_commit = matches!(&request, Request::Commit(_) | Request::CommitCsv(_));
-        let kind = request.kind();
-        let start = Instant::now();
-        if is_commit {
-            let _guard = overlap::commit_guard();
-            executor.execute(request)?;
-        } else {
-            executor.execute(request)?;
-            if is_read {
-                overlap::note_read();
-            }
-        }
-        stats.record(kind, start.elapsed().as_secs_f64() * 1e3);
-    }
-    Ok(stats)
 }
 
 /// Per-command timing of one bus-driven workload run.
@@ -247,20 +123,6 @@ impl BusStats {
     pub fn requests(&self) -> usize {
         self.per_command.iter().map(|(_, n, _)| n).sum()
     }
-
-    /// Render as an aligned [`Report`] (command, count, total ms, ms/op).
-    pub fn report(&self) -> Report {
-        let mut report = Report::new(&["command", "count", "total_ms", "ms_per_op"]);
-        for &(kind, count, total) in &self.per_command {
-            report.row(vec![
-                kind.name().to_string(),
-                count.to_string(),
-                ms(total),
-                ms(total / count as f64),
-            ]);
-        }
-        report
-    }
 }
 
 /// Execute a request stream on any executor, timing every command. Stops
@@ -279,40 +141,25 @@ pub fn drive<E: Executor>(
     Ok(stats)
 }
 
-/// Like [`drive`], but submitting the stream through [`Executor::batch`]
-/// in chunks of `batch_size` requests (0 or anything larger than the
-/// stream means one batch for the whole stream), so batching executors
-/// get to coalesce lock acquisitions and version-row scans.
+/// Like [`drive`], but submitting the whole stream as one
+/// [`Executor::batch`] call, so batching executors get to coalesce lock
+/// acquisitions and version-row scans (and a remote one ships one frame).
 ///
-/// Timing is necessarily per *batch*; the per-command breakdown
-/// attributes each batch's wall time evenly across its requests, so
-/// treat `ms_per_op` as an amortized figure. Like [`drive`], the first
-/// per-request error aborts the run and is returned, so workloads fail
-/// loudly.
-pub fn drive_batched<E: Executor>(
-    executor: &mut E,
-    requests: impl IntoIterator<Item = Request>,
-    batch_size: usize,
-) -> Result<BusStats> {
+/// Timing is necessarily per batch; the per-command breakdown attributes
+/// the wall time evenly across the requests, so treat `ms_per_op` as an
+/// amortized figure. Like [`drive`], the first per-request error is
+/// returned, so workloads fail loudly.
+pub fn drive_batched<E: Executor>(executor: &mut E, requests: Vec<Request>) -> Result<BusStats> {
     let mut stats = BusStats::default();
-    let mut iter = requests.into_iter();
-    loop {
-        let chunk: Vec<Request> = match batch_size {
-            0 => iter.by_ref().collect(),
-            n => iter.by_ref().take(n).collect(),
-        };
-        if chunk.is_empty() {
-            return Ok(stats);
-        }
-        let kinds: Vec<CommandKind> = chunk.iter().map(Request::kind).collect();
-        let start = Instant::now();
-        let results = executor.batch(chunk);
-        let per_request_ms = start.elapsed().as_secs_f64() * 1e3 / kinds.len() as f64;
-        for (kind, result) in kinds.into_iter().zip(results) {
-            result?;
-            stats.record(kind, per_request_ms);
-        }
+    let kinds: Vec<CommandKind> = requests.iter().map(Request::kind).collect();
+    let start = Instant::now();
+    let results = executor.batch(requests);
+    let per_request_ms = start.elapsed().as_secs_f64() * 1e3 / kinds.len().max(1) as f64;
+    for (kind, result) in kinds.into_iter().zip(results) {
+        result?;
+        stats.record(kind, per_request_ms);
     }
+    Ok(stats)
 }
 
 /// The bus workload behind the paper's checkout experiments: check each
@@ -327,7 +174,7 @@ pub fn checkout_storm(cvd: &str, versions: &[u64]) -> Vec<Request> {
     requests
 }
 
-/// Per-thread request stream for the contention benchmark: `ops` rounds of
+/// Per-client request stream of the crash gate: `ops` rounds of
 /// checkout → commit against one CVD. Table names embed the thread id so
 /// streams from different threads never collide, whichever executor runs
 /// them.
@@ -376,229 +223,6 @@ pub fn clustered_storm(cvd: &str, thread: usize, ops: usize, cluster: usize) -> 
         );
     }
     requests
-}
-
-/// The batching benchmark workload: per round, every CVD gets a *cluster*
-/// of checkouts of version 1 (identical version sets, so a batching
-/// executor can share one version-row scan), then a versioned count
-/// query, one commit, and discards of the remaining scratch checkouts.
-/// Rounds interleave CVDs, so batching also has to route sub-batches per
-/// shard while keeping responses in submission order. The resulting
-/// version graph (one identity commit per CVD per round, all parented at
-/// v1) is deterministic, which is what lets the `batching` bench bin
-/// compare graphs across batched and unbatched arms.
-pub fn batch_storm(cvds: &[String], rounds: usize, cluster: usize) -> Vec<Request> {
-    let cluster = cluster.max(1);
-    let mut requests = Vec::with_capacity(rounds * cvds.len() * (cluster + 2));
-    for round in 0..rounds {
-        for (c, cvd) in cvds.iter().enumerate() {
-            for j in 0..cluster {
-                let table = format!("__batch_c{c}_r{round}_{j}");
-                requests.push(Checkout::of(cvd).version(1u64).into_table(table).into());
-            }
-        }
-        for (c, cvd) in cvds.iter().enumerate() {
-            requests.push(Run::sql(format!("SELECT count(*) FROM VERSION 1 OF CVD {cvd}")).into());
-            requests.push(
-                Commit::table(format!("__batch_c{c}_r{round}_0"))
-                    .message(format!("batch_storm round {round}"))
-                    .into(),
-            );
-            for j in 1..cluster {
-                requests.push(Discard::table(format!("__batch_c{c}_r{round}_{j}")).into());
-            }
-        }
-    }
-    requests
-}
-
-/// Outcome of one multi-threaded storm run.
-#[derive(Debug)]
-pub struct StormStats {
-    /// Wall-clock of the whole run (all threads released together, timed
-    /// until the last one finished), in milliseconds.
-    pub wall_ms: f64,
-    /// Requests executed across all threads.
-    pub requests: usize,
-    /// Hardware parallelism detected at run time
-    /// ([`detected_parallelism`]) — recorded here so every artifact
-    /// derived from a storm run carries the conditions it ran under.
-    pub cores: usize,
-    /// Per-thread command timing.
-    pub per_thread: Vec<BusStats>,
-}
-
-impl StormStats {
-    /// Aggregate throughput in requests per second.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            return 0.0;
-        }
-        self.requests as f64 / (self.wall_ms / 1e3)
-    }
-}
-
-/// Drive one request stream per thread, all released simultaneously, and
-/// time the aggregate. `make_executor(i)` builds thread `i`'s executor
-/// before the start barrier, so setup cost stays out of the measurement.
-/// The same streams can be run against different executors (per-CVD
-/// sessions vs the [`GlobalLockSession`] baseline vs async handles) for
-/// an apples-to-apples comparison.
-pub fn drive_parallel<E, F>(make_executor: F, streams: Vec<Vec<Request>>) -> Result<StormStats>
-where
-    E: Executor + Send,
-    F: Fn(usize) -> E + Send + Sync,
-{
-    drive_parallel_with(make_executor, streams, |executor, stream| {
-        drive(executor, stream)
-    })
-}
-
-/// [`drive_parallel`] with every thread driving through
-/// [`drive_overlapped`] — the storm variant that feeds the [`overlap`]
-/// meter. Callers own the meter's lifecycle: [`overlap::reset`] before
-/// the run, read the counters after.
-pub fn drive_parallel_overlapped<E, F>(
-    make_executor: F,
-    streams: Vec<Vec<Request>>,
-) -> Result<StormStats>
-where
-    E: Executor + Send,
-    F: Fn(usize) -> E + Send + Sync,
-{
-    drive_parallel_with(make_executor, streams, |executor, stream| {
-        drive_overlapped(executor, stream)
-    })
-}
-
-/// Like [`drive_parallel`], but each thread submits its whole stream as
-/// one [`Executor::batch`] call (pipelined submission). On an async
-/// handle this is the fire-then-wait pattern: every request is enqueued
-/// before the first response is awaited.
-pub fn drive_parallel_batched<E, F>(
-    make_executor: F,
-    streams: Vec<Vec<Request>>,
-) -> Result<StormStats>
-where
-    E: Executor + Send,
-    F: Fn(usize) -> E + Send + Sync,
-{
-    drive_parallel_with(make_executor, streams, |executor, stream| {
-        drive_batched(executor, stream, 0)
-    })
-}
-
-/// The engine behind [`drive_parallel`] / [`drive_parallel_batched`]:
-/// per-thread executors built before a shared start barrier, one `run`
-/// call per thread, aggregate wall time from barrier release to last
-/// completion, cores recorded via [`detected_parallelism`] (the single
-/// stamping path every `BENCH_*.json` emitter shares — see
-/// [`storm_json`]).
-fn drive_parallel_with<E, F, R>(
-    make_executor: F,
-    streams: Vec<Vec<Request>>,
-    run: R,
-) -> Result<StormStats>
-where
-    E: Executor + Send,
-    F: Fn(usize) -> E + Send + Sync,
-    R: Fn(&mut E, Vec<Request>) -> Result<BusStats> + Send + Sync,
-{
-    // Two barriers: `ready` proves every thread finished its (untimed)
-    // executor setup; `go` releases the work. The clock starts between
-    // them — after setup, before any thread can run a request — so setup
-    // stays out of the measurement AND no thread gets a head start before
-    // the stamp (on a loaded single-core host, stamping after a single
-    // barrier's `wait` returned on the main thread would let workers run
-    // whole scheduler slices first, undercounting every arm by a
-    // different amount).
-    let ready = Barrier::new(streams.len() + 1);
-    let go = Barrier::new(streams.len() + 1);
-    let mut per_thread = Vec::with_capacity(streams.len());
-    let mut wall_ms = 0.0;
-    std::thread::scope(|scope| -> Result<()> {
-        let handles: Vec<_> = streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, stream)| {
-                let ready = &ready;
-                let go = &go;
-                let make_executor = &make_executor;
-                let run = &run;
-                scope.spawn(move || -> Result<BusStats> {
-                    let mut executor = make_executor(i);
-                    ready.wait();
-                    go.wait();
-                    run(&mut executor, stream)
-                })
-            })
-            .collect();
-        ready.wait();
-        let start = Instant::now();
-        go.wait();
-        for handle in handles {
-            per_thread.push(handle.join().expect("storm thread panicked")?);
-        }
-        wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        Ok(())
-    })?;
-    let requests = per_thread.iter().map(BusStats::requests).sum();
-    Ok(StormStats {
-        wall_ms,
-        requests,
-        cores: detected_parallelism(),
-        per_thread,
-    })
-}
-
-/// Render one storm arm for a `BENCH_*.json` artifact, carrying the core
-/// count *the run recorded* ([`StormStats::cores`]) rather than
-/// re-detecting at write time. Every storm-based emitter goes through
-/// this — including the [`GlobalLockSession`] baseline arms, which used
-/// to be stamped only by [`write_bench_json`]'s top-level detection — so
-/// an arm measured under one condition can never be stamped with
-/// another.
-pub fn storm_json(stats: &StormStats) -> JsonObject {
-    JsonObject::new()
-        .num("wall_ms", stats.wall_ms)
-        .int("requests", stats.requests as u64)
-        .num("req_per_s", stats.throughput_rps())
-        .int("cores", stats.cores as u64)
-}
-
-/// The pre-per-CVD-locking baseline: the whole instance behind one mutex,
-/// identity swapped per request — exactly what `SharedOrpheusDB` did
-/// before the catalog/per-CVD split. Kept as the control arm of
-/// [`contention_storm`] so the parallel executor is measured against the
-/// single-lock design on identical request streams. Its storm runs are
-/// emitted through [`storm_json`] like every other arm's, so the baseline
-/// carries the same recorded core count as the treatment arms instead of
-/// a separately-detected one.
-#[derive(Debug, Clone)]
-pub struct GlobalLockSession {
-    db: Arc<Mutex<OrpheusDB>>,
-    user: String,
-}
-
-impl GlobalLockSession {
-    pub fn new(db: Arc<Mutex<OrpheusDB>>, user: impl Into<String>) -> GlobalLockSession {
-        GlobalLockSession {
-            db,
-            user: user.into(),
-        }
-    }
-}
-
-impl Executor for GlobalLockSession {
-    fn execute(&mut self, request: Request) -> Result<Response> {
-        let mut odb = self.db.lock().unwrap_or_else(|e| e.into_inner());
-        odb.access.ensure_user(&self.user)?;
-        let prior = odb.access.whoami().to_string();
-        odb.access.login(&self.user)?;
-        let result = odb.execute(request);
-        let _ = odb.access.login(&prior);
-        result
-    }
 }
 
 /// Minimal JSON object builder for the machine-readable `BENCH_*.json`
@@ -785,20 +409,19 @@ mod tests {
         assert_eq!(kind, CommandKind::Checkout);
         assert_eq!(count, 3);
         assert!(total >= 0.0);
-        let rendered = stats.report().render();
-        assert!(
-            rendered.contains("checkout") && rendered.contains("discard"),
-            "{rendered}"
-        );
-
         // The same stream drives a session over a shared instance.
         let shared = SharedOrpheusDB::new(odb);
         let mut session = shared.session("bench_user").unwrap();
         let stats = drive(&mut session, checkout_storm("bench", &[3, 9])).unwrap();
         assert_eq!(stats.requests(), 4);
 
+        // ... and so does one batch, request for request.
+        let stats = drive_batched(&mut session, checkout_storm("bench", &[3, 9])).unwrap();
+        assert_eq!(stats.requests(), 4);
+
         // Errors surface instead of being swallowed.
         assert!(drive(&mut session, checkout_storm("nope", &[1])).is_err());
+        assert!(drive_batched(&mut session, checkout_storm("nope", &[1])).is_err());
     }
 
     #[test]
@@ -826,136 +449,6 @@ mod tests {
         for n in names(&a) {
             assert!(!names(&b).contains(&n), "{n} collides");
         }
-    }
-
-    /// The parallel per-CVD executor and the single-lock baseline produce
-    /// identical version graphs from the same streams — the equivalence
-    /// that makes the throughput comparison meaningful.
-    #[test]
-    fn storm_outcomes_agree_between_baseline_and_per_cvd_sessions() {
-        use crate::generator::{Workload, WorkloadParams};
-        use crate::loader::load_workload;
-        use orpheus_core::{ModelKind, SharedOrpheusDB};
-
-        let w = Workload::generate(WorkloadParams::sci(4, 2, 10));
-        let build = || {
-            let mut odb = OrpheusDB::new();
-            for c in 0..2 {
-                load_workload(&mut odb, &format!("cvd{c}"), &w, ModelKind::SplitByRlist).unwrap();
-            }
-            odb
-        };
-        let streams = || -> Vec<Vec<Request>> {
-            (0..2)
-                .map(|t| contention_storm(&format!("cvd{t}"), t, 2))
-                .collect()
-        };
-
-        let baseline_db = Arc::new(Mutex::new(build()));
-        let base = drive_parallel(
-            |t| GlobalLockSession::new(Arc::clone(&baseline_db), format!("user{t}")),
-            streams(),
-        )
-        .unwrap();
-        assert_eq!(base.requests, 8);
-        assert!(base.wall_ms >= 0.0);
-        assert!(base.throughput_rps() > 0.0);
-
-        let shared = SharedOrpheusDB::new(build());
-        let storm =
-            drive_parallel(|t| shared.session(&format!("user{t}")).unwrap(), streams()).unwrap();
-        assert_eq!(storm.requests, 8);
-
-        // Same number of versions per CVD, no staged leftovers, either way.
-        let baseline_db = baseline_db.lock().unwrap_or_else(|e| e.into_inner());
-        for c in 0..2 {
-            let name = format!("cvd{c}");
-            let base_versions = baseline_db.cvd(&name).unwrap().num_versions();
-            let storm_versions = shared.read(|odb| odb.cvd(&name).unwrap().num_versions());
-            assert_eq!(base_versions, storm_versions, "{name}");
-        }
-        assert!(baseline_db.staged().is_empty());
-        shared.read(|odb| assert!(odb.staged().is_empty()));
-    }
-
-    #[test]
-    fn batched_driver_produces_the_same_graphs_as_unbatched() {
-        use crate::generator::{Workload, WorkloadParams};
-        use crate::loader::load_workload;
-        use orpheus_core::{ModelKind, SharedOrpheusDB};
-
-        let w = Workload::generate(WorkloadParams::sci(4, 2, 10));
-        let build = || {
-            let mut odb = OrpheusDB::new();
-            for c in 0..2 {
-                load_workload(&mut odb, &format!("cvd{c}"), &w, ModelKind::SplitByRlist).unwrap();
-            }
-            odb
-        };
-        let names = vec!["cvd0".to_string(), "cvd1".to_string()];
-        let stream = batch_storm(&names, 2, 3);
-
-        let mut sequential = build();
-        let unbatched = drive(&mut sequential, stream.clone()).unwrap();
-
-        let mut whole_stream = build();
-        let batched = drive_batched(&mut whole_stream, stream.clone(), 0).unwrap();
-        assert_eq!(batched.requests(), unbatched.requests());
-
-        // A session executor, driven in small chunks.
-        let shared = SharedOrpheusDB::new(build());
-        let mut session = shared.session("u").unwrap();
-        let chunked = drive_batched(&mut session, stream, 7).unwrap();
-        assert_eq!(chunked.requests(), unbatched.requests());
-
-        // All three executions commit the same version graphs and leave
-        // nothing staged.
-        for name in &names {
-            let want = sequential.cvd(name).unwrap().num_versions();
-            assert_eq!(whole_stream.cvd(name).unwrap().num_versions(), want);
-            assert_eq!(
-                shared.read(|odb| odb.cvd(name).unwrap().num_versions()),
-                want
-            );
-        }
-        assert!(sequential.staged().is_empty());
-        assert!(whole_stream.staged().is_empty());
-        shared.read(|odb| assert!(odb.staged().is_empty()));
-
-        // Errors propagate out of a batch exactly like out of `drive`.
-        assert!(drive_batched(&mut session, checkout_storm("nope", &[1]), 0).is_err());
-    }
-
-    /// One test owns the process-global overlap counters (tests run in
-    /// parallel, so splitting this would race the counters).
-    #[test]
-    fn overlap_meter_counts_reads_under_in_flight_commits() {
-        overlap::reset();
-        overlap::note_read();
-        assert_eq!(overlap::reads(), 1);
-        assert_eq!(overlap::overlapped(), 0);
-        {
-            let _in_flight = overlap::commit_guard();
-            overlap::note_read();
-        }
-        overlap::note_read();
-        assert_eq!(overlap::reads(), 3);
-        assert_eq!(overlap::overlapped(), 1);
-
-        // drive_overlapped feeds the same counters: 2 checkouts and no
-        // in-flight commit (the commit guard wraps only the commit's own
-        // execution, during which no read completes on this thread).
-        use crate::generator::{Workload, WorkloadParams};
-        use crate::loader::load_workload;
-        use orpheus_core::ModelKind;
-        overlap::reset();
-        let w = Workload::generate(WorkloadParams::sci(4, 2, 10));
-        let mut odb = OrpheusDB::new();
-        load_workload(&mut odb, "ovl", &w, ModelKind::SplitByRlist).unwrap();
-        let stats = drive_overlapped(&mut odb, contention_storm("ovl", 0, 2)).unwrap();
-        assert_eq!(stats.requests(), 4);
-        assert_eq!(overlap::reads(), 2);
-        assert_eq!(overlap::overlapped(), 0);
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //!   average) and aligned table printing;
 //! * [`experiments`] — one module per table/figure;
 //! * [`oracle`] — a naive reference model of the versioning semantics;
-//! * [`differential`] — replays one generated history through every
-//!   executor (in-process, concurrent, async, remote, WAL-reopened) and
-//!   gates on agreement with the oracle.
+//! * [`differential`] — the sequential gate: replays one generated history
+//!   through every executor (in-process, concurrent, async, remote,
+//!   WAL-reopened) and gates on agreement with the oracle;
+//! * [`storm`] — the concurrent gate: many clients at once on each of
+//!   those served stacks must end where a sequential run of the same
+//!   streams ends.
 
 pub mod datasets;
 pub mod differential;
@@ -28,6 +31,7 @@ pub mod generator;
 pub mod harness;
 pub mod loader;
 pub mod oracle;
+pub mod storm;
 
 pub use datasets::{DatasetSpec, ScaleTier};
 pub use differential::{run_differential, Arm, ArmStats, DiffConfig};

@@ -320,6 +320,14 @@ impl Pool {
                             .queues
                             .get_mut(&key)
                             .and_then(VecDeque::pop_front)
+                            // A key enters `ready` in two places, both
+                            // under this lock and both only with a job in
+                            // its queue (`enqueue` right after pushing
+                            // one, the hand-back below after checking
+                            // `!is_empty()`), at most once at a time
+                            // (`enqueue` skips keys already ready or
+                            // active); jobs leave a queue only here, one
+                            // per `ready` entry taken.
                             .expect("ready shards have queued jobs");
                         state.active.push(key.clone());
                         break (Some(key), job);
@@ -557,6 +565,8 @@ fn process_chunk(
         match step {
             Step::Sequential(i) => {
                 pool.wait_idle();
+                // `BatchPlan::build` puts every request index in exactly
+                // one step, and this loop visits each step once.
                 let request = slots[*i].take().expect("indices are scheduled once");
                 let outcome =
                     catch_unwind(AssertUnwindSafe(|| exec.execute_as(&users[*i], request)))

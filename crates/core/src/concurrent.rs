@@ -122,7 +122,7 @@
 //! (`ConcurrentExecutor::execute_as`).
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -338,6 +338,11 @@ struct Catalog {
     /// auxiliary shard). The routing index for `commit`/`discard` and the
     /// global uniqueness check for checkout target names.
     staged: HashMap<String, String>,
+    /// Lower-cased names of the side tables that statements in flight
+    /// (`SELECT … INTO`, `CREATE TABLE`) are about to create. A name leaves
+    /// when its statement is over: from then on the shard's published
+    /// snapshot answers for the table, if it was created.
+    creating: HashSet<String>,
     /// Write-ahead log sink, shared with every shard. Catalog-level
     /// mutations (CVD create/drop, user creation) append under the
     /// catalog write lock; shard-level mutations append inside their
@@ -402,6 +407,7 @@ impl Catalog {
             shards,
             aux: Shard::new(odb),
             staged,
+            creating: HashSet::new(),
             wal,
         }
     }
@@ -451,30 +457,55 @@ impl Catalog {
             return Err(CoreError::Invalid(format!("{name} is already staged")));
         }
         if kind == StagedKind::Table {
-            // Table names must stay unique across *all* shards, or merging
-            // shards into one instance would collide. Backing tables are
-            // kept apart by the `<cvd>__` namespaces, staged tables by the
-            // index above; what is left are side tables plain SQL created
-            // (`CREATE TABLE`, `SELECT … INTO`), which can sit in any
-            // shard. Each shard's published snapshot answers for those
-            // lock-free (the target shard's own checkout re-checks under
-            // its lock, catching a table still unpublished there).
-            let lower = name.to_ascii_lowercase();
-            if let Some(owner) = self.claim_by_prefix(&lower) {
-                return Err(CoreError::Invalid(format!(
-                    "table name {name} lies in CVD {owner}'s backing-table \
-                     namespace ({owner}__*)"
-                )));
-            }
-            let taken = std::iter::once(&self.aux)
-                .chain(self.shards.values())
-                .any(|shard| shard.snapshot.load().engine.has_table(&lower));
-            if taken {
-                return Err(CoreError::Invalid(format!("table {name} already exists")));
-            }
+            self.check_table_name(&cvd_key, name)?;
         }
         self.staged.insert(key.clone(), cvd_key);
         Ok(key)
+    }
+
+    /// Reserve `name` (lower-cased) for a side table a statement is about
+    /// to create in the shard `cat_key` ([`AUX_KEY`] for the auxiliary
+    /// shard) — the catalog half of `SELECT … INTO` and `CREATE TABLE`,
+    /// under the same rule as a checkout target. The caller removes the
+    /// name from `creating` again once the statement is over.
+    fn reserve_side_table(&mut self, cat_key: &str, name: &str) -> Result<()> {
+        let key = Catalog::staged_key(name, StagedKind::Table);
+        if self.staged.contains_key(&key) {
+            return Err(CoreError::Invalid(format!("{name} is already staged")));
+        }
+        self.check_table_name(cat_key, name)?;
+        self.creating.insert(name.to_string());
+        Ok(())
+    }
+
+    /// Table names must stay unique across *all* shards, or merging shards
+    /// into one instance would collide. Backing tables are kept apart by
+    /// the `<cvd>__` namespaces, staged tables by the staged index; what
+    /// is left are side tables plain SQL created (`CREATE TABLE`,
+    /// `SELECT … INTO`), which can sit in any shard. For a table about to
+    /// be created in the shard `cat_key`, every *other* shard's published
+    /// snapshot answers for those lock-free, and `creating` for the ones
+    /// not published yet; the target shard answers for its own tables
+    /// when the request runs under its lock — it alone knows what the
+    /// requests queued ahead of this one will have created or dropped by
+    /// then.
+    fn check_table_name(&self, cat_key: &str, name: &str) -> Result<()> {
+        let lower = name.to_ascii_lowercase();
+        if let Some(owner) = self.claim_by_prefix(&lower) {
+            return Err(CoreError::Invalid(format!(
+                "table name {name} lies in CVD {owner}'s backing-table \
+                 namespace ({owner}__*)"
+            )));
+        }
+        let mut others = std::iter::once((AUX_KEY, &self.aux))
+            .chain(self.shards.iter().map(|(key, shard)| (key.as_str(), shard)))
+            .filter(|(key, _)| *key != cat_key);
+        if self.creating.contains(&lower)
+            || others.any(|(_, shard)| shard.snapshot.load().engine.has_table(&lower))
+        {
+            return Err(CoreError::Invalid(format!("table {name} already exists")));
+        }
+        Ok(())
     }
 
     /// Merged read snapshot of `shards` plus the auxiliary shard, built
@@ -492,10 +523,9 @@ impl Catalog {
                 // Shards hold disjoint CVDs by construction. Their table
                 // names are disjoint because backing tables live in
                 // `<cvd>__` namespaces, staged tables are unique through
-                // the staged index, and `Catalog::reserve` refuses a
-                // checkout into the name of a side table of any shard.
-                // (Known gap, in ROADMAP: plain SQL creating one side-table
-                // name in two CVD shards is not refused.)
+                // the staged index, and `Catalog::check_table_name` refuses
+                // a checkout, a `SELECT … INTO` or a `CREATE TABLE` whose
+                // target is the name of a side table of another shard.
                 .expect("disjoint shards merge without collisions");
         }
         merged
@@ -954,10 +984,10 @@ fn catalog_key(key: &ShardKey) -> &str {
 }
 
 /// Remove staged-index reservations that still point at `cat_key` (their
-/// checkout failed or never ran). Entries re-pointed by someone else are
-/// left alone.
-fn release_reservations(inner: &Inner, cat_key: &str, keys: &[String]) {
-    if keys.is_empty() {
+/// checkout failed or never ran; entries re-pointed by someone else are
+/// left alone), and the `side_tables` whose statements are over.
+fn release_reservations(inner: &Inner, cat_key: &str, keys: &[String], side_tables: &[String]) {
+    if keys.is_empty() && side_tables.is_empty() {
         return;
     }
     let mut cat = inner.catalog_write();
@@ -965,6 +995,9 @@ fn release_reservations(inner: &Inner, cat_key: &str, keys: &[String]) {
         if cat.staged.get(key).map(String::as_str) == Some(cat_key) {
             cat.staged.remove(key);
         }
+    }
+    for table in side_tables {
+        cat.creating.remove(table);
     }
 }
 
@@ -1381,30 +1414,41 @@ impl ConcurrentExecutor {
     ) -> Option<Vec<(usize, String, String)>> {
         let cat_key = catalog_key(key);
 
-        // Reserve every checkout target name of the sub-batch in one
-        // catalog write; a name that cannot be reserved fails its request
-        // right here, without touching the shard.
+        // Reserve every name the sub-batch is about to create — checkout
+        // targets, and the side tables of `SELECT … INTO` and `CREATE
+        // TABLE` statements — in one catalog write; a name that cannot be
+        // reserved fails its request right here, without touching the
+        // shard.
         let mut reserved: Vec<String> = Vec::new();
-        let checks_out = |item: &SubItem| {
-            matches!(
-                item.request,
-                Some(Request::Checkout(_) | Request::CheckoutCsv(_))
-            )
+        let mut side_tables: Vec<String> = Vec::new();
+        let creates = |item: &SubItem| match &item.request {
+            Some(Request::Checkout(_) | Request::CheckoutCsv(_)) => true,
+            Some(Request::Run(r)) => crate::query::created_table(&r.sql).is_some(),
+            _ => false,
         };
-        if items.iter().any(checks_out) {
+        if items.iter().any(creates) {
             let mut cat = self.inner.catalog_write();
             for item in items.iter_mut() {
                 let reservation = match item.request.as_ref() {
-                    Some(Request::Checkout(c)) => cat.reserve(&c.cvd, StagedKind::Table, &c.table),
-                    Some(Request::CheckoutCsv(c)) => cat.reserve(&c.cvd, StagedKind::Csv, &c.path),
+                    Some(Request::Checkout(c)) => cat
+                        .reserve(&c.cvd, StagedKind::Table, &c.table)
+                        .map(|key| reserved.push(key)),
+                    Some(Request::CheckoutCsv(c)) => cat
+                        .reserve(&c.cvd, StagedKind::Csv, &c.path)
+                        .map(|key| reserved.push(key)),
+                    Some(Request::Run(r)) => match crate::query::created_table(&r.sql) {
+                        // A name this sub-batch already holds is the
+                        // shard's to decide about, in submission order.
+                        Some(table) if !side_tables.contains(&table) => cat
+                            .reserve_side_table(cat_key, &table)
+                            .map(|()| side_tables.push(table)),
+                        _ => continue,
+                    },
                     _ => continue,
                 };
-                match reservation {
-                    Ok(staged_key) => reserved.push(staged_key),
-                    Err(e) => {
-                        item.out = Some(Err(e));
-                        item.request = None;
-                    }
+                if let Err(e) = reservation {
+                    item.out = Some(Err(e));
+                    item.request = None;
                 }
             }
         }
@@ -1416,7 +1460,7 @@ impl ConcurrentExecutor {
             let Ok(shard) = self.inner.shard_by_key(cat_key) else {
                 // The CVD was dropped since planning. Release the
                 // reservations so re-routing cannot collide with them.
-                release_reservations(&self.inner, cat_key, &reserved);
+                release_reservations(&self.inner, cat_key, &reserved, &side_tables);
                 return None;
             };
             let mut db = shard.write();
@@ -1430,14 +1474,16 @@ impl ConcurrentExecutor {
         };
 
         // One closing catalog write: drop the index entries of consumed
-        // staged artifacts, release the reservations of failed checkouts.
+        // staged artifacts, release the reservations of failed checkouts
+        // and of side tables (created or not: the shard lock is released,
+        // so a table that was created is in the published snapshot).
         if !left.consumed.is_empty() {
             let mut cat = self.inner.catalog_write();
             for key in &left.consumed {
                 cat.staged.remove(key);
             }
         }
-        release_reservations(&self.inner, cat_key, &left.failed_checkouts);
+        release_reservations(&self.inner, cat_key, &left.failed_checkouts, &side_tables);
         Some(left.spanning)
     }
 
@@ -1572,7 +1618,17 @@ impl ConcurrentExecutor {
         }
         if !is_select {
             drop(cat);
-            return self.sql_cross_cvd_write(user, &cvds, sql);
+            // A table such a statement creates stays behind in the
+            // auxiliary shard; reserved like any other side table.
+            let side_table = crate::query::created_table(sql);
+            if let Some(table) = &side_table {
+                self.inner
+                    .catalog_write()
+                    .reserve_side_table(AUX_KEY, table)?;
+            }
+            let result = self.sql_cross_cvd_write(user, &cvds, sql);
+            release_reservations(&self.inner, AUX_KEY, &[], side_table.as_slice());
+            return result;
         }
         let mut merged = if cvds.is_empty() {
             cat.merged_snapshot()
@@ -2130,18 +2186,52 @@ mod tests {
         let err = s.checkout("right", &[Vid(1)], "clash").unwrap_err();
         assert!(err.to_string().contains("already exists"), "{err}");
         // The reverse order — checkout first, `SELECT … INTO` second — is
-        // refused by the engine once the statement spans both shards.
+        // refused the same way: the staged index holds the name.
         s.checkout("right", &[Vid(1)], "taken").unwrap();
         let err = s.sql("SELECT * INTO taken FROM w").unwrap_err();
-        assert!(
-            matches!(err, CoreError::Engine(EngineError::TableExists(_))),
-            "{err}"
-        );
+        assert!(err.to_string().contains("already staged"), "{err}");
         // Shards still merge: the instance-wide paths keep working.
         shared.read(|odb| assert_eq!(odb.ls().len(), 2));
         shared.write(|odb| assert!(odb.engine.has_table("clash")));
         let path =
             std::env::temp_dir().join(format!("orpheus-side-table-{}.orpheus", std::process::id()));
+        shared.save_to(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// ROADMAP correctness (d): two shards each creating a side table of one
+    /// name used to both succeed, and the next merged read panicked.
+    #[test]
+    fn a_side_table_name_is_created_in_one_shard_only() {
+        let shared = shared_with_two_cvds();
+        let s = shared.session("u").unwrap();
+        s.checkout("left", &[Vid(1)], "lw").unwrap();
+        s.checkout("right", &[Vid(1)], "rw").unwrap();
+        s.sql("SELECT * INTO x FROM lw").unwrap();
+        let err = s.sql("SELECT * INTO x FROM rw").unwrap_err();
+        assert!(err.to_string().contains("table x already exists"), "{err}");
+        // `CREATE TABLE` lands in the auxiliary shard — a third place.
+        let err = s.sql("CREATE TABLE x (k INT)").unwrap_err();
+        assert!(err.to_string().contains("table x already exists"), "{err}");
+        // Reservations last only as long as their statement, granted or
+        // refused...
+        assert!(shared.inner.catalog_read().creating.is_empty());
+        // ...and the shard that would hold a table decides about its own
+        // names when the statement runs, so dropping and re-creating a
+        // table in one batch works.
+        s.sql("CREATE TABLE y (k INT)").unwrap();
+        let mut batcher = shared.executor("u").unwrap();
+        for result in batcher.execute_batch(vec![
+            Run::sql("DROP TABLE y").into(),
+            Run::sql("CREATE TABLE y (k INT, v INT)").into(),
+            Run::sql("INSERT INTO y VALUES (1, 2)").into(),
+        ]) {
+            result.unwrap();
+        }
+        // Shards still merge: the instance-wide paths keep working.
+        shared.read(|odb| assert!(odb.engine.has_table("x")));
+        let path =
+            std::env::temp_dir().join(format!("orpheus-into-{}.orpheus", std::process::id()));
         shared.save_to(&path).unwrap();
         std::fs::remove_file(&path).ok();
     }

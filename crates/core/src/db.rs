@@ -363,70 +363,81 @@ impl OrpheusDB {
     /// The CVD is borrowed in place — only its name is copied for the
     /// staging entry; `version_rids` is never cloned on this path.
     pub fn checkout(&mut self, cvd_name: &str, vids: &[Vid], table: &str) -> Result<()> {
-        if vids.is_empty() {
-            return Err(CoreError::bad_request(
-                CommandKind::Checkout,
-                "checkout requires at least one version",
-            ));
-        }
+        self.checkout_with(None, cvd_name, vids, table)
+    }
+
+    /// [`OrpheusDB::checkout`], with a multi-version merge optionally
+    /// served from (and seeding) the batch's shared scans. Only the row
+    /// source differs: the rows are identical whichever produced them.
+    fn checkout_with(
+        &mut self,
+        cache: Option<&mut ScanCache>,
+        cvd_name: &str,
+        vids: &[Vid],
+        table: &str,
+    ) -> Result<()> {
+        require_versions(vids)?;
         if self.engine.has_table(table) {
             return Err(CoreError::Invalid(format!("table {table} already exists")));
         }
-        let cvd = lookup(&self.cvds, cvd_name)?;
-        for v in vids {
-            cvd.check_version(*v)?;
-        }
-        if vids.len() == 1 {
+        let cvd = lookup_versions(&self.cvds, cvd_name, vids)?;
+        if let [vid] = *vids {
             if cvd.partition.is_some() {
-                partition_store::checkout_partitioned(&mut self.engine, cvd, vids[0], table)?;
+                partition_store::checkout_partitioned(&mut self.engine, cvd, vid, table)?;
             } else {
-                model::checkout_into(&mut self.engine, cvd, vids[0], table)?;
+                model::checkout_into(&mut self.engine, cvd, vid, table)?;
             }
         } else {
-            let rows = merged_rows(&mut self.engine, cvd, vids)?;
+            let rows = merged_rows(&mut self.engine, cache, cvd, vids)?;
             let schema = cvd.staged_schema();
             self.engine.create_table(table, schema)?;
             model::insert_rows_bulk(&mut self.engine, table, rows)?;
         }
         let cvd_key = cvd.name.clone();
-        let created_at = self.tick();
-        self.staging.register(StagedEntry {
-            name: table.to_string(),
-            cvd: cvd_key,
-            parents: vids.to_vec(),
-            owner: self.access.whoami().to_string(),
-            created_at,
-            kind: StagedKind::Table,
-        })?;
-        Ok(())
+        self.register_staged(table, cvd_key, vids, StagedKind::Table)
     }
 
     /// `checkout -f`: export version(s) as CSV text (the caller writes the
     /// file; keeping I/O outside makes the API testable).
     pub fn checkout_csv(&mut self, cvd_name: &str, vids: &[Vid], path: &str) -> Result<String> {
-        if vids.is_empty() {
-            return Err(CoreError::bad_request(
-                CommandKind::Checkout,
-                "checkout requires at least one version",
-            ));
-        }
-        let cvd = lookup(&self.cvds, cvd_name)?;
-        for v in vids {
-            cvd.check_version(*v)?;
-        }
-        let rows = merged_rows(&mut self.engine, cvd, vids)?;
+        self.checkout_csv_with(None, cvd_name, vids, path)
+    }
+
+    /// CSV-export variant of [`OrpheusDB::checkout_with`].
+    fn checkout_csv_with(
+        &mut self,
+        cache: Option<&mut ScanCache>,
+        cvd_name: &str,
+        vids: &[Vid],
+        path: &str,
+    ) -> Result<String> {
+        require_versions(vids)?;
+        let cvd = lookup_versions(&self.cvds, cvd_name, vids)?;
+        let rows = merged_rows(&mut self.engine, cache, cvd, vids)?;
         let text = csv::to_csv(&cvd.staged_schema(), &rows);
         let cvd_key = cvd.name.clone();
+        self.register_staged(path, cvd_key, vids, StagedKind::Csv)?;
+        Ok(text)
+    }
+
+    /// Record a finished checkout in the staging area, under the current
+    /// user and the next logical timestamp.
+    fn register_staged(
+        &mut self,
+        name: &str,
+        cvd: String,
+        parents: &[Vid],
+        kind: StagedKind,
+    ) -> Result<()> {
         let created_at = self.tick();
         self.staging.register(StagedEntry {
-            name: path.to_string(),
-            cvd: cvd_key,
-            parents: vids.to_vec(),
+            name: name.to_string(),
+            cvd,
+            parents: parents.to_vec(),
             owner: self.access.whoami().to_string(),
             created_at,
-            kind: StagedKind::Csv,
-        })?;
-        Ok(text)
+            kind,
+        })
     }
 
     // -- commit -----------------------------------------------------------------
@@ -989,8 +1000,8 @@ impl OrpheusDB {
     /// multi-version table checkouts (the version merge happens exactly
     /// once per batch) and CSV exports (no table materialization to pay
     /// for). A *single-version table* checkout goes through the plain
-    /// rid→slot fast path even inside a batch: measured on the storm
-    /// workloads, caching its rows costs more (row-set clones) than the
+    /// rid→slot fast path even inside a batch: measured on checkout-heavy
+    /// streams, caching its rows costs more (row-set clones) than the
     /// already-index-backed scan a cache hit would save — see
     /// [`ScanCache`].
     pub(crate) fn execute_batch_step(
@@ -1003,7 +1014,7 @@ impl OrpheusDB {
             Request::Checkout(c)
                 if c.versions.len() > 1 && plan.shared_scans(&c.cvd, &c.versions) > 1 =>
             {
-                self.checkout_shared_scan(cache, &c.cvd, &c.versions, &c.table)
+                self.checkout_with(Some(cache), &c.cvd, &c.versions, &c.table)
                     .map(|()| Response::CheckedOut {
                         cvd: c.cvd,
                         versions: c.versions,
@@ -1011,7 +1022,7 @@ impl OrpheusDB {
                     })
             }
             Request::CheckoutCsv(c) if plan.shared_scans(&c.cvd, &c.versions) > 1 => self
-                .checkout_csv_shared_scan(cache, &c.cvd, &c.versions, &c.path)
+                .checkout_csv_with(Some(cache), &c.cvd, &c.versions, &c.path)
                 .map(|csv| Response::CheckedOutCsv {
                     cvd: c.cvd,
                     versions: c.versions,
@@ -1025,84 +1036,6 @@ impl OrpheusDB {
                 self.execute(other)
             }
         }
-    }
-
-    /// Checkout that reuses an already-materialized version-row scan from
-    /// `cache` (seeding it on first use — its callers only route
-    /// multi-version checkouts here, whose merged rows must be
-    /// materialized anyway) instead of re-running the version merge.
-    /// Validation (name availability, CVD and version existence, staging
-    /// registration) is identical to [`OrpheusDB::checkout`]; only the row
-    /// source differs, and the rows themselves are identical whichever
-    /// path produced them.
-    fn checkout_shared_scan(
-        &mut self,
-        cache: &mut ScanCache,
-        cvd_name: &str,
-        vids: &[Vid],
-        table: &str,
-    ) -> Result<()> {
-        if vids.is_empty() {
-            return Err(CoreError::bad_request(
-                CommandKind::Checkout,
-                "checkout requires at least one version",
-            ));
-        }
-        if self.engine.has_table(table) {
-            return Err(CoreError::Invalid(format!("table {table} already exists")));
-        }
-        let cvd = lookup(&self.cvds, cvd_name)?;
-        for v in vids {
-            cvd.check_version(*v)?;
-        }
-        let rows = scan_cached(&mut self.engine, cache, cvd, vids)?;
-        let schema = cvd.staged_schema();
-        self.engine.create_table(table, schema)?;
-        model::insert_rows_bulk(&mut self.engine, table, rows)?;
-        let cvd_key = cvd.name.clone();
-        let created_at = self.tick();
-        self.staging.register(StagedEntry {
-            name: table.to_string(),
-            cvd: cvd_key,
-            parents: vids.to_vec(),
-            owner: self.access.whoami().to_string(),
-            created_at,
-            kind: StagedKind::Table,
-        })?;
-        Ok(())
-    }
-
-    /// CSV-export variant of [`OrpheusDB::checkout_shared_scan`].
-    fn checkout_csv_shared_scan(
-        &mut self,
-        cache: &mut ScanCache,
-        cvd_name: &str,
-        vids: &[Vid],
-        path: &str,
-    ) -> Result<String> {
-        if vids.is_empty() {
-            return Err(CoreError::bad_request(
-                CommandKind::Checkout,
-                "checkout requires at least one version",
-            ));
-        }
-        let cvd = lookup(&self.cvds, cvd_name)?;
-        for v in vids {
-            cvd.check_version(*v)?;
-        }
-        let rows = scan_cached(&mut self.engine, cache, cvd, vids)?;
-        let text = csv::to_csv(&cvd.staged_schema(), &rows);
-        let cvd_key = cvd.name.clone();
-        let created_at = self.tick();
-        self.staging.register(StagedEntry {
-            name: path.to_string(),
-            cvd: cvd_key,
-            parents: vids.to_vec(),
-            owner: self.access.whoami().to_string(),
-            created_at,
-            kind: StagedKind::Csv,
-        })?;
-        Ok(text)
     }
 
     /// Persist the whole instance (engine data + middleware state) to a
@@ -1263,13 +1196,14 @@ pub(crate) type ScanKey = (String, Vec<Vid>);
 /// into the staged table, which a cache round-trip (materialize, clone,
 /// bulk-insert) cannot beat.
 ///
-/// What the cache is worth, measured by forcing
-/// [`BatchPlan::shared_scans`] to 0: `async_storm` with
-/// `ORPHEUS_STORM_OPS=30 ORPHEUS_STORM_RECORDS=2000 ORPHEUS_TRIALS=3` on
-/// 2 cores, 4 alternating runs, reads `speedup_pipelined` 1.065 / 1.160 /
-/// 1.195 / 1.143 with the cache and 1.002 / 1.056 / 0.969 / 0.977
-/// without — about 10 % on batches that export one version set
-/// repeatedly, the margin the `async_storm` floor (≥ 1.0×) sits on.
+/// What the cache is worth, measured at PR 15 by forcing
+/// [`BatchPlan::shared_scans`] to 0: four clients each pipelining 30
+/// rounds of four CSV exports of one version plus a checkout → commit
+/// through async handles, 2 000-record CVDs, 2 cores, 4 alternating runs
+/// of 3 trials — pipelined throughput over per-request sessions read
+/// 1.065 / 1.160 / 1.195 / 1.143 with the cache and 1.002 / 1.056 /
+/// 0.969 / 0.977 without: about 10 % on batches that export one version
+/// set repeatedly.
 #[derive(Debug, Default)]
 pub(crate) struct ScanCache {
     rows: HashMap<ScanKey, Vec<Vec<Value>>>,
@@ -1384,10 +1318,54 @@ fn lookup<'a>(cvds: &'a HashMap<String, Cvd>, name: &str) -> Result<&'a Cvd> {
         .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))
 }
 
+/// [`lookup`] for a checkout: every listed version must exist.
+fn lookup_versions<'a>(
+    cvds: &'a HashMap<String, Cvd>,
+    cvd_name: &str,
+    vids: &[Vid],
+) -> Result<&'a Cvd> {
+    let cvd = lookup(cvds, cvd_name)?;
+    for v in vids {
+        cvd.check_version(*v)?;
+    }
+    Ok(cvd)
+}
+
+/// A checkout names at least one version.
+fn require_versions(vids: &[Vid]) -> Result<()> {
+    if vids.is_empty() {
+        return Err(CoreError::bad_request(
+            CommandKind::Checkout,
+            "checkout requires at least one version",
+        ));
+    }
+    Ok(())
+}
+
 /// Mutable variant of [`lookup`].
 fn lookup_mut<'a>(cvds: &'a mut HashMap<String, Cvd>, name: &str) -> Result<&'a mut Cvd> {
     cvds.get_mut(&name.to_ascii_lowercase())
         .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))
+}
+
+/// The merged rows of `vids` — from `cache` when the batch shares scans
+/// and an earlier checkout of the same version set already merged them.
+fn merged_rows(
+    engine: &mut Database,
+    cache: Option<&mut ScanCache>,
+    cvd: &Cvd,
+    vids: &[Vid],
+) -> Result<Vec<Vec<Value>>> {
+    let Some(cache) = cache else {
+        return merge_versions(engine, cvd, vids);
+    };
+    let key = (cvd.name.to_ascii_lowercase(), vids.to_vec());
+    if let Some(rows) = cache.get(&key) {
+        return Ok(rows.clone());
+    }
+    let rows = merge_versions(engine, cvd, vids)?;
+    cache.insert(key, rows.clone());
+    Ok(rows)
 }
 
 /// Merge multiple versions' records with PK precedence (first listed
@@ -1395,7 +1373,7 @@ fn lookup_mut<'a>(cvds: &'a mut HashMap<String, Cvd>, name: &str) -> Result<&'a 
 /// candidate's PK value slice (rid when there is no PK) and collisions
 /// compare element-wise against the rows already merged — no per-row PK
 /// tuple allocation.
-fn merged_rows(engine: &mut Database, cvd: &Cvd, vids: &[Vid]) -> Result<Vec<Vec<Value>>> {
+fn merge_versions(engine: &mut Database, cvd: &Cvd, vids: &[Vid]) -> Result<Vec<Vec<Value>>> {
     let mut out: Vec<Vec<Value>> = Vec::new();
     let has_pk = !cvd.schema.primary_key.is_empty();
     // Versions frozen before a schema evolution read back narrower than
@@ -1436,23 +1414,6 @@ fn merged_rows(engine: &mut Database, cvd: &Cvd, vids: &[Vid]) -> Result<Vec<Vec
         }
     }
     Ok(out)
-}
-
-/// The merged rows of `vids`, from `cache` when an earlier checkout of
-/// the same version set in this batch already scanned them.
-fn scan_cached(
-    engine: &mut Database,
-    cache: &mut ScanCache,
-    cvd: &Cvd,
-    vids: &[Vid],
-) -> Result<Vec<Vec<Value>>> {
-    let key = (cvd.name.to_ascii_lowercase(), vids.to_vec());
-    if let Some(rows) = cache.get(&key) {
-        return Ok(rows.clone());
-    }
-    let rows = merged_rows(engine, cvd, vids)?;
-    cache.insert(key, rows.clone());
-    Ok(rows)
 }
 
 /// Hash a sequence of values with the engine's `Value` hashing rules

@@ -17,9 +17,9 @@
 //! version's sorted rlist to heap slots through the backing table's rid
 //! index and borrows rows in place, skipping SQL parse/plan/join entirely;
 //! it falls back to the SQL formulation whenever the physical layout has
-//! drifted from what `init_storage` created (the
-//! `checkout_commit` bench gates the speedup, and
-//! `tests/fastpath_equivalence.rs` pins row-for-row equality). Dataset
+//! drifted from what `init_storage` created
+//! (`tests/fastpath_equivalence.rs` pins row-for-row equality; the
+//! ledger's `model.*.version_rows_us` measures the path). Dataset
 //! loading additionally has a bulk path (`bulk = true`) that writes through
 //! the engine's table API directly; benchmarks use it for setup but never
 //! for the timed operations.

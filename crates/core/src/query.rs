@@ -37,6 +37,41 @@ pub fn is_select(sql: &str) -> bool {
         .unwrap_or(false)
 }
 
+/// The table a statement would create, lower-cased: the target of a
+/// `SELECT … INTO <name>` or a `CREATE TABLE [IF NOT EXISTS] <name>`. The
+/// shared executor reserves that name across shards before running the
+/// statement. Statements that cannot be either — the first word is
+/// neither `CREATE` nor a `SELECT` with an `into` somewhere after it — are
+/// told apart without tokenizing, so ordinary reads and writes pay
+/// nothing for the question.
+pub(crate) fn created_table(sql: &str) -> Option<String> {
+    let head = sql.trim_start().as_bytes();
+    let starts_with =
+        |kw: &[u8]| head.len() >= kw.len() && head[..kw.len()].eq_ignore_ascii_case(kw);
+    let select_into =
+        starts_with(b"select") && head.windows(4).any(|w| w.eq_ignore_ascii_case(b"into"));
+    if !select_into && !starts_with(b"create") {
+        return None;
+    }
+    let tokens = tokenize(sql).ok()?;
+    let name_at = if select_into {
+        tokens.iter().position(|t| t.is_kw("into"))? + 1
+    } else if tokens.get(1)?.is_kw("table") {
+        // Past an optional `IF NOT EXISTS`.
+        if tokens.get(2)?.is_kw("if") {
+            5
+        } else {
+            2
+        }
+    } else {
+        return None;
+    };
+    match tokens.get(name_at) {
+        Some(Token::Ident(name)) => Some(name.to_ascii_lowercase()),
+        _ => None,
+    }
+}
+
 /// Translate versioned SQL into engine SQL.
 pub fn translate(odb: &OrpheusDB, sql: &str) -> Result<String> {
     let tokens = tokenize(sql).map_err(CoreError::from)?;

@@ -428,6 +428,11 @@ pub struct SegmentScan {
     pub truncated_tail: bool,
 }
 
+/// The `N` bytes of `bytes` starting at `at`, or `None` past the end.
+fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
+    bytes.get(at..at.checked_add(N)?)?.try_into().ok()
+}
+
 /// Scan a segment, verifying the header, every frame checksum, and
 /// record sequence contiguity. A torn tail is tolerated and reported via
 /// [`SegmentScan::truncated_tail`]; everything else is a typed error.
@@ -437,21 +442,34 @@ pub fn read_segment(path: &Path, expected_gen: u64) -> Result<SegmentScan> {
     })?;
     let corrupt =
         |what: &str| CoreError::Protocol(format!("corrupt WAL segment {}: {what}", path.display()));
+    // The length checks below keep every fixed-width read in range; should
+    // one ever not, the answer is the corruption error, not a panic.
+    let short = |at: usize| corrupt(&format!("file ends inside the field at byte {at}"));
+    let le_u32 = |at| {
+        le_bytes(&bytes, at)
+            .map(u32::from_le_bytes)
+            .ok_or_else(|| short(at))
+    };
+    let le_u64 = |at| {
+        le_bytes(&bytes, at)
+            .map(u64::from_le_bytes)
+            .ok_or_else(|| short(at))
+    };
     if bytes.len() < HEADER_LEN as usize {
         return Err(corrupt("file shorter than the segment header"));
     }
     if &bytes[..8] != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let version = le_u32(8)?;
     if version != WAL_VERSION {
         return Err(corrupt(&format!(
             "format version {version}, expected {WAL_VERSION}"
         )));
     }
-    let gen = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let base_seq = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let crc = u32::from_le_bytes(bytes[28..32].try_into().unwrap());
+    let gen = le_u64(12)?;
+    let base_seq = le_u64(20)?;
+    let crc = le_u32(28)?;
     if crc != crc32(&bytes[8..28]) {
         return Err(corrupt("header checksum mismatch"));
     }
@@ -470,13 +488,13 @@ pub fn read_segment(path: &Path, expected_gen: u64) -> Result<SegmentScan> {
             truncated_tail = true;
             break;
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let len = le_u32(pos)?;
         if len > MAX_RECORD {
             return Err(corrupt(&format!(
                 "frame at byte {pos} claims {len} bytes (max {MAX_RECORD})"
             )));
         }
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+        let crc = le_u32(pos + 4)?;
         let end = pos + 8 + len as usize;
         if end > bytes.len() {
             // The file ends inside the payload: a torn append.

@@ -1,7 +1,8 @@
 //! Keeps `docs/ARCHITECTURE.md` and `docs/CONCURRENCY.md` honest: every
 //! repository path referenced in an inline code span must exist — part of
 //! tier-1, so a rename that forgets a doc fails locally and in CI's `test`
-//! job alike.
+//! job alike. The README rides along for the one thing that rotted there:
+//! pointers to bench bins and result files that no longer exist.
 
 use std::path::Path;
 
@@ -54,6 +55,40 @@ fn every_path_referenced_by_the_architecture_doc_exists() {
 #[test]
 fn every_path_referenced_by_the_concurrency_doc_exists() {
     assert_doc_paths_exist("docs/CONCURRENCY.md");
+}
+
+/// The pre-ledger storm bins, their workloads and their committed result
+/// files are gone (the gates are `differential`, `storm`, `crash_storm`,
+/// `chaos_storm`; perf questions go to `perf_ledger compare`): no doc may
+/// send a reader to them, or name a result file as if it were tracked.
+#[test]
+fn no_doc_points_at_a_deleted_bin_or_a_result_file() {
+    let gone = [
+        "async_storm",
+        "mvcc_storm",
+        "wal_storm",
+        "net_storm",
+        "batch_storm",
+        "contention_storm",
+        "checkout_commit",
+        "--bin concurrency",
+        "--bin batching",
+        "bench-smoke",
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for doc_path in ["README.md", "docs/ARCHITECTURE.md", "docs/CONCURRENCY.md"] {
+        let doc = std::fs::read_to_string(root.join(doc_path))
+            .unwrap_or_else(|_| panic!("{doc_path} exists"));
+        // Prose wraps, so a name can straddle a line break.
+        let flat = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+        let found: Vec<&&str> = gone.iter().filter(|g| flat.contains(**g)).collect();
+        assert!(found.is_empty(), "{doc_path} still mentions {found:?}");
+        // `ORPHEUS_BENCH_OUT` is where artifacts go; a `BENCH_<bin>.json` is one.
+        let result_file = flat
+            .match_indices("BENCH_")
+            .any(|(i, m)| !flat[i + m.len()..].starts_with("OUT"));
+        assert!(!result_file, "{doc_path} names a BENCH_ result file");
+    }
 }
 
 #[test]
