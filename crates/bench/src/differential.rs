@@ -42,7 +42,7 @@ use crate::loader::bench_schema;
 use crate::oracle::Oracle;
 
 /// CVD name used by every arm.
-const CVD: &str = "diff";
+pub const CVD: &str = "diff";
 /// Staged-table name for replayed commits.
 const WORK: &str = "diffwork";
 /// Staged-table name for verification checkouts.
@@ -360,7 +360,7 @@ fn run_arm(
 /// deliberately corrupted oracle.
 pub fn replay<E: Executor>(
     exec: &mut E,
-    gen: HistoryGen,
+    gen: impl IntoIterator<Item = HistoryEvent>,
     model: ModelKind,
     pipeline: bool,
     ctx: &Ctx,

@@ -9,7 +9,7 @@
 
 use orpheus_partition::migration::{plan_migration, plan_naive};
 use orpheus_partition::online::{OnlineConfig, OnlineMaintainer};
-use orpheus_partition::BipartiteGraph;
+use orpheus_partition::{BipartiteGraph, Partitioning, VersionTree};
 
 use crate::datasets::SCI;
 use crate::generator::Workload;
@@ -29,13 +29,17 @@ pub struct StreamResult {
     /// (commit index, Cavg, C*avg) sampled along the stream.
     pub series: Vec<(usize, f64, f64)>,
     pub migrations: Vec<MigrationEvent>,
+    /// `(partition, opened a partition)` of every streamed commit, as the
+    /// maintainer placed it (before any migration that commit triggered).
+    pub placements: Vec<(usize, bool)>,
+    /// Where the stream left the layout.
+    pub layout: Partitioning,
 }
 
 /// Stream the workload's version tree through online maintenance.
 pub fn stream(workload: &Workload, gamma_factor: f64, mu: f64, check_every: usize) -> StreamResult {
     let tree = workload.version_graph().to_tree();
-    let n = tree.num_versions();
-    let mut maintainer = OnlineMaintainer::new(
+    let maintainer = OnlineMaintainer::new(
         OnlineConfig {
             gamma_factor,
             mu,
@@ -44,13 +48,28 @@ pub fn stream(workload: &Workload, gamma_factor: f64, mu: f64, check_every: usiz
         },
         tree.records[0],
     );
+    stream_from(maintainer, workload, &tree)
+}
+
+/// The figure's loop: feed `maintainer` the versions of `tree` it has not
+/// seen yet, migrating whenever it asks to. The product runs this same
+/// maintainer on every commit to a partitioned CVD (pinned by the test
+/// below).
+pub fn stream_from(
+    mut maintainer: OnlineMaintainer,
+    workload: &Workload,
+    tree: &VersionTree,
+) -> StreamResult {
+    let n = tree.num_versions();
     let mut series = Vec::new();
     let mut migrations = Vec::new();
+    let mut placements = Vec::new();
     let sample_every = (n / 40).max(1);
 
-    for v in 1..n {
+    for v in maintainer.tree().num_versions()..n {
         let parent = tree.parent[v].expect("non-root");
         let out = maintainer.commit(parent, tree.weight_to_parent[v], tree.records[v]);
+        placements.push((out.partition, out.opened_partition));
         if let Some(target) = &out.migration_target {
             // Cost the migration both ways on the prefix bipartite graph.
             let bip = BipartiteGraph::new(
@@ -60,9 +79,8 @@ pub fn stream(workload: &Workload, gamma_factor: f64, mu: f64, check_every: usiz
                     .collect(),
             );
             let old = maintainer.partitioning();
-            let prefix_tree = prefix_tree(&tree, v + 1);
-            let smart = plan_migration(&bip, Some(&prefix_tree), &old, &target.partitioning);
-            let naive = plan_naive(&bip, &old, &target.partitioning);
+            let smart = plan_migration(&bip, Some(maintainer.tree()), old, &target.partitioning);
+            let naive = plan_naive(&bip, old, &target.partitioning);
             migrations.push(MigrationEvent {
                 at_commit: v,
                 intelligent_mods: smart.total_modifications(),
@@ -74,17 +92,11 @@ pub fn stream(workload: &Workload, gamma_factor: f64, mu: f64, check_every: usiz
             series.push((v, out.cavg, out.cavg_star));
         }
     }
-    StreamResult { series, migrations }
-}
-
-fn prefix_tree(
-    tree: &orpheus_partition::VersionTree,
-    len: usize,
-) -> orpheus_partition::VersionTree {
-    orpheus_partition::VersionTree {
-        parent: tree.parent[..len].to_vec(),
-        weight_to_parent: tree.weight_to_parent[..len].to_vec(),
-        records: tree.records[..len].to_vec(),
+    StreamResult {
+        series,
+        migrations,
+        placements,
+        layout: maintainer.partitioning().clone(),
     }
 }
 
@@ -185,5 +197,79 @@ mod tests {
             tight.migrations.len(),
             loose.migrations.len()
         );
+    }
+
+    /// The figure measures the product: from the same post-`Optimize`
+    /// state, the figure's loop and `OrpheusDB` commits place every
+    /// version in the same partition, migrate at the same commits and end
+    /// on the same assignment — and the product's placement is physical.
+    #[test]
+    fn the_figure_streams_the_maintainer_the_product_commits_through() {
+        use crate::differential::{replay, Ctx, CVD};
+        use crate::generator::HistoryGen;
+        use orpheus_core::ids::Vid;
+        use orpheus_core::model::ModelKind;
+        use orpheus_core::OrpheusDB;
+
+        const PREFIX: usize = 40;
+        let params = WorkloadParams::sci(120, 12, 40);
+        let workload = Workload::generate(params.clone());
+        let tree = workload.version_graph().to_tree();
+        let ctx = Ctx::for_test("fig14_15", ModelKind::SplitByRlist, params.seed);
+        let mut events = HistoryGen::new(params.history());
+        let mut odb = OrpheusDB::new();
+        let commit = |odb: &mut OrpheusDB, events: Vec<_>| {
+            replay(odb, events, ModelKind::SplitByRlist, false, &ctx).unwrap();
+            odb.cvd(CVD).unwrap().partition.clone()
+        };
+        commit(&mut odb, events.by_ref().take(PREFIX).collect());
+        odb.optimize_with(CVD, 2.0, 1.2).unwrap();
+        let mut state = odb.cvd(CVD).unwrap().partition.clone().unwrap();
+        assert_eq!(state.maintainer().tree().parent, tree.parent[..PREFIX]);
+        assert_eq!(
+            state.maintainer().tree().weight_to_parent,
+            tree.weight_to_parent[..PREFIX]
+        );
+
+        let figure = stream_from(state.maintainer().clone(), &workload, &tree);
+        assert!(!figure.migrations.is_empty(), "the stream migrates");
+        assert!(figure.placements.iter().any(|&(_, opened)| opened));
+
+        for (i, event) in events.enumerate() {
+            let v = PREFIX + i;
+            let after = commit(&mut odb, vec![event]).unwrap();
+            assert_eq!(after.assignment().len(), v + 1);
+            let migrated = after.generation > state.generation;
+            assert_eq!(
+                migrated,
+                figure.migrations.iter().any(|m| m.at_commit == v),
+                "migration at commit {v}"
+            );
+            if !migrated {
+                let opened = after.num_partitions() > state.num_partitions();
+                assert_eq!(
+                    (after.assignment()[v], opened),
+                    figure.placements[i],
+                    "placement of commit {v}"
+                );
+            }
+            // The placement is physical: the version's partition holds
+            // its records and checks it out.
+            let vid = Vid(v as u64 + 1);
+            let cvd = odb.cvd(CVD).unwrap();
+            let (data, _) = cvd.rlist_pair(vid).unwrap();
+            let rids = cvd.rids_of(vid).unwrap().to_vec();
+            let held = odb.engine.table(&data).unwrap().resolve_int_keys(0, &rids);
+            assert_eq!(
+                held.unwrap().len(),
+                rids.len(),
+                "{data} holds version {vid}"
+            );
+            odb.checkout(CVD, &[vid], "placed").unwrap();
+            assert_eq!(odb.engine.table("placed").unwrap().len(), rids.len());
+            odb.discard("placed").unwrap();
+            state = after;
+        }
+        assert_eq!(state.partitioning(), figure.layout);
     }
 }

@@ -197,12 +197,30 @@ impl Cvd {
         format!("{}__attrs", self.name)
     }
 
-    pub fn partition_data_table(&self, k: usize) -> String {
-        format!("{}__p{}_data", self.name, k)
+    /// The `(data, rlist)` tables of partition `k` in migration
+    /// generation `generation`: a partition *is* a split-by-rlist table
+    /// pair, under its own names.
+    pub fn partition_pair(&self, generation: usize, k: usize) -> (String, String) {
+        let table = |role| format!("{}__g{}p{}_{role}", self.name, generation, k);
+        (table("data"), table("rlist"))
     }
 
-    pub fn partition_rlist_table(&self, k: usize) -> String {
-        format!("{}__p{}_rlist", self.name, k)
+    /// Every partition's table pair (none until `optimize` has run).
+    pub fn partition_pairs(&self) -> impl Iterator<Item = (String, String)> + '_ {
+        self.partition.iter().flat_map(move |state| {
+            (0..state.num_partitions()).map(move |k| self.partition_pair(state.generation, k))
+        })
+    }
+
+    /// The split-by-rlist `(data, rlist)` pair that holds version `vid`:
+    /// the global pair, or the pair of the version's partition once
+    /// `optimize` has run. Every Table 1 statement of the model reads
+    /// through this, so a checkout touches |Rk| records instead of |R|.
+    pub fn rlist_pair(&self, vid: Vid) -> Result<(String, String)> {
+        match &self.partition {
+            Some(state) => Ok(self.partition_pair(state.generation, state.partition_of(vid)?)),
+            None => Ok((self.data_table(), self.rlist_table())),
+        }
     }
 
     // -- versions ------------------------------------------------------------

@@ -13,7 +13,7 @@ use crate::cvd::{Cvd, VersionMeta};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::model::{self, CommitData, ModelKind};
-use crate::partition_store::{self, CommitPlacement, OptimizeReport};
+use crate::partition_store::{self, OptimizeReport};
 use crate::query;
 use crate::request::{CommandKind, Executor, Request};
 use crate::response::{LogEntry, Response};
@@ -249,16 +249,6 @@ impl OrpheusDB {
         model::drop_storage(&mut self.engine, &cvd);
         let _ = self.engine.drop_table(&cvd.meta_table());
         let _ = self.engine.drop_table(&cvd.attr_table());
-        if let Some(state) = &cvd.partition {
-            for k in 0..state.num_partitions {
-                let _ = self
-                    .engine
-                    .drop_table(&format!("{}__g{}p{}_data", cvd.name, state.generation, k));
-                let _ = self
-                    .engine
-                    .drop_table(&format!("{}__g{}p{}_rlist", cvd.name, state.generation, k));
-            }
-        }
         self.wal_append(
             self.clock,
             &WalOp::Request(Request::Drop(crate::request::DropCvd {
@@ -382,11 +372,7 @@ impl OrpheusDB {
         }
         let cvd = lookup_versions(&self.cvds, cvd_name, vids)?;
         if let [vid] = *vids {
-            if cvd.partition.is_some() {
-                partition_store::checkout_partitioned(&mut self.engine, cvd, vid, table)?;
-            } else {
-                model::checkout_into(&mut self.engine, cvd, vid, table)?;
-            }
+            model::checkout_into(&mut self.engine, cvd, vid, table)?;
         } else {
             let rows = merged_rows(&mut self.engine, cache, cvd, vids)?;
             let schema = cvd.staged_schema();
@@ -567,16 +553,18 @@ impl OrpheusDB {
         message: &str,
     ) -> Result<Vid> {
         let cvd_key = entry.cvd.to_ascii_lowercase();
-        // Apply any schema evolution first (Section 3.3).
-        self.apply_schema_changes(&entry.cvd, staged_schema)?;
         let cvd = lookup(&self.cvds, &cvd_key)?;
         let vid = Vid(cvd.num_versions() as u64 + 1);
+        // Plan any schema evolution first (Section 3.3) and check the
+        // staged rows against the planned schema: a commit that is
+        // refused is refused before storage or catalog are evolved.
+        let evolved = evolved_schema(&cvd.schema, staged_schema)?;
+        let schema = evolved.as_ref().unwrap_or(&cvd.schema);
 
         // Staged rows → (Option<rid>, values in cvd-schema order).
-        let width = cvd.schema.arity();
+        let width = schema.arity();
         let mut staged: Vec<(Option<i64>, Vec<Value>)> = Vec::with_capacity(rows.len());
-        let col_map: Vec<Option<usize>> = cvd
-            .schema
+        let col_map: Vec<Option<usize>> = schema
             .columns
             .iter()
             .map(|c| {
@@ -606,7 +594,11 @@ impl OrpheusDB {
             staged.push((rid, values));
         }
 
-        check_pk_duplicates(&cvd.schema, staged.iter().map(|(_, v)| v.as_slice()))?;
+        check_pk_duplicates(schema, staged.iter().map(|(_, v)| v.as_slice()))?;
+        if let Some(new_schema) = evolved {
+            self.apply_schema(&cvd_key, new_schema)?;
+        }
+        let cvd = lookup(&self.cvds, &cvd_key)?;
 
         // Classify: unchanged rows keep their rid, everything else is new.
         // Parent records are looked up by borrowing rows in place through
@@ -655,11 +647,7 @@ impl OrpheusDB {
         let new_count = keep.iter().filter(|k| k.is_none()).count();
         // Allocate fresh rids on the catalog entry itself (an error later
         // leaves a harmless gap — rids are never reused anyway).
-        let fresh = self
-            .cvds
-            .get_mut(&cvd_key)
-            .expect("checked above")
-            .alloc_rids(new_count);
+        let fresh = lookup_mut(&mut self.cvds, &cvd_key)?.alloc_rids(new_count);
 
         let mut kept = Vec::with_capacity(staged.len() - new_count);
         let mut new_rows: Vec<Vec<Value>> = Vec::with_capacity(new_count);
@@ -679,7 +667,7 @@ impl OrpheusDB {
         let mut rlist: Vec<i64> = all_records.iter().map(|(r, _)| *r).collect();
         rlist.sort_unstable();
 
-        let cvd = self.cvds.get(&cvd_key).expect("checked above");
+        let cvd = lookup(&self.cvds, &cvd_key)?;
         // One sorted-merge per parent; base selection and parent_weights
         // both come from this single pass.
         let parent_weights = cvd.parent_overlaps(&rlist, &entry.parents);
@@ -706,7 +694,7 @@ impl OrpheusDB {
         }
 
         let commit_t = self.tick();
-        let cvd = self.cvds.get_mut(&cvd_key).expect("checked above");
+        let cvd = lookup_mut(&mut self.cvds, &cvd_key)?;
         let attributes = {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)
@@ -732,22 +720,19 @@ impl OrpheusDB {
         // away), so a failure here must unpublish it everywhere —
         // catalog *and* backing storage — or a half-committed version
         // would answer checkouts and its vid could never be reused.
-        let finalize = {
-            let cvd = self.cvds.get(&cvd_key).expect("checked above");
-            cvd.sync_meta_row(&mut self.engine, vid)
-        }
-        .and_then(|()| {
-            let cvd = self.cvds.get_mut(&cvd_key).expect("checked above");
-            if cvd.partition.is_some() {
-                let _: CommitPlacement = partition_store::on_commit(&mut self.engine, cvd, vid)?;
-            }
-            Ok(())
-        });
+        let finalize = lookup(&self.cvds, &cvd_key)
+            .and_then(|cvd| cvd.sync_meta_row(&mut self.engine, vid))
+            .and_then(|()| {
+                let cvd = lookup_mut(&mut self.cvds, &cvd_key)?;
+                if cvd.partition.is_some() {
+                    partition_store::on_commit(&mut self.engine, cvd, vid)?;
+                }
+                Ok(())
+            });
         if let Err(e) = finalize {
-            let cvd = self.cvds.get_mut(&cvd_key).expect("checked above");
+            let cvd = lookup_mut(&mut self.cvds, &cvd_key)?;
             cvd.versions.pop();
             cvd.version_rids.pop();
-            let cvd = self.cvds.get(&cvd_key).expect("checked above");
             model::rollback_commit(&mut self.engine, cvd, &data);
             partition_store::rollback_placement(&mut self.engine, cvd, vid);
             let _ = self.engine.execute(&format!(
@@ -791,52 +776,26 @@ impl OrpheusDB {
         Ok(vid)
     }
 
-    /// Evolve the CVD schema to accommodate a staged table (single-pool
-    /// scheme of Section 3.3): new attributes are added with NULLs, type
-    /// conflicts widen to the more general type. Planned against a borrow
-    /// of the CVD (only the schema — never `version_rids` — is copied),
-    /// then applied to the engine and the catalog entry.
-    fn apply_schema_changes(&mut self, cvd_name: &str, staged_schema: &Schema) -> Result<()> {
-        let key = cvd_name.to_ascii_lowercase();
-        let cvd = lookup(&self.cvds, &key)?;
-        let mut new_schema = cvd.schema.clone();
-        let mut changed = false;
-        for col in &staged_schema.columns {
-            if col.name.eq_ignore_ascii_case("rid") {
-                continue;
-            }
-            match new_schema.column_index(&col.name) {
-                Ok(i) => {
-                    let old = new_schema.columns[i].dtype;
-                    if old != col.dtype {
-                        let general = old.generalize(col.dtype).ok_or_else(|| {
-                            CoreError::SchemaMismatch(format!(
-                                "column {} cannot change from {} to {}",
-                                col.name, old, col.dtype
-                            ))
-                        })?;
-                        if general != old {
-                            new_schema.columns[i].dtype = general;
-                            changed = true;
-                            alter_model_column_type(&mut self.engine, cvd, &col.name, general)?;
-                        }
-                    }
+    /// Evolve storage and the catalog entry to `new_schema`, as planned by
+    /// [`evolved_schema`]: a column past the current arity is added with
+    /// NULLs, one whose type differs is widened — in every table of the
+    /// layout that carries data attributes, partition tables included. An
+    /// engine failure further down the commit leaves the evolved schema in
+    /// place: catalog and storage agree on it and a retry finds it there.
+    fn apply_schema(&mut self, cvd_key: &str, new_schema: Schema) -> Result<()> {
+        let cvd = lookup(&self.cvds, cvd_key)?;
+        for (i, col) in new_schema.columns.iter().enumerate() {
+            match cvd.schema.columns.get(i) {
+                None => add_model_column(&mut self.engine, cvd, &col.name, col.dtype)?,
+                Some(old) if old.dtype != col.dtype => {
+                    alter_model_column_type(&mut self.engine, cvd, &col.name, col.dtype)?
                 }
-                Err(_) => {
-                    // New attribute: extend storage with NULLs.
-                    new_schema
-                        .columns
-                        .push(orpheus_engine::Column::new(col.name.clone(), col.dtype));
-                    changed = true;
-                    add_model_column(&mut self.engine, cvd, &col.name, col.dtype)?;
-                }
+                Some(_) => {}
             }
         }
-        if changed {
-            let cvd = self.cvds.get_mut(&key).expect("checked above");
-            cvd.schema = new_schema.clone();
-            cvd.attrs.intern_schema(&new_schema);
-        }
+        let cvd = lookup_mut(&mut self.cvds, cvd_key)?;
+        cvd.attrs.intern_schema(&new_schema);
+        cvd.schema = new_schema;
         Ok(())
     }
 
@@ -876,8 +835,7 @@ impl OrpheusDB {
 
     /// `optimize`: run the partition optimizer on a CVD.
     pub fn optimize(&mut self, cvd_name: &str) -> Result<OptimizeReport> {
-        let (gamma, mu) = (self.config.gamma_factor, self.config.mu);
-        self.optimize_with(cvd_name, gamma, mu)
+        self.optimize_weighted(cvd_name, &[])
     }
 
     /// `optimize` with explicit parameters (storage threshold γ factor and
@@ -888,20 +846,7 @@ impl OrpheusDB {
         gamma_factor: f64,
         mu: f64,
     ) -> Result<OptimizeReport> {
-        self.ensure_writable()?;
-        let clock_before = self.clock;
-        let cvd = lookup_mut(&mut self.cvds, cvd_name)?;
-        let report = partition_store::optimize(&mut self.engine, cvd, gamma_factor, mu)?;
-        self.wal_append(
-            clock_before,
-            &WalOp::Request(Request::Optimize(crate::request::Optimize {
-                cvd: cvd_name.to_string(),
-                gamma: Some(gamma_factor),
-                mu: Some(mu),
-                weights: Vec::new(),
-            })),
-        )?;
-        Ok(report)
+        self.optimize_weighted_with(cvd_name, &[], gamma_factor, mu)
     }
 
     /// `optimize` for a skewed workload (Appendix C.2): `freqs` maps
@@ -916,7 +861,13 @@ impl OrpheusDB {
         self.optimize_weighted_with(cvd_name, freqs, gamma, mu)
     }
 
-    /// [`OrpheusDB::optimize_weighted`] with explicit γ factor and µ.
+    /// The one `optimize`: explicit γ factor and µ, and checkout
+    /// frequencies that may be empty. No frequencies means the
+    /// *unweighted* optimizer (LyreSplit on the version tree, `cavg` the
+    /// tree's Cavg) — not weighted LyreSplit with every frequency 1, whose
+    /// `cavg` is the bipartite Cw. The request is logged with `freqs` as
+    /// given and replayed through here, so live and replayed runs pick the
+    /// same optimizer.
     pub fn optimize_weighted_with(
         &mut self,
         cvd_name: &str,
@@ -927,13 +878,15 @@ impl OrpheusDB {
         self.ensure_writable()?;
         let clock_before = self.clock;
         let cvd = lookup_mut(&mut self.cvds, cvd_name)?;
-        let mut full = vec![1u64; cvd.num_versions()];
+        let mut weights = (!freqs.is_empty()).then(|| vec![1u64; cvd.num_versions()]);
         for &(vid, f) in freqs {
             cvd.check_version(vid)?;
-            full[vid.index()] = f;
+            if let Some(w) = &mut weights {
+                w[vid.index()] = f;
+            }
         }
         let report =
-            partition_store::optimize_weighted(&mut self.engine, cvd, &full, gamma_factor, mu)?;
+            partition_store::optimize(&mut self.engine, cvd, weights.as_deref(), gamma_factor, mu)?;
         self.wal_append(
             clock_before,
             &WalOp::Request(Request::Optimize(crate::request::Optimize {
@@ -1129,11 +1082,7 @@ impl Executor for OrpheusDB {
             Request::Optimize(r) => {
                 let gamma = r.gamma.unwrap_or(self.config.gamma_factor);
                 let mu = r.mu.unwrap_or(self.config.mu);
-                let report = if r.weights.is_empty() {
-                    self.optimize_with(&r.cvd, gamma, mu)?
-                } else {
-                    self.optimize_weighted_with(&r.cvd, &r.weights, gamma, mu)?
-                };
+                let report = self.optimize_weighted_with(&r.cvd, &r.weights, gamma, mu)?;
                 Ok(Response::Optimized { cvd: r.cvd, report })
             }
             Request::CreateUser(r) => {
@@ -1276,7 +1225,7 @@ fn alter_model_column_type(
     column: &str,
     new_type: orpheus_engine::DataType,
 ) -> Result<()> {
-    for t in model::backing_tables(cvd) {
+    for t in model::layout_tables(cvd) {
         if let Ok(table) = db.table(&t) {
             if table.schema.has_column(column) {
                 db.table_mut(&t)?.alter_column_type(column, new_type)?;
@@ -1296,7 +1245,11 @@ fn add_model_column(
     // lists (rlist/vlist tables) are unaffected.
     let targets: Vec<String> = match cvd.model {
         ModelKind::CombinedTable => vec![cvd.combined_table()],
-        ModelKind::SplitByVlist | ModelKind::SplitByRlist => vec![cvd.data_table()],
+        // The global data table and, on a partitioned CVD, every
+        // partition's: old versions check out of those.
+        ModelKind::SplitByVlist | ModelKind::SplitByRlist => std::iter::once(cvd.data_table())
+            .chain(cvd.partition_pairs().map(|(data, _)| data))
+            .collect(),
         // Per-version tables (TPV, delta) incorporate the new column only in
         // future versions' tables; existing tables stay as-is and reads
         // null-extend.
@@ -1309,13 +1262,61 @@ fn add_model_column(
     Ok(())
 }
 
+/// The CVD schema once it accommodates a staged table (single-pool scheme
+/// of Section 3.3): new attributes are appended, type conflicts widen to
+/// the more general type. `None` when the staged schema asks for nothing
+/// new. Pure — the whole change is planned (and refused, if it must be)
+/// before [`OrpheusDB::apply_schema`] touches anything.
+fn evolved_schema(current: &Schema, staged: &Schema) -> Result<Option<Schema>> {
+    let mut new_schema = current.clone();
+    let mut changed = false;
+    for col in &staged.columns {
+        if col.name.eq_ignore_ascii_case("rid") {
+            continue;
+        }
+        match new_schema.column_index(&col.name) {
+            Ok(i) => {
+                let old = new_schema.columns[i].dtype;
+                let general = old.generalize(col.dtype).ok_or_else(|| {
+                    CoreError::SchemaMismatch(format!(
+                        "column {} cannot change from {} to {}",
+                        col.name, old, col.dtype
+                    ))
+                })?;
+                if general != old {
+                    new_schema.columns[i].dtype = general;
+                    changed = true;
+                }
+            }
+            Err(_) => {
+                new_schema
+                    .columns
+                    .push(orpheus_engine::Column::new(col.name.clone(), col.dtype));
+                changed = true;
+            }
+        }
+    }
+    Ok(changed.then_some(new_schema))
+}
+
 /// Borrow a CVD from the catalog map by (case-insensitive) name. Free
 /// functions over the field — not `&self` methods — so callers can keep
 /// `self.engine` mutably borrowed while the CVD is borrowed (disjoint
 /// field borrows don't cross method boundaries).
 fn lookup<'a>(cvds: &'a HashMap<String, Cvd>, name: &str) -> Result<&'a Cvd> {
-    cvds.get(&name.to_ascii_lowercase())
+    cvds.get(catalog_key(name).as_ref())
         .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))
+}
+
+/// The catalog key of a CVD name: lower-cased — borrowed when it already
+/// is, so looking up by a key (as the commit path does, repeatedly)
+/// allocates nothing.
+fn catalog_key(name: &str) -> std::borrow::Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        name.to_ascii_lowercase().into()
+    } else {
+        name.into()
+    }
 }
 
 /// [`lookup`] for a checkout: every listed version must exist.
@@ -1344,7 +1345,7 @@ fn require_versions(vids: &[Vid]) -> Result<()> {
 
 /// Mutable variant of [`lookup`].
 fn lookup_mut<'a>(cvds: &'a mut HashMap<String, Cvd>, name: &str) -> Result<&'a mut Cvd> {
-    cvds.get_mut(&name.to_ascii_lowercase())
+    cvds.get_mut(catalog_key(name).as_ref())
         .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))
 }
 
@@ -1788,7 +1789,7 @@ mod tests {
         // next version whichever branch it takes: joining an existing
         // partition hits a dropped rlist table, opening a new one
         // collides with the pre-created blocker.
-        for k in 0..before.num_partitions {
+        for k in 0..before.num_partitions() {
             odb.engine
                 .drop_table(&format!("protein__g{}p{}_rlist", before.generation, k))
                 .unwrap();
@@ -1796,7 +1797,8 @@ mod tests {
         odb.engine
             .execute(&format!(
                 "CREATE TABLE protein__g{}p{}_data (x INT)",
-                before.generation, before.num_partitions
+                before.generation,
+                before.num_partitions()
             ))
             .unwrap();
         assert!(odb.commit("doomed", "x").is_err());
@@ -1804,13 +1806,13 @@ mod tests {
         // Version rolled back, partition state restored (not wiped).
         assert_eq!(cvd.num_versions(), 4);
         let after = cvd.partition.as_ref().unwrap();
-        assert_eq!(after.assignment, before.assignment);
+        assert_eq!(after.assignment(), before.assignment());
         assert_eq!(after.generation, before.generation);
-        assert_eq!(after.num_partitions, before.num_partitions);
+        assert_eq!(after.num_partitions(), before.num_partitions());
         // Repair the layout and retry: the vid is reusable, nothing left
         // over from the aborted placement collides (the blocker table
         // was cleaned up by the rollback itself).
-        for k in 0..before.num_partitions {
+        for k in 0..before.num_partitions() {
             odb.engine
                 .execute(&format!(
                     "CREATE TABLE IF NOT EXISTS protein__g{}p{}_rlist \

@@ -239,7 +239,7 @@ pub fn checkout_into_sql(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -
             db.execute(&split_vlist::checkout_sql(cvd, vid, target))?;
         }
         ModelKind::SplitByRlist => {
-            db.execute(&split_rlist::checkout_sql(cvd, vid, target))?;
+            db.execute(&split_rlist::checkout_sql(cvd, vid, target)?)?;
         }
         ModelKind::DeltaBased => {
             return delta::checkout_sql_replay(db, cvd, vid, target);
@@ -429,9 +429,21 @@ pub fn backing_tables(cvd: &Cvd) -> Vec<String> {
     }
 }
 
-/// Drop all backing tables (used by `drop <cvd>`).
+/// Every table of the CVD's physical layout: the model's backing tables
+/// and, once `optimize` has run, the partition pairs. What a schema change
+/// or a `drop` must reach.
+pub fn layout_tables(cvd: &Cvd) -> Vec<String> {
+    let mut tables = backing_tables(cvd);
+    tables.extend(
+        cvd.partition_pairs()
+            .flat_map(|(data, rlist)| [data, rlist]),
+    );
+    tables
+}
+
+/// Drop the whole physical layout (used by `drop <cvd>`).
 pub fn drop_storage(db: &mut Database, cvd: &Cvd) {
-    for t in backing_tables(cvd) {
+    for t in layout_tables(cvd) {
         let _ = db.drop_table(&t);
     }
 }

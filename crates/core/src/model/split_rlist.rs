@@ -17,10 +17,19 @@ use crate::ids::Vid;
 use crate::model::{self, insert_rows_bulk, insert_rows_sql, int_list, CommitData};
 
 pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
-    db.create_table(&cvd.data_table(), cvd.physical_data_schema())?;
+    create_pair(db, cvd, &cvd.data_table(), &cvd.rlist_table())
+}
+
+/// Create one empty `(data, rlist)` table pair: the CVD's global pair, or
+/// the pair of one partition (see [`Cvd::rlist_pair`]).
+pub(crate) fn create_pair(db: &mut Database, cvd: &Cvd, data: &str, rlist: &str) -> Result<()> {
+    db.create_table(data, cvd.physical_data_schema())?;
+    create_rlist_table(db, rlist)
+}
+
+pub(crate) fn create_rlist_table(db: &mut Database, rlist: &str) -> Result<()> {
     db.execute(&format!(
-        "CREATE TABLE {} (vid INT PRIMARY KEY, rlist INT[])",
-        cvd.rlist_table()
+        "CREATE TABLE {rlist} (vid INT PRIMARY KEY, rlist INT[])"
     ))?;
     Ok(())
 }
@@ -62,38 +71,38 @@ pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData, bulk: bool) -> R
     Ok(())
 }
 
-/// The Table 1 checkout statement for this model.
-pub fn checkout_sql(cvd: &Cvd, vid: Vid, target: &str) -> String {
-    format!(
-        "SELECT d.* INTO {target} FROM {} AS d, \
-         (SELECT unnest(rlist) AS rid_tmp FROM {} WHERE vid = {}) AS tmp \
+/// The Table 1 join of this model: the records of `vid`, out of the table
+/// pair that holds the version. `into` is empty or ` INTO <target>`.
+fn table1_sql(cvd: &Cvd, vid: Vid, into: &str) -> Result<String> {
+    let (data, rlist) = cvd.rlist_pair(vid)?;
+    Ok(format!(
+        "SELECT d.*{into} FROM {data} AS d, \
+         (SELECT unnest(rlist) AS rid_tmp FROM {rlist} WHERE vid = {}) AS tmp \
          WHERE rid = rid_tmp",
-        cvd.data_table(),
-        cvd.rlist_table(),
         vid.0
-    )
+    ))
+}
+
+/// The Table 1 checkout statement for this model.
+pub fn checkout_sql(cvd: &Cvd, vid: Vid, target: &str) -> Result<String> {
+    table1_sql(cvd, vid, &format!(" INTO {target}"))
 }
 
 /// Checkout: rid-index fast path, Table 1 SQL as the fallback spec path.
+/// Either way only the pair holding the version is touched.
 pub fn checkout(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
     let rlist = cvd.rids_of(vid)?;
-    if model::checkout_resolved(db, &cvd.data_table(), cvd, Some(rlist), 0, target)? {
+    let (data, _) = cvd.rlist_pair(vid)?;
+    if model::checkout_resolved(db, &data, cvd, Some(rlist), 0, target)? {
         return Ok(());
     }
-    db.execute(&checkout_sql(cvd, vid, target))?;
+    db.execute(&checkout_sql(cvd, vid, target)?)?;
     Ok(())
 }
 
 /// The Table 1 read formulation, executed through the SQL layer.
 pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
-    let r = db.query(&format!(
-        "SELECT d.* FROM {} AS d, \
-         (SELECT unnest(rlist) AS rid_tmp FROM {} WHERE vid = {}) AS tmp \
-         WHERE rid = rid_tmp",
-        cvd.data_table(),
-        cvd.rlist_table(),
-        vid.0
-    ))?;
+    let r = db.query(&table1_sql(cvd, vid, "")?)?;
     rows_to_records(r.rows)
 }
 

@@ -19,6 +19,8 @@ use orpheus_engine::storage::{
     self, verify_envelope, wrap_envelope, write_atomically, ByteReader, ByteWriter,
 };
 use orpheus_engine::{Column, DataType, Schema};
+use orpheus_partition::online::{OnlineConfig, OnlineMaintainer};
+use orpheus_partition::{Partitioning, VersionTree};
 
 use crate::cvd::{AttrEntry, AttributeRegistry, Cvd, VersionMeta};
 use crate::db::{OrpheusConfig, OrpheusDB};
@@ -223,34 +225,64 @@ fn get_version_meta(r: &mut ByteReader<'_>) -> Result<VersionMeta> {
 }
 
 fn put_partition_state(w: &mut ByteWriter, p: &PartitionState) {
-    w.put_u32(p.assignment.len() as u32);
-    for &a in &p.assignment {
+    let m = p.maintainer();
+    w.put_u32(p.assignment().len() as u32);
+    for &a in p.assignment() {
         w.put_u32(a as u32);
     }
-    w.put_u32(p.num_partitions as u32);
+    w.put_u32(p.num_partitions() as u32);
     w.put_u32(p.generation as u32);
-    w.put_f64(p.delta_star);
-    w.put_f64(p.cavg_star);
-    w.put_f64(p.gamma_factor);
-    w.put_f64(p.mu);
-    w.put_u32(p.migrations as u32);
+    w.put_f64(m.delta_star());
+    w.put_f64(m.cavg_star());
+    w.put_f64(m.config().gamma_factor);
+    w.put_f64(m.config().mu);
+    w.put_u32(m.migrations_triggered() as u32);
 }
 
-fn get_partition_state(r: &mut ByteReader<'_>) -> Result<PartitionState> {
+/// The partition state of a CVD whose version tree is `tree` (the
+/// maintainer's tree is not stored: it is the CVD's).
+fn get_partition_state(r: &mut ByteReader<'_>, tree: VersionTree) -> Result<PartitionState> {
     let n = r.get_u32()? as usize;
     let mut assignment = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         assignment.push(r.get_u32()? as usize);
     }
-    Ok(PartitionState {
-        assignment,
-        num_partitions: r.get_u32()? as usize,
-        generation: r.get_u32()? as usize,
-        delta_star: r.get_f64()?,
-        cavg_star: r.get_f64()?,
+    let num_partitions = r.get_u32()? as usize;
+    let generation = r.get_u32()? as usize;
+    let delta_star = r.get_f64()?;
+    let cavg_star = r.get_f64()?;
+    let config = OnlineConfig {
         gamma_factor: r.get_f64()?,
         mu: r.get_f64()?,
-        migrations: r.get_u32()? as usize,
+        ..OnlineConfig::default()
+    };
+    let migrations = r.get_u32()? as usize;
+    if assignment.len() != tree.num_versions() {
+        return Err(corrupt(format!(
+            "partition assignment covers {} versions, the CVD has {}",
+            assignment.len(),
+            tree.num_versions()
+        )));
+    }
+    if let Some(p) = assignment.iter().find(|&&p| p >= num_partitions) {
+        return Err(corrupt(format!(
+            "partition assignment names partition {p} of {num_partitions}"
+        )));
+    }
+    let partitioning = Partitioning {
+        assignment,
+        num_partitions,
+    };
+    Ok(PartitionState {
+        maintainer: OnlineMaintainer::resume(
+            config,
+            tree,
+            partitioning,
+            delta_star,
+            cavg_star,
+            migrations,
+        ),
+        generation,
     })
 }
 
@@ -303,17 +335,14 @@ fn get_cvd(r: &mut ByteReader<'_>) -> Result<Cvd> {
         let dtype = DataType::parse(&r.get_str()?).map_err(CoreError::from)?;
         entries.push(AttrEntry { id, name, dtype });
     }
-    let partition = if r.get_u8()? != 0 {
-        Some(get_partition_state(r)?)
-    } else {
-        None
-    };
     let mut cvd = Cvd::new(&name, schema, model);
     cvd.versions = versions;
     cvd.version_rids = version_rids;
     cvd.next_rid = next_rid;
     cvd.attrs = AttributeRegistry::from_entries(entries);
-    cvd.partition = partition;
+    if r.get_u8()? != 0 {
+        cvd.partition = Some(get_partition_state(r, cvd.version_tree())?);
+    }
     Ok(cvd)
 }
 
@@ -598,8 +627,16 @@ mod tests {
         assert_eq!(loaded.attrs.entries(), orig.attrs.entries());
         let lp = loaded.partition.as_ref().unwrap();
         let op = orig.partition.as_ref().unwrap();
-        assert_eq!(lp.assignment, op.assignment);
-        assert_eq!(lp.num_partitions, op.num_partitions);
+        assert_eq!(lp.partitioning(), op.partitioning());
+        assert_eq!(lp.generation, op.generation);
+        let (lm, om) = (lp.maintainer(), op.maintainer());
+        assert_eq!(lm.delta_star(), om.delta_star());
+        assert_eq!(lm.cavg_star(), om.cavg_star());
+        assert_eq!(lm.migrations_triggered(), om.migrations_triggered());
+        // The tree is not stored: it is rebuilt from the CVD's versions.
+        assert_eq!(lm.tree().parent, om.tree().parent);
+        assert_eq!(lm.tree().weight_to_parent, om.tree().weight_to_parent);
+        assert_eq!(lm.tree().records, om.tree().records);
         // Staged artifacts preserved.
         assert_eq!(back.staged().len(), odb.staged().len());
     }
@@ -694,6 +731,46 @@ mod tests {
             assert!(
                 matches!(err, CoreError::Storage(_) | CoreError::Engine(_)),
                 "flip at {pos}: {err}"
+            );
+        }
+    }
+
+    /// A partition state that does not fit its CVD is refused at load —
+    /// too short or too long an assignment, or a partition id past the
+    /// count — before any checkout can index out of it.
+    #[test]
+    fn a_partition_state_that_does_not_cover_its_cvd_is_rejected() {
+        let odb = populated();
+        let cvd = odb.cvd("protein").unwrap();
+        let state = cvd.partition.as_ref().unwrap();
+        let encode = |assignment: &[usize], num_partitions: usize| {
+            let mut w = ByteWriter::new();
+            w.put_u32(assignment.len() as u32);
+            for &a in assignment {
+                w.put_u32(a as u32);
+            }
+            w.put_u32(num_partitions as u32);
+            w.put_u32(0);
+            for x in [0.5, 3.0, 2.0, 1.5] {
+                w.put_f64(x);
+            }
+            w.put_u32(0);
+            w.into_bytes()
+        };
+        let load =
+            |bytes: &[u8]| get_partition_state(&mut ByteReader::new(bytes), cvd.version_tree());
+        let (good, k) = (state.assignment(), state.num_partitions());
+        assert_eq!(load(&encode(good, k)).unwrap().assignment(), good);
+
+        let mut long = good.to_vec();
+        long.push(0);
+        let mut out_of_range = good.to_vec();
+        out_of_range[0] = k;
+        for bad in [&good[1..], &long[..], &out_of_range[..]] {
+            let err = load(&encode(bad, k)).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::Storage(m) if m.contains("partition assignment")),
+                "{bad:?}: {err}"
             );
         }
     }

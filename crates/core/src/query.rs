@@ -164,28 +164,22 @@ fn attr_list(cvd: &Cvd) -> String {
 fn version_subquery(cvd: &Cvd, vid: Vid, alias: &str, fresh: &mut usize) -> Result<String> {
     *fresh += 1;
     let k = *fresh;
-    // Partitioned CVDs route to the version's partition tables.
-    let (data, rlist) = match &cvd.partition {
-        Some(state) if cvd.model == ModelKind::SplitByRlist => {
-            let p = state.assignment[vid.index()];
-            (
-                format!("{}__g{}p{}_data", cvd.name, state.generation, p),
-                format!("{}__g{}p{}_rlist", cvd.name, state.generation, p),
-            )
-        }
-        _ => (cvd.data_table(), cvd.rlist_table()),
-    };
     match cvd.model {
-        ModelKind::SplitByRlist => Ok(format!(
-            "(SELECT d.* FROM {data} AS d, \
-             (SELECT unnest(rlist) AS __rid{k} FROM {rlist} WHERE vid = {v}) AS __t{k} \
-             WHERE d.rid = __rid{k}) AS {alias}",
-            v = vid.0
-        )),
+        ModelKind::SplitByRlist => {
+            // The pair holding the version: its partition's, once optimized.
+            let (data, rlist) = cvd.rlist_pair(vid)?;
+            Ok(format!(
+                "(SELECT d.* FROM {data} AS d, \
+                 (SELECT unnest(rlist) AS __rid{k} FROM {rlist} WHERE vid = {v}) AS __t{k} \
+                 WHERE d.rid = __rid{k}) AS {alias}",
+                v = vid.0
+            ))
+        }
         ModelKind::SplitByVlist => Ok(format!(
             "(SELECT d.* FROM {data} AS d, \
              (SELECT rid AS __rid{k} FROM {vt} WHERE ARRAY[{v}] <@ vlist) AS __t{k} \
              WHERE d.rid = __rid{k}) AS {alias}",
+            data = cvd.data_table(),
             vt = cvd.vlist_table(),
             v = vid.0
         )),

@@ -1,5 +1,7 @@
 //! Online maintenance of partitionings as versions stream in
-//! (Section 4.3).
+//! (Section 4.3) — *the* implementation of the rule: `orpheus-core`'s
+//! partitioned layout carries an [`OnlineMaintainer`] and asks it where
+//! every committed version goes, and Figures 14/15 stream the same type.
 //!
 //! On every commit of a new version `vi` with (tree) parent `vj`, the
 //! maintainer either appends `vi` to `vj`'s partition or opens a fresh
@@ -10,6 +12,9 @@
 //! The online checkout cost drifts away from the best achievable cost
 //! `C*avg` (recomputed by running LyreSplit on the full, current version
 //! tree); when `Cavg > µ·C*avg`, migration is triggered (Figures 14/15).
+//!
+//! Partition ids are never renumbered: a caller may name physical tables
+//! after them.
 
 use crate::lyresplit::{lyresplit_for_budget, EdgePick, LyreSplitResult};
 use crate::partitioning::Partitioning;
@@ -65,9 +70,11 @@ pub struct CommitOutcome {
 #[derive(Debug, Clone)]
 pub struct OnlineMaintainer {
     config: OnlineConfig,
+    /// Grown one version per commit: [`crate::VersionGraph::to_tree`] picks
+    /// each version's parent from that version's own edges, so appending
+    /// is exact.
     tree: VersionTree,
-    assignment: Vec<usize>,
-    num_partitions: usize,
+    partitioning: Partitioning,
     /// δ* from the last LyreSplit invocation.
     delta_star: f64,
     /// Cached C*avg from the last check.
@@ -84,24 +91,54 @@ impl OnlineMaintainer {
             weight_to_parent: vec![0],
             records: vec![root_records],
         };
+        OnlineMaintainer::resume(
+            config,
+            tree,
+            Partitioning::single(1),
+            0.5,
+            root_records as f64,
+            0,
+        )
+    }
+
+    /// Continue from a layout that already stands — one LyreSplit just
+    /// produced, or one loaded from a snapshot: `partitioning` over the
+    /// versions of `tree`, the δ* and C*avg of the last check, and the
+    /// migrations counted so far.
+    pub fn resume(
+        config: OnlineConfig,
+        tree: VersionTree,
+        partitioning: Partitioning,
+        delta_star: f64,
+        cavg_star: f64,
+        migrations: usize,
+    ) -> OnlineMaintainer {
+        assert_eq!(
+            partitioning.num_versions(),
+            tree.num_versions(),
+            "the partitioning must cover the tree"
+        );
         OnlineMaintainer {
             config,
             tree,
-            assignment: vec![0],
-            num_partitions: 1,
-            delta_star: 0.5,
-            cavg_star: root_records as f64,
+            partitioning,
+            delta_star,
+            cavg_star,
             commits_since_check: 0,
-            migrations: 0,
+            migrations,
         }
+    }
+
+    pub fn config(&self) -> &OnlineConfig {
+        &self.config
     }
 
     pub fn tree(&self) -> &VersionTree {
         &self.tree
     }
 
-    pub fn partitioning(&self) -> Partitioning {
-        Partitioning::from_assignment(self.assignment.clone())
+    pub fn partitioning(&self) -> &Partitioning {
+        &self.partitioning
     }
 
     pub fn migrations_triggered(&self) -> usize {
@@ -112,21 +149,36 @@ impl OnlineMaintainer {
         self.delta_star
     }
 
+    /// Best checkout cost found at the last check.
+    pub fn cavg_star(&self) -> f64 {
+        self.cavg_star
+    }
+
     /// Current (online) checkout cost.
     pub fn cavg(&self) -> f64 {
-        self.partitioning().checkout_cost_tree(&self.tree)
+        self.partitioning.checkout_cost_tree(&self.tree)
     }
 
     /// Current storage cost.
     pub fn storage(&self) -> u64 {
-        self.partitioning().storage_cost_tree(&self.tree)
+        self.partitioning.storage_cost_tree(&self.tree)
     }
 
     /// Commit a new version derived from `parent` sharing `weight` records,
     /// containing `records` records in total.
     pub fn commit(&mut self, parent: VersionId, weight: u64, records: u64) -> CommitOutcome {
         assert!(parent < self.tree.num_versions(), "unknown parent version");
-        self.tree.parent.push(Some(parent));
+        self.place(Some(parent), weight, records)
+    }
+
+    /// Commit a version that derives from no other: it shares nothing, so
+    /// it opens a partition of its own.
+    pub fn commit_root(&mut self, records: u64) -> CommitOutcome {
+        self.place(None, 0, records)
+    }
+
+    fn place(&mut self, parent: Option<VersionId>, weight: u64, records: u64) -> CommitOutcome {
+        self.tree.parent.push(parent);
         self.tree.weight_to_parent.push(weight);
         self.tree.records.push(records);
         let v = self.tree.num_versions() - 1;
@@ -135,51 +187,44 @@ impl OnlineMaintainer {
         // budget ⇒ open a new partition; otherwise join the parent.
         let total_r = self.tree.total_records();
         let gamma = (self.config.gamma_factor * total_r as f64) as u64;
-        let weak_edge = (weight as f64) <= self.delta_star * total_r as f64;
-        let current_s = {
+        let joined = parent.and_then(|p| {
+            let weak_edge = (weight as f64) <= self.delta_star * total_r as f64;
             // Storage with v provisionally in the parent's partition.
-            self.assignment.push(self.assignment[parent]);
-            let s = self.storage();
-            self.assignment.pop();
-            s
-        };
-        let (partition, opened) = if weak_edge && current_s < gamma {
-            self.num_partitions += 1;
-            (self.num_partitions - 1, true)
-        } else {
-            (self.assignment[parent], false)
-        };
-        self.assignment.push(partition);
+            let home = self.partitioning.assignment[p];
+            self.partitioning.assignment.push(home);
+            let slack = self.storage() < gamma;
+            self.partitioning.assignment.pop();
+            (!(weak_edge && slack)).then_some(home)
+        });
+        let partition = joined.unwrap_or(self.partitioning.num_partitions);
+        if joined.is_none() {
+            self.partitioning.num_partitions += 1;
+        }
+        self.partitioning.assignment.push(partition);
+        let cavg = self.cavg();
 
-        // Periodically recompute the best achievable cost.
+        // Periodically recompute the best achievable cost; the candidate
+        // is handed back when the online cost has drifted past µ of it.
+        let mut migration_target = None;
         self.commits_since_check += 1;
         if self.commits_since_check >= self.config.check_every {
             self.commits_since_check = 0;
             let (best, _) = lyresplit_for_budget(&self.tree, gamma, self.config.pick);
             self.delta_star = best.delta;
             self.cavg_star = best.partitioning.checkout_cost_tree(&self.tree);
-            // Keep the candidate around in case migration triggers.
-            let cavg = self.cavg();
             if cavg > self.config.mu * self.cavg_star {
                 self.migrations += 1;
-                return CommitOutcome {
-                    version: v,
-                    partition,
-                    opened_partition: opened,
-                    cavg,
-                    cavg_star: self.cavg_star,
-                    migration_target: Some(best),
-                };
+                migration_target = Some(best);
             }
         }
 
         CommitOutcome {
             version: v,
             partition,
-            opened_partition: opened,
-            cavg: self.cavg(),
+            opened_partition: joined.is_none(),
+            cavg,
             cavg_star: self.cavg_star,
-            migration_target: None,
+            migration_target,
         }
     }
 
@@ -190,8 +235,7 @@ impl OnlineMaintainer {
             self.tree.num_versions(),
             "migration target must cover all versions"
         );
-        self.assignment = target.partitioning.assignment.clone();
-        self.num_partitions = target.partitioning.num_partitions;
+        self.partitioning = target.partitioning.clone();
         self.delta_star = target.delta;
     }
 }

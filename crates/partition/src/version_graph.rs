@@ -135,10 +135,7 @@ impl VersionGraph {
         let mut parent = vec![None; n];
         let mut weight = vec![0u64; n];
         for v in 0..n {
-            let best = self.parents[v]
-                .iter()
-                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
-            if let Some(&(p, w)) = best {
+            if let Some((p, w)) = tree_parent(self.parents[v].iter().copied()) {
                 parent[v] = Some(p);
                 weight[v] = w;
             }
@@ -180,6 +177,16 @@ impl VersionGraph {
         }
         dup
     }
+}
+
+/// The one incoming edge of a version that [`VersionGraph::to_tree`] keeps:
+/// the heaviest, ties toward the smaller parent id. It looks at nothing but
+/// the version's own `(parent, weight)` edges, so a tree can be grown one
+/// committed version at a time.
+pub fn tree_parent(edges: impl IntoIterator<Item = (VersionId, u64)>) -> Option<(VersionId, u64)> {
+    edges
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
 }
 
 /// A version tree: each non-root version has exactly one parent. This is

@@ -91,8 +91,8 @@ fn main() {
         .expect("state");
     println!(
         "\ncommitted {v}; online maintenance placed it in partition {} of {} (migrations so far: {})",
-        state.assignment[v.index()],
-        state.num_partitions,
-        state.migrations
+        state.assignment()[v.index()],
+        state.num_partitions(),
+        state.maintainer().migrations_triggered()
     );
 }

@@ -1,8 +1,9 @@
 //! Keeps `docs/ARCHITECTURE.md` and `docs/CONCURRENCY.md` honest: every
 //! repository path referenced in an inline code span must exist — part of
 //! tier-1, so a rename that forgets a doc fails locally and in CI's `test`
-//! job alike. The README rides along for the one thing that rotted there:
-//! pointers to bench bins and result files that no longer exist.
+//! job alike. The README's file pointers are held to the same rule, and it
+//! rides along for the other thing that rotted there: pointers to bench
+//! bins and result files that no longer exist.
 
 use std::path::Path;
 
@@ -55,6 +56,11 @@ fn every_path_referenced_by_the_architecture_doc_exists() {
 #[test]
 fn every_path_referenced_by_the_concurrency_doc_exists() {
     assert_doc_paths_exist("docs/CONCURRENCY.md");
+}
+
+#[test]
+fn every_path_referenced_by_the_readme_exists() {
+    assert_doc_paths_exist("README.md");
 }
 
 /// The pre-ledger storm bins, their workloads and their committed result

@@ -221,8 +221,8 @@ fn partitioned_checkout_equivalence_with_online_commits() {
             .unwrap();
         commit_vid(&mut odb, &t, "stream");
     }
-    let state = odb.cvd("w").unwrap().partition.as_ref().unwrap().clone();
-    assert_eq!(state.assignment.len(), 68);
+    let state = odb.cvd("w").unwrap().partition.as_ref().unwrap();
+    assert_eq!(state.assignment().len(), 68);
     // Checkout of the newest version still matches its recorded rids.
     let latest = odb.cvd("w").unwrap().latest().unwrap();
     odb.dispatch(Checkout::of("w").version(latest).into_table("final"))

@@ -207,6 +207,7 @@ fn merge_checkout_precedence_is_first_listed_wins() {
 #[test]
 fn partitioned_checkout_matches_sql_and_unpartitioned() {
     let mut odb = build_history(ModelKind::SplitByRlist);
+    let mut plain = build_history(ModelKind::SplitByRlist);
     odb.optimize("prot").unwrap();
     let versions = odb.cvd("prot").unwrap().num_versions();
     for v in 1..=versions as u64 {
@@ -214,13 +215,20 @@ fn partitioned_checkout_matches_sql_and_unpartitioned() {
         // Partitioned fast path (what `checkout` routes to)...
         let part_t = format!("part_{v}");
         odb.checkout("prot", &[Vid(v)], &part_t).unwrap();
-        // ...against the unpartitioned model read and the SQL formulation.
+        // ...against its partition's Table 1 statement and the same
+        // version of an instance that never ran `optimize`.
         let model_t = format!("model_{v}");
         model::checkout_into_sql(&mut odb.engine, &cvd, Vid(v), &model_t).unwrap();
         assert_eq!(
             table_rows_by_rid(&mut odb, &part_t),
             table_rows_by_rid(&mut odb, &model_t),
             "v{v}"
+        );
+        plain.checkout("prot", &[Vid(v)], &part_t).unwrap();
+        assert_eq!(
+            table_rows_by_rid(&mut odb, &part_t),
+            table_rows_by_rid(&mut plain, &part_t),
+            "v{v} against the unpartitioned instance"
         );
         odb.discard(&part_t).unwrap();
     }
@@ -231,7 +239,6 @@ fn partitioned_checkout_matches_sql_and_unpartitioned() {
         .execute("INSERT INTO w5 VALUES (NULL, 'n3', 'm3', 7)")
         .unwrap();
     odb.commit("w5", "post-optimize").unwrap();
-    let plain = build_history(ModelKind::SplitByRlist);
     let cvd = odb.cvd("prot").unwrap();
     assert_eq!(cvd.num_versions(), 5);
     assert_eq!(
@@ -273,6 +280,180 @@ fn schema_evolution_keeps_fast_and_sql_paths_equal() {
         );
         assert_eq!(cvd.next_rid, before, "{}", model.name());
     }
+}
+
+/// `init` → one commit → (optionally) `optimize` → `ADD COLUMN` commit →
+/// `INT → DOUBLE` commit. `partition` is the (γ factor, µ) to optimize
+/// with; `None` leaves the CVD unpartitioned — the reference.
+fn evolved_after_optimize(partition: Option<(f64, f64)>) -> OrpheusDB {
+    let mut odb = OrpheusDB::new();
+    odb.init_cvd("prot", schema(), rows(), Some(ModelKind::SplitByRlist))
+        .unwrap();
+    odb.checkout("prot", &[Vid(1)], "w2").unwrap();
+    odb.engine
+        .execute("INSERT INTO w2 VALUES (NULL, 'n1', 'm1', 5)")
+        .unwrap();
+    odb.commit("w2", "grow").unwrap();
+    if let Some((gamma, mu)) = partition {
+        odb.optimize_with("prot", gamma, mu).unwrap();
+    }
+    odb.checkout("prot", &[Vid(2)], "evo").unwrap();
+    odb.engine
+        .execute("ALTER TABLE evo ADD COLUMN extra INT")
+        .unwrap();
+    odb.engine
+        .execute("UPDATE evo SET extra = 1 WHERE protein1 = 'p3'")
+        .unwrap();
+    odb.commit("evo", "add a column").unwrap();
+    odb.checkout("prot", &[Vid(3)], "wide").unwrap();
+    odb.engine
+        .execute("ALTER TABLE wide ALTER COLUMN score TYPE DOUBLE")
+        .unwrap();
+    odb.engine
+        .execute("UPDATE wide SET score = 0.5 WHERE protein1 = 'p4'")
+        .unwrap();
+    odb.commit("wide", "widen a column").unwrap();
+    odb
+}
+
+/// Schema evolution on a partitioned CVD: the partition data tables are
+/// widened and retyped with the global one, whether the evolved version
+/// opens a partition of its own (default γ) or joins its parent's (γ = 1,
+/// no storage slack), so every version checks out and answers versioned
+/// queries exactly as it does unpartitioned.
+#[test]
+fn schema_evolution_reaches_the_partitions() {
+    let mut plain = evolved_after_optimize(None);
+    for (gamma, mu) in [(2.0, 1.5), (1.0, 100.0)] {
+        let mut parted = evolved_after_optimize(Some((gamma, mu)));
+        assert!(parted.cvd("prot").unwrap().partition.is_some());
+        assert_eq!(parted.cvd("prot").unwrap().num_versions(), 4);
+        for v in 1..=4u64 {
+            let checked_out = |odb: &mut OrpheusDB| {
+                odb.checkout("prot", &[Vid(v)], "t").unwrap();
+                let q = odb.engine.query("SELECT * FROM t ORDER BY rid").unwrap();
+                odb.discard("t").unwrap();
+                (q.schema.columns.len(), q.rows)
+            };
+            assert_eq!(
+                checked_out(&mut parted),
+                checked_out(&mut plain),
+                "γ={gamma}: checkout of v{v}"
+            );
+            for predicate in ["extra = 1", "score > 0.4 AND score < 0.6"] {
+                let sql = format!("SELECT count(*) FROM VERSION {v} OF CVD prot WHERE {predicate}");
+                assert_eq!(
+                    parted.run(&sql).unwrap().rows,
+                    plain.run(&sql).unwrap().rows,
+                    "γ={gamma}: {sql}"
+                );
+            }
+            let cvd = parted.cvd("prot").unwrap().clone();
+            let fast = sorted_rows(model::version_rows(&mut parted.engine, &cvd, Vid(v)).unwrap());
+            let sql =
+                sorted_rows(model::version_rows_sql(&mut parted.engine, &cvd, Vid(v)).unwrap());
+            assert_eq!(
+                fast, sql,
+                "γ={gamma}: v{v} fast path vs its partition's Table 1"
+            );
+        }
+    }
+}
+
+/// A refused commit changes no schema — not the CVD's and not that of any
+/// table of the (partitioned) layout, rows untouched — whatever evolution
+/// its staged table asked for, including widenings to TEXT that no
+/// coercion could take back; and the same table commits once repaired.
+#[test]
+fn a_refused_commit_changes_no_schema() {
+    let state = |odb: &mut OrpheusDB| {
+        let cvd = odb.cvd("prot").unwrap().clone();
+        let tables: Vec<(String, Schema)> = model::layout_tables(&cvd)
+            .into_iter()
+            .map(|t| {
+                let schema = (*odb.engine.table(&t).unwrap().schema).clone();
+                (t, schema)
+            })
+            .collect();
+        let rows: Vec<_> = (1..=4)
+            .map(|v| sorted_rows(model::version_rows_sql(&mut odb.engine, &cvd, Vid(v)).unwrap()))
+            .collect();
+        (cvd.schema, tables, rows)
+    };
+    // (score's new type, a staged row repeating the primary key of p3/q3)
+    for (widened, duplicate) in [
+        ("DOUBLE", "(NULL, 'p3', 'q3', 1.5, 1)"),
+        ("TEXT", "(NULL, 'p3', 'q3', 'high', 1)"),
+    ] {
+        let mut odb = build_history(ModelKind::SplitByRlist);
+        odb.optimize("prot").unwrap();
+        let before = state(&mut odb);
+        assert!(before.1.len() > 2, "the layout has partition tables");
+
+        odb.checkout("prot", &[Vid(4)], "evo").unwrap();
+        odb.engine
+            .execute("ALTER TABLE evo ADD COLUMN extra INT")
+            .unwrap();
+        odb.engine
+            .execute(&format!(
+                "ALTER TABLE evo ALTER COLUMN score TYPE {widened}"
+            ))
+            .unwrap();
+        odb.engine
+            .execute(&format!("INSERT INTO evo VALUES {duplicate}"))
+            .unwrap();
+        let err = odb.commit("evo", "refused").unwrap_err();
+        assert!(matches!(err, CoreError::PrimaryKeyViolation(_)), "{err}");
+        assert_eq!(state(&mut odb), before, "score → {widened}");
+        // Nothing is left half-evolved: the optimizer still reads every table.
+        odb.optimize("prot").unwrap();
+
+        odb.engine
+            .execute("DELETE FROM evo WHERE rid IS NULL")
+            .unwrap();
+        let v5 = odb.commit("evo", "repaired").unwrap();
+        assert_eq!(odb.cvd("prot").unwrap().schema.arity(), 4);
+        assert_eq!(odb.version_rows("prot", v5).unwrap()[0].1.len(), 4);
+    }
+
+    // DOUBLE → TEXT: refused next to a duplicate key, applied without it.
+    let mut odb = OrpheusDB::new();
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("ratio", DataType::Double),
+    ])
+    .with_primary_key(&["id"])
+    .unwrap();
+    let rows = vec![
+        vec![Value::Int(1), Value::Double(0.5)],
+        vec![Value::Int(2), Value::Double(1.5)],
+    ];
+    odb.init_cvd("m", schema, rows, Some(ModelKind::SplitByRlist))
+        .unwrap();
+    odb.optimize("m").unwrap();
+    let snapshot = |odb: &mut OrpheusDB| {
+        let cvd = odb.cvd("m").unwrap().clone();
+        let data = cvd.rlist_pair(Vid(1)).unwrap().0;
+        let stored = (*odb.engine.table(&data).unwrap().schema).clone();
+        (cvd.schema, stored, odb.version_rows("m", Vid(1)).unwrap())
+    };
+    let before = snapshot(&mut odb);
+    odb.checkout("m", &[Vid(1)], "w").unwrap();
+    odb.engine
+        .execute("ALTER TABLE w ALTER COLUMN ratio TYPE TEXT")
+        .unwrap();
+    odb.engine
+        .execute("INSERT INTO w VALUES (NULL, 1, 'dup')")
+        .unwrap();
+    assert!(odb.commit("w", "refused").is_err());
+    assert_eq!(snapshot(&mut odb), before);
+    odb.engine
+        .execute("DELETE FROM w WHERE rid IS NULL")
+        .unwrap();
+    odb.commit("w", "widened").unwrap();
+    let after = snapshot(&mut odb);
+    assert_eq!(after.0.columns[1].dtype, DataType::Text);
+    assert_eq!(after.1.columns.last().unwrap().dtype, DataType::Text);
 }
 
 #[test]

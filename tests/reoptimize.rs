@@ -4,8 +4,9 @@
 //! version must check out of the migrated partitions exactly as it does
 //! from the unpartitioned data table.
 
-use orpheusdb::bench::differential::{replay, Ctx};
+use orpheusdb::bench::differential::{replay, verify_against, Ctx};
 use orpheusdb::bench::generator::{HistoryGen, HistoryParams};
+use orpheusdb::bench::oracle::Oracle;
 use orpheusdb::core::model;
 use orpheusdb::prelude::*;
 
@@ -108,4 +109,57 @@ fn reoptimize_after_20_online_commits() {
 #[test]
 fn reoptimize_after_32_online_commits() {
     reoptimize_after(32);
+}
+
+/// The partitioned layout under the oracle, on a history LyreSplit does
+/// not get to choose: merges (a DAG, so the tree drops edges) and `ADD
+/// COLUMN` commits (so partition tables are widened online). `Optimize`
+/// after the prefix, online commits, `Optimize` again; then graph, rlist
+/// and rows at every version equal the oracle's, and versioned queries
+/// answer as the same history replayed unpartitioned does.
+#[test]
+fn partitioned_history_with_merges_and_add_column_matches_the_oracle() {
+    const ONLINE: usize = 30;
+    let evolving = |versions| HistoryParams {
+        merge_prob: 0.2,
+        evolve_every: 15,
+        ..history(versions)
+    };
+    let ctx = Ctx::for_test("reoptimize-evolving", ModelKind::SplitByRlist, 1);
+    let replay_into = |odb: &mut OrpheusDB, versions: usize, skip: usize| {
+        let mut gen = HistoryGen::new(evolving(versions));
+        gen.by_ref().take(skip).for_each(drop);
+        replay(odb, gen, ModelKind::SplitByRlist, false, &ctx).unwrap();
+    };
+
+    let mut parted = OrpheusDB::new();
+    replay_into(&mut parted, PREFIX, 0);
+    optimize(&mut parted).unwrap();
+    replay_into(&mut parted, PREFIX + ONLINE, PREFIX);
+    optimize(&mut parted).unwrap();
+    let mut plain = OrpheusDB::new();
+    replay_into(&mut plain, PREFIX + ONLINE, 0);
+
+    let oracle = Oracle::replay(HistoryGen::new(evolving(PREFIX + ONLINE)));
+    let merges = (1..=oracle.num_versions() as u64)
+        .filter(|&v| oracle.version(v).parents.len() > 1)
+        .count();
+    let widths = |odb: &OrpheusDB| odb.cvd(CVD).unwrap().schema.arity();
+    assert!(merges > 0, "the history has merges");
+    assert!(widths(&parted) > 4, "the history added columns");
+    assert_eq!(widths(&parted), widths(&plain));
+
+    let every_version: Vec<u64> = (1..=(PREFIX + ONLINE) as u64).collect();
+    verify_against(&mut parted, &oracle, &every_version, &ctx).unwrap();
+    let last_column = widths(&parted) - 1;
+    for v in every_version {
+        let sql = format!(
+            "SELECT count(*), count(a{last_column}), sum(a0) FROM VERSION {v} OF CVD {CVD}"
+        );
+        assert_eq!(
+            parted.run(&sql).unwrap().rows,
+            plain.run(&sql).unwrap().rows,
+            "{sql}"
+        );
+    }
 }

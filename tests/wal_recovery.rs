@@ -199,6 +199,79 @@ fn torn_final_record_is_truncated_and_the_prefix_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `Optimize` and the online placements after it are replayed, not
+/// stored: a log holding both must rebuild the same partitioned layout —
+/// from the log alone, and from a checkpoint snapshot (which keeps the
+/// assignment but not the maintainer's tree) plus the log's tail.
+#[test]
+fn optimize_and_online_commits_replay_to_the_same_partition_state() {
+    /// One commit that keeps little of version 1: a weak edge, so online
+    /// maintenance has partitions to open.
+    fn diverge(odb: &mut OrpheusDB, i: i64) {
+        let t = format!("d{i}");
+        odb.execute(Checkout::of("grades").version(1u64).into_table(&t).into())
+            .expect("checkout");
+        odb.execute(Run::sql(format!("DELETE FROM {t} WHERE id > 0")).into())
+            .expect("delete");
+        for j in 0..8 {
+            let id = 1000 * i + j;
+            odb.execute(Run::sql(format!("INSERT INTO {t} (id, grade) VALUES ({id}, {j})")).into())
+                .expect("insert");
+        }
+        odb.execute(Commit::table(&t).message("diverge").into())
+            .expect("commit");
+    }
+    fn layout(odb: &OrpheusDB) -> (Vec<usize>, usize, usize, usize) {
+        let state = odb.cvd("grades").unwrap().partition.as_ref().unwrap();
+        (
+            state.assignment().to_vec(),
+            state.num_partitions(),
+            state.generation,
+            state.maintainer().migrations_triggered(),
+        )
+    }
+    fn checkouts(odb: &mut OrpheusDB) -> Vec<usize> {
+        (1..=odb.cvd("grades").unwrap().num_versions() as u64)
+            .map(|v| {
+                odb.checkout("grades", &[Vid(v)], "probe")
+                    .expect("checkout");
+                let n = odb.engine.table("probe").unwrap().len();
+                odb.discard("probe").expect("discard");
+                n
+            })
+            .collect()
+    }
+
+    let dir = tmp_dir("optimize");
+    let mut odb = recovery::open(&dir).expect("open fresh");
+    seed_and_commit(&mut odb);
+    diverge(&mut odb, 1);
+    odb.execute(Optimize::cvd("grades").gamma(3.0).mu(1.2).into())
+        .expect("optimize");
+    for i in 2..6 {
+        diverge(&mut odb, i);
+    }
+    let (before, sizes) = (layout(&odb), checkouts(&mut odb));
+    assert!(before.1 > 1, "the layout has several partitions");
+    drop(odb);
+
+    let mut again = recovery::open(&dir).expect("reopen from the log");
+    assert_eq!(layout(&again), before);
+    assert_eq!(checkouts(&mut again), sizes);
+
+    // Snapshot + tail: the commits after the checkpoint are placed by a
+    // maintainer resumed from the snapshot.
+    recovery::checkpoint(&mut again).expect("checkpoint");
+    diverge(&mut again, 6);
+    seed_and_commit_on_existing(&mut again);
+    let (before, sizes) = (layout(&again), checkouts(&mut again));
+    drop(again);
+    let mut third = recovery::open(&dir).expect("reopen from snapshot + log");
+    assert_eq!(layout(&third), before);
+    assert_eq!(checkouts(&mut third), sizes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A checkout → commit cycle against an already-seeded `grades` CVD.
 fn seed_and_commit_on_existing(odb: &mut OrpheusDB) -> Vid {
     odb.execute(Checkout::of("grades").version(1u64).into_table("w").into())
