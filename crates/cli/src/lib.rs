@@ -552,14 +552,11 @@ pub fn run(
     if inv.use_async || inv.user.is_some() {
         let shared = SharedOrpheusDB::new(odb);
         if inv.use_async {
-            let mut pool = AsyncExecutor::new(shared.clone());
-            match &inv.user {
-                Some(user) => {
-                    let mut handle = pool.handle(user)?;
-                    drive(&mut handle, &mut files, &mode, interactive, input, out, err)?;
-                }
-                None => drive(&mut pool, &mut files, &mode, interactive, input, out, err)?,
-            }
+            let pool = AsyncExecutor::new(shared.clone());
+            // Without --as, the handle carries the instance identity.
+            let user = inv.user.clone().unwrap_or_else(|| shared.instance_user());
+            let mut handle = pool.handle(&user)?;
+            drive(&mut handle, &mut files, &mode, interactive, input, out, err)?;
             // Join the coordinator and workers before snapshotting, so the
             // saved state reflects every accepted submission.
             drop(pool);

@@ -396,11 +396,11 @@ struct Submission {
 }
 
 enum Msg {
-    Submit(Submission),
-    /// One client's pipelined batch, travelling as a single message so
-    /// the coordinator sees it whole (one chunk, maximal sub-batches)
-    /// instead of reassembling it from interleaved singles.
-    SubmitMany(Vec<Submission>),
+    /// One client's submission — a pipelined batch, or a batch of one —
+    /// travelling as a single message so the coordinator sees it whole
+    /// (one chunk, maximal sub-batches) instead of reassembling it from
+    /// interleaved singles.
+    Submit(Vec<Submission>),
     Shutdown,
 }
 
@@ -470,18 +470,16 @@ fn coordinator_loop(
         };
         let mut chunk: Vec<Submission> = Vec::new();
         match first {
-            Msg::Submit(s) => chunk.push(s),
-            Msg::SubmitMany(batch) => chunk.extend(batch),
+            Msg::Submit(batch) => chunk.extend(batch),
             Msg::Shutdown => shutting_down = true,
         }
         // Coalesce whatever else already queued up: under load this is
         // what turns request-at-a-time clients into big per-shard
-        // sub-batches. A SubmitMany batch always lands in one chunk
+        // sub-batches. A submitted batch always lands in one chunk
         // (CHUNK_MAX bounds the drain, not an already-atomic batch).
         while !shutting_down && chunk.len() < CHUNK_MAX {
             match rx.try_recv() {
-                Ok(Msg::Submit(s)) => chunk.push(s),
-                Ok(Msg::SubmitMany(batch)) => chunk.extend(batch),
+                Ok(Msg::Submit(batch)) => chunk.extend(batch),
                 Ok(Msg::Shutdown) => shutting_down = true,
                 Err(_) => break,
             }
@@ -501,19 +499,11 @@ fn coordinator_loop(
     // in the queue now (a drain loops until `Empty`), so synchronous
     // callers blocked on tickets are not stranded.
     while let Ok(msg) = rx.try_recv() {
-        let len = match &msg {
-            Msg::Submit(_) => 1,
-            Msg::SubmitMany(batch) => batch.len(),
-            Msg::Shutdown => 0,
-        };
-        match msg {
-            Msg::Submit(s) => process_chunk_guarded(&shared, &exec, &pool, vec![s], inline),
-            Msg::SubmitMany(batch) if !batch.is_empty() => {
-                process_chunk_guarded(&shared, &exec, &pool, batch, inline)
-            }
-            _ => {}
+        if let Msg::Submit(batch) = msg {
+            let len = batch.len();
+            process_chunk_guarded(&shared, &exec, &pool, batch, inline);
+            depth.fetch_sub(len, Ordering::SeqCst);
         }
-        depth.fetch_sub(len, Ordering::SeqCst);
     }
     // Phase 2 — publish `closed`, then *refuse* (never execute) whatever
     // raced in. Together with `AsyncHandle::close_race_check` this makes
@@ -524,11 +514,7 @@ fn coordinator_loop(
     // never both execute and report failure.
     closed.store(true, Ordering::SeqCst);
     while let Ok(msg) = rx.try_recv() {
-        let refused = match msg {
-            Msg::Submit(s) => vec![s],
-            Msg::SubmitMany(batch) => batch,
-            Msg::Shutdown => continue,
-        };
+        let Msg::Submit(refused) = msg else { continue };
         for submission in refused {
             depth.fetch_sub(1, Ordering::SeqCst);
             submission.ticket.fulfill(Err(shutdown_error()));
@@ -621,10 +607,9 @@ fn process_chunk(
 /// for handles; owns the threads and joins them on drop, after finishing
 /// all accepted submissions.
 ///
-/// Implements [`Executor`] through an internal handle bound to the
-/// instance identity, so executor-generic code (the CLI, the bench
-/// harness's `drive`) runs on it unchanged; concurrent clients each take
-/// their own [`AsyncHandle`].
+/// The pool itself executes nothing on anyone's behalf: every client —
+/// executor-generic code (the CLI, the bench harness's `drive`) included —
+/// takes an [`AsyncHandle`], which is the [`Executor`].
 #[derive(Debug)]
 pub struct AsyncExecutor {
     shared: SharedOrpheusDB,
@@ -637,7 +622,6 @@ pub struct AsyncExecutor {
     /// Published (true) by the coordinator once it will never read the
     /// channel again — the submit-side half of the shutdown handshake.
     closed: Arc<AtomicBool>,
-    root: AsyncHandle,
     coordinator: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -689,18 +673,11 @@ impl AsyncExecutor {
                 std::thread::spawn(move || pool.worker_loop(&exec))
             })
             .collect();
-        let root = AsyncHandle {
-            tx: tx.clone(),
-            closed: Arc::clone(&closed),
-            depth: Arc::clone(&depth),
-            user: shared.instance_user(),
-        };
         AsyncExecutor {
             shared,
             tx,
             depth,
             closed,
-            root,
             coordinator: Some(coordinator),
             workers: worker_handles,
         }
@@ -738,11 +715,6 @@ impl AsyncExecutor {
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
-
-    /// Submit through the instance-identity handle without blocking.
-    pub fn submit(&self, request: impl Into<Request>) -> Ticket {
-        self.root.submit(request)
-    }
 }
 
 impl Drop for AsyncExecutor {
@@ -754,22 +726,6 @@ impl Drop for AsyncExecutor {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-    }
-}
-
-/// Executor-generic code drives the pool through its instance-identity
-/// handle: `execute` submits and waits, `batch` pipelines (submit
-/// everything, then wait in submission order).
-impl Executor for AsyncExecutor {
-    fn execute(&mut self, request: Request) -> Result<Response> {
-        self.root.execute(request)
-    }
-
-    fn batch<I: IntoIterator<Item = Request>>(&mut self, requests: I) -> Vec<Result<Response>>
-    where
-        Self: Sized,
-    {
-        self.root.batch(requests)
     }
 }
 
@@ -810,19 +766,9 @@ impl AsyncHandle {
     /// executor has shut down, the ticket resolves immediately to an
     /// error instead of waiting forever.
     pub fn submit(&self, request: impl Into<Request>) -> Ticket {
-        let cell = TicketCell::new();
-        let submission = Submission {
-            user: self.user.clone(),
-            request: request.into(),
-            ticket: Arc::clone(&cell),
-        };
-        self.depth.fetch_add(1, Ordering::SeqCst);
-        if self.tx.send(Msg::Submit(submission)).is_err() {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            cell.fulfill(Err(shutdown_error()));
-        }
-        self.close_race_check(std::slice::from_ref(&cell));
-        Ticket(cell)
+        self.submit_batch([request])
+            .pop()
+            .expect("submit_batch answers one ticket per request")
     }
 
     /// Enqueue a whole request vector as **one** message: the coordinator
@@ -848,7 +794,7 @@ impl AsyncHandle {
         if !submissions.is_empty() {
             let len = submissions.len();
             self.depth.fetch_add(len, Ordering::SeqCst);
-            if self.tx.send(Msg::SubmitMany(submissions)).is_err() {
+            if self.tx.send(Msg::Submit(submissions)).is_err() {
                 self.depth.fetch_sub(len, Ordering::SeqCst);
                 for cell in &cells {
                     cell.fulfill(Err(shutdown_error()));

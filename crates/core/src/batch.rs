@@ -48,9 +48,8 @@
 
 use std::collections::HashMap;
 
-use orpheus_engine::sql::lexer::{tokenize, Token};
-
 use crate::ids::Vid;
+use crate::query::Lexed;
 use crate::request::{Request, Target};
 use crate::staging::StagedKind;
 
@@ -119,27 +118,8 @@ pub trait BatchRouter {
 
     /// Route one SQL statement: `Some(key)` when it can run under a single
     /// shard, `None` when it needs the sequential path (multi-CVD
-    /// statements, unparsable SQL).
-    fn sql_shard(&self, sql: &str) -> Option<ShardKey>;
-}
-
-/// Identifiers appearing in a statement, for overlay resolution: staged
-/// tables created earlier in the batch are invisible to the router's
-/// live-catalog analysis (they materialize only when the plan runs), so
-/// the planner scans the raw tokens itself and resolves each name through
-/// the overlay. Unparsable SQL yields no names — the router already sends
-/// it sequential.
-fn sql_idents(sql: &str) -> Vec<String> {
-    match tokenize(sql) {
-        Ok(tokens) => tokens
-            .into_iter()
-            .filter_map(|t| match t {
-                Token::Ident(name) => Some(name),
-                _ => None,
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    }
+    /// statements).
+    fn sql_shard(&self, sql: &Lexed) -> Option<ShardKey>;
 }
 
 /// Whether a shard-routed request is a pure read — executable against an
@@ -149,7 +129,7 @@ fn sql_idents(sql: &str) -> Vec<String> {
 fn is_read_only(request: &Request) -> bool {
     match request {
         Request::Log(_) | Request::Diff(_) => true,
-        Request::Run(r) => crate::query::is_select(&r.sql),
+        Request::Run(r) => r.is_select(),
         _ => false,
     }
 }
@@ -343,11 +323,13 @@ impl BatchPlan {
                     // a fresh checkout must join that shard's group —
                     // ordered against the checkout and the commit — not
                     // the auxiliary group; names landing on two different
-                    // shards make it cross-shard, which goes sequential.
-                    Target::Sql(sql) => router.sql_shard(sql).and_then(|base| {
-                        let mut resolved = base;
-                        for name in sql_idents(sql) {
-                            let state = name_state(&overlay, router, &name, StagedKind::Table);
+                    // shards make it cross-shard, which goes sequential —
+                    // as does an unlexable statement, whose error its
+                    // execution surfaces.
+                    Target::Sql(run) => run.lexed().ok().and_then(|sql| {
+                        let mut resolved = router.sql_shard(sql)?;
+                        for name in sql.idents() {
+                            let state = name_state(&overlay, router, name, StagedKind::Table);
                             if let NameState::Held { shard, .. } = state {
                                 if resolved == ShardKey::Aux {
                                     resolved = shard;
@@ -444,7 +426,7 @@ mod tests {
         fn staged_shard(&self, _name: &str, _kind: StagedKind) -> Option<ShardKey> {
             None
         }
-        fn sql_shard(&self, _sql: &str) -> Option<ShardKey> {
+        fn sql_shard(&self, _sql: &Lexed) -> Option<ShardKey> {
             Some(ShardKey::Aux)
         }
     }
@@ -594,7 +576,7 @@ mod tests {
             fn staged_shard(&self, name: &str, _kind: StagedKind) -> Option<ShardKey> {
                 (name == "t").then(|| cvd_key("left"))
             }
-            fn sql_shard(&self, _sql: &str) -> Option<ShardKey> {
+            fn sql_shard(&self, _sql: &Lexed) -> Option<ShardKey> {
                 Some(ShardKey::Aux)
             }
         }

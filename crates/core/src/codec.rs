@@ -419,7 +419,7 @@ pub fn put_request(out: &mut Vec<u8>, request: &Request) {
         }
         Request::Run(r) => {
             out.push(7);
-            put_str(out, &r.sql);
+            put_str(out, r.text());
         }
         Request::Ls => out.push(8),
         Request::Log(r) => {
@@ -509,7 +509,7 @@ pub fn read_request(r: &mut Reader<'_>) -> Result<Request> {
             from: Vid(r.u64()?),
             to: Vid(r.u64()?),
         }),
-        7 => Request::Run(Run { sql: r.str()? }),
+        7 => Request::Run(Run::sql(r.str()?)),
         8 => Request::Ls,
         9 => Request::Log(Log { cvd: r.str()? }),
         10 => Request::Drop(DropCvd { cvd: r.str()? }),

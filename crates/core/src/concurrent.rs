@@ -130,7 +130,7 @@ use std::sync::Mutex as StdMutex;
 
 use parking_lot::{ArcSwap, RwLock};
 
-use orpheus_engine::sql::lexer::{tokenize, Token};
+use orpheus_engine::sql::lexer::Token;
 use orpheus_engine::{EngineError, QueryResult, Value};
 
 use crate::access::AccessController;
@@ -139,6 +139,7 @@ use crate::db::{OrpheusConfig, OrpheusDB, VersionDiff};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::partition_store::OptimizeReport;
+use crate::query::Lexed;
 use crate::request::{Checkout, Commit, Diff, Discard, Executor, Optimize, Request, Run, Target};
 use crate::response::Response;
 use crate::staging::StagedKind;
@@ -716,7 +717,7 @@ impl SharedOrpheusDB {
     }
 
     /// The instance-level identity (what non-session tooling operates as).
-    pub(crate) fn instance_user(&self) -> String {
+    pub fn instance_user(&self) -> String {
         let cat = self.inner.catalog_read();
         cat.access.whoami().to_string()
     }
@@ -782,53 +783,38 @@ fn under_identity<T>(
     result
 }
 
-/// How one SQL statement routes under per-CVD locking.
-#[derive(Debug)]
-struct SqlPlan {
-    /// CVD keys the statement touches ([`AUX_KEY`] never appears here).
-    cvds: BTreeSet<String>,
-    /// Whether the statement is a plain `SELECT` (read-only).
-    is_select: bool,
-}
-
-/// Scan a statement for CVD references: `CVD <name>` patterns,
-/// staged-table names, and backing-table names (`<cvd>__...`).
-fn analyze_sql(cat: &Catalog, sql: &str) -> Result<SqlPlan> {
-    let tokens = tokenize(sql).map_err(CoreError::from)?;
-    // `SELECT ... INTO` materializes a table, so it does not count as
-    // read-only here — mirroring [`crate::query::is_select`].
-    let is_select = tokens.first().is_some_and(|t| t.is_kw("select"))
-        && !tokens.iter().any(|t| t.is_kw("into"));
+/// The CVD keys a statement touches ([`AUX_KEY`] never among them): `CVD
+/// <name>` patterns, staged-table names, and backing-table names
+/// (`<cvd>__...`). A name is looked up as a table even where it also
+/// follows `CVD`: naming a shard too many costs a wider snapshot or lock
+/// set, naming one too few a wrong answer.
+fn analyze_sql(cat: &Catalog, sql: &Lexed) -> Result<BTreeSet<String>> {
     let mut cvds = BTreeSet::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_kw("cvd") {
-            if let Some(Token::Ident(name)) = tokens.get(i + 1) {
+    for pair in sql.tokens().windows(2) {
+        if let [cvd_kw, Token::Ident(name)] = pair {
+            if cvd_kw.is_kw("cvd") {
                 let key = name.to_ascii_lowercase();
                 if !cat.shards.contains_key(&key) {
                     return Err(CoreError::CvdNotFound(name.clone()));
                 }
                 cvds.insert(key);
-                i += 2;
-                continue;
             }
         }
-        if let Token::Ident(name) = &tokens[i] {
-            let key = name.to_ascii_lowercase();
-            if let Some(cvd) = cat
-                .staged
-                .get(&Catalog::staged_key(&key, StagedKind::Table))
-            {
-                if cvd != AUX_KEY {
-                    cvds.insert(cvd.clone());
-                }
-            } else if let Some(cvd) = cat.claim_by_prefix(&key) {
-                cvds.insert(cvd);
-            }
-        }
-        i += 1;
     }
-    Ok(SqlPlan { cvds, is_select })
+    for name in sql.idents() {
+        let key = name.to_ascii_lowercase();
+        if let Some(cvd) = cat
+            .staged
+            .get(&Catalog::staged_key(&key, StagedKind::Table))
+        {
+            if cvd != AUX_KEY {
+                cvds.insert(cvd.clone());
+            }
+        } else if let Some(cvd) = cat.claim_by_prefix(&key) {
+            cvds.insert(cvd);
+        }
+    }
+    Ok(cvds)
 }
 
 /// Fast-path flag for the panic-injection test hook below: checked with
@@ -1003,9 +989,9 @@ fn release_reservations(inner: &Inner, cat_key: &str, keys: &[String], side_tabl
 
 /// The in-shard execution of one `run` statement: the Section 2.3 access
 /// guard plus versioned translation.
-fn shard_sql(odb: &mut OrpheusDB, user: &str, sql: &str) -> Result<QueryResult> {
+fn shard_sql(odb: &mut OrpheusDB, user: &str, sql: &Lexed) -> Result<QueryResult> {
     guard_sql(odb, user, sql)?;
-    odb.run(sql)
+    odb.run_lexed(sql)
 }
 
 /// The staged-index bookkeeping a request implies for the closing catalog
@@ -1032,10 +1018,10 @@ struct Leftovers {
     consumed: Vec<String>,
     /// Staged-index keys of the checkouts that failed.
     failed_checkouts: Vec<String>,
-    /// `(item index, user, sql)` of statements that failed with
+    /// `(item index, user, statement)` of statements that failed with
     /// `TableNotFound`: they reference tables outside the shard and are
     /// retried across shards ([`ConcurrentExecutor::sql_spanning`]).
-    spanning: Vec<(usize, String, String)>,
+    spanning: Vec<(usize, String, Run)>,
 }
 
 /// Log `user` into `db`, unless `current` says the previous item already
@@ -1095,13 +1081,13 @@ fn execute_items(
                     // bus must not be a way around the Section 2.3
                     // staged-table access rule.
                     Request::Run(run) => {
-                        if !crate::query::is_select(&run.sql) {
+                        if !run.is_select() {
                             // Raw SQL can write into backing tables; the
                             // cached scans must not outlive it.
                             scan_cache.clear();
                         }
-                        match shard_sql(db, user, &run.sql) {
-                            Err(CoreError::Engine(EngineError::TableNotFound(_))) => Err(run.sql),
+                        match run.lexed().and_then(|sql| shard_sql(db, user, sql)) {
+                            Err(CoreError::Engine(EngineError::TableNotFound(_))) => Err(run),
                             other => Ok(other.map(Response::Rows)),
                         }
                     }
@@ -1110,8 +1096,8 @@ fn execute_items(
             }));
             match executed {
                 Ok(Ok(result)) => result,
-                Ok(Err(sql)) => {
-                    left.spanning.push((i, item.user.clone(), sql));
+                Ok(Err(run)) => {
+                    left.spanning.push((i, item.user.clone(), run));
                     continue;
                 }
                 Err(_) => {
@@ -1157,13 +1143,14 @@ impl BatchRouter for CatalogRouter<'_> {
             })
     }
 
-    fn sql_shard(&self, sql: &str) -> Option<ShardKey> {
-        let mut cvds = analyze_sql(self.catalog, sql).ok()?.cvds.into_iter();
+    fn sql_shard(&self, sql: &Lexed) -> Option<ShardKey> {
+        let mut cvds = analyze_sql(self.catalog, sql).ok()?.into_iter();
         match (cvds.next(), cvds.next()) {
             (None, _) => Some(ShardKey::Aux),
             (Some(only), None) => Some(ShardKey::Cvd(only)),
-            // Multi-CVD statements (and, above, unparsable SQL) go
-            // sequential: the barrier spans shards or surfaces the error.
+            // Multi-CVD statements (and, above, ones naming an unknown
+            // CVD) go sequential: the barrier spans shards or surfaces
+            // the error.
             _ => None,
         }
     }
@@ -1396,8 +1383,8 @@ impl ConcurrentExecutor {
             };
             spanning
         };
-        for (i, user, sql) in spanning {
-            items[i].out = Some(self.sql_spanning(&user, cat_key, &sql).map(Response::Rows));
+        for (i, user, run) in spanning {
+            items[i].out = Some(self.sql_spanning(&user, cat_key, &run).map(Response::Rows));
         }
     }
 
@@ -1411,7 +1398,7 @@ impl ConcurrentExecutor {
         plan: &BatchPlan,
         key: &ShardKey,
         items: &mut [SubItem],
-    ) -> Option<Vec<(usize, String, String)>> {
+    ) -> Option<Vec<(usize, String, Run)>> {
         let cat_key = catalog_key(key);
 
         // Reserve every name the sub-batch is about to create — checkout
@@ -1421,9 +1408,10 @@ impl ConcurrentExecutor {
         // shard.
         let mut reserved: Vec<String> = Vec::new();
         let mut side_tables: Vec<String> = Vec::new();
+        let side_table = |run: &Run| run.lexed().ok().and_then(Lexed::created_table);
         let creates = |item: &SubItem| match &item.request {
             Some(Request::Checkout(_) | Request::CheckoutCsv(_)) => true,
-            Some(Request::Run(r)) => crate::query::created_table(&r.sql).is_some(),
+            Some(Request::Run(r)) => side_table(r).is_some(),
             _ => false,
         };
         if items.iter().any(creates) {
@@ -1436,7 +1424,7 @@ impl ConcurrentExecutor {
                     Some(Request::CheckoutCsv(c)) => cat
                         .reserve(&c.cvd, StagedKind::Csv, &c.path)
                         .map(|key| reserved.push(key)),
-                    Some(Request::Run(r)) => match crate::query::created_table(&r.sql) {
+                    Some(Request::Run(r)) => match side_table(r) {
                         // A name this sub-batch already holds is the
                         // shard's to decide about, in submission order.
                         Some(table) if !side_tables.contains(&table) => cat
@@ -1566,9 +1554,9 @@ impl ConcurrentExecutor {
                         // `run_items` answers every item it is handed.
                         item.out.expect("every scheduled request is answered")
                     }
-                    (_, Request::Run(run)) => self
-                        .sql_spanning(user, AUX_KEY, &run.sql)
-                        .map(Response::Rows),
+                    (_, Request::Run(run)) => {
+                        self.sql_spanning(user, AUX_KEY, &run).map(Response::Rows)
+                    }
                     (_, other) => Err(match other.target() {
                         Target::Cvd(cvd) => CoreError::CvdNotFound(cvd.to_string()),
                         Target::StagedTable(name) | Target::StagedCsv(name) => {
@@ -1607,20 +1595,18 @@ impl ConcurrentExecutor {
     /// lock-free snapshot of the involved shards plus the auxiliary shard —
     /// of the whole instance when it names no CVD at all — and a writing
     /// statement as a cross-CVD write transaction.
-    fn sql_spanning(&self, user: &str, home: &str, sql: &str) -> Result<QueryResult> {
+    fn sql_spanning(&self, user: &str, home: &str, run: &Run) -> Result<QueryResult> {
+        let sql = run.lexed()?;
         let cat = self.inner.catalog_read();
-        let SqlPlan {
-            mut cvds,
-            is_select,
-        } = analyze_sql(&cat, sql)?;
+        let mut cvds = analyze_sql(&cat, sql)?;
         if home != AUX_KEY {
             cvds.insert(home.to_string());
         }
-        if !is_select {
+        if !sql.is_select() {
             drop(cat);
             // A table such a statement creates stays behind in the
             // auxiliary shard; reserved like any other side table.
-            let side_table = crate::query::created_table(sql);
+            let side_table = sql.created_table();
             if let Some(table) = &side_table {
                 self.inner
                     .catalog_write()
@@ -1653,7 +1639,7 @@ impl ConcurrentExecutor {
         &self,
         user: &str,
         keys: &BTreeSet<String>,
-        sql: &str,
+        sql: &Lexed,
     ) -> Result<QueryResult> {
         let cat = self.inner.catalog_read();
         let shards: Vec<(&String, Arc<Shard>)> = keys
@@ -1771,9 +1757,9 @@ impl Executor for ConcurrentExecutor {
 }
 
 /// Reject SQL that references another user's staged table. The check
-/// tokenizes the statement and compares identifiers against the staging
-/// registry, which catches direct reads, writes, joins, and subqueries.
-fn guard_sql(odb: &OrpheusDB, user: &str, sql: &str) -> Result<()> {
+/// compares the statement's identifiers against the staging registry,
+/// which catches direct reads, writes, joins, and subqueries.
+fn guard_sql(odb: &OrpheusDB, user: &str, sql: &Lexed) -> Result<()> {
     let foreign: Vec<&crate::staging::StagedEntry> = odb
         .staged()
         .into_iter()
@@ -1782,15 +1768,12 @@ fn guard_sql(odb: &OrpheusDB, user: &str, sql: &str) -> Result<()> {
     if foreign.is_empty() {
         return Ok(());
     }
-    let tokens = tokenize(sql).map_err(CoreError::from)?;
-    for t in &tokens {
-        if let Token::Ident(name) = t {
-            if let Some(entry) = foreign.iter().find(|e| e.name.eq_ignore_ascii_case(name)) {
-                return Err(CoreError::PermissionDenied(format!(
-                    "{} belongs to {}, not {user}",
-                    entry.name, entry.owner
-                )));
-            }
+    for name in sql.idents() {
+        if let Some(entry) = foreign.iter().find(|e| e.name.eq_ignore_ascii_case(name)) {
+            return Err(CoreError::PermissionDenied(format!(
+                "{} belongs to {}, not {user}",
+                entry.name, entry.owner
+            )));
         }
     }
     Ok(())

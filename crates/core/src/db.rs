@@ -14,7 +14,7 @@ use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::model::{self, CommitData, ModelKind};
 use crate::partition_store::{self, OptimizeReport};
-use crate::query;
+use crate::query::{self, Lexed};
 use crate::request::{CommandKind, Executor, Request};
 use crate::response::{LogEntry, Response};
 use crate::staging::{StagedEntry, StagedKind, StagingArea};
@@ -829,8 +829,15 @@ impl OrpheusDB {
     /// `run`: execute SQL with the versioned extensions (`VERSION n OF CVD
     /// x`, `CVD x`) translated to plain SQL (Section 2.2).
     pub fn run(&mut self, sql: &str) -> Result<QueryResult> {
-        let translated = query::translate(self, sql)?;
-        Ok(self.engine.execute(&translated)?)
+        self.run_lexed(&Lexed::new(sql)?)
+    }
+
+    /// [`OrpheusDB::run`] on a statement that is already lexed: the
+    /// translator rewrites the token vector and the engine parses it — the
+    /// text is never read again.
+    pub(crate) fn run_lexed(&mut self, sql: &Lexed) -> Result<QueryResult> {
+        let translated = query::translate(self, sql.tokens())?;
+        Ok(self.engine.execute_tokens(&translated)?)
     }
 
     /// `optimize`: run the partition optimizer on a CVD.
@@ -1066,7 +1073,7 @@ impl Executor for OrpheusDB {
                     diff,
                 })
             }
-            Request::Run(r) => Ok(Response::Rows(self.run(&r.sql)?)),
+            Request::Run(r) => Ok(Response::Rows(self.run_lexed(r.lexed()?)?)),
             Request::Ls => Ok(Response::CvdList(self.ls())),
             Request::Log(r) => {
                 let entries = self.log_entries(&r.cvd)?;
@@ -1193,7 +1200,7 @@ impl BatchRouter for OrpheusDB {
             .map(|cvd| ShardKey::Cvd(cvd.to_ascii_lowercase()))
     }
 
-    fn sql_shard(&self, _sql: &str) -> Option<ShardKey> {
+    fn sql_shard(&self, _sql: &Lexed) -> Option<ShardKey> {
         // A single-threaded instance runs all SQL in place; grouping it
         // under the auxiliary key keeps plans barrier-free.
         Some(ShardKey::Aux)
@@ -1214,7 +1221,7 @@ fn invalidates_shared_scans(request: &Request) -> bool {
         | Request::InitFromCsv(_)
         | Request::Drop(_)
         | Request::Optimize(_) => true,
-        Request::Run(r) => !query::is_select(&r.sql),
+        Request::Run(r) => !r.is_select(),
         _ => false,
     }
 }

@@ -12,7 +12,11 @@
 //! queries without reconstructing every version — exactly the drawback the
 //! paper cites for delta storage — so translation reports an error for it.
 
+use std::borrow::Cow;
+use std::collections::HashSet;
+
 use orpheus_engine::sql::lexer::{tokenize, Token};
+use orpheus_engine::EngineError;
 
 use crate::cvd::Cvd;
 use crate::db::OrpheusDB;
@@ -20,109 +24,142 @@ use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::model::ModelKind;
 
-/// Whether a statement is a plain `SELECT`. Batching executors use this to
-/// decide when a statement can be retried on a read snapshot and when it
-/// may invalidate cached version scans (a non-SELECT can write anywhere,
-/// including a model's backing tables). Unparsable SQL reports `false` —
-/// callers treat it as potentially writing and let execution surface the
-/// parse error. `SELECT ... INTO t` materializes a table, so it reports
-/// `false` too: serving it from an MVCC snapshot would silently discard
-/// the created table.
-pub fn is_select(sql: &str) -> bool {
-    tokenize(sql)
-        .map(|tokens| {
-            tokens.first().is_some_and(|t| t.is_kw("select"))
-                && !tokens.iter().any(|t| t.is_kw("into"))
+/// One lexing of a SQL statement — the only place the middleware turns
+/// SQL text into tokens. A [`crate::request::Run`] caches one of these, and
+/// everything that has to look at the statement before the engine runs it
+/// (batch routing, the Section 2.3 access guard, side-table reservation,
+/// this module's translator) reads the same token vector, which the
+/// engine's parser then consumes as it is.
+#[derive(Debug, Clone)]
+pub struct Lexed {
+    /// What the engine's lexer returned, `Eof` included.
+    tokens: Vec<Token>,
+}
+
+impl Lexed {
+    pub fn new(sql: &str) -> std::result::Result<Lexed, EngineError> {
+        tokenize(sql).map(|tokens| Lexed { tokens })
+    }
+
+    /// The tokens, ending in `Eof`.
+    pub fn tokens(&self) -> &[Token] {
+        &self.tokens
+    }
+
+    /// The identifiers and keywords of the statement, each spelling once,
+    /// in order of first appearance — what the name-by-name checks
+    /// (routing, the access guard) walk, so that the 200 `NULL`s of a
+    /// 200-row `INSERT` cost them one lookup.
+    pub fn idents(&self) -> impl Iterator<Item = &str> {
+        let mut seen = HashSet::new();
+        self.tokens.iter().filter_map(move |t| match t {
+            Token::Ident(name) if seen.insert(name.as_str()) => Some(name.as_str()),
+            _ => None,
         })
-        .unwrap_or(false)
-}
-
-/// The table a statement would create, lower-cased: the target of a
-/// `SELECT … INTO <name>` or a `CREATE TABLE [IF NOT EXISTS] <name>`. The
-/// shared executor reserves that name across shards before running the
-/// statement. Statements that cannot be either — the first word is
-/// neither `CREATE` nor a `SELECT` with an `into` somewhere after it — are
-/// told apart without tokenizing, so ordinary reads and writes pay
-/// nothing for the question.
-pub(crate) fn created_table(sql: &str) -> Option<String> {
-    let head = sql.trim_start().as_bytes();
-    let starts_with =
-        |kw: &[u8]| head.len() >= kw.len() && head[..kw.len()].eq_ignore_ascii_case(kw);
-    let select_into =
-        starts_with(b"select") && head.windows(4).any(|w| w.eq_ignore_ascii_case(b"into"));
-    if !select_into && !starts_with(b"create") {
-        return None;
     }
-    let tokens = tokenize(sql).ok()?;
-    let name_at = if select_into {
-        tokens.iter().position(|t| t.is_kw("into"))? + 1
-    } else if tokens.get(1)?.is_kw("table") {
-        // Past an optional `IF NOT EXISTS`.
-        if tokens.get(2)?.is_kw("if") {
-            5
-        } else {
-            2
+
+    fn starts_with(&self, kw: &str) -> bool {
+        self.tokens.first().is_some_and(|t| t.is_kw(kw))
+    }
+
+    /// Where the `INTO` of a `SELECT … INTO <name>` sits: the one shape of
+    /// `SELECT` that writes (it materializes a table).
+    fn select_into(&self) -> Option<usize> {
+        if !self.starts_with("select") {
+            return None;
         }
-    } else {
-        return None;
-    };
-    match tokens.get(name_at) {
-        Some(Token::Ident(name)) => Some(name.to_ascii_lowercase()),
-        _ => None,
+        self.tokens.iter().position(|t| t.is_kw("into"))
+    }
+
+    /// Whether the statement is a plain `SELECT`. Executors use this to
+    /// decide when a statement can be served from a read snapshot and when
+    /// it may invalidate cached version scans (a non-SELECT can write
+    /// anywhere, including a model's backing tables). `SELECT … INTO t`
+    /// reports `false`: serving it from an MVCC snapshot would silently
+    /// discard the created table.
+    pub fn is_select(&self) -> bool {
+        self.starts_with("select") && self.select_into().is_none()
+    }
+
+    /// The table the statement would create, lower-cased: the target of a
+    /// `SELECT … INTO <name>` or a `CREATE TABLE [IF NOT EXISTS] <name>`.
+    /// The shared executor reserves that name across shards before running
+    /// the statement.
+    pub fn created_table(&self) -> Option<String> {
+        let name_at = if let Some(into) = self.select_into() {
+            into + 1
+        } else if self.starts_with("create") && self.tokens.get(1)?.is_kw("table") {
+            // Past an optional `IF NOT EXISTS`.
+            if self.tokens.get(2)?.is_kw("if") {
+                5
+            } else {
+                2
+            }
+        } else {
+            return None;
+        };
+        match self.tokens.get(name_at) {
+            Some(Token::Ident(name)) => Some(name.to_ascii_lowercase()),
+            _ => None,
+        }
     }
 }
 
-/// Translate versioned SQL into engine SQL.
-pub fn translate(odb: &OrpheusDB, sql: &str) -> Result<String> {
-    let tokens = tokenize(sql).map_err(CoreError::from)?;
-    let mut out = String::new();
-    let mut i = 0;
+/// Translate versioned SQL into engine SQL, token vector to token vector:
+/// every `VERSION <n> OF CVD <name> [[AS] alias]` and `CVD <name> [[AS]
+/// alias]` is replaced by the tokens of the model's subquery. A statement
+/// without either comes back borrowed.
+pub fn translate<'t>(odb: &OrpheusDB, tokens: &'t [Token]) -> Result<Cow<'t, [Token]>> {
+    let mut out = Cow::Borrowed(tokens);
     let mut fresh = 0usize;
-    while i < tokens.len() {
-        // Pattern: VERSION <n> OF CVD <name> [AS alias | alias]
-        if tokens[i].is_kw("version") {
-            if let (Some(Token::Number(n)), Some(of), Some(cvd_kw), Some(Token::Ident(name))) = (
-                tokens.get(i + 1),
-                tokens.get(i + 2),
-                tokens.get(i + 3),
-                tokens.get(i + 4),
-            ) {
-                if of.is_kw("of") && cvd_kw.is_kw("cvd") {
-                    let vid = Vid(n.parse::<u64>().map_err(|_| {
-                        CoreError::bad_request(
-                            crate::request::CommandKind::Run,
-                            format!("bad version number {n}"),
-                        )
-                    })?);
-                    let cvd = odb.cvd(name)?;
-                    cvd.check_version(vid)?;
-                    let (alias, consumed) = parse_alias(&tokens, i + 5, &cvd.name);
-                    out.push_str(&version_subquery(cvd, vid, &alias, &mut fresh)?);
-                    out.push(' ');
-                    i += 5 + consumed;
-                    continue;
-                }
+    let mut i = 0;
+    while i < out.len() {
+        match versioned_relation(odb, &out[i..], &mut fresh)? {
+            Some((consumed, subquery)) => {
+                let spliced = subquery.len();
+                out.to_mut().splice(i..i + consumed, subquery);
+                i += spliced;
             }
+            None => i += 1,
+        }
+    }
+    Ok(out)
+}
+
+/// A versioned relation at the head of `tokens`: how many tokens it spans
+/// and the subquery that replaces them.
+fn versioned_relation(
+    odb: &OrpheusDB,
+    tokens: &[Token],
+    fresh: &mut usize,
+) -> Result<Option<(usize, Vec<Token>)>> {
+    let (consumed, subquery) = match tokens {
+        // Pattern: VERSION <n> OF CVD <name> [AS alias | alias]
+        [version, Token::Number(n), of, cvd_kw, Token::Ident(name), ..]
+            if version.is_kw("version") && of.is_kw("of") && cvd_kw.is_kw("cvd") =>
+        {
+            let vid = Vid(n.parse::<u64>().map_err(|_| {
+                CoreError::bad_request(
+                    crate::request::CommandKind::Run,
+                    format!("bad version number {n}"),
+                )
+            })?);
+            let cvd = odb.cvd(name)?;
+            cvd.check_version(vid)?;
+            let (alias, aliased) = parse_alias(tokens, 5, &cvd.name);
+            (5 + aliased, version_subquery(cvd, vid, &alias, fresh)?)
         }
         // Pattern: CVD <name> [AS alias | alias]
-        if tokens[i].is_kw("cvd") {
-            if let Some(Token::Ident(name)) = tokens.get(i + 1) {
-                let cvd = odb.cvd(name)?;
-                let (alias, consumed) = parse_alias(&tokens, i + 2, &cvd.name);
-                out.push_str(&whole_cvd_subquery(cvd, &alias, &mut fresh)?);
-                out.push(' ');
-                i += 2 + consumed;
-                continue;
-            }
+        [cvd_kw, Token::Ident(name), ..] if cvd_kw.is_kw("cvd") => {
+            let cvd = odb.cvd(name)?;
+            let (alias, aliased) = parse_alias(tokens, 2, &cvd.name);
+            (2 + aliased, whole_cvd_subquery(cvd, &alias, fresh)?)
         }
-        if tokens[i] == Token::Eof {
-            break;
-        }
-        out.push_str(&token_text(&tokens[i]));
-        out.push(' ');
-        i += 1;
-    }
-    Ok(out.trim_end().to_string())
+        _ => return Ok(None),
+    };
+    let mut subquery = Lexed::new(&subquery)?.tokens;
+    subquery.pop(); // its Eof
+    Ok(Some((consumed, subquery)))
 }
 
 /// Parse an optional `[AS] alias` following a versioned relation.
@@ -235,36 +272,6 @@ fn whole_cvd_subquery(cvd: &Cvd, alias: &str, fresh: &mut usize) -> Result<Strin
              (Section 3.1)"
                 .into(),
         )),
-    }
-}
-
-fn token_text(t: &Token) -> String {
-    match t {
-        Token::Ident(s) => s.clone(),
-        Token::Number(n) => n.clone(),
-        Token::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        Token::LParen => "(".into(),
-        Token::RParen => ")".into(),
-        Token::LBracket => "[".into(),
-        Token::RBracket => "]".into(),
-        Token::Comma => ",".into(),
-        Token::Dot => ".".into(),
-        Token::Semicolon => ";".into(),
-        Token::Star => "*".into(),
-        Token::Plus => "+".into(),
-        Token::Minus => "-".into(),
-        Token::Slash => "/".into(),
-        Token::Percent => "%".into(),
-        Token::Eq => "=".into(),
-        Token::NotEq => "<>".into(),
-        Token::Lt => "<".into(),
-        Token::LtEq => "<=".into(),
-        Token::Gt => ">".into(),
-        Token::GtEq => ">=".into(),
-        Token::Concat => "||".into(),
-        Token::ContainedBy => "<@".into(),
-        Token::Contains => "@>".into(),
-        Token::Eof => String::new(),
     }
 }
 
@@ -410,6 +417,100 @@ mod tests {
         assert!(odb.run("SELECT * FROM VERSION 99 OF CVD protein").is_err());
     }
 
+    /// `sql` translated against `odb`, for assertions on the rewrite.
+    fn translated(odb: &OrpheusDB, sql: &str) -> Result<Vec<Token>> {
+        let lexed = Lexed::new(sql).unwrap();
+        translate(odb, lexed.tokens()).map(Cow::into_owned)
+    }
+
+    /// Where the tokens of `needle` end in `haystack`, searching from
+    /// token `from` on.
+    fn find_tokens(haystack: &[Token], needle: &str, from: usize) -> Option<usize> {
+        let needle = Lexed::new(needle).unwrap();
+        let needle = &needle.tokens()[..needle.tokens().len() - 1];
+        haystack[from..]
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .map(|at| from + at + needle.len())
+    }
+
+    /// Table-driven: what the lexed statement answers about itself.
+    #[test]
+    fn lexed_statement_classification() {
+        // (sql, is_select, created_table)
+        let cases: &[(&str, bool, Option<&str>)] = &[
+            ("SELECT 1", true, None),
+            ("select count(*) from t", true, None),
+            ("SELECT * FROM VERSION 1 OF CVD d", true, None),
+            ("SELECT * FROM t;", true, None),
+            ("-- how many\nSELECT count(*) FROM t", true, None),
+            ("  \n\tSELECT 1", true, None),
+            ("INSERT INTO t VALUES (1)", false, None),
+            ("UPDATE t SET v = 1", false, None),
+            ("DELETE FROM t", false, None),
+            ("DROP TABLE t", false, None),
+            ("EXPLAIN SELECT 1", false, None),
+            // `SELECT … INTO` writes: not a read, and it names its table.
+            ("SELECT * INTO Side FROM t", false, Some("side")),
+            ("select k into s2 from t where v > 1;", false, Some("s2")),
+            ("-- copy\nSELECT * INTO c FROM t", false, Some("c")),
+            // An `into` that is not the keyword changes nothing.
+            ("SELECT 'into' FROM t", true, None),
+            ("SELECT * FROM t WHERE note = 'put into x'", true, None),
+            ("INSERT INTO t VALUES ('select into')", false, None),
+            ("CREATE TABLE Side (k INT)", false, Some("side")),
+            ("create table if not exists s3 (k INT);", false, Some("s3")),
+            ("-- ddl\nCREATE TABLE s4 (k INT)", false, Some("s4")),
+            ("CREATE INDEX i ON t (k)", false, None),
+            ("CREATE UNIQUE INDEX i ON t USING BTREE (k)", false, None),
+            // Nothing where the name should be.
+            ("SELECT * INTO", false, None),
+            ("CREATE TABLE", false, None),
+            ("CREATE TABLE IF NOT EXISTS", false, None),
+            ("", false, None),
+        ];
+        for (sql, is_select, created) in cases {
+            let lexed = Lexed::new(sql).unwrap_or_else(|e| panic!("{sql:?}: {e}"));
+            assert_eq!(lexed.is_select(), *is_select, "is_select of {sql:?}");
+            assert_eq!(
+                lexed.created_table().as_deref(),
+                *created,
+                "created_table of {sql:?}"
+            );
+        }
+    }
+
+    /// An unlexable statement is a parse error wherever it is asked, and
+    /// never a read; equality and `Debug` of a `Run` are its text's,
+    /// lexed or not.
+    #[test]
+    fn a_run_caches_its_lexing_and_stays_its_text() {
+        use crate::request::Run;
+        let bad = Run::sql("SELECT 'open");
+        for _ in 0..2 {
+            let err = bad.lexed().unwrap_err();
+            assert!(
+                matches!(err, CoreError::Engine(EngineError::Parse(_))),
+                "{err}"
+            );
+        }
+        assert!(!bad.is_select());
+
+        let run = Run::sql("SELECT * FROM t, t AS u WHERE t.k = u.k");
+        let fresh = run.clone();
+        assert!(run.is_select());
+        assert_eq!(run, fresh);
+        assert_eq!(format!("{run:?}"), format!("{fresh:?}"));
+        assert_eq!(run.text(), "SELECT * FROM t, t AS u WHERE t.k = u.k");
+        // Each spelling once, in order of first appearance.
+        let idents: Vec<&str> = run.lexed().unwrap().idents().collect();
+        assert_eq!(
+            idents,
+            ["SELECT", "FROM", "t", "AS", "u", "WHERE", "k"],
+            "{run:?}"
+        );
+    }
+
     /// One CVD named `d` under `model`, with a single int column and one
     /// committed version.
     fn odb_with_model(model: ModelKind) -> OrpheusDB {
@@ -426,7 +527,7 @@ mod tests {
     fn version_translation_per_model() {
         struct Case {
             model: ModelKind,
-            // Substrings the translated SQL must contain, in order.
+            // Token runs the translated SQL must contain, in order.
             expect: &'static [&'static str],
         }
         let cases = [
@@ -458,13 +559,11 @@ mod tests {
         ];
         for case in cases {
             let odb = odb_with_model(case.model);
-            let sql = translate(&odb, "SELECT count(*) FROM VERSION 1 OF CVD d").unwrap();
+            let sql = translated(&odb, "SELECT count(*) FROM VERSION 1 OF CVD d").unwrap();
             let mut cursor = 0;
             for needle in case.expect {
-                let at = sql[cursor..]
-                    .find(needle)
+                cursor = find_tokens(&sql, needle, cursor)
                     .unwrap_or_else(|| panic!("{}: {needle:?} not in {sql:?}", case.model.name()));
-                cursor += at + needle.len();
             }
             // The translated SQL actually executes.
             let mut odb = odb_with_model(case.model);
@@ -474,7 +573,7 @@ mod tests {
 
         // The delta model refuses versioned queries with a structured error.
         let odb = odb_with_model(ModelKind::DeltaBased);
-        let err = translate(&odb, "SELECT count(*) FROM VERSION 1 OF CVD d").unwrap_err();
+        let err = translated(&odb, "SELECT count(*) FROM VERSION 1 OF CVD d").unwrap_err();
         assert!(matches!(err, CoreError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("delta"), "{err}");
     }
@@ -489,12 +588,16 @@ mod tests {
             (ModelKind::CombinedTable, "unnest(vlist) AS vid"),
         ] {
             let odb = odb_with_model(model);
-            let sql = translate(&odb, "SELECT vid, count(*) FROM CVD d GROUP BY vid").unwrap();
-            assert!(sql.contains(expect), "{}: {sql:?}", model.name());
+            let sql = translated(&odb, "SELECT vid, count(*) FROM CVD d GROUP BY vid").unwrap();
+            assert!(
+                find_tokens(&sql, expect, 0).is_some(),
+                "{}: {sql:?}",
+                model.name()
+            );
         }
         for model in [ModelKind::TablePerVersion, ModelKind::DeltaBased] {
             let odb = odb_with_model(model);
-            let err = translate(&odb, "SELECT vid FROM CVD d GROUP BY vid").unwrap_err();
+            let err = translated(&odb, "SELECT vid FROM CVD d GROUP BY vid").unwrap_err();
             assert!(
                 matches!(err, CoreError::Invalid(_)),
                 "{}: {err}",
@@ -508,12 +611,12 @@ mod tests {
     #[test]
     fn translate_error_paths() {
         let odb = odb_with_model(ModelKind::SplitByRlist);
-        let err = translate(&odb, "SELECT * FROM VERSION 1 OF CVD nope").unwrap_err();
+        let err = translated(&odb, "SELECT * FROM VERSION 1 OF CVD nope").unwrap_err();
         assert!(
             matches!(err, CoreError::CvdNotFound(ref n) if n == "nope"),
             "{err}"
         );
-        let err = translate(&odb, "SELECT * FROM VERSION 99 OF CVD d").unwrap_err();
+        let err = translated(&odb, "SELECT * FROM VERSION 99 OF CVD d").unwrap_err();
         assert!(
             matches!(
                 err,
@@ -524,10 +627,10 @@ mod tests {
             ),
             "{err}"
         );
-        let err = translate(&odb, "SELECT * FROM CVD nope").unwrap_err();
+        let err = translated(&odb, "SELECT * FROM CVD nope").unwrap_err();
         assert!(matches!(err, CoreError::CvdNotFound(_)), "{err}");
         // A version number too large for u64 is a bad `run` request.
-        let err = translate(
+        let err = translated(
             &odb,
             "SELECT * FROM VERSION 99999999999999999999999 OF CVD d",
         )

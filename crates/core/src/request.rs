@@ -16,11 +16,14 @@
 //! *contents*, and [`crate::response::Response::CheckedOutCsv`] carries the
 //! text to write back, so executors stay deterministic and testable.
 
-use orpheus_engine::{Schema, Value};
+use std::sync::OnceLock;
+
+use orpheus_engine::{EngineError, Schema, Value};
 
 use crate::error::Result;
 use crate::ids::Vid;
 use crate::model::ModelKind;
+use crate::query::Lexed;
 use crate::response::Response;
 
 /// Anything that can execute typed commands: `OrpheusDB` directly, or a
@@ -148,7 +151,7 @@ impl Request {
             Request::Discard(r) => Target::StagedTable(&r.table),
             Request::CommitCsv(r) => Target::StagedCsv(&r.path),
             // SQL needs analysis to discover which CVDs it touches.
-            Request::Run(r) => Target::Sql(&r.sql),
+            Request::Run(r) => Target::Sql(r),
         }
     }
 
@@ -176,9 +179,10 @@ pub enum Target<'a> {
     StagedTable(&'a str),
     /// One CVD's lock, found by resolving a staged CSV path.
     StagedCsv(&'a str),
-    /// SQL text: the executor analyzes it for CVD and staged-table
-    /// references to pick a lock (or a read-only multi-CVD snapshot).
-    Sql(&'a str),
+    /// A SQL statement: the executor analyzes its tokens
+    /// ([`Run::lexed`]) for CVD and staged-table references to pick a lock
+    /// (or a read-only multi-CVD snapshot).
+    Sql(&'a Run),
 }
 
 /// The command families of the bus, independent of request payloads.
@@ -485,14 +489,57 @@ impl DiffBuilder {
 }
 
 /// `run <sql>`: versioned SQL (`VERSION n OF CVD x`, `CVD x`) or plain SQL.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A `Run` *is* its SQL text — equality, `Debug` and the wire/WAL encoding
+/// are functions of the text alone. The first reader that needs tokens
+/// lexes the text, once, and every later reader (routing, the access
+/// guard, the translator, the engine's parser) shares that lexing.
+#[derive(Clone)]
 pub struct Run {
-    pub sql: String,
+    sql: String,
+    lexed: OnceLock<std::result::Result<Lexed, EngineError>>,
 }
 
 impl Run {
     pub fn sql(sql: impl Into<String>) -> Run {
-        Run { sql: sql.into() }
+        Run {
+            sql: sql.into(),
+            lexed: OnceLock::new(),
+        }
+    }
+
+    /// The statement as submitted.
+    pub fn text(&self) -> &str {
+        &self.sql
+    }
+
+    /// The statement's one lexing; an unlexable statement answers the
+    /// engine's parse error, every time it is asked.
+    pub fn lexed(&self) -> Result<&Lexed> {
+        self.lexed
+            .get_or_init(|| Lexed::new(&self.sql))
+            .as_ref()
+            .map_err(|e| e.clone().into())
+    }
+
+    /// [`Lexed::is_select`]; unlexable SQL reports `false` — callers treat
+    /// it as potentially writing and let execution surface the error.
+    pub fn is_select(&self) -> bool {
+        self.lexed().is_ok_and(Lexed::is_select)
+    }
+}
+
+impl PartialEq for Run {
+    fn eq(&self, other: &Run) -> bool {
+        self.sql == other.sql
+    }
+}
+
+impl Eq for Run {}
+
+impl std::fmt::Debug for Run {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Run").field("sql", &self.sql).finish()
     }
 }
 
@@ -720,7 +767,8 @@ mod tests {
     fn targets_route_every_variant_to_the_right_lock() {
         use Target::*;
 
-        let cases: Vec<(Request, Target<'static>)> = vec![
+        let select = Run::sql("SELECT 1");
+        let cases: Vec<(Request, Target<'_>)> = vec![
             (Init::cvd("a").into(), Catalog(Some("a"))),
             (InitFromCsv::cvd("a").into(), Catalog(Some("a"))),
             (DropCvd::named("a").into(), Catalog(Some("a"))),
@@ -742,7 +790,7 @@ mod tests {
             (Commit::table("t").into(), StagedTable("t")),
             (Discard::table("t").into(), StagedTable("t")),
             (CommitCsv::path("f").into(), StagedCsv("f")),
-            (Run::sql("SELECT 1").into(), Sql("SELECT 1")),
+            (select.clone().into(), Sql(&select)),
         ];
         for (req, want) in &cases {
             assert_eq!(&req.target(), want, "{req:?}");

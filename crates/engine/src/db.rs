@@ -8,10 +8,10 @@ use std::sync::Arc;
 
 use crate::error::{EngineError, Result};
 use crate::exec::{ExecContext, JoinStrategy};
-use crate::index::IndexKind;
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{ColumnDef, InsertSource, Statement};
-use crate::sql::parser::{parse_script, parse_statement};
+use crate::sql::lexer::{tokenize, Token};
+use crate::sql::parser::{parse_script, parse_tokens};
 use crate::sql::planner;
 use crate::stats::ExecStats;
 use crate::table::Table;
@@ -122,7 +122,13 @@ impl Database {
 
     /// Execute a single SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        let stmt = parse_statement(sql)?;
+        self.execute_tokens(&tokenize(sql)?)
+    }
+
+    /// Execute a single statement that is already lexed (see
+    /// [`parse_tokens`]).
+    pub fn execute_tokens(&mut self, tokens: &[Token]) -> Result<QueryResult> {
+        let stmt = parse_tokens(tokens)?;
         self.execute_statement(stmt)
     }
 
@@ -240,18 +246,15 @@ impl Database {
                 table,
                 columns,
                 unique,
-                btree,
+                // One ordered structure serves `USING BTREE` and `USING
+                // HASH` alike.
+                btree: _,
             } => {
                 let index_name =
                     name.unwrap_or_else(|| format!("{}_{}_idx", table, columns.join("_")));
                 let cols: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-                let kind = if btree {
-                    IndexKind::BTree
-                } else {
-                    IndexKind::Hash
-                };
                 self.table_mut(&table)?
-                    .create_index(index_name, &cols, unique, kind)?;
+                    .create_index(index_name, &cols, unique)?;
                 Ok(QueryResult::empty())
             }
             Statement::Cluster { table, columns } => {

@@ -1,6 +1,6 @@
-//! Secondary indexes: one ordered, chunked structure behind both
-//! [`IndexKind`]s — point lookups for the `vid`/`rid` primary keys of the
-//! versioning and data tables, ordered iteration for merge-style access.
+//! Secondary indexes: one ordered, chunked structure — point lookups for
+//! the `vid`/`rid` primary keys of the versioning and data tables, ordered
+//! iteration for merge-style access.
 //!
 //! # Structural sharing
 //!
@@ -19,15 +19,6 @@ use crate::types::{Row, Value};
 
 /// Key extracted from a row for one or more indexed columns.
 pub type IndexKey = Vec<Value>;
-
-/// Kind of index the DDL asked for. Both kinds are served by the same
-/// ordered structure; the kind is catalog metadata that survives
-/// persistence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    Hash,
-    BTree,
-}
 
 /// Entries per leaf: what one write after a clone copies at most.
 const LEAF_ENTRIES: usize = 128;
@@ -149,7 +140,6 @@ pub struct Index {
     pub name: String,
     pub columns: Vec<usize>,
     pub unique: bool,
-    kind: IndexKind,
     /// Key-ordered, none empty: every key of leaf `i` sorts before every
     /// key of leaf `i + 1`.
     leaves: Vec<Arc<Leaf>>,
@@ -158,24 +148,14 @@ pub struct Index {
 }
 
 impl Index {
-    pub fn new(
-        name: impl Into<String>,
-        columns: Vec<usize>,
-        unique: bool,
-        kind: IndexKind,
-    ) -> Index {
+    pub fn new(name: impl Into<String>, columns: Vec<usize>, unique: bool) -> Index {
         Index {
             name: name.into(),
             columns,
             unique,
-            kind,
             leaves: Vec::new(),
             entries: 0,
         }
-    }
-
-    pub fn kind(&self) -> IndexKind {
-        self.kind
     }
 
     /// Extract this index's key from a full row.
@@ -395,7 +375,7 @@ mod tests {
 
     #[test]
     fn hash_index_point_lookup() {
-        let mut idx = Index::new("i", vec![0], false, IndexKind::Hash);
+        let mut idx = Index::new("i", vec![0], false);
         idx.insert(key(&[1]), 0).unwrap();
         idx.insert(key(&[1]), 3).unwrap();
         idx.insert(key(&[2]), 1).unwrap();
@@ -406,7 +386,7 @@ mod tests {
 
     #[test]
     fn unique_index_rejects_duplicates() {
-        let mut idx = Index::new("pk", vec![0, 1], true, IndexKind::Hash);
+        let mut idx = Index::new("pk", vec![0, 1], true);
         idx.insert(key(&[1, 2]), 0).unwrap();
         let err = idx.insert(key(&[1, 2]), 1).unwrap_err();
         assert!(matches!(err, EngineError::UniqueViolation(_)));
@@ -416,7 +396,7 @@ mod tests {
 
     #[test]
     fn remove_cleans_up_empty_buckets() {
-        let mut idx = Index::new("i", vec![0], false, IndexKind::BTree);
+        let mut idx = Index::new("i", vec![0], false);
         idx.insert(key(&[5]), 7).unwrap();
         idx.remove(&key(&[5]), 7);
         assert!(idx.is_empty());
@@ -426,7 +406,7 @@ mod tests {
 
     #[test]
     fn btree_iterates_in_key_order() {
-        let mut idx = Index::new("i", vec![0], false, IndexKind::BTree);
+        let mut idx = Index::new("i", vec![0], false);
         for (i, k) in [5i64, 1, 3].iter().enumerate() {
             idx.insert(key(&[*k]), i).unwrap();
         }
@@ -442,7 +422,7 @@ mod tests {
 
     #[test]
     fn storage_accounting_grows_with_entries() {
-        let mut idx = Index::new("i", vec![0], false, IndexKind::Hash);
+        let mut idx = Index::new("i", vec![0], false);
         let empty = idx.storage_bytes();
         idx.insert(key(&[1]), 0).unwrap();
         assert!(idx.storage_bytes() > empty);
@@ -460,7 +440,7 @@ mod tests {
 
     #[test]
     fn ascending_keys_fill_every_leaf() {
-        let mut idx = Index::new("pk", vec![0], true, IndexKind::Hash);
+        let mut idx = Index::new("pk", vec![0], true);
         let n = 5 * LEAF_ENTRIES + 1;
         for i in 0..n {
             idx.insert(key(&[i as i64]), i).unwrap();
@@ -472,7 +452,7 @@ mod tests {
 
     #[test]
     fn scattered_inserts_and_removes_keep_the_leaves_ordered() {
-        let mut idx = Index::new("i", vec![0, 1], false, IndexKind::BTree);
+        let mut idx = Index::new("i", vec![0, 1], false);
         let n = 10 * LEAF_ENTRIES;
         // 7919 is coprime to n: every key once, in scrambled order.
         for i in 0..n {
@@ -511,7 +491,7 @@ mod tests {
 
     #[test]
     fn lookup_near_agrees_with_lookup_from_any_starting_leaf() {
-        let mut idx = Index::new("pk", vec![0], true, IndexKind::Hash);
+        let mut idx = Index::new("pk", vec![0], true);
         for i in 0..(4 * LEAF_ENTRIES as i64) {
             idx.insert(key(&[i * 2]), i as usize).unwrap();
         }

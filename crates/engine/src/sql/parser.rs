@@ -20,7 +20,18 @@ fn is_reserved(word: &str) -> bool {
 
 /// Parse a single SQL statement (a trailing semicolon is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
+    parse_tokens(&tokenize(sql)?)
+}
+
+/// [`parse_statement`] over a statement that is already lexed: `tokens` is
+/// what [`tokenize`] returned, `Eof` included. A caller that has to look at
+/// a statement before running it lexes once and hands the tokens on.
+pub fn parse_tokens(tokens: &[Token]) -> Result<Statement> {
+    if tokens.last() != Some(&Token::Eof) {
+        return Err(EngineError::Parse(
+            "token stream does not end in Eof".into(),
+        ));
+    }
     let mut p = Parser { tokens, pos: 0 };
     let stmt = p.statement()?;
     p.eat(&Token::Semicolon);
@@ -31,7 +42,10 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
 /// Parse a script of semicolon-separated statements.
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: &tokens,
+        pos: 0,
+    };
     let mut stmts = Vec::new();
     loop {
         while p.eat(&Token::Semicolon) {}
@@ -47,12 +61,12 @@ pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
     Ok(stmts)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: &'a [Token],
     pos: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }

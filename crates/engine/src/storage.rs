@@ -32,7 +32,6 @@ use std::path::Path;
 use crate::db::Database;
 use crate::error::{EngineError, Result};
 use crate::exec::join::JoinStrategy;
-use crate::index::IndexKind;
 use crate::schema::{Column, Schema};
 use crate::table::Table;
 use crate::types::{DataType, Row, Value};
@@ -399,7 +398,9 @@ fn put_table(w: &mut ByteWriter, table: &Table) {
             w.put_u32(c as u32);
         }
         w.put_u8(idx.unique as u8);
-        w.put_u8(matches!(idx.kind(), IndexKind::BTree) as u8);
+        // Format 1 keeps a byte here: it named the index kind when there
+        // were two.
+        w.put_u8(0);
     }
     // Physical clustering, if any.
     match table.clustered_on() {
@@ -425,7 +426,6 @@ struct IndexDef {
     name: String,
     columns: Vec<usize>,
     unique: bool,
-    btree: bool,
 }
 
 fn get_table(r: &mut ByteReader<'_>) -> Result<Table> {
@@ -449,12 +449,11 @@ fn get_table(r: &mut ByteReader<'_>) -> Result<Table> {
             columns.push(c);
         }
         let unique = r.get_u8()? != 0;
-        let btree = r.get_u8()? != 0;
+        r.get_u8()?; // the retired index-kind byte
         index_defs.push(IndexDef {
             name: idx_name,
             columns,
             unique,
-            btree,
         });
     }
 
@@ -496,12 +495,7 @@ fn get_table(r: &mut ByteReader<'_>) -> Result<Table> {
             .map(|&c| table.schema.column(c).name.clone())
             .collect();
         let refs: Vec<&str> = col_names.iter().map(|s| s.as_str()).collect();
-        let kind = if def.btree {
-            IndexKind::BTree
-        } else {
-            IndexKind::Hash
-        };
-        table.create_index(def.name, &refs, def.unique, kind)?;
+        table.create_index(def.name, &refs, def.unique)?;
     }
 
     // Restore physical clustering. The saved heap is already in clustered
@@ -794,7 +788,7 @@ mod tests {
         }
         db.table_mut("d")
             .unwrap()
-            .create_index("d_v", &["v"], false, IndexKind::BTree)
+            .create_index("d_v", &["v"], false)
             .unwrap();
         db.table_mut("d").unwrap().cluster_by(&["rid"]).unwrap();
 
@@ -804,7 +798,21 @@ mod tests {
         let keys: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![1, 2, 3, 4, 5]);
         let idx = t.index_named("d_v").unwrap();
-        assert_eq!(idx.kind(), IndexKind::BTree);
+        assert_eq!(idx.lookup(&["x3".into()]).len(), 1);
+
+        // A snapshot written while there were two index kinds carries a 1
+        // for `USING BTREE` in the byte after `unique`: it loads the same.
+        let mut payload = serialize_payload(&db);
+        let def = [b"d_v".as_slice(), &[1, 0, 0, 0, 1, 0, 0, 0, 0]].concat();
+        let kind_at = payload
+            .windows(def.len())
+            .position(|w| w == def)
+            .expect("d_v: one column, column 1, not unique")
+            + def.len();
+        assert_eq!(payload[kind_at], 0);
+        payload[kind_at] = 1;
+        let old = deserialize_database(&wrap_envelope(&payload)).unwrap();
+        let idx = old.table("d").unwrap().index_named("d_v").unwrap();
         assert_eq!(idx.lookup(&["x3".into()]).len(), 1);
     }
 

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use crate::error::{EngineError, Result};
-use crate::index::{Index, IndexKey, IndexKind, Probe};
+use crate::index::{Index, IndexKey, Probe};
 use crate::schema::Schema;
 use crate::types::{Row, Value};
 
@@ -193,8 +193,7 @@ impl Table {
         let mut data = TableData::default();
         if !schema.primary_key.is_empty() {
             let cols = schema.primary_key.clone();
-            data.indexes
-                .push(Index::new(pkey_name(&name), cols, true, IndexKind::Hash));
+            data.indexes.push(Index::new(pkey_name(&name), cols, true));
         }
         Table {
             name: name.into(),
@@ -383,7 +382,6 @@ impl Table {
         index_name: impl Into<String>,
         columns: &[&str],
         unique: bool,
-        kind: IndexKind,
     ) -> Result<()> {
         let index_name = index_name.into();
         if self.data.indexes.iter().any(|i| i.name == index_name) {
@@ -396,7 +394,7 @@ impl Table {
             .iter()
             .map(|c| self.schema.column_index(c))
             .collect();
-        let mut idx = Index::new(index_name, cols?, unique, kind);
+        let mut idx = Index::new(index_name, cols?, unique);
         for (slot, row) in self.data.rows.iter().enumerate() {
             let key = idx.key_of(row);
             idx.insert(key, slot)?;
@@ -677,13 +675,10 @@ mod tests {
             t.insert(vec![Value::Int(i), Value::Text(format!("g{}", i % 2))])
                 .unwrap();
         }
-        t.create_index("t_val", &["val"], false, IndexKind::BTree)
-            .unwrap();
+        t.create_index("t_val", &["val"], false).unwrap();
         let idx = t.index_named("t_val").unwrap();
         assert_eq!(idx.lookup(&["g0".into()]).len(), 2);
-        assert!(t
-            .create_index("t_val", &["val"], false, IndexKind::Hash)
-            .is_err());
+        assert!(t.create_index("t_val", &["val"], false).is_err());
     }
 
     /// `n` rows `(i, "v{i}")` with ascending rids.
@@ -775,8 +770,7 @@ mod tests {
             ("cluster_by", |t| t.cluster_by(&["val"]).unwrap()),
             ("truncate", |t| t.truncate()),
             ("create_index", |t| {
-                t.create_index("t_val", &["val"], false, IndexKind::BTree)
-                    .unwrap()
+                t.create_index("t_val", &["val"], false).unwrap()
             }),
             ("add_column", |t| {
                 t.add_column(Column::new("extra", DataType::Int)).unwrap()

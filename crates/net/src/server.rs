@@ -157,6 +157,10 @@ pub struct ServerStats {
     pub deadline_exceeded: u64,
     /// Connections refused at accept time by the connection cap.
     pub refused_connections: u64,
+    /// Sessions a client could still resume: those with a connection, and
+    /// those whose last connection ended less than
+    /// [`ServerConfig::request_deadline`] ago.
+    pub sessions: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -240,6 +244,18 @@ impl Session {
     }
 }
 
+/// A session in the registry, with what decides how long it stays there.
+#[derive(Debug)]
+struct Registered {
+    session: Arc<Session>,
+    /// Connections bound to it right now (a resuming connection can
+    /// overlap the severed one it replaces, which the server has yet to
+    /// notice is gone).
+    attached: usize,
+    /// When the last of them ended.
+    detached_at: Option<Instant>,
+}
+
 /// Everything the accept loop shares with connections: the executor, the
 /// session registry, counters, and config.
 #[derive(Debug)]
@@ -247,7 +263,7 @@ struct Service {
     pool: Arc<AsyncExecutor>,
     config: ServerConfig,
     counters: ServerCounters,
-    sessions: Mutex<HashMap<u64, Arc<Session>>>,
+    sessions: Mutex<HashMap<u64, Registered>>,
     next_session: AtomicU64,
     /// Live connection count for the accept-time cap.
     live: AtomicUsize,
@@ -262,6 +278,46 @@ impl Service {
     fn shed_error(&self) -> CoreError {
         CoreError::Overloaded {
             retry_after_ms: RETRY_AFTER_MS,
+        }
+    }
+
+    /// Drop the sessions nobody has been connected to for longer than the
+    /// request deadline — no request of theirs can still be in flight, and
+    /// a client resuming one later is told `resumed: false`, so it fails
+    /// its in-flight requests instead of replaying them blind. Without
+    /// this the registry, and up to `dedup_cache` responses per entry,
+    /// grow with every connection the server has ever accepted.
+    fn expire_sessions(&self, sessions: &mut HashMap<u64, Registered>) {
+        let deadline = self.config.request_deadline;
+        sessions.retain(|_, s| {
+            s.attached > 0 || s.detached_at.is_none_or(|at| at.elapsed() <= deadline)
+        });
+    }
+
+    /// Bind a connection to the session it asks to resume, or to a fresh
+    /// one when it names none or names one that is gone (expired, or a
+    /// restarted server). Returns the session id and whether it resumed.
+    fn attach_session(&self, resume: Option<u64>) -> (u64, Arc<Session>, bool) {
+        let mut sessions = self.sessions.lock();
+        self.expire_sessions(&mut sessions);
+        let resumed = resume.filter(|id| sessions.contains_key(id));
+        let id = resumed.unwrap_or_else(|| self.next_session.fetch_add(1, Ordering::SeqCst));
+        let entry = sessions.entry(id).or_insert_with(|| Registered {
+            session: Session::new(),
+            attached: 0,
+            detached_at: None,
+        });
+        entry.attached += 1;
+        (id, Arc::clone(&entry.session), resumed.is_some())
+    }
+
+    /// The connection bound to session `id` ended.
+    fn detach_session(&self, id: u64) {
+        if let Some(entry) = self.sessions.lock().get_mut(&id) {
+            entry.attached -= 1;
+            if entry.attached == 0 {
+                entry.detached_at = Some(Instant::now());
+            }
         }
     }
 }
@@ -334,6 +390,7 @@ impl NetServer {
                 deduped: 0,
                 deadline_exceeded: 0,
                 refused_connections: 0,
+                sessions: 0,
             },
         })
     }
@@ -351,10 +408,16 @@ impl NetServer {
     }
 
     /// A snapshot of the self-protection counters (shed frames, replay
-    /// dedups, deadline expiries, refused connections).
+    /// dedups, deadline expiries, refused connections) and the session
+    /// registry's size.
     pub fn stats(&self) -> ServerStats {
         match &self.service {
             Some(service) => ServerStats {
+                sessions: {
+                    let mut sessions = service.sessions.lock();
+                    service.expire_sessions(&mut sessions);
+                    sessions.len() as u64
+                },
                 shed: service.counters.shed.load(Ordering::SeqCst),
                 deduped: service.counters.deduped.load(Ordering::SeqCst),
                 deadline_exceeded: service.counters.deadline_exceeded.load(Ordering::SeqCst),
@@ -407,6 +470,20 @@ struct ConnectionGuard(Arc<Service>);
 impl Drop for ConnectionGuard {
     fn drop(&mut self) {
         self.0.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Detaches a connection from its session when the connection ends,
+/// whatever path it takes out — which is what starts the session's
+/// expiry clock.
+struct SessionGuard<'a> {
+    service: &'a Service,
+    id: u64,
+}
+
+impl Drop for SessionGuard<'_> {
+    fn drop(&mut self) {
+        self.service.detach_session(self.id);
     }
 }
 
@@ -493,11 +570,11 @@ fn refuse_connection(mut stream: TcpStream, error: CoreError) {
 
 /// Handshake: wait for a [`Frame::Hello`], validate it, bind the user and
 /// session (resuming the quoted session when it is still known).
-fn handshake(
+fn handshake<'a>(
     stream: &mut TcpStream,
-    service: &Service,
+    service: &'a Service,
     shutdown: &AtomicBool,
-) -> Option<(AsyncHandle, Arc<Session>)> {
+) -> Option<(AsyncHandle, Arc<Session>, SessionGuard<'a>)> {
     let deadline = Instant::now() + HANDSHAKE_DEADLINE;
     loop {
         match read_frame(stream, service.config.max_frame) {
@@ -517,30 +594,11 @@ fn handshake(
                 }
                 match service.pool.handle(&user) {
                     Ok(handle) => {
-                        let mut sessions = service.sessions.lock();
-                        let (id, session, resumed) = match resume {
-                            Some(id) => match sessions.get(&id) {
-                                Some(session) => (id, Arc::clone(session), true),
-                                // The quoted session is gone (a restarted
-                                // server): issue a fresh one and tell the
-                                // client, so it fails — not blindly
-                                // replays — requests whose dedup state
-                                // was lost.
-                                None => {
-                                    let id = service.next_session.fetch_add(1, Ordering::SeqCst);
-                                    let session = Session::new();
-                                    sessions.insert(id, Arc::clone(&session));
-                                    (id, session, false)
-                                }
-                            },
-                            None => {
-                                let id = service.next_session.fetch_add(1, Ordering::SeqCst);
-                                let session = Session::new();
-                                sessions.insert(id, Arc::clone(&session));
-                                (id, session, false)
-                            }
-                        };
-                        drop(sessions);
+                        // `resumed: false` for a quoted session that is
+                        // gone tells the client to fail — not blindly
+                        // replay — requests whose dedup state was lost.
+                        let (id, session, resumed) = service.attach_session(resume);
+                        let guard = SessionGuard { service, id };
                         let welcome = Frame::Welcome {
                             version: PROTOCOL_VERSION,
                             user: handle.user().to_string(),
@@ -550,7 +608,7 @@ fn handshake(
                         if write_frame(stream, &welcome).is_err() {
                             return None;
                         }
-                        return Some((handle, session));
+                        return Some((handle, session, guard));
                     }
                     Err(e) => {
                         refuse_connection(stream.try_clone().ok()?, e);
@@ -612,7 +670,7 @@ fn serve_connection(mut stream: TcpStream, service: Arc<Service>, shutdown: Arc<
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
-    let Some((mut handle, session)) = handshake(&mut stream, &service, &shutdown) else {
+    let Some((mut handle, session, _detach)) = handshake(&mut stream, &service, &shutdown) else {
         return;
     };
     let Ok(write_stream) = stream.try_clone() else {

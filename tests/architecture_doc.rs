@@ -3,7 +3,8 @@
 //! tier-1, so a rename that forgets a doc fails locally and in CI's `test`
 //! job alike. The README's file pointers are held to the same rule, and it
 //! rides along for the other thing that rotted there: pointers to bench
-//! bins and result files that no longer exist.
+//! bins and result files that no longer exist. One claim of the docs is
+//! checked against the source itself: the middleware lexes SQL in one place.
 
 use std::path::Path;
 
@@ -95,6 +96,48 @@ fn no_doc_points_at_a_deleted_bin_or_a_result_file() {
             .any(|(i, m)| !flat[i + m.len()..].starts_with("OUT"));
         assert!(!result_file, "{doc_path} names a BENCH_ result file");
     }
+}
+
+/// `crates/core/src` files with their non-test, non-comment lines: a
+/// file's `#[cfg(test)]` module is its tail.
+fn core_sources(dir: &Path, out: &mut Vec<(String, String)>) {
+    for entry in std::fs::read_dir(dir).expect("crates/core/src is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            core_sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let source = std::fs::read_to_string(&path).expect("source file is readable");
+            let code = source
+                .split("#[cfg(test)]")
+                .next()
+                .unwrap_or_default()
+                .lines()
+                .filter(|line| !line.trim_start().starts_with("//"))
+                .collect::<Vec<_>>()
+                .join("\n");
+            out.push((path.display().to_string(), code));
+        }
+    }
+}
+
+/// What the docs say about a `Run` — lexed once, every layer reads that one
+/// token vector — holds only while nothing in the middleware lexes on the
+/// side: `lexer::tokenize` has exactly one caller under `crates/core/src`,
+/// `query::Lexed::new`. A second one is a scanner coming back.
+#[test]
+fn the_middleware_lexes_sql_in_exactly_one_place() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    core_sources(&root.join("crates/core/src"), &mut sources);
+    let callers: Vec<(&str, usize)> = sources
+        .iter()
+        .map(|(path, code)| (path.as_str(), code.matches("tokenize(").count()))
+        .filter(|(_, calls)| *calls > 0)
+        .collect();
+    assert!(
+        matches!(callers.as_slice(), [(path, 1)] if path.ends_with("query.rs")),
+        "expected one `tokenize(` call, in crates/core/src/query.rs; found {callers:?}"
+    );
 }
 
 #[test]

@@ -222,3 +222,54 @@ fn executors_agree_on_summaries() {
 
     assert_eq!(direct, via_session);
 }
+
+/// SQL the lexer refuses (`SELECT 'open`) and SQL the parser refuses answer
+/// the same typed error whichever of the four executors runs them — on
+/// their own, and from the middle of a batch whose neighbours still run.
+#[test]
+fn bad_sql_is_one_typed_error_through_every_executor() {
+    use orpheusdb::engine::EngineError;
+
+    fn bad_sql_errors<E: Executor>(executor: &mut E) -> Vec<CoreError> {
+        let mut errors = Vec::new();
+        for bad in ["SELECT 'open", "SELECT FROM WHERE"] {
+            let alone = executor.execute(Run::sql(bad).into()).unwrap_err();
+            let mut batch = executor.batch(vec![
+                Run::sql("CREATE TABLE IF NOT EXISTS side (k INT)").into(),
+                Run::sql("INSERT INTO side VALUES (1)").into(),
+                Run::sql(bad).into(),
+                Run::sql("SELECT count(*) FROM side").into(),
+            ]);
+            let after = batch.pop().unwrap().unwrap().into_rows().unwrap();
+            assert!(
+                matches!(after.scalar(), Some(Value::Int(n)) if *n >= 1),
+                "{bad:?}: the statements around it ran"
+            );
+            let in_batch = batch.pop().unwrap().unwrap_err();
+            assert_eq!(alone, in_batch, "{bad:?}");
+            assert!(
+                matches!(alone, CoreError::Engine(EngineError::Parse(_))),
+                "{bad:?}: {alone}"
+            );
+            errors.push(alone);
+        }
+        errors
+    }
+
+    let in_process = bad_sql_errors(&mut OrpheusDB::new());
+
+    let shared = SharedOrpheusDB::new(OrpheusDB::new());
+    assert_eq!(
+        bad_sql_errors(&mut shared.session("u").unwrap()),
+        in_process
+    );
+
+    let pool = AsyncExecutor::new(SharedOrpheusDB::new(OrpheusDB::new()));
+    assert_eq!(bad_sql_errors(&mut pool.handle("u").unwrap()), in_process);
+
+    let server = NetServer::bind("127.0.0.1:0", SharedOrpheusDB::new(OrpheusDB::new())).unwrap();
+    let mut remote = RemoteExecutor::connect(server.local_addr(), "u").unwrap();
+    assert_eq!(bad_sql_errors(&mut remote), in_process);
+    drop(remote);
+    server.shutdown();
+}

@@ -247,7 +247,6 @@ proptest! {
     fn table_clones_match_a_naive_model_frozen_at_clone_time(
         ops in proptest::collection::vec((0u8..8, any::<u16>(), -50i64..400), 1..60),
     ) {
-        use orpheusdb::engine::index::IndexKind;
         use orpheusdb::engine::Table;
 
         fn row(k: i64) -> Vec<Value> {
@@ -342,7 +341,7 @@ proptest! {
                     model.clear();
                 }
                 7 if t.index_named("t_tag").is_none() => {
-                    t.create_index("t_tag", &["tag"], false, IndexKind::BTree).unwrap();
+                    t.create_index("t_tag", &["tag"], false).unwrap();
                 }
                 _ => {}
             }

@@ -429,3 +429,54 @@ fn reconnect_storm_commits_exactly_once() {
     proxy.stop();
     server.shutdown();
 }
+
+/// A long-lived server forgets the sessions nobody can resume any more:
+/// thousands of connections come and go, and what the registry holds at
+/// the end is one session per connection still open — not one (and its
+/// replay cache) per connection ever accepted.
+#[test]
+fn the_session_registry_is_bounded_by_the_live_connections() {
+    let cycles = 2_000;
+    let config = ServerConfig {
+        // A session expires this long after its last connection ended.
+        request_deadline: Duration::from_millis(1),
+        ..ServerConfig::default()
+    };
+    let server = NetServer::bind_with(
+        "127.0.0.1:0",
+        SharedOrpheusDB::new(OrpheusDB::new()),
+        config,
+    )
+    .unwrap();
+    // Side by side, because the accept loop polls: one client alone would
+    // spend the test waiting for its next accept.
+    let clients = 16;
+    std::thread::scope(|scope| {
+        for _ in 0..clients {
+            scope.spawn(|| {
+                for _ in 0..cycles / clients {
+                    drop(RemoteExecutor::connect(server.local_addr(), "soak").unwrap());
+                }
+            });
+        }
+    });
+    let live: Vec<RemoteExecutor> = (0..3)
+        .map(|_| RemoteExecutor::connect(server.local_addr(), "soak").unwrap())
+        .collect();
+
+    // The server notices a closed socket on its own threads, so the last
+    // few sessions of the loop may still be attached for a moment.
+    let patience = Instant::now() + Duration::from_secs(30);
+    while server.stats().sessions != live.len() as u64 {
+        assert!(
+            Instant::now() < patience,
+            "{} sessions registered for {} live connections after {cycles} cycles",
+            server.stats().sessions,
+            live.len()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    drop(live);
+    server.shutdown();
+}

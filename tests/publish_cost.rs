@@ -136,3 +136,62 @@ fn a_served_commit_and_checkout_do_not_pay_for_the_record_count() {
     assert_within_15_percent("checkout, 2k vs 20k records", small.0, large.0);
     assert_within_15_percent("commit cycle, 2k vs 20k records", small.1, large.1);
 }
+
+/// `INSERT INTO work VALUES (NULL, k, 1), …` for `rows` fresh keys.
+fn insert_sql(next_key: &mut i64, rows: i64) -> String {
+    let values: Vec<String> = (*next_key..*next_key + rows)
+        .map(|k| format!("(NULL, {k}, 1)"))
+        .collect();
+    *next_key += rows;
+    format!("INSERT INTO work VALUES {}", values.join(", "))
+}
+
+/// Allocations per inserted row, as `run` executes multi-row INSERTs into
+/// a staged `work`: a 200-row statement minus a 20-row one, over 180.
+fn per_row_slope(mut run: impl FnMut(&str)) -> f64 {
+    let mut next_key = 1_000_000;
+    // Unmeasured first: lazily sized buffers are warm after it.
+    run(&insert_sql(&mut next_key, 200));
+    let (small, large) = (
+        insert_sql(&mut next_key, 20),
+        insert_sql(&mut next_key, 200),
+    );
+    let small = allocs_of(|| run(&small));
+    let large = allocs_of(|| run(&large));
+    (large - small) as f64 / 180.0
+}
+
+/// The bolt-on bargain (Section 2.2): the middleware lexes a `Run` once and
+/// the engine parses those tokens, so what a statement costs per row is
+/// what the engine charges for it — not a multiple, however many layers
+/// (routing, the access guard, the translator) look at it on the way.
+#[test]
+fn the_middleware_does_not_multiply_what_the_engine_charges_per_row() {
+    let staged = || {
+        let (shared, session) = served(50, 50, 2);
+        session.checkout(CVD, &[Vid(2)], "work").unwrap();
+        (shared, session)
+    };
+
+    let (shared, _session) = staged();
+    let mut odb = shared.read(|odb| odb.clone());
+    let engine = per_row_slope(|sql| drop(odb.engine.execute(sql).unwrap()));
+    let in_process = per_row_slope(|sql| drop(odb.execute(Run::sql(sql).into()).unwrap()));
+
+    // Served, with another user's staged table in the shard: the access
+    // guard has identifiers to compare on every statement.
+    let (shared, session) = staged();
+    let other = shared.session("other").unwrap();
+    other.checkout(CVD, &[Vid(2)], "theirs").unwrap();
+    let served = per_row_slope(|sql| drop(session.run(sql).unwrap()));
+
+    for (path, slope) in [
+        ("OrpheusDB::execute(Run)", in_process),
+        ("Session::run", served),
+    ] {
+        assert!(
+            slope <= engine * 1.25,
+            "{path}: {slope:.1} allocations per inserted row, the engine alone {engine:.1}"
+        );
+    }
+}
