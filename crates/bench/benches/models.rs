@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks for Figure 3: per-model commit and checkout
-//! latency, plus the SQL-vs-bulk loading ablation called out in DESIGN.md.
+//! latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -60,42 +60,5 @@ fn bench_commit(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_load_paths(c: &mut Criterion) {
-    // Ablation: bulk (table API) loading vs SQL INSERT loading of the same
-    // initial version.
-    let w = Workload::generate(WorkloadParams::sci(2, 1, 200));
-    let rows: Vec<Vec<orpheus_engine::Value>> = w.version_rids[0]
-        .iter()
-        .map(|&r| {
-            w.record_values(r)
-                .into_iter()
-                .map(orpheus_engine::Value::Int)
-                .collect()
-        })
-        .collect();
-    let schema = orpheus_bench::loader::bench_schema(w.params.attrs);
-
-    let mut group = c.benchmark_group("load_path");
-    group.sample_size(10);
-    group.bench_function("init_cvd (bulk)", |b| {
-        b.iter(|| {
-            let mut odb = OrpheusDB::new();
-            odb.init_cvd("d", schema.clone(), rows.clone(), None)
-                .expect("init");
-        })
-    });
-    group.bench_function("sql_inserts", |b| {
-        b.iter(|| {
-            let mut db = orpheus_engine::Database::new();
-            db.execute(
-                "CREATE TABLE t (a0 INT, a1 INT, a2 INT, a3 INT, a4 INT, a5 INT, a6 INT, a7 INT)",
-            )
-            .expect("create");
-            orpheus_core::model::insert_rows_sql(&mut db, "t", &rows).expect("insert");
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_checkout, bench_commit, bench_load_paths);
+criterion_group!(benches, bench_checkout, bench_commit);
 criterion_main!(benches);

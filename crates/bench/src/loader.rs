@@ -87,7 +87,7 @@ pub fn load_workload(
             base,
             deleted_from_base,
         };
-        model::persist_commit(&mut odb.engine, &cvd, &data, true)?;
+        model::persist_commit(&mut odb.engine, &cvd, &data, false)?;
         let attributes = {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)

@@ -303,7 +303,7 @@ impl OrpheusDB {
             base: None,
             deleted_from_base: Vec::new(),
         };
-        model::persist_commit(&mut self.engine, &cvd, &data, true)?;
+        model::persist_commit(&mut self.engine, &cvd, &data, false)?;
         let commit_t = self.tick();
         let attributes = {
             let schema = cvd.schema.clone();
@@ -377,7 +377,7 @@ impl OrpheusDB {
             let rows = merged_rows(&mut self.engine, cache, cvd, vids)?;
             let schema = cvd.staged_schema();
             self.engine.create_table(table, schema)?;
-            model::insert_rows_bulk(&mut self.engine, table, rows)?;
+            model::insert_rows(&mut self.engine, table, rows)?;
         }
         let cvd_key = cvd.name.clone();
         self.register_staged(table, cvd_key, vids, StagedKind::Table)
@@ -735,11 +735,7 @@ impl OrpheusDB {
             cvd.version_rids.pop();
             model::rollback_commit(&mut self.engine, cvd, &data);
             partition_store::rollback_placement(&mut self.engine, cvd, vid);
-            let _ = self.engine.execute(&format!(
-                "DELETE FROM {} WHERE vid = {}",
-                cvd.meta_table(),
-                vid.0
-            ));
+            model::delete_keys(&mut self.engine, &cvd.meta_table(), &[vid.0 as i64]);
             return Err(e);
         }
         Ok(vid)

@@ -10,8 +10,7 @@ use crate::cvd::Cvd;
 use crate::error::Result;
 use crate::ids::Vid;
 use crate::model::{
-    self, append_vid_to_vlist, insert_rows_bulk, insert_rows_sql, rid_and_attrs,
-    split_rlist::rows_to_records, CommitData,
+    self, append_vid_to_vlist, insert_rows, rid_and_attrs, split_rlist::rows_to_records, CommitData,
 };
 
 /// Physical schema: rid PK ++ data attrs ++ vlist.
@@ -29,8 +28,8 @@ pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
     Ok(())
 }
 
-pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData, bulk: bool) -> Result<()> {
-    append_vid_to_vlist(db, &cvd.combined_table(), data.vid, &data.kept, bulk)?;
+pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
+    append_vid_to_vlist(db, &cvd.combined_table(), data.vid, &data.kept)?;
     if !data.new_records.is_empty() {
         // Build rows in the table's *physical* column order: schema
         // evolution appends new data columns after `vlist`, so the
@@ -76,11 +75,7 @@ pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData, bulk: bool) -> R
                     .collect()
             })
             .collect();
-        if bulk {
-            insert_rows_bulk(db, &cvd.combined_table(), rows)?;
-        } else {
-            insert_rows_sql(db, &cvd.combined_table(), &rows)?;
-        }
+        insert_rows(db, &cvd.combined_table(), rows)?;
     }
     Ok(())
 }
@@ -158,6 +153,23 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(r.rows[0][0], Value::IntArray(vec![1, 2]));
+    }
+
+    #[test]
+    fn a_record_kept_twice_lists_the_version_once() {
+        let (mut db, mut cvd) = make_cvd(ModelKind::CombinedTable);
+        commit(&mut db, &mut cvd, &[record("a", 1)], &[]);
+        // A duplicated staged row keeps its rid twice; the vlist append
+        // still adds the version once, as Table 1's `WHERE rid IN (…)`.
+        commit(
+            &mut db,
+            &mut cvd,
+            &[record("a", 1), record("a", 1)],
+            &[Vid(1)],
+        );
+        let t = db.table(&cvd.combined_table()).unwrap();
+        let vlists: Vec<&Value> = t.rows().map(|row| &row[3]).collect();
+        assert_eq!(vlists, [&Value::IntArray(vec![1, 2])]);
     }
 
     #[test]

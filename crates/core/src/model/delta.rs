@@ -16,7 +16,7 @@ use orpheus_engine::{Column, DataType, Database, Schema, Value};
 use crate::cvd::Cvd;
 use crate::error::Result;
 use crate::ids::Vid;
-use crate::model::{self, insert_rows_bulk, insert_rows_sql, CommitData};
+use crate::model::{self, insert_rows, CommitData};
 
 /// Schema of a delta table: rid PK ++ attrs ++ tombstone flag.
 pub fn delta_schema(cvd: &Cvd) -> Schema {
@@ -36,7 +36,7 @@ pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
     Ok(())
 }
 
-pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData, bulk: bool) -> Result<()> {
+pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
     let table = cvd.delta_table(data.vid);
     db.create_table(&table, delta_schema(cvd))?;
     let attr_count = cvd.schema.arity();
@@ -65,23 +65,11 @@ pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData, bulk: bool) -> R
         row.push(Value::Bool(true));
         rows.push(row);
     }
-    if !rows.is_empty() {
-        if bulk {
-            insert_rows_bulk(db, &table, rows)?;
-        } else {
-            insert_rows_sql(db, &table, &rows)?;
-        }
-    }
-    let base_sql = data
-        .base
-        .map(|b| b.0.to_string())
-        .unwrap_or_else(|| "NULL".to_string());
-    db.execute(&format!(
-        "INSERT INTO {} VALUES ({}, {})",
-        cvd.precedent_table(),
-        data.vid.0,
-        base_sql
-    ))?;
+    insert_rows(db, &table, rows)?;
+    db.table_mut(&cvd.precedent_table())?.insert(vec![
+        Value::Int(data.vid.0 as i64),
+        data.base.map_or(Value::Null, |b| Value::Int(b.0 as i64)),
+    ])?;
     Ok(())
 }
 
@@ -182,8 +170,7 @@ fn materialize(
             row
         })
         .collect();
-    insert_rows_bulk(db, target, rows)?;
-    Ok(())
+    insert_rows(db, target, rows)
 }
 
 /// The replay read via the SQL layer ([`reconstruct`]) — the spec path.

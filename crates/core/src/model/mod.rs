@@ -10,19 +10,23 @@
 //! | delta-based         | per-version delta tables        | delta insert      | lineage replay    |
 //!
 //! All commit/checkout operations are *expressible* as the SQL statements
-//! of Table 1 — the "bolt-on" property — and those statements remain the
-//! documented spec path ([`version_rows_sql`], the per-model
-//! `checkout_sql`). The versioning layer's own reads, however, take a
-//! **record-access fast path** ([`version_row_refs`]) that resolves a
-//! version's sorted rlist to heap slots through the backing table's rid
-//! index and borrows rows in place, skipping SQL parse/plan/join entirely;
-//! it falls back to the SQL formulation whenever the physical layout has
-//! drifted from what `init_storage` created
-//! (`tests/fastpath_equivalence.rs` pins row-for-row equality; the
-//! ledger's `model.*.version_rows_us` measures the path). Dataset
-//! loading additionally has a bulk path (`bulk = true`) that writes through
-//! the engine's table API directly; benchmarks use it for setup but never
-//! for the timed operations.
+//! of Table 1 — the "bolt-on" property — and the read statements remain
+//! the documented spec path ([`version_rows_sql`], the per-model
+//! `checkout_sql`; `tests/table1_sql.rs` pins the commit side). The
+//! versioning layer's own reads, however, take a **record-access fast
+//! path** ([`version_row_refs`]) that resolves a version's sorted rlist to
+//! heap slots through the backing table's rid index and borrows rows in
+//! place, skipping SQL parse/plan/join entirely; it falls back to the SQL
+//! formulation whenever the physical layout has drifted from what
+//! `init_storage` created (`tests/fastpath_equivalence.rs` pins
+//! row-for-row equality; the ledger's `model.*.version_rows_us` measures
+//! the path).
+//!
+//! Writes have one path: [`persist_commit`] hands `Value`s to the engine's
+//! table API (`Table::insert`, `replace_row`, `delete_slots`), which runs
+//! the same schema check and unique-key probe an `INSERT` would. No row is
+//! rendered as SQL text and parsed back, so every value a version can hold
+//! — `NaN`, `±inf`, `i64::MIN` — commits as it was staged.
 
 pub mod combined;
 pub mod delta;
@@ -33,7 +37,7 @@ pub mod table_per_version;
 use orpheus_engine::{Database, Schema, Value};
 
 use crate::cvd::Cvd;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 
 /// Which data model a CVD uses.
@@ -111,16 +115,20 @@ pub fn init_storage(db: &mut Database, cvd: &Cvd) -> Result<()> {
     }
 }
 
-/// Persist a committed version. With `bulk = true`, record insertion goes
-/// through the engine's table API instead of SQL (used for dataset loading
-/// only — the Table 1 statements remain the production path).
-pub fn persist_commit(db: &mut Database, cvd: &Cvd, data: &CommitData, bulk: bool) -> Result<()> {
+/// Persist a committed version through the engine's table API — the one
+/// write path for `init`, `commit` and WAL replay alike.
+///
+/// `_bulk` is ignored: it once chose between that path and rendering the
+/// rows as Table 1 `INSERT` text. It stays only because the frozen
+/// `perf_ledger` calls this with four arguments; the `[benchmark]` PR that
+/// next touches the ledger drops it.
+pub fn persist_commit(db: &mut Database, cvd: &Cvd, data: &CommitData, _bulk: bool) -> Result<()> {
     match cvd.model {
-        ModelKind::TablePerVersion => table_per_version::persist(db, cvd, data, bulk),
-        ModelKind::CombinedTable => combined::persist(db, cvd, data, bulk),
-        ModelKind::SplitByVlist => split_vlist::persist(db, cvd, data, bulk),
-        ModelKind::SplitByRlist => split_rlist::persist(db, cvd, data, bulk),
-        ModelKind::DeltaBased => delta::persist(db, cvd, data, bulk),
+        ModelKind::TablePerVersion => table_per_version::persist(db, cvd, data),
+        ModelKind::CombinedTable => combined::persist(db, cvd, data),
+        ModelKind::SplitByVlist => split_vlist::persist(db, cvd, data),
+        ModelKind::SplitByRlist => split_rlist::persist(db, cvd, data),
+        ModelKind::DeltaBased => delta::persist(db, cvd, data),
     }
 }
 
@@ -139,23 +147,15 @@ pub fn rollback_commit(db: &mut Database, cvd: &Cvd, data: &CommitData) {
         }
         ModelKind::DeltaBased => {
             let _ = db.drop_table(&cvd.delta_table(vid));
-            let _ = db.execute(&format!(
-                "DELETE FROM {} WHERE vid = {}",
-                cvd.precedent_table(),
-                vid.0
-            ));
+            delete_keys(db, &cvd.precedent_table(), &[vid.0 as i64]);
         }
         ModelKind::SplitByRlist => {
-            let _ = db.execute(&format!(
-                "DELETE FROM {} WHERE vid = {}",
-                cvd.rlist_table(),
-                vid.0
-            ));
-            delete_rows_by_rid(db, &cvd.data_table(), &data.new_records);
+            delete_keys(db, &cvd.rlist_table(), &[vid.0 as i64]);
+            delete_keys(db, &cvd.data_table(), &new_rids(data));
         }
         ModelKind::SplitByVlist => {
             strip_vid_from_vlists(db, &cvd.vlist_table(), vid);
-            delete_rows_by_rid(db, &cvd.data_table(), &data.new_records);
+            delete_keys(db, &cvd.data_table(), &new_rids(data));
         }
         ModelKind::CombinedTable => {
             strip_vid_from_vlists(db, &cvd.combined_table(), vid);
@@ -163,12 +163,16 @@ pub fn rollback_commit(db: &mut Database, cvd: &Cvd, data: &CommitData) {
     }
 }
 
-/// Delete the rows whose rid appears in `records` (rollback of freshly
-/// inserted records). Best-effort.
-fn delete_rows_by_rid(db: &mut Database, table: &str, records: &[(i64, Vec<Value>)]) {
+fn new_rids(data: &CommitData) -> Vec<i64> {
+    data.new_records.iter().map(|(rid, _)| *rid).collect()
+}
+
+/// Delete the rows of `table` whose first column — a rid or vid primary
+/// key — is one of `keys`, through that column's index. Best-effort, like
+/// every rollback: a missing table or index deletes nothing.
+pub(crate) fn delete_keys(db: &mut Database, table: &str, keys: &[i64]) {
     let Ok(t) = db.table_mut(table) else { return };
-    let rids: Vec<i64> = records.iter().map(|(rid, _)| *rid).collect();
-    if let Some(pairs) = t.resolve_int_keys(0, &rids) {
+    if let Some(pairs) = t.resolve_int_keys(0, keys) {
         t.delete_slots(pairs.into_iter().map(|(_, slot)| slot).collect());
     }
 }
@@ -448,33 +452,12 @@ pub fn drop_storage(db: &mut Database, cvd: &Cvd) {
     }
 }
 
-// -- SQL helpers shared by the model implementations --------------------------
-
-/// Render a value as a SQL literal.
-pub fn sql_literal(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Double(d) => {
-            if d.fract() == 0.0 {
-                format!("{d:.1}")
-            } else {
-                format!("{d}")
-            }
-        }
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-        Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
-        Value::IntArray(a) => format!(
-            "ARRAY[{}]",
-            a.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    }
-}
+// -- helpers shared by the model implementations ------------------------------
 
 /// Render a comma-separated int list (for `IN (...)` and `ARRAY[...]`).
+/// Nothing in this crate renders one any more; it stays `pub` for the
+/// frozen `perf_ledger`, whose engine rung still times SQL text, until the
+/// ledger takes its own copy.
 pub fn int_list(ids: &[i64]) -> String {
     let mut s = String::with_capacity(ids.len() * 8);
     for (i, id) in ids.iter().enumerate() {
@@ -486,34 +469,24 @@ pub fn int_list(ids: &[i64]) -> String {
     s
 }
 
-/// Insert rows through SQL in chunks (multi-row `INSERT INTO .. VALUES`).
-pub fn insert_rows_sql(db: &mut Database, table: &str, rows: &[Vec<Value>]) -> Result<()> {
-    const CHUNK: usize = 500;
-    for chunk in rows.chunks(CHUNK) {
-        let mut sql = format!("INSERT INTO {table} VALUES ");
-        for (i, row) in chunk.iter().enumerate() {
-            if i > 0 {
-                sql.push_str(", ");
-            }
-            sql.push('(');
-            for (j, v) in row.iter().enumerate() {
-                if j > 0 {
-                    sql.push_str(", ");
-                }
-                sql.push_str(&sql_literal(v));
-            }
-            sql.push(')');
-        }
-        db.execute(&sql)?;
-    }
+/// Insert rows through the table API (schema check and unique probe
+/// included); stops at the first violation.
+pub(crate) fn insert_rows(db: &mut Database, table: &str, rows: Vec<Vec<Value>>) -> Result<()> {
+    db.table_mut(table)?.insert_many(rows)?;
     Ok(())
 }
 
-/// Bulk-insert rows via the table API (load fast-path).
-pub fn insert_rows_bulk(db: &mut Database, table: &str, rows: Vec<Vec<Value>>) -> Result<()> {
-    let t = db.table_mut(table)?;
-    t.insert_many(rows)?;
-    Ok(())
+/// Data-table rows of `records`: each rid followed by its attribute values.
+pub(crate) fn rid_rows(records: &[(i64, Vec<Value>)]) -> Vec<Vec<Value>> {
+    records
+        .iter()
+        .map(|(rid, values)| {
+            let mut row = Vec::with_capacity(values.len() + 1);
+            row.push(Value::Int(*rid));
+            row.extend(values.iter().cloned());
+            row
+        })
+        .collect()
 }
 
 /// Column-name list of a CVD's data attributes, prefixed with `rid`.
@@ -525,43 +498,33 @@ pub fn rid_and_attrs(cvd: &Cvd) -> String {
 
 /// Append `vid` to the `vlist` of each row of `table` whose rid is in
 /// `kept` — the expensive array-append commit of the combined-table and
-/// split-by-vlist models (Table 1). SQL path issues the paper's UPDATE;
-/// bulk path mutates rows directly.
-pub fn append_vid_to_vlist(
+/// split-by-vlist models (Table 1's `UPDATE … SET vlist = vlist + vid`).
+/// The rows are found through the rid index, not by a scan.
+pub(crate) fn append_vid_to_vlist(
     db: &mut Database,
     table: &str,
     vid: Vid,
     kept: &[i64],
-    bulk: bool,
 ) -> Result<()> {
     if kept.is_empty() {
         return Ok(());
     }
-    if !bulk {
-        db.execute(&format!(
-            "UPDATE {table} SET vlist = vlist + {} WHERE rid IN ({})",
-            vid.0,
-            int_list(kept)
-        ))?;
-        return Ok(());
-    }
-    let kept_set: std::collections::HashSet<i64> = kept.iter().copied().collect();
+    // A duplicated staged row keeps its rid twice; like `WHERE rid IN`,
+    // each row is appended to once.
+    let mut rids = kept.to_vec();
+    rids.sort_unstable();
+    rids.dedup();
     let t = db.table_mut(table)?;
     let rid_col = t.schema.column_index("rid")?;
     let vlist_col = t.schema.column_index("vlist")?;
-    let mut updates = Vec::new();
-    for (slot, row) in t.rows().enumerate() {
-        if let Value::Int(r) = row[rid_col] {
-            if kept_set.contains(&r) {
-                let mut new_row = row.clone();
-                if let Value::IntArray(arr) = &mut new_row[vlist_col] {
-                    arr.push(vid.0 as i64);
-                }
-                updates.push((slot, new_row));
-            }
+    let slots = t
+        .resolve_int_keys(rid_col, &rids)
+        .ok_or_else(|| CoreError::Invalid(format!("table {table} has no rid index")))?;
+    for (_, slot) in slots {
+        let mut row = t.row(slot).clone();
+        if let Value::IntArray(vlist) = &mut row[vlist_col] {
+            vlist.push(vid.0 as i64);
         }
-    }
-    for (slot, row) in updates {
         t.replace_row(slot, row)?;
     }
     Ok(())
@@ -682,32 +645,9 @@ mod tests {
     }
 
     #[test]
-    fn sql_literals() {
-        assert_eq!(sql_literal(&Value::Null), "NULL");
-        assert_eq!(sql_literal(&Value::Int(-5)), "-5");
-        assert_eq!(sql_literal(&Value::Double(2.5)), "2.5");
-        assert_eq!(sql_literal(&Value::Double(2.0)), "2.0");
-        assert_eq!(sql_literal(&Value::Text("it's".into())), "'it''s'");
-        assert_eq!(sql_literal(&Value::IntArray(vec![1, 2])), "ARRAY[1, 2]");
-        assert_eq!(sql_literal(&Value::Bool(true)), "TRUE");
-    }
-
-    #[test]
     fn int_list_rendering() {
         assert_eq!(int_list(&[]), "");
         assert_eq!(int_list(&[1]), "1");
         assert_eq!(int_list(&[1, 2, 3]), "1, 2, 3");
-    }
-
-    #[test]
-    fn chunked_sql_insert() {
-        let mut db = Database::new();
-        db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-        let rows: Vec<Vec<Value>> = (0..1203)
-            .map(|i| vec![Value::Int(i), Value::Text(format!("s{i}"))])
-            .collect();
-        insert_rows_sql(&mut db, "t", &rows).unwrap();
-        let r = db.query("SELECT count(*) FROM t").unwrap();
-        assert_eq!(r.scalar(), Some(&Value::Int(1203)));
     }
 }

@@ -14,7 +14,7 @@ use orpheus_engine::{Database, Value};
 use crate::cvd::Cvd;
 use crate::error::Result;
 use crate::ids::Vid;
-use crate::model::{self, insert_rows_bulk, insert_rows_sql, int_list, CommitData};
+use crate::model::{self, insert_rows, rid_rows, CommitData};
 
 pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
     create_pair(db, cvd, &cvd.data_table(), &cvd.rlist_table())
@@ -34,40 +34,14 @@ pub(crate) fn create_rlist_table(db: &mut Database, rlist: &str) -> Result<()> {
     Ok(())
 }
 
-pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData, bulk: bool) -> Result<()> {
+pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
     // New records go into the data table.
-    if !data.new_records.is_empty() {
-        let rows: Vec<Vec<Value>> = data
-            .new_records
-            .iter()
-            .map(|(rid, values)| {
-                let mut row = Vec::with_capacity(values.len() + 1);
-                row.push(Value::Int(*rid));
-                row.extend(values.iter().cloned());
-                row
-            })
-            .collect();
-        if bulk {
-            insert_rows_bulk(db, &cvd.data_table(), rows)?;
-        } else {
-            insert_rows_sql(db, &cvd.data_table(), &rows)?;
-        }
-    }
+    insert_rows(db, &cvd.data_table(), rid_rows(&data.new_records))?;
     // One tuple into the versioning table — the cheap commit of Table 1.
-    if bulk {
-        let t = db.table_mut(&cvd.rlist_table())?;
-        t.insert(vec![
-            Value::Int(data.vid.0 as i64),
-            Value::IntArray(data.rlist.clone()),
-        ])?;
-    } else {
-        db.execute(&format!(
-            "INSERT INTO {} VALUES ({}, ARRAY[{}])",
-            cvd.rlist_table(),
-            data.vid.0,
-            int_list(&data.rlist)
-        ))?;
-    }
+    db.table_mut(&cvd.rlist_table())?.insert(vec![
+        Value::Int(data.vid.0 as i64),
+        Value::IntArray(data.rlist.clone()),
+    ])?;
     Ok(())
 }
 

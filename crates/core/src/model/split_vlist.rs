@@ -10,8 +10,7 @@ use crate::cvd::Cvd;
 use crate::error::Result;
 use crate::ids::Vid;
 use crate::model::{
-    self, append_vid_to_vlist, insert_rows_bulk, insert_rows_sql, split_rlist::rows_to_records,
-    CommitData,
+    self, append_vid_to_vlist, insert_rows, rid_rows, split_rlist::rows_to_records, CommitData,
 };
 
 pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
@@ -23,36 +22,18 @@ pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
     Ok(())
 }
 
-pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData, bulk: bool) -> Result<()> {
+pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
     // Append vid to the vlist of every inherited record (Table 1's
     // expensive UPDATE).
-    append_vid_to_vlist(db, &cvd.vlist_table(), data.vid, &data.kept, bulk)?;
+    append_vid_to_vlist(db, &cvd.vlist_table(), data.vid, &data.kept)?;
     // New records: data rows plus fresh vlist entries.
-    if !data.new_records.is_empty() {
-        let data_rows: Vec<Vec<Value>> = data
-            .new_records
-            .iter()
-            .map(|(rid, values)| {
-                let mut row = Vec::with_capacity(values.len() + 1);
-                row.push(Value::Int(*rid));
-                row.extend(values.iter().cloned());
-                row
-            })
-            .collect();
-        let vlist_rows: Vec<Vec<Value>> = data
-            .new_records
-            .iter()
-            .map(|(rid, _)| vec![Value::Int(*rid), Value::IntArray(vec![data.vid.0 as i64])])
-            .collect();
-        if bulk {
-            insert_rows_bulk(db, &cvd.data_table(), data_rows)?;
-            insert_rows_bulk(db, &cvd.vlist_table(), vlist_rows)?;
-        } else {
-            insert_rows_sql(db, &cvd.data_table(), &data_rows)?;
-            insert_rows_sql(db, &cvd.vlist_table(), &vlist_rows)?;
-        }
-    }
-    Ok(())
+    insert_rows(db, &cvd.data_table(), rid_rows(&data.new_records))?;
+    let vlist_rows: Vec<Vec<Value>> = data
+        .new_records
+        .iter()
+        .map(|(rid, _)| vec![Value::Int(*rid), Value::IntArray(vec![data.vid.0 as i64])])
+        .collect();
+    insert_rows(db, &cvd.vlist_table(), vlist_rows)
 }
 
 /// The Table 1 checkout statement for this model.

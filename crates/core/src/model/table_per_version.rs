@@ -7,34 +7,17 @@ use orpheus_engine::{Database, Value};
 use crate::cvd::Cvd;
 use crate::error::Result;
 use crate::ids::Vid;
-use crate::model::{
-    self, insert_rows_bulk, insert_rows_sql, split_rlist::rows_to_records, CommitData,
-};
+use crate::model::{self, insert_rows, rid_rows, split_rlist::rows_to_records, CommitData};
 
 pub fn init(_db: &mut Database, _cvd: &Cvd) -> Result<()> {
     // Tables are created per commit.
     Ok(())
 }
 
-pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData, bulk: bool) -> Result<()> {
+pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
     let table = cvd.version_table(data.vid);
     db.create_table(&table, cvd.physical_data_schema())?;
-    let rows: Vec<Vec<Value>> = data
-        .all_records
-        .iter()
-        .map(|(rid, values)| {
-            let mut row = Vec::with_capacity(values.len() + 1);
-            row.push(Value::Int(*rid));
-            row.extend(values.iter().cloned());
-            row
-        })
-        .collect();
-    if bulk {
-        insert_rows_bulk(db, &table, rows)?;
-    } else {
-        insert_rows_sql(db, &table, &rows)?;
-    }
-    Ok(())
+    insert_rows(db, &table, rid_rows(&data.all_records))
 }
 
 /// Checkout is a plain table copy.

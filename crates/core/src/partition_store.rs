@@ -112,7 +112,7 @@ fn copy_missing_records(db: &mut Database, cvd: &Cvd, target: &str, rids: &[i64]
         .into_iter()
         .map(|(_, slot)| source.row(slot).clone())
         .collect();
-    model::insert_rows_bulk(db, target, rows)
+    model::insert_rows(db, target, rows)
 }
 
 fn rlist_tuple(cvd: &Cvd, v: usize) -> Vec<Value> {
@@ -337,7 +337,7 @@ pub fn on_commit(db: &mut Database, cvd: &mut Cvd, vid: Vid) -> Result<()> {
 pub fn rollback_placement(db: &mut Database, cvd: &Cvd, vid: Vid) {
     let Some(state) = &cvd.partition else { return };
     for (_, rlist) in cvd.partition_pairs() {
-        let _ = db.execute(&format!("DELETE FROM {rlist} WHERE vid = {}", vid.0));
+        model::delete_keys(db, &rlist, &[vid.0 as i64]);
     }
     let (data, rlist) = cvd.partition_pair(state.generation, state.num_partitions());
     let _ = db.drop_table(&data);

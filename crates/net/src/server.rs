@@ -161,6 +161,10 @@ pub struct ServerStats {
     /// those whose last connection ended less than
     /// [`ServerConfig::request_deadline`] ago.
     pub sessions: u64,
+    /// Connection threads the server holds a join handle for: the live
+    /// ones, plus any that ended since the handles were last reaped (on
+    /// every accept and every `stats` call).
+    pub connections: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -391,6 +395,7 @@ impl NetServer {
                 deadline_exceeded: 0,
                 refused_connections: 0,
                 sessions: 0,
+                connections: 0,
             },
         })
     }
@@ -408,8 +413,8 @@ impl NetServer {
     }
 
     /// A snapshot of the self-protection counters (shed frames, replay
-    /// dedups, deadline expiries, refused connections) and the session
-    /// registry's size.
+    /// dedups, deadline expiries, refused connections) and the sizes of
+    /// the session registry and the connection-handle list.
     pub fn stats(&self) -> ServerStats {
         match &self.service {
             Some(service) => ServerStats {
@@ -422,6 +427,11 @@ impl NetServer {
                 deduped: service.counters.deduped.load(Ordering::SeqCst),
                 deadline_exceeded: service.counters.deadline_exceeded.load(Ordering::SeqCst),
                 refused_connections: service.counters.refused_connections.load(Ordering::SeqCst),
+                connections: {
+                    let mut connections = self.connections.lock();
+                    reap(&mut connections);
+                    connections.len() as u64
+                },
             },
             None => self.stats,
         }
@@ -487,6 +497,13 @@ impl Drop for SessionGuard<'_> {
     }
 }
 
+/// Drop the handles of connection threads that have ended. Without this
+/// the accept loop holds one per connection it ever accepted until
+/// shutdown.
+fn reap(connections: &mut Vec<JoinHandle<()>>) {
+    connections.retain(|handle| !handle.is_finished());
+}
+
 fn accept_loop(
     listener: TcpListener,
     service: Arc<Service>,
@@ -514,7 +531,9 @@ fn accept_loop(
                     let _guard = ConnectionGuard(Arc::clone(&service));
                     serve_connection(stream, service, shutdown);
                 });
-                connections.lock().push(handle);
+                let mut connections = connections.lock();
+                reap(&mut connections);
+                connections.push(handle);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}

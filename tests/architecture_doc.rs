@@ -3,8 +3,9 @@
 //! tier-1, so a rename that forgets a doc fails locally and in CI's `test`
 //! job alike. The README's file pointers are held to the same rule, and it
 //! rides along for the other thing that rotted there: pointers to bench
-//! bins and result files that no longer exist. One claim of the docs is
-//! checked against the source itself: the middleware lexes SQL in one place.
+//! bins and result files that no longer exist. Two claims of the docs are
+//! checked against the source itself: the middleware lexes SQL in one place,
+//! and it renders no DML text.
 
 use std::path::Path;
 
@@ -138,6 +139,26 @@ fn the_middleware_lexes_sql_in_exactly_one_place() {
         matches!(callers.as_slice(), [(path, 1)] if path.ends_with("query.rs")),
         "expected one `tokenize(` call, in crates/core/src/query.rs; found {callers:?}"
     );
+}
+
+/// The versioning layer writes rows as `Value`s through the table API: no
+/// DML text is rendered under `crates/core/src` outside tests. DDL, the
+/// Table 1 read statements and the query translator stay SQL.
+#[test]
+fn the_middleware_renders_no_dml_text() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    core_sources(&root.join("crates/core/src"), &mut sources);
+    let found: Vec<(&str, &str)> = sources
+        .iter()
+        .flat_map(|(path, code)| {
+            ["\"INSERT INTO", "\"DELETE FROM", "\"UPDATE "]
+                .into_iter()
+                .filter(|literal| code.contains(literal))
+                .map(move |literal| (path.as_str(), literal))
+        })
+        .collect();
+    assert!(found.is_empty(), "DML text rendered in {found:?}");
 }
 
 #[test]

@@ -137,6 +137,47 @@ fn a_served_commit_and_checkout_do_not_pay_for_the_record_count() {
     assert_within_15_percent("commit cycle, 2k vs 20k records", small.1, large.1);
 }
 
+/// Allocations per new record of a split-by-rlist commit on a 1 000-row
+/// parent whose records have `attrs` INT attributes: a commit adding 200
+/// records minus one adding 20, over 180.
+fn commit_slope(attrs: i64) -> f64 {
+    let commit_allocs = |new_rows: i64| {
+        let schema = Schema::new(
+            (0..attrs)
+                .map(|i| Column::new(format!("a{i}"), DataType::Int))
+                .collect(),
+        );
+        let row = |k: i64| (0..attrs).map(|i| Value::Int(k * attrs + i)).collect();
+        let mut odb = OrpheusDB::new();
+        odb.init_cvd(CVD, schema, (0..1_000).map(row).collect(), None)
+            .unwrap();
+        odb.checkout(CVD, &[Vid(1)], "work").unwrap();
+        let staged = odb.engine.table_mut("work").unwrap();
+        for k in 1_000..1_000 + new_rows {
+            let mut values: Vec<Value> = row(k);
+            values.insert(0, Value::Null);
+            staged.insert(values).unwrap();
+        }
+        allocs_of(|| {
+            odb.commit("work", "grow").unwrap();
+        })
+    };
+    (commit_allocs(200) - commit_allocs(20)) as f64 / 180.0
+}
+
+/// A committed record is handed to the engine as the `Value`s it already
+/// is: what it costs to persist does not grow with its attribute count, as
+/// it did while every cell was rendered as SQL text and parsed back.
+#[test]
+fn a_commit_does_not_pay_per_attribute_of_a_new_record() {
+    let narrow = commit_slope(3);
+    let wide = commit_slope(13);
+    assert!(
+        wide <= narrow * 1.25,
+        "{wide:.1} allocations per new record with 13 INT attributes, {narrow:.1} with 3"
+    );
+}
+
 /// `INSERT INTO work VALUES (NULL, k, 1), …` for `rows` fresh keys.
 fn insert_sql(next_key: &mut i64, rows: i64) -> String {
     let values: Vec<String> = (*next_key..*next_key + rows)
