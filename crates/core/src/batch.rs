@@ -12,7 +12,7 @@
 //! * take each shard lock **once per sub-batch** instead of once per
 //!   request ([`crate::ConcurrentExecutor`]),
 //! * share one version-row scan across all checkouts of the same version
-//!   ([`crate::OrpheusDB`], via [`BatchPlan::shared_scans`]),
+//!   ([`crate::OrpheusDB`] and every shard, via [`SharedScans`]),
 //! * resolve staged-name routing and analyze SQL for the whole batch under
 //!   a single catalog acquisition (the [`BatchRouter`] is consulted only
 //!   while the plan is built),
@@ -107,8 +107,7 @@ pub enum Step {
 
 /// Executor-specific routing state consulted while a plan is built. The
 /// concurrent executor implements this over its catalog (one read lock for
-/// the whole plan); the single-threaded instance implements it over its
-/// own registries.
+/// the whole plan).
 pub trait BatchRouter {
     /// Whether a CVD with this name exists right now.
     fn has_cvd(&self, name: &str) -> bool;
@@ -232,9 +231,46 @@ fn route_checkout(
 #[derive(Debug)]
 pub struct BatchPlan {
     steps: Vec<Step>,
-    /// (lower-cased CVD, version list) → number of checkouts in the batch
-    /// materializing exactly that version set.
-    scan_counts: HashMap<(String, Vec<Vid>), usize>,
+    scans: SharedScans,
+}
+
+/// How many checkouts of a batch materialize each version set — the hint
+/// behind the shared-scan fast path: a count above one means the version
+/// rows are worth caching. Counted from the requests alone (routing does
+/// not change it), so an executor that needs no schedule needs no plan.
+#[derive(Debug, Default)]
+pub struct SharedScans {
+    /// (lower-cased CVD, version list) → number of checkouts.
+    counts: HashMap<(String, Vec<Vid>), usize>,
+}
+
+impl SharedScans {
+    /// Count the checkouts of `requests` by (CVD, version list).
+    pub fn count(requests: &[Request]) -> SharedScans {
+        let mut counts = HashMap::new();
+        for request in requests {
+            let (cvd, versions) = match request {
+                Request::Checkout(c) => (&c.cvd, &c.versions),
+                Request::CheckoutCsv(c) => (&c.cvd, &c.versions),
+                _ => continue,
+            };
+            if !versions.is_empty() {
+                *counts
+                    .entry((cvd.to_ascii_lowercase(), versions.clone()))
+                    .or_insert(0) += 1;
+            }
+        }
+        SharedScans { counts }
+    }
+
+    /// How many checkouts in the batch materialize exactly this
+    /// (CVD, version list) pair.
+    pub fn get(&self, cvd: &str, versions: &[Vid]) -> usize {
+        self.counts
+            .get(&(cvd.to_ascii_lowercase(), versions.to_vec()))
+            .copied()
+            .unwrap_or(0)
+    }
 }
 
 /// What the planner knows about one staged name after the batch's earlier
@@ -279,7 +315,6 @@ impl BatchPlan {
         // a writing one.
         let mut open: Vec<(ShardKey, bool, Vec<usize>)> = Vec::new();
         let mut overlay: HashMap<String, Overlay> = HashMap::new();
-        let mut scan_counts: HashMap<(String, Vec<Vid>), usize> = HashMap::new();
 
         let flush = |open: &mut Vec<(ShardKey, bool, Vec<usize>)>, steps: &mut Vec<Step>| {
             for (key, read_only, indices) in open.drain(..) {
@@ -343,18 +378,8 @@ impl BatchPlan {
                 },
             };
 
-            // Consumption marks and the scan-coalescing counts.
+            // Consumption marks.
             match request {
-                Request::Checkout(c) if !c.versions.is_empty() => {
-                    *scan_counts
-                        .entry((c.cvd.to_ascii_lowercase(), c.versions.clone()))
-                        .or_insert(0) += 1;
-                }
-                Request::CheckoutCsv(c) if !c.versions.is_empty() => {
-                    *scan_counts
-                        .entry((c.cvd.to_ascii_lowercase(), c.versions.clone()))
-                        .or_insert(0) += 1;
-                }
                 Request::Commit(c) => {
                     consume(&mut overlay, &overlay_key(&c.table, StagedKind::Table));
                 }
@@ -390,7 +415,10 @@ impl BatchPlan {
             }
         }
         flush(&mut open, &mut steps);
-        BatchPlan { steps, scan_counts }
+        BatchPlan {
+            steps,
+            scans: SharedScans::count(requests),
+        }
     }
 
     /// The execution schedule. Every request index appears in exactly one
@@ -399,14 +427,9 @@ impl BatchPlan {
         &self.steps
     }
 
-    /// How many checkouts in the batch materialize exactly this
-    /// (CVD, version list) pair — the hint behind the shared-scan fast
-    /// path: a count above one means the version rows are worth caching.
-    pub fn shared_scans(&self, cvd: &str, versions: &[Vid]) -> usize {
-        self.scan_counts
-            .get(&(cvd.to_ascii_lowercase(), versions.to_vec()))
-            .copied()
-            .unwrap_or(0)
+    /// The batch's shared-scan hints.
+    pub fn shared_scans(&self) -> &SharedScans {
+        &self.scans
     }
 }
 
@@ -462,9 +485,9 @@ mod tests {
             ]
         );
         // Three checkouts of (cvd, v1) split 2/1 across the CVDs.
-        assert_eq!(plan.shared_scans("a", &[Vid(1)]), 2);
-        assert_eq!(plan.shared_scans("B", &[Vid(1)]), 1);
-        assert_eq!(plan.shared_scans("a", &[Vid(2)]), 0);
+        assert_eq!(plan.shared_scans().get("a", &[Vid(1)]), 2);
+        assert_eq!(plan.shared_scans().get("B", &[Vid(1)]), 1);
+        assert_eq!(plan.shared_scans().get("a", &[Vid(2)]), 0);
     }
 
     #[test]

@@ -1,21 +1,23 @@
-//! Hand-rolled binary encoding for everything that rides the wire — and,
-//! since PR 7, the write-ahead log: the full [`Request`] and [`Response`]
-//! corpus, [`CoreError`] (including its wrapped [`EngineError`]), and the
-//! engine vocabulary they carry ([`Value`], [`Schema`], [`QueryResult`]).
+//! Hand-rolled binary encoding for everything that rides the wire — and
+//! the write-ahead log: the full [`Request`] and [`Response`] corpus,
+//! [`CoreError`] (including its wrapped [`EngineError`]), and the query
+//! results, rows, version ids and model tags they carry.
 //!
 //! The workspace builds offline — no serde, no derive macros — so the
-//! codec is explicit: one `encode_*`/`decode_*` pair per type, all
-//! little-endian, strings as `u32` length + UTF-8 bytes, sequences as
-//! `u32` count + elements, enums as a `u8` tag + payload. Decoding never
-//! panics on hostile input: every read is bounds-checked and every
-//! failure surfaces as [`CoreError::Protocol`], which the connection
-//! layers turn into a clean error frame or connection close.
+//! codec is explicit: one `put_*`/`read_*` pair per type, enums as a `u8`
+//! tag + payload. The bytes underneath are the engine's one vocabulary
+//! ([`orpheus_engine::storage`]): its bounds-checked [`Reader`], its
+//! `put_*` writers and its `Value`/`DataType`/`Schema` encoding, the very
+//! layout the engine snapshot stores. Decoding never panics on hostile input:
+//! every read is bounds-checked and every failure surfaces as
+//! [`CoreError::Protocol`], which the connection layers turn into a clean
+//! error frame or connection close.
 //!
-//! This module lives in `orpheus-core` (it moved down from `orpheus-net`)
-//! because two consumers now share it: the TCP wire protocol
-//! (`crates/net`, which re-exports it unchanged) and the durability log
-//! ([`crate::wal`]), whose records embed encoded requests. One encoding,
-//! one hostile-input discipline, one test corpus.
+//! This module lives in `orpheus-core` because two consumers share it: the
+//! TCP wire protocol (`crates/net`) and the durability log
+//! ([`crate::wal`]), whose records embed encoded requests. The instance
+//! snapshot ([`crate::persist`]) borrows its version-id lists and model
+//! tags. One encoding, one hostile-input discipline, one test corpus.
 //!
 //! Compatibility discipline: tags are append-only. A new request,
 //! response, error, or value variant takes the next free tag; existing
@@ -29,135 +31,15 @@ use crate::request::{
 };
 use crate::response::LogEntry;
 use crate::{CommandKind, CoreError, ModelKind, Request, Response, Result, VersionDiff, Vid};
-use orpheus_engine::{Column, DataType, EngineError, QueryResult, Schema, Value};
+use orpheus_engine::storage::{
+    bad_tag, put_bool, put_f64, put_schema, put_str, put_u32, put_u64, put_value, read_schema,
+    read_value,
+};
+use orpheus_engine::{EngineError, QueryResult, Value};
 
 use crate::partition_store::OptimizeReport;
 
-/// Bounds-checked reader over a received payload.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-fn truncated(what: &str) -> CoreError {
-    CoreError::Protocol(format!("truncated payload while decoding {what}"))
-}
-
-fn bad_tag(what: &str, tag: u8) -> CoreError {
-    CoreError::Protocol(format!("unknown {what} tag {tag}"))
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Decoding must consume the payload exactly; trailing bytes mean the
-    /// peer and we disagree about the layout.
-    pub fn finish(self, what: &str) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CoreError::Protocol(format!(
-                "{} trailing byte(s) after decoding {what}",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-
-    pub fn u8(&mut self) -> Result<u8> {
-        let b = *self.buf.get(self.pos).ok_or_else(|| truncated("u8"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| truncated(what))?;
-        let slice = self.buf.get(self.pos..end).ok_or_else(|| truncated(what))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2, "u16")?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(bad_tag("bool", b)),
-        }
-    }
-
-    /// A `u32` element count, sanity-bounded by the bytes actually left:
-    /// every element costs at least one byte, so a count beyond the
-    /// remaining payload is hostile (or corrupt) and is rejected before
-    /// any allocation sized by it.
-    pub fn count(&mut self, what: &str) -> Result<usize> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(CoreError::Protocol(format!(
-                "{what} count {n} exceeds the {} byte(s) left in the payload",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(n)
-    }
-
-    pub fn str(&mut self) -> Result<String> {
-        let n = self.count("string byte")?;
-        let bytes = self.take(n, "string")?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CoreError::Protocol("string payload is not UTF-8".to_string()))
-    }
-}
-
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
+pub use orpheus_engine::storage::Reader;
 
 fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
     match s {
@@ -173,58 +55,8 @@ fn read_opt_str(r: &mut Reader<'_>) -> Result<Option<String>> {
     match r.u8()? {
         0 => Ok(None),
         1 => Ok(Some(r.str()?)),
-        b => Err(bad_tag("option", b)),
+        b => Err(bad_tag("option", b).into()),
     }
-}
-
-// -- engine vocabulary --------------------------------------------------------
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            put_u64(out, *i as u64);
-        }
-        Value::Double(d) => {
-            out.push(2);
-            put_f64(out, *d);
-        }
-        Value::Text(s) => {
-            out.push(3);
-            put_str(out, s);
-        }
-        Value::Bool(b) => {
-            out.push(4);
-            put_bool(out, *b);
-        }
-        Value::IntArray(a) => {
-            out.push(5);
-            put_u32(out, a.len() as u32);
-            for i in a {
-                put_u64(out, *i as u64);
-            }
-        }
-    }
-}
-
-fn read_value(r: &mut Reader<'_>) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::Int(r.i64()?),
-        2 => Value::Double(r.f64()?),
-        3 => Value::Text(r.str()?),
-        4 => Value::Bool(r.bool()?),
-        5 => {
-            let n = r.count("int array")?;
-            let mut a = Vec::with_capacity(n);
-            for _ in 0..n {
-                a.push(r.i64()?);
-            }
-            Value::IntArray(a)
-        }
-        t => return Err(bad_tag("value", t)),
-    })
 }
 
 fn put_row(out: &mut Vec<u8>, row: &[Value]) {
@@ -259,67 +91,6 @@ pub(crate) fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<Value>>> {
     Ok(rows)
 }
 
-fn datatype_tag(d: DataType) -> u8 {
-    match d {
-        DataType::Int => 0,
-        DataType::Double => 1,
-        DataType::Text => 2,
-        DataType::Bool => 3,
-        DataType::IntArray => 4,
-    }
-}
-
-fn read_datatype(r: &mut Reader<'_>) -> Result<DataType> {
-    Ok(match r.u8()? {
-        0 => DataType::Int,
-        1 => DataType::Double,
-        2 => DataType::Text,
-        3 => DataType::Bool,
-        4 => DataType::IntArray,
-        t => return Err(bad_tag("data type", t)),
-    })
-}
-
-pub(crate) fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
-    put_u32(out, schema.columns.len() as u32);
-    for c in &schema.columns {
-        put_str(out, &c.name);
-        out.push(datatype_tag(c.dtype));
-        put_bool(out, c.nullable);
-    }
-    put_u32(out, schema.primary_key.len() as u32);
-    for i in &schema.primary_key {
-        put_u32(out, *i as u32);
-    }
-}
-
-pub(crate) fn read_schema(r: &mut Reader<'_>) -> Result<Schema> {
-    let n = r.count("column")?;
-    let mut columns = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str()?;
-        let dtype = read_datatype(r)?;
-        let nullable = r.bool()?;
-        let column = Column::new(name, dtype);
-        columns.push(if nullable { column } else { column.not_null() });
-    }
-    let mut schema = Schema::new(columns);
-    let pk = r.count("primary key column")?;
-    let mut primary_key = Vec::with_capacity(pk);
-    for _ in 0..pk {
-        let idx = r.u32()? as usize;
-        if idx >= schema.columns.len() {
-            return Err(CoreError::Protocol(format!(
-                "primary key index {idx} out of range for {} column(s)",
-                schema.columns.len()
-            )));
-        }
-        primary_key.push(idx);
-    }
-    schema.primary_key = primary_key;
-    Ok(schema)
-}
-
 pub(crate) fn put_vids(out: &mut Vec<u8>, vids: &[Vid]) {
     put_u32(out, vids.len() as u32);
     for v in vids {
@@ -329,43 +100,47 @@ pub(crate) fn put_vids(out: &mut Vec<u8>, vids: &[Vid]) {
 
 pub(crate) fn read_vids(r: &mut Reader<'_>) -> Result<Vec<Vid>> {
     let n = r.count("version id")?;
-    let mut vids = Vec::with_capacity(n);
-    for _ in 0..n {
-        vids.push(Vid(r.u64()?));
-    }
-    Ok(vids)
+    Ok(r.u64s(n)?.map(Vid).collect())
 }
 
-fn model_tag(m: ModelKind) -> u8 {
-    match m {
+pub(crate) fn put_model(out: &mut Vec<u8>, m: ModelKind) {
+    out.push(match m {
         ModelKind::TablePerVersion => 0,
         ModelKind::CombinedTable => 1,
         ModelKind::SplitByVlist => 2,
         ModelKind::SplitByRlist => 3,
         ModelKind::DeltaBased => 4,
-    }
+    });
 }
 
-pub(crate) fn put_opt_model(out: &mut Vec<u8>, m: &Option<ModelKind>) {
-    match m {
-        None => out.push(0xff),
-        Some(m) => out.push(model_tag(*m)),
-    }
-}
-
-pub(crate) fn read_opt_model(r: &mut Reader<'_>) -> Result<Option<ModelKind>> {
-    let tag = r.u8()?;
-    if tag == 0xff {
-        return Ok(None);
-    }
-    Ok(Some(match tag {
+fn model_from_tag(tag: u8) -> Result<ModelKind> {
+    Ok(match tag {
         0 => ModelKind::TablePerVersion,
         1 => ModelKind::CombinedTable,
         2 => ModelKind::SplitByVlist,
         3 => ModelKind::SplitByRlist,
         4 => ModelKind::DeltaBased,
-        t => return Err(bad_tag("model", t)),
-    }))
+        t => return Err(bad_tag("model", t).into()),
+    })
+}
+
+pub(crate) fn read_model(r: &mut Reader<'_>) -> Result<ModelKind> {
+    model_from_tag(r.u8()?)
+}
+
+/// A model tag, or `0xff` for none.
+fn put_opt_model(out: &mut Vec<u8>, m: &Option<ModelKind>) {
+    match m {
+        None => out.push(0xff),
+        Some(m) => put_model(out, *m),
+    }
+}
+
+fn read_opt_model(r: &mut Reader<'_>) -> Result<Option<ModelKind>> {
+    match r.u8()? {
+        0xff => Ok(None),
+        tag => model_from_tag(tag).map(Some),
+    }
 }
 
 // -- requests -----------------------------------------------------------------
@@ -533,7 +308,7 @@ pub fn read_request(r: &mut Reader<'_>) -> Result<Request> {
         13 => Request::Login(Login { user: r.str()? }),
         14 => Request::Whoami,
         15 => Request::Discard(Discard { table: r.str()? }),
-        t => return Err(bad_tag("request", t)),
+        t => return Err(bad_tag("request", t).into()),
     })
 }
 
@@ -724,7 +499,7 @@ pub fn read_response(r: &mut Reader<'_>) -> Result<Response> {
         11 => Response::LoggedIn { user: r.str()? },
         12 => Response::CurrentUser { user: r.str()? },
         13 => Response::Discarded { table: r.str()? },
-        t => return Err(bad_tag("response", t)),
+        t => return Err(bad_tag("response", t).into()),
     })
 }
 
@@ -763,7 +538,7 @@ fn read_command(r: &mut Reader<'_>) -> Result<CommandKind> {
         10 => CommandKind::Login,
         11 => CommandKind::Whoami,
         12 => CommandKind::Discard,
-        t => return Err(bad_tag("command kind", t)),
+        t => return Err(bad_tag("command kind", t).into()),
     })
 }
 
@@ -804,7 +579,7 @@ fn read_engine_error(r: &mut Reader<'_>) -> Result<EngineError> {
         10 => EngineError::IndexNotFound(msg),
         11 => EngineError::Storage(msg),
         12 => EngineError::Invalid(msg),
-        t => return Err(bad_tag("engine error", t)),
+        t => return Err(bad_tag("engine error", t).into()),
     })
 }
 
@@ -975,7 +750,7 @@ pub fn read_error(r: &mut Reader<'_>) -> Result<CoreError> {
             waited_ms: r.u64()?,
             state: r.str()?,
         },
-        t => return Err(bad_tag("error", t)),
+        t => return Err(bad_tag("error", t).into()),
     })
 }
 

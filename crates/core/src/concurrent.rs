@@ -1091,7 +1091,7 @@ fn execute_items(
                             other => Ok(other.map(Response::Rows)),
                         }
                     }
-                    other => Ok(db.execute_batch_step(plan, &mut scan_cache, other)),
+                    other => Ok(db.execute_batch_step(plan.shared_scans(), &mut scan_cache, other)),
                 }
             }));
             match executed {
@@ -1603,6 +1603,15 @@ impl ConcurrentExecutor {
             cvds.insert(home.to_string());
         }
         if !sql.is_select() {
+            // A side table a `SELECT … INTO` left in a CVD's shard is named
+            // by no routing rule: that shard's published snapshot answers
+            // for it.
+            for (key, shard) in &cat.shards {
+                let snapshot = shard.snapshot.load();
+                if sql.idents().any(|name| snapshot.engine.has_table(name)) {
+                    cvds.insert(key.clone());
+                }
+            }
             drop(cat);
             // A table such a statement creates stays behind in the
             // auxiliary shard; reserved like any other side table.
@@ -2217,6 +2226,31 @@ mod tests {
             std::env::temp_dir().join(format!("orpheus-into-{}.orpheus", std::process::id()));
         shared.save_to(&path).unwrap();
         std::fs::remove_file(&path).ok();
+    }
+
+    /// ROADMAP item 8: a side table that `SELECT … INTO` left in a CVD's
+    /// shard was readable, but no routing rule names that shard, so
+    /// `INSERT` and `DROP TABLE` locked the auxiliary shard alone and
+    /// answered `TableNotFound`. The fallback write path also locks the
+    /// shards whose published snapshot holds a name the statement uses.
+    #[test]
+    fn a_side_table_left_in_a_cvd_shard_takes_writes_and_drops() {
+        let shared = shared_with_two_cvds();
+        let s = shared.session("u").unwrap();
+        s.sql("SELECT * INTO side FROM VERSION 1 OF CVD left")
+            .unwrap();
+        s.sql("INSERT INTO side VALUES (100, 10, 1)").unwrap();
+        let n = s.sql("SELECT count(*) FROM side").unwrap();
+        assert_eq!(n.scalar(), Some(&Value::Int(11)));
+        s.sql("DROP TABLE side").unwrap();
+        assert!(s.sql("SELECT count(*) FROM side").is_err());
+        // The name is free again, in a CVD shard and in the auxiliary one.
+        s.sql("SELECT * INTO side FROM VERSION 1 OF CVD right")
+            .unwrap();
+        s.sql("DROP TABLE side").unwrap();
+        s.sql("CREATE TABLE side (k INT)").unwrap();
+        assert!(shared.inner.catalog_read().creating.is_empty());
+        shared.read(|odb| assert!(odb.engine.has_table("side")));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use orpheus_engine::{Database, QueryResult, Schema, Value};
 
 use crate::access::AccessController;
-use crate::batch::{BatchPlan, BatchRouter, ShardKey};
+use crate::batch::SharedScans;
 use crate::csv;
 use crate::cvd::{Cvd, VersionMeta};
 use crate::error::{CoreError, Result};
@@ -944,10 +944,10 @@ impl OrpheusDB {
     // -- batching ---------------------------------------------------------------
 
     /// Execute one request of a batch against this instance: the
-    /// shared-scan checkout fast path when `plan` says the scan is reused
-    /// ([`BatchPlan::shared_scans`]), the ordinary [`Executor::execute`]
-    /// otherwise — with `cache` invalidated first whenever the request
-    /// could change version contents ([`invalidates_shared_scans`]). Both
+    /// shared-scan checkout fast path when `scans` says the scan is reused,
+    /// the ordinary [`Executor::execute`] otherwise — with `cache`
+    /// invalidated first whenever the request could change version
+    /// contents ([`invalidates_shared_scans`]). Both
     /// the [`OrpheusDB`] batch override and the concurrent executor's
     /// per-shard sub-batches run through this, so a batch coalesces
     /// version-row scans whichever executor drives it.
@@ -962,14 +962,12 @@ impl OrpheusDB {
     /// [`ScanCache`].
     pub(crate) fn execute_batch_step(
         &mut self,
-        plan: &BatchPlan,
+        scans: &SharedScans,
         cache: &mut ScanCache,
         request: Request,
     ) -> Result<Response> {
         match request {
-            Request::Checkout(c)
-                if c.versions.len() > 1 && plan.shared_scans(&c.cvd, &c.versions) > 1 =>
-            {
+            Request::Checkout(c) if c.versions.len() > 1 && scans.get(&c.cvd, &c.versions) > 1 => {
                 self.checkout_with(Some(cache), &c.cvd, &c.versions, &c.table)
                     .map(|()| Response::CheckedOut {
                         cvd: c.cvd,
@@ -977,7 +975,7 @@ impl OrpheusDB {
                         table: c.table,
                     })
             }
-            Request::CheckoutCsv(c) if plan.shared_scans(&c.cvd, &c.versions) > 1 => self
+            Request::CheckoutCsv(c) if scans.get(&c.cvd, &c.versions) > 1 => self
                 .checkout_csv_with(Some(cache), &c.cvd, &c.versions, &c.path)
                 .map(|csv| Response::CheckedOutCsv {
                     cvd: c.cvd,
@@ -1112,7 +1110,7 @@ impl Executor for OrpheusDB {
 
     /// Batched execution with shared version-row scans: when the batch
     /// checks out the same version set of a CVD more than once
-    /// ([`BatchPlan::shared_scans`]), the rows are scanned once and every
+    /// ([`SharedScans`]), the rows are scanned once and every
     /// later checkout materializes from the cached scan, skipping the
     /// model read path entirely. Requests still execute in submission
     /// order — single-threaded, there is nothing to win by reordering — so
@@ -1125,11 +1123,11 @@ impl Executor for OrpheusDB {
         Self: Sized,
     {
         let requests: Vec<Request> = requests.into_iter().collect();
-        let plan = BatchPlan::build(&requests, self);
+        let scans = SharedScans::count(&requests);
         let mut cache = ScanCache::new();
         requests
             .into_iter()
-            .map(|request| self.execute_batch_step(&plan, &mut cache, request))
+            .map(|request| self.execute_batch_step(&scans, &mut cache, request))
             .collect()
     }
 }
@@ -1149,7 +1147,7 @@ pub(crate) type ScanKey = (String, Vec<Vid>);
 /// bulk-insert) cannot beat.
 ///
 /// What the cache is worth, measured at PR 15 by forcing
-/// [`BatchPlan::shared_scans`] to 0: four clients each pipelining 30
+/// the [`SharedScans`] counts to 0: four clients each pipelining 30
 /// rounds of four CSV exports of one version plus a checkout → commit
 /// through async handles, 2 000-record CVDs, 2 cores, 4 alternating runs
 /// of 3 trials — pipelined throughput over per-request sessions read
@@ -1177,29 +1175,6 @@ impl ScanCache {
 
     fn insert(&mut self, key: ScanKey, rows: Vec<Vec<Value>>) {
         self.rows.insert(key, rows);
-    }
-}
-
-/// Routing for [`BatchPlan::build`] on a single-threaded instance. There
-/// are no locks to coalesce, so [`OrpheusDB::batch`] consults its plan
-/// only for the shared-scan hints — but the routing is still honest
-/// (commit/discard resolve through the staging area), so one plan shape
-/// serves both executors.
-impl BatchRouter for OrpheusDB {
-    fn has_cvd(&self, name: &str) -> bool {
-        self.cvds.contains_key(&name.to_ascii_lowercase())
-    }
-
-    fn staged_shard(&self, name: &str, kind: StagedKind) -> Option<ShardKey> {
-        self.staging
-            .cvd_of(name, kind)
-            .map(|cvd| ShardKey::Cvd(cvd.to_ascii_lowercase()))
-    }
-
-    fn sql_shard(&self, _sql: &Lexed) -> Option<ShardKey> {
-        // A single-threaded instance runs all SQL in place; grouping it
-        // under the auxiliary key keeps plans barrier-free.
-        Some(ShardKey::Aux)
     }
 }
 

@@ -9,6 +9,7 @@
 
 use std::fmt;
 
+use orpheus_engine::storage::DecodeError;
 use orpheus_engine::EngineError;
 
 use crate::ids::Vid;
@@ -222,6 +223,15 @@ impl std::error::Error for CoreError {}
 impl From<EngineError> for CoreError {
     fn from(e: EngineError) -> Self {
         CoreError::Engine(e)
+    }
+}
+
+/// Bytes the codec or the write-ahead log cannot decode are a protocol
+/// violation (the instance snapshot reports them as storage corruption
+/// instead, see [`crate::persist`]).
+impl From<DecodeError> for CoreError {
+    fn from(e: DecodeError) -> Self {
+        CoreError::Protocol(e.0.into())
     }
 }
 

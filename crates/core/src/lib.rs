@@ -66,7 +66,7 @@ pub mod staging;
 pub mod wal;
 
 pub use async_exec::{AsyncExecutor, AsyncHandle, Ticket, TicketFulfiller};
-pub use batch::{BatchPlan, BatchRouter, ShardKey, Step};
+pub use batch::{BatchPlan, BatchRouter, ShardKey, SharedScans, Step};
 pub use concurrent::{ConcurrentExecutor, Session, SharedOrpheusDB};
 pub use cvd::Cvd;
 pub use db::{OrpheusConfig, OrpheusDB, VersionDiff};

@@ -11,22 +11,30 @@
 //! section marker followed by the embedded engine snapshot and the
 //! serialized middleware state. Corruption anywhere is detected by the
 //! envelope checksum before any state is reconstructed.
+//!
+//! The bytes are the engine's one vocabulary, with the codec's version-id
+//! lists and model tags ([`crate::codec`]). The one layout of its own is
+//! the CVD schema, which stores each column's type by SQL name rather than
+//! by tag; `CORE_VERSION` 1 files were written that way and must keep
+//! loading. Anything the decoders refuse is [`CoreError::Storage`] (or
+//! [`CoreError::Engine`] from the embedded engine snapshot).
 
 use std::collections::HashMap;
 use std::path::Path;
 
 use orpheus_engine::storage::{
-    self, verify_envelope, wrap_envelope, write_atomically, ByteReader, ByteWriter,
+    self, put_bool, put_f64, put_i64, put_str, put_u32, put_u64, verify_envelope, wrap_envelope,
+    write_atomically, Reader,
 };
 use orpheus_engine::{Column, DataType, Schema};
 use orpheus_partition::online::{OnlineConfig, OnlineMaintainer};
 use orpheus_partition::{Partitioning, VersionTree};
 
+use crate::codec::{put_model, put_vids, read_model, read_vids};
 use crate::cvd::{AttrEntry, AttributeRegistry, Cvd, VersionMeta};
 use crate::db::{OrpheusConfig, OrpheusDB};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
-use crate::model::ModelKind;
 use crate::partition_store::PartitionState;
 use crate::staging::{StagedEntry, StagedKind, StagingArea};
 
@@ -39,139 +47,75 @@ const CORE_VERSION: u32 = 1;
 // Encoding helpers.
 // ---------------------------------------------------------------------------
 
-fn model_tag(m: ModelKind) -> u8 {
-    match m {
-        ModelKind::TablePerVersion => 0,
-        ModelKind::CombinedTable => 1,
-        ModelKind::SplitByVlist => 2,
-        ModelKind::SplitByRlist => 3,
-        ModelKind::DeltaBased => 4,
-    }
-}
-
-fn model_from_tag(tag: u8) -> Result<ModelKind> {
-    match tag {
-        0 => Ok(ModelKind::TablePerVersion),
-        1 => Ok(ModelKind::CombinedTable),
-        2 => Ok(ModelKind::SplitByVlist),
-        3 => Ok(ModelKind::SplitByRlist),
-        4 => Ok(ModelKind::DeltaBased),
-        t => Err(corrupt(format!("unknown data model tag {t}"))),
-    }
-}
-
 fn corrupt(msg: impl Into<String>) -> CoreError {
     CoreError::Storage(format!("snapshot corrupt: {}", msg.into()))
 }
 
-fn put_vids(w: &mut ByteWriter, vids: &[Vid]) {
-    w.put_u32(vids.len() as u32);
-    for v in vids {
-        w.put_u64(v.0);
-    }
-}
-
-fn get_vids(r: &mut ByteReader<'_>) -> Result<Vec<Vid>> {
-    let n = r.get_u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        out.push(Vid(r.get_u64()?));
-    }
-    Ok(out)
-}
-
-fn put_u64s(w: &mut ByteWriter, xs: &[u64]) {
-    w.put_u32(xs.len() as u32);
+/// A rid list: a `u64` count, then the rids.
+fn put_i64s(out: &mut Vec<u8>, xs: &[i64]) {
+    put_u64(out, xs.len() as u64);
     for &x in xs {
-        w.put_u64(x);
+        put_i64(out, x);
     }
 }
 
-fn get_u64s(r: &mut ByteReader<'_>) -> Result<Vec<u64>> {
-    let n = r.get_u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        out.push(r.get_u64()?);
-    }
-    Ok(out)
+fn read_i64s(r: &mut Reader<'_>) -> Result<Vec<i64>> {
+    let n = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+    Ok(r.u64s(n)?.map(|x| x as i64).collect())
 }
 
-fn put_i64s(w: &mut ByteWriter, xs: &[i64]) {
-    w.put_u64(xs.len() as u64);
-    for &x in xs {
-        w.put_i64(x);
+fn put_u32s(out: &mut Vec<u8>, xs: impl ExactSizeIterator<Item = u32>) {
+    put_u32(out, xs.len() as u32);
+    for x in xs {
+        put_u32(out, x);
     }
 }
 
-fn get_i64s(r: &mut ByteReader<'_>) -> Result<Vec<i64>> {
-    let n = r.get_u64()? as usize;
-    if n.saturating_mul(8) > r.remaining() {
-        return Err(corrupt(format!(
-            "rid list length {n} exceeds remaining bytes"
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.get_i64()?);
-    }
-    Ok(out)
+fn read_u32s(r: &mut Reader<'_>, what: &str) -> Result<Vec<u32>> {
+    let n = r.count(what)?;
+    (0..n).map(|_| Ok(r.u32()?)).collect()
 }
 
-fn put_opt_u64(w: &mut ByteWriter, v: Option<u64>) {
+fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     match v {
         Some(x) => {
-            w.put_u8(1);
-            w.put_u64(x);
+            out.push(1);
+            put_u64(out, x);
         }
-        None => w.put_u8(0),
+        None => out.push(0),
     }
 }
 
-fn get_opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>> {
-    Ok(if r.get_u8()? != 0 {
-        Some(r.get_u64()?)
-    } else {
-        None
-    })
+fn read_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>> {
+    Ok(if r.bool()? { Some(r.u64()?) } else { None })
 }
 
-fn put_schema(w: &mut ByteWriter, schema: &Schema) {
-    w.put_u32(schema.columns.len() as u32);
+/// The CVD schema, types by SQL name (the engine's encoding tags them).
+fn put_cvd_schema(out: &mut Vec<u8>, schema: &Schema) {
+    put_u32(out, schema.columns.len() as u32);
     for c in &schema.columns {
-        w.put_str(&c.name);
-        w.put_str(c.dtype.sql_name());
-        w.put_u8(c.nullable as u8);
+        put_str(out, &c.name);
+        put_str(out, c.dtype.sql_name());
+        put_bool(out, c.nullable);
     }
-    w.put_u32(schema.primary_key.len() as u32);
-    for &i in &schema.primary_key {
-        w.put_u32(i as u32);
-    }
+    put_u32s(out, schema.primary_key.iter().map(|&i| i as u32));
 }
 
-fn get_schema(r: &mut ByteReader<'_>) -> Result<Schema> {
-    let ncols = r.get_u32()? as usize;
-    let mut cols = Vec::with_capacity(ncols.min(r.remaining()));
+fn read_cvd_schema(r: &mut Reader<'_>) -> Result<Schema> {
+    let ncols = r.count("column")?;
+    let mut cols = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let name = r.get_str()?;
-        let dtype = DataType::parse(&r.get_str()?).map_err(CoreError::from)?;
-        let nullable = r.get_u8()? != 0;
-        let mut c = Column::new(name, dtype);
-        if !nullable {
-            c = c.not_null();
-        }
-        cols.push(c);
-    }
-    let npk = r.get_u32()? as usize;
-    let mut pk = Vec::with_capacity(npk.min(r.remaining()));
-    for _ in 0..npk {
-        let i = r.get_u32()? as usize;
-        if i >= cols.len() {
-            return Err(corrupt(format!("primary-key index {i} out of range")));
-        }
-        pk.push(i);
+        let name = r.str()?;
+        let c = Column::new(name, DataType::parse(&r.str()?)?);
+        cols.push(if r.bool()? { c } else { c.not_null() });
     }
     let mut s = Schema::new(cols);
-    s.primary_key = pk;
+    for i in read_u32s(r, "primary key column")? {
+        if i as usize >= s.arity() {
+            return Err(corrupt(format!("primary-key index {i} out of range")));
+        }
+        s.primary_key.push(i as usize);
+    }
     Ok(s)
 }
 
@@ -179,84 +123,71 @@ fn get_schema(r: &mut ByteReader<'_>) -> Result<Schema> {
 // Section writers.
 // ---------------------------------------------------------------------------
 
-fn put_version_meta(w: &mut ByteWriter, m: &VersionMeta) {
-    w.put_u64(m.vid.0);
-    put_vids(w, &m.parents);
-    put_u64s(w, &m.parent_weights);
-    put_opt_u64(w, m.checkout_t);
-    w.put_u64(m.commit_t);
-    w.put_str(&m.message);
-    w.put_u32(m.attributes.len() as u32);
-    for &a in &m.attributes {
-        w.put_u32(a);
+fn put_version_meta(out: &mut Vec<u8>, m: &VersionMeta) {
+    put_u64(out, m.vid.0);
+    put_vids(out, &m.parents);
+    put_u32(out, m.parent_weights.len() as u32);
+    for &w in &m.parent_weights {
+        put_u64(out, w);
     }
-    w.put_u64(m.num_records);
-    put_opt_u64(w, m.base.map(|b| b.0));
+    put_opt_u64(out, m.checkout_t);
+    put_u64(out, m.commit_t);
+    put_str(out, &m.message);
+    put_u32s(out, m.attributes.iter().copied());
+    put_u64(out, m.num_records);
+    put_opt_u64(out, m.base.map(|b| b.0));
 }
 
-fn get_version_meta(r: &mut ByteReader<'_>) -> Result<VersionMeta> {
-    let vid = Vid(r.get_u64()?);
-    let parents = get_vids(r)?;
-    let parent_weights = get_u64s(r)?;
+fn read_version_meta(r: &mut Reader<'_>) -> Result<VersionMeta> {
+    let vid = Vid(r.u64()?);
+    let parents = read_vids(r)?;
+    let n = r.count("parent weight")?;
+    let parent_weights: Vec<u64> = r.u64s(n)?.collect();
     if parent_weights.len() != parents.len() {
         return Err(corrupt("parent weight list length mismatch"));
     }
-    let checkout_t = get_opt_u64(r)?;
-    let commit_t = r.get_u64()?;
-    let message = r.get_str()?;
-    let nattrs = r.get_u32()? as usize;
-    let mut attributes = Vec::with_capacity(nattrs.min(r.remaining()));
-    for _ in 0..nattrs {
-        attributes.push(r.get_u32()?);
-    }
-    let num_records = r.get_u64()?;
-    let base = get_opt_u64(r)?.map(Vid);
     Ok(VersionMeta {
         vid,
         parents,
         parent_weights,
-        checkout_t,
-        commit_t,
-        message,
-        attributes,
-        num_records,
-        base,
+        checkout_t: read_opt_u64(r)?,
+        commit_t: r.u64()?,
+        message: r.str()?,
+        attributes: read_u32s(r, "attribute")?,
+        num_records: r.u64()?,
+        base: read_opt_u64(r)?.map(Vid),
     })
 }
 
-fn put_partition_state(w: &mut ByteWriter, p: &PartitionState) {
+fn put_partition_state(out: &mut Vec<u8>, p: &PartitionState) {
     let m = p.maintainer();
-    w.put_u32(p.assignment().len() as u32);
-    for &a in p.assignment() {
-        w.put_u32(a as u32);
-    }
-    w.put_u32(p.num_partitions() as u32);
-    w.put_u32(p.generation as u32);
-    w.put_f64(m.delta_star());
-    w.put_f64(m.cavg_star());
-    w.put_f64(m.config().gamma_factor);
-    w.put_f64(m.config().mu);
-    w.put_u32(m.migrations_triggered() as u32);
+    put_u32s(out, p.assignment().iter().map(|&a| a as u32));
+    put_u32(out, p.num_partitions() as u32);
+    put_u32(out, p.generation as u32);
+    put_f64(out, m.delta_star());
+    put_f64(out, m.cavg_star());
+    put_f64(out, m.config().gamma_factor);
+    put_f64(out, m.config().mu);
+    put_u32(out, m.migrations_triggered() as u32);
 }
 
 /// The partition state of a CVD whose version tree is `tree` (the
 /// maintainer's tree is not stored: it is the CVD's).
-fn get_partition_state(r: &mut ByteReader<'_>, tree: VersionTree) -> Result<PartitionState> {
-    let n = r.get_u32()? as usize;
-    let mut assignment = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        assignment.push(r.get_u32()? as usize);
-    }
-    let num_partitions = r.get_u32()? as usize;
-    let generation = r.get_u32()? as usize;
-    let delta_star = r.get_f64()?;
-    let cavg_star = r.get_f64()?;
+fn read_partition_state(r: &mut Reader<'_>, tree: VersionTree) -> Result<PartitionState> {
+    let assignment: Vec<usize> = read_u32s(r, "partition assignment")?
+        .into_iter()
+        .map(|a| a as usize)
+        .collect();
+    let num_partitions = r.u32()? as usize;
+    let generation = r.u32()? as usize;
+    let delta_star = r.f64()?;
+    let cavg_star = r.f64()?;
     let config = OnlineConfig {
-        gamma_factor: r.get_f64()?,
-        mu: r.get_f64()?,
+        gamma_factor: r.f64()?,
+        mu: r.f64()?,
         ..OnlineConfig::default()
     };
-    let migrations = r.get_u32()? as usize;
+    let migrations = r.u32()? as usize;
     if assignment.len() != tree.num_versions() {
         return Err(corrupt(format!(
             "partition assignment covers {} versions, the CVD has {}",
@@ -286,83 +217,102 @@ fn get_partition_state(r: &mut ByteReader<'_>, tree: VersionTree) -> Result<Part
     })
 }
 
-fn put_cvd(w: &mut ByteWriter, cvd: &Cvd) {
-    w.put_str(&cvd.name);
-    put_schema(w, &cvd.schema);
-    w.put_u8(model_tag(cvd.model));
-    w.put_u32(cvd.versions.len() as u32);
+fn put_cvd(out: &mut Vec<u8>, cvd: &Cvd) {
+    put_str(out, &cvd.name);
+    put_cvd_schema(out, &cvd.schema);
+    put_model(out, cvd.model);
+    put_u32(out, cvd.versions.len() as u32);
     for m in &cvd.versions {
-        put_version_meta(w, m);
+        put_version_meta(out, m);
     }
     for rids in &cvd.version_rids {
-        put_i64s(w, rids);
+        put_i64s(out, rids);
     }
-    w.put_u64(cvd.next_rid);
-    w.put_u32(cvd.attrs.entries().len() as u32);
+    put_u64(out, cvd.next_rid);
+    put_u32(out, cvd.attrs.entries().len() as u32);
     for e in cvd.attrs.entries() {
-        w.put_u32(e.id);
-        w.put_str(&e.name);
-        w.put_str(e.dtype.sql_name());
+        put_u32(out, e.id);
+        put_str(out, &e.name);
+        put_str(out, e.dtype.sql_name());
     }
     match &cvd.partition {
         Some(p) => {
-            w.put_u8(1);
-            put_partition_state(w, p);
+            out.push(1);
+            put_partition_state(out, p);
         }
-        None => w.put_u8(0),
+        None => out.push(0),
     }
 }
 
-fn get_cvd(r: &mut ByteReader<'_>) -> Result<Cvd> {
-    let name = r.get_str()?;
-    let schema = get_schema(r)?;
-    let model = model_from_tag(r.get_u8()?)?;
-    let nvers = r.get_u32()? as usize;
-    let mut versions = Vec::with_capacity(nvers.min(r.remaining()));
-    for _ in 0..nvers {
-        versions.push(std::sync::Arc::new(get_version_meta(r)?));
+fn read_cvd(r: &mut Reader<'_>) -> Result<Cvd> {
+    let name = r.str()?;
+    let schema = read_cvd_schema(r)?;
+    let model = read_model(r)?;
+    let nvers = r.count("version")?;
+    let mut versions: Vec<std::sync::Arc<VersionMeta>> = Vec::with_capacity(nvers);
+    for i in 0..nvers {
+        let m = read_version_meta(r)?;
+        // The version graph is rebuilt from these: ids are dense and every
+        // parent precedes its child, sharing no more records than either.
+        let vid = Vid::from_index(i);
+        if m.vid != vid {
+            return Err(corrupt(format!("version {} stored as {}", vid.0, m.vid.0)));
+        }
+        for (p, &w) in m.parents.iter().zip(&m.parent_weights) {
+            let Some(parent) = versions.get(p.0.wrapping_sub(1) as usize) else {
+                return Err(corrupt(format!("version {} names parent {}", vid.0, p.0)));
+            };
+            if w > parent.num_records.max(m.num_records) {
+                return Err(corrupt(format!(
+                    "version {} shares {w} records with parent {}",
+                    vid.0, p.0
+                )));
+            }
+        }
+        versions.push(std::sync::Arc::new(m));
     }
-    let mut version_rids = Vec::with_capacity(nvers.min(r.remaining()));
+    let mut version_rids = Vec::with_capacity(nvers);
     for _ in 0..nvers {
-        version_rids.push(std::sync::Arc::new(get_i64s(r)?));
+        version_rids.push(std::sync::Arc::new(read_i64s(r)?));
     }
-    let next_rid = r.get_u64()?;
-    let nattrs = r.get_u32()? as usize;
-    let mut entries = Vec::with_capacity(nattrs.min(r.remaining()));
+    let next_rid = r.u64()?;
+    let nattrs = r.count("attribute entry")?;
+    let mut entries = Vec::with_capacity(nattrs);
     for _ in 0..nattrs {
-        let id = r.get_u32()?;
-        let name = r.get_str()?;
-        let dtype = DataType::parse(&r.get_str()?).map_err(CoreError::from)?;
-        entries.push(AttrEntry { id, name, dtype });
+        entries.push(AttrEntry {
+            id: r.u32()?,
+            name: r.str()?,
+            dtype: DataType::parse(&r.str()?)?,
+        });
     }
     let mut cvd = Cvd::new(&name, schema, model);
     cvd.versions = versions;
     cvd.version_rids = version_rids;
     cvd.next_rid = next_rid;
     cvd.attrs = AttributeRegistry::from_entries(entries);
-    if r.get_u8()? != 0 {
-        cvd.partition = Some(get_partition_state(r, cvd.version_tree())?);
+    if r.bool()? {
+        cvd.partition = Some(read_partition_state(r, cvd.version_tree())?);
     }
     Ok(cvd)
 }
 
-fn put_staged(w: &mut ByteWriter, e: &StagedEntry) {
-    w.put_str(&e.name);
-    w.put_str(&e.cvd);
-    put_vids(w, &e.parents);
-    w.put_str(&e.owner);
-    w.put_u64(e.created_at);
-    w.put_u8(matches!(e.kind, StagedKind::Csv) as u8);
+fn put_staged(out: &mut Vec<u8>, e: &StagedEntry) {
+    put_str(out, &e.name);
+    put_str(out, &e.cvd);
+    put_vids(out, &e.parents);
+    put_str(out, &e.owner);
+    put_u64(out, e.created_at);
+    put_bool(out, matches!(e.kind, StagedKind::Csv));
 }
 
-fn get_staged(r: &mut ByteReader<'_>) -> Result<StagedEntry> {
+fn read_staged(r: &mut Reader<'_>) -> Result<StagedEntry> {
     Ok(StagedEntry {
-        name: r.get_str()?,
-        cvd: r.get_str()?,
-        parents: get_vids(r)?,
-        owner: r.get_str()?,
-        created_at: r.get_u64()?,
-        kind: if r.get_u8()? != 0 {
+        name: r.str()?,
+        cvd: r.str()?,
+        parents: read_vids(r)?,
+        owner: r.str()?,
+        created_at: r.u64()?,
+        kind: if r.bool()? {
             StagedKind::Csv
         } else {
             StagedKind::Table
@@ -376,98 +326,105 @@ fn get_staged(r: &mut ByteReader<'_>) -> Result<StagedEntry> {
 
 /// Serialize a full OrpheusDB instance into a checksummed snapshot.
 pub fn serialize(odb: &OrpheusDB) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_str(SECTION);
-    w.put_u32(CORE_VERSION);
+    wrap_envelope(&serialize_payload(odb))
+}
+
+fn serialize_payload(odb: &OrpheusDB) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_str(&mut out, SECTION);
+    put_u32(&mut out, CORE_VERSION);
 
     // Embedded engine snapshot (with its own envelope; integrity of the
     // whole file is still guaranteed by the outer CRC).
     let engine_bytes = storage::serialize_database(&odb.engine);
-    w.put_u64(engine_bytes.len() as u64);
-    w.put_raw(&engine_bytes);
+    put_u64(&mut out, engine_bytes.len() as u64);
+    out.extend_from_slice(&engine_bytes);
 
     // Config + logical clock.
-    w.put_u8(model_tag(odb.config.default_model));
-    w.put_f64(odb.config.gamma_factor);
-    w.put_f64(odb.config.mu);
-    w.put_u64(odb.clock);
+    put_model(&mut out, odb.config.default_model);
+    put_f64(&mut out, odb.config.gamma_factor);
+    put_f64(&mut out, odb.config.mu);
+    put_u64(&mut out, odb.clock);
 
     // Users and session identity.
     let users = odb.access.users();
-    w.put_u32(users.len() as u32);
+    put_u32(&mut out, users.len() as u32);
     for u in &users {
-        w.put_str(u);
+        put_str(&mut out, u);
     }
-    w.put_str(odb.access.whoami());
+    put_str(&mut out, odb.access.whoami());
 
     // Staging provenance.
     let staged = odb.staging.list();
-    w.put_u32(staged.len() as u32);
+    put_u32(&mut out, staged.len() as u32);
     for e in staged {
-        put_staged(&mut w, e);
+        put_staged(&mut out, e);
     }
 
     // CVD catalog, in sorted order for deterministic bytes.
     let mut names: Vec<&String> = odb.cvds.keys().collect();
     names.sort();
-    w.put_u32(names.len() as u32);
+    put_u32(&mut out, names.len() as u32);
     for name in names {
-        put_cvd(&mut w, &odb.cvds[name]);
+        put_cvd(&mut out, &odb.cvds[name]);
     }
-
-    wrap_envelope(&w.into_bytes())
+    out
 }
 
 /// Reconstruct an OrpheusDB instance from snapshot bytes.
 pub fn deserialize(bytes: &[u8]) -> Result<OrpheusDB> {
-    let payload = verify_envelope(bytes).map_err(CoreError::from)?;
-    let mut r = ByteReader::new(payload);
+    let payload = verify_envelope(bytes)?;
+    deserialize_payload(payload).map_err(|e| match e {
+        // Bytes the shared decoders refuse are a protocol error on the wire
+        // and corruption here.
+        CoreError::Protocol(m) => corrupt(m),
+        e => e,
+    })
+}
+
+fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
+    let mut r = Reader::new(payload);
 
     // A bare engine snapshot shares the envelope but its payload does not
     // begin with the middleware section marker; fail with guidance rather
     // than a generic corruption error.
-    if r.get_str().ok().as_deref() != Some(SECTION) {
+    if r.str().ok().as_deref() != Some(SECTION) {
         return Err(CoreError::Storage(
             "not an OrpheusDB instance snapshot (bare engine snapshots \
              load via orpheus_engine::storage::load_database)"
                 .into(),
         ));
     }
-    let version = r.get_u32()?;
+    let version = r.u32()?;
     if version > CORE_VERSION {
         return Err(CoreError::Storage(format!(
             "middleware section version {version} is newer than supported {CORE_VERSION}"
         )));
     }
 
-    let engine_len = r.get_u64()? as usize;
-    if engine_len > r.remaining() {
-        return Err(corrupt("embedded engine snapshot length exceeds payload"));
-    }
-    let engine = storage::deserialize_database(r.get_raw(engine_len)?)?;
+    let engine_len = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+    let engine = storage::deserialize_database(r.bytes(engine_len)?)?;
 
-    let default_model = model_from_tag(r.get_u8()?)?;
-    let gamma_factor = r.get_f64()?;
-    let mu = r.get_f64()?;
-    let clock = r.get_u64()?;
+    let default_model = read_model(&mut r)?;
+    let gamma_factor = r.f64()?;
+    let mu = r.f64()?;
+    let clock = r.u64()?;
 
-    let nusers = r.get_u32()? as usize;
-    let mut users = Vec::with_capacity(nusers.min(r.remaining()));
-    for _ in 0..nusers {
-        users.push(r.get_str()?);
-    }
-    let current = r.get_str()?;
+    let nusers = r.count("user")?;
+    let users = (0..nusers)
+        .map(|_| r.str())
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let current = r.str()?;
 
-    let nstaged = r.get_u32()? as usize;
     let mut staging = StagingArea::default();
-    for _ in 0..nstaged {
-        staging.register(get_staged(&mut r)?)?;
+    for _ in 0..r.count("staged entry")? {
+        staging.register(read_staged(&mut r)?)?;
     }
 
-    let ncvds = r.get_u32()? as usize;
-    let mut cvds = HashMap::with_capacity(ncvds.min(r.remaining()));
+    let ncvds = r.count("CVD")?;
+    let mut cvds = HashMap::with_capacity(ncvds);
     for _ in 0..ncvds {
-        let cvd = get_cvd(&mut r)?;
+        let cvd = read_cvd(&mut r)?;
         if cvd.versions.len() != cvd.version_rids.len() {
             return Err(corrupt(format!(
                 "CVD {}: version metadata and rid lists disagree",
@@ -476,9 +433,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<OrpheusDB> {
         }
         cvds.insert(cvd.name.clone(), cvd);
     }
-    if !r.is_exhausted() {
-        return Err(corrupt(format!("{} trailing bytes", r.remaining())));
-    }
+    r.finish("the instance snapshot")?;
 
     let mut odb = OrpheusDB::with_config(OrpheusConfig {
         default_model,
@@ -535,6 +490,7 @@ pub fn load_shared(path: &Path) -> Result<crate::SharedOrpheusDB> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ModelKind;
     use orpheus_engine::Value;
 
     fn schema() -> Schema {
@@ -744,21 +700,17 @@ mod tests {
         let cvd = odb.cvd("protein").unwrap();
         let state = cvd.partition.as_ref().unwrap();
         let encode = |assignment: &[usize], num_partitions: usize| {
-            let mut w = ByteWriter::new();
-            w.put_u32(assignment.len() as u32);
-            for &a in assignment {
-                w.put_u32(a as u32);
-            }
-            w.put_u32(num_partitions as u32);
-            w.put_u32(0);
+            let mut out = Vec::new();
+            put_u32s(&mut out, assignment.iter().map(|&a| a as u32));
+            put_u32(&mut out, num_partitions as u32);
+            put_u32(&mut out, 0);
             for x in [0.5, 3.0, 2.0, 1.5] {
-                w.put_f64(x);
+                put_f64(&mut out, x);
             }
-            w.put_u32(0);
-            w.into_bytes()
+            put_u32(&mut out, 0);
+            out
         };
-        let load =
-            |bytes: &[u8]| get_partition_state(&mut ByteReader::new(bytes), cvd.version_tree());
+        let load = |bytes: &[u8]| read_partition_state(&mut Reader::new(bytes), cvd.version_tree());
         let (good, k) = (state.assignment(), state.num_partitions());
         assert_eq!(load(&encode(good, k)).unwrap().assignment(), good);
 

@@ -79,10 +79,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use orpheus_engine::storage::{crc32, fsync_dir, write_atomically};
+use orpheus_engine::storage::{
+    crc32, fsync_dir, put_schema, put_str, put_u32, put_u64, read_schema, write_atomically,
+};
 use orpheus_engine::{Schema, Value};
 
-use crate::codec::{self, put_str, put_u32, put_u64, Reader};
+use crate::codec::{self, Reader};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::request::Request;
@@ -328,7 +330,7 @@ impl WalRecord {
                 codec::put_vids(&mut out, &c.parents);
                 put_str(&mut out, &c.owner);
                 put_u64(&mut out, c.created_at);
-                codec::put_schema(&mut out, &c.schema);
+                put_schema(&mut out, &c.schema);
                 codec::put_rows(&mut out, &c.rows);
                 put_str(&mut out, &c.message);
                 put_u64(&mut out, c.vid.0);
@@ -361,7 +363,7 @@ impl WalRecord {
                 let parents = codec::read_vids(&mut r)?;
                 let owner = r.str()?;
                 let created_at = r.u64()?;
-                let schema = codec::read_schema(&mut r)?;
+                let schema = read_schema(&mut r)?;
                 let rows = codec::read_rows(&mut r)?;
                 let message = r.str()?;
                 let vid = Vid(r.u64()?);

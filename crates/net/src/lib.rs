@@ -6,13 +6,10 @@
 //! trait every local executor does — so the CLI, the REPL, and whole
 //! request corpora run against a server unmodified.
 //!
-//! Three layers, one per module:
+//! The binary encoding of the command bus (every [`Request`]/[`Response`]
+//! variant, [`CoreError`] included) is [`orpheus_core::codec`], shared with
+//! the write-ahead log. On top of it, one layer per module:
 //!
-//! * [`codec`] — binary encoding of the full command bus (every
-//!   [`Request`]/[`Response`] variant, [`CoreError`] included), written
-//!   by hand because the workspace builds offline: explicit tags, length-
-//!   prefixed strings, bounds-checked decoding that errors instead of
-//!   panicking on hostile bytes.
 //! * [`proto`] — the frame layer: `[u32 length][payload]`, a magic +
 //!   version handshake that carries the user ("login is connection
 //!   setup"), correlation ids, and a max-frame-size guard.
@@ -55,7 +52,6 @@
 
 pub mod chaos;
 pub mod client;
-pub mod codec;
 pub mod proto;
 pub mod server;
 

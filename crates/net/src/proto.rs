@@ -9,7 +9,7 @@
 //!
 //! The length prefix is big-endian (network order, like the TCP/IP stack
 //! the frames ride on); everything inside the payload uses the
-//! little-endian [`crate::codec`]. A connection starts with a handshake:
+//! little-endian [`orpheus_core::codec`]. A connection starts with a handshake:
 //! the client sends [`Frame::Hello`] carrying the [`MAGIC`] bytes, its
 //! [`PROTOCOL_VERSION`], and the user it wants to act as (login is part of
 //! connection setup, like `--as` on the CLI); the server answers
@@ -27,11 +27,9 @@
 
 use std::io::{ErrorKind, Read, Write};
 
+use orpheus_core::codec::{put_outcome, put_request, read_outcome, read_request, Reader};
 use orpheus_core::{CoreError, Request, Response, Result};
-
-use crate::codec::{
-    put_outcome, put_request, put_str, put_u16, put_u64, read_outcome, read_request, Reader,
-};
+use orpheus_engine::storage::{put_str, put_u16, put_u32, put_u64};
 
 /// First bytes of every [`Frame::Hello`]; rejects non-Orpheus peers (or
 /// plain-text probes) before any further parsing.
@@ -141,7 +139,7 @@ impl Frame {
             Frame::Batch { id, requests } => {
                 out.push(TAG_BATCH);
                 put_u64(&mut out, *id);
-                crate::codec::put_u32(&mut out, requests.len() as u32);
+                put_u32(&mut out, requests.len() as u32);
                 for request in requests {
                     put_request(&mut out, request);
                 }
@@ -154,7 +152,7 @@ impl Frame {
             Frame::BatchResp { id, outcomes } => {
                 out.push(TAG_BATCH_RESP);
                 put_u64(&mut out, *id);
-                crate::codec::put_u32(&mut out, outcomes.len() as u32);
+                put_u32(&mut out, outcomes.len() as u32);
                 for outcome in outcomes {
                     put_outcome(&mut out, outcome);
                 }

@@ -17,10 +17,13 @@
 //!   search on δ for a storage budget (Appendix B);
 //! * [`agglo`] and [`kmeans`] — the NScale baselines re-implemented from
 //!   their description in Section 5.1;
-//! * [`online`] — incremental maintenance as versions stream in, and
+//! * [`online`] — incremental maintenance as versions stream in;
 //! * [`migration`] — the intelligent migration engine (Section 4.3);
-//! * [`weighted`] — weighted checkout cost (Appendix C.2) and
-//! * [`schema_aware`] — schema-change-aware splitting (Appendix C.3).
+//! * [`weighted`] — weighted checkout cost (Appendix C.2).
+//!
+//! Appendix C.3's schema-change-aware splitting is not implemented: it had
+//! no caller, and schema changes reach partitions through the ordinary
+//! commit path.
 
 pub mod agglo;
 pub mod bipartite;
@@ -29,7 +32,6 @@ pub mod lyresplit;
 pub mod migration;
 pub mod online;
 pub mod partitioning;
-pub mod schema_aware;
 pub mod sim;
 pub mod version_graph;
 pub mod weighted;

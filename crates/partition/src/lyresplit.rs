@@ -42,28 +42,6 @@ pub struct LyreSplitResult {
 
 /// Run LyreSplit with a fixed δ (Algorithm 1).
 pub fn lyresplit(tree: &VersionTree, delta: f64, pick: EdgePick) -> LyreSplitResult {
-    lyresplit_with_candidates(
-        tree,
-        delta,
-        pick,
-        &|v, comp_r| tree.weight_to_parent[v] as f64 <= delta * comp_r as f64,
-        &|v| tree.weight_to_parent[v],
-    )
-}
-
-/// Algorithm 1 with a custom candidate-edge predicate and ranking weight:
-/// `candidate(v, |R|)` decides whether the edge `(p(v), v)` qualifies for
-/// cutting given the current component's record count, and
-/// `effective_weight(v)` is the weight used to rank candidates under
-/// [`EdgePick::SmallestWeight`]. This generalization supports the
-/// schema-aware variant of Appendix C.3.
-pub(crate) fn lyresplit_with_candidates(
-    tree: &VersionTree,
-    delta: f64,
-    pick: EdgePick,
-    candidate: &dyn Fn(VersionId, u64) -> bool,
-    effective_weight: &dyn Fn(VersionId) -> u64,
-) -> LyreSplitResult {
     let n = tree.num_versions();
     let mut assignment = vec![0usize; n];
     if n == 0 {
@@ -84,7 +62,7 @@ pub(crate) fn lyresplit_with_candidates(
 
     while let Some((members, level)) = queue.pop() {
         max_level = max_level.max(level);
-        match try_split(tree, &members, delta, pick, candidate, effective_weight) {
+        match try_split(tree, &members, delta, pick) {
             Some((side_a, side_b)) => {
                 queue.push((side_a, level + 1));
                 queue.push((side_b, level + 1));
@@ -147,8 +125,6 @@ fn try_split(
     members: &[VersionId],
     delta: f64,
     pick: EdgePick,
-    candidate: &dyn Fn(VersionId, u64) -> bool,
-    effective_weight: &dyn Fn(VersionId) -> u64,
 ) -> Option<(Vec<VersionId>, Vec<VersionId>)> {
     if members.len() <= 1 {
         return None;
@@ -161,13 +137,14 @@ fn try_split(
         return None;
     }
 
-    // Line 5: qualifying edges Ω = {v | w(p(v), v) ≤ δ|R|, p(v) in comp}
-    // (or the caller-supplied generalization of that predicate).
+    // Line 5: qualifying edges Ω = {v | w(p(v), v) ≤ δ|R|, p(v) in comp}.
     let candidates: Vec<VersionId> = members
         .iter()
         .copied()
         .filter(|&v| match tree.parent[v] {
-            Some(p) => stats.in_comp[p] && candidate(v, stats.r),
+            Some(p) => {
+                stats.in_comp[p] && tree.weight_to_parent[v] as f64 <= delta * stats.r as f64
+            }
             None => false,
         })
         .collect();
@@ -179,7 +156,7 @@ fn try_split(
         EdgePick::SmallestWeight => candidates
             .iter()
             .copied()
-            .min_by_key(|&v| (effective_weight(v), v))
+            .min_by_key(|&v| (tree.weight_to_parent[v], v))
             .expect("candidates nonempty"),
         EdgePick::BalancedVersions => pick_balanced(tree, members, &stats, &candidates),
     };

@@ -3,9 +3,9 @@
 //! tier-1, so a rename that forgets a doc fails locally and in CI's `test`
 //! job alike. The README's file pointers are held to the same rule, and it
 //! rides along for the other thing that rotted there: pointers to bench
-//! bins and result files that no longer exist. Two claims of the docs are
+//! bins and result files that no longer exist. Three claims of the docs are
 //! checked against the source itself: the middleware lexes SQL in one place,
-//! and it renders no DML text.
+//! it renders no DML text, and every byte format speaks one vocabulary.
 
 use std::path::Path;
 
@@ -99,10 +99,10 @@ fn no_doc_points_at_a_deleted_bin_or_a_result_file() {
     }
 }
 
-/// `crates/core/src` files with their non-test, non-comment lines: a
+/// The `.rs` files under `dir` with their non-test, non-comment lines: a
 /// file's `#[cfg(test)]` module is its tail.
 fn core_sources(dir: &Path, out: &mut Vec<(String, String)>) {
-    for entry in std::fs::read_dir(dir).expect("crates/core/src is readable") {
+    for entry in std::fs::read_dir(dir).expect("source directory is readable") {
         let path = entry.expect("directory entry").path();
         if path.is_dir() {
             core_sources(&path, out);
@@ -159,6 +159,105 @@ fn the_middleware_renders_no_dml_text() {
         })
         .collect();
     assert!(found.is_empty(), "DML text rendered in {found:?}");
+}
+
+/// Function signatures in `code` — `fn` up to its body — with whitespace
+/// collapsed, as `(name, parameters, return type)`.
+fn signatures(code: &str) -> Vec<(String, String, String)> {
+    let bytes = code.as_bytes();
+    code.match_indices("fn ")
+        .filter(|(i, _)| *i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_'))
+        .filter_map(|(i, _)| {
+            let rest = &code[i + 3..];
+            let sig = &rest[..rest.find(['{', ';']).unwrap_or(rest.len())];
+            let sig = sig.split_whitespace().collect::<Vec<_>>().join(" ");
+            let (name, tail) = sig.split_once('(')?;
+            let (params, ret) = tail.rsplit_once(')')?;
+            let ret = ret.trim().trim_start_matches("->").trim();
+            let name = name.split('<').next()?.trim().to_string();
+            Some((name, params.to_string(), ret.to_string()))
+        })
+        .collect()
+}
+
+/// What a signature encodes or decodes of the engine vocabulary, if any.
+fn vocabulary_item(params: &str, ret: &str) -> Option<&'static str> {
+    let writes = params.contains("Vec<u8>");
+    let reads = params.contains("Reader") || params.trim_end().ends_with(": u8");
+    let returns = |ty: &str| ret.ends_with(&format!("<{ty}>")) || ret == ty;
+    if writes && params.contains("&Value") || reads && returns("Value") {
+        Some("Value")
+    } else if writes && params.contains("&Schema") || reads && returns("Schema") {
+        Some("Schema")
+    } else if params.contains("DataType") && (writes || ret == "u8") || reads && returns("DataType")
+    {
+        Some("DataType")
+    } else {
+        None
+    }
+}
+
+/// The bytes on the wire, in the log and on disk are one vocabulary: the
+/// bounds-checked reader, the string writer and the `Value` / `DataType` /
+/// `Schema` encoders are defined in exactly one module under `crates/*/src`.
+/// The instance snapshot's by-name CVD schema (`persist.rs`) is the one
+/// documented exception. A second encoder is a second dialect coming back.
+#[test]
+fn the_byte_vocabulary_is_defined_in_exactly_one_module() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            core_sources(&src, &mut sources);
+        }
+    }
+    let exempt = [
+        ("persist.rs", "put_cvd_schema"),
+        ("persist.rs", "read_cvd_schema"),
+    ];
+    let mut found: Vec<(String, String)> = Vec::new();
+    for (path, code) in &sources {
+        let file = path.rsplit('/').next().unwrap_or(path);
+        for (name, params, ret) in signatures(code) {
+            let is_exempt = exempt.contains(&(file, name.as_str()));
+            let is_writer = name == "put_str" || name == "put_u32";
+            if (vocabulary_item(&params, &ret).is_some() || is_writer) && !is_exempt {
+                found.push((path.clone(), name));
+            }
+        }
+        // A reader is a struct borrowing the bytes it walks.
+        for def in code.split("struct ").skip(1) {
+            let body = &def[..def.find('}').unwrap_or(def.len())];
+            if body.contains("&'a [u8]") {
+                found.push((
+                    path.clone(),
+                    format!("struct {}", body.split('<').next().unwrap_or(body)),
+                ));
+            }
+        }
+    }
+    let modules: std::collections::BTreeSet<&str> = found.iter().map(|(p, _)| p.as_str()).collect();
+    assert!(
+        modules.len() == 1
+            && modules
+                .iter()
+                .all(|m| m.ends_with("crates/engine/src/storage.rs")),
+        "the byte vocabulary should live in crates/engine/src/storage.rs alone; found {found:?}"
+    );
+    let names: Vec<&str> = found.iter().map(|(_, n)| n.as_str()).collect();
+    for expected in [
+        "struct Reader",
+        "put_value",
+        "read_value",
+        "put_schema",
+        "read_schema",
+    ] {
+        assert!(
+            names.contains(&expected),
+            "{expected} not found in {names:?}"
+        );
+    }
 }
 
 #[test]

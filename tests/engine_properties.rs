@@ -375,6 +375,205 @@ proptest! {
     }
 }
 
+/// The payload of an engine or instance snapshot (between the 16-byte
+/// header and the 4-byte CRC).
+fn payload_of(snapshot: &[u8]) -> Vec<u8> {
+    snapshot[16..snapshot.len() - 4].to_vec()
+}
+
+/// A database holding every value type, a secondary index and a clustered
+/// table, whose snapshot payload the mutation property edits.
+fn snapshot_fixture() -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (k INT PRIMARY KEY, d DOUBLE, s TEXT, b BOOL, a INT[])")
+        .unwrap();
+    for i in 0..6 {
+        db.execute(&format!(
+            "INSERT INTO t VALUES ({i}, {i}.5, 'row{i}', {}, ARRAY[{i}, 7])",
+            i % 2 == 0
+        ))
+        .unwrap();
+    }
+    db.table_mut("t")
+        .unwrap()
+        .create_index("t_s", &["s"], false)
+        .unwrap();
+    db.table_mut("t").unwrap().cluster_by(&["s"]).unwrap();
+    db
+}
+
+/// A small versioned instance: one CVD with a branch, a staged table and a
+/// partitioned layout.
+fn instance_fixture() -> OrpheusDB {
+    let mut odb = OrpheusDB::new();
+    let schema = Schema::new(vec![
+        Column::new("k", DataType::Int),
+        Column::new("v", DataType::Text),
+    ])
+    .with_primary_key(&["k"])
+    .unwrap();
+    let rows = (0..4).map(|i| vec![Value::Int(i), Value::Text(format!("v{i}"))]);
+    odb.dispatch(Init::cvd("c").schema(schema).rows(rows.collect()))
+        .unwrap();
+    odb.dispatch(Checkout::of("c").version(1u64).into_table("w"))
+        .unwrap();
+    odb.engine.execute("DELETE FROM w WHERE k = 2").unwrap();
+    odb.dispatch(Commit::table("w").message("m")).unwrap();
+    odb.dispatch(Checkout::of("c").version(2u64).into_table("open"))
+        .unwrap();
+    odb.dispatch(Optimize::cvd("c")).unwrap();
+    odb
+}
+
+/// Apply `edits` to `payload`: overwrite a byte, cut the tail, insert a
+/// byte, or stamp eight `0xff` bytes (a hostile count or length).
+fn mutate(payload: &mut Vec<u8>, edits: &[(usize, u8, u8)]) {
+    for &(pos_seed, byte, kind) in edits {
+        let pos = pos_seed % (payload.len() + 1);
+        match kind {
+            0 if pos < payload.len() => payload[pos] = byte,
+            1 => payload.truncate(pos),
+            2 => payload.insert(pos, byte),
+            _ => {
+                let end = (pos + 8).min(payload.len());
+                payload[pos..end].fill(0xff);
+            }
+        }
+    }
+}
+
+/// The 31-byte payload of one table `z` with no columns that declares
+/// `rows` rows: nothing after the count, since a row of no values is empty.
+fn zero_column_payload(rows: u64) -> Vec<u8> {
+    let mut p = vec![0]; // join strategy: auto
+    p.extend_from_slice(&1u32.to_le_bytes()); // one table
+    p.extend_from_slice(&1u32.to_le_bytes());
+    p.push(b'z');
+    p.extend_from_slice(&0u32.to_le_bytes()); // no columns
+    p.extend_from_slice(&0u32.to_le_bytes()); // no primary key
+    p.extend_from_slice(&0u32.to_le_bytes()); // no indexes
+    p.push(0); // not clustered
+    p.extend_from_slice(&rows.to_le_bytes());
+    p
+}
+
+/// A snapshot whose one table has no columns but declares rows used to
+/// load (5 000 000 empty rows from 51 bytes), and a count near `u64::MAX`
+/// grew memory without bound. SQL cannot create such a table; the loader
+/// refuses it, and bounds every row count by the bytes left.
+#[test]
+fn a_table_that_declares_rows_but_no_columns_is_refused() {
+    use orpheusdb::engine::storage::{deserialize_database, serialize_database, wrap_envelope};
+
+    for rows in [1, 5_000_000, u64::MAX - 1] {
+        let snapshot = wrap_envelope(&zero_column_payload(rows));
+        assert_eq!(snapshot.len(), 51);
+        let err = deserialize_database(&snapshot).err();
+        assert!(
+            matches!(&err, Some(orpheusdb::engine::EngineError::Storage(m)) if m.contains("no columns")),
+            "{rows} rows: {err:?}"
+        );
+    }
+    // The same table holding no rows is a valid (if useless) snapshot.
+    let empty = deserialize_database(&wrap_envelope(&zero_column_payload(0))).unwrap();
+    assert_eq!(empty.table("z").unwrap().len(), 0);
+
+    // A row count the remaining bytes cannot hold is refused before any
+    // row is decoded, and an instance snapshot embedding either fails too.
+    let mut payload = payload_of(&serialize_database(&snapshot_fixture()));
+    let six_rows = payload
+        .windows(8)
+        .position(|w| w == 6u64.to_le_bytes())
+        .expect("the row count of t");
+    payload[six_rows..six_rows + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let err = deserialize_database(&wrap_envelope(&payload)).unwrap_err();
+    assert!(err.to_string().contains("row(s) in"), "{err}");
+}
+
+/// Every byte of both snapshot payloads, stamped in turn with hostile
+/// values (small tags, sign bits, `u32`/`u64` counts of all ones) inside a
+/// valid envelope, loads or fails cleanly. This is what found that an
+/// instance whose version metadata names a parent that does not precede
+/// the version (or shares more records than either holds) panicked while
+/// rebuilding the version tree; the loader now refuses it.
+#[test]
+fn every_payload_byte_stamped_hostile_loads_or_fails_cleanly() {
+    use orpheusdb::core::persist;
+    use orpheusdb::engine::storage::{deserialize_database, serialize_database, wrap_envelope};
+
+    let engine = payload_of(&serialize_database(&snapshot_fixture()));
+    let instance = payload_of(&persist::serialize(&instance_fixture()));
+    let stamps = [
+        (0u8, 1),
+        (1, 1),
+        (2, 1),
+        (7, 1),
+        (0x7f, 1),
+        (0x80, 1),
+        (0xff, 1),
+        (0xff, 4),
+        (0xff, 8),
+    ];
+    let mut panicked = Vec::new();
+    for (which, base) in [(0, &engine), (1, &instance)] {
+        for pos in 0..base.len() {
+            for (byte, width) in stamps {
+                let mut payload = base.clone();
+                let end = (pos + width).min(payload.len());
+                payload[pos..end].fill(byte);
+                let snapshot = wrap_envelope(&payload);
+                let load = std::panic::catch_unwind(|| match which {
+                    0 => deserialize_database(&snapshot).is_ok(),
+                    _ => persist::deserialize(&snapshot).is_ok(),
+                });
+                if load.is_err() {
+                    panicked.push((which, pos, byte, width));
+                }
+            }
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "(payload, offset, byte, width) that panicked: {panicked:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The snapshot decoders' own checks, past the checksum: edited
+    /// payloads are re-wrapped in a *valid* envelope (`wrap_envelope`
+    /// recomputes the CRC), so every edit reaches the engine's and the
+    /// instance's decoders. Each must return — a database or an error —
+    /// without panicking, hanging or allocating what the bytes cannot
+    /// hold.
+    #[test]
+    fn snapshot_decoders_survive_edited_payloads_in_a_valid_envelope(
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>(), 0u8..4), 1..4),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        use orpheusdb::core::persist;
+        use orpheusdb::engine::storage::{deserialize_database, serialize_database, wrap_envelope};
+
+        let mut engine = payload_of(&serialize_database(&snapshot_fixture()));
+        mutate(&mut engine, &edits);
+        let _ = deserialize_database(&wrap_envelope(&engine));
+
+        let mut instance = payload_of(&persist::serialize(&instance_fixture()));
+        mutate(&mut instance, &edits);
+        let _ = persist::deserialize(&wrap_envelope(&instance));
+
+        // Pure noise, and noise behind a valid instance section header.
+        let _ = deserialize_database(&wrap_envelope(&noise));
+        let mut headed = instance[..20.min(instance.len())].to_vec();
+        headed.extend_from_slice(&noise);
+        let _ = persist::deserialize(&wrap_envelope(&headed));
+        for zero_columns in [zero_column_payload(5_000_000), zero_column_payload(u64::MAX)] {
+            prop_assert!(deserialize_database(&wrap_envelope(&zero_columns)).is_err());
+        }
+    }
+}
+
 /// Reserved words are rejected as identifiers everywhere — the flip side
 /// of the print→parse fixpoint above (found by the fixpoint property when
 /// the generator emitted `on` as a column name).
