@@ -195,6 +195,15 @@ fn read_partition_state(r: &mut Reader<'_>, tree: VersionTree) -> Result<Partiti
             tree.num_versions()
         )));
     }
+    // Every partition holds a version, and loading sizes one counter per
+    // partition: a count past the versions is corrupt, not a reason to
+    // allocate it.
+    if num_partitions > assignment.len() {
+        return Err(corrupt(format!(
+            "partition assignment spreads {} versions over {num_partitions} partitions",
+            assignment.len()
+        )));
+    }
     if let Some(p) = assignment.iter().find(|&&p| p >= num_partitions) {
         return Err(corrupt(format!(
             "partition assignment names partition {p} of {num_partitions}"
@@ -272,8 +281,19 @@ fn read_cvd(r: &mut Reader<'_>) -> Result<Cvd> {
         versions.push(std::sync::Arc::new(m));
     }
     let mut version_rids = Vec::with_capacity(nvers);
-    for _ in 0..nvers {
-        version_rids.push(std::sync::Arc::new(read_i64s(r)?));
+    for m in &versions {
+        let rids = read_i64s(r)?;
+        // The record counts feed the version tree's sums: they must be
+        // what the stored rlists hold.
+        if m.num_records != rids.len() as u64 {
+            return Err(corrupt(format!(
+                "version {} counts {} records, its rlist holds {}",
+                m.vid.0,
+                m.num_records,
+                rids.len()
+            )));
+        }
+        version_rids.push(std::sync::Arc::new(rids));
     }
     let next_rid = r.u64()?;
     let nattrs = r.count("attribute entry")?;
@@ -692,8 +712,9 @@ mod tests {
     }
 
     /// A partition state that does not fit its CVD is refused at load —
-    /// too short or too long an assignment, or a partition id past the
-    /// count — before any checkout can index out of it.
+    /// too short or too long an assignment, a partition id past the count,
+    /// or more partitions than versions — before any checkout can index
+    /// out of it.
     #[test]
     fn a_partition_state_that_does_not_cover_its_cvd_is_rejected() {
         let odb = populated();
@@ -718,11 +739,18 @@ mod tests {
         long.push(0);
         let mut out_of_range = good.to_vec();
         out_of_range[0] = k;
-        for bad in [&good[1..], &long[..], &out_of_range[..]] {
+        let cases = [
+            (&good[1..], k),
+            (&long[..], k),
+            (&out_of_range[..], k),
+            (good, good.len() + 1),
+            (good, u32::MAX as usize),
+        ];
+        for (bad, k) in cases {
             let err = load(&encode(bad, k)).unwrap_err();
             assert!(
                 matches!(&err, CoreError::Storage(m) if m.contains("partition assignment")),
-                "{bad:?}: {err}"
+                "{bad:?} over {k}: {err}"
             );
         }
     }

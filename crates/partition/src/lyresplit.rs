@@ -12,6 +12,40 @@
 //! (guaranteed by Lemma 1), and cutting it splits the component in two.
 //! The recursion level `ℓ` at termination bounds the storage blow-up by
 //! `(1+δ)^ℓ` (Theorem 2).
+//!
+//! # Cost
+//!
+//! One recursive step costs O(|V|) of its component, not of the tree. A
+//! run works in a `Workspace` built once per tree and reused by every run
+//! on it: one array holds every version, and each component still to
+//! visit is a range of it, parent before child (version ids are, and a
+//! split keeps both sides in order). So one forward pass stamps and counts
+//! a component, one backward pass sums its subtrees for the balanced pick,
+//! and one forward pass moves the cut subtree to the back of the range.
+//! Membership is a `u32` stamp per version: a fresh stamp per component
+//! instead of a cleared set. A run allocates its assignment and a few
+//! growing lists, nothing per component or per version.
+//!
+//! # Searching δ: certificates
+//!
+//! [`lyresplit_for_budget`] bisects δ (Appendix B);
+//! [`BudgetSearch::iterations`] counts the bisection steps and
+//! [`BudgetSearch::runs`] the runs of Algorithm 1 they took. A run reads δ
+//! in two comparisons per component it visits and nowhere else: Line 1's
+//! termination test and Line 5's qualification test `w ≤ δ|R|`. Its
+//! `Certificate` records, per visited component in visiting order, |R|,
+//! |V|, |E|, whether it terminated, the heaviest edge weight that
+//! qualified and the lightest that did not. It *holds* at δ′ when every
+//! termination test comes out the same at δ′, the heaviest qualifying
+//! weight still qualifies and the lightest other one still does not. Then
+//! the run at δ′ is the same run. u64 → f64 conversion is monotone, so
+//! every weight that qualified still does and every other one still does
+//! not: the candidate set is the same, and the pick reads nothing else.
+//! By induction over the work queue every component, partition id, level
+//! and storage figure is the same. The search keeps the certificates of
+//! its latest runs at `lo` and at `hi` and runs Algorithm 1 at a midpoint
+//! only when neither holds there; the partitioning, δ bits, iteration
+//! count and storage it returns are those of a search that ran every step.
 
 use crate::partitioning::Partitioning;
 use crate::version_graph::VersionTree;
@@ -42,214 +76,290 @@ pub struct LyreSplitResult {
 
 /// Run LyreSplit with a fixed δ (Algorithm 1).
 pub fn lyresplit(tree: &VersionTree, delta: f64, pick: EdgePick) -> LyreSplitResult {
-    let n = tree.num_versions();
-    let mut assignment = vec![0usize; n];
-    if n == 0 {
-        return LyreSplitResult {
-            partitioning: Partitioning {
-                assignment,
-                num_partitions: 0,
-            },
-            levels: 0,
-            delta,
-        };
-    }
-
-    // Work queue of (component members, recursion level).
-    let mut queue: Vec<(Vec<VersionId>, usize)> = vec![((0..n).collect(), 0)];
-    let mut next_partition = 0usize;
-    let mut max_level = 0usize;
-
-    while let Some((members, level)) = queue.pop() {
-        max_level = max_level.max(level);
-        match try_split(tree, &members, delta, pick) {
-            Some((side_a, side_b)) => {
-                queue.push((side_a, level + 1));
-                queue.push((side_b, level + 1));
-            }
-            None => {
-                for &v in &members {
-                    assignment[v] = next_partition;
-                }
-                next_partition += 1;
-            }
-        }
-    }
-
-    LyreSplitResult {
-        partitioning: Partitioning {
-            assignment,
-            num_partitions: next_partition,
-        },
-        levels: max_level,
-        delta,
-    }
+    Workspace::new(tree).run(delta, pick).result
 }
 
-/// Component statistics computed from tree counts alone.
-struct CompStats {
-    /// Membership flags for O(1) parent-in-component checks.
-    in_comp: Vec<bool>,
+/// Line 1: a component `(V, R, E)` stays whole when `|R|·|V| < |E|/δ`.
+fn terminates(r: u64, v: u64, e: u64, delta: f64) -> bool {
+    (r as f64) * (v as f64) < e as f64 / delta
+}
+
+/// Line 5: the tree edge of weight `w` qualifies for the cut when
+/// `w ≤ δ|R|`.
+fn qualifies(w: u64, r: u64, delta: f64) -> bool {
+    w as f64 <= delta * r as f64
+}
+
+/// What δ decided at one component a run visited.
+struct Decision {
     r: u64,
     v: u64,
     e: u64,
+    terminated: bool,
+    /// The heaviest edge inside the component that qualified and the
+    /// lightest that did not; both unset when it terminated.
+    heaviest_qualified: Option<u64>,
+    lightest_unqualified: Option<u64>,
 }
 
-fn comp_stats(tree: &VersionTree, members: &[VersionId], scratch: &mut Vec<bool>) -> CompStats {
-    scratch.clear();
-    scratch.resize(tree.num_versions(), false);
-    for &v in members {
-        scratch[v] = true;
+impl Decision {
+    fn holds(&self, delta: f64) -> bool {
+        let qualifies_now = |w: Option<u64>| w.map(|w| qualifies(w, self.r, delta));
+        terminates(self.r, self.v, self.e, delta) == self.terminated
+            && (self.terminated
+                || (qualifies_now(self.heaviest_qualified) != Some(false)
+                    && qualifies_now(self.lightest_unqualified) != Some(true)))
     }
-    let mut r = 0u64;
-    let mut e = 0u64;
-    for &v in members {
-        e += tree.records[v];
-        match tree.parent[v] {
-            Some(p) if scratch[p] => r += tree.records[v].saturating_sub(tree.weight_to_parent[v]),
-            _ => r += tree.records[v],
+}
+
+/// The decisions of one run, in the order it visited its components.
+/// Where it [holds](Certificate::holds), a run at that δ is this run: the
+/// same partitioning, levels and storage (see the module docs).
+pub(crate) struct Certificate(Vec<Decision>);
+
+impl Certificate {
+    pub(crate) fn holds(&self, delta: f64) -> bool {
+        self.0.iter().all(|d| d.holds(delta))
+    }
+}
+
+/// One run of Algorithm 1.
+pub(crate) struct Run {
+    pub(crate) result: LyreSplitResult,
+    /// `|Rk|` of every partition, by partition id.
+    pub(crate) records: Vec<u64>,
+    pub(crate) certificate: Certificate,
+}
+
+/// The buffers of Algorithm 1 on one tree, sized once and reused by every
+/// run on it.
+pub(crate) struct Workspace<'t> {
+    tree: &'t VersionTree,
+    /// Every version, permuted so that each component still to visit is a
+    /// range, parent before child within it.
+    members: Vec<VersionId>,
+    /// The cut side of a split, on its way to the back of its range.
+    cut_side: Vec<VersionId>,
+    /// The stamp of the component each version was last seen in.
+    stamp: Vec<u32>,
+    last_stamp: u32,
+    /// Per version of the component at hand: the versions and the new
+    /// records of its subtree inside the component.
+    sub_versions: Vec<u64>,
+    sub_records: Vec<u64>,
+    /// Ranges of `members` still to visit, with their recursion level.
+    queue: Vec<(usize, usize, usize)>,
+    /// The run's certificate so far.
+    decisions: Vec<Decision>,
+}
+
+impl<'t> Workspace<'t> {
+    pub(crate) fn new(tree: &'t VersionTree) -> Workspace<'t> {
+        let n = tree.num_versions();
+        debug_assert!(
+            (0..n).all(|v| tree.parent[v].iter().all(|&p| p < v)),
+            "version ids are parent-before-child"
+        );
+        Workspace {
+            tree,
+            members: Vec::with_capacity(n),
+            cut_side: Vec::new(),
+            stamp: vec![0; n],
+            last_stamp: 0,
+            sub_versions: vec![0; n],
+            sub_records: vec![0; n],
+            queue: Vec::new(),
+            decisions: Vec::new(),
         }
     }
-    CompStats {
-        in_comp: scratch.clone(),
-        r,
-        v: members.len() as u64,
-        e,
-    }
-}
 
-/// One recursive step: `None` when the component is final, otherwise the
-/// two sides after cutting the chosen edge.
-fn try_split(
-    tree: &VersionTree,
-    members: &[VersionId],
-    delta: f64,
-    pick: EdgePick,
-) -> Option<(Vec<VersionId>, Vec<VersionId>)> {
-    if members.len() <= 1 {
-        return None;
-    }
-    let mut scratch = Vec::new();
-    let stats = comp_stats(tree, members, &mut scratch);
-
-    // Line 1: termination check |R|·|V| < |E|/δ.
-    if (stats.r as f64) * (stats.v as f64) < stats.e as f64 / delta {
-        return None;
-    }
-
-    // Line 5: qualifying edges Ω = {v | w(p(v), v) ≤ δ|R|, p(v) in comp}.
-    let candidates: Vec<VersionId> = members
-        .iter()
-        .copied()
-        .filter(|&v| match tree.parent[v] {
-            Some(p) => {
-                stats.in_comp[p] && tree.weight_to_parent[v] as f64 <= delta * stats.r as f64
+    pub(crate) fn run(&mut self, delta: f64, pick: EdgePick) -> Run {
+        let n = self.tree.num_versions();
+        let mut assignment = vec![0usize; n];
+        let mut records = Vec::new();
+        let mut levels = 0;
+        self.members.clear();
+        self.members.extend(0..n);
+        if n > 0 {
+            self.queue.push((0, n, 0));
+        }
+        while let Some((start, end, level)) = self.queue.pop() {
+            levels = levels.max(level);
+            let comp = self.fresh_stamp();
+            let (r, e) = self.measure(start, end, comp);
+            match self.decide(start, end, comp, (r, e), delta, pick) {
+                Some(cut) => {
+                    let mid = self.split(start, end, cut);
+                    self.queue.push((mid, end, level + 1));
+                    self.queue.push((start, mid, level + 1));
+                }
+                None => {
+                    for &v in &self.members[start..end] {
+                        assignment[v] = records.len();
+                    }
+                    records.push(r);
+                }
             }
-            None => false,
-        })
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-
-    let cut = match pick {
-        EdgePick::SmallestWeight => candidates
-            .iter()
-            .copied()
-            .min_by_key(|&v| (tree.weight_to_parent[v], v))
-            .expect("candidates nonempty"),
-        EdgePick::BalancedVersions => pick_balanced(tree, members, &stats, &candidates),
-    };
-
-    // Split: subtree rooted at `cut` (within the component) vs. the rest.
-    let children = component_children(tree, members, &stats);
-    let mut sub = Vec::new();
-    let mut stack = vec![cut];
-    let mut in_sub = vec![false; tree.num_versions()];
-    while let Some(x) = stack.pop() {
-        in_sub[x] = true;
-        sub.push(x);
-        for &c in &children[x] {
-            stack.push(c);
+        }
+        Run {
+            result: LyreSplitResult {
+                partitioning: Partitioning {
+                    assignment,
+                    num_partitions: records.len(),
+                },
+                levels,
+                delta,
+            },
+            records,
+            certificate: Certificate(std::mem::take(&mut self.decisions)),
         }
     }
-    let rest: Vec<VersionId> = members.iter().copied().filter(|&v| !in_sub[v]).collect();
-    debug_assert!(!rest.is_empty());
-    Some((sub, rest))
-}
 
-/// Children lists restricted to the component.
-fn component_children(
-    tree: &VersionTree,
-    members: &[VersionId],
-    stats: &CompStats,
-) -> Vec<Vec<VersionId>> {
-    let mut ch = vec![Vec::new(); tree.num_versions()];
-    for &v in members {
-        if let Some(p) = tree.parent[v] {
-            if stats.in_comp[p] {
-                ch[p].push(v);
-            }
+    fn fresh_stamp(&mut self) -> u32 {
+        if self.last_stamp == u32::MAX {
+            self.stamp.fill(0);
+            self.last_stamp = 0;
         }
+        self.last_stamp += 1;
+        self.last_stamp
     }
-    ch
-}
 
-/// The paper's edge-pick: minimize the version-count imbalance of the two
-/// sides; ties broken by record balance. Both quantities come from a single
-/// bottom-up pass over the component.
-fn pick_balanced(
-    tree: &VersionTree,
-    members: &[VersionId],
-    stats: &CompStats,
-    candidates: &[VersionId],
-) -> VersionId {
-    // Bottom-up accumulation of subtree version counts and new-record sums.
-    // Members are processed in reverse topological order: version ids are
-    // assigned parent-before-child, so sorting suffices.
-    let mut order: Vec<VersionId> = members.to_vec();
-    order.sort_unstable();
-    let mut sub_versions = vec![0u64; tree.num_versions()];
-    let mut sub_newrecs = vec![0u64; tree.num_versions()];
-    for &v in order.iter().rev() {
-        let newrec = match tree.parent[v] {
-            Some(p) if stats.in_comp[p] => tree.records[v].saturating_sub(tree.weight_to_parent[v]),
-            _ => tree.records[v],
+    /// `v`'s parent, when it lies in the component stamped `comp`.
+    fn parent_in(&self, v: VersionId, comp: u32) -> Option<VersionId> {
+        self.tree.parent[v].filter(|&p| self.stamp[p] == comp)
+    }
+
+    /// Stamp the component `members[start..end]` with `comp` and count its
+    /// `(|R|, |E|)` from the tree (Lemma 1); seeds every member's subtree
+    /// sums with the member alone. A parent precedes its child, so it is
+    /// stamped by the time the child asks.
+    fn measure(&mut self, start: usize, end: usize, comp: u32) -> (u64, u64) {
+        let tree = self.tree;
+        let (mut r, mut e) = (0, 0);
+        for i in start..end {
+            let v = self.members[i];
+            self.stamp[v] = comp;
+            let new = match self.parent_in(v, comp) {
+                Some(_) => tree.records[v].saturating_sub(tree.weight_to_parent[v]),
+                None => tree.records[v],
+            };
+            r += new;
+            e += tree.records[v];
+            self.sub_versions[v] = 1;
+            self.sub_records[v] = new;
+        }
+        (r, e)
+    }
+
+    /// Lines 1–6 on the measured component `members[start..end]`: the
+    /// version whose parent edge to cut, or `None` when the component is
+    /// final. Records the decision.
+    fn decide(
+        &mut self,
+        start: usize,
+        end: usize,
+        comp: u32,
+        (r, e): (u64, u64),
+        delta: f64,
+        pick: EdgePick,
+    ) -> Option<VersionId> {
+        if end - start <= 1 {
+            return None;
+        }
+        let tree = self.tree;
+        let v = (end - start) as u64;
+        let mut decision = Decision {
+            r,
+            v,
+            e,
+            terminated: terminates(r, v, e, delta),
+            heaviest_qualified: None,
+            lightest_unqualified: None,
         };
-        sub_versions[v] += 1;
-        sub_newrecs[v] += newrec;
-        if let Some(p) = tree.parent[v] {
-            if stats.in_comp[p] {
-                sub_versions[p] += sub_versions[v];
-                sub_newrecs[p] += sub_newrecs[v];
+        if !decision.terminated {
+            for &x in &self.members[start..end] {
+                if self.parent_in(x, comp).is_none() {
+                    continue;
+                }
+                let w = tree.weight_to_parent[x];
+                if qualifies(w, r, delta) {
+                    decision.heaviest_qualified = decision.heaviest_qualified.max(Some(w));
+                } else {
+                    let lightest = decision.lightest_unqualified.get_or_insert(w);
+                    *lightest = (*lightest).min(w);
+                }
+            }
+        }
+        let any_qualified = decision.heaviest_qualified.is_some();
+        self.decisions.push(decision);
+        if !any_qualified {
+            return None;
+        }
+
+        if pick == EdgePick::BalancedVersions {
+            self.sum_subtrees(start, end, comp);
+        }
+        let candidates = self.members[start..end].iter().copied().filter(|&x| {
+            self.parent_in(x, comp).is_some() && qualifies(tree.weight_to_parent[x], r, delta)
+        });
+        match pick {
+            EdgePick::SmallestWeight => candidates.min_by_key(|&x| (tree.weight_to_parent[x], x)),
+            // The paper's pick: the most even version split, ties broken
+            // by record balance. The cut side regains w(p(x), x) records
+            // at its root: they are no longer shared within a component.
+            EdgePick::BalancedVersions => candidates.min_by_key(|&x| {
+                let below = self.sub_records[x];
+                let versions = (v as i64 - 2 * self.sub_versions[x] as i64).unsigned_abs();
+                let records = (below + tree.weight_to_parent[x]).abs_diff(r - below);
+                (versions, records, x)
+            }),
+        }
+    }
+
+    /// Fold every member's subtree sums into its parent's, children before
+    /// parents: a backward pass over the range.
+    fn sum_subtrees(&mut self, start: usize, end: usize, comp: u32) {
+        for i in (start..end).rev() {
+            let v = self.members[i];
+            if let Some(p) = self.parent_in(v, comp) {
+                self.sub_versions[p] += self.sub_versions[v];
+                self.sub_records[p] += self.sub_records[v];
             }
         }
     }
 
-    let mut best = candidates[0];
-    let mut best_key = (u64::MAX, u64::MAX, usize::MAX);
-    for &v in candidates {
-        let vs = sub_versions[v];
-        let version_imbalance = (stats.v as i64 - 2 * vs as i64).unsigned_abs();
-        // After the cut, the subtree side regains w(p(v), v) records at its
-        // root (they are no longer shared within the component).
-        let sub_records = sub_newrecs[v] + tree.weight_to_parent[v];
-        let rest_records = stats.r - sub_newrecs[v];
-        let record_imbalance = sub_records.abs_diff(rest_records);
-        let key = (version_imbalance, record_imbalance, v);
-        if key < best_key {
-            best_key = key;
-            best = v;
+    /// Cut the edge into `cut`: its subtree inside the component moves to
+    /// the back of `members[start..end]`, the rest to the front, both in
+    /// their order. Returns where the subtree starts.
+    fn split(&mut self, start: usize, end: usize, cut: VersionId) -> usize {
+        let side = self.fresh_stamp();
+        let tree = self.tree;
+        self.cut_side.clear();
+        let mut kept = start;
+        for i in start..end {
+            let v = self.members[i];
+            if v == cut || tree.parent[v].is_some_and(|p| self.stamp[p] == side) {
+                self.stamp[v] = side;
+                self.cut_side.push(v);
+            } else {
+                self.members[kept] = v;
+                kept += 1;
+            }
         }
+        self.members[kept..end].copy_from_slice(&self.cut_side);
+        kept
     }
-    best
 }
 
 /// Statistics of the δ binary search (Appendix B); also what Figures 10/11
 /// time ("running time per binary-search iteration").
 #[derive(Debug, Clone)]
 pub struct BudgetSearch {
+    /// Bisection steps taken.
     pub iterations: usize,
+    /// Runs of Algorithm 1 it took: the first one, at the bottom of the
+    /// interval, and every step no kept certificate covered.
+    pub runs: usize,
     pub final_delta: f64,
     /// Tree-estimated storage cost of the returned partitioning.
     pub storage: u64,
@@ -263,19 +373,43 @@ pub fn lyresplit_for_budget(
     gamma: u64,
     pick: EdgePick,
 ) -> (LyreSplitResult, BudgetSearch) {
+    let mut workspace = Workspace::new(tree);
+    search_delta(tree, gamma, |delta| {
+        let run = workspace.run(delta, pick);
+        let probe = Probe {
+            storage: run.records.iter().sum(),
+            certificate: run.certificate,
+        };
+        (run.result, probe)
+    })
+}
+
+/// What a run at one δ tells the search: the storage it reached, and at
+/// which other δ it would run the same.
+pub(crate) struct Probe {
+    pub(crate) storage: u64,
+    pub(crate) certificate: Certificate,
+}
+
+/// The δ bisection of [`lyresplit_for_budget`], for any algorithm `probe`
+/// runs at a δ — the weighted search probes the expanded tree with it.
+pub(crate) fn search_delta(
+    tree: &VersionTree,
+    gamma: u64,
+    mut probe: impl FnMut(f64) -> (LyreSplitResult, Probe),
+) -> (LyreSplitResult, BudgetSearch) {
     let r = tree.total_records().max(1);
     let v = tree.num_versions().max(1) as u64;
     let e = tree.total_edges().max(1);
-    let mut lo = e as f64 / (r as f64 * v as f64);
+    let mut lo = (e as f64 / (r as f64 * v as f64)).min(1.0);
     let mut hi = 1.0f64;
-    lo = lo.min(1.0);
 
     // δ = lo keeps everything in (nearly) one partition. If even that
     // overshoots γ (possible only through float edge-cases or γ < |R|,
     // which is infeasible by Observation 2), fall back to the minimum-
     // storage single partition.
-    let mut best = lyresplit(tree, lo, pick);
-    let mut best_s = best.partitioning.storage_cost_tree(tree);
+    let (mut best, mut below) = probe(lo);
+    let mut best_s = below.storage;
     if best_s > gamma {
         best = LyreSplitResult {
             partitioning: Partitioning::single(tree.num_versions()),
@@ -284,7 +418,10 @@ pub fn lyresplit_for_budget(
         };
         best_s = best.partitioning.storage_cost_tree(tree);
     }
-    let mut iterations = 0usize;
+    // The last run at `lo` (whose result `best` is, when within budget)
+    // and the last one at `hi`.
+    let mut above: Option<Probe> = None;
+    let (mut iterations, mut runs) = (0, 1);
 
     // Larger δ ⇒ more splits ⇒ more storage, less checkout cost. Find the
     // largest δ whose storage stays within budget.
@@ -294,11 +431,26 @@ pub fn lyresplit_for_budget(
         }
         iterations += 1;
         let mid = 0.5 * (lo + hi);
-        let res = lyresplit(tree, mid, pick);
-        let s = res.partitioning.storage_cost_tree(tree);
+        let s = if below.certificate.holds(mid) {
+            below.storage
+        } else if let Some(above) = above.as_ref().filter(|a| a.certificate.holds(mid)) {
+            above.storage
+        } else {
+            runs += 1;
+            let (res, probed) = probe(mid);
+            let s = probed.storage;
+            if s <= gamma {
+                best = res;
+                below = probed;
+            } else {
+                above = Some(probed);
+            }
+            s
+        };
         if s <= gamma {
             // Feasible: prefer it (more splits than `best` at smaller δ).
-            best = res;
+            // `best` is the run at `mid` now, fresh or covered by `below`.
+            best.delta = mid;
             best_s = s;
             lo = mid;
             if s as f64 >= 0.99 * gamma as f64 {
@@ -311,6 +463,7 @@ pub fn lyresplit_for_budget(
 
     let search = BudgetSearch {
         iterations,
+        runs,
         final_delta: best.delta,
         storage: best_s,
     };
@@ -446,6 +599,75 @@ mod tests {
         assert!(
             c_loose <= c_tight + 1e-9,
             "looser budget should not increase checkout cost ({c_loose} vs {c_tight})"
+        );
+    }
+
+    /// A random tree of `n` versions, the odd one a root of its own, with
+    /// edge weights drawn independently of depth.
+    fn random_tree(rng: &mut rand::rngs::StdRng, n: usize) -> VersionTree {
+        use rand::Rng;
+        let mut t = VersionTree::default();
+        for v in 0..n {
+            let records = rng.gen_range(1..100u64);
+            let parent = (v > 0 && !rng.gen_bool(0.05)).then(|| rng.gen_range(0..v));
+            let weight = parent.map_or(0, |p| rng.gen_range(0..records.min(t.records[p]) + 1));
+            t.parent.push(parent);
+            t.weight_to_parent.push(weight);
+            t.records.push(records);
+        }
+        t
+    }
+
+    /// A certificate vouches for its run at every δ where it holds, above
+    /// or below the run's own: the run there has the same partitioning,
+    /// levels and storage. Each random tree is run at a random δ and
+    /// compared with runs at a nearby δ and on both sides of every point
+    /// where one of its qualification tests flips, so that both outcomes
+    /// of `holds` are common and every clause of it decides some case
+    /// (dropping any one of the three fails this test).
+    #[test]
+    fn a_certificate_that_holds_is_the_run_at_that_delta() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let (mut held, mut refused) = (0, 0);
+        for case in 0..300 {
+            let n = rng.gen_range(2..40);
+            let tree = random_tree(&mut rng, n);
+            let mut workspace = Workspace::new(&tree);
+            for pick in [EdgePick::SmallestWeight, EdgePick::BalancedVersions] {
+                let delta = rng.gen_range(0.02..1.0);
+                let run = workspace.run(delta, pick);
+                let gap = 10f64.powf(-rng.gen_range(0.3..4.0));
+                let mut others = vec![delta * (1.0 + gap)];
+                for d in &run.certificate.0 {
+                    for &w in d.heaviest_qualified.iter().chain(&d.lightest_unqualified) {
+                        let flip = w as f64 / d.r as f64;
+                        others.extend([flip * (1.0 - 1e-12), flip * (1.0 + 1e-12)]);
+                    }
+                }
+                for other in others.into_iter().filter(|&o| o > 0.0) {
+                    let at_other = workspace.run(other, pick);
+                    for (a, b) in [(&run, &at_other), (&at_other, &run)] {
+                        if !a.certificate.holds(b.result.delta) {
+                            refused += 1;
+                            continue;
+                        }
+                        held += 1;
+                        assert!(
+                            a.result.partitioning == b.result.partitioning
+                                && a.result.levels == b.result.levels
+                                && a.records == b.records,
+                            "case {case}, {pick:?}: the run at δ = {} vouched for δ = {}",
+                            a.result.delta,
+                            b.result.delta
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            held > 300 && refused > 300,
+            "{held} held, {refused} refused"
         );
     }
 

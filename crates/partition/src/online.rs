@@ -15,6 +15,21 @@
 //!
 //! Partition ids are never renumbered: a caller may name physical tables
 //! after them.
+//!
+//! # Cost per commit
+//!
+//! Placement is O(1): the maintainer keeps `(|Vk|, |Rk|)` per partition
+//! and the sums `S = Σ|Rk|` and `Σ|Vk||Rk|` (a version adds
+//! `|R(v)| − w` to its parent's partition, or `|R(v)|` to a fresh one), so
+//! neither the slack check nor `Cavg` regroups the partitions; they are
+//! recounted in O(n) only when a whole assignment is adopted ([`resume`],
+//! [`OnlineMaintainer::apply_migration`]). What a commit pays for is the
+//! check: one [`lyresplit_for_budget`] on the current tree — O(n) to set
+//! up, and a handful of Algorithm-1 runs of O(n·ℓ) each, since the search
+//! reruns the algorithm only where a δ-decision could flip — plus an O(n)
+//! pass for `C*avg`.
+//!
+//! [`resume`]: OnlineMaintainer::resume
 
 use crate::lyresplit::{lyresplit_for_budget, EdgePick, LyreSplitResult};
 use crate::partitioning::Partitioning;
@@ -75,6 +90,11 @@ pub struct OnlineMaintainer {
     /// is exact.
     tree: VersionTree,
     partitioning: Partitioning,
+    /// `(|Vk|, |Rk|)` per partition as [`Partitioning::tree_sizes`]
+    /// counts them, and their sums `Σ|Rk|` and `Σ|Vk||Rk|`.
+    sizes: Vec<(u64, u64)>,
+    storage: u64,
+    checkout_total: u64,
     /// δ* from the last LyreSplit invocation.
     delta_star: f64,
     /// Cached C*avg from the last check.
@@ -118,15 +138,31 @@ impl OnlineMaintainer {
             tree.num_versions(),
             "the partitioning must cover the tree"
         );
-        OnlineMaintainer {
+        let mut maintainer = OnlineMaintainer {
             config,
             tree,
             partitioning,
+            sizes: Vec::new(),
+            storage: 0,
+            checkout_total: 0,
             delta_star,
             cavg_star,
             commits_since_check: 0,
             migrations,
-        }
+        };
+        maintainer.recount();
+        maintainer
+    }
+
+    /// Count the partition sizes of the whole assignment afresh.
+    fn recount(&mut self) {
+        self.sizes = self.partitioning.tree_sizes(&self.tree);
+        self.storage = self.sizes.iter().map(|&(_, records)| records).sum();
+        self.checkout_total = self
+            .sizes
+            .iter()
+            .map(|&(versions, records)| versions * records)
+            .sum();
     }
 
     pub fn config(&self) -> &OnlineConfig {
@@ -154,14 +190,18 @@ impl OnlineMaintainer {
         self.cavg_star
     }
 
-    /// Current (online) checkout cost.
+    /// Current (online) checkout cost: what
+    /// [`Partitioning::checkout_cost_tree`] computes, to the bit.
     pub fn cavg(&self) -> f64 {
-        self.partitioning.checkout_cost_tree(&self.tree)
+        match self.tree.num_versions() {
+            0 => 0.0,
+            n => self.checkout_total as f64 / n as f64,
+        }
     }
 
     /// Current storage cost.
     pub fn storage(&self) -> u64 {
-        self.partitioning.storage_cost_tree(&self.tree)
+        self.storage
     }
 
     /// Commit a new version derived from `parent` sharing `weight` records,
@@ -187,20 +227,30 @@ impl OnlineMaintainer {
         // budget ⇒ open a new partition; otherwise join the parent.
         let total_r = self.tree.total_records();
         let gamma = (self.config.gamma_factor * total_r as f64) as u64;
+        // In its parent's partition, v shares w(p, v) records.
+        let new_at_home = records.saturating_sub(weight);
         let joined = parent.and_then(|p| {
             let weak_edge = (weight as f64) <= self.delta_star * total_r as f64;
             // Storage with v provisionally in the parent's partition.
-            let home = self.partitioning.assignment[p];
-            self.partitioning.assignment.push(home);
-            let slack = self.storage() < gamma;
-            self.partitioning.assignment.pop();
-            (!(weak_edge && slack)).then_some(home)
+            let slack = self.storage + new_at_home < gamma;
+            (!(weak_edge && slack)).then_some(self.partitioning.assignment[p])
         });
-        let partition = joined.unwrap_or(self.partitioning.num_partitions);
-        if joined.is_none() {
-            self.partitioning.num_partitions += 1;
-        }
+        let (partition, added) = match joined {
+            Some(home) => (home, new_at_home),
+            None => {
+                let fresh = self.partitioning.num_partitions;
+                self.partitioning.num_partitions += 1;
+                self.sizes.push((0, 0));
+                (fresh, records)
+            }
+        };
         self.partitioning.assignment.push(partition);
+        let (versions, part_records) = &mut self.sizes[partition];
+        self.checkout_total -= *versions * *part_records;
+        *versions += 1;
+        *part_records += added;
+        self.checkout_total += *versions * *part_records;
+        self.storage += added;
         let cavg = self.cavg();
 
         // Periodically recompute the best achievable cost; the candidate
@@ -237,6 +287,7 @@ impl OnlineMaintainer {
         );
         self.partitioning = target.partitioning.clone();
         self.delta_star = target.delta;
+        self.recount();
     }
 }
 

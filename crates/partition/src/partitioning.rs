@@ -98,14 +98,37 @@ impl Partitioning {
         bip.distinct_records(&parts[self.assignment[v]]) as u64
     }
 
+    /// What version `v` adds to its partition's distinct records by the
+    /// connected-component formula: `|R(v)| − w(p(v), v)` when its tree
+    /// parent is in the same partition, all of `|R(v)|` otherwise.
+    fn new_records(&self, tree: &VersionTree, v: VersionId) -> u64 {
+        match tree.parent[v] {
+            Some(p) if self.assignment[p] == self.assignment[v] => {
+                tree.records[v].saturating_sub(tree.weight_to_parent[v])
+            }
+            _ => tree.records[v],
+        }
+    }
+
     /// Tree-estimated storage cost: uses the connected-component record
     /// formula instead of probing record sets. Exact when every partition is
     /// connected in the tree (always true for LyreSplit output).
     pub fn storage_cost_tree(&self, tree: &VersionTree) -> u64 {
-        self.partitions()
-            .iter()
-            .map(|vs| tree.component_records(vs))
+        (0..self.num_versions())
+            .map(|v| self.new_records(tree, v))
             .sum()
+    }
+
+    /// Tree-estimated `(|Vk|, |Rk|)` of every partition (same caveat as
+    /// [`Partitioning::storage_cost_tree`]).
+    pub(crate) fn tree_sizes(&self, tree: &VersionTree) -> Vec<(u64, u64)> {
+        let mut sizes = vec![(0, 0); self.num_partitions];
+        for v in 0..self.num_versions() {
+            let (versions, records) = &mut sizes[self.assignment[v]];
+            *versions += 1;
+            *records += self.new_records(tree, v);
+        }
+        sizes
     }
 
     /// Tree-estimated checkout cost (same caveat as
@@ -116,9 +139,9 @@ impl Partitioning {
             return 0.0;
         }
         let total: u64 = self
-            .partitions()
+            .tree_sizes(tree)
             .iter()
-            .map(|vs| vs.len() as u64 * tree.component_records(vs))
+            .map(|&(versions, records)| versions * records)
             .sum();
         total as f64 / n as f64
     }

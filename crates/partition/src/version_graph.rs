@@ -2,8 +2,6 @@
 //! LyreSplit operates on, including the DAG → tree transformation of
 //! Appendix C.1.
 
-use std::collections::HashMap;
-
 use crate::bipartite::BipartiteGraph;
 use crate::VersionId;
 
@@ -241,19 +239,20 @@ impl VersionTree {
     }
 
     /// Distinct-record count of a *connected* component of the tree
-    /// (identified by membership), computed purely from counts.
+    /// (identified by membership, sorted ascending as
+    /// [`crate::Partitioning::partitions`] lists it), computed purely from
+    /// counts.
     pub fn component_records(&self, members: &[VersionId]) -> u64 {
-        let member_set: HashMap<VersionId, ()> = members.iter().map(|&v| (v, ())).collect();
-        let mut total = 0u64;
-        for &v in members {
-            match self.parent[v] {
-                Some(p) if member_set.contains_key(&p) => {
-                    total += self.records[v].saturating_sub(self.weight_to_parent[v]);
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "sorted members");
+        members
+            .iter()
+            .map(|&v| match self.parent[v] {
+                Some(p) if members.binary_search(&p).is_ok() => {
+                    self.records[v].saturating_sub(self.weight_to_parent[v])
                 }
-                _ => total += self.records[v],
-            }
-        }
-        total
+                _ => self.records[v],
+            })
+            .sum()
     }
 
     /// Levels (depth) per version; roots at level 1.

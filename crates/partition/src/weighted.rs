@@ -10,10 +10,9 @@
 //! optimum.
 
 use crate::bipartite::BipartiteGraph;
-use crate::lyresplit::{lyresplit, EdgePick, LyreSplitResult};
+use crate::lyresplit::{search_delta, EdgePick, LyreSplitResult, Probe, Run, Workspace};
 use crate::partitioning::Partitioning;
 use crate::version_graph::VersionTree;
-use crate::VersionId;
 
 /// Weighted checkout cost `Cw = Σ f_i·C_i / Σ f_i` (exact, via the
 /// bipartite graph).
@@ -53,134 +52,115 @@ pub fn weighted_cost_floor(bip: &BipartiteGraph, freqs: &[u64]) -> f64 {
     }
 }
 
+/// The expanded tree `T'` of Appendix C.2: each version `v_i` becomes a
+/// chain of `f_i` copies whose intra-chain edges share all records.
+struct Expansion {
+    tree: VersionTree,
+    /// The copies of version `v` are `first_copy[v]..first_copy[v + 1]`.
+    first_copy: Vec<usize>,
+}
+
+impl Expansion {
+    /// Frequencies of zero are treated as one (every version must live
+    /// somewhere).
+    fn new(tree: &VersionTree, freqs: &[u64]) -> Expansion {
+        assert_eq!(tree.num_versions(), freqs.len());
+        let mut expanded = VersionTree::default();
+        let mut first_copy = vec![0];
+        // Original versions are topologically ordered by id, so parents'
+        // copies exist before children are expanded.
+        for (v, &freq) in freqs.iter().enumerate() {
+            let first = expanded.num_versions();
+            // The first copy hangs off the parent's last copy; every
+            // further copy shares all records with the one before it.
+            let head = match tree.parent[v] {
+                Some(p) => (Some(first_copy[p + 1] - 1), tree.weight_to_parent[v]),
+                None => (None, 0),
+            };
+            for copy in first..first + freq.max(1) as usize {
+                let (parent, weight) = if copy == first {
+                    head
+                } else {
+                    (Some(copy - 1), tree.records[v])
+                };
+                expanded.parent.push(parent);
+                expanded.weight_to_parent.push(weight);
+                expanded.records.push(tree.records[v]);
+            }
+            first_copy.push(expanded.num_versions());
+        }
+        Expansion {
+            tree: expanded,
+            first_copy,
+        }
+    }
+
+    /// Collapse a run on `T'`: each original version joins the smallest
+    /// (by records) partition among its copies' partitions.
+    fn collapse(&self, run: &Run) -> LyreSplitResult {
+        let expanded = &run.result.partitioning;
+        let raw_assignment = self
+            .first_copy
+            .windows(2)
+            .map(|copies| {
+                expanded.assignment[copies[0]..copies[1]]
+                    .iter()
+                    .copied()
+                    .min_by_key(|&k| run.records[k])
+                    .expect("at least one copy")
+            })
+            .collect();
+        LyreSplitResult {
+            partitioning: Partitioning::from_assignment(raw_assignment),
+            levels: run.result.levels,
+            delta: run.result.delta,
+        }
+    }
+}
+
 /// LyreSplit for the weighted case (Appendix C.2): expand, split, collapse.
-/// Frequencies of zero are treated as one (every version must live
-/// somewhere).
+/// Frequencies of zero are treated as one.
 pub fn lyresplit_weighted(
     tree: &VersionTree,
     freqs: &[u64],
     delta: f64,
     pick: EdgePick,
 ) -> LyreSplitResult {
-    let n = tree.num_versions();
-    assert_eq!(n, freqs.len());
-
-    // Build the expanded tree T': copies[v] = range of expanded ids.
-    let mut expanded_parent: Vec<Option<VersionId>> = Vec::new();
-    let mut expanded_weight: Vec<u64> = Vec::new();
-    let mut expanded_records: Vec<u64> = Vec::new();
-    let mut first_copy: Vec<usize> = Vec::with_capacity(n);
-    let mut last_copy: Vec<usize> = Vec::with_capacity(n);
-    // Original versions are topologically ordered by id, so parents'
-    // copies exist before children are expanded.
-    for (v, &freq) in freqs.iter().enumerate() {
-        let f = freq.max(1) as usize;
-        let start = expanded_parent.len();
-        for j in 0..f {
-            if j == 0 {
-                match tree.parent[v] {
-                    Some(p) => {
-                        expanded_parent.push(Some(last_copy[p]));
-                        expanded_weight.push(tree.weight_to_parent[v]);
-                    }
-                    None => {
-                        expanded_parent.push(None);
-                        expanded_weight.push(0);
-                    }
-                }
-            } else {
-                // Chain copy: shares all records with the previous copy.
-                expanded_parent.push(Some(start + j - 1));
-                expanded_weight.push(tree.records[v]);
-            }
-            expanded_records.push(tree.records[v]);
-        }
-        first_copy.push(start);
-        last_copy.push(start + f - 1);
-    }
-    let expanded = VersionTree {
-        parent: expanded_parent,
-        weight_to_parent: expanded_weight,
-        records: expanded_records,
-    };
-
-    // Plain LyreSplit on T'.
-    let expanded_result = lyresplit(&expanded, delta, pick);
-
-    // Collapse: each original version joins the smallest (by records)
-    // partition among its copies' partitions.
-    let parts = expanded_result.partitioning.partitions();
-    let part_records: Vec<u64> = parts
-        .iter()
-        .map(|vs| expanded.component_records(vs))
-        .collect();
-    let mut raw_assignment = Vec::with_capacity(n);
-    for v in 0..n {
-        let f = freqs[v].max(1) as usize;
-        let best = (first_copy[v]..first_copy[v] + f)
-            .map(|c| expanded_result.partitioning.partition_of(c))
-            .min_by_key(|&p| part_records[p])
-            .expect("at least one copy");
-        raw_assignment.push(best);
-    }
-
-    LyreSplitResult {
-        partitioning: Partitioning::from_assignment(raw_assignment),
-        levels: expanded_result.levels,
-        delta,
-    }
+    let expansion = Expansion::new(tree, freqs);
+    let run = Workspace::new(&expansion.tree).run(delta, pick);
+    expansion.collapse(&run)
 }
 
-/// Solve Problem 1 in the weighted case for a storage budget γ: binary
-/// search δ over the same interval as the unweighted search, running
-/// [`lyresplit_weighted`] at each probe and measuring storage on the
-/// *original* tree (the expanded copies share all records, so only the
-/// collapsed partitioning's storage is real).
+/// Solve Problem 1 in the weighted case for a storage budget γ: the δ
+/// search of [`crate::lyresplit::lyresplit_for_budget`], probing with
+/// [`lyresplit_weighted`] on one expanded tree and measuring storage on
+/// the *original* tree (the expanded copies share all records, so only the
+/// collapsed partitioning's storage is real). A certificate of a run on
+/// `T'` covers its collapse too: the collapse reads nothing but that run.
 pub fn lyresplit_weighted_for_budget(
     tree: &VersionTree,
     freqs: &[u64],
     gamma: u64,
     pick: EdgePick,
 ) -> LyreSplitResult {
-    let r = tree.total_records().max(1);
-    let v = tree.num_versions().max(1) as u64;
-    let e = tree.total_edges().max(1);
-    let mut lo = (e as f64 / (r as f64 * v as f64)).min(1.0);
-    let mut hi = 1.0f64;
-
-    let mut best = lyresplit_weighted(tree, freqs, lo, pick);
-    if best.partitioning.storage_cost_tree(tree) > gamma {
-        // γ < |R| is infeasible (Observation 2); fall back to the
-        // minimum-storage single partition.
-        best = LyreSplitResult {
-            partitioning: Partitioning::single(tree.num_versions()),
-            levels: 0,
-            delta: lo,
+    let expansion = Expansion::new(tree, freqs);
+    let mut workspace = Workspace::new(&expansion.tree);
+    search_delta(tree, gamma, |delta| {
+        let run = workspace.run(delta, pick);
+        let result = expansion.collapse(&run);
+        let probe = Probe {
+            storage: result.partitioning.storage_cost_tree(tree),
+            certificate: run.certificate,
         };
-    }
-    for _ in 0..64 {
-        if hi - lo < 1e-9 {
-            break;
-        }
-        let mid = 0.5 * (lo + hi);
-        let res = lyresplit_weighted(tree, freqs, mid, pick);
-        let s = res.partitioning.storage_cost_tree(tree);
-        if s <= gamma {
-            best = res;
-            lo = mid;
-            if s as f64 >= 0.99 * gamma as f64 {
-                break;
-            }
-        } else {
-            hi = mid;
-        }
-    }
-    best
+        (result, probe)
+    })
+    .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lyresplit::lyresplit;
     use crate::sim;
 
     #[test]

@@ -495,7 +495,9 @@ fn a_table_that_declares_rows_but_no_columns_is_refused() {
 /// valid envelope, loads or fails cleanly. This is what found that an
 /// instance whose version metadata names a parent that does not precede
 /// the version (or shares more records than either holds) panicked while
-/// rebuilding the version tree; the loader now refuses it.
+/// rebuilding the version tree, and that a partition count past the
+/// version count or a record count its rlist does not hold made loading
+/// a partitioned CVD allocate or overflow; the loader now refuses them.
 #[test]
 fn every_payload_byte_stamped_hostile_loads_or_fails_cleanly() {
     use orpheusdb::core::persist;

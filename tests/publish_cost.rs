@@ -8,10 +8,21 @@
 //! engine's heap and indexes were chunked, that clone was followed by a
 //! deep copy of every row, index entry and `VersionMeta` of the CVD on
 //! the next write; these tests fail on that design.
+//!
+//! A commit to a partitioned CVD also pays for the Section 4.3 check: the
+//! maintainer reruns the budget search on every commit (`check_every:
+//! 1`). That must stay a handful of buffers per search plus a few per
+//! Algorithm-1 run — not a member list per component, a children list per
+//! version or a hash map per partition, which made it grow with the
+//! version count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use orpheusdb::bench::generator::{Workload, WorkloadParams};
+use orpheusdb::partition::lyresplit::{lyresplit_for_budget, EdgePick};
+use orpheusdb::partition::online::{OnlineConfig, OnlineMaintainer};
+use orpheusdb::partition::VersionTree;
 use orpheusdb::prelude::*;
 
 /// Counts allocation calls per thread, so tests running in parallel do
@@ -235,4 +246,46 @@ fn the_middleware_does_not_multiply_what_the_engine_charges_per_row() {
             "{path}: {slope:.1} allocations per inserted row, the engine alone {engine:.1}"
         );
     }
+}
+
+/// The first `n` versions of `tree`.
+fn prefix(tree: &VersionTree, n: usize) -> VersionTree {
+    VersionTree {
+        parent: tree.parent[..n].to_vec(),
+        weight_to_parent: tree.weight_to_parent[..n].to_vec(),
+        records: tree.records[..n].to_vec(),
+    }
+}
+
+/// Allocation calls of the commit of version `n - 1` of an SCI tree of `n`
+/// versions, onto the layout `Optimize` leaves on the other `n - 1`.
+fn commit_allocs(n: usize) -> u64 {
+    let tree = Workload::generate(WorkloadParams::sci(n, 10, 10))
+        .version_graph()
+        .to_tree();
+    let config = OnlineConfig::default();
+    let before = prefix(&tree, n - 1);
+    let gamma = (config.gamma_factor * before.total_records() as f64) as u64;
+    let best = lyresplit_for_budget(&before, gamma, EdgePick::BalancedVersions).0;
+    let cavg_star = best.partitioning.checkout_cost_tree(&before);
+    let mut m =
+        OnlineMaintainer::resume(config, before, best.partitioning, best.delta, cavg_star, 0);
+    let v = n - 1;
+    let parent = tree.parent[v].expect("an SCI tree has one root");
+    allocs_of(|| {
+        m.commit(parent, tree.weight_to_parent[v], tree.records[v]);
+    })
+}
+
+/// 1 000 versions: 105 allocation calls; 271 930 while every split
+/// allocated four version-sized vectors and a children list per version,
+/// every one of the search's 31 runs was a fresh one, and storage and
+/// `Cavg` grouped every partition through a hash map.
+#[test]
+fn a_partitioned_commit_allocates_per_run_not_per_version() {
+    let allocs = commit_allocs(1_000);
+    assert!(
+        allocs <= 250,
+        "one OnlineMaintainer::commit on 1 000 versions: {allocs} allocation calls"
+    );
 }
