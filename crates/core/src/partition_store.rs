@@ -6,9 +6,11 @@
 //! named by migration generation `G` and partition `k`), and
 //! [`Cvd::rlist_pair`] sends every split-by-rlist read — checkout, the
 //! Table 1 statements, versioned queries — to the pair holding the
-//! version, so the irrelevant records a read walks past drop from |R| to
-//! |Rk|. This module only moves records between pairs; it has no read
-//! path of its own.
+//! version, so the irrelevant records a Table 1 statement walks past drop
+//! from |R| to |Rk| (checkout's fast path and versioned queries probe the
+//! rid index and read the version's |Rv| records on either layout). This
+//! module only moves records between pairs; it has no read path of its
+//! own.
 //!
 //! Where a committed version goes, and when the layout has drifted µ×
 //! past LyreSplit's best, is decided by the one implementation of the

@@ -11,6 +11,14 @@
 //! Rewrites are model-specific. The delta model cannot express these
 //! queries without reconstructing every version — exactly the drawback the
 //! paper cites for delta storage — so translation reports an error for it.
+//!
+//! A single version of a split model is a semi-join, `SELECT * FROM data
+//! WHERE rid IN (the version's rids)`, which the engine answers through the
+//! data table's rid index: a query costs |Rv|, as a checkout does, not |R|.
+//! Table 1's join of the data table against the unnested rlist is what the
+//! paper writes for *checkout*, and checkout's SQL formulation keeps it
+//! verbatim; whole-CVD queries (`FROM CVD x`) read every version and keep
+//! the join too.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -147,7 +155,7 @@ fn versioned_relation(
             let cvd = odb.cvd(name)?;
             cvd.check_version(vid)?;
             let (alias, aliased) = parse_alias(tokens, 5, &cvd.name);
-            (5 + aliased, version_subquery(cvd, vid, &alias, fresh)?)
+            (5 + aliased, version_subquery(cvd, vid, &alias)?)
         }
         // Pattern: CVD <name> [AS alias | alias]
         [cvd_kw, Token::Ident(name), ..] if cvd_kw.is_kw("cvd") => {
@@ -198,24 +206,29 @@ fn attr_list(cvd: &Cvd) -> String {
 }
 
 /// Subquery exposing one version's records under `alias`.
-fn version_subquery(cvd: &Cvd, vid: Vid, alias: &str, fresh: &mut usize) -> Result<String> {
-    *fresh += 1;
-    let k = *fresh;
+///
+/// The split models read the version as a semi-join, `rid IN (the
+/// version's rids)`, not as Table 1's join of the data table against them:
+/// the engine turns an `IN` set on the indexed `rid` column into rid-index
+/// probes, so a query reads the version's |Rv| records where the join
+/// hash-probed a copy of every record of the data table. The rows and
+/// their order are the join's (`tests/fastpath_equivalence.rs` pins it);
+/// Table 1 stays the specification of checkout (`checkout_sql` and
+/// `version_rows_sql` of `model::split_rlist` and `model::split_vlist`).
+fn version_subquery(cvd: &Cvd, vid: Vid, alias: &str) -> Result<String> {
     match cvd.model {
         ModelKind::SplitByRlist => {
             // The pair holding the version: its partition's, once optimized.
             let (data, rlist) = cvd.rlist_pair(vid)?;
             Ok(format!(
-                "(SELECT d.* FROM {data} AS d, \
-                 (SELECT unnest(rlist) AS __rid{k} FROM {rlist} WHERE vid = {v}) AS __t{k} \
-                 WHERE d.rid = __rid{k}) AS {alias}",
+                "(SELECT * FROM {data} WHERE rid IN \
+                 (SELECT unnest(rlist) FROM {rlist} WHERE vid = {v})) AS {alias}",
                 v = vid.0
             ))
         }
         ModelKind::SplitByVlist => Ok(format!(
-            "(SELECT d.* FROM {data} AS d, \
-             (SELECT rid AS __rid{k} FROM {vt} WHERE ARRAY[{v}] <@ vlist) AS __t{k} \
-             WHERE d.rid = __rid{k}) AS {alias}",
+            "(SELECT * FROM {data} WHERE rid IN \
+             (SELECT rid FROM {vt} WHERE ARRAY[{v}] <@ vlist)) AS {alias}",
             data = cvd.data_table(),
             vt = cvd.vlist_table(),
             v = vid.0

@@ -54,14 +54,14 @@ fn walk(plan: &Plan, depth: usize, lines: &mut Vec<String>) {
             keys,
             filter,
         } => {
+            let n = keys.len() / cols.len();
             push(
                 lines,
                 depth,
                 format!(
-                    "Index Lookup on {table} (cols {:?}, {} key{}){}",
+                    "Index Lookup on {table} (cols {:?}, {n} key{}){}",
                     cols,
-                    keys.len(),
-                    if keys.len() == 1 { "" } else { "s" },
+                    if n == 1 { "" } else { "s" },
                     filter_suffix(filter)
                 ),
             );

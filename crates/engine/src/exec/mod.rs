@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use crate::cost;
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
-use crate::index::IndexKey;
+use crate::index::Probe;
 use crate::schema::Schema;
 use crate::stats::ExecStats;
 use crate::table::Table;
@@ -68,10 +68,12 @@ pub enum Plan {
         filter: Option<Expr>,
     },
     /// Point lookup(s) through an index on `cols`, with optional residual.
+    /// `keys` holds the keys flattened, `cols.len()` values each, in
+    /// ascending order; the matching rows come out in heap order.
     IndexLookup {
         table: String,
         cols: Vec<usize>,
-        keys: Vec<IndexKey>,
+        keys: Vec<Value>,
         filter: Option<Expr>,
     },
     /// Inline constant rows.
@@ -228,7 +230,7 @@ fn seq_scan(table: &str, filter: Option<&Expr>, ctx: &ExecContext) -> Result<Chu
 fn index_lookup(
     table: &str,
     cols: &[usize],
-    keys: &[IndexKey],
+    keys: &[Value],
     filter: Option<&Expr>,
     ctx: &ExecContext,
 ) -> Result<Chunk> {
@@ -236,21 +238,37 @@ fn index_lookup(
     let idx = t
         .index_on(cols)
         .ok_or_else(|| EngineError::IndexNotFound(format!("{table} on columns {cols:?}")))?;
-    ctx.stats.add_index_lookups(keys.len() as u64);
+    let lookups = (keys.len() / cols.len()) as u64;
+    ctx.stats.add_index_lookups(lookups);
     let clustered = t.is_clustered_on(cols);
-    let io = cost::index_lookup_cost(keys.len() as u64, t.len(), t.avg_row_bytes(), clustered);
+    let io = cost::index_lookup_cost(lookups, t.len(), t.avg_row_bytes(), clustered);
     // Charge the modeled cost as random pages (the cost fn already blends).
     ctx.stats
         .add_random_pages(io / cost::RANDOM_PAGE_COST, cost::RANDOM_PAGE_COST);
     let mut rows = Vec::new();
-    for key in keys {
-        for &slot in idx.lookup(key) {
-            let row = t.row(slot);
-            match filter {
-                Some(pred) if !pred.eval_predicate(row)? => {}
-                _ => rows.push(row.clone()),
-            }
+    let mut emit = |slot: usize| -> Result<()> {
+        let row = t.row(slot);
+        if filter.map_or(Ok(true), |pred| pred.eval_predicate(row))? {
+            rows.push(row.clone());
         }
+        Ok(())
+    };
+    if keys.len() == cols.len() {
+        // One key: its slots are ascending already.
+        idx.lookup(keys).iter().try_for_each(|&slot| emit(slot))?;
+    } else {
+        // Many keys (an `IN` set): one remembered probe walks the sorted
+        // keys through the index the way `Table::resolve_int_keys` walks
+        // an rlist, and the slots are emitted in heap order, so the rows
+        // and their order are those of a scan filtered by the same set.
+        let mut slots = Vec::new();
+        let mut probe = Probe::default();
+        for key in keys.chunks_exact(cols.len()) {
+            slots.extend_from_slice(idx.lookup_near(&mut probe, key));
+        }
+        slots.sort_unstable();
+        slots.dedup();
+        slots.into_iter().try_for_each(emit)?;
     }
     Ok(Chunk::new(Schema::clone(&t.schema), rows))
 }
@@ -430,7 +448,7 @@ mod tests {
         let plan = Plan::IndexLookup {
             table: "t".into(),
             cols: vec![0],
-            keys: vec![vec![Value::Int(3)], vec![Value::Int(5)]],
+            keys: vec![Value::Int(3), Value::Int(5)],
             filter: None,
         };
         let chunk = execute(&plan, &ctx).unwrap();

@@ -23,9 +23,10 @@ pub type IndexKey = Vec<Value>;
 /// Entries per leaf: what one write after a clone copies at most.
 const LEAF_ENTRIES: usize = 128;
 
-/// The heap slots of one key, in insertion order; never empty. A unique
-/// index (and most keys of any index) holds one slot per key, stored
-/// inline so an entry costs no allocation of its own.
+/// The heap slots of one key, ascending — the order a scan meets the
+/// key's rows in; never empty. A unique index (and most keys of any index)
+/// holds one slot per key, stored inline so an entry costs no allocation
+/// of its own.
 #[derive(Debug, Clone)]
 enum Slots {
     One(usize),
@@ -40,10 +41,15 @@ impl Slots {
         }
     }
 
+    /// Add `slot` in its place: at the end for an appended row, earlier
+    /// for a row an update moved onto this key.
     fn push(&mut self, slot: usize) {
         match self {
-            Slots::One(first) => *self = Slots::Many(vec![*first, slot]),
-            Slots::Many(slots) => slots.push(slot),
+            Slots::One(first) => *self = Slots::Many(vec![(*first).min(slot), (*first).max(slot)]),
+            Slots::Many(slots) => {
+                let at = slots.partition_point(|&s| s < slot);
+                slots.insert(at, slot);
+            }
         }
     }
 
@@ -262,7 +268,7 @@ impl Index {
         }
     }
 
-    /// Slots matching the exact key.
+    /// Slots matching the exact key, ascending.
     pub fn lookup(&self, key: &[Value]) -> &[usize] {
         if key.len() != self.arity() {
             return &[];
@@ -382,6 +388,12 @@ mod tests {
         assert_eq!(idx.lookup(&key(&[1])), &[0, 3]);
         assert_eq!(idx.lookup(&key(&[9])), &[] as &[usize]);
         assert_eq!(idx.len(), 2);
+        // A key's slots stay ascending whatever order they arrive in.
+        idx.insert(key(&[1]), 2).unwrap();
+        idx.insert(key(&[2]), 9).unwrap();
+        idx.insert(key(&[2]), 4).unwrap();
+        assert_eq!(idx.lookup(&key(&[1])), &[0, 2, 3]);
+        assert_eq!(idx.lookup(&key(&[2])), &[1, 4, 9]);
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //!   `col = literal` filters on indexed columns to index point lookups —
 //!   this is what gives the split-by-rlist checkout its "primary key index
 //!   on vid" access path (Section 3.2);
+//! * promotion of a non-negated `col IN (set)` — a literal list or a
+//!   materialized subquery — on a bare scan of a table with an index on
+//!   exactly `col` to a many-key index lookup (`col = literal` wins when
+//!   both apply). Its rows come out in heap order, so they are the rows,
+//!   in the order, of the filtered scan it replaces; this is what lets a
+//!   versioned query's semi-join on the version's rids read |Rv| rows of
+//!   the data table instead of all of them;
 //! * equi-join extraction and left-deep join-tree construction with the
 //!   session-selected join algorithm;
 //! * GROUP BY / HAVING aggregation and the single-`unnest` projection used
@@ -411,19 +418,15 @@ pub fn plan_select(
     let (mut plan, plan_map) = build_join_tree(rels, &scope, equi, strategy)?;
 
     // 5. Residual filter above the joins.
-    if !residual.is_empty() {
-        let map = |abs: usize| plan_map[abs];
-        let mut pred: Option<Expr> = None;
-        for c in residual {
-            let e = lower_expr(&c, &scope, &map, ctx, strategy)?;
-            pred = Some(match pred {
-                None => e,
-                Some(p) => Expr::bin(BinOp::And, p, e),
-            });
-        }
+    let map = |abs: usize| plan_map[abs];
+    let residual: Vec<Expr> = residual
+        .iter()
+        .map(|c| lower_expr(c, &scope, &map, ctx, strategy))
+        .collect::<Result<_>>()?;
+    if let Some(predicate) = conjoin(residual) {
         plan = Plan::Filter {
             input: Box::new(plan),
-            predicate: pred.expect("at least one residual conjunct"),
+            predicate,
         };
     }
 
@@ -670,12 +673,20 @@ fn collect_rels(e: &SqlExpr, scope: &Scope, out: &mut HashSet<usize>) -> Result<
     }
 }
 
+/// `e1 AND e2 AND …`, or `None` for no conjuncts.
+fn conjoin(exprs: impl IntoIterator<Item = Expr>) -> Option<Expr> {
+    exprs
+        .into_iter()
+        .reduce(|all, e| Expr::bin(BinOp::And, all, e))
+}
+
 /// Apply pushed-down filters to a leaf relation, promoting equality-on-
-/// indexed-columns to an index lookup when possible.
+/// indexed-columns, or else `col IN (set)` on a column with an index of
+/// its own, to an index lookup when possible.
 fn apply_filters_to_rel(
     plan: Plan,
     ast_filters: Vec<SqlExpr>,
-    lowered: Vec<Expr>,
+    mut lowered: Vec<Expr>,
     scope: &Scope,
     rel: usize,
     ctx: &ExecContext,
@@ -716,10 +727,12 @@ fn apply_filters_to_rel(
                 }
             }
         }
-        // Find the index covering the most equality columns completely.
+        // Find the index covering the most equality columns completely (an
+        // index on no columns, which only a snapshot can carry, covers none).
         let mut best: Option<&crate::index::Index> = None;
         for idx in t.indexes() {
-            if idx.columns.iter().all(|c| eq_cols.contains_key(c))
+            if !idx.columns.is_empty()
+                && idx.columns.iter().all(|c| eq_cols.contains_key(c))
                 && best
                     .map(|b| idx.columns.len() > b.columns.len())
                     .unwrap_or(true)
@@ -728,49 +741,57 @@ fn apply_filters_to_rel(
             }
         }
         if let Some(idx) = best {
-            let key: Vec<Value> = idx.columns.iter().map(|c| eq_cols[c].clone()).collect();
+            let keys: Vec<Value> = idx.columns.iter().map(|c| eq_cols[c].clone()).collect();
             let used: HashSet<usize> = idx.columns.iter().map(|c| eq_filter_idx[c]).collect();
-            let mut residual: Option<Expr> = None;
-            for (i, e) in lowered.into_iter().enumerate() {
-                if used.contains(&i) {
-                    continue;
-                }
-                residual = Some(match residual {
-                    None => e,
-                    Some(p) => Expr::bin(BinOp::And, p, e),
-                });
-            }
+            let residual = lowered
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| !used.contains(i))
+                .map(|(_, e)| e);
             return Ok(Plan::IndexLookup {
                 table: table.clone(),
                 cols: idx.columns.clone(),
-                keys: vec![key],
-                filter: residual,
+                keys,
+                filter: conjoin(residual),
+            });
+        }
+        // `col IN (set)` — a list or a materialized subquery — on a column
+        // with an index on exactly it: the set's elements, sorted, are the
+        // lookup keys, less NULL, which matches nothing. The executor emits
+        // the rows in heap order, so this is the scan it replaces, row for
+        // row, at the cost of |set| probes instead of |table| rows.
+        let in_set = lowered.iter().enumerate().find_map(|(i, e)| match e {
+            Expr::InSet {
+                expr,
+                set,
+                negated: false,
+            } => match **expr {
+                Expr::Column(col) if t.index_on(&[col]).is_some() => Some((i, col, set)),
+                _ => None,
+            },
+            _ => None,
+        });
+        if let Some((i, col, set)) = in_set {
+            let mut keys: Vec<Value> = set.iter().filter(|v| !v.is_null()).cloned().collect();
+            keys.sort_unstable();
+            lowered.remove(i);
+            return Ok(Plan::IndexLookup {
+                table: table.clone(),
+                cols: vec![col],
+                keys,
+                filter: conjoin(lowered),
             });
         }
         // No index: fold everything into the scan's filter.
-        let mut pred: Option<Expr> = None;
-        for e in lowered {
-            pred = Some(match pred {
-                None => e,
-                Some(p) => Expr::bin(BinOp::And, p, e),
-            });
-        }
         return Ok(Plan::SeqScan {
             table: table.clone(),
-            filter: pred,
+            filter: conjoin(lowered),
         });
     }
     // Derived table or already-filtered scan: wrap in a Filter node.
-    let mut pred: Option<Expr> = None;
-    for e in lowered {
-        pred = Some(match pred {
-            None => e,
-            Some(p) => Expr::bin(BinOp::And, p, e),
-        });
-    }
     Ok(Plan::Filter {
         input: Box::new(plan),
-        predicate: pred.expect("filters nonempty"),
+        predicate: conjoin(lowered).expect("filters nonempty"),
     })
 }
 
@@ -869,21 +890,16 @@ fn build_join_tree(
 
     // Equi conjuncts between two already-joined rels (cycles) become a
     // residual filter here.
-    if !equi.is_empty() {
-        let mut pred: Option<Expr> = None;
-        for (a, b) in equi {
-            let (ra, rb) = (scope.rel_of(a), scope.rel_of(b));
-            let pa = plan_offsets[&ra] + (a - scope.items[ra].offset);
-            let pb = plan_offsets[&rb] + (b - scope.items[rb].offset);
-            let e = Expr::bin(BinOp::Eq, Expr::col(pa), Expr::col(pb));
-            pred = Some(match pred {
-                None => e,
-                Some(p) => Expr::bin(BinOp::And, p, e),
-            });
-        }
+    let cycles = equi.into_iter().map(|(a, b)| {
+        let (ra, rb) = (scope.rel_of(a), scope.rel_of(b));
+        let pa = plan_offsets[&ra] + (a - scope.items[ra].offset);
+        let pb = plan_offsets[&rb] + (b - scope.items[rb].offset);
+        Expr::bin(BinOp::Eq, Expr::col(pa), Expr::col(pb))
+    });
+    if let Some(predicate) = conjoin(cycles) {
         plan = Plan::Filter {
             input: Box::new(plan),
-            predicate: pred.expect("nonempty"),
+            predicate,
         };
     }
 
@@ -1436,6 +1452,198 @@ mod tests {
             &tables,
         );
         assert_eq!(chunk.rows[0][0], Value::IntArray(vec![0, 1, 2]));
+    }
+
+    /// The plan of `sql`, rendered as `EXPLAIN` prints it.
+    fn explained(sql: &str, tables: &Map<String, Table>) -> String {
+        let stats = ExecStats::default();
+        let ctx = ExecContext {
+            tables,
+            stats: &stats,
+        };
+        let Statement::Select(stmt) = parse_statement(sql).unwrap() else {
+            panic!("not a select: {sql}");
+        };
+        let planned = plan_select(&stmt, &ctx, JoinStrategy::Auto).unwrap();
+        exec::explain::render(&planned.plan).join("\n")
+    }
+
+    /// Run `sql`, whose `IN` the planner turns into an index lookup, and
+    /// `scan`, the same filter in a shape it leaves to a scan: they must
+    /// return the same rows in the same order. The lookup's rows, stats
+    /// and plan.
+    fn promoted(sql: &str, scan: &str, tables: &Map<String, Table>) -> (Chunk, ExecStats, String) {
+        let plan = explained(sql, tables);
+        assert!(plan.contains("Index Lookup"), "{sql}: {plan}");
+        let scan_plan = explained(scan, tables);
+        assert!(scan_plan.contains("Seq Scan"), "{scan}: {scan_plan}");
+        let (chunk, stats) = select(sql, tables);
+        assert_eq!(chunk.rows, select(scan, tables).0.rows, "{sql}");
+        (chunk, stats, plan)
+    }
+
+    fn first_column(chunk: &Chunk) -> Vec<Value> {
+        chunk.rows.iter().map(|r| r[0].clone()).collect()
+    }
+
+    #[test]
+    fn in_set_on_an_indexed_column_is_an_index_lookup_in_heap_order() {
+        let mut tables = setup();
+        // Clustered on name, the heap holds rids 0,4,8,12,16,1,5,…: key
+        // order is no longer heap order.
+        let data = tables.get_mut("datatable").unwrap();
+        data.cluster_by(&["name"]).unwrap();
+        let sql = "SELECT rid FROM dataTable WHERE rid IN (19, 4, 1, 0, 5, 99)";
+        let scan = "SELECT rid FROM dataTable WHERE coalesce(rid) IN (19, 4, 1, 0, 5, 99)";
+        let (chunk, stats, plan) = promoted(sql, scan, &tables);
+        assert_eq!(first_column(&chunk), [0, 4, 1, 5, 19].map(Value::Int));
+        assert!(
+            plan.contains("Index Lookup on datatable (cols [0], 6 keys)"),
+            "{plan}"
+        );
+        // One probe per key, and no row read that is not returned.
+        assert_eq!(stats.index_lookups(), 6);
+        assert_eq!(stats.rows_scanned(), 0);
+
+        // Deletes compact the heap and rebuild the index: rids 0, 5, 9.
+        tables
+            .get_mut("datatable")
+            .unwrap()
+            .delete_slots(vec![0, 6, 7]);
+        let (chunk, ..) = promoted(sql, scan, &tables);
+        assert_eq!(first_column(&chunk), [4, 1, 19].map(Value::Int));
+
+        // A materialized subquery is a set like any other.
+        let (chunk, _, plan) = promoted(
+            "SELECT rid FROM dataTable WHERE rid IN \
+             (SELECT unnest(rlist) FROM versioningTable WHERE vid = 2)",
+            "SELECT rid FROM dataTable WHERE coalesce(rid) IN \
+             (SELECT unnest(rlist) FROM versioningTable WHERE vid = 2)",
+            &tables,
+        );
+        assert_eq!(first_column(&chunk), [4, 1, 2, 3].map(Value::Int));
+        assert!(plan.contains("(cols [0], 4 keys)"), "{plan}");
+    }
+
+    #[test]
+    fn in_set_on_a_non_unique_index_interleaves_its_keys_in_heap_order() {
+        let mut tables = setup();
+        let data = tables.get_mut("datatable").unwrap();
+        data.create_index("datatable_name", &["name"], false)
+            .unwrap();
+        // Move rid 2 onto key n1, after that key's slots 1, 5, … were
+        // indexed.
+        data.replace_row(2, vec![Value::Int(2), "n1".into(), Value::Int(20)])
+            .unwrap();
+        let (chunk, _, plan) = promoted(
+            "SELECT rid FROM dataTable WHERE name IN ('n3', 'n1')",
+            "SELECT rid FROM dataTable WHERE coalesce(name) IN ('n3', 'n1')",
+            &tables,
+        );
+        let rids = [1, 2, 3, 5, 7, 9, 11, 13, 15, 17, 19];
+        assert_eq!(first_column(&chunk), rids.map(Value::Int));
+        assert!(plan.contains("(cols [1], 2 keys)"), "{plan}");
+        // One key: its slots come back ascending too.
+        let (chunk, ..) = promoted(
+            "SELECT rid FROM dataTable WHERE name IN ('n1')",
+            "SELECT rid FROM dataTable WHERE coalesce(name) IN ('n1')",
+            &tables,
+        );
+        assert_eq!(first_column(&chunk), [1, 2, 5, 9, 13, 17].map(Value::Int));
+    }
+
+    #[test]
+    fn in_set_nulls_match_nothing_and_numbers_match_across_types() {
+        let mut tables = setup();
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("v", DataType::Int),
+        ]);
+        let mut t = Table::new("n", schema);
+        for (k, v) in [
+            (Some(1), 0),
+            (None, 1),
+            (Some(2), 2),
+            (None, 3),
+            (Some(1), 4),
+        ] {
+            t.insert(vec![k.map_or(Value::Null, Value::Int), Value::Int(v)])
+                .unwrap();
+        }
+        t.create_index("n_k", &["k"], false).unwrap();
+        tables.insert("n".into(), t);
+        // NULL in the set is no key; NULL in the column is never found.
+        let (chunk, stats, plan) = promoted(
+            "SELECT v FROM n WHERE k IN (2, NULL, 1)",
+            "SELECT v FROM n WHERE coalesce(k) IN (2, NULL, 1)",
+            &tables,
+        );
+        assert_eq!(first_column(&chunk), [0, 2, 4].map(Value::Int));
+        assert!(plan.contains("(cols [0], 2 keys)"), "{plan}");
+        assert_eq!(stats.index_lookups(), 2);
+        let (chunk, _, plan) = promoted(
+            "SELECT v FROM n WHERE k IN (NULL)",
+            "SELECT v FROM n WHERE coalesce(k) IN (NULL)",
+            &tables,
+        );
+        assert!(chunk.rows.is_empty());
+        assert!(plan.contains("(cols [0], 0 keys)"), "{plan}");
+
+        // `1.0` finds the INT 1, as the scan's set membership does; 3.5
+        // finds nothing.
+        let (chunk, ..) = promoted(
+            "SELECT rid FROM dataTable WHERE rid IN (1.0, 2, 3.5)",
+            "SELECT rid FROM dataTable WHERE coalesce(rid) IN (1.0, 2, 3.5)",
+            &tables,
+        );
+        assert_eq!(first_column(&chunk), [1, 2].map(Value::Int));
+    }
+
+    #[test]
+    fn in_set_lookup_applies_the_other_conjuncts() {
+        let tables = setup();
+        let (chunk, stats, plan) = promoted(
+            "SELECT rid FROM dataTable WHERE rid IN (1, 2, 3, 4) AND score > 20 AND name <> 'n4'",
+            "SELECT rid FROM dataTable WHERE coalesce(rid) IN (1, 2, 3, 4) AND score > 20 \
+             AND name <> 'n4'",
+            &tables,
+        );
+        assert_eq!(first_column(&chunk), [3, 4].map(Value::Int));
+        assert!(plan.contains("(cols [0], 4 keys) with filter"), "{plan}");
+        assert_eq!(stats.rows_scanned(), 0);
+    }
+
+    #[test]
+    fn not_in_and_unindexed_columns_keep_the_scan() {
+        let tables = setup();
+        for sql in [
+            "SELECT rid FROM dataTable WHERE rid NOT IN (1, 2)",
+            "SELECT rid FROM dataTable WHERE NOT rid IN (1, 2)",
+            "SELECT rid FROM dataTable WHERE score IN (10, 20)",
+            "SELECT rid FROM dataTable WHERE rid + 0 IN (1, 2)",
+        ] {
+            let plan = explained(sql, &tables);
+            assert!(
+                plan.contains("Seq Scan on datatable with filter") && !plan.contains("Index"),
+                "{sql}: {plan}"
+            );
+        }
+        // `col = literal` wins when both apply; the IN becomes its filter.
+        let plan = explained(
+            "SELECT rid FROM dataTable WHERE rid IN (1, 2, 3) AND rid = 2",
+            &tables,
+        );
+        assert!(plan.contains("(cols [0], 1 key) with filter"), "{plan}");
+
+        // An index on no columns (only a snapshot can carry one) serves
+        // no equality.
+        let mut tables = setup();
+        let data = tables.get_mut("datatable").unwrap();
+        data.create_index("datatable_none", &[], false).unwrap();
+        let sql = "SELECT rid FROM dataTable WHERE score = 20";
+        let plan = explained(sql, &tables);
+        assert!(plan.contains("Seq Scan on datatable with filter"), "{plan}");
+        assert_eq!(select(sql, &tables).0.rows, vec![vec![Value::Int(2)]]);
     }
 
     #[test]

@@ -183,6 +183,78 @@ proptest! {
     }
 }
 
+/// An `IN (…)` list rendering `elems`: `None` as `NULL`, an integer
+/// flagged `true` as its exactly-integral double (`3.0`).
+fn in_list(elems: &[(Option<i64>, bool)]) -> String {
+    let items: Vec<String> = elems
+        .iter()
+        .map(|e| match e {
+            (None, _) => "NULL".to_string(),
+            (Some(k), false) => k.to_string(),
+            (Some(k), true) => format!("{k}.0"),
+        })
+        .collect();
+    format!("({})", items.join(", "))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `col IN (set)` on an indexed column is answered by index probes,
+    /// and returns the rows of the scan filtered by the same set, in the
+    /// same order: whatever the heap order (appends, clustering, updates
+    /// that move a row to another key, deletes), on a unique and a
+    /// non-unique index, with NULLs and doubles in the set and NULLs and
+    /// duplicates in the column, with and without a residual conjunct.
+    #[test]
+    fn in_set_index_lookup_matches_the_filtered_scan(
+        ks in proptest::collection::vec(proptest::option::of(-4i64..12), 0..50),
+        moves in proptest::collection::vec((any::<usize>(), -4i64..12), 0..4),
+        cluster in any::<bool>(),
+        deletes in proptest::collection::vec(any::<usize>(), 0..4),
+        set in proptest::collection::vec((proptest::option::of(-4i64..60), any::<bool>()), 1..8),
+    ) {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)").unwrap();
+        db.execute("CREATE INDEX ON t (k)").unwrap();
+        let t = db.table_mut("t").unwrap();
+        for (i, k) in ks.iter().enumerate() {
+            let v = (i as i64 * 37) % 101;
+            t.insert(vec![Value::Int(i as i64), k.map_or(Value::Null, Value::Int), Value::Int(v)])
+                .unwrap();
+        }
+        for (slot, k) in &moves {
+            if !t.is_empty() {
+                let slot = slot % t.len();
+                let mut row = t.row(slot).clone();
+                row[1] = Value::Int(*k);
+                t.replace_row(slot, row).unwrap();
+            }
+        }
+        if cluster {
+            t.cluster_by(&["v"]).unwrap();
+        }
+        if !t.is_empty() {
+            t.delete_slots(deletes.iter().map(|s| s % t.len()).collect());
+        }
+        let set = in_list(&set);
+        for (col, residual) in [("k", ""), ("id", ""), ("k", " AND v > 40"), ("id", " AND k < 6")] {
+            let lookup = format!("SELECT * FROM t WHERE {col} IN {set}{residual}");
+            let scan = format!("SELECT * FROM t WHERE coalesce({col}) IN {set}{residual}");
+            let plan = db.query(&format!("EXPLAIN {lookup}")).unwrap();
+            prop_assert!(
+                plan.rows.iter().any(|r| r[0].to_string().contains("Index Lookup on t ")),
+                "{}: {:?}", lookup, plan.rows
+            );
+            let before = db.stats.snapshot();
+            let got = db.query(&lookup).unwrap().rows;
+            prop_assert_eq!(db.stats.snapshot().rows_scanned, before.rows_scanned);
+            let want = db.query(&scan).unwrap().rows;
+            prop_assert!(got == want, "{}: {:?} vs the scan's {:?}", lookup, got, want);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 

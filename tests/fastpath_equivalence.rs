@@ -3,7 +3,11 @@
 //! rows whether versions are read through the rid-index fast path or the
 //! retained Table 1 SQL formulation — for all five `ModelKind`s,
 //! partitioned CVDs (`optimize` run), and multi-version merge checkouts.
+//! Versioned queries (`VERSION v OF CVD`) must answer, row for row and in
+//! the same order, what the Table 1 join they used to translate to does.
 
+use orpheusdb::bench::differential::{replay, Ctx, CVD};
+use orpheusdb::bench::generator::{HistoryGen, HistoryParams};
 use orpheusdb::core::model::{self, ModelKind};
 use orpheusdb::prelude::*;
 
@@ -485,4 +489,148 @@ fn diff_matches_sql_set_difference() {
         assert_eq!(got_first, only_first, "{}", model.name());
         assert_eq!(got_second, only_second, "{}", model.name());
     }
+}
+
+/// A generated history with merges and `ADD COLUMN` commits, replayed
+/// into `odb` as CVD [`CVD`] under `model`: versions `skip + 1..=versions`
+/// (histories differing only in `versions` share their prefix).
+fn replay_history(odb: &mut OrpheusDB, model: ModelKind, versions: usize, skip: usize) {
+    let params = HistoryParams {
+        versions,
+        branches: 5,
+        fork_every: 3,
+        base_rows: 120,
+        inserts: 10,
+        attrs: 3,
+        insert_fraction: 0.8,
+        merge_prob: 0.3,
+        skew: 0.5,
+        evolve_every: 7,
+        seed: 7,
+    };
+    let ctx = Ctx::for_test("versioned-queries", model, params.seed);
+    let mut gen = HistoryGen::new(params);
+    gen.by_ref().take(skip).for_each(drop);
+    replay(odb, gen, model, false, &ctx).unwrap();
+}
+
+/// The Table 1 join that `VERSION v OF CVD` translated to before versioned
+/// queries became a rid-index semi-join: the data table (of the version's
+/// partition, once optimized) hash-joined against the version's rids.
+fn table1_version_join(cvd: &Cvd, v: u64) -> String {
+    match cvd.model {
+        ModelKind::SplitByRlist => {
+            let (data, rlist) = cvd.rlist_pair(Vid(v)).unwrap();
+            format!(
+                "(SELECT d.* FROM {data} AS d, \
+                 (SELECT unnest(rlist) AS __rid FROM {rlist} WHERE vid = {v}) AS __t \
+                 WHERE d.rid = __rid)"
+            )
+        }
+        ModelKind::SplitByVlist => format!(
+            "(SELECT d.* FROM {} AS d, \
+             (SELECT rid AS __rid FROM {} WHERE ARRAY[{v}] <@ vlist) AS __t \
+             WHERE d.rid = __rid)",
+            cvd.data_table(),
+            cvd.vlist_table()
+        ),
+        other => panic!("no Table 1 join for {}", other.name()),
+    }
+}
+
+/// The Table 1 join behind `FROM CVD` (every version, with a `vid`).
+fn table1_whole_cvd_join(cvd: &Cvd) -> String {
+    match cvd.model {
+        ModelKind::SplitByRlist => format!(
+            "(SELECT d.*, __t.vid FROM {} AS d, \
+             (SELECT vid, unnest(rlist) AS __rid FROM {}) AS __t \
+             WHERE d.rid = __t.__rid)",
+            cvd.data_table(),
+            cvd.rlist_table()
+        ),
+        ModelKind::SplitByVlist => format!(
+            "(SELECT d.*, __t.vid FROM {} AS d, \
+             (SELECT rid AS __rid, unnest(vlist) AS vid FROM {}) AS __t \
+             WHERE d.rid = __t.__rid)",
+            cvd.data_table(),
+            cvd.vlist_table()
+        ),
+        other => panic!("no Table 1 join for {}", other.name()),
+    }
+}
+
+/// Every versioned query shape against the join text it stood for, run
+/// straight through the engine: rows, their order and the column names.
+fn versioned_queries_match_table1(odb: &mut OrpheusDB, what: &str) {
+    let cvd = odb.cvd(CVD).unwrap().clone();
+    let versions = cvd.num_versions() as u64;
+    let last = format!("a{}", cvd.schema.arity() - 1);
+    let mut same = |versioned: String, table1: String| {
+        let got = odb.run(&versioned).unwrap();
+        let want = odb.engine.query(&table1).unwrap();
+        assert_eq!(got.rows, want.rows, "{what}: {versioned}");
+        assert_eq!(
+            got.schema.column_names(),
+            want.schema.column_names(),
+            "{what}: {versioned}"
+        );
+    };
+    for v in 1..=versions {
+        let join = table1_version_join(&cvd, v);
+        same(
+            format!("SELECT * FROM VERSION {v} OF CVD {CVD}"),
+            format!("SELECT * FROM {join} AS {CVD}"),
+        );
+        let aggregate = format!("SELECT count(*), sum(a0), count({last}) FROM");
+        same(
+            format!("{aggregate} VERSION {v} OF CVD {CVD} WHERE a1 < 5000"),
+            format!("{aggregate} {join} AS {CVD} WHERE a1 < 5000"),
+        );
+        let other = v.div_ceil(2);
+        let pairs = "SELECT x.rid, x.a0, y.a1, y.rid FROM";
+        same(
+            format!(
+                "{pairs} VERSION {v} OF CVD {CVD} AS x, VERSION {other} OF CVD {CVD} AS y \
+                 WHERE x.rid = y.rid"
+            ),
+            format!(
+                "{pairs} {join} AS x, {} AS y WHERE x.rid = y.rid",
+                table1_version_join(&cvd, other)
+            ),
+        );
+    }
+    same(
+        format!("SELECT vid, count(*), sum(a0) FROM CVD {CVD} GROUP BY vid ORDER BY vid"),
+        format!(
+            "SELECT vid, count(*), sum(a0) FROM {} AS {CVD} GROUP BY vid ORDER BY vid",
+            table1_whole_cvd_join(&cvd)
+        ),
+    );
+}
+
+/// Versioned queries read a version's records through the rid index now;
+/// what they return — rows, order, columns — is what the Table 1 join
+/// returned, at every version of a history with merges and schema
+/// evolution, on both array models, and on a partitioned CVD both for the
+/// versions `Optimize` placed and for those online maintenance placed.
+#[test]
+fn versioned_queries_answer_as_the_table1_join_did() {
+    for model in [ModelKind::SplitByRlist, ModelKind::SplitByVlist] {
+        let mut odb = OrpheusDB::new();
+        replay_history(&mut odb, model, 30, 0);
+        let cvd = odb.cvd(CVD).unwrap();
+        assert!(cvd.versions.iter().any(|m| m.parents.len() > 1), "merges");
+        assert!(cvd.schema.arity() > 3, "ADD COLUMN commits");
+        versioned_queries_match_table1(&mut odb, model.name());
+    }
+    let mut odb = OrpheusDB::new();
+    replay_history(&mut odb, ModelKind::SplitByRlist, 24, 0);
+    odb.optimize_with(CVD, 1.5, 1.5).unwrap();
+    replay_history(&mut odb, ModelKind::SplitByRlist, 30, 24);
+    let partitions = odb.cvd(CVD).unwrap().partition.as_ref().unwrap();
+    assert!(
+        partitions.assignment().iter().any(|&k| k > 0),
+        "partitioned"
+    );
+    versioned_queries_match_table1(&mut odb, "partitioned");
 }

@@ -289,3 +289,53 @@ fn a_partitioned_commit_allocates_per_run_not_per_version() {
         "one OnlineMaintainer::commit on 1 000 versions: {allocs} allocation calls"
     );
 }
+
+/// Allocation calls of a versioned aggregate over version 1 — 1 000
+/// records — once `grow - 1` more versions of 1 000 records each, none of
+/// them version 1's, have grown the data table to `grow` × 1 000 records.
+fn versioned_query_allocs(grow: i64) -> u64 {
+    let schema = Schema::new(vec![
+        Column::new("k", DataType::Int),
+        Column::new("v", DataType::Int),
+    ])
+    .with_primary_key(&["k"])
+    .unwrap();
+    let rows = (0..1_000).map(|k| vec![k.into(), (k * 7).into()]);
+    let mut odb = OrpheusDB::new();
+    odb.init_cvd(CVD, schema, rows.collect(), None).unwrap();
+    for batch in 1..grow {
+        odb.checkout(CVD, &[Vid(1)], "work").unwrap();
+        let staged = odb.engine.table_mut("work").unwrap();
+        staged.truncate();
+        for k in batch * 1_000..(batch + 1) * 1_000 {
+            staged
+                .insert(vec![Value::Null, k.into(), (k * 7).into()])
+                .unwrap();
+        }
+        odb.commit("work", "unrelated").unwrap();
+    }
+    let sql = format!("SELECT count(*), sum(v) FROM VERSION 1 OF CVD {CVD} WHERE v < 5000");
+    // Unmeasured first: lazily sized buffers are warm after it.
+    let first = odb.run(&sql).unwrap();
+    assert_eq!(
+        first.rows,
+        vec![vec![Value::Int(715), Value::Int(1_786_785)]]
+    );
+    allocs_of(|| {
+        odb.run(&sql).unwrap();
+    })
+}
+
+/// A query of one version reads that version's records through the rid
+/// index: what it costs does not grow with the records other versions
+/// added to the data table, as it did while the version was a hash join
+/// against a copy of the whole table.
+#[test]
+fn a_versioned_query_does_not_pay_for_other_versions_records() {
+    let alone = versioned_query_allocs(1);
+    let among_ten = versioned_query_allocs(10);
+    assert!(
+        (among_ten as f64) <= alone as f64 * 1.1,
+        "{alone} allocations with 1 000 records in the data table, {among_ten} with 10 000"
+    );
+}
