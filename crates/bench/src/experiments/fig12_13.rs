@@ -86,19 +86,38 @@ mod tests {
             inserts: 80,
         };
         let workload = spec.generate();
+        let records = workload.num_records as u64;
         let samples = sample_versions(workload.num_versions(), 8);
         let mut odb = OrpheusDB::new();
         load_workload(&mut odb, "bench", &workload, ModelKind::SplitByRlist).unwrap();
-        let base = avg_checkout_ms(&mut odb, &samples);
+        let checkout_rows = |odb: &mut OrpheusDB| -> Vec<usize> {
+            samples
+                .iter()
+                .map(|&v| {
+                    odb.checkout("bench", &[Vid(v)], "rows").unwrap();
+                    let rows = odb.engine.table("rows").unwrap().len();
+                    odb.discard("rows").unwrap();
+                    rows
+                })
+                .collect()
+        };
+        let before = checkout_rows(&mut odb);
         let r = odb.optimize_with("bench", 2.0, 1.5).unwrap();
-        let parted = avg_checkout_ms(&mut odb, &samples);
         assert!(r.num_partitions > 1, "expected a real split");
-        // With multiple partitions each checkout touches fewer records; the
-        // wall-clock ratio is noisy on tiny data, so only require
-        // no-regression by a wide margin.
+        // Counts, not wall-clock (noisy on tiny data): a checkout reads its
+        // partition's records instead of all of R, the partitions stay
+        // within the γ = 2|R| storage budget, and every version still
+        // checks out the rows it had.
         assert!(
-            parted <= base * 1.5,
-            "partitioned checkout {parted}ms vs base {base}ms"
+            r.cavg < records as f64,
+            "Cavg {} records, |R| = {records}",
+            r.cavg
         );
+        assert!(
+            r.storage_records <= 2 * records,
+            "{} records stored, |R| = {records}",
+            r.storage_records
+        );
+        assert_eq!(checkout_rows(&mut odb), before);
     }
 }

@@ -9,11 +9,12 @@
 //! [`Step::Sequential`] barriers — into a running machine:
 //!
 //! * a **coordinator thread** drains the submission channel into chunks,
-//!   plans each chunk under one catalog read
-//!   ([`SharedOrpheusDB::plan_batch`](crate::SharedOrpheusDB)), hands
-//!   shard steps to the worker pool, and executes sequential barriers
-//!   itself (waiting for all in-flight shard work first — barriers order
-//!   strictly against every step around them);
+//!   plans each chunk under one catalog read ([`BatchPlan::build`], whose
+//!   every request is routed by [`crate::batch::route`], the rule a
+//!   single `Session::execute` is routed by), hands shard steps to the
+//!   worker pool, and executes sequential barriers itself (waiting for
+//!   all in-flight shard work first — barriers order strictly against
+//!   every step around them);
 //! * a **worker pool** with one logical FIFO queue per shard: steps
 //!   between two barriers are mutually independent (they target disjoint
 //!   shards), so different workers execute them in parallel, while two
@@ -371,7 +372,7 @@ fn run_job(exec: &ConcurrentExecutor, mut job: Job) {
         })
         .collect();
     let _ = catch_unwind(AssertUnwindSafe(|| {
-        exec.run_items(&job.plan, &job.key, job.read_only, &mut items);
+        exec.run_items(job.plan.shared_scans(), &job.key, job.read_only, &mut items);
     }));
     let label = job.key.label();
     for (work, item) in job.items.iter().zip(items) {
@@ -409,7 +410,6 @@ enum Msg {
 /// execution paths carry their own `catch_unwind`) poisons that chunk's
 /// tickets instead of stranding their waiters.
 fn process_chunk_guarded(
-    shared: &SharedOrpheusDB,
     exec: &ConcurrentExecutor,
     pool: &Arc<Pool>,
     chunk: Vec<Submission>,
@@ -417,7 +417,7 @@ fn process_chunk_guarded(
 ) {
     let tickets: Vec<Arc<TicketCell>> = chunk.iter().map(|s| Arc::clone(&s.ticket)).collect();
     let panicked = catch_unwind(AssertUnwindSafe(|| {
-        process_chunk(shared, exec, pool, chunk, inline);
+        process_chunk(exec, pool, chunk, inline);
     }))
     .is_err();
     if panicked {
@@ -486,7 +486,7 @@ fn coordinator_loop(
         }
         if !chunk.is_empty() {
             let len = chunk.len();
-            process_chunk_guarded(&shared, &exec, &pool, chunk, inline);
+            process_chunk_guarded(&exec, &pool, chunk, inline);
             // The gauge counts accepted-but-unfinished requests, so the
             // decrement lands after the chunk's closing barrier: an
             // admission controller reading it sees queued *plus*
@@ -501,7 +501,7 @@ fn coordinator_loop(
     while let Ok(msg) = rx.try_recv() {
         if let Msg::Submit(batch) = msg {
             let len = batch.len();
-            process_chunk_guarded(&shared, &exec, &pool, batch, inline);
+            process_chunk_guarded(&exec, &pool, batch, inline);
             depth.fetch_sub(len, Ordering::SeqCst);
         }
     }
@@ -530,7 +530,6 @@ fn coordinator_loop(
 /// chunk did — cross-chunk per-client ordering (e.g. re-checking-out a
 /// name a failed checkout just released) depends on it.
 fn process_chunk(
-    shared: &SharedOrpheusDB,
     exec: &ConcurrentExecutor,
     pool: &Arc<Pool>,
     chunk: Vec<Submission>,
@@ -544,7 +543,7 @@ fn process_chunk(
         tickets.push(s.ticket);
         requests.push(s.request);
     }
-    let plan = Arc::new(shared.plan_batch(&requests));
+    let plan = Arc::new(exec.plan(&requests));
     let mut slots: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
 
     for step in plan.steps() {

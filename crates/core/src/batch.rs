@@ -5,9 +5,9 @@
 //! overhead amortizes when operations act on *sets* — arrays of record
 //! ids, batched checkouts — instead of one record or one request at a
 //! time. [`BatchPlan`] lifts that bet to the request level: given a
-//! `Vec<Request>`, it reuses the per-CVD routing of [`Request::target`]
-//! (the same table [`crate::ConcurrentExecutor`] dispatches on) to group
-//! the batch into per-shard sub-batches, so an executor can
+//! `Vec<Request>`, it routes each request by [`route`] (the rule
+//! [`crate::ConcurrentExecutor`] routes a single request by) to group the
+//! batch into per-shard sub-batches, so an executor can
 //!
 //! * take each shard lock **once per sub-batch** instead of once per
 //!   request ([`crate::ConcurrentExecutor`]),
@@ -105,9 +105,9 @@ pub enum Step {
     },
 }
 
-/// Executor-specific routing state consulted while a plan is built. The
-/// concurrent executor implements this over its catalog (one read lock for
-/// the whole plan).
+/// Executor-specific routing state [`route`] consults. The concurrent
+/// executor's catalog implements it (one read lock per routed request, or
+/// for a whole plan).
 pub trait BatchRouter {
     /// Whether a CVD with this name exists right now.
     fn has_cvd(&self, name: &str) -> bool;
@@ -133,95 +133,65 @@ fn is_read_only(request: &Request) -> bool {
     }
 }
 
-/// Key of one staged artifact inside the planner's overlay (tables
+/// Key of one staged artifact in a staged-name index (tables
 /// case-insensitive, CSV paths case-sensitive — mirroring
 /// [`crate::staging::StagingArea`]).
-fn overlay_key(name: &str, kind: StagedKind) -> String {
+pub(crate) fn staged_key(name: &str, kind: StagedKind) -> String {
     match kind {
         StagedKind::Table => format!("t:{}", name.to_ascii_lowercase()),
         StagedKind::Csv => format!("f:{name}"),
     }
 }
 
-/// Record a commit/discard consuming a staged name: an uncertain name
-/// stays uncertain (the consumer itself went sequential and may fail),
-/// everything else reads as free afterwards.
-fn consume(overlay: &mut HashMap<String, Overlay>, key: &str) {
-    match overlay.get(key) {
-        Some(Overlay::Uncertain) => {}
-        _ => {
-            overlay.insert(key.to_string(), Overlay::Consumed);
-        }
+/// The staged name `request` claims or consumes, as `(name, kind,
+/// claim)`: a checkout claims its target for the CVD in `claim`; a commit
+/// or a discard consumes it (`claim` is `None`). Every other request
+/// touches no staged name.
+pub(crate) fn staged_name(request: &Request) -> Option<(&str, StagedKind, Option<&str>)> {
+    match request {
+        Request::Checkout(c) => Some((&c.table, StagedKind::Table, Some(&c.cvd))),
+        Request::CheckoutCsv(c) => Some((&c.path, StagedKind::Csv, Some(&c.cvd))),
+        Request::Commit(c) => Some((&c.table, StagedKind::Table, None)),
+        Request::Discard(d) => Some((&d.table, StagedKind::Table, None)),
+        Request::CommitCsv(c) => Some((&c.path, StagedKind::Csv, None)),
+        _ => None,
     }
 }
 
-/// A staged name's plan-time resolution: the batch overlay first, the
-/// router's live state otherwise.
-fn name_state(
-    overlay: &HashMap<String, Overlay>,
-    router: &dyn BatchRouter,
-    name: &str,
-    kind: StagedKind,
-) -> NameState {
-    match overlay.get(&overlay_key(name, kind)) {
-        Some(Overlay::Staged(key)) => NameState::Held {
-            shard: key.clone(),
-            in_batch: true,
-        },
-        // A consumed name reads as free: if the consuming commit/discard
-        // fails at runtime, a checkout reusing the name fails with the
-        // same "already staged" error the sequential loop produces.
-        Some(Overlay::Consumed) => NameState::Free,
-        Some(Overlay::Uncertain) => NameState::Unknown,
-        None => match router.staged_shard(name, kind) {
-            Some(key) => NameState::Held {
-                shard: key,
-                in_batch: false,
-            },
-            None => NameState::Free,
-        },
-    }
-}
-
-/// Route one checkout-style request and leave its mark on the overlay.
-fn route_checkout(
-    overlay: &mut HashMap<String, Overlay>,
-    router: &dyn BatchRouter,
-    cvd: &str,
-    kind: StagedKind,
-    name: &str,
-) -> Option<ShardKey> {
-    let shard = router
-        .has_cvd(cvd)
-        .then(|| ShardKey::Cvd(cvd.to_ascii_lowercase()));
-    match name_state(overlay, router, name, kind) {
-        // The normal case: the name is free, the checkout claims it
-        // (subject to the checkout succeeding — a later commit routed
-        // here then fails NotStaged inside the shard, exactly like the
-        // sequential loop).
-        NameState::Free => {
-            if let Some(key) = &shard {
-                overlay.insert(overlay_key(name, kind), Overlay::Staged(key.clone()));
+/// Route one request against `router`: `Some((shard, read_only))` when a
+/// single shard serves it, `None` when it needs the sequential path —
+/// catalog requests, an unknown CVD, a staged name nobody holds, SQL
+/// spanning shards or naming an unknown CVD, and an unlexable statement
+/// (whose execution surfaces the error). A single request is routed by
+/// this alone; [`BatchPlan::build`] routes each request of a batch by it,
+/// through the batch's overlay.
+pub fn route(router: &dyn BatchRouter, request: &Request) -> Option<(ShardKey, bool)> {
+    let key = match request.target() {
+        Target::Catalog(_) => None,
+        Target::Cvd(cvd) => router
+            .has_cvd(cvd)
+            .then(|| ShardKey::Cvd(cvd.to_ascii_lowercase())),
+        Target::StagedTable(name) => router.staged_shard(name, StagedKind::Table),
+        Target::StagedCsv(path) => router.staged_shard(path, StagedKind::Csv),
+        // The router resolves the statement's CVDs; its staged names are
+        // resolved on top, so a statement on a staged table joins that
+        // table's shard — not the auxiliary one — and names landing on
+        // two different shards make it cross-shard.
+        Target::Sql(run) => run.lexed().ok().and_then(|sql| {
+            let mut resolved = router.sql_shard(sql)?;
+            for name in sql.idents() {
+                if let Some(shard) = router.staged_shard(name, StagedKind::Table) {
+                    if resolved == ShardKey::Aux {
+                        resolved = shard;
+                    } else if resolved != shard {
+                        return None;
+                    }
+                }
             }
-            shard
-        }
-        // Already staged before the batch: the checkout deterministically
-        // fails "already staged" in its own shard's reservation phase.
-        // The overlay is NOT touched — later references keep resolving to
-        // the real holder.
-        NameState::Held {
-            in_batch: false, ..
-        } => shard,
-        // Staged by an earlier checkout of this same batch: whether this
-        // one succeeds depends on that one's runtime outcome. Go
-        // sequential (the barrier flushes the earlier checkout's
-        // sub-batch first, so execution order is exactly sequential) and
-        // poison the name for everything after.
-        NameState::Held { in_batch: true, .. } | NameState::Unknown => {
-            overlay.insert(overlay_key(name, kind), Overlay::Uncertain);
-            None
-        }
-    }
+            Some(resolved)
+        }),
+    }?;
+    Some((key, is_read_only(request)))
 }
 
 /// A batch execution plan: the schedule ([`BatchPlan::steps`]) plus scan
@@ -286,27 +256,46 @@ enum Overlay {
     Uncertain,
 }
 
-/// A staged name's plan-time resolution, combining `router` state with the
-/// batch overlay.
-enum NameState {
-    /// Not staged anywhere the planner can see.
-    Free,
-    /// Staged in `shard`; `in_batch` says an earlier request of this batch
-    /// staged it (so the claim only holds if that request succeeds).
-    Held { shard: ShardKey, in_batch: bool },
-    /// Unknowable at plan time.
-    Unknown,
+/// `router` as a batch's later requests see it: a name an earlier request
+/// of the batch staged resolves to that checkout's shard, a name it
+/// consumed or left uncertain to nothing, every other name through
+/// `router`.
+struct Overlaid<'a> {
+    router: &'a dyn BatchRouter,
+    overlay: &'a HashMap<String, Overlay>,
+}
+
+impl BatchRouter for Overlaid<'_> {
+    fn has_cvd(&self, name: &str) -> bool {
+        self.router.has_cvd(name)
+    }
+
+    fn staged_shard(&self, name: &str, kind: StagedKind) -> Option<ShardKey> {
+        match self.overlay.get(&staged_key(name, kind)) {
+            Some(Overlay::Staged(key)) => Some(key.clone()),
+            // A consumed name reads as free: if the consuming commit/discard
+            // fails at runtime, a checkout reusing the name fails with the
+            // same "already staged" error the sequential loop produces.
+            Some(Overlay::Consumed | Overlay::Uncertain) => None,
+            None => self.router.staged_shard(name, kind),
+        }
+    }
+
+    fn sql_shard(&self, sql: &Lexed) -> Option<ShardKey> {
+        self.router.sql_shard(sql)
+    }
 }
 
 impl BatchPlan {
     /// Partition `requests` into per-shard sub-batches separated by
-    /// sequential barriers. Staged-artifact targets (`commit`, `discard`)
-    /// resolve through `router` *overlaid with the batch itself*: a commit
-    /// of a table checked out earlier in the same batch routes to the
-    /// checkout's shard even though nothing is staged yet at plan time.
-    /// References whose routing would depend on a runtime outcome — e.g.
-    /// two checkouts staging the same name in one batch — fall back to
-    /// sequential barriers, which execute in exact submission order.
+    /// sequential barriers. Each request is routed by [`route`] through
+    /// `router` *overlaid with the batch itself*: a commit of a table
+    /// checked out earlier in the same batch routes to the checkout's
+    /// shard even though nothing is staged yet at plan time, and so does
+    /// a statement on that table — ordered against the checkout and the
+    /// commit. References whose routing would depend on a runtime outcome
+    /// — e.g. two checkouts staging the same name in one batch — fall back
+    /// to sequential barriers, which execute in exact submission order.
     pub fn build(requests: &[Request], router: &dyn BatchRouter) -> BatchPlan {
         let mut steps: Vec<Step> = Vec::new();
         // Shard groups accumulated since the last barrier, in order of
@@ -327,79 +316,59 @@ impl BatchPlan {
         };
 
         for (i, request) in requests.iter().enumerate() {
-            let route: Option<ShardKey> = match request {
-                Request::Checkout(c) => {
-                    route_checkout(&mut overlay, router, &c.cvd, StagedKind::Table, &c.table)
-                }
-                Request::CheckoutCsv(c) => {
-                    route_checkout(&mut overlay, router, &c.cvd, StagedKind::Csv, &c.path)
-                }
-                _ => match request.target() {
-                    Target::Catalog(_) => None,
-                    Target::Cvd(cvd) => router
-                        .has_cvd(cvd)
-                        .then(|| ShardKey::Cvd(cvd.to_ascii_lowercase())),
-                    Target::StagedTable(name) => {
-                        match name_state(&overlay, router, name, StagedKind::Table) {
-                            NameState::Held { shard, .. } => Some(shard),
-                            NameState::Free | NameState::Unknown => None,
-                        }
-                    }
-                    Target::StagedCsv(path) => {
-                        match name_state(&overlay, router, path, StagedKind::Csv) {
-                            NameState::Held { shard, .. } => Some(shard),
-                            NameState::Free | NameState::Unknown => None,
-                        }
-                    }
-                    // The router resolves the statement against the live
-                    // catalog; staged tables checked out earlier in this
-                    // same batch are invisible to it, so their names are
-                    // resolved through the overlay on top. A statement on
-                    // a fresh checkout must join that shard's group —
-                    // ordered against the checkout and the commit — not
-                    // the auxiliary group; names landing on two different
-                    // shards make it cross-shard, which goes sequential —
-                    // as does an unlexable statement, whose error its
-                    // execution surfaces.
-                    Target::Sql(run) => run.lexed().ok().and_then(|sql| {
-                        let mut resolved = router.sql_shard(sql)?;
-                        for name in sql.idents() {
-                            let state = name_state(&overlay, router, name, StagedKind::Table);
-                            if let NameState::Held { shard, .. } = state {
-                                if resolved == ShardKey::Aux {
-                                    resolved = shard;
-                                } else if resolved != shard {
-                                    return None;
-                                }
-                            }
-                        }
-                        Some(resolved)
-                    }),
-                },
+            let staged = staged_name(request);
+            let key = staged.map(|(name, kind, _)| staged_key(name, kind));
+            let in_batch = key.as_ref().and_then(|key| overlay.get(key));
+            let overlaid = Overlaid {
+                router,
+                overlay: &overlay,
             };
-
-            // Consumption marks.
-            match request {
-                Request::Commit(c) => {
-                    consume(&mut overlay, &overlay_key(&c.table, StagedKind::Table));
+            let (routed, mark) = match (staged, in_batch) {
+                // Staged by an earlier checkout of this same batch: whether
+                // this checkout succeeds depends on that one's runtime
+                // outcome. Go sequential (the barrier flushes the earlier
+                // checkout's sub-batch first, so execution order is
+                // exactly sequential) and poison the name for everything
+                // after.
+                (Some((_, _, Some(_))), Some(Overlay::Staged(_) | Overlay::Uncertain)) => {
+                    (None, Some(Overlay::Uncertain))
                 }
-                Request::Discard(d) => {
-                    consume(&mut overlay, &overlay_key(&d.table, StagedKind::Table));
+                // A free name is claimed for the checkout's shard, subject
+                // to the checkout succeeding — a later commit routed there
+                // then fails NotStaged inside the shard, exactly like the
+                // sequential loop. A name staged before the batch keeps
+                // its holder: the checkout deterministically fails
+                // "already staged" in its own shard's reservation phase.
+                (Some((name, kind, Some(_))), _) => {
+                    let routed = route(&overlaid, request);
+                    let free = overlaid.staged_shard(name, kind).is_none();
+                    let mark = routed
+                        .as_ref()
+                        .filter(|_| free)
+                        .map(|(shard, _)| Overlay::Staged(shard.clone()));
+                    (routed, mark)
                 }
-                Request::CommitCsv(c) => {
-                    consume(&mut overlay, &overlay_key(&c.path, StagedKind::Csv));
-                }
-                _ => {}
+                // A commit or discard consumes its name; an uncertain name
+                // stays uncertain (the consumer itself went sequential and
+                // may fail).
+                (Some((_, _, None)), in_batch) => (
+                    route(&overlaid, request),
+                    (!matches!(in_batch, Some(Overlay::Uncertain))).then_some(Overlay::Consumed),
+                ),
+                (None, _) => (route(&overlaid, request), None),
+            };
+            if let (Some(key), Some(mark)) = (key, mark) {
+                overlay.insert(key, mark);
             }
 
-            match route {
-                Some(key) => {
+            match routed {
+                Some((key, read_only)) => {
                     // A read joins its shard's read-only group only while
                     // no write to that shard is open: a read *after* a
                     // write must observe it, so it rides in the write
                     // group instead.
                     let write_open = open.iter().any(|(k, ro, _)| *k == key && !*ro);
-                    let read_only = is_read_only(request) && !write_open;
+                    let read_only = read_only && !write_open;
                     match open
                         .iter_mut()
                         .find(|(k, ro, _)| *k == key && *ro == read_only)
@@ -686,5 +655,123 @@ mod tests {
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// CVDs `a` and `b`; `t` is staged in `a`, `f.csv` in `b`, `side` in
+    /// the auxiliary shard. A statement routes to the CVD whose
+    /// `<cvd>__data` table it names, to the auxiliary shard when it names
+    /// none, and to no single shard when it names two.
+    struct StagingRouter;
+
+    impl BatchRouter for StagingRouter {
+        fn has_cvd(&self, name: &str) -> bool {
+            ["a", "b"].contains(&name)
+        }
+        fn staged_shard(&self, name: &str, kind: StagedKind) -> Option<ShardKey> {
+            match (name, kind) {
+                ("t", StagedKind::Table) => Some(cvd_key("a")),
+                ("f.csv", StagedKind::Csv) => Some(cvd_key("b")),
+                ("side", StagedKind::Table) => Some(ShardKey::Aux),
+                _ => None,
+            }
+        }
+        fn sql_shard(&self, sql: &Lexed) -> Option<ShardKey> {
+            let mut cvds = sql.idents().filter_map(|name| name.strip_suffix("__data"));
+            match (cvds.next(), cvds.next()) {
+                (None, _) => Some(ShardKey::Aux),
+                (Some(cvd), None) => Some(cvd_key(cvd)),
+                _ => None,
+            }
+        }
+    }
+
+    /// A single `execute` is routed by `route` alone, so a batch of one
+    /// must be scheduled exactly as `route` routes its request — or the
+    /// two would run differently.
+    #[test]
+    fn a_batch_of_one_is_scheduled_as_route_routes_its_request() {
+        use crate::request::{CommitCsv, Diff, DropCvd, Init, Login, Optimize};
+
+        let multi_cvd = Run::sql("SELECT * FROM a__data JOIN b__data ON a__data.k = b__data.k");
+        let unlexable = Run::sql("SELECT 'unterminated");
+        // Every request of the planner tests above, then the rest.
+        let corpus: Vec<Request> = vec![
+            Checkout::of("a").version(1u64).into_table("t1").into(),
+            Checkout::of("b").version(1u64).into_table("t2").into(),
+            Checkout::of("a").version(1u64).into_table("t3").into(),
+            Commit::table("t1").message("m").into(),
+            Log::of("b").into(),
+            CreateUser::named("u").into(),
+            Checkout::of("a").version(1u64).into_table("t2").into(),
+            Checkout::of("nope").version(1u64).into_table("t").into(),
+            Commit::table("never_staged").into(),
+            Run::sql("SELECT 1").into(),
+            Checkout::of("a").version(1u64).into_table("t").into(),
+            Discard::table("t").into(),
+            Commit::table("t").message("m").into(),
+            Checkout::of("b").version(1u64).into_table("t").into(),
+            Checkout::of("right").version(1u64).into_table("t").into(),
+            Log::of("a").into(),
+            Run::sql("INSERT INTO s VALUES (1)").into(),
+            Checkout::of("b").version(2u64).into_table("t2").into(),
+            Commit::table("t2").message("m").into(),
+            Init::cvd("c").into(),
+            DropCvd::named("a").into(),
+            Login::as_user("u").into(),
+            Request::Whoami,
+            Request::Ls,
+            Log::of("nope").into(),
+            Diff::of("a").between(1u64, 2u64).into(),
+            Optimize::cvd("b").into(),
+            Discard::table("never_staged").into(),
+            Discard::table("side").into(),
+            Checkout::of("b").version(1u64).into_csv("f.csv").into(),
+            CommitCsv::path("f.csv").into(),
+            CommitCsv::path("never.csv").into(),
+            Run::sql("SELECT * FROM a__data").into(),
+            Run::sql("UPDATE t SET v = 1").into(),
+            Run::sql("SELECT * FROM side").into(),
+            Run::sql("SELECT * FROM b__data, t").into(),
+            multi_cvd.clone().into(),
+            unlexable.clone().into(),
+        ];
+        let routers: [&dyn BatchRouter; 2] = [&FixedRouter(vec!["a", "b"]), &StagingRouter];
+        for router in routers {
+            for request in &corpus {
+                let alone = match route(router, request) {
+                    Some((key, read_only)) => Step::Shard {
+                        key,
+                        indices: vec![0],
+                        read_only,
+                    },
+                    None => Step::Sequential(0),
+                };
+                let plan = BatchPlan::build(std::slice::from_ref(request), router);
+                assert_eq!(plan.steps(), &[alone], "{request:?}");
+            }
+        }
+
+        let cases: Vec<(Request, Option<(ShardKey, bool)>)> = vec![
+            (Log::of("nope").into(), None),
+            (Commit::table("never_staged").into(), None),
+            (CommitCsv::path("never.csv").into(), None),
+            (multi_cvd.into(), None),
+            (unlexable.into(), None),
+            (Run::sql("SELECT * FROM b__data, t").into(), None),
+            (Commit::table("t").into(), Some((cvd_key("a"), false))),
+            (CommitCsv::path("f.csv").into(), Some((cvd_key("b"), false))),
+            (
+                Run::sql("SELECT * FROM side").into(),
+                Some((ShardKey::Aux, true)),
+            ),
+            (
+                Run::sql("UPDATE t SET v = 1").into(),
+                Some((cvd_key("a"), false)),
+            ),
+            (Log::of("a").into(), Some((cvd_key("a"), true))),
+        ];
+        for (request, want) in cases {
+            assert_eq!(route(&StagingRouter, &request), want, "{request:?}");
+        }
     }
 }

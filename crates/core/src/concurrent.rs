@@ -105,9 +105,11 @@
 //!
 //! # One request engine
 //!
-//! Every request — a single [`Executor::execute`], a
-//! [`ConcurrentExecutor::execute_batch`], a sub-batch on an async worker
-//! ([`crate::async_exec`]) — runs through the same crate-internal engine,
+//! Every request is routed by one rule, [`crate::batch::route`], under one
+//! catalog read: a single [`Executor::execute`] by that alone — no plan —
+//! and a [`ConcurrentExecutor::execute_batch`] or an async chunk
+//! ([`crate::async_exec`]) through the [`BatchPlan`] built on it. What is
+//! routed to a shard runs through the same crate-internal engine,
 //! `ConcurrentExecutor::run_items`: reservations for every checkout of the
 //! sub-batch in one catalog write, the requests under one shard-lock
 //! acquisition (identity-swapped per request owner, so one sub-batch may
@@ -134,7 +136,9 @@ use orpheus_engine::sql::lexer::Token;
 use orpheus_engine::{EngineError, QueryResult, Value};
 
 use crate::access::AccessController;
-use crate::batch::{BatchPlan, BatchRouter, ShardKey, Step};
+use crate::batch::{
+    route, staged_key, staged_name, BatchPlan, BatchRouter, ShardKey, SharedScans, Step,
+};
 use crate::db::{OrpheusConfig, OrpheusDB, VersionDiff};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
@@ -318,10 +322,6 @@ impl Drop for ShardWriteGuard<'_> {
     }
 }
 
-/// Key of the auxiliary shard in the staged-name index (tables that were
-/// staged for a CVD that no longer exists live in the auxiliary shard).
-const AUX_KEY: &str = "";
-
 /// Instance-wide state behind the catalog lock.
 #[derive(Debug)]
 struct Catalog {
@@ -335,10 +335,11 @@ struct Catalog {
     /// Tables that belong to no CVD (side tables created through plain
     /// SQL, orphaned staged artifacts).
     aux: Arc<Shard>,
-    /// Staged artifact name → owning CVD key ([`AUX_KEY`] for the
-    /// auxiliary shard). The routing index for `commit`/`discard` and the
-    /// global uniqueness check for checkout target names.
-    staged: HashMap<String, String>,
+    /// Staged artifact ([`staged_key`]) → the shard holding it (tables
+    /// staged for a CVD that no longer exists live in the auxiliary
+    /// shard). The routing index for `commit`/`discard` and the global
+    /// uniqueness check for checkout target names.
+    staged: HashMap<String, ShardKey>,
     /// Lower-cased names of the side tables that statements in flight
     /// (`SELECT … INTO`, `CREATE TABLE`) are about to create. A name leaves
     /// when its statement is over: from then on the shard's published
@@ -363,15 +364,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Index key for a staged artifact (tables case-insensitive, CSV paths
-    /// case-sensitive — mirroring [`crate::staging::StagingArea`]).
-    fn staged_key(name: &str, kind: StagedKind) -> String {
-        match kind {
-            StagedKind::Table => format!("t:{}", name.to_ascii_lowercase()),
-            StagedKind::Csv => format!("f:{name}"),
-        }
-    }
-
     /// Split a whole instance into per-CVD shards plus the auxiliary
     /// shard, and build the staged-name index.
     fn from_instance(mut odb: OrpheusDB) -> Catalog {
@@ -387,17 +379,17 @@ impl Catalog {
                 // instance: neither the lookup nor an insert can fail.
                 .expect("detaching a listed CVD into an empty shard cannot fail");
             for entry in shard_db.staged() {
-                staged.insert(Catalog::staged_key(&entry.name, entry.kind), name.clone());
+                staged.insert(
+                    staged_key(&entry.name, entry.kind),
+                    ShardKey::Cvd(name.clone()),
+                );
             }
             shards.insert(name, Shard::new(shard_db));
         }
         // Whatever is left — side tables, orphaned staged artifacts — is
         // the auxiliary shard.
         for entry in odb.staged() {
-            staged.insert(
-                Catalog::staged_key(&entry.name, entry.kind),
-                AUX_KEY.to_string(),
-            );
+            staged.insert(staged_key(&entry.name, entry.kind), ShardKey::Aux);
         }
         let access = odb.access.clone();
         let config = odb.config.clone();
@@ -420,12 +412,10 @@ impl Catalog {
             .ok_or_else(|| CoreError::CvdNotFound(cvd.to_string()))
     }
 
-    /// Resolve a staged-index value ([`AUX_KEY`] → auxiliary shard).
-    fn shard_by_key(&self, key: &str) -> Result<Arc<Shard>> {
-        if key == AUX_KEY {
-            Ok(Arc::clone(&self.aux))
-        } else {
-            self.shard(key)
+    fn shard_by_key(&self, key: &ShardKey) -> Result<Arc<Shard>> {
+        match key {
+            ShardKey::Aux => Ok(Arc::clone(&self.aux)),
+            ShardKey::Cvd(cvd) => self.shard(cvd),
         }
     }
 
@@ -452,29 +442,29 @@ impl Catalog {
         // CVD existence first (checkout against an unknown CVD is a
         // CvdNotFound error even when the name also collides).
         self.shard(cvd)?;
-        let cvd_key = cvd.to_ascii_lowercase();
-        let key = Catalog::staged_key(name, kind);
+        let shard = ShardKey::Cvd(cvd.to_ascii_lowercase());
+        let key = staged_key(name, kind);
         if self.staged.contains_key(&key) {
             return Err(CoreError::Invalid(format!("{name} is already staged")));
         }
         if kind == StagedKind::Table {
-            self.check_table_name(&cvd_key, name)?;
+            self.check_table_name(&shard, name)?;
         }
-        self.staged.insert(key.clone(), cvd_key);
+        self.staged.insert(key.clone(), shard);
         Ok(key)
     }
 
     /// Reserve `name` (lower-cased) for a side table a statement is about
-    /// to create in the shard `cat_key` ([`AUX_KEY`] for the auxiliary
-    /// shard) — the catalog half of `SELECT … INTO` and `CREATE TABLE`,
-    /// under the same rule as a checkout target. The caller removes the
-    /// name from `creating` again once the statement is over.
-    fn reserve_side_table(&mut self, cat_key: &str, name: &str) -> Result<()> {
-        let key = Catalog::staged_key(name, StagedKind::Table);
+    /// to create in the shard `shard` — the catalog half of `SELECT … INTO`
+    /// and `CREATE TABLE`, under the same rule as a checkout target. The
+    /// caller removes the name from `creating` again once the statement is
+    /// over.
+    fn reserve_side_table(&mut self, shard: &ShardKey, name: &str) -> Result<()> {
+        let key = staged_key(name, StagedKind::Table);
         if self.staged.contains_key(&key) {
             return Err(CoreError::Invalid(format!("{name} is already staged")));
         }
-        self.check_table_name(cat_key, name)?;
+        self.check_table_name(shard, name)?;
         self.creating.insert(name.to_string());
         Ok(())
     }
@@ -484,13 +474,13 @@ impl Catalog {
     /// the `<cvd>__` namespaces, staged tables by the staged index; what
     /// is left are side tables plain SQL created (`CREATE TABLE`,
     /// `SELECT … INTO`), which can sit in any shard. For a table about to
-    /// be created in the shard `cat_key`, every *other* shard's published
+    /// be created in the shard `shard`, every *other* shard's published
     /// snapshot answers for those lock-free, and `creating` for the ones
     /// not published yet; the target shard answers for its own tables
     /// when the request runs under its lock — it alone knows what the
     /// requests queued ahead of this one will have created or dropped by
     /// then.
-    fn check_table_name(&self, cat_key: &str, name: &str) -> Result<()> {
+    fn check_table_name(&self, shard: &ShardKey, name: &str) -> Result<()> {
         let lower = name.to_ascii_lowercase();
         if let Some(owner) = self.claim_by_prefix(&lower) {
             return Err(CoreError::Invalid(format!(
@@ -498,11 +488,15 @@ impl Catalog {
                  namespace ({owner}__*)"
             )));
         }
-        let mut others = std::iter::once((AUX_KEY, &self.aux))
-            .chain(self.shards.iter().map(|(key, shard)| (key.as_str(), shard)))
-            .filter(|(key, _)| *key != cat_key);
+        let aux = (*shard != ShardKey::Aux).then_some(&self.aux);
+        let mut others = aux.into_iter().chain(
+            self.shards
+                .iter()
+                .filter(|(key, _)| !matches!(shard, ShardKey::Cvd(cvd) if cvd == *key))
+                .map(|(_, other)| other),
+        );
         if self.creating.contains(&lower)
-            || others.any(|(_, shard)| shard.snapshot.load().engine.has_table(&lower))
+            || others.any(|other| other.snapshot.load().engine.has_table(&lower))
         {
             return Err(CoreError::Invalid(format!("table {name} already exists")));
         }
@@ -598,16 +592,10 @@ impl Inner {
         }
     }
 
-    /// Build a [`BatchPlan`] for `requests` under one catalog read.
-    fn plan(&self, requests: &[Request]) -> BatchPlan {
-        let cat = self.catalog_read();
-        BatchPlan::build(requests, &CatalogRouter { catalog: &cat })
-    }
-
-    /// Resolve a staged-index value to its shard. The catalog lock is
-    /// released before returning, so callers never block on a shard lock
-    /// while holding it.
-    fn shard_by_key(&self, key: &str) -> Result<Arc<Shard>> {
+    /// Resolve a shard key to its shard. The catalog lock is released
+    /// before returning, so callers never block on a shard lock while
+    /// holding it.
+    fn shard_by_key(&self, key: &ShardKey) -> Result<Arc<Shard>> {
         self.catalog_read().shard_by_key(key)
     }
 }
@@ -691,9 +679,9 @@ impl SharedOrpheusDB {
         let materialized: std::collections::HashSet<String> = merged
             .staged()
             .iter()
-            .map(|e| Catalog::staged_key(&e.name, e.kind))
+            .map(|e| staged_key(&e.name, e.kind))
             .collect();
-        let reservations: Vec<(String, String)> = cat
+        let reservations: Vec<(String, ShardKey)> = cat
             .staged
             .iter()
             .filter(|(key, _)| !materialized.contains(*key))
@@ -701,19 +689,12 @@ impl SharedOrpheusDB {
             .collect();
         let out = f(&mut merged);
         *cat = Catalog::from_instance(merged);
-        for (key, cvd) in reservations {
-            if !cat.staged.contains_key(&key) && (cvd == AUX_KEY || cat.shards.contains_key(&cvd)) {
-                cat.staged.insert(key, cvd);
+        for (key, shard) in reservations {
+            if !cat.staged.contains_key(&key) && cat.shard_by_key(&shard).is_ok() {
+                cat.staged.insert(key, shard);
             }
         }
         out
-    }
-
-    /// Build a [`BatchPlan`] for `requests` under one catalog read — the
-    /// routing step the async executor's coordinator runs per chunk
-    /// ([`crate::async_exec::AsyncExecutor`]).
-    pub(crate) fn plan_batch(&self, requests: &[Request]) -> BatchPlan {
-        self.inner.plan(requests)
     }
 
     /// The instance-level identity (what non-session tooling operates as).
@@ -783,7 +764,7 @@ fn under_identity<T>(
     result
 }
 
-/// The CVD keys a statement touches ([`AUX_KEY`] never among them): `CVD
+/// The CVD keys a statement touches (never the auxiliary shard): `CVD
 /// <name>` patterns, staged-table names, and backing-table names
 /// (`<cvd>__...`). A name is looked up as a table even where it also
 /// follows `CVD`: naming a shard too many costs a wider snapshot or lock
@@ -802,16 +783,12 @@ fn analyze_sql(cat: &Catalog, sql: &Lexed) -> Result<BTreeSet<String>> {
         }
     }
     for name in sql.idents() {
-        let key = name.to_ascii_lowercase();
-        if let Some(cvd) = cat
-            .staged
-            .get(&Catalog::staged_key(&key, StagedKind::Table))
-        {
-            if cvd != AUX_KEY {
+        match cat.staged.get(&staged_key(name, StagedKind::Table)) {
+            Some(ShardKey::Cvd(cvd)) => {
                 cvds.insert(cvd.clone());
             }
-        } else if let Some(cvd) = cat.claim_by_prefix(&key) {
-            cvds.insert(cvd);
+            Some(ShardKey::Aux) => {}
+            None => cvds.extend(cat.claim_by_prefix(&name.to_ascii_lowercase())),
         }
     }
     Ok(cvds)
@@ -961,24 +938,16 @@ pub(crate) struct SubItem {
     pub(crate) out: Option<Result<Response>>,
 }
 
-/// The staged-index value naming `key`'s shard.
-fn catalog_key(key: &ShardKey) -> &str {
-    match key {
-        ShardKey::Aux => AUX_KEY,
-        ShardKey::Cvd(k) => k,
-    }
-}
-
-/// Remove staged-index reservations that still point at `cat_key` (their
+/// Remove staged-index reservations that still point at `shard` (their
 /// checkout failed or never ran; entries re-pointed by someone else are
 /// left alone), and the `side_tables` whose statements are over.
-fn release_reservations(inner: &Inner, cat_key: &str, keys: &[String], side_tables: &[String]) {
+fn release_reservations(inner: &Inner, shard: &ShardKey, keys: &[String], side_tables: &[String]) {
     if keys.is_empty() && side_tables.is_empty() {
         return;
     }
     let mut cat = inner.catalog_write();
     for key in keys {
-        if cat.staged.get(key).map(String::as_str) == Some(cat_key) {
+        if cat.staged.get(key) == Some(shard) {
             cat.staged.remove(key);
         }
     }
@@ -992,21 +961,6 @@ fn release_reservations(inner: &Inner, cat_key: &str, keys: &[String], side_tabl
 fn shard_sql(odb: &mut OrpheusDB, user: &str, sql: &Lexed) -> Result<QueryResult> {
     guard_sql(odb, user, sql)?;
     odb.run_lexed(sql)
-}
-
-/// The staged-index bookkeeping a request implies for the closing catalog
-/// write of a sub-batch: `(key, true)` — entry consumed on success
-/// (commit/discard); `(key, false)` — reservation to release on failure
-/// (checkout).
-fn staged_mark(request: &Request) -> Option<(String, bool)> {
-    match request {
-        Request::Commit(c) => Some((Catalog::staged_key(&c.table, StagedKind::Table), true)),
-        Request::Discard(d) => Some((Catalog::staged_key(&d.table, StagedKind::Table), true)),
-        Request::CommitCsv(c) => Some((Catalog::staged_key(&c.path, StagedKind::Csv), true)),
-        Request::Checkout(c) => Some((Catalog::staged_key(&c.table, StagedKind::Table), false)),
-        Request::CheckoutCsv(c) => Some((Catalog::staged_key(&c.path, StagedKind::Csv), false)),
-        _ => None,
-    }
 }
 
 /// What one pass over a sub-batch's items ([`execute_items`]) leaves for
@@ -1052,7 +1006,7 @@ fn switch_identity<'a>(
 /// unknown integrity, and already-completed items keep their results.
 fn execute_items(
     db: &mut OrpheusDB,
-    plan: &BatchPlan,
+    scans: &SharedScans,
     key: &ShardKey,
     items: &mut [SubItem],
 ) -> Leftovers {
@@ -1067,7 +1021,11 @@ fn execute_items(
         let Some(request) = item.request.take() else {
             continue;
         };
-        let mark = staged_mark(&request);
+        // The closing catalog write drops the entry of a staged name a
+        // commit or discard consumed, and releases the one a failed
+        // checkout reserved.
+        let mark = staged_name(&request)
+            .map(|(name, kind, claim)| (staged_key(name, kind), claim.is_none()));
         let user = item.user.as_str();
         let result = if poisoned {
             Err(panicked())
@@ -1091,7 +1049,7 @@ fn execute_items(
                             other => Ok(other.map(Response::Rows)),
                         }
                     }
-                    other => Ok(db.execute_batch_step(plan.shared_scans(), &mut scan_cache, other)),
+                    other => Ok(db.execute_batch_step(scans, &mut scan_cache, other)),
                 }
             }));
             match executed {
@@ -1118,33 +1076,20 @@ fn execute_items(
     left
 }
 
-/// [`BatchRouter`] over the catalog: one read acquisition resolves the
-/// routing of a whole batch (CVD existence, the staged-name index, and
-/// per-statement SQL analysis).
-struct CatalogRouter<'a> {
-    catalog: &'a Catalog,
-}
-
-impl BatchRouter for CatalogRouter<'_> {
+/// Routing reads the catalog: one read acquisition resolves a request or
+/// a whole batch (CVD existence, the staged-name index, and per-statement
+/// SQL analysis).
+impl BatchRouter for Catalog {
     fn has_cvd(&self, name: &str) -> bool {
-        self.catalog.shards.contains_key(&name.to_ascii_lowercase())
+        self.shards.contains_key(&name.to_ascii_lowercase())
     }
 
     fn staged_shard(&self, name: &str, kind: StagedKind) -> Option<ShardKey> {
-        self.catalog
-            .staged
-            .get(&Catalog::staged_key(name, kind))
-            .map(|key| {
-                if key == AUX_KEY {
-                    ShardKey::Aux
-                } else {
-                    ShardKey::Cvd(key.clone())
-                }
-            })
+        self.staged.get(&staged_key(name, kind)).cloned()
     }
 
     fn sql_shard(&self, sql: &Lexed) -> Option<ShardKey> {
-        let mut cvds = analyze_sql(self.catalog, sql).ok()?.into_iter();
+        let mut cvds = analyze_sql(self, sql).ok()?.into_iter();
         match (cvds.next(), cvds.next()) {
             (None, _) => Some(ShardKey::Aux),
             (Some(only), None) => Some(ShardKey::Cvd(only)),
@@ -1161,9 +1106,10 @@ impl BatchRouter for CatalogRouter<'_> {
 /// ownership checks apply per session while many sessions share one
 /// instance.
 ///
-/// There is one request engine: a single [`Executor::execute`] is a
-/// sub-batch of one. Requests are planned under a single catalog read
-/// ([`BatchPlan`]) into per-shard sub-batches and barriers, by
+/// There is one request engine and one routing rule ([`route`]): a single
+/// [`Executor::execute`] is routed under one catalog read and runs as a
+/// sub-batch of one; a batch is planned under one catalog read
+/// ([`BatchPlan`]) into per-shard sub-batches and barriers. Both route by
 /// [`Request::target`]:
 /// * [`Target::Cvd`] — that CVD's shard; checkouts additionally reserve
 ///   the target name in the catalog's staged index first, keeping table
@@ -1261,7 +1207,9 @@ impl ConcurrentExecutor {
     /// from the CVD's MVCC snapshot without taking the shard lock. (The
     /// bus has no request for it, so it reads the snapshot directly.)
     pub fn version_rows(&self, cvd: &str, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
-        self.snapshot_of(cvd)?.version_rows(cvd, vid)
+        // The shard lookup folds case; an unknown CVD is reported as named.
+        self.snapshot_of(&ShardKey::Cvd(cvd.to_string()))?
+            .version_rows(cvd, vid)
     }
 
     /// Run the partition optimizer.
@@ -1318,7 +1266,7 @@ impl ConcurrentExecutor {
     /// merged snapshot, writes as a cross-CVD write transaction — so it
     /// may observe later requests of its own sub-batch.
     pub fn execute_batch(&mut self, requests: Vec<Request>) -> Vec<Result<Response>> {
-        let plan = self.inner.plan(&requests);
+        let plan = self.plan(&requests);
         let mut slots: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
         let mut out: Vec<Option<Result<Response>>> = slots.iter().map(|_| None).collect();
         for step in plan.steps() {
@@ -1341,7 +1289,7 @@ impl ConcurrentExecutor {
                             out: None,
                         })
                         .collect();
-                    self.run_items(&plan, key, *read_only, &mut items);
+                    self.run_items(plan.shared_scans(), key, *read_only, &mut items);
                     for (&i, item) in indices.iter().zip(items) {
                         out[i] = item.out;
                     }
@@ -1355,36 +1303,42 @@ impl ConcurrentExecutor {
             .collect()
     }
 
-    /// Execute one shard's sub-batch — the engine shared by
-    /// [`ConcurrentExecutor::execute_batch`] and the async executor's
-    /// workers ([`crate::async_exec`]). Each [`SubItem`] carries its own
-    /// identity, so one sub-batch may interleave requests from many
-    /// sessions. Panics are contained per sub-batch (see
+    /// Plan `requests` under one catalog read — for
+    /// [`ConcurrentExecutor::execute_batch`] and, per chunk, the async
+    /// executor's coordinator ([`crate::async_exec`]).
+    pub(crate) fn plan(&self, requests: &[Request]) -> BatchPlan {
+        BatchPlan::build(requests, &*self.inner.catalog_read())
+    }
+
+    /// Execute one shard's sub-batch — the engine shared by a single
+    /// request, [`ConcurrentExecutor::execute_batch`] and the async
+    /// executor's workers ([`crate::async_exec`]). Each [`SubItem`]
+    /// carries its own identity, so one sub-batch may interleave requests
+    /// from many sessions. Panics are contained per sub-batch (see
     /// [`execute_items`]); the shard lock itself does not poison (shim
     /// `parking_lot` semantics), so later sub-batches on the same shard
     /// run normally.
     pub(crate) fn run_items(
         &self,
-        plan: &BatchPlan,
+        scans: &SharedScans,
         key: &ShardKey,
         read_only: bool,
         items: &mut [SubItem],
     ) {
-        let cat_key = catalog_key(key);
         let spanning = if read_only {
             // No shard lock, so a writer holding it never delays these.
-            let Ok(mut db) = self.snapshot_of(cat_key) else {
+            let Ok(mut db) = self.snapshot_of(key) else {
                 return self.reroute(items);
             };
-            execute_items(&mut db, plan, key, items).spanning
+            execute_items(&mut db, scans, key, items).spanning
         } else {
-            let Some(spanning) = self.run_shard_items(plan, key, items) else {
+            let Some(spanning) = self.run_shard_items(scans, key, items) else {
                 return self.reroute(items);
             };
             spanning
         };
         for (i, user, run) in spanning {
-            items[i].out = Some(self.sql_spanning(&user, cat_key, &run).map(Response::Rows));
+            items[i].out = Some(self.sql_spanning(&user, key, &run).map(Response::Rows));
         }
     }
 
@@ -1395,12 +1349,10 @@ impl ConcurrentExecutor {
     /// `None` (items untouched) when the shard no longer exists.
     fn run_shard_items(
         &self,
-        plan: &BatchPlan,
+        scans: &SharedScans,
         key: &ShardKey,
         items: &mut [SubItem],
     ) -> Option<Vec<(usize, String, Run)>> {
-        let cat_key = catalog_key(key);
-
         // Reserve every name the sub-batch is about to create — checkout
         // targets, and the side tables of `SELECT … INTO` and `CREATE
         // TABLE` statements — in one catalog write; a name that cannot be
@@ -1410,29 +1362,29 @@ impl ConcurrentExecutor {
         let mut side_tables: Vec<String> = Vec::new();
         let side_table = |run: &Run| run.lexed().ok().and_then(Lexed::created_table);
         let creates = |item: &SubItem| match &item.request {
-            Some(Request::Checkout(_) | Request::CheckoutCsv(_)) => true,
             Some(Request::Run(r)) => side_table(r).is_some(),
-            _ => false,
+            Some(request) => matches!(staged_name(request), Some((_, _, Some(_)))),
+            None => false,
         };
         if items.iter().any(creates) {
             let mut cat = self.inner.catalog_write();
             for item in items.iter_mut() {
                 let reservation = match item.request.as_ref() {
-                    Some(Request::Checkout(c)) => cat
-                        .reserve(&c.cvd, StagedKind::Table, &c.table)
-                        .map(|key| reserved.push(key)),
-                    Some(Request::CheckoutCsv(c)) => cat
-                        .reserve(&c.cvd, StagedKind::Csv, &c.path)
-                        .map(|key| reserved.push(key)),
                     Some(Request::Run(r)) => match side_table(r) {
                         // A name this sub-batch already holds is the
                         // shard's to decide about, in submission order.
                         Some(table) if !side_tables.contains(&table) => cat
-                            .reserve_side_table(cat_key, &table)
+                            .reserve_side_table(key, &table)
                             .map(|()| side_tables.push(table)),
                         _ => continue,
                     },
-                    _ => continue,
+                    Some(request) => match staged_name(request) {
+                        Some((name, kind, Some(cvd))) => {
+                            cat.reserve(cvd, kind, name).map(|key| reserved.push(key))
+                        }
+                        _ => continue,
+                    },
+                    None => continue,
                 };
                 if let Err(e) = reservation {
                     item.out = Some(Err(e));
@@ -1445,10 +1397,10 @@ impl ConcurrentExecutor {
         // lock is not held while blocking on the shard lock, so a catalog
         // rebuild can retire the shard in between: re-resolve and retry.
         let left = loop {
-            let Ok(shard) = self.inner.shard_by_key(cat_key) else {
+            let Ok(shard) = self.inner.shard_by_key(key) else {
                 // The CVD was dropped since planning. Release the
                 // reservations so re-routing cannot collide with them.
-                release_reservations(&self.inner, cat_key, &reserved, &side_tables);
+                release_reservations(&self.inner, key, &reserved, &side_tables);
                 return None;
             };
             let mut db = shard.write();
@@ -1456,7 +1408,7 @@ impl ConcurrentExecutor {
                 continue;
             }
             let prior = db.access.whoami().to_string();
-            let left = execute_items(&mut db, plan, key, items);
+            let left = execute_items(&mut db, scans, key, items);
             let _ = db.access.login(&prior);
             break left;
         };
@@ -1471,7 +1423,7 @@ impl ConcurrentExecutor {
                 cat.staged.remove(key);
             }
         }
-        release_reservations(&self.inner, cat_key, &left.failed_checkouts, &side_tables);
+        release_reservations(&self.inner, key, &left.failed_checkouts, &side_tables);
         Some(left.spanning)
     }
 
@@ -1479,9 +1431,9 @@ impl ConcurrentExecutor {
     /// path. Retries when a catalog rebuild retired the shard between
     /// resolution and the load (the load could have observed the emptied
     /// post-quiesce state).
-    fn snapshot_of(&self, cat_key: &str) -> Result<OrpheusDB> {
+    fn snapshot_of(&self, key: &ShardKey) -> Result<OrpheusDB> {
         loop {
-            let shard = self.inner.shard_by_key(cat_key)?;
+            let shard = self.inner.shard_by_key(key)?;
             let db = shard.load_snapshot();
             if !shard.is_retired() {
                 return Ok(db);
@@ -1489,8 +1441,8 @@ impl ConcurrentExecutor {
         }
     }
 
-    /// The shard a sub-batch was planned for is gone (its CVD was dropped
-    /// since planning): every request still pending is executed on its
+    /// The shard a sub-batch was routed to is gone (its CVD was dropped
+    /// since routing): every request still pending is executed on its
     /// own, against the live catalog.
     fn reroute(&self, items: &mut [SubItem]) {
         for item in items {
@@ -1504,9 +1456,10 @@ impl ConcurrentExecutor {
     /// single [`Executor::execute`], and what a plan schedules as
     /// [`Step::Sequential`] — there a barrier, ordered strictly against
     /// the sub-batches around it. Catalog requests run under the catalog
-    /// lock. Everything else is planned alone — no earlier request of a
-    /// batch can leave its routing uncertain — and is a sub-batch of one
-    /// for `run_items`; what has no single shard even then is SQL spanning
+    /// lock. Everything else is routed alone ([`route`], under one catalog
+    /// read — no earlier request of a batch can leave its routing
+    /// uncertain) and is a sub-batch of one for `run_items`, with no scans
+    /// to share; what has no single shard even then is SQL spanning
     /// shards, or gets the typed error (`CvdNotFound`, `NotStaged`).
     pub(crate) fn execute_as(&self, user: &str, request: Request) -> Result<Response> {
         match request {
@@ -1541,23 +1494,23 @@ impl ConcurrentExecutor {
             }
             Request::Drop(r) => self.drop_cvd(user, &r.cvd),
             other => {
-                let plan = self.inner.plan(std::slice::from_ref(&other));
-                match (plan.steps(), other) {
-                    ([Step::Shard { key, read_only, .. }], other) => {
+                let routed = route(&*self.inner.catalog_read(), &other);
+                match (routed, other) {
+                    (Some((key, read_only)), other) => {
                         let mut items = [SubItem {
                             user: user.to_string(),
                             request: Some(other),
                             out: None,
                         }];
-                        self.run_items(&plan, key, *read_only, &mut items);
+                        self.run_items(&SharedScans::default(), &key, read_only, &mut items);
                         let [item] = items;
                         // `run_items` answers every item it is handed.
-                        item.out.expect("every scheduled request is answered")
+                        item.out.expect("every routed request is answered")
                     }
-                    (_, Request::Run(run)) => {
-                        self.sql_spanning(user, AUX_KEY, &run).map(Response::Rows)
-                    }
-                    (_, other) => Err(match other.target() {
+                    (None, Request::Run(run)) => self
+                        .sql_spanning(user, &ShardKey::Aux, &run)
+                        .map(Response::Rows),
+                    (None, other) => Err(match other.target() {
                         Target::Cvd(cvd) => CoreError::CvdNotFound(cvd.to_string()),
                         Target::StagedTable(name) | Target::StagedCsv(name) => {
                             CoreError::NotStaged(name.to_string())
@@ -1595,12 +1548,12 @@ impl ConcurrentExecutor {
     /// lock-free snapshot of the involved shards plus the auxiliary shard —
     /// of the whole instance when it names no CVD at all — and a writing
     /// statement as a cross-CVD write transaction.
-    fn sql_spanning(&self, user: &str, home: &str, run: &Run) -> Result<QueryResult> {
+    fn sql_spanning(&self, user: &str, home: &ShardKey, run: &Run) -> Result<QueryResult> {
         let sql = run.lexed()?;
         let cat = self.inner.catalog_read();
         let mut cvds = analyze_sql(&cat, sql)?;
-        if home != AUX_KEY {
-            cvds.insert(home.to_string());
+        if let ShardKey::Cvd(home) = home {
+            cvds.insert(home.clone());
         }
         if !sql.is_select() {
             // A side table a `SELECT … INTO` left in a CVD's shard is named
@@ -1619,10 +1572,10 @@ impl ConcurrentExecutor {
             if let Some(table) = &side_table {
                 self.inner
                     .catalog_write()
-                    .reserve_side_table(AUX_KEY, table)?;
+                    .reserve_side_table(&ShardKey::Aux, table)?;
             }
             let result = self.sql_cross_cvd_write(user, &cvds, sql);
-            release_reservations(&self.inner, AUX_KEY, &[], side_table.as_slice());
+            release_reservations(&self.inner, &ShardKey::Aux, &[], side_table.as_slice());
             return result;
         }
         let mut merged = if cvds.is_empty() {
@@ -1736,7 +1689,8 @@ impl ConcurrentExecutor {
             .remove(&key)
             .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))?;
         shard.retire();
-        cat.staged.retain(|_, cvd| cvd != &key);
+        cat.staged
+            .retain(|_, holder| !matches!(holder, ShardKey::Cvd(cvd) if *cvd == key));
         if let Some(wal) = &cat.wal {
             wal.append(
                 user,

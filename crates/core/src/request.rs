@@ -154,17 +154,6 @@ impl Request {
             Request::Run(r) => Target::Sql(r),
         }
     }
-
-    /// The CVD a request addresses directly by name, when it names one.
-    /// `None` for catalog-wide requests without a CVD payload, staged-table
-    /// requests (resolved through the staging index), and SQL.
-    pub fn target_cvd(&self) -> Option<&str> {
-        match self.target() {
-            Target::Catalog(cvd) => cvd,
-            Target::Cvd(cvd) => Some(cvd),
-            Target::StagedTable(_) | Target::StagedCsv(_) | Target::Sql(_) => None,
-        }
-    }
 }
 
 /// What a request must lock before it can run (see [`Request::target`]).
@@ -795,15 +784,5 @@ mod tests {
         for (req, want) in &cases {
             assert_eq!(&req.target(), want, "{req:?}");
         }
-
-        // target_cvd surfaces the direct CVD name where one is present.
-        assert_eq!(Request::from(Init::cvd("a")).target_cvd(), Some("a"));
-        assert_eq!(
-            Request::from(Checkout::of("a").version(1u64).into_table("t")).target_cvd(),
-            Some("a")
-        );
-        assert_eq!(Request::from(Commit::table("t")).target_cvd(), None);
-        assert_eq!(Request::Ls.target_cvd(), None);
-        assert_eq!(Request::from(Run::sql("SELECT 1")).target_cvd(), None);
     }
 }

@@ -3,9 +3,10 @@
 //! tier-1, so a rename that forgets a doc fails locally and in CI's `test`
 //! job alike. The README's file pointers are held to the same rule, and it
 //! rides along for the other thing that rotted there: pointers to bench
-//! bins and result files that no longer exist. Three claims of the docs are
+//! bins and result files that no longer exist. Five claims of the docs are
 //! checked against the source itself: the middleware lexes SQL in one place,
-//! it renders no DML text, and every byte format speaks one vocabulary.
+//! it renders no DML text, every byte format speaks one vocabulary, the
+//! staged-name key is spelled once, and only a batch is planned.
 
 use std::path::Path;
 
@@ -258,6 +259,74 @@ fn the_byte_vocabulary_is_defined_in_exactly_one_module() {
             "{expected} not found in {names:?}"
         );
     }
+}
+
+/// The name of the function whose body holds `code[at..]`: the last `fn`
+/// item that starts before it.
+fn enclosing_fn(code: &str, at: usize) -> Option<&str> {
+    let bytes = code.as_bytes();
+    let (start, _) = code[..at]
+        .match_indices("fn ")
+        .filter(|(i, _)| *i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_'))
+        .last()?;
+    code[start + 3..].split(['(', '<']).next().map(str::trim)
+}
+
+/// `(file, enclosing function)` of every spelling of `needle` in the
+/// non-test code of `crates/*/src`.
+fn spellings(needle: &str) -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            core_sources(&src, &mut sources);
+        }
+    }
+    let mut found: Vec<(String, String)> = sources
+        .iter()
+        .flat_map(|(path, code)| {
+            code.match_indices(needle).map(move |(at, _)| {
+                let file = path.rsplit('/').next().unwrap_or(path).to_string();
+                let function = enclosing_fn(code, at).unwrap_or("<none>").to_string();
+                (file, function)
+            })
+        })
+        .collect();
+    found.sort();
+    found
+}
+
+/// Tables and CSV paths share one staged-name index, keyed `t:<table>` /
+/// `f:<path>`; the catalog's index, the planner's overlay, the checkout
+/// reservations and the closing catalog write all key by it. That format
+/// is one decision, spelled in one function.
+#[test]
+fn the_staged_name_key_is_spelled_in_exactly_one_function() {
+    let tables = spellings("\"t:{");
+    let csvs = spellings("\"f:{");
+    let mut functions = [tables.as_slice(), csvs.as_slice()].concat();
+    functions.sort();
+    functions.dedup();
+    assert!(
+        !tables.is_empty() && !csvs.is_empty() && functions.len() == 1,
+        "expected the staged-name key format in one function; tables keyed in {tables:?}, \
+         CSV paths in {csvs:?}"
+    );
+}
+
+/// A single request is routed (`batch::route`), not planned as a batch of
+/// one: the one place that builds a `BatchPlan` is the concurrent
+/// executor's plan of a batch, which its `execute_batch` and the async
+/// coordinator share.
+#[test]
+fn only_a_batch_is_planned() {
+    let callers = spellings("BatchPlan::build(");
+    assert_eq!(
+        callers,
+        vec![("concurrent.rs".to_string(), "plan".to_string())],
+        "expected one non-test caller of BatchPlan::build"
+    );
 }
 
 #[test]

@@ -248,6 +248,59 @@ fn the_middleware_does_not_multiply_what_the_engine_charges_per_row() {
     }
 }
 
+/// Allocation calls `execute` takes for a `Checkout`, a `Discard` and a
+/// `Commit` on a fresh 50-row CVD, in that order — after one unmeasured
+/// round, so lazily sized buffers are warm.
+fn request_costs(mut execute: impl FnMut(Request)) -> [u64; 3] {
+    let checkout = |table: &str| Request::from(Checkout::of(CVD).version(1u64).into_table(table));
+    let insert = || Request::from(Run::sql("INSERT INTO work VALUES (NULL, 1000, 1)"));
+    let commit = || Request::from(Commit::table("work").message("one row"));
+    execute(checkout("peek"));
+    execute(Discard::table("peek").into());
+    execute(checkout("work"));
+    execute(insert());
+    execute(commit());
+
+    let checkout_allocs = allocs_of(|| execute(checkout("peek")));
+    let discard_allocs = allocs_of(|| execute(Discard::table("peek").into()));
+    execute(checkout("work"));
+    execute(insert());
+    let commit_allocs = allocs_of(|| execute(commit()));
+    [checkout_allocs, discard_allocs, commit_allocs]
+}
+
+/// A `Session` routes a single request under one catalog read and runs
+/// it: what it adds to the `OrpheusDB` it wraps is the routing, the
+/// identity swap, the staged-index bookkeeping and the snapshot publish —
+/// not a batch plan for a batch of one. 41 / 37 / 147 allocation calls
+/// over the bare instance for these three requests (debug and release
+/// alike); 58 / 48 / 158 while every single request built a plan.
+#[test]
+fn a_single_request_pays_for_no_plan() {
+    let fresh = || {
+        let (shared, _) = served(50, 50, 1);
+        shared.read(|odb| odb.clone())
+    };
+    let mut odb = fresh();
+    let bare = request_costs(|request| drop(odb.execute(request).unwrap()));
+    let shared = SharedOrpheusDB::new(fresh());
+    let mut session = shared.session("writer").unwrap();
+    let served = request_costs(|request| drop(session.execute(request).unwrap()));
+
+    for (i, (what, bound)) in [("checkout", 43), ("discard", 39), ("commit", 149)]
+        .into_iter()
+        .enumerate()
+    {
+        let added = served[i] - bare[i];
+        assert!(
+            added <= bound,
+            "a Session adds {added} allocation calls to a {what} ({} served, {} bare)",
+            served[i],
+            bare[i]
+        );
+    }
+}
+
 /// The first `n` versions of `tree`.
 fn prefix(tree: &VersionTree, n: usize) -> VersionTree {
     VersionTree {
