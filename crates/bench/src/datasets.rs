@@ -114,7 +114,7 @@ impl ScaleTier {
     /// one CVD while others run beside them on another; and never more
     /// requests in total than a `NetServer` queues by default, so a client
     /// submitting its whole stream as one batch is not shed — shedding is
-    /// `chaos_storm`'s subject.
+    /// the subject of `fault_storm`'s `overload` cell.
     pub fn storm(self) -> StormShape {
         let (clients, cvds, ops, cluster, records) = match self {
             ScaleTier::Smoke => (4, 2, 6, 4, 400),

@@ -174,34 +174,18 @@ pub fn checkout_storm(cvd: &str, versions: &[u64]) -> Vec<Request> {
     requests
 }
 
-/// Per-client request stream of the crash gate: `ops` rounds of
-/// checkout → commit against one CVD. Table names embed the thread id so
-/// streams from different threads never collide, whichever executor runs
-/// them.
-pub fn contention_storm(cvd: &str, thread: usize, ops: usize) -> Vec<Request> {
-    let mut requests = Vec::with_capacity(ops * 2);
-    for i in 0..ops {
-        let table = format!("__storm_t{thread}_{i}");
-        requests.push(Checkout::of(cvd).version(1u64).into_table(&table).into());
-        requests.push(
-            Commit::table(&table)
-                .message(format!("storm thread {thread} op {i}"))
-                .into(),
-        );
-    }
-    requests
-}
-
-/// Read-heavy variant of [`contention_storm`]: each round exports the
-/// same version as CSV `cluster` times (distinct export paths, identical
-/// version set — the profile of many clients pulling the current dataset,
-/// which Section 6's workloads show dominating commits), then runs one
-/// checkout → commit round exactly like [`contention_storm`]. The
-/// repeated identical exports are the shared-scan opportunity a batching
-/// or async executor can exploit *across* interleaved clients of one
-/// CVD, which per-request sessions structurally cannot: the version
-/// merge runs once per sub-batch instead of once per export.
-/// `cluster == 0` degenerates to the plain `contention_storm` shape.
+/// Per-client request stream of the concurrent gates: `ops` rounds
+/// against one CVD, each exporting version 1 as CSV `cluster` times
+/// (distinct export paths, identical version set — the profile of many
+/// clients pulling the current dataset, which Section 6's workloads show
+/// dominating commits) and then checking it out and committing it.
+/// Table names embed the thread id so streams from different threads
+/// never collide, whichever executor runs them. The repeated identical
+/// exports are the shared-scan opportunity a batching or async executor
+/// can exploit *across* interleaved clients of one CVD, which
+/// per-request sessions structurally cannot: the version merge runs once
+/// per sub-batch instead of once per export. `cluster == 0` leaves plain
+/// checkout → commit pairs, the stream of `fault_storm`'s clients.
 ///
 /// The exported CSVs stay registered in the staging area (a real client
 /// would `commit -f` or abandon them later), so outcome comparisons
@@ -425,9 +409,9 @@ mod tests {
     }
 
     #[test]
-    fn contention_storm_streams_are_disjoint_checkout_commit_pairs() {
-        let a = contention_storm("cvd0", 0, 3);
-        let b = contention_storm("cvd1", 1, 3);
+    fn clustered_storm_without_exports_is_disjoint_checkout_commit_pairs() {
+        let a = clustered_storm("cvd0", 0, 3, 0);
+        let b = clustered_storm("cvd1", 1, 3, 0);
         assert_eq!(a.len(), 6);
         for (i, req) in a.iter().enumerate() {
             let kind = req.kind();
@@ -462,7 +446,7 @@ mod tests {
     #[test]
     fn json_objects_render_valid_json() {
         let json = JsonObject::new()
-            .str("bench", "contention_storm")
+            .str("bench", "fault_storm")
             .int("threads", 4)
             .num("speedup", 2.5)
             .obj(
@@ -472,7 +456,7 @@ mod tests {
             .render();
         assert_eq!(
             json,
-            "{\"bench\": \"contention_storm\", \"threads\": 4, \"speedup\": 2.500, \
+            "{\"bench\": \"fault_storm\", \"threads\": 4, \"speedup\": 2.500, \
              \"nested\": {\"k\": \"quo\\\"te\", \"nan\": null}}"
         );
     }

@@ -22,11 +22,14 @@
 //!   WAL-reopened) and gates on agreement with the oracle;
 //! * [`storm`] — the concurrent gate: many clients at once on each of
 //!   those served stacks must end where a sequential run of the same
-//!   streams ends.
+//!   streams ends;
+//! * [`fault`] — the fault gate's seeded matrix and its judgment (the
+//!   `fault_storm` bin runs the processes).
 
 pub mod datasets;
 pub mod differential;
 pub mod experiments;
+pub mod fault;
 pub mod generator;
 pub mod harness;
 pub mod loader;

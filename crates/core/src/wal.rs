@@ -50,20 +50,22 @@
 //!
 //! # Fault-injection hooks
 //!
-//! Setting `ORPHEUS_WAL_KILL=<point>:<n>` aborts the process at the
-//! `n`-th crossing of a named kill point (`pre-append`, `torn-append`,
+//! [`arm_kill`]`(point, n)` makes the process abort at the `n`-th
+//! crossing of a named kill point (`pre-append`, `torn-append`,
 //! `post-append`, `pre-snapshot`, `pre-current`, `post-current`). The
 //! `torn-append` point writes *half* a frame and syncs it first, which
-//! simulates exactly the torn write the recovery path must survive. The
-//! CI `crash-recovery` job and the `crash_storm` bench drive these hooks
-//! (plus plain `kill -9`) and verify the reopened instance bit-for-bit.
+//! simulates exactly the torn write the recovery path must survive.
+//! Nothing in a production process calls it: the `fault_storm` bench's
+//! server process arms it from its argv, and the CI `fault-storm` job
+//! drives every point (plus plain `kill -9`) and verifies the reopened
+//! instance against what each client was told.
 //!
-//! Kill points model a dying *process*; the [`IoFaultInjector`] models a
-//! dying *disk*. Setting `ORPHEUS_WAL_FAULT=<point>:<n>` (or calling
-//! [`WalSink::arm_fault`] in tests) makes the `n`-th crossing of a named
-//! fault point (`append`, `fsync`, `rotate`) fail with an injected I/O
-//! error instead of aborting. An `append`/`fsync` failure — injected or
-//! real — flips the sink into **degraded mode**: the failing operation
+//! Kill points model a dying *process*; [`WalSink::arm_fault`] models a
+//! dying *disk*: the `n`-th crossing of a named fault point (`append`,
+//! `fsync`, `rotate`) fails with an injected I/O error instead of
+//! aborting. Both arm the same [`IoFaultInjector`], which fires exactly
+//! once. An `append`/`fsync` failure — injected or real — flips the sink
+//! into **degraded mode**: the failing operation
 //! returns [`CoreError::Degraded`] to its caller (never an ack, never a
 //! panic), and every later mutation is refused up front by
 //! [`crate::db::OrpheusDB`] before touching memory, while reads and
@@ -106,13 +108,6 @@ pub const HEADER_LEN: u64 = 32;
 /// a frame short), so larger lengths are a typed error, not a torn tail.
 pub const MAX_RECORD: u32 = 1 << 28;
 
-/// Environment variable arming the abort-at-kill-point hooks.
-pub const KILL_ENV: &str = "ORPHEUS_WAL_KILL";
-
-/// Environment variable arming the fail-at-fault-point I/O hooks
-/// (`append`, `fsync`, `rotate`).
-pub const FAULT_ENV: &str = "ORPHEUS_WAL_FAULT";
-
 /// Environment variable overriding the checkpoint threshold in bytes.
 pub const CHECKPOINT_BYTES_ENV: &str = "ORPHEUS_CHECKPOINT_BYTES";
 
@@ -124,31 +119,21 @@ pub const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
 // Kill points (fault injection)
 // ---------------------------------------------------------------------------
 
-struct KillSpec {
-    point: String,
-    countdown: AtomicU64,
-}
+/// The process's armed kill point, if any (see [`arm_kill`]).
+static KILL: OnceLock<IoFaultInjector> = OnceLock::new();
 
-static KILL: OnceLock<Option<KillSpec>> = OnceLock::new();
-
-fn kill_spec() -> &'static Option<KillSpec> {
-    KILL.get_or_init(|| {
-        let raw = std::env::var(KILL_ENV).ok()?;
-        let (point, count) = raw.split_once(':')?;
-        let n: u64 = count.trim().parse().ok().filter(|n| *n >= 1)?;
-        Some(KillSpec {
-            point: point.trim().to_string(),
-            countdown: AtomicU64::new(n),
-        })
-    })
+/// Crash-harness hook: abort the process on the `n`-th crossing of the
+/// named kill point (`pre-append`, `torn-append`, `post-append`,
+/// `pre-snapshot`, `pre-current`, `post-current`). A process arms at
+/// most one kill point; later calls are ignored.
+#[doc(hidden)]
+pub fn arm_kill(point: &str, n: u64) {
+    let _ = KILL.set(IoFaultInjector::new(point, n));
 }
 
 /// True exactly once: on the `n`-th crossing of the armed kill point.
 fn kill_armed(point: &str) -> bool {
-    match kill_spec() {
-        Some(spec) if spec.point == point => spec.countdown.fetch_sub(1, Ordering::SeqCst) == 1,
-        _ => false,
-    }
+    KILL.get().is_some_and(|kill| kill.fires(point))
 }
 
 /// Abort the process here if the armed kill point says so.
@@ -162,12 +147,11 @@ pub(crate) fn kill_here(point: &str) {
 // I/O fault points (disk-fault injection)
 // ---------------------------------------------------------------------------
 
-/// Makes the `n`-th crossing of one named I/O point (`append`, `fsync`,
-/// `rotate`) *fail* with an injected error instead of performing the
-/// operation — a dying disk, where the kill hooks are a dying process.
-/// Armed per sink, either from `ORPHEUS_WAL_FAULT=<point>:<n>` at attach
-/// time (subprocess harnesses like `chaos_storm`) or programmatically via
-/// [`WalSink::arm_fault`] (in-process tests). Fires exactly once.
+/// Fires once, on the `n`-th crossing of one named point. Armed per sink
+/// through [`WalSink::arm_fault`], it makes an I/O point (`append`,
+/// `fsync`, `rotate`) *fail* with an injected error instead of performing
+/// the operation — a dying disk. Armed per process through [`arm_kill`],
+/// it aborts at a kill point — a dying process.
 #[derive(Debug)]
 pub struct IoFaultInjector {
     point: String,
@@ -181,14 +165,6 @@ impl IoFaultInjector {
             point: point.trim().to_string(),
             countdown: AtomicU64::new(n.max(1)),
         }
-    }
-
-    /// Parse `ORPHEUS_WAL_FAULT=<point>:<n>` into an armed injector.
-    pub fn from_env() -> Option<IoFaultInjector> {
-        let raw = std::env::var(FAULT_ENV).ok()?;
-        let (point, count) = raw.split_once(':')?;
-        let n: u64 = count.trim().parse().ok().filter(|n| *n >= 1)?;
-        Some(IoFaultInjector::new(point, n))
     }
 
     /// True exactly once: on the `n`-th crossing of the armed point.
@@ -564,7 +540,7 @@ struct WalState {
     /// checkpoint rotates onto a fresh segment. Carries the original
     /// I/O failure.
     poisoned: Option<String>,
-    /// Armed I/O fault, if any (env or [`WalSink::arm_fault`]).
+    /// Armed I/O fault, if any ([`WalSink::arm_fault`]).
     fault: Option<IoFaultInjector>,
 }
 
@@ -614,7 +590,7 @@ impl WalSink {
                     next_seq,
                     bytes: valid_len,
                     poisoned: None,
-                    fault: IoFaultInjector::from_env(),
+                    fault: None,
                 }),
                 degraded: std::sync::atomic::AtomicBool::new(false),
             }),
@@ -657,8 +633,7 @@ impl WalSink {
         self.lock().bytes >= threshold
     }
 
-    /// Arm an I/O fault on this sink programmatically (the in-process
-    /// counterpart of `ORPHEUS_WAL_FAULT`). Points: `append` (the write
+    /// Arm an I/O fault on this sink. Points: `append` (the write
     /// fails before any byte lands), `fsync` (the write lands in the page
     /// cache but the sync fails), `rotate` (the next checkpoint's segment
     /// rotation fails).
@@ -1050,7 +1025,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_env_parses_like_kill_spec() {
+    fn fault_injector_fires_once_on_the_nth_crossing() {
         let f = IoFaultInjector::new("rotate", 3);
         assert!(!f.fires("append"));
         assert!(!f.fires("rotate"));

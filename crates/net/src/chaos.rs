@@ -3,8 +3,8 @@
 //! [`FlakyProxy`] sits between a [`crate::RemoteExecutor`] and a
 //! [`crate::NetServer`], forwarding frames verbatim — until it severs the
 //! connection. The cut is **frame-aware**: the proxy parses the length
-//! prefix of every client-bound-for-server frame, forwards the frame
-//! whole, and (when the configured countdown fires on a request frame)
+//! prefix of every frame in both directions, relays each frame whole,
+//! and (when the configured countdown fires on a request frame)
 //! kills both sockets *after* the request reached the server but *before*
 //! its response can travel back. That is exactly the window where an
 //! acknowledged-but-unobserved commit lives, so driving a client through
@@ -28,6 +28,8 @@ use std::time::Duration;
 
 use orpheus_core::{CoreError, Result};
 use parking_lot::Mutex;
+
+use crate::proto::MAX_FRAME;
 
 /// Frame tags that count toward the drop countdown (requests — the
 /// frames whose lost ACK the replay machinery exists for). Values match
@@ -55,15 +57,13 @@ struct ProxyState {
 }
 
 impl ProxyState {
-    /// Whether this request frame is the one that kills the connection.
+    /// Count one forwarded request frame; whether it is the one that
+    /// kills the connection.
     // `u64::is_multiple_of` postdates the pinned MSRV (1.78).
     #[allow(clippy::manual_is_multiple_of)]
     fn fires(&self) -> bool {
-        if self.drop_every == 0 {
-            return false;
-        }
         let n = self.requests.fetch_add(1, Ordering::SeqCst) + 1;
-        n % self.drop_every == 0
+        self.drop_every != 0 && n % self.drop_every == 0
     }
 }
 
@@ -195,7 +195,7 @@ fn accept_loop(
                     let state = Arc::clone(&state);
                     std::thread::spawn(move || forward_frames(client_r, server, state))
                 };
-                let backward = std::thread::spawn(move || copy_bytes(server_r, client));
+                let backward = std::thread::spawn(move || copy_frames(server_r, client));
                 let mut ts = threads.lock();
                 ts.push(forward);
                 ts.push(backward);
@@ -235,21 +235,24 @@ fn forward_frames(mut client: TcpStream, mut server: TcpStream, state: Arc<Proxy
     let _ = server.shutdown(Shutdown::Both);
 }
 
-/// Server → client direction: raw byte relay (framing only matters on
-/// the cut-deciding direction).
-fn copy_bytes(mut server: TcpStream, mut client: TcpStream) {
-    let mut buf = [0u8; 16 * 1024];
+/// Server → client direction: relay whole frames, each in one write, so
+/// a cut lands between responses and never delivers half of one (which
+/// the client reads as a protocol error and ends its link on).
+fn copy_frames(mut server: TcpStream, mut client: TcpStream) {
     loop {
-        match server.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                if client.write_all(&buf[..n]).is_err() {
-                    break;
-                }
-                let _ = client.flush();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+        let mut frame = vec![0u8; 4];
+        if read_exact_or_close(&mut server, &mut frame).is_err() {
+            break;
+        }
+        let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+        if len > MAX_FRAME {
+            break;
+        }
+        frame.resize(4 + len, 0);
+        if read_exact_or_close(&mut server, &mut frame[4..]).is_err()
+            || client.write_all(&frame).is_err()
+        {
+            break;
         }
     }
     let _ = client.shutdown(Shutdown::Both);

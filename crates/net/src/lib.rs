@@ -22,7 +22,7 @@
 //!   forever.
 //! * [`chaos`] — a frame-aware flaky proxy that severs connections at
 //!   controlled points, used by the resilience tests and the
-//!   `chaos_storm` benchmark to prove the reconnect/replay and
+//!   `fault_storm` gate to prove the reconnect/replay and
 //!   load-shedding machinery under real packet loss.
 //!
 //! The service layer is fault-tolerant end to end: the server issues

@@ -67,9 +67,11 @@ fn every_path_referenced_by_the_readme_exists() {
 }
 
 /// The pre-ledger storm bins, their workloads and their committed result
-/// files are gone (the gates are `differential`, `storm`, `crash_storm`,
-/// `chaos_storm`; perf questions go to `perf_ledger compare`): no doc may
-/// send a reader to them, or name a result file as if it were tracked.
+/// files are gone, and so are the two fault bins `fault_storm` replaced and
+/// the environment variables that armed their faults (the gates are
+/// `differential`, `storm`, `fault_storm`; perf questions go to
+/// `perf_ledger compare`): no doc may send a reader to them, or name a
+/// result file as if it were tracked.
 #[test]
 fn no_doc_points_at_a_deleted_bin_or_a_result_file() {
     let gone = [
@@ -79,6 +81,10 @@ fn no_doc_points_at_a_deleted_bin_or_a_result_file() {
         "net_storm",
         "batch_storm",
         "contention_storm",
+        "crash_storm",
+        "chaos_storm",
+        "ORPHEUS_WAL_KILL",
+        "ORPHEUS_WAL_FAULT",
         "checkout_commit",
         "--bin concurrency",
         "--bin batching",
