@@ -44,23 +44,12 @@ pub fn load_workload(
             .iter()
             .map(|&r| (r as i64 + 1, values_of(workload, r)))
             .collect();
-        let kept: Vec<i64> = workload.version_rids[v]
+        let mut kept: Vec<i64> = workload.version_rids[v]
             .iter()
             .filter(|r| !new_set.contains(r))
             .map(|&r| r as i64 + 1)
             .collect();
-        // Only the table-per-version and delta models read all_records
-        // (TPV copies everything; delta diffs against the base parent);
-        // skip materializing it otherwise to keep loading fast.
-        let all_records: Vec<(i64, Vec<Value>)> =
-            if model == ModelKind::TablePerVersion || model == ModelKind::DeltaBased {
-                workload.version_rids[v]
-                    .iter()
-                    .map(|&r| (r as i64 + 1, values_of(workload, r)))
-                    .collect()
-            } else {
-                new_records.clone()
-            };
+        kept.sort_unstable();
         let parents: Vec<Vid> = workload.parents[v]
             .iter()
             .map(|&p| Vid(p as u64 + 1))
@@ -83,11 +72,11 @@ pub fn load_workload(
             rlist: rlist.clone(),
             kept,
             new_records,
-            all_records,
+            all_records: Vec::new(),
             base,
             deleted_from_base,
         };
-        model::persist_commit(&mut odb.engine, &cvd, &data, false)?;
+        model::persist_version(&mut odb.engine, &cvd, &parents, &data)?;
         let attributes = {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)

@@ -471,6 +471,25 @@ pub fn sorted_difference(a: &[i64], b: &[i64]) -> Vec<i64> {
     out
 }
 
+/// Sorted `a` minus sorted `b` as multisets: each element of `b` cancels
+/// one equal element of `a`, so a rid an rlist holds twice survives one
+/// cancellation. Elements of `b` with nothing left to cancel are ignored.
+pub(crate) fn sorted_multiset_difference(a: &[i64], b: &[i64]) -> Vec<i64> {
+    let mut out = Vec::new();
+    let mut j = 0;
+    for &x in a {
+        while j < b.len() && b[j] < x {
+            j += 1;
+        }
+        if j < b.len() && b[j] == x {
+            j += 1;
+        } else {
+            out.push(x);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@ use orpheus_engine::{Database, QueryResult, Schema, Value};
 use crate::access::AccessController;
 use crate::batch::SharedScans;
 use crate::csv;
-use crate::cvd::{Cvd, VersionMeta};
+use crate::cvd::{sorted_multiset_difference, Cvd, VersionMeta};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::model::{self, CommitData, ModelKind};
@@ -291,19 +291,19 @@ impl OrpheusDB {
         model::init_storage(&mut self.engine, &cvd)?;
         cvd.create_meta_tables(&mut self.engine)?;
 
-        check_pk_duplicates(&cvd.schema, rows.iter().map(|r| r.as_slice()))?;
+        let pk: Vec<Option<usize>> = cvd.schema.primary_key.iter().map(|&c| Some(c)).collect();
+        check_pk_duplicates(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>(), &pk)?;
         let rids = cvd.alloc_rids(rows.len());
-        let all_records: Vec<(i64, Vec<Value>)> = rids.iter().copied().zip(rows).collect();
         let data = CommitData {
             vid: Vid(1),
             rlist: rids.clone(),
             kept: Vec::new(),
-            new_records: all_records.clone(),
-            all_records,
+            new_records: rids.iter().copied().zip(rows).collect(),
+            all_records: Vec::new(),
             base: None,
             deleted_from_base: Vec::new(),
         };
-        model::persist_commit(&mut self.engine, &cvd, &data, false)?;
+        model::persist_version(&mut self.engine, &cvd, &[], &data)?;
         let commit_t = self.tick();
         let attributes = {
             let schema = cvd.schema.clone();
@@ -439,32 +439,11 @@ impl OrpheusDB {
         // MVCC snapshot reads can be demonstrated deterministically.
         crate::concurrent::hold_commit_if_gated(table);
         let staged_schema = self.engine.table(table)?.schema.clone();
-        let rows: Vec<Vec<Value>> = self.engine.table(table)?.rows().cloned().collect();
         let clock_before = self.clock;
-        // Staged edits happen through raw SQL the log never sees, so the
-        // record materializes the final rows (captured only when logging).
-        let wal_rows = self.wal_armed().then(|| rows.clone());
-        let vid = self.commit_rows(&entry, &staged_schema, rows, message)?;
+        let data = self.commit_rows(&entry, &staged_schema, Staged::Table(table), message)?;
         self.engine.drop_table(table)?;
         self.staging.remove(table, StagedKind::Table)?;
-        if let Some(rows) = wal_rows {
-            self.wal_append(
-                clock_before,
-                &WalOp::Commit(CommitRecord {
-                    cvd: entry.cvd,
-                    staged_name: entry.name,
-                    kind: entry.kind,
-                    parents: entry.parents,
-                    owner: entry.owner,
-                    created_at: entry.created_at,
-                    schema: Schema::clone(&staged_schema),
-                    rows,
-                    message: message.to_string(),
-                    vid,
-                }),
-            )?;
-        }
-        Ok(vid)
+        self.log_commit(clock_before, entry, &staged_schema, data, message)
     }
 
     /// Abandon a staged table without committing: drops the table and its
@@ -514,56 +493,72 @@ impl OrpheusDB {
         let (header, raw) = csv::parse_csv(csv_text)?;
         let rows = csv::typed_rows(&staged_schema, &header, &raw)?;
         let clock_before = self.clock;
-        let wal_rows = self.wal_armed().then(|| rows.clone());
-        let vid = self.commit_rows(&entry, &staged_schema, rows, message)?;
+        let data = self.commit_rows(&entry, &staged_schema, Staged::Rows(&rows), message)?;
         self.staging.remove(path, StagedKind::Csv)?;
-        if let Some(rows) = wal_rows {
-            self.wal_append(
-                clock_before,
-                &WalOp::Commit(CommitRecord {
-                    cvd: entry.cvd,
-                    staged_name: entry.name,
-                    kind: entry.kind,
-                    parents: entry.parents,
-                    owner: entry.owner,
-                    created_at: entry.created_at,
-                    schema: Schema::clone(&staged_schema),
-                    rows,
-                    message: message.to_string(),
-                    vid,
-                }),
-            )?;
-        }
-        Ok(vid)
+        self.log_commit(clock_before, entry, &staged_schema, data, message)
     }
 
-    /// Shared commit core: diff staged rows against the parent versions and
-    /// persist a new version (the no-cross-version-diff rule of §2.2).
+    /// Log a published commit as its delta ([`CommitRecord`]): the kept set
+    /// as the rids dropped from the first parent's rlist plus those adopted
+    /// beyond it, and the new rows, moved out of `data` rather than copied.
+    fn log_commit(
+        &self,
+        clock_before: u64,
+        entry: StagedEntry,
+        schema: &Schema,
+        data: CommitData,
+        message: &str,
+    ) -> Result<Vid> {
+        if !self.wal_armed() {
+            return Ok(data.vid);
+        }
+        let cvd = lookup(&self.cvds, &entry.cvd)?;
+        let first: &[i64] = match entry.parents.first() {
+            Some(&p) => cvd.rids_of(p)?,
+            None => &[],
+        };
+        let record = CommitRecord {
+            dropped: sorted_multiset_difference(first, &data.kept),
+            adopted: sorted_multiset_difference(&data.kept, first),
+            new_rows: data.new_records.into_iter().map(|(_, row)| row).collect(),
+            cvd: entry.cvd,
+            staged_name: entry.name,
+            kind: entry.kind,
+            parents: entry.parents,
+            owner: entry.owner,
+            created_at: entry.created_at,
+            schema: schema.clone(),
+            message: message.to_string(),
+            vid: data.vid,
+        };
+        self.wal_append(clock_before, &WalOp::Commit(record))?;
+        Ok(data.vid)
+    }
+
+    /// Shared commit core of `commit` and `commit -f`: plan the schema
+    /// evolution, refuse duplicate keys, classify the staged rows against
+    /// the parents and [`OrpheusDB::publish`] the result. Returns what was
+    /// published, for the log.
     ///
-    /// The CVD is never cloned: the diff phase borrows it (and, on the
-    /// fast path, the parent rows straight out of the engine's tables via
-    /// the rid index), and only then is the catalog entry mutated in
-    /// place. Parent overlaps are computed once per parent by sorted-merge
-    /// and reused for both base selection and the stored weights.
+    /// Nothing here copies the staged version. Staged rows are borrowed
+    /// where they live (the staged table, or the rows a CSV commit parsed)
+    /// and read through `col_map` in the CVD's column order; only the rows
+    /// that need fresh rids are copied out.
     fn commit_rows(
         &mut self,
         entry: &StagedEntry,
         staged_schema: &Schema,
-        rows: Vec<Vec<Value>>,
+        staged: Staged<'_>,
         message: &str,
-    ) -> Result<Vid> {
+    ) -> Result<CommitData> {
         let cvd_key = entry.cvd.to_ascii_lowercase();
         let cvd = lookup(&self.cvds, &cvd_key)?;
-        let vid = Vid(cvd.num_versions() as u64 + 1);
         // Plan any schema evolution first (Section 3.3) and check the
         // staged rows against the planned schema: a commit that is
         // refused is refused before storage or catalog are evolved.
         let evolved = evolved_schema(&cvd.schema, staged_schema)?;
         let schema = evolved.as_ref().unwrap_or(&cvd.schema);
-
-        // Staged rows → (Option<rid>, values in cvd-schema order).
-        let width = schema.arity();
-        let mut staged: Vec<(Option<i64>, Vec<Value>)> = Vec::with_capacity(rows.len());
+        // The staged column holding each CVD column, if any.
         let col_map: Vec<Option<usize>> = schema
             .columns
             .iter()
@@ -574,100 +569,52 @@ impl OrpheusDB {
                     .position(|sc| sc.name.eq_ignore_ascii_case(&c.name))
             })
             .collect();
-        for row in rows {
-            let rid = match row.first() {
-                Some(Value::Int(r)) => Some(*r),
-                Some(Value::Null) | None => None,
-                Some(other) => {
-                    return Err(CoreError::Invalid(format!(
-                        "rid column must be INT or NULL, found {other}"
-                    )))
-                }
-            };
-            let mut values = Vec::with_capacity(width);
-            for m in &col_map {
-                values.push(match m {
-                    Some(i) => row.get(*i).cloned().unwrap_or(Value::Null),
-                    None => Value::Null,
-                });
+        let pk: Vec<Option<usize>> = schema.primary_key.iter().map(|&c| col_map[c]).collect();
+        {
+            let rows = staged.rows(&self.engine)?;
+            for row in &rows {
+                staged_rid(row)?;
             }
-            staged.push((rid, values));
+            check_pk_duplicates(&rows, &pk)?;
         }
-
-        check_pk_duplicates(schema, staged.iter().map(|(_, v)| v.as_slice()))?;
         if let Some(new_schema) = evolved {
             self.apply_schema(&cvd_key, new_schema)?;
         }
         let cvd = lookup(&self.cvds, &cvd_key)?;
+        let (kept, new_rows) =
+            classify_staged(&mut self.engine, cvd, &entry.parents, staged, &col_map)?;
+        self.publish(entry, &cvd_key, kept, new_rows, message)
+    }
 
-        // Classify: unchanged rows keep their rid, everything else is new.
-        // Parent records are looked up by borrowing rows in place through
-        // each model's rid-index fast path; only when a parent cannot be
-        // fast-read are its rows materialized via the SQL formulation.
-        // First parent takes precedence (immutable records make ties
-        // value-identical anyway).
-        let keep = {
-            let mut fast: Option<Vec<Option<i64>>> = None;
-            {
-                let engine = &self.engine;
-                let mut map: HashMap<i64, &[Value]> = HashMap::new();
-                let mut ready = true;
-                for p in &entry.parents {
-                    match model::version_row_refs(engine, cvd, *p)? {
-                        Some(list) => {
-                            map.reserve(list.len());
-                            for (rid, values) in list {
-                                map.entry(rid).or_insert(values);
-                            }
-                        }
-                        None => {
-                            ready = false;
-                            break;
-                        }
-                    }
-                }
-                if ready {
-                    fast = Some(classify_staged(&staged, |r| map.get(&r).copied()));
-                }
-            }
-            match fast {
-                Some(keep) => keep,
-                None => {
-                    let mut map: HashMap<i64, Vec<Value>> = HashMap::new();
-                    for p in &entry.parents {
-                        for (rid, values) in model::version_rows(&mut self.engine, cvd, *p)? {
-                            map.entry(rid).or_insert(values);
-                        }
-                    }
-                    classify_staged(&staged, |r| map.get(&r).map(|v| v.as_slice()))
-                }
-            }
-        };
-
-        let new_count = keep.iter().filter(|k| k.is_none()).count();
+    /// Publish a classified commit as the next version: fresh rids for
+    /// `new_rows`, the rlist, parent weights and delta base, backing
+    /// storage, the catalog entry, the metadata row and online partition
+    /// maintenance. `kept` is sorted. A live commit and its WAL replay both
+    /// end here; what precedes it is classification, which replay skips.
+    ///
+    /// The CVD is never cloned: the catalog entry is mutated in place, and
+    /// a failure after storage was written unpublishes the version
+    /// everywhere so its vid can be reused.
+    fn publish(
+        &mut self,
+        entry: &StagedEntry,
+        cvd_key: &str,
+        kept: Vec<i64>,
+        new_rows: Vec<Vec<Value>>,
+        message: &str,
+    ) -> Result<CommitData> {
+        let cvd = lookup_mut(&mut self.cvds, cvd_key)?;
+        let vid = Vid(cvd.num_versions() as u64 + 1);
         // Allocate fresh rids on the catalog entry itself (an error later
         // leaves a harmless gap — rids are never reused anyway).
-        let fresh = lookup_mut(&mut self.cvds, &cvd_key)?.alloc_rids(new_count);
-
-        let mut kept = Vec::with_capacity(staged.len() - new_count);
-        let mut new_rows: Vec<Vec<Value>> = Vec::with_capacity(new_count);
-        let mut all_records: Vec<(i64, Vec<Value>)> = Vec::with_capacity(staged.len());
-        for (keep_rid, (_, values)) in keep.into_iter().zip(staged) {
-            match keep_rid {
-                Some(r) => {
-                    kept.push(r);
-                    all_records.push((r, values));
-                }
-                None => new_rows.push(values),
-            }
-        }
-        let new_records: Vec<(i64, Vec<Value>)> = fresh.into_iter().zip(new_rows).collect();
-        all_records.extend(new_records.iter().cloned());
-
-        let mut rlist: Vec<i64> = all_records.iter().map(|(r, _)| *r).collect();
+        let fresh = cvd.alloc_rids(new_rows.len());
+        let mut rlist = Vec::with_capacity(kept.len() + fresh.len());
+        rlist.extend_from_slice(&kept);
+        rlist.extend_from_slice(&fresh);
         rlist.sort_unstable();
+        let new_records: Vec<(i64, Vec<Value>)> = fresh.into_iter().zip(new_rows).collect();
 
-        let cvd = lookup(&self.cvds, &cvd_key)?;
+        let cvd = lookup(&self.cvds, cvd_key)?;
         // One sorted-merge per parent; base selection and parent_weights
         // both come from this single pass.
         let parent_weights = cvd.parent_overlaps(&rlist, &entry.parents);
@@ -676,17 +623,16 @@ impl OrpheusDB {
             Some(b) => crate::cvd::sorted_difference(cvd.rids_of(b)?, &rlist),
             None => Vec::new(),
         };
-
-        let data = CommitData {
+        let mut data = CommitData {
             vid,
-            rlist: rlist.clone(),
+            rlist,
             kept,
             new_records,
-            all_records,
+            all_records: Vec::new(),
             base,
             deleted_from_base,
         };
-        if let Err(e) = model::persist_commit(&mut self.engine, cvd, &data, false) {
+        if let Err(e) = model::persist_version(&mut self.engine, cvd, &entry.parents, &data) {
             // Undo any partial backing-storage writes so the vid can be
             // reused by a retried commit.
             model::rollback_commit(&mut self.engine, cvd, &data);
@@ -694,11 +640,14 @@ impl OrpheusDB {
         }
 
         let commit_t = self.tick();
-        let cvd = lookup_mut(&mut self.cvds, &cvd_key)?;
+        let cvd = lookup_mut(&mut self.cvds, cvd_key)?;
         let attributes = {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)
         };
+        // Rollback reads only the vid and the new records: the rlist moves
+        // into the catalog instead of being copied.
+        let rlist = std::mem::take(&mut data.rlist);
         cvd.push_version(
             VersionMeta {
                 vid,
@@ -720,17 +669,17 @@ impl OrpheusDB {
         // away), so a failure here must unpublish it everywhere —
         // catalog *and* backing storage — or a half-committed version
         // would answer checkouts and its vid could never be reused.
-        let finalize = lookup(&self.cvds, &cvd_key)
+        let finalize = lookup(&self.cvds, cvd_key)
             .and_then(|cvd| cvd.sync_meta_row(&mut self.engine, vid))
             .and_then(|()| {
-                let cvd = lookup_mut(&mut self.cvds, &cvd_key)?;
+                let cvd = lookup_mut(&mut self.cvds, cvd_key)?;
                 if cvd.partition.is_some() {
                     partition_store::on_commit(&mut self.engine, cvd, vid)?;
                 }
                 Ok(())
             });
         if let Err(e) = finalize {
-            let cvd = lookup_mut(&mut self.cvds, &cvd_key)?;
+            let cvd = lookup_mut(&mut self.cvds, cvd_key)?;
             cvd.versions.pop();
             cvd.version_rids.pop();
             model::rollback_commit(&mut self.engine, cvd, &data);
@@ -738,15 +687,18 @@ impl OrpheusDB {
             model::delete_keys(&mut self.engine, &cvd.meta_table(), &[vid.0 as i64]);
             return Err(e);
         }
-        Ok(vid)
+        Ok(data)
     }
 
-    /// Re-run a logged commit during WAL replay: the staged rows come
-    /// from the record (not from a staged table, which may not exist in
-    /// the snapshot), and the resulting version id is asserted against
-    /// the one the live commit produced. If the snapshot happened to
-    /// capture the staged artifact, it is retired exactly as the live
-    /// commit retired it.
+    /// Re-run a logged commit during WAL replay: plan the same schema
+    /// evolution from the recorded staged schema, rebuild the kept set
+    /// from the delta and [`OrpheusDB::publish`] it — no staged table (the
+    /// snapshot may not hold one) and no second classification. The delta
+    /// is checked against the recovered parents first, and the version id
+    /// against the one the live commit produced; a record that fails
+    /// either changes nothing. If the snapshot happened to capture the
+    /// staged artifact, it is retired exactly as the live commit retired
+    /// it.
     pub(crate) fn replay_commit(&mut self, rec: CommitRecord) -> Result<Vid> {
         let entry = StagedEntry {
             name: rec.staged_name,
@@ -756,13 +708,28 @@ impl OrpheusDB {
             created_at: rec.created_at,
             kind: rec.kind,
         };
-        let vid = self.commit_rows(&entry, &rec.schema, rec.rows, &rec.message)?;
+        let cvd_key = entry.cvd.to_ascii_lowercase();
+        let cvd = lookup(&self.cvds, &cvd_key)?;
+        let vid = Vid(cvd.num_versions() as u64 + 1);
         if vid != rec.vid {
             return Err(CoreError::Storage(format!(
-                "WAL replay diverged: commit of {} produced {vid}, the log recorded {}",
+                "WAL replay diverged: commit of {} would produce {vid}, the log recorded {}",
                 entry.cvd, rec.vid
             )));
         }
+        let evolved = evolved_schema(&cvd.schema, &rec.schema)?;
+        let width = evolved.as_ref().unwrap_or(&cvd.schema).arity();
+        if let Some(row) = rec.new_rows.iter().find(|row| row.len() != width) {
+            return Err(CoreError::Protocol(format!(
+                "WAL commit record of {vid}: a new row has {} values, the schema {width}",
+                row.len()
+            )));
+        }
+        let kept = logged_kept(cvd, &entry.parents, &rec.dropped, &rec.adopted)?;
+        if let Some(new_schema) = evolved {
+            self.apply_schema(&cvd_key, new_schema)?;
+        }
+        self.publish(&entry, &cvd_key, kept, rec.new_rows, &rec.message)?;
         if self.staging.get(&entry.name, entry.kind).is_ok() {
             if entry.kind == StagedKind::Table {
                 let _ = self.engine.drop_table(&entry.name);
@@ -1406,32 +1373,156 @@ fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
     h.finish()
 }
 
-/// Per staged row: `Some(rid)` when the row carries a rid whose parent
-/// record matches it value-for-value (the row is inherited unchanged),
-/// `None` when it needs a fresh rid. `lookup` resolves a rid to the parent
-/// record's values (possibly narrower than the current schema — older
-/// frozen tables — in which case missing trailing attributes match NULL).
-fn classify_staged<'a>(
-    staged: &[(Option<i64>, Vec<Value>)],
-    lookup: impl Fn(i64) -> Option<&'a [Value]>,
-) -> Vec<Option<i64>> {
-    staged
-        .iter()
-        .map(|(rid, values)| rid.filter(|r| lookup(*r).is_some_and(|pv| values_match(pv, values))))
-        .collect()
+/// The value a missing cell reads as.
+static NULL: Value = Value::Null;
+
+/// Where a commit's staged rows live: a staged table in the engine, or the
+/// rows a CSV commit parsed.
+#[derive(Clone, Copy)]
+enum Staged<'a> {
+    Table(&'a str),
+    Rows(&'a [Vec<Value>]),
 }
 
-/// Whether a (possibly narrower) parent record equals a staged row
-/// null-extended to the staged width — the comparison the commit core's
-/// no-cross-version-diff rule is built on.
-fn values_match(parent: &[Value], staged: &[Value]) -> bool {
-    if parent.len() > staged.len() {
-        return false;
+impl<'a> Staged<'a> {
+    /// The staged rows, borrowed where they live, rid first.
+    fn rows<'e>(self, engine: &'e Database) -> Result<Vec<&'e [Value]>>
+    where
+        'a: 'e,
+    {
+        Ok(match self {
+            Staged::Table(name) => {
+                let table = engine.table(name)?;
+                let mut rows = Vec::with_capacity(table.len());
+                rows.extend(table.rows().map(Vec::as_slice));
+                rows
+            }
+            Staged::Rows(rows) => rows.iter().map(Vec::as_slice).collect(),
+        })
     }
-    staged.iter().enumerate().all(|(i, v)| match parent.get(i) {
-        Some(p) => p == v,
-        None => v.is_null(),
-    })
+}
+
+/// The rid a staged row carries in its first column: `None` for a NULL
+/// (an inserted row), an error for anything but an INT.
+fn staged_rid(row: &[Value]) -> Result<Option<i64>> {
+    match row.first() {
+        Some(Value::Int(r)) => Ok(Some(*r)),
+        Some(Value::Null) | None => Ok(None),
+        Some(other) => Err(CoreError::Invalid(format!(
+            "rid column must be INT or NULL, found {other}"
+        ))),
+    }
+}
+
+/// Classify staged rows against the parents (the no-cross-version-diff
+/// rule of §2.2): a row keeps its rid when the first parent holding that
+/// rid has a record equal to it value for value, the row read in CVD
+/// column order through `col_map`; a parent record narrower than the
+/// schema (a table frozen before an `ADD COLUMN`) matches NULLs in the
+/// columns it predates. Returns the kept rids, sorted, and the other rows
+/// copied out in CVD column order — the only rows that are copied.
+///
+/// Parent records are borrowed in place through each model's rid-index
+/// fast path and found by binary search on their rid-sorted lists; only
+/// when a parent cannot be fast-read are its rows materialized via the
+/// SQL formulation.
+fn classify_staged(
+    engine: &mut Database,
+    cvd: &Cvd,
+    parents: &[Vid],
+    staged: Staged<'_>,
+    col_map: &[Option<usize>],
+) -> Result<(Vec<i64>, Vec<Vec<Value>>)> {
+    let fast: Option<Vec<model::RowRefs<'_>>> = parents
+        .iter()
+        .map(|&p| model::version_row_refs(engine, cvd, p))
+        .collect::<Result<_>>()?;
+    let owned: Vec<Vec<(i64, Vec<Value>)>>;
+    let mut parent_rows: Vec<model::RowRefs<'_>> = match fast {
+        Some(refs) => refs,
+        None => {
+            owned = parents
+                .iter()
+                .map(|&p| model::version_rows(engine, cvd, p))
+                .collect::<Result<_>>()?;
+            owned
+                .iter()
+                .map(|rows| rows.iter().map(|(r, v)| (*r, v.as_slice())).collect())
+                .collect()
+        }
+    };
+    // The rid-index paths return rid order already; a table-per-version
+    // heap or a SQL read may not.
+    for rows in &mut parent_rows {
+        if !rows.windows(2).all(|w| w[0].0 <= w[1].0) {
+            rows.sort_unstable_by_key(|(rid, _)| *rid);
+        }
+    }
+    let width = col_map.len();
+    let rows = staged.rows(engine)?;
+    let mut kept = Vec::with_capacity(rows.len());
+    let mut new_rows = Vec::new();
+    for row in rows {
+        let cell = |c: usize| col_map[c].and_then(|i| row.get(i)).unwrap_or(&NULL);
+        let unchanged = staged_rid(row)?.filter(|rid| {
+            parent_rows
+                .iter()
+                .find_map(|rows| {
+                    let i = rows.binary_search_by_key(rid, |(r, _)| *r).ok()?;
+                    Some(rows[i].1)
+                })
+                .is_some_and(|parent| {
+                    parent.len() <= width
+                        && (0..width).all(|c| parent.get(c).unwrap_or(&NULL) == cell(c))
+                })
+        });
+        match unchanged {
+            Some(rid) => kept.push(rid),
+            None => new_rows.push((0..width).map(|c| cell(c).clone()).collect()),
+        }
+    }
+    kept.sort_unstable();
+    Ok((kept, new_rows))
+}
+
+/// The kept rids a logged commit names: the first parent's rlist minus
+/// `dropped`, plus `adopted`. Both lists must be sorted, every parent must
+/// exist, every dropped rid must occur in the first parent's rlist and
+/// every adopted one in some parent's; anything else is a corrupt record.
+fn logged_kept(cvd: &Cvd, parents: &[Vid], dropped: &[i64], adopted: &[i64]) -> Result<Vec<i64>> {
+    let corrupt = |what: String| CoreError::Protocol(format!("WAL commit record: {what}"));
+    let sorted = |rids: &[i64]| rids.windows(2).all(|w| w[0] <= w[1]);
+    if !sorted(dropped) || !sorted(adopted) {
+        return Err(corrupt("rid lists are not sorted".into()));
+    }
+    if let Some(p) = parents.iter().find(|&&p| !cvd.has_version(p)) {
+        return Err(corrupt(format!(
+            "parent {p} is not a version of {}",
+            cvd.name
+        )));
+    }
+    let first: &[i64] = match parents.first() {
+        Some(&p) => cvd.rids_of(p)?,
+        None => &[],
+    };
+    if let Some(rid) = sorted_multiset_difference(dropped, first).first() {
+        return Err(corrupt(format!(
+            "dropped rid {rid} is not in the first parent's rlist"
+        )));
+    }
+    for rid in adopted {
+        let held = parents.iter().any(|&p| {
+            cvd.rids_of(p)
+                .is_ok_and(|rids| rids.binary_search(rid).is_ok())
+        });
+        if !held {
+            return Err(corrupt(format!("adopted rid {rid} is in no parent")));
+        }
+    }
+    let mut kept = sorted_multiset_difference(first, dropped);
+    kept.extend_from_slice(adopted);
+    kept.sort_unstable();
+    Ok(kept)
 }
 
 /// The base parent for the delta model: the parent sharing the most
@@ -1450,32 +1541,46 @@ pub(crate) fn base_parent(parents: &[Vid], weights: &[u64]) -> Option<Vid> {
     best.map(|(i, _)| parents[i])
 }
 
-/// Reject duplicate primary keys among staged rows. Borrow-keyed like
-/// [`merged_rows`]: rows are hashed over their PK value slices and
-/// compared in place — callers pass borrowed row slices, no copies.
-fn check_pk_duplicates<'a>(
-    schema: &Schema,
-    rows: impl IntoIterator<Item = &'a [Value]>,
-) -> Result<()> {
-    if schema.primary_key.is_empty() {
+/// Reject duplicate primary keys among staged rows, naming the first row
+/// (in row order) whose key an earlier row already has. `pk` gives the
+/// column of each key attribute within a row; `None` reads as NULL (a key
+/// column the staged table lacks). Rows are compared in place through
+/// their key hashes, sorted, so the check allocates one buffer however
+/// many rows there are.
+fn check_pk_duplicates(rows: &[&[Value]], pk: &[Option<usize>]) -> Result<()> {
+    fn key<'r>(row: &'r [Value], pk: &'r [Option<usize>]) -> impl Iterator<Item = &'r Value> {
+        pk.iter()
+            .map(move |c| c.and_then(|i| row.get(i)).unwrap_or(&NULL))
+    }
+    if pk.is_empty() {
         return Ok(());
     }
-    let mut buckets: HashMap<u64, Vec<&'a [Value]>> = HashMap::new();
-    for row in rows {
-        let hash = hash_values(schema.primary_key.iter().map(|&c| &row[c]));
-        let bucket = buckets.entry(hash).or_default();
-        if bucket
-            .iter()
-            .any(|prev| schema.primary_key.iter().all(|&c| prev[c] == row[c]))
-        {
-            let pk: Vec<&Value> = schema.primary_key.iter().map(|&c| &row[c]).collect();
-            return Err(CoreError::PrimaryKeyViolation(format!(
-                "duplicate key {pk:?}"
-            )));
+    let mut hashed: Vec<(u64, usize)> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| (hash_values(key(row, pk)), i))
+        .collect();
+    hashed.sort_unstable();
+    let mut first_duplicate: Option<usize> = None;
+    for run in hashed.chunk_by(|a, b| a.0 == b.0) {
+        // Within a run rows are in row order: the first one equal to an
+        // earlier one is this run's first duplicate.
+        let duplicate = run.iter().enumerate().find(|&(k, &(_, i))| {
+            run[..k]
+                .iter()
+                .any(|&(_, j)| key(rows[j], pk).eq(key(rows[i], pk)))
+        });
+        if let Some((_, &(_, i))) = duplicate {
+            first_duplicate = Some(first_duplicate.map_or(i, |d| d.min(i)));
         }
-        bucket.push(row);
     }
-    Ok(())
+    match first_duplicate {
+        Some(i) => Err(CoreError::PrimaryKeyViolation(format!(
+            "duplicate key {:?}",
+            key(rows[i], pk).collect::<Vec<_>>()
+        ))),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

@@ -36,22 +36,21 @@ pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
     Ok(())
 }
 
-pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
+pub fn persist(db: &mut Database, cvd: &Cvd, parents: &[Vid], data: &CommitData) -> Result<()> {
+    // The delta stores every record not present in the base parent — for a
+    // merge that includes records kept from the *other* parent, since
+    // reconstruction only walks the base lineage.
+    let mut off_base = match data.base {
+        Some(b) => crate::cvd::sorted_difference(&data.kept, cvd.rids_of(b)?),
+        None => data.kept.clone(),
+    };
+    off_base.dedup();
+    let off_base = model::kept_records(db, cvd, parents, &off_base)?;
     let table = cvd.delta_table(data.vid);
     db.create_table(&table, delta_schema(cvd))?;
     let attr_count = cvd.schema.arity();
     let mut rows: Vec<Vec<Value>> = Vec::new();
-    // The delta stores every record not present in the base parent — for a
-    // merge that includes records inherited from the *other* parent, since
-    // reconstruction only walks the base lineage.
-    let base_set: std::collections::HashSet<i64> = match data.base {
-        Some(b) => cvd.rids_of(b)?.iter().copied().collect(),
-        None => std::collections::HashSet::new(),
-    };
-    for (rid, values) in &data.all_records {
-        if base_set.contains(rid) {
-            continue;
-        }
+    for (rid, values) in off_base.iter().chain(&data.new_records) {
         let mut row = Vec::with_capacity(attr_count + 2);
         row.push(Value::Int(*rid));
         row.extend(values.iter().cloned());

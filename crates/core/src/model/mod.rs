@@ -83,17 +83,22 @@ impl ModelKind {
     }
 }
 
-/// Everything a model needs to persist one committed version.
+/// Everything a model needs to persist one committed version: the rids it
+/// keeps and the records it adds — never a copy of the records it keeps.
 #[derive(Debug, Clone)]
 pub struct CommitData {
     pub vid: Vid,
     /// All rids of the new version, sorted.
     pub rlist: Vec<i64>,
-    /// Rids inherited unchanged from parent versions.
+    /// Rids inherited unchanged from parent versions, sorted.
     pub kept: Vec<i64>,
     /// Freshly created records: (rid, data attribute values).
     pub new_records: Vec<(i64, Vec<Value>)>,
-    /// Full contents of the new version (needed by a-table-per-version).
+    /// Ignored by every model: a-table-per-version and delta read the
+    /// records a version keeps from its parents ([`persist_version`]). It
+    /// stays only because the frozen `perf_ledger` builds `CommitData`
+    /// with every field named; the `[benchmark]` PR that next touches the
+    /// ledger drops it.
     pub all_records: Vec<(i64, Vec<Value>)>,
     /// The parent this version's delta is based on (delta model); the
     /// parent sharing the largest number of records.
@@ -116,20 +121,73 @@ pub fn init_storage(db: &mut Database, cvd: &Cvd) -> Result<()> {
 }
 
 /// Persist a committed version through the engine's table API — the one
-/// write path for `init`, `commit` and WAL replay alike.
-///
-/// `_bulk` is ignored: it once chose between that path and rendering the
-/// rows as Table 1 `INSERT` text. It stays only because the frozen
-/// `perf_ledger` calls this with four arguments; the `[benchmark]` PR that
-/// next touches the ledger drops it.
-pub fn persist_commit(db: &mut Database, cvd: &Cvd, data: &CommitData, _bulk: bool) -> Result<()> {
+/// write path for `init`, `commit` and WAL replay alike. `parents` are the
+/// version's parents, in precedence order: the two models that copy kept
+/// records (a-table-per-version, delta) read them from there.
+pub fn persist_version(
+    db: &mut Database,
+    cvd: &Cvd,
+    parents: &[Vid],
+    data: &CommitData,
+) -> Result<()> {
     match cvd.model {
-        ModelKind::TablePerVersion => table_per_version::persist(db, cvd, data),
+        ModelKind::TablePerVersion => table_per_version::persist(db, cvd, parents, data),
         ModelKind::CombinedTable => combined::persist(db, cvd, data),
         ModelKind::SplitByVlist => split_vlist::persist(db, cvd, data),
         ModelKind::SplitByRlist => split_rlist::persist(db, cvd, data),
-        ModelKind::DeltaBased => delta::persist(db, cvd, data),
+        ModelKind::DeltaBased => delta::persist(db, cvd, parents, data),
     }
+}
+
+/// [`persist_version`] with `data.base` as the only parent — enough for
+/// every model when the version has one parent. It stays only because the
+/// frozen `perf_ledger` calls it with four arguments; `_bulk` is ignored
+/// (it once chose between this path and rendering the rows as Table 1
+/// `INSERT` text). The `[benchmark]` PR that next touches the ledger
+/// drops it.
+pub fn persist_commit(db: &mut Database, cvd: &Cvd, data: &CommitData, _bulk: bool) -> Result<()> {
+    persist_version(db, cvd, data.base.as_slice(), data)
+}
+
+/// The records of the sorted `rids`, each read from the first of
+/// `parents` that holds it and null-extended to the CVD's current width:
+/// what a-table-per-version and delta copy for the records a version
+/// keeps.
+pub(crate) fn kept_records(
+    db: &mut Database,
+    cvd: &Cvd,
+    parents: &[Vid],
+    rids: &[i64],
+) -> Result<Vec<(i64, Vec<Value>)>> {
+    let width = cvd.schema.arity();
+    let mut found: Vec<Option<Vec<Value>>> = vec![None; rids.len()];
+    for &parent in parents {
+        if found.iter().all(Option::is_some) {
+            break;
+        }
+        let mut rows = version_rows(db, cvd, parent)?;
+        rows.sort_by_key(|(rid, _)| *rid);
+        for (slot, rid) in found.iter_mut().zip(rids) {
+            if slot.is_none() {
+                if let Ok(i) = rows.binary_search_by_key(rid, |(r, _)| *r) {
+                    let mut values = rows[i].1.clone();
+                    values.resize(width, Value::Null);
+                    *slot = Some(values);
+                }
+            }
+        }
+    }
+    rids.iter()
+        .zip(found)
+        .map(|(&rid, values)| {
+            let values = values.ok_or_else(|| {
+                CoreError::Invalid(format!(
+                    "kept record {rid} is in none of the parents {parents:?}"
+                ))
+            })?;
+            Ok((rid, values))
+        })
+        .collect()
 }
 
 /// Best-effort undo of [`persist_commit`] for a version whose commit
@@ -573,22 +631,16 @@ pub(crate) mod testutil {
         }
         let mut kept = Vec::new();
         let mut new_records = Vec::new();
-        let mut all_records = Vec::new();
         let mut fresh = cvd.alloc_rids(rows.len()).into_iter();
         for row in rows {
             match val2rid.get(row) {
-                Some(&rid) => {
-                    kept.push(rid);
-                    all_records.push((rid, row.clone()));
-                }
-                None => {
-                    let rid = fresh.next().unwrap();
-                    new_records.push((rid, row.clone()));
-                    all_records.push((rid, row.clone()));
-                }
+                Some(&rid) => kept.push(rid),
+                None => new_records.push((fresh.next().unwrap(), row.clone())),
             }
         }
-        let mut rlist: Vec<i64> = all_records.iter().map(|(r, _)| *r).collect();
+        kept.sort_unstable();
+        let mut rlist: Vec<i64> = kept.clone();
+        rlist.extend(new_records.iter().map(|(r, _)| *r));
         rlist.sort_unstable();
         // One overlap pass per parent serves both the base-parent choice
         // and the stored weights (mirrors the production commit core).
@@ -603,11 +655,11 @@ pub(crate) mod testutil {
             rlist: rlist.clone(),
             kept,
             new_records,
-            all_records,
+            all_records: Vec::new(),
             base,
             deleted_from_base,
         };
-        model::persist_commit(db, cvd, &data, false).unwrap();
+        model::persist_version(db, cvd, parents, &data).unwrap();
         let attributes = {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)

@@ -14,10 +14,14 @@ pub fn init(_db: &mut Database, _cvd: &Cvd) -> Result<()> {
     Ok(())
 }
 
-pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
+/// The only model that copies every record of a version: the kept ones
+/// from the parents' tables, in rid order, then the new ones.
+pub fn persist(db: &mut Database, cvd: &Cvd, parents: &[Vid], data: &CommitData) -> Result<()> {
+    let kept = model::kept_records(db, cvd, parents, &data.kept)?;
     let table = cvd.version_table(data.vid);
     db.create_table(&table, cvd.physical_data_schema())?;
-    insert_rows(db, &table, rid_rows(&data.all_records))
+    insert_rows(db, &table, rid_rows(&kept))?;
+    insert_rows(db, &table, rid_rows(&data.new_records))
 }
 
 /// Checkout is a plain table copy.

@@ -32,13 +32,14 @@
 //! # What is durable
 //!
 //! Everything that flows through the command bus is WAL-durable:
-//! init/drop, commits (with their staged rows materialized into the
-//! record), discard, optimize, create_user/login. Staged *edits* — raw
-//! SQL against checkout tables — live in engine heaps and become durable
-//! when the commit happens (the record carries the final rows) or at the
-//! next checkpoint (snapshots include staged tables); a crash between
-//! checkout and commit can therefore lose uncommitted edits, exactly
-//! like losing a working copy. Direct mutation of a shared instance via
+//! init/drop, commits (logged as their delta — see
+//! [`crate::wal::CommitRecord`]), discard, optimize, create_user/login.
+//! Staged *edits* — raw SQL against checkout tables — live in engine
+//! heaps and become durable when the commit happens (the record carries
+//! what they changed) or at the next checkpoint (snapshots include staged
+//! tables); a crash between checkout and commit can therefore lose
+//! uncommitted edits, exactly like losing a working copy. Direct
+//! mutation of a shared instance via
 //! [`SharedOrpheusDB::write`] closures bypasses the bus and is
 //! checkpoint-durable only.
 

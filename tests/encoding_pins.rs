@@ -34,7 +34,7 @@ fn assert_pins(what: &str, actual: &[Pin], expected: &[Pin]) {
 
 #[test]
 fn format_versions_are_unchanged() {
-    assert_eq!(WAL_VERSION, 1);
+    assert_eq!(WAL_VERSION, 2);
     assert_eq!(PROTOCOL_VERSION, 2);
     assert_eq!(storage::FORMAT_VERSION, 1);
 }
@@ -225,7 +225,9 @@ fn wal_records() -> Vec<WalRecord> {
                 owner: "bob".into(),
                 created_at: 2,
                 schema: wal_schema(),
-                rows: wal_rows(),
+                dropped: vec![2, 2, 9],
+                adopted: vec![5],
+                new_rows: wal_rows(),
                 message: "δ edit".into(),
                 vid: Vid(4),
             }),
@@ -254,7 +256,7 @@ fn segment_bytes(records: &[WalRecord]) -> Vec<u8> {
     out
 }
 
-const WAL_PINS: &[Pin] = &[(211, 3458607904), (270, 2653375408), (529, 656971824)];
+const WAL_PINS: &[Pin] = &[(211, 3458607904), (310, 1872588744), (569, 893574913)];
 
 #[test]
 fn a_wal_segment_is_pinned_and_scans_back_to_its_records() {
@@ -275,6 +277,28 @@ fn a_wal_segment_is_pinned_and_scans_back_to_its_records() {
     // NaN cells defeat `PartialEq`; `Debug` plus the re-encoding cover it.
     assert_eq!(format!("{:?}", scan.records), format!("{records:?}"));
     assert_eq!(segment_bytes(&scan.records), bytes);
+}
+
+/// A segment whose header says format version 1 — the layout that logged a
+/// commit's whole staged table — is refused up front, by name.
+#[test]
+fn a_version_one_wal_segment_is_refused_by_name() {
+    let mut bytes = segment_bytes(&wal_records());
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let header_crc = crc32(&bytes[8..28]);
+    bytes[28..32].copy_from_slice(&header_crc.to_le_bytes());
+
+    let dir = std::env::temp_dir().join(format!("orpheus-pins-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path: PathBuf = dir.join("wal-000001.log");
+    std::fs::write(&path, &bytes).unwrap();
+    let err = read_segment(&path, 1).expect_err("a version-1 segment is refused");
+    std::fs::remove_dir_all(&dir).ok();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("version 1") && msg.contains("version 2"),
+        "the refusal names both versions: {msg}"
+    );
 }
 
 // -- engine snapshot ------------------------------------------------------------

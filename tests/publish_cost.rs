@@ -392,3 +392,74 @@ fn a_versioned_query_does_not_pay_for_other_versions_records() {
         "{alone} allocations with 1 000 records in the data table, {among_ten} with 10 000"
     );
 }
+
+/// `(allocation calls, WAL bytes)` of one durable commit of the same
+/// 20-row edit — 3 deletes, 1 update, 16 inserts — on a checkout of a
+/// `rows`-record version. An unmeasured cycle runs first, so lazily sized
+/// buffers are warm.
+fn durable_edit_cost(rows: i64) -> (u64, u64) {
+    let dir = std::env::temp_dir().join(format!(
+        "orpheus-publish-cost-{rows}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let shared = orpheusdb::core::recovery::open_shared(&dir).unwrap();
+    let sink = shared.wal_sink().unwrap();
+    let cost = shared.write(|odb| {
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("v", DataType::Int),
+        ])
+        .with_primary_key(&["k"])
+        .unwrap();
+        let records = (0..rows).map(|k| vec![k.into(), (k * 7).into()]).collect();
+        odb.init_cvd(CVD, schema, records, None).unwrap();
+        let mut cost = (0, 0);
+        for round in 0..2i64 {
+            odb.checkout(CVD, &[Vid(round as u64 + 1)], "work").unwrap();
+            let low = 4 * round;
+            odb.engine
+                .execute(&format!(
+                    "DELETE FROM work WHERE k >= {low} AND k < {}",
+                    low + 3
+                ))
+                .unwrap();
+            odb.engine
+                .execute(&format!("UPDATE work SET v = -1 WHERE k = {}", low + 3))
+                .unwrap();
+            let staged = odb.engine.table_mut("work").unwrap();
+            for k in 0..16 {
+                let k = rows + 16 * round + k;
+                staged
+                    .insert(vec![Value::Null, k.into(), 1.into()])
+                    .unwrap();
+            }
+            let bytes = sink.log_bytes();
+            let allocs = allocs_of(|| {
+                odb.commit("work", "edit").unwrap();
+            });
+            cost = (allocs, sink.log_bytes() - bytes);
+        }
+        cost
+    });
+    drop(shared);
+    let _ = std::fs::remove_dir_all(&dir);
+    cost
+}
+
+/// A commit classifies the staged rows where they lie and logs its delta:
+/// what it allocates and what it appends to the log follow the 20 rows it
+/// changed, not the 1 000 or 10 000 it keeps — as they did while every
+/// staged row was copied four times and the record carried them all.
+#[test]
+fn a_commit_does_not_pay_for_the_records_it_keeps() {
+    let small = durable_edit_cost(1_000);
+    let large = durable_edit_cost(10_000);
+    assert_within_15_percent("durable commit, 1k vs 10k kept records", small.0, large.0);
+    assert!(
+        (large.1 as f64) < small.1 as f64 * 1.15,
+        "durable commit: {} WAL bytes on the 1k-record version, {} on the 10k one",
+        small.1,
+        large.1
+    );
+}

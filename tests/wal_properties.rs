@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 
 use orpheusdb::core::wal::{self, read_segment, CommitRecord, WalOp, WalRecord, HEADER_LEN};
-use orpheusdb::core::{recovery, staging::StagedKind};
+use orpheusdb::core::{recovery, staging::StagedKind, CoreError};
+use orpheusdb::engine::storage::crc32;
 use orpheusdb::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -48,6 +49,14 @@ fn arb_schema_and_rows() -> impl Strategy<Value = (Schema, Vec<Vec<Value>>)> {
         })
 }
 
+/// A sorted rid list, as a commit record's `dropped` and `adopted` are.
+fn arb_rids() -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(any::<i64>(), 0..4).prop_map(|mut rids| {
+        rids.sort_unstable();
+        rids
+    })
+}
+
 fn arb_op() -> impl Strategy<Value = WalOp> {
     let request = prop_oneof![
         "[a-z]{1,10}".prop_map(|n| Request::from(DropCvd::named(n))),
@@ -67,6 +76,7 @@ fn arb_op() -> impl Strategy<Value = WalOp> {
             "[a-z]{1,8}",
             any::<u64>(),
             arb_schema_and_rows(),
+            (arb_rids(), arb_rids()),
             "[a-z0-9 ]{0,30}",
             1u64..1000,
         ),
@@ -74,7 +84,7 @@ fn arb_op() -> impl Strategy<Value = WalOp> {
         .prop_map(
             |(
                 (cvd, staged_name, is_csv, parents),
-                (owner, created_at, (schema, rows), message, vid),
+                (owner, created_at, (schema, new_rows), (dropped, adopted), message, vid),
             )| {
                 WalOp::Commit(CommitRecord {
                     cvd,
@@ -88,7 +98,9 @@ fn arb_op() -> impl Strategy<Value = WalOp> {
                     owner,
                     created_at,
                     schema,
-                    rows,
+                    dropped,
+                    adopted,
+                    new_rows,
                     message,
                     vid: Vid(vid),
                 })
@@ -108,7 +120,8 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
     )
 }
 
-/// Build a real 3-record segment (init + checkout's commit twice) and
+/// Build a real 3-record segment (init + two checkout → edit → commit
+/// cycles, each logging a delta with a dropped rid and a new row) and
 /// return its raw bytes plus the decoded records.
 fn segment_fixture(tag: &str) -> (Vec<u8>, Vec<WalRecord>) {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -133,6 +146,10 @@ fn segment_fixture(tag: &str) -> (Vec<u8>, Vec<WalRecord>) {
         let table = format!("w{i}");
         odb.execute(Checkout::of("t").version(1u64).into_table(&table).into())
             .expect("checkout");
+        odb.execute(Run::sql(format!("DELETE FROM {table} WHERE id = {i}")).into())
+            .expect("delete");
+        odb.execute(Run::sql(format!("INSERT INTO {table} (id) VALUES ({})", 100 + i)).into())
+            .expect("insert");
         odb.execute(Commit::table(&table).message(format!("c{i}")).into())
             .expect("commit");
     }
@@ -235,6 +252,127 @@ proptest! {
         bytes[idx] ^= 1 << bit;
         if let Ok(scan) = scan_bytes("flip", &bytes) {
             prop_assert!(is_prefix(&scan.records, &records));
+        }
+    }
+}
+
+/// A WAL directory holding an init of rids 1..=4 (version 1) and a commit
+/// that dropped rid 1 and added rid 5 (version 2), then `record` appended
+/// as seq 3.
+fn delta_dir_with(tag: &str, record: &WalRecord) -> std::path::PathBuf {
+    static COUNTER: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "orpheus-waldelta-{tag}-{}-{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut odb = recovery::open(&dir).expect("open fresh");
+    odb.execute(
+        Init::cvd("t")
+            .schema(Schema::new(vec![Column::new("id", DataType::Int)]))
+            .rows((0..4).map(|i| vec![Value::Int(i)]).collect())
+            .model(ModelKind::SplitByRlist)
+            .into(),
+    )
+    .expect("init");
+    odb.execute(Checkout::of("t").version(1u64).into_table("w").into())
+        .expect("checkout");
+    odb.execute(Run::sql("DELETE FROM w WHERE id = 0").into())
+        .expect("delete");
+    odb.execute(Run::sql("INSERT INTO w (id) VALUES (100)").into())
+        .expect("insert");
+    odb.execute(Commit::table("w").message("v2").into())
+        .expect("commit");
+    drop(odb);
+    let payload = record.encode();
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let path = wal::segment_path(&dir, 1);
+    let mut bytes = std::fs::read(&path).expect("segment bytes");
+    bytes.extend_from_slice(&frame);
+    std::fs::write(&path, bytes).expect("append the crafted record");
+    dir
+}
+
+/// Sorted `a` minus sorted `b`, as multisets.
+fn multiset_minus(a: &[i64], b: &[i64]) -> Vec<i64> {
+    let mut out = a.to_vec();
+    for x in b {
+        if let Some(i) = out.iter().position(|y| y == x) {
+            out.remove(i);
+        }
+    }
+    out
+}
+
+proptest! {
+    // Each case builds and reopens a real WAL directory.
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Replay of an arbitrary delta against real parents: a delta whose
+    /// dropped rids all occur in the first parent, whose adopted rids are
+    /// all held by some parent and whose new rows have the schema's width
+    /// reopens to exactly the version it describes; any other is a typed
+    /// `Protocol` error on reopen — never a panic, never a wrong version.
+    #[test]
+    fn a_logged_delta_replays_exactly_or_is_refused(
+        dropped in proptest::collection::vec(0i64..8, 0..4),
+        adopted in proptest::collection::vec(0i64..8, 0..3),
+        // Mostly the schema's width (1), sometimes one too few or too many.
+        widths in proptest::collection::vec(prop_oneof![Just(1usize), Just(1), Just(0), Just(2)], 0..3),
+        merge in any::<bool>(),
+    ) {
+        let (mut dropped, mut adopted) = (dropped, adopted);
+        dropped.sort_unstable();
+        adopted.sort_unstable();
+        let parents = if merge { vec![Vid(2), Vid(1)] } else { vec![Vid(2)] };
+        let new_rows: Vec<Vec<Value>> = widths
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| vec![Value::Int(200 + i as i64); w])
+            .collect();
+        let record = WalRecord {
+            seq: 3,
+            clock_before: 9,
+            user: "alice".into(),
+            op: WalOp::Commit(CommitRecord {
+                cvd: "t".into(),
+                staged_name: "hostile".into(),
+                kind: StagedKind::Table,
+                parents: parents.clone(),
+                owner: "alice".into(),
+                created_at: 8,
+                schema: Schema::new(vec![
+                    Column::new("rid", DataType::Int),
+                    Column::new("id", DataType::Int),
+                ]),
+                dropped: dropped.clone(),
+                adopted: adopted.clone(),
+                new_rows: new_rows.clone(),
+                message: "crafted".into(),
+                vid: Vid(3),
+            }),
+        };
+        let (v1, v2) = ([1, 2, 3, 4], [2, 3, 4, 5]);
+        let valid = multiset_minus(&dropped, &v2).is_empty()
+            && adopted.iter().all(|r| v2.contains(r) || (merge && v1.contains(r)))
+            && widths.iter().all(|&w| w == 1);
+        let dir = delta_dir_with("hostile", &record);
+        let outcome = recovery::open(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        match outcome {
+            Ok(odb) => {
+                prop_assert!(valid, "an invalid delta replayed: {record:?}");
+                let mut want = multiset_minus(&v2, &dropped);
+                want.extend_from_slice(&adopted);
+                want.extend(6..6 + new_rows.len() as i64);
+                want.sort_unstable();
+                prop_assert_eq!(odb.cvd("t").unwrap().rids_of(Vid(3)).unwrap(), &want[..]);
+            }
+            Err(CoreError::Protocol(_)) => prop_assert!(!valid, "a valid delta was refused"),
+            Err(e) => prop_assert!(false, "not a Protocol error: {e}"),
         }
     }
 }

@@ -12,8 +12,9 @@
 use std::fs::OpenOptions;
 use std::path::PathBuf;
 
-use orpheusdb::core::wal::{self, read_segment};
-use orpheusdb::core::{recovery, CoreError};
+use orpheusdb::core::wal::{self, read_segment, CommitRecord, WalOp};
+use orpheusdb::core::{recovery, CoreError, LogEntry};
+use orpheusdb::engine::storage::crc32;
 use orpheusdb::prelude::*;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -415,4 +416,219 @@ fn drop_and_recreate_replays_cleanly() {
         2
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a reopened instance must reproduce of one CVD: its `log`, its
+/// version graph and rlists, and every version's rows.
+type Observed = (
+    Vec<LogEntry>,
+    (Vec<String>, Vec<Vec<i64>>),
+    Vec<Vec<(i64, Vec<Value>)>>,
+);
+
+fn observe(odb: &mut OrpheusDB, name: &str) -> Observed {
+    let log = odb.log_entries(name).expect("log");
+    let rows = (1..=log.len() as u64)
+        .map(|v| odb.version_rows(name, Vid(v)).expect("version rows"))
+        .collect();
+    (log, graph(odb, name), rows)
+}
+
+/// Run `setup` then `commit` on a fresh WAL directory and demand the live
+/// state back twice: reopened from the log alone, and — on a second
+/// directory — from a checkpoint cut between the two plus the log's tail.
+fn replays_like_the_live_commit(
+    tag: &str,
+    setup: impl Fn(&mut OrpheusDB),
+    commit: impl Fn(&mut OrpheusDB),
+) -> Observed {
+    let mut live = Vec::new();
+    for checkpoint in [false, true] {
+        let dir = tmp_dir(&format!("{tag}-{checkpoint}"));
+        let mut odb = recovery::open(&dir).expect("open fresh");
+        setup(&mut odb);
+        if checkpoint {
+            recovery::checkpoint(&mut odb).expect("checkpoint");
+        }
+        commit(&mut odb);
+        let before = observe(&mut odb, "grades");
+        drop(odb);
+        let mut again = recovery::open(&dir).expect("reopen");
+        assert_eq!(
+            observe(&mut again, "grades"),
+            before,
+            "{tag}: replay diverged (checkpoint first: {checkpoint})"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        live.push(before);
+    }
+    assert_eq!(
+        live[0], live[1],
+        "{tag}: the checkpoint changed the outcome"
+    );
+    live.pop().unwrap()
+}
+
+/// `grades` with six records: ids 0..5 under rids 1..=6.
+fn seed(odb: &mut OrpheusDB) {
+    odb.execute(
+        Init::cvd("grades")
+            .schema(schema())
+            .rows(rows(6))
+            .model(ModelKind::SplitByRlist)
+            .into(),
+    )
+    .expect("init");
+}
+
+/// Check out `versions` as `w`, run `edits` on it and commit.
+fn edit_and_commit(odb: &mut OrpheusDB, versions: &[u64], edits: &[&str]) {
+    odb.execute(
+        Checkout::of("grades")
+            .versions(versions.iter().copied())
+            .into_table("w")
+            .into(),
+    )
+    .expect("checkout");
+    for sql in edits {
+        odb.execute(Run::sql(*sql).into()).expect(sql);
+    }
+    odb.execute(Commit::table("w").message("edit").into())
+        .expect("commit");
+}
+
+#[test]
+fn a_rid_kept_twice_replays_with_both_occurrences() {
+    // id 1 is rid 2: a second, identical staged row keeps that rid again.
+    let (_, (_, rlists), _) = replays_like_the_live_commit("twice", seed, |odb| {
+        edit_and_commit(odb, &[1], &["INSERT INTO w VALUES (2, 1, 10)"])
+    });
+    assert_eq!(rlists[1], vec![1, 2, 2, 3, 4, 5, 6]);
+}
+
+#[test]
+fn a_merge_that_adopts_rids_from_the_second_parent_replays() {
+    let (_, (_, rlists), _) = replays_like_the_live_commit(
+        "merge",
+        |odb| {
+            seed(odb);
+            edit_and_commit(
+                odb,
+                &[1],
+                &[
+                    "DELETE FROM w WHERE id >= 4",
+                    "INSERT INTO w (id, grade) VALUES (9, 90)",
+                ],
+            );
+        },
+        // v2 dropped rids 5 and 6; the merge keeps them from v1.
+        |odb| edit_and_commit(odb, &[2, 1], &[]),
+    );
+    assert_eq!(rlists[2], vec![1, 2, 3, 4, 5, 6, 7]);
+}
+
+#[test]
+fn a_schema_changing_commit_replays() {
+    let (log, _, rows) = replays_like_the_live_commit("evolve", seed, |odb| {
+        edit_and_commit(
+            odb,
+            &[1],
+            &[
+                "ALTER TABLE w ADD COLUMN note INT",
+                "ALTER TABLE w ALTER COLUMN grade TYPE DOUBLE",
+                "UPDATE w SET note = 7 WHERE id = 2",
+            ],
+        )
+    });
+    assert_eq!(log.len(), 2);
+    assert!(rows[1]
+        .iter()
+        .any(|(_, v)| v == &vec![2.into(), Value::Double(20.0), 7.into()]));
+}
+
+#[test]
+fn a_csv_commit_replays() {
+    replays_like_the_live_commit("csv", seed, |odb| {
+        let text = odb
+            .checkout_csv("grades", &[Vid(1)], "grades.csv")
+            .expect("checkout -f");
+        let edited: String = text
+            .lines()
+            .filter(|line| !line.starts_with("3,"))
+            .map(|line| format!("{line}\n"))
+            .collect::<String>()
+            + ",42,420\n";
+        odb.commit_csv("grades.csv", &edited, "from csv", None)
+            .expect("commit -f");
+    });
+}
+
+#[test]
+fn an_in_place_update_replays() {
+    let (_, (_, rlists), _) = replays_like_the_live_commit("update", seed, |odb| {
+        edit_and_commit(odb, &[1], &["UPDATE w SET grade = grade + 1 WHERE id < 2"])
+    });
+    // Two records replaced by fresh ones, four kept.
+    assert_eq!(rlists[1], vec![3, 4, 5, 6, 7, 8]);
+}
+
+#[test]
+fn a_commit_that_deletes_every_row_replays() {
+    let (log, (_, rlists), _) = replays_like_the_live_commit("empty", seed, |odb| {
+        edit_and_commit(odb, &[1], &["DELETE FROM w"])
+    });
+    assert_eq!(log[1].num_records, 0);
+    assert!(rlists[1].is_empty());
+}
+
+/// A commit record whose delta does not fit the recovered parents is
+/// corruption: reopening refuses it with a typed `Protocol` error.
+#[test]
+fn a_hostile_delta_is_a_typed_error_on_reopen() {
+    type Corruption = fn(&mut CommitRecord);
+    let hostile: [(&str, Corruption); 4] = [
+        // v2 replaced rid 2 (id 1): v1 holds it, the first parent v2 not.
+        ("dropped", |c| c.dropped = vec![2]),
+        ("adopted", |c| c.adopted = vec![999]),
+        ("width", |c| c.new_rows[0].push(Value::Int(0))),
+        ("parent", |c| c.parents.push(Vid(99))),
+    ];
+    for (tag, corrupt) in hostile {
+        let dir = tmp_dir(&format!("hostile-{tag}"));
+        let mut odb = recovery::open(&dir).expect("open fresh");
+        seed(&mut odb);
+        edit_and_commit(&mut odb, &[1], &["UPDATE w SET grade = 0 WHERE id = 1"]);
+        edit_and_commit(
+            &mut odb,
+            &[2],
+            &[
+                "DELETE FROM w WHERE id = 5",
+                "INSERT INTO w (id, grade) VALUES (7, 70)",
+            ],
+        );
+        drop(odb);
+
+        // Rewrite the last commit record in place.
+        let path = wal::segment_path(&dir, 1);
+        let bytes = std::fs::read(&path).unwrap();
+        let mut records = read_segment(&path, 1).unwrap().records;
+        match &mut records.last_mut().unwrap().op {
+            WalOp::Commit(c) => corrupt(c),
+            other => panic!("the last record is the commit, not {other:?}"),
+        }
+        let mut rewritten = bytes[..wal::HEADER_LEN as usize].to_vec();
+        for record in &records {
+            let payload = record.encode();
+            rewritten.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            rewritten.extend_from_slice(&crc32(&payload).to_le_bytes());
+            rewritten.extend_from_slice(&payload);
+        }
+        std::fs::write(&path, rewritten).unwrap();
+
+        match recovery::open(&dir) {
+            Err(CoreError::Protocol(msg)) => assert!(msg.contains("WAL commit record"), "{msg}"),
+            other => panic!("{tag}: expected a Protocol error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
