@@ -1314,49 +1314,82 @@ fn merged_rows(
     Ok(rows)
 }
 
-/// Merge multiple versions' records with PK precedence (first listed
-/// version wins). Dedup is borrow-keyed: the hash is computed over the
-/// candidate's PK value slice (rid when there is no PK) and collisions
-/// compare element-wise against the rows already merged — no per-row PK
-/// tuple allocation.
+/// Merge multiple versions' records with primary-key precedence (the first
+/// listed version wins) into staged rows: rid first, NULL-padded to the
+/// current schema. Each version's records are borrowed where they lie
+/// through the record-access fast path ([`model::version_row_refs`]) and
+/// read through [`model::version_rows`] only where that path declines, so
+/// each merged row is built once, straight from the record it copies.
+///
+/// Deduplication allocates nothing per row. Without a primary key a rid
+/// is a duplicate when an earlier listed version's sorted rlist holds it
+/// (binary search), or when this version's rlist lists it twice and its
+/// first copy is merged already. With one, merged rows are chained by the
+/// hash of their key — one head per hash, one link per row — and a
+/// collision compares the key cells in place.
 fn merge_versions(engine: &mut Database, cvd: &Cvd, vids: &[Vid]) -> Result<Vec<Vec<Value>>> {
-    let mut out: Vec<Vec<Value>> = Vec::new();
-    let has_pk = !cvd.schema.primary_key.is_empty();
+    let pk = &cvd.schema.primary_key;
     // Versions frozen before a schema evolution read back narrower than
     // the current schema (table-per-version and delta); the merged staged
     // table is always current-width, so NULL-extend on the way in.
     let width = 1 + cvd.schema.columns.len();
-    // hash → indices into `out` (rows stored rid-first, so data column `c`
-    // of a merged row lives at `c + 1`).
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    for &vid in vids {
-        for (rid, values) in model::version_rows(engine, cvd, vid)? {
-            let hash = if has_pk {
-                hash_values(cvd.schema.primary_key.iter().map(|&c| &values[c]))
-            } else {
-                hash_values(std::iter::once(&Value::Int(rid)))
-            };
-            let bucket = buckets.entry(hash).or_default();
-            let duplicate = bucket.iter().any(|&i| {
-                let prev = &out[i];
-                if has_pk {
-                    cvd.schema
-                        .primary_key
-                        .iter()
-                        .all(|&c| prev[c + 1] == values[c])
-                } else {
-                    prev[0] == Value::Int(rid)
+    let mut out: Vec<Vec<Value>> = Vec::new();
+    // Key hash → the last merged row with that hash, and per merged row the
+    // one with the same hash before it. Rows are stored rid-first, so data
+    // column `c` of a merged row lives at `c + 1`.
+    let mut heads: HashMap<u64, usize> = HashMap::new();
+    let mut links: Vec<Option<usize>> = Vec::new();
+    for (i, &vid) in vids.iter().enumerate() {
+        let earlier = vids[..i]
+            .iter()
+            .map(|&v| cvd.rids_of(v))
+            .collect::<Result<Vec<_>>>()?;
+        // The rids this version's multiset rlist repeats, each with
+        // whether a copy of it is merged yet.
+        let mut repeated: Vec<(i64, bool)> = cvd
+            .rids_of(vid)?
+            .windows(2)
+            .filter(|w| w[0] == w[1])
+            .map(|w| (w[0], false))
+            .collect();
+        repeated.dedup();
+        let mut merge = |rid: i64, values: &[Value]| {
+            if pk.is_empty() {
+                if earlier.iter().any(|rids| rids.binary_search(&rid).is_ok()) {
+                    return;
                 }
-            });
-            if duplicate {
-                continue;
+                if let Ok(r) = repeated.binary_search_by_key(&rid, |&(r, _)| r) {
+                    if std::mem::replace(&mut repeated[r].1, true) {
+                        return;
+                    }
+                }
+            } else {
+                let hash = hash_values(pk.iter().map(|&c| &values[c]));
+                let head = heads.get(&hash).copied();
+                let mut at = head;
+                while let Some(j) = at {
+                    if pk.iter().all(|&c| out[j][c + 1] == values[c]) {
+                        return;
+                    }
+                    at = links[j];
+                }
+                links.push(head);
+                heads.insert(hash, out.len());
             }
-            bucket.push(out.len());
             let mut row = Vec::with_capacity(width);
             row.push(Value::Int(rid));
-            row.extend(values);
+            row.extend_from_slice(values);
             row.resize(width, Value::Null);
             out.push(row);
+        };
+        let fast = model::version_row_refs(engine, cvd, vid)?;
+        match fast {
+            Some(rows) => rows
+                .into_iter()
+                .for_each(|(rid, values)| merge(rid, values)),
+            None => model::version_rows(engine, cvd, vid)?
+                .iter()
+                .for_each(|(rid, values)| merge(*rid, values)),
         }
     }
     Ok(out)

@@ -412,7 +412,10 @@ pub(crate) fn rid_index_rows<'a>(
 /// Fast-path checkout: copy the resolved rows of one version from `source`
 /// into a fresh `target` with exactly the shape `SELECT .. INTO` produces
 /// (source column types, no primary key, everything nullable). `rlist` of
-/// `None` copies the whole table (a-table-per-version). Returns `false` —
+/// `None` copies the whole table (a-table-per-version). Each record is
+/// copied once, out of the source heap; the staged table's write check
+/// validates that copy in place, so a checkout costs the rid resolve plus
+/// one row allocation per record. Returns `false` —
 /// having touched nothing — when the layout cannot be fast-read, so the
 /// caller can run the Table 1 statement instead.
 pub(crate) fn checkout_resolved(

@@ -91,8 +91,10 @@ impl Schema {
     }
 
     /// Validate a row against the schema, coercing values to declared types
-    /// (e.g. INT literals into DOUBLE columns). Returns the coerced row.
-    pub fn check_row(&self, row: &Row) -> Result<Row> {
+    /// (e.g. INT literals into DOUBLE columns). Returns the coerced row: the
+    /// one passed in, with only the cells whose type differs from their
+    /// column's replaced, so a row that needs no coercion is not copied.
+    pub fn check_row(&self, mut row: Row) -> Result<Row> {
         if row.len() != self.columns.len() {
             return Err(EngineError::Arity(format!(
                 "row has {} values, schema {} columns",
@@ -100,21 +102,19 @@ impl Schema {
                 self.columns.len()
             )));
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (v, c) in row.iter().zip(&self.columns) {
-            if v.is_null() {
-                if !c.nullable {
+        for (v, c) in row.iter_mut().zip(&self.columns) {
+            match v.data_type() {
+                None if !c.nullable => {
                     return Err(EngineError::Invalid(format!(
                         "null value in non-nullable column {}",
                         c.name
                     )));
                 }
-                out.push(Value::Null);
-            } else {
-                out.push(v.coerce_to(c.dtype)?);
+                Some(t) if t != c.dtype => *v = v.coerce_to(c.dtype)?,
+                _ => {}
             }
         }
-        Ok(out)
+        Ok(row)
     }
 
     /// Schema of a projection of this schema.
@@ -177,10 +177,176 @@ mod tests {
             Column::new("a", DataType::Double),
             Column::new("b", DataType::Text).not_null(),
         ]);
-        let ok = s.check_row(&vec![Value::Int(1), "x".into()]).unwrap();
+        let ok = s.check_row(vec![Value::Int(1), "x".into()]).unwrap();
         assert_eq!(ok[0], Value::Double(1.0));
-        assert!(s.check_row(&vec![Value::Int(1), Value::Null]).is_err());
-        assert!(s.check_row(&vec![Value::Int(1)]).is_err());
+        assert!(s.check_row(vec![Value::Int(1), Value::Null]).is_err());
+        assert!(s.check_row(vec![Value::Int(1)]).is_err());
+    }
+
+    /// The check as it was before it worked in place: every cell cloned or
+    /// coerced into a new row. The reference the in-place check must match.
+    fn check_row_copying(schema: &Schema, row: &Row) -> Result<Row> {
+        if row.len() != schema.columns.len() {
+            return Err(EngineError::Arity(format!(
+                "row has {} values, schema {} columns",
+                row.len(),
+                schema.columns.len()
+            )));
+        }
+        let mut out = Vec::with_capacity(row.len());
+        for (v, c) in row.iter().zip(&schema.columns) {
+            if v.is_null() {
+                if !c.nullable {
+                    return Err(EngineError::Invalid(format!(
+                        "null value in non-nullable column {}",
+                        c.name
+                    )));
+                }
+                out.push(Value::Null);
+            } else {
+                out.push(v.coerce_to(c.dtype)?);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Cells for every path through the check: NULL, each type, values a
+    /// coercion treats specially (integral and fractional doubles, `NaN`,
+    /// `-0.0`, infinities, the `i64` extremes) and arrays.
+    fn cells() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Int(0),
+            Value::Int(-7),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Double(2.0),
+            Value::Double(1.5),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Double(f64::INFINITY),
+            Value::Double(-9.3e18),
+            Value::Text(String::new()),
+            Value::Text("x".into()),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::IntArray(vec![]),
+            Value::IntArray(vec![i64::MIN, 3]),
+        ]
+    }
+
+    const TYPES: [DataType; 5] = [
+        DataType::Int,
+        DataType::Double,
+        DataType::Text,
+        DataType::Bool,
+        DataType::IntArray,
+    ];
+
+    /// The named cases, each against the reference and pinned to its
+    /// outcome. `Debug` output tells `Int(1)` from `Double(1.0)` and `-0.0`
+    /// from `0.0`, which `Value` equality does not.
+    #[test]
+    fn the_in_place_check_matches_the_copying_one_on_named_cases() {
+        let col = |t| Column::new("c", t);
+        let cases: Vec<(Schema, Row, &str)> = vec![
+            (
+                Schema::new(vec![col(DataType::Int).not_null()]),
+                vec![Value::Null],
+                "Err(Invalid(\"null value in non-nullable column c\"))",
+            ),
+            (
+                Schema::new(vec![col(DataType::Int), col(DataType::Int)]),
+                vec![Value::Int(1)],
+                "Err(Arity(\"row has 1 values, schema 2 columns\"))",
+            ),
+            (
+                Schema::new(vec![col(DataType::Double)]),
+                vec![Value::Int(i64::MIN)],
+                "Ok([Double(-9.223372036854776e18)])",
+            ),
+            (
+                Schema::new(vec![col(DataType::Int)]),
+                vec![Value::Double(-0.0)],
+                "Ok([Int(0)])",
+            ),
+            (
+                Schema::new(vec![col(DataType::Int)]),
+                vec![Value::Double(1.5)],
+                "Err(TypeMismatch(\"cannot coerce 1.5 to INT\"))",
+            ),
+            (
+                Schema::new(vec![col(DataType::Text), col(DataType::Text)]),
+                vec![Value::Bool(true), Value::Double(2.5)],
+                "Ok([Text(\"true\"), Text(\"2.5\")])",
+            ),
+            (
+                Schema::new(vec![col(DataType::Double), col(DataType::IntArray)]),
+                vec![Value::Double(f64::NAN), Value::IntArray(vec![i64::MIN])],
+                "Ok([Double(NaN), IntArray([-9223372036854775808])])",
+            ),
+            (
+                Schema::new(vec![col(DataType::Double)]),
+                vec![Value::Double(-0.0)],
+                "Ok([Double(-0.0)])",
+            ),
+            (
+                Schema::new(vec![col(DataType::Int)]),
+                vec![Value::IntArray(vec![1])],
+                "Err(TypeMismatch(\"cannot coerce {1} to INT\"))",
+            ),
+        ];
+        for (schema, row, want) in cases {
+            let reference = format!("{:?}", check_row_copying(&schema, &row));
+            assert_eq!(reference, want, "reference on {row:?}");
+            assert_eq!(
+                format!("{:?}", schema.check_row(row.clone())),
+                want,
+                "{row:?}"
+            );
+        }
+    }
+
+    /// Random schemas × random rows, arity right or off by one: the in-place
+    /// check returns exactly what the copying one returns, value or error.
+    #[test]
+    fn the_in_place_check_matches_the_copying_one_on_random_rows() {
+        let mut state = 0x5eed_u64;
+        let mut next = |n: usize| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let cells = cells();
+        for case in 0..5_000 {
+            let columns = (0..1 + next(5))
+                .map(|i| {
+                    let c = Column::new(format!("c{i}"), TYPES[next(TYPES.len())]);
+                    if next(3) == 0 {
+                        c.not_null()
+                    } else {
+                        c
+                    }
+                })
+                .collect::<Vec<_>>();
+            let arity = match next(8) {
+                0 => columns.len() + 1,
+                1 => columns.len() - 1,
+                _ => columns.len(),
+            };
+            let schema = Schema::new(columns);
+            let row: Row = (0..arity)
+                .map(|_| cells[next(cells.len())].clone())
+                .collect();
+            assert_eq!(
+                format!("{:?}", schema.check_row(row.clone())),
+                format!("{:?}", check_row_copying(&schema, &row)),
+                "case {case}: {schema:?} × {row:?}"
+            );
+        }
     }
 
     #[test]

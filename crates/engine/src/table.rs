@@ -25,6 +25,10 @@
 //! * Operations that rewrite the heap — [`Table::delete_slots`],
 //!   [`Table::cluster_by`], [`Table::add_column`],
 //!   [`Table::alter_column_type`] — cost O(rows stored), shared or not.
+//! * **A write** ([`Table::insert`], [`Table::replace_row`]) is validated
+//!   in place: the row handed in is the row stored, with only the cells
+//!   whose type differs from their column's coerced. Writing a row costs
+//!   that one row's allocation (made by the caller) and no copy of it.
 //!
 //! Readers holding an older clone keep seeing exactly their rows and
 //! index entries; this is what `orpheus-core` builds MVCC snapshot reads
@@ -294,9 +298,9 @@ impl Table {
         Ok(())
     }
 
-    /// Insert one row (validated and coerced against the schema).
+    /// Insert one row (validated and coerced against the schema, in place).
     pub fn insert(&mut self, row: Row) -> Result<()> {
-        let row = self.schema.check_row(&row)?;
+        let row = self.schema.check_row(row)?;
         let keys = self.keys_of(&row);
         self.check_unique(&keys, None)?;
         let data = Arc::make_mut(&mut self.data);
@@ -325,7 +329,7 @@ impl Table {
 
     /// Replace the row at `slot`, keeping indexes in sync.
     pub fn replace_row(&mut self, slot: usize, new_row: Row) -> Result<()> {
-        let new_row = self.schema.check_row(&new_row)?;
+        let new_row = self.schema.check_row(new_row)?;
         // Uniqueness: the new key must not collide with a *different* slot.
         let new_keys = self.keys_of(&new_row);
         self.check_unique(&new_keys, Some(slot))?;
@@ -580,6 +584,62 @@ mod tests {
         assert!(matches!(err, EngineError::UniqueViolation(_)));
         // Replacing a row with its own key is fine (no-op key change).
         t.replace_row(1, vec![Value::Int(2), "b2".into()]).unwrap();
+    }
+
+    #[test]
+    fn an_insert_stores_the_row_it_is_handed() {
+        let mut t = table();
+        let text = String::from("kept in place");
+        let buffer = text.as_ptr();
+        let row = vec![Value::Int(1), Value::Text(text)];
+        let cells = row.as_ptr();
+        t.insert(row).unwrap();
+        // Neither the row nor its text cell was copied by the write check.
+        assert_eq!(t.row(0).as_ptr(), cells);
+        let Value::Text(stored) = &t.row(0)[1] else {
+            panic!("a text cell")
+        };
+        assert_eq!(stored.as_ptr(), buffer);
+    }
+
+    #[test]
+    fn replace_row_still_coerces_and_refuses() {
+        let schema = Schema::new(vec![
+            Column::new("rid", DataType::Int).not_null(),
+            Column::new("score", DataType::Double),
+            Column::new("label", DataType::Text),
+        ])
+        .with_primary_key(&["rid"])
+        .unwrap();
+        let mut t = Table::new("t", schema);
+        t.insert(vec![Value::Int(1), Value::Int(2), Value::Bool(true)])
+            .unwrap();
+        assert_eq!(
+            format!("{:?}", t.row(0)),
+            "[Int(1), Double(2.0), Text(\"true\")]"
+        );
+        t.replace_row(
+            0,
+            vec![Value::Double(1.0), Value::Int(5), Value::Double(0.5)],
+        )
+        .unwrap();
+        assert_eq!(
+            format!("{:?}", t.row(0)),
+            "[Int(1), Double(5.0), Text(\"0.5\")]"
+        );
+        assert_eq!(t.index_lookup(&[0], &[Value::Int(1)]).unwrap(), &[0]);
+        // A refused write leaves the row as it was.
+        for bad in [
+            vec![Value::Null, Value::Int(5), Value::Null],
+            vec![Value::Int(1), Value::Int(5)],
+            vec![Value::Int(1), "x".into(), Value::Null],
+        ] {
+            assert!(t.replace_row(0, bad).is_err());
+        }
+        assert_eq!(
+            format!("{:?}", t.row(0)),
+            "[Int(1), Double(5.0), Text(\"0.5\")]"
+        );
     }
 
     #[test]

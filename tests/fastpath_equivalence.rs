@@ -208,6 +208,123 @@ fn merge_checkout_precedence_is_first_listed_wins() {
     }
 }
 
+/// A history with the shapes a merged checkout has to get right: v2
+/// edits, deletes and inserts; v3 branches from v1 and, without a primary
+/// key, keeps one record twice (a duplicated staged row); v4 adds a
+/// column on top of v2. A-table-per-version keys its version tables on
+/// the rid and refuses the duplicate; [`lists_a_rid_twice`] says where
+/// v3 holds it.
+fn merge_history(model: ModelKind, with_pk: bool) -> OrpheusDB {
+    let mut schema = schema();
+    if !with_pk {
+        schema.primary_key.clear();
+    }
+    let mut odb = OrpheusDB::new();
+    odb.init_cvd("prot", schema, rows(), Some(model)).unwrap();
+    odb.checkout("prot", &[Vid(1)], "w2").unwrap();
+    for sql in [
+        "UPDATE w2 SET score = 999 WHERE protein1 = 'p1'",
+        "DELETE FROM w2 WHERE protein1 = 'p2'",
+        "INSERT INTO w2 VALUES (NULL, 'n1', 'm1', 5)",
+    ] {
+        odb.engine.execute(sql).unwrap();
+    }
+    odb.commit("w2", "edit").unwrap();
+    odb.checkout("prot", &[Vid(1)], "w3").unwrap();
+    odb.engine
+        .execute("INSERT INTO w3 VALUES (NULL, 'n2', 'm2', 6)")
+        .unwrap();
+    if lists_a_rid_twice(model, with_pk) {
+        odb.engine
+            .execute("INSERT INTO w3 SELECT * FROM w3 WHERE protein1 = 'p5'")
+            .unwrap();
+    }
+    odb.commit("w3", "branch").unwrap();
+    odb.checkout("prot", &[Vid(2)], "w4").unwrap();
+    odb.engine
+        .execute("ALTER TABLE w4 ADD COLUMN extra INT")
+        .unwrap();
+    odb.engine
+        .execute("UPDATE w4 SET extra = 1 WHERE protein1 = 'p3'")
+        .unwrap();
+    odb.commit("w4", "evolve").unwrap();
+    odb
+}
+
+/// Whether [`merge_history`]'s v3 keeps a record twice.
+fn lists_a_rid_twice(model: ModelKind, with_pk: bool) -> bool {
+    !with_pk && model != ModelKind::TablePerVersion
+}
+
+/// The merge of `vids` as a checkout must stage it: each version's
+/// records in `version_rows` order, first listed wins a primary key (the
+/// rid without one, including a rid a version lists twice), rid first and
+/// NULL-padded to the current schema.
+fn reference_merge(odb: &mut OrpheusDB, vids: &[Vid]) -> Vec<Vec<Value>> {
+    let cvd = odb.cvd("prot").unwrap().clone();
+    let pk = &cvd.schema.primary_key;
+    let width = 1 + cvd.schema.arity();
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    for &v in vids {
+        for (rid, values) in model::version_rows(&mut odb.engine, &cvd, v).unwrap() {
+            let key: Vec<Value> = if pk.is_empty() {
+                vec![Value::Int(rid)]
+            } else {
+                pk.iter().map(|&c| values[c].clone()).collect()
+            };
+            if seen.insert(key) {
+                let mut row = vec![Value::Int(rid)];
+                row.extend(values);
+                row.resize(width, Value::Null);
+                out.push(row);
+            }
+        }
+    }
+    out
+}
+
+/// Merged checkouts stage exactly the reference merge, row for row in heap
+/// order: 2- and 3-version merges in both precedence orders, across an
+/// `ADD COLUMN`, and over a version that lists a rid twice — for all five
+/// models, with and without a primary key.
+#[test]
+fn merged_checkouts_keep_rows_order_and_precedence() {
+    let merges: [&[u64]; 7] = [
+        &[2, 3],
+        &[3, 2],
+        &[3, 2, 1],
+        &[1, 3, 2],
+        &[4, 1],
+        &[1, 4],
+        &[4, 3, 2],
+    ];
+    for model in ModelKind::ALL {
+        for with_pk in [true, false] {
+            let mut odb = merge_history(model, with_pk);
+            let what = format!("{} pk={with_pk}", model.name());
+            let rids = odb.cvd("prot").unwrap().rids_of(Vid(3)).unwrap();
+            assert_eq!(
+                rids.windows(2).any(|w| w[0] == w[1]),
+                lists_a_rid_twice(model, with_pk),
+                "{what}: v3 lists a rid twice"
+            );
+            for (i, vids) in merges.iter().enumerate() {
+                let vids: Vec<Vid> = vids.iter().map(|&v| Vid(v)).collect();
+                let table = format!("m{i}");
+                odb.checkout("prot", &vids, &table).unwrap();
+                let got: Vec<Vec<Value>> =
+                    odb.engine.table(&table).unwrap().rows().cloned().collect();
+                let want = reference_merge(&mut odb, &vids);
+                assert_eq!(got, want, "{what}: merge of {vids:?}");
+                // Value equality lets 1 and 1.0 pass for each other; the
+                // staged cells must keep their types too.
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}: {vids:?}");
+            }
+        }
+    }
+}
+
 #[test]
 fn partitioned_checkout_matches_sql_and_unpartitioned() {
     let mut odb = build_history(ModelKind::SplitByRlist);
