@@ -765,27 +765,16 @@ impl OrpheusDB {
     // -- diff, queries, optimizer ------------------------------------------------
 
     /// `diff`: records in one version but not the other (by record id).
-    /// Membership resolves against the sorted rlists — no hash sets, no
-    /// CVD clone.
+    /// The sorted rlists are compared as integers and only the records one
+    /// side lacks are copied, so a diff costs what the two versions do not
+    /// share — no hash sets, no CVD clone, no copy of either version.
     pub fn diff(&mut self, cvd_name: &str, a: Vid, b: Vid) -> Result<VersionDiff> {
         let cvd = lookup(&self.cvds, cvd_name)?;
-        cvd.check_version(a)?;
-        cvd.check_version(b)?;
-        let rows_a = model::version_rows(&mut self.engine, cvd, a)?;
-        let rows_b = model::version_rows(&mut self.engine, cvd, b)?;
         let rids_a = cvd.rids_of(a)?;
         let rids_b = cvd.rids_of(b)?;
         Ok(VersionDiff {
-            only_in_first: rows_a
-                .into_iter()
-                .filter(|(r, _)| rids_b.binary_search(r).is_err())
-                .map(|(_, v)| v)
-                .collect(),
-            only_in_second: rows_b
-                .into_iter()
-                .filter(|(r, _)| rids_a.binary_search(r).is_err())
-                .map(|(_, v)| v)
-                .collect(),
+            only_in_first: model::version_rows_absent_from(&mut self.engine, cvd, a, rids_b)?,
+            only_in_second: model::version_rows_absent_from(&mut self.engine, cvd, b, rids_a)?,
         })
     }
 

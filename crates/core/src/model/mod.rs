@@ -36,7 +36,7 @@ pub mod table_per_version;
 
 use orpheus_engine::{Database, Schema, Value};
 
-use crate::cvd::Cvd;
+use crate::cvd::{sorted_difference, Cvd};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 
@@ -322,6 +322,44 @@ pub fn version_rows(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, 
             .collect());
     }
     version_rows_sql(db, cvd, vid)
+}
+
+/// The data values of the records of `vid` whose rids sorted `other` lacks,
+/// in rlist order and with the rlist's multiplicity: [`version_rows`]
+/// filtered by rid, at the cost of the records kept. The rid-indexed
+/// layouts resolve only the rids `other` lacks; the others borrow the
+/// version through [`version_row_refs`] and copy only what they keep.
+pub fn version_rows_absent_from(
+    db: &mut Database,
+    cvd: &Cvd,
+    vid: Vid,
+    other: &[i64],
+) -> Result<Vec<Vec<Value>>> {
+    let absent = |rid: &i64| other.binary_search(rid).is_err();
+    let rlist = cvd.rids_of(vid)?;
+    let refs = match cvd.model {
+        ModelKind::CombinedTable => {
+            let rids = sorted_difference(rlist, other);
+            rid_index_rows(db, &cvd.combined_table(), cvd, &rids, 1)
+        }
+        ModelKind::SplitByVlist | ModelKind::SplitByRlist => {
+            let rids = sorted_difference(rlist, other);
+            rid_index_rows(db, &cvd.data_table(), cvd, &rids, 0)
+        }
+        ModelKind::TablePerVersion | ModelKind::DeltaBased => version_row_refs(db, cvd, vid)?,
+    };
+    Ok(match refs {
+        Some(refs) => refs
+            .into_iter()
+            .filter(|(rid, _)| absent(rid))
+            .map(|(_, values)| values.to_vec())
+            .collect(),
+        None => version_rows_sql(db, cvd, vid)?
+            .into_iter()
+            .filter(|(rid, _)| absent(rid))
+            .map(|(_, values)| values)
+            .collect(),
+    })
 }
 
 /// The records of a version via the model's SQL formulation (Table 1) —

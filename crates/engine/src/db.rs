@@ -151,18 +151,19 @@ impl Database {
         match stmt {
             Statement::Select(sel) => {
                 let into = sel.into.clone();
-                let chunk = {
+                let mut chunk = {
                     let ctx = ExecContext {
                         tables: &self.tables,
                         stats: &self.stats,
                     };
                     planner::run_select(&sel, &ctx, self.settings.join_strategy)?
                 };
+                let schema = std::mem::take(&mut chunk.schema);
                 match into {
                     None => Ok(QueryResult {
                         affected: chunk.rows.len(),
-                        schema: chunk.schema,
-                        rows: chunk.rows,
+                        schema,
+                        rows: chunk.into_rows(),
                     }),
                     Some(target) => {
                         // SELECT ... INTO t: materialize as a new table.
@@ -172,14 +173,14 @@ impl Database {
                         if self.has_table(&target) {
                             return Err(EngineError::TableExists(target));
                         }
-                        let mut schema = chunk.schema;
+                        let mut schema = schema;
                         schema.primary_key.clear();
                         for c in &mut schema.columns {
                             c.nullable = true;
                         }
                         let mut t = Table::new(target.to_ascii_lowercase(), schema);
                         let n = chunk.rows.len();
-                        for row in chunk.rows {
+                        for row in chunk.into_rows() {
                             t.insert(row)?;
                         }
                         self.add_table(t)?;
@@ -326,7 +327,7 @@ impl Database {
                     tables: &self.tables,
                     stats: &self.stats,
                 };
-                planner::run_select(&sel, &ctx, self.settings.join_strategy)?.rows
+                planner::run_select(&sel, &ctx, self.settings.join_strategy)?.into_rows()
             }
         };
 

@@ -9,11 +9,13 @@
 //! * index-nested-loop requires the right side to be a bare table scan with
 //!   an index covering the join columns; otherwise it degrades to hash.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+
 use crate::cost;
 use crate::error::{EngineError, Result};
 use crate::exec::{execute, Chunk, ExecContext, Plan};
 use crate::types::{Row, Value};
-use std::collections::HashMap;
 
 /// Join algorithm selection. `Auto` lets the engine choose (hash join, the
 /// paper's finding of the most efficient strategy for checkout).
@@ -39,14 +41,14 @@ impl JoinStrategy {
 }
 
 /// Dispatch an equi-join on positional keys.
-pub fn execute_join(
+pub fn execute_join<'a>(
     left: &Plan,
     right: &Plan,
     left_keys: &[usize],
     right_keys: &[usize],
     strategy: JoinStrategy,
-    ctx: &ExecContext,
-) -> Result<Chunk> {
+    ctx: &ExecContext<'a>,
+) -> Result<Chunk<'a>> {
     if left_keys.len() != right_keys.len() || left_keys.is_empty() {
         return Err(EngineError::Plan(format!(
             "join keys malformed: {left_keys:?} vs {right_keys:?}"
@@ -84,7 +86,7 @@ pub fn execute_join(
                         index_nested_loop_join(right, table, right_keys, left_keys, ctx)?;
                     let right_width = chunk.schema.arity() - left_width;
                     for row in &mut chunk.rows {
-                        row.rotate_left(right_width);
+                        row.to_mut().rotate_left(right_width);
                     }
                     let mut cols = chunk.schema.columns.split_off(right_width);
                     cols.append(&mut chunk.schema.columns);
@@ -101,16 +103,24 @@ fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
     cols.iter().map(|&c| row[c].clone()).collect()
 }
 
+/// A joined row: `left`'s values, then `right`'s.
+pub(crate) fn concat(left: &Row, right: &Row) -> Row {
+    let mut row = Vec::with_capacity(left.len() + right.len());
+    row.extend_from_slice(left);
+    row.extend_from_slice(right);
+    row
+}
+
 /// Classic build/probe hash join. The build side is the **right** input —
 /// matching the paper's plan where "a hash table on rids is first built,
 /// followed by a sequential scan on the data table probing each record".
-pub fn hash_join(
+pub fn hash_join<'a>(
     left: &Plan,
     right: &Plan,
     left_keys: &[usize],
     right_keys: &[usize],
-    ctx: &ExecContext,
-) -> Result<Chunk> {
+    ctx: &ExecContext<'a>,
+) -> Result<Chunk<'a>> {
     let l = execute(left, ctx)?;
     let r = execute(right, ctx)?;
     let schema = l.schema.join(&r.schema);
@@ -133,9 +143,7 @@ pub fn hash_join(
         }
         if let Some(matches) = build.get(&k) {
             for &ri in matches {
-                let mut row = lrow.clone();
-                row.extend(r.rows[ri].iter().cloned());
-                out.push(row);
+                out.push(Cow::Owned(concat(lrow, &r.rows[ri])));
             }
         }
     }
@@ -145,13 +153,13 @@ pub fn hash_join(
 
 /// Sort-merge join: sorts both inputs on the key columns, then merges,
 /// producing the cross product of equal-key runs.
-pub fn merge_join(
+pub fn merge_join<'a>(
     left: &Plan,
     right: &Plan,
     left_keys: &[usize],
     right_keys: &[usize],
-    ctx: &ExecContext,
-) -> Result<Chunk> {
+    ctx: &ExecContext<'a>,
+) -> Result<Chunk<'a>> {
     let mut l = execute(left, ctx)?;
     let mut r = execute(right, ctx)?;
     let schema = l.schema.join(&r.schema);
@@ -194,9 +202,7 @@ pub fn merge_join(
                 let j_end = run_end(&r.rows, j, right_keys, &rk);
                 for li in i..i_end {
                     for rj in j..j_end {
-                        let mut row = l.rows[li].clone();
-                        row.extend(r.rows[rj].iter().cloned());
-                        out.push(row);
+                        out.push(Cow::Owned(concat(&l.rows[li], &r.rows[rj])));
                     }
                 }
                 i = i_end;
@@ -208,7 +214,7 @@ pub fn merge_join(
     Ok(Chunk::new(schema, out))
 }
 
-fn run_end(rows: &[Row], start: usize, keys: &[usize], key: &[Value]) -> usize {
+fn run_end(rows: &[Cow<Row>], start: usize, keys: &[usize], key: &[Value]) -> usize {
     let mut end = start + 1;
     while end < rows.len() && key_of(&rows[end], keys) == key {
         end += 1;
@@ -219,13 +225,13 @@ fn run_end(rows: &[Row], start: usize, keys: &[usize], key: &[Value]) -> usize {
 /// Index-nested-loop join: probe the inner table's index once per outer
 /// row. The modeled I/O cost distinguishes clustered vs. unclustered inner
 /// heaps, reproducing Figure 19(c) vs. 19(f).
-pub fn index_nested_loop_join(
+pub fn index_nested_loop_join<'a>(
     left: &Plan,
     right_table: &str,
     left_keys: &[usize],
     right_keys: &[usize],
-    ctx: &ExecContext,
-) -> Result<Chunk> {
+    ctx: &ExecContext<'a>,
+) -> Result<Chunk<'a>> {
     let l = execute(left, ctx)?;
     let t = ctx.table(right_table)?;
     let idx = t
@@ -246,9 +252,7 @@ pub fn index_nested_loop_join(
             continue;
         }
         for &slot in idx.lookup(&k) {
-            let mut row = lrow.clone();
-            row.extend(t.row(slot).iter().cloned());
-            out.push(row);
+            out.push(Cow::Owned(concat(lrow, t.row(slot))));
         }
     }
     ctx.stats.add_join_rows(out.len() as u64);
@@ -296,7 +300,7 @@ mod tests {
         }
     }
 
-    fn run(strategy: JoinStrategy, tables: &Map<String, Table>) -> (Chunk, ExecStats) {
+    fn run(strategy: JoinStrategy, tables: &Map<String, Table>) -> (Chunk<'static>, ExecStats) {
         let stats = ExecStats::default();
         let chunk = {
             let ctx = ExecContext {
@@ -305,7 +309,9 @@ mod tests {
             };
             // data JOIN rlist ON data.rid = rlist.rid_tmp — but for INL we
             // want the indexed table on the right: rlist JOIN data.
-            execute_join(&scan("rlist"), &scan("data"), &[0], &[0], strategy, &ctx).unwrap()
+            let chunk =
+                execute_join(&scan("rlist"), &scan("data"), &[0], &[0], strategy, &ctx).unwrap();
+            Chunk::built(chunk.schema.clone(), chunk.into_rows())
         };
         (chunk, stats)
     }

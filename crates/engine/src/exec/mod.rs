@@ -1,15 +1,27 @@
-//! Physical query plans and their (materialized) execution.
+//! Physical query plans and their execution.
 //!
 //! The planner lowers SQL into a small tree of [`Plan`] nodes; execution is
-//! bottom-up and fully materialized — each node consumes and produces a
-//! [`Chunk`] (schema + row vector). Scans and index lookups account rows and
-//! modeled page I/O into [`crate::stats::ExecStats`], which is how the
-//! benchmark harness observes the cost behaviour studied in Appendix D.1.
+//! bottom-up — each node consumes and produces a [`Chunk`] (schema + row
+//! vector). A chunk's rows are borrowed from the table heap wherever no
+//! node had to change them:
+//! * `SeqScan` and `IndexLookup` borrow the rows they select;
+//! * `Filter`, `Sort`, `Limit` and an identity `Project` (every item
+//!   `Column(i)` in order, as `SELECT *` plans) pass those borrows on;
+//! * `Aggregate` reads its input in place and builds one row per group;
+//! * joins, any other projection and `unnest` build each row they emit.
+//!
+//! A borrowed row is copied only where a result leaves the executor:
+//! [`Chunk::into_rows`], which the database front-end calls for a query's
+//! result, `SELECT … INTO` and `INSERT … SELECT`, and the planner's reads of
+//! a subquery's values. Scans and index lookups account rows and modeled
+//! page I/O into [`crate::stats::ExecStats`], which is how the benchmark
+//! harness observes the cost behaviour studied in Appendix D.1.
 
 pub mod aggregate;
 pub mod explain;
 pub mod join;
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::cost;
@@ -24,23 +36,28 @@ use crate::types::{Row, Value};
 pub use aggregate::{AggFunc, Aggregate};
 pub use join::JoinStrategy;
 
-/// A materialized intermediate result.
+/// An intermediate result. Each row is borrowed from a table heap of the
+/// [`ExecContext`] or owned by the chunk, when a node built it.
 #[derive(Debug, Clone)]
-pub struct Chunk {
+pub struct Chunk<'a> {
     pub schema: Schema,
-    pub rows: Vec<Row>,
+    pub rows: Vec<Cow<'a, Row>>,
 }
 
-impl Chunk {
-    pub fn new(schema: Schema, rows: Vec<Row>) -> Chunk {
+impl<'a> Chunk<'a> {
+    pub fn new(schema: Schema, rows: Vec<Cow<'a, Row>>) -> Chunk<'a> {
         Chunk { schema, rows }
     }
 
-    pub fn empty(schema: Schema) -> Chunk {
-        Chunk {
-            schema,
-            rows: Vec::new(),
-        }
+    /// A chunk of rows a node built.
+    pub fn built(schema: Schema, rows: Vec<Row>) -> Chunk<'a> {
+        Chunk::new(schema, rows.into_iter().map(Cow::Owned).collect())
+    }
+
+    /// The rows as owned values: a borrowed row is copied here, a built
+    /// one is moved.
+    pub fn into_rows(self) -> Vec<Row> {
+        self.rows.into_iter().map(Cow::into_owned).collect()
     }
 }
 
@@ -154,8 +171,9 @@ impl Plan {
     }
 }
 
-/// Execute a plan to a materialized chunk.
-pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
+/// Execute a plan to a chunk whose rows borrow from `ctx`'s tables where
+/// they can.
+pub fn execute<'a>(plan: &Plan, ctx: &ExecContext<'a>) -> Result<Chunk<'a>> {
     match plan {
         Plan::SeqScan { table, filter } => seq_scan(table, filter.as_ref(), ctx),
         Plan::IndexLookup {
@@ -164,11 +182,11 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
             keys,
             filter,
         } => index_lookup(table, cols, keys, filter.as_ref(), ctx),
-        Plan::Values { schema, rows } => Ok(Chunk::new(schema.clone(), rows.clone())),
+        Plan::Values { schema, rows } => Ok(Chunk::built(schema.clone(), rows.clone())),
         Plan::Filter { input, predicate } => {
-            let mut chunk = execute(input, ctx)?;
+            let chunk = execute(input, ctx)?;
             let mut out = Vec::new();
-            for row in chunk.rows.drain(..) {
+            for row in chunk.rows {
                 if predicate.eval_predicate(&row)? {
                     out.push(row);
                 }
@@ -207,7 +225,7 @@ pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
     }
 }
 
-fn seq_scan(table: &str, filter: Option<&Expr>, ctx: &ExecContext) -> Result<Chunk> {
+fn seq_scan<'a>(table: &str, filter: Option<&Expr>, ctx: &ExecContext<'a>) -> Result<Chunk<'a>> {
     let t = ctx.table(table)?;
     let n = t.len();
     ctx.stats.add_rows_scanned(n as u64);
@@ -215,11 +233,14 @@ fn seq_scan(table: &str, filter: Option<&Expr>, ctx: &ExecContext) -> Result<Chu
         .add_seq_pages(cost::pages_for(n, t.avg_row_bytes()), cost::SEQ_PAGE_COST);
     let mut rows = Vec::new();
     match filter {
-        None => rows.extend(t.rows().cloned()),
+        None => {
+            rows.reserve_exact(n);
+            rows.extend(t.rows().map(Cow::Borrowed));
+        }
         Some(pred) => {
             for row in t.rows() {
                 if pred.eval_predicate(row)? {
-                    rows.push(row.clone());
+                    rows.push(Cow::Borrowed(row));
                 }
             }
         }
@@ -227,13 +248,13 @@ fn seq_scan(table: &str, filter: Option<&Expr>, ctx: &ExecContext) -> Result<Chu
     Ok(Chunk::new(Schema::clone(&t.schema), rows))
 }
 
-fn index_lookup(
+fn index_lookup<'a>(
     table: &str,
     cols: &[usize],
     keys: &[Value],
     filter: Option<&Expr>,
-    ctx: &ExecContext,
-) -> Result<Chunk> {
+    ctx: &ExecContext<'a>,
+) -> Result<Chunk<'a>> {
     let t = ctx.table(table)?;
     let idx = t
         .index_on(cols)
@@ -249,7 +270,7 @@ fn index_lookup(
     let mut emit = |slot: usize| -> Result<()> {
         let row = t.row(slot);
         if filter.map_or(Ok(true), |pred| pred.eval_predicate(row))? {
-            rows.push(row.clone());
+            rows.push(Cow::Borrowed(row));
         }
         Ok(())
     };
@@ -273,13 +294,27 @@ fn index_lookup(
     Ok(Chunk::new(Schema::clone(&t.schema), rows))
 }
 
-fn project(input: &Plan, items: &[ProjItem], schema: &Schema, ctx: &ExecContext) -> Result<Chunk> {
+fn project<'a>(
+    input: &Plan,
+    items: &[ProjItem],
+    schema: &Schema,
+    ctx: &ExecContext<'a>,
+) -> Result<Chunk<'a>> {
     let chunk = execute(input, ctx)?;
     let unnest_count = items.iter().filter(|i| i.unnest).count();
     if unnest_count > 1 {
         return Err(EngineError::Plan(
             "at most one unnest(..) per SELECT list is supported".into(),
         ));
+    }
+    // Every input column in order: the input rows are the output rows.
+    let identity = items.len() == chunk.schema.arity()
+        && items
+            .iter()
+            .enumerate()
+            .all(|(i, it)| !it.unnest && matches!(it.expr, Expr::Column(c) if c == i));
+    if identity {
+        return Ok(Chunk::new(schema.clone(), chunk.rows));
     }
     let mut out = Vec::with_capacity(chunk.rows.len());
     for row in &chunk.rows {
@@ -288,7 +323,7 @@ fn project(input: &Plan, items: &[ProjItem], schema: &Schema, ctx: &ExecContext)
             for it in items {
                 r.push(it.expr.eval(row)?);
             }
-            out.push(r);
+            out.push(Cow::Owned(r));
         } else {
             // Evaluate scalar items once, expand the unnest item.
             let scalar: Vec<Option<Value>> = items
@@ -318,30 +353,29 @@ fn project(input: &Plan, items: &[ProjItem], schema: &Schema, ctx: &ExecContext)
                         }
                     }
                 }
-                out.push(r);
+                out.push(Cow::Owned(r));
             }
         }
     }
     Ok(Chunk::new(schema.clone(), out))
 }
 
-fn nested_loop(
+fn nested_loop<'a>(
     left: &Plan,
     right: &Plan,
     predicate: Option<&Expr>,
-    ctx: &ExecContext,
-) -> Result<Chunk> {
+    ctx: &ExecContext<'a>,
+) -> Result<Chunk<'a>> {
     let l = execute(left, ctx)?;
     let r = execute(right, ctx)?;
     let schema = l.schema.join(&r.schema);
     let mut out = Vec::new();
     for lr in &l.rows {
         for rr in &r.rows {
-            let mut row = lr.clone();
-            row.extend(rr.iter().cloned());
+            let row = join::concat(lr, rr);
             match predicate {
                 Some(p) if !p.eval_predicate(&row)? => {}
-                _ => out.push(row),
+                _ => out.push(Cow::Owned(row)),
             }
         }
     }
@@ -349,11 +383,11 @@ fn nested_loop(
     Ok(Chunk::new(schema, out))
 }
 
-fn sort(input: &Plan, keys: &[SortKey], ctx: &ExecContext) -> Result<Chunk> {
+fn sort<'a>(input: &Plan, keys: &[SortKey], ctx: &ExecContext<'a>) -> Result<Chunk<'a>> {
     let mut chunk = execute(input, ctx)?;
     // Precompute key tuples to avoid re-evaluating expressions in the
     // comparator (and to surface evaluation errors eagerly).
-    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(chunk.rows.len());
+    let mut keyed = Vec::with_capacity(chunk.rows.len());
     for row in chunk.rows.drain(..) {
         let mut k = Vec::with_capacity(keys.len());
         for sk in keys {
@@ -488,8 +522,8 @@ mod tests {
         let chunk = execute(&plan, &ctx).unwrap();
         // 6 rows × 2 elements each.
         assert_eq!(chunk.rows.len(), 12);
-        assert_eq!(chunk.rows[0], vec![Value::Int(0), Value::Int(0)]);
-        assert_eq!(chunk.rows[1], vec![Value::Int(0), Value::Int(1)]);
+        assert_eq!(*chunk.rows[0], vec![Value::Int(0), Value::Int(0)]);
+        assert_eq!(*chunk.rows[1], vec![Value::Int(0), Value::Int(1)]);
     }
 
     #[test]

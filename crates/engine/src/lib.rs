@@ -23,8 +23,9 @@
 //! * durable, checksummed snapshots (`storage`) so a database survives
 //!   process restarts — the property PostgreSQL gives the paper for free.
 //!
-//! The executor is fully materialized (each operator consumes and produces
-//! row vectors); this keeps the engine small while preserving the asymptotic
+//! Each operator consumes and produces a whole row vector, whose rows stay
+//! borrowed from the table heap until a node must build new ones (see
+//! [`exec`]); this keeps the engine small while preserving the asymptotic
 //! behaviour — full scans, hash builds/probes, index lookups — that the
 //! paper's latency arguments rest on.
 

@@ -21,6 +21,7 @@
 //! * materialization of uncorrelated subqueries (`IN (SELECT ..)`,
 //!   `ARRAY(SELECT ..)`, scalar subqueries) at plan time.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
@@ -30,7 +31,7 @@ use crate::exec::{
 };
 use crate::expr::{BinOp, Expr, Func};
 use crate::schema::{Column, Schema};
-use crate::types::{DataType, Value};
+use crate::types::{DataType, Row, Value};
 
 use super::ast::{FromItem, OrderKey, SelectItem, SelectStmt, SqlExpr};
 
@@ -42,8 +43,13 @@ pub struct PlannedQuery {
 }
 
 /// Plan and immediately execute a SELECT (used for subquery materialization
-/// and by the database front-end).
-pub fn run_select(stmt: &SelectStmt, ctx: &ExecContext, strategy: JoinStrategy) -> Result<Chunk> {
+/// and by the database front-end). The result's rows still borrow from
+/// `ctx`'s tables where the plan did not rebuild them.
+pub fn run_select<'a>(
+    stmt: &SelectStmt,
+    ctx: &ExecContext<'a>,
+    strategy: JoinStrategy,
+) -> Result<Chunk<'a>> {
     let planned = plan_select(stmt, ctx, strategy)?;
     let mut chunk = exec::execute(&planned.plan, ctx)?;
     chunk.schema = planned.schema;
@@ -261,7 +267,7 @@ fn lower_expr(
                     "IN (SELECT ..) requires a single output column".into(),
                 ));
             }
-            let set: HashSet<Value> = chunk.rows.into_iter().map(|mut r| r.remove(0)).collect();
+            let set: HashSet<Value> = chunk.rows.into_iter().map(only_value).collect();
             Ok(Expr::InSet {
                 expr: Box::new(lower_expr(expr, scope, map, ctx, strategy)?),
                 set: Rc::new(set),
@@ -284,7 +290,7 @@ fn lower_expr(
                 .rows
                 .into_iter()
                 .next()
-                .map(|mut r| r.remove(0))
+                .map(only_value)
                 .unwrap_or(Value::Null);
             Ok(Expr::Literal(v))
         }
@@ -297,6 +303,15 @@ fn lower_expr(
             expr: Box::new(lower_expr(expr, scope, map, ctx, strategy)?),
             negated: *negated,
         }),
+    }
+}
+
+/// The value of a one-column row: moved out of a row the plan built,
+/// copied out of one it borrowed.
+fn only_value(row: Cow<Row>) -> Value {
+    match row {
+        Cow::Owned(mut row) => row.swap_remove(0),
+        Cow::Borrowed(row) => row[0].clone(),
     }
 }
 
@@ -1313,7 +1328,8 @@ mod tests {
         tables
     }
 
-    fn select(sql: &str, tables: &Map<String, Table>) -> (Chunk, ExecStats) {
+    /// Run `sql`: its result, owned, and the counters it accrued.
+    fn select(sql: &str, tables: &Map<String, Table>) -> (Chunk<'static>, ExecStats) {
         let stats = ExecStats::default();
         let chunk = {
             let ctx = ExecContext {
@@ -1324,7 +1340,8 @@ mod tests {
                 Statement::Select(s) => s,
                 other => panic!("not a select: {other:?}"),
             };
-            run_select(&stmt, &ctx, JoinStrategy::Auto).unwrap()
+            let chunk = run_select(&stmt, &ctx, JoinStrategy::Auto).unwrap();
+            Chunk::built(chunk.schema.clone(), chunk.into_rows())
         };
         (chunk, stats)
     }
@@ -1385,9 +1402,9 @@ mod tests {
     fn scalar_subquery_and_no_from() {
         let tables = setup();
         let (chunk, _) = select("SELECT 1 + 2 AS three", &tables);
-        assert_eq!(chunk.rows, vec![vec![Value::Int(3)]]);
+        assert_eq!(chunk.into_rows(), vec![vec![Value::Int(3)]]);
         let (chunk, _) = select("SELECT (SELECT max(rid) FROM dataTable) AS m", &tables);
-        assert_eq!(chunk.rows, vec![vec![Value::Int(19)]]);
+        assert_eq!(chunk.into_rows(), vec![vec![Value::Int(19)]]);
     }
 
     #[test]
@@ -1472,7 +1489,11 @@ mod tests {
     /// `scan`, the same filter in a shape it leaves to a scan: they must
     /// return the same rows in the same order. The lookup's rows, stats
     /// and plan.
-    fn promoted(sql: &str, scan: &str, tables: &Map<String, Table>) -> (Chunk, ExecStats, String) {
+    fn promoted(
+        sql: &str,
+        scan: &str,
+        tables: &Map<String, Table>,
+    ) -> (Chunk<'static>, ExecStats, String) {
         let plan = explained(sql, tables);
         assert!(plan.contains("Index Lookup"), "{sql}: {plan}");
         let scan_plan = explained(scan, tables);
@@ -1643,7 +1664,10 @@ mod tests {
         let sql = "SELECT rid FROM dataTable WHERE score = 20";
         let plan = explained(sql, &tables);
         assert!(plan.contains("Seq Scan on datatable with filter"), "{plan}");
-        assert_eq!(select(sql, &tables).0.rows, vec![vec![Value::Int(2)]]);
+        assert_eq!(
+            select(sql, &tables).0.into_rows(),
+            vec![vec![Value::Int(2)]]
+        );
     }
 
     #[test]

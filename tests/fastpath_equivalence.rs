@@ -325,6 +325,52 @@ fn merged_checkouts_keep_rows_order_and_precedence() {
     }
 }
 
+/// A diff keeps each side's records whose rid the other side lacks, as
+/// `version_rows` lists them: in rlist order, a rid listed twice kept
+/// twice — for every ordered pair of versions, across an `ADD COLUMN`, for
+/// all five models, with and without a primary key.
+#[test]
+fn diffs_keep_rlist_order_and_multiplicity() {
+    for model in ModelKind::ALL {
+        for with_pk in [true, false] {
+            let mut odb = merge_history(model, with_pk);
+            // v5 drops the record v3 lists twice.
+            odb.checkout("prot", &[Vid(2)], "w5").unwrap();
+            odb.engine
+                .execute("DELETE FROM w5 WHERE protein1 = 'p5'")
+                .unwrap();
+            odb.commit("w5", "drop p5").unwrap();
+            if model == ModelKind::SplitByRlist && !with_pk {
+                let twice = odb.diff("prot", Vid(3), Vid(5)).unwrap().only_in_first;
+                let p5 = Value::Text("p5".into());
+                assert_eq!(twice.iter().filter(|row| row[0] == p5).count(), 2);
+            }
+            let cvd = odb.cvd("prot").unwrap().clone();
+            let reference = |odb: &mut OrpheusDB, a: u64, b: u64| -> Vec<Vec<Value>> {
+                let other = cvd.rids_of(Vid(b)).unwrap();
+                model::version_rows(&mut odb.engine, &cvd, Vid(a))
+                    .unwrap()
+                    .into_iter()
+                    .filter(|(rid, _)| !other.contains(rid))
+                    .map(|(_, values)| values)
+                    .collect()
+            };
+            for a in 1..=5 {
+                for b in 1..=5 {
+                    let d = odb.diff("prot", Vid(a), Vid(b)).unwrap();
+                    let want = (reference(&mut odb, a, b), reference(&mut odb, b, a));
+                    assert_eq!(
+                        format!("{:?}", (&d.only_in_first, &d.only_in_second)),
+                        format!("{:?}", (&want.0, &want.1)),
+                        "{} pk={with_pk}: diff v{a} v{b}",
+                        model.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn partitioned_checkout_matches_sql_and_unpartitioned() {
     let mut odb = build_history(ModelKind::SplitByRlist);
