@@ -1416,7 +1416,7 @@ impl<'a> Staged<'a> {
             Staged::Table(name) => {
                 let table = engine.table(name)?;
                 let mut rows = Vec::with_capacity(table.len());
-                rows.extend(table.rows().map(Vec::as_slice));
+                rows.extend(table.rows());
                 rows
             }
             Staged::Rows(rows) => rows.iter().map(Vec::as_slice).collect(),

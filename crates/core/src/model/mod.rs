@@ -257,7 +257,7 @@ fn strip_vid_from_vlists(db: &mut Database, table: &str, vid: Vid) {
         if stripped.is_empty() {
             deletes.push(slot);
         } else {
-            let mut new_row = row.clone();
+            let mut new_row = row.to_vec();
             new_row[vlist_col] = Value::IntArray(stripped);
             updates.push((slot, new_row));
         }
@@ -464,34 +464,35 @@ pub(crate) fn checkout_resolved(
     trailing: usize,
     target: &str,
 ) -> Result<bool> {
-    let (schema, rows) = {
-        let Ok(t) = db.table(source) else {
-            return Ok(false);
-        };
-        let Some(width) = attr_prefix_len(&t.schema, cvd, trailing) else {
-            return Ok(false);
-        };
-        let rows: Vec<Vec<Value>> = match rlist {
-            Some(rids) => {
-                let Some(pairs) = t.resolve_int_keys(0, rids) else {
-                    return Ok(false);
-                };
-                pairs
-                    .into_iter()
-                    .map(|(_, slot)| t.row(slot)[..=width].to_vec())
-                    .collect()
-            }
-            None => t.rows().map(|r| r[..=width].to_vec()).collect(),
-        };
-        let mut schema = t.schema.project(&(0..=width).collect::<Vec<_>>());
-        schema.primary_key.clear();
-        for c in &mut schema.columns {
-            c.nullable = true;
-        }
-        (schema, rows)
+    // An O(1) clone of the source, so its rows can be borrowed while the
+    // target is written: each record's cells are cloned straight into the
+    // target's chunks, with no row built in between.
+    let Ok(t) = db.table(source).cloned() else {
+        return Ok(false);
     };
+    let Some(width) = attr_prefix_len(&t.schema, cvd, trailing) else {
+        return Ok(false);
+    };
+    let slots = match rlist {
+        Some(rids) => match t.resolve_int_keys(0, rids) {
+            Some(pairs) => Some(pairs),
+            None => return Ok(false),
+        },
+        None => None,
+    };
+    let mut schema = t.schema.project(&(0..=width).collect::<Vec<_>>());
+    schema.primary_key.clear();
+    for c in &mut schema.columns {
+        c.nullable = true;
+    }
     db.create_table(target, schema)?;
-    db.table_mut(target)?.insert_many(rows)?;
+    let staged = db.table_mut(target)?;
+    match slots {
+        Some(pairs) => {
+            staged.insert_many(pairs.into_iter().map(|(_, slot)| &t.row(slot)[..=width]))?
+        }
+        None => staged.insert_many(t.rows().map(|r| &r[..=width]))?,
+    };
     Ok(true)
 }
 
@@ -620,7 +621,7 @@ pub(crate) fn append_vid_to_vlist(
         .resolve_int_keys(rid_col, &rids)
         .ok_or_else(|| CoreError::Invalid(format!("table {table} has no rid index")))?;
     for (_, slot) in slots {
-        let mut row = t.row(slot).clone();
+        let mut row = t.row(slot).to_vec();
         if let Value::IntArray(vlist) = &mut row[vlist_col] {
             vlist.push(vid.0 as i64);
         }

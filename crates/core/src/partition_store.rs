@@ -109,12 +109,12 @@ fn copy_missing_records(db: &mut Database, cvd: &Cvd, target: &str, rids: &[i64]
             missing.len()
         )));
     }
-    let source = db.table(&cvd.data_table())?;
-    let rows = found
-        .into_iter()
-        .map(|(_, slot)| source.row(slot).clone())
-        .collect();
-    model::insert_rows(db, target, rows)
+    // An O(1) clone of the source, so its rows can be borrowed while the
+    // target is written: each record's cells are cloned straight into it.
+    let source = db.table(&cvd.data_table())?.clone();
+    db.table_mut(target)?
+        .insert_many(found.into_iter().map(|(_, slot)| source.row(slot)))?;
+    Ok(())
 }
 
 fn rlist_tuple(cvd: &Cvd, v: usize) -> Vec<Value> {

@@ -196,12 +196,12 @@ impl Database {
                 table,
                 columns,
                 source,
-            } => self.exec_insert(&table, columns, source),
+            } => self.all_or_nothing(&table, |db| db.exec_insert(&table, columns, source)),
             Statement::Update {
                 table,
                 assignments,
                 filter,
-            } => self.exec_update(&table, assignments, filter),
+            } => self.all_or_nothing(&table, |db| db.exec_update(&table, assignments, filter)),
             Statement::Delete { table, filter } => self.exec_delete(&table, filter),
             Statement::CreateTable {
                 name,
@@ -297,6 +297,24 @@ impl Database {
         }
     }
 
+    /// Run a statement that writes `table` row by row, so that it takes
+    /// effect whole or not at all: an O(1) clone of the table is kept and
+    /// put back if the statement fails partway. Holding the clone makes the
+    /// statement's first write copy the table's directories and then each
+    /// chunk and index leaf it writes to, not its rows.
+    fn all_or_nothing(
+        &mut self,
+        table: &str,
+        run: impl FnOnce(&mut Database) -> Result<QueryResult>,
+    ) -> Result<QueryResult> {
+        let before = self.table(table).ok().cloned();
+        let result = run(self);
+        if let (Err(_), Some(before)) = (&result, before) {
+            *self.table_mut(table)? = before;
+        }
+        result
+    }
+
     fn exec_insert(
         &mut self,
         table: &str,
@@ -316,7 +334,7 @@ impl Database {
                     for e in exprs {
                         let lowered =
                             planner::lower_standalone_expr(e, &ctx, self.settings.join_strategy)?;
-                        row.push(lowered.eval(&vec![])?);
+                        row.push(lowered.eval(&[])?);
                     }
                     out.push(row);
                 }
@@ -409,7 +427,7 @@ impl Database {
                 if !matched {
                     continue;
                 }
-                let mut new_row = row.clone();
+                let mut new_row = row.to_vec();
                 for (ci, e) in &lowered_assignments {
                     new_row[*ci] = e.eval(row)?;
                 }
@@ -676,6 +694,85 @@ mod tests {
     fn storage_accounting_total() {
         let db = db_with_protein();
         assert!(db.total_storage_bytes() > 0);
+    }
+
+    /// `t (k INT PRIMARY KEY, v INT)` with rows `(1, 10)`, `(2, 20)` and
+    /// an index on `v`, and `src (k INT)` with rows `3`, `1`.
+    fn keyed_db() -> Database {
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE t (k INT PRIMARY KEY, v INT); \
+             INSERT INTO t VALUES (1, 10), (2, 20); \
+             CREATE INDEX t_v ON t (v); \
+             CREATE TABLE src (k INT); \
+             INSERT INTO src VALUES (3), (1);",
+        )
+        .unwrap();
+        db
+    }
+
+    /// Every row of `t`, and each found at its slot through every index.
+    fn rows_and_lookups(db: &Database) -> Vec<Row> {
+        let t = db.table("t").unwrap();
+        for (slot, row) in t.rows().enumerate() {
+            for idx in t.indexes() {
+                assert_eq!(idx.lookup(&idx.key_of(row)), &[slot], "{}", idx.name);
+            }
+        }
+        t.rows().map(<[Value]>::to_vec).collect()
+    }
+
+    #[test]
+    fn a_failing_insert_or_update_leaves_no_row_behind() {
+        for statement in [
+            "INSERT INTO t VALUES (3, 30), (4, 40), (3, 50)",
+            "INSERT INTO t SELECT 5 - k * 2, v FROM t",
+            "INSERT INTO t (k) SELECT k FROM src",
+            "UPDATE t SET k = 5",
+            "UPDATE t SET v = 99, k = 3",
+        ] {
+            let mut db = keyed_db();
+            let before = rows_and_lookups(&db);
+            let storage = db.total_storage_bytes();
+            let err = db.execute(statement).unwrap_err();
+            assert!(
+                matches!(err, EngineError::UniqueViolation(_)),
+                "{statement}: {err:?}"
+            );
+            assert_eq!(rows_and_lookups(&db), before, "{statement}");
+            assert_eq!(db.total_storage_bytes(), storage, "{statement}");
+            assert!(db
+                .query("SELECT * FROM t WHERE v = 99")
+                .unwrap()
+                .rows
+                .is_empty());
+        }
+        // A statement that succeeds keeps all of its rows.
+        let mut db = keyed_db();
+        db.execute("INSERT INTO t VALUES (3, 30), (4, 40)").unwrap();
+        assert_eq!(rows_and_lookups(&db).len(), 4);
+    }
+
+    #[test]
+    fn alter_column_type_refuses_to_merge_primary_keys() {
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE t (k INT PRIMARY KEY, v INT); \
+             INSERT INTO t VALUES (9007199254740993, 1), (9007199254740992, 2);",
+        )
+        .unwrap();
+        let err = db
+            .execute("ALTER TABLE t ALTER COLUMN k TYPE DOUBLE")
+            .unwrap_err();
+        assert!(matches!(err, EngineError::UniqueViolation(_)), "{err:?}");
+        let r = db
+            .query("SELECT k FROM t WHERE k = 9007199254740993")
+            .unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(9_007_199_254_740_993)]]);
+        assert_eq!(
+            db.table("t").unwrap().schema.columns[0].dtype,
+            crate::types::DataType::Int
+        );
     }
 
     #[test]

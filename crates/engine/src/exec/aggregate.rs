@@ -13,7 +13,7 @@ use crate::error::{EngineError, Result};
 use crate::exec::{execute, Chunk, ExecContext, Plan};
 use crate::expr::Expr;
 use crate::schema::Schema;
-use crate::types::{Row, Value};
+use crate::types::Value;
 
 /// Aggregate function kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +175,7 @@ impl Acc {
 }
 
 /// `e` evaluated over `row`, borrowing the value of a bare column.
-fn eval_in_place<'r>(e: &Expr, row: &'r Row) -> Result<Cow<'r, Value>> {
+fn eval_in_place<'r>(e: &Expr, row: &'r [Value]) -> Result<Cow<'r, Value>> {
     match e {
         Expr::Column(i) if *i < row.len() => Ok(Cow::Borrowed(&row[*i])),
         other => other.eval(row).map(Cow::Owned),
@@ -263,7 +263,7 @@ mod tests {
     use crate::schema::Column;
     use crate::stats::ExecStats;
     use crate::table::Table;
-    use crate::types::DataType;
+    use crate::types::{DataType, Row};
     use std::collections::HashMap as Map;
 
     fn setup() -> Map<String, Table> {

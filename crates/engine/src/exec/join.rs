@@ -99,12 +99,12 @@ pub fn execute_join<'a>(
     }
 }
 
-fn key_of(row: &Row, cols: &[usize]) -> Vec<Value> {
+fn key_of(row: &[Value], cols: &[usize]) -> Vec<Value> {
     cols.iter().map(|&c| row[c].clone()).collect()
 }
 
 /// A joined row: `left`'s values, then `right`'s.
-pub(crate) fn concat(left: &Row, right: &Row) -> Row {
+pub(crate) fn concat(left: &[Value], right: &[Value]) -> Row {
     let mut row = Vec::with_capacity(left.len() + right.len());
     row.extend_from_slice(left);
     row.extend_from_slice(right);
@@ -164,7 +164,7 @@ pub fn merge_join<'a>(
     let mut r = execute(right, ctx)?;
     let schema = l.schema.join(&r.schema);
 
-    let cmp_keys = |a: &Row, ak: &[usize], b: &Row, bk: &[usize]| -> std::cmp::Ordering {
+    let cmp_keys = |a: &[Value], ak: &[usize], b: &[Value], bk: &[usize]| -> std::cmp::Ordering {
         for (&ca, &cb) in ak.iter().zip(bk) {
             let ord = a[ca].total_cmp(&b[cb]);
             if ord != std::cmp::Ordering::Equal {
@@ -214,7 +214,7 @@ pub fn merge_join<'a>(
     Ok(Chunk::new(schema, out))
 }
 
-fn run_end(rows: &[Cow<Row>], start: usize, keys: &[usize], key: &[Value]) -> usize {
+fn run_end(rows: &[Cow<[Value]>], start: usize, keys: &[usize], key: &[Value]) -> usize {
     let mut end = start + 1;
     while end < rows.len() && key_of(&rows[end], keys) == key {
         end += 1;

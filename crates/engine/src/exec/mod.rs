@@ -2,8 +2,9 @@
 //!
 //! The planner lowers SQL into a small tree of [`Plan`] nodes; execution is
 //! bottom-up — each node consumes and produces a [`Chunk`] (schema + row
-//! vector). A chunk's rows are borrowed from the table heap wherever no
-//! node had to change them:
+//! vector). A row is a `Cow<[Value]>`: a `&[Value]` slice of a table
+//! chunk's cells (see [`crate::table`]) wherever no node had to change
+//! it, a built `Row` where one did:
 //! * `SeqScan` and `IndexLookup` borrow the rows they select;
 //! * `Filter`, `Sort`, `Limit` and an identity `Project` (every item
 //!   `Column(i)` in order, as `SELECT *` plans) pass those borrows on;
@@ -36,16 +37,16 @@ use crate::types::{Row, Value};
 pub use aggregate::{AggFunc, Aggregate};
 pub use join::JoinStrategy;
 
-/// An intermediate result. Each row is borrowed from a table heap of the
-/// [`ExecContext`] or owned by the chunk, when a node built it.
+/// An intermediate result. Each row is a slice of a table heap's chunk of
+/// the [`ExecContext`], or owned by the chunk, when a node built it.
 #[derive(Debug, Clone)]
 pub struct Chunk<'a> {
     pub schema: Schema,
-    pub rows: Vec<Cow<'a, Row>>,
+    pub rows: Vec<Cow<'a, [Value]>>,
 }
 
 impl<'a> Chunk<'a> {
-    pub fn new(schema: Schema, rows: Vec<Cow<'a, Row>>) -> Chunk<'a> {
+    pub fn new(schema: Schema, rows: Vec<Cow<'a, [Value]>>) -> Chunk<'a> {
         Chunk { schema, rows }
     }
 

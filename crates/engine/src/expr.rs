@@ -15,7 +15,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::error::{EngineError, Result};
-use crate::types::{Row, Value};
+use crate::types::Value;
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +131,7 @@ impl Expr {
     }
 
     /// Evaluate against a row.
-    pub fn eval(&self, row: &Row) -> Result<Value> {
+    pub fn eval(&self, row: &[Value]) -> Result<Value> {
         match self {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Column(i) => row.get(*i).cloned().ok_or_else(|| {
@@ -173,7 +173,7 @@ impl Expr {
 
     /// Evaluate as a filter predicate: true iff the result is `Bool(true)`
     /// (NULL counts as false, per SQL semantics).
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
+    pub fn eval_predicate(&self, row: &[Value]) -> Result<bool> {
         match self.eval(row)? {
             Value::Bool(b) => Ok(b),
             Value::Null => Ok(false),
@@ -239,7 +239,7 @@ impl Expr {
     }
 }
 
-fn eval_binop(op: BinOp, left: &Expr, right: &Expr, row: &Row) -> Result<Value> {
+fn eval_binop(op: BinOp, left: &Expr, right: &Expr, row: &[Value]) -> Result<Value> {
     // AND/OR need three-valued short-circuit logic.
     if op == BinOp::And || op == BinOp::Or {
         let l = left.eval(row)?;
@@ -404,7 +404,7 @@ fn contained_by(a: &[i64], b: &[i64]) -> bool {
     }
 }
 
-fn eval_func(func: Func, args: &[Expr], row: &Row) -> Result<Value> {
+fn eval_func(func: Func, args: &[Expr], row: &[Value]) -> Result<Value> {
     let need = |n: usize| -> Result<()> {
         if args.len() != n {
             Err(EngineError::Arity(format!(
@@ -528,6 +528,7 @@ impl fmt::Display for BinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Row;
 
     fn row() -> Row {
         vec![

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use crate::error::{EngineError, Result};
-use crate::types::{Row, Value};
+use crate::types::Value;
 
 /// Key extracted from a row for one or more indexed columns.
 pub type IndexKey = Vec<Value>;
@@ -165,7 +165,7 @@ impl Index {
     }
 
     /// Extract this index's key from a full row.
-    pub fn key_of(&self, row: &Row) -> IndexKey {
+    pub fn key_of(&self, row: &[Value]) -> IndexKey {
         self.columns.iter().map(|&c| row[c].clone()).collect()
     }
 

@@ -1,8 +1,10 @@
 //! Table schemas: named, typed columns plus an optional composite primary
 //! key — e.g. the paper's protein table with PK `<protein1, protein2>`.
 
+use std::borrow::Cow;
+
 use crate::error::{EngineError, Result};
-use crate::types::{DataType, Row, Value};
+use crate::types::{DataType, Value};
 
 /// A single column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,15 +88,16 @@ impl Schema {
     }
 
     /// Extract the primary-key values of a row (empty if no PK).
-    pub fn pk_values(&self, row: &Row) -> Vec<Value> {
+    pub fn pk_values(&self, row: &[Value]) -> Vec<Value> {
         self.primary_key.iter().map(|&i| row[i].clone()).collect()
     }
 
     /// Validate a row against the schema, coercing values to declared types
     /// (e.g. INT literals into DOUBLE columns). Returns the coerced row: the
     /// one passed in, with only the cells whose type differs from their
-    /// column's replaced, so a row that needs no coercion is not copied.
-    pub fn check_row(&self, mut row: Row) -> Result<Row> {
+    /// column's replaced, so a row that needs no coercion is not copied. A
+    /// borrowed row that needs one is copied once, then coerced.
+    pub fn check_row<'r>(&self, mut row: Cow<'r, [Value]>) -> Result<Cow<'r, [Value]>> {
         if row.len() != self.columns.len() {
             return Err(EngineError::Arity(format!(
                 "row has {} values, schema {} columns",
@@ -102,15 +105,18 @@ impl Schema {
                 self.columns.len()
             )));
         }
-        for (v, c) in row.iter_mut().zip(&self.columns) {
-            match v.data_type() {
+        for (i, c) in self.columns.iter().enumerate() {
+            match row[i].data_type() {
                 None if !c.nullable => {
                     return Err(EngineError::Invalid(format!(
                         "null value in non-nullable column {}",
                         c.name
                     )));
                 }
-                Some(t) if t != c.dtype => *v = v.coerce_to(c.dtype)?,
+                Some(t) if t != c.dtype => {
+                    let coerced = row[i].coerce_to(c.dtype)?;
+                    row.to_mut()[i] = coerced;
+                }
                 _ => {}
             }
         }
@@ -133,6 +139,7 @@ impl Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Row;
 
     fn protein_schema() -> Schema {
         Schema::new(vec![
@@ -177,10 +184,22 @@ mod tests {
             Column::new("a", DataType::Double),
             Column::new("b", DataType::Text).not_null(),
         ]);
-        let ok = s.check_row(vec![Value::Int(1), "x".into()]).unwrap();
+        let ok = s.check_row(vec![Value::Int(1), "x".into()].into()).unwrap();
         assert_eq!(ok[0], Value::Double(1.0));
-        assert!(s.check_row(vec![Value::Int(1), Value::Null]).is_err());
-        assert!(s.check_row(vec![Value::Int(1)]).is_err());
+        assert!(s
+            .check_row(vec![Value::Int(1), Value::Null].into())
+            .is_err());
+        assert!(s.check_row(vec![Value::Int(1)].into()).is_err());
+        // A borrowed row is copied only when a cell needs coercing.
+        let fine = [Value::Double(1.0), "x".into()];
+        assert!(matches!(
+            s.check_row(Cow::Borrowed(&fine)),
+            Ok(Cow::Borrowed(_))
+        ));
+        let coerced = [Value::Int(1), "x".into()];
+        let ok = s.check_row(Cow::Borrowed(&coerced)).unwrap();
+        assert!(matches!(ok, Cow::Owned(_)));
+        assert_eq!(ok[0], Value::Double(1.0));
     }
 
     /// The check as it was before it worked in place: every cell cloned or
@@ -300,9 +319,14 @@ mod tests {
             let reference = format!("{:?}", check_row_copying(&schema, &row));
             assert_eq!(reference, want, "reference on {row:?}");
             assert_eq!(
-                format!("{:?}", schema.check_row(row.clone())),
+                format!("{:?}", schema.check_row(row.clone().into())),
                 want,
                 "{row:?}"
+            );
+            assert_eq!(
+                format!("{:?}", schema.check_row(Cow::Borrowed(&row))),
+                want,
+                "borrowed {row:?}"
             );
         }
     }
@@ -341,10 +365,16 @@ mod tests {
             let row: Row = (0..arity)
                 .map(|_| cells[next(cells.len())].clone())
                 .collect();
+            let reference = format!("{:?}", check_row_copying(&schema, &row));
             assert_eq!(
-                format!("{:?}", schema.check_row(row.clone())),
-                format!("{:?}", check_row_copying(&schema, &row)),
-                "case {case}: {schema:?} × {row:?}"
+                format!("{:?}", schema.check_row(Cow::Borrowed(&row))),
+                reference,
+                "case {case}, borrowed: {schema:?} × {row:?}"
+            );
+            assert_eq!(
+                format!("{:?}", schema.check_row(row.into())),
+                reference,
+                "case {case}: {schema:?}"
             );
         }
     }

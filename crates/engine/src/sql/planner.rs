@@ -31,7 +31,7 @@ use crate::exec::{
 };
 use crate::expr::{BinOp, Expr, Func};
 use crate::schema::{Column, Schema};
-use crate::types::{DataType, Row, Value};
+use crate::types::{DataType, Value};
 
 use super::ast::{FromItem, OrderKey, SelectItem, SelectStmt, SqlExpr};
 
@@ -308,7 +308,7 @@ fn lower_expr(
 
 /// The value of a one-column row: moved out of a row the plan built,
 /// copied out of one it borrowed.
-fn only_value(row: Cow<Row>) -> Value {
+fn only_value(row: Cow<[Value]>) -> Value {
     match row {
         Cow::Owned(mut row) => row.swap_remove(0),
         Cow::Borrowed(row) => row[0].clone(),

@@ -9,8 +9,12 @@
 //!
 //! # Chunked copy-on-write storage
 //!
-//! The heap is a directory of fixed-size row **chunks**, each behind its
-//! own [`Arc`]; every index is a directory of `Arc`-shared leaves (see
+//! The heap is a directory of **chunks** of up to 64 rows, each one flat,
+//! row-major buffer of [`Value`] cells behind its own [`Arc`]: slot `s` is
+//! the `width` cells at `(s % 64) * width` of chunk `s / 64`, and
+//! [`Table::row`] hands out that slice. A fresh chunk reserves room for
+//! all 64 rows, so storing rows costs one allocation per 64 of them, not
+//! one per row. Every index is a directory of `Arc`-shared leaves (see
 //! [`crate::index`]). The directories, the clustering state and the byte
 //! counters live behind one more `Arc` (the private `TableData`), and the
 //! table's name and schema behind theirs. What each step costs:
@@ -22,125 +26,221 @@
 //!   only the chunks and leaves the write lands in. Appending rows with
 //!   growing keys copies the tail chunk and the tail leaf: O(rows
 //!   appended), not O(rows stored).
-//! * Operations that rewrite the heap — [`Table::delete_slots`],
-//!   [`Table::cluster_by`], [`Table::add_column`],
-//!   [`Table::alter_column_type`] — cost O(rows stored), shared or not.
-//! * **A write** ([`Table::insert`], [`Table::replace_row`]) is validated
-//!   in place: the row handed in is the row stored, with only the cells
-//!   whose type differs from their column's coerced. Writing a row costs
-//!   that one row's allocation (made by the caller) and no copy of it.
+//! * **A write** ([`Table::insert`], [`Table::replace_row`]) takes its row
+//!   owned or borrowed and is validated where the cells lie: only cells
+//!   whose type differs from their column's are coerced (a borrowed row
+//!   that needs one is copied first). An owned row's cells are moved into
+//!   the chunk; a borrowed row's are cloned into it, so copying a row from
+//!   one table to another allocates nothing per row when its cells own no
+//!   heap memory.
+//! * Operations that rewrite the heap work chunk by chunk and never build
+//!   the rows as vectors: [`Table::delete_slots`] moves the cells after
+//!   the first deleted slot down (the chunks before it stay shared),
+//!   [`Table::add_column`] rebuilds each chunk one cell wider,
+//!   [`Table::alter_column_type`] converts the column's cells where they
+//!   lie, and [`Table::cluster_by`] moves the cells into sorted order.
+//!   Each costs O(rows stored), shared or not.
 //!
 //! Readers holding an older clone keep seeing exactly their rows and
 //! index entries; this is what `orpheus-core` builds MVCC snapshot reads
 //! on.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::error::{EngineError, Result};
 use crate::index::{Index, IndexKey, Probe};
 use crate::schema::Schema;
-use crate::types::{Row, Value};
+use crate::types::Value;
 
 /// Rows per heap chunk: what one write after a clone copies at most, per
-/// chunk it touches.
+/// chunk it touches, and what one allocation of cells holds.
 const CHUNK_ROWS: usize = 64;
 
-/// The heap: rows in slot order, cut into `Arc`-shared chunks. Every chunk
-/// but the last holds exactly [`CHUNK_ROWS`] rows and none is empty, so
-/// slot `s` lives at `chunks[s / CHUNK_ROWS][s % CHUNK_ROWS]`.
+/// The heap: rows of `width` cells in slot order, cut into `Arc`-shared
+/// chunks. Every chunk but the last holds exactly [`CHUNK_ROWS`] rows and
+/// none is empty, so slot `s` is the `width` cells starting at
+/// `(s % CHUNK_ROWS) * width` of `chunks[s / CHUNK_ROWS]`. The row count
+/// is kept apart from the cells, so a table without columns still counts
+/// its rows.
 #[derive(Debug, Clone, Default)]
 struct Heap {
-    chunks: Vec<Arc<Vec<Row>>>,
+    chunks: Vec<Arc<Vec<Value>>>,
+    width: usize,
     len: usize,
 }
 
 impl Heap {
-    fn get(&self, slot: usize) -> &Row {
-        &self.chunks[slot / CHUNK_ROWS][slot % CHUNK_ROWS]
+    fn new(width: usize) -> Heap {
+        Heap {
+            chunks: Vec::new(),
+            width,
+            len: 0,
+        }
+    }
+
+    fn get(&self, slot: usize) -> &[Value] {
+        debug_assert!(slot < self.len, "slot {slot} of {}", self.len);
+        let at = slot % CHUNK_ROWS * self.width;
+        &self.chunks[slot / CHUNK_ROWS][at..at + self.width]
     }
 
     /// The row at `slot`, for writing: copies its chunk if shared.
-    fn get_mut(&mut self, slot: usize) -> &mut Row {
-        &mut Arc::make_mut(&mut self.chunks[slot / CHUNK_ROWS])[slot % CHUNK_ROWS]
+    fn get_mut(&mut self, slot: usize) -> &mut [Value] {
+        debug_assert!(slot < self.len, "slot {slot} of {}", self.len);
+        let at = slot % CHUNK_ROWS * self.width;
+        &mut Arc::make_mut(&mut self.chunks[slot / CHUNK_ROWS])[at..at + self.width]
     }
 
-    fn push(&mut self, row: Row) {
-        match self.chunks.last_mut() {
-            Some(tail) if tail.len() < CHUNK_ROWS => Arc::make_mut(tail).push(row),
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK_ROWS);
-                chunk.push(row);
-                self.chunks.push(Arc::new(chunk));
-            }
+    /// Append one row whose `width` cells `fill` writes onto the tail
+    /// chunk. A new chunk is allocated with room for [`CHUNK_ROWS`] rows;
+    /// a tail shared with a clone is copied, and then given that room.
+    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<Value>)) {
+        let room = CHUNK_ROWS * self.width;
+        if self.len == self.chunks.len() * CHUNK_ROWS {
+            self.chunks.push(Arc::new(Vec::with_capacity(room)));
         }
+        let last = self.chunks.len() - 1;
+        let tail = Arc::make_mut(&mut self.chunks[last]);
+        tail.reserve_exact(room - tail.len());
+        fill(tail);
         self.len += 1;
+        debug_assert_eq!(tail.len(), (self.len - last * CHUNK_ROWS) * self.width);
+    }
+
+    /// Append a checked row: an owned row's cells are moved in, a borrowed
+    /// row's cloned.
+    fn push(&mut self, row: Cow<'_, [Value]>) {
+        self.push_with(|tail| match row {
+            Cow::Borrowed(cells) => tail.extend_from_slice(cells),
+            Cow::Owned(cells) => tail.extend(cells),
+        });
     }
 
     fn iter(&self) -> Rows<'_> {
         Rows {
-            chunks: self.chunks.iter(),
-            chunk: [].iter(),
-            remaining: self.len,
+            heap: self,
+            next: 0,
+            end: self.len,
         }
     }
 
-    /// Every row, owned: moved out of chunks nobody else holds, cloned
-    /// out of shared ones.
-    fn into_rows(self) -> impl Iterator<Item = Row> {
-        self.chunks.into_iter().flat_map(Arc::unwrap_or_clone)
+    /// The cells of the chunks from `first` on, owned — moved out of chunks
+    /// nobody else holds, cloned out of shared ones. The heap keeps only
+    /// the chunks before `first`.
+    fn split_off(&mut self, first: usize) -> Vec<Vec<Value>> {
+        self.len = self.len.min(first * CHUNK_ROWS);
+        self.chunks
+            .split_off(first)
+            .into_iter()
+            .map(Arc::unwrap_or_clone)
+            .collect()
     }
 
-    /// Every chunk, for writing: copies the shared ones.
-    fn chunks_mut(&mut self) -> impl Iterator<Item = &mut Vec<Row>> {
-        self.chunks.iter_mut().map(Arc::make_mut)
+    /// Remove the rows at `doomed` (ascending, distinct), moving the cells
+    /// of every later row down. The chunks before the first removed slot
+    /// are not touched, so they stay shared with any clone.
+    fn remove(&mut self, doomed: &[usize]) {
+        let Some(&first) = doomed.first() else {
+            return;
+        };
+        let (width, len, start) = (self.width, self.len, first / CHUNK_ROWS);
+        let mut doomed = doomed.iter().peekable();
+        for (i, cells) in self.split_off(start).into_iter().enumerate() {
+            let from = (start + i) * CHUNK_ROWS;
+            let mut cells = cells.into_iter();
+            for slot in from..len.min(from + CHUNK_ROWS) {
+                let row = cells.by_ref().take(width);
+                if doomed.next_if_eq(&&slot).is_some() {
+                    row.for_each(drop);
+                } else {
+                    self.push_with(|tail| tail.extend(row));
+                }
+            }
+        }
+    }
+
+    /// Reorder the rows so that slot `i` holds the row that was at
+    /// `order[i]`; `order` is a permutation of the slots. Cells are moved,
+    /// not cloned, out of chunks nobody else holds.
+    fn permute(&mut self, order: &[usize]) {
+        let width = self.width;
+        let mut old = self.split_off(0);
+        for &slot in order {
+            let at = slot % CHUNK_ROWS * width;
+            let row = &mut old[slot / CHUNK_ROWS][at..at + width];
+            self.push_with(|tail| {
+                tail.extend(row.iter_mut().map(|v| std::mem::replace(v, Value::Null)))
+            });
+        }
+    }
+
+    /// Give every row one more cell, `Value::Null`, at the end: each
+    /// chunk is rebuilt one cell per row wider, with room for a full
+    /// chunk.
+    fn widen(&mut self) {
+        let width = self.width;
+        self.width += 1;
+        let mut left = self.len;
+        for chunk in &mut self.chunks {
+            let rows = left.min(CHUNK_ROWS);
+            left -= rows;
+            let buf = Arc::make_mut(chunk);
+            let old = std::mem::replace(buf, Vec::with_capacity(CHUNK_ROWS * (width + 1)));
+            let mut cells = old.into_iter();
+            for _ in 0..rows {
+                buf.extend(cells.by_ref().take(width));
+                buf.push(Value::Null);
+            }
+        }
     }
 }
 
-/// Iterator over a table's rows in slot order ([`Table::rows`]). It knows
-/// its length, so collecting a scan reserves once, and it folds chunk by
-/// chunk, so `for_each`-style consumers run at slice speed.
+/// Iterator over a table's rows in slot order ([`Table::rows`]), each a
+/// slice of its chunk. It knows its length, so collecting a scan reserves
+/// once, and it folds chunk by chunk, so `for_each`-style consumers run at
+/// slice speed.
 #[derive(Debug, Clone)]
 pub struct Rows<'a> {
-    chunks: std::slice::Iter<'a, Arc<Vec<Row>>>,
-    chunk: std::slice::Iter<'a, Row>,
-    remaining: usize,
+    heap: &'a Heap,
+    next: usize,
+    end: usize,
 }
 
 impl<'a> Iterator for Rows<'a> {
-    type Item = &'a Row;
+    type Item = &'a [Value];
 
-    fn next(&mut self) -> Option<&'a Row> {
-        loop {
-            if let Some(row) = self.chunk.next() {
-                self.remaining -= 1;
-                return Some(row);
-            }
-            self.chunk = self.chunks.next()?.iter();
+    fn next(&mut self) -> Option<&'a [Value]> {
+        if self.next == self.end {
+            return None;
         }
+        self.next += 1;
+        Some(self.heap.get(self.next - 1))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        let n = self.end - self.next;
+        (n, Some(n))
     }
 
-    fn fold<B, F: FnMut(B, &'a Row) -> B>(self, init: B, mut f: F) -> B {
-        let acc = self.chunk.fold(init, &mut f);
-        self.chunks
-            .fold(acc, |acc, chunk| chunk.iter().fold(acc, &mut f))
+    fn fold<B, F: FnMut(B, &'a [Value]) -> B>(self, init: B, mut f: F) -> B {
+        let (heap, width) = (self.heap, self.heap.width);
+        let (mut acc, mut slot) = (init, self.next);
+        while slot < self.end {
+            let first = slot % CHUNK_ROWS;
+            let rows = (CHUNK_ROWS - first).min(self.end - slot);
+            let cells = &heap.chunks[slot / CHUNK_ROWS][first * width..(first + rows) * width];
+            acc = match width {
+                0 => (0..rows).fold(acc, |acc, _| f(acc, &[])),
+                _ => cells.chunks_exact(width).fold(acc, &mut f),
+            };
+            slot += rows;
+        }
+        acc
     }
 }
 
 impl ExactSizeIterator for Rows<'_> {}
-
-impl FromIterator<Row> for Heap {
-    fn from_iter<I: IntoIterator<Item = Row>>(rows: I) -> Heap {
-        let mut heap = Heap::default();
-        for row in rows {
-            heap.push(row);
-        }
-        heap
-    }
-}
 
 /// The shared, copy-on-write payload of a [`Table`]: heap and index
 /// directories, clustering state, and byte accounting. Clones of a table
@@ -155,17 +255,18 @@ struct TableData {
 }
 
 impl TableData {
-    fn rebuild_indexes(&mut self) {
+    /// Re-enter every row into every index. Fails on a key a unique index
+    /// already holds, which a rewrite that changed key values can cause.
+    fn rebuild_indexes(&mut self) -> Result<()> {
         for idx in &mut self.indexes {
             idx.clear();
         }
         for (slot, row) in self.rows.iter().enumerate() {
             for idx in &mut self.indexes {
-                let key = idx.key_of(row);
-                // Uniqueness was validated on the way in; rebuild can't fail.
-                let _ = idx.insert(key, slot);
+                idx.insert(idx.key_of(row), slot)?;
             }
         }
+        Ok(())
     }
 
     fn recompute_bytes(&mut self) {
@@ -194,7 +295,10 @@ impl Table {
     /// the "physical primary key index" setup of Section 3.2.
     pub fn new(name: impl Into<String>, schema: Schema) -> Table {
         let name = name.into();
-        let mut data = TableData::default();
+        let mut data = TableData {
+            rows: Heap::new(schema.arity()),
+            ..TableData::default()
+        };
         if !schema.primary_key.is_empty() {
             let cols = schema.primary_key.clone();
             data.indexes.push(Index::new(pkey_name(&name), cols, true));
@@ -232,12 +336,13 @@ impl Table {
         self.data.rows.len == 0
     }
 
-    /// Every row, in slot order.
+    /// Every row, in slot order, borrowed from its chunk.
     pub fn rows(&self) -> Rows<'_> {
         self.data.rows.iter()
     }
 
-    pub fn row(&self, slot: usize) -> &Row {
+    /// The row at `slot`, borrowed from its chunk.
+    pub fn row(&self, slot: usize) -> &[Value] {
         self.data.rows.get(slot)
     }
 
@@ -279,7 +384,7 @@ impl Table {
 
     /// `row`'s key in every index, in index order — built once per write,
     /// for the uniqueness probe and the insert both.
-    fn keys_of(&self, row: &Row) -> Vec<IndexKey> {
+    fn keys_of(&self, row: &[Value]) -> Vec<IndexKey> {
         self.data.indexes.iter().map(|i| i.key_of(row)).collect()
     }
 
@@ -298,9 +403,10 @@ impl Table {
         Ok(())
     }
 
-    /// Insert one row (validated and coerced against the schema, in place).
-    pub fn insert(&mut self, row: Row) -> Result<()> {
-        let row = self.schema.check_row(row)?;
+    /// Insert one row, owned or borrowed, validated and coerced against
+    /// the schema where its cells lie (see the module docs).
+    pub fn insert<'r>(&mut self, row: impl Into<Cow<'r, [Value]>>) -> Result<()> {
+        let row = self.schema.check_row(row.into())?;
         let keys = self.keys_of(&row);
         self.check_unique(&keys, None)?;
         let data = Arc::make_mut(&mut self.data);
@@ -318,7 +424,11 @@ impl Table {
     }
 
     /// Bulk insert; stops at the first constraint violation.
-    pub fn insert_many<I: IntoIterator<Item = Row>>(&mut self, rows: I) -> Result<usize> {
+    pub fn insert_many<'r, I>(&mut self, rows: I) -> Result<usize>
+    where
+        I: IntoIterator,
+        I::Item: Into<Cow<'r, [Value]>>,
+    {
         let mut n = 0;
         for r in rows {
             self.insert(r)?;
@@ -327,23 +437,37 @@ impl Table {
         Ok(n)
     }
 
-    /// Replace the row at `slot`, keeping indexes in sync.
-    pub fn replace_row(&mut self, slot: usize, new_row: Row) -> Result<()> {
-        let new_row = self.schema.check_row(new_row)?;
+    /// Replace the row at `slot` (owned or borrowed, checked like an
+    /// insert), keeping indexes in sync.
+    pub fn replace_row<'r>(
+        &mut self,
+        slot: usize,
+        new_row: impl Into<Cow<'r, [Value]>>,
+    ) -> Result<()> {
+        let new_row = self.schema.check_row(new_row.into())?;
         // Uniqueness: the new key must not collide with a *different* slot.
         let new_keys = self.keys_of(&new_row);
         self.check_unique(&new_keys, Some(slot))?;
+        let old_keys = self.keys_of(self.row(slot));
+        let old_bytes = row_bytes(self.row(slot));
+        let new_bytes = row_bytes(&new_row);
         let data = Arc::make_mut(&mut self.data);
-        let old = std::mem::replace(data.rows.get_mut(slot), new_row);
-        for (idx, new_key) in data.indexes.iter_mut().zip(new_keys) {
-            let old_key = idx.key_of(&old);
+        let cells = data.rows.get_mut(slot);
+        match new_row {
+            Cow::Borrowed(row) => cells.clone_from_slice(row),
+            Cow::Owned(row) => {
+                for (cell, v) in cells.iter_mut().zip(row) {
+                    *cell = v;
+                }
+            }
+        }
+        for ((idx, old_key), new_key) in data.indexes.iter_mut().zip(old_keys).zip(new_keys) {
             if old_key != new_key {
                 idx.remove(&old_key, slot);
                 idx.insert(new_key, slot)?;
             }
         }
-        data.row_bytes_total =
-            data.row_bytes_total + row_bytes(data.rows.get(slot)) - row_bytes(&old);
+        data.row_bytes_total = data.row_bytes_total + new_bytes - old_bytes;
         Ok(())
     }
 
@@ -356,14 +480,9 @@ impl Table {
         slots.sort_unstable();
         slots.dedup();
         let data = self.data_mut();
-        let mut del_iter = slots.iter().peekable();
-        data.rows = std::mem::take(&mut data.rows)
-            .into_rows()
-            .enumerate()
-            .filter(|(i, _)| del_iter.next_if_eq(&i).is_none())
-            .map(|(_, row)| row)
-            .collect();
-        data.rebuild_indexes();
+        data.rows.remove(&slots);
+        let rebuilt = data.rebuild_indexes();
+        debug_assert!(rebuilt.is_ok(), "the kept rows' keys were distinct before");
         data.recompute_bytes();
         data.clustered_on = None;
         slots.len()
@@ -372,7 +491,7 @@ impl Table {
     /// Remove every row, keeping schema and index definitions.
     pub fn truncate(&mut self) {
         let data = self.data_mut();
-        data.rows = Heap::default();
+        data.rows = Heap::new(data.rows.width);
         for idx in &mut data.indexes {
             idx.clear();
         }
@@ -431,8 +550,10 @@ impl Table {
             .collect();
         let cols = cols?;
         let data = self.data_mut();
-        let mut rows: Vec<Row> = std::mem::take(&mut data.rows).into_rows().collect();
-        rows.sort_by(|a, b| {
+        // A stable sort of the slots, then one move of every row.
+        let mut order: Vec<usize> = (0..data.rows.len).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (data.rows.get(a), data.rows.get(b));
             for &c in &cols {
                 let ord = a[c].total_cmp(&b[c]);
                 if ord != std::cmp::Ordering::Equal {
@@ -441,8 +562,8 @@ impl Table {
             }
             std::cmp::Ordering::Equal
         });
-        data.rows = rows.into_iter().collect();
-        data.rebuild_indexes();
+        data.rows.permute(&order);
+        data.rebuild_indexes()?;
         data.clustered_on = Some(cols);
         Ok(())
     }
@@ -463,15 +584,17 @@ impl Table {
         }
         Arc::make_mut(&mut self.schema).columns.push(col);
         let data = self.data_mut();
-        for row in data.rows.chunks_mut().flatten() {
-            row.push(Value::Null);
-        }
+        data.rows.widen();
         data.row_bytes_total += data.rows.len; // 1 byte per NULL
         Ok(())
     }
 
     /// Change a column to a more general type (int → double → text),
     /// converting stored values. Used by single-pool schema evolution.
+    /// Refused with [`EngineError::UniqueViolation`] when the conversion
+    /// makes two keys of a unique index equal (two integers that round to
+    /// one double, `0.0` and `-0.0` as text); a refused change leaves the
+    /// table as it was.
     pub fn alter_column_type(
         &mut self,
         name: &str,
@@ -487,13 +610,20 @@ impl Table {
                 "cannot narrow column {name} from {old} to {new_type}"
             )));
         }
-        let data = Arc::make_mut(&mut self.data);
-        for row in data.rows.chunks_mut().flatten() {
-            row[ci] = row[ci].coerce_to(new_type)?;
+        // Convert a clone, which costs three reference counts, and keep it
+        // only if every cell converts and every unique index still holds.
+        let mut t = self.clone();
+        let data = Arc::make_mut(&mut t.data);
+        let width = data.rows.width;
+        for chunk in &mut data.rows.chunks {
+            for cell in Arc::make_mut(chunk).iter_mut().skip(ci).step_by(width) {
+                *cell = cell.coerce_to(new_type)?;
+            }
         }
-        Arc::make_mut(&mut self.schema).columns[ci].dtype = new_type;
-        data.rebuild_indexes();
+        Arc::make_mut(&mut t.schema).columns[ci].dtype = new_type;
+        data.rebuild_indexes()?;
         data.recompute_bytes();
+        *self = t;
         Ok(())
     }
 
@@ -527,7 +657,7 @@ impl Table {
     }
 }
 
-fn row_bytes(row: &Row) -> usize {
+fn row_bytes(row: &[Value]) -> usize {
     row.iter().map(|v| v.storage_bytes()).sum()
 }
 
@@ -587,19 +717,90 @@ mod tests {
     }
 
     #[test]
-    fn an_insert_stores_the_row_it_is_handed() {
+    fn an_insert_moves_an_owned_rows_cells_into_its_chunk() {
         let mut t = table();
         let text = String::from("kept in place");
         let buffer = text.as_ptr();
-        let row = vec![Value::Int(1), Value::Text(text)];
-        let cells = row.as_ptr();
-        t.insert(row).unwrap();
-        // Neither the row nor its text cell was copied by the write check.
-        assert_eq!(t.row(0).as_ptr(), cells);
+        t.insert(vec![Value::Int(1), Value::Text(text)]).unwrap();
+        // The text cell was moved into the chunk, its buffer not copied.
         let Value::Text(stored) = &t.row(0)[1] else {
             panic!("a text cell")
         };
         assert_eq!(stored.as_ptr(), buffer);
+        // A borrowed row's cells are cloned: the source keeps its own.
+        let source = [Value::Int(2), Value::Text("borrowed".into())];
+        t.insert(&source[..]).unwrap();
+        let (Value::Text(stored), Value::Text(original)) = (&t.row(1)[1], &source[1]) else {
+            panic!("text cells")
+        };
+        assert_eq!(stored, original);
+        assert_ne!(stored.as_ptr(), original.as_ptr());
+        // Rows share their chunk's buffer, one row after the other.
+        assert_eq!(t.row(1).as_ptr(), t.row(0)[2..].as_ptr());
+    }
+
+    #[test]
+    fn a_borrowed_insert_coerces_a_copy_and_refuses_a_bad_row() {
+        let schema = Schema::new(vec![
+            Column::new("rid", DataType::Int).not_null(),
+            Column::new("score", DataType::Double),
+        ])
+        .with_primary_key(&["rid"])
+        .unwrap();
+        let mut t = Table::new("t", schema);
+        let source = vec![Value::Int(1), Value::Int(2)];
+        t.insert(&source).unwrap();
+        assert_eq!(format!("{:?}", t.row(0)), "[Int(1), Double(2.0)]");
+        assert_eq!(
+            format!("{source:?}"),
+            "[Int(1), Int(2)]",
+            "the source is untouched"
+        );
+        let bytes = t.heap_bytes();
+        // NULL key, short row, uncoercible cell, duplicate key.
+        for bad in [
+            vec![Value::Null, Value::Int(5)],
+            vec![Value::Int(2)],
+            vec![Value::Int(2), "x".into()],
+            vec![Value::Int(1), Value::Double(9.0)],
+        ] {
+            assert!(t.insert(&bad[..]).is_err(), "{bad:?}");
+        }
+        for bad in [vec![Value::Null, Value::Int(5)], vec![Value::Int(2)]] {
+            assert!(t.replace_row(0, &bad[..]).is_err(), "{bad:?}");
+        }
+        assert_eq!(format!("{:?}", t.row(0)), "[Int(1), Double(2.0)]");
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.heap_bytes(), bytes);
+        assert_eq!(t.index_lookup(&[0], &[Value::Int(2)]), Some(&[][..]));
+        // A borrowed replacement is checked and coerced the same way.
+        t.replace_row(0, &[Value::Int(3), Value::Int(4)][..])
+            .unwrap();
+        assert_eq!(format!("{:?}", t.row(0)), "[Int(3), Double(4.0)]");
+        assert_eq!(t.index_lookup(&[0], &[Value::Int(3)]), Some(&[0][..]));
+    }
+
+    #[test]
+    fn a_table_without_columns_counts_its_rows() {
+        let mut t = Table::new("empty", Schema::new(vec![]));
+        for _ in 0..(2 * CHUNK_ROWS + 1) {
+            t.insert(Vec::new()).unwrap();
+        }
+        t.insert(&[][..]).unwrap();
+        assert!(t.insert(vec![Value::Int(1)]).is_err());
+        let n = 2 * CHUNK_ROWS + 2;
+        assert_eq!(t.len(), n);
+        assert_eq!(t.rows().len(), n);
+        assert_eq!(t.rows().fold(0, |seen, row| seen + 1 + row.len()), n);
+        assert!(t.row(n - 1).is_empty());
+        assert_eq!(t.delete_slots(vec![0, CHUNK_ROWS, n - 1]), 3);
+        assert_eq!(t.len(), n - 3);
+        assert_eq!(t.rows().count(), n - 3);
+        t.add_column(Column::new("x", DataType::Int)).unwrap();
+        assert_eq!(t.len(), n - 3);
+        assert!(t.rows().all(|row| row == [Value::Null]));
+        t.truncate();
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -693,6 +894,62 @@ mod tests {
         t.alter_column_type("rid", DataType::Double).unwrap();
         assert_eq!(t.row(0)[0], Value::Double(1.0));
         assert!(t.alter_column_type("rid", DataType::Int).is_err());
+    }
+
+    /// A one-column-key table holding `keys`, typed `dtype`, with the key
+    /// index unique or not.
+    fn keyed(dtype: DataType, keys: &[Value], unique: bool) -> Table {
+        let schema = Schema::new(vec![
+            Column::new("k", dtype),
+            Column::new("v", DataType::Int),
+        ]);
+        let mut t = Table::new("t", schema);
+        t.create_index("t_k", &["k"], unique).unwrap();
+        for (i, k) in keys.iter().enumerate() {
+            t.insert(vec![k.clone(), Value::Int(i as i64)]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn alter_column_type_refuses_to_make_unique_keys_equal() {
+        let cases = [
+            // Two integers that round to one double.
+            (
+                DataType::Int,
+                [
+                    Value::Int(9_007_199_254_740_993),
+                    Value::Int(9_007_199_254_740_992),
+                ],
+                DataType::Double,
+            ),
+            // Both zeros print as "0".
+            (
+                DataType::Double,
+                [Value::Double(0.0), Value::Double(-0.0)],
+                DataType::Text,
+            ),
+        ];
+        for (from, keys, to) in cases {
+            let mut t = keyed(from, &keys, true);
+            let rows = format!("{:?}", t.rows().collect::<Vec<_>>());
+            let bytes = t.storage_bytes();
+            let err = t.alter_column_type("k", to).unwrap_err();
+            assert!(matches!(err, EngineError::UniqueViolation(_)), "{err:?}");
+            // The table is as it was: type, cells, bytes and lookups.
+            assert_eq!(t.schema.columns[0].dtype, from);
+            assert_eq!(format!("{:?}", t.rows().collect::<Vec<_>>()), rows);
+            assert_eq!(t.storage_bytes(), bytes);
+            for (slot, k) in keys.iter().enumerate() {
+                let idx = t.index_named("t_k").unwrap();
+                assert_eq!(idx.lookup(std::slice::from_ref(k)), &[slot], "{k:?}");
+            }
+            // A non-unique index takes the equal keys.
+            let mut t = keyed(from, &keys, false);
+            t.alter_column_type("k", to).unwrap();
+            let idx = t.index_named("t_k").unwrap();
+            assert_eq!(idx.lookup(&idx.key_of(t.row(0))), &[0, 1]);
+        }
     }
 
     #[test]
@@ -816,9 +1073,13 @@ mod tests {
     fn a_clone_keeps_its_rows_and_lookups_through_every_write() {
         let n = 3 * CHUNK_ROWS + 7;
         type Write = fn(&mut Table);
-        let writes: [(&str, Write); 8] = [
+        let writes: [(&str, Write); 9] = [
             ("insert", |t| {
                 t.insert(vec![Value::Int(-1), "low".into()]).unwrap();
+            }),
+            ("borrowed insert", |t| {
+                t.insert(&[Value::Int(-1), Value::Text("low".into())][..])
+                    .unwrap();
             }),
             ("replace_row", |t| {
                 t.replace_row(70, vec![Value::Int(9_000), "moved".into()])
@@ -842,7 +1103,7 @@ mod tests {
         for (name, write) in writes {
             let mut t = filled(n);
             let snapshot = t.clone();
-            let expected: Vec<Row> = snapshot.rows().cloned().collect();
+            let expected: Vec<Vec<Value>> = snapshot.rows().map(<[Value]>::to_vec).collect();
             let bytes = snapshot.storage_bytes();
             write(&mut t);
             assert_eq!(snapshot.len(), n, "{name}");
@@ -862,6 +1123,120 @@ mod tests {
             for (slot, row) in t.rows().enumerate() {
                 assert_eq!(t.index_lookup(&[0], &row[..1]), Some(&[slot][..]), "{name}");
             }
+        }
+    }
+
+    /// `t` against `model`: its rows read stepped, folded and by slot,
+    /// every row found at its slot through every index, and its byte count.
+    fn assert_holds(t: &Table, model: &[Vec<Value>], what: &str) {
+        assert_eq!(t.len(), model.len(), "{what}");
+        assert_eq!(t.rows().len(), model.len(), "{what}");
+        assert!(t.rows().eq(model.iter().map(Vec::as_slice)), "{what}");
+        let folded = t.rows().fold(Vec::new(), |mut all, row| {
+            all.push(row.to_vec());
+            all
+        });
+        assert_eq!(folded, model, "{what}");
+        for (slot, row) in model.iter().enumerate() {
+            assert_eq!(t.row(slot), &row[..], "{what}: slot {slot}");
+            for idx in t.indexes() {
+                let slots = idx.lookup(&idx.key_of(row));
+                assert!(slots.contains(&slot), "{what}: {} at {slot}", idx.name);
+            }
+        }
+        let bytes: usize = model.iter().map(|row| row_bytes(row)).sum();
+        assert_eq!(t.heap_bytes(), bytes, "{what}");
+    }
+
+    #[test]
+    fn tables_at_chunk_edges_keep_their_rows_through_every_write() {
+        for n in [
+            CHUNK_ROWS - 1,
+            CHUNK_ROWS,
+            CHUNK_ROWS + 1,
+            2 * CHUNK_ROWS + 1,
+        ] {
+            let mut t = filled(n);
+            let mut model: Vec<Vec<Value>> = t.rows().map(<[Value]>::to_vec).collect();
+            assert_holds(&t, &model, &format!("{n} rows"));
+            let mut step =
+                |what: &str, write: &dyn Fn(&mut Table), edit: &dyn Fn(&mut Vec<Vec<Value>>)| {
+                    write(&mut t);
+                    edit(&mut model);
+                    assert_holds(&t, &model, &format!("{n} rows, {what}"));
+                };
+            let owned = || vec![Value::Int(-1), "owned".into()];
+            step("owned insert", &|t| t.insert(owned()).unwrap(), &|m| {
+                m.push(owned())
+            });
+            let borrowed = [Value::Int(-2), Value::Text("borrowed".into())];
+            step(
+                "borrowed insert",
+                &|t| t.insert(&borrowed[..]).unwrap(),
+                &|m| m.push(borrowed.to_vec()),
+            );
+            let last = n + 1;
+            let moved = || vec![Value::Int(-3), "moved".into()];
+            step(
+                "replace_row",
+                &|t| {
+                    t.replace_row(last, moved()).unwrap();
+                    t.replace_row(0, &borrowed[..1]).unwrap_err();
+                },
+                &|m| m[last] = moved(),
+            );
+            let mut doomed = vec![0, n / 2, CHUNK_ROWS - 1, n - 1, last];
+            doomed.sort_unstable();
+            doomed.dedup();
+            step(
+                "delete_slots",
+                &|t| {
+                    let unsorted = doomed.iter().rev().copied().collect();
+                    assert_eq!(t.delete_slots(unsorted), doomed.len());
+                },
+                &|m| {
+                    *m = std::mem::take(m)
+                        .into_iter()
+                        .enumerate()
+                        .filter(|(slot, _)| !doomed.contains(slot))
+                        .map(|(_, row)| row)
+                        .collect();
+                },
+            );
+            step("cluster_by", &|t| t.cluster_by(&["val"]).unwrap(), &|m| {
+                m.sort_by(|a, b| a[1].total_cmp(&b[1]))
+            });
+            step(
+                "create_index",
+                &|t| t.create_index("t_val", &["val"], false).unwrap(),
+                &|_| {},
+            );
+            step(
+                "add_column",
+                &|t| t.add_column(Column::new("extra", DataType::Int)).unwrap(),
+                &|m| m.iter_mut().for_each(|row| row.push(Value::Null)),
+            );
+            step(
+                "alter_column_type",
+                &|t| t.alter_column_type("rid", DataType::Double).unwrap(),
+                &|m| {
+                    for row in m {
+                        row[0] = row[0].coerce_to(DataType::Double).unwrap();
+                    }
+                },
+            );
+            let wide = || vec![Value::Double(0.5), "wide".into(), Value::Int(7)];
+            step(
+                "insert after widening",
+                &|t| t.insert(wide()).unwrap(),
+                &|m| m.push(wide()),
+            );
+            step("truncate", &|t| t.truncate(), &|m| m.clear());
+            step(
+                "insert after truncate",
+                &|t| t.insert(wide()).unwrap(),
+                &|m| m.push(wide()),
+            );
         }
     }
 

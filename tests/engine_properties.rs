@@ -226,7 +226,7 @@ proptest! {
         for (slot, k) in &moves {
             if !t.is_empty() {
                 let slot = slot % t.len();
-                let mut row = t.row(slot).clone();
+                let mut row = t.row(slot).to_vec();
                 row[1] = Value::Int(*k);
                 t.replace_row(slot, row).unwrap();
             }

@@ -313,8 +313,13 @@ fn merged_checkouts_keep_rows_order_and_precedence() {
                 let vids: Vec<Vid> = vids.iter().map(|&v| Vid(v)).collect();
                 let table = format!("m{i}");
                 odb.checkout("prot", &vids, &table).unwrap();
-                let got: Vec<Vec<Value>> =
-                    odb.engine.table(&table).unwrap().rows().cloned().collect();
+                let got: Vec<Vec<Value>> = odb
+                    .engine
+                    .table(&table)
+                    .unwrap()
+                    .rows()
+                    .map(<[_]>::to_vec)
+                    .collect();
                 let want = reference_merge(&mut odb, &vids);
                 assert_eq!(got, want, "{what}: merge of {vids:?}");
                 // Value equality lets 1 and 1.0 pass for each other; the

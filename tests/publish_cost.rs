@@ -425,26 +425,79 @@ fn checkout_cost(rows: i64, with_pk: bool, vids: &[Vid]) -> (u64, usize) {
     (allocs, odb.engine.table("peek").unwrap().len())
 }
 
+/// Allocation calls per record staged by a checkout of `vids`, as the
+/// slope between a 1 000-record and a 2 000-record v1 (see
+/// [`checkout_cost`]).
+fn checkout_slope(with_pk: bool, vids: &[Vid]) -> f64 {
+    let (small, small_rows) = checkout_cost(1_000, with_pk, vids);
+    let (large, large_rows) = checkout_cost(2_000, with_pk, vids);
+    (large - small) as f64 / (large_rows - small_rows) as f64
+}
+
 /// The paper's checkout is `SELECT … INTO` over the version's records
-/// (Table 1): one copy per record. The engine's write check coerces the
-/// row it is handed in place, and a merged checkout builds each row once
-/// from the records it borrows, so both cost one allocation per record
-/// staged — 2.03 and 5.04 while the check copied every row again and the
-/// merge copied each record, gave it a hash bucket and rebuilt it.
+/// (Table 1). A single-version checkout clones each record's cells from
+/// the data table's chunk straight into the staged table's: the only
+/// allocations are the staged table's chunks, one per 64 records — 1.03
+/// per record while each staged row was its own vector, 2.03 while the
+/// write check copied it again.
+#[test]
+fn a_single_version_checkout_allocates_per_chunk_not_per_record() {
+    for with_pk in [true, false] {
+        let per_record = checkout_slope(with_pk, &[Vid(2)]);
+        assert!(
+            per_record <= 0.05,
+            "checkout of v2 (primary key: {with_pk}): {per_record:.3} allocation calls \
+             per record staged"
+        );
+    }
+}
+
+/// A merged checkout builds each merged row once from the records it
+/// borrows and moves its cells into the staged table: one allocation per
+/// record staged — 5.04 while the merge copied each record, gave it a hash
+/// bucket and rebuilt it.
 #[test]
 fn a_checkout_copies_each_record_once() {
     for with_pk in [true, false] {
-        for vids in [&[Vid(2)][..], &[Vid(2), Vid(1)]] {
-            let (small, small_rows) = checkout_cost(1_000, with_pk, vids);
-            let (large, large_rows) = checkout_cost(2_000, with_pk, vids);
-            let per_record = (large - small) as f64 / (large_rows - small_rows) as f64;
-            assert!(
-                per_record <= 1.1,
-                "checkout of {vids:?} (primary key: {with_pk}): {per_record:.2} allocation \
-                 calls per record staged ({small} for {small_rows} rows, {large} for {large_rows})"
-            );
-        }
+        let per_record = checkout_slope(with_pk, &[Vid(2), Vid(1)]);
+        assert!(
+            per_record <= 1.1,
+            "merged checkout (primary key: {with_pk}): {per_record:.2} allocation calls \
+             per record staged"
+        );
     }
+}
+
+/// Allocation calls per row of a staged checkout of version 1 that the
+/// SQL statement `sql` costs on it (see [`per_record_slope`]).
+fn staged_statement_slope(sql: &str) -> f64 {
+    per_record_slope(|odb| {
+        odb.checkout(CVD, &[Vid(1)], "w").unwrap();
+        let spent = allocs_of(|| drop(odb.run(sql).unwrap()));
+        odb.discard("w").unwrap();
+        spent
+    })
+}
+
+/// `ADD COLUMN` rebuilds the heap one chunk at a time, one cell wider:
+/// one allocation per 64 rows, not a `realloc` per row (1.00 while every
+/// row was its own vector), and no copy of the heap as rows.
+#[test]
+fn widening_a_staged_checkout_allocates_per_chunk() {
+    let slope = staged_statement_slope("ALTER TABLE w ADD COLUMN z INT");
+    assert!(slope <= 0.05, "{slope:.3} allocation calls per row widened");
+}
+
+/// `DELETE` compacts the heap by moving the cells after the first deleted
+/// row down into new chunks: allocation calls follow the chunks, not the
+/// rows.
+#[test]
+fn deleting_from_a_staged_checkout_allocates_per_chunk() {
+    let slope = staged_statement_slope("DELETE FROM w WHERE k < 10");
+    assert!(
+        slope <= 0.05,
+        "{slope:.3} allocation calls per row compacted"
+    );
 }
 
 /// `(allocation calls, WAL bytes)` of one durable commit of the same

@@ -66,7 +66,7 @@ fn reoptimize_after(online_commits: usize) {
             .table("parted")
             .unwrap()
             .rows()
-            .cloned()
+            .map(<[_]>::to_vec)
             .collect();
         odb.discard("parted").unwrap();
         let cvd = odb.cvd(CVD).unwrap().clone();
