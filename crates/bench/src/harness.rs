@@ -142,8 +142,8 @@ pub fn drive<E: Executor>(
 }
 
 /// Like [`drive`], but submitting the whole stream as one
-/// [`Executor::batch`] call, so batching executors get to coalesce lock
-/// acquisitions and version-row scans (and a remote one ships one frame).
+/// [`Executor::batch`] call, so the concurrent executors take each shard
+/// lock once per sub-batch (and a remote one ships one frame).
 ///
 /// Timing is necessarily per batch; the per-command breakdown attributes
 /// the wall time evenly across the requests, so treat `ms_per_op` as an
@@ -180,12 +180,11 @@ pub fn checkout_storm(cvd: &str, versions: &[u64]) -> Vec<Request> {
 /// clients pulling the current dataset, which Section 6's workloads show
 /// dominating commits) and then checking it out and committing it.
 /// Table names embed the thread id so streams from different threads
-/// never collide, whichever executor runs them. The repeated identical
-/// exports are the shared-scan opportunity a batching or async executor
-/// can exploit *across* interleaved clients of one CVD, which
-/// per-request sessions structurally cannot: the version merge runs once
-/// per sub-batch instead of once per export. `cluster == 0` leaves plain
-/// checkout → commit pairs, the stream of `fault_storm`'s clients.
+/// never collide, whichever executor runs them. The exports are reads
+/// that stage a name, so interleaved clients of one CVD contend for its
+/// shard lock and the catalog's staged-name index between commits.
+/// `cluster == 0` leaves plain checkout → commit pairs, the stream of
+/// `fault_storm`'s clients.
 ///
 /// The exported CSVs stay registered in the staging area (a real client
 /// would `commit -f` or abandon them later), so outcome comparisons

@@ -248,9 +248,9 @@ attributed to <user> rather than the instance identity.
 
 The --batch <file> flag submits a script — one command per line, `#`
 comments and blank lines skipped — as a single batch, letting the
-executor coalesce lock acquisitions and version scans. Responses come
-back in script order; a failing line is reported with its line number
-and does not abort the lines after it.
+executor coalesce lock acquisitions. Responses come back in script
+order; a failing line is reported with its line number and does not
+abort the lines after it.
 
 The --async flag puts the async executor (a coordinator thread plus a
 per-shard worker pool) in front of the shared instance and drives the

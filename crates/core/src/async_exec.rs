@@ -4,12 +4,13 @@
 //! has many users hitting one instance at once. The synchronous executors
 //! make each *caller* pay for lock waits: a `Session` blocks its thread on
 //! the target CVD's lock for every request. This module turns the
-//! dispatch data the batching layer already produces — a [`BatchPlan`]
-//! of per-shard [`Step::Shard`] sub-batches separated by
-//! [`Step::Sequential`] barriers — into a running machine:
+//! dispatch data the batching layer already produces — a
+//! [`crate::batch::BatchPlan`] of per-shard [`Step::Shard`] sub-batches
+//! separated by [`Step::Sequential`] barriers — into a running machine:
 //!
 //! * a **coordinator thread** drains the submission channel into chunks,
-//!   plans each chunk under one catalog read ([`BatchPlan::build`], whose
+//!   plans each chunk under one catalog read
+//!   ([`crate::batch::BatchPlan::build`], whose
 //!   every request is routed by [`crate::batch::route`], the rule a
 //!   single `Session::execute` is routed by), hands shard steps to the
 //!   worker pool, and executes sequential barriers itself (waiting for
@@ -24,7 +25,8 @@
 //!   `ConcurrentExecutor::run_items` (crate-internal): a writing
 //!   sub-batch — checkouts included — under one shard-lock acquisition,
 //!   reservation and staged-index bookkeeping in single catalog writes,
-//!   shared version-row scans, identity swapped per request owner.
+//!   identity swapped per request owner, and each request run exactly as
+//!   a single `execute` of it would run.
 //!   **Read-only** sub-batches (`log`, `diff`, single-shard SELECTs —
 //!   [`Step::Shard`]'s `read_only` flag) skip the per-shard FIFO
 //!   entirely: they are served from a clone of the shard's MVCC snapshot,
@@ -92,7 +94,7 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::batch::{BatchPlan, ShardKey, Step};
+use crate::batch::{ShardKey, Step};
 use crate::concurrent::{ConcurrentExecutor, SharedOrpheusDB, SubItem};
 use crate::error::{CoreError, Result};
 use crate::request::{Executor, Request};
@@ -225,7 +227,6 @@ struct WorkItem {
 
 /// One `Step::Shard` sub-batch, queued for its shard.
 struct Job {
-    plan: Arc<BatchPlan>,
     key: ShardKey,
     /// Served from the shard's MVCC snapshot instead of under its lock —
     /// exempt from the per-shard FIFO (see [`PoolState::reads`]).
@@ -372,7 +373,7 @@ fn run_job(exec: &ConcurrentExecutor, mut job: Job) {
         })
         .collect();
     let _ = catch_unwind(AssertUnwindSafe(|| {
-        exec.run_items(job.plan.shared_scans(), &job.key, job.read_only, &mut items);
+        exec.run_items(&job.key, job.read_only, &mut items);
     }));
     let label = job.key.label();
     for (work, item) in job.items.iter().zip(items) {
@@ -523,12 +524,12 @@ fn coordinator_loop(
 }
 
 /// Plan one chunk and execute its steps. The chunk is one
-/// [`BatchPlan`]: shard steps between barriers run on the pool in
-/// parallel (or inline, in coordinator-only mode), sequential steps run
-/// here after a full barrier. A trailing barrier closes the chunk, so the
-/// next chunk's plan reads catalog state that reflects everything this
-/// chunk did — cross-chunk per-client ordering (e.g. re-checking-out a
-/// name a failed checkout just released) depends on it.
+/// [`crate::batch::BatchPlan`]: shard steps between barriers run on the
+/// pool in parallel (or inline, in coordinator-only mode), sequential
+/// steps run here after a full barrier. A trailing barrier closes the
+/// chunk, so the next chunk's plan reads catalog state that reflects
+/// everything this chunk did — cross-chunk per-client ordering (e.g.
+/// re-checking-out a name a failed checkout just released) depends on it.
 fn process_chunk(
     exec: &ConcurrentExecutor,
     pool: &Arc<Pool>,
@@ -543,7 +544,7 @@ fn process_chunk(
         tickets.push(s.ticket);
         requests.push(s.request);
     }
-    let plan = Arc::new(exec.plan(&requests));
+    let plan = exec.plan(&requests);
     let mut slots: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
 
     for step in plan.steps() {
@@ -576,7 +577,6 @@ fn process_chunk(
                     })
                     .collect();
                 let job = Job {
-                    plan: Arc::clone(&plan),
                     key: key.clone(),
                     read_only: *read_only,
                     items,
@@ -771,9 +771,10 @@ impl AsyncHandle {
     }
 
     /// Enqueue a whole request vector as **one** message: the coordinator
-    /// plans it as a single chunk (maximal per-shard sub-batches, maximal
-    /// shared scans) instead of reassembling it from interleaved
-    /// singles. Returns one [`Ticket`] per request, in submission order.
+    /// plans it as a single chunk (maximal per-shard sub-batches, so one
+    /// shard-lock acquisition per sub-batch) instead of reassembling it
+    /// from interleaved singles. Returns one [`Ticket`] per request, in
+    /// submission order.
     pub fn submit_batch<I>(&self, requests: I) -> Vec<Ticket>
     where
         I: IntoIterator,

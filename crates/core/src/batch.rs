@@ -1,18 +1,18 @@
-//! Batch planning: partition a request stream by target shard so
-//! executors can coalesce work ([`crate::request::Executor::batch`]).
+//! Batch planning: partition a request stream by target shard so the
+//! concurrent executors can schedule it
+//! ([`crate::request::Executor::batch`]).
 //!
 //! OrpheusDB's central bet (Section 2 of the paper) is that versioning
 //! overhead amortizes when operations act on *sets* — arrays of record
 //! ids, batched checkouts — instead of one record or one request at a
-//! time. [`BatchPlan`] lifts that bet to the request level: given a
-//! `Vec<Request>`, it routes each request by [`route`] (the rule
-//! [`crate::ConcurrentExecutor`] routes a single request by) to group the
-//! batch into per-shard sub-batches, so an executor can
+//! time. [`BatchPlan`] carries that bet to the request level as a
+//! schedule and nothing more: given a `Vec<Request>`, it routes each
+//! request by [`route`] (the rule [`crate::ConcurrentExecutor`] routes a
+//! single request by) to group the batch into per-shard sub-batches, so
+//! an executor can
 //!
 //! * take each shard lock **once per sub-batch** instead of once per
 //!   request ([`crate::ConcurrentExecutor`]),
-//! * share one version-row scan across all checkouts of the same version
-//!   ([`crate::OrpheusDB`] and every shard, via [`SharedScans`]),
 //! * resolve staged-name routing and analyze SQL for the whole batch under
 //!   a single catalog acquisition (the [`BatchRouter`] is consulted only
 //!   while the plan is built),
@@ -21,10 +21,14 @@
 //!   exactly this plan turned into a coordinator plus a per-shard worker
 //!   pool.
 //!
+//! A plan holds no rows and caches nothing: each request of a step runs
+//! exactly as a single `execute` of it would, on the shard it is routed
+//! to.
+//!
 //! # Semantics contract
 //!
-//! Plans never change *what* a batch means, only how much lock traffic and
-//! rescanning it costs. Executors driving a plan must preserve:
+//! Plans never change *what* a batch means, only how much lock traffic it
+//! costs. Executors driving a plan must preserve:
 //!
 //! * **Submission-order responses** — `batch` returns one
 //!   `Result<Response>` per request, position `i` answering request `i`.
@@ -48,7 +52,6 @@
 
 use std::collections::HashMap;
 
-use crate::ids::Vid;
 use crate::query::Lexed;
 use crate::request::{Request, Target};
 use crate::staging::StagedKind;
@@ -194,53 +197,12 @@ pub fn route(router: &dyn BatchRouter, request: &Request) -> Option<(ShardKey, b
     Some((key, is_read_only(request)))
 }
 
-/// A batch execution plan: the schedule ([`BatchPlan::steps`]) plus scan
-/// coalescing hints ([`BatchPlan::shared_scans`]). Build once per batch
-/// with [`BatchPlan::build`]; the plan holds indices into the request
-/// slice it was built from.
+/// A batch execution plan: the schedule ([`BatchPlan::steps`]). Build
+/// once per batch with [`BatchPlan::build`]; the plan holds indices into
+/// the request slice it was built from.
 #[derive(Debug)]
 pub struct BatchPlan {
     steps: Vec<Step>,
-    scans: SharedScans,
-}
-
-/// How many checkouts of a batch materialize each version set — the hint
-/// behind the shared-scan fast path: a count above one means the version
-/// rows are worth caching. Counted from the requests alone (routing does
-/// not change it), so an executor that needs no schedule needs no plan.
-#[derive(Debug, Default)]
-pub struct SharedScans {
-    /// (lower-cased CVD, version list) → number of checkouts.
-    counts: HashMap<(String, Vec<Vid>), usize>,
-}
-
-impl SharedScans {
-    /// Count the checkouts of `requests` by (CVD, version list).
-    pub fn count(requests: &[Request]) -> SharedScans {
-        let mut counts = HashMap::new();
-        for request in requests {
-            let (cvd, versions) = match request {
-                Request::Checkout(c) => (&c.cvd, &c.versions),
-                Request::CheckoutCsv(c) => (&c.cvd, &c.versions),
-                _ => continue,
-            };
-            if !versions.is_empty() {
-                *counts
-                    .entry((cvd.to_ascii_lowercase(), versions.clone()))
-                    .or_insert(0) += 1;
-            }
-        }
-        SharedScans { counts }
-    }
-
-    /// How many checkouts in the batch materialize exactly this
-    /// (CVD, version list) pair.
-    pub fn get(&self, cvd: &str, versions: &[Vid]) -> usize {
-        self.counts
-            .get(&(cvd.to_ascii_lowercase(), versions.to_vec()))
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 /// What the planner knows about one staged name after the batch's earlier
@@ -384,21 +346,13 @@ impl BatchPlan {
             }
         }
         flush(&mut open, &mut steps);
-        BatchPlan {
-            steps,
-            scans: SharedScans::count(requests),
-        }
+        BatchPlan { steps }
     }
 
     /// The execution schedule. Every request index appears in exactly one
     /// step.
     pub fn steps(&self) -> &[Step] {
         &self.steps
-    }
-
-    /// The batch's shared-scan hints.
-    pub fn shared_scans(&self) -> &SharedScans {
-        &self.scans
     }
 }
 
@@ -453,10 +407,6 @@ mod tests {
                 },
             ]
         );
-        // Three checkouts of (cvd, v1) split 2/1 across the CVDs.
-        assert_eq!(plan.shared_scans().get("a", &[Vid(1)]), 2);
-        assert_eq!(plan.shared_scans().get("B", &[Vid(1)]), 1);
-        assert_eq!(plan.shared_scans().get("a", &[Vid(2)]), 0);
     }
 
     #[test]

@@ -136,9 +136,7 @@ use orpheus_engine::sql::lexer::Token;
 use orpheus_engine::{EngineError, QueryResult, Value};
 
 use crate::access::AccessController;
-use crate::batch::{
-    route, staged_key, staged_name, BatchPlan, BatchRouter, ShardKey, SharedScans, Step,
-};
+use crate::batch::{route, staged_key, staged_name, BatchPlan, BatchRouter, ShardKey, Step};
 use crate::db::{OrpheusConfig, OrpheusDB, VersionDiff};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
@@ -997,25 +995,18 @@ fn switch_identity<'a>(
 /// Run every pending item of one shard's sub-batch against `db` — the
 /// shard itself under its write lock, or a private snapshot clone. Each
 /// item runs under its own identity (switched whenever the owner changes;
-/// the caller restores the shard's), and checkouts of one version set
-/// share a single version-row scan.
+/// the caller restores the shard's).
 ///
 /// A panic while executing a request is contained here: the panicking
 /// request and every item still pending fail with
 /// [`CoreError::WorkerPanicked`] rather than running against state of
 /// unknown integrity, and already-completed items keep their results.
-fn execute_items(
-    db: &mut OrpheusDB,
-    scans: &SharedScans,
-    key: &ShardKey,
-    items: &mut [SubItem],
-) -> Leftovers {
+fn execute_items(db: &mut OrpheusDB, key: &ShardKey, items: &mut [SubItem]) -> Leftovers {
     let panicked = || CoreError::WorkerPanicked {
         shard: key.label().to_string(),
     };
     let mut left = Leftovers::default();
     let mut current: Option<&str> = None;
-    let mut scan_cache = crate::db::ScanCache::new();
     let mut poisoned = false;
     for (i, item) in items.iter_mut().enumerate() {
         let Some(request) = item.request.take() else {
@@ -1039,17 +1030,12 @@ fn execute_items(
                     // bus must not be a way around the Section 2.3
                     // staged-table access rule.
                     Request::Run(run) => {
-                        if !run.is_select() {
-                            // Raw SQL can write into backing tables; the
-                            // cached scans must not outlive it.
-                            scan_cache.clear();
-                        }
                         match run.lexed().and_then(|sql| shard_sql(db, user, sql)) {
                             Err(CoreError::Engine(EngineError::TableNotFound(_))) => Err(run),
                             other => Ok(other.map(Response::Rows)),
                         }
                     }
-                    other => Ok(db.execute_batch_step(scans, &mut scan_cache, other)),
+                    other => Ok(db.execute(other)),
                 }
             }));
             match executed {
@@ -1289,7 +1275,7 @@ impl ConcurrentExecutor {
                             out: None,
                         })
                         .collect();
-                    self.run_items(plan.shared_scans(), key, *read_only, &mut items);
+                    self.run_items(key, *read_only, &mut items);
                     for (&i, item) in indices.iter().zip(items) {
                         out[i] = item.out;
                     }
@@ -1318,21 +1304,15 @@ impl ConcurrentExecutor {
     /// [`execute_items`]); the shard lock itself does not poison (shim
     /// `parking_lot` semantics), so later sub-batches on the same shard
     /// run normally.
-    pub(crate) fn run_items(
-        &self,
-        scans: &SharedScans,
-        key: &ShardKey,
-        read_only: bool,
-        items: &mut [SubItem],
-    ) {
+    pub(crate) fn run_items(&self, key: &ShardKey, read_only: bool, items: &mut [SubItem]) {
         let spanning = if read_only {
             // No shard lock, so a writer holding it never delays these.
             let Ok(mut db) = self.snapshot_of(key) else {
                 return self.reroute(items);
             };
-            execute_items(&mut db, scans, key, items).spanning
+            execute_items(&mut db, key, items).spanning
         } else {
-            let Some(spanning) = self.run_shard_items(scans, key, items) else {
+            let Some(spanning) = self.run_shard_items(key, items) else {
                 return self.reroute(items);
             };
             spanning
@@ -1349,7 +1329,6 @@ impl ConcurrentExecutor {
     /// `None` (items untouched) when the shard no longer exists.
     fn run_shard_items(
         &self,
-        scans: &SharedScans,
         key: &ShardKey,
         items: &mut [SubItem],
     ) -> Option<Vec<(usize, String, Run)>> {
@@ -1408,7 +1387,7 @@ impl ConcurrentExecutor {
                 continue;
             }
             let prior = db.access.whoami().to_string();
-            let left = execute_items(&mut db, scans, key, items);
+            let left = execute_items(&mut db, key, items);
             let _ = db.access.login(&prior);
             break left;
         };
@@ -1458,9 +1437,9 @@ impl ConcurrentExecutor {
     /// the sub-batches around it. Catalog requests run under the catalog
     /// lock. Everything else is routed alone ([`route`], under one catalog
     /// read — no earlier request of a batch can leave its routing
-    /// uncertain) and is a sub-batch of one for `run_items`, with no scans
-    /// to share; what has no single shard even then is SQL spanning
-    /// shards, or gets the typed error (`CvdNotFound`, `NotStaged`).
+    /// uncertain) and is a sub-batch of one for `run_items`; what has no
+    /// single shard even then is SQL spanning shards, or gets the typed
+    /// error (`CvdNotFound`, `NotStaged`).
     pub(crate) fn execute_as(&self, user: &str, request: Request) -> Result<Response> {
         match request {
             // Validation only: rebinding is the caller's business.
@@ -1502,7 +1481,7 @@ impl ConcurrentExecutor {
                             request: Some(other),
                             out: None,
                         }];
-                        self.run_items(&SharedScans::default(), &key, read_only, &mut items);
+                        self.run_items(&key, read_only, &mut items);
                         let [item] = items;
                         // `run_items` answers every item it is handed.
                         item.out.expect("every routed request is answered")

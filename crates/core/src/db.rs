@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use orpheus_engine::{Database, QueryResult, Schema, Value};
 
 use crate::access::AccessController;
-use crate::batch::SharedScans;
 use crate::csv;
 use crate::cvd::{sorted_multiset_difference, Cvd, VersionMeta};
 use crate::error::{CoreError, Result};
@@ -353,19 +352,6 @@ impl OrpheusDB {
     /// The CVD is borrowed in place — only its name is copied for the
     /// staging entry; `version_rids` is never cloned on this path.
     pub fn checkout(&mut self, cvd_name: &str, vids: &[Vid], table: &str) -> Result<()> {
-        self.checkout_with(None, cvd_name, vids, table)
-    }
-
-    /// [`OrpheusDB::checkout`], with a multi-version merge optionally
-    /// served from (and seeding) the batch's shared scans. Only the row
-    /// source differs: the rows are identical whichever produced them.
-    fn checkout_with(
-        &mut self,
-        cache: Option<&mut ScanCache>,
-        cvd_name: &str,
-        vids: &[Vid],
-        table: &str,
-    ) -> Result<()> {
         require_versions(vids)?;
         if self.engine.has_table(table) {
             return Err(CoreError::Invalid(format!("table {table} already exists")));
@@ -374,7 +360,7 @@ impl OrpheusDB {
         if let [vid] = *vids {
             model::checkout_into(&mut self.engine, cvd, vid, table)?;
         } else {
-            let rows = merged_rows(&mut self.engine, cache, cvd, vids)?;
+            let rows = merge_versions(&mut self.engine, cvd, vids)?;
             let schema = cvd.staged_schema();
             self.engine.create_table(table, schema)?;
             model::insert_rows(&mut self.engine, table, rows)?;
@@ -386,20 +372,9 @@ impl OrpheusDB {
     /// `checkout -f`: export version(s) as CSV text (the caller writes the
     /// file; keeping I/O outside makes the API testable).
     pub fn checkout_csv(&mut self, cvd_name: &str, vids: &[Vid], path: &str) -> Result<String> {
-        self.checkout_csv_with(None, cvd_name, vids, path)
-    }
-
-    /// CSV-export variant of [`OrpheusDB::checkout_with`].
-    fn checkout_csv_with(
-        &mut self,
-        cache: Option<&mut ScanCache>,
-        cvd_name: &str,
-        vids: &[Vid],
-        path: &str,
-    ) -> Result<String> {
         require_versions(vids)?;
         let cvd = lookup_versions(&self.cvds, cvd_name, vids)?;
-        let rows = merged_rows(&mut self.engine, cache, cvd, vids)?;
+        let rows = merge_versions(&mut self.engine, cvd, vids)?;
         let text = csv::to_csv(&cvd.staged_schema(), &rows);
         let cvd_key = cvd.name.clone();
         self.register_staged(path, cvd_key, vids, StagedKind::Csv)?;
@@ -897,57 +872,6 @@ impl OrpheusDB {
             .collect())
     }
 
-    // -- batching ---------------------------------------------------------------
-
-    /// Execute one request of a batch against this instance: the
-    /// shared-scan checkout fast path when `scans` says the scan is reused,
-    /// the ordinary [`Executor::execute`] otherwise — with `cache`
-    /// invalidated first whenever the request could change version
-    /// contents ([`invalidates_shared_scans`]). Both
-    /// the [`OrpheusDB`] batch override and the concurrent executor's
-    /// per-shard sub-batches run through this, so a batch coalesces
-    /// version-row scans whichever executor drives it.
-    ///
-    /// Sharing is only engaged where the scan is the dominant cost:
-    /// multi-version table checkouts (the version merge happens exactly
-    /// once per batch) and CSV exports (no table materialization to pay
-    /// for). A *single-version table* checkout goes through the plain
-    /// rid→slot fast path even inside a batch: measured on checkout-heavy
-    /// streams, caching its rows costs more (row-set clones) than the
-    /// already-index-backed scan a cache hit would save — see
-    /// [`ScanCache`].
-    pub(crate) fn execute_batch_step(
-        &mut self,
-        scans: &SharedScans,
-        cache: &mut ScanCache,
-        request: Request,
-    ) -> Result<Response> {
-        match request {
-            Request::Checkout(c) if c.versions.len() > 1 && scans.get(&c.cvd, &c.versions) > 1 => {
-                self.checkout_with(Some(cache), &c.cvd, &c.versions, &c.table)
-                    .map(|()| Response::CheckedOut {
-                        cvd: c.cvd,
-                        versions: c.versions,
-                        table: c.table,
-                    })
-            }
-            Request::CheckoutCsv(c) if scans.get(&c.cvd, &c.versions) > 1 => self
-                .checkout_csv_with(Some(cache), &c.cvd, &c.versions, &c.path)
-                .map(|csv| Response::CheckedOutCsv {
-                    cvd: c.cvd,
-                    versions: c.versions,
-                    path: c.path,
-                    csv,
-                }),
-            other => {
-                if invalidates_shared_scans(&other) {
-                    cache.clear();
-                }
-                self.execute(other)
-            }
-        }
-    }
-
     /// Persist the whole instance (engine data + middleware state) to a
     /// checksummed snapshot file. See [`crate::persist`].
     pub fn save_to(&self, path: &std::path::Path) -> Result<()> {
@@ -1062,94 +986,6 @@ impl Executor for OrpheusDB {
                 Ok(Response::Discarded { table: r.table })
             }
         }
-    }
-
-    /// Batched execution with shared version-row scans: when the batch
-    /// checks out the same version set of a CVD more than once
-    /// ([`SharedScans`]), the rows are scanned once and every
-    /// later checkout materializes from the cached scan, skipping the
-    /// model read path entirely. Requests still execute in submission
-    /// order — single-threaded, there is nothing to win by reordering — so
-    /// the results equal the sequential [`Executor::execute`] loop
-    /// result-for-result. The cache is dropped whenever a request could
-    /// change what a version's rows look like (commits and their schema
-    /// evolution, CVD create/drop, optimize, non-`SELECT` SQL).
-    fn batch<I: IntoIterator<Item = Request>>(&mut self, requests: I) -> Vec<Result<Response>>
-    where
-        Self: Sized,
-    {
-        let requests: Vec<Request> = requests.into_iter().collect();
-        let scans = SharedScans::count(&requests);
-        let mut cache = ScanCache::new();
-        requests
-            .into_iter()
-            .map(|request| self.execute_batch_step(&scans, &mut cache, request))
-            .collect()
-    }
-}
-
-/// Key of one shared scan: (lower-cased CVD, version list).
-pub(crate) type ScanKey = (String, Vec<Vid>);
-
-/// The shared version-row scans of one batch: [`ScanKey`] → merged rows,
-/// rid first. Dropped when the batch ends or a request invalidates it.
-///
-/// The cache is only fed where materializing an entry is (close to) free
-/// because the merged rows exist anyway — multi-version table checkouts
-/// and CSV exports — and only consulted on those same paths. Rows of
-/// *single-version table* checkouts are deliberately never cached: the
-/// rid→slot fast path ([`model::checkout_into`]) copies records straight
-/// into the staged table, which a cache round-trip (materialize, clone,
-/// bulk-insert) cannot beat.
-///
-/// What the cache is worth, measured at PR 15 by forcing
-/// the [`SharedScans`] counts to 0: four clients each pipelining 30
-/// rounds of four CSV exports of one version plus a checkout → commit
-/// through async handles, 2 000-record CVDs, 2 cores, 4 alternating runs
-/// of 3 trials — pipelined throughput over per-request sessions read
-/// 1.065 / 1.160 / 1.195 / 1.143 with the cache and 1.002 / 1.056 /
-/// 0.969 / 0.977 without: about 10 % on batches that export one version
-/// set repeatedly.
-#[derive(Debug, Default)]
-pub(crate) struct ScanCache {
-    rows: HashMap<ScanKey, Vec<Vec<Value>>>,
-}
-
-impl ScanCache {
-    pub(crate) fn new() -> ScanCache {
-        ScanCache::default()
-    }
-
-    /// Drop every cached scan (a request changed what versions contain).
-    pub(crate) fn clear(&mut self) {
-        self.rows.clear();
-    }
-
-    fn get(&self, key: &ScanKey) -> Option<&Vec<Vec<Value>>> {
-        self.rows.get(key)
-    }
-
-    fn insert(&mut self, key: ScanKey, rows: Vec<Vec<Value>>) {
-        self.rows.insert(key, rows);
-    }
-}
-
-/// Requests that can change what a version's rows look like, or whether a
-/// cached scan's CVD still is the CVD it was scanned from: commits (schema
-/// evolution widens or extends every version's staged shape), CVD
-/// create/drop (a name can be reused), optimize (repartitions storage),
-/// and any SQL that is not a plain `SELECT` (raw SQL can write into a
-/// model's backing tables).
-fn invalidates_shared_scans(request: &Request) -> bool {
-    match request {
-        Request::Commit(_)
-        | Request::CommitCsv(_)
-        | Request::Init(_)
-        | Request::InitFromCsv(_)
-        | Request::Drop(_)
-        | Request::Optimize(_) => true,
-        Request::Run(r) => !r.is_select(),
-        _ => false,
     }
 }
 
@@ -1281,26 +1117,6 @@ fn require_versions(vids: &[Vid]) -> Result<()> {
 fn lookup_mut<'a>(cvds: &'a mut HashMap<String, Cvd>, name: &str) -> Result<&'a mut Cvd> {
     cvds.get_mut(catalog_key(name).as_ref())
         .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))
-}
-
-/// The merged rows of `vids` — from `cache` when the batch shares scans
-/// and an earlier checkout of the same version set already merged them.
-fn merged_rows(
-    engine: &mut Database,
-    cache: Option<&mut ScanCache>,
-    cvd: &Cvd,
-    vids: &[Vid],
-) -> Result<Vec<Vec<Value>>> {
-    let Some(cache) = cache else {
-        return merge_versions(engine, cvd, vids);
-    };
-    let key = (cvd.name.to_ascii_lowercase(), vids.to_vec());
-    if let Some(rows) = cache.get(&key) {
-        return Ok(rows.clone());
-    }
-    let rows = merge_versions(engine, cvd, vids)?;
-    cache.insert(key, rows.clone());
-    Ok(rows)
 }
 
 /// Merge multiple versions' records with primary-key precedence (the first

@@ -28,10 +28,10 @@
 //!   directly or by a [`Session`] over a shared instance via the
 //!   [`Executor`] trait; [`commands`] parses the git-style command lines
 //!   of Section 2.2 into the same requests.
-//! * **Batching** ([`batch`]) — [`Executor::batch`] coalesces a request
-//!   vector along a [`BatchPlan`]: shared version-row scans across
-//!   checkouts of the same version, and (on the concurrent executor) one
-//!   shard-lock acquisition per sub-batch instead of one per request.
+//! * **Batching** ([`batch`]) — [`Executor::batch`] runs a request vector
+//!   with per-request outcomes; the concurrent executors schedule it along
+//!   a [`BatchPlan`], taking one shard-lock acquisition per sub-batch
+//!   instead of one per request.
 //! * **Async execution** ([`async_exec`]) — an [`AsyncExecutor`] runs the
 //!   same [`BatchPlan`] steps on a coordinator thread plus a per-shard
 //!   worker pool; clients submit through an [`AsyncHandle`] and wait on
@@ -66,7 +66,7 @@ pub mod staging;
 pub mod wal;
 
 pub use async_exec::{AsyncExecutor, AsyncHandle, Ticket, TicketFulfiller};
-pub use batch::{BatchPlan, BatchRouter, ShardKey, SharedScans, Step};
+pub use batch::{BatchPlan, BatchRouter, ShardKey, Step};
 pub use concurrent::{ConcurrentExecutor, Session, SharedOrpheusDB};
 pub use cvd::Cvd;
 pub use db::{OrpheusConfig, OrpheusDB, VersionDiff};

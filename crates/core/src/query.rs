@@ -80,11 +80,10 @@ impl Lexed {
     }
 
     /// Whether the statement is a plain `SELECT`. Executors use this to
-    /// decide when a statement can be served from a read snapshot and when
-    /// it may invalidate cached version scans (a non-SELECT can write
-    /// anywhere, including a model's backing tables). `SELECT … INTO t`
-    /// reports `false`: serving it from an MVCC snapshot would silently
-    /// discard the created table.
+    /// decide when a statement can be served from a read snapshot (a
+    /// non-SELECT can write anywhere, including a model's backing
+    /// tables). `SELECT … INTO t` reports `false`: serving it from an MVCC
+    /// snapshot would silently discard the created table.
     pub fn is_select(&self) -> bool {
         self.starts_with("select") && self.select_into().is_none()
     }

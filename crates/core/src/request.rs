@@ -49,15 +49,15 @@ pub trait Executor {
     /// * **independent failures** — a failing request never aborts the
     ///   requests after it.
     ///
-    /// The default runs the requests sequentially. Executors override it
-    /// to coalesce work along a [`crate::batch::BatchPlan`]:
-    /// [`crate::OrpheusDB`] shares one version-row scan across checkouts
-    /// of the same version, [`crate::ConcurrentExecutor`] /
-    /// [`crate::Session`] take each shard lock once per sub-batch instead
-    /// of once per request, and [`crate::AsyncHandle`] pipelines the
-    /// whole vector through the async worker pool (sub-batches of
-    /// different CVDs may interleave; within one CVD, submission order is
-    /// preserved).
+    /// The default runs the requests sequentially, and
+    /// [`crate::OrpheusDB`] keeps it. The concurrent executors override it
+    /// to schedule the vector along a [`crate::batch::BatchPlan`]:
+    /// [`crate::ConcurrentExecutor`] / [`crate::Session`] take each shard
+    /// lock once per sub-batch instead of once per request, and
+    /// [`crate::AsyncHandle`] pipelines the whole vector through the async
+    /// worker pool (sub-batches of different CVDs may interleave; within
+    /// one CVD, submission order is preserved). Every request still runs
+    /// as a single `execute` of it would.
     ///
     /// ```
     /// use orpheus_core::{Checkout, Commit, Executor, Init, OrpheusDB, Request, Vid};

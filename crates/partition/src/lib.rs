@@ -32,7 +32,8 @@ pub mod lyresplit;
 pub mod migration;
 pub mod online;
 pub mod partitioning;
-pub mod sim;
+#[cfg(test)]
+mod sim;
 pub mod version_graph;
 pub mod weighted;
 

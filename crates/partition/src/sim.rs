@@ -1,9 +1,10 @@
 //! Small synthetic version-history simulator.
 //!
 //! Generates random-but-consistent version histories (record sets, version
-//! graph and derived weights all agree) for unit and property tests across
-//! the workspace. The full SCI/CUR benchmark generator of Section 5.1 lives
-//! in `orpheus-bench`; this module is deliberately minimal.
+//! graph and derived weights all agree) for this crate's unit tests; it is
+//! compiled only under `cfg(test)`. The full SCI/CUR benchmark generator
+//! of Section 5.1 lives in `orpheus-bench`; this module is deliberately
+//! minimal.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -9,7 +9,11 @@
 //! * (c) `batch` equals the sequential `execute` loop **result for
 //!   result** on the `bus_roundtrip` corpus (every request variant,
 //!   successes and failures mixed), for `OrpheusDB`, a `Session`, and a
-//!   bare `ConcurrentExecutor`.
+//!   bare `ConcurrentExecutor`;
+//! * (d) repeated merged exports and checkouts of one version set, before
+//!   and after a commit that adds a column, return the same *contents*
+//!   batched as looped — full CSV text and every row — on `OrpheusDB` and
+//!   on a `Session`.
 
 use orpheusdb::prelude::*;
 
@@ -290,10 +294,10 @@ fn a_mid_batch_error_does_not_abort_later_requests() {
 }
 
 #[test]
-fn shared_scans_serve_checkouts_identical_to_fresh_scans() {
-    // A batch with many checkouts of the same version set exercises the
-    // shared-scan cache; every staged table must still hold exactly the
-    // version's rows (same count, same keys) and commit back cleanly.
+fn repeated_checkouts_in_one_batch_each_stage_the_whole_version() {
+    // Four checkouts of the same version inside one batch each stage a
+    // table holding all of the version's rows, and any of them commits
+    // back as a faithful new version.
     let shared = shared_with_two_cvds(10);
     let mut session = shared.session("u").unwrap();
     let mut requests: Vec<Request> = Vec::new();
@@ -318,9 +322,8 @@ fn shared_scans_serve_checkouts_identical_to_fresh_scans() {
             Some(&Value::Int(10))
         );
     }
-    // One of the cached checkouts commits back as a faithful new version.
     session.sql("UPDATE w0 SET v = 1 WHERE k = 3").unwrap();
-    let vid = session.commit("w0", "from cached checkout").unwrap();
+    let vid = session.commit("w0", "from a batched checkout").unwrap();
     let n = session
         .run(&format!(
             "SELECT count(*) FROM VERSION {} OF CVD left",
@@ -328,4 +331,151 @@ fn shared_scans_serve_checkouts_identical_to_fresh_scans() {
         ))
         .unwrap();
     assert_eq!(n.scalar(), Some(&Value::Int(10)));
+}
+
+/// CVD `s` with three versions whose merge `-v 3 1` resolves primary-key
+/// conflicts both ways: v3 updates, deletes and inserts against v1.
+fn three_version_cvd() -> OrpheusDB {
+    let mut odb = OrpheusDB::new();
+    let schema = Schema::new(vec![
+        Column::new("k", DataType::Int),
+        Column::new("v", DataType::Int),
+    ])
+    .with_primary_key(&["k"])
+    .unwrap();
+    let rows: Vec<Vec<Value>> = (0..6).map(|i| vec![Value::Int(i), Value::Int(0)]).collect();
+    odb.init_cvd("s", schema, rows, None).unwrap();
+    let edits: [&[&str]; 2] = [
+        &["UPDATE w SET v = 1 WHERE k < 3"],
+        &[
+            "DELETE FROM w WHERE k = 5",
+            "INSERT INTO w (k, v) VALUES (7, 7)",
+        ],
+    ];
+    for (parent, statements) in (1u64..).zip(edits) {
+        odb.checkout("s", &[Vid(parent)], "w").unwrap();
+        for sql in statements {
+            odb.engine.execute(sql).unwrap();
+        }
+        odb.commit("w", "edit").unwrap();
+    }
+    odb
+}
+
+/// Exports and merged checkouts of one version set, twice each, then a
+/// commit that adds a column, then the same export and checkout again.
+fn merged_reads_around_an_add_column() -> Vec<Request> {
+    let merged = || Checkout::of("s").version(3u64).version(1u64);
+    let read = |table: &str| Request::from(Run::sql(format!("SELECT * FROM {table} ORDER BY k")));
+    vec![
+        merged().into_csv("a.csv").into(),
+        merged().into_csv("b.csv").into(),
+        merged().into_table("m1").into(),
+        merged().into_table("m2").into(),
+        read("m1"),
+        read("m2"),
+        Run::sql("ALTER TABLE m1 ADD COLUMN note INT").into(),
+        Commit::table("m1").message("add note").into(),
+        merged().into_csv("c.csv").into(),
+        merged().into_table("m3").into(),
+        read("m3"),
+    ]
+}
+
+/// Render one outcome by its contents: the full CSV text of an export,
+/// the column names and every row of a query, the summary otherwise.
+fn render_contents(result: &Result<Response, CoreError>) -> String {
+    match result {
+        Ok(Response::CheckedOutCsv { csv, .. }) => csv.clone(),
+        Ok(Response::Rows(r)) => {
+            let names: Vec<&str> = r.schema.columns.iter().map(|c| c.name.as_str()).collect();
+            format!("{names:?} {:?}", r.rows)
+        }
+        other => render(other),
+    }
+}
+
+/// The contents the scenario must produce, whichever executor runs it
+/// and however it is submitted: `-v 3 1` keeps v3's rows and adds v1's
+/// `k = 5`, and after the `ADD COLUMN` commit every row carries a NULL
+/// `note`.
+fn assert_merged_contents(out: &[String]) {
+    let merged: [[i64; 3]; 7] = [
+        [7, 0, 1],
+        [8, 1, 1],
+        [9, 2, 1],
+        [4, 3, 0],
+        [5, 4, 0],
+        [6, 5, 0],
+        [10, 7, 7],
+    ];
+    let rows = |note: bool| {
+        let rows: Vec<Vec<Value>> = merged
+            .iter()
+            .map(|r| {
+                let mut row: Vec<Value> = r.iter().map(|&x| Value::Int(x)).collect();
+                if note {
+                    row.push(Value::Null);
+                }
+                row
+            })
+            .collect();
+        let names: &[&str] = if note {
+            &["rid", "k", "v", "note"]
+        } else {
+            &["rid", "k", "v"]
+        };
+        format!("{names:?} {rows:?}")
+    };
+    let export = "rid,k,v\n4,3,0\n5,4,0\n7,0,1\n8,1,1\n9,2,1\n10,7,7\n6,5,0\n";
+    let export_after = "rid,k,v,note\n4,3,0,\n5,4,0,\n7,0,1,\n8,1,1,\n9,2,1,\n10,7,7,\n6,5,0,\n";
+    let expected = [
+        export,
+        export,
+        "checked out v3, v1 into table m1",
+        "checked out v3, v1 into table m2",
+        &rows(false),
+        &rows(false),
+        "[] []",
+        "committed m1 as v4",
+        export_after,
+        "checked out v3, v1 into table m3",
+        &rows(true),
+    ];
+    assert_eq!(out, expected);
+}
+
+#[test]
+fn merged_exports_and_checkouts_match_the_sequential_loop_across_an_add_column() {
+    let sequential: Vec<String> = {
+        let mut odb = three_version_cvd();
+        merged_reads_around_an_add_column()
+            .into_iter()
+            .map(|r| render_contents(&odb.execute(r)))
+            .collect()
+    };
+    assert_merged_contents(&sequential);
+    let batched: Vec<String> = three_version_cvd()
+        .batch(merged_reads_around_an_add_column())
+        .iter()
+        .map(render_contents)
+        .collect();
+    assert_eq!(sequential, batched, "OrpheusDB batch");
+
+    let shared = SharedOrpheusDB::new(three_version_cvd());
+    let mut session = shared.session("u").unwrap();
+    let session_loop: Vec<String> = merged_reads_around_an_add_column()
+        .into_iter()
+        .map(|r| render_contents(&session.execute(r)))
+        .collect();
+    assert_eq!(sequential, session_loop, "Session loop");
+    let shared = SharedOrpheusDB::new(three_version_cvd());
+    let session_batch: Vec<String> = shared
+        .session("u")
+        .unwrap()
+        .batch(merged_reads_around_an_add_column())
+        .iter()
+        .map(render_contents)
+        .collect();
+    assert_eq!(sequential, session_batch, "Session batch");
 }
