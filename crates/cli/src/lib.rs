@@ -56,7 +56,7 @@ pub struct Invocation {
     /// instead of driving the instance directly.
     pub user: Option<String>,
     /// Drive everything through an [`AsyncExecutor`] handle (coordinator
-    /// thread + per-shard worker pool) instead of a synchronous executor.
+    /// thread + worker pool) instead of a synchronous executor.
     /// Combines with `--as <user>` for the handle identity.
     pub use_async: bool,
     /// Script file submitted as one [`Executor::batch`] call instead of a
@@ -247,17 +247,19 @@ locked executor a multi-user deployment uses, so checkout ownership is
 attributed to <user> rather than the instance identity.
 
 The --batch <file> flag submits a script — one command per line, `#`
-comments and blank lines skipped — as a single batch, letting the
-executor coalesce lock acquisitions. Responses come back in script
-order; a failing line is reported with its line number and does not
-abort the lines after it.
+comments and blank lines skipped — as a single batch. Under --async or
+--connect the batch is one submission, planned into per-shard
+sub-batches that take each shard lock once; otherwise it runs line by
+line. Responses come back in script order; a failing line is reported
+with its line number and does not abort the lines after it.
 
 The --async flag puts the async executor (a coordinator thread plus a
-per-shard worker pool) in front of the shared instance and drives the
-command, REPL, or --batch script through an async handle. Combine with
---as <user> to pick the handle identity. Results are identical to the
-synchronous executors; the difference is that submissions never block
-on shard locks, which matters when many clients share one instance.
+worker pool fed by one job queue) in front of the shared instance and
+drives the command, REPL, or --batch script through an async handle.
+Combine with --as <user> to pick the handle identity. Results are
+identical to the synchronous executors. Submissions never block the
+caller on shard locks; the coordinator serves one chunk of submissions
+at a time, in arrival order.
 
 network service:
   --serve <addr>       listen for remote clients (port 0 picks a free
@@ -547,8 +549,8 @@ pub fn run(
 
     // With --as or --async, the instance becomes shared: --as drives a
     // concurrent session (per-CVD locking, session-scoped identity);
-    // --async additionally puts the coordinator + per-shard worker pool
-    // in front, driving everything through an AsyncExecutor handle.
+    // --async additionally puts the coordinator + worker pool in front,
+    // driving everything through an AsyncExecutor handle.
     if inv.use_async || inv.user.is_some() {
         let shared = SharedOrpheusDB::new(odb);
         if inv.use_async {

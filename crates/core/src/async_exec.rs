@@ -3,39 +3,44 @@
 //! The paper's deployment (Section 6 evaluates multi-client throughput)
 //! has many users hitting one instance at once. The synchronous executors
 //! make each *caller* pay for lock waits: a `Session` blocks its thread on
-//! the target CVD's lock for every request. This module turns the
-//! dispatch data the batching layer already produces — a
-//! [`crate::batch::BatchPlan`] of per-shard [`Step::Shard`] sub-batches
-//! separated by [`Step::Sequential`] barriers — into a running machine:
+//! the target CVD's lock for every request, and its batch is the plain
+//! loop of `execute`. This module is the one interpreter of a
+//! [`crate::batch::BatchPlan`] — per-shard [`Step::Shard`] sub-batches
+//! separated by [`Step::Sequential`] barriers — and runs it on threads of
+//! its own:
 //!
-//! * a **coordinator thread** drains the submission channel into chunks,
+//! * a **coordinator thread** drains the submission channel into chunks
+//!   (whatever every client has submitted, up to `CHUNK_MAX` requests),
 //!   plans each chunk under one catalog read
-//!   ([`crate::batch::BatchPlan::build`], whose
-//!   every request is routed by [`crate::batch::route`], the rule a
-//!   single `Session::execute` is routed by), hands shard steps to the
-//!   worker pool, and executes sequential barriers itself (waiting for
-//!   all in-flight shard work first — barriers order strictly against
-//!   every step around them);
-//! * a **worker pool** with one logical FIFO queue per shard: steps
-//!   between two barriers are mutually independent (they target disjoint
-//!   shards), so different workers execute them in parallel, while two
-//!   *writing* sub-batches of the *same* shard never run concurrently —
-//!   per-shard submission order is preserved by construction. Workers
-//!   execute sub-batches through the one request engine,
+//!   ([`crate::batch::BatchPlan::build`], whose every request is routed by
+//!   [`crate::batch::route`], the rule a single `Session::execute` is
+//!   routed by), hands the shard steps between two barriers — one
+//!   *region* — to the worker pool, and executes each sequential barrier
+//!   itself once the pool is idle (barriers order strictly against every
+//!   step around them);
+//! * a **worker pool** takes jobs from one FIFO queue. A region holds at
+//!   most one writing and one read-only step per shard, and the
+//!   coordinator drains the pool before the next barrier or chunk, so the
+//!   queued jobs are mutually independent and the workers run them side
+//!   by side. Workers execute sub-batches through the one request engine,
 //!   `ConcurrentExecutor::run_items` (crate-internal): a writing
 //!   sub-batch — checkouts included — under one shard-lock acquisition,
 //!   reservation and staged-index bookkeeping in single catalog writes,
 //!   identity swapped per request owner, and each request run exactly as
-//!   a single `execute` of it would run.
-//!   **Read-only** sub-batches (`log`, `diff`, single-shard SELECTs —
-//!   [`Step::Shard`]'s `read_only` flag) skip the per-shard FIFO
-//!   entirely: they are served from a clone of the shard's MVCC snapshot,
-//!   so a worker answers them even while another worker holds that
-//!   shard's write lock — snapshot reads never wait on a writer;
+//!   a single `execute` of it would run. A **read-only** sub-batch (`log`,
+//!   `diff`, single-shard SELECTs — [`Step::Shard`]'s `read_only` flag) is
+//!   served from a clone of the shard's MVCC snapshot, so a worker answers
+//!   it even while another worker holds that shard's write lock;
 //! * clients hold an [`AsyncHandle`] and get a [`Ticket`] per submission —
 //!   a future-like slot fulfilled by whichever thread finishes the
 //!   request. `submit` never blocks on shard locks; [`Ticket::wait`]
 //!   blocks only that client.
+//!
+//! The coordinator runs one chunk at a time and drains the pool before it
+//! plans the next. So a request waits for every chunk planned before it,
+//! from any client, and only the steps of one region overlap: while a
+//! commit is held inside its shard lock, every later submission waits,
+//! reads of other CVDs included.
 //!
 //! Everything is built from the vendored `parking_lot` shim's
 //! `Mutex`/`Condvar` plus `std::sync::mpsc` — no async runtime exists in
@@ -52,8 +57,9 @@
 //!   the same chunk (it sees the shard before or after that write, never
 //!   torn); a read submitted after a write to its shard still observes
 //!   that write.
-//! * **Across clients** — requests to *different* shards interleave
-//!   freely (that is the point); catalog requests are global barriers.
+//! * **Across clients** — submissions that land in one chunk share its
+//!   plan, so their steps on different shards run side by side; chunks
+//!   run one after another. Catalog requests are barriers.
 //! * **Failures** — per request, exactly as [`Executor::batch`]: a failed
 //!   request never aborts the requests after it.
 //! * **Panics** — a panic inside a worker poisons only that shard's
@@ -85,7 +91,7 @@
 //! assert_eq!(response.summary(), "committed w as v2");
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -215,7 +221,7 @@ impl TicketFulfiller {
 }
 
 // ---------------------------------------------------------------------------
-// The worker pool: one logical FIFO queue per shard.
+// The worker pool: one FIFO job queue.
 // ---------------------------------------------------------------------------
 
 /// One request inside a queued shard job.
@@ -225,30 +231,22 @@ struct WorkItem {
     ticket: Arc<TicketCell>,
 }
 
-/// One `Step::Shard` sub-batch, queued for its shard.
+/// One `Step::Shard` sub-batch, queued for the pool.
 struct Job {
     key: ShardKey,
-    /// Served from the shard's MVCC snapshot instead of under its lock —
-    /// exempt from the per-shard FIFO (see [`PoolState::reads`]).
+    /// Served from the shard's MVCC snapshot instead of under its lock.
     read_only: bool,
     items: Vec<WorkItem>,
 }
 
 #[derive(Default)]
 struct PoolState {
-    /// Pending *writing* jobs per shard, FIFO. Writing jobs of one shard
-    /// never run concurrently (see `active`), which preserves per-shard
-    /// submission order.
-    queues: HashMap<ShardKey, VecDeque<Job>>,
-    /// Read-only jobs, one shared queue: snapshot-served sub-batches need
-    /// no per-shard exclusivity, so any worker picks them up immediately —
-    /// even while another worker holds that shard's write lock.
-    reads: VecDeque<Job>,
-    /// Shards with pending writing jobs and no worker on them, in arrival
-    /// order.
-    ready: VecDeque<ShardKey>,
-    /// Shards a worker is currently executing a writing job for.
-    active: Vec<ShardKey>,
+    /// Jobs no worker has taken yet, in enqueue order. The coordinator
+    /// enqueues one region's steps at a time and waits for `pending == 0`
+    /// before the next barrier or chunk, and a region holds at most one
+    /// writing and one read-only step per shard, so no two queued jobs
+    /// ever need ordering against each other.
+    jobs: VecDeque<Job>,
     /// Jobs enqueued but not yet finished (queued + executing) — the
     /// coordinator's barrier condition is `pending == 0`.
     pending: usize,
@@ -257,7 +255,7 @@ struct PoolState {
 
 struct Pool {
     state: Mutex<PoolState>,
-    /// Signals workers: a shard became ready, or shutdown.
+    /// Signals workers: a job was queued, or shutdown.
     work: Condvar,
     /// Signals the coordinator: `pending` dropped to zero.
     idle: Condvar,
@@ -275,17 +273,8 @@ impl Pool {
     fn enqueue(&self, job: Job) {
         let mut state = self.state.lock();
         state.pending += 1;
-        if job.read_only {
-            state.reads.push_back(job);
-            self.work.notify_one();
-            return;
-        }
-        let key = job.key.clone();
-        state.queues.entry(key.clone()).or_default().push_back(job);
-        if !state.active.contains(&key) && !state.ready.contains(&key) {
-            state.ready.push_back(key);
-            self.work.notify_one();
-        }
+        state.jobs.push_back(job);
+        self.work.notify_one();
     }
 
     /// Block until every enqueued job finished — the barrier before a
@@ -303,36 +292,14 @@ impl Pool {
         self.work.notify_all();
     }
 
-    /// Worker loop: claim a read-only job (any shard, no exclusivity) or
-    /// a ready shard's front writing job; after a writing job, hand the
-    /// shard back (re-readying it if more jobs queued up meanwhile).
-    /// Read-only jobs are preferred — they block nothing and their
-    /// clients are typically waiting synchronously on checkout-adjacent
-    /// SELECTs.
+    /// Worker loop: take the front job, run it, count it finished.
     fn worker_loop(&self, exec: &ConcurrentExecutor) {
         loop {
-            let (key, job) = {
+            let job = {
                 let mut state = self.state.lock();
                 loop {
-                    if let Some(job) = state.reads.pop_front() {
-                        break (None, job);
-                    }
-                    if let Some(key) = state.ready.pop_front() {
-                        let job = state
-                            .queues
-                            .get_mut(&key)
-                            .and_then(VecDeque::pop_front)
-                            // A key enters `ready` in two places, both
-                            // under this lock and both only with a job in
-                            // its queue (`enqueue` right after pushing
-                            // one, the hand-back below after checking
-                            // `!is_empty()`), at most once at a time
-                            // (`enqueue` skips keys already ready or
-                            // active); jobs leave a queue only here, one
-                            // per `ready` entry taken.
-                            .expect("ready shards have queued jobs");
-                        state.active.push(key.clone());
-                        break (Some(key), job);
+                    if let Some(job) = state.jobs.pop_front() {
+                        break job;
                     }
                     if state.shutdown {
                         return;
@@ -342,13 +309,6 @@ impl Pool {
             };
             run_job(exec, job);
             let mut state = self.state.lock();
-            if let Some(key) = key {
-                state.active.retain(|k| k != &key);
-                if state.queues.get(&key).is_some_and(|q| !q.is_empty()) {
-                    state.ready.push_back(key.clone());
-                    self.work.notify_one();
-                }
-            }
             state.pending -= 1;
             if state.pending == 0 {
                 self.idle.notify_all();
@@ -601,8 +561,8 @@ fn process_chunk(
 // The public surface.
 // ---------------------------------------------------------------------------
 
-/// A shared OrpheusDB instance behind a coordinator thread and a per-shard
-/// worker pool (see the module docs for the architecture). Cheap to query
+/// A shared OrpheusDB instance behind a coordinator thread and a worker
+/// pool (see the module docs for the architecture). Cheap to query
 /// for handles; owns the threads and joins them on drop, after finishing
 /// all accepted submissions.
 ///

@@ -1,6 +1,5 @@
 //! Batch planning: partition a request stream by target shard so the
-//! concurrent executors can schedule it
-//! ([`crate::request::Executor::batch`]).
+//! async executor can schedule it ([`crate::async_exec`]).
 //!
 //! OrpheusDB's central bet (Section 2 of the paper) is that versioning
 //! overhead amortizes when operations act on *sets* — arrays of record
@@ -9,17 +8,17 @@
 //! schedule and nothing more: given a `Vec<Request>`, it routes each
 //! request by [`route`] (the rule [`crate::ConcurrentExecutor`] routes a
 //! single request by) to group the batch into per-shard sub-batches, so
-//! an executor can
+//! the async executor's coordinator can
 //!
-//! * take each shard lock **once per sub-batch** instead of once per
-//!   request ([`crate::ConcurrentExecutor`]),
-//! * resolve staged-name routing and analyze SQL for the whole batch under
-//!   a single catalog acquisition (the [`BatchRouter`] is consulted only
-//!   while the plan is built),
-//! * run mutually independent [`Step::Shard`] sub-batches on different
-//!   worker threads — the async executor ([`crate::async_exec`]) is
-//!   exactly this plan turned into a coordinator plus a per-shard worker
-//!   pool.
+//! * resolve staged-name routing and analyze SQL for a whole chunk of
+//!   submissions under a single catalog acquisition (the [`BatchRouter`]
+//!   is consulted only while the plan is built),
+//! * hand each [`Step::Shard`] sub-batch to a worker, which takes its
+//!   shard lock once for the sub-batch (or clones its snapshot once, for
+//!   reads), and run the mutually independent sub-batches between two
+//!   barriers on different workers.
+//!
+//! A `Session`'s batch is not planned: it is the plain `execute` loop.
 //!
 //! A plan holds no rows and caches nothing: each request of a step runs
 //! exactly as a single `execute` of it would, on the shard it is routed
@@ -28,7 +27,7 @@
 //! # Semantics contract
 //!
 //! Plans never change *what* a batch means, only how much lock traffic it
-//! costs. Executors driving a plan must preserve:
+//! costs. The coordinator driving a plan must preserve:
 //!
 //! * **Submission-order responses** — `batch` returns one
 //!   `Result<Response>` per request, position `i` answering request `i`.
@@ -43,7 +42,10 @@
 //!   the exact guarantee.
 //!
 //! Requests routed to *different* shards between two barriers may execute
-//! in any order relative to each other — they target disjoint state.
+//! in any order relative to each other — they target disjoint state. A
+//! plan gives each shard at most one writing and one read-only step
+//! between two barriers, so those steps need no ordering among
+//! themselves: the async pool runs them from one plain job queue.
 //! References whose outcome would depend on another request's runtime
 //! result (two checkouts staging the same name inside one batch, a commit
 //! of a name the batch already consumed) are routed to the sequential
@@ -722,6 +724,88 @@ mod tests {
         ];
         for (request, want) in cases {
             assert_eq!(route(&StagingRouter, &request), want, "{request:?}");
+        }
+    }
+
+    /// One generated request over CVDs `a`, `b` and `c` (the first two
+    /// known to [`StagingRouter`], the third unknown), staging and
+    /// consuming a few reused names: `(kind, cvd, name)`.
+    fn generated_request((kind, cvd, name): (usize, usize, usize)) -> Request {
+        use crate::request::{CommitCsv, Diff, DropCvd, Init, Login};
+
+        let cvd = ["a", "b", "c"][cvd];
+        let other = ["b", "c", "a"][name % 3];
+        let table = ["t", "u", "side", "w"][name];
+        let csv = ["f.csv", "g.csv", "h.csv", "i.csv"][name];
+        match kind {
+            0 => Checkout::of(cvd).version(1u64).into_table(table).into(),
+            1 => Checkout::of(cvd).version(1u64).into_csv(csv).into(),
+            2 => Commit::table(table).message("m").into(),
+            3 => CommitCsv::path(csv).into(),
+            4 => Discard::table(table).into(),
+            5 => Log::of(cvd).into(),
+            6 => Diff::of(cvd).between(1u64, 2u64).into(),
+            7 => Run::sql(format!("SELECT * FROM {cvd}__data")).into(),
+            8 => Run::sql(format!("UPDATE {cvd}__data SET v = 1")).into(),
+            9 => Run::sql(format!("SELECT * FROM {table}")).into(),
+            10 => Run::sql(format!("UPDATE {table} SET v = 1")).into(),
+            11 => Run::sql(format!("SELECT * FROM {cvd}__data, {other}__data")).into(),
+            12 => Run::sql(format!(
+                "DELETE FROM {cvd}__data WHERE k IN (SELECT k FROM {other}__data)"
+            ))
+            .into(),
+            13 => CreateUser::named(table).into(),
+            14 => Init::cvd(cvd).into(),
+            15 => DropCvd::named(cvd).into(),
+            16 => Login::as_user(table).into(),
+            17 => Request::Whoami,
+            _ => Request::Ls,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The async pool's single job queue rests on this: between two
+        /// barriers a plan holds at most one writing and at most one
+        /// read-only step per shard, so no two jobs of one shard that
+        /// must stay ordered are ever pending at once. And every request
+        /// is scheduled exactly once.
+        #[test]
+        fn a_region_holds_one_writing_and_one_read_only_step_per_shard(
+            batch in proptest::collection::vec((0usize..19, 0usize..3, 0usize..4), 1..32)
+        ) {
+            let requests: Vec<Request> = batch.into_iter().map(generated_request).collect();
+            let routers: [&dyn BatchRouter; 2] =
+                [&FixedRouter(vec!["a", "b", "c"]), &StagingRouter];
+            for router in routers {
+                let plan = BatchPlan::build(&requests, router);
+                let mut seen: Vec<usize> = Vec::new();
+                let mut region: Vec<(&ShardKey, bool)> = Vec::new();
+                for step in plan.steps() {
+                    match step {
+                        Step::Sequential(i) => {
+                            region.clear();
+                            seen.push(*i);
+                        }
+                        Step::Shard { key, indices, read_only } => {
+                            proptest::prop_assert!(
+                                !region.contains(&(key, *read_only)),
+                                "two {} steps of {key:?} in one region: {:?}",
+                                if *read_only { "read-only" } else { "writing" },
+                                plan.steps()
+                            );
+                            region.push((key, *read_only));
+                            seen.extend(indices);
+                        }
+                    }
+                }
+                seen.sort_unstable();
+                proptest::prop_assert_eq!(seen, (0..requests.len()).collect::<Vec<_>>());
+            }
         }
     }
 }

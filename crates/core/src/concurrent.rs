@@ -107,9 +107,10 @@
 //!
 //! Every request is routed by one rule, [`crate::batch::route`], under one
 //! catalog read: a single [`Executor::execute`] by that alone — no plan —
-//! and a [`ConcurrentExecutor::execute_batch`] or an async chunk
-//! ([`crate::async_exec`]) through the [`BatchPlan`] built on it. What is
-//! routed to a shard runs through the same crate-internal engine,
+//! and an async chunk ([`crate::async_exec`]) through the [`BatchPlan`]
+//! built on it. A session's batch is the trait's default loop of
+//! `execute`; the async coordinator is the only interpreter of a plan.
+//! What is routed to a shard runs through the same crate-internal engine,
 //! `ConcurrentExecutor::run_items`: reservations for every checkout of the
 //! sub-batch in one catalog write, the requests under one shard-lock
 //! acquisition (identity-swapped per request owner, so one sub-batch may
@@ -136,7 +137,7 @@ use orpheus_engine::sql::lexer::Token;
 use orpheus_engine::{EngineError, QueryResult, Value};
 
 use crate::access::AccessController;
-use crate::batch::{route, staged_key, staged_name, BatchPlan, BatchRouter, ShardKey, Step};
+use crate::batch::{route, staged_key, staged_name, BatchPlan, BatchRouter, ShardKey};
 use crate::db::{OrpheusConfig, OrpheusDB, VersionDiff};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
@@ -924,10 +925,10 @@ pub(crate) fn hold_commit_if_gated(table: &str) {
 
 /// One request of a per-shard sub-batch: the identity it runs under, the
 /// request itself (`None` once consumed — executed, or failed before the
-/// shard was touched), and its outcome slot. The synchronous
-/// [`ConcurrentExecutor::execute_batch`] and the async executor's workers
-/// both feed these to [`ConcurrentExecutor::run_items`]; carrying the user
-/// per item (rather than per batch) is what lets one worker execute a
+/// shard was touched), and its outcome slot. A single routed request is a
+/// sub-batch of one; the async executor's workers feed whole sub-batches
+/// of a plan to [`ConcurrentExecutor::run_items`]. Carrying the user per
+/// item (rather than per batch) is what lets one worker execute a
 /// sub-batch assembled from many sessions' submissions.
 #[derive(Debug)]
 pub(crate) struct SubItem {
@@ -1094,8 +1095,9 @@ impl BatchRouter for Catalog {
 ///
 /// There is one request engine and one routing rule ([`route`]): a single
 /// [`Executor::execute`] is routed under one catalog read and runs as a
-/// sub-batch of one; a batch is planned under one catalog read
-/// ([`BatchPlan`]) into per-shard sub-batches and barriers. Both route by
+/// sub-batch of one, and a batch is the loop of it; the async
+/// coordinator plans its chunks under one catalog read ([`BatchPlan`])
+/// into per-shard sub-batches and barriers. Both route by
 /// [`Request::target`]:
 /// * [`Target::Cvd`] — that CVD's shard; checkouts additionally reserve
 ///   the target name in the catalog's staged index first, keeping table
@@ -1235,72 +1237,16 @@ impl ConcurrentExecutor {
 
     // -- the engine ---------------------------------------------------------
 
-    /// Execute a batch — the [`Executor::batch`] override. The batch is
-    /// planned once under a single catalog read ([`BatchPlan::build`]:
-    /// staged-name resolution and SQL analysis for every request), then
-    /// each shard's sub-batch runs through `run_items` — a writing
-    /// sub-batch under **one** shard-lock acquisition, a read-only one on
-    /// one snapshot clone — and everything the plan cannot pin to one
-    /// shard runs on its own between sub-batches, exactly as a single
-    /// [`Executor::execute`] would. Responses come back in submission
-    /// order and failures stay per-request.
-    ///
-    /// Sub-batches of *different* shards may interleave relative to each
-    /// other (they touch disjoint state); within one shard, submission
-    /// order is preserved. A statement that turns out to reference tables
-    /// outside its shard is retried *after* its sub-batch — reads on a
-    /// merged snapshot, writes as a cross-CVD write transaction — so it
-    /// may observe later requests of its own sub-batch.
-    pub fn execute_batch(&mut self, requests: Vec<Request>) -> Vec<Result<Response>> {
-        let plan = self.plan(&requests);
-        let mut slots: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
-        let mut out: Vec<Option<Result<Response>>> = slots.iter().map(|_| None).collect();
-        for step in plan.steps() {
-            match step {
-                Step::Sequential(i) => {
-                    if let Some(request) = slots[*i].take() {
-                        out[*i] = Some(self.execute_rebinding(request));
-                    }
-                }
-                Step::Shard {
-                    key,
-                    indices,
-                    read_only,
-                } => {
-                    let mut items: Vec<SubItem> = indices
-                        .iter()
-                        .map(|&i| SubItem {
-                            user: self.user.clone(),
-                            request: slots[i].take(),
-                            out: None,
-                        })
-                        .collect();
-                    self.run_items(key, *read_only, &mut items);
-                    for (&i, item) in indices.iter().zip(items) {
-                        out[i] = item.out;
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            // A plan schedules every index in exactly one step, and both
-            // arms above answer every request they are handed.
-            .map(|r| r.expect("every scheduled request is answered"))
-            .collect()
-    }
-
-    /// Plan `requests` under one catalog read — for
-    /// [`ConcurrentExecutor::execute_batch`] and, per chunk, the async
-    /// executor's coordinator ([`crate::async_exec`]).
+    /// Plan `requests` under one catalog read — the async executor's
+    /// coordinator plans each chunk by it ([`crate::async_exec`]).
     pub(crate) fn plan(&self, requests: &[Request]) -> BatchPlan {
         BatchPlan::build(requests, &*self.inner.catalog_read())
     }
 
     /// Execute one shard's sub-batch — the engine shared by a single
-    /// request, [`ConcurrentExecutor::execute_batch`] and the async
-    /// executor's workers ([`crate::async_exec`]). Each [`SubItem`]
-    /// carries its own identity, so one sub-batch may interleave requests
-    /// from many sessions. Panics are contained per sub-batch (see
+    /// request and the async executor's workers ([`crate::async_exec`]).
+    /// Each [`SubItem`] carries its own identity, so one sub-batch may
+    /// interleave requests from many sessions. Panics are contained per sub-batch (see
     /// [`execute_items`]); the shard lock itself does not poison (shim
     /// `parking_lot` semantics), so later sub-batches on the same shard
     /// run normally.
@@ -1433,8 +1379,8 @@ impl ConcurrentExecutor {
 
     /// Execute one request on its own, as `user`, against live state: a
     /// single [`Executor::execute`], and what a plan schedules as
-    /// [`Step::Sequential`] — there a barrier, ordered strictly against
-    /// the sub-batches around it. Catalog requests run under the catalog
+    /// [`crate::batch::Step::Sequential`] — there a barrier, ordered
+    /// strictly against the sub-batches around it. Catalog requests run under the catalog
     /// lock. Everything else is routed alone ([`route`], under one catalog
     /// read — no earlier request of a batch can leave its routing
     /// uncertain) and is a sub-batch of one for `run_items`; what has no
@@ -1501,21 +1447,6 @@ impl ConcurrentExecutor {
                 }
             }
         }
-    }
-
-    /// [`ConcurrentExecutor::execute_as`] under this executor's identity,
-    /// with the session-scoped `Login`: success rebinds *this executor*
-    /// without touching the identity other sessions see.
-    fn execute_rebinding(&mut self, request: Request) -> Result<Response> {
-        let login = match &request {
-            Request::Login(login) => Some(login.user.clone()),
-            _ => None,
-        };
-        let result = self.execute_as(&self.user, request);
-        if let (Some(user), Ok(_)) = (login, &result) {
-            self.user = user;
-        }
-        result
     }
 
     /// Run a statement no single shard can serve: it names tables of
@@ -1685,16 +1616,21 @@ impl ConcurrentExecutor {
     }
 }
 
+/// A session's batch is the trait's default loop of `execute`.
 impl Executor for ConcurrentExecutor {
+    /// The crate-internal `execute_as` under this executor's identity,
+    /// with the session-scoped `Login`: success rebinds *this executor*
+    /// without touching the identity other sessions see.
     fn execute(&mut self, request: Request) -> Result<Response> {
-        self.execute_rebinding(request)
-    }
-
-    fn batch<I: IntoIterator<Item = Request>>(&mut self, requests: I) -> Vec<Result<Response>>
-    where
-        Self: Sized,
-    {
-        self.execute_batch(requests.into_iter().collect())
+        let login = match &request {
+            Request::Login(login) => Some(login.user.clone()),
+            _ => None,
+        };
+        let result = self.execute_as(&self.user, request);
+        if let (Some(user), Ok(_)) = (login, &result) {
+            self.user = user;
+        }
+        result
     }
 }
 
@@ -1724,6 +1660,7 @@ fn guard_sql(odb: &OrpheusDB, user: &str, sql: &Lexed) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::async_exec::AsyncExecutor;
     use orpheus_engine::{Column, DataType, Schema, Value};
 
     fn shared_with_cvd() -> SharedOrpheusDB {
@@ -2143,14 +2080,21 @@ mod tests {
         assert!(shared.inner.catalog_read().creating.is_empty());
         // ...and the shard that would hold a table decides about its own
         // names when the statement runs, so dropping and re-creating a
-        // table in one batch works.
+        // table in one batch works — looped by a session, and as one
+        // sub-batch of the auxiliary shard through an async handle.
         s.sql("CREATE TABLE y (k INT)").unwrap();
-        let mut batcher = shared.executor("u").unwrap();
-        for result in batcher.execute_batch(vec![
-            Run::sql("DROP TABLE y").into(),
-            Run::sql("CREATE TABLE y (k INT, v INT)").into(),
-            Run::sql("INSERT INTO y VALUES (1, 2)").into(),
-        ]) {
+        let recreate = || -> Vec<Request> {
+            vec![
+                Run::sql("DROP TABLE y").into(),
+                Run::sql("CREATE TABLE y (k INT, v INT)").into(),
+                Run::sql("INSERT INTO y VALUES (1, 2)").into(),
+            ]
+        };
+        for result in shared.session("u").unwrap().batch(recreate()) {
+            result.unwrap();
+        }
+        let pool = AsyncExecutor::with_workers(shared.clone(), 2);
+        for result in pool.handle("u").unwrap().batch(recreate()) {
             result.unwrap();
         }
         // Shards still merge: the instance-wide paths keep working.
@@ -2290,68 +2234,91 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Run `requests()` as one batch through a session and through an
+    /// async handle, each on a fresh instance from `fresh`: a session
+    /// loops over `execute`, while the handle's batch is planned into
+    /// per-shard sub-batches, the only way several requests reach one
+    /// `run_shard_items` call.
+    fn batch_both_ways(
+        fresh: fn() -> SharedOrpheusDB,
+        requests: impl Fn() -> Vec<Request>,
+    ) -> Vec<(&'static str, SharedOrpheusDB, Vec<Result<Response>>)> {
+        let looped = fresh();
+        let looped_results = looped.session("u").unwrap().batch(requests());
+        let planned = fresh();
+        let pool = AsyncExecutor::with_workers(planned.clone(), 2);
+        let planned_results = pool.handle("u").unwrap().batch(requests());
+        vec![
+            ("session", looped, looped_results),
+            ("async", planned, planned_results),
+        ]
+    }
+
     #[test]
-    fn batched_requests_coalesce_per_shard_and_preserve_order() {
+    fn batched_requests_answer_in_submission_order_and_keep_per_shard_order() {
         use crate::request::{Checkout, Commit, Run};
 
-        let shared = shared_with_two_cvds();
-        let mut session = shared.session("batcher").unwrap();
-        let requests: Vec<Request> = vec![
-            Checkout::of("left").version(1u64).into_table("l0").into(),
-            Checkout::of("right").version(1u64).into_table("r0").into(),
-            Commit::table("l0").message("left edit").into(),
-            Checkout::of("left").version(1u64).into_table("l1").into(),
-            Commit::table("r0").message("right edit").into(),
-            Commit::table("l1").message("left second").into(),
-            Run::sql("SELECT count(*) FROM VERSION 1 OF CVD left").into(),
-        ];
-        let results = session.batch(requests);
-        assert_eq!(results.len(), 7);
-        for (i, r) in results.iter().enumerate() {
-            assert!(r.is_ok(), "request {i}: {r:?}");
+        let requests = || -> Vec<Request> {
+            vec![
+                Checkout::of("left").version(1u64).into_table("l0").into(),
+                Checkout::of("right").version(1u64).into_table("r0").into(),
+                Commit::table("l0").message("left edit").into(),
+                Checkout::of("left").version(1u64).into_table("l1").into(),
+                Commit::table("r0").message("right edit").into(),
+                Commit::table("l1").message("left second").into(),
+                Run::sql("SELECT count(*) FROM VERSION 1 OF CVD left").into(),
+            ]
+        };
+        for (label, shared, results) in batch_both_ways(shared_with_two_cvds, requests) {
+            assert_eq!(results.len(), 7, "{label}");
+            for (i, r) in results.iter().enumerate() {
+                assert!(r.is_ok(), "{label}: request {i}: {r:?}");
+            }
+            // Responses answer their submission positions, even where the
+            // plan grouped the requests per CVD.
+            assert_eq!(results[2].as_ref().unwrap().version(), Some(Vid(2)));
+            assert_eq!(results[4].as_ref().unwrap().version(), Some(Vid(2)));
+            assert_eq!(results[5].as_ref().unwrap().version(), Some(Vid(3)));
+            assert_eq!(
+                results[6].as_ref().unwrap().rows().unwrap().scalar(),
+                Some(&Value::Int(10))
+            );
+            shared.read(|odb| {
+                assert_eq!(odb.cvd("left").unwrap().num_versions(), 3, "{label}");
+                assert_eq!(odb.cvd("right").unwrap().num_versions(), 2, "{label}");
+                assert!(odb.staged().is_empty(), "{label}");
+            });
         }
-        // Responses answer their submission positions, even though the
-        // sub-batches grouped per CVD.
-        assert_eq!(results[2].as_ref().unwrap().version(), Some(Vid(2)));
-        assert_eq!(results[4].as_ref().unwrap().version(), Some(Vid(2)));
-        assert_eq!(results[5].as_ref().unwrap().version(), Some(Vid(3)));
-        assert_eq!(
-            results[6].as_ref().unwrap().rows().unwrap().scalar(),
-            Some(&Value::Int(10))
-        );
-        shared.read(|odb| {
-            assert_eq!(odb.cvd("left").unwrap().num_versions(), 3);
-            assert_eq!(odb.cvd("right").unwrap().num_versions(), 2);
-            assert!(odb.staged().is_empty());
-        });
     }
 
     #[test]
     fn batch_failures_release_reservations_and_later_requests_run() {
         use crate::request::{Checkout, Commit};
 
-        let shared = shared_with_cvd();
-        let mut session = shared.session("u").unwrap();
-        let requests: Vec<Request> = vec![
-            // Fails inside the shard (unknown version) after its name was
-            // reserved in the catalog.
-            Checkout::of("data").version(99u64).into_table("bad").into(),
-            Checkout::of("data").version(1u64).into_table("good").into(),
-            Commit::table("good").message("fine").into(),
-        ];
-        let results = session.batch(requests);
-        assert!(
-            matches!(results[0], Err(CoreError::VersionNotFound { .. })),
-            "{:?}",
-            results[0]
-        );
-        assert!(results[1].is_ok());
-        assert_eq!(results[2].as_ref().unwrap().version(), Some(Vid(2)));
-        // The failed checkout's reservation was released: the name is free
-        // again for the very next request.
-        session.checkout("data", &[Vid(1)], "bad").unwrap();
-        session.discard("bad").unwrap();
-        shared.read(|odb| assert!(odb.staged().is_empty()));
+        let requests = || -> Vec<Request> {
+            vec![
+                // Fails inside the shard (unknown version) after its name
+                // was reserved in the catalog.
+                Checkout::of("data").version(99u64).into_table("bad").into(),
+                Checkout::of("data").version(1u64).into_table("good").into(),
+                Commit::table("good").message("fine").into(),
+            ]
+        };
+        for (label, shared, results) in batch_both_ways(shared_with_cvd, requests) {
+            assert!(
+                matches!(results[0], Err(CoreError::VersionNotFound { .. })),
+                "{label}: {:?}",
+                results[0]
+            );
+            assert!(results[1].is_ok(), "{label}: {:?}", results[1]);
+            assert_eq!(results[2].as_ref().unwrap().version(), Some(Vid(2)));
+            // The failed checkout's reservation was released: the name is
+            // free again for the very next request.
+            let session = shared.session("u").unwrap();
+            session.checkout("data", &[Vid(1)], "bad").unwrap();
+            session.discard("bad").unwrap();
+            shared.read(|odb| assert!(odb.staged().is_empty(), "{label}"));
+        }
     }
 
     #[cfg(debug_assertions)]

@@ -7,7 +7,7 @@
 //! them directly (`Checkout::of("protein").versions([1, 2]).into_table("w")`),
 //! and [`crate::OrpheusDB`] (single-threaded), [`crate::Session`]
 //! (shared, multi-user), and [`crate::AsyncExecutor`] (coordinator +
-//! per-shard worker pool) all execute them. Because requests are plain
+//! worker pool) all execute them. Because requests are plain
 //! data, they can be queued, logged, replayed, batched
 //! ([`Executor::batch`]), and dispatched asynchronously
 //! ([`crate::async_exec`]) without touching any front-end.
@@ -50,14 +50,13 @@ pub trait Executor {
     ///   requests after it.
     ///
     /// The default runs the requests sequentially, and
-    /// [`crate::OrpheusDB`] keeps it. The concurrent executors override it
-    /// to schedule the vector along a [`crate::batch::BatchPlan`]:
-    /// [`crate::ConcurrentExecutor`] / [`crate::Session`] take each shard
-    /// lock once per sub-batch instead of once per request, and
-    /// [`crate::AsyncHandle`] pipelines the whole vector through the async
-    /// worker pool (sub-batches of different CVDs may interleave; within
-    /// one CVD, submission order is preserved). Every request still runs
-    /// as a single `execute` of it would.
+    /// [`crate::OrpheusDB`] and [`crate::ConcurrentExecutor`] /
+    /// [`crate::Session`] keep it. [`crate::AsyncHandle`] overrides it to
+    /// pipeline the whole vector through the async worker pool, which
+    /// schedules it along a [`crate::batch::BatchPlan`] and takes each
+    /// shard lock once per sub-batch (sub-batches of different CVDs may
+    /// interleave; within one CVD, submission order is preserved). Every
+    /// request still runs as a single `execute` of it would.
     ///
     /// ```
     /// use orpheus_core::{Checkout, Commit, Executor, Init, OrpheusDB, Request, Vid};

@@ -322,9 +322,9 @@ fn the_staged_name_key_is_spelled_in_exactly_one_function() {
 }
 
 /// A single request is routed (`batch::route`), not planned as a batch of
-/// one: the one place that builds a `BatchPlan` is the concurrent
-/// executor's plan of a batch, which its `execute_batch` and the async
-/// coordinator share.
+/// one, and a `Session`'s batch is the plain `execute` loop: the one
+/// place that builds a `BatchPlan` is the concurrent executor's `plan`,
+/// which only the async coordinator calls, once per chunk.
 #[test]
 fn only_a_batch_is_planned() {
     let callers = spellings("BatchPlan::build(");

@@ -11,11 +11,26 @@
 //! * (c) a panicking worker poisons **only its shard's in-flight
 //!   tickets**: completed requests keep their results, the other shard is
 //!   untouched, reservations are released, and the shard keeps serving
-//!   later submissions.
+//!   later submissions;
+//! * (d) the steps of one region run side by side: a read of one shard is
+//!   answered while a commit to another shard, submitted before it in the
+//!   same batch, is held inside its shard lock.
+//!
+//! The catalog-churn storm scales its rounds up under `ORPHEUS_STRESS=1`
+//! (the CI stress job), matching the `mvcc_snapshots` convention.
 
-use orpheusdb::core::concurrent::{arm_checkout_panic, disarm_checkout_panic};
+use orpheusdb::core::concurrent::{arm_checkout_panic, arm_commit_gate, disarm_checkout_panic};
 use orpheusdb::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Iteration multiplier: 1 normally, larger under `ORPHEUS_STRESS=1`.
+fn stress(base: usize) -> usize {
+    match std::env::var("ORPHEUS_STRESS").as_deref() {
+        Ok("1") => base * 12,
+        _ => base,
+    }
+}
 
 const CSV: &str = "id,score\n1,10\n2,20\n3,30\n";
 const SCHEMA: &str = "id:int!pk\nscore:int\n";
@@ -201,7 +216,7 @@ fn concurrent_handles_survive_mixed_catalog_churn() {
             let pool = Arc::clone(&pool);
             scope.spawn(move || {
                 let handle = pool.handle(user).unwrap();
-                for i in 0..4 {
+                for i in 0..stress(4) {
                     let table = format!("{user}_{i}");
                     let t1 = handle.submit(Checkout::of(cvd).version(1u64).into_table(&table));
                     let t2 = handle.submit(Commit::table(&table).message(format!("{user} {i}")));
@@ -214,7 +229,7 @@ fn concurrent_handles_survive_mixed_catalog_churn() {
         let pool = Arc::clone(&pool);
         scope.spawn(move || {
             let handle = pool.handle("churn").unwrap();
-            for i in 0..3 {
+            for i in 0..stress(3) {
                 let name = format!("temp{i}");
                 let schema = Schema::new(vec![Column::new("k", DataType::Int)]);
                 let results = handle.clone().batch(vec![
@@ -237,10 +252,39 @@ fn concurrent_handles_survive_mixed_catalog_churn() {
     });
     shared.read(|odb| {
         assert_eq!(odb.ls(), vec!["left", "right"]);
-        assert_eq!(odb.cvd("left").unwrap().num_versions(), 5);
-        assert_eq!(odb.cvd("right").unwrap().num_versions(), 5);
+        assert_eq!(odb.cvd("left").unwrap().num_versions(), stress(4) + 1);
+        assert_eq!(odb.cvd("right").unwrap().num_versions(), stress(4) + 1);
         assert!(odb.staged().is_empty());
     });
+}
+
+/// The pool's workers share one job queue, and the steps of one region
+/// are independent: a commit to `left` parked inside its shard lock holds
+/// one worker, and the second worker answers the `diff` of `right` that
+/// follows it in the same submission.
+#[test]
+fn a_read_of_another_shard_is_answered_while_a_commit_is_held() {
+    let shared = shared_with_two_cvds(6);
+    let pool = AsyncExecutor::with_workers(shared, 2);
+    let mut handle = pool.handle("u").unwrap();
+    handle
+        .execute(Checkout::of("left").version(1u64).into_table("held").into())
+        .unwrap();
+    let gate = arm_commit_gate("held");
+    let mut tickets = handle.submit_batch([
+        Request::from(Commit::table("held").message("held")),
+        Diff::of("right").between(1u64, 1u64).into(),
+    ]);
+    let diff = tickets.pop().unwrap();
+    let commit = tickets.pop().unwrap();
+    gate.wait_entered();
+    let answered = diff
+        .wait_for(Duration::from_secs(30))
+        .expect("the diff of right is answered while the commit of left is held");
+    assert!(answered.is_ok(), "{answered:?}");
+    assert!(!commit.is_ready());
+    gate.release();
+    assert_eq!(commit.wait().unwrap().version(), Some(Vid(2)));
 }
 
 #[test]

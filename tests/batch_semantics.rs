@@ -12,8 +12,13 @@
 //!   bare `ConcurrentExecutor`;
 //! * (d) repeated merged exports and checkouts of one version set, before
 //!   and after a commit that adds a column, return the same *contents*
-//!   batched as looped — full CSV text and every row — on `OrpheusDB` and
-//!   on a `Session`.
+//!   batched as looped — full CSV text and every row — on `OrpheusDB`, on
+//!   a `Session` and on an `AsyncHandle`.
+//!
+//! A `Session`'s batch is the plain `execute` loop; only an
+//! `AsyncHandle`'s batch is planned into per-shard steps
+//! (`orpheus_core::batch::BatchPlan`). So every scenario that batches a
+//! `Session` also batches an `AsyncHandle` on a fresh instance.
 
 use orpheusdb::prelude::*;
 
@@ -157,23 +162,45 @@ fn shared_with_two_cvds(n: i64) -> SharedOrpheusDB {
     SharedOrpheusDB::new(odb)
 }
 
+/// One batched arm: its label, its instance, and its outcomes.
+type Arm = (
+    &'static str,
+    SharedOrpheusDB,
+    Vec<Result<Response, CoreError>>,
+);
+
+/// A fresh two-CVD instance, `n` rows each, batched once through a
+/// `Session` and once through an `AsyncHandle`: the two ways a shared
+/// instance takes a batch.
+fn batch_both_ways(n: i64, requests: &dyn Fn() -> Vec<Request>) -> Vec<Arm> {
+    let session = shared_with_two_cvds(n);
+    let session_results = session.session("u").unwrap().batch(requests());
+    let handle = shared_with_two_cvds(n);
+    let pool = AsyncExecutor::new(handle.clone());
+    let handle_results = pool.handle("u").unwrap().batch(requests());
+    vec![
+        ("Session", session, session_results),
+        ("AsyncHandle", handle, handle_results),
+    ]
+}
+
 #[test]
 fn responses_come_back_in_submission_order_across_shards() {
-    let shared = shared_with_two_cvds(12);
-    let mut session = shared.session("u").unwrap();
     // Interleave the two CVDs so per-shard grouping has to reorder
     // execution — the responses must still answer their submission slots.
-    let requests: Vec<Request> = vec![
-        Checkout::of("left").version(1u64).into_table("l0").into(),
-        Checkout::of("right").version(1u64).into_table("r0").into(),
-        Run::sql("SELECT count(*) FROM VERSION 1 OF CVD right").into(),
-        Commit::table("l0").message("left one").into(),
-        Commit::table("r0").message("right one").into(),
-        Checkout::of("right").version(2u64).into_table("r1").into(),
-        Run::sql("SELECT count(*) FROM VERSION 1 OF CVD left").into(),
-        Commit::table("r1").message("right two").into(),
-        Log::of("left").into(),
-    ];
+    let requests = || -> Vec<Request> {
+        vec![
+            Checkout::of("left").version(1u64).into_table("l0").into(),
+            Checkout::of("right").version(1u64).into_table("r0").into(),
+            Run::sql("SELECT count(*) FROM VERSION 1 OF CVD right").into(),
+            Commit::table("l0").message("left one").into(),
+            Commit::table("r0").message("right one").into(),
+            Checkout::of("right").version(2u64).into_table("r1").into(),
+            Run::sql("SELECT count(*) FROM VERSION 1 OF CVD left").into(),
+            Commit::table("r1").message("right two").into(),
+            Log::of("left").into(),
+        ]
+    };
     let expected = [
         "checked out v1 into table l0",
         "checked out v1 into table r0",
@@ -184,75 +211,79 @@ fn responses_come_back_in_submission_order_across_shards() {
         "1 row(s)",
         "committed r1 as v3",
     ];
-    let results = session.batch(requests);
-    assert_eq!(results.len(), 9);
-    for (i, want) in expected.iter().enumerate() {
-        assert_eq!(&render(&results[i]), want, "slot {i}");
+    for (label, shared, results) in batch_both_ways(12, &requests) {
+        assert_eq!(results.len(), 9, "{label}");
+        for (i, want) in expected.iter().enumerate() {
+            assert_eq!(&render(&results[i]), want, "{label}: slot {i}");
+        }
+        assert!(
+            matches!(&results[8], Ok(Response::Log { cvd, entries }) if cvd == "left" && entries.len() == 2),
+            "{label}: {:?}",
+            results[8]
+        );
+        shared.read(|odb| {
+            assert_eq!(odb.cvd("left").unwrap().num_versions(), 2, "{label}");
+            assert_eq!(odb.cvd("right").unwrap().num_versions(), 3, "{label}");
+            assert!(odb.staged().is_empty(), "{label}");
+        });
     }
-    assert!(
-        matches!(&results[8], Ok(Response::Log { cvd, entries }) if cvd == "left" && entries.len() == 2),
-        "{:?}",
-        results[8]
-    );
-    shared.read(|odb| {
-        assert_eq!(odb.cvd("left").unwrap().num_versions(), 2);
-        assert_eq!(odb.cvd("right").unwrap().num_versions(), 3);
-        assert!(odb.staged().is_empty());
-    });
 }
 
-/// Run `scenario` through a sequential loop and a single batch on fresh
-/// two-CVD instances, requiring identical outcomes; returns the batched
-/// instance for extra assertions.
-fn assert_scenario_agrees(scenario: &dyn Fn() -> Vec<Request>) -> SharedOrpheusDB {
+/// Run `scenario` through a sequential loop on a fresh two-CVD instance,
+/// then as one batch through a `Session` and through an `AsyncHandle` on
+/// fresh instances of their own, requiring identical outcomes; returns the
+/// two batched instances for extra assertions.
+fn assert_scenario_agrees(scenario: &dyn Fn() -> Vec<Request>) -> Vec<SharedOrpheusDB> {
     let a = shared_with_two_cvds(6);
     let mut sequential = a.session("u").unwrap();
     let seq: Vec<String> = scenario()
         .into_iter()
         .map(|r| render(&sequential.execute(r)))
         .collect();
-    let b = shared_with_two_cvds(6);
-    let bat: Vec<String> = b
-        .session("u")
-        .unwrap()
-        .batch(scenario())
-        .iter()
-        .map(render)
-        .collect();
-    assert_eq!(seq, bat);
-    b
+    batch_both_ways(6, scenario)
+        .into_iter()
+        .map(|(label, shared, results)| {
+            let bat: Vec<String> = results.iter().map(render).collect();
+            assert_eq!(seq, bat, "{label}");
+            shared
+        })
+        .collect()
 }
 
 #[test]
 fn same_name_collisions_inside_a_batch_match_the_sequential_loop() {
     // A commit of a name two checkouts fought over must land in the shard
     // of the checkout that actually won (the first), not the doomed one.
-    let shared = assert_scenario_agrees(&|| {
+    let batched = assert_scenario_agrees(&|| {
         vec![
             Checkout::of("left").version(1u64).into_table("t").into(),
             Checkout::of("right").version(1u64).into_table("t").into(),
             Commit::table("t").message("m").into(),
         ]
     });
-    shared.read(|odb| {
-        assert_eq!(odb.cvd("left").unwrap().num_versions(), 2);
-        assert_eq!(odb.cvd("right").unwrap().num_versions(), 1);
-    });
+    for shared in batched {
+        shared.read(|odb| {
+            assert_eq!(odb.cvd("left").unwrap().num_versions(), 2);
+            assert_eq!(odb.cvd("right").unwrap().num_versions(), 1);
+        });
+    }
 
     // A failing first checkout must not poison a same-name retry later in
     // the batch: sequentially the retry succeeds, so batched it must too.
-    let shared = assert_scenario_agrees(&|| {
+    let batched = assert_scenario_agrees(&|| {
         vec![
             Checkout::of("left").version(99u64).into_table("x").into(),
             Checkout::of("left").version(1u64).into_table("x").into(),
         ]
     });
-    shared.read(|odb| assert_eq!(odb.staged().len(), 1));
+    for shared in batched {
+        shared.read(|odb| assert_eq!(odb.staged().len(), 1));
+    }
 }
 
 #[test]
 fn a_mid_batch_error_does_not_abort_later_requests() {
-    for use_session in [false, true] {
+    for label in ["direct", "session", "async"] {
         let requests: Vec<Request> = vec![
             InitFromCsv::cvd("d").csv(CSV).schema_text(SCHEMA).into(),
             Checkout::of("d").version(7u64).into_table("bad").into(), // fails
@@ -261,13 +292,17 @@ fn a_mid_batch_error_does_not_abort_later_requests() {
             Commit::table("good").message("lands").into(),
             Run::sql("SELECT count(*) FROM VERSION 2 OF CVD d").into(),
         ];
-        let results = if use_session {
-            let shared = SharedOrpheusDB::new(OrpheusDB::new());
-            shared.session("u").unwrap().batch(requests)
-        } else {
-            OrpheusDB::new().batch(requests)
+        let results = match label {
+            "session" => {
+                let shared = SharedOrpheusDB::new(OrpheusDB::new());
+                shared.session("u").unwrap().batch(requests)
+            }
+            "async" => {
+                let pool = AsyncExecutor::new(SharedOrpheusDB::new(OrpheusDB::new()));
+                pool.handle("u").unwrap().batch(requests)
+            }
+            _ => OrpheusDB::new().batch(requests),
         };
-        let label = if use_session { "session" } else { "direct" };
         assert!(results[0].is_ok(), "{label}: {:?}", results[0]);
         assert!(
             matches!(results[1], Err(CoreError::VersionNotFound { .. })),
@@ -298,39 +333,38 @@ fn repeated_checkouts_in_one_batch_each_stage_the_whole_version() {
     // Four checkouts of the same version inside one batch each stage a
     // table holding all of the version's rows, and any of them commits
     // back as a faithful new version.
-    let shared = shared_with_two_cvds(10);
-    let mut session = shared.session("u").unwrap();
-    let mut requests: Vec<Request> = Vec::new();
-    for i in 0..4 {
-        requests.push(
+    let requests = || -> Vec<Request> {
+        let checkouts = (0..4).map(|i| {
             Checkout::of("left")
                 .version(1u64)
                 .into_table(format!("w{i}"))
-                .into(),
-        );
+                .into()
+        });
+        let counts = (0..4).map(|i| Run::sql(format!("SELECT count(*) FROM w{i}")).into());
+        checkouts.chain(counts).collect()
+    };
+    for (label, shared, results) in batch_both_ways(10, &requests) {
+        for (i, r) in results.iter().enumerate() {
+            assert!(r.is_ok(), "{label}: request {i}: {r:?}");
+        }
+        for r in &results[4..] {
+            assert_eq!(
+                r.as_ref().unwrap().rows().unwrap().scalar(),
+                Some(&Value::Int(10)),
+                "{label}"
+            );
+        }
+        let session = shared.session("u").unwrap();
+        session.sql("UPDATE w0 SET v = 1 WHERE k = 3").unwrap();
+        let vid = session.commit("w0", "from a batched checkout").unwrap();
+        let n = session
+            .run(&format!(
+                "SELECT count(*) FROM VERSION {} OF CVD left",
+                vid.0
+            ))
+            .unwrap();
+        assert_eq!(n.scalar(), Some(&Value::Int(10)), "{label}");
     }
-    for i in 0..4 {
-        requests.push(Run::sql(format!("SELECT count(*) FROM w{i}")).into());
-    }
-    let results = session.batch(requests);
-    for (i, r) in results.iter().enumerate() {
-        assert!(r.is_ok(), "request {i}: {r:?}");
-    }
-    for r in &results[4..] {
-        assert_eq!(
-            r.as_ref().unwrap().rows().unwrap().scalar(),
-            Some(&Value::Int(10))
-        );
-    }
-    session.sql("UPDATE w0 SET v = 1 WHERE k = 3").unwrap();
-    let vid = session.commit("w0", "from a batched checkout").unwrap();
-    let n = session
-        .run(&format!(
-            "SELECT count(*) FROM VERSION {} OF CVD left",
-            vid.0
-        ))
-        .unwrap();
-    assert_eq!(n.scalar(), Some(&Value::Int(10)));
 }
 
 /// CVD `s` with three versions whose merge `-v 3 1` resolves primary-key
@@ -478,4 +512,13 @@ fn merged_exports_and_checkouts_match_the_sequential_loop_across_an_add_column()
         .map(render_contents)
         .collect();
     assert_eq!(sequential, session_batch, "Session batch");
+    let pool = AsyncExecutor::new(SharedOrpheusDB::new(three_version_cvd()));
+    let handle_batch: Vec<String> = pool
+        .handle("u")
+        .unwrap()
+        .batch(merged_reads_around_an_add_column())
+        .iter()
+        .map(render_contents)
+        .collect();
+    assert_eq!(sequential, handle_batch, "AsyncHandle batch");
 }
