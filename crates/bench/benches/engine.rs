@@ -63,7 +63,7 @@ fn bench_containment_scan(c: &mut Criterion) {
     let rows: Vec<Vec<Value>> = (0..20_000)
         .map(|i| {
             let vl: Vec<i64> = (0..(i % 10 + 1)).map(|v| v as i64 + 1).collect();
-            vec![Value::Int(i as i64), Value::IntArray(vl)]
+            vec![Value::Int(i as i64), Value::from(vl)]
         })
         .collect();
     db.table_mut("t")

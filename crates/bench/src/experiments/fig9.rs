@@ -75,7 +75,12 @@ fn measure_partitioning(w: &Workload, part: &Partitioning) -> f64 {
         for &v in versions {
             t.insert(vec![
                 Value::Int(v as i64 + 1),
-                Value::IntArray(w.version_rids[v].iter().map(|&r| r as i64).collect()),
+                Value::from(
+                    w.version_rids[v]
+                        .iter()
+                        .map(|&r| r as i64)
+                        .collect::<Vec<_>>(),
+                ),
             ])
             .expect("rlist row");
         }

@@ -67,16 +67,17 @@ pub fn load_workload(
             Some(b) => orpheus_core::cvd::sorted_difference(cvd.rids_of(b)?, &rlist),
             None => Vec::new(),
         };
+        let rlist = std::sync::Arc::new(rlist);
         let data = CommitData {
             vid,
-            rlist: rlist.clone(),
+            rlist: Vec::new(),
             kept,
             new_records,
             all_records: Vec::new(),
             base,
             deleted_from_base,
         };
-        model::persist_version(&mut odb.engine, &cvd, &parents, &data)?;
+        model::persist_version(&mut odb.engine, &cvd, &parents, &data, &rlist)?;
         let attributes = {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)

@@ -152,14 +152,14 @@ fn parse_field(field: &str, dtype: DataType) -> Result<Value> {
         DataType::IntArray => {
             let trimmed = field.trim_start_matches('{').trim_end_matches('}');
             if trimmed.is_empty() {
-                return Ok(Value::IntArray(vec![]));
+                return Ok(Value::from(Vec::new()));
             }
             let parts: std::result::Result<Vec<i64>, _> = trimmed
                 .split(',')
                 .map(|p| p.trim().parse::<i64>())
                 .collect();
             parts
-                .map(Value::IntArray)
+                .map(Value::from)
                 .map_err(|_| CoreError::Csv(format!("invalid INT[]: {field}")))
         }
     }
@@ -288,7 +288,7 @@ mod tests {
         let s = Schema::new(vec![Column::new("arr", DataType::IntArray)]);
         let (h, rows) = parse_csv("arr\n\"{1, 2, 3}\"\n{}\n").unwrap();
         let typed = typed_rows(&s, &h, &rows).unwrap();
-        assert_eq!(typed[0][0], Value::IntArray(vec![1, 2, 3]));
-        assert_eq!(typed[1][0], Value::IntArray(vec![]));
+        assert_eq!(typed[0][0], Value::IntArray(vec![1, 2, 3].into()));
+        assert_eq!(typed[1][0], Value::IntArray(vec![].into()));
     }
 }

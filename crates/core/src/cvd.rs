@@ -135,7 +135,9 @@ pub struct Cvd {
     /// `PartialEq`/persistence see through the `Arc` transparently.
     pub versions: Vec<Arc<VersionMeta>>,
     /// Sorted rid list per version (the version manager's cache of "which
-    /// version contains which records").
+    /// version contains which records"). Under split-by-rlist each entry
+    /// is the very buffer of the version's rlist table cell, and of its
+    /// partition rlist table cell once partitioned: one rlist per version.
     pub version_rids: Vec<Arc<Vec<i64>>>,
     pub next_rid: u64,
     pub attrs: AttributeRegistry,
@@ -263,10 +265,12 @@ impl Cvd {
         Ok(&self.version_rids[vid.index()])
     }
 
-    /// Record a committed version: its metadata and its sorted rlist.
-    pub fn push_version(&mut self, meta: VersionMeta, rlist: Vec<i64>) {
+    /// Record a committed version: its metadata and its sorted rlist. The
+    /// rlist is the buffer split-by-rlist's rlist table cell holds too
+    /// (see [`crate::model::persist_version`]), so it is not copied.
+    pub fn push_version(&mut self, meta: VersionMeta, rlist: Arc<Vec<i64>>) {
         self.versions.push(Arc::new(meta));
-        self.version_rids.push(Arc::new(rlist));
+        self.version_rids.push(rlist);
     }
 
     /// Allocate `n` fresh record ids.
@@ -365,13 +369,13 @@ impl Cvd {
         let t = db.table_mut(&self.meta_table())?;
         t.insert(vec![
             Value::Int(m.vid.0 as i64),
-            Value::IntArray(parents),
+            Value::from(parents),
             m.checkout_t
                 .map(|t| Value::Int(t as i64))
                 .unwrap_or(Value::Null),
             Value::Int(m.commit_t as i64),
             Value::Text(m.message.clone()),
-            Value::IntArray(attrs),
+            Value::from(attrs),
             Value::Int(m.num_records as i64),
         ])?;
         // Refresh attribute rows (idempotent upsert by id).
@@ -520,7 +524,7 @@ mod tests {
                 num_records: 3,
                 base: None,
             },
-            vec![1, 2, 3],
+            vec![1, 2, 3].into(),
         );
         cvd.push_version(
             VersionMeta {
@@ -534,7 +538,7 @@ mod tests {
                 num_records: 3,
                 base: Some(Vid(1)),
             },
-            vec![2, 3, 4],
+            vec![2, 3, 4].into(),
         );
         cvd.push_version(
             VersionMeta {
@@ -548,7 +552,7 @@ mod tests {
                 num_records: 4,
                 base: Some(Vid(2)),
             },
-            vec![1, 2, 3, 4],
+            vec![1, 2, 3, 4].into(),
         );
         cvd.next_rid = 5;
         cvd

@@ -3,6 +3,7 @@
 //! end to end).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use orpheus_engine::{Database, QueryResult, Schema, Value};
 
@@ -292,17 +293,17 @@ impl OrpheusDB {
 
         let pk: Vec<Option<usize>> = cvd.schema.primary_key.iter().map(|&c| Some(c)).collect();
         check_pk_duplicates(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>(), &pk)?;
-        let rids = cvd.alloc_rids(rows.len());
+        let rids = Arc::new(cvd.alloc_rids(rows.len()));
         let data = CommitData {
             vid: Vid(1),
-            rlist: rids.clone(),
+            rlist: Vec::new(),
             kept: Vec::new(),
             new_records: rids.iter().copied().zip(rows).collect(),
             all_records: Vec::new(),
             base: None,
             deleted_from_base: Vec::new(),
         };
-        model::persist_version(&mut self.engine, &cvd, &[], &data)?;
+        model::persist_version(&mut self.engine, &cvd, &[], &data, &rids)?;
         let commit_t = self.tick();
         let attributes = {
             let schema = cvd.schema.clone();
@@ -587,6 +588,9 @@ impl OrpheusDB {
         rlist.extend_from_slice(&kept);
         rlist.extend_from_slice(&fresh);
         rlist.sort_unstable();
+        // The version's one rlist: its rlist table cell and the catalog
+        // entry share this buffer.
+        let rlist = Arc::new(rlist);
         let new_records: Vec<(i64, Vec<Value>)> = fresh.into_iter().zip(new_rows).collect();
 
         let cvd = lookup(&self.cvds, cvd_key)?;
@@ -598,16 +602,17 @@ impl OrpheusDB {
             Some(b) => crate::cvd::sorted_difference(cvd.rids_of(b)?, &rlist),
             None => Vec::new(),
         };
-        let mut data = CommitData {
+        let data = CommitData {
             vid,
-            rlist,
+            rlist: Vec::new(),
             kept,
             new_records,
             all_records: Vec::new(),
             base,
             deleted_from_base,
         };
-        if let Err(e) = model::persist_version(&mut self.engine, cvd, &entry.parents, &data) {
+        if let Err(e) = model::persist_version(&mut self.engine, cvd, &entry.parents, &data, &rlist)
+        {
             // Undo any partial backing-storage writes so the vid can be
             // reused by a retried commit.
             model::rollback_commit(&mut self.engine, cvd, &data);
@@ -620,9 +625,6 @@ impl OrpheusDB {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)
         };
-        // Rollback reads only the vid and the new records: the rlist moves
-        // into the catalog instead of being copied.
-        let rlist = std::mem::take(&mut data.rlist);
         cvd.push_version(
             VersionMeta {
                 vid,

@@ -68,7 +68,7 @@ pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
                     .iter()
                     .map(|s| match s {
                         Source::Rid => Value::Int(*rid),
-                        Source::Vlist => Value::IntArray(vec![data.vid.0 as i64]),
+                        Source::Vlist => Value::from(vec![data.vid.0 as i64]),
                         Source::Attr(i) => values.get(*i).cloned().unwrap_or(Value::Null),
                         Source::Missing => Value::Null,
                     })
@@ -152,7 +152,7 @@ mod tests {
                 cvd.combined_table()
             ))
             .unwrap();
-        assert_eq!(r.rows[0][0], Value::IntArray(vec![1, 2]));
+        assert_eq!(r.rows[0][0], Value::IntArray(vec![1, 2].into()));
     }
 
     #[test]
@@ -169,7 +169,7 @@ mod tests {
         );
         let t = db.table(&cvd.combined_table()).unwrap();
         let vlists: Vec<&Value> = t.rows().map(|row| &row[3]).collect();
-        assert_eq!(vlists, [&Value::IntArray(vec![1, 2])]);
+        assert_eq!(vlists, [&Value::IntArray(vec![1, 2].into())]);
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub mod split_rlist;
 pub mod split_vlist;
 pub mod table_per_version;
 
+use std::sync::Arc;
+
 use orpheus_engine::{Database, Schema, Value};
 
 use crate::cvd::{sorted_difference, Cvd};
@@ -88,7 +90,11 @@ impl ModelKind {
 #[derive(Debug, Clone)]
 pub struct CommitData {
     pub vid: Vid,
-    /// All rids of the new version, sorted.
+    /// All rids of the new version, sorted — read only by
+    /// [`persist_commit`]. Every other path hands [`persist_version`] the
+    /// rlist as the shared buffer the catalog keeps, and leaves this
+    /// empty. It stays only because the frozen `perf_ledger` builds
+    /// `CommitData` with every field named.
     pub rlist: Vec<i64>,
     /// Rids inherited unchanged from parent versions, sorted.
     pub kept: Vec<i64>,
@@ -123,30 +129,35 @@ pub fn init_storage(db: &mut Database, cvd: &Cvd) -> Result<()> {
 /// Persist a committed version through the engine's table API — the one
 /// write path for `init`, `commit` and WAL replay alike. `parents` are the
 /// version's parents, in precedence order: the two models that copy kept
-/// records (a-table-per-version, delta) read them from there.
+/// records (a-table-per-version, delta) read them from there. `rlist` is
+/// the version's sorted rids, the buffer the caller then hands
+/// [`Cvd::push_version`]: split-by-rlist stores it in its rlist table
+/// cell without copying it.
 pub fn persist_version(
     db: &mut Database,
     cvd: &Cvd,
     parents: &[Vid],
     data: &CommitData,
+    rlist: &Arc<Vec<i64>>,
 ) -> Result<()> {
     match cvd.model {
         ModelKind::TablePerVersion => table_per_version::persist(db, cvd, parents, data),
         ModelKind::CombinedTable => combined::persist(db, cvd, data),
         ModelKind::SplitByVlist => split_vlist::persist(db, cvd, data),
-        ModelKind::SplitByRlist => split_rlist::persist(db, cvd, data),
+        ModelKind::SplitByRlist => split_rlist::persist(db, cvd, data, rlist),
         ModelKind::DeltaBased => delta::persist(db, cvd, parents, data),
     }
 }
 
-/// [`persist_version`] with `data.base` as the only parent — enough for
-/// every model when the version has one parent. It stays only because the
-/// frozen `perf_ledger` calls it with four arguments; `_bulk` is ignored
-/// (it once chose between this path and rendering the rows as Table 1
-/// `INSERT` text). The `[benchmark]` PR that next touches the ledger
-/// drops it.
+/// [`persist_version`] with `data.base` as the only parent and a copy of
+/// `data.rlist` as the rlist — enough for every model when the version
+/// has one parent. It stays only because the frozen `perf_ledger` calls it
+/// with four arguments; `_bulk` is ignored (it once chose between this
+/// path and rendering the rows as Table 1 `INSERT` text). The
+/// `[benchmark]` PR that next touches the ledger drops it.
 pub fn persist_commit(db: &mut Database, cvd: &Cvd, data: &CommitData, _bulk: bool) -> Result<()> {
-    persist_version(db, cvd, data.base.as_slice(), data)
+    let rlist = Arc::new(data.rlist.clone());
+    persist_version(db, cvd, data.base.as_slice(), data, &rlist)
 }
 
 /// The records of the sorted `rids`, each read from the first of
@@ -258,7 +269,7 @@ fn strip_vid_from_vlists(db: &mut Database, table: &str, vid: Vid) {
             deletes.push(slot);
         } else {
             let mut new_row = row.to_vec();
-            new_row[vlist_col] = Value::IntArray(stripped);
+            new_row[vlist_col] = Value::from(stripped);
             updates.push((slot, new_row));
         }
     }
@@ -623,7 +634,9 @@ pub(crate) fn append_vid_to_vlist(
     for (_, slot) in slots {
         let mut row = t.row(slot).to_vec();
         if let Value::IntArray(vlist) = &mut row[vlist_col] {
-            vlist.push(vid.0 as i64);
+            // The copied row shares the cell's buffer (and an older
+            // snapshot of the table may too): append to a private copy.
+            Arc::make_mut(vlist).push(vid.0 as i64);
         }
         t.replace_row(slot, row)?;
     }
@@ -692,16 +705,17 @@ pub(crate) mod testutil {
             Some(b) => crate::cvd::sorted_difference(cvd.rids_of(b).unwrap(), &rlist),
             None => Vec::new(),
         };
+        let rlist = std::sync::Arc::new(rlist);
         let data = CommitData {
             vid,
-            rlist: rlist.clone(),
+            rlist: Vec::new(),
             kept,
             new_records,
             all_records: Vec::new(),
             base,
             deleted_from_base,
         };
-        model::persist_version(db, cvd, parents, &data).unwrap();
+        model::persist_version(db, cvd, parents, &data, &rlist).unwrap();
         let attributes = {
             let schema = cvd.schema.clone();
             cvd.attrs.intern_schema(&schema)

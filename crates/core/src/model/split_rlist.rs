@@ -9,6 +9,8 @@
 //! the sorted rlist resolves to data-table heap slots directly through the
 //! rid primary-key index ([`crate::model::version_row_refs`]).
 
+use std::sync::Arc;
+
 use orpheus_engine::{Database, Value};
 
 use crate::cvd::Cvd;
@@ -34,15 +36,24 @@ pub(crate) fn create_rlist_table(db: &mut Database, rlist: &str) -> Result<()> {
     Ok(())
 }
 
-pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
+pub fn persist(
+    db: &mut Database,
+    cvd: &Cvd,
+    data: &CommitData,
+    rlist: &Arc<Vec<i64>>,
+) -> Result<()> {
     // New records go into the data table.
     insert_rows(db, &cvd.data_table(), rid_rows(&data.new_records))?;
     // One tuple into the versioning table — the cheap commit of Table 1.
-    db.table_mut(&cvd.rlist_table())?.insert(vec![
-        Value::Int(data.vid.0 as i64),
-        Value::IntArray(data.rlist.clone()),
-    ])?;
+    // Its cell shares the rlist with the catalog.
+    db.table_mut(&cvd.rlist_table())?
+        .insert(rlist_tuple(data.vid, rlist))?;
     Ok(())
+}
+
+/// The `(vid, rlist)` tuple of a version, sharing `rlist`'s buffer.
+pub(crate) fn rlist_tuple(vid: Vid, rlist: &Arc<Vec<i64>>) -> Vec<Value> {
+    vec![Value::Int(vid.0 as i64), Value::IntArray(Arc::clone(rlist))]
 }
 
 /// The Table 1 join of this model: the records of `vid`, out of the table

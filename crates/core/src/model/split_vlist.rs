@@ -31,7 +31,7 @@ pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
     let vlist_rows: Vec<Vec<Value>> = data
         .new_records
         .iter()
-        .map(|(rid, _)| vec![Value::Int(*rid), Value::IntArray(vec![data.vid.0 as i64])])
+        .map(|(rid, _)| vec![Value::Int(*rid), Value::from(vec![data.vid.0 as i64])])
         .collect();
     insert_rows(db, &cvd.vlist_table(), vlist_rows)
 }

@@ -20,7 +20,7 @@
 //! starts as a chunk-sharing clone of its predecessor — and drops G only
 //! once G+1 stands, so a failed migration changes nothing.
 
-use orpheus_engine::{Database, Value};
+use orpheus_engine::Database;
 use orpheus_partition::lyresplit::lyresplit_for_budget;
 use orpheus_partition::migration::{plan_migration, plan_naive, MigrationStep};
 use orpheus_partition::online::{OnlineConfig, OnlineMaintainer};
@@ -31,7 +31,8 @@ use orpheus_partition::{Partitioning, VersionTree};
 use crate::cvd::{sorted_difference, Cvd};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
-use crate::model::{self, split_rlist, ModelKind};
+use crate::model::split_rlist::{self, rlist_tuple};
+use crate::model::{self, ModelKind};
 
 /// Persistent partitioning state carried by a CVD.
 #[derive(Debug, Clone)]
@@ -115,13 +116,6 @@ fn copy_missing_records(db: &mut Database, cvd: &Cvd, target: &str, rids: &[i64]
     db.table_mut(target)?
         .insert_many(found.into_iter().map(|(_, slot)| source.row(slot)))?;
     Ok(())
-}
-
-fn rlist_tuple(cvd: &Cvd, v: usize) -> Vec<Value> {
-    vec![
-        Value::Int(v as i64 + 1),
-        Value::IntArray((*cvd.version_rids[v]).clone()),
-    ]
 }
 
 /// Run the partition optimizer: LyreSplit under the budget
@@ -278,7 +272,7 @@ fn build_generation(
         copy_missing_records(db, cvd, &data, &as_rids(inserts))?;
         let t = db.table_mut(&rlist)?;
         for &v in &members[k] {
-            t.insert(rlist_tuple(cvd, v))?;
+            t.insert(rlist_tuple(Vid::from_index(v), &cvd.version_rids[v]))?;
         }
     }
     Ok(())
@@ -318,7 +312,7 @@ pub fn on_commit(db: &mut Database, cvd: &mut Cvd, vid: Vid) -> Result<()> {
     }
     copy_missing_records(db, cvd, &data, cvd.rids_of(vid)?)?;
     db.table_mut(&rlist)?
-        .insert(rlist_tuple(cvd, vid.index()))?;
+        .insert(rlist_tuple(vid, &cvd.version_rids[vid.index()]))?;
 
     if let Some(target) = &outcome.migration_target {
         let tree = state.maintainer.tree();
@@ -360,6 +354,7 @@ pub fn partition_storage_bytes(db: &Database, cvd: &Cvd) -> u64 {
 mod tests {
     use super::*;
     use crate::model::testutil::{commit, make_cvd, record};
+    use orpheus_engine::Value;
     use orpheus_partition::lyresplit::EdgePick;
 
     fn build_history() -> (Database, Cvd) {

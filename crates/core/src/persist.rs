@@ -21,12 +21,13 @@
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 
 use orpheus_engine::storage::{
     self, put_bool, put_f64, put_i64, put_str, put_u32, put_u64, verify_envelope, wrap_envelope,
     write_atomically, Reader,
 };
-use orpheus_engine::{Column, DataType, Schema};
+use orpheus_engine::{Column, DataType, Database, Schema, Value};
 use orpheus_partition::online::{OnlineConfig, OnlineMaintainer};
 use orpheus_partition::{Partitioning, VersionTree};
 
@@ -35,6 +36,8 @@ use crate::cvd::{AttrEntry, AttributeRegistry, Cvd, VersionMeta};
 use crate::db::{OrpheusConfig, OrpheusDB};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
+use crate::model::split_rlist::rlist_tuple;
+use crate::model::ModelKind;
 use crate::partition_store::PartitionState;
 use crate::staging::{StagedEntry, StagedKind, StagingArea};
 
@@ -472,7 +475,7 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
 
     // Validate that every CVD's backing tables exist in the engine before
     // accepting the catalog (a corrupt snapshot must not half-load).
-    for cvd in cvds.values() {
+    for cvd in cvds.values_mut() {
         for t in crate::model::backing_tables(cvd) {
             if !odb.engine.has_table(&t) {
                 return Err(corrupt(format!(
@@ -481,9 +484,70 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
                 )));
             }
         }
+        share_rlists(&mut odb.engine, cvd)?;
     }
     odb.cvds = cvds;
     Ok(odb)
+}
+
+/// Hold each split-by-rlist version's rlist once, as a live commit does.
+/// The snapshot stores every rlist in the catalog and in rlist table
+/// cells, which decode as separate buffers: the catalog adopts the buffer
+/// of the global rlist table's cell, and each partition rlist table cell
+/// is pointed at it too. A cell that differs from the catalog's rlist, or
+/// a version no global cell holds, is corruption.
+fn share_rlists(engine: &mut Database, cvd: &mut Cvd) -> Result<()> {
+    if cvd.model != ModelKind::SplitByRlist {
+        return Ok(());
+    }
+    let global = cvd.rlist_table();
+    let t = engine.table(&global)?;
+    for row in t.rows() {
+        let (vid, cell) = checked_rlist(cvd, &global, row)?;
+        cvd.version_rids[vid.index()] = cell;
+    }
+    if t.len() != cvd.num_versions() {
+        return Err(corrupt(format!(
+            "CVD {}: {} versions, but {global} holds {} rlists",
+            cvd.name,
+            cvd.num_versions(),
+            t.len()
+        )));
+    }
+    let partitions: Vec<String> = cvd.partition_pairs().map(|(_, rlist)| rlist).collect();
+    for table in partitions {
+        let t = engine
+            .table_mut(&table)
+            .map_err(|_| corrupt(format!("CVD {} references missing table {table}", cvd.name)))?;
+        for slot in 0..t.len() {
+            let (vid, _) = checked_rlist(cvd, &table, t.row(slot))?;
+            t.replace_row(slot, rlist_tuple(vid, &cvd.version_rids[vid.index()]))?;
+        }
+    }
+    Ok(())
+}
+
+/// The version and rlist buffer of one `(vid, rlist)` row of `table`,
+/// refused unless the catalog holds that version with exactly that rlist.
+fn checked_rlist(cvd: &Cvd, table: &str, row: &[Value]) -> Result<(Vid, Arc<Vec<i64>>)> {
+    let [Value::Int(v), Value::IntArray(cell), ..] = row else {
+        return Err(corrupt(format!(
+            "CVD {}: {table} holds a row that is not (vid, rlist)",
+            cvd.name
+        )));
+    };
+    let vid = Vid(u64::try_from(*v).unwrap_or(0));
+    match cvd.rids_of(vid) {
+        Ok(held) if held == cell.as_slice() => Ok((vid, Arc::clone(cell))),
+        Ok(_) => Err(corrupt(format!(
+            "CVD {}: the rlist of version {v} in {table} differs from the catalog's",
+            cvd.name
+        ))),
+        Err(_) => Err(corrupt(format!(
+            "CVD {}: {table} holds an rlist for version {v}, which the catalog lacks",
+            cvd.name
+        ))),
+    }
 }
 
 /// Save an OrpheusDB snapshot to `path` atomically.

@@ -169,7 +169,7 @@ impl Acc {
                 }
             }
             Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
-            Acc::ArrayAgg(items) => Value::IntArray(items),
+            Acc::ArrayAgg(items) => Value::from(items),
         })
     }
 }
@@ -378,8 +378,8 @@ mod tests {
                 distinct: false,
             }],
         );
-        assert_eq!(rows[0][1], Value::IntArray(vec![10, 20]));
-        assert_eq!(rows[1][1], Value::IntArray(vec![5, 5, 7]));
+        assert_eq!(rows[0][1], Value::IntArray(vec![10, 20].into()));
+        assert_eq!(rows[1][1], Value::IntArray(vec![5, 5, 7].into()));
     }
 
     #[test]

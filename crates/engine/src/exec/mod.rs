@@ -432,7 +432,7 @@ mod tests {
             t.insert(vec![
                 Value::Int(i),
                 Value::Int(i % 2),
-                Value::IntArray(vec![i, i + 1]),
+                Value::IntArray(vec![i, i + 1].into()),
             ])
             .unwrap();
         }

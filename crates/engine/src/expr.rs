@@ -154,7 +154,7 @@ impl Expr {
                 for e in elems {
                     out.push(e.eval(row)?.as_int()?);
                 }
-                Ok(Value::IntArray(out))
+                Ok(Value::from(out))
             }
             Expr::InSet { expr, set, negated } => {
                 let v = expr.eval(row)?;
@@ -321,14 +321,10 @@ fn eval_arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
     // combined-table and split-by-vlist models).
     if op == BinOp::Add {
         if let (Value::IntArray(a), Value::Int(x)) = (&l, &r) {
-            let mut out = a.clone();
-            out.push(*x);
-            return Ok(Value::IntArray(out));
+            return Ok(int_array_cat(a, &[*x]));
         }
         if let (Value::IntArray(a), Value::IntArray(b)) = (&l, &r) {
-            let mut out = a.clone();
-            out.extend_from_slice(b);
-            return Ok(Value::IntArray(out));
+            return Ok(int_array_cat(a, b));
         }
     }
     match (&l, &r) {
@@ -379,18 +375,19 @@ fn eval_concat(l: Value, r: Value) -> Result<Value> {
         return Ok(Value::Null);
     }
     match (&l, &r) {
-        (Value::IntArray(a), Value::IntArray(b)) => {
-            let mut out = a.clone();
-            out.extend_from_slice(b);
-            Ok(Value::IntArray(out))
-        }
-        (Value::IntArray(a), Value::Int(x)) => {
-            let mut out = a.clone();
-            out.push(*x);
-            Ok(Value::IntArray(out))
-        }
+        (Value::IntArray(a), Value::IntArray(b)) => Ok(int_array_cat(a, b)),
+        (Value::IntArray(a), Value::Int(x)) => Ok(int_array_cat(a, &[*x])),
         _ => Ok(Value::Text(format!("{l}{r}"))),
     }
+}
+
+/// A fresh array of `a` followed by `b`: the operands' buffers may be
+/// shared with table cells, so they are read, never extended.
+fn int_array_cat(a: &[i64], b: &[i64]) -> Value {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+    Value::from(out)
 }
 
 /// True when every element of `a` appears in `b` (multiset semantics are
@@ -423,9 +420,7 @@ fn eval_func(func: Func, args: &[Expr], row: &[Value]) -> Result<Value> {
             if arr.is_null() || x.is_null() {
                 return Ok(Value::Null);
             }
-            let mut out = arr.as_int_array()?.to_vec();
-            out.push(x.as_int()?);
-            Ok(Value::IntArray(out))
+            Ok(int_array_cat(arr.as_int_array()?, &[x.as_int()?]))
         }
         Func::ArrayCat => {
             need(2)?;
@@ -434,9 +429,7 @@ fn eval_func(func: Func, args: &[Expr], row: &[Value]) -> Result<Value> {
             if a.is_null() || b.is_null() {
                 return Ok(Value::Null);
             }
-            let mut out = a.as_int_array()?.to_vec();
-            out.extend_from_slice(b.as_int_array()?);
-            Ok(Value::IntArray(out))
+            Ok(int_array_cat(a.as_int_array()?, b.as_int_array()?))
         }
         Func::ArrayLength => {
             need(1)?;
@@ -534,7 +527,7 @@ mod tests {
         vec![
             Value::Int(10),
             Value::Text("hi".into()),
-            Value::IntArray(vec![1, 2, 3]),
+            Value::IntArray(vec![1, 2, 3].into()),
             Value::Null,
         ]
     }
@@ -555,7 +548,10 @@ mod tests {
         // `vlist = vlist + vj` from Table 1.
         let r = row();
         let e = Expr::bin(BinOp::Add, Expr::col(2), Expr::lit(4));
-        assert_eq!(e.eval(&r).unwrap(), Value::IntArray(vec![1, 2, 3, 4]));
+        assert_eq!(
+            e.eval(&r).unwrap(),
+            Value::IntArray(vec![1, 2, 3, 4].into())
+        );
     }
 
     #[test]

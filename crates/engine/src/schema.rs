@@ -249,8 +249,8 @@ mod tests {
             Value::Text("x".into()),
             Value::Bool(true),
             Value::Bool(false),
-            Value::IntArray(vec![]),
-            Value::IntArray(vec![i64::MIN, 3]),
+            Value::IntArray(vec![].into()),
+            Value::IntArray(vec![i64::MIN, 3].into()),
         ]
     }
 
@@ -301,7 +301,10 @@ mod tests {
             ),
             (
                 Schema::new(vec![col(DataType::Double), col(DataType::IntArray)]),
-                vec![Value::Double(f64::NAN), Value::IntArray(vec![i64::MIN])],
+                vec![
+                    Value::Double(f64::NAN),
+                    Value::IntArray(vec![i64::MIN].into()),
+                ],
                 "Ok([Double(NaN), IntArray([-9223372036854775808])])",
             ),
             (
@@ -311,7 +314,7 @@ mod tests {
             ),
             (
                 Schema::new(vec![col(DataType::Int)]),
-                vec![Value::IntArray(vec![1])],
+                vec![Value::IntArray(vec![1].into())],
                 "Err(TypeMismatch(\"cannot coerce {1} to INT\"))",
             ),
         ];

@@ -229,7 +229,7 @@ fn lower_expr(
                     arr.push(row[0].as_int()?);
                 }
             }
-            Ok(Expr::Literal(Value::IntArray(arr)))
+            Ok(Expr::Literal(Value::from(arr)))
         }
         SqlExpr::InList {
             expr,
@@ -1320,10 +1320,13 @@ mod tests {
         .with_primary_key(&["vid"])
         .unwrap();
         let mut vt = Table::new("versioningtable", v_schema);
-        vt.insert(vec![Value::Int(1), Value::IntArray(vec![0, 1, 2])])
+        vt.insert(vec![Value::Int(1), Value::IntArray(vec![0, 1, 2].into())])
             .unwrap();
-        vt.insert(vec![Value::Int(2), Value::IntArray(vec![1, 2, 3, 4])])
-            .unwrap();
+        vt.insert(vec![
+            Value::Int(2),
+            Value::IntArray(vec![1, 2, 3, 4].into()),
+        ])
+        .unwrap();
         tables.insert("versioningtable".into(), vt);
         tables
     }
@@ -1468,7 +1471,7 @@ mod tests {
             "SELECT ARRAY(SELECT rid FROM dataTable WHERE rid < 3) AS arr",
             &tables,
         );
-        assert_eq!(chunk.rows[0][0], Value::IntArray(vec![0, 1, 2]));
+        assert_eq!(chunk.rows[0][0], Value::IntArray(vec![0, 1, 2].into()));
     }
 
     /// The plan of `sql`, rendered as `EXPLAIN` prints it.

@@ -343,7 +343,7 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
         Value::IntArray(a) => {
             out.push(5);
             put_u32(out, a.len() as u32);
-            for i in a {
+            for i in a.iter() {
                 put_i64(out, *i);
             }
         }
@@ -360,7 +360,7 @@ pub fn read_value(r: &mut Reader<'_>) -> Decoded<Value> {
         4 => Value::Bool(r.bool()?),
         5 => {
             let n = r.count("int array")?;
-            Value::IntArray(r.u64s(n)?.map(|x| x as i64).collect())
+            Value::from(r.u64s(n)?.map(|x| x as i64).collect::<Vec<_>>())
         }
         t => return Err(bad_tag("value", t)),
     })
@@ -802,8 +802,8 @@ mod tests {
             Value::Text(String::new()),
             Value::Text("πρωτεΐνη".into()),
             Value::Bool(true),
-            Value::IntArray(vec![]),
-            Value::IntArray(vec![i64::MIN, 0, i64::MAX]),
+            Value::IntArray(vec![].into()),
+            Value::IntArray(vec![i64::MIN, 0, i64::MAX].into()),
         ];
         let mut out = Vec::new();
         for v in &values {

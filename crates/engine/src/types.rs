@@ -8,6 +8,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::error::{EngineError, Result};
 
@@ -79,6 +80,13 @@ impl fmt::Display for DataType {
 }
 
 /// A runtime value. `Null` inhabits every type.
+///
+/// An `IntArray` is an immutable, reference-counted buffer: cloning the
+/// value bumps a count and copies no element, so a version's rlist can be
+/// held by the catalog and by any number of table cells at once. Nothing
+/// writes through a shared buffer. Array expressions build a fresh one,
+/// and an in-place edit goes through [`Arc::make_mut`], which copies the
+/// buffer first unless the cell is its only holder.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
@@ -86,8 +94,11 @@ pub enum Value {
     Double(f64),
     Text(String),
     Bool(bool),
-    IntArray(Vec<i64>),
+    IntArray(Arc<Vec<i64>>),
 }
+
+// A heap chunk is a flat buffer of cells: a wider `Value` widens every row.
+const _: () = assert!(std::mem::size_of::<Value>() <= 32);
 
 /// A tuple of values; the unit of storage and execution.
 pub type Row = Vec<Value>;
@@ -353,7 +364,7 @@ impl From<String> for Value {
 }
 impl From<Vec<i64>> for Value {
     fn from(v: Vec<i64>) -> Self {
-        Value::IntArray(v)
+        Value::IntArray(Arc::new(v))
     }
 }
 
@@ -417,14 +428,14 @@ mod tests {
             Value::Int(1),
             Value::Null,
             Value::Bool(true),
-            Value::IntArray(vec![1]),
+            Value::IntArray(vec![1].into()),
         ];
         vs.sort();
         assert!(vs[0].is_null());
         assert_eq!(vs[1], Value::Bool(true));
         assert_eq!(vs[2], Value::Int(1));
         assert_eq!(vs[3], Value::Text("a".into()));
-        assert_eq!(vs[4], Value::IntArray(vec![1]));
+        assert_eq!(vs[4], Value::IntArray(vec![1].into()));
     }
 
     #[test]
@@ -449,12 +460,15 @@ mod tests {
     fn storage_bytes_accounting() {
         assert_eq!(Value::Int(1).storage_bytes(), 8);
         assert_eq!(Value::Text("abcd".into()).storage_bytes(), 8);
-        assert_eq!(Value::IntArray(vec![1, 2, 3]).storage_bytes(), 8 + 24);
+        assert_eq!(
+            Value::IntArray(vec![1, 2, 3].into()).storage_bytes(),
+            8 + 24
+        );
     }
 
     #[test]
     fn display_formats() {
-        assert_eq!(Value::IntArray(vec![1, 2]).to_string(), "{1,2}");
+        assert_eq!(Value::IntArray(vec![1, 2].into()).to_string(), "{1,2}");
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Double(1.5).to_string(), "1.5");
         assert_eq!(Value::Double(3.0).to_string(), "3");

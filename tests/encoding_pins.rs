@@ -179,14 +179,14 @@ fn wal_rows() -> Vec<Vec<Value>> {
             Value::Double(f64::NAN),
             "naïve".into(),
             Value::Bool(true),
-            Value::IntArray(vec![i64::MIN, 0, i64::MAX]),
+            Value::IntArray(vec![i64::MIN, 0, i64::MAX].into()),
         ],
         vec![
             Value::Int(0),
             Value::Double(-0.0),
             Value::Null,
             Value::Bool(false),
-            Value::IntArray(Vec::new()),
+            Value::IntArray(Vec::new().into()),
         ],
         vec![
             Value::Int(i64::MAX),
@@ -319,7 +319,7 @@ fn fixed_database() -> Database {
             Value::Double(f64::INFINITY),
             "πρωτεΐνη".into(),
             Value::Bool(true),
-            Value::IntArray(vec![7]),
+            Value::IntArray(vec![7].into()),
         ])
         .unwrap();
     cells.create_index("cells_s", &["s"], false).unwrap();

@@ -14,7 +14,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
         (-1e12f64..1e12).prop_map(Value::Double),
         any::<bool>().prop_map(Value::Bool),
         "[a-z]{0,8}".prop_map(Value::Text),
-        proptest::collection::vec(-100i64..100, 0..6).prop_map(Value::IntArray),
+        proptest::collection::vec(-100i64..100, 0..6).prop_map(|a| Value::IntArray(a.into())),
     ]
 }
 
@@ -292,7 +292,7 @@ proptest! {
                     Value::Double(*d),
                     Value::Text(s.clone()),
                     Value::Bool(*b),
-                    Value::IntArray(a.clone()),
+                    Value::IntArray(a.clone().into()),
                 ]);
             }
             if cluster {

@@ -25,26 +25,36 @@ use orpheusdb::partition::online::{OnlineConfig, OnlineMaintainer};
 use orpheusdb::partition::VersionTree;
 use orpheusdb::prelude::*;
 
-/// Counts allocation calls per thread, so tests running in parallel do
-/// not see each other's.
+/// Counts allocation calls, and the bytes allocated minus the bytes
+/// freed, per thread, so tests running in parallel do not see each
+/// other's.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// const-initialized thread-local `Cell`, which allocates nothing itself.
+fn track(bytes: i64) {
+    LIVE.with(|n| n.set(n.get() + bytes));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// const-initialized thread-local `Cell`s, which allocate nothing
+// themselves.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        track(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        track(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -56,6 +66,14 @@ fn allocs_of(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// Heap bytes `f` leaves allocated: what it allocated on this thread
+/// minus what it freed.
+fn live_bytes_of(f: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get);
+    f();
+    LIVE.with(Cell::get) - before
 }
 
 const CVD: &str = "ledger";
@@ -299,6 +317,43 @@ fn a_single_request_pays_for_no_plan() {
             bare[i]
         );
     }
+}
+
+/// Heap bytes a checkout of version 1 and its unchanged commit leave
+/// allocated, on an in-process CVD whose version 1 holds `records`
+/// records: the staged table comes and goes, so what stays is the new
+/// version, which keeps every record.
+fn kept_version_bytes(records: i64) -> i64 {
+    let schema = Schema::new(vec![
+        Column::new("k", DataType::Int),
+        Column::new("v", DataType::Int),
+    ])
+    .with_primary_key(&["k"])
+    .unwrap();
+    let rows = (0..records).map(|k| vec![k.into(), (k * 7).into()]);
+    let mut odb = OrpheusDB::new();
+    odb.init_cvd(CVD, schema, rows.collect(), None).unwrap();
+    let mut keep_all = || {
+        odb.checkout(CVD, &[Vid(1)], "work").unwrap();
+        odb.commit("work", "keep").unwrap();
+    };
+    // Unmeasured first: lazily sized buffers are warm after it.
+    keep_all();
+    live_bytes_of(keep_all)
+}
+
+/// Split-by-rlist stores a version as one rlist: 8 bytes per kept record,
+/// held once, by the catalog and the rlist table cell alike. 16 bytes per
+/// kept record while the cell held a copy of the catalog's rlist.
+#[test]
+fn a_version_holds_its_rlist_once() {
+    let (small, large) = (kept_version_bytes(1_000), kept_version_bytes(10_000));
+    let per_record = (large - small) as f64 / 9_000.0;
+    assert!(
+        per_record <= 9.0,
+        "a version keeping every record grows the live heap by {per_record:.1} B per record \
+         ({small} B on 1 000 records, {large} B on 10 000)"
+    );
 }
 
 /// The first `n` versions of `tree`.

@@ -32,14 +32,14 @@ pub fn request_corpus() -> Vec<Request> {
                 Value::Int(i64::MIN),
                 Value::Double(f64::NAN),
                 Value::Bool(true),
-                Value::IntArray(vec![i64::MAX, -1, 0]),
+                Value::IntArray(vec![i64::MAX, -1, 0].into()),
             ])
             .row(vec![
                 "".into(),
                 Value::Null,
                 Value::Double(-0.0),
                 Value::Bool(false),
-                Value::IntArray(Vec::new()),
+                Value::IntArray(Vec::new().into()),
             ])
             .model(ModelKind::CombinedTable)
             .into(),
