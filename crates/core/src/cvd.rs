@@ -214,6 +214,22 @@ impl Cvd {
         })
     }
 
+    /// Whether `table` (in any case) is one of this CVD's split-by-rlist
+    /// rlist tables: the global one or a partition's. Their cells are the
+    /// catalog's rlists, so only a commit, `optimize` or `drop` may
+    /// change them.
+    pub fn is_rlist_table(&self, table: &str) -> bool {
+        let ours = table
+            .get(..self.name.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(&self.name))
+            && table[self.name.len()..].starts_with("__");
+        ours && self.model == ModelKind::SplitByRlist
+            && (table.eq_ignore_ascii_case(&self.rlist_table())
+                || self
+                    .partition_pairs()
+                    .any(|(_, rlist)| table.eq_ignore_ascii_case(&rlist)))
+    }
+
     /// The split-by-rlist `(data, rlist)` pair that holds version `vid`:
     /// the global pair, or the pair of the version's partition once
     /// `optimize` has run. Every Table 1 statement of the model reads

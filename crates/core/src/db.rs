@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use orpheus_engine::sql::parser::parse_tokens;
 use orpheus_engine::{Database, QueryResult, Schema, Value};
 
 use crate::access::AccessController;
@@ -763,10 +764,24 @@ impl OrpheusDB {
 
     /// [`OrpheusDB::run`] on a statement that is already lexed: the
     /// translator rewrites the token vector and the engine parses it — the
-    /// text is never read again.
+    /// text is never read again. A statement that would change a
+    /// split-by-rlist rlist table is refused: its cells are the catalog's
+    /// rlists, and a snapshot in which the two differ does not load.
     pub(crate) fn run_lexed(&mut self, sql: &Lexed) -> Result<QueryResult> {
         let translated = query::translate(self, sql.tokens())?;
-        Ok(self.engine.execute_tokens(&translated)?)
+        let statement = parse_tokens(&translated)?;
+        if let Some(table) = statement.altered_table() {
+            if let Some(cvd) = self.cvds.values().find(|cvd| cvd.is_rlist_table(table)) {
+                return Err(CoreError::bad_request(
+                    CommandKind::Run,
+                    format!(
+                        "{table} holds the rlists of CVD {}; only commit, optimize and drop change it",
+                        cvd.name
+                    ),
+                ));
+            }
+        }
+        Ok(self.engine.execute_statement(statement)?)
     }
 
     /// `optimize`: run the partition optimizer on a CVD.

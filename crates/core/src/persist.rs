@@ -490,37 +490,64 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
     Ok(odb)
 }
 
+/// Why `cvd`'s rlist tables disagree with its catalog, or `None` when
+/// they agree. Under split-by-rlist each version's rlist is held by the
+/// catalog and by one cell of the global rlist table (and, once
+/// partitioned, of its partition's). A cell that differs from the
+/// catalog's rlist, a cell for a version the catalog lacks, a global
+/// table without one cell per version, and a missing partition rlist
+/// table all disagree. [`save`] refuses to write such an instance and
+/// [`deserialize`] refuses to load one.
+fn rlist_mismatch(engine: &Database, cvd: &Cvd) -> Option<String> {
+    if cvd.model != ModelKind::SplitByRlist {
+        return None;
+    }
+    let global = cvd.rlist_table();
+    let tables = std::iter::once(global.clone()).chain(cvd.partition_pairs().map(|(_, r)| r));
+    for table in tables {
+        let Ok(t) = engine.table(&table) else {
+            return Some(format!("CVD {} references missing table {table}", cvd.name));
+        };
+        for row in t.rows() {
+            if let Err(msg) = checked_rlist(cvd, &table, row) {
+                return Some(msg);
+            }
+        }
+        if table == global && t.len() != cvd.num_versions() {
+            return Some(format!(
+                "CVD {}: {} versions, but {global} holds {} rlists",
+                cvd.name,
+                cvd.num_versions(),
+                t.len()
+            ));
+        }
+    }
+    None
+}
+
 /// Hold each split-by-rlist version's rlist once, as a live commit does.
 /// The snapshot stores every rlist in the catalog and in rlist table
 /// cells, which decode as separate buffers: the catalog adopts the buffer
 /// of the global rlist table's cell, and each partition rlist table cell
-/// is pointed at it too. A cell that differs from the catalog's rlist, or
-/// a version no global cell holds, is corruption.
+/// is pointed at it too. Refuses, as corruption, tables that
+/// [`rlist_mismatch`] finds disagreeing with the catalog.
 fn share_rlists(engine: &mut Database, cvd: &mut Cvd) -> Result<()> {
+    if let Some(msg) = rlist_mismatch(engine, cvd) {
+        return Err(corrupt(msg));
+    }
     if cvd.model != ModelKind::SplitByRlist {
         return Ok(());
     }
     let global = cvd.rlist_table();
-    let t = engine.table(&global)?;
-    for row in t.rows() {
-        let (vid, cell) = checked_rlist(cvd, &global, row)?;
+    for row in engine.table(&global)?.rows() {
+        let (vid, cell) = checked_rlist(cvd, &global, row).map_err(corrupt)?;
         cvd.version_rids[vid.index()] = cell;
-    }
-    if t.len() != cvd.num_versions() {
-        return Err(corrupt(format!(
-            "CVD {}: {} versions, but {global} holds {} rlists",
-            cvd.name,
-            cvd.num_versions(),
-            t.len()
-        )));
     }
     let partitions: Vec<String> = cvd.partition_pairs().map(|(_, rlist)| rlist).collect();
     for table in partitions {
-        let t = engine
-            .table_mut(&table)
-            .map_err(|_| corrupt(format!("CVD {} references missing table {table}", cvd.name)))?;
+        let t = engine.table_mut(&table)?;
         for slot in 0..t.len() {
-            let (vid, _) = checked_rlist(cvd, &table, t.row(slot))?;
+            let (vid, _) = checked_rlist(cvd, &table, t.row(slot)).map_err(corrupt)?;
             t.replace_row(slot, rlist_tuple(vid, &cvd.version_rids[vid.index()]))?;
         }
     }
@@ -529,29 +556,48 @@ fn share_rlists(engine: &mut Database, cvd: &mut Cvd) -> Result<()> {
 
 /// The version and rlist buffer of one `(vid, rlist)` row of `table`,
 /// refused unless the catalog holds that version with exactly that rlist.
-fn checked_rlist(cvd: &Cvd, table: &str, row: &[Value]) -> Result<(Vid, Arc<Vec<i64>>)> {
+fn checked_rlist(
+    cvd: &Cvd,
+    table: &str,
+    row: &[Value],
+) -> std::result::Result<(Vid, Arc<Vec<i64>>), String> {
     let [Value::Int(v), Value::IntArray(cell), ..] = row else {
-        return Err(corrupt(format!(
+        return Err(format!(
             "CVD {}: {table} holds a row that is not (vid, rlist)",
             cvd.name
-        )));
+        ));
     };
     let vid = Vid(u64::try_from(*v).unwrap_or(0));
     match cvd.rids_of(vid) {
-        Ok(held) if held == cell.as_slice() => Ok((vid, Arc::clone(cell))),
-        Ok(_) => Err(corrupt(format!(
+        Ok(held) if std::ptr::eq(held, cell.as_slice()) || held == cell.as_slice() => {
+            Ok((vid, Arc::clone(cell)))
+        }
+        Ok(_) => Err(format!(
             "CVD {}: the rlist of version {v} in {table} differs from the catalog's",
             cvd.name
-        ))),
-        Err(_) => Err(corrupt(format!(
+        )),
+        Err(_) => Err(format!(
             "CVD {}: {table} holds an rlist for version {v}, which the catalog lacks",
             cvd.name
-        ))),
+        )),
     }
 }
 
-/// Save an OrpheusDB snapshot to `path` atomically.
+/// Save an OrpheusDB snapshot to `path` atomically. An instance whose
+/// rlist tables disagree with its catalog (see `rlist_mismatch`) would
+/// not load back, so it is refused and the file at `path` is left as it
+/// was.
 pub fn save(odb: &OrpheusDB, path: &Path) -> Result<()> {
+    if let Some(msg) = odb
+        .cvds
+        .values()
+        .find_map(|cvd| rlist_mismatch(&odb.engine, cvd))
+    {
+        return Err(CoreError::Storage(format!(
+            "refusing to save {}: {msg}",
+            path.display()
+        )));
+    }
     write_atomically(path, &serialize(odb)).map_err(CoreError::from)
 }
 

@@ -67,6 +67,30 @@ pub enum Statement {
     Explain(Box<SelectStmt>),
 }
 
+impl Statement {
+    /// The existing table whose rows or columns the statement changes
+    /// (`INSERT`, `UPDATE`, `DELETE`, `TRUNCATE`, `ALTER TABLE`, `DROP
+    /// TABLE`). Statements that only read, create a new table, or add an
+    /// index or reorder a heap without changing a cell report `None`.
+    pub fn altered_table(&self) -> Option<&str> {
+        match self {
+            Statement::Insert { table, .. }
+            | Statement::Update { table, .. }
+            | Statement::Delete { table, .. }
+            | Statement::Truncate { table }
+            | Statement::AlterAddColumn { table, .. }
+            | Statement::AlterColumnType { table, .. } => Some(table),
+            Statement::DropTable { name, .. } => Some(name),
+            Statement::Select(_)
+            | Statement::CreateTable { .. }
+            | Statement::CreateIndex { .. }
+            | Statement::Cluster { .. }
+            | Statement::Set { .. }
+            | Statement::Explain(_) => None,
+        }
+    }
+}
+
 /// Column definition in CREATE TABLE / ALTER TABLE.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
@@ -563,6 +587,37 @@ impl fmt::Display for Statement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn altered_table_names_the_table_a_statement_changes() {
+        let altered = |sql: &str| {
+            crate::sql::parse_statement(sql)
+                .unwrap()
+                .altered_table()
+                .map(str::to_string)
+        };
+        for (sql, table) in [
+            ("INSERT INTO t VALUES (1)", "t"),
+            ("UPDATE t SET a = 1", "t"),
+            ("DELETE FROM t WHERE a = 1", "t"),
+            ("TRUNCATE t", "t"),
+            ("ALTER TABLE t ADD COLUMN b INT", "t"),
+            ("ALTER TABLE t ALTER COLUMN a TYPE TEXT", "t"),
+            ("DROP TABLE IF EXISTS t", "t"),
+        ] {
+            assert_eq!(altered(sql).as_deref(), Some(table), "{sql}");
+        }
+        for sql in [
+            "SELECT * FROM t",
+            "SELECT * INTO u FROM t",
+            "CREATE TABLE u (a INT)",
+            "CREATE INDEX ON t (a)",
+            "CLUSTER t USING (a)",
+            "EXPLAIN SELECT * FROM t",
+        ] {
+            assert_eq!(altered(sql), None, "{sql}");
+        }
+    }
 
     #[test]
     fn display_checkout_statement_shapes() {

@@ -5,12 +5,15 @@
 //! buffer: these tests pin that with `Arc::ptr_eq` after every path that
 //! creates or reloads a rlist, and pin that array expressions over those
 //! cells, and the vlist appends of split-by-vlist and combined-table
-//! commits, copy a shared buffer instead of writing through it.
+//! commits, copy a shared buffer instead of writing through it. Since a
+//! snapshot whose cells differ from the catalog does not load, the last
+//! tests pin that nothing writes one: `run` refuses to alter a rlist
+//! table, and `save` and checkpoints refuse an out-of-step cell.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use orpheusdb::core::recovery;
+use orpheusdb::core::{persist, recovery};
 use orpheusdb::prelude::*;
 
 const CVD: &str = "kv";
@@ -177,29 +180,122 @@ fn partition_rlist_tables_share_each_rlist() {
     assert_one_rlist_per_version(&odb, "a re-Optimize migration");
 }
 
-/// A snapshot whose rlist table cell disagrees with the catalog's rlist
-/// is refused by name, not loaded with two answers to "which records does
-/// version 2 hold".
+/// An rlist table cell that disagrees with the catalog's rlist — here
+/// edited through the public engine handle, which no guard covers — is
+/// refused by name on both sides: `save` will not write it (and leaves the
+/// previous file loadable), and bytes that hold it do not load, rather
+/// than loading with two answers to "which records does version 2 hold".
 #[test]
-fn a_snapshot_whose_rlist_cell_differs_from_the_catalog_is_refused() {
+fn an_rlist_cell_that_differs_from_the_catalog_is_neither_saved_nor_loaded() {
     let dir = tmp_dir("mismatch");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("db.snap");
     let mut odb = OrpheusDB::new();
     history(&mut odb);
+    odb.save_to(&path).unwrap();
+    let saved = std::fs::read(&path).unwrap();
     odb.engine
         .execute("UPDATE kv__rlist SET rlist = array_append(rlist, 0) WHERE vid = 2")
         .unwrap();
-    odb.save_to(&path).unwrap();
-    match OrpheusDB::load_from(&path) {
+    let names_the_version = |msg: &str| {
+        assert!(msg.contains("CVD kv"), "{msg}");
+        assert!(msg.contains("version 2"), "{msg}");
+    };
+
+    match odb.save_to(&path) {
+        Err(CoreError::Storage(msg)) => {
+            assert!(msg.contains("refusing to save"), "{msg}");
+            names_the_version(&msg);
+        }
+        other => panic!("a mismatched rlist was saved: {other:?}"),
+    }
+    assert_eq!(std::fs::read(&path).unwrap(), saved, "the old file stays");
+    assert_one_rlist_per_version(&OrpheusDB::load_from(&path).unwrap(), "a refused save");
+
+    match persist::deserialize(&persist::serialize(&odb)) {
         Err(CoreError::Storage(msg)) => {
             assert!(msg.contains("snapshot corrupt"), "{msg}");
-            assert!(msg.contains("CVD kv"), "{msg}");
-            assert!(msg.contains("version 2"), "{msg}");
+            names_the_version(&msg);
         }
         Err(other) => panic!("refused as {other:?}, not as corruption"),
         Ok(_) => panic!("a snapshot with a mismatched rlist loaded"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A statement that would change a rlist table — global or partition, in
+/// any spelling — is refused on every `run` path, before it touches the
+/// table; reading one, or copying it into a table of one's own, is not.
+/// So a WAL directory that served such requests still checkpoints and
+/// opens.
+#[test]
+fn a_run_that_alters_a_rlist_table_is_refused_and_the_store_still_opens() {
+    let dir = tmp_dir("run-guard");
+    let mut odb = recovery::open(&dir).unwrap();
+    history(&mut odb);
+    odb.optimize_with(CVD, 1.5, 1.5).unwrap();
+    let partition = odb.cvd(CVD).unwrap().rlist_pair(Vid(2)).unwrap().1;
+    let statements = |table: &str| {
+        [
+            format!("UPDATE {table} SET rlist = array_append(rlist, 0) WHERE vid = 2"),
+            format!("INSERT INTO {table} VALUES (99, ARRAY[1])"),
+            format!("DELETE FROM {table} WHERE vid = 2"),
+            format!("TRUNCATE {table}"),
+            format!("ALTER TABLE {table} ADD COLUMN note INT"),
+            format!("DROP TABLE {table}"),
+        ]
+    };
+    let refused = |result: Result<Response, CoreError>, sql: &str| match result {
+        Err(CoreError::BadRequest { reason, .. }) => {
+            assert!(reason.contains("rlists of CVD kv"), "{sql}: {reason}")
+        }
+        other => panic!("{sql} was not refused: {other:?}"),
+    };
+    for table in ["kv__rlist", "KV__Rlist", partition.as_str()] {
+        for sql in statements(table) {
+            refused(odb.execute(Run::sql(&sql).into()), &sql);
+        }
+    }
+    let shared = SharedOrpheusDB::new(odb);
+    let mut session = shared.session("default").unwrap();
+    for sql in statements("kv__rlist") {
+        refused(session.execute(Run::sql(&sql).into()), &sql);
+    }
+    for sql in [
+        "SELECT * INTO rcopy FROM kv__rlist",
+        "UPDATE rcopy SET rlist = array_append(rlist, 0)",
+    ] {
+        session.execute(Run::sql(sql).into()).unwrap();
+    }
+    recovery::checkpoint_shared(&shared).unwrap();
+    drop((session, shared));
+
+    let again = recovery::open(&dir).unwrap();
+    assert_one_rlist_per_version(&again, "refused rlist writes and a checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint is a `save`: one that meets a mismatched rlist fails
+/// before it writes, and the generation it would have replaced keeps
+/// serving the next open.
+#[test]
+fn a_checkpoint_of_a_mismatched_rlist_fails_and_the_old_generation_opens() {
+    let dir = tmp_dir("checkpoint-guard");
+    let mut odb = recovery::open(&dir).unwrap();
+    history(&mut odb);
+    let before = odb.cvd(CVD).unwrap().version_rids.clone();
+    odb.engine
+        .execute("UPDATE kv__rlist SET rlist = array_append(rlist, 0) WHERE vid = 2")
+        .unwrap();
+    match recovery::checkpoint(&mut odb) {
+        Err(CoreError::Storage(msg)) => assert!(msg.contains("version 2"), "{msg}"),
+        other => panic!("the checkpoint wrote a mismatched rlist: {other:?}"),
+    }
+    drop(odb);
+
+    let again = recovery::open(&dir).unwrap();
+    assert_eq!(again.cvd(CVD).unwrap().version_rids, before);
+    assert_one_rlist_per_version(&again, "a refused checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
