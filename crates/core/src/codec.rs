@@ -33,7 +33,7 @@ use crate::response::LogEntry;
 use crate::{CommandKind, CoreError, ModelKind, Request, Response, Result, VersionDiff, Vid};
 use orpheus_engine::storage::{
     bad_tag, put_bool, put_f64, put_schema, put_str, put_u32, put_u64, put_value, read_schema,
-    read_value,
+    read_value, Sink,
 };
 use orpheus_engine::{EngineError, QueryResult, Value};
 
@@ -91,7 +91,7 @@ pub(crate) fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<Value>>> {
     Ok(rows)
 }
 
-pub(crate) fn put_vids(out: &mut Vec<u8>, vids: &[Vid]) {
+pub(crate) fn put_vids<S: Sink + ?Sized>(out: &mut S, vids: &[Vid]) {
     put_u32(out, vids.len() as u32);
     for v in vids {
         put_u64(out, v.0);
@@ -103,8 +103,8 @@ pub(crate) fn read_vids(r: &mut Reader<'_>) -> Result<Vec<Vid>> {
     Ok(r.u64s(n)?.map(Vid).collect())
 }
 
-pub(crate) fn put_model(out: &mut Vec<u8>, m: ModelKind) {
-    out.push(match m {
+pub(crate) fn put_model<S: Sink + ?Sized>(out: &mut S, m: ModelKind) {
+    out.put_u8(match m {
         ModelKind::TablePerVersion => 0,
         ModelKind::CombinedTable => 1,
         ModelKind::SplitByVlist => 2,

@@ -12,6 +12,12 @@
 //! serialized middleware state. Corruption anywhere is detected by the
 //! envelope checksum before any state is reconstructed.
 //!
+//! [`save`] — and so every checkpoint — streams the file: a counting pass
+//! learns both envelope lengths, then one encoding pass writes straight
+//! into a buffered temp file while both CRCs are folded in as the bytes
+//! pass. No whole-file buffer exists; [`serialize`] is the same encoder
+//! run into a `Vec`.
+//!
 //! The bytes are the engine's one vocabulary, with the codec's version-id
 //! lists and model tags ([`crate::codec`]). The one layout of its own is
 //! the CVD schema, which stores each column's type by SQL name rather than
@@ -24,8 +30,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use orpheus_engine::storage::{
-    self, put_bool, put_f64, put_i64, put_str, put_u32, put_u64, verify_envelope, wrap_envelope,
-    write_atomically, Reader,
+    self, encoded_len, put_bool, put_envelope, put_f64, put_i64, put_str, put_u32, put_u64,
+    verify_envelope, write_atomically_with, Reader, Sink, ENVELOPE_LEN,
 };
 use orpheus_engine::{Column, DataType, Database, Schema, Value};
 use orpheus_partition::online::{OnlineConfig, OnlineMaintainer};
@@ -55,7 +61,7 @@ fn corrupt(msg: impl Into<String>) -> CoreError {
 }
 
 /// A rid list: a `u64` count, then the rids.
-fn put_i64s(out: &mut Vec<u8>, xs: &[i64]) {
+fn put_i64s<S: Sink + ?Sized>(out: &mut S, xs: &[i64]) {
     put_u64(out, xs.len() as u64);
     for &x in xs {
         put_i64(out, x);
@@ -67,7 +73,7 @@ fn read_i64s(r: &mut Reader<'_>) -> Result<Vec<i64>> {
     Ok(r.u64s(n)?.map(|x| x as i64).collect())
 }
 
-fn put_u32s(out: &mut Vec<u8>, xs: impl ExactSizeIterator<Item = u32>) {
+fn put_u32s<S: Sink + ?Sized>(out: &mut S, xs: impl ExactSizeIterator<Item = u32>) {
     put_u32(out, xs.len() as u32);
     for x in xs {
         put_u32(out, x);
@@ -79,13 +85,13 @@ fn read_u32s(r: &mut Reader<'_>, what: &str) -> Result<Vec<u32>> {
     (0..n).map(|_| Ok(r.u32()?)).collect()
 }
 
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+fn put_opt_u64<S: Sink + ?Sized>(out: &mut S, v: Option<u64>) {
     match v {
         Some(x) => {
-            out.push(1);
+            out.put_u8(1);
             put_u64(out, x);
         }
-        None => out.push(0),
+        None => out.put_u8(0),
     }
 }
 
@@ -94,7 +100,7 @@ fn read_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>> {
 }
 
 /// The CVD schema, types by SQL name (the engine's encoding tags them).
-fn put_cvd_schema(out: &mut Vec<u8>, schema: &Schema) {
+fn put_cvd_schema<S: Sink + ?Sized>(out: &mut S, schema: &Schema) {
     put_u32(out, schema.columns.len() as u32);
     for c in &schema.columns {
         put_str(out, &c.name);
@@ -126,7 +132,7 @@ fn read_cvd_schema(r: &mut Reader<'_>) -> Result<Schema> {
 // Section writers.
 // ---------------------------------------------------------------------------
 
-fn put_version_meta(out: &mut Vec<u8>, m: &VersionMeta) {
+fn put_version_meta<S: Sink + ?Sized>(out: &mut S, m: &VersionMeta) {
     put_u64(out, m.vid.0);
     put_vids(out, &m.parents);
     put_u32(out, m.parent_weights.len() as u32);
@@ -162,7 +168,7 @@ fn read_version_meta(r: &mut Reader<'_>) -> Result<VersionMeta> {
     })
 }
 
-fn put_partition_state(out: &mut Vec<u8>, p: &PartitionState) {
+fn put_partition_state<S: Sink + ?Sized>(out: &mut S, p: &PartitionState) {
     let m = p.maintainer();
     put_u32s(out, p.assignment().iter().map(|&a| a as u32));
     put_u32(out, p.num_partitions() as u32);
@@ -229,7 +235,7 @@ fn read_partition_state(r: &mut Reader<'_>, tree: VersionTree) -> Result<Partiti
     })
 }
 
-fn put_cvd(out: &mut Vec<u8>, cvd: &Cvd) {
+fn put_cvd<S: Sink + ?Sized>(out: &mut S, cvd: &Cvd) {
     put_str(out, &cvd.name);
     put_cvd_schema(out, &cvd.schema);
     put_model(out, cvd.model);
@@ -249,10 +255,10 @@ fn put_cvd(out: &mut Vec<u8>, cvd: &Cvd) {
     }
     match &cvd.partition {
         Some(p) => {
-            out.push(1);
+            out.put_u8(1);
             put_partition_state(out, p);
         }
-        None => out.push(0),
+        None => out.put_u8(0),
     }
 }
 
@@ -319,7 +325,7 @@ fn read_cvd(r: &mut Reader<'_>) -> Result<Cvd> {
     Ok(cvd)
 }
 
-fn put_staged(out: &mut Vec<u8>, e: &StagedEntry) {
+fn put_staged<S: Sink + ?Sized>(out: &mut S, e: &StagedEntry) {
     put_str(out, &e.name);
     put_str(out, &e.cvd);
     put_vids(out, &e.parents);
@@ -347,51 +353,88 @@ fn read_staged(r: &mut Reader<'_>) -> Result<StagedEntry> {
 // Top-level serialize / deserialize.
 // ---------------------------------------------------------------------------
 
-/// Serialize a full OrpheusDB instance into a checksummed snapshot.
+/// Serialize a full OrpheusDB instance into a checksummed snapshot in
+/// memory: the encoder [`save`] streams to disk, run into a `Vec`.
 pub fn serialize(odb: &OrpheusDB) -> Vec<u8> {
-    wrap_envelope(&serialize_payload(odb))
+    let lens = PayloadLens::of(odb);
+    let mut out = Vec::with_capacity((ENVELOPE_LEN + lens.core) as usize);
+    put_snapshot(&mut out, odb, lens);
+    out
 }
 
-fn serialize_payload(odb: &OrpheusDB) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_str(&mut out, SECTION);
-    put_u32(&mut out, CORE_VERSION);
+/// The payload lengths of the file's two envelopes — the instance
+/// snapshot's and the engine snapshot embedded in it — from one counting
+/// pass over the instance.
+#[derive(Clone, Copy)]
+struct PayloadLens {
+    engine: u64,
+    core: u64,
+}
 
-    // Embedded engine snapshot (with its own envelope; integrity of the
-    // whole file is still guaranteed by the outer CRC).
-    let engine_bytes = storage::serialize_database(&odb.engine);
-    put_u64(&mut out, engine_bytes.len() as u64);
-    out.extend_from_slice(&engine_bytes);
+impl PayloadLens {
+    fn of(odb: &OrpheusDB) -> PayloadLens {
+        let engine = storage::payload_len(&odb.engine);
+        let rest = encoded_len(|counter| {
+            put_head(counter, engine);
+            put_state(counter, odb);
+        });
+        PayloadLens {
+            engine,
+            core: rest + ENVELOPE_LEN + engine,
+        }
+    }
+}
 
+/// The whole file: the envelope around the middleware section, which
+/// embeds the engine snapshot (with its own envelope; integrity of the
+/// whole file is still guaranteed by the outer CRC).
+fn put_snapshot<S: Sink + ?Sized>(out: &mut S, odb: &OrpheusDB, lens: PayloadLens) {
+    put_envelope(out, lens.core, |payload| {
+        put_head(payload, lens.engine);
+        storage::put_database(payload, &odb.engine, lens.engine);
+        put_state(payload, odb);
+    });
+}
+
+/// The section marker and version, then the length of the embedded engine
+/// snapshot that follows them.
+fn put_head<S: Sink + ?Sized>(out: &mut S, engine_len: u64) {
+    put_str(out, SECTION);
+    put_u32(out, CORE_VERSION);
+    put_u64(out, ENVELOPE_LEN + engine_len);
+}
+
+/// Everything after the engine snapshot: config, clock, users, staging
+/// and the CVD catalog.
+fn put_state<S: Sink + ?Sized>(out: &mut S, odb: &OrpheusDB) {
     // Config + logical clock.
-    put_model(&mut out, odb.config.default_model);
-    put_f64(&mut out, odb.config.gamma_factor);
-    put_f64(&mut out, odb.config.mu);
-    put_u64(&mut out, odb.clock);
+    put_model(out, odb.config.default_model);
+    put_f64(out, odb.config.gamma_factor);
+    put_f64(out, odb.config.mu);
+    put_u64(out, odb.clock);
 
     // Users and session identity.
     let users = odb.access.users();
-    put_u32(&mut out, users.len() as u32);
+    put_u32(out, users.len() as u32);
     for u in &users {
-        put_str(&mut out, u);
+        put_str(out, u);
     }
-    put_str(&mut out, odb.access.whoami());
+    put_str(out, odb.access.whoami());
 
     // Staging provenance.
     let staged = odb.staging.list();
-    put_u32(&mut out, staged.len() as u32);
+    put_u32(out, staged.len() as u32);
     for e in staged {
-        put_staged(&mut out, e);
+        put_staged(out, e);
     }
 
     // CVD catalog, in sorted order for deterministic bytes.
     let mut names: Vec<&String> = odb.cvds.keys().collect();
     names.sort();
-    put_u32(&mut out, names.len() as u32);
+    put_u32(out, names.len() as u32);
     for name in names {
-        put_cvd(&mut out, &odb.cvds[name]);
+        put_cvd(out, &odb.cvds[name]);
     }
-    out
 }
 
 /// Reconstruct an OrpheusDB instance from snapshot bytes.
@@ -583,7 +626,9 @@ fn checked_rlist(
     }
 }
 
-/// Save an OrpheusDB snapshot to `path` atomically. An instance whose
+/// Save an OrpheusDB snapshot to `path` atomically, streamed: a counting
+/// pass sizes the two envelopes, and a second pass encodes straight into
+/// the temp file, computing both CRCs as the bytes pass. An instance whose
 /// rlist tables disagree with its catalog (see `rlist_mismatch`) would
 /// not load back, so it is refused and the file at `path` is left as it
 /// was.
@@ -598,7 +643,11 @@ pub fn save(odb: &OrpheusDB, path: &Path) -> Result<()> {
             path.display()
         )));
     }
-    write_atomically(path, &serialize(odb)).map_err(CoreError::from)
+    let lens = PayloadLens::of(odb);
+    write_atomically_with(path, ENVELOPE_LEN + lens.core, |file| {
+        put_snapshot(file, odb, lens)
+    })
+    .map_err(CoreError::from)
 }
 
 /// Load an OrpheusDB snapshot from `path`.

@@ -18,17 +18,21 @@
 //! Integrity failures (truncation, bit flips, wrong magic, or a snapshot
 //! written by a future format version) are reported as
 //! [`EngineError::Storage`] rather than yielding a half-loaded database.
-//! Saves are atomic: the snapshot is written to a sibling temporary file
-//! and renamed over the target, so a crash mid-save never corrupts an
-//! existing snapshot.
+//! Saves are atomic: the snapshot is written to a sibling temporary file,
+//! one per save, and renamed over the target, so a crash mid-save never
+//! corrupts an existing snapshot. Saves stream: a counting pass learns the
+//! payload length for the header, then the encoder writes straight into a
+//! 64 KiB buffer on the temp file while a running [`Crc32`] folds the bytes
+//! in, so no save holds the whole file in memory.
 //!
 //! Secondary indexes are persisted as *definitions* and rebuilt on load;
 //! row data is the source of truth. Runtime statistics
 //! ([`crate::stats::ExecStats`]) are deliberately not persisted.
 //!
 //! This module also holds the system's one byte vocabulary: the
-//! bounds-checked [`Reader`], the `put_*` writers over a `Vec<u8>` and the
-//! [`Value`] / [`DataType`] / [`Schema`] encoding. Everything that writes
+//! bounds-checked [`Reader`], the `put_*` writers over any [`Sink`] (a
+//! `Vec<u8>`, a byte [`Counter`], a [`Checksummed`] sink, a [`FileSink`])
+//! and the [`Value`] / [`DataType`] / [`Schema`] encoding. Everything that writes
 //! bytes speaks it — this snapshot, the middleware's instance snapshot, its
 //! wire codec and its write-ahead log — so one layout and one set of
 //! hostile-input checks serve them all. Integers are little-endian,
@@ -36,8 +40,9 @@
 //! The one documented exception is the instance snapshot's CVD schema,
 //! which stores each column's type by SQL name (`orpheus_core::persist`).
 
-use std::io::Write as _;
+use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::db::Database;
 use crate::error::{EngineError, Result};
@@ -90,28 +95,60 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// CRC-32 (IEEE) checksum of a byte slice: eight bytes per step, then the
-/// tail a byte at a time. The values are those of the byte-wise loop.
+/// A running CRC-32 (IEEE): fold bytes in as they pass with
+/// [`Crc32::update`], in any number of pieces, and read the checksum of
+/// everything so far with [`Crc32::finish`]. Eight bytes per step, then
+/// the tail a byte at a time; the values are those of the byte-wise loop.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    #[inline]
+    pub const fn new() -> Crc32 {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut c = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    /// The checksum of every byte folded in so far.
+    #[inline]
+    pub fn finish(&self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32::new()
+    }
+}
+
+/// CRC-32 (IEEE) checksum of a byte slice, in one shot.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -281,71 +318,152 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-#[inline]
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Where the `put_*` writers append their bytes: a `Vec<u8>` for a frame,
+/// a log record or an in-memory snapshot, a [`Counter`] to learn a length
+/// without keeping the bytes, a [`Checksummed`] sink to fold them into a
+/// CRC on the way, and a [`FileSink`] to stream a snapshot to disk.
+pub trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+
+    #[inline]
+    fn put_u8(&mut self, b: u8) {
+        self.put(&[b]);
+    }
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    #[inline]
+    fn put_u8(&mut self, b: u8) {
+        self.push(b);
+    }
+}
+
+/// A sink that keeps no bytes, only their count.
+#[derive(Debug, Default)]
+pub struct Counter(pub u64);
+
+impl Sink for Counter {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+
+    #[inline]
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+}
+
+/// The number of bytes `encode` writes.
+pub fn encoded_len(encode: impl FnOnce(&mut Counter)) -> u64 {
+    let mut counter = Counter::default();
+    encode(&mut counter);
+    counter.0
+}
+
+/// A sink that passes every byte on to `inner` and folds it into a running
+/// CRC: an envelope's checksum, computed as its payload is written.
+#[derive(Debug)]
+pub struct Checksummed<'a, S: Sink + ?Sized> {
+    inner: &'a mut S,
+    crc: Crc32,
+}
+
+impl<S: Sink + ?Sized> Sink for Checksummed<'_, S> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.crc.update(bytes);
+        self.inner.put(bytes);
+    }
+
+    #[inline]
+    fn put_u8(&mut self, b: u8) {
+        self.crc.update(&[b]);
+        self.inner.put_u8(b);
+    }
 }
 
 #[inline]
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u16<S: Sink + ?Sized>(out: &mut S, v: u16) {
+    out.put(&v.to_le_bytes());
 }
 
 #[inline]
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u32<S: Sink + ?Sized>(out: &mut S, v: u32) {
+    out.put(&v.to_le_bytes());
 }
 
 #[inline]
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
+pub fn put_u64<S: Sink + ?Sized>(out: &mut S, v: u64) {
+    out.put(&v.to_le_bytes());
+}
+
+#[inline]
+pub fn put_i64<S: Sink + ?Sized>(out: &mut S, v: i64) {
+    out.put(&v.to_le_bytes());
 }
 
 /// An `f64` as its IEEE-754 bit pattern.
 #[inline]
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub fn put_f64<S: Sink + ?Sized>(out: &mut S, v: f64) {
     put_u64(out, v.to_bits());
 }
 
 #[inline]
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
+pub fn put_bool<S: Sink + ?Sized>(out: &mut S, v: bool) {
+    out.put_u8(v as u8);
 }
 
 /// A `u32` byte length, then the UTF-8 bytes.
 #[inline]
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
+pub fn put_str<S: Sink + ?Sized>(out: &mut S, s: &str) {
     put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
+}
+
+/// The `i64`s of an int array, little-endian, handed to the sink a few
+/// hundred bytes at a time rather than eight: rlists are most of a
+/// snapshot, and a streaming sink pays per call.
+fn put_i64_run<S: Sink + ?Sized>(out: &mut S, xs: &[i64]) {
+    let mut buf = [0u8; 512];
+    for chunk in xs.chunks(buf.len() / 8) {
+        for (slot, x) in buf.chunks_exact_mut(8).zip(chunk) {
+            slot.copy_from_slice(&x.to_le_bytes());
+        }
+        out.put(&buf[..chunk.len() * 8]);
+    }
 }
 
 /// One value: a tag byte, then its payload.
 #[inline]
-pub fn put_value(out: &mut Vec<u8>, v: &Value) {
+pub fn put_value<S: Sink + ?Sized>(out: &mut S, v: &Value) {
     match v {
-        Value::Null => out.push(0),
+        Value::Null => out.put_u8(0),
         Value::Int(i) => {
-            out.push(1);
+            out.put_u8(1);
             put_i64(out, *i);
         }
         Value::Double(d) => {
-            out.push(2);
+            out.put_u8(2);
             put_f64(out, *d);
         }
         Value::Text(s) => {
-            out.push(3);
+            out.put_u8(3);
             put_str(out, s);
         }
         Value::Bool(b) => {
-            out.push(4);
+            out.put_u8(4);
             put_bool(out, *b);
         }
         Value::IntArray(a) => {
-            out.push(5);
+            out.put_u8(5);
             put_u32(out, a.len() as u32);
-            for i in a.iter() {
-                put_i64(out, *i);
-            }
+            put_i64_run(out, a);
         }
     }
 }
@@ -388,11 +506,11 @@ fn read_dtype(r: &mut Reader<'_>) -> Decoded<DataType> {
 }
 
 /// Columns (name, type tag, nullable), then the primary-key positions.
-pub fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
+pub fn put_schema<S: Sink + ?Sized>(out: &mut S, schema: &Schema) {
     put_u32(out, schema.columns.len() as u32);
     for c in &schema.columns {
         put_str(out, &c.name);
-        out.push(dtype_tag(c.dtype));
+        out.put_u8(dtype_tag(c.dtype));
         put_bool(out, c.nullable);
     }
     put_positions(out, &schema.primary_key);
@@ -428,7 +546,7 @@ fn read_positions(r: &mut Reader<'_>, arity: usize, what: &str) -> Decoded<Vec<u
     Ok(positions)
 }
 
-fn put_positions(out: &mut Vec<u8>, positions: &[usize]) {
+fn put_positions<S: Sink + ?Sized>(out: &mut S, positions: &[usize]) {
     put_u32(out, positions.len() as u32);
     for &i in positions {
         put_u32(out, i as u32);
@@ -458,7 +576,7 @@ fn read_join_strategy(r: &mut Reader<'_>) -> Decoded<JoinStrategy> {
 // Table / database encoding.
 // ---------------------------------------------------------------------------
 
-fn put_table(out: &mut Vec<u8>, table: &Table) {
+fn put_table<S: Sink + ?Sized>(out: &mut S, table: &Table) {
     put_str(out, &table.name);
     put_schema(out, &table.schema);
     // Index definitions (data is rebuilt on load).
@@ -469,15 +587,15 @@ fn put_table(out: &mut Vec<u8>, table: &Table) {
         put_bool(out, idx.unique);
         // Format 1 keeps a byte here: it named the index kind when there
         // were two.
-        out.push(0);
+        out.put_u8(0);
     }
     // Physical clustering, if any.
     match table.clustered_on() {
         Some(cols) => {
-            out.push(1);
+            out.put_u8(1);
             put_positions(out, cols);
         }
-        None => out.push(0),
+        None => out.put_u8(0),
     }
     put_u64(out, table.len() as u64);
     for row in table.rows() {
@@ -553,16 +671,25 @@ fn read_table(r: &mut Reader<'_>) -> Result<Table> {
     Ok(table)
 }
 
-/// Serialize a database into the snapshot payload (no header/checksum).
-fn serialize_payload(db: &Database) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(join_strategy_tag(db.settings.join_strategy));
+/// The snapshot payload of a database (no header/checksum).
+fn put_payload<S: Sink + ?Sized>(out: &mut S, db: &Database) {
+    out.put_u8(join_strategy_tag(db.settings.join_strategy));
     let names = db.table_names();
-    put_u32(&mut out, names.len() as u32);
+    put_u32(out, names.len() as u32);
     for name in &names {
-        put_table(&mut out, db.table(name).expect("catalog listed the table"));
+        put_table(out, db.table(name).expect("catalog listed the table"));
     }
-    out
+}
+
+/// The length of a database's snapshot payload, from a counting pass.
+pub fn payload_len(db: &Database) -> u64 {
+    encoded_len(|counter| put_payload(counter, db))
+}
+
+/// A database's complete snapshot (header + payload + CRC), whose payload
+/// [`payload_len`] has measured as `len`.
+pub fn put_database<S: Sink + ?Sized>(out: &mut S, db: &Database, len: u64) {
+    put_envelope(out, len, |payload| put_payload(payload, db));
 }
 
 fn deserialize_payload(payload: &[u8]) -> Result<Database> {
@@ -576,9 +703,14 @@ fn deserialize_payload(payload: &[u8]) -> Result<Database> {
     Ok(db)
 }
 
-/// Serialize a database into a complete snapshot (header + payload + CRC).
+/// Serialize a database into a complete snapshot (header + payload + CRC)
+/// in memory: the encoder [`save_database`] streams to disk, run into a
+/// `Vec`.
 pub fn serialize_database(db: &Database) -> Vec<u8> {
-    wrap_envelope(&serialize_payload(db))
+    let len = payload_len(db);
+    let mut out = Vec::with_capacity((ENVELOPE_LEN + len) as usize);
+    put_database(&mut out, db, len);
+    out
 }
 
 /// Parse a complete snapshot produced by [`serialize_database`].
@@ -626,20 +758,36 @@ pub fn verify_envelope(bytes: &[u8]) -> Result<&[u8]> {
     Ok(payload)
 }
 
-/// Wrap an already-serialized payload in the snapshot envelope.
-pub fn wrap_envelope(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 20);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
+/// The bytes an envelope adds to its payload: magic, version and length
+/// before it, the CRC after it.
+pub const ENVELOPE_LEN: u64 = 20;
+
+/// Write a snapshot envelope around the `len` payload bytes `payload`
+/// writes. The CRC is folded in as the bytes pass, so the payload is never
+/// held whole. `len` must be what `payload` writes, so it is learned first,
+/// with a counting pass ([`encoded_len`]).
+pub fn put_envelope<S: Sink + ?Sized>(
+    out: &mut S,
+    len: u64,
+    payload: impl FnOnce(&mut Checksummed<'_, S>),
+) {
+    out.put(MAGIC);
+    put_u32(out, FORMAT_VERSION);
+    put_u64(out, len);
+    let mut checksummed = Checksummed {
+        inner: &mut *out,
+        crc: Crc32::new(),
+    };
+    payload(&mut checksummed);
+    let crc = checksummed.crc.finish();
+    put_u32(out, crc);
 }
 
-/// Save a database snapshot to `path` atomically (write temp + rename).
+/// Save a database snapshot to `path` atomically (write temp + rename),
+/// streamed: one pass counts the payload, a second writes it.
 pub fn save_database(db: &Database, path: &Path) -> Result<()> {
-    write_atomically(path, &serialize_database(db))
+    let len = payload_len(db);
+    write_atomically_with(path, ENVELOPE_LEN + len, |file| put_database(file, db, len))
 }
 
 /// Load a database snapshot from `path`.
@@ -649,8 +797,25 @@ pub fn load_database(path: &Path) -> Result<Database> {
     deserialize_database(&bytes)
 }
 
-/// Write `bytes` to `path` via a sibling temp file and atomic rename,
-/// then fsync the parent directory so the rename itself is durable.
+/// Write `bytes` to `path` via a sibling temp file and atomic rename: see
+/// [`write_atomically_with`].
+pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<()> {
+    write_atomically_with(path, bytes.len() as u64, |file| file.put(bytes))
+}
+
+/// Temp files named so far by this process: with the pid, each save's own.
+static TEMP_FILES: AtomicU64 = AtomicU64::new(0);
+
+/// Stream the `len` bytes `encode` writes to `path` via a sibling temp file
+/// and atomic rename, then fsync the parent directory so the rename itself
+/// is durable. The bytes pass through a 64 KiB buffer on their way to the
+/// temp file; nothing holds the whole file.
+///
+/// Each call writes a temp file of its own, `.<name>.tmp.<pid>.<n>`, so
+/// saves racing to one path each rename a complete file over it. Any
+/// failure after the temp file is created — a write, the fsync, the rename,
+/// or `encode` writing other than `len` bytes — removes it and leaves the
+/// file at `path` as it was.
 ///
 /// The directory fsync is the step naive write-tmp-and-rename schemes
 /// skip: without it a crash shortly after the rename can leave the
@@ -658,29 +823,75 @@ pub fn load_database(path: &Path) -> Result<Database> {
 /// though the data blocks of the new file hit disk. Snapshot checkpoints
 /// (and the WAL's `CURRENT` pointer) rely on rename being a durable
 /// commit point, so the entry must be forced out too.
-pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let tmp = match dir {
-        Some(d) => d.join(format!(
-            ".{}.tmp.{}",
-            path.file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or("snapshot"),
-            std::process::id()
-        )),
-        None => Path::new(&format!(".orpheus.tmp.{}", std::process::id())).to_path_buf(),
-    };
+pub fn write_atomically_with(
+    path: &Path,
+    len: u64,
+    encode: impl FnOnce(&mut FileSink),
+) -> Result<()> {
+    let name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or("snapshot");
+    let tmp = path.with_file_name(format!(
+        ".{name}.tmp.{}.{}",
+        std::process::id(),
+        TEMP_FILES.fetch_add(1, Ordering::Relaxed)
+    ));
     let io_err = |e: std::io::Error| EngineError::Storage(format!("cannot write snapshot: {e}"));
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(bytes).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
+    let file = std::fs::File::create(&tmp).map_err(io_err)?;
+    let written = stream_to(file, len, encode).and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
         let _ = std::fs::remove_file(&tmp);
         return Err(io_err(e));
     }
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     fsync_dir(dir.unwrap_or_else(|| Path::new(".")))
+}
+
+/// Run `encode` into a 64 KiB buffer on `file`, check that it wrote `len`
+/// bytes, and flush and fsync the file.
+fn stream_to(file: std::fs::File, len: u64, encode: impl FnOnce(&mut FileSink)) -> io::Result<()> {
+    let mut sink = FileSink {
+        out: BufWriter::with_capacity(64 * 1024, file),
+        written: 0,
+        error: None,
+    };
+    encode(&mut sink);
+    if let Some(e) = sink.error {
+        return Err(e);
+    }
+    if sink.written != len {
+        return Err(io::Error::other(format!(
+            "the encoder wrote {} bytes, {len} were counted",
+            sink.written
+        )));
+    }
+    sink.out
+        .into_inner()
+        .map_err(|e| e.into_error())?
+        .sync_all()
+}
+
+/// The [`Sink`] of [`write_atomically_with`]: a buffered temp file. The
+/// `put_*` writers cannot fail, so the first I/O error is kept, later bytes
+/// are dropped, and the save reports it once encoding is done.
+#[derive(Debug)]
+pub struct FileSink {
+    out: BufWriter<std::fs::File>,
+    written: u64,
+    error: Option<io::Error>,
+}
+
+impl Sink for FileSink {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.written += bytes.len() as u64;
+        if self.error.is_none() {
+            if let Err(e) = self.out.write_all(bytes) {
+                self.error = Some(e);
+            }
+        }
+    }
 }
 
 /// Force a directory's entries to stable storage (fsync on the directory
@@ -715,6 +926,18 @@ mod tests {
         .unwrap();
         db.execute("CREATE TABLE empty_t (x INT)").unwrap();
         db
+    }
+
+    fn serialize_payload(db: &Database) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_payload(&mut out, db);
+        out
+    }
+
+    fn wrap_envelope(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_envelope(&mut out, payload.len() as u64, |s| s.put(payload));
+        out
     }
 
     /// The byte-at-a-time loop `crc32` replaced: the reference it must
@@ -756,6 +979,33 @@ mod tests {
                 crc32_bytewise(slice),
                 "start {start} len {len}"
             );
+        }
+    }
+
+    /// A running CRC fed any split of the input — empty pieces included —
+    /// reads the one-shot value.
+    #[test]
+    fn crc32_of_any_split_is_the_one_shot_value() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let buf: Vec<u8> = (0..2048).map(|_| next() as u8).collect();
+        for _ in 0..500 {
+            let len = (next() % buf.len() as u64) as usize;
+            let input = &buf[..len];
+            let mut crc = Crc32::new();
+            let mut at = 0;
+            while at < len {
+                let piece = (next() % 24) as usize;
+                let end = (at + piece).min(len);
+                crc.update(&input[at..end]);
+                at = end;
+            }
+            assert_eq!(crc.finish(), crc32(input), "len {len}");
         }
     }
 
@@ -970,6 +1220,28 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A save that fails after its temp file exists — here the encoder
+    /// writes other than the bytes it was sized at — removes the temp file
+    /// and leaves the old snapshot in place.
+    #[test]
+    fn a_failed_save_leaves_the_old_file_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("orpheus-storage-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.orpheus");
+        write_atomically(&path, b"old").unwrap();
+        for wrong in [2, 4] {
+            let err = write_atomically_with(&path, wrong, |f| f.put(b"new")).unwrap_err();
+            assert!(err.to_string().contains("counted"), "{err}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["db.orpheus"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -453,6 +453,15 @@ fn payload_of(snapshot: &[u8]) -> Vec<u8> {
     snapshot[16..snapshot.len() - 4].to_vec()
 }
 
+/// `payload` in a valid snapshot envelope, its CRC computed afresh.
+fn wrap_envelope(payload: &[u8]) -> Vec<u8> {
+    use orpheusdb::engine::storage::{put_envelope, Sink};
+
+    let mut out = Vec::new();
+    put_envelope(&mut out, payload.len() as u64, |s| s.put(payload));
+    out
+}
+
 /// A database holding every value type, a secondary index and a clustered
 /// table, whose snapshot payload the mutation property edits.
 fn snapshot_fixture() -> Database {
@@ -535,7 +544,7 @@ fn zero_column_payload(rows: u64) -> Vec<u8> {
 /// refuses it, and bounds every row count by the bytes left.
 #[test]
 fn a_table_that_declares_rows_but_no_columns_is_refused() {
-    use orpheusdb::engine::storage::{deserialize_database, serialize_database, wrap_envelope};
+    use orpheusdb::engine::storage::{deserialize_database, serialize_database};
 
     for rows in [1, 5_000_000, u64::MAX - 1] {
         let snapshot = wrap_envelope(&zero_column_payload(rows));
@@ -573,7 +582,7 @@ fn a_table_that_declares_rows_but_no_columns_is_refused() {
 #[test]
 fn every_payload_byte_stamped_hostile_loads_or_fails_cleanly() {
     use orpheusdb::core::persist;
-    use orpheusdb::engine::storage::{deserialize_database, serialize_database, wrap_envelope};
+    use orpheusdb::engine::storage::{deserialize_database, serialize_database};
 
     let engine = payload_of(&serialize_database(&snapshot_fixture()));
     let instance = payload_of(&persist::serialize(&instance_fixture()));
@@ -627,7 +636,7 @@ proptest! {
         noise in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         use orpheusdb::core::persist;
-        use orpheusdb::engine::storage::{deserialize_database, serialize_database, wrap_envelope};
+        use orpheusdb::engine::storage::{deserialize_database, serialize_database};
 
         let mut engine = payload_of(&serialize_database(&snapshot_fixture()));
         mutate(&mut engine, &edits);
