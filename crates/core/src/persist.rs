@@ -18,11 +18,16 @@
 //! pass. No whole-file buffer exists; [`serialize`] is the same encoder
 //! run into a `Vec`.
 //!
+//! The paper's split-by-rlist model keeps one rlist array per version, and
+//! so does the file: such a CVD's rlists live only in its rlist table
+//! cells, and loading builds the catalog from them. That is
+//! `CORE_VERSION` 2; a version-1 file, which stored every rlist in the
+//! catalog as well, is refused by name.
+//!
 //! The bytes are the engine's one vocabulary, with the codec's version-id
 //! lists and model tags ([`crate::codec`]). The one layout of its own is
 //! the CVD schema, which stores each column's type by SQL name rather than
-//! by tag; `CORE_VERSION` 1 files were written that way and must keep
-//! loading. Anything the decoders refuse is [`CoreError::Storage`] (or
+//! by tag. Anything the decoders refuse is [`CoreError::Storage`] (or
 //! [`CoreError::Engine`] from the embedded engine snapshot).
 
 use std::collections::HashMap;
@@ -50,7 +55,7 @@ use crate::staging::{StagedEntry, StagedKind, StagingArea};
 /// Marker distinguishing middleware snapshots from bare engine snapshots.
 const SECTION: &str = "orpheus-core";
 /// Version of the middleware section layout.
-const CORE_VERSION: u32 = 1;
+const CORE_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Encoding helpers.
@@ -235,6 +240,8 @@ fn read_partition_state(r: &mut Reader<'_>, tree: VersionTree) -> Result<Partiti
     })
 }
 
+/// A CVD's catalog entry. A split-by-rlist CVD's rlists are not in it:
+/// each is stored once, in its version's rlist table cell.
 fn put_cvd<S: Sink + ?Sized>(out: &mut S, cvd: &Cvd) {
     put_str(out, &cvd.name);
     put_cvd_schema(out, &cvd.schema);
@@ -243,8 +250,10 @@ fn put_cvd<S: Sink + ?Sized>(out: &mut S, cvd: &Cvd) {
     for m in &cvd.versions {
         put_version_meta(out, m);
     }
-    for rids in &cvd.version_rids {
-        put_i64s(out, rids);
+    if cvd.model != ModelKind::SplitByRlist {
+        for rids in &cvd.version_rids {
+            put_i64s(out, rids);
+        }
     }
     put_u64(out, cvd.next_rid);
     put_u32(out, cvd.attrs.entries().len() as u32);
@@ -262,7 +271,9 @@ fn put_cvd<S: Sink + ?Sized>(out: &mut S, cvd: &Cvd) {
     }
 }
 
-fn read_cvd(r: &mut Reader<'_>) -> Result<Cvd> {
+/// A CVD's catalog entry, read over the engine snapshot loaded before it:
+/// a split-by-rlist CVD's rlists are its rlist table cells.
+fn read_cvd(r: &mut Reader<'_>, engine: &Database) -> Result<Cvd> {
     let name = r.str()?;
     let schema = read_cvd_schema(r)?;
     let model = read_model(r)?;
@@ -289,22 +300,29 @@ fn read_cvd(r: &mut Reader<'_>) -> Result<Cvd> {
         }
         versions.push(std::sync::Arc::new(m));
     }
-    let mut version_rids = Vec::with_capacity(nvers);
-    for m in &versions {
-        let rids = read_i64s(r)?;
-        // The record counts feed the version tree's sums: they must be
-        // what the stored rlists hold.
-        if m.num_records != rids.len() as u64 {
-            return Err(corrupt(format!(
-                "version {} counts {} records, its rlist holds {}",
-                m.vid.0,
-                m.num_records,
-                rids.len()
-            )));
+    let mut cvd = Cvd::new(&name, schema, model);
+    cvd.versions = versions;
+    // The record counts feed the version tree's sums (the partition state
+    // below builds one): they must be what the rlists hold.
+    cvd.version_rids = if model == ModelKind::SplitByRlist {
+        cell_rlists(engine, &cvd)?
+    } else {
+        let mut version_rids = Vec::with_capacity(nvers);
+        for m in &cvd.versions {
+            let rids = read_i64s(r)?;
+            if m.num_records != rids.len() as u64 {
+                return Err(corrupt(format!(
+                    "version {} counts {} records, its rlist holds {}",
+                    m.vid.0,
+                    m.num_records,
+                    rids.len()
+                )));
+            }
+            version_rids.push(Arc::new(rids));
         }
-        version_rids.push(std::sync::Arc::new(rids));
-    }
-    let next_rid = r.u64()?;
+        version_rids
+    };
+    cvd.next_rid = r.u64()?;
     let nattrs = r.count("attribute entry")?;
     let mut entries = Vec::with_capacity(nattrs);
     for _ in 0..nattrs {
@@ -314,10 +332,6 @@ fn read_cvd(r: &mut Reader<'_>) -> Result<Cvd> {
             dtype: DataType::parse(&r.str()?)?,
         });
     }
-    let mut cvd = Cvd::new(&name, schema, model);
-    cvd.versions = versions;
-    cvd.version_rids = version_rids;
-    cvd.next_rid = next_rid;
     cvd.attrs = AttributeRegistry::from_entries(entries);
     if r.bool()? {
         cvd.partition = Some(read_partition_state(r, cvd.version_tree())?);
@@ -467,6 +481,12 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
             "middleware section version {version} is newer than supported {CORE_VERSION}"
         )));
     }
+    if version < CORE_VERSION {
+        return Err(CoreError::Storage(format!(
+            "middleware section version {version} is no longer supported: it stored each \
+             split-by-rlist rlist twice; this build reads version {CORE_VERSION} only"
+        )));
+    }
 
     let engine_len = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
     let engine = storage::deserialize_database(r.bytes(engine_len)?)?;
@@ -490,13 +510,7 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
     let ncvds = r.count("CVD")?;
     let mut cvds = HashMap::with_capacity(ncvds);
     for _ in 0..ncvds {
-        let cvd = read_cvd(&mut r)?;
-        if cvd.versions.len() != cvd.version_rids.len() {
-            return Err(corrupt(format!(
-                "CVD {}: version metadata and rid lists disagree",
-                cvd.name
-            )));
-        }
+        let cvd = read_cvd(&mut r, &engine)?;
         cvds.insert(cvd.name.clone(), cvd);
     }
     r.finish("the instance snapshot")?;
@@ -518,7 +532,7 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
 
     // Validate that every CVD's backing tables exist in the engine before
     // accepting the catalog (a corrupt snapshot must not half-load).
-    for cvd in cvds.values_mut() {
+    for cvd in cvds.values() {
         for t in crate::model::backing_tables(cvd) {
             if !odb.engine.has_table(&t) {
                 return Err(corrupt(format!(
@@ -527,7 +541,7 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
                 )));
             }
         }
-        share_rlists(&mut odb.engine, cvd)?;
+        share_partition_rlists(&mut odb.engine, cvd)?;
     }
     odb.cvds = cvds;
     Ok(odb)
@@ -539,8 +553,9 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
 /// partitioned, of its partition's). A cell that differs from the
 /// catalog's rlist, a cell for a version the catalog lacks, a global
 /// table without one cell per version, and a missing partition rlist
-/// table all disagree. [`save`] refuses to write such an instance and
-/// [`deserialize`] refuses to load one.
+/// table all disagree. [`save`] refuses to write such an instance: the
+/// file keeps only the cells, so a cell edited through the public `engine`
+/// handle would otherwise become the version on reload.
 fn rlist_mismatch(engine: &Database, cvd: &Cvd) -> Option<String> {
     if cvd.model != ModelKind::SplitByRlist {
         return None;
@@ -568,26 +583,61 @@ fn rlist_mismatch(engine: &Database, cvd: &Cvd) -> Option<String> {
     None
 }
 
-/// Hold each split-by-rlist version's rlist once, as a live commit does.
-/// The snapshot stores every rlist in the catalog and in rlist table
-/// cells, which decode as separate buffers: the catalog adopts the buffer
-/// of the global rlist table's cell, and each partition rlist table cell
-/// is pointed at it too. Refuses, as corruption, tables that
-/// [`rlist_mismatch`] finds disagreeing with the catalog.
-fn share_rlists(engine: &mut Database, cvd: &mut Cvd) -> Result<()> {
-    if let Some(msg) = rlist_mismatch(engine, cvd) {
-        return Err(corrupt(msg));
+/// A split-by-rlist CVD's rlists, which the snapshot stores only in its
+/// global rlist table cells: the catalog adopts each cell's buffer.
+/// Refused as corruption: a missing table, a row that is not `(vid,
+/// rlist)`, a cell for a version the catalog lacks, a version with no cell
+/// or two, and a cell whose length is not the version's record count.
+fn cell_rlists(engine: &Database, cvd: &Cvd) -> Result<Vec<Arc<Vec<i64>>>> {
+    let global = cvd.rlist_table();
+    let table = engine.table(&global).map_err(|_| {
+        corrupt(format!(
+            "CVD {} references missing backing table {global}",
+            cvd.name
+        ))
+    })?;
+    let mut cells: Vec<Option<Arc<Vec<i64>>>> = vec![None; cvd.num_versions()];
+    for row in table.rows() {
+        let (vid, cell) = rlist_cell(cvd, &global, row).map_err(corrupt)?;
+        let counted = cvd.versions[vid.index()].num_records;
+        if cell.len() as u64 != counted {
+            return Err(corrupt(format!(
+                "CVD {}: version {} counts {counted} records, its rlist in {global} holds {}",
+                cvd.name,
+                vid.0,
+                cell.len()
+            )));
+        }
+        if cells[vid.index()].replace(cell).is_some() {
+            return Err(corrupt(format!(
+                "CVD {}: {global} holds two rlists for version {}",
+                cvd.name, vid.0
+            )));
+        }
     }
+    cells
+        .into_iter()
+        .zip(1..)
+        .map(|(cell, v)| {
+            cell.ok_or_else(|| {
+                corrupt(format!(
+                    "CVD {}: {global} holds no rlist for version {v}",
+                    cvd.name
+                ))
+            })
+        })
+        .collect()
+}
+
+/// Point each partition rlist table cell of a split-by-rlist CVD at the
+/// catalog's buffer for its version, so every rlist is held once, as a
+/// live commit holds it. A partition cell that differs from the catalog's
+/// rlist is refused as corruption.
+fn share_partition_rlists(engine: &mut Database, cvd: &Cvd) -> Result<()> {
     if cvd.model != ModelKind::SplitByRlist {
         return Ok(());
     }
-    let global = cvd.rlist_table();
-    for row in engine.table(&global)?.rows() {
-        let (vid, cell) = checked_rlist(cvd, &global, row).map_err(corrupt)?;
-        cvd.version_rids[vid.index()] = cell;
-    }
-    let partitions: Vec<String> = cvd.partition_pairs().map(|(_, rlist)| rlist).collect();
-    for table in partitions {
+    for (_, table) in cvd.partition_pairs() {
         let t = engine.table_mut(&table)?;
         for slot in 0..t.len() {
             let (vid, _) = checked_rlist(cvd, &table, t.row(slot)).map_err(corrupt)?;
@@ -598,8 +648,8 @@ fn share_rlists(engine: &mut Database, cvd: &mut Cvd) -> Result<()> {
 }
 
 /// The version and rlist buffer of one `(vid, rlist)` row of `table`,
-/// refused unless the catalog holds that version with exactly that rlist.
-fn checked_rlist(
+/// refused unless the catalog holds that version.
+fn rlist_cell(
     cvd: &Cvd,
     table: &str,
     row: &[Value],
@@ -611,18 +661,31 @@ fn checked_rlist(
         ));
     };
     let vid = Vid(u64::try_from(*v).unwrap_or(0));
-    match cvd.rids_of(vid) {
-        Ok(held) if std::ptr::eq(held, cell.as_slice()) || held == cell.as_slice() => {
-            Ok((vid, Arc::clone(cell)))
-        }
-        Ok(_) => Err(format!(
-            "CVD {}: the rlist of version {v} in {table} differs from the catalog's",
-            cvd.name
-        )),
-        Err(_) => Err(format!(
+    if !cvd.has_version(vid) {
+        return Err(format!(
             "CVD {}: {table} holds an rlist for version {v}, which the catalog lacks",
             cvd.name
-        )),
+        ));
+    }
+    Ok((vid, Arc::clone(cell)))
+}
+
+/// [`rlist_cell`], refused unless the cell holds exactly the catalog's
+/// rlist of its version.
+fn checked_rlist(
+    cvd: &Cvd,
+    table: &str,
+    row: &[Value],
+) -> std::result::Result<(Vid, Arc<Vec<i64>>), String> {
+    let (vid, cell) = rlist_cell(cvd, table, row)?;
+    let held = &cvd.version_rids[vid.index()];
+    if Arc::ptr_eq(held, &cell) || held == &cell {
+        Ok((vid, cell))
+    } else {
+        Err(format!(
+            "CVD {}: the rlist of version {} in {table} differs from the catalog's",
+            cvd.name, vid.0
+        ))
     }
 }
 
@@ -912,6 +975,75 @@ mod tests {
                 "{bad:?} over {k}: {err}"
             );
         }
+    }
+
+    /// A split-by-rlist CVD's rlists are stored once, in its rlist table
+    /// cells, and loading builds the catalog from them: a snapshot whose
+    /// cells cannot be that catalog is refused as corrupt, naming the CVD
+    /// and the version.
+    #[test]
+    fn rlist_cells_that_cannot_be_the_catalog_are_refused() {
+        let refused = |what: &str, edit: &dyn Fn(&mut OrpheusDB)| {
+            let mut odb = populated();
+            edit(&mut odb);
+            match deserialize(&serialize(&odb)) {
+                Err(CoreError::Storage(msg)) => {
+                    assert!(msg.starts_with("snapshot corrupt"), "{what}: {msg}");
+                    assert!(msg.contains("CVD protein"), "{what}: {msg}");
+                    assert!(msg.contains("version 2"), "{what}: {msg}");
+                }
+                Err(other) => panic!("{what}: refused as {other:?}, not as corruption"),
+                Ok(_) => panic!("{what}: the snapshot loaded"),
+            }
+        };
+        let run = |odb: &mut OrpheusDB, sql: &str| {
+            odb.engine.execute(sql).unwrap();
+        };
+
+        refused("a version with no cell", &|odb| {
+            run(odb, "DELETE FROM protein__rlist WHERE vid = 2");
+        });
+        refused("a cell whose length is not the record count", &|odb| {
+            run(
+                odb,
+                "UPDATE protein__rlist SET rlist = array_append(rlist, 0) WHERE vid = 2",
+            );
+        });
+        refused("two cells for one version", &|odb| {
+            // The rlist table keys its cells by vid; a table without that
+            // key is what it takes to store a second cell.
+            let cvd = odb.cvd("protein").unwrap().clone();
+            run(odb, "DROP TABLE protein__rlist");
+            let schema = Schema::new(vec![
+                Column::new("vid", DataType::Int),
+                Column::new("rlist", DataType::IntArray),
+            ]);
+            let mut table = orpheus_engine::Table::new("protein__rlist", schema);
+            for (i, rlist) in cvd.version_rids.iter().enumerate() {
+                table
+                    .insert(rlist_tuple(Vid::from_index(i), rlist))
+                    .unwrap();
+            }
+            table
+                .insert(rlist_tuple(Vid(2), &cvd.version_rids[1]))
+                .unwrap();
+            odb.engine.add_table(table).unwrap();
+        });
+        refused(
+            "a partition cell that differs from the global one",
+            &|odb| {
+                let cvd = odb.cvd("protein").unwrap();
+                let partition = cvd.rlist_pair(Vid(2)).unwrap().1;
+                let mut other = cvd.version_rids[1].to_vec();
+                other[0] = -1;
+                let t = odb.engine.table_mut(&partition).unwrap();
+                let slot = (0..t.len())
+                    .find(|&slot| t.row(slot)[0] == Value::Int(2))
+                    .unwrap();
+                t.replace_row(slot, rlist_tuple(Vid(2), &Arc::new(other)))
+                    .unwrap();
+            },
+        );
     }
 
     #[test]

@@ -443,7 +443,7 @@ fn fixed_instance() -> OrpheusDB {
     odb
 }
 
-const INSTANCE_PINS: &[Pin] = &[(4297, 2557784549)];
+const INSTANCE_PINS: &[Pin] = &[(4177, 2598861472)];
 
 #[test]
 fn an_instance_snapshot_is_pinned_and_loads_back() {
@@ -464,4 +464,27 @@ fn an_instance_snapshot_is_pinned_and_loads_back() {
         }
     }
     assert_eq!(persist::serialize(&back), bytes);
+}
+
+/// An instance snapshot whose middleware section says version 1 — the
+/// layout that stored each split-by-rlist rlist in the catalog as well as
+/// in its rlist table cell — is refused up front, by name.
+#[test]
+fn a_version_one_instance_snapshot_is_refused_by_name() {
+    let mut bytes = persist::serialize(&fixed_instance());
+    // The payload opens with the section marker (a `u32`-length string),
+    // then the section version.
+    let at = 16 + 4 + "orpheus-core".len();
+    assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes());
+    bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+    let end = bytes.len() - 4;
+    let crc = crc32(&bytes[16..end]);
+    bytes[end..].copy_from_slice(&crc.to_le_bytes());
+
+    let err = persist::deserialize(&bytes).expect_err("a version-1 snapshot is refused");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("version 1") && msg.contains("version 2"),
+        "the refusal names both versions: {msg}"
+    );
 }
