@@ -919,6 +919,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Saves racing to one path each write a temp file of their own, so
+    /// the file left is one complete instance and no temp file remains.
+    #[test]
+    fn concurrent_saves_to_one_path_leave_one_whole_snapshot() {
+        let dir = std::env::temp_dir().join(format!("orpheus-persist-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("instance.orpheus");
+        let instances: Vec<OrpheusDB> = (0..8)
+            .map(|i| {
+                let mut odb = OrpheusDB::new();
+                let rows = (0..=i).map(|k| vec![k.into()]).collect();
+                let schema = Schema::new(vec![Column::new("k", DataType::Int)]);
+                odb.init_cvd(&format!("c{i}"), schema, rows, None).unwrap();
+                odb
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for odb in &instances {
+                let path = &path;
+                scope.spawn(move || {
+                    for _ in 0..20 {
+                        save(odb, path).unwrap();
+                    }
+                });
+            }
+        });
+        let bytes = std::fs::read(&path).unwrap();
+        let back = deserialize(&bytes).unwrap();
+        assert!(
+            instances.iter().any(|odb| serialize(odb) == bytes),
+            "the file is none of the saved instances: {:?}",
+            back.ls()
+        );
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["instance.orpheus"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn corruption_is_detected_before_state_is_built() {
         let bytes = serialize(&populated());

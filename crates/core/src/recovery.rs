@@ -24,8 +24,12 @@
 //! `CURRENT` flip — which is the commit point. Only after `CURRENT` is
 //! durable does the sink switch segments and delete generation `g`. A
 //! crash at *any* interior point leaves `CURRENT` naming a complete
-//! generation; stale files from an abandoned checkpoint are swept on the
-//! next [`open`]. Checkpointing requires exclusive access (`&mut` /
+//! generation; stale files from an abandoned checkpoint — other
+//! generations' snapshots and segments, and the temp files of a snapshot
+//! or `CURRENT` write that never got renamed — are swept on the next
+//! [`open`]. The snapshot is streamed to its temp file
+//! ([`crate::persist::save`]), so a checkpoint's extra memory is a 64 KiB
+//! write buffer, not a copy of the instance. Checkpointing requires exclusive access (`&mut` /
 //! [`SharedOrpheusDB::write`]'s full quiesce), which is what makes the
 //! snapshot/segment boundary an exact cut of the operation stream.
 //!
@@ -213,7 +217,10 @@ fn max_timestamp(odb: &OrpheusDB) -> u64 {
 }
 
 /// Remove snapshot/segment files from other generations (leftovers of a
-/// checkpoint that crashed before or after its `CURRENT` flip).
+/// checkpoint that crashed before or after its `CURRENT` flip), and the
+/// temp files of snapshot and `CURRENT` writes a killed process never
+/// renamed: `.snapshot-*.orpheus.tmp.*` and `.CURRENT.tmp.*`, each a
+/// full-size snapshot or a stray pointer that nothing else deletes.
 fn sweep_stale(dir: &Path, live_gen: u64) {
     let keep = [
         wal::segment_path(dir, live_gen),
@@ -227,9 +234,11 @@ fn sweep_stale(dir: &Path, live_gen: u64) {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        let stale = (name.starts_with("wal-") && name.ends_with(".log"))
+        let generation = (name.starts_with("wal-") && name.ends_with(".log"))
             || (name.starts_with("snapshot-") && name.ends_with(".orpheus"));
-        if stale && !keep.contains(&path) {
+        let temp = name.starts_with(".CURRENT.tmp.")
+            || (name.starts_with(".snapshot-") && name.contains(".orpheus.tmp."));
+        if temp || (generation && !keep.contains(&path)) {
             let _ = std::fs::remove_file(&path);
         }
     }
@@ -353,6 +362,42 @@ mod tests {
         }
         let reopened = open(&dir).unwrap();
         assert_eq!(reopened.cvd("wines").unwrap().num_versions(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A killed process can leave the temp file of a snapshot or `CURRENT`
+    /// write behind; opening the directory removes them, and the live
+    /// generation still opens whole.
+    #[test]
+    fn open_sweeps_temp_files_a_killed_save_left() {
+        let dir = temp_dir("sweep-temp");
+        {
+            let mut odb = open(&dir).unwrap();
+            odb.execute(Request::Init(Init {
+                cvd: "wines".into(),
+                schema: schema(),
+                rows: rows(3),
+                model: None,
+            }))
+            .unwrap();
+            assert_eq!(checkpoint(&mut odb).unwrap(), 2);
+        }
+        let planted = [
+            ".snapshot-000003.orpheus.tmp.4242.0",
+            ".snapshot-000002.orpheus.tmp.17.3",
+            ".CURRENT.tmp.4242.1",
+        ];
+        for name in planted {
+            std::fs::write(dir.join(name), b"half a file").unwrap();
+        }
+        let reopened = open(&dir).unwrap();
+        assert_eq!(reopened.cvd("wines").unwrap().num_versions(), 1);
+        for name in planted {
+            assert!(!dir.join(name).exists(), "{name} survived the open");
+        }
+        assert!(wal::snapshot_path(&dir, 2).exists());
+        assert!(wal::segment_path(&dir, 2).exists());
+        assert_eq!(wal::read_current(&dir).unwrap(), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

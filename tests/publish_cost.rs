@@ -20,23 +20,29 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use orpheusdb::bench::generator::{Workload, WorkloadParams};
+use orpheusdb::core::{recovery, wal};
 use orpheusdb::partition::lyresplit::{lyresplit_for_budget, EdgePick};
 use orpheusdb::partition::online::{OnlineConfig, OnlineMaintainer};
 use orpheusdb::partition::VersionTree;
 use orpheusdb::prelude::*;
 
-/// Counts allocation calls, and the bytes allocated minus the bytes
-/// freed, per thread, so tests running in parallel do not see each
-/// other's.
+/// Counts allocation calls, the bytes allocated minus the bytes freed,
+/// and the highest that live count has reached, per thread, so tests
+/// running in parallel do not see each other's.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn track(bytes: i64) {
-    LIVE.with(|n| n.set(n.get() + bytes));
+    let live = LIVE.with(|n| {
+        n.set(n.get() + bytes);
+        n.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters are
@@ -74,6 +80,15 @@ fn live_bytes_of(f: impl FnOnce()) -> i64 {
     let before = LIVE.with(Cell::get);
     f();
     LIVE.with(Cell::get) - before
+}
+
+/// How far `f` raises this thread's live heap above where it started, at
+/// its highest.
+fn peak_rise_of(f: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    f();
+    PEAK.with(Cell::get) - before
 }
 
 const CVD: &str = "ledger";
@@ -354,6 +369,54 @@ fn a_version_holds_its_rlist_once() {
         "a version keeping every record grows the live heap by {per_record:.1} B per record \
          ({small} B on 1 000 records, {large} B on 10 000)"
     );
+}
+
+/// `(peak heap rise, snapshot bytes)` of a checkpoint of a WAL-backed
+/// instance whose CVD holds `records` records in three versions that keep
+/// them all.
+fn checkpoint_cost(records: i64) -> (i64, u64) {
+    let dir = std::env::temp_dir().join(format!(
+        "orpheus-checkpoint-peak-{records}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let schema = Schema::new(vec![
+        Column::new("k", DataType::Int),
+        Column::new("v", DataType::Int),
+    ])
+    .with_primary_key(&["k"])
+    .unwrap();
+    let rows = (0..records).map(|k| vec![k.into(), (k * 7).into()]);
+    let mut odb = recovery::open(&dir).unwrap();
+    odb.init_cvd(CVD, schema, rows.collect(), None).unwrap();
+    for parent in 1..3 {
+        odb.checkout(CVD, &[Vid(parent)], "work").unwrap();
+        odb.commit("work", "keep").unwrap();
+    }
+    let peak = peak_rise_of(|| {
+        assert_eq!(recovery::checkpoint(&mut odb).unwrap(), 2);
+    });
+    let file = std::fs::metadata(wal::snapshot_path(&dir, 2))
+        .unwrap()
+        .len();
+    drop(odb);
+    let _ = std::fs::remove_dir_all(&dir);
+    (peak, file)
+}
+
+/// A checkpoint streams its snapshot to disk through a 64 KiB buffer: the
+/// heap it needs does not grow with the instance. About twice the file
+/// while the snapshot was built in memory, envelope copies and all.
+#[test]
+fn a_checkpoint_does_not_hold_its_snapshot_in_memory() {
+    for records in [1_000, 10_000] {
+        let (peak, file) = checkpoint_cost(records);
+        assert!(
+            peak <= 256 * 1024,
+            "a checkpoint of {records} records raised the peak live heap by {peak} B \
+             (the snapshot is {file} B)"
+        );
+    }
 }
 
 /// The first `n` versions of `tree`.
