@@ -344,8 +344,8 @@ impl Sink for Vec<u8> {
 }
 
 /// A sink that keeps no bytes, only their count.
-#[derive(Debug, Default)]
-pub struct Counter(pub u64);
+#[derive(Debug)]
+pub struct Counter(u64);
 
 impl Sink for Counter {
     #[inline]
@@ -361,7 +361,7 @@ impl Sink for Counter {
 
 /// The number of bytes `encode` writes.
 pub fn encoded_len(encode: impl FnOnce(&mut Counter)) -> u64 {
-    let mut counter = Counter::default();
+    let mut counter = Counter(0);
     encode(&mut counter);
     counter.0
 }
@@ -426,19 +426,6 @@ pub fn put_str<S: Sink + ?Sized>(out: &mut S, s: &str) {
     out.put(s.as_bytes());
 }
 
-/// The `i64`s of an int array, little-endian, handed to the sink a few
-/// hundred bytes at a time rather than eight: rlists are most of a
-/// snapshot, and a streaming sink pays per call.
-fn put_i64_run<S: Sink + ?Sized>(out: &mut S, xs: &[i64]) {
-    let mut buf = [0u8; 512];
-    for chunk in xs.chunks(buf.len() / 8) {
-        for (slot, x) in buf.chunks_exact_mut(8).zip(chunk) {
-            slot.copy_from_slice(&x.to_le_bytes());
-        }
-        out.put(&buf[..chunk.len() * 8]);
-    }
-}
-
 /// One value: a tag byte, then its payload.
 #[inline]
 pub fn put_value<S: Sink + ?Sized>(out: &mut S, v: &Value) {
@@ -463,7 +450,9 @@ pub fn put_value<S: Sink + ?Sized>(out: &mut S, v: &Value) {
         Value::IntArray(a) => {
             out.put_u8(5);
             put_u32(out, a.len() as u32);
-            put_i64_run(out, a);
+            for i in a.iter() {
+                put_i64(out, *i);
+            }
         }
     }
 }

@@ -169,8 +169,8 @@ fn the_middleware_renders_no_dml_text() {
 }
 
 /// Function signatures in `code` — `fn` up to its body — with whitespace
-/// collapsed, as `(name, parameters, return type)`.
-fn signatures(code: &str) -> Vec<(String, String, String)> {
+/// collapsed, as `(name, generics, parameters, return type)`.
+fn signatures(code: &str) -> Vec<(String, String, String, String)> {
     let bytes = code.as_bytes();
     code.match_indices("fn ")
         .filter(|(i, _)| *i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_'))
@@ -181,15 +181,21 @@ fn signatures(code: &str) -> Vec<(String, String, String)> {
             let (name, tail) = sig.split_once('(')?;
             let (params, ret) = tail.rsplit_once(')')?;
             let ret = ret.trim().trim_start_matches("->").trim();
-            let name = name.split('<').next()?.trim().to_string();
-            Some((name, params.to_string(), ret.to_string()))
+            let (name, generics) = name.split_once('<').unwrap_or((name, ""));
+            Some((
+                name.trim().to_string(),
+                generics.to_string(),
+                params.to_string(),
+                ret.to_string(),
+            ))
         })
         .collect()
 }
 
 /// What a signature encodes or decodes of the engine vocabulary, if any.
-fn vocabulary_item(params: &str, ret: &str) -> Option<&'static str> {
-    let writes = params.contains("Vec<u8>");
+/// A writer appends to a `Vec<u8>` or to any byte `Sink`.
+fn vocabulary_item(generics: &str, params: &str, ret: &str) -> Option<&'static str> {
+    let writes = params.contains("Vec<u8>") || generics.contains("Sink");
     let reads = params.contains("Reader") || params.trim_end().ends_with(": u8");
     let returns = |ty: &str| ret.ends_with(&format!("<{ty}>")) || ret == ty;
     if writes && params.contains("&Value") || reads && returns("Value") {
@@ -226,10 +232,10 @@ fn the_byte_vocabulary_is_defined_in_exactly_one_module() {
     let mut found: Vec<(String, String)> = Vec::new();
     for (path, code) in &sources {
         let file = path.rsplit('/').next().unwrap_or(path);
-        for (name, params, ret) in signatures(code) {
+        for (name, generics, params, ret) in signatures(code) {
             let is_exempt = exempt.contains(&(file, name.as_str()));
             let is_writer = name == "put_str" || name == "put_u32";
-            if (vocabulary_item(&params, &ret).is_some() || is_writer) && !is_exempt {
+            if (vocabulary_item(&generics, &params, &ret).is_some() || is_writer) && !is_exempt {
                 found.push((path.clone(), name));
             }
         }
