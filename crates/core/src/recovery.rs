@@ -29,9 +29,10 @@
 //! or `CURRENT` write that never got renamed — are swept on the next
 //! [`open`]. The snapshot is streamed to its temp file
 //! ([`crate::persist::save`]), so a checkpoint's extra memory is a 64 KiB
-//! write buffer, not a copy of the instance. Checkpointing requires exclusive access (`&mut` /
-//! [`SharedOrpheusDB::write`]'s full quiesce), which is what makes the
-//! snapshot/segment boundary an exact cut of the operation stream.
+//! write buffer, not a copy of the instance. Checkpointing requires
+//! exclusive access (`&mut` / [`SharedOrpheusDB::write`]'s full quiesce),
+//! which is what makes the snapshot/segment boundary an exact cut of the
+//! operation stream.
 //!
 //! # What is durable
 //!
