@@ -461,12 +461,15 @@ pub(crate) fn rid_index_rows<'a>(
 /// Fast-path checkout: copy the resolved rows of one version from `source`
 /// into a fresh `target` with exactly the shape `SELECT .. INTO` produces
 /// (source column types, no primary key, everything nullable). `rlist` of
-/// `None` copies the whole table (a-table-per-version). Each record is
-/// copied once, out of the source heap; the staged table's write check
-/// validates that copy in place, so a checkout costs the rid resolve plus
-/// one row allocation per record. Returns `false` —
-/// having touched nothing — when the layout cannot be fast-read, so the
-/// caller can run the Table 1 statement instead.
+/// `None` copies the whole table (a-table-per-version). The rlist resolves
+/// by the positional walk of [`orpheus_engine::Table::resolve_int_keys`],
+/// about one index probe on an append-only data table. Each record's cells
+/// are then cloned once, out of the source heap, by
+/// [`orpheus_engine::Table::copy_rows`]: the staged schema takes the source
+/// rows as they are, so the write check runs once per checkout, not per
+/// row, and the staged heap allocates per 64-row chunk, not per record.
+/// Returns `false` — having touched nothing — when the layout cannot be
+/// fast-read, so the caller can run the Table 1 statement instead.
 pub(crate) fn checkout_resolved(
     db: &mut Database,
     source: &str,
@@ -499,10 +502,8 @@ pub(crate) fn checkout_resolved(
     db.create_table(target, schema)?;
     let staged = db.table_mut(target)?;
     match slots {
-        Some(pairs) => {
-            staged.insert_many(pairs.into_iter().map(|(_, slot)| &t.row(slot)[..=width]))?
-        }
-        None => staged.insert_many(t.rows().map(|r| &r[..=width]))?,
+        Some(pairs) => staged.copy_rows(&t, pairs.into_iter().map(|(_, slot)| slot))?,
+        None => staged.copy_rows(&t, 0..t.len())?,
     };
     Ok(true)
 }

@@ -28,7 +28,6 @@ use std::collections::HashMap;
 use crate::cost;
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
-use crate::index::Probe;
 use crate::schema::Schema;
 use crate::stats::ExecStats;
 use crate::table::Table;
@@ -279,15 +278,14 @@ fn index_lookup<'a>(
         // One key: its slots are ascending already.
         idx.lookup(keys).iter().try_for_each(|&slot| emit(slot))?;
     } else {
-        // Many keys (an `IN` set): one remembered probe walks the sorted
-        // keys through the index the way `Table::resolve_int_keys` walks
-        // an rlist, and the slots are emitted in heap order, so the rows
-        // and their order are those of a scan filtered by the same set.
+        // Many keys (an `IN` set): the sorted keys take the positional
+        // walk `Table::resolve_int_keys` takes for an rlist, and the slots
+        // are emitted in heap order, so the rows and their order are those
+        // of a scan filtered by the same set.
         let mut slots = Vec::new();
-        let mut probe = Probe::default();
-        for key in keys.chunks_exact(cols.len()) {
-            slots.extend_from_slice(idx.lookup_near(&mut probe, key));
-        }
+        t.lookup_keys(cols, keys.chunks_exact(cols.len()), |_, found| {
+            slots.extend_from_slice(found)
+        })?;
         slots.sort_unstable();
         slots.dedup();
         slots.into_iter().try_for_each(emit)?;

@@ -26,13 +26,22 @@
 //!   only the chunks and leaves the write lands in. Appending rows with
 //!   growing keys copies the tail chunk and the tail leaf: O(rows
 //!   appended), not O(rows stored).
-//! * **A write** ([`Table::insert`], [`Table::replace_row`]) takes its row
-//!   owned or borrowed and is validated where the cells lie: only cells
-//!   whose type differs from their column's are coerced (a borrowed row
-//!   that needs one is copied first). An owned row's cells are moved into
-//!   the chunk; a borrowed row's are cloned into it, so copying a row from
-//!   one table to another allocates nothing per row when its cells own no
-//!   heap memory.
+//! * **A row write** ([`Table::insert`], [`Table::replace_row`]) takes its
+//!   row owned or borrowed and checks that row where its cells lie: only
+//!   cells whose type differs from their column's are coerced (a borrowed
+//!   row that needs one is copied first). An owned row's cells are moved
+//!   into the chunk; a borrowed row's are cloned into it, so copying a row
+//!   from one table to another allocates nothing per row when its cells
+//!   own no heap memory.
+//! * **A copy between tables** ([`Table::copy_rows`]) checks once per
+//!   call, not per row: when the two schemas prove every source row is
+//!   already a valid row of the target (same column types, no NULL where
+//!   the target forbids one, no index on the target), the cells are cloned
+//!   into the heap a chunk at a time. Otherwise it is a row write per row.
+//! * **A run of key lookups** ([`Table::lookup_keys`],
+//!   [`Table::resolve_int_keys`]) is a positional walk: on a unique integer
+//!   key it tries the slot the previous match predicts and probes the
+//!   index only when that slot holds another key.
 //! * Operations that rewrite the heap work chunk by chunk and never build
 //!   the rows as vectors: [`Table::delete_slots`] moves the cells after
 //!   the first deleted slot down (the chunks before it stay shared),
@@ -115,6 +124,27 @@ impl Heap {
             Cow::Borrowed(cells) => tail.extend_from_slice(cells),
             Cow::Owned(cells) => tail.extend(cells),
         });
+    }
+
+    /// Append checked rows of `width` cells each, cloned into the tail
+    /// chunk and then into fresh ones: one copy-on-write check and one
+    /// reservation per chunk filled, not per row.
+    fn extend<'a>(&mut self, rows: impl Iterator<Item = &'a [Value]>) {
+        let room = CHUNK_ROWS * self.width;
+        let mut rows = rows.peekable();
+        while rows.peek().is_some() {
+            if self.len == self.chunks.len() * CHUNK_ROWS {
+                self.chunks.push(Arc::new(Vec::with_capacity(room)));
+            }
+            let free = self.chunks.len() * CHUNK_ROWS - self.len;
+            let tail = Arc::make_mut(self.chunks.last_mut().expect("a tail chunk"));
+            tail.reserve_exact(room - tail.len());
+            for row in rows.by_ref().take(free) {
+                debug_assert_eq!(row.len(), self.width);
+                tail.extend_from_slice(row);
+                self.len += 1;
+            }
+        }
     }
 
     fn iter(&self) -> Rows<'_> {
@@ -437,6 +467,63 @@ impl Table {
         Ok(n)
     }
 
+    /// Append the rows of `source` at `slots`, in that order, each cut to
+    /// this table's width: what [`Table::insert_many`] of those rows does,
+    /// at the cost of a copy. Whether every source row is already a valid
+    /// row here is decided once per call, from the two schemas, and holds
+    /// when each column of this table has its source column's type and is
+    /// nullable or fed by a NOT NULL column, and this table has no index
+    /// to keep unique or in step. The cells are then cloned into the heap
+    /// a chunk at a time, with no per-row check. Any other pair of tables
+    /// goes through [`Table::insert_many`], with its coercions and errors.
+    pub fn copy_rows(
+        &mut self,
+        source: &Table,
+        slots: impl IntoIterator<Item = usize>,
+    ) -> Result<usize> {
+        let width = self.schema.arity();
+        let cut = |slot: usize| {
+            let row = source.row(slot);
+            &row[..width.min(row.len())]
+        };
+        if !self.takes_rows_of(&source.schema) {
+            return self.insert_many(slots.into_iter().map(cut));
+        }
+        let mut slots = slots.into_iter().peekable();
+        if slots.peek().is_none() {
+            return Ok(0);
+        }
+        let (schema, data) = (&self.schema, Arc::make_mut(&mut self.data));
+        let (before, mut bytes) = (data.rows.len, 0);
+        data.rows.extend(slots.map(cut).inspect(|row| {
+            debug_assert!(
+                matches!(schema.check_row(Cow::Borrowed(row)), Ok(Cow::Borrowed(_))),
+                "{row:?} is not a valid row of {}",
+                self.name
+            );
+            bytes += row_bytes(row);
+        }));
+        data.row_bytes_total += bytes;
+        if data.rows.len > 1 {
+            data.clustered_on = None;
+        }
+        Ok(data.rows.len - before)
+    }
+
+    /// Whether every row of a table with schema `source`, cut to this
+    /// table's width, passes this table's write check unchanged and
+    /// violates no index here (see [`Table::copy_rows`]).
+    fn takes_rows_of(&self, source: &Schema) -> bool {
+        self.data.indexes.is_empty()
+            && self.schema.arity() <= source.arity()
+            && self
+                .schema
+                .columns
+                .iter()
+                .zip(&source.columns)
+                .all(|(to, from)| to.dtype == from.dtype && (to.nullable || !from.nullable))
+    }
+
     /// Replace the row at `slot` (owned or borrowed, checked like an
     /// insert), keeping indexes in sync.
     pub fn replace_row<'r>(
@@ -632,27 +719,77 @@ impl Table {
         self.index_on(cols).map(|idx| idx.lookup(key))
     }
 
-    /// Resolve many integer keys to heap slots in one call through the
-    /// index covering `col` — the multi-key point-lookup that turns an
-    /// rlist into row slots without going through SQL. Returns the matched
-    /// `(key, slot)` pairs in key order (keys without a match are skipped,
-    /// keys matching several slots emit one pair per slot), or `None` when
-    /// no index covers `col`.
-    pub fn resolve_int_keys(&self, col: usize, keys: &[i64]) -> Option<Vec<(i64, usize)>> {
-        let idx = self.index_on(&[col])?;
-        let mut out = Vec::with_capacity(keys.len());
-        // One reusable key buffer and one remembered position: an rlist
-        // is sorted and mostly runs of neighbouring rids, so the usual
-        // lookup is one comparison with the entry after the previous one,
-        // not an allocation or a directory walk.
-        let mut key = [Value::Int(0)];
+    /// Look up a run of keys, `cols.len()` values each, through the index
+    /// on `cols`: `found(i, slots)` gets the slots of the `i`-th key,
+    /// ascending, for every key that matches; a key without a match is
+    /// skipped. Fails with [`EngineError::IndexNotFound`] when no index
+    /// covers `cols`.
+    ///
+    /// The walk is positional where it can be. On a unique one-column
+    /// index, an integer key is first looked for at the slot the previous
+    /// match predicts, `slot + key − previous key`, and that slot is taken
+    /// when its key cell equals the key: on a unique index it is then the
+    /// one slot the index holds for the key. So an append-only table keyed
+    /// by growing integers, as a data table is by rid, resolves a sorted
+    /// rlist with about one index probe. Every other key (a missed guess,
+    /// a key that is not an integer, any key of a non-unique or
+    /// several-column index) is probed with [`Index::lookup_near`], whose
+    /// remembered position keeps a sorted run of probes cheap too.
+    pub fn lookup_keys<K: AsRef<[Value]>>(
+        &self,
+        cols: &[usize],
+        keys: impl IntoIterator<Item = K>,
+        mut found: impl FnMut(usize, &[usize]),
+    ) -> Result<()> {
+        let idx = self.index_on(cols).ok_or_else(|| {
+            EngineError::IndexNotFound(format!("{} on columns {cols:?}", self.name))
+        })?;
+        let positional = idx.unique && cols.len() == 1;
         let mut probe = Probe::default();
-        for &k in keys {
-            key[0] = Value::Int(k);
-            for &slot in idx.lookup_near(&mut probe, &key) {
-                out.push((k, slot));
+        // The last integer key matched, and its slot.
+        let mut last: Option<(i64, usize)> = None;
+        for (i, key) in keys.into_iter().enumerate() {
+            let key = key.as_ref();
+            let int = match key {
+                [Value::Int(k)] if positional => Some(*k),
+                _ => None,
+            };
+            if let (Some(k), Some((last_key, last_slot))) = (int, last) {
+                let guess = k
+                    .checked_sub(last_key)
+                    .and_then(|step| (last_slot as i64).checked_add(step))
+                    .and_then(|slot| usize::try_from(slot).ok())
+                    .filter(|&slot| slot < self.len() && self.row(slot)[cols[0]] == key[0]);
+                if let Some(slot) = guess {
+                    last = Some((k, slot));
+                    found(i, &[slot]);
+                    continue;
+                }
+            }
+            let slots = idx.lookup_near(&mut probe, key);
+            if let (Some(k), &[slot]) = (int, slots) {
+                last = Some((k, slot));
+            }
+            if !slots.is_empty() {
+                found(i, slots);
             }
         }
+        Ok(())
+    }
+
+    /// Resolve many integer keys to heap slots in one call through the
+    /// index covering `col` — the multi-key point-lookup that turns an
+    /// rlist into row slots without going through SQL, by the positional
+    /// walk of [`Table::lookup_keys`]. Returns the matched `(key, slot)`
+    /// pairs in key order (keys without a match are skipped, keys matching
+    /// several slots emit one pair per slot), or `None` when no index
+    /// covers `col`.
+    pub fn resolve_int_keys(&self, col: usize, keys: &[i64]) -> Option<Vec<(i64, usize)>> {
+        let mut out = Vec::with_capacity(keys.len());
+        self.lookup_keys(&[col], keys.iter().map(|&k| [Value::Int(k)]), |i, slots| {
+            out.extend(slots.iter().map(|&slot| (keys[i], slot)))
+        })
+        .ok()?;
         Some(out)
     }
 }
@@ -983,6 +1120,193 @@ mod tests {
         // No index on the value column → None, not a scan.
         assert!(t.resolve_int_keys(1, &[1]).is_none());
         assert_eq!(t.resolve_int_keys(0, &[]).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn lookup_keys_names_each_key_it_found_and_refuses_an_unindexed_column() {
+        let mut t = filled(3 * CHUNK_ROWS);
+        t.delete_slots(vec![5]);
+        let keys = [
+            [Value::Int(4)],
+            [Value::Int(5)],
+            [Value::Int(6)],
+            [Value::Int(6)],
+        ];
+        let mut found = Vec::new();
+        t.lookup_keys(&[0], &keys, |i, slots| found.push((i, slots.to_vec())))
+            .unwrap();
+        assert_eq!(found, vec![(0, vec![4]), (2, vec![5]), (3, vec![5])]);
+        let err = t.lookup_keys(&[1], &keys, |_, _| {}).unwrap_err();
+        assert!(matches!(err, EngineError::IndexNotFound(_)), "{err:?}");
+    }
+
+    /// A source for the copy tests: `n` rows `(rid NOT NULL, name, score)`,
+    /// every fifth name NULL, keyed by a unique index on `rid`.
+    fn copy_source(n: usize) -> Table {
+        let schema = Schema::new(vec![
+            Column::new("rid", DataType::Int).not_null(),
+            Column::new("name", DataType::Text),
+            Column::new("score", DataType::Double),
+        ])
+        .with_primary_key(&["rid"])
+        .unwrap();
+        let mut t = Table::new("src", schema);
+        for i in 0..n as i64 {
+            let name = if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Text(format!("r{i}"))
+            };
+            t.insert(vec![Value::Int(i), name, Value::Double(i as f64 / 2.0)])
+                .unwrap();
+        }
+        t
+    }
+
+    /// `columns` as a table's schema, every column nullable unless named
+    /// in `not_null`.
+    fn copy_target(columns: &[(&str, DataType)], not_null: &[&str]) -> Table {
+        let columns = columns
+            .iter()
+            .map(|&(name, dtype)| {
+                let c = Column::new(name, dtype);
+                if not_null.contains(&name) {
+                    c.not_null()
+                } else {
+                    c
+                }
+            })
+            .collect();
+        Table::new("dst", Schema::new(columns))
+    }
+
+    /// `copy_rows` of `slots` from `source` into a clone of `target`, and
+    /// `insert_many` of the same rows cut to the target's width into
+    /// another: the same result and the same length, bytes, rows,
+    /// clustering and index entries. Returns whether the copy was taken
+    /// without a per-row check.
+    fn copy_agrees_with_inserts(target: &Table, source: &Table, slots: &[usize]) -> bool {
+        let width = target.schema.arity();
+        let (mut copied, mut inserted) = (target.clone(), target.clone());
+        let got = copied.copy_rows(source, slots.iter().copied());
+        let want = inserted.insert_many(slots.iter().map(|&slot| {
+            let row = source.row(slot);
+            &row[..width.min(row.len())]
+        }));
+        let what = format!("{:?} from {slots:?}", target.schema);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+        assert_eq!(copied.len(), inserted.len(), "{what}");
+        assert_eq!(copied.heap_bytes(), inserted.heap_bytes(), "{what}");
+        assert_eq!(copied.storage_bytes(), inserted.storage_bytes(), "{what}");
+        assert_eq!(copied.clustered_on(), inserted.clustered_on(), "{what}");
+        assert!(copied.rows().eq(inserted.rows()), "{what}");
+        for (slot, row) in inserted.rows().enumerate() {
+            assert_eq!(copied.row(slot), row, "{what}");
+            for idx in copied.indexes() {
+                assert!(idx.lookup(&idx.key_of(row)).contains(&slot), "{what}");
+            }
+        }
+        target.takes_rows_of(&source.schema)
+    }
+
+    #[test]
+    fn a_copy_the_target_cannot_take_as_is_gets_insert_manys_coercions_and_errors() {
+        let source = copy_source(2 * CHUNK_ROWS);
+        let slots: Vec<usize> = (0..2 * CHUNK_ROWS).rev().collect();
+        let mut keyed = copy_target(&[("rid", DataType::Int)], &[]);
+        keyed.create_index("dst_rid", &["rid"], false).unwrap();
+        let cases = [
+            // Another column type: every score coerced to text.
+            copy_target(
+                &[
+                    ("rid", DataType::Int),
+                    ("name", DataType::Text),
+                    ("score", DataType::Text),
+                ],
+                &[],
+            ),
+            // Ints widened to doubles.
+            copy_target(&[("rid", DataType::Double)], &[]),
+            // A NOT NULL column fed NULLs: refused at the first NULL name.
+            copy_target(
+                &[("rid", DataType::Int), ("name", DataType::Text)],
+                &["name"],
+            ),
+            // Wider than the source: refused on arity.
+            copy_target(
+                &[
+                    ("rid", DataType::Int),
+                    ("name", DataType::Text),
+                    ("score", DataType::Double),
+                    ("x", DataType::Int),
+                ],
+                &[],
+            ),
+            // An index to keep in step.
+            keyed,
+        ];
+        for target in &cases {
+            assert!(!copy_agrees_with_inserts(target, &source, &slots));
+        }
+        assert!(copy_source(0).copy_rows(&source, [3]).is_ok());
+        // A primary key: refused at the repeated rid, the rows before it kept.
+        let mut pk = copy_source(0);
+        assert!(!pk.takes_rows_of(&source.schema));
+        let repeated = [1, 2, 3, 2, 4];
+        assert!(!copy_agrees_with_inserts(&pk, &source, &repeated));
+        let err = pk.copy_rows(&source, repeated).unwrap_err();
+        assert!(matches!(err, EngineError::UniqueViolation(_)), "{err:?}");
+        assert_eq!(pk.len(), 3);
+    }
+
+    #[test]
+    fn an_admitted_copy_leaves_what_row_by_row_inserts_leave() {
+        let n = 3 * CHUNK_ROWS + 5;
+        let source = copy_source(n);
+        let select_into = [("rid", DataType::Int), ("name", DataType::Text)];
+        let whole = [
+            ("rid", DataType::Int),
+            ("name", DataType::Text),
+            ("score", DataType::Double),
+        ];
+        let targets = [
+            // `SELECT rid, name INTO`: a prefix of the columns, all nullable.
+            copy_target(&select_into, &[]),
+            // Every column, NOT NULL where the source is.
+            copy_target(&whole, &["rid"]),
+            // No columns at all: only the row count moves.
+            copy_target(&[], &[]),
+        ];
+        let every: Vec<usize> = (0..n).collect();
+        let scattered = vec![n - 1, 7, 7, 0, CHUNK_ROWS, 2 * CHUNK_ROWS + 1, 3];
+        for target in &targets {
+            for prefill in [0, 1, CHUNK_ROWS - 3, CHUNK_ROWS, CHUNK_ROWS + 9] {
+                // The copy starts mid-chunk (or at a chunk edge) of a target
+                // that already holds `prefill` rows.
+                let mut target = target.clone();
+                target.copy_rows(&source, 0..prefill).unwrap();
+                assert_eq!(target.len(), prefill);
+                for slots in [&every, &scattered, &Vec::new()] {
+                    assert!(copy_agrees_with_inserts(&target, &source, slots));
+                }
+            }
+        }
+        // A clone of the target keeps its rows through a copy into it.
+        let mut target = copy_target(&select_into, &[]);
+        target.copy_rows(&source, 0..CHUNK_ROWS + 1).unwrap();
+        let snapshot = target.clone();
+        let rows: Vec<Vec<Value>> = snapshot.rows().map(<[Value]>::to_vec).collect();
+        assert_eq!(target.copy_rows(&source, 0..n).unwrap(), n);
+        assert!(snapshot.rows().eq(&rows));
+        assert_eq!(target.len(), CHUNK_ROWS + 1 + n);
+        // Zero rows leave even the clustering mark in place.
+        let mut sorted = copy_target(&select_into, &[]);
+        sorted.copy_rows(&source, [0]).unwrap();
+        sorted.cluster_by(&["rid"]).unwrap();
+        assert_eq!(sorted.copy_rows(&source, []).unwrap(), 0);
+        assert!(sorted.is_clustered_on(&[0]));
+        assert_eq!(sorted.copy_rows(&source, [1]).unwrap(), 1);
+        assert!(sorted.clustered_on().is_none());
     }
 
     #[test]

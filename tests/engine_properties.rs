@@ -253,6 +253,77 @@ proptest! {
             prop_assert!(got == want, "{}: {:?} vs the scan's {:?}", lookup, got, want);
         }
     }
+
+    /// `Table::resolve_int_keys` — a positional walk wherever a unique
+    /// index lets it guess a slot — returns exactly the `(key, slot)` pairs
+    /// of one `index_lookup` per key, in key order: for sorted and unsorted
+    /// key lists with gaps, misses, repeats, negative and extreme keys, on
+    /// a unique and a non-unique index, whatever appends, deletes, a
+    /// key-moving replace and clustering on another column did to the heap.
+    #[test]
+    fn resolve_int_keys_matches_one_index_lookup_per_key(
+        n in 0usize..200,
+        unique in any::<bool>(),
+        step in 1i64..4,
+        moves in proptest::collection::vec((any::<usize>(), -60i64..700), 0..4),
+        cluster in any::<bool>(),
+        deletes in proptest::collection::vec(any::<usize>(), 0..6),
+        appends in 0usize..80,
+        picks in proptest::collection::vec(-70i64..800, 0..80),
+        sorted in any::<bool>(),
+    ) {
+        use orpheusdb::engine::Table;
+
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("tag", DataType::Int),
+        ]);
+        let mut t = Table::new("t", schema);
+        t.create_index("t_k", &["k"], unique).unwrap();
+        // Keys from -40 up by `step`; a non-unique index holds each twice.
+        let key = |i: usize| -40 + step * if unique { i } else { i / 2 } as i64;
+        let row = |i: usize| vec![Value::Int(key(i)), Value::Int((i as i64 * 37) % 11)];
+        for i in 0..n {
+            t.insert(row(i)).unwrap();
+        }
+        for (slot, k) in &moves {
+            if !t.is_empty() {
+                let slot = slot % t.len();
+                let mut moved = t.row(slot).to_vec();
+                moved[0] = Value::Int(*k);
+                // A move onto a key a unique index holds is refused.
+                let _ = t.replace_row(slot, moved);
+            }
+        }
+        if cluster {
+            t.cluster_by(&["tag"]).unwrap();
+        }
+        if !t.is_empty() {
+            t.delete_slots(deletes.iter().map(|s| s % t.len()).collect());
+        }
+        for i in n..n + appends {
+            let _ = t.insert(row(i));
+        }
+
+        let mut keys = picks;
+        keys.extend([i64::MIN, i64::MAX]);
+        if sorted {
+            keys.sort_unstable();
+        }
+        // Every key in heap order: the walk's best case, one guess per row.
+        let in_heap_order: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
+        for keys in [keys, in_heap_order] {
+            let want: Vec<(i64, usize)> = keys
+                .iter()
+                .flat_map(|&k| {
+                    let slots = t.index_lookup(&[0], &[Value::Int(k)]).unwrap();
+                    slots.iter().map(move |&slot| (k, slot))
+                })
+                .collect();
+            let got = t.resolve_int_keys(0, &keys).unwrap();
+            prop_assert!(got == want, "{:?}: {:?} vs {:?}", keys, got, want);
+        }
+    }
 }
 
 proptest! {
