@@ -5,7 +5,7 @@
 //! touches the version tree.
 //!
 //! `runs` is how many times LyreSplit's search ran Algorithm 1; a step
-//! whose δ a kept certificate covers takes no run (see
+//! at whose δ a kept run holds takes no run (see
 //! `orpheus_partition::lyresplit`). `ms_per_iter` still divides by the
 //! bisection steps, as the paper's per-iteration time does.
 

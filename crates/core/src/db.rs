@@ -535,17 +535,7 @@ impl OrpheusDB {
         // refused is refused before storage or catalog are evolved.
         let evolved = evolved_schema(&cvd.schema, staged_schema)?;
         let schema = evolved.as_ref().unwrap_or(&cvd.schema);
-        // The staged column holding each CVD column, if any.
-        let col_map: Vec<Option<usize>> = schema
-            .columns
-            .iter()
-            .map(|c| {
-                staged_schema
-                    .columns
-                    .iter()
-                    .position(|sc| sc.name.eq_ignore_ascii_case(&c.name))
-            })
-            .collect();
+        let col_map = column_map(schema, staged_schema);
         let pk: Vec<Option<usize>> = schema.primary_key.iter().map(|&c| col_map[c]).collect();
         {
             let rows = staged.rows(&self.engine)?;
@@ -1269,6 +1259,20 @@ fn staged_rid(row: &[Value]) -> Result<Option<i64>> {
     }
 }
 
+/// The staged column holding each column of `schema`, if any.
+fn column_map(schema: &Schema, staged: &Schema) -> Vec<Option<usize>> {
+    schema
+        .columns
+        .iter()
+        .map(|c| {
+            staged
+                .columns
+                .iter()
+                .position(|sc| sc.name.eq_ignore_ascii_case(&c.name))
+        })
+        .collect()
+}
+
 /// Classify staged rows against the parents (the no-cross-version-diff
 /// rule of §2.2): a row keeps its rid when the first parent holding that
 /// rid has a record equal to it value for value, the row read in CVD
@@ -1278,9 +1282,13 @@ fn staged_rid(row: &[Value]) -> Result<Option<i64>> {
 /// copied out in CVD column order — the only rows that are copied.
 ///
 /// Parent records are borrowed in place through each model's rid-index
-/// fast path and found by binary search on their rid-sorted lists; only
-/// when a parent cannot be fast-read are its rows materialized via the
-/// SQL formulation.
+/// fast path; only when a parent cannot be fast-read are its rows
+/// materialized via the SQL formulation. A staged table is usually a
+/// checkout edited in place, its rows in rid order, so each parent is
+/// walked with a cursor at the record after its last match, and searched
+/// by rid only when the cursor misses. When the staged columns after the
+/// rid are the CVD's in order, a row of the schema's width is compared
+/// with its parent record as one slice.
 fn classify_staged(
     engine: &mut Database,
     cvd: &Cvd,
@@ -1288,12 +1296,13 @@ fn classify_staged(
     staged: Staged<'_>,
     col_map: &[Option<usize>],
 ) -> Result<(Vec<i64>, Vec<Vec<Value>>)> {
-    let fast: Option<Vec<model::RowRefs<'_>>> = parents
+    // Per parent: its records, and the walk's cursor into them.
+    let fast: Option<Vec<(model::RowRefs<'_>, usize)>> = parents
         .iter()
-        .map(|&p| model::version_row_refs(engine, cvd, p))
+        .map(|&p| Ok(model::version_row_refs(engine, cvd, p)?.map(|rows| (rows, 0))))
         .collect::<Result<_>>()?;
     let owned: Vec<Vec<(i64, Vec<Value>)>>;
-    let mut parent_rows: Vec<model::RowRefs<'_>> = match fast {
+    let mut parent_rows = match fast {
         Some(refs) => refs,
         None => {
             owned = parents
@@ -1302,33 +1311,42 @@ fn classify_staged(
                 .collect::<Result<_>>()?;
             owned
                 .iter()
-                .map(|rows| rows.iter().map(|(r, v)| (*r, v.as_slice())).collect())
+                .map(|rows| (rows.iter().map(|(r, v)| (*r, v.as_slice())).collect(), 0))
                 .collect()
         }
     };
     // The rid-index paths return rid order already; a table-per-version
     // heap or a SQL read may not.
-    for rows in &mut parent_rows {
+    for (rows, _) in &mut parent_rows {
         if !rows.windows(2).all(|w| w[0].0 <= w[1].0) {
             rows.sort_unstable_by_key(|(rid, _)| *rid);
         }
     }
     let width = col_map.len();
+    let in_order = col_map.iter().enumerate().all(|(c, &i)| i == Some(c + 1));
     let rows = staged.rows(engine)?;
     let mut kept = Vec::with_capacity(rows.len());
     let mut new_rows = Vec::new();
     for row in rows {
         let cell = |c: usize| col_map[c].and_then(|i| row.get(i)).unwrap_or(&NULL);
-        let unchanged = staged_rid(row)?.filter(|rid| {
+        let unchanged = staged_rid(row)?.filter(|&rid| {
             parent_rows
-                .iter()
-                .find_map(|rows| {
-                    let i = rows.binary_search_by_key(rid, |(r, _)| *r).ok()?;
+                .iter_mut()
+                .find_map(|(rows, next)| {
+                    let i = match rows.get(*next) {
+                        Some(&(r, _)) if r == rid => *next,
+                        _ => rows.binary_search_by_key(&rid, |(r, _)| *r).ok()?,
+                    };
+                    *next = i + 1;
                     Some(rows[i].1)
                 })
                 .is_some_and(|parent| {
-                    parent.len() <= width
-                        && (0..width).all(|c| parent.get(c).unwrap_or(&NULL) == cell(c))
+                    if in_order && parent.len() == width && row.len() == width + 1 {
+                        parent == &row[1..]
+                    } else {
+                        parent.len() <= width
+                            && (0..width).all(|c| parent.get(c).unwrap_or(&NULL) == cell(c))
+                    }
                 })
         });
         match unchanged {
@@ -1762,6 +1780,287 @@ mod tests {
         let v5 = odb.commit("doomed", "retry").unwrap();
         assert_eq!(v5, Vid(5));
         assert_eq!(odb.cvd("protein").unwrap().num_versions(), 5);
+    }
+
+    /// Every partition data table holds every record of every version
+    /// assigned to it, each rid once.
+    fn assert_partitions_hold_their_versions(odb: &OrpheusDB, step: &str) {
+        let cvd = odb.cvd("kv").unwrap();
+        let state = cvd.partition.as_ref().unwrap();
+        for k in 0..state.num_partitions() {
+            let (data, _) = cvd.partition_pair(state.generation, k);
+            let mut held: Vec<i64> = odb
+                .engine
+                .table(&data)
+                .unwrap()
+                .rows()
+                .map(|row| match row[0] {
+                    Value::Int(rid) => rid,
+                    ref other => panic!("{step}: rid {other} in {data}"),
+                })
+                .collect();
+            held.sort_unstable();
+            assert!(
+                held.windows(2).all(|w| w[0] < w[1]),
+                "{step}: {data} holds a rid twice"
+            );
+            for (v, _) in state
+                .assignment()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &p)| p == k)
+            {
+                let missing = crate::cvd::sorted_difference(&cvd.version_rids[v], &held);
+                assert!(
+                    missing.is_empty(),
+                    "{step}: {data} lacks rids {missing:?} of version {}",
+                    v + 1
+                );
+            }
+        }
+    }
+
+    /// A version placed beside its tree parent copies only what it adds
+    /// to that parent, and that is enough: the partitions stay whole
+    /// through a merge whose tree parent is its second parent, a
+    /// placement that fails and is retried, and migrations.
+    #[test]
+    fn partition_data_tables_hold_every_record_of_their_versions() {
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("x", DataType::Int),
+        ])
+        .with_primary_key(&["k"])
+        .unwrap();
+        let mut odb = OrpheusDB::new();
+        let rows = (1..6).map(|k| vec![Value::Int(k), Value::Int(0)]);
+        odb.init_cvd("kv", schema, rows.collect(), None).unwrap();
+        let insert = |odb: &mut OrpheusDB, keys: std::ops::Range<i64>| {
+            for k in keys {
+                let sql = format!("INSERT INTO w VALUES (NULL, {k}, 0)");
+                odb.engine.execute(&sql).unwrap();
+            }
+        };
+        // v2 shares nothing with v1; v3 grows v2. At γ = |R| the layout
+        // has no slack to open a partition online.
+        odb.checkout("kv", &[Vid(1)], "w").unwrap();
+        odb.engine.execute("DELETE FROM w").unwrap();
+        insert(&mut odb, 100..200);
+        let v2 = odb.commit("w", "replace").unwrap();
+        odb.checkout("kv", &[v2], "w").unwrap();
+        insert(&mut odb, 200..205);
+        let v3 = odb.commit("w", "grow").unwrap();
+        odb.optimize_with("kv", 1.0, 100.0).unwrap();
+        assert_partitions_hold_their_versions(&odb, "optimize");
+
+        // A merge listing v1 first adopts v3's rids and shares most with
+        // v3, its tree parent: it joins v3's partition, which does not
+        // hold v1's records.
+        odb.checkout("kv", &[Vid(1), v3], "w").unwrap();
+        let merge = odb.commit("w", "merge").unwrap();
+        let part = |odb: &OrpheusDB, v: Vid| {
+            let state = odb.cvd("kv").unwrap().partition.as_ref().unwrap();
+            state.partition_of(v).unwrap()
+        };
+        let parents = &odb.cvd("kv").unwrap().meta(merge).unwrap().parents;
+        assert_eq!(parents, &vec![Vid(1), v3]);
+        assert_eq!(part(&odb, merge), part(&odb, v3));
+        assert_ne!(part(&odb, Vid(1)), part(&odb, v3));
+        assert_partitions_hold_their_versions(&odb, "merge");
+
+        // The sabotage of
+        // `failed_partition_maintenance_keeps_state_and_version_count`:
+        // every rlist table gone and the next partition's name taken, so
+        // placement fails either way after copying records. Then the
+        // layout is repaired and the commit retried.
+        let before = odb.cvd("kv").unwrap().partition.clone().unwrap();
+        let rlists: Vec<_> = (0..before.num_partitions())
+            .map(|k| {
+                let name = format!("kv__g{}p{}_rlist", before.generation, k);
+                let table = odb.engine.table(&name).unwrap().clone();
+                odb.engine.drop_table(&name).unwrap();
+                table
+            })
+            .collect();
+        let blocker = format!(
+            "kv__g{}p{}_data",
+            before.generation,
+            before.num_partitions()
+        );
+        odb.engine
+            .execute(&format!("CREATE TABLE {blocker} (x INT)"))
+            .unwrap();
+        odb.checkout("kv", &[merge], "w").unwrap();
+        insert(&mut odb, 300..310);
+        assert!(odb.commit("w", "doomed").is_err());
+        assert_partitions_hold_their_versions(&odb, "rolled back");
+        for table in rlists {
+            odb.engine.add_table(table).unwrap();
+        }
+        let retried = odb.commit("w", "retry").unwrap();
+        assert_eq!(part(&odb, retried), part(&odb, merge));
+        assert_partitions_hold_their_versions(&odb, "retried");
+
+        // Migrations: a re-optimize, then online ones at µ = 1.
+        odb.optimize_with("kv", 2.0, 1.0).unwrap();
+        assert_partitions_hold_their_versions(&odb, "re-optimize");
+        let generation = odb
+            .cvd("kv")
+            .unwrap()
+            .partition
+            .as_ref()
+            .unwrap()
+            .generation;
+        for i in 0..6i64 {
+            let parent = if i % 2 == 0 { retried } else { Vid(1) };
+            odb.checkout("kv", &[parent], "w").unwrap();
+            insert(&mut odb, 400 + 20 * i..415 + 20 * i);
+            odb.commit("w", "drift").unwrap();
+            assert_partitions_hold_their_versions(&odb, &format!("drift {i}"));
+        }
+        let after = odb
+            .cvd("kv")
+            .unwrap()
+            .partition
+            .as_ref()
+            .unwrap()
+            .generation;
+        assert!(after > generation, "no online migration happened");
+    }
+
+    /// The classification the walk replaced, kept as the reference: each
+    /// staged rid binary-searched in each parent's rows, read through SQL,
+    /// and compared cell by cell.
+    fn classify_by_search(
+        engine: &mut Database,
+        cvd: &Cvd,
+        parents: &[Vid],
+        staged: &str,
+        col_map: &[Option<usize>],
+    ) -> (Vec<i64>, Vec<Vec<Value>>) {
+        let parent_rows: Vec<Vec<(i64, Vec<Value>)>> = parents
+            .iter()
+            .map(|&p| {
+                let mut rows = model::version_rows(engine, cvd, p).unwrap();
+                rows.sort_by_key(|(rid, _)| *rid);
+                rows
+            })
+            .collect();
+        let width = col_map.len();
+        let (mut kept, mut new_rows) = (Vec::new(), Vec::new());
+        for row in engine.table(staged).unwrap().rows() {
+            let cell = |c: usize| col_map[c].and_then(|i| row.get(i)).unwrap_or(&NULL);
+            let unchanged = staged_rid(row).unwrap().filter(|rid| {
+                parent_rows
+                    .iter()
+                    .find_map(|rows| {
+                        let i = rows.binary_search_by_key(rid, |(r, _)| *r).ok()?;
+                        Some(&rows[i].1)
+                    })
+                    .is_some_and(|parent| {
+                        parent.len() <= width
+                            && (0..width).all(|c| parent.get(c).unwrap_or(&NULL) == cell(c))
+                    })
+            });
+            match unchanged {
+                Some(rid) => kept.push(rid),
+                None => new_rows.push((0..width).map(|c| cell(c).clone()).collect()),
+            }
+        }
+        kept.sort_unstable();
+        (kept, new_rows)
+    }
+
+    /// Classify the staged table `w`, checked out from `parents`, by the
+    /// walk and by the reference after evolving the schema as its commit
+    /// does; the two must agree. Then commit it. Returns the kept rids.
+    fn classify_both_ways_and_commit(odb: &mut OrpheusDB, parents: &[Vid], what: &str) -> Vec<i64> {
+        let staged_schema = odb.engine.table("w").unwrap().schema.clone();
+        let cvd = lookup(&odb.cvds, "kv").unwrap();
+        if let Some(schema) = evolved_schema(&cvd.schema, &staged_schema).unwrap() {
+            odb.apply_schema("kv", schema).unwrap();
+        }
+        let cvd = lookup(&odb.cvds, "kv").unwrap();
+        let col_map = column_map(&cvd.schema, &staged_schema);
+        let walked =
+            classify_staged(&mut odb.engine, cvd, parents, Staged::Table("w"), &col_map).unwrap();
+        let searched = classify_by_search(&mut odb.engine, cvd, parents, "w", &col_map);
+        assert_eq!(walked, searched, "{what}, {}", cvd.model.name());
+        odb.commit("w", what).unwrap();
+        walked.0
+    }
+
+    #[test]
+    fn classification_by_walk_matches_the_binary_search() {
+        for model in ModelKind::ALL {
+            classify_staged_tables(model);
+        }
+    }
+
+    /// Five staged tables of one CVD of `model`; a-table-per-version and
+    /// delta freeze parent records narrower than the schema after the
+    /// `ADD COLUMN`.
+    fn classify_staged_tables(model: ModelKind) {
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("x", DataType::Int),
+        ])
+        .with_primary_key(&["k"])
+        .unwrap();
+        let rows = (1..=8).map(|k| vec![Value::Int(k), Value::Int(10 * k)]);
+        let mut odb = OrpheusDB::new();
+        odb.init_cvd("kv", schema, rows.collect(), Some(model))
+            .unwrap();
+        let rid_of = |odb: &mut OrpheusDB, k: i64| {
+            let r = odb
+                .engine
+                .query(&format!("SELECT rid FROM w WHERE k = {k}"));
+            r.unwrap().scalar().cloned().unwrap()
+        };
+        let run = |odb: &mut OrpheusDB, sql: &str| odb.engine.execute(sql).unwrap();
+
+        // A rid deleted, then re-inserted with its old values: the row
+        // moves to the back of the heap, out of rid order.
+        odb.checkout("kv", &[Vid(1)], "w").unwrap();
+        let rid3 = rid_of(&mut odb, 3);
+        run(&mut odb, "DELETE FROM w WHERE k = 3");
+        run(&mut odb, &format!("INSERT INTO w VALUES ({rid3}, 3, 30)"));
+        run(&mut odb, "UPDATE w SET x = 99 WHERE k = 5");
+        let kept = classify_both_ways_and_commit(&mut odb, &[Vid(1)], "out of order");
+        assert!(kept.contains(&rid3.as_int().unwrap()) && kept.len() == 7);
+
+        // A repeated rid: a second row carries k = 1's rid.
+        odb.checkout("kv", &[Vid(2)], "w").unwrap();
+        let rid1 = rid_of(&mut odb, 1);
+        run(&mut odb, &format!("INSERT INTO w VALUES ({rid1}, 100, 0)"));
+        run(&mut odb, "DELETE FROM w WHERE k = 7");
+        let kept = classify_both_ways_and_commit(&mut odb, &[Vid(2)], "repeated rid");
+        assert_eq!(kept.len(), 7);
+
+        // Two parents: k = 7 comes back from the second.
+        odb.checkout("kv", &[Vid(3), Vid(1)], "w").unwrap();
+        run(&mut odb, "UPDATE w SET x = 7 WHERE k = 8");
+        let kept = classify_both_ways_and_commit(&mut odb, &[Vid(3), Vid(1)], "two parents");
+        assert_eq!(kept.len(), 8);
+
+        // An added column, set on one row.
+        odb.checkout("kv", &[Vid(4)], "w").unwrap();
+        run(&mut odb, "ALTER TABLE w ADD COLUMN y INT");
+        run(&mut odb, "UPDATE w SET y = 1 WHERE k = 2");
+        let kept = classify_both_ways_and_commit(&mut odb, &[Vid(4)], "added column");
+        assert_eq!(kept.len(), 8);
+
+        // The staged columns in another order than the CVD's.
+        odb.checkout("kv", &[Vid(5)], "w").unwrap();
+        run(&mut odb, "SELECT rid, y, x, k INTO w2 FROM w");
+        let mut reordered = odb.engine.table("w2").unwrap().clone();
+        reordered.rename("w");
+        odb.engine.drop_table("w2").unwrap();
+        odb.engine.drop_table("w").unwrap();
+        odb.engine.add_table(reordered).unwrap();
+        run(&mut odb, "UPDATE w SET x = 0 WHERE k = 4");
+        let kept = classify_both_ways_and_commit(&mut odb, &[Vid(5)], "columns reordered");
+        assert_eq!(kept.len(), 8);
     }
 
     #[test]

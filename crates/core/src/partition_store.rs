@@ -284,6 +284,13 @@ fn build_generation(
 /// Must be called after the version's records are in the global data table
 /// and its metadata is in `cvd`.
 ///
+/// A partition's data table holds every record of every version assigned
+/// to it. So a version that joins its tree parent's partition (the parent
+/// [`tree_parent`] picks, which the maintainer placed it beside) resolves
+/// only the rids it has and that parent lacks, and copies whichever of
+/// them are absent — records a rolled-back placement left behind are not
+/// copied twice. A version that opens a partition copies its whole rlist.
+///
 /// Works on a copy of the [`PartitionState`] (four vectors of one entry per
 /// version — cheap next to the rows being placed) and installs it only on
 /// success, so an aborted placement never leaves the CVD unpartitioned or
@@ -301,16 +308,24 @@ pub fn on_commit(db: &mut Database, cvd: &mut Cvd, vid: Vid) -> Result<()> {
         )));
     }
     let edges = meta.parents.iter().map(|p| p.index());
-    let outcome = match tree_parent(edges.zip(meta.parent_weights.iter().copied())) {
+    let parent = tree_parent(edges.zip(meta.parent_weights.iter().copied()));
+    let outcome = match parent {
         Some((parent, weight)) => state.maintainer.commit(parent, weight, meta.num_records),
         None => state.maintainer.commit_root(meta.num_records),
     };
 
     let (data, rlist) = cvd.partition_pair(state.generation, outcome.partition);
-    if outcome.opened_partition {
-        split_rlist::create_pair(db, cvd, &data, &rlist)?;
+    let rids = cvd.rids_of(vid)?;
+    match parent.filter(|_| !outcome.opened_partition) {
+        Some((parent, _)) => {
+            let added = sorted_difference(rids, cvd.rids_of(Vid::from_index(parent))?);
+            copy_missing_records(db, cvd, &data, &added)?;
+        }
+        None => {
+            split_rlist::create_pair(db, cvd, &data, &rlist)?;
+            copy_missing_records(db, cvd, &data, rids)?;
+        }
     }
-    copy_missing_records(db, cvd, &data, cvd.rids_of(vid)?)?;
     db.table_mut(&rlist)?
         .insert(rlist_tuple(vid, &cvd.version_rids[vid.index()]))?;
 

@@ -17,35 +17,48 @@
 //!
 //! One recursive step costs O(|V|) of its component, not of the tree. A
 //! run works in a `Workspace` built once per tree and reused by every run
-//! on it: one array holds every version, and each component still to
-//! visit is a range of it, parent before child (version ids are, and a
-//! split keeps both sides in order). So one forward pass stamps and counts
+//! on it. One array, the run's member order, holds every version, and each
+//! component still to visit is a range of it, parent before child (version
+//! ids are, and a split keeps both sides in order). So one forward pass stamps and counts
 //! a component, one backward pass sums its subtrees for the balanced pick,
 //! and one forward pass moves the cut subtree to the back of the range.
 //! Membership is a `u32` stamp per version: a fresh stamp per component
-//! instead of a cleared set. A run allocates its assignment and a few
-//! growing lists, nothing per component or per version.
+//! instead of a cleared set. A run allocates its assignment, its member
+//! order and two lists sized from the run it starts from, nothing per
+//! component or per version.
 //!
-//! # Searching δ: certificates
+//! # Searching δ: certificates and reuse
 //!
 //! [`lyresplit_for_budget`] bisects δ (Appendix B);
 //! [`BudgetSearch::iterations`] counts the bisection steps and
 //! [`BudgetSearch::runs`] the runs of Algorithm 1 they took. A run reads δ
 //! in two comparisons per component it visits and nowhere else: Line 1's
-//! termination test and Line 5's qualification test `w ≤ δ|R|`. Its
-//! `Certificate` records, per visited component in visiting order, |R|,
-//! |V|, |E|, whether it terminated, the heaviest edge weight that
-//! qualified and the lightest that did not. It *holds* at δ′ when every
-//! termination test comes out the same at δ′, the heaviest qualifying
-//! weight still qualifies and the lightest other one still does not. Then
-//! the run at δ′ is the same run. u64 → f64 conversion is monotone, so
-//! every weight that qualified still does and every other one still does
-//! not: the candidate set is the same, and the pick reads nothing else.
-//! By induction over the work queue every component, partition id, level
-//! and storage figure is the same. The search keeps the certificates of
-//! its latest runs at `lo` and at `hi` and runs Algorithm 1 at a midpoint
-//! only when neither holds there; the partitioning, δ bits, iteration
-//! count and storage it returns are those of a search that ran every step.
+//! termination test and Line 5's qualification test `w ≤ δ|R|`. It records
+//! one node per component it visits, in visiting order: the component's
+//! range in the run's final member order, its |R| and |E|, whether it
+//! terminated, the heaviest edge weight that qualified and the lightest
+//! that did not, and where its cut side starts. A node *holds* at δ′ when
+//! the termination test comes out the same at δ′, the heaviest qualifying
+//! weight still qualifies and the lightest other one still does not. u64 →
+//! f64 conversion is monotone, so every weight that qualified still does
+//! and every other one still does not: the candidate set is the same, and
+//! the pick reads nothing else. A run at δ′ decides that component as the
+//! node did and cuts it into the same two components.
+//!
+//! Two things follow. Where every node of a run holds at δ′, the run at δ′
+//! is the same run — its nodes are its certificate: by induction over the
+//! work queue every component, partition id, level and storage figure is
+//! the same. The search keeps its latest runs at `lo` and at `hi` and runs
+//! Algorithm 1 at a midpoint only when neither holds there. Where only some
+//! nodes hold, the run at the midpoint starts from the kept run nearer in
+//! δ. It walks that run's nodes in the same depth-first order, takes the
+//! outcome of every node that holds without measuring its component again,
+//! and runs Algorithm 1 only on a component whose node does not, from the
+//! kept member order: still parent before child, and the algorithm reads
+//! nothing else of the order. Partition ids follow the visiting order,
+//! which is the same, so the partitioning, δ bits, iteration count and
+//! storage the search returns are those of a search that ran every step
+//! from scratch.
 
 use crate::partitioning::Partitioning;
 use crate::version_graph::VersionTree;
@@ -76,7 +89,7 @@ pub struct LyreSplitResult {
 
 /// Run LyreSplit with a fixed δ (Algorithm 1).
 pub fn lyresplit(tree: &VersionTree, delta: f64, pick: EdgePick) -> LyreSplitResult {
-    Workspace::new(tree).run(delta, pick).result
+    Workspace::new(tree).run(delta, pick, None).result
 }
 
 /// Line 1: a component `(V, R, E)` stays whole when `|R|·|V| < |E|/δ`.
@@ -90,11 +103,9 @@ fn qualifies(w: u64, r: u64, delta: f64) -> bool {
     w as f64 <= delta * r as f64
 }
 
-/// What δ decided at one component a run visited.
+/// What δ decided at a component of more than one version.
+#[derive(Clone, Copy)]
 struct Decision {
-    r: u64,
-    v: u64,
-    e: u64,
     terminated: bool,
     /// The heaviest edge inside the component that qualified and the
     /// lightest that did not; both unset when it terminated.
@@ -102,41 +113,67 @@ struct Decision {
     lightest_unqualified: Option<u64>,
 }
 
-impl Decision {
+/// One component a run visited.
+#[derive(Clone, Copy)]
+struct Node {
+    /// The component is `members[start..end]` of the run's final order.
+    start: usize,
+    end: usize,
+    /// Its `|R|` and `|E|`.
+    r: u64,
+    e: u64,
+    /// `None` for a single version, which no δ splits.
+    decision: Option<Decision>,
+    /// Where the cut side starts when the component was split: it is
+    /// `members[split..end]`, the rest `members[start..split]`.
+    split: Option<usize>,
+    /// One past the last node of its subtree. A split node's first side
+    /// is the next node, its cut side the node at the first side's `after`.
+    after: usize,
+}
+
+impl Node {
+    /// Whether a run at `delta` decides this component as this node did.
     fn holds(&self, delta: f64) -> bool {
+        let Some(d) = self.decision else {
+            return true;
+        };
+        let v = (self.end - self.start) as u64;
         let qualifies_now = |w: Option<u64>| w.map(|w| qualifies(w, self.r, delta));
-        terminates(self.r, self.v, self.e, delta) == self.terminated
-            && (self.terminated
-                || (qualifies_now(self.heaviest_qualified) != Some(false)
-                    && qualifies_now(self.lightest_unqualified) != Some(true)))
+        terminates(self.r, v, self.e, delta) == d.terminated
+            && (d.terminated
+                || (qualifies_now(d.heaviest_qualified) != Some(false)
+                    && qualifies_now(d.lightest_unqualified) != Some(true)))
     }
 }
 
-/// The decisions of one run, in the order it visited its components.
-/// Where it [holds](Certificate::holds), a run at that δ is this run: the
-/// same partitioning, levels and storage (see the module docs).
-pub(crate) struct Certificate(Vec<Decision>);
-
-impl Certificate {
-    pub(crate) fn holds(&self, delta: f64) -> bool {
-        self.0.iter().all(|d| d.holds(delta))
-    }
-}
-
-/// One run of Algorithm 1.
+/// One run of Algorithm 1, with the components it visited.
 pub(crate) struct Run {
     pub(crate) result: LyreSplitResult,
     /// `|Rk|` of every partition, by partition id.
     pub(crate) records: Vec<u64>,
-    pub(crate) certificate: Certificate,
+    /// Every version in the run's final order: each component it visited
+    /// is a range of it, parent before child.
+    members: Vec<VersionId>,
+    /// The components it visited, in visiting order.
+    nodes: Vec<Node>,
+}
+
+impl Run {
+    /// Whether the run at `delta` is this run: every node holds there (see
+    /// the module docs).
+    pub(crate) fn holds(&self, delta: f64) -> bool {
+        self.nodes.iter().all(|node| node.holds(delta))
+    }
 }
 
 /// The buffers of Algorithm 1 on one tree, sized once and reused by every
-/// run on it.
+/// run on it, and the member order of the run at hand.
 pub(crate) struct Workspace<'t> {
     tree: &'t VersionTree,
-    /// Every version, permuted so that each component still to visit is a
-    /// range, parent before child within it.
+    /// The run's member order so far: every version, permuted so that
+    /// each component still to visit is a range, parent before child
+    /// within it.
     members: Vec<VersionId>,
     /// The cut side of a split, on its way to the back of its range.
     cut_side: Vec<VersionId>,
@@ -147,10 +184,9 @@ pub(crate) struct Workspace<'t> {
     /// records of its subtree inside the component.
     sub_versions: Vec<u64>,
     sub_records: Vec<u64>,
-    /// Ranges of `members` still to visit, with their recursion level.
-    queue: Vec<(usize, usize, usize)>,
-    /// The run's certificate so far.
-    decisions: Vec<Decision>,
+    /// Ranges of `members` still to visit, with their recursion level and
+    /// the node of the reference run that visited the same range, if any.
+    queue: Vec<(usize, usize, usize, Option<usize>)>,
 }
 
 impl<'t> Workspace<'t> {
@@ -162,44 +198,66 @@ impl<'t> Workspace<'t> {
         );
         Workspace {
             tree,
-            members: Vec::with_capacity(n),
+            members: Vec::new(),
             cut_side: Vec::new(),
             stamp: vec![0; n],
             last_stamp: 0,
             sub_versions: vec![0; n],
             sub_records: vec![0; n],
             queue: Vec::new(),
-            decisions: Vec::new(),
         }
     }
 
-    pub(crate) fn run(&mut self, delta: f64, pick: EdgePick) -> Run {
+    /// Algorithm 1 at `delta`, starting from the run `from` on the same
+    /// tree when there is one: its nodes that hold at `delta` are taken
+    /// as they stand (see the module docs).
+    pub(crate) fn run(&mut self, delta: f64, pick: EdgePick, from: Option<&Run>) -> Run {
         let n = self.tree.num_versions();
+        let reference = from.map_or(&[][..], |run| &run.nodes);
         let mut assignment = vec![0usize; n];
-        let mut records = Vec::new();
+        let mut records = Vec::with_capacity(from.map_or(0, |run| run.records.len()));
+        let mut nodes = Vec::with_capacity(reference.len());
         let mut levels = 0;
-        self.members.clear();
-        self.members.extend(0..n);
+        self.members = match from {
+            Some(run) => run.members.clone(),
+            None => (0..n).collect(),
+        };
         if n > 0 {
-            self.queue.push((0, n, 0));
+            self.queue.push((0, n, 0, from.map(|_| 0)));
         }
-        while let Some((start, end, level)) = self.queue.pop() {
+        while let Some((start, end, level, was)) = self.queue.pop() {
             levels = levels.max(level);
-            let comp = self.fresh_stamp();
-            let (r, e) = self.measure(start, end, comp);
-            match self.decide(start, end, comp, (r, e), delta, pick) {
-                Some(cut) => {
-                    let mid = self.split(start, end, cut);
-                    self.queue.push((mid, end, level + 1));
-                    self.queue.push((start, mid, level + 1));
+            // The reference's node for this range, where it still holds.
+            let kept = was.filter(|&i| reference[i].holds(delta));
+            let node = match kept {
+                Some(i) => reference[i],
+                None => self.visit(start, end, delta, pick),
+            };
+            match node.split {
+                Some(mid) => {
+                    // A kept node's sides are its children in the
+                    // reference: the next node, and the one past the
+                    // first side's subtree.
+                    let children = kept.map(|i| (i + 1, reference[i + 1].after));
+                    self.queue
+                        .push((mid, end, level + 1, children.map(|(_, cut)| cut)));
+                    self.queue
+                        .push((start, mid, level + 1, children.map(|(first, _)| first)));
                 }
                 None => {
                     for &v in &self.members[start..end] {
                         assignment[v] = records.len();
                     }
-                    records.push(r);
+                    records.push(node.r);
                 }
             }
+            nodes.push(node);
+        }
+        for i in (0..nodes.len()).rev() {
+            nodes[i].after = match nodes[i].split {
+                Some(_) => nodes[nodes[i + 1].after].after,
+                None => i + 1,
+            };
         }
         Run {
             result: LyreSplitResult {
@@ -211,7 +269,8 @@ impl<'t> Workspace<'t> {
                 delta,
             },
             records,
-            certificate: Certificate(std::mem::take(&mut self.decisions)),
+            members: std::mem::take(&mut self.members),
+            nodes,
         }
     }
 
@@ -227,6 +286,23 @@ impl<'t> Workspace<'t> {
     /// `v`'s parent, when it lies in the component stamped `comp`.
     fn parent_in(&self, v: VersionId, comp: u32) -> Option<VersionId> {
         self.tree.parent[v].filter(|&p| self.stamp[p] == comp)
+    }
+
+    /// Lines 1–6 on the component `members[start..end]`: measure it,
+    /// decide it and, when an edge qualifies, split it.
+    fn visit(&mut self, start: usize, end: usize, delta: f64, pick: EdgePick) -> Node {
+        let comp = self.fresh_stamp();
+        let (r, e) = self.measure(start, end, comp);
+        let (decision, cut) = self.decide(start, end, comp, (r, e), delta, pick);
+        Node {
+            start,
+            end,
+            r,
+            e,
+            decision,
+            split: cut.map(|cut| self.split(start, end, cut)),
+            after: 0,
+        }
     }
 
     /// Stamp the component `members[start..end]` with `comp` and count its
@@ -251,9 +327,9 @@ impl<'t> Workspace<'t> {
         (r, e)
     }
 
-    /// Lines 1–6 on the measured component `members[start..end]`: the
-    /// version whose parent edge to cut, or `None` when the component is
-    /// final. Records the decision.
+    /// Lines 1–6 on the measured component `members[start..end]`: what δ
+    /// decided there (`None` for a single version), and the version whose
+    /// parent edge to cut, `None` when the component is final.
     fn decide(
         &mut self,
         start: usize,
@@ -262,16 +338,13 @@ impl<'t> Workspace<'t> {
         (r, e): (u64, u64),
         delta: f64,
         pick: EdgePick,
-    ) -> Option<VersionId> {
+    ) -> (Option<Decision>, Option<VersionId>) {
         if end - start <= 1 {
-            return None;
+            return (None, None);
         }
         let tree = self.tree;
         let v = (end - start) as u64;
         let mut decision = Decision {
-            r,
-            v,
-            e,
             terminated: terminates(r, v, e, delta),
             heaviest_qualified: None,
             lightest_unqualified: None,
@@ -290,10 +363,8 @@ impl<'t> Workspace<'t> {
                 }
             }
         }
-        let any_qualified = decision.heaviest_qualified.is_some();
-        self.decisions.push(decision);
-        if !any_qualified {
-            return None;
+        if decision.heaviest_qualified.is_none() {
+            return (Some(decision), None);
         }
 
         if pick == EdgePick::BalancedVersions {
@@ -302,7 +373,7 @@ impl<'t> Workspace<'t> {
         let candidates = self.members[start..end].iter().copied().filter(|&x| {
             self.parent_in(x, comp).is_some() && qualifies(tree.weight_to_parent[x], r, delta)
         });
-        match pick {
+        let cut = match pick {
             EdgePick::SmallestWeight => candidates.min_by_key(|&x| (tree.weight_to_parent[x], x)),
             // The paper's pick: the most even version split, ties broken
             // by record balance. The cut side regains w(p(x), x) records
@@ -313,7 +384,8 @@ impl<'t> Workspace<'t> {
                 let records = (below + tree.weight_to_parent[x]).abs_diff(r - below);
                 (versions, records, x)
             }),
-        }
+        };
+        (Some(decision), cut)
     }
 
     /// Fold every member's subtree sums into its parent's, children before
@@ -358,7 +430,7 @@ pub struct BudgetSearch {
     /// Bisection steps taken.
     pub iterations: usize,
     /// Runs of Algorithm 1 it took: the first one, at the bottom of the
-    /// interval, and every step no kept certificate covered.
+    /// interval, and every step no kept run covered.
     pub runs: usize,
     pub final_delta: f64,
     /// Tree-estimated storage cost of the returned partitioning.
@@ -373,30 +445,41 @@ pub fn lyresplit_for_budget(
     gamma: u64,
     pick: EdgePick,
 ) -> (LyreSplitResult, BudgetSearch) {
-    let mut workspace = Workspace::new(tree);
-    search_delta(tree, gamma, |delta| {
-        let run = workspace.run(delta, pick);
-        let probe = Probe {
-            storage: run.records.iter().sum(),
-            certificate: run.certificate,
-        };
-        (run.result, probe)
+    budget_search(tree, gamma, |workspace, delta, from| {
+        workspace.run(delta, pick, from)
     })
 }
 
-/// What a run at one δ tells the search: the storage it reached, and at
-/// which other δ it would run the same.
-pub(crate) struct Probe {
-    pub(crate) storage: u64,
-    pub(crate) certificate: Certificate,
+/// [`lyresplit_for_budget`], with `run` making the run at each δ the
+/// search probes from the kept run it offers.
+pub(crate) fn budget_search(
+    tree: &VersionTree,
+    gamma: u64,
+    mut run: impl FnMut(&mut Workspace<'_>, f64, Option<&Run>) -> Run,
+) -> (LyreSplitResult, BudgetSearch) {
+    let mut workspace = Workspace::new(tree);
+    search_delta(
+        tree,
+        gamma,
+        |delta, from| {
+            let run = run(&mut workspace, delta, from);
+            let storage = run.records.iter().sum();
+            (run, storage)
+        },
+        |run| run.result,
+    )
 }
 
-/// The δ bisection of [`lyresplit_for_budget`], for any algorithm `probe`
-/// runs at a δ — the weighted search probes the expanded tree with it.
+/// The δ bisection of [`lyresplit_for_budget`]. `probe` runs Algorithm 1
+/// at a δ, from a kept run when the search has one, and measures the
+/// storage of what the run yields; `finish` turns the run the search
+/// settles on into its result. The weighted search probes the expanded
+/// tree and collapses the run.
 pub(crate) fn search_delta(
     tree: &VersionTree,
     gamma: u64,
-    mut probe: impl FnMut(f64) -> (LyreSplitResult, Probe),
+    mut probe: impl FnMut(f64, Option<&Run>) -> (Run, u64),
+    finish: impl FnOnce(Run) -> LyreSplitResult,
 ) -> (LyreSplitResult, BudgetSearch) {
     let r = tree.total_records().max(1);
     let v = tree.num_versions().max(1) as u64;
@@ -404,23 +487,10 @@ pub(crate) fn search_delta(
     let mut lo = (e as f64 / (r as f64 * v as f64)).min(1.0);
     let mut hi = 1.0f64;
 
-    // δ = lo keeps everything in (nearly) one partition. If even that
-    // overshoots γ (possible only through float edge-cases or γ < |R|,
-    // which is infeasible by Observation 2), fall back to the minimum-
-    // storage single partition.
-    let (mut best, mut below) = probe(lo);
-    let mut best_s = below.storage;
-    if best_s > gamma {
-        best = LyreSplitResult {
-            partitioning: Partitioning::single(tree.num_versions()),
-            levels: 0,
-            delta: lo,
-        };
-        best_s = best.partitioning.storage_cost_tree(tree);
-    }
-    // The last run at `lo` (whose result `best` is, when within budget)
-    // and the last one at `hi`.
-    let mut above: Option<Probe> = None;
+    // The latest run at `lo` and the latest one at `hi`, with their
+    // storage. δ = lo keeps everything in (nearly) one partition.
+    let mut below = probe(lo, None);
+    let mut above: Option<(Run, u64)> = None;
     let (mut iterations, mut runs) = (0, 1);
 
     // Larger δ ⇒ more splits ⇒ more storage, less checkout cost. Find the
@@ -431,16 +501,21 @@ pub(crate) fn search_delta(
         }
         iterations += 1;
         let mid = 0.5 * (lo + hi);
-        let s = if below.certificate.holds(mid) {
-            below.storage
-        } else if let Some(above) = above.as_ref().filter(|a| a.certificate.holds(mid)) {
-            above.storage
+        let s = if below.0.holds(mid) {
+            below.1
+        } else if let Some((_, s)) = above.as_ref().filter(|(run, _)| run.holds(mid)) {
+            *s
         } else {
             runs += 1;
-            let (res, probed) = probe(mid);
-            let s = probed.storage;
+            // Start from the kept run nearer in δ: fewer of its decisions
+            // can flip on the way.
+            let from = match &above {
+                Some((run, _)) if run.result.delta - mid < mid - below.0.result.delta => run,
+                _ => &below.0,
+            };
+            let probed = probe(mid, Some(from));
+            let s = probed.1;
             if s <= gamma {
-                best = res;
                 below = probed;
             } else {
                 above = Some(probed);
@@ -448,10 +523,8 @@ pub(crate) fn search_delta(
             s
         };
         if s <= gamma {
-            // Feasible: prefer it (more splits than `best` at smaller δ).
-            // `best` is the run at `mid` now, fresh or covered by `below`.
-            best.delta = mid;
-            best_s = s;
+            // Feasible: prefer it (more splits than the run at smaller δ).
+            // `below` is the run at `mid` now, fresh or covering it.
             lo = mid;
             if s as f64 >= 0.99 * gamma as f64 {
                 break;
@@ -461,11 +534,29 @@ pub(crate) fn search_delta(
         }
     }
 
+    // When even δ = lo overshoots γ (possible only through float
+    // edge-cases or γ < |R|, which is infeasible by Observation 2), no run
+    // fit and `lo` never moved: fall back to the minimum-storage single
+    // partition.
+    let (best, storage) = match below {
+        (run, s) if s <= gamma => (finish(run), s),
+        _ => {
+            let partitioning = Partitioning::single(tree.num_versions());
+            let s = partitioning.storage_cost_tree(tree);
+            let single = LyreSplitResult {
+                partitioning,
+                levels: 0,
+                delta: lo,
+            };
+            (single, s)
+        }
+    };
+    let best = LyreSplitResult { delta: lo, ..best };
     let search = BudgetSearch {
         iterations,
         runs,
         final_delta: best.delta,
-        storage: best_s,
+        storage,
     };
     (best, search)
 }
@@ -618,7 +709,7 @@ mod tests {
         t
     }
 
-    /// A certificate vouches for its run at every δ where it holds, above
+    /// A run's nodes vouch for it at every δ where they all hold, above
     /// or below the run's own: the run there has the same partitioning,
     /// levels and storage. Each random tree is run at a random δ and
     /// compared with runs at a nearby δ and on both sides of every point
@@ -636,19 +727,20 @@ mod tests {
             let mut workspace = Workspace::new(&tree);
             for pick in [EdgePick::SmallestWeight, EdgePick::BalancedVersions] {
                 let delta = rng.gen_range(0.02..1.0);
-                let run = workspace.run(delta, pick);
+                let run = workspace.run(delta, pick, None);
                 let gap = 10f64.powf(-rng.gen_range(0.3..4.0));
                 let mut others = vec![delta * (1.0 + gap)];
-                for d in &run.certificate.0 {
+                for node in &run.nodes {
+                    let Some(d) = node.decision else { continue };
                     for &w in d.heaviest_qualified.iter().chain(&d.lightest_unqualified) {
-                        let flip = w as f64 / d.r as f64;
+                        let flip = w as f64 / node.r as f64;
                         others.extend([flip * (1.0 - 1e-12), flip * (1.0 + 1e-12)]);
                     }
                 }
                 for other in others.into_iter().filter(|&o| o > 0.0) {
-                    let at_other = workspace.run(other, pick);
+                    let at_other = workspace.run(other, pick, None);
                     for (a, b) in [(&run, &at_other), (&at_other, &run)] {
-                        if !a.certificate.holds(b.result.delta) {
+                        if !a.holds(b.result.delta) {
                             refused += 1;
                             continue;
                         }
@@ -669,6 +761,76 @@ mod tests {
             held > 300 && refused > 300,
             "{held} held, {refused} refused"
         );
+    }
+
+    /// A random forest, a fifth of its versions roots, whose records and
+    /// edge weights come from a few values so that weights tie often.
+    fn tied_forest(rng: &mut rand::rngs::StdRng, n: usize) -> VersionTree {
+        use rand::Rng;
+        let mut t = VersionTree::default();
+        for v in 0..n {
+            let records = [10, 20, 40][rng.gen_range(0..3)];
+            let parent = (v > 0 && !rng.gen_bool(0.2)).then(|| rng.gen_range(0..v));
+            let weight = parent.map_or(0, |p| [0, 5, 10][rng.gen_range(0..3)].min(t.records[p]));
+            t.parent.push(parent);
+            t.weight_to_parent.push(weight);
+            t.records.push(records);
+        }
+        t
+    }
+
+    /// Searches that start each run from a kept one return, weighted or
+    /// not, what the same searches return when every probe runs Algorithm 1
+    /// from scratch: the partitioning, δ bits, levels, iterations, runs and
+    /// storage, for both picks and budgets from |R| to 3|R|.
+    #[test]
+    fn a_search_that_reuses_components_is_the_search_from_scratch() {
+        use crate::weighted::{lyresplit_weighted_for_budget, weighted_search};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        fn same(
+            case: &str,
+            (a, sa): &(LyreSplitResult, BudgetSearch),
+            (b, sb): &(LyreSplitResult, BudgetSearch),
+        ) {
+            assert!(
+                a.partitioning == b.partitioning
+                    && a.delta.to_bits() == b.delta.to_bits()
+                    && a.levels == b.levels
+                    && sa.iterations == sb.iterations
+                    && sa.runs == sb.runs
+                    && sa.final_delta.to_bits() == sb.final_delta.to_bits()
+                    && sa.storage == sb.storage,
+                "{case}: reusing {a:?} {sa:?}, from scratch {b:?} {sb:?}"
+            );
+        }
+        let mut rng = StdRng::seed_from_u64(38);
+        let mut reruns = 0;
+        for case in 0..120 {
+            let n = rng.gen_range(2..60);
+            let tree = match case % 2 {
+                0 => random_tree(&mut rng, n),
+                _ => tied_forest(&mut rng, n),
+            };
+            let freqs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4)).collect();
+            for pick in [EdgePick::SmallestWeight, EdgePick::BalancedVersions] {
+                let reusing = |w: &mut Workspace<'_>, d, from: Option<&Run>| w.run(d, pick, from);
+                let fresh = |w: &mut Workspace<'_>, d, _: Option<&Run>| w.run(d, pick, None);
+                for factor in [1.0, 1.2, 1.5, 2.0, 3.0] {
+                    let gamma = (factor * tree.total_records() as f64) as u64;
+                    let case = format!("case {case}, {pick:?}, γ = {factor}|R|");
+                    let scratch = budget_search(&tree, gamma, fresh);
+                    same(&case, &lyresplit_for_budget(&tree, gamma, pick), &scratch);
+                    reruns += scratch.1.runs - 1;
+
+                    let scratch = weighted_search(&tree, &freqs, gamma, fresh);
+                    let reused = weighted_search(&tree, &freqs, gamma, reusing);
+                    same(&format!("{case}, weighted"), &reused, &scratch);
+                    let result = lyresplit_weighted_for_budget(&tree, &freqs, gamma, pick);
+                    same(&format!("{case}, weighted"), &(result, reused.1), &scratch);
+                }
+            }
+        }
+        assert!(reruns > 2000, "only {reruns} runs started from a kept one");
     }
 
     #[test]

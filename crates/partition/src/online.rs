@@ -24,10 +24,12 @@
 //! neither the slack check nor `Cavg` regroups the partitions; they are
 //! recounted in O(n) only when a whole assignment is adopted ([`resume`],
 //! [`OnlineMaintainer::apply_migration`]). What a commit pays for is the
-//! check: one [`lyresplit_for_budget`] on the current tree — O(n) to set
-//! up, and a handful of Algorithm-1 runs of O(n·ℓ) each, since the search
-//! reruns the algorithm only where a δ-decision could flip — plus an O(n)
-//! pass for `C*avg`.
+//! check: one [`lyresplit_for_budget`] on the current tree, plus an O(n)
+//! pass for `C*avg`. The search is O(n) to set up and takes a handful of
+//! Algorithm-1 runs, since it runs the algorithm only at a δ where some
+//! decision could flip. Only the first run costs O(n·ℓ): each later one
+//! starts from a kept run, copies its O(n) member order and assignment,
+//! and measures again only the components whose decision flips.
 //!
 //! [`resume`]: OnlineMaintainer::resume
 

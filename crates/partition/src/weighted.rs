@@ -10,7 +10,7 @@
 //! optimum.
 
 use crate::bipartite::BipartiteGraph;
-use crate::lyresplit::{search_delta, EdgePick, LyreSplitResult, Probe, Run, Workspace};
+use crate::lyresplit::{search_delta, BudgetSearch, EdgePick, LyreSplitResult, Run, Workspace};
 use crate::partitioning::Partitioning;
 use crate::version_graph::VersionTree;
 
@@ -127,7 +127,7 @@ pub fn lyresplit_weighted(
     pick: EdgePick,
 ) -> LyreSplitResult {
     let expansion = Expansion::new(tree, freqs);
-    let run = Workspace::new(&expansion.tree).run(delta, pick);
+    let run = Workspace::new(&expansion.tree).run(delta, pick, None);
     expansion.collapse(&run)
 }
 
@@ -135,26 +135,43 @@ pub fn lyresplit_weighted(
 /// search of [`crate::lyresplit::lyresplit_for_budget`], probing with
 /// [`lyresplit_weighted`] on one expanded tree and measuring storage on
 /// the *original* tree (the expanded copies share all records, so only the
-/// collapsed partitioning's storage is real). A certificate of a run on
-/// `T'` covers its collapse too: the collapse reads nothing but that run.
+/// collapsed partitioning's storage is real). A run on `T'` that holds at
+/// a δ covers its collapse too: the collapse reads nothing but that run.
 pub fn lyresplit_weighted_for_budget(
     tree: &VersionTree,
     freqs: &[u64],
     gamma: u64,
     pick: EdgePick,
 ) -> LyreSplitResult {
-    let expansion = Expansion::new(tree, freqs);
-    let mut workspace = Workspace::new(&expansion.tree);
-    search_delta(tree, gamma, |delta| {
-        let run = workspace.run(delta, pick);
-        let result = expansion.collapse(&run);
-        let probe = Probe {
-            storage: result.partitioning.storage_cost_tree(tree),
-            certificate: run.certificate,
-        };
-        (result, probe)
+    weighted_search(tree, freqs, gamma, |workspace, delta, from| {
+        workspace.run(delta, pick, from)
     })
     .0
+}
+
+/// [`lyresplit_weighted_for_budget`], with `run` making the run on `T'`
+/// at each δ the search probes from the kept run it offers.
+pub(crate) fn weighted_search(
+    tree: &VersionTree,
+    freqs: &[u64],
+    gamma: u64,
+    mut run: impl FnMut(&mut Workspace<'_>, f64, Option<&Run>) -> Run,
+) -> (LyreSplitResult, BudgetSearch) {
+    let expansion = Expansion::new(tree, freqs);
+    let mut workspace = Workspace::new(&expansion.tree);
+    search_delta(
+        tree,
+        gamma,
+        |delta, from| {
+            let run = run(&mut workspace, delta, from);
+            let storage = expansion
+                .collapse(&run)
+                .partitioning
+                .storage_cost_tree(tree);
+            (run, storage)
+        },
+        |run| expansion.collapse(&run),
+    )
 }
 
 #[cfg(test)]
