@@ -462,8 +462,10 @@ pub(crate) fn rid_index_rows<'a>(
 /// into a fresh `target` with exactly the shape `SELECT .. INTO` produces
 /// (source column types, no primary key, everything nullable). `rlist` of
 /// `None` copies the whole table (a-table-per-version). The rlist resolves
-/// by the positional walk of [`orpheus_engine::Table::resolve_int_keys`],
-/// about one index probe on an append-only data table. Each record's cells
+/// by the positional walk of [`orpheus_engine::Table::resolve_int_keys`]:
+/// one index probe on a data table whose heap ascends in rid, the global
+/// one or a partition's, and a few more where a migration appended records
+/// out of rid order. Each record's cells
 /// are then cloned once, out of the source heap, by
 /// [`orpheus_engine::Table::copy_rows`]: the staged schema takes the source
 /// rows as they are, so the write check runs once per checkout, not per

@@ -40,8 +40,9 @@
 //!   into the heap a chunk at a time. Otherwise it is a row write per row.
 //! * **A run of key lookups** ([`Table::lookup_keys`],
 //!   [`Table::resolve_int_keys`]) is a positional walk: on a unique integer
-//!   key it tries the slot the previous match predicts and probes the
-//!   index only when that slot holds another key.
+//!   key it tries the slot the previous match predicts, then searches the
+//!   slots between the previous match and that one, and probes the index
+//!   only when neither holds the key.
 //! * Operations that rewrite the heap work chunk by chunk and never build
 //!   the rows as vectors: [`Table::delete_slots`] moves the cells after
 //!   the first deleted slot down (the chunks before it stay shared),
@@ -55,6 +56,7 @@
 //! on.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::error::{EngineError, Result};
@@ -722,30 +724,36 @@ impl Table {
     /// Look up a run of keys, `cols.len()` values each, through the index
     /// on `cols`: `found(i, slots)` gets the slots of the `i`-th key,
     /// ascending, for every key that matches; a key without a match is
-    /// skipped. Fails with [`EngineError::IndexNotFound`] when no index
-    /// covers `cols`.
+    /// skipped. Returns how many keys were sent to the index. Fails with
+    /// [`EngineError::IndexNotFound`] when no index covers `cols`.
     ///
     /// The walk is positional where it can be. On a unique one-column
     /// index, an integer key is first looked for at the slot the previous
-    /// match predicts, `slot + key − previous key`, and that slot is taken
-    /// when its key cell equals the key: on a unique index it is then the
-    /// one slot the index holds for the key. So an append-only table keyed
-    /// by growing integers, as a data table is by rid, resolves a sorted
-    /// rlist with about one index probe. Every other key (a missed guess,
-    /// a key that is not an integer, any key of a non-unique or
-    /// several-column index) is probed with [`Index::lookup_near`], whose
-    /// remembered position keeps a sorted run of probes cheap too.
+    /// match predicts, `slot + key − previous key`. When that slot holds
+    /// another key and the key is above the previous one, it is searched
+    /// for in the only slots a heap ascending in the key could hold it in,
+    /// those after the previous match and up to the predicted one (an
+    /// exponential, then a binary search). A slot is taken only when its
+    /// key cell equals the key: on a unique index it is then the one slot
+    /// the index holds for the key. So a table keyed by growing integers,
+    /// as a data table is by rid, resolves a sorted rlist with one index
+    /// probe, whether it holds every key (the global data table) or skips
+    /// some (a partition's data table). Every other key (one the heap holds out of order, a key
+    /// that is not an integer, any key of a non-unique or several-column
+    /// index) is probed with [`Index::lookup_near`], whose remembered
+    /// position keeps a sorted run of probes cheap too.
     pub fn lookup_keys<K: AsRef<[Value]>>(
         &self,
         cols: &[usize],
         keys: impl IntoIterator<Item = K>,
         mut found: impl FnMut(usize, &[usize]),
-    ) -> Result<()> {
+    ) -> Result<usize> {
         let idx = self.index_on(cols).ok_or_else(|| {
             EngineError::IndexNotFound(format!("{} on columns {cols:?}", self.name))
         })?;
         let positional = idx.unique && cols.len() == 1;
         let mut probe = Probe::default();
+        let mut probes = 0;
         // The last integer key matched, and its slot.
         let mut last: Option<(i64, usize)> = None;
         for (i, key) in keys.into_iter().enumerate() {
@@ -766,7 +774,21 @@ impl Table {
                     continue;
                 }
             }
-            let slots = idx.lookup_near(&mut probe, key);
+            // The guess missed: search where an ascending heap would hold
+            // the key, and probe the index only if it is not there.
+            let galloped = match (int, last) {
+                (Some(k), Some((last_key, last_slot))) => {
+                    self.gallop(cols[0], k, last_key, last_slot)
+                }
+                _ => None,
+            };
+            let slots = match &galloped {
+                Some(slot) => std::slice::from_ref(slot),
+                None => {
+                    probes += 1;
+                    idx.lookup_near(&mut probe, key)
+                }
+            };
             if let (Some(k), &[slot]) = (int, slots) {
                 last = Some((k, slot));
             }
@@ -774,7 +796,52 @@ impl Table {
                 found(i, slots);
             }
         }
-        Ok(())
+        Ok(probes)
+    }
+
+    /// The slot after `last_slot` whose `col` cell is `Int(k)`, searched
+    /// for where a heap ascending in `col` would hold it: with `last_slot`
+    /// holding `last_key < k`, no further than `k − last_key` slots on.
+    /// An exponential search from `last_slot + 1` brackets `k`, and a
+    /// binary search inside the bracket finds it. `None` when `k` is not
+    /// above `last_key`, a cell on the way is not an integer, or the window
+    /// does not hold `k` (it may still be elsewhere, if the heap is not
+    /// ascending there). Kept out of line: the walk's predicted hit is the
+    /// hot path and must stay as small as it is.
+    #[cold]
+    #[inline(never)]
+    fn gallop(&self, col: usize, k: i64, last_key: i64, last_slot: usize) -> Option<usize> {
+        let step = usize::try_from(k.checked_sub(last_key)?).ok()?;
+        let end = last_slot.checked_add(step)?.min(self.len().checked_sub(1)?);
+        let key_at = |slot: usize| match self.row(slot)[col] {
+            Value::Int(c) => Some(c),
+            _ => None,
+        };
+        // `lo` holds a key below `k`; the gallop ends at a slot `hi` holding
+        // one above it, leaving the slots in `(lo, hi)` to bisect.
+        let mut lo = last_slot;
+        let mut reach = 1usize;
+        let mut hi = loop {
+            let slot = lo.checked_add(reach)?.min(end);
+            if slot <= lo {
+                return None;
+            }
+            match key_at(slot)?.cmp(&k) {
+                Ordering::Equal => return Some(slot),
+                Ordering::Greater => break slot,
+                Ordering::Less => lo = slot,
+            }
+            reach = reach.checked_mul(2)?;
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            match key_at(mid)?.cmp(&k) {
+                Ordering::Equal => return Some(mid),
+                Ordering::Greater => hi = mid,
+                Ordering::Less => lo = mid,
+            }
+        }
+        None
     }
 
     /// Resolve many integer keys to heap slots in one call through the
@@ -1133,11 +1200,93 @@ mod tests {
             [Value::Int(6)],
         ];
         let mut found = Vec::new();
-        t.lookup_keys(&[0], &keys, |i, slots| found.push((i, slots.to_vec())))
+        let probes = t
+            .lookup_keys(&[0], &keys, |i, slots| found.push((i, slots.to_vec())))
             .unwrap();
         assert_eq!(found, vec![(0, vec![4]), (2, vec![5]), (3, vec![5])]);
+        // The first key and the deleted one go to the index; 6 is found a
+        // slot before its predicted one.
+        assert_eq!(probes, 2);
         let err = t.lookup_keys(&[1], &keys, |_, _| {}).unwrap_err();
         assert!(matches!(err, EngineError::IndexNotFound(_)), "{err:?}");
+    }
+
+    /// `keys` resolved through the rid index: the matched slots in key
+    /// order and the number of keys sent to the index.
+    fn walk(t: &Table, keys: &[i64]) -> (Vec<usize>, usize) {
+        let mut slots = Vec::new();
+        let probes = t
+            .lookup_keys(&[0], keys.iter().map(|&k| [Value::Int(k)]), |_, found| {
+                slots.extend_from_slice(found)
+            })
+            .unwrap();
+        (slots, probes)
+    }
+
+    /// A heap holding `keys` in this order, under a unique index on `rid`.
+    fn heap_of(keys: impl IntoIterator<Item = i64>) -> Table {
+        let mut t = table();
+        for k in keys {
+            t.insert(vec![Value::Int(k), Value::Null]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn a_sorted_walk_over_a_gapped_ascending_heap_probes_the_index_once() {
+        // Ascending keys with irregular gaps, as a partition's data table
+        // holds the rids of its versions and skips the others'.
+        let heap: Vec<i64> = (0..600i64).filter(|k| k % 7 != 3 && k % 11 < 6).collect();
+        let t = heap_of(heap.iter().copied());
+        for stride in [1, 2, 3, 5, 17, 64, 150] {
+            for offset in 0..stride.min(4) {
+                // A sorted subset, with a repeat of every fifth key.
+                let mut keys = Vec::new();
+                for &k in heap.iter().skip(offset).step_by(stride) {
+                    keys.push(k);
+                    if keys.len() % 5 == 0 {
+                        keys.push(k);
+                    }
+                }
+                let (slots, probes) = walk(&t, &keys);
+                let want: Vec<usize> = keys
+                    .iter()
+                    .map(|k| heap.binary_search(k).unwrap())
+                    .collect();
+                assert_eq!(slots, want, "stride {stride} offset {offset}");
+                assert_eq!(probes, 1, "stride {stride} offset {offset}");
+            }
+        }
+        // A key the heap skips costs a probe of its own, and the walk
+        // picks up after it.
+        let (slots, probes) = walk(&t, &[0, 3, 4, 14, 15]);
+        assert_eq!(slots, vec![0, 3, 8, 9]);
+        assert_eq!(probes, 2);
+        // A non-unique index takes no guess: one probe per key.
+        let mut t = t;
+        t.create_index("t_val", &["val"], false).unwrap();
+        let nulls = [[Value::Null], [Value::Null]];
+        let probes = t.lookup_keys(&[1], &nulls, |_, _| {}).unwrap();
+        assert_eq!(probes, 2);
+    }
+
+    #[test]
+    fn a_run_appended_out_of_order_costs_two_probes_per_key_walked_into_it() {
+        // Keys 0, 10, …, 990, then a run of lower keys appended after them,
+        // as a migration appends records to a partition table it reuses.
+        let t = heap_of((0..100).map(|i| i * 10).chain([5, 15, 25]));
+        let mut keys: Vec<i64> = (0..100).map(|i| i * 10).chain([5, 15, 25]).collect();
+        keys.sort_unstable();
+        let (slots, probes) = walk(&t, &keys);
+        let mut want: Vec<usize> = vec![0, 100, 1, 101, 2, 102];
+        want.extend(3..100);
+        assert_eq!(slots, want);
+        // The first key, then each run key and the key after it: the run
+        // is not where an ascending heap would hold it, nor is the way back.
+        assert_eq!(probes, 1 + 2 * 3);
+        // Walked alone, each part of the heap is ascending.
+        assert_eq!(walk(&t, &keys[6..]).1, 1);
+        assert_eq!(walk(&t, &[5, 15, 25]).1, 1);
     }
 
     /// A source for the copy tests: `n` rows `(rid NOT NULL, name, score)`,

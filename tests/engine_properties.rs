@@ -253,24 +253,47 @@ proptest! {
             prop_assert!(got == want, "{}: {:?} vs the scan's {:?}", lookup, got, want);
         }
     }
+}
+
+proptest! {
+    // Cheap cases, and the rarer heap shapes a wrong search window shows on
+    // need many of them.
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
     /// `Table::resolve_int_keys` — a positional walk wherever a unique
     /// index lets it guess a slot — returns exactly the `(key, slot)` pairs
     /// of one `index_lookup` per key, in key order: for sorted and unsorted
-    /// key lists with gaps, misses, repeats, negative and extreme keys, on
-    /// a unique and a non-unique index, whatever appends, deletes, a
+    /// key lists with gaps, misses, repeats, negative and extreme keys, and
+    /// for sorted subsets of the heap's keys with misses and repeats, on a
+    /// unique and a non-unique index, whatever appends, deletes, a
     /// key-moving replace and clustering on another column did to the heap.
+    /// Partition-shaped heaps are among them: ascending keys with irregular
+    /// gaps (a keep-mask), deletes in the middle, and a tail of mostly lower
+    /// keys appended after the rest, as a migration leaves a partition table
+    /// it reuses.
+    ///
+    /// The number of keys `Table::lookup_keys` sends to the index is pinned
+    /// too. A key must be probed unless its slot is the one the previous
+    /// match predicts, or lies in the window after that match an ascending
+    /// heap could hold it in, `(slot, slot + key − previous key]`; only
+    /// those keys may skip the probe, and on a heap ascending in the key
+    /// all of them do.
     #[test]
     fn resolve_int_keys_matches_one_index_lookup_per_key(
         n in 0usize..200,
         unique in any::<bool>(),
         step in 1i64..4,
+        partition_shaped in any::<bool>(),
+        keep in proptest::collection::vec(0u8..4, 280..281),
         moves in proptest::collection::vec((any::<usize>(), -60i64..700), 0..4),
         cluster in any::<bool>(),
         deletes in proptest::collection::vec(any::<usize>(), 0..6),
         appends in 0usize..80,
+        migrated in any::<bool>(),
+        tail in proptest::collection::vec(-12i64..6, 0..12),
         picks in proptest::collection::vec(-70i64..800, 0..80),
         sorted in any::<bool>(),
+        subset in proptest::collection::vec((0u8..4, 0usize..8), 1..40),
     ) {
         use orpheusdb::engine::Table;
 
@@ -281,47 +304,118 @@ proptest! {
         let mut t = Table::new("t", schema);
         t.create_index("t_k", &["k"], unique).unwrap();
         // Keys from -40 up by `step`; a non-unique index holds each twice.
+        // A partition-shaped heap keeps about three rows in four.
         let key = |i: usize| -40 + step * if unique { i } else { i / 2 } as i64;
-        let row = |i: usize| vec![Value::Int(key(i)), Value::Int((i as i64 * 37) % 11)];
-        for i in 0..n {
-            t.insert(row(i)).unwrap();
+        let kept = |i: usize| !partition_shaped || keep[i] != 0;
+        let row = |k: i64, i: usize| vec![Value::Int(k), Value::Int((i as i64 * 37) % 11)];
+        for i in (0..n).filter(|&i| kept(i)) {
+            t.insert(row(key(i), i)).unwrap();
         }
-        for (slot, k) in &moves {
-            if !t.is_empty() {
-                let slot = slot % t.len();
-                let mut moved = t.row(slot).to_vec();
-                moved[0] = Value::Int(*k);
-                // A move onto a key a unique index holds is refused.
-                let _ = t.replace_row(slot, moved);
+        if !partition_shaped {
+            for (slot, k) in &moves {
+                if !t.is_empty() {
+                    let slot = slot % t.len();
+                    let mut moved = t.row(slot).to_vec();
+                    moved[0] = Value::Int(*k);
+                    // A move onto a key a unique index holds is refused.
+                    let _ = t.replace_row(slot, moved);
+                }
             }
-        }
-        if cluster {
-            t.cluster_by(&["tag"]).unwrap();
+            if cluster {
+                t.cluster_by(&["tag"]).unwrap();
+            }
         }
         if !t.is_empty() {
             t.delete_slots(deletes.iter().map(|s| s % t.len()).collect());
         }
-        for i in n..n + appends {
-            let _ = t.insert(row(i));
+        for i in (n..n + appends).filter(|&i| kept(i)) {
+            let _ = t.insert(row(key(i), i));
+        }
+        // A run of keys appended in ascending order, most of them below the
+        // heap's largest, as a migration appends records to a partition
+        // table it reuses.
+        if partition_shaped && migrated {
+            let top = t.rows().map(|r| r[0].as_int().unwrap()).max().unwrap_or(0);
+            let mut tail = tail;
+            tail.sort_unstable();
+            for (i, k) in tail.into_iter().enumerate() {
+                let _ = t.insert(row(top + k, i));
+            }
         }
 
+        let heap: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
+        let ascending = heap.windows(2).all(|w| w[0] < w[1]);
         let mut keys = picks;
         keys.extend([i64::MIN, i64::MAX]);
         if sorted {
             keys.sort_unstable();
         }
-        // Every key in heap order: the walk's best case, one guess per row.
-        let in_heap_order: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
-        for keys in [keys, in_heap_order] {
-            let want: Vec<(i64, usize)> = keys
-                .iter()
-                .flat_map(|&k| {
-                    let slots = t.index_lookup(&[0], &[Value::Int(k)]).unwrap();
-                    slots.iter().map(move |&slot| (k, slot))
-                })
-                .collect();
+        // Sorted subsets of the heap's keys, from three starting keys: a key
+        // is taken, taken twice, taken with the key after it or replaced by
+        // that key (which the heap may lack), then up to seven are skipped.
+        let mut held = heap.clone();
+        held.sort_unstable();
+        held.dedup();
+        let subsets = (0..3).map(|start| {
+            let (mut sub, mut j) = (Vec::new(), start);
+            for &(take, skip) in subset.iter().cycle() {
+                let Some(&k) = held.get(j) else { break };
+                match take {
+                    0 => sub.push(k),
+                    1 => sub.extend([k, k]),
+                    2 => sub.extend([k, k + 1]),
+                    _ => sub.push(k + 1),
+                }
+                j += 1 + skip;
+            }
+            sub.sort_unstable();
+            sub
+        });
+        // Every key in heap order is the walk's best case, one guess per row.
+        for keys in [keys, heap].into_iter().chain(subsets) {
+            let mut want = Vec::new();
+            let (mut must, mut may) = (0, 0);
+            let mut last: Option<(i64, usize)> = None;
+            for &k in &keys {
+                let slots = t.index_lookup(&[0], &[Value::Int(k)]).unwrap();
+                want.extend(slots.iter().map(|&slot| (k, slot)));
+                // `Some(true)`: the predicted slot; `Some(false)`: in the
+                // window before it; `None`: the index must be probed.
+                let skips = match (last, slots) {
+                    (Some((last_key, last_slot)), &[slot]) if unique => {
+                        let (reach, slot, last_slot) =
+                            (k as i128 - last_key as i128, slot as i128, last_slot as i128);
+                        if slot == last_slot + reach {
+                            Some(true)
+                        } else if reach > 0 && last_slot < slot && slot <= last_slot + reach {
+                            Some(false)
+                        } else {
+                            None
+                        }
+                    }
+                    _ => None,
+                };
+                match skips {
+                    Some(true) => {}
+                    Some(false) => may += 1,
+                    None => must += 1,
+                }
+                if let &[slot] = slots {
+                    last = Some((k, slot));
+                }
+            }
             let got = t.resolve_int_keys(0, &keys).unwrap();
             prop_assert!(got == want, "{:?}: {:?} vs {:?}", keys, got, want);
+            let probes = t
+                .lookup_keys(&[0], keys.iter().map(|&k| [Value::Int(k)]), |_, _| {})
+                .unwrap();
+            prop_assert!(
+                must <= probes && probes <= must + may,
+                "{:?}: {} probes, {} to {} expected", keys, probes, must, must + may
+            );
+            if ascending {
+                prop_assert_eq!(probes, must);
+            }
         }
     }
 }
