@@ -142,8 +142,8 @@ pub fn drive<E: Executor>(
 }
 
 /// Like [`drive`], but submitting the whole stream as one
-/// [`Executor::batch`] call, so an async handle's pool takes each shard
-/// lock once per sub-batch (and a remote executor ships one frame).
+/// [`Executor::batch`] call, so an async handle waits once for the whole
+/// submission (and a remote executor ships one frame).
 ///
 /// Timing is necessarily per batch; the per-command breakdown attributes
 /// the wall time evenly across the requests, so treat `ms_per_op` as an

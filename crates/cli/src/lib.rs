@@ -55,7 +55,7 @@ pub struct Invocation {
     /// Run as this user through a concurrent session (per-CVD locking)
     /// instead of driving the instance directly.
     pub user: Option<String>,
-    /// Drive everything through an [`AsyncExecutor`] handle (coordinator
+    /// Drive everything through an [`AsyncExecutor`] handle (dispatcher
     /// thread + worker pool) instead of a synchronous executor.
     /// Combines with `--as <user>` for the handle identity.
     pub use_async: bool,
@@ -248,18 +248,16 @@ attributed to <user> rather than the instance identity.
 
 The --batch <file> flag submits a script — one command per line, `#`
 comments and blank lines skipped — as a single batch. Under --async or
---connect the batch is one submission, planned into per-shard
-sub-batches that take each shard lock once; otherwise it runs line by
-line. Responses come back in script order; a failing line is reported
+--connect the batch is one submission, run request by request on one
+worker; otherwise it runs line by line. Responses come back in script order; a failing line is reported
 with its line number and does not abort the lines after it.
 
-The --async flag puts the async executor (a coordinator thread plus a
-worker pool fed by one job queue) in front of the shared instance and
-drives the command, REPL, or --batch script through an async handle.
-Combine with --as <user> to pick the handle identity. Results are
-identical to the synchronous executors. Submissions never block the
-caller on shard locks; the coordinator serves one chunk of submissions
-at a time, in arrival order.
+The --async flag puts the async executor (a dispatcher thread plus a
+worker pool) in front of the shared instance and drives the command,
+REPL, or --batch script through an async handle, a FIFO queue of
+submissions. Combine with --as <user> to pick the handle identity.
+Results are identical to the synchronous executors. Submissions never
+block the caller on shard locks, and run in the order they were made.
 
 network service:
   --serve <addr>       listen for remote clients (port 0 picks a free
@@ -549,7 +547,7 @@ pub fn run(
 
     // With --as or --async, the instance becomes shared: --as drives a
     // concurrent session (per-CVD locking, session-scoped identity);
-    // --async additionally puts the coordinator + worker pool in front,
+    // --async additionally puts the dispatcher + worker pool in front,
     // driving everything through an AsyncExecutor handle.
     if inv.use_async || inv.user.is_some() {
         let shared = SharedOrpheusDB::new(odb);
@@ -559,7 +557,7 @@ pub fn run(
             let user = inv.user.clone().unwrap_or_else(|| shared.instance_user());
             let mut handle = pool.handle(&user)?;
             drive(&mut handle, &mut files, &mode, interactive, input, out, err)?;
-            // Join the coordinator and workers before snapshotting, so the
+            // Join the dispatcher and workers before snapshotting, so the
             // saved state reflects every accepted submission.
             drop(pool);
         } else {

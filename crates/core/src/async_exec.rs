@@ -1,46 +1,29 @@
 //! The async executor: submit requests without blocking on shard locks.
 //!
-//! The paper's deployment (Section 6 evaluates multi-client throughput)
-//! has many users hitting one instance at once. The synchronous executors
-//! make each *caller* pay for lock waits: a `Session` blocks its thread on
-//! the target CVD's lock for every request, and its batch is the plain
-//! loop of `execute`. This module is the one interpreter of a
-//! [`crate::batch::BatchPlan`] — per-shard [`Step::Shard`] sub-batches
-//! separated by [`Step::Sequential`] barriers — and runs it on threads of
-//! its own:
+//! The paper's deployment (Section 2) has many analysts working on one
+//! instance at once. The synchronous executors make each *caller* pay for
+//! lock waits: a `Session` blocks its thread on the target CVD's lock for
+//! every request. This module runs requests on threads of its own, and
+//! gives every client the order a `Session` on a thread of its own has:
 //!
-//! * a **coordinator thread** drains the submission channel into chunks
-//!   (whatever every client has submitted, up to `CHUNK_MAX` requests),
-//!   plans each chunk under one catalog read
-//!   ([`crate::batch::BatchPlan::build`], whose every request is routed by
-//!   [`crate::batch::route`], the rule a single `Session::execute` is
-//!   routed by), hands the shard steps between two barriers — one
-//!   *region* — to the worker pool, and executes each sequential barrier
-//!   itself once the pool is idle (barriers order strictly against every
-//!   step around them);
-//! * a **worker pool** takes jobs from one FIFO queue. A region holds at
-//!   most one writing and one read-only step per shard, and the
-//!   coordinator drains the pool before the next barrier or chunk, so the
-//!   queued jobs are mutually independent and the workers run them side
-//!   by side. Workers execute sub-batches through the one request engine,
-//!   `ConcurrentExecutor::run_items` (crate-internal): a writing
-//!   sub-batch — checkouts included — under one shard-lock acquisition,
-//!   reservation and staged-index bookkeeping in single catalog writes,
-//!   identity swapped per request owner, and each request run exactly as
-//!   a single `execute` of it would run. A **read-only** sub-batch (`log`,
-//!   `diff`, single-shard SELECTs — [`Step::Shard`]'s `read_only` flag) is
-//!   served from a clone of the shard's MVCC snapshot, so a worker answers
-//!   it even while another worker holds that shard's write lock;
-//! * clients hold an [`AsyncHandle`] and get a [`Ticket`] per submission —
-//!   a future-like slot fulfilled by whichever thread finishes the
-//!   request. `submit` never blocks on shard locks; [`Ticket::wait`]
-//!   blocks only that client.
+//! * every [`AsyncHandle`] is a **FIFO queue** of submissions — one
+//!   request, or one [`AsyncHandle::submit_batch`] vector. Clones of a
+//!   handle share its queue;
+//! * a **dispatcher thread** gives a worker one submission per queue at a
+//!   time, and the queue's next one when the worker reports it done. It
+//!   plans nothing and reads no catalog;
+//! * a **worker pool** takes submissions from one FIFO job queue and runs
+//!   each one request by request through `ConcurrentExecutor::execute_as`
+//!   (crate-internal), the path a single `Session::execute` takes, with a
+//!   `catch_unwind` around each request;
+//! * clients get a [`Ticket`] per request — a future-like slot fulfilled
+//!   by the worker that ran it. `submit` never blocks on shard locks;
+//!   [`Ticket::wait`] blocks only that client.
 //!
-//! The coordinator runs one chunk at a time and drains the pool before it
-//! plans the next. So a request waits for every chunk planned before it,
-//! from any client, and only the steps of one region overlap: while a
-//! commit is held inside its shard lock, every later submission waits,
-//! reads of other CVDs included.
+//! So the submissions of different handles run side by side, one per
+//! worker: while one handle's commit holds a CVD's lock, another handle's
+//! read of that CVD (served from its MVCC snapshot) or of any other CVD
+//! is answered.
 //!
 //! Everything is built from the vendored `parking_lot` shim's
 //! `Mutex`/`Condvar` plus `std::sync::mpsc` — no async runtime exists in
@@ -49,24 +32,18 @@
 //!
 //! # Ordering and failure semantics
 //!
-//! * **Per client** — one handle's *writing* submissions execute in
-//!   submission order relative to each other whenever they target the
-//!   same shard or are separated by a barrier; responses always answer
-//!   their own submission ([`Ticket`]s don't shuffle). A pure read may
-//!   run concurrently with a write to its shard submitted *after* it in
-//!   the same chunk (it sees the shard before or after that write, never
-//!   torn); a read submitted after a write to its shard still observes
-//!   that write.
-//! * **Across clients** — submissions that land in one chunk share its
-//!   plan, so their steps on different shards run side by side; chunks
-//!   run one after another. Catalog requests are barriers.
+//! * **Per handle** — requests execute one after another in submission
+//!   order, exactly like a `Session`'s `execute` loop; responses always
+//!   answer their own submission ([`Ticket`]s don't shuffle).
+//! * **Across handles** — no order: each request takes its shard's lock
+//!   or snapshot as a `Session`'s would, so the requests of different
+//!   handles interleave as concurrent sessions do.
 //! * **Failures** — per request, exactly as [`Executor::batch`]: a failed
 //!   request never aborts the requests after it.
-//! * **Panics** — a panic inside a worker poisons only that shard's
-//!   in-flight sub-batch: those tickets resolve to
-//!   [`CoreError::WorkerPanicked`], checkout reservations are released,
-//!   and both other shards and later submissions to the same shard are
-//!   unaffected.
+//! * **Panics** — a panic while running a request fails that request
+//!   alone with [`CoreError::WorkerPanicked`]: its reservations are
+//!   released, and the requests after it, its shard and the worker carry
+//!   on.
 //!
 //! # Example
 //!
@@ -82,7 +59,7 @@
 //! let alice = pool.handle("alice").unwrap();
 //!
 //! // Submit without blocking; wait on the tickets when the results are
-//! // actually needed. Same-shard submissions execute in order, so the
+//! // actually needed. One handle's submissions execute in order, so the
 //! // commit sees the checkout.
 //! let t1 = alice.submit(Checkout::of("data").version(1u64).into_table("w"));
 //! let t2 = alice.submit(Commit::table("w").message("async commit"));
@@ -91,25 +68,19 @@
 //! assert_eq!(response.summary(), "committed w as v2");
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::batch::{ShardKey, Step};
-use crate::concurrent::{ConcurrentExecutor, SharedOrpheusDB, SubItem};
+use crate::concurrent::{ConcurrentExecutor, SharedOrpheusDB};
 use crate::error::{CoreError, Result};
 use crate::request::{Executor, Request};
 use crate::response::Response;
-
-/// Upper bound on requests planned as one chunk. Large enough that a
-/// burst coalesces into few plans (few catalog reads, big sub-batches),
-/// small enough that one chunk's barrier never starves the queue.
-const CHUNK_MAX: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Tickets.
@@ -224,246 +195,137 @@ impl TicketFulfiller {
 // The worker pool: one FIFO job queue.
 // ---------------------------------------------------------------------------
 
-/// One request inside a queued shard job.
-struct WorkItem {
+/// One submission of one handle queue: a request, or a `submit_batch`
+/// vector, run in order as the user the handle had when it submitted.
+struct Submission {
+    queue: u64,
     user: String,
-    request: Option<Request>,
-    ticket: Arc<TicketCell>,
-}
-
-/// One `Step::Shard` sub-batch, queued for the pool.
-struct Job {
-    key: ShardKey,
-    /// Served from the shard's MVCC snapshot instead of under its lock.
-    read_only: bool,
-    items: Vec<WorkItem>,
+    requests: Vec<(Request, Arc<TicketCell>)>,
 }
 
 #[derive(Default)]
-struct PoolState {
-    /// Jobs no worker has taken yet, in enqueue order. The coordinator
-    /// enqueues one region's steps at a time and waits for `pending == 0`
-    /// before the next barrier or chunk, and a region holds at most one
-    /// writing and one read-only step per shard, so no two queued jobs
-    /// ever need ordering against each other.
-    jobs: VecDeque<Job>,
-    /// Jobs enqueued but not yet finished (queued + executing) — the
-    /// coordinator's barrier condition is `pending == 0`.
-    pending: usize,
+struct Jobs {
+    /// Submissions no worker has taken yet. The dispatcher queues at most
+    /// one submission per handle queue, so none of them needs ordering
+    /// against another.
+    queued: VecDeque<Submission>,
     shutdown: bool,
 }
 
 struct Pool {
-    state: Mutex<PoolState>,
-    /// Signals workers: a job was queued, or shutdown.
+    jobs: Mutex<Jobs>,
+    /// Signals workers: a submission was queued, or shutdown.
     work: Condvar,
-    /// Signals the coordinator: `pending` dropped to zero.
-    idle: Condvar,
 }
 
 impl Pool {
-    fn new() -> Arc<Pool> {
-        Arc::new(Pool {
-            state: Mutex::new(PoolState::default()),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-        })
-    }
-
-    fn enqueue(&self, job: Job) {
-        let mut state = self.state.lock();
-        state.pending += 1;
-        state.jobs.push_back(job);
+    fn push(&self, submission: Submission) {
+        self.jobs.lock().queued.push_back(submission);
         self.work.notify_one();
     }
 
-    /// Block until every enqueued job finished — the barrier before a
-    /// sequential step and between chunks.
-    fn wait_idle(&self) {
-        let mut state = self.state.lock();
-        while state.pending > 0 {
-            self.idle.wait(&mut state);
-        }
-    }
-
     fn shutdown(&self) {
-        let mut state = self.state.lock();
-        state.shutdown = true;
+        self.jobs.lock().shutdown = true;
         self.work.notify_all();
     }
 
-    /// Worker loop: take the front job, run it, count it finished.
-    fn worker_loop(&self, exec: &ConcurrentExecutor) {
+    /// The front submission; `None` once the pool is shut down and empty.
+    fn take(&self) -> Option<Submission> {
+        let mut jobs = self.jobs.lock();
         loop {
-            let job = {
-                let mut state = self.state.lock();
-                loop {
-                    if let Some(job) = state.jobs.pop_front() {
-                        break job;
-                    }
-                    if state.shutdown {
-                        return;
-                    }
-                    self.work.wait(&mut state);
-                }
-            };
-            run_job(exec, job);
-            let mut state = self.state.lock();
-            state.pending -= 1;
-            if state.pending == 0 {
-                self.idle.notify_all();
+            if let Some(submission) = jobs.queued.pop_front() {
+                return Some(submission);
             }
+            if jobs.shutdown {
+                return None;
+            }
+            self.work.wait(&mut jobs);
         }
     }
 }
 
-/// Execute one shard sub-batch and fulfill its tickets. Panic containment
-/// lives inside `ConcurrentExecutor::run_items`; the outer
-/// `catch_unwind` is a last line of defense (a panic in the surrounding
-/// bookkeeping must not kill the worker thread), after which any item
-/// left without an outcome resolves to [`CoreError::WorkerPanicked`].
-fn run_job(exec: &ConcurrentExecutor, mut job: Job) {
-    let mut items: Vec<SubItem> = job
-        .items
-        .iter_mut()
-        .map(|w| SubItem {
-            user: w.user.clone(),
-            request: w.request.take(),
-            out: None,
-        })
-        .collect();
-    let _ = catch_unwind(AssertUnwindSafe(|| {
-        exec.run_items(&job.key, job.read_only, &mut items);
-    }));
-    let label = job.key.label();
-    for (work, item) in job.items.iter().zip(items) {
-        let outcome = item.out.unwrap_or_else(|| {
-            Err(CoreError::WorkerPanicked {
-                shard: label.to_string(),
-            })
-        });
-        work.ticket.fulfill(outcome);
+/// Worker loop: run each submission request by request, then tell the
+/// dispatcher that its queue may go on.
+fn worker_loop(
+    pool: &Pool,
+    exec: &ConcurrentExecutor,
+    depth: &AtomicUsize,
+    done: &mpsc::Sender<Msg>,
+) {
+    while let Some(submission) = pool.take() {
+        let user = submission.user;
+        for (request, ticket) in submission.requests {
+            // The request engine contains a panic inside a shard itself
+            // (naming the shard); this catches one anywhere else on the
+            // request's path, so the worker thread survives it.
+            let outcome = catch_unwind(AssertUnwindSafe(|| exec.execute_as(&user, request)))
+                .unwrap_or_else(|_| {
+                    Err(CoreError::WorkerPanicked {
+                        shard: "worker".to_string(),
+                    })
+                });
+            // Counted out before the ticket resolves, so a client holding
+            // its answer never finds its own request in the gauge.
+            depth.fetch_sub(1, Ordering::SeqCst);
+            ticket.fulfill(outcome);
+        }
+        // Fails only once the dispatcher is gone, when no queue goes on.
+        let _ = done.send(Msg::Done(submission.queue));
     }
 }
 
 // ---------------------------------------------------------------------------
-// The coordinator.
+// The dispatcher.
 // ---------------------------------------------------------------------------
 
-/// One submitted request, travelling from a handle to the coordinator.
-struct Submission {
-    user: String,
-    request: Request,
-    ticket: Arc<TicketCell>,
-}
-
 enum Msg {
-    /// One client's submission — a pipelined batch, or a batch of one —
-    /// travelling as a single message so the coordinator sees it whole
-    /// (one chunk, maximal sub-batches) instead of reassembling it from
-    /// interleaved singles.
-    Submit(Vec<Submission>),
+    /// One handle's submission, travelling whole.
+    Submit(Submission),
+    /// A worker finished a submission of this handle queue.
+    Done(u64),
     Shutdown,
 }
 
-/// Runs a chunk with the coordinator itself defended: a panic anywhere in
-/// the chunk bookkeeping (planning, slot accounting — the per-request
-/// execution paths carry their own `catch_unwind`) poisons that chunk's
-/// tickets instead of stranding their waiters.
-fn process_chunk_guarded(
-    exec: &ConcurrentExecutor,
-    pool: &Arc<Pool>,
-    chunk: Vec<Submission>,
-    inline: bool,
+/// Dispatcher loop: a worker runs at most one submission per handle queue
+/// at a time; the queue's later submissions wait here, in order, until
+/// the worker reports the running one done.
+fn dispatcher_loop(
+    rx: &mpsc::Receiver<Msg>,
+    pool: &Pool,
+    closed: &AtomicBool,
+    depth: &AtomicUsize,
 ) {
-    let tickets: Vec<Arc<TicketCell>> = chunk.iter().map(|s| Arc::clone(&s.ticket)).collect();
-    let panicked = catch_unwind(AssertUnwindSafe(|| {
-        process_chunk(exec, pool, chunk, inline);
-    }))
-    .is_err();
-    if panicked {
-        // Restore the chunk-closing barrier the unwind skipped — jobs the
-        // chunk already enqueued must finish before (a) their tickets are
-        // adjudicated and (b) the next chunk plans against the catalog.
-        // Fulfillment is first-write-wins, so every ticket a job answered
-        // keeps its real result; only genuinely unanswered ones poison.
-        pool.wait_idle();
-        for ticket in tickets {
-            ticket.fulfill(Err(CoreError::WorkerPanicked {
-                shard: "coordinator".to_string(),
-            }));
-        }
-    }
-}
-
-/// Wakes the worker pool out of its parked state when the coordinator
-/// returns — by any path, including an unwind the guards above missed —
-/// so [`AsyncExecutor`]'s drop can always join the workers.
-struct PoolShutdownGuard(Arc<Pool>);
-
-impl Drop for PoolShutdownGuard {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Coordinator loop: drain the channel into chunks, plan each chunk, fan
-/// shard steps out to the pool (or run them inline when the pool is
-/// empty — single-core hosts), run sequential barriers inline.
-fn coordinator_loop(
-    shared: SharedOrpheusDB,
-    pool: Arc<Pool>,
-    rx: mpsc::Receiver<Msg>,
-    closed: Arc<AtomicBool>,
-    depth: Arc<AtomicUsize>,
-    inline: bool,
-) {
-    let _shutdown_on_exit = PoolShutdownGuard(Arc::clone(&pool));
-    // The coordinator's own sub-batch engine for inline shard steps and
-    // sequential barriers; identity travels per item/submission, so the
-    // executor's own user never executes anything.
-    let exec = shared.internal_executor("__async_coordinator");
+    // The queues with a submission at a worker, each with what waits
+    // behind it. An idle queue has no entry.
+    let mut busy: HashMap<u64, VecDeque<Submission>> = HashMap::new();
     let mut shutting_down = false;
-    while !shutting_down {
-        let first = match rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => break, // every sender gone
+    loop {
+        // Shutdown handshake, phase 1 — finish the work that was already
+        // accepted: any submission whose send completed before the
+        // shutdown message is in the channel, so stop only when nothing
+        // runs and the channel is empty. Synchronous callers blocked on
+        // tickets are not stranded.
+        let next = if shutting_down && busy.is_empty() {
+            rx.try_recv().ok()
+        } else {
+            rx.recv().ok()
         };
-        let mut chunk: Vec<Submission> = Vec::new();
-        match first {
-            Msg::Submit(batch) => chunk.extend(batch),
+        let Some(msg) = next else { break };
+        match msg {
+            Msg::Submit(submission) => match busy.get_mut(&submission.queue) {
+                Some(waiting) => waiting.push_back(submission),
+                None => {
+                    busy.insert(submission.queue, VecDeque::new());
+                    pool.push(submission);
+                }
+            },
+            Msg::Done(queue) => match busy.get_mut(&queue).and_then(VecDeque::pop_front) {
+                Some(next) => pool.push(next),
+                None => {
+                    busy.remove(&queue);
+                }
+            },
             Msg::Shutdown => shutting_down = true,
-        }
-        // Coalesce whatever else already queued up: under load this is
-        // what turns request-at-a-time clients into big per-shard
-        // sub-batches. A submitted batch always lands in one chunk
-        // (CHUNK_MAX bounds the drain, not an already-atomic batch).
-        while !shutting_down && chunk.len() < CHUNK_MAX {
-            match rx.try_recv() {
-                Ok(Msg::Submit(batch)) => chunk.extend(batch),
-                Ok(Msg::Shutdown) => shutting_down = true,
-                Err(_) => break,
-            }
-        }
-        if !chunk.is_empty() {
-            let len = chunk.len();
-            process_chunk_guarded(&exec, &pool, chunk, inline);
-            // The gauge counts accepted-but-unfinished requests, so the
-            // decrement lands after the chunk's closing barrier: an
-            // admission controller reading it sees queued *plus*
-            // executing work.
-            depth.fetch_sub(len, Ordering::SeqCst);
-        }
-    }
-    // Shutdown handshake, phase 1 — finish the work that was already
-    // accepted: any submission whose send completed before this point is
-    // in the queue now (a drain loops until `Empty`), so synchronous
-    // callers blocked on tickets are not stranded.
-    while let Ok(msg) = rx.try_recv() {
-        if let Msg::Submit(batch) = msg {
-            let len = batch.len();
-            process_chunk_guarded(&exec, &pool, batch, inline);
-            depth.fetch_sub(len, Ordering::SeqCst);
         }
     }
     // Phase 2 — publish `closed`, then *refuse* (never execute) whatever
@@ -476,92 +338,18 @@ fn coordinator_loop(
     closed.store(true, Ordering::SeqCst);
     while let Ok(msg) = rx.try_recv() {
         let Msg::Submit(refused) = msg else { continue };
-        for submission in refused {
+        for (_, ticket) in refused.requests {
             depth.fetch_sub(1, Ordering::SeqCst);
-            submission.ticket.fulfill(Err(shutdown_error()));
+            ticket.fulfill(Err(shutdown_error()));
         }
     }
-}
-
-/// Plan one chunk and execute its steps. The chunk is one
-/// [`crate::batch::BatchPlan`]: shard steps between barriers run on the
-/// pool in parallel (or inline, in coordinator-only mode), sequential
-/// steps run here after a full barrier. A trailing barrier closes the
-/// chunk, so the next chunk's plan reads catalog state that reflects
-/// everything this chunk did — cross-chunk per-client ordering (e.g.
-/// re-checking-out a name a failed checkout just released) depends on it.
-fn process_chunk(
-    exec: &ConcurrentExecutor,
-    pool: &Arc<Pool>,
-    chunk: Vec<Submission>,
-    inline: bool,
-) {
-    let mut users: Vec<String> = Vec::with_capacity(chunk.len());
-    let mut tickets: Vec<Arc<TicketCell>> = Vec::with_capacity(chunk.len());
-    let mut requests: Vec<Request> = Vec::with_capacity(chunk.len());
-    for s in chunk {
-        users.push(s.user);
-        tickets.push(s.ticket);
-        requests.push(s.request);
-    }
-    let plan = exec.plan(&requests);
-    let mut slots: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
-
-    for step in plan.steps() {
-        match step {
-            Step::Sequential(i) => {
-                pool.wait_idle();
-                // `BatchPlan::build` puts every request index in exactly
-                // one step, and this loop visits each step once.
-                let request = slots[*i].take().expect("indices are scheduled once");
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| exec.execute_as(&users[*i], request)))
-                        .unwrap_or_else(|_| {
-                            Err(CoreError::WorkerPanicked {
-                                shard: "sequential".to_string(),
-                            })
-                        });
-                tickets[*i].fulfill(outcome);
-            }
-            Step::Shard {
-                key,
-                indices,
-                read_only,
-            } => {
-                let items: Vec<WorkItem> = indices
-                    .iter()
-                    .map(|&i| WorkItem {
-                        user: users[i].clone(),
-                        request: slots[i].take(),
-                        ticket: Arc::clone(&tickets[i]),
-                    })
-                    .collect();
-                let job = Job {
-                    key: key.clone(),
-                    read_only: *read_only,
-                    items,
-                };
-                if inline {
-                    // Coordinator-only mode: no worker can overlap this
-                    // step anyway (one hardware thread), so skip the
-                    // cross-thread handoff entirely. Semantics are
-                    // identical — per-shard order is trivially preserved
-                    // by the single execution thread.
-                    run_job(exec, job);
-                } else {
-                    pool.enqueue(job);
-                }
-            }
-        }
-    }
-    pool.wait_idle();
 }
 
 // ---------------------------------------------------------------------------
 // The public surface.
 // ---------------------------------------------------------------------------
 
-/// A shared OrpheusDB instance behind a coordinator thread and a worker
+/// A shared OrpheusDB instance behind a dispatcher thread and a worker
 /// pool (see the module docs for the architecture). Cheap to query
 /// for handles; owns the threads and joins them on drop, after finishing
 /// all accepted submissions.
@@ -573,77 +361,73 @@ fn process_chunk(
 pub struct AsyncExecutor {
     shared: SharedOrpheusDB,
     tx: mpsc::Sender<Msg>,
-    /// Accepted-but-unfinished submissions (queued or executing) — the
+    /// Accepted-but-unfinished requests (queued or executing) — the
     /// load-shedding signal read by [`AsyncExecutor::queue_depth`].
-    /// Incremented by handles on submit, decremented by the coordinator
-    /// after each chunk completes (or is refused at shutdown).
+    /// Incremented by handles on submit, decremented by the worker that
+    /// runs each request (or by the dispatcher refusing it at shutdown).
     depth: Arc<AtomicUsize>,
-    /// Published (true) by the coordinator once it will never read the
+    /// Published (true) by the dispatcher once it will never read the
     /// channel again — the submit-side half of the shutdown handshake.
     closed: Arc<AtomicBool>,
-    coordinator: Option<JoinHandle<()>>,
+    /// The queue id of the next handle.
+    next_queue: AtomicU64,
+    dispatcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl AsyncExecutor {
-    /// Spawn the coordinator plus a worker pool sized to the detected
-    /// hardware parallelism: clamped to [2, 8] on multi-core hosts (below
-    /// two, shard steps could never overlap; above eight, workers
-    /// outnumber useful shard concurrency in every workload we generate),
-    /// and **zero** on a single hardware thread — there, fanning out can
-    /// overlap nothing, so the coordinator runs shard steps inline and
-    /// saves the cross-thread handoffs.
+    /// Spawn the dispatcher plus a worker pool sized to the detected
+    /// hardware parallelism, clamped to [2, 8]: with one worker, a handle
+    /// whose request waits on a shard lock would stall every other
+    /// handle; above eight, workers outnumber useful shard concurrency in
+    /// every workload we generate.
     pub fn new(shared: SharedOrpheusDB) -> AsyncExecutor {
         let parallelism = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let workers = if parallelism <= 1 {
-            0
-        } else {
-            parallelism.clamp(2, 8)
-        };
-        AsyncExecutor::with_workers(shared, workers)
+        AsyncExecutor::with_workers(shared, parallelism.clamp(2, 8))
     }
 
-    /// Spawn with an explicit worker-pool size. Zero workers selects
-    /// coordinator-only mode: shard steps run inline on the coordinator
-    /// thread with identical semantics (submission still never blocks the
-    /// client on shard locks) but no cross-shard parallelism.
+    /// Spawn with an explicit worker-pool size; zero starts one worker.
     pub fn with_workers(shared: SharedOrpheusDB, workers: usize) -> AsyncExecutor {
-        let pool = Pool::new();
+        let pool = Arc::new(Pool {
+            jobs: Mutex::new(Jobs::default()),
+            work: Condvar::new(),
+        });
         let (tx, rx) = mpsc::channel();
         let closed = Arc::new(AtomicBool::new(false));
         let depth = Arc::new(AtomicUsize::new(0));
-        let inline = workers == 0;
-        let coordinator = {
-            let shared = shared.clone();
-            let pool = Arc::clone(&pool);
-            let closed = Arc::clone(&closed);
-            let depth = Arc::clone(&depth);
-            std::thread::spawn(move || coordinator_loop(shared, pool, rx, closed, depth, inline))
-        };
-        let worker_handles = (0..workers)
+        let worker_handles = (0..workers.max(1))
             .map(|_| {
-                let pool = Arc::clone(&pool);
+                let (pool, depth, done) = (Arc::clone(&pool), Arc::clone(&depth), tx.clone());
                 // The worker's own identity never executes anything —
-                // every sub-batch item carries its submitting session's
-                // user — so an unregistered placeholder is correct here.
+                // every submission carries its handle's user — so an
+                // unregistered placeholder is correct here.
                 let exec = shared.internal_executor("__async_worker");
-                std::thread::spawn(move || pool.worker_loop(&exec))
+                std::thread::spawn(move || worker_loop(&pool, &exec, &depth, &done))
             })
             .collect();
+        let dispatcher = {
+            let (closed, depth) = (Arc::clone(&closed), Arc::clone(&depth));
+            std::thread::spawn(move || {
+                dispatcher_loop(&rx, &pool, &closed, &depth);
+                pool.shutdown();
+            })
+        };
         AsyncExecutor {
             shared,
             tx,
             depth,
             closed,
-            coordinator: Some(coordinator),
+            next_queue: AtomicU64::new(0),
+            dispatcher: Some(dispatcher),
             workers: worker_handles,
         }
     }
 
-    /// Open a client handle operating as `user` (registering the account
-    /// if needed — same semantics as [`SharedOrpheusDB::session`]).
+    /// Open a client handle, with a queue of its own, operating as `user`
+    /// (registering the account if needed — same semantics as
+    /// [`SharedOrpheusDB::session`]).
     pub fn handle(&self, user: &str) -> Result<AsyncHandle> {
         // Registration goes through the catalog exactly as for sessions.
         self.shared.executor(user)?;
@@ -651,11 +435,12 @@ impl AsyncExecutor {
             tx: self.tx.clone(),
             closed: Arc::clone(&self.closed),
             depth: Arc::clone(&self.depth),
+            queue: self.next_queue.fetch_add(1, Ordering::Relaxed),
             user: user.to_string(),
         })
     }
 
-    /// Accepted-but-unfinished submissions (queued plus executing), the
+    /// Accepted-but-unfinished requests (queued plus executing), the
     /// admission-control signal: the network server refuses new work with
     /// a retryable [`CoreError::Overloaded`] once this crosses its
     /// configured ceiling, instead of letting the backlog grow without
@@ -679,8 +464,8 @@ impl AsyncExecutor {
 impl Drop for AsyncExecutor {
     fn drop(&mut self) {
         let _ = self.tx.send(Msg::Shutdown);
-        if let Some(coordinator) = self.coordinator.take() {
-            let _ = coordinator.join();
+        if let Some(dispatcher) = self.dispatcher.take() {
+            let _ = dispatcher.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -689,9 +474,10 @@ impl Drop for AsyncExecutor {
 }
 
 /// One client's handle on an [`AsyncExecutor`]: the async counterpart of
-/// [`crate::Session`], carrying a user identity. Clone freely — clones
-/// share the identity *at clone time* but rebind independently on
-/// `Login`.
+/// [`crate::Session`], carrying a user identity and a FIFO queue. Clone
+/// freely — clones share the queue, so their submissions run one after
+/// another in the order they were made, and share the identity *at clone
+/// time* but rebind independently on `Login`.
 ///
 /// `submit` enqueues and returns a [`Ticket`] immediately; the
 /// [`Executor`] impl layers the synchronous contract on top (`execute` =
@@ -703,11 +489,13 @@ impl Drop for AsyncExecutor {
 #[derive(Debug, Clone)]
 pub struct AsyncHandle {
     tx: mpsc::Sender<Msg>,
-    /// See [`AsyncExecutor::closed`]: true once the coordinator will
+    /// See [`AsyncExecutor::closed`]: true once the dispatcher will
     /// never read the channel again.
     closed: Arc<AtomicBool>,
     /// See [`AsyncExecutor::queue_depth`].
     depth: Arc<AtomicUsize>,
+    /// The id of this handle's queue, shared by its clones.
+    queue: u64,
     user: String,
 }
 
@@ -721,6 +509,18 @@ impl AsyncHandle {
         &self.user
     }
 
+    /// This handle's identity on `queue`'s FIFO: its submissions run
+    /// after every submission `queue` and its clones made before them.
+    /// The network server gives every connection of one client session
+    /// that session's queue, so the frames a resumed connection sends run
+    /// after the ones its dropped connection still has in flight.
+    pub fn into_queue_of(self, queue: &AsyncHandle) -> AsyncHandle {
+        AsyncHandle {
+            user: self.user,
+            ..queue.clone()
+        }
+    }
+
     /// Enqueue a request without blocking on any shard lock. If the
     /// executor has shut down, the ticket resolves immediately to an
     /// error instead of waiting forever.
@@ -730,31 +530,29 @@ impl AsyncHandle {
             .expect("submit_batch answers one ticket per request")
     }
 
-    /// Enqueue a whole request vector as **one** message: the coordinator
-    /// plans it as a single chunk (maximal per-shard sub-batches, so one
-    /// shard-lock acquisition per sub-batch) instead of reassembling it
-    /// from interleaved singles. Returns one [`Ticket`] per request, in
+    /// Enqueue a whole request vector as **one** submission: a worker
+    /// runs it request by request, and no other submission of this
+    /// queue runs in between. Returns one [`Ticket`] per request, in
     /// submission order.
     pub fn submit_batch<I>(&self, requests: I) -> Vec<Ticket>
     where
         I: IntoIterator,
         I::Item: Into<Request>,
     {
-        let mut submissions: Vec<Submission> = Vec::new();
-        let mut cells: Vec<Arc<TicketCell>> = Vec::new();
-        for request in requests {
-            let cell = TicketCell::new();
-            submissions.push(Submission {
-                user: self.user.clone(),
-                request: request.into(),
-                ticket: Arc::clone(&cell),
-            });
-            cells.push(cell);
-        }
-        if !submissions.is_empty() {
-            let len = submissions.len();
+        let requests: Vec<(Request, Arc<TicketCell>)> = requests
+            .into_iter()
+            .map(|request| (request.into(), TicketCell::new()))
+            .collect();
+        let cells: Vec<Arc<TicketCell>> = requests.iter().map(|(_, c)| Arc::clone(c)).collect();
+        if !cells.is_empty() {
+            let len = cells.len();
             self.depth.fetch_add(len, Ordering::SeqCst);
-            if self.tx.send(Msg::Submit(submissions)).is_err() {
+            let submission = Submission {
+                queue: self.queue,
+                user: self.user.clone(),
+                requests,
+            };
+            if self.tx.send(Msg::Submit(submission)).is_err() {
                 self.depth.fetch_sub(len, Ordering::SeqCst);
                 for cell in &cells {
                     cell.fulfill(Err(shutdown_error()));
@@ -766,9 +564,9 @@ impl AsyncHandle {
     }
 
     /// The submit half of the shutdown handshake. A send can succeed in
-    /// the instant between the coordinator's final drain and the receiver
+    /// the instant between the dispatcher's final drain and the receiver
     /// being dropped; without this, such a submission would be silently
-    /// lost and its ticket would wait forever. The coordinator publishes
+    /// lost and its ticket would wait forever. The dispatcher publishes
     /// `closed` between its execute-drain and its refuse-drain, so after
     /// a send exactly one of these holds: `closed` was still false — the
     /// send completed before the refuse-drain began, so one of the two
@@ -778,7 +576,7 @@ impl AsyncHandle {
     /// covers that. The refuse-drain never executes, so a raced
     /// submission can never both run and report the shutdown error;
     /// fulfillment is first-write-wins, so double poisoning is harmless
-    /// and a ticket the coordinator already answered keeps its real
+    /// and a ticket the dispatcher already answered keeps its real
     /// result.
     fn close_race_check(&self, cells: &[Arc<TicketCell>]) {
         if self.closed.load(Ordering::SeqCst) {
@@ -815,11 +613,9 @@ impl Executor for AsyncHandle {
         for request in requests {
             if matches!(request, Request::Login(_)) {
                 // A login's outcome decides the identity of every later
-                // submission, so it is a pipeline barrier: flush the run
-                // collected so far as one atomic batch, then wait for the
-                // login itself (safe — the coordinator finishes
-                // everything submitted before it first; `Login` plans as
-                // a sequential step).
+                // submission, so it is a pipeline barrier: submit the run
+                // collected so far as one submission, then wait for the
+                // login itself (the queue runs that run first).
                 slots.extend(
                     self.submit_batch(run.drain(..))
                         .into_iter()

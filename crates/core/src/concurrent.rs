@@ -105,24 +105,19 @@
 //!
 //! # One request engine
 //!
-//! Every request is routed by one rule, [`crate::batch::route`], under one
-//! catalog read: a single [`Executor::execute`] by that alone — no plan —
-//! and an async chunk ([`crate::async_exec`]) through the [`BatchPlan`]
-//! built on it. A session's batch is the trait's default loop of
-//! `execute`; the async coordinator is the only interpreter of a plan.
-//! What is routed to a shard runs through the same crate-internal engine,
-//! `ConcurrentExecutor::run_items`: reservations for every checkout of the
-//! sub-batch in one catalog write, the requests under one shard-lock
-//! acquisition (identity-swapped per request owner, so one sub-batch may
-//! carry work from several sessions) or on one snapshot clone when all of
-//! them are reads, and the staged-index bookkeeping in one closing catalog
-//! write. A panic inside a request is contained there: the panicking
-//! request and the rest of its sub-batch fail with
-//! [`CoreError::WorkerPanicked`], reservations are released, and the shard
-//! itself stays usable (the shim locks do not poison). What no single
-//! shard can serve — catalog requests, SQL spanning shards — runs on its
-//! own, as a barrier between sub-batches
-//! (`ConcurrentExecutor::execute_as`).
+//! Every request runs through one crate-internal function,
+//! `ConcurrentExecutor::execute_as`: a session's `execute` (its batch is
+//! the trait's default loop of it) and every request an async worker
+//! ([`crate::async_exec`]) runs. Catalog requests take the catalog lock;
+//! every other request is routed by one rule, [`crate::batch::route`],
+//! under one catalog read. A request routed to a shard takes one
+//! reservation of the name it creates (one catalog write), one
+//! acquisition of the shard's write lock — or one clone of its snapshot,
+//! for a read — and one closing catalog write that settles the
+//! staged-name index. A panic inside the request is contained there: it
+//! fails with [`CoreError::WorkerPanicked`], its reservation is released,
+//! and the shard itself stays usable (the shim locks do not poison). What
+//! no single shard can serve — SQL spanning shards — runs across them.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -137,7 +132,7 @@ use orpheus_engine::sql::lexer::Token;
 use orpheus_engine::{EngineError, QueryResult, Value};
 
 use crate::access::AccessController;
-use crate::batch::{route, staged_key, staged_name, BatchPlan, BatchRouter, ShardKey};
+use crate::batch::{route, staged_key, staged_name, BatchRouter, ShardKey};
 use crate::db::{OrpheusConfig, OrpheusDB, VersionDiff};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
@@ -794,18 +789,18 @@ fn analyze_sql(cat: &Catalog, sql: &Lexed) -> Result<BTreeSet<String>> {
 }
 
 /// Fast-path flag for the panic-injection test hook below: checked with
-/// one relaxed atomic load per sub-batch request, so the hook costs
+/// one relaxed atomic load per request run in a shard, so the hook costs
 /// nothing when disarmed (the overwhelmingly common case).
 static PANIC_HOOK_ARMED: AtomicBool = AtomicBool::new(false);
-/// Staged-table name that makes sub-batch execution panic right before
-/// the matching checkout runs (see [`arm_checkout_panic`]).
+/// Staged-table name that makes a shard panic right before the matching
+/// checkout runs (see [`arm_checkout_panic`]).
 static PANIC_HOOK_NAME: StdMutex<Option<String>> = StdMutex::new(None);
 
-/// Test-only: make any sub-batch worker panic immediately before it
-/// executes a checkout into `table`. This exercises the panic containment
-/// of the request engine (`execute_items`, and through it the async
-/// executor's worker poisoning) with a real unwinding panic instead of a
-/// simulated error. Disarm with [`disarm_checkout_panic`].
+/// Test-only: panic immediately before any shard executes a checkout into
+/// `table`. This exercises the panic containment of the request engine
+/// (`execute_in`, under sessions and async workers alike) with a real
+/// unwinding panic instead of a simulated error. Disarm with
+/// [`disarm_checkout_panic`].
 #[doc(hidden)]
 pub fn arm_checkout_panic(table: &str) {
     *PANIC_HOOK_NAME.lock().unwrap_or_else(|e| e.into_inner()) = Some(table.to_string());
@@ -923,34 +918,25 @@ pub(crate) fn hold_commit_if_gated(table: &str) {
     }
 }
 
-/// One request of a per-shard sub-batch: the identity it runs under, the
-/// request itself (`None` once consumed — executed, or failed before the
-/// shard was touched), and its outcome slot. A single routed request is a
-/// sub-batch of one; the async executor's workers feed whole sub-batches
-/// of a plan to [`ConcurrentExecutor::run_items`]. Carrying the user per
-/// item (rather than per batch) is what lets one worker execute a
-/// sub-batch assembled from many sessions' submissions.
-#[derive(Debug)]
-pub(crate) struct SubItem {
-    pub(crate) user: String,
-    pub(crate) request: Option<Request>,
-    pub(crate) out: Option<Result<Response>>,
-}
-
-/// Remove staged-index reservations that still point at `shard` (their
-/// checkout failed or never ran; entries re-pointed by someone else are
-/// left alone), and the `side_tables` whose statements are over.
-fn release_reservations(inner: &Inner, shard: &ShardKey, keys: &[String], side_tables: &[String]) {
-    if keys.is_empty() && side_tables.is_empty() {
+/// Remove the staged-index reservation that still points at `shard`
+/// (its checkout failed or never ran; an entry re-pointed by someone else
+/// is left alone), and the side table whose statement is over.
+fn release_reservations(
+    inner: &Inner,
+    shard: &ShardKey,
+    reserved: Option<&String>,
+    side_table: Option<&String>,
+) {
+    if reserved.is_none() && side_table.is_none() {
         return;
     }
     let mut cat = inner.catalog_write();
-    for key in keys {
+    if let Some(key) = reserved {
         if cat.staged.get(key) == Some(shard) {
             cat.staged.remove(key);
         }
     }
-    for table in side_tables {
+    if let Some(table) = side_table {
         cat.creating.remove(table);
     }
 }
@@ -962,110 +948,48 @@ fn shard_sql(odb: &mut OrpheusDB, user: &str, sql: &Lexed) -> Result<QueryResult
     odb.run_lexed(sql)
 }
 
-/// What one pass over a sub-batch's items ([`execute_items`]) leaves for
-/// the steps that need the catalog, which must not be taken under a shard
-/// lock.
-#[derive(Default)]
-struct Leftovers {
-    /// Staged-index keys of the commits and discards that succeeded.
-    consumed: Vec<String>,
-    /// Staged-index keys of the checkouts that failed.
-    failed_checkouts: Vec<String>,
-    /// `(item index, user, statement)` of statements that failed with
-    /// `TableNotFound`: they reference tables outside the shard and are
-    /// retried across shards ([`ConcurrentExecutor::sql_spanning`]).
-    spanning: Vec<(usize, String, Run)>,
-}
-
-/// Log `user` into `db`, unless `current` says the previous item already
-/// did.
-fn switch_identity<'a>(
+/// Run one request against `db` — the shard itself under its write lock,
+/// or a private snapshot clone — as `user` (the caller restores the
+/// shard's identity). A panic while executing the request is contained
+/// here and fails it with [`CoreError::WorkerPanicked`]. `Err` hands back
+/// a statement that failed with `TableNotFound`: it references tables
+/// outside the shard and is retried across shards
+/// ([`ConcurrentExecutor::sql_spanning`]).
+fn execute_in(
     db: &mut OrpheusDB,
-    current: &mut Option<&'a str>,
-    user: &'a str,
-) -> Result<()> {
-    if *current != Some(user) {
-        *current = None;
-        db.access.ensure_user(user)?;
-        db.access.login(user)?;
-        *current = Some(user);
+    key: &ShardKey,
+    user: &str,
+    request: Request,
+) -> std::result::Result<Result<Response>, Run> {
+    if let Err(e) = db
+        .access
+        .ensure_user(user)
+        .and_then(|()| db.access.login(user))
+    {
+        return Ok(Err(e));
     }
-    Ok(())
-}
-
-/// Run every pending item of one shard's sub-batch against `db` — the
-/// shard itself under its write lock, or a private snapshot clone. Each
-/// item runs under its own identity (switched whenever the owner changes;
-/// the caller restores the shard's).
-///
-/// A panic while executing a request is contained here: the panicking
-/// request and every item still pending fail with
-/// [`CoreError::WorkerPanicked`] rather than running against state of
-/// unknown integrity, and already-completed items keep their results.
-fn execute_items(db: &mut OrpheusDB, key: &ShardKey, items: &mut [SubItem]) -> Leftovers {
-    let panicked = || CoreError::WorkerPanicked {
-        shard: key.label().to_string(),
-    };
-    let mut left = Leftovers::default();
-    let mut current: Option<&str> = None;
-    let mut poisoned = false;
-    for (i, item) in items.iter_mut().enumerate() {
-        let Some(request) = item.request.take() else {
-            continue;
-        };
-        // The closing catalog write drops the entry of a staged name a
-        // commit or discard consumed, and releases the one a failed
-        // checkout reserved.
-        let mark = staged_name(&request)
-            .map(|(name, kind, claim)| (staged_key(name, kind), claim.is_none()));
-        let user = item.user.as_str();
-        let result = if poisoned {
-            Err(panicked())
-        } else if let Err(e) = switch_identity(db, &mut current, user) {
-            Err(e)
-        } else {
-            let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                maybe_injected_panic(&request);
-                match request {
-                    // Run goes through the guarded session surface: the
-                    // bus must not be a way around the Section 2.3
-                    // staged-table access rule.
-                    Request::Run(run) => {
-                        match run.lexed().and_then(|sql| shard_sql(db, user, sql)) {
-                            Err(CoreError::Engine(EngineError::TableNotFound(_))) => Err(run),
-                            other => Ok(other.map(Response::Rows)),
-                        }
-                    }
-                    other => Ok(db.execute(other)),
-                }
-            }));
-            match executed {
-                Ok(Ok(result)) => result,
-                Ok(Err(run)) => {
-                    left.spanning.push((i, item.user.clone(), run));
-                    continue;
-                }
-                Err(_) => {
-                    // The shard state this request already touched is
-                    // whatever the unwind left behind.
-                    poisoned = true;
-                    Err(panicked())
-                }
-            }
-        };
-        match (&result, mark) {
-            (Ok(_), Some((key, true))) => left.consumed.push(key),
-            (Err(_), Some((key, false))) => left.failed_checkouts.push(key),
-            _ => {}
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        maybe_injected_panic(&request);
+        match request {
+            // Run goes through the guarded session surface: the bus must
+            // not be a way around the Section 2.3 staged-table access rule.
+            Request::Run(run) => match run.lexed().and_then(|sql| shard_sql(db, user, sql)) {
+                Err(CoreError::Engine(EngineError::TableNotFound(_))) => Err(run),
+                other => Ok(other.map(Response::Rows)),
+            },
+            other => Ok(db.execute(other)),
         }
-        item.out = Some(result);
-    }
-    left
+    }))
+    .unwrap_or_else(|_| {
+        Ok(Err(CoreError::WorkerPanicked {
+            shard: key.label().to_string(),
+        }))
+    })
 }
 
-/// Routing reads the catalog: one read acquisition resolves a request or
-/// a whole batch (CVD existence, the staged-name index, and per-statement
-/// SQL analysis).
+/// Routing reads the catalog: one read acquisition resolves a request
+/// (CVD existence, the staged-name index, and per-statement SQL
+/// analysis).
 impl BatchRouter for Catalog {
     fn has_cvd(&self, name: &str) -> bool {
         self.shards.contains_key(&name.to_ascii_lowercase())
@@ -1081,8 +1005,8 @@ impl BatchRouter for Catalog {
             (None, _) => Some(ShardKey::Aux),
             (Some(only), None) => Some(ShardKey::Cvd(only)),
             // Multi-CVD statements (and, above, ones naming an unknown
-            // CVD) go sequential: the barrier spans shards or surfaces
-            // the error.
+            // CVD) have no single shard: they run across shards or
+            // surface the error.
             _ => None,
         }
     }
@@ -1094,28 +1018,24 @@ impl BatchRouter for Catalog {
 /// instance.
 ///
 /// There is one request engine and one routing rule ([`route`]): a single
-/// [`Executor::execute`] is routed under one catalog read and runs as a
-/// sub-batch of one, and a batch is the loop of it; the async
-/// coordinator plans its chunks under one catalog read ([`BatchPlan`])
-/// into per-shard sub-batches and barriers. Both route by
-/// [`Request::target`]:
+/// [`Executor::execute`] is routed under one catalog read, and a batch is
+/// the loop of it. Requests route by [`Request::target`]:
 /// * [`Target::Cvd`] — that CVD's shard; checkouts additionally reserve
 ///   the target name in the catalog's staged index first, keeping table
 ///   names globally unique.
 /// * [`Target::StagedTable`] / [`Target::StagedCsv`] — the owning CVD is
 ///   resolved through the staged index.
 /// * [`Target::Sql`] — the statement is analyzed; a statement on one CVD
-///   joins that shard's sub-batch, one spanning CVDs is a barrier.
-/// * [`Target::Catalog`] — a barrier under the catalog lock (CVD
-///   create/drop, users, `ls`).
+///   runs on that shard, one spanning CVDs across them.
+/// * [`Target::Catalog`] — the catalog lock (CVD create/drop, users,
+///   `ls`).
 ///
-/// A sub-batch of pure reads (`log`, `diff`, `SELECT`) runs on a clone of
-/// the shard's MVCC snapshot without any shard lock; every other
-/// sub-batch — checkouts included — runs under one acquisition of the
-/// shard's write lock. Barriers span shards: a multi-CVD `SELECT` runs on
-/// a merged lock-free snapshot, a multi-CVD write as a cross-CVD write
-/// transaction that locks every involved shard in sorted key order
-/// (auxiliary shard last).
+/// A pure read (`log`, `diff`, `SELECT`) runs on a clone of the shard's
+/// MVCC snapshot without any shard lock; every other request — checkouts
+/// included — runs under one acquisition of the shard's write lock. A
+/// multi-CVD `SELECT` runs on a merged lock-free snapshot, a multi-CVD
+/// write as a cross-CVD write transaction that locks every involved shard
+/// in sorted key order (auxiliary shard last).
 ///
 /// Two variants get session-level semantics instead of instance-level
 /// ones: `Whoami` reports the executor's user, and `Login` rebinds *this
@@ -1237,119 +1157,86 @@ impl ConcurrentExecutor {
 
     // -- the engine ---------------------------------------------------------
 
-    /// Plan `requests` under one catalog read — the async executor's
-    /// coordinator plans each chunk by it ([`crate::async_exec`]).
-    pub(crate) fn plan(&self, requests: &[Request]) -> BatchPlan {
-        BatchPlan::build(requests, &*self.inner.catalog_read())
-    }
-
-    /// Execute one shard's sub-batch — the engine shared by a single
-    /// request and the async executor's workers ([`crate::async_exec`]).
-    /// Each [`SubItem`] carries its own identity, so one sub-batch may
-    /// interleave requests from many sessions. Panics are contained per sub-batch (see
-    /// [`execute_items`]); the shard lock itself does not poison (shim
-    /// `parking_lot` semantics), so later sub-batches on the same shard
-    /// run normally.
-    pub(crate) fn run_items(&self, key: &ShardKey, read_only: bool, items: &mut [SubItem]) {
-        let spanning = if read_only {
-            // No shard lock, so a writer holding it never delays these.
-            let Ok(mut db) = self.snapshot_of(key) else {
-                return self.reroute(items);
-            };
-            execute_items(&mut db, key, items).spanning
-        } else {
-            let Some(spanning) = self.run_shard_items(key, items) else {
-                return self.reroute(items);
-            };
-            spanning
-        };
-        for (i, user, run) in spanning {
-            items[i].out = Some(self.sql_spanning(&user, key, &run).map(Response::Rows));
-        }
-    }
-
-    /// A writing sub-batch: reservations for every checkout in one catalog
-    /// write, the requests under one acquisition of the shard's write
-    /// lock, and the staged-index bookkeeping in one closing catalog
-    /// write. Returns the statements left to retry across shards, or
-    /// `None` (items untouched) when the shard no longer exists.
-    fn run_shard_items(
+    /// Run one request on the shard [`route`] sent it to: a read on a
+    /// private clone of the shard's MVCC snapshot; a write between one
+    /// catalog write that reserves the name it creates — a checkout
+    /// target, or the side table of a `SELECT … INTO` or `CREATE TABLE` —
+    /// and one that settles the staged-name index, under one acquisition
+    /// of the shard's write lock. A statement that needs tables outside
+    /// the shard is retried across shards. When the shard is gone (its
+    /// CVD was dropped since routing), the request is routed again
+    /// against the live catalog.
+    fn run_routed(
         &self,
+        user: &str,
         key: &ShardKey,
-        items: &mut [SubItem],
-    ) -> Option<Vec<(usize, String, Run)>> {
-        // Reserve every name the sub-batch is about to create — checkout
-        // targets, and the side tables of `SELECT … INTO` and `CREATE
-        // TABLE` statements — in one catalog write; a name that cannot be
-        // reserved fails its request right here, without touching the
-        // shard.
-        let mut reserved: Vec<String> = Vec::new();
-        let mut side_tables: Vec<String> = Vec::new();
-        let side_table = |run: &Run| run.lexed().ok().and_then(Lexed::created_table);
-        let creates = |item: &SubItem| match &item.request {
-            Some(Request::Run(r)) => side_table(r).is_some(),
-            Some(request) => matches!(staged_name(request), Some((_, _, Some(_)))),
-            None => false,
-        };
-        if items.iter().any(creates) {
-            let mut cat = self.inner.catalog_write();
-            for item in items.iter_mut() {
-                let reservation = match item.request.as_ref() {
-                    Some(Request::Run(r)) => match side_table(r) {
-                        // A name this sub-batch already holds is the
-                        // shard's to decide about, in submission order.
-                        Some(table) if !side_tables.contains(&table) => cat
-                            .reserve_side_table(key, &table)
-                            .map(|()| side_tables.push(table)),
-                        _ => continue,
-                    },
-                    Some(request) => match staged_name(request) {
-                        Some((name, kind, Some(cvd))) => {
-                            cat.reserve(cvd, kind, name).map(|key| reserved.push(key))
-                        }
-                        _ => continue,
-                    },
-                    None => continue,
-                };
-                if let Err(e) = reservation {
-                    item.out = Some(Err(e));
-                    item.request = None;
-                }
-            }
-        }
-
-        // One shard-lock acquisition for the whole sub-batch. The catalog
-        // lock is not held while blocking on the shard lock, so a catalog
-        // rebuild can retire the shard in between: re-resolve and retry.
-        let left = loop {
-            let Ok(shard) = self.inner.shard_by_key(key) else {
-                // The CVD was dropped since planning. Release the
-                // reservations so re-routing cannot collide with them.
-                release_reservations(&self.inner, key, &reserved, &side_tables);
-                return None;
+        read_only: bool,
+        request: Request,
+    ) -> Result<Response> {
+        let outcome = if read_only {
+            // No shard lock, so a writer holding it never delays this.
+            let Ok(mut db) = self.snapshot_of(key) else {
+                return self.execute_as(user, request);
             };
-            let mut db = shard.write();
-            if shard.is_retired() {
-                continue;
+            execute_in(&mut db, key, user, request)
+        } else {
+            let side_table = match &request {
+                Request::Run(r) => r.lexed().ok().and_then(Lexed::created_table),
+                _ => None,
+            };
+            let staged = staged_name(&request);
+            let consumed = staged
+                .filter(|(_, _, claim)| claim.is_none())
+                .map(|(name, kind, _)| staged_key(name, kind));
+            let reserved = match (&side_table, staged) {
+                (Some(table), _) => {
+                    self.inner.catalog_write().reserve_side_table(key, table)?;
+                    None
+                }
+                (None, Some((name, kind, Some(cvd)))) => {
+                    Some(self.inner.catalog_write().reserve(cvd, kind, name)?)
+                }
+                _ => None,
+            };
+            // The catalog lock is not held while blocking on the shard
+            // lock, so a catalog rebuild can retire the shard in between:
+            // re-resolve and retry.
+            let outcome = loop {
+                let Ok(shard) = self.inner.shard_by_key(key) else {
+                    // Release the reservations so re-routing cannot
+                    // collide with them.
+                    release_reservations(&self.inner, key, reserved.as_ref(), side_table.as_ref());
+                    return self.execute_as(user, request);
+                };
+                let mut db = shard.write();
+                if shard.is_retired() {
+                    continue;
+                }
+                let prior = db.access.whoami().to_string();
+                let outcome = execute_in(&mut db, key, user, request);
+                let _ = db.access.login(&prior);
+                break outcome;
+            };
+            // The closing catalog write: drop the index entry of a staged
+            // artifact the request consumed, or release the reservation of
+            // a failed checkout and of a side table (created or not: the
+            // shard lock is released, so a created table is in the
+            // published snapshot).
+            let done = matches!(outcome, Ok(Ok(_)));
+            match consumed {
+                Some(consumed) if done => {
+                    self.inner.catalog_write().staged.remove(&consumed);
+                }
+                _ => release_reservations(
+                    &self.inner,
+                    key,
+                    reserved.as_ref().filter(|_| !done),
+                    side_table.as_ref(),
+                ),
             }
-            let prior = db.access.whoami().to_string();
-            let left = execute_items(&mut db, key, items);
-            let _ = db.access.login(&prior);
-            break left;
+            outcome
         };
-
-        // One closing catalog write: drop the index entries of consumed
-        // staged artifacts, release the reservations of failed checkouts
-        // and of side tables (created or not: the shard lock is released,
-        // so a table that was created is in the published snapshot).
-        if !left.consumed.is_empty() {
-            let mut cat = self.inner.catalog_write();
-            for key in &left.consumed {
-                cat.staged.remove(key);
-            }
-        }
-        release_reservations(&self.inner, key, &left.failed_checkouts, &side_tables);
-        Some(left.spanning)
+        outcome.unwrap_or_else(|run| self.sql_spanning(user, key, &run).map(Response::Rows))
     }
 
     /// A private clone of one shard's MVCC snapshot — the lock-free read
@@ -1366,26 +1253,13 @@ impl ConcurrentExecutor {
         }
     }
 
-    /// The shard a sub-batch was routed to is gone (its CVD was dropped
-    /// since routing): every request still pending is executed on its
-    /// own, against the live catalog.
-    fn reroute(&self, items: &mut [SubItem]) {
-        for item in items {
-            if let Some(request) = item.request.take() {
-                item.out = Some(self.execute_as(&item.user, request));
-            }
-        }
-    }
-
-    /// Execute one request on its own, as `user`, against live state: a
-    /// single [`Executor::execute`], and what a plan schedules as
-    /// [`crate::batch::Step::Sequential`] — there a barrier, ordered
-    /// strictly against the sub-batches around it. Catalog requests run under the catalog
-    /// lock. Everything else is routed alone ([`route`], under one catalog
-    /// read — no earlier request of a batch can leave its routing
-    /// uncertain) and is a sub-batch of one for `run_items`; what has no
-    /// single shard even then is SQL spanning shards, or gets the typed
-    /// error (`CvdNotFound`, `NotStaged`).
+    /// Execute one request as `user` against live state: a single
+    /// [`Executor::execute`], and every request an async worker runs.
+    /// Catalog requests run under the catalog lock. Everything else is
+    /// routed ([`route`], under one catalog read) and runs on its shard
+    /// ([`ConcurrentExecutor::run_routed`]); what has no single shard is
+    /// SQL spanning shards, or gets the typed error (`CvdNotFound`,
+    /// `NotStaged`).
     pub(crate) fn execute_as(&self, user: &str, request: Request) -> Result<Response> {
         match request {
             // Validation only: rebinding is the caller's business.
@@ -1422,15 +1296,7 @@ impl ConcurrentExecutor {
                 let routed = route(&*self.inner.catalog_read(), &other);
                 match (routed, other) {
                     (Some((key, read_only)), other) => {
-                        let mut items = [SubItem {
-                            user: user.to_string(),
-                            request: Some(other),
-                            out: None,
-                        }];
-                        self.run_items(&key, read_only, &mut items);
-                        let [item] = items;
-                        // `run_items` answers every item it is handed.
-                        item.out.expect("every routed request is answered")
+                        self.run_routed(user, &key, read_only, other)
                     }
                     (None, Request::Run(run)) => self
                         .sql_spanning(user, &ShardKey::Aux, &run)
@@ -1453,8 +1319,7 @@ impl ConcurrentExecutor {
     /// several shards, or — routed to its `home` shard — failed there with
     /// `TableNotFound` because it joins tables the analyzer could not
     /// attribute (side tables, another CVD's tables). Re-analyzed against
-    /// the live catalog (staged tables materialized earlier in the same
-    /// batch have their index entries by now), a `SELECT` runs on a merged
+    /// the live catalog, a `SELECT` runs on a merged
     /// lock-free snapshot of the involved shards plus the auxiliary shard —
     /// of the whole instance when it names no CVD at all — and a writing
     /// statement as a cross-CVD write transaction.
@@ -1485,7 +1350,7 @@ impl ConcurrentExecutor {
                     .reserve_side_table(&ShardKey::Aux, table)?;
             }
             let result = self.sql_cross_cvd_write(user, &cvds, sql);
-            release_reservations(&self.inner, &ShardKey::Aux, &[], side_table.as_slice());
+            release_reservations(&self.inner, &ShardKey::Aux, None, side_table.as_ref());
             return result;
         }
         let mut merged = if cvds.is_empty() {
@@ -2081,7 +1946,7 @@ mod tests {
         // ...and the shard that would hold a table decides about its own
         // names when the statement runs, so dropping and re-creating a
         // table in one batch works — looped by a session, and as one
-        // sub-batch of the auxiliary shard through an async handle.
+        // submission through an async handle.
         s.sql("CREATE TABLE y (k INT)").unwrap();
         let recreate = || -> Vec<Request> {
             vec![
@@ -2236,21 +2101,20 @@ mod tests {
 
     /// Run `requests()` as one batch through a session and through an
     /// async handle, each on a fresh instance from `fresh`: a session
-    /// loops over `execute`, while the handle's batch is planned into
-    /// per-shard sub-batches, the only way several requests reach one
-    /// `run_shard_items` call.
+    /// loops over `execute` on the caller's thread, while the handle's
+    /// batch runs as one submission on a worker.
     fn batch_both_ways(
         fresh: fn() -> SharedOrpheusDB,
         requests: impl Fn() -> Vec<Request>,
     ) -> Vec<(&'static str, SharedOrpheusDB, Vec<Result<Response>>)> {
         let looped = fresh();
         let looped_results = looped.session("u").unwrap().batch(requests());
-        let planned = fresh();
-        let pool = AsyncExecutor::with_workers(planned.clone(), 2);
-        let planned_results = pool.handle("u").unwrap().batch(requests());
+        let submitted = fresh();
+        let pool = AsyncExecutor::with_workers(submitted.clone(), 2);
+        let submitted_results = pool.handle("u").unwrap().batch(requests());
         vec![
             ("session", looped, looped_results),
-            ("async", planned, planned_results),
+            ("async", submitted, submitted_results),
         ]
     }
 
@@ -2274,8 +2138,7 @@ mod tests {
             for (i, r) in results.iter().enumerate() {
                 assert!(r.is_ok(), "{label}: request {i}: {r:?}");
             }
-            // Responses answer their submission positions, even where the
-            // plan grouped the requests per CVD.
+            // Responses answer their submission positions.
             assert_eq!(results[2].as_ref().unwrap().version(), Some(Vid(2)));
             assert_eq!(results[4].as_ref().unwrap().version(), Some(Vid(2)));
             assert_eq!(results[5].as_ref().unwrap().version(), Some(Vid(3)));

@@ -68,11 +68,11 @@ pub enum CoreError {
     /// not decode. Raised by the `orpheus-net` codec; a peer speaking the
     /// protocol correctly never sees this.
     Protocol(String),
-    /// Executing a request panicked inside a batch/async worker. The panic
-    /// was contained to the shard named here: the panicking request and
-    /// everything still in flight in the same sub-batch fail with this
-    /// error, while other shards — and later submissions to this one —
-    /// are unaffected.
+    /// Executing a request panicked. The panic was contained to the
+    /// request, on the shard named here (`worker` when it struck an async
+    /// worker outside any shard): the request fails with this error,
+    /// while other requests — to this shard or any other — are
+    /// unaffected.
     WorkerPanicked { shard: String },
     /// Catch-all for invalid API usage.
     Invalid(String),
@@ -193,8 +193,8 @@ impl fmt::Display for CoreError {
             CoreError::Protocol(m) => write!(f, "protocol error: {m}"),
             CoreError::WorkerPanicked { shard } => write!(
                 f,
-                "a worker panicked while executing the sub-batch of shard {shard}; \
-                 the request (and any still in flight on that shard) was abandoned"
+                "a request panicked while executing on shard {shard}; \
+                 the request was abandoned"
             ),
             CoreError::Invalid(m) => write!(f, "invalid request: {m}"),
             CoreError::DeadlineExceeded { elapsed_ms } => write!(

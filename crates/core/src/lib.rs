@@ -28,13 +28,12 @@
 //!   directly or by a [`Session`] over a shared instance via the
 //!   [`Executor`] trait; [`commands`] parses the git-style command lines
 //!   of Section 2.2 into the same requests.
-//! * **Batching** ([`batch`]) — [`Executor::batch`] runs a request vector
-//!   with per-request outcomes; the concurrent executors schedule it along
-//!   a [`BatchPlan`], taking one shard-lock acquisition per sub-batch
-//!   instead of one per request.
-//! * **Async execution** ([`async_exec`]) — an [`AsyncExecutor`] runs the
-//!   same [`BatchPlan`] steps on a coordinator thread plus a per-shard
-//!   worker pool; clients submit through an [`AsyncHandle`] and wait on
+//! * **Routing** ([`batch`]) — the one rule that sends a request to the
+//!   shard serving it; [`Executor::batch`] runs a request vector with
+//!   per-request outcomes, one request after another.
+//! * **Async execution** ([`async_exec`]) — an [`AsyncExecutor`] runs
+//!   requests on a worker pool behind a dispatcher thread; each client's
+//!   [`AsyncHandle`] is a FIFO queue of submissions, and clients wait on
 //!   [`Ticket`]s instead of blocking on shard locks.
 //! * **Durability** ([`wal`], [`recovery`]) — an append-only log of
 //!   mutating operations with length-prefixed, checksummed records
@@ -66,7 +65,7 @@ pub mod staging;
 pub mod wal;
 
 pub use async_exec::{AsyncExecutor, AsyncHandle, Ticket, TicketFulfiller};
-pub use batch::{BatchPlan, BatchRouter, ShardKey, Step};
+pub use batch::{BatchRouter, ShardKey};
 pub use concurrent::{ConcurrentExecutor, Session, SharedOrpheusDB};
 pub use cvd::Cvd;
 pub use db::{OrpheusConfig, OrpheusDB, VersionDiff};

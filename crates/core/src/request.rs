@@ -6,7 +6,7 @@
 //! REPL parse text into `Request`s ([`crate::commands`]), programs build
 //! them directly (`Checkout::of("protein").versions([1, 2]).into_table("w")`),
 //! and [`crate::OrpheusDB`] (single-threaded), [`crate::Session`]
-//! (shared, multi-user), and [`crate::AsyncExecutor`] (coordinator +
+//! (shared, multi-user), and [`crate::AsyncHandle`] (a queue on a
 //! worker pool) all execute them. Because requests are plain
 //! data, they can be queued, logged, replayed, batched
 //! ([`Executor::batch`]), and dispatched asynchronously
@@ -52,11 +52,9 @@ pub trait Executor {
     /// The default runs the requests sequentially, and
     /// [`crate::OrpheusDB`] and [`crate::ConcurrentExecutor`] /
     /// [`crate::Session`] keep it. [`crate::AsyncHandle`] overrides it to
-    /// pipeline the whole vector through the async worker pool, which
-    /// schedules it along a [`crate::batch::BatchPlan`] and takes each
-    /// shard lock once per sub-batch (sub-batches of different CVDs may
-    /// interleave; within one CVD, submission order is preserved). Every
-    /// request still runs as a single `execute` of it would.
+    /// submit the whole vector to its queue at once and wait once: a
+    /// worker runs it request by request, each as a single `execute` of
+    /// it would run.
     ///
     /// ```
     /// use orpheus_core::{Checkout, Commit, Executor, Init, OrpheusDB, Request, Vid};

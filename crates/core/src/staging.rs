@@ -75,15 +75,6 @@ impl StagingArea {
             .ok_or_else(|| CoreError::NotStaged(name.to_string()))
     }
 
-    /// The CVD a staged artifact came from, if it is staged — the
-    /// non-failing lookup batch planners use to route `commit`/`discard`
-    /// without consuming a `Result`.
-    pub fn cvd_of(&self, name: &str, kind: StagedKind) -> Option<&str> {
-        self.entries
-            .get(&Self::key(name, kind))
-            .map(|e| e.cvd.as_str())
-    }
-
     /// Take every entry out of the registry (used when merging instances).
     pub fn drain(&mut self) -> Vec<StagedEntry> {
         let mut out: Vec<StagedEntry> = self

@@ -159,17 +159,6 @@ pub enum FromItem {
     },
 }
 
-impl FromItem {
-    /// The alias this item is known by in the enclosing scope.
-    pub fn binding_name(&self) -> Option<&str> {
-        match self {
-            FromItem::Table { name, alias } => Some(alias.as_deref().unwrap_or(name)),
-            FromItem::Subquery { alias, .. } => Some(alias),
-            FromItem::Join { .. } => None,
-        }
-    }
-}
-
 /// Expression syntax.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SqlExpr {
@@ -226,13 +215,6 @@ impl SqlExpr {
     pub fn col(name: &str) -> SqlExpr {
         SqlExpr::Column {
             qualifier: None,
-            name: name.to_string(),
-        }
-    }
-
-    pub fn qcol(q: &str, name: &str) -> SqlExpr {
-        SqlExpr::Column {
-            qualifier: Some(q.to_string()),
             name: name.to_string(),
         }
     }

@@ -151,15 +151,6 @@ impl Value {
         }
     }
 
-    pub fn as_text(&self) -> Result<&str> {
-        match self {
-            Value::Text(s) => Ok(s),
-            other => Err(EngineError::TypeMismatch(format!(
-                "expected TEXT, got {other}"
-            ))),
-        }
-    }
-
     pub fn as_int_array(&self) -> Result<&[i64]> {
         match self {
             Value::IntArray(a) => Ok(a),

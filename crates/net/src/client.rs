@@ -270,11 +270,6 @@ impl RemoteExecutor {
         self.timeout
     }
 
-    /// Change the per-response timeout for later waits.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
     /// The session id the server issued at the handshake.
     pub fn session(&self) -> u64 {
         self.link.session.load(Ordering::SeqCst)
@@ -323,8 +318,8 @@ impl RemoteExecutor {
     }
 
     /// Fire a whole request vector as **one** frame, returning one ticket
-    /// per request in submission order. The server plans the batch as a
-    /// unit ([`orpheus_core::Executor::batch`] semantics: submission
+    /// per request in submission order. The server runs the batch as one
+    /// submission ([`orpheus_core::Executor::batch`] semantics: submission
     /// order, independent failures).
     pub fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
         if requests.is_empty() {

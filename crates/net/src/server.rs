@@ -7,7 +7,8 @@
 //! * The **reader** performs the handshake ([`Frame::Hello`] →
 //!   [`Frame::Welcome`], binding the connection to a user via
 //!   [`AsyncExecutor::handle`] and to a private `Session` carrying the replay
-//!   cache), then turns each incoming frame into a non-blocking
+//!   cache and the handle queue all of the session's connections share),
+//!   then turns each incoming frame into a non-blocking
 //!   submission — [`AsyncHandle::submit`] / [`AsyncHandle::submit_batch`]
 //!   — and hands the resulting tickets to the writer. Requests therefore
 //!   pipeline: the reader is already parsing frame *n+1* while the pool
@@ -190,10 +191,14 @@ struct ReplayCache {
 }
 
 /// One client's logical stream across reconnects: issued at handshake,
-/// resumed by quoting its id in a later [`Frame::Hello`]. Carries nothing
-/// but the replay cache — identity still binds per connection.
+/// resumed by quoting its id in a later [`Frame::Hello`]. Carries the
+/// replay cache and the handle queue every connection of the session
+/// submits to — identity still binds per connection.
 #[derive(Debug)]
 struct Session {
+    /// The session's [`AsyncHandle`] queue: frames a resumed connection
+    /// sends run after the ones its dropped connection has in flight.
+    queue: AsyncHandle,
     replay: Mutex<ReplayCache>,
     /// Signalled whenever an id moves from `in_flight` to `done`, waking
     /// writers that are answering a duplicate of an in-flight frame.
@@ -201,8 +206,9 @@ struct Session {
 }
 
 impl Session {
-    fn new() -> Arc<Session> {
+    fn new(queue: AsyncHandle) -> Arc<Session> {
         Arc::new(Session {
+            queue,
             replay: Mutex::new(ReplayCache::default()),
             resolved: Condvar::new(),
         })
@@ -299,15 +305,20 @@ impl Service {
     }
 
     /// Bind a connection to the session it asks to resume, or to a fresh
-    /// one when it names none or names one that is gone (expired, or a
-    /// restarted server). Returns the session id and whether it resumed.
-    fn attach_session(&self, resume: Option<u64>) -> (u64, Arc<Session>, bool) {
+    /// one, queueing on `handle`, when it names none or names one that is
+    /// gone (expired, or a restarted server). Returns the session id and
+    /// whether it resumed.
+    fn attach_session(
+        &self,
+        resume: Option<u64>,
+        handle: &AsyncHandle,
+    ) -> (u64, Arc<Session>, bool) {
         let mut sessions = self.sessions.lock();
         self.expire_sessions(&mut sessions);
         let resumed = resume.filter(|id| sessions.contains_key(id));
         let id = resumed.unwrap_or_else(|| self.next_session.fetch_add(1, Ordering::SeqCst));
         let entry = sessions.entry(id).or_insert_with(|| Registered {
-            session: Session::new(),
+            session: Session::new(handle.clone()),
             attached: 0,
             detached_at: None,
         });
@@ -616,7 +627,8 @@ fn handshake<'a>(
                         // `resumed: false` for a quoted session that is
                         // gone tells the client to fail — not blindly
                         // replay — requests whose dedup state was lost.
-                        let (id, session, resumed) = service.attach_session(resume);
+                        let (id, session, resumed) = service.attach_session(resume, &handle);
+                        let handle = handle.into_queue_of(&session.queue);
                         let guard = SessionGuard { service, id };
                         let welcome = Frame::Welcome {
                             version: PROTOCOL_VERSION,

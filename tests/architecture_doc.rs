@@ -6,7 +6,7 @@
 //! bins and result files that no longer exist. Five claims of the docs are
 //! checked against the source itself: the middleware lexes SQL in one place,
 //! it renders no DML text, every byte format speaks one vocabulary, the
-//! staged-name key is spelled once, and only a batch is planned.
+//! staged-name key is spelled once, and no request is planned.
 
 use std::path::Path;
 
@@ -285,7 +285,8 @@ fn enclosing_fn(code: &str, at: usize) -> Option<&str> {
 }
 
 /// `(file, enclosing function)` of every spelling of `needle` in the
-/// non-test code of `crates/*/src`.
+/// non-test code of `crates/*/src`, where it is not the tail of a longer
+/// identifier (`Step::` is not found in `MigrationStep::`).
 fn spellings(needle: &str) -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
@@ -298,11 +299,16 @@ fn spellings(needle: &str) -> Vec<(String, String)> {
     let mut found: Vec<(String, String)> = sources
         .iter()
         .flat_map(|(path, code)| {
-            code.match_indices(needle).map(move |(at, _)| {
-                let file = path.rsplit('/').next().unwrap_or(path).to_string();
-                let function = enclosing_fn(code, at).unwrap_or("<none>").to_string();
-                (file, function)
-            })
+            let bytes = code.as_bytes();
+            code.match_indices(needle)
+                .filter(move |(at, _)| {
+                    *at == 0 || !(bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_')
+                })
+                .map(move |(at, _)| {
+                    let file = path.rsplit('/').next().unwrap_or(path).to_string();
+                    let function = enclosing_fn(code, at).unwrap_or("<none>").to_string();
+                    (file, function)
+                })
         })
         .collect();
     found.sort();
@@ -310,9 +316,9 @@ fn spellings(needle: &str) -> Vec<(String, String)> {
 }
 
 /// Tables and CSV paths share one staged-name index, keyed `t:<table>` /
-/// `f:<path>`; the catalog's index, the planner's overlay, the checkout
-/// reservations and the closing catalog write all key by it. That format
-/// is one decision, spelled in one function.
+/// `f:<path>`; the catalog's index, the checkout reservations and the
+/// closing catalog write all key by it. That format is one decision,
+/// spelled in one function.
 #[test]
 fn the_staged_name_key_is_spelled_in_exactly_one_function() {
     let tables = spellings("\"t:{");
@@ -327,17 +333,16 @@ fn the_staged_name_key_is_spelled_in_exactly_one_function() {
     );
 }
 
-/// A single request is routed (`batch::route`), not planned as a batch of
-/// one, and a `Session`'s batch is the plain `execute` loop: the one
-/// place that builds a `BatchPlan` is the concurrent executor's `plan`,
-/// which only the async coordinator calls, once per chunk.
+/// A request is routed (`batch::route`), never planned: a `Session`'s
+/// batch is the plain `execute` loop, and an async handle runs each
+/// submission request by request. No non-test code spells a batch plan
+/// or its steps.
 #[test]
-fn only_a_batch_is_planned() {
-    let callers = spellings("BatchPlan::build(");
-    assert_eq!(
-        callers,
-        vec![("concurrent.rs".to_string(), "plan".to_string())],
-        "expected one non-test caller of BatchPlan::build"
+fn no_request_is_planned() {
+    let plans = [spellings("BatchPlan"), spellings("Step::")].concat();
+    assert!(
+        plans.is_empty(),
+        "expected no batch plan in non-test code; found {plans:?}"
     );
 }
 

@@ -14,7 +14,10 @@
 //!   (checkpoint) restores writes; a crash while degraded recovers the
 //!   acked prefix exactly;
 //! * (d) a frame racing [`NetServer::begin_shutdown`] gets a typed
-//!   refusal and `NetServer::shared` stays callable — never a panic.
+//!   refusal and `NetServer::shared` stays callable — never a panic;
+//! * (e) a client session keeps its order across a resume: a frame the
+//!   resumed connection sends runs after the frames its dropped
+//!   connection still has in flight.
 //!
 //! The reconnect storm scales up under `ORPHEUS_STRESS=1` (the CI stress
 //! job).
@@ -22,6 +25,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use orpheusdb::core::concurrent::arm_commit_gate;
 use orpheusdb::core::recovery;
 use orpheusdb::net::{
     FlakyProxy, NetServer, RemoteExecutor, RetryPolicy, ServerConfig, DEFAULT_TIMEOUT,
@@ -424,6 +428,78 @@ fn reconnect_storm_commits_exactly_once() {
         .into_rows()
         .unwrap();
     assert_eq!(count.rows[0][0], Value::Int(3 * (1 + rounds as i64)));
+
+    drop(client);
+    proxy.stop();
+    server.shutdown();
+}
+
+/// A client session is one handle queue on the server, across
+/// reconnects: the proxy cuts the connection while the session's commit
+/// of `x` is held inside its shard lock, and a `log x` sent on the
+/// resumed connection runs after that commit, so it lists the held
+/// commit's version.
+#[test]
+fn a_resumed_connection_runs_after_what_its_dropped_one_has_in_flight() {
+    let mut odb = OrpheusDB::new();
+    odb.init_cvd("x", schema(), rows(4), None).unwrap();
+    let server = NetServer::bind("127.0.0.1:0", SharedOrpheusDB::new(odb)).unwrap();
+    // Requests through the proxy: 1 checkout, 2 update, 3 commit — the
+    // cut falls on the commit.
+    let proxy = FlakyProxy::start(server.local_addr(), 3).unwrap();
+    let mut client = RemoteExecutor::connect_with_policy(
+        proxy.local_addr(),
+        "ada",
+        DEFAULT_TIMEOUT,
+        fast_policy(),
+    )
+    .unwrap();
+    client
+        .execute(Checkout::of("x").version(1u64).into_table("gated").into())
+        .unwrap();
+    client
+        .execute(Run::sql("UPDATE gated SET v = 7 WHERE k = 1").into())
+        .unwrap();
+
+    let gate = arm_commit_gate("gated");
+    let commit = client.submit(Commit::table("gated").message("held across the cut"));
+    gate.wait_entered();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.retry_stats().reconnects == 0 {
+        assert!(Instant::now() < deadline, "the client never reconnected");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let log = client.submit(Log::of("x"));
+    // Release the commit only once the server has the log in hand: the
+    // proxy forwarded it (request frame 5, after the replayed commit),
+    // and the server had a moment to read it.
+    while proxy.forwarded_requests() < 5 {
+        assert!(
+            Instant::now() < deadline,
+            "the log never reached the server"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    gate.release();
+
+    let committed = commit
+        .wait_for(Duration::from_secs(30))
+        .expect("the held commit is answered");
+    assert_eq!(committed.unwrap().version(), Some(Vid(2)));
+    let logged = log
+        .wait_for(Duration::from_secs(30))
+        .expect("the log is answered")
+        .unwrap();
+    let Response::Log { entries, .. } = logged else {
+        panic!("expected a log, got {}", logged.summary());
+    };
+    let vids: Vec<Vid> = entries.iter().map(|e| e.vid).collect();
+    assert!(
+        vids.contains(&Vid(2)),
+        "the log ran before the held commit: {vids:?}"
+    );
+    assert_eq!(proxy.cuts(), 1);
 
     drop(client);
     proxy.stop();
