@@ -362,7 +362,7 @@ impl OrpheusDB {
         if let [vid] = *vids {
             model::checkout_into(&mut self.engine, cvd, vid, table)?;
         } else {
-            let rows = merge_versions(&mut self.engine, cvd, vids)?;
+            let rows = merge_versions(&self.engine, cvd, vids)?;
             let schema = cvd.staged_schema();
             self.engine.create_table(table, schema)?;
             model::insert_rows(&mut self.engine, table, rows)?;
@@ -376,7 +376,7 @@ impl OrpheusDB {
     pub fn checkout_csv(&mut self, cvd_name: &str, vids: &[Vid], path: &str) -> Result<String> {
         require_versions(vids)?;
         let cvd = lookup_versions(&self.cvds, cvd_name, vids)?;
-        let rows = merge_versions(&mut self.engine, cvd, vids)?;
+        let rows = merge_versions(&self.engine, cvd, vids)?;
         let text = csv::to_csv(&cvd.staged_schema(), &rows);
         let cvd_key = cvd.name.clone();
         self.register_staged(path, cvd_key, vids, StagedKind::Csv)?;
@@ -549,7 +549,7 @@ impl OrpheusDB {
         }
         let cvd = lookup(&self.cvds, &cvd_key)?;
         let (kept, new_rows) =
-            classify_staged(&mut self.engine, cvd, &entry.parents, staged, &col_map)?;
+            classify_staged(&self.engine, cvd, &entry.parents, staged, &col_map)?;
         self.publish(entry, &cvd_key, kept, new_rows, message)
     }
 
@@ -741,8 +741,8 @@ impl OrpheusDB {
         let rids_a = cvd.rids_of(a)?;
         let rids_b = cvd.rids_of(b)?;
         Ok(VersionDiff {
-            only_in_first: model::version_rows_absent_from(&mut self.engine, cvd, a, rids_b)?,
-            only_in_second: model::version_rows_absent_from(&mut self.engine, cvd, b, rids_a)?,
+            only_in_first: model::version_rows_absent_from(&self.engine, cvd, a, rids_b)?,
+            only_in_second: model::version_rows_absent_from(&self.engine, cvd, b, rids_a)?,
         })
     }
 
@@ -1036,6 +1036,10 @@ fn add_model_column(
         db.table_mut(&t)?
             .add_column(orpheus_engine::Column::new(column.to_string(), dtype))?;
     }
+    if cvd.model == ModelKind::CombinedTable {
+        // The new column landed after `vlist`; reads need `vlist` last.
+        model::combined::keep_vlist_last(db, cvd)?;
+    }
     Ok(())
 }
 
@@ -1129,9 +1133,8 @@ fn lookup_mut<'a>(cvds: &'a mut HashMap<String, Cvd>, name: &str) -> Result<&'a 
 /// Merge multiple versions' records with primary-key precedence (the first
 /// listed version wins) into staged rows: rid first, NULL-padded to the
 /// current schema. Each version's records are borrowed where they lie
-/// through the record-access fast path ([`model::version_row_refs`]) and
-/// read through [`model::version_rows`] only where that path declines, so
-/// each merged row is built once, straight from the record it copies.
+/// through the record-access path ([`model::version_row_refs`]), so each
+/// merged row is built once, straight from the record it copies.
 ///
 /// Deduplication allocates nothing per row. Without a primary key a rid
 /// is a duplicate when an earlier listed version's sorted rlist holds it
@@ -1139,7 +1142,7 @@ fn lookup_mut<'a>(cvds: &'a mut HashMap<String, Cvd>, name: &str) -> Result<&'a 
 /// first copy is merged already. With one, merged rows are chained by the
 /// hash of their key — one head per hash, one link per row — and a
 /// collision compares the key cells in place.
-fn merge_versions(engine: &mut Database, cvd: &Cvd, vids: &[Vid]) -> Result<Vec<Vec<Value>>> {
+fn merge_versions(engine: &Database, cvd: &Cvd, vids: &[Vid]) -> Result<Vec<Vec<Value>>> {
     let pk = &cvd.schema.primary_key;
     // Versions frozen before a schema evolution read back narrower than
     // the current schema (table-per-version and delta); the merged staged
@@ -1194,14 +1197,8 @@ fn merge_versions(engine: &mut Database, cvd: &Cvd, vids: &[Vid]) -> Result<Vec<
             row.resize(width, Value::Null);
             out.push(row);
         };
-        let fast = model::version_row_refs(engine, cvd, vid)?;
-        match fast {
-            Some(rows) => rows
-                .into_iter()
-                .for_each(|(rid, values)| merge(rid, values)),
-            None => model::version_rows(engine, cvd, vid)?
-                .iter()
-                .for_each(|(rid, values)| merge(*rid, values)),
+        for (rid, values) in model::version_row_refs(engine, cvd, vid)? {
+            merge(rid, values);
         }
     }
     Ok(out)
@@ -1281,42 +1278,27 @@ fn column_map(schema: &Schema, staged: &Schema) -> Vec<Option<usize>> {
 /// columns it predates. Returns the kept rids, sorted, and the other rows
 /// copied out in CVD column order — the only rows that are copied.
 ///
-/// Parent records are borrowed in place through each model's rid-index
-/// fast path; only when a parent cannot be fast-read are its rows
-/// materialized via the SQL formulation. A staged table is usually a
+/// Parent records are borrowed in place through the record-access path
+/// ([`model::version_row_refs`]). A staged table is usually a
 /// checkout edited in place, its rows in rid order, so each parent is
 /// walked with a cursor at the record after its last match, and searched
 /// by rid only when the cursor misses. When the staged columns after the
 /// rid are the CVD's in order, a row of the schema's width is compared
 /// with its parent record as one slice.
 fn classify_staged(
-    engine: &mut Database,
+    engine: &Database,
     cvd: &Cvd,
     parents: &[Vid],
     staged: Staged<'_>,
     col_map: &[Option<usize>],
 ) -> Result<(Vec<i64>, Vec<Vec<Value>>)> {
     // Per parent: its records, and the walk's cursor into them.
-    let fast: Option<Vec<(model::RowRefs<'_>, usize)>> = parents
+    let mut parent_rows: Vec<(model::RowRefs<'_>, usize)> = parents
         .iter()
-        .map(|&p| Ok(model::version_row_refs(engine, cvd, p)?.map(|rows| (rows, 0))))
+        .map(|&p| Ok((model::version_row_refs(engine, cvd, p)?, 0)))
         .collect::<Result<_>>()?;
-    let owned: Vec<Vec<(i64, Vec<Value>)>>;
-    let mut parent_rows = match fast {
-        Some(refs) => refs,
-        None => {
-            owned = parents
-                .iter()
-                .map(|&p| model::version_rows(engine, cvd, p))
-                .collect::<Result<_>>()?;
-            owned
-                .iter()
-                .map(|rows| (rows.iter().map(|(r, v)| (*r, v.as_slice())).collect(), 0))
-                .collect()
-        }
-    };
     // The rid-index paths return rid order already; a table-per-version
-    // heap or a SQL read may not.
+    // heap may not.
     for (rows, _) in &mut parent_rows {
         if !rows.windows(2).all(|w| w[0].0 <= w[1].0) {
             rows.sort_unstable_by_key(|(rid, _)| *rid);
@@ -1983,7 +1965,7 @@ mod tests {
         let cvd = lookup(&odb.cvds, "kv").unwrap();
         let col_map = column_map(&cvd.schema, &staged_schema);
         let walked =
-            classify_staged(&mut odb.engine, cvd, parents, Staged::Table("w"), &col_map).unwrap();
+            classify_staged(&odb.engine, cvd, parents, Staged::Table("w"), &col_map).unwrap();
         let searched = classify_by_search(&mut odb.engine, cvd, parents, "w", &col_map);
         assert_eq!(walked, searched, "{what}, {}", cvd.model.name());
         odb.commit("w", what).unwrap();

@@ -1,16 +1,19 @@
 //! Combined-table (Figure 1b): a single table `(rid PK, attrs..., vlist)`
-//! where each record carries the array of versions containing it. Checkout
-//! is a containment scan; commit appends the new vid to every inherited
-//! record's vlist — the expensive operation that motivates the split
-//! models (Section 3.2).
+//! where each record carries the array of versions containing it. Table 1's
+//! checkout is a containment scan; commit appends the new vid to every
+//! inherited record's vlist — the expensive operation that motivates the
+//! split models (Section 3.2). Reads resolve the version's rlist through
+//! the rid index ([`crate::model::version_row_refs`]), which needs the
+//! layout to stay [`physical_schema`]: schema evolution keeps `vlist` last
+//! (`keep_vlist_last`).
 
-use orpheus_engine::{Column, DataType, Database, Schema, Value};
+use orpheus_engine::{Column, DataType, Database, Schema, Table, Value};
 
 use crate::cvd::Cvd;
 use crate::error::Result;
 use crate::ids::Vid;
 use crate::model::{
-    self, append_vid_to_vlist, insert_rows, rid_and_attrs, split_rlist::rows_to_records, CommitData,
+    append_vid_to_vlist, insert_rows, rid_and_attrs, split_rlist::rows_to_records, CommitData,
 };
 
 /// Physical schema: rid PK ++ data attrs ++ vlist.
@@ -30,53 +33,57 @@ pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
 
 pub fn persist(db: &mut Database, cvd: &Cvd, data: &CommitData) -> Result<()> {
     append_vid_to_vlist(db, &cvd.combined_table(), data.vid, &data.kept)?;
-    if !data.new_records.is_empty() {
-        // Build rows in the table's *physical* column order: schema
-        // evolution appends new data columns after `vlist`, so the
-        // rid ++ attrs ++ vlist layout cannot be assumed. The name
-        // resolution is loop-invariant — map each physical column to its
-        // source once, not per row.
-        enum Source {
-            Rid,
-            Vlist,
-            Attr(usize),
-            Missing,
-        }
-        let sources: Vec<Source> = {
-            let columns = &db.table(&cvd.combined_table())?.schema.columns;
-            columns
-                .iter()
-                .map(|c| {
-                    if c.name.eq_ignore_ascii_case("rid") {
-                        Source::Rid
-                    } else if c.name.eq_ignore_ascii_case("vlist") {
-                        Source::Vlist
-                    } else {
-                        match cvd.schema.column_index(&c.name) {
-                            Ok(i) => Source::Attr(i),
-                            Err(_) => Source::Missing,
-                        }
-                    }
-                })
-                .collect()
-        };
-        let rows: Vec<Vec<Value>> = data
-            .new_records
-            .iter()
-            .map(|(rid, values)| {
-                sources
-                    .iter()
-                    .map(|s| match s {
-                        Source::Rid => Value::Int(*rid),
-                        Source::Vlist => Value::from(vec![data.vid.0 as i64]),
-                        Source::Attr(i) => values.get(*i).cloned().unwrap_or(Value::Null),
-                        Source::Missing => Value::Null,
-                    })
-                    .collect()
-            })
-            .collect();
-        insert_rows(db, &cvd.combined_table(), rows)?;
+    let width = cvd.schema.arity() + 1;
+    let rows: Vec<Vec<Value>> = data
+        .new_records
+        .iter()
+        .map(|(rid, values)| {
+            let mut row = Vec::with_capacity(width + 1);
+            row.push(Value::Int(*rid));
+            row.extend(values.iter().cloned());
+            row.resize(width, Value::Null);
+            row.push(Value::from(vec![data.vid.0 as i64]));
+            row
+        })
+        .collect();
+    insert_rows(db, &cvd.combined_table(), rows)
+}
+
+/// Rebuild the combined table with `vlist` as its last column when it is
+/// not: `ALTER TABLE … ADD COLUMN` appends a new data column after it, and
+/// snapshots written before evolution kept `vlist` last still hold such a
+/// table. The rebuilt table keeps the name, every record in heap order
+/// and every index (the rid one and any created by hand, rebuilt on the
+/// same columns), so the layout is [`physical_schema`] again and reads
+/// resolve through the rid index.
+pub(crate) fn keep_vlist_last(db: &mut Database, cvd: &Cvd) -> Result<()> {
+    let old = db.table(&cvd.combined_table())?.clone();
+    let at = old.schema.column_index("vlist")?;
+    if at + 1 == old.schema.arity() {
+        return Ok(());
     }
+    let mut schema = (*old.schema).clone();
+    let vlist = schema.columns.remove(at);
+    schema.columns.push(vlist);
+    let mut rebuilt = Table::new(old.name.to_string(), schema);
+    rebuilt.insert_many(old.rows().map(|row| {
+        let mut row = row.to_vec();
+        let vlist = row.remove(at);
+        row.push(vlist);
+        row
+    }))?;
+    for index in old.indexes() {
+        if rebuilt.index_named(&index.name).is_none() {
+            let columns: Vec<&str> = index
+                .columns
+                .iter()
+                .map(|&c| old.schema.columns[c].name.as_str())
+                .collect();
+            rebuilt.create_index(index.name.clone(), &columns, index.unique)?;
+        }
+    }
+    db.drop_table(&old.name)?;
+    db.add_table(rebuilt)?;
     Ok(())
 }
 
@@ -89,19 +96,6 @@ pub fn checkout_sql(cvd: &Cvd, vid: Vid, target: &str) -> String {
         cvd.combined_table(),
         vid.0
     )
-}
-
-/// Checkout: rid-index fast path over the combined table (the trailing
-/// `vlist` column is projected away, exactly like the SQL statement); the
-/// Table 1 containment scan is the fallback — and the only path once
-/// schema evolution has appended a data column after `vlist`.
-pub fn checkout(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
-    let rlist = cvd.rids_of(vid)?;
-    if model::checkout_resolved(db, &cvd.combined_table(), cvd, Some(rlist), 1, target)? {
-        return Ok(());
-    }
-    db.execute(&checkout_sql(cvd, vid, target))?;
-    Ok(())
 }
 
 /// The Table 1 read formulation, executed through the SQL layer.
@@ -118,8 +112,9 @@ pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::model::testutil::{commit, make_cvd, record};
-    use crate::model::ModelKind;
+    use crate::model::{self, ModelKind};
 
     #[test]
     fn roundtrip_with_modified_record() {
@@ -133,8 +128,8 @@ mod tests {
             &[Vid(1)],
         );
 
-        checkout(&mut db, &cvd, Vid(1), "t1").unwrap();
-        checkout(&mut db, &cvd, Vid(2), "t2").unwrap();
+        model::checkout_into(&mut db, &cvd, Vid(1), "t1").unwrap();
+        model::checkout_into(&mut db, &cvd, Vid(2), "t2").unwrap();
         let r1 = db.query("SELECT score FROM t1 ORDER BY name").unwrap();
         let r2 = db.query("SELECT score FROM t2 ORDER BY name").unwrap();
         assert_eq!(r1.rows[1][0], Value::Int(2));
@@ -176,7 +171,7 @@ mod tests {
     fn checkout_excludes_vlist_column() {
         let (mut db, mut cvd) = make_cvd(ModelKind::CombinedTable);
         commit(&mut db, &mut cvd, &[record("a", 1)], &[]);
-        checkout(&mut db, &cvd, Vid(1), "t1").unwrap();
+        model::checkout_into(&mut db, &cvd, Vid(1), "t1").unwrap();
         let schema = &db.table("t1").unwrap().schema;
         assert!(!schema.has_column("vlist"));
         assert!(schema.has_column("rid"));
@@ -191,7 +186,6 @@ mod tests {
         // The fast path strips the vlist column, like the SQL projection.
         let fast: Vec<(i64, Vec<Value>)> = model::version_row_refs(&db, &cvd, Vid(1))
             .unwrap()
-            .expect("fast path ready")
             .into_iter()
             .map(|(r, vals)| (r, vals.to_vec()))
             .collect();
@@ -202,12 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn layout_drift_falls_back_to_sql() {
+    fn layout_drift_is_refused_by_name() {
         let (mut db, mut cvd) = make_cvd(ModelKind::CombinedTable);
         commit(&mut db, &mut cvd, &[record("a", 1)], &[]);
-        // Simulate schema evolution appending a data column *after* the
-        // combined table's vlist: the prefix check must refuse the fast
-        // path and both reads route through the containment scan.
+        // A hand-run ALTER appends a data column *after* the combined
+        // table's vlist — a layout no commit makes. Reads and checkout
+        // refuse it with a typed error naming the table, and run no SQL.
         db.execute(&format!(
             "ALTER TABLE {} ADD COLUMN extra INT",
             cvd.combined_table()
@@ -216,11 +210,50 @@ mod tests {
         cvd.schema
             .columns
             .push(orpheus_engine::Column::new("extra", DataType::Int));
+        let scanned = db.stats.rows_scanned();
+        let table = cvd.combined_table();
+        let refused = |e: CoreError| matches!(&e, CoreError::Invalid(m) if m.contains(&table));
         assert!(!model::fast_path_ready(&db, &cvd, Vid(1)));
-        let rows = model::version_rows(&mut db, &cvd, Vid(1)).unwrap();
-        assert_eq!(rows.len(), 1);
-        checkout(&mut db, &cvd, Vid(1), "fallback_t").unwrap();
-        let r = db.query("SELECT count(*) FROM fallback_t").unwrap();
-        assert_eq!(r.scalar(), Some(&Value::Int(1)));
+        assert!(refused(
+            model::version_rows(&mut db, &cvd, Vid(1)).unwrap_err()
+        ));
+        assert!(refused(
+            model::version_rows_absent_from(&db, &cvd, Vid(1), &[]).unwrap_err()
+        ));
+        assert!(refused(
+            model::checkout_into(&mut db, &cvd, Vid(1), "drift_t").unwrap_err()
+        ));
+        assert!(!db.has_table("drift_t"));
+        assert_eq!(db.stats.rows_scanned(), scanned);
+    }
+
+    #[test]
+    fn a_column_after_vlist_moves_ahead_of_it() {
+        let (mut db, mut cvd) = make_cvd(ModelKind::CombinedTable);
+        commit(&mut db, &mut cvd, &[record("a", 1), record("b", 2)], &[]);
+        db.table_mut(&cvd.combined_table())
+            .unwrap()
+            .create_index("by_score", &["score"], false)
+            .unwrap();
+        db.execute(&format!(
+            "ALTER TABLE {} ADD COLUMN extra INT",
+            cvd.combined_table()
+        ))
+        .unwrap();
+        cvd.schema.columns.push(Column::new("extra", DataType::Int));
+        keep_vlist_last(&mut db, &cvd).unwrap();
+        let t = db.table(&cvd.combined_table()).unwrap();
+        assert_eq!(*t.schema, physical_schema(&cvd));
+        // A hand-made index follows its column.
+        assert_eq!(t.index_named("by_score").unwrap().columns, [2]);
+        let rows: Vec<&[Value]> = t.rows().collect();
+        assert_eq!(rows[1][3], Value::Null);
+        assert_eq!(rows[1][4], Value::IntArray(vec![1].into()));
+        // The rid index was rebuilt with the table: reads resolve again.
+        let read = model::version_rows(&mut db, &cvd, Vid(1)).unwrap();
+        assert_eq!(
+            read[1].1,
+            [Value::Text("b".into()), Value::Int(2), Value::Null]
+        );
     }
 }

@@ -4,7 +4,9 @@
 //! `(vid PK, base)`.
 //!
 //! Checkout replays the lineage from the version back to the root,
-//! discarding records already seen (deleted-or-superseded semantics).
+//! discarding records already seen (deleted-or-superseded semantics):
+//! reads walk the delta-table heaps ([`version_row_refs`]); the
+//! per-table `SELECT *` replay ([`reconstruct`]) is the spec.
 //! Advanced cross-version queries cannot be rewritten against this model
 //! without reconstructing versions — the qualitative drawback the paper
 //! weighs against its storage economy.
@@ -14,7 +16,7 @@ use std::collections::HashSet;
 use orpheus_engine::{Column, DataType, Database, Schema, Value};
 
 use crate::cvd::Cvd;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::model::{self, insert_rows, CommitData};
 
@@ -99,26 +101,29 @@ pub fn reconstruct(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, V
     Ok(out)
 }
 
-/// Fast lineage replay: the same base-chain walk as [`reconstruct`], but
-/// reading delta-table heaps directly through the table API — no SQL
-/// parse/plan per chain link. `None` (fallback to [`reconstruct`]) when a
-/// chain table is missing or has drifted from the delta layout.
-pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Option<model::RowRefs<'a>> {
+/// The record-access lineage replay: the same base-chain walk as
+/// [`reconstruct`], reading delta-table heaps directly through the table
+/// API — no SQL parse/plan per chain link. A chain table that is missing
+/// or has drifted from the delta layout is an error naming it.
+pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Result<model::RowRefs<'a>> {
     let mut chain = Vec::new();
     let mut cur = Some(vid);
     while let Some(v) = cur {
         chain.push(v);
-        cur = cvd.meta(v).ok()?.base;
+        cur = cvd.meta(v)?.base;
     }
     let mut seen: HashSet<i64> = HashSet::new();
     let mut out: model::RowRefs<'a> = Vec::new();
     for v in chain {
-        let t = db.table(&cvd.delta_table(v)).ok()?;
-        let width = model::attr_prefix_len(&t.schema, cvd, 1)?;
+        let t = db.table(&cvd.delta_table(v))?;
+        let width = model::attr_prefix_len(t, cvd, 1)?;
         for row in t.rows() {
-            let Value::Int(rid) = row[0] else { return None };
+            let rid = model::row_rid(t, row)?;
             let Value::Bool(tombstone) = row[width + 1] else {
-                return None;
+                return Err(CoreError::Invalid(format!(
+                    "delta table {} holds a row whose tombstone is not a BOOL",
+                    t.name
+                )));
             };
             if seen.insert(rid) && !tombstone {
                 out.push((rid, &row[1..1 + width]));
@@ -126,18 +131,14 @@ pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Option<mod
         }
     }
     out.sort_by_key(|(rid, _)| *rid);
-    Some(out)
+    Ok(out)
 }
 
+/// Checkout: the lineage replay of [`version_row_refs`], materialized.
 pub fn checkout(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
-    let records: Vec<(i64, Vec<Value>)> = match version_row_refs(db, cvd, vid) {
-        Some(refs) => refs
-            .into_iter()
-            .map(|(rid, values)| (rid, values.to_vec()))
-            .collect(),
-        None => reconstruct(db, cvd, vid)?,
-    };
-    materialize(db, cvd, records, target)
+    let rows = staged_rows(cvd, version_row_refs(db, cvd, vid)?);
+    db.create_table(target, cvd.staged_schema())?;
+    insert_rows(db, target, rows)
 }
 
 /// The SQL-layer checkout formulation: lineage replay through per-table
@@ -145,31 +146,29 @@ pub fn checkout(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<
 /// statement), materialized like [`checkout`].
 pub fn checkout_sql_replay(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
     let records = reconstruct(db, cvd, vid)?;
-    materialize(db, cvd, records, target)
+    let rows = staged_rows(cvd, records.iter().map(|(rid, v)| (*rid, v.as_slice())));
+    db.create_table(target, cvd.staged_schema())?;
+    insert_rows(db, target, rows)
 }
 
-fn materialize(
-    db: &mut Database,
+/// Staged-table rows of replayed records: rid first, each null-extended
+/// to the current schema — records replayed from tables frozen before a
+/// schema evolution are narrower.
+fn staged_rows<'v>(
     cvd: &Cvd,
-    records: Vec<(i64, Vec<Value>)>,
-    target: &str,
-) -> Result<()> {
-    db.create_table(target, cvd.staged_schema())?;
+    records: impl IntoIterator<Item = (i64, &'v [Value])>,
+) -> Vec<Vec<Value>> {
     let width = cvd.schema.arity() + 1;
-    let rows: Vec<Vec<Value>> = records
+    records
         .into_iter()
         .map(|(rid, values)| {
             let mut row = Vec::with_capacity(width);
             row.push(Value::Int(rid));
-            row.extend(values);
-            // Records replayed from tables frozen before a schema
-            // evolution are narrower; the staged table carries NULL for
-            // the attributes they predate.
+            row.extend_from_slice(values);
             row.resize(width, Value::Null);
             row
         })
-        .collect();
-    insert_rows(db, target, rows)
+        .collect()
 }
 
 /// The replay read via the SQL layer ([`reconstruct`]) — the spec path.

@@ -10,17 +10,21 @@
 //! | delta-based         | per-version delta tables        | delta insert      | lineage replay    |
 //!
 //! All commit/checkout operations are *expressible* as the SQL statements
-//! of Table 1 — the "bolt-on" property — and the read statements remain
-//! the documented spec path ([`version_rows_sql`], the per-model
-//! `checkout_sql`; `tests/table1_sql.rs` pins the commit side). The
-//! versioning layer's own reads, however, take a **record-access fast
-//! path** ([`version_row_refs`]) that resolves a version's sorted rlist to
-//! heap slots through the backing table's rid index and borrows rows in
-//! place, skipping SQL parse/plan/join entirely; it falls back to the SQL
-//! formulation whenever the physical layout has drifted from what
-//! `init_storage` created (`tests/fastpath_equivalence.rs` pins
-//! row-for-row equality; the ledger's `model.*.version_rows_us` measures
-//! the path).
+//! of Table 1 — the "bolt-on" property. Those read statements are the
+//! spec, not a runtime path: [`version_rows_sql`], [`checkout_into_sql`]
+//! and the per-model `checkout_sql` are called only by tests and the
+//! benchmark, which check the runtime path against them
+//! (`tests/fastpath_equivalence.rs` pins row-for-row equality,
+//! `tests/table1_sql.rs` the commit side). Every runtime read takes the
+//! **record-access path** ([`version_row_refs`], [`checkout_into`]): a
+//! version's sorted rlist resolves to heap slots through the backing
+//! table's rid index and rows are borrowed in place, with no SQL
+//! parse/plan/join; delta replays its lineage over the delta-table heaps.
+//! The path is total: every layout the models create reads this way —
+//! combined keeps `vlist` last through schema evolution and snapshot
+//! loads (`combined::keep_vlist_last`) — and a backing table whose
+//! columns no longer match the CVD schema (only a hand-run `ALTER` makes
+//! one) is refused with [`CoreError::Invalid`] naming it.
 //!
 //! Writes have one path: [`persist_commit`] hands `Value`s to the engine's
 //! table API (`Table::insert`, `replace_row`, `delete_slots`), which runs
@@ -36,7 +40,7 @@ pub mod table_per_version;
 
 use std::sync::Arc;
 
-use orpheus_engine::{Database, Schema, Value};
+use orpheus_engine::{Database, Table, Value};
 
 use crate::cvd::{sorted_difference, Cvd};
 use crate::error::{CoreError, Result};
@@ -279,26 +283,31 @@ fn strip_vid_from_vlists(db: &mut Database, table: &str, vid: Vid) {
     t.delete_slots(deletes);
 }
 
-/// Materialize a single version into `target` (the checkout of Table 1).
-/// Each model tries its record-access fast path first and falls back to
-/// the Table 1 SQL statement (see [`checkout_into_sql`]) when the layout
-/// cannot be fast-read.
+/// Materialize a single version into `target` (the checkout of Table 1)
+/// by the record-access path: the version's records are copied out of the
+/// table that holds them — the version's own table for
+/// a-table-per-version, the rlist's records of the rid-indexed table
+/// otherwise, less combined's trailing `vlist` — or, for delta, replayed
+/// from its lineage ([`delta::checkout`]). [`checkout_into_sql`] is the
+/// spec it must match.
 pub fn checkout_into(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
-    cvd.check_version(vid)?;
-    match cvd.model {
-        ModelKind::TablePerVersion => table_per_version::checkout(db, cvd, vid, target),
-        ModelKind::CombinedTable => combined::checkout(db, cvd, vid, target),
-        ModelKind::SplitByVlist => split_vlist::checkout(db, cvd, vid, target),
-        ModelKind::SplitByRlist => split_rlist::checkout(db, cvd, vid, target),
-        ModelKind::DeltaBased => delta::checkout(db, cvd, vid, target),
-    }
+    let rlist = cvd.rids_of(vid)?;
+    let (source, rlist, trailing) = match cvd.model {
+        ModelKind::TablePerVersion => (cvd.version_table(vid), None, 0),
+        ModelKind::CombinedTable => (cvd.combined_table(), Some(rlist), 1),
+        ModelKind::SplitByVlist => (cvd.data_table(), Some(rlist), 0),
+        // Only the pair holding the version is touched.
+        ModelKind::SplitByRlist => (cvd.rlist_pair(vid)?.0, Some(rlist), 0),
+        ModelKind::DeltaBased => return delta::checkout(db, cvd, vid, target),
+    };
+    checkout_resolved(db, &source, cvd, rlist, trailing, target)
 }
 
 /// The checkout of Table 1 executed verbatim through the SQL layer — the
-/// documented spec path, kept callable so the equivalence tests and the
-/// latency benchmark can compare the fast path against it. (The delta
-/// model has no single-statement checkout; its SQL formulation is the
-/// per-table `SELECT *` lineage replay.)
+/// spec [`checkout_into`] is checked against, kept callable for the
+/// equivalence tests and the benchmark's spec counts; nothing at runtime
+/// calls it. (The delta model has no single-statement checkout; its SQL
+/// formulation is the per-table `SELECT *` lineage replay.)
 pub fn checkout_into_sql(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
     cvd.check_version(vid)?;
     match cvd.model {
@@ -321,18 +330,14 @@ pub fn checkout_into_sql(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -
     Ok(())
 }
 
-/// The records of a version as (rid, data values) pairs: the record-access
-/// fast path when the layout admits it, the Table 1 SQL formulation
-/// otherwise.
+/// The records of a version as owned (rid, data values) pairs: the rows
+/// of [`version_row_refs`], copied. The engine is borrowed mutably, as
+/// by [`version_rows_sql`], so the two are called alike.
 pub fn version_rows(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
-    cvd.check_version(vid)?;
-    if let Some(refs) = version_row_refs(db, cvd, vid)? {
-        return Ok(refs
-            .into_iter()
-            .map(|(rid, values)| (rid, values.to_vec()))
-            .collect());
-    }
-    version_rows_sql(db, cvd, vid)
+    Ok(version_row_refs(db, cvd, vid)?
+        .into_iter()
+        .map(|(rid, values)| (rid, values.to_vec()))
+        .collect())
 }
 
 /// The data values of the records of `vid` whose rids sorted `other` lacks,
@@ -341,40 +346,33 @@ pub fn version_rows(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, 
 /// layouts resolve only the rids `other` lacks; the others borrow the
 /// version through [`version_row_refs`] and copy only what they keep.
 pub fn version_rows_absent_from(
-    db: &mut Database,
+    db: &Database,
     cvd: &Cvd,
     vid: Vid,
     other: &[i64],
 ) -> Result<Vec<Vec<Value>>> {
-    let absent = |rid: &i64| other.binary_search(rid).is_err();
     let rlist = cvd.rids_of(vid)?;
     let refs = match cvd.model {
         ModelKind::CombinedTable => {
             let rids = sorted_difference(rlist, other);
-            rid_index_rows(db, &cvd.combined_table(), cvd, &rids, 1)
+            rid_index_rows(db, &cvd.combined_table(), cvd, &rids, 1)?
         }
         ModelKind::SplitByVlist | ModelKind::SplitByRlist => {
             let rids = sorted_difference(rlist, other);
-            rid_index_rows(db, &cvd.data_table(), cvd, &rids, 0)
+            rid_index_rows(db, &cvd.data_table(), cvd, &rids, 0)?
         }
         ModelKind::TablePerVersion | ModelKind::DeltaBased => version_row_refs(db, cvd, vid)?,
     };
-    Ok(match refs {
-        Some(refs) => refs
-            .into_iter()
-            .filter(|(rid, _)| absent(rid))
-            .map(|(_, values)| values.to_vec())
-            .collect(),
-        None => version_rows_sql(db, cvd, vid)?
-            .into_iter()
-            .filter(|(rid, _)| absent(rid))
-            .map(|(_, values)| values)
-            .collect(),
-    })
+    Ok(refs
+        .into_iter()
+        .filter(|(rid, _)| other.binary_search(rid).is_err())
+        .map(|(_, values)| values.to_vec())
+        .collect())
 }
 
 /// The records of a version via the model's SQL formulation (Table 1) —
-/// the retained spec path the fast path is checked against.
+/// the spec [`version_rows`] is checked against; nothing at runtime calls
+/// it.
 pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
     cvd.check_version(vid)?;
     match cvd.model {
@@ -386,57 +384,78 @@ pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i
     }
 }
 
-// -- the record-access fast path ----------------------------------------------
+// -- the record-access path -----------------------------------------------------
 
 /// Borrowed `(rid, data values)` pairs — the return shape of the
-/// record-access fast path.
+/// record-access path.
 pub type RowRefs<'a> = Vec<(i64, &'a [Value])>;
 
 /// Borrowed `(rid, data values)` pairs of one version, resolved without
 /// SQL: the rlist comes from the version manager's sorted cache
 /// ([`Cvd::rids_of`]), records from direct heap-slot lookup through the
 /// backing table's rid index ([`orpheus_engine::Table::resolve_int_keys`]).
-/// Returns
-/// `Ok(None)` when the physical layout cannot be fast-read (missing table
-/// or index, schema drift such as a data column appended after combined's
-/// `vlist`) — callers then fall back to [`version_rows_sql`].
+/// A backing table that is missing, has no rid index or no longer matches
+/// the CVD schema is an error naming it.
 ///
 /// Value slices may be *narrower* than the current schema for models that
 /// freeze per-version tables (a-table-per-version, delta) — exactly what
 /// their SQL `SELECT *` returns; consumers null-extend.
-pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Result<Option<RowRefs<'a>>> {
-    cvd.check_version(vid)?;
+pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Result<RowRefs<'a>> {
     let rlist = cvd.rids_of(vid)?;
-    Ok(match cvd.model {
+    match cvd.model {
         ModelKind::TablePerVersion => table_per_version::version_row_refs(db, cvd, vid),
         ModelKind::CombinedTable => rid_index_rows(db, &cvd.combined_table(), cvd, rlist, 1),
         ModelKind::SplitByVlist | ModelKind::SplitByRlist => {
             rid_index_rows(db, &cvd.data_table(), cvd, rlist, 0)
         }
         ModelKind::DeltaBased => delta::version_row_refs(db, cvd, vid),
-    })
+    }
 }
 
 /// Width of the `rid + data attributes` prefix of a backing table's rows:
-/// `Some(n)` when the columns are `[rid, a0..a(n-1), <trailing>..]` with
-/// `a0..a(n-1)` matching a prefix of the CVD schema in order (`trailing`
-/// is the count of versioning columns at the tail — combined's `vlist`,
-/// delta's `tombstone`). `None` marks layout drift and sends the caller to
-/// the SQL path.
-pub(crate) fn attr_prefix_len(table: &Schema, cvd: &Cvd, trailing: usize) -> Option<usize> {
-    let n = table.arity().checked_sub(1 + trailing)?;
-    if n > cvd.schema.arity() || !table.columns[0].name.eq_ignore_ascii_case("rid") {
-        return None;
+/// `n` when the columns are `[rid, a0..a(n-1), <trailing>..]` with
+/// `a0..a(n-1)` a prefix of the CVD schema in order (`trailing` is the
+/// count of versioning columns at the tail — combined's `vlist`, delta's
+/// `tombstone`). Tables frozen before a schema evolution hold a shorter
+/// prefix; any other layout is refused with an error naming the table.
+pub(crate) fn attr_prefix_len(table: &Table, cvd: &Cvd, trailing: usize) -> Result<usize> {
+    let columns = &table.schema.columns;
+    columns
+        .len()
+        .checked_sub(1 + trailing)
+        .filter(|&n| {
+            n <= cvd.schema.arity()
+                && columns[0].name.eq_ignore_ascii_case("rid")
+                && columns[1..=n]
+                    .iter()
+                    .zip(&cvd.schema.columns)
+                    .all(|(c, a)| c.name.eq_ignore_ascii_case(&a.name))
+        })
+        .ok_or_else(|| {
+            CoreError::Invalid(format!(
+                "backing table {} no longer matches the schema of CVD {}",
+                table.name, cvd.name
+            ))
+        })
+}
+
+/// A backing table's row: its rid, checked to be an INT.
+pub(crate) fn row_rid(table: &Table, row: &[Value]) -> Result<i64> {
+    match row[0] {
+        Value::Int(rid) => Ok(rid),
+        _ => Err(CoreError::Invalid(format!(
+            "backing table {} holds a row whose rid is not an INT",
+            table.name
+        ))),
     }
-    for i in 0..n {
-        if !table.columns[i + 1]
-            .name
-            .eq_ignore_ascii_case(&cvd.schema.columns[i].name)
-        {
-            return None;
-        }
-    }
-    Some(n)
+}
+
+/// Resolve a sorted rlist to `(rid, heap slot)` pairs through `table`'s
+/// rid index.
+fn resolve_rids(table: &Table, rlist: &[i64]) -> Result<Vec<(i64, usize)>> {
+    table
+        .resolve_int_keys(0, rlist)
+        .ok_or_else(|| CoreError::Invalid(format!("backing table {} has no rid index", table.name)))
 }
 
 /// Resolve a sorted rlist to borrowed rows through `table`'s rid index.
@@ -446,32 +465,28 @@ pub(crate) fn rid_index_rows<'a>(
     cvd: &Cvd,
     rlist: &[i64],
     trailing: usize,
-) -> Option<RowRefs<'a>> {
-    let t = db.table(table).ok()?;
-    let width = attr_prefix_len(&t.schema, cvd, trailing)?;
-    let pairs = t.resolve_int_keys(0, rlist)?;
-    Some(
-        pairs
-            .into_iter()
-            .map(|(rid, slot)| (rid, &t.row(slot)[1..1 + width]))
-            .collect(),
-    )
+) -> Result<RowRefs<'a>> {
+    let t = db.table(table)?;
+    let width = attr_prefix_len(t, cvd, trailing)?;
+    Ok(resolve_rids(t, rlist)?
+        .into_iter()
+        .map(|(rid, slot)| (rid, &t.row(slot)[1..1 + width]))
+        .collect())
 }
 
-/// Fast-path checkout: copy the resolved rows of one version from `source`
-/// into a fresh `target` with exactly the shape `SELECT .. INTO` produces
-/// (source column types, no primary key, everything nullable). `rlist` of
-/// `None` copies the whole table (a-table-per-version). The rlist resolves
-/// by the positional walk of [`orpheus_engine::Table::resolve_int_keys`]:
+/// Copy the resolved rows of one version from `source` into a fresh
+/// `target` with exactly the shape `SELECT .. INTO` produces (source
+/// column types, no primary key, everything nullable). `rlist` of `None`
+/// copies the whole table (a-table-per-version). The rlist resolves by
+/// the positional walk of [`orpheus_engine::Table::resolve_int_keys`]:
 /// one index probe on a data table whose heap ascends in rid, the global
 /// one or a partition's, and a few more where a migration appended records
-/// out of rid order. Each record's cells
-/// are then cloned once, out of the source heap, by
-/// [`orpheus_engine::Table::copy_rows`]: the staged schema takes the source
-/// rows as they are, so the write check runs once per checkout, not per
-/// row, and the staged heap allocates per 64-row chunk, not per record.
-/// Returns `false` — having touched nothing — when the layout cannot be
-/// fast-read, so the caller can run the Table 1 statement instead.
+/// out of rid order. Each record's cells are then cloned once, out of the
+/// source heap, by [`orpheus_engine::Table::copy_rows`]: the staged schema
+/// takes the source rows as they are, so the write check runs once per
+/// checkout, not per row, and the staged heap allocates per 64-row chunk,
+/// not per record. A source that cannot be read is refused before
+/// `target` is created.
 pub(crate) fn checkout_resolved(
     db: &mut Database,
     source: &str,
@@ -479,23 +494,13 @@ pub(crate) fn checkout_resolved(
     rlist: Option<&[i64]>,
     trailing: usize,
     target: &str,
-) -> Result<bool> {
+) -> Result<()> {
     // An O(1) clone of the source, so its rows can be borrowed while the
     // target is written: each record's cells are cloned straight into the
     // target's chunks, with no row built in between.
-    let Ok(t) = db.table(source).cloned() else {
-        return Ok(false);
-    };
-    let Some(width) = attr_prefix_len(&t.schema, cvd, trailing) else {
-        return Ok(false);
-    };
-    let slots = match rlist {
-        Some(rids) => match t.resolve_int_keys(0, rids) {
-            Some(pairs) => Some(pairs),
-            None => return Ok(false),
-        },
-        None => None,
-    };
+    let t = db.table(source)?.clone();
+    let width = attr_prefix_len(&t, cvd, trailing)?;
+    let slots = rlist.map(|rids| resolve_rids(&t, rids)).transpose()?;
     let mut schema = t.schema.project(&(0..=width).collect::<Vec<_>>());
     schema.primary_key.clear();
     for c in &mut schema.columns {
@@ -507,14 +512,14 @@ pub(crate) fn checkout_resolved(
         Some(pairs) => staged.copy_rows(&t, pairs.into_iter().map(|(_, slot)| slot))?,
         None => staged.copy_rows(&t, 0..t.len())?,
     };
-    Ok(true)
+    Ok(())
 }
 
-/// Whether the record-access fast path would engage for this version right
-/// now (used by tests and the latency benchmark to assert the timed arm
-/// actually exercised the fast path).
+/// Whether the record-access path reads this version: false only when
+/// the version is unknown or a backing table it reads is missing or no
+/// longer matches the CVD schema. Tests use it to assert a layout reads.
 pub fn fast_path_ready(db: &Database, cvd: &Cvd, vid: Vid) -> bool {
-    matches!(version_row_refs(db, cvd, vid), Ok(Some(_)))
+    version_row_refs(db, cvd, vid).is_ok()
 }
 
 /// Total backing storage (heap + indexes) in bytes.

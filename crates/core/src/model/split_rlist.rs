@@ -5,9 +5,9 @@
 //! rlist INT[])` mapping each version to its records. Commit appends *one*
 //! tuple to the versioning table; checkout resolves the version's rlist via
 //! the primary-key index on `vid`, unnests it, and hash-joins with the data
-//! table (Table 1, right column). The fast path short-circuits that join:
-//! the sorted rlist resolves to data-table heap slots directly through the
-//! rid primary-key index ([`crate::model::version_row_refs`]).
+//! table (Table 1, right column). That join is the spec; reads short-circuit
+//! it: the sorted rlist resolves to data-table heap slots directly through
+//! the rid primary-key index ([`crate::model::version_row_refs`]).
 
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use orpheus_engine::{Database, Value};
 use crate::cvd::Cvd;
 use crate::error::Result;
 use crate::ids::Vid;
-use crate::model::{self, insert_rows, rid_rows, CommitData};
+use crate::model::{insert_rows, rid_rows, CommitData};
 
 pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
     create_pair(db, cvd, &cvd.data_table(), &cvd.rlist_table())
@@ -73,18 +73,6 @@ pub fn checkout_sql(cvd: &Cvd, vid: Vid, target: &str) -> Result<String> {
     table1_sql(cvd, vid, &format!(" INTO {target}"))
 }
 
-/// Checkout: rid-index fast path, Table 1 SQL as the fallback spec path.
-/// Either way only the pair holding the version is touched.
-pub fn checkout(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
-    let rlist = cvd.rids_of(vid)?;
-    let (data, _) = cvd.rlist_pair(vid)?;
-    if model::checkout_resolved(db, &data, cvd, Some(rlist), 0, target)? {
-        return Ok(());
-    }
-    db.execute(&checkout_sql(cvd, vid, target)?)?;
-    Ok(())
-}
-
 /// The Table 1 read formulation, executed through the SQL layer.
 pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
     let r = db.query(&table1_sql(cvd, vid, "")?)?;
@@ -106,7 +94,7 @@ pub fn rows_to_records(rows: Vec<Vec<Value>>) -> Result<Vec<(i64, Vec<Value>)>> 
 mod tests {
     use super::*;
     use crate::model::testutil::{commit, make_cvd, record};
-    use crate::model::ModelKind;
+    use crate::model::{self, ModelKind};
 
     #[test]
     fn init_creates_both_tables() {
@@ -126,14 +114,14 @@ mod tests {
             &[Vid(1)],
         );
 
-        checkout(&mut db, &cvd, Vid(1), "t1").unwrap();
+        model::checkout_into(&mut db, &cvd, Vid(1), "t1").unwrap();
         let r = db
             .query("SELECT name, score FROM t1 ORDER BY name")
             .unwrap();
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[1][0], Value::Text("b".into()));
 
-        checkout(&mut db, &cvd, Vid(2), "t2").unwrap();
+        model::checkout_into(&mut db, &cvd, Vid(2), "t2").unwrap();
         let r = db.query("SELECT name FROM t2 ORDER BY name").unwrap();
         assert_eq!(r.rows[0][0], Value::Text("a".into()));
         assert_eq!(r.rows[1][0], Value::Text("c".into()));
@@ -161,7 +149,7 @@ mod tests {
         );
         for v in [Vid(1), Vid(2)] {
             assert!(model::fast_path_ready(&db, &cvd, v));
-            let fast = model::version_row_refs(&db, &cvd, v).unwrap().unwrap();
+            let fast = model::version_row_refs(&db, &cvd, v).unwrap();
             let fast: Vec<(i64, Vec<Value>)> = fast
                 .into_iter()
                 .map(|(r, vals)| (r, vals.to_vec()))

@@ -1,8 +1,11 @@
 //! Split-by-vlist (Figure 1c.i): data table `(rid PK, attrs...)` plus a
 //! versioning table `(rid PK, vlist INT[])` mapping each record to the
 //! versions containing it. Commit must append the new vid to many vlist
-//! arrays (expensive, like combined-table); checkout scans the versioning
-//! table with a containment check, then joins with the data table.
+//! arrays (expensive, like combined-table); Table 1's checkout scans the
+//! versioning table with a containment check, then joins with the data
+//! table. Reads resolve the version's sorted rlist — the membership that
+//! scan would discover — through the data table's rid index instead
+//! ([`crate::model::version_row_refs`]).
 
 use orpheus_engine::{Database, Value};
 
@@ -10,7 +13,7 @@ use crate::cvd::Cvd;
 use crate::error::Result;
 use crate::ids::Vid;
 use crate::model::{
-    self, append_vid_to_vlist, insert_rows, rid_rows, split_rlist::rows_to_records, CommitData,
+    append_vid_to_vlist, insert_rows, rid_rows, split_rlist::rows_to_records, CommitData,
 };
 
 pub fn init(db: &mut Database, cvd: &Cvd) -> Result<()> {
@@ -48,18 +51,6 @@ pub fn checkout_sql(cvd: &Cvd, vid: Vid, target: &str) -> String {
     )
 }
 
-/// Checkout: the version's sorted rlist (the same membership the vlist
-/// containment scan would discover) resolves straight through the data
-/// table's rid index; the Table 1 SQL statement is the fallback.
-pub fn checkout(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
-    let rlist = cvd.rids_of(vid)?;
-    if model::checkout_resolved(db, &cvd.data_table(), cvd, Some(rlist), 0, target)? {
-        return Ok(());
-    }
-    db.execute(&checkout_sql(cvd, vid, target))?;
-    Ok(())
-}
-
 /// The Table 1 read formulation, executed through the SQL layer.
 pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
     let r = db.query(&format!(
@@ -77,7 +68,7 @@ pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i
 mod tests {
     use super::*;
     use crate::model::testutil::{commit, make_cvd, record};
-    use crate::model::ModelKind;
+    use crate::model::{self, ModelKind};
 
     #[test]
     fn roundtrip_and_vlist_growth() {
@@ -91,7 +82,7 @@ mod tests {
             &[Vid(1)],
         );
 
-        checkout(&mut db, &cvd, Vid(2), "t2").unwrap();
+        model::checkout_into(&mut db, &cvd, Vid(2), "t2").unwrap();
         let r = db.query("SELECT name FROM t2 ORDER BY name").unwrap();
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[1][0], Value::Text("c".into()));
@@ -122,7 +113,6 @@ mod tests {
         for v in [Vid(1), Vid(2)] {
             let fast: Vec<(i64, Vec<Value>)> = model::version_row_refs(&db, &cvd, v)
                 .unwrap()
-                .expect("fast path ready")
                 .into_iter()
                 .map(|(r, vals)| (r, vals.to_vec()))
                 .collect();

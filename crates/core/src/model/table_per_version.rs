@@ -24,19 +24,9 @@ pub fn persist(db: &mut Database, cvd: &Cvd, parents: &[Vid], data: &CommitData)
     insert_rows(db, &table, rid_rows(&data.new_records))
 }
 
-/// Checkout is a plain table copy.
+/// The Table 1 checkout: a plain table copy.
 pub fn checkout_sql(cvd: &Cvd, vid: Vid, target: &str) -> String {
     format!("SELECT * INTO {target} FROM {}", cvd.version_table(vid))
-}
-
-/// Checkout: straight table-API copy of the version's table (no SQL
-/// parse/plan for a plain `SELECT * INTO`); SQL fallback on layout drift.
-pub fn checkout(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
-    if model::checkout_resolved(db, &cvd.version_table(vid), cvd, None, 0, target)? {
-        return Ok(());
-    }
-    db.execute(&checkout_sql(cvd, vid, target))?;
-    Ok(())
 }
 
 /// The Table 1 read formulation, executed through the SQL layer.
@@ -45,18 +35,16 @@ pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i
     rows_to_records(r.rows)
 }
 
-/// Fast read: the version's table holds exactly its records; borrow them
-/// in heap order (what `SELECT *` returns). Old tables frozen before a
-/// schema evolution yield narrower slices, as their SQL reads do.
-pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Option<model::RowRefs<'a>> {
-    let t = db.table(&cvd.version_table(vid)).ok()?;
-    let width = model::attr_prefix_len(&t.schema, cvd, 0)?;
-    let mut out = Vec::with_capacity(t.len());
-    for row in t.rows() {
-        let Value::Int(rid) = row[0] else { return None };
-        out.push((rid, &row[1..1 + width]));
-    }
-    Some(out)
+/// The record-access read: the version's table holds exactly its
+/// records; borrow them in heap order (what `SELECT *` returns). Old
+/// tables frozen before a schema evolution yield narrower slices, as their
+/// SQL reads do.
+pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Result<model::RowRefs<'a>> {
+    let t = db.table(&cvd.version_table(vid))?;
+    let width = model::attr_prefix_len(t, cvd, 0)?;
+    t.rows()
+        .map(|row| Ok((model::row_rid(t, row)?, &row[1..1 + width])))
+        .collect()
 }
 
 #[cfg(test)]
@@ -100,13 +88,13 @@ mod tests {
     fn checkout_copies_one_table() {
         let (mut db, mut cvd) = make_cvd(ModelKind::TablePerVersion);
         commit(&mut db, &mut cvd, &[record("a", 1)], &[]);
-        checkout(&mut db, &cvd, Vid(1), "t1").unwrap();
+        model::checkout_into(&mut db, &cvd, Vid(1), "t1").unwrap();
         let r = db.query("SELECT name, score FROM t1").unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(model::version_rows(&mut db, &cvd, Vid(1)).unwrap().len(), 1);
         // Fast read equals the SELECT * formulation, row for row.
         let fast: Vec<(i64, Vec<Value>)> = version_row_refs(&db, &cvd, Vid(1))
-            .expect("fast path ready")
+            .unwrap()
             .into_iter()
             .map(|(r, vals)| (r, vals.to_vec()))
             .collect();

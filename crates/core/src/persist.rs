@@ -542,6 +542,9 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
             }
         }
         share_partition_rlists(&mut odb.engine, cvd)?;
+        if cvd.model == ModelKind::CombinedTable {
+            crate::model::combined::keep_vlist_last(&mut odb.engine, cvd)?;
+        }
     }
     odb.cvds = cvds;
     Ok(odb)
@@ -1109,5 +1112,28 @@ mod tests {
         let back = deserialize(&serialize(&odb)).unwrap();
         assert!(back.ls().is_empty());
         assert_eq!(back.access.whoami(), "default");
+    }
+
+    #[test]
+    fn a_combined_table_saved_with_a_column_after_vlist_loads_with_vlist_last() {
+        // Schema evolution once appended new data columns after `vlist`,
+        // and snapshots written then hold that layout.
+        let mut odb = OrpheusDB::new();
+        odb.init_cvd("c", schema(), rows(), Some(ModelKind::CombinedTable))
+            .unwrap();
+        odb.engine
+            .execute("ALTER TABLE c__combined ADD COLUMN extra INT")
+            .unwrap();
+        let cvd = odb.cvds.get_mut("c").unwrap();
+        cvd.schema.columns.push(Column::new("extra", DataType::Int));
+        assert!(odb.version_rows("c", Vid(1)).is_err());
+
+        let mut back = deserialize(&serialize(&odb)).unwrap();
+        let cvd = back.cvd("c").unwrap();
+        let table = back.engine.table(&cvd.combined_table()).unwrap();
+        assert_eq!(*table.schema, crate::model::combined::physical_schema(cvd));
+        let read = back.version_rows("c", Vid(1)).unwrap();
+        assert_eq!(read.len(), 3);
+        assert!(read.iter().all(|(_, values)| values[3] == Value::Null));
     }
 }

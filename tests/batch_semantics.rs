@@ -15,10 +15,11 @@
 //!   batched as looped — full CSV text and every row — on `OrpheusDB`, on
 //!   a `Session` and on an `AsyncHandle`.
 //!
-//! A `Session`'s batch is the plain `execute` loop; only an
-//! `AsyncHandle`'s batch is planned into per-shard steps
-//! (`orpheus_core::batch::BatchPlan`). So every scenario that batches a
-//! `Session` also batches an `AsyncHandle` on a fresh instance.
+//! No executor plans a batch: a `Session`'s batch is the plain `execute`
+//! loop, and an `AsyncHandle` queues its submission for a worker thread,
+//! which runs it request by request. That is a different path to the same
+//! contract, so every scenario that batches a `Session` also batches an
+//! `AsyncHandle` on a fresh instance.
 
 use orpheusdb::prelude::*;
 
