@@ -12,12 +12,11 @@
 //! retry after the cut must return the original outcome, not execute the
 //! commit twice.
 //!
-//! Only request frames (`Req`/`Batch` tags) arm the cut — handshake
-//! frames pass freely so a reconnect can always complete. The countdown
-//! is global across connections: with `drop_every = n`, every `n`-th
-//! request frame through the proxy (across all connections and
-//! reconnects) severs its connection, producing a steady storm of cuts
-//! under sustained load.
+//! Only request frames arm the cut — handshake frames pass freely so a
+//! reconnect can always complete. The countdown is global across
+//! connections: with `drop_every = n`, every `n`-th request frame through
+//! the proxy (across all connections and reconnects) severs its
+//! connection, producing a steady storm of cuts under sustained load.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -29,13 +28,7 @@ use std::time::Duration;
 use orpheus_core::{CoreError, Result};
 use parking_lot::Mutex;
 
-use crate::proto::MAX_FRAME;
-
-/// Frame tags that count toward the drop countdown (requests — the
-/// frames whose lost ACK the replay machinery exists for). Values match
-/// `proto.rs`.
-const TAG_REQ: u8 = 3;
-const TAG_BATCH: u8 = 4;
+use crate::proto::{is_request, MAX_FRAME};
 
 /// How often the accept loop polls between connection attempts.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
@@ -225,8 +218,7 @@ fn forward_frames(mut client: TcpStream, mut server: TcpStream, state: Arc<Proxy
             break;
         }
         let _ = server.flush();
-        let is_request = payload.first() == Some(&TAG_REQ) || payload.first() == Some(&TAG_BATCH);
-        if is_request && state.fires() {
+        if is_request(&payload) && state.fires() {
             state.cuts.fetch_add(1, Ordering::SeqCst);
             break;
         }
@@ -236,8 +228,7 @@ fn forward_frames(mut client: TcpStream, mut server: TcpStream, state: Arc<Proxy
 }
 
 /// Server → client direction: relay whole frames, each in one write, so
-/// a cut lands between responses and never delivers half of one (which
-/// the client reads as a protocol error and ends its link on).
+/// a cut lands between responses and never delivers half of one.
 fn copy_frames(mut server: TcpStream, mut client: TcpStream) {
     loop {
         let mut frame = vec![0u8; 4];

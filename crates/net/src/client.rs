@@ -4,9 +4,9 @@
 //! [`RemoteExecutor::connect`] performs the handshake (magic, protocol
 //! version, user — login is connection setup) and then exposes the exact
 //! [`Executor`] contract the rest of the workspace is written against:
-//! `execute` round-trips one request, `batch` pipelines a whole vector in
-//! one frame with per-request outcomes in submission order. The CLI, the
-//! REPL, and the bench harness's `drive` run against it unchanged.
+//! `batch` ships a whole vector as one request frame, with per-request
+//! outcomes in submission order, and `execute` is a batch of one. The CLI,
+//! the REPL, and the bench harness's `drive` run against it unchanged.
 //!
 //! Internally a **link thread** owns the receive half of the socket and
 //! fulfills [`Ticket`]s parked in a correlation-id map, so
@@ -33,10 +33,12 @@
 //! new work), or the reconnect budget is exhausted (the link dies and
 //! every pending and later request fails fast).
 //!
-//! A shed request ([`CoreError::Overloaded`]) never executed, so
-//! [`RemoteExecutor::execute`] transparently retries it — honoring the
-//! server's `retry_after_ms` hint — up to
+//! The server sheds a frame whole ([`CoreError::Overloaded`] for every
+//! request, none executed), so `execute` and `batch` transparently retry
+//! a shed frame — honoring the server's `retry_after_ms` hint — up to
 //! [`RetryPolicy::overload_retries`] times before surfacing the error.
+//! A stream that ends mid-response is a lost link like any other cut: the
+//! link reconnects and replays.
 
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hasher};
@@ -49,7 +51,9 @@ use std::time::Duration;
 use orpheus_core::{CoreError, Executor, Request, Response, Result, Ticket, TicketFulfiller};
 use parking_lot::Mutex;
 
-use crate::proto::{read_frame, write_frame, write_payload, Frame, MAX_FRAME, PROTOCOL_VERSION};
+use crate::proto::{
+    read_frame, request_payload, write_frame, write_payload, Frame, MAX_FRAME, PROTOCOL_VERSION,
+};
 
 /// Default patience for one response before the wait reports a hung
 /// connection.
@@ -115,16 +119,10 @@ pub struct RetryStats {
     pub overload_retries: u64,
 }
 
-/// What a correlation id is waiting for.
-enum Waiter {
-    Single(TicketFulfiller),
-    Batch(Vec<TicketFulfiller>),
-}
-
-/// One in-flight frame: its waiter plus the encoded wire bytes kept for
-/// reconnect replay.
+/// One in-flight frame: a fulfiller per request plus the encoded wire
+/// bytes kept for reconnect replay.
 struct InFlight {
-    waiter: Waiter,
+    fulfillers: Vec<TicketFulfiller>,
     wire: Vec<u8>,
 }
 
@@ -133,7 +131,7 @@ struct PendingMap {
     /// Ordered by correlation id so a replay re-sends frames in their
     /// original submission order (the server's writer answers in order).
     waiters: BTreeMap<u64, InFlight>,
-    /// Rendered message of a terminal server error (a `Resp` with id 0),
+    /// Rendered message of a terminal server error (a response with id 0),
     /// kept so the poison message names the real cause instead of a bare
     /// "connection closed".
     last_server_error: Option<String>,
@@ -228,7 +226,7 @@ impl RemoteExecutor {
         let server = stream
             .peer_addr()
             .map_err(|e| CoreError::Network(format!("peer_addr failed: {e}")))?;
-        let (user, session) = handshake(&mut stream, user, None, timeout)?;
+        let (user, session, _) = handshake(&mut stream, user, None, timeout)?;
         let link = Arc::new(Link {
             write: Mutex::new(Some(
                 stream
@@ -302,19 +300,8 @@ impl RemoteExecutor {
     /// is between connections the frame queues and rides the next
     /// reconnect's replay.
     pub fn submit(&mut self, request: impl Into<Request>) -> Ticket {
-        if self.link.dead.load(Ordering::SeqCst) {
-            return Ticket::ready(Err(self.dead_error()));
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let (ticket, fulfiller) = Ticket::pending();
-        let wire = Frame::Req {
-            id,
-            request: request.into(),
-        }
-        .encode();
-        self.send(id, Waiter::Single(fulfiller), wire);
-        ticket
+        let mut tickets = self.submit_batch(vec![request.into()]);
+        tickets.pop().expect("one ticket per request")
     }
 
     /// Fire a whole request vector as **one** frame, returning one ticket
@@ -322,27 +309,7 @@ impl RemoteExecutor {
     /// submission ([`orpheus_core::Executor::batch`] semantics: submission
     /// order, independent failures).
     pub fn submit_batch(&mut self, requests: Vec<Request>) -> Vec<Ticket> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        if self.link.dead.load(Ordering::SeqCst) {
-            let n = requests.len();
-            return (0..n)
-                .map(|_| Ticket::ready(Err(self.dead_error())))
-                .collect();
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut tickets = Vec::with_capacity(requests.len());
-        let mut fulfillers = Vec::with_capacity(requests.len());
-        for _ in 0..requests.len() {
-            let (ticket, fulfiller) = Ticket::pending();
-            tickets.push(ticket);
-            fulfillers.push(fulfiller);
-        }
-        let wire = Frame::Batch { id, requests }.encode();
-        self.send(id, Waiter::Batch(fulfillers), wire);
-        tickets
+        self.send(&requests)
     }
 
     /// Register the in-flight entry and attempt to send it. Registration
@@ -351,12 +318,25 @@ impl RemoteExecutor {
     /// the send below then hit the old, dead socket) or does not (and
     /// this send lands on the fresh socket once the lock is free); the
     /// frame is never lost and never sent twice on one connection.
-    fn send(&mut self, id: u64, waiter: Waiter, wire: Vec<u8>) {
+    fn send(&mut self, requests: &[Request]) -> Vec<Ticket> {
+        if requests.is_empty() {
+            return Vec::new();
+        }
+        if self.link.dead.load(Ordering::SeqCst) {
+            return requests
+                .iter()
+                .map(|_| Ticket::ready(Err(self.dead_error())))
+                .collect();
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        let (tickets, fulfillers) = requests.iter().map(|_| Ticket::pending()).unzip();
+        let wire = request_payload(id, requests);
         let mut write = self.link.write.lock();
         self.link.pending.lock().waiters.insert(
             id,
             InFlight {
-                waiter,
+                fulfillers,
                 wire: wire.clone(),
             },
         );
@@ -369,6 +349,7 @@ impl RemoteExecutor {
                 *write = None;
             }
         }
+        tickets
     }
 
     /// Wait on a ticket under this connection's timeout; a hung server
@@ -384,23 +365,6 @@ impl RemoteExecutor {
         }
     }
 
-    /// One execute round-trip without the overload-retry loop.
-    fn execute_once(&mut self, request: Request) -> Result<Response> {
-        let rebind = match &request {
-            Request::Login(login) => Some(login.user.clone()),
-            _ => None,
-        };
-        let ticket = self.submit(request);
-        let result = self.wait(&ticket);
-        if let (Some(user), Ok(_)) = (rebind, &result) {
-            // The server rebinds its connection handle on the same
-            // outcome, so both sides agree on the identity.
-            self.user = user.clone();
-            *self.link.user.lock() = user;
-        }
-        result
-    }
-
     /// Sleep out an [`CoreError::Overloaded`] shed before retrying:
     /// whichever is longer of the server's `retry_after_ms` hint and this
     /// attempt's jittered backoff.
@@ -413,23 +377,9 @@ impl RemoteExecutor {
 
 impl Executor for RemoteExecutor {
     fn execute(&mut self, request: Request) -> Result<Response> {
-        let mut attempt = 0;
-        loop {
-            let result = self.execute_once(request.clone());
-            match &result {
-                // A shed request provably never executed, so retrying it
-                // (as fresh work, under a fresh id) is safe.
-                Err(CoreError::Overloaded { retry_after_ms })
-                    if attempt < self.policy.overload_retries =>
-                {
-                    let retry_after_ms = *retry_after_ms;
-                    attempt += 1;
-                    self.link.overload_retries.fetch_add(1, Ordering::SeqCst);
-                    self.overload_backoff(attempt, retry_after_ms);
-                }
-                _ => return result,
-            }
-        }
+        self.batch([request])
+            .pop()
+            .expect("one outcome per request")
     }
 
     fn batch<I: IntoIterator<Item = Request>>(&mut self, requests: I) -> Vec<Result<Response>>
@@ -437,43 +387,36 @@ impl Executor for RemoteExecutor {
         Self: Sized,
     {
         let requests: Vec<Request> = requests.into_iter().collect();
-        let rebinds: Vec<Option<String>> = requests
-            .iter()
-            .map(|r| match r {
-                Request::Login(login) => Some(login.user.clone()),
-                _ => None,
-            })
-            .collect();
         let mut attempt = 0;
         let results = loop {
-            let tickets = self.submit_batch(requests.clone());
+            let tickets = self.send(&requests);
             let results: Vec<Result<Response>> =
                 tickets.iter().map(|ticket| self.wait(ticket)).collect();
-            // The server sheds a batch wholesale (it never partially
-            // executes an overloaded batch), so retrying is safe exactly
-            // when *every* outcome is the shed error.
-            let all_shed = !results.is_empty()
-                && results
-                    .iter()
-                    .all(|r| matches!(r, Err(CoreError::Overloaded { .. })));
-            if !all_shed || attempt >= self.policy.overload_retries {
-                break results;
+            // The server sheds a frame wholesale (it never partially
+            // executes an overloaded frame), so retrying it — as fresh
+            // work, under a fresh id — is safe exactly when *every*
+            // outcome is the shed error.
+            let shed = results.iter().try_fold(0, |hint, result| match result {
+                Err(CoreError::Overloaded { retry_after_ms }) => Some(hint.max(*retry_after_ms)),
+                _ => None,
+            });
+            match shed {
+                Some(retry_after_ms)
+                    if !results.is_empty() && attempt < self.policy.overload_retries =>
+                {
+                    attempt += 1;
+                    self.link.overload_retries.fetch_add(1, Ordering::SeqCst);
+                    self.overload_backoff(attempt, retry_after_ms);
+                }
+                _ => break results,
             }
-            let retry_after_ms = results
-                .iter()
-                .find_map(|r| match r {
-                    Err(CoreError::Overloaded { retry_after_ms }) => Some(*retry_after_ms),
-                    _ => None,
-                })
-                .unwrap_or(0);
-            attempt += 1;
-            self.link.overload_retries.fetch_add(1, Ordering::SeqCst);
-            self.overload_backoff(attempt, retry_after_ms);
         };
-        for (rebind, result) in rebinds.into_iter().zip(&results) {
-            if let (Some(user), Ok(_)) = (rebind, result) {
-                self.user = user.clone();
-                *self.link.user.lock() = user;
+        for (request, result) in requests.iter().zip(&results) {
+            if let (Request::Login(login), Ok(_)) = (request, result) {
+                // The server rebinds its connection handle on the same
+                // outcome, so both sides agree on the identity.
+                self.user = login.user.clone();
+                *self.link.user.lock() = login.user.clone();
             }
         }
         results
@@ -496,20 +439,10 @@ impl Drop for RemoteExecutor {
 // Handshake (shared by first connect and reconnects).
 // ---------------------------------------------------------------------------
 
-/// Say hello and digest the answer: `(bound user, session id)` on a fresh
-/// session. With `resume`, the error distinguishes an outright refusal
-/// from a lost session via [`HandshakeError`].
+/// Say hello and digest the answer: `(bound user, session id, resumed)`.
+/// `resumed` reads false when `resume` named a session the server no
+/// longer knows.
 fn handshake(
-    stream: &mut TcpStream,
-    user: &str,
-    resume: Option<u64>,
-    timeout: Duration,
-) -> Result<(String, u64)> {
-    let (user, session, _resumed) = handshake_inner(stream, user, resume, timeout)?;
-    Ok((user, session))
-}
-
-fn handshake_inner(
     stream: &mut TcpStream,
     user: &str,
     resume: Option<u64>,
@@ -547,9 +480,12 @@ fn handshake_inner(
                 .map_err(|e| CoreError::Network(format!("set_read_timeout failed: {e}")))?;
             Ok((user, session, resumed))
         }
-        Some(Frame::Resp { outcome, .. }) => Err((*outcome).err().unwrap_or_else(|| {
-            CoreError::Protocol("handshake rejected without an error".to_string())
-        })),
+        Some(Frame::Resp { outcomes, .. }) => Err(outcomes
+            .into_iter()
+            .find_map(Result::err)
+            .unwrap_or_else(|| {
+                CoreError::Protocol("handshake rejected without an error".to_string())
+            })),
         Some(_) => Err(CoreError::Protocol(
             "expected a welcome frame from the server".to_string(),
         )),
@@ -614,27 +550,28 @@ fn poison(message: &str, link: &Link) {
         Some(cause) => format!("{message}: {cause}"),
         None => message.to_string(),
     };
+    let error = CoreError::Network(message);
     for (_, in_flight) in std::mem::take(&mut pending.waiters) {
-        fulfill_error(in_flight.waiter, CoreError::Network(message.clone()));
+        fail(in_flight.fulfillers, &error);
     }
 }
 
-fn fulfill_error(waiter: Waiter, error: CoreError) {
-    match waiter {
-        Waiter::Single(fulfiller) => fulfiller.fulfill(Err(error)),
-        Waiter::Batch(fulfillers) => {
-            for fulfiller in fulfillers {
-                fulfiller.fulfill(Err(error.clone()));
-            }
-        }
+fn fail(fulfillers: Vec<TicketFulfiller>, error: &CoreError) {
+    for fulfiller in fulfillers {
+        fulfiller.fulfill(Err(error.clone()));
     }
 }
 
-fn fulfill_mismatch(waiter: Waiter, what: &str) {
-    fulfill_error(
-        waiter,
-        CoreError::Protocol(format!("server answered a {what} for the wrong shape")),
-    );
+/// Hand each request of a frame its outcome; a response of the wrong
+/// length fails every request of the frame.
+fn fulfill(fulfillers: Vec<TicketFulfiller>, outcomes: Vec<Result<Response>>) {
+    if fulfillers.len() != outcomes.len() {
+        let error = CoreError::Protocol("response arity mismatch".to_string());
+        return fail(fulfillers, &error);
+    }
+    for (fulfiller, outcome) in fulfillers.into_iter().zip(outcomes) {
+        fulfiller.fulfill(outcome);
+    }
 }
 
 /// Why the read phase ended.
@@ -650,44 +587,19 @@ enum ReadEnd {
 fn read_phase(link: &Link, stream: &mut TcpStream) -> ReadEnd {
     loop {
         match read_frame(stream, MAX_FRAME) {
-            Ok(Some(Frame::Resp { id: 0, outcome })) => {
+            Ok(Some(Frame::Resp { id: 0, outcomes })) => {
                 // Terminal server-side report (handshake/protocol errors
                 // carry no correlation id); remember it for the poison
                 // message and let the close that follows end the loop.
-                if let Err(e) = *outcome {
+                if let Some(Err(e)) = outcomes.first() {
                     link.pending.lock().last_server_error = Some(e.to_string());
                 }
             }
-            Ok(Some(Frame::Resp { id, outcome })) => {
-                match link.pending.lock().waiters.remove(&id) {
-                    Some(InFlight {
-                        waiter: Waiter::Single(fulfiller),
-                        ..
-                    }) => fulfiller.fulfill(*outcome),
-                    Some(in_flight) => fulfill_mismatch(in_flight.waiter, "single response"),
-                    None => {} // abandoned after a timeout; drop it
-                }
-            }
-            Ok(Some(Frame::BatchResp { id, outcomes })) => {
-                match link.pending.lock().waiters.remove(&id) {
-                    Some(InFlight {
-                        waiter: Waiter::Batch(fulfillers),
-                        ..
-                    }) => {
-                        if fulfillers.len() == outcomes.len() {
-                            for (fulfiller, outcome) in fulfillers.into_iter().zip(outcomes) {
-                                fulfiller.fulfill(outcome);
-                            }
-                        } else {
-                            for fulfiller in fulfillers {
-                                fulfiller.fulfill(Err(CoreError::Protocol(
-                                    "batch response arity mismatch".to_string(),
-                                )));
-                            }
-                        }
-                    }
-                    Some(in_flight) => fulfill_mismatch(in_flight.waiter, "batch response"),
-                    None => {}
+            Ok(Some(Frame::Resp { id, outcomes })) => {
+                // No entry: abandoned after a timeout; drop the response.
+                let in_flight = link.pending.lock().waiters.remove(&id);
+                if let Some(in_flight) = in_flight {
+                    fulfill(in_flight.fulfillers, outcomes);
                 }
             }
             Ok(Some(_)) => {
@@ -716,8 +628,7 @@ fn try_reconnect(link: &Link, timeout: Duration) -> Result<TcpStream> {
         .map_err(|e| CoreError::Network(format!("connect failed: {e}")))?;
     let user = link.user.lock().clone();
     let session = link.session.load(Ordering::SeqCst);
-    let (_user, new_session, resumed) =
-        handshake_inner(&mut stream, &user, Some(session), timeout)?;
+    let (_user, new_session, resumed) = handshake(&mut stream, &user, Some(session), timeout)?;
     let mut write = link.write.lock();
     let mut pending = link.pending.lock();
     if resumed {
@@ -733,7 +644,7 @@ fn try_reconnect(link: &Link, timeout: Duration) -> Result<TcpStream> {
             "session lost by server; the outcome of this in-flight request is unknown".to_string(),
         );
         for (_, in_flight) in std::mem::take(&mut pending.waiters) {
-            fulfill_error(in_flight.waiter, error.clone());
+            fail(in_flight.fulfillers, &error);
         }
     }
     *write = Some(

@@ -12,7 +12,9 @@
 //!
 //! * [`proto`] — the frame layer: `[u32 length][payload]`, a magic +
 //!   version handshake that carries the user ("login is connection
-//!   setup"), correlation ids, and a max-frame-size guard.
+//!   setup"), one request frame (a vector of requests under a
+//!   correlation id; a single request is a vector of one), one response
+//!   frame (an outcome per request), and a max-frame-size guard.
 //! * [`server`] / [`client`] — [`NetServer`] pairs one reader and one
 //!   writer thread per connection over a bounded in-flight window
 //!   (backpressure), pipelining frames into

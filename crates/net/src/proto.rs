@@ -14,16 +14,17 @@
 //! [`PROTOCOL_VERSION`], and the user it wants to act as (login is part of
 //! connection setup, like `--as` on the CLI); the server answers
 //! [`Frame::Welcome`] or an error outcome and closes. After that the
-//! client pipelines [`Frame::Req`]/[`Frame::Batch`] frames, each tagged
-//! with a client-chosen correlation id, and the server streams back one
-//! [`Frame::Resp`]/[`Frame::BatchResp`] per submission **in submission
-//! order** (the async executor's ordering contract extends across the
-//! wire).
+//! client pipelines [`Frame::Req`] frames, each a vector of requests under
+//! a client-chosen correlation id (one `execute` is a vector of one), and
+//! the server streams back one [`Frame::Resp`] per request frame, with one
+//! outcome per request, **in submission order** (the async executor's
+//! ordering contract extends across the wire).
 //!
 //! Defense at the boundary: [`read_frame`] refuses payloads larger than
 //! the caller's `max_frame` before allocating, and every decode failure is
 //! a [`CoreError::Protocol`] — never a panic — so one hostile peer cannot
-//! take a connection thread down.
+//! take a connection thread down. A stream that ends inside a frame is a
+//! lost link ([`CoreError::Network`]), not a protocol violation.
 
 use std::io::{ErrorKind, Read, Write};
 
@@ -39,8 +40,11 @@ pub const MAGIC: [u8; 4] = *b"ORPH";
 /// the handshake rejects mismatches with a clear error instead of
 /// misdecoding. Version 2 added session resumption to the handshake
 /// ([`Frame::Hello`]'s `resume`, [`Frame::Welcome`]'s `session`/`resumed`)
-/// for the client's reconnect-with-idempotent-replay path.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// for the client's reconnect-with-idempotent-replay path. Version 3
+/// retired the single-request and single-response frames: every request
+/// frame carries a vector of requests, every response frame a vector of
+/// outcomes.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Default cap on a single frame's payload, generous enough for the CSV
 /// blobs `commit -f` ships but far below anything that could exhaust
@@ -70,21 +74,14 @@ pub enum Frame {
         session: u64,
         resumed: bool,
     },
-    /// Client → server: one request under a correlation id.
-    Req { id: u64, request: Request },
-    /// Client → server: a request batch under one correlation id, executed
-    /// with [`orpheus_core::Executor::batch`] semantics (submission order,
-    /// independent failures).
-    Batch { id: u64, requests: Vec<Request> },
-    /// Server → client: the outcome of the [`Frame::Req`] with the same id.
-    /// Also used with id 0 to report handshake/protocol errors.
+    /// Client → server: requests under one correlation id, executed with
+    /// [`orpheus_core::Executor::batch`] semantics (submission order,
+    /// independent failures). A single request is a vector of one.
+    Req { id: u64, requests: Vec<Request> },
+    /// Server → client: one outcome per request of the [`Frame::Req`] with
+    /// the same id, in the request vector's order. With id 0 and one error,
+    /// the terminal report of a handshake or protocol failure.
     Resp {
-        id: u64,
-        outcome: Box<Result<Response>>,
-    },
-    /// Server → client: per-request outcomes of the [`Frame::Batch`] with
-    /// the same id, in the batch's own order.
-    BatchResp {
         id: u64,
         outcomes: Vec<Result<Response>>,
     },
@@ -92,10 +89,44 @@ pub enum Frame {
 
 const TAG_HELLO: u8 = 1;
 const TAG_WELCOME: u8 = 2;
-const TAG_REQ: u8 = 3;
-const TAG_BATCH: u8 = 4;
-const TAG_RESP: u8 = 5;
-const TAG_BATCH_RESP: u8 = 6;
+// Tags 3 and 5 were version 2's single-request and single-response
+// frames; they stay unassigned so an old peer's frame never misdecodes.
+const TAG_REQ: u8 = 4;
+const TAG_RESP: u8 = 6;
+
+/// Whether an encoded payload (tag + body, as [`Frame::encode`] returns
+/// it) is a client's request frame.
+pub fn is_request(payload: &[u8]) -> bool {
+    payload.first() == Some(&TAG_REQ)
+}
+
+/// The payload of a [`Frame::Req`] with `id` over `requests`, encoded
+/// from the slice so a client keeping its requests for a retry need not
+/// clone them into a frame.
+pub(crate) fn request_payload(id: u64, requests: &[Request]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.push(TAG_REQ);
+    put_u64(&mut out, id);
+    put_u32(&mut out, requests.len() as u32);
+    for request in requests {
+        put_request(&mut out, request);
+    }
+    out
+}
+
+/// The payload of a [`Frame::Resp`] with `id` over `outcomes`, encoded
+/// from the slice so the server can move the outcomes into its replay
+/// cache afterwards instead of cloning them.
+pub(crate) fn response_payload(id: u64, outcomes: &[Result<Response>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.push(TAG_RESP);
+    put_u64(&mut out, id);
+    put_u32(&mut out, outcomes.len() as u32);
+    for outcome in outcomes {
+        put_outcome(&mut out, outcome);
+    }
+    out
+}
 
 impl Frame {
     /// Encode this frame's payload (tag + body, without the length prefix).
@@ -131,32 +162,8 @@ impl Frame {
                 put_u64(&mut out, *session);
                 out.push(u8::from(*resumed));
             }
-            Frame::Req { id, request } => {
-                out.push(TAG_REQ);
-                put_u64(&mut out, *id);
-                put_request(&mut out, request);
-            }
-            Frame::Batch { id, requests } => {
-                out.push(TAG_BATCH);
-                put_u64(&mut out, *id);
-                put_u32(&mut out, requests.len() as u32);
-                for request in requests {
-                    put_request(&mut out, request);
-                }
-            }
-            Frame::Resp { id, outcome } => {
-                out.push(TAG_RESP);
-                put_u64(&mut out, *id);
-                put_outcome(&mut out, outcome);
-            }
-            Frame::BatchResp { id, outcomes } => {
-                out.push(TAG_BATCH_RESP);
-                put_u64(&mut out, *id);
-                put_u32(&mut out, outcomes.len() as u32);
-                for outcome in outcomes {
-                    put_outcome(&mut out, outcome);
-                }
-            }
+            Frame::Req { id, requests } => out = request_payload(*id, requests),
+            Frame::Resp { id, outcomes } => out = response_payload(*id, outcomes),
         }
         out
     }
@@ -211,31 +218,23 @@ impl Frame {
                     resumed,
                 }
             }
-            TAG_REQ => Frame::Req {
-                id: r.u64()?,
-                request: read_request(&mut r)?,
-            },
-            TAG_BATCH => {
+            TAG_REQ => {
                 let id = r.u64()?;
-                let n = r.count("batch request")?;
+                let n = r.count("request")?;
                 let mut requests = Vec::with_capacity(n);
                 for _ in 0..n {
                     requests.push(read_request(&mut r)?);
                 }
-                Frame::Batch { id, requests }
+                Frame::Req { id, requests }
             }
-            TAG_RESP => Frame::Resp {
-                id: r.u64()?,
-                outcome: Box::new(read_outcome(&mut r)?),
-            },
-            TAG_BATCH_RESP => {
+            TAG_RESP => {
                 let id = r.u64()?;
-                let n = r.count("batch outcome")?;
+                let n = r.count("outcome")?;
                 let mut outcomes = Vec::with_capacity(n);
                 for _ in 0..n {
                     outcomes.push(read_outcome(&mut r)?);
                 }
-                Frame::BatchResp { id, outcomes }
+                Frame::Resp { id, outcomes }
             }
             t => {
                 return Err(CoreError::Protocol(format!("unknown frame tag {t}")));
@@ -268,8 +267,8 @@ pub fn write_payload(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 ///
 /// Returns `Ok(None)` on a clean EOF **at a frame boundary** (the peer
 /// closed the connection between frames). EOF inside the length prefix or
-/// payload means a truncated frame and is a [`CoreError::Protocol`]; other
-/// I/O failures map to [`CoreError::Network`]. A read timeout set on the
+/// payload is a link cut mid-frame and, like other I/O failures, a
+/// [`CoreError::Network`]: the peer may reconnect and replay. A read timeout set on the
 /// underlying socket surfaces as `Network` containing "timed out", which
 /// the server's connection loop treats as "no frame yet, poll again".
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Frame>> {
@@ -281,7 +280,7 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Frame>> 
                 if filled == 0 {
                     return Ok(None);
                 }
-                return Err(CoreError::Protocol(
+                return Err(CoreError::Network(
                     "connection closed mid length prefix".to_string(),
                 ));
             }
@@ -304,7 +303,7 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Frame>> 
     while filled < len {
         match r.read(&mut payload[filled..]) {
             Ok(0) => {
-                return Err(CoreError::Protocol(
+                return Err(CoreError::Network(
                     "connection closed mid frame".to_string(),
                 ));
             }

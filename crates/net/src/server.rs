@@ -8,17 +8,18 @@
 //!   [`Frame::Welcome`], binding the connection to a user via
 //!   [`AsyncExecutor::handle`] and to a private `Session` carrying the replay
 //!   cache and the handle queue all of the session's connections share),
-//!   then turns each incoming frame into a non-blocking
-//!   submission — [`AsyncHandle::submit`] / [`AsyncHandle::submit_batch`]
-//!   — and hands the resulting tickets to the writer. Requests therefore
-//!   pipeline: the reader is already parsing frame *n+1* while the pool
-//!   executes frame *n*. `Login` is the one exception: its outcome
-//!   rebinds the connection identity, so the reader executes it
-//!   synchronously (a pipeline barrier, matching [`AsyncHandle::batch`]
-//!   semantics) before reading further frames.
+//!   then decides once per [`Frame::Req`] whether to refuse, replay,
+//!   coalesce, shed or run it. A frame it runs becomes one non-blocking
+//!   submission ([`AsyncHandle::submit_batch`]) whose tickets go to the
+//!   writer. Requests therefore pipeline: the reader is already parsing
+//!   frame *n+1* while the pool executes frame *n*. A frame holding a
+//!   `Login` is the one exception: the outcome rebinds the connection
+//!   identity, so the reader runs it through [`AsyncHandle::batch`] (a
+//!   pipeline barrier) before reading further frames.
 //! * The **writer** resolves tickets strictly in submission order and
-//!   streams the response frames back, so the wire order equals the
-//!   submission order even though execution overlaps.
+//!   streams one [`Frame::Resp`] per request frame back, with one outcome
+//!   per request, so the wire order equals the submission order even
+//!   though execution overlaps.
 //!
 //! The channel between them is *bounded* ([`ServerConfig::window`]): when
 //! a client has that many submissions in flight, the reader stops reading
@@ -78,7 +79,10 @@ use orpheus_core::{
 };
 use parking_lot::{Condvar, Mutex};
 
-use crate::proto::{is_timeout, read_frame, write_frame, Frame, MAX_FRAME, PROTOCOL_VERSION};
+use crate::proto::{
+    is_timeout, read_frame, response_payload, write_frame, write_payload, Frame, MAX_FRAME,
+    PROTOCOL_VERSION,
+};
 
 /// How often blocked reads wake up to check the shutdown flag.
 const POLL: Duration = Duration::from_millis(100);
@@ -172,20 +176,13 @@ pub struct ServerStats {
 // Sessions and the replay cache.
 // ---------------------------------------------------------------------------
 
-/// The outcome of one executed frame, cached for idempotent replay.
-#[derive(Debug, Clone)]
-enum CachedOutcome {
-    Single(Result<Response>),
-    Batch(Vec<Result<Response>>),
-}
-
 /// Bounded per-session memory of executed frames: `done` holds outcomes
 /// (evicted FIFO via `order` beyond the configured capacity), `in_flight`
 /// marks ids submitted but not yet resolved so a duplicate coalesces onto
 /// the running execution instead of starting a second.
 #[derive(Debug, Default)]
 struct ReplayCache {
-    done: HashMap<u64, CachedOutcome>,
+    done: HashMap<u64, Vec<Result<Response>>>,
     order: VecDeque<u64>,
     in_flight: HashSet<u64>,
 }
@@ -215,10 +212,10 @@ impl Session {
     }
 
     /// Record an executed frame's outcome and wake duplicate-waiters.
-    fn finish(&self, id: u64, outcome: CachedOutcome, capacity: usize) {
+    fn finish(&self, id: u64, outcomes: Vec<Result<Response>>, capacity: usize) {
         let mut cache = self.replay.lock();
         cache.in_flight.remove(&id);
-        if cache.done.insert(id, outcome).is_none() {
+        if cache.done.insert(id, outcomes).is_none() {
             cache.order.push_back(id);
         }
         while cache.order.len() > capacity.max(1) {
@@ -232,12 +229,12 @@ impl Session {
 
     /// Wait until `id` resolves (a duplicate of an in-flight frame), up
     /// to `deadline` from now. `None` means the wait timed out.
-    fn await_done(&self, id: u64, deadline: Duration) -> Option<CachedOutcome> {
+    fn await_done(&self, id: u64, deadline: Duration) -> Option<Vec<Result<Response>>> {
         let until = Instant::now() + deadline;
         let mut cache = self.replay.lock();
         loop {
-            if let Some(outcome) = cache.done.get(&id) {
-                return Some(outcome.clone());
+            if let Some(outcomes) = cache.done.get(&id) {
+                return Some(outcomes.clone());
             }
             if !cache.in_flight.contains(&id) {
                 // The execution this duplicate was coalesced onto got
@@ -555,30 +552,38 @@ fn accept_loop(
     }
 }
 
-/// What the reader hands the writer: a resolved outcome (barriers,
-/// refusals, cache hits), a ticket to wait on in order, or a duplicate of
-/// an in-flight frame to coalesce onto.
+/// One request's place in a response: a resolved outcome (barriers,
+/// refusals, cache hits) or a ticket to wait on in order.
 enum Slot {
     Done(Result<Response>),
     Pending { ticket: Ticket, since: Instant },
 }
 
+/// What the reader hands the writer for one request frame.
 enum Outgoing {
     Resp {
         id: u64,
-        slot: Slot,
-        /// Record the outcome in the session's replay cache (false for
-        /// refusals that never executed — they must not dedup a retry).
-        cache: bool,
-    },
-    BatchResp {
-        id: u64,
         slots: Vec<Slot>,
+        /// Record the outcomes in the session's replay cache (false for
+        /// refusals that never executed — they must not dedup a retry —
+        /// and for frames the reader already cached).
         cache: bool,
     },
-    /// A duplicate of a frame currently in flight: wait for the original
-    /// execution to resolve and echo its outcome.
-    Duplicate { id: u64 },
+    /// A duplicate of a frame of `n` requests currently in flight: wait
+    /// for the original execution to resolve and echo its outcomes.
+    Duplicate { id: u64, n: usize },
+}
+
+impl Outgoing {
+    /// A response whose outcomes are already known, for the writer to send
+    /// as they are.
+    fn done(id: u64, outcomes: impl IntoIterator<Item = Result<Response>>) -> Outgoing {
+        Outgoing::Resp {
+            id,
+            slots: outcomes.into_iter().map(Slot::Done).collect(),
+            cache: false,
+        }
+    }
 }
 
 fn refusal() -> CoreError {
@@ -592,7 +597,7 @@ fn refuse_connection(mut stream: TcpStream, error: CoreError) {
         &mut stream,
         &Frame::Resp {
             id: 0,
-            outcome: Box::new(Err(error)),
+            outcomes: vec![Err(error)],
         },
     );
     let _ = stream.shutdown(Shutdown::Both);
@@ -617,7 +622,7 @@ fn handshake<'a>(
                     refuse_connection(
                         stream.try_clone().ok()?,
                         CoreError::Protocol(format!(
-                            "protocol version {version} not supported; server speaks {PROTOCOL_VERSION}"
+                            "protocol version {version} not supported; server speaks version {PROTOCOL_VERSION}"
                         )),
                     );
                     return None;
@@ -671,29 +676,57 @@ fn handshake<'a>(
     }
 }
 
-/// What the reader decided to do with one incoming frame id, after
-/// consulting the replay cache.
-enum Admission {
-    /// Never seen: execute it (the id is now marked in flight).
-    Fresh,
-    /// Already resolved: echo the cached outcome.
-    Replay(CachedOutcome),
-    /// Currently executing (submitted by a previous connection of this
-    /// session, or a duplicate on this one): coalesce instead of
-    /// re-executing.
-    InFlight,
-}
-
-fn admit(session: &Session, id: u64) -> Admission {
-    let mut cache = session.replay.lock();
-    if let Some(outcome) = cache.done.get(&id) {
-        return Admission::Replay(outcome.clone());
+/// The reader's one decision per request frame, past the shutdown check:
+/// replay it from the cache, coalesce it onto its in-flight twin (one
+/// submitted by a previous connection of this session, or a duplicate on
+/// this one), shed it, or run it.
+fn admit_frame(
+    id: u64,
+    requests: Vec<Request>,
+    handle: &mut AsyncHandle,
+    session: &Session,
+    service: &Service,
+) -> Outgoing {
+    let counters = &service.counters;
+    {
+        let mut cache = session.replay.lock();
+        if let Some(outcomes) = cache.done.get(&id) {
+            counters.deduped.fetch_add(1, Ordering::SeqCst);
+            return Outgoing::done(id, outcomes.iter().cloned());
+        }
+        if !cache.in_flight.insert(id) {
+            counters.deduped.fetch_add(1, Ordering::SeqCst);
+            let n = requests.len();
+            return Outgoing::Duplicate { id, n };
+        }
     }
-    if cache.in_flight.contains(&id) {
-        return Admission::InFlight;
+    if service.overloaded() {
+        // Shed before executing; un-mark the id so the client's retry is
+        // fresh work again.
+        session.replay.lock().in_flight.remove(&id);
+        let n = requests.len();
+        counters.shed.fetch_add(n as u64, Ordering::SeqCst);
+        return Outgoing::done(id, (0..n).map(|_| Err(service.shed_error())));
     }
-    cache.in_flight.insert(id);
-    Admission::Fresh
+    if requests.iter().any(|r| matches!(r, Request::Login(_))) {
+        // Identity barrier: resolve before reading on, and cache
+        // immediately so even a crash between here and the writer dedups
+        // a replay.
+        let outcomes = handle.batch(requests);
+        session.finish(id, outcomes.clone(), service.config.dedup_cache);
+        return Outgoing::done(id, outcomes);
+    }
+    let since = Instant::now();
+    let slots = handle
+        .submit_batch(requests)
+        .into_iter()
+        .map(|ticket| Slot::Pending { ticket, since })
+        .collect();
+    Outgoing::Resp {
+        id,
+        slots,
+        cache: true,
+    }
 }
 
 fn serve_connection(mut stream: TcpStream, service: Arc<Service>, shutdown: Arc<AtomicBool>) {
@@ -728,7 +761,7 @@ fn serve_connection(mut stream: TcpStream, service: Arc<Service>, shutdown: Arc<
         }
         match read_frame(&mut stream, service.config.max_frame) {
             Ok(None) => break,
-            Ok(Some(frame)) => {
+            Ok(Some(Frame::Req { id, requests })) => {
                 // A frame that raced `begin_shutdown` past the check
                 // above still gets the typed refusal below — `refusing`
                 // is re-checked per frame, and refusals bypass the pool
@@ -738,146 +771,24 @@ fn serve_connection(mut stream: TcpStream, service: Arc<Service>, shutdown: Arc<
                     refusing = Some(Instant::now() + SHUTDOWN_GRACE);
                 }
                 let out = if refusing.is_some() {
-                    match frame {
-                        Frame::Req { id, .. } => Outgoing::Resp {
-                            id,
-                            slot: Slot::Done(Err(refusal())),
-                            cache: false,
-                        },
-                        Frame::Batch { id, requests } => Outgoing::BatchResp {
-                            id,
-                            slots: requests
-                                .iter()
-                                .map(|_| Slot::Done(Err(refusal())))
-                                .collect(),
-                            cache: false,
-                        },
-                        _ => break,
-                    }
+                    Outgoing::done(id, requests.iter().map(|_| Err(refusal())))
                 } else {
-                    match frame {
-                        Frame::Req { id, request } => match admit(&session, id) {
-                            Admission::Replay(CachedOutcome::Single(outcome)) => {
-                                service.counters.deduped.fetch_add(1, Ordering::SeqCst);
-                                Outgoing::Resp {
-                                    id,
-                                    slot: Slot::Done(outcome),
-                                    cache: false,
-                                }
-                            }
-                            Admission::Replay(CachedOutcome::Batch(_)) | Admission::InFlight => {
-                                service.counters.deduped.fetch_add(1, Ordering::SeqCst);
-                                Outgoing::Duplicate { id }
-                            }
-                            Admission::Fresh if service.overloaded() => {
-                                // Shed before executing; un-mark the id so
-                                // the client's retry is fresh work again.
-                                session.replay.lock().in_flight.remove(&id);
-                                service.counters.shed.fetch_add(1, Ordering::SeqCst);
-                                Outgoing::Resp {
-                                    id,
-                                    slot: Slot::Done(Err(service.shed_error())),
-                                    cache: false,
-                                }
-                            }
-                            Admission::Fresh => {
-                                let slot = if matches!(request, Request::Login(_)) {
-                                    // Identity barrier: resolve before
-                                    // reading on, and cache immediately so
-                                    // even a crash between here and the
-                                    // writer dedups a replay.
-                                    let outcome = handle.execute(request);
-                                    session.finish(
-                                        id,
-                                        CachedOutcome::Single(outcome.clone()),
-                                        service.config.dedup_cache,
-                                    );
-                                    Slot::Done(outcome)
-                                } else {
-                                    Slot::Pending {
-                                        ticket: handle.submit(request),
-                                        since: Instant::now(),
-                                    }
-                                };
-                                let cache = matches!(slot, Slot::Pending { .. });
-                                Outgoing::Resp { id, slot, cache }
-                            }
-                        },
-                        Frame::Batch { id, requests } => match admit(&session, id) {
-                            Admission::Replay(CachedOutcome::Batch(outcomes)) => {
-                                service.counters.deduped.fetch_add(1, Ordering::SeqCst);
-                                Outgoing::BatchResp {
-                                    id,
-                                    slots: outcomes.into_iter().map(Slot::Done).collect(),
-                                    cache: false,
-                                }
-                            }
-                            Admission::Replay(CachedOutcome::Single(_)) | Admission::InFlight => {
-                                service.counters.deduped.fetch_add(1, Ordering::SeqCst);
-                                Outgoing::Duplicate { id }
-                            }
-                            Admission::Fresh if service.overloaded() => {
-                                session.replay.lock().in_flight.remove(&id);
-                                service
-                                    .counters
-                                    .shed
-                                    .fetch_add(requests.len() as u64, Ordering::SeqCst);
-                                Outgoing::BatchResp {
-                                    id,
-                                    slots: requests
-                                        .iter()
-                                        .map(|_| Slot::Done(Err(service.shed_error())))
-                                        .collect(),
-                                    cache: false,
-                                }
-                            }
-                            Admission::Fresh => {
-                                let since = Instant::now();
-                                let slots: Vec<Slot> =
-                                    if requests.iter().any(|r| matches!(r, Request::Login(_))) {
-                                        // Login inside a batch: fall back
-                                        // to the handle's own
-                                        // barrier-aware batch.
-                                        handle.batch(requests).into_iter().map(Slot::Done).collect()
-                                    } else {
-                                        handle
-                                            .submit_batch(requests)
-                                            .into_iter()
-                                            .map(|ticket| Slot::Pending { ticket, since })
-                                            .collect()
-                                    };
-                                Outgoing::BatchResp {
-                                    id,
-                                    slots,
-                                    cache: true,
-                                }
-                            }
-                        },
-                        _ => {
-                            let _ = tx.send(Outgoing::Resp {
-                                id: 0,
-                                slot: Slot::Done(Err(CoreError::Protocol(
-                                    "unexpected server-bound frame".into(),
-                                ))),
-                                cache: false,
-                            });
-                            break;
-                        }
-                    }
+                    admit_frame(id, requests, &mut handle, &session, &service)
                 };
                 if tx.send(out).is_err() {
                     break;
                 }
             }
+            Ok(Some(_)) => {
+                let unexpected = CoreError::Protocol("unexpected server-bound frame".into());
+                let _ = tx.send(Outgoing::done(0, [Err(unexpected)]));
+                break;
+            }
             Err(e) if is_timeout(&e) => {}
             Err(e) => {
                 // Malformed frame or broken socket: report (best-effort,
                 // after everything already queued) and close.
-                let _ = tx.send(Outgoing::Resp {
-                    id: 0,
-                    slot: Slot::Done(Err(e)),
-                    cache: false,
-                });
+                let _ = tx.send(Outgoing::done(0, [Err(e)]));
                 break;
             }
         }
@@ -903,48 +814,36 @@ fn writer_loop(
     let capacity = service.config.dedup_cache;
     let mut broken = false;
     while let Ok(out) = rx.recv() {
-        let frame = match out {
-            Outgoing::Resp { id, slot, cache } => {
-                let outcome = resolve(slot, deadline, &service);
-                if cache {
-                    session.finish(id, CachedOutcome::Single(outcome.clone()), capacity);
-                }
-                Frame::Resp {
-                    id,
-                    outcome: Box::new(outcome),
-                }
-            }
-            Outgoing::BatchResp { id, slots, cache } => {
+        let payload = match out {
+            Outgoing::Resp { id, slots, cache } => {
                 let outcomes: Vec<Result<Response>> = slots
                     .into_iter()
                     .map(|slot| resolve(slot, deadline, &service))
                     .collect();
+                let payload = response_payload(id, &outcomes);
                 if cache {
-                    session.finish(id, CachedOutcome::Batch(outcomes.clone()), capacity);
+                    session.finish(id, outcomes, capacity);
                 }
-                Frame::BatchResp { id, outcomes }
+                payload
             }
-            Outgoing::Duplicate { id } => match session.await_done(id, deadline) {
-                Some(CachedOutcome::Single(outcome)) => Frame::Resp {
-                    id,
-                    outcome: Box::new(outcome),
-                },
-                Some(CachedOutcome::Batch(outcomes)) => Frame::BatchResp { id, outcomes },
+            Outgoing::Duplicate { id, n } => match session.await_done(id, deadline) {
+                Some(outcomes) => response_payload(id, &outcomes),
                 None => {
+                    // Evicted or still running past the deadline: the
+                    // outcome is unknowable, for each request of the frame.
                     service
                         .counters
                         .deadline_exceeded
                         .fetch_add(1, Ordering::SeqCst);
-                    Frame::Resp {
-                        id,
-                        outcome: Box::new(Err(CoreError::DeadlineExceeded {
-                            elapsed_ms: deadline.as_millis() as u64,
-                        })),
-                    }
+                    let elapsed_ms = deadline.as_millis() as u64;
+                    let outcomes: Vec<Result<Response>> = (0..n)
+                        .map(|_| Err(CoreError::DeadlineExceeded { elapsed_ms }))
+                        .collect();
+                    response_payload(id, &outcomes)
                 }
             },
         };
-        if !broken && write_frame(&mut stream, &frame).is_err() {
+        if !broken && write_payload(&mut stream, &payload).is_err() {
             broken = true;
         }
     }
@@ -974,5 +873,98 @@ fn resolve(slot: Slot, deadline: Duration, service: &Service) -> Result<Response
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use orpheus_core::concurrent::arm_commit_gate;
+    use orpheus_core::{Checkout, Commit, OrpheusDB};
+    use orpheus_engine::{Column, DataType, Schema, Value};
+
+    use crate::proto::read_frame;
+
+    fn send(stream: &mut TcpStream, id: u64, requests: Vec<Request>) {
+        write_frame(stream, &Frame::Req { id, requests }).expect("send a request frame");
+    }
+
+    fn receive(stream: &mut TcpStream) -> (u64, Vec<Result<Response>>) {
+        match read_frame(stream, MAX_FRAME) {
+            Ok(Some(Frame::Resp { id, outcomes })) => (id, outcomes),
+            other => panic!("expected a response frame, got {other:?}"),
+        }
+    }
+
+    /// A duplicate of an in-flight frame whose outcome the replay cache
+    /// evicted before the writer could echo it still gets one outcome per
+    /// request of the frame: the client fails a response of another
+    /// length.
+    #[test]
+    fn an_evicted_duplicate_is_answered_with_one_outcome_per_request() {
+        let schema = Schema::new(vec![Column::new("k", DataType::Int)])
+            .with_primary_key(&["k"])
+            .expect("k is a column");
+        let mut odb = OrpheusDB::new();
+        odb.init_cvd("x", schema, vec![vec![Value::Int(1)]], None)
+            .expect("init x");
+        let config = ServerConfig {
+            dedup_cache: 1,
+            ..ServerConfig::default()
+        };
+        let server = NetServer::bind_with("127.0.0.1:0", SharedOrpheusDB::new(odb), config)
+            .expect("bind a loopback port");
+        let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+            user: "ada".to_string(),
+            resume: None,
+        };
+        write_frame(&mut raw, &hello).expect("say hello");
+        assert!(matches!(
+            read_frame(&mut raw, MAX_FRAME),
+            Ok(Some(Frame::Welcome { .. }))
+        ));
+        let checkout = Checkout::of("x").version(1u64).into_table("held");
+        send(&mut raw, 4, vec![checkout.into()]);
+        let (_, outcomes) = receive(&mut raw);
+        assert!(outcomes[0].is_ok(), "{outcomes:?}");
+
+        let gate = arm_commit_gate("held");
+        let frame_5 = || {
+            vec![
+                Commit::table("held").message("held").into(),
+                Request::Whoami,
+            ]
+        };
+        send(&mut raw, 5, frame_5());
+        gate.wait_entered();
+        send(&mut raw, 6, vec![Request::Whoami]);
+        send(&mut raw, 5, frame_5());
+        // Frame 5 resolves only once its duplicate has coalesced onto it,
+        // so the writer answers 5, then 6 (whose outcome evicts 5's from
+        // the one-entry cache), then the duplicate.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.stats().deduped == 0 {
+            assert!(Instant::now() < deadline, "the duplicate never arrived");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        gate.release();
+
+        let (id, outcomes) = receive(&mut raw);
+        assert_eq!(id, 5);
+        assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+        assert_eq!(receive(&mut raw).0, 6);
+        let (id, outcomes) = receive(&mut raw);
+        assert_eq!(id, 5);
+        assert_eq!(outcomes.len(), 2, "{outcomes:?}");
+        for outcome in &outcomes {
+            assert!(
+                matches!(outcome, Err(CoreError::DeadlineExceeded { .. })),
+                "{outcome:?}"
+            );
+        }
+        drop(raw);
+        server.shutdown();
     }
 }

@@ -5,6 +5,7 @@
 //! one byte — on the wire, in the log or on disk — fails here, and a log or
 //! snapshot written before it would no longer load.
 
+use std::net::TcpStream;
 use std::path::PathBuf;
 
 use orpheusdb::core::persist;
@@ -12,7 +13,8 @@ use orpheusdb::core::staging::StagedKind;
 use orpheusdb::core::wal::{read_segment, CommitRecord, WalOp, WalRecord, HEADER_LEN, WAL_VERSION};
 use orpheusdb::engine::storage::{self, crc32};
 use orpheusdb::engine::{JoinStrategy, Table};
-use orpheusdb::net::{Frame, PROTOCOL_VERSION};
+use orpheusdb::net::proto::{read_frame, write_frame};
+use orpheusdb::net::{Frame, NetServer, MAX_FRAME, PROTOCOL_VERSION};
 use orpheusdb::prelude::*;
 
 mod wire_corpus;
@@ -35,19 +37,23 @@ fn assert_pins(what: &str, actual: &[Pin], expected: &[Pin]) {
 #[test]
 fn format_versions_are_unchanged() {
     assert_eq!(WAL_VERSION, 2);
-    assert_eq!(PROTOCOL_VERSION, 2);
+    assert_eq!(PROTOCOL_VERSION, 3);
     assert_eq!(storage::FORMAT_VERSION, 1);
 }
 
 // -- wire frames --------------------------------------------------------------
 
-/// The corpus as frames: one `Req` per request, one `Resp` per response
-/// and per error, then the whole corpus as one `Batch` and one `BatchResp`.
+/// The corpus as frames: one single-request `Req` per request, one
+/// single-outcome `Resp` per response and per error, then the whole corpus
+/// as one `Req` and one `Resp`.
 fn corpus_frames() -> Vec<Frame> {
     let mut frames: Vec<Frame> = request_corpus()
         .into_iter()
         .zip(1u64..)
-        .map(|(request, id)| Frame::Req { id, request })
+        .map(|(request, id)| Frame::Req {
+            id,
+            requests: vec![request],
+        })
         .collect();
     let outcomes = || {
         response_corpus()
@@ -57,13 +63,13 @@ fn corpus_frames() -> Vec<Frame> {
     };
     frames.extend(outcomes().zip(1u64..).map(|(outcome, id)| Frame::Resp {
         id,
-        outcome: Box::new(outcome),
+        outcomes: vec![outcome],
     }));
-    frames.push(Frame::Batch {
+    frames.push(Frame::Req {
         id: u64::MAX,
         requests: request_corpus(),
     });
-    frames.push(Frame::BatchResp {
+    frames.push(Frame::Resp {
         id: 3,
         outcomes: outcomes().collect(),
     });
@@ -71,75 +77,75 @@ fn corpus_frames() -> Vec<Frame> {
 }
 
 const FRAME_PINS: &[Pin] = &[
-    (73, 3442396858),
-    (188, 652583917),
-    (56, 203924972),
-    (54, 3652702193),
-    (49, 3837289698),
-    (77, 4263336753),
-    (36, 1696620422),
-    (36, 202235592),
-    (58, 509409431),
-    (10, 2471023065),
-    (20, 3393885524),
-    (19, 903263299),
-    (26, 3897365644),
-    (74, 1005772463),
-    (21, 952892489),
-    (21, 1060596514),
-    (10, 1421781056),
-    (21, 1184142650),
-    (29, 3194359026),
-    (49, 4263795463),
-    (71, 1130347308),
-    (27, 2149067596),
-    (64, 1453780269),
-    (81, 1209153081),
-    (34, 2132598482),
-    (15, 2467399007),
-    (114, 1959071445),
-    (21, 30976256),
-    (53, 1362073067),
-    (22, 2555313288),
-    (22, 2620470137),
-    (22, 2478266389),
-    (22, 3365831151),
-    (17, 2976825146),
-    (17, 3562732814),
-    (17, 4174757525),
-    (17, 2648833185),
-    (17, 2594511211),
-    (17, 3976053513),
-    (17, 869003738),
-    (17, 1459598318),
-    (17, 1140016883),
-    (17, 564838622),
-    (17, 2269137577),
-    (17, 521597415),
-    (17, 42516560),
-    (19, 539897235),
-    (21, 3606707607),
-    (29, 4191494573),
-    (19, 308810895),
-    (17, 1694895326),
-    (29, 1526855332),
-    (24, 1323518296),
-    (25, 3022946444),
-    (26, 3972568364),
-    (20, 2146364408),
-    (25, 3703173574),
-    (17, 2140184789),
-    (18, 1565957146),
-    (22, 3420240852),
-    (25, 2107112779),
-    (19, 2783804592),
-    (22, 2674896938),
-    (22, 1080359249),
-    (24, 1511373686),
-    (19, 968323768),
-    (19, 1324437857),
-    (28, 2118646727),
-    (45, 439206361),
+    (77, 4135176105),
+    (192, 2481882992),
+    (60, 1996530650),
+    (58, 363438849),
+    (53, 836292254),
+    (81, 3192416555),
+    (40, 1836800439),
+    (40, 3863967698),
+    (62, 691175196),
+    (14, 3253940600),
+    (24, 3315674547),
+    (23, 1516262190),
+    (30, 857948504),
+    (78, 1475862517),
+    (25, 557913388),
+    (25, 647638455),
+    (14, 2069794100),
+    (25, 1288464684),
+    (33, 1011005206),
+    (53, 902105959),
+    (75, 1558095910),
+    (31, 382314899),
+    (68, 501521118),
+    (85, 1103064276),
+    (38, 1546092105),
+    (19, 4217053515),
+    (118, 1467015323),
+    (25, 3181398169),
+    (57, 756156485),
+    (26, 2361902825),
+    (26, 3001621128),
+    (26, 4087104852),
+    (26, 2464452414),
+    (21, 2790439826),
+    (21, 141120369),
+    (21, 2726816210),
+    (21, 213647665),
+    (21, 390445597),
+    (21, 2853358248),
+    (21, 4081385795),
+    (21, 1568598432),
+    (21, 3121023910),
+    (21, 324085596),
+    (21, 869946387),
+    (21, 1619215754),
+    (21, 1637886683),
+    (23, 1090311804),
+    (25, 3536305424),
+    (33, 3753894077),
+    (23, 559336929),
+    (21, 2987859052),
+    (33, 518601898),
+    (28, 743624499),
+    (29, 1530744318),
+    (30, 2493571035),
+    (24, 2780946455),
+    (29, 1768592059),
+    (21, 2370196301),
+    (22, 3138132290),
+    (26, 1700103121),
+    (29, 2016878667),
+    (23, 1875405268),
+    (26, 2521952991),
+    (26, 128552724),
+    (28, 2609013351),
+    (23, 2380119439),
+    (23, 48319607),
+    (32, 4191921839),
+    (49, 4043048184),
     (700, 1445689076),
     (955, 1450639746),
 ];
@@ -156,6 +162,32 @@ fn wire_frames_are_pinned_and_decode_to_their_source() {
         assert_eq!(format!("{decoded:?}"), format!("{frame:?}"));
         assert_eq!(&decoded.encode(), payload);
     }
+}
+
+/// A version-2 client — the protocol with separate single-request frames —
+/// is refused at the handshake, by name, before any request frame could
+/// misdecode.
+#[test]
+fn a_version_two_hello_is_refused_by_name() {
+    let server = NetServer::bind("127.0.0.1:0", SharedOrpheusDB::default()).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let hello = Frame::Hello {
+        version: 2,
+        user: "ada".to_string(),
+        resume: None,
+    };
+    write_frame(&mut raw, &hello).unwrap();
+    match read_frame(&mut raw, MAX_FRAME).unwrap().unwrap() {
+        Frame::Resp { id: 0, outcomes } => match &outcomes[..] {
+            [Err(CoreError::Protocol(m))] => assert!(
+                m.contains("version 2") && m.contains("version 3"),
+                "the refusal names both versions: {m}"
+            ),
+            other => panic!("expected one protocol error, got {other:?}"),
+        },
+        other => panic!("expected a terminal response, got {other:?}"),
+    }
+    server.shutdown();
 }
 
 // -- WAL segment ----------------------------------------------------------------

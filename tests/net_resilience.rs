@@ -17,11 +17,15 @@
 //!   refusal and `NetServer::shared` stays callable — never a panic;
 //! * (e) a client session keeps its order across a resume: a frame the
 //!   resumed connection sends runs after the frames its dropped
-//!   connection still has in flight.
+//!   connection still has in flight;
+//! * (f) a cut that truncates a response mid-frame is a lost link, not a
+//!   dead one: the client reconnects and replays.
 //!
 //! The reconnect storm scales up under `ORPHEUS_STRESS=1` (the CI stress
 //! job).
 
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -564,5 +568,76 @@ fn the_session_registry_is_bounded_by_the_live_connections() {
     assert!(server.stats().connections >= live_count);
 
     drop(live);
+    server.shutdown();
+}
+
+/// One whole frame off `stream`, length prefix included.
+fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut frame = vec![0u8; 4];
+    stream.read_exact(&mut frame).expect("a length prefix");
+    let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+    frame.resize(4 + len, 0);
+    stream.read_exact(&mut frame[4..]).expect("a payload");
+    frame
+}
+
+/// The server-to-client half of the relay below: with `cut`, pass on the
+/// handshake's welcome whole and then only the first half of the next
+/// frame, and close both sockets; without, relay verbatim until either
+/// side closes.
+fn relay_responses(mut server: TcpStream, mut client: TcpStream, cut: bool) {
+    if cut {
+        let welcome = read_raw_frame(&mut server);
+        client.write_all(&welcome).expect("relay the welcome");
+        let response = read_raw_frame(&mut server);
+        client
+            .write_all(&response[..response.len() / 2])
+            .expect("relay half a response");
+    } else {
+        let _ = std::io::copy(&mut server, &mut client);
+    }
+    let _ = client.shutdown(Shutdown::Both);
+    let _ = server.shutdown(Shutdown::Both);
+}
+
+/// A network cut can land inside a response, not only between frames.
+/// A relay passes on half of the first response after the handshake and
+/// closes; the client must read that as a lost link, reconnect through
+/// the relay, and replay the frame, which the server answers from its
+/// replay cache: the original outcome, executed once.
+#[test]
+fn a_response_cut_mid_frame_is_replayed_after_a_reconnect() {
+    let server = NetServer::bind("127.0.0.1:0", SharedOrpheusDB::new(OrpheusDB::new())).unwrap();
+    let upstream = server.local_addr();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let relay_addr = listener.local_addr().unwrap();
+    let relay = std::thread::spawn(move || {
+        // The first connection gets the cut; the reconnect is relayed whole.
+        for cut in [true, false] {
+            let (client, _) = listener.accept().unwrap();
+            let server = TcpStream::connect(upstream).unwrap();
+            let (mut from, mut to) = (client.try_clone().unwrap(), server.try_clone().unwrap());
+            let requests = std::thread::spawn(move || {
+                let _ = std::io::copy(&mut from, &mut to);
+                let _ = to.shutdown(Shutdown::Both);
+            });
+            relay_responses(server, client, cut);
+            requests.join().unwrap();
+        }
+    });
+    let mut client =
+        RemoteExecutor::connect_with_policy(relay_addr, "ada", DEFAULT_TIMEOUT, fast_policy())
+            .unwrap();
+
+    // Executed twice, the init would fail: the CVD would already exist.
+    let created = client
+        .execute(Init::cvd("scores").schema(schema()).rows(rows(4)).into())
+        .expect("the cut response is replayed, not fatal");
+    assert_eq!(created.version(), Some(Vid(1)));
+    assert_eq!(client.retry_stats().reconnects, 1);
+    assert_eq!(server.stats().deduped, 1, "{:?}", server.stats());
+
+    drop(client);
+    relay.join().unwrap();
     server.shutdown();
 }

@@ -357,7 +357,7 @@ fn handshake_refuses_a_wrong_protocol_version_by_name() {
     )
     .unwrap();
     match read_frame(&mut raw, MAX_FRAME).unwrap().unwrap() {
-        Frame::Resp { id: 0, outcome } => match *outcome {
+        Frame::Resp { id: 0, outcomes } => match outcomes.into_iter().next().unwrap() {
             Err(CoreError::Protocol(m)) => {
                 assert!(m.contains("version"), "{m}");
                 assert!(m.contains(&PROTOCOL_VERSION.to_string()), "{m}");
@@ -392,7 +392,7 @@ fn an_oversized_frame_is_refused_with_a_protocol_error() {
         .unwrap();
     raw.flush().unwrap();
     match read_frame(&mut raw, MAX_FRAME).unwrap().unwrap() {
-        Frame::Resp { id: 0, outcome } => match *outcome {
+        Frame::Resp { id: 0, outcomes } => match outcomes.into_iter().next().unwrap() {
             Err(CoreError::Protocol(m)) => assert!(m.contains("exceeds"), "{m}"),
             other => panic!("expected a protocol error, got {other:?}"),
         },

@@ -1,9 +1,10 @@
 //! Wire-protocol acceptance: every [`Request`] and [`Response`] variant —
 //! and every [`CoreError`] — survives a frame encode/decode round trip
-//! bit-exactly, and malformed input (truncated prefixes, truncated
-//! payloads, oversized frames, bad magic, unknown tags, hostile counts,
-//! non-UTF-8 strings, trailing bytes) produces a [`CoreError::Protocol`]
-//! error — never a panic, never a wrong decode.
+//! bit-exactly, and malformed input (oversized frames, bad magic, unknown
+//! tags, hostile counts, non-UTF-8 strings, trailing bytes) produces a
+//! [`CoreError::Protocol`] error — never a panic, never a wrong decode. A
+//! stream cut inside a frame (a truncated prefix or payload) is a lost
+//! link, [`CoreError::Network`].
 
 use std::io::Cursor;
 
@@ -35,14 +36,14 @@ fn every_request_variant_roundtrips_in_single_and_batch_frames() {
     for (i, request) in corpus.iter().enumerate() {
         assert_roundtrip(&Frame::Req {
             id: i as u64 + 1,
-            request: request.clone(),
+            requests: vec![request.clone()],
         });
     }
-    assert_roundtrip(&Frame::Batch {
+    assert_roundtrip(&Frame::Req {
         id: u64::MAX,
         requests: corpus,
     });
-    assert_roundtrip(&Frame::Batch {
+    assert_roundtrip(&Frame::Req {
         id: 7,
         requests: Vec::new(),
     });
@@ -53,13 +54,13 @@ fn every_response_and_error_variant_roundtrips() {
     for (i, response) in response_corpus().into_iter().enumerate() {
         assert_roundtrip(&Frame::Resp {
             id: i as u64,
-            outcome: Box::new(Ok(response)),
+            outcomes: vec![Ok(response)],
         });
     }
     for (i, error) in error_corpus().into_iter().enumerate() {
         assert_roundtrip(&Frame::Resp {
             id: i as u64,
-            outcome: Box::new(Err(error)),
+            outcomes: vec![Err(error)],
         });
     }
     let outcomes: Vec<Result<Response, CoreError>> = response_corpus()
@@ -67,7 +68,7 @@ fn every_response_and_error_variant_roundtrips() {
         .map(Ok)
         .chain(error_corpus().into_iter().map(Err))
         .collect();
-    assert_roundtrip(&Frame::BatchResp { id: 3, outcomes });
+    assert_roundtrip(&Frame::Resp { id: 3, outcomes });
 }
 
 #[test]
@@ -107,11 +108,11 @@ fn frames_stream_through_a_byte_channel_and_eof_is_clean() {
         },
         Frame::Req {
             id: 1,
-            request: Request::Ls,
+            requests: vec![Request::Ls],
         },
         Frame::Resp {
             id: 1,
-            outcome: Box::new(Ok(Response::CvdList(vec!["scores".into()]))),
+            outcomes: vec![Ok(Response::CvdList(vec!["scores".into()]))],
         },
     ];
     for frame in &frames {
@@ -133,12 +134,19 @@ fn expect_protocol_error(bytes: &[u8], what: &str) {
     }
 }
 
+fn expect_network_error(bytes: &[u8], what: &str) {
+    match read_frame(&mut Cursor::new(bytes.to_vec()), MAX_FRAME) {
+        Err(CoreError::Network(_)) => {}
+        other => panic!("{what}: expected a network error, got {other:?}"),
+    }
+}
+
 #[test]
 fn truncated_and_oversized_frames_error_without_panicking() {
-    // EOF inside the length prefix.
-    expect_protocol_error(&[0, 0, 9], "truncated length prefix");
+    // EOF inside the length prefix: the link was cut mid-frame.
+    expect_network_error(&[0, 0, 9], "truncated length prefix");
     // Length prefix promises more payload than the stream holds.
-    expect_protocol_error(&[0, 0, 0, 10, 1, 2, 3], "truncated payload");
+    expect_network_error(&[0, 0, 0, 10, 1, 2, 3], "truncated payload");
     // A frame larger than the cap is refused before any allocation.
     let oversized = ((MAX_FRAME + 1) as u32).to_be_bytes();
     expect_protocol_error(&oversized, "oversized frame");
@@ -148,7 +156,7 @@ fn truncated_and_oversized_frames_error_without_panicking() {
         &mut wire,
         &Frame::Req {
             id: 1,
-            request: Run::sql("SELECT 1").into(),
+            requests: vec![Run::sql("SELECT 1").into()],
         },
     )
     .unwrap();
@@ -171,24 +179,36 @@ fn hostile_payloads_error_without_panicking() {
         Err(CoreError::Protocol(m)) => assert!(m.contains("magic"), "{m}"),
         other => panic!("bad magic: {other:?}"),
     }
-    // Req with an unknown request tag.
-    decode_err(&[3, 0, 0, 0, 0, 0, 0, 0, 1, 200], "unknown request tag");
-    // Batch whose count promises far more requests than the bytes hold.
-    let mut batch = vec![4]; // Batch tag
+    // Version 2's single-request frame (here `Req { id: 1, Ls }`): its tag
+    // is retired.
+    decode_err(
+        &[3, 1, 0, 0, 0, 0, 0, 0, 0, 8],
+        "retired single-request tag",
+    );
+    // One request with an unknown request tag.
+    let one_request = |body: &[u8]| {
+        let mut payload = vec![4]; // Req tag
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(body);
+        payload
+    };
+    decode_err(&one_request(&[200]), "unknown request tag");
+    // A request frame whose count promises far more requests than the
+    // bytes hold.
+    let mut batch = vec![4]; // Req tag
     batch.extend_from_slice(&1u64.to_le_bytes());
     batch.extend_from_slice(&u32::MAX.to_le_bytes());
     decode_err(&batch, "hostile batch count");
     // Login whose string is not UTF-8.
-    let mut login = vec![3]; // Req tag
-    login.extend_from_slice(&1u64.to_le_bytes());
-    login.push(13); // Login request tag
+    let mut login = one_request(&[13]); // Login request tag
     login.extend_from_slice(&2u32.to_le_bytes());
     login.extend_from_slice(&[0xff, 0xfe]);
     decode_err(&login, "non-UTF-8 string");
     // A valid frame with trailing garbage must not decode.
     let mut trailing = Frame::Req {
         id: 1,
-        request: Request::Ls,
+        requests: vec![Request::Ls],
     }
     .encode();
     trailing.push(0);
