@@ -1,12 +1,11 @@
-//! Criterion benches for the persistence layer and the range-encoding
-//! codec: snapshot serialize/deserialize throughput (the cost the CLI pays
-//! per durable command) and RangeSet operations on version/record lists.
+//! Criterion benches for the persistence layer: snapshot
+//! serialize/deserialize throughput (the cost the CLI pays per durable
+//! command).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use orpheus_bench::generator::{Workload, WorkloadParams};
 use orpheus_bench::loader::load_workload;
-use orpheus_core::compress::RangeSet;
 use orpheus_core::persist;
 use orpheus_core::{ModelKind, OrpheusDB};
 
@@ -34,30 +33,5 @@ fn bench_snapshot(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_range_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("range_codec");
-    // A versioning-table-shaped list: long runs with periodic holes.
-    let values: Vec<i64> = (0..100_000).filter(|v| v % 97 != 0).collect();
-    group.bench_function("encode_100k", |b| {
-        b.iter(|| RangeSet::from_sorted_unique(&values))
-    });
-    let set = RangeSet::from_sorted_unique(&values);
-    group.bench_function("contains_100k", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for v in (0..100_000).step_by(101) {
-                if set.contains(v) {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    let other = RangeSet::from_values((50_000..150_000).filter(|v| v % 89 != 0));
-    group.bench_function("union_100k", |b| b.iter(|| set.union(&other)));
-    group.bench_function("decode_100k", |b| b.iter(|| set.to_values()));
-    group.finish();
-}
-
-criterion_group!(benches, bench_snapshot, bench_range_codec);
+criterion_group!(benches, bench_snapshot);
 criterion_main!(benches);

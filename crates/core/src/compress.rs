@@ -9,265 +9,20 @@
 //! hi]` pair turns `n` 8-byte elements into `2·(number of runs)` 8-byte
 //! bounds — a large win whenever runs are long.
 //!
-//! [`RangeSet`] is the codec plus the set operations the versioning table
-//! needs (membership for `<@`-style containment, append for commit, union
-//! for merges). The `compression` experiment binary measures the realized
-//! ratio on the SCI/CUR benchmark datasets.
+//! The product stores arrays raw; this module only measures what the
+//! encoding would save. [`compression_report`] is what the `compression`
+//! experiment prints, on the SCI/CUR benchmark datasets.
 
-use std::fmt;
-
-/// A set of i64s stored as sorted, disjoint, non-adjacent inclusive ranges.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RangeSet {
-    /// Invariant: sorted by `lo`; for consecutive ranges `a`, `b`:
-    /// `a.hi + 1 < b.lo` (disjoint and non-adjacent, so the encoding of a
-    /// given set is canonical).
-    runs: Vec<(i64, i64)>,
-}
-
-impl RangeSet {
-    /// The empty set.
-    pub fn new() -> RangeSet {
-        RangeSet::default()
-    }
-
-    /// Build from any iterator of values (need not be sorted or unique).
-    pub fn from_values<I: IntoIterator<Item = i64>>(values: I) -> RangeSet {
-        let mut vs: Vec<i64> = values.into_iter().collect();
-        vs.sort_unstable();
-        vs.dedup();
-        Self::from_sorted_unique(&vs)
-    }
-
-    /// Build from a sorted, duplicate-free slice (the form version/record
-    /// lists are already kept in). O(n).
-    pub fn from_sorted_unique(values: &[i64]) -> RangeSet {
-        debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
-        let mut runs: Vec<(i64, i64)> = Vec::new();
-        for &v in values {
-            match runs.last_mut() {
-                Some((_, hi)) if *hi + 1 == v => *hi = v,
-                _ => runs.push((v, v)),
-            }
-        }
-        RangeSet { runs }
-    }
-
-    /// The encoded runs.
-    pub fn runs(&self) -> &[(i64, i64)] {
-        &self.runs
-    }
-
-    /// Number of elements in the set.
-    pub fn len(&self) -> usize {
-        self.runs
-            .iter()
-            .map(|&(lo, hi)| (hi - lo) as usize + 1)
-            .sum()
-    }
-
-    /// True if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    /// Membership test. O(log runs) — the operation behind the `<@`
-    /// containment checks of the combined-table/split-by-vlist models.
-    pub fn contains(&self, v: i64) -> bool {
-        self.runs
-            .binary_search_by(|&(lo, hi)| {
-                if v < lo {
-                    std::cmp::Ordering::Greater
-                } else if v > hi {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
-    }
-
-    /// Insert one value, merging adjacent runs. O(runs) worst case but O(1)
-    /// amortized for the commit pattern (monotonically growing ids).
-    pub fn insert(&mut self, v: i64) {
-        // Find the first run with lo > v.
-        let i = self.runs.partition_point(|&(lo, _)| lo <= v);
-        // Check the run before (may contain or touch v from the left).
-        if i > 0 {
-            let (_, hi) = self.runs[i - 1];
-            if v <= hi {
-                return; // already present
-            }
-            if hi + 1 == v {
-                self.runs[i - 1].1 = v;
-                // May now touch the next run.
-                if i < self.runs.len() && self.runs[i].0 == v + 1 {
-                    self.runs[i - 1].1 = self.runs[i].1;
-                    self.runs.remove(i);
-                }
-                return;
-            }
-        }
-        // Check the run after (may touch v from the right).
-        if i < self.runs.len() && self.runs[i].0 == v + 1 {
-            self.runs[i].0 = v;
-            return;
-        }
-        self.runs.insert(i, (v, v));
-    }
-
-    /// Set union (merge commits combine parents' lists). O(runs).
-    pub fn union(&self, other: &RangeSet) -> RangeSet {
-        let (mut a, mut b) = (self.runs.iter().peekable(), other.runs.iter().peekable());
-        let mut out: Vec<(i64, i64)> = Vec::new();
-        let push = |run: (i64, i64), out: &mut Vec<(i64, i64)>| match out.last_mut() {
-            Some((_, hi)) if run.0 <= hi.saturating_add(1) => *hi = (*hi).max(run.1),
-            _ => out.push(run),
-        };
-        loop {
-            let next = match (a.peek(), b.peek()) {
-                (Some(&&ra), Some(&&rb)) => {
-                    if ra.0 <= rb.0 {
-                        a.next();
-                        ra
-                    } else {
-                        b.next();
-                        rb
-                    }
-                }
-                (Some(&&ra), None) => {
-                    a.next();
-                    ra
-                }
-                (None, Some(&&rb)) => {
-                    b.next();
-                    rb
-                }
-                (None, None) => break,
-            };
-            push(next, &mut out);
-        }
-        RangeSet { runs: out }
-    }
-
-    /// Set intersection. O(runs).
-    pub fn intersect(&self, other: &RangeSet) -> RangeSet {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.runs.len() && j < other.runs.len() {
-            let (alo, ahi) = self.runs[i];
-            let (blo, bhi) = other.runs[j];
-            let lo = alo.max(blo);
-            let hi = ahi.min(bhi);
-            if lo <= hi {
-                out.push((lo, hi));
-            }
-            if ahi < bhi {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        RangeSet { runs: out }
-    }
-
-    /// Elements in `self` but not `other` (version diffs). O(runs).
-    pub fn difference(&self, other: &RangeSet) -> RangeSet {
-        let mut out: Vec<(i64, i64)> = Vec::new();
-        let mut j = 0;
-        for &(lo, hi) in &self.runs {
-            let mut cur = lo;
-            while j < other.runs.len() && other.runs[j].1 < cur {
-                j += 1;
-            }
-            let mut k = j;
-            while cur <= hi {
-                if k >= other.runs.len() || other.runs[k].0 > hi {
-                    out.push((cur, hi));
-                    break;
-                }
-                let (blo, bhi) = other.runs[k];
-                if blo > cur {
-                    out.push((cur, blo - 1));
-                }
-                if bhi >= hi {
-                    break;
-                }
-                cur = cur.max(bhi + 1);
-                k += 1;
-            }
-        }
-        RangeSet { runs: out }
-    }
-
-    /// Decode back to a sorted value list.
-    pub fn to_values(&self) -> Vec<i64> {
-        let mut out = Vec::with_capacity(self.len());
-        for &(lo, hi) in &self.runs {
-            out.extend(lo..=hi);
-        }
-        out
-    }
-
-    /// Iterate elements in ascending order without materializing.
-    pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
-        self.runs.iter().flat_map(|&(lo, hi)| lo..=hi)
-    }
-
-    /// Encoded size in bytes: two 8-byte bounds per run (plus a length).
-    pub fn encoded_bytes(&self) -> usize {
-        8 + 16 * self.runs.len()
-    }
-
-    /// Raw array size in bytes for the same set (8 bytes per element, plus
-    /// a length), i.e. the cost the uncompressed versioning table pays.
-    pub fn raw_bytes(&self) -> usize {
-        8 + 8 * self.len()
-    }
-
-    /// `raw_bytes / encoded_bytes` — > 1 means the encoding wins.
-    pub fn compression_ratio(&self) -> f64 {
-        self.raw_bytes() as f64 / self.encoded_bytes() as f64
-    }
-}
-
-impl fmt::Display for RangeSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        for (i, (lo, hi)) in self.runs.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            if lo == hi {
-                write!(f, "{lo}")?;
-            } else {
-                write!(f, "{lo}-{hi}")?;
-            }
-        }
-        write!(f, "}}")
-    }
-}
-
-impl FromIterator<i64> for RangeSet {
-    fn from_iter<I: IntoIterator<Item = i64>>(iter: I) -> RangeSet {
-        RangeSet::from_values(iter)
-    }
-}
-
-/// Range-encoded size of one raw array, without building the set: the
-/// accounting primitive used by the compression experiment. The input must
-/// be sorted and duplicate-free (as vlist/rlist arrays are).
+/// Range-encoded size of one array: two 8-byte bounds per maximal run of
+/// consecutive values, plus an 8-byte length. The runs are those of the
+/// array's sorted, duplicate-free values.
 pub fn encoded_array_bytes(values: &[i64]) -> usize {
-    let mut runs = 0usize;
-    let mut prev: Option<i64> = None;
-    for &v in values {
-        match prev {
-            Some(p) if p + 1 == v => {}
-            _ => runs += 1,
-        }
-        prev = Some(v);
-    }
-    8 + 16 * runs
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    // Strictly ascending, so `w[0] + 1` cannot overflow.
+    let breaks = sorted.windows(2).filter(|w| w[0] + 1 != w[1]).count();
+    8 + 16 * (sorted.len().min(1) + breaks)
 }
 
 /// Storage effect of range-encoding the array column of a CVD's
@@ -340,9 +95,8 @@ pub fn compression_report(
     };
     for row in t.rows() {
         let values = row[col].as_int_array()?;
-        let set = RangeSet::from_values(values.iter().copied());
         let raw = 8 + 8 * values.len();
-        let encoded = set.encoded_bytes();
+        let encoded = encoded_array_bytes(values);
         report.arrays += 1;
         report.elements += values.len();
         report.raw_bytes += raw;
@@ -355,111 +109,52 @@ pub fn compression_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+
+    /// The size of `runs` encoded runs.
+    fn bytes_of_runs(runs: usize) -> usize {
+        8 + 16 * runs
+    }
 
     #[test]
     fn builds_canonical_runs() {
-        let s = RangeSet::from_values(vec![5, 1, 2, 3, 2, 9, 10]);
-        assert_eq!(s.runs(), &[(1, 3), (5, 5), (9, 10)]);
-        assert_eq!(s.len(), 6);
-        assert_eq!(s.to_string(), "{1-3,5,9-10}");
-    }
-
-    #[test]
-    fn contains_hits_and_misses() {
-        let s = RangeSet::from_values(vec![1, 2, 3, 7, 9, 10]);
-        for hit in [1, 2, 3, 7, 9, 10] {
-            assert!(s.contains(hit), "{hit}");
-        }
-        for miss in [0, 4, 6, 8, 11, -5] {
-            assert!(!s.contains(miss), "{miss}");
-        }
-        assert!(!RangeSet::new().contains(0));
-    }
-
-    #[test]
-    fn insert_merges_runs_in_both_directions() {
-        let mut s = RangeSet::from_values(vec![1, 2, 5, 6]);
-        s.insert(4); // touches (5,6) from the left
-        assert_eq!(s.runs(), &[(1, 2), (4, 6)]);
-        s.insert(3); // bridges (1,2) and (4,6)
-        assert_eq!(s.runs(), &[(1, 6)]);
-        s.insert(3); // idempotent
-        assert_eq!(s.runs(), &[(1, 6)]);
-        s.insert(10);
-        assert_eq!(s.runs(), &[(1, 6), (10, 10)]);
-    }
-
-    #[test]
-    fn set_operations_match_btreeset() {
-        let a = RangeSet::from_values(vec![1, 2, 3, 10, 11, 20]);
-        let b = RangeSet::from_values(vec![3, 4, 11, 12, 13, 30]);
-        let sa: BTreeSet<i64> = a.iter().collect();
-        let sb: BTreeSet<i64> = b.iter().collect();
+        // Order and duplicates do not matter: {1-3, 5, 9-10}.
         assert_eq!(
-            a.union(&b).to_values(),
-            sa.union(&sb).copied().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            a.intersect(&b).to_values(),
-            sa.intersection(&sb).copied().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            a.difference(&b).to_values(),
-            sa.difference(&sb).copied().collect::<Vec<_>>()
+            encoded_array_bytes(&[5, 1, 2, 3, 2, 9, 10]),
+            bytes_of_runs(3)
         );
     }
 
     #[test]
-    fn encoding_wins_on_runs_loses_on_scatter() {
-        // One long run: 1000 elements → 1 run.
-        let long = RangeSet::from_sorted_unique(&(0..1000).collect::<Vec<_>>());
-        assert!(long.compression_ratio() > 300.0);
-        // All-odd values: no runs → every element costs two bounds.
-        let scattered = RangeSet::from_values((0..100).map(|i| i * 2));
-        assert!(scattered.compression_ratio() < 1.0);
-    }
-
-    #[test]
-    fn encoded_array_bytes_agrees_with_rangeset() {
-        for values in [
-            vec![],
-            vec![1],
-            vec![1, 2, 3],
-            vec![1, 3, 5],
-            vec![1, 2, 3, 7, 8, 20],
+    fn encoded_array_bytes_counts_two_bounds_per_run() {
+        for (values, runs) in [
+            (vec![], 0),
+            (vec![1], 1),
+            (vec![1, 2, 3], 1),
+            (vec![1, 3, 5], 3),
+            (vec![1, 2, 3, 7, 8, 20], 3),
         ] {
-            let s = RangeSet::from_sorted_unique(&values);
             assert_eq!(
                 encoded_array_bytes(&values),
-                s.encoded_bytes(),
+                bytes_of_runs(runs),
                 "{values:?}"
             );
         }
     }
 
     #[test]
-    fn display_and_empty() {
-        assert_eq!(RangeSet::new().to_string(), "{}");
-        assert!(RangeSet::new().is_empty());
-        assert_eq!(RangeSet::new().union(&RangeSet::new()).len(), 0);
-    }
-
-    #[test]
-    fn union_handles_adjacent_runs_across_sets() {
-        // (1,3) and (4,6) are adjacent across the two sets and must fuse.
-        let a = RangeSet::from_values(vec![1, 2, 3]);
-        let b = RangeSet::from_values(vec![4, 5, 6]);
-        assert_eq!(a.union(&b).runs(), &[(1, 6)]);
+    fn encoding_wins_on_runs_loses_on_scatter() {
+        let raw = |n: usize| 8 + 8 * n;
+        // One long run: 1000 elements → 1 run.
+        let long: Vec<i64> = (0..1000).collect();
+        assert!(raw(long.len()) > 300 * encoded_array_bytes(&long));
+        // All-even values: no runs → every element costs two bounds.
+        let scattered: Vec<i64> = (0..100).map(|i| i * 2).collect();
+        assert!(raw(scattered.len()) < encoded_array_bytes(&scattered));
     }
 
     #[test]
     fn extremes_do_not_overflow() {
-        let mut s = RangeSet::from_values(vec![i64::MAX - 1, i64::MAX]);
-        assert_eq!(s.runs(), &[(i64::MAX - 1, i64::MAX)]);
-        s.insert(i64::MIN);
-        assert!(s.contains(i64::MIN));
-        let u = s.union(&RangeSet::from_values(vec![i64::MAX]));
-        assert_eq!(u.len(), 3);
+        let values = [i64::MIN, i64::MAX - 1, i64::MAX, i64::MAX];
+        assert_eq!(encoded_array_bytes(&values), bytes_of_runs(2));
     }
 }

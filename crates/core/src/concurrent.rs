@@ -81,9 +81,8 @@
 //! # Lock order
 //!
 //! **Catalog before CVD, and multiple CVD locks only in sorted key order
-//! with the auxiliary shard last** (the instance-wide quiesce paths do so
-//! holding the catalog lock exclusively; cross-CVD write transactions do
-//! so holding it shared). Internal single-shard paths release the catalog
+//! with the auxiliary shard last** (only a shard transaction holds more
+//! than one). Internal single-shard paths release the catalog
 //! lock before blocking on a CVD lock, so a stalled commit on one CVD
 //! cannot back up into the catalog. A thread-local counter enforces the
 //! order in debug builds: acquiring the catalog lock while holding any
@@ -91,17 +90,25 @@
 //! deadlocking silently (see [`SharedOrpheusDB::read`] /
 //! [`SharedOrpheusDB::write`]).
 //!
-//! # Cross-CVD SQL
+//! # Shard transactions
 //!
-//! A statement that touches a single CVD (the overwhelmingly common case)
-//! runs under that CVD's lock alone. A read-only `SELECT` spanning
-//! several CVDs runs against a merged snapshot of the involved shards. A
-//! *writing* statement spanning CVDs runs as a **cross-CVD write
-//! transaction**: the involved shard locks are taken in sorted key order
-//! (auxiliary shard last) under a shared catalog lock, the shards are
-//! merged, the statement executes once against the merged state, and the
-//! shards are split back — atomically with respect to every other path,
-//! which always sees either all of the statement's effects or none.
+//! Work that needs several shards at once runs as one **shard
+//! transaction**: it locks the involved shards in sorted key order
+//! (auxiliary shard last), merges clones of their states — O(tables),
+//! everything under a table is `Arc`-shared — runs once against the
+//! merged instance, and detaches each CVD back into its *own* shard, the
+//! rest into the auxiliary one. [`SharedOrpheusDB::write`], and so every
+//! checkpoint, runs one over every shard under the exclusive catalog
+//! lock, then applies to the catalog what its closure changed: CVDs
+//! created or dropped, staged artifacts materialized or consumed, the
+//! registries. A *writing* statement spanning CVDs runs one over the
+//! involved shards under a shared catalog lock (a read-only `SELECT`
+//! spanning CVDs runs on a merged snapshot instead). Other paths see all
+//! of a transaction's effects or none. No shard is ever emptied or
+//! replaced: a shard resolved before a transaction is still the catalog's
+//! after it, reservations of statements in flight survive it, and a panic
+//! inside it leaves every shard as it was. A shard is retired only when
+//! its CVD is dropped; an operation that resolved it earlier re-routes.
 //!
 //! # One request engine
 //!
@@ -179,8 +186,8 @@ impl LockToken {
     }
 
     /// Note a CVD (shard) acquisition. Multiple shard locks are only ever
-    /// held by snapshot paths, which acquire them in sorted key order
-    /// under an exclusive catalog lock.
+    /// held by a shard transaction, which acquires them in sorted key
+    /// order under the catalog lock.
     fn shard() -> LockToken {
         let (catalog, shard) = LOCKS_HELD.with(Cell::get);
         LOCKS_HELD.with(|c| c.set((catalog, shard + 1)));
@@ -229,9 +236,9 @@ impl<G: DerefMut> DerefMut for Held<G> {
 /// the shard's published MVCC snapshot (see the module docs).
 #[derive(Debug)]
 struct Shard {
-    /// Set when the shard has been replaced (instance-wide `write`) or its
-    /// CVD dropped. Operations that acquired the shard `Arc` before the
-    /// replacement re-resolve through the catalog instead of mutating
+    /// Set when the shard's CVD is dropped (by a drop request or inside a
+    /// `write` closure). Operations that acquired the shard `Arc` before
+    /// the drop re-resolve through the catalog instead of mutating
     /// orphaned state.
     retired: AtomicBool,
     db: RwLock<OrpheusDB>,
@@ -305,14 +312,9 @@ impl DerefMut for ShardWriteGuard<'_> {
 
 impl Drop for ShardWriteGuard<'_> {
     fn drop(&mut self) {
-        // A retired shard is unreachable (quiesced into a rebuild or
-        // dropped); publishing its emptied state would only confuse a
-        // racing snapshot reader's retire re-check.
-        if !self.shard.is_retired() {
-            self.shard
-                .snapshot
-                .store(Arc::new(OrpheusDB::clone(&self.guard)));
-        }
+        self.shard
+            .snapshot
+            .store(Arc::new(OrpheusDB::clone(&self.guard)));
     }
 }
 
@@ -359,44 +361,35 @@ impl Catalog {
     }
 
     /// Split a whole instance into per-CVD shards plus the auxiliary
-    /// shard, and build the staged-name index.
-    fn from_instance(mut odb: OrpheusDB) -> Catalog {
-        let mut names: Vec<String> = odb.cvds.keys().cloned().collect();
-        names.sort();
-        let mut shards = BTreeMap::new();
-        let mut staged = HashMap::new();
-        for name in names {
-            let shard_db = odb
-                .detach_cvd(&name)
-                // `name` was just read from `odb.cvds`, and the CVD's
-                // tables and staged entries move into a fresh, empty
-                // instance: neither the lookup nor an insert can fail.
-                .expect("detaching a listed CVD into an empty shard cannot fail");
-            for entry in shard_db.staged() {
-                staged.insert(
-                    staged_key(&entry.name, entry.kind),
-                    ShardKey::Cvd(name.clone()),
-                );
-            }
-            shards.insert(name, Shard::new(shard_db));
-        }
-        // Whatever is left — side tables, orphaned staged artifacts — is
-        // the auxiliary shard.
-        for entry in odb.staged() {
-            staged.insert(staged_key(&entry.name, entry.kind), ShardKey::Aux);
-        }
-        let access = odb.access.clone();
-        let config = odb.config.clone();
-        let wal = odb.wal.clone();
-        Catalog {
-            access,
-            config,
-            shards,
+    /// shard, and build the staged-name index: a shard transaction that
+    /// changes nothing, run on a catalog whose only shard is the
+    /// auxiliary one. Only [`SharedOrpheusDB::new`] builds a catalog;
+    /// everything after that changes it in place.
+    fn from_instance(odb: OrpheusDB) -> Catalog {
+        let mut cat = Catalog {
+            access: odb.access.clone(),
+            config: odb.config.clone(),
+            wal: odb.wal.clone(),
+            shards: BTreeMap::new(),
             aux: Shard::new(odb),
-            staged,
+            staged: HashMap::new(),
             creating: HashSet::new(),
-            wal,
-        }
+        };
+        let ((), settled) = cat
+            .transact(&BTreeSet::new(), |_| ())
+            .expect("one instance merges with nothing");
+        cat.settle(settled);
+        cat
+    }
+
+    /// Remove a dropped CVD's shard and its staged-index entries, and
+    /// retire the shard so operations that resolved it earlier re-route.
+    fn remove_cvd(&mut self, key: &str) -> Option<Arc<Shard>> {
+        let shard = self.shards.remove(key)?;
+        shard.retire();
+        self.staged
+            .retain(|_, holder| !matches!(holder, ShardKey::Cvd(cvd) if cvd == key));
+        Some(shard)
     }
 
     fn shard(&self, cvd: &str) -> Result<Arc<Shard>> {
@@ -503,21 +496,31 @@ impl Catalog {
     /// last *acknowledged* state (individually consistent); a writer still
     /// inside its critical section is simply not visible yet.
     fn merge_snapshots<'a>(&self, shards: impl Iterator<Item = &'a Arc<Shard>>) -> OrpheusDB {
-        let mut merged = self.aux.load_snapshot();
-        merged.access = self.access.clone();
-        merged.config = self.config.clone();
-        for shard in shards {
-            merged
-                .absorb(shard.load_snapshot())
-                // Shards hold disjoint CVDs by construction. Their table
-                // names are disjoint because backing tables live in
-                // `<cvd>__` namespaces, staged tables are unique through
-                // the staged index, and `Catalog::check_table_name` refuses
-                // a checkout, a `SELECT … INTO` or a `CREATE TABLE` whose
-                // target is the name of a side table of another shard.
-                .expect("disjoint shards merge without collisions");
+        self.merge(self.aux.load_snapshot(), shards.map(|s| s.load_snapshot()))
+            // Shards hold disjoint CVDs by construction. Their table names
+            // are disjoint because backing tables live in `<cvd>__`
+            // namespaces, staged tables are unique through the staged
+            // index, and `Catalog::check_table_name` refuses a checkout, a
+            // `SELECT … INTO` or a `CREATE TABLE` whose target is the name
+            // of a side table of another shard.
+            .expect("disjoint shards merge without collisions")
+    }
+
+    /// One instance from the auxiliary shard's state `aux` and the CVD
+    /// shards' `parts`, under the catalog's user registry and
+    /// configuration: the merge of every snapshot read and every shard
+    /// transaction.
+    fn merge(
+        &self,
+        mut aux: OrpheusDB,
+        parts: impl Iterator<Item = OrpheusDB>,
+    ) -> Result<OrpheusDB> {
+        aux.access = self.access.clone();
+        aux.config = self.config.clone();
+        for part in parts {
+            aux.absorb(part)?;
         }
-        merged
+        Ok(aux)
     }
 
     /// Merged read snapshot of the whole instance.
@@ -533,31 +536,100 @@ impl Catalog {
         self.merge_snapshots(keys.iter().filter_map(|k| self.shards.get(k)))
     }
 
-    /// Quiesce every shard (write locks in sorted order), retire them, and
-    /// move all state back into one instance. Caller holds the catalog
-    /// lock exclusively and rebuilds the catalog afterwards.
-    fn take_all(&mut self) -> OrpheusDB {
-        let arcs: Vec<Arc<Shard>> = self.shards.values().cloned().collect();
-        let mut guards: Vec<_> = arcs.iter().map(|s| s.write()).collect();
-        let mut aux_guard = self.aux.write();
-        // Retire while still holding the write guards: an operation
-        // blocked on a shard lock observes `retired` the moment it gets
-        // through, instead of running against the emptied shard.
-        for arc in &arcs {
-            arc.retire();
+    /// Run `f` as one shard transaction over the shards of `keys` and the
+    /// auxiliary shard (see the module docs). A shard whose CVD `f`
+    /// dropped keeps its state and is retired before its lock is
+    /// released. What `f` changed outside the locked shards is returned
+    /// for [`Catalog::settle`].
+    fn transact<T>(
+        &self,
+        keys: &BTreeSet<String>,
+        f: impl FnOnce(&mut OrpheusDB) -> T,
+    ) -> Result<(T, Settled)> {
+        let shards: Vec<(&String, Arc<Shard>)> = keys
+            .iter()
+            .map(|k| Ok((k, self.shard(k)?)))
+            .collect::<Result<_>>()?;
+        let mut guards: Vec<ShardWriteGuard<'_>> =
+            shards.iter().map(|(_, shard)| shard.write()).collect();
+        let mut aux = self.aux.write();
+        let parts = guards.iter().map(|guard| OrpheusDB::clone(guard));
+        let mut merged = self.merge(OrpheusDB::clone(&aux), parts)?;
+        let staged_before = index_entries(&merged).map(|(key, _)| key).collect();
+        let out = f(&mut merged);
+        let mut settled = Settled {
+            staged_before,
+            staged_after: index_entries(&merged).collect(),
+            access: merged.access.clone(),
+            config: merged.config.clone(),
+            ..Settled::default()
+        };
+        for ((key, shard), guard) in shards.iter().zip(guards.iter_mut()) {
+            if merged.cvds.contains_key(*key) {
+                **guard = detach_listed(&mut merged, key);
+            } else {
+                shard.retire();
+                settled.dropped.push(key.to_string());
+            }
         }
-        self.aux.retire();
-        let mut merged = std::mem::take(&mut *aux_guard);
-        merged.access = self.access.clone();
-        merged.config = self.config.clone();
-        for guard in guards.iter_mut() {
-            merged
-                .absorb(std::mem::take(&mut **guard))
-                // Same invariant as `Catalog::merge_snapshots`.
-                .expect("disjoint shards merge without collisions");
+        for key in merged.ls() {
+            let db = detach_listed(&mut merged, &key);
+            settled.added.push((key, db));
         }
-        merged
+        *aux = merged;
+        Ok((out, settled))
     }
+
+    /// Apply what a shard transaction changed outside the shards it
+    /// locked (caller holds the catalog lock exclusively). Reservations of
+    /// statements in flight are not artifacts yet, so they stay.
+    fn settle(&mut self, settled: Settled) {
+        for key in &settled.dropped {
+            self.remove_cvd(key);
+        }
+        self.staged
+            .retain(|key, _| !settled.staged_before.contains(key));
+        self.staged.extend(settled.staged_after);
+        for (key, db) in settled.added {
+            self.shards.insert(key, Shard::new(db));
+        }
+        self.access = settled.access;
+        self.config = settled.config;
+    }
+}
+
+/// What a shard transaction changed beyond the states of the shards it
+/// locked (see [`Catalog::settle`]).
+#[derive(Default)]
+struct Settled {
+    added: Vec<(String, OrpheusDB)>,
+    dropped: Vec<String>,
+    /// Index keys of the artifacts staged before the closure ran, and the
+    /// entries of those staged after it.
+    staged_before: HashSet<String>,
+    staged_after: Vec<(String, ShardKey)>,
+    access: AccessController,
+    config: OrpheusConfig,
+}
+
+/// Detach a CVD that `odb` lists. Its tables and staged entries move
+/// into a fresh, empty instance, so neither the lookup nor an insert can
+/// fail.
+fn detach_listed(odb: &mut OrpheusDB, key: &str) -> OrpheusDB {
+    odb.detach_cvd(key)
+        .expect("detaching a listed CVD into an empty shard cannot fail")
+}
+
+/// The staged-name index entries of `db`'s artifacts, each naming the
+/// shard that detaching `db`'s CVDs leaves it in.
+fn index_entries(db: &OrpheusDB) -> impl Iterator<Item = (String, ShardKey)> + '_ {
+    db.staged().into_iter().map(|e| {
+        let holder = match db.cvds.contains_key(&e.cvd) {
+            true => ShardKey::Cvd(e.cvd.clone()),
+            false => ShardKey::Aux,
+        };
+        (staged_key(&e.name, e.kind), holder)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -640,11 +712,10 @@ impl SharedOrpheusDB {
     /// Run a closure against a consistent read snapshot of the instance
     /// (administrative escape hatch; sessions are the normal path).
     ///
-    /// Lock order: takes the catalog lock, then every CVD lock in sorted
-    /// order — all released *before* the closure runs, so the closure sees
-    /// an immutable merged copy and may freely call back into the shared
-    /// instance. The cost is proportional to the instance size; do not
-    /// put this on a hot path.
+    /// Merges every shard's published snapshot under a catalog read that
+    /// is released *before* the closure runs, so the closure sees an
+    /// immutable merged copy and may freely call back into the shared
+    /// instance. The cost is O(tables); do not put this on a hot path.
     pub fn read<T>(&self, f: impl FnOnce(&OrpheusDB) -> T) -> T {
         let merged = self.inner.catalog_read().merged_snapshot();
         f(&merged)
@@ -653,41 +724,19 @@ impl SharedOrpheusDB {
     /// Run a closure with exclusive access to the whole instance
     /// (administrative escape hatch; sessions are the normal path).
     ///
-    /// Lock order: catalog lock first, then every CVD lock in sorted key
-    /// order; the shards are quiesced, merged into one instance, handed to
-    /// the closure, and re-split afterwards. The catalog lock is held for
-    /// the closure's whole duration — calling any `SharedOrpheusDB` or
-    /// [`Session`] operation from inside the closure is a lock-order
-    /// violation and panics in debug builds (it would deadlock in
-    /// release).
+    /// The closure runs as one shard transaction over every shard (see
+    /// the module docs), under the catalog lock held exclusively for its
+    /// whole duration. Calling any `SharedOrpheusDB` or [`Session`]
+    /// operation from inside the closure is a lock-order violation and
+    /// panics in debug builds (it would deadlock in release).
     pub fn write<T>(&self, f: impl FnOnce(&mut OrpheusDB) -> T) -> T {
         let mut cat = self.inner.catalog_write();
-        let mut merged = cat.take_all();
-        // Index entries with no matching staged artifact at quiesce time
-        // are in-flight *reservations*: a checkout resolved its shard
-        // before this rebuild and will materialize right after it. They
-        // must survive the rebuild (whose index comes from shard staging
-        // alone), or the finished checkout would be unroutable and its
-        // name leaked forever. Materialized entries are NOT carried — the
-        // rebuilt index reflects whatever the closure did to them.
-        let materialized: std::collections::HashSet<String> = merged
-            .staged()
-            .iter()
-            .map(|e| staged_key(&e.name, e.kind))
-            .collect();
-        let reservations: Vec<(String, ShardKey)> = cat
-            .staged
-            .iter()
-            .filter(|(key, _)| !materialized.contains(*key))
-            .map(|(key, cvd)| (key.clone(), cvd.clone()))
-            .collect();
-        let out = f(&mut merged);
-        *cat = Catalog::from_instance(merged);
-        for (key, shard) in reservations {
-            if !cat.staged.contains_key(&key) && cat.shard_by_key(&shard).is_ok() {
-                cat.staged.insert(key, shard);
-            }
-        }
+        let keys = cat.shards.keys().cloned().collect();
+        let (out, settled) = cat
+            .transact(&keys, f)
+            // Same invariant as `Catalog::merge_snapshots`.
+            .expect("disjoint shards merge without collisions");
+        cat.settle(settled);
         out
     }
 
@@ -1199,7 +1248,7 @@ impl ConcurrentExecutor {
                 _ => None,
             };
             // The catalog lock is not held while blocking on the shard
-            // lock, so a catalog rebuild can retire the shard in between:
+            // lock, so the shard's CVD can be dropped in between:
             // re-resolve and retry.
             let outcome = loop {
                 let Ok(shard) = self.inner.shard_by_key(key) else {
@@ -1240,17 +1289,9 @@ impl ConcurrentExecutor {
     }
 
     /// A private clone of one shard's MVCC snapshot — the lock-free read
-    /// path. Retries when a catalog rebuild retired the shard between
-    /// resolution and the load (the load could have observed the emptied
-    /// post-quiesce state).
+    /// path. No shard is ever emptied, so the load needs no re-check.
     fn snapshot_of(&self, key: &ShardKey) -> Result<OrpheusDB> {
-        loop {
-            let shard = self.inner.shard_by_key(key)?;
-            let db = shard.load_snapshot();
-            if !shard.is_retired() {
-                return Ok(db);
-            }
-        }
+        Ok(self.inner.shard_by_key(key)?.load_snapshot())
     }
 
     /// Execute one request as `user` against live state: a single
@@ -1349,7 +1390,14 @@ impl ConcurrentExecutor {
                     .catalog_write()
                     .reserve_side_table(&ShardKey::Aux, table)?;
             }
-            let result = self.sql_cross_cvd_write(user, &cvds, sql);
+            // The cross-CVD write transaction: one shard transaction under
+            // a shared catalog lock, which pins the shard set. SQL reaches
+            // neither the CVD registry nor the staging area, so there is
+            // nothing to settle in the catalog.
+            let run =
+                |odb: &mut OrpheusDB| under_identity(odb, user, |odb| shard_sql(odb, user, sql));
+            let result = self.inner.catalog_read().transact(&cvds, run);
+            let result = result.and_then(|(rows, _)| rows);
             release_reservations(&self.inner, &ShardKey::Aux, None, side_table.as_ref());
             return result;
         }
@@ -1360,58 +1408,6 @@ impl ConcurrentExecutor {
         };
         drop(cat);
         shard_sql(&mut merged, user, sql)
-    }
-
-    /// A writing statement spanning several shards: the **cross-CVD write
-    /// transaction**. Under a shared catalog lock (which pins the shard
-    /// set — retirement requires the catalog exclusively), the involved
-    /// shards' write locks are taken in sorted key order with the
-    /// auxiliary shard last — the same global order as the instance-wide
-    /// quiesce paths, so no two lock paths can deadlock. The shards are
-    /// merged, the statement executes once against the merged state, and
-    /// the shards are split back out; every guard republishes its MVCC
-    /// snapshot on release, so other paths observe either all of the
-    /// statement's effects or none.
-    fn sql_cross_cvd_write(
-        &self,
-        user: &str,
-        keys: &BTreeSet<String>,
-        sql: &Lexed,
-    ) -> Result<QueryResult> {
-        let cat = self.inner.catalog_read();
-        let shards: Vec<(&String, Arc<Shard>)> = keys
-            .iter()
-            .map(|k| Ok((k, cat.shard(k)?)))
-            .collect::<Result<_>>()?;
-        let aux = Arc::clone(&cat.aux);
-        let mut guards: Vec<ShardWriteGuard<'_>> =
-            shards.iter().map(|(_, shard)| shard.write()).collect();
-        let mut aux_guard = aux.write();
-        // Merge: the auxiliary shard is the base (its side tables stay
-        // put), each CVD shard is absorbed in. The catalog carries the
-        // canonical user registry, exactly as in `Catalog::take_all`.
-        let mut merged = std::mem::take(&mut *aux_guard);
-        merged.access = cat.access.clone();
-        merged.config = cat.config.clone();
-        for guard in guards.iter_mut() {
-            merged
-                .absorb(std::mem::take(&mut **guard))
-                // Same invariant as `Catalog::merge_snapshots`.
-                .expect("disjoint shards merge without collisions");
-        }
-        let result = under_identity(&mut merged, user, |odb| shard_sql(odb, user, sql));
-        // Split back, whether or not the statement succeeded — the merge
-        // itself must never be lossy.
-        for ((key, _), guard) in shards.iter().zip(guards.iter_mut()) {
-            **guard = merged
-                .detach_cvd(key)
-                // SQL cannot reach the CVD registry, so the CVD absorbed
-                // above is still there, and it detaches into a fresh,
-                // empty instance.
-                .expect("absorbed CVD detaches back out");
-        }
-        *aux_guard = merged;
-        result
     }
 
     // -- catalog-level requests ----------------------------------------------
@@ -1458,14 +1454,8 @@ impl ConcurrentExecutor {
     fn drop_cvd(&self, user: &str, name: &str) -> Result<Response> {
         let mut cat = self.inner.catalog_write();
         cat.ensure_writable()?;
-        let key = name.to_ascii_lowercase();
-        let shard = cat
-            .shards
-            .remove(&key)
+        cat.remove_cvd(&name.to_ascii_lowercase())
             .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))?;
-        shard.retire();
-        cat.staged
-            .retain(|_, holder| !matches!(holder, ShardKey::Cvd(cvd) if *cvd == key));
         if let Some(wal) = &cat.wal {
             wal.append(
                 user,
@@ -2182,6 +2172,148 @@ mod tests {
             session.discard("bad").unwrap();
             shared.read(|odb| assert!(odb.staged().is_empty(), "{label}"));
         }
+    }
+
+    /// `left` and `right` as in [`shared_with_two_cvds`], on a
+    /// write-ahead log in `dir`, so the instance can checkpoint.
+    fn durable_with_two_cvds(dir: &std::path::Path) -> SharedOrpheusDB {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut odb = crate::recovery::open(dir).unwrap();
+        odb.absorb(shared_with_two_cvds().read(OrpheusDB::clone))
+            .unwrap();
+        SharedOrpheusDB::new(odb)
+    }
+
+    /// A quiesce works in place. The reservations a `SELECT … INTO` and a
+    /// checkout take before they lock their shard survive a `write` and a
+    /// checkpoint, so no other shard can take the reserved names in the
+    /// meantime, and a shard resolved before the quiesce is still the
+    /// catalog's after it, so the statements finish where they reserved.
+    #[test]
+    fn reservations_and_resolved_shards_survive_a_write_and_a_checkpoint() {
+        type Quiesce = fn(&SharedOrpheusDB);
+        let quiesces: [(&str, Quiesce); 2] = [
+            ("write", |shared| shared.write(|_| ())),
+            ("checkpoint", |shared| {
+                crate::recovery::checkpoint_shared(shared).unwrap();
+            }),
+        ];
+        for (label, quiesce) in quiesces {
+            let dir = std::env::temp_dir()
+                .join(format!("orpheus-quiesce-{label}-{}", std::process::id()));
+            let shared = durable_with_two_cvds(&dir);
+            let (left, right) = (ShardKey::Cvd("left".into()), ShardKey::Cvd("right".into()));
+            let left_shard = shared.inner.shard_by_key(&left).unwrap();
+            let right_shard = shared.inner.shard_by_key(&right).unwrap();
+            shared
+                .inner
+                .catalog_write()
+                .reserve_side_table(&left, "x")
+                .unwrap();
+            let w = shared
+                .inner
+                .catalog_write()
+                .reserve("right", StagedKind::Table, "w")
+                .unwrap();
+
+            quiesce(&shared);
+
+            {
+                let cat = shared.inner.catalog_read();
+                assert!(cat.creating.contains("x"), "{label}");
+                assert_eq!(cat.staged.get(&w), Some(&right), "{label}");
+            }
+            for (key, shard) in [(&left, &left_shard), (&right, &right_shard)] {
+                let now = shared.inner.shard_by_key(key).unwrap();
+                assert!(Arc::ptr_eq(shard, &now), "{label}: {key:?} was replaced");
+            }
+            // Another shard cannot take the reserved names.
+            let s = shared.session("default").unwrap();
+            let err = s.sql("CREATE TABLE x (k INT)").unwrap_err();
+            assert!(
+                err.to_string().contains("table x already exists"),
+                "{label}: {err}"
+            );
+            let err = s.checkout("left", &[Vid(1)], "w").unwrap_err();
+            assert!(err.to_string().contains("already staged"), "{label}: {err}");
+            // The statements in flight finish in the shards they resolved.
+            left_shard.write().run("CREATE TABLE x (k INT)").unwrap();
+            release_reservations(&shared.inner, &left, None, Some(&"x".to_string()));
+            right_shard
+                .write()
+                .checkout("right", &[Vid(1)], "w")
+                .unwrap();
+            // The instance-wide paths keep working, and `w` commits
+            // through the staged index.
+            quiesce(&shared);
+            shared.read(|odb| assert!(odb.engine.has_table("x"), "{label}"));
+            assert_eq!(
+                s.commit("w", "after the quiesce").unwrap(),
+                Vid(2),
+                "{label}"
+            );
+            assert_eq!(
+                s.diff("left", Vid(1), Vid(1)).unwrap().only_in_first.len(),
+                0
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_write_closure_creates_and_drops_cvds_and_stages_tables() {
+        let shared = shared_with_two_cvds();
+        shared.write(|odb| {
+            let schema = odb.cvd("left").unwrap().schema.clone();
+            let rows = vec![vec![Value::Int(1), Value::Int(1)]];
+            odb.init_cvd("fresh", schema, rows, None).unwrap();
+            odb.checkout("fresh", &[Vid(1)], "w").unwrap();
+            odb.drop_cvd("right").unwrap();
+        });
+        let s = shared.session("default").unwrap();
+        assert_eq!(s.ls(), vec!["fresh", "left"]);
+        // The new CVD serves sessions...
+        s.checkout("fresh", &[Vid(1)], "w2").unwrap();
+        assert_eq!(s.commit("w2", "through a session").unwrap(), Vid(2));
+        // ...the table the closure staged commits through the index...
+        s.sql("UPDATE w SET v = 2").unwrap();
+        assert_eq!(s.commit("w", "staged in the closure").unwrap(), Vid(3));
+        assert_eq!(s.version_rows("fresh", Vid(3)).unwrap().len(), 1);
+        // ...and the dropped CVD is gone from every route.
+        assert!(matches!(
+            s.diff("right", Vid(1), Vid(1)),
+            Err(CoreError::CvdNotFound(_))
+        ));
+        assert!(matches!(
+            s.checkout("right", &[Vid(1)], "r"),
+            Err(CoreError::CvdNotFound(_))
+        ));
+    }
+
+    #[test]
+    fn a_panicking_write_closure_leaves_every_shard_as_it_was() {
+        let shared = shared_with_two_cvds();
+        let left = shared
+            .inner
+            .shard_by_key(&ShardKey::Cvd("left".into()))
+            .unwrap();
+        let outcome = std::panic::catch_unwind(|| {
+            shared.write(|odb| {
+                odb.drop_cvd("left").unwrap();
+                panic!("closure fails mid-way");
+            })
+        });
+        assert!(outcome.is_err());
+        let now = shared
+            .inner
+            .shard_by_key(&ShardKey::Cvd("left".into()))
+            .unwrap();
+        assert!(Arc::ptr_eq(&left, &now) && !now.is_retired());
+        let s = shared.session("u").unwrap();
+        assert_eq!(s.version_rows("left", Vid(1)).unwrap().len(), 10);
+        s.checkout("left", &[Vid(1)], "w").unwrap();
+        assert_eq!(s.commit("w", "still serving").unwrap(), Vid(2));
+        shared.read(|odb| assert_eq!(odb.ls(), vec!["left", "right"]));
     }
 
     #[cfg(debug_assertions)]

@@ -723,15 +723,6 @@ pub fn load(path: &Path) -> Result<OrpheusDB> {
     deserialize(&bytes)
 }
 
-/// Load a snapshot straight into a [`crate::SharedOrpheusDB`], splitting
-/// it into per-CVD shards for concurrent sessions. Snapshots are one flat
-/// format either way: a file saved by [`OrpheusDB::save_to`] and one saved
-/// by [`crate::SharedOrpheusDB::save_to`] (which merges its shards first)
-/// are interchangeable.
-pub fn load_shared(path: &Path) -> Result<crate::SharedOrpheusDB> {
-    Ok(crate::SharedOrpheusDB::new(load(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,7 +842,9 @@ mod tests {
         ));
         save(&odb, &path).unwrap();
 
-        let shared = load_shared(&path).unwrap();
+        // One flat format: a file saved by `save` loads as a shared
+        // instance, split into per-CVD shards.
+        let shared = crate::SharedOrpheusDB::load_from(&path).unwrap();
         shared.read(|back| {
             assert_eq!(back.ls(), odb.ls());
             assert_eq!(back.staged().len(), odb.staged().len());

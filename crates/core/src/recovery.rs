@@ -30,9 +30,12 @@
 //! [`open`]. The snapshot is streamed to its temp file
 //! ([`crate::persist::save`]), so a checkpoint's extra memory is a 64 KiB
 //! write buffer, not a copy of the instance. Checkpointing requires
-//! exclusive access (`&mut` / [`SharedOrpheusDB::write`]'s full quiesce),
-//! which is what makes the snapshot/segment boundary an exact cut of the
-//! operation stream.
+//! exclusive access, which is what makes the snapshot/segment boundary an
+//! exact cut of the operation stream: `&mut`, or for a shared instance
+//! [`SharedOrpheusDB::write`] — one shard transaction that holds the
+//! catalog lock exclusively and every shard's lock, and writes a merge of
+//! O(tables) clones of their states. It moves no shard's state, so the
+//! reservations of statements in flight survive a checkpoint.
 //!
 //! # What is durable
 //!
@@ -134,7 +137,8 @@ pub fn checkpoint(odb: &mut OrpheusDB) -> Result<u64> {
     Ok(new_gen)
 }
 
-/// Checkpoint a shared instance under its full write quiesce.
+/// Checkpoint a shared instance in one shard transaction over every
+/// shard ([`SharedOrpheusDB::write`]).
 pub fn checkpoint_shared(shared: &SharedOrpheusDB) -> Result<u64> {
     shared.write(checkpoint)
 }

@@ -46,7 +46,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use orpheus_core::{CoreError, Executor, Request, Response, Result, Ticket, TicketFulfiller};
 use parking_lot::Mutex;
@@ -352,11 +352,14 @@ impl RemoteExecutor {
         tickets
     }
 
-    /// Wait on a ticket under this connection's timeout; a hung server
-    /// becomes a [`CoreError::ResponseTimeout`] naming the last-known
-    /// link state, never an infinite block.
-    fn wait(&self, ticket: &Ticket) -> Result<Response> {
-        match ticket.wait_for(self.timeout) {
+    /// Wait on a ticket until its frame's `deadline`, which is this
+    /// connection's timeout after the frame was sent: every ticket of a
+    /// frame shares it, so a hung server fails a frame of n requests after
+    /// one timeout, not n. A hung server becomes a
+    /// [`CoreError::ResponseTimeout`] naming the last-known link state,
+    /// never an infinite block.
+    fn wait(&self, ticket: &Ticket, deadline: Instant) -> Result<Response> {
+        match ticket.wait_for(deadline.saturating_duration_since(Instant::now())) {
             Some(result) => result,
             None => Err(CoreError::ResponseTimeout {
                 waited_ms: self.timeout.as_millis() as u64,
@@ -390,8 +393,11 @@ impl Executor for RemoteExecutor {
         let mut attempt = 0;
         let results = loop {
             let tickets = self.send(&requests);
-            let results: Vec<Result<Response>> =
-                tickets.iter().map(|ticket| self.wait(ticket)).collect();
+            let deadline = Instant::now() + self.timeout;
+            let results: Vec<Result<Response>> = tickets
+                .iter()
+                .map(|ticket| self.wait(ticket, deadline))
+                .collect();
             // The server sheds a frame wholesale (it never partially
             // executes an overloaded frame), so retrying it — as fresh
             // work, under a fresh id — is safe exactly when *every*

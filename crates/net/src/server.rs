@@ -826,22 +826,30 @@ fn writer_loop(
                 }
                 payload
             }
-            Outgoing::Duplicate { id, n } => match session.await_done(id, deadline) {
-                Some(outcomes) => response_payload(id, &outcomes),
-                None => {
-                    // Evicted or still running past the deadline: the
-                    // outcome is unknowable, for each request of the frame.
-                    service
-                        .counters
-                        .deadline_exceeded
-                        .fetch_add(1, Ordering::SeqCst);
-                    let elapsed_ms = deadline.as_millis() as u64;
-                    let outcomes: Vec<Result<Response>> = (0..n)
-                        .map(|_| Err(CoreError::DeadlineExceeded { elapsed_ms }))
-                        .collect();
-                    response_payload(id, &outcomes)
+            Outgoing::Duplicate { id, n } => {
+                let waiting = Instant::now();
+                match session.await_done(id, deadline) {
+                    Some(outcomes) => response_payload(id, &outcomes),
+                    None => {
+                        // Evicted or still running past the deadline: the
+                        // outcome is unknowable, for each request of the frame.
+                        // Only a wait that ran out counts as an expiry; an
+                        // evicted outcome is answered as soon as it is missed.
+                        let waited = waiting.elapsed();
+                        if waited >= deadline {
+                            service
+                                .counters
+                                .deadline_exceeded
+                                .fetch_add(1, Ordering::SeqCst);
+                        }
+                        let elapsed_ms = waited.as_millis() as u64;
+                        let outcomes: Vec<Result<Response>> = (0..n)
+                            .map(|_| Err(CoreError::DeadlineExceeded { elapsed_ms }))
+                            .collect();
+                        response_payload(id, &outcomes)
+                    }
                 }
-            },
+            }
         };
         if !broken && write_payload(&mut stream, &payload).is_err() {
             broken = true;
@@ -958,12 +966,16 @@ mod tests {
         let (id, outcomes) = receive(&mut raw);
         assert_eq!(id, 5);
         assert_eq!(outcomes.len(), 2, "{outcomes:?}");
+        // The eviction is answered at once: the reply reports the wait it
+        // measured, not the whole deadline, and counts no expiry.
+        let deadline_ms = ServerConfig::default().request_deadline.as_millis() as u64;
         for outcome in &outcomes {
             assert!(
-                matches!(outcome, Err(CoreError::DeadlineExceeded { .. })),
+                matches!(outcome, Err(CoreError::DeadlineExceeded { elapsed_ms }) if *elapsed_ms < deadline_ms),
                 "{outcome:?}"
             );
         }
+        assert_eq!(server.stats().deadline_exceeded, 0);
         drop(raw);
         server.shutdown();
     }

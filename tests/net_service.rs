@@ -299,9 +299,9 @@ fn shutdown_mid_stream_resolves_accepted_work_and_refuses_late_frames() {
     }
 }
 
-#[test]
-fn a_hung_server_becomes_a_clean_timeout_not_an_infinite_block() {
-    // A stub that completes the handshake and then never answers anything.
+/// A stub that completes the handshake and then never answers anything;
+/// its thread ends when the client hangs up.
+fn hung_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let stub = std::thread::spawn(move || {
@@ -324,7 +324,12 @@ fn a_hung_server_becomes_a_clean_timeout_not_an_infinite_block() {
         // Swallow frames until the client hangs up.
         while let Ok(Some(_)) = read_frame(&mut stream, MAX_FRAME) {}
     });
+    (addr, stub)
+}
 
+#[test]
+fn a_hung_server_becomes_a_clean_timeout_not_an_infinite_block() {
+    let (addr, stub) = hung_server();
     let mut remote =
         RemoteExecutor::connect_with(addr, "driver", Duration::from_millis(200)).unwrap();
     let started = Instant::now();
@@ -339,6 +344,27 @@ fn a_hung_server_becomes_a_clean_timeout_not_an_infinite_block() {
         other => panic!("expected a timeout, got {other:?}"),
     }
     assert!(started.elapsed() < Duration::from_secs(10));
+    drop(remote);
+    stub.join().unwrap();
+}
+
+#[test]
+fn a_hung_server_times_a_whole_frame_out_after_one_timeout() {
+    let (addr, stub) = hung_server();
+    let timeout = Duration::from_millis(200);
+    let mut remote = RemoteExecutor::connect_with(addr, "driver", timeout).unwrap();
+    let started = Instant::now();
+    let results = remote.batch(vec![Request::Ls; 5]);
+    // The frame's requests share one deadline instead of waiting one
+    // timeout each in turn.
+    assert!(started.elapsed() < 2 * timeout, "{:?}", started.elapsed());
+    assert_eq!(results.len(), 5);
+    for result in &results {
+        assert!(
+            matches!(result, Err(CoreError::ResponseTimeout { .. })),
+            "{result:?}"
+        );
+    }
     drop(remote);
     stub.join().unwrap();
 }
