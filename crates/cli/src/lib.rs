@@ -196,6 +196,10 @@ pub fn parse_args(args: &[String]) -> Result<Invocation> {
     })
 }
 
+/// Period of the `--serve --wal` checkpoint ticker: every 5 s it folds a
+/// log grown past 4 MiB into a fresh snapshot.
+const CHECKPOINT_TICK_MS: u64 = 5_000;
+
 /// Help text shown by `orpheus help` (and an empty invocation).
 pub const HELP: &str = "\
 orpheus — bolt-on dataset versioning (OrpheusDB, VLDB 2017)
@@ -234,9 +238,8 @@ The --wal <dir> flag makes sessions crash-durable: the instance is opened
 from the directory's latest snapshot plus a replay of its write-ahead
 log, and every mutation is fsync'd to the log before it is acknowledged —
 kill -9 at any point loses nothing that was acknowledged. The log is
-periodically folded into a fresh snapshot (checkpoint); tune with
-ORPHEUS_CHECKPOINT_BYTES (log size that triggers rotation, default 4 MiB)
-and, under --serve, ORPHEUS_CHECKPOINT_SECS (ticker period, default 5).
+periodically folded into a fresh snapshot (checkpoint) once it outgrows
+4 MiB; under --serve, a background ticker checks every 5 seconds.
 Mutually exclusive with --db (the directory keeps its own snapshots) and
 --connect (durability lives on the server). Composes with --serve, --as,
 --async, and --batch.
@@ -404,16 +407,12 @@ pub fn run(
             let stop = Arc::new(AtomicBool::new(false));
             let flag = stop.clone();
             let shared = shared.clone();
-            let secs = std::env::var("ORPHEUS_CHECKPOINT_SECS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(5);
             let handle = std::thread::spawn(move || {
                 let mut slept = 0u64;
                 while !flag.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(100));
                     slept += 100;
-                    if slept < secs.max(1) * 1000 {
+                    if slept < CHECKPOINT_TICK_MS {
                         continue;
                     }
                     slept = 0;

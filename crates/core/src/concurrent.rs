@@ -117,14 +117,18 @@
 //! the trait's default loop of it) and every request an async worker
 //! ([`crate::async_exec`]) runs. Catalog requests take the catalog lock;
 //! every other request is routed by one rule, [`crate::batch::route`],
-//! under one catalog read. A request routed to a shard takes one
-//! reservation of the name it creates (one catalog write), one
+//! under one catalog read. A request routed to a shard takes, for a
+//! checkout, one reservation of its target name (one catalog write), one
 //! acquisition of the shard's write lock — or one clone of its snapshot,
 //! for a read — and one closing catalog write that settles the
 //! staged-name index. A panic inside the request is contained there: it
 //! fails with [`CoreError::WorkerPanicked`], its reservation is released,
 //! and the shard itself stays usable (the shim locks do not poison). What
-//! no single shard can serve — SQL spanning shards — runs across them.
+//! no single shard can serve runs across shards: SQL spanning them, and
+//! every statement that creates a table (`SELECT … INTO`, `CREATE
+//! TABLE`), which runs as a shard transaction and so leaves its table in
+//! the auxiliary shard. Every table outside a CVD's `<cvd>__` namespace
+//! and the staged index lives there.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -140,6 +144,7 @@ use orpheus_engine::{EngineError, QueryResult, Value};
 
 use crate::access::AccessController;
 use crate::batch::{route, staged_key, staged_name, BatchRouter, ShardKey};
+use crate::cvd::namespace_owner;
 use crate::db::{OrpheusConfig, OrpheusDB, VersionDiff};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
@@ -328,19 +333,16 @@ struct Catalog {
     /// One shard per CVD, keyed by lower-cased CVD name. `BTreeMap` so
     /// snapshot paths acquire shard locks in a deterministic sorted order.
     shards: BTreeMap<String, Arc<Shard>>,
-    /// Tables that belong to no CVD (side tables created through plain
-    /// SQL, orphaned staged artifacts).
+    /// Tables that belong to no CVD: side tables created through plain
+    /// SQL, orphaned staged artifacts. Every table outside a CVD's
+    /// `<cvd>__` namespace and the staged index is here, because only a
+    /// shard transaction creates one.
     aux: Arc<Shard>,
     /// Staged artifact ([`staged_key`]) → the shard holding it (tables
     /// staged for a CVD that no longer exists live in the auxiliary
     /// shard). The routing index for `commit`/`discard` and the global
     /// uniqueness check for checkout target names.
     staged: HashMap<String, ShardKey>,
-    /// Lower-cased names of the side tables that statements in flight
-    /// (`SELECT … INTO`, `CREATE TABLE`) are about to create. A name leaves
-    /// when its statement is over: from then on the shard's published
-    /// snapshot answers for the table, if it was created.
-    creating: HashSet<String>,
     /// Write-ahead log sink, shared with every shard. Catalog-level
     /// mutations (CVD create/drop, user creation) append under the
     /// catalog write lock; shard-level mutations append inside their
@@ -373,7 +375,6 @@ impl Catalog {
             shards: BTreeMap::new(),
             aux: Shard::new(odb),
             staged: HashMap::new(),
-            creating: HashSet::new(),
         };
         let ((), settled) = cat
             .transact(&BTreeSet::new(), |_| ())
@@ -406,20 +407,6 @@ impl Catalog {
         }
     }
 
-    /// The CVD whose `<cvd>__` table-name prefix claims `ident`, longest
-    /// prefix winning (so `a__b`'s tables are never claimed by `a`).
-    fn claim_by_prefix(&self, ident: &str) -> Option<String> {
-        self.shards
-            .keys()
-            .filter(|key| {
-                ident.len() > key.len() + 2
-                    && ident.starts_with(key.as_str())
-                    && ident[key.len()..].starts_with("__")
-            })
-            .max_by_key(|key| key.len())
-            .cloned()
-    }
-
     /// Reserve a staged name for a checkout targeting `cvd` — the catalog
     /// half of every checkout, keeping table names globally unique across
     /// shards without holding the catalog lock during the (expensive)
@@ -429,63 +416,40 @@ impl Catalog {
         // CVD existence first (checkout against an unknown CVD is a
         // CvdNotFound error even when the name also collides).
         self.shard(cvd)?;
-        let shard = ShardKey::Cvd(cvd.to_ascii_lowercase());
         let key = staged_key(name, kind);
-        if self.staged.contains_key(&key) {
+        if kind == StagedKind::Table {
+            self.check_table_name(name)?;
+            // Side tables live in the auxiliary shard and are created
+            // under a shared catalog lock, so its published snapshot is
+            // current while this exclusive one is held.
+            if self.aux.snapshot.load().engine.has_table(name) {
+                return Err(CoreError::Invalid(format!("table {name} already exists")));
+            }
+        } else if self.staged.contains_key(&key) {
             return Err(CoreError::Invalid(format!("{name} is already staged")));
         }
-        if kind == StagedKind::Table {
-            self.check_table_name(&shard, name)?;
-        }
-        self.staged.insert(key.clone(), shard);
+        self.staged
+            .insert(key.clone(), ShardKey::Cvd(cvd.to_ascii_lowercase()));
         Ok(key)
     }
 
-    /// Reserve `name` (lower-cased) for a side table a statement is about
-    /// to create in the shard `shard` — the catalog half of `SELECT … INTO`
-    /// and `CREATE TABLE`, under the same rule as a checkout target. The
-    /// caller removes the name from `creating` again once the statement is
-    /// over.
-    fn reserve_side_table(&mut self, shard: &ShardKey, name: &str) -> Result<()> {
-        let key = staged_key(name, StagedKind::Table);
-        if self.staged.contains_key(&key) {
+    /// The name of a table about to be created — a checkout target or a
+    /// side table — may be neither staged nor in a CVD's `<cvd>__`
+    /// backing-table namespace. Those two rules keep the tables of CVD
+    /// shards apart; a side table's name collides only with another side
+    /// table, in the auxiliary shard.
+    fn check_table_name(&self, name: &str) -> Result<()> {
+        if self
+            .staged
+            .contains_key(&staged_key(name, StagedKind::Table))
+        {
             return Err(CoreError::Invalid(format!("{name} is already staged")));
         }
-        self.check_table_name(shard, name)?;
-        self.creating.insert(name.to_string());
-        Ok(())
-    }
-
-    /// Table names must stay unique across *all* shards, or merging shards
-    /// into one instance would collide. Backing tables are kept apart by
-    /// the `<cvd>__` namespaces, staged tables by the staged index; what
-    /// is left are side tables plain SQL created (`CREATE TABLE`,
-    /// `SELECT … INTO`), which can sit in any shard. For a table about to
-    /// be created in the shard `shard`, every *other* shard's published
-    /// snapshot answers for those lock-free, and `creating` for the ones
-    /// not published yet; the target shard answers for its own tables
-    /// when the request runs under its lock — it alone knows what the
-    /// requests queued ahead of this one will have created or dropped by
-    /// then.
-    fn check_table_name(&self, shard: &ShardKey, name: &str) -> Result<()> {
-        let lower = name.to_ascii_lowercase();
-        if let Some(owner) = self.claim_by_prefix(&lower) {
+        if let Some(owner) = namespace_owner(self.shards.keys(), &name.to_ascii_lowercase()) {
             return Err(CoreError::Invalid(format!(
                 "table name {name} lies in CVD {owner}'s backing-table \
                  namespace ({owner}__*)"
             )));
-        }
-        let aux = (*shard != ShardKey::Aux).then_some(&self.aux);
-        let mut others = aux.into_iter().chain(
-            self.shards
-                .iter()
-                .filter(|(key, _)| !matches!(shard, ShardKey::Cvd(cvd) if cvd == *key))
-                .map(|(_, other)| other),
-        );
-        if self.creating.contains(&lower)
-            || others.any(|other| other.snapshot.load().engine.has_table(&lower))
-        {
-            return Err(CoreError::Invalid(format!("table {name} already exists")));
         }
         Ok(())
     }
@@ -500,9 +464,9 @@ impl Catalog {
             // Shards hold disjoint CVDs by construction. Their table names
             // are disjoint because backing tables live in `<cvd>__`
             // namespaces, staged tables are unique through the staged
-            // index, and `Catalog::check_table_name` refuses a checkout, a
-            // `SELECT … INTO` or a `CREATE TABLE` whose target is the name
-            // of a side table of another shard.
+            // index, and every other table is a side table in the
+            // auxiliary shard, whose name `Catalog::reserve` keeps from a
+            // checkout.
             .expect("disjoint shards merge without collisions")
     }
 
@@ -831,7 +795,10 @@ fn analyze_sql(cat: &Catalog, sql: &Lexed) -> Result<BTreeSet<String>> {
                 cvds.insert(cvd.clone());
             }
             Some(ShardKey::Aux) => {}
-            None => cvds.extend(cat.claim_by_prefix(&name.to_ascii_lowercase())),
+            None => {
+                let lower = name.to_ascii_lowercase();
+                cvds.extend(namespace_owner(cat.shards.keys(), &lower).cloned());
+            }
         }
     }
     Ok(cvds)
@@ -969,24 +936,14 @@ pub(crate) fn hold_commit_if_gated(table: &str) {
 
 /// Remove the staged-index reservation that still points at `shard`
 /// (its checkout failed or never ran; an entry re-pointed by someone else
-/// is left alone), and the side table whose statement is over.
-fn release_reservations(
-    inner: &Inner,
-    shard: &ShardKey,
-    reserved: Option<&String>,
-    side_table: Option<&String>,
-) {
-    if reserved.is_none() && side_table.is_none() {
+/// is left alone).
+fn release_reservation(inner: &Inner, shard: &ShardKey, reserved: Option<&String>) {
+    let Some(key) = reserved else {
         return;
-    }
+    };
     let mut cat = inner.catalog_write();
-    if let Some(key) = reserved {
-        if cat.staged.get(key) == Some(shard) {
-            cat.staged.remove(key);
-        }
-    }
-    if let Some(table) = side_table {
-        cat.creating.remove(table);
+    if cat.staged.get(key) == Some(shard) {
+        cat.staged.remove(key);
     }
 }
 
@@ -1162,11 +1119,13 @@ impl ConcurrentExecutor {
 
     /// The rows `(rid, attributes)` of one version — read-only, served
     /// from the CVD's MVCC snapshot without taking the shard lock. (The
-    /// bus has no request for it, so it reads the snapshot directly.)
+    /// bus has no request for it, so it reads the published snapshot in
+    /// place.)
     pub fn version_rows(&self, cvd: &str, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
         // The shard lookup folds case; an unknown CVD is reported as named.
-        self.snapshot_of(&ShardKey::Cvd(cvd.to_string()))?
-            .version_rows(cvd, vid)
+        let shard = self.inner.shard_by_key(&ShardKey::Cvd(cvd.to_string()))?;
+        let snapshot = shard.snapshot.load();
+        snapshot.version_rows(cvd, vid)
     }
 
     /// Run the partition optimizer.
@@ -1208,13 +1167,13 @@ impl ConcurrentExecutor {
 
     /// Run one request on the shard [`route`] sent it to: a read on a
     /// private clone of the shard's MVCC snapshot; a write between one
-    /// catalog write that reserves the name it creates — a checkout
-    /// target, or the side table of a `SELECT … INTO` or `CREATE TABLE` —
-    /// and one that settles the staged-name index, under one acquisition
-    /// of the shard's write lock. A statement that needs tables outside
-    /// the shard is retried across shards. When the shard is gone (its
-    /// CVD was dropped since routing), the request is routed again
-    /// against the live catalog.
+    /// catalog write that reserves a checkout's target name and one that
+    /// settles the staged-name index, under one acquisition of the
+    /// shard's write lock. A statement that creates a table, or needs
+    /// tables outside the shard, runs across shards
+    /// ([`ConcurrentExecutor::sql_spanning`]), so its table lands in the
+    /// auxiliary shard. When the shard is gone (its CVD was dropped since
+    /// routing), the request is routed again against the live catalog.
     fn run_routed(
         &self,
         user: &str,
@@ -1229,20 +1188,17 @@ impl ConcurrentExecutor {
             };
             execute_in(&mut db, key, user, request)
         } else {
-            let side_table = match &request {
-                Request::Run(r) => r.lexed().ok().and_then(Lexed::created_table),
-                _ => None,
-            };
+            if let Request::Run(run) = &request {
+                if run.lexed().ok().and_then(Lexed::created_table).is_some() {
+                    return self.sql_spanning(user, key, run).map(Response::Rows);
+                }
+            }
             let staged = staged_name(&request);
             let consumed = staged
                 .filter(|(_, _, claim)| claim.is_none())
                 .map(|(name, kind, _)| staged_key(name, kind));
-            let reserved = match (&side_table, staged) {
-                (Some(table), _) => {
-                    self.inner.catalog_write().reserve_side_table(key, table)?;
-                    None
-                }
-                (None, Some((name, kind, Some(cvd)))) => {
+            let reserved = match staged {
+                Some((name, kind, Some(cvd))) => {
                     Some(self.inner.catalog_write().reserve(cvd, kind, name)?)
                 }
                 _ => None,
@@ -1252,9 +1208,9 @@ impl ConcurrentExecutor {
             // re-resolve and retry.
             let outcome = loop {
                 let Ok(shard) = self.inner.shard_by_key(key) else {
-                    // Release the reservations so re-routing cannot
-                    // collide with them.
-                    release_reservations(&self.inner, key, reserved.as_ref(), side_table.as_ref());
+                    // Release the reservation so re-routing cannot
+                    // collide with it.
+                    release_reservation(&self.inner, key, reserved.as_ref());
                     return self.execute_as(user, request);
                 };
                 let mut db = shard.write();
@@ -1268,20 +1224,13 @@ impl ConcurrentExecutor {
             };
             // The closing catalog write: drop the index entry of a staged
             // artifact the request consumed, or release the reservation of
-            // a failed checkout and of a side table (created or not: the
-            // shard lock is released, so a created table is in the
-            // published snapshot).
+            // a failed checkout.
             let done = matches!(outcome, Ok(Ok(_)));
             match consumed {
                 Some(consumed) if done => {
                     self.inner.catalog_write().staged.remove(&consumed);
                 }
-                _ => release_reservations(
-                    &self.inner,
-                    key,
-                    reserved.as_ref().filter(|_| !done),
-                    side_table.as_ref(),
-                ),
+                _ => release_reservation(&self.inner, key, reserved.as_ref().filter(|_| !done)),
             }
             outcome
         };
@@ -1356,13 +1305,13 @@ impl ConcurrentExecutor {
         }
     }
 
-    /// Run a statement no single shard can serve: it names tables of
-    /// several shards, or — routed to its `home` shard — failed there with
-    /// `TableNotFound` because it joins tables the analyzer could not
-    /// attribute (side tables, another CVD's tables). Re-analyzed against
-    /// the live catalog, a `SELECT` runs on a merged
-    /// lock-free snapshot of the involved shards plus the auxiliary shard —
-    /// of the whole instance when it names no CVD at all — and a writing
+    /// Run a statement no single shard can serve: it creates a table, it
+    /// names tables of several shards, or — routed to its `home` shard —
+    /// it failed there with `TableNotFound` because it joins tables the
+    /// analyzer could not attribute (side tables, another CVD's tables).
+    /// Re-analyzed against the live catalog, a `SELECT` runs on a merged
+    /// lock-free snapshot of the involved shards plus the auxiliary shard
+    /// — of the whole instance when it names no CVD at all — and a writing
     /// statement as a cross-CVD write transaction.
     fn sql_spanning(&self, user: &str, home: &ShardKey, run: &Run) -> Result<QueryResult> {
         let sql = run.lexed()?;
@@ -1371,43 +1320,27 @@ impl ConcurrentExecutor {
         if let ShardKey::Cvd(home) = home {
             cvds.insert(home.clone());
         }
-        if !sql.is_select() {
-            // A side table a `SELECT … INTO` left in a CVD's shard is named
-            // by no routing rule: that shard's published snapshot answers
-            // for it.
-            for (key, shard) in &cat.shards {
-                let snapshot = shard.snapshot.load();
-                if sql.idents().any(|name| snapshot.engine.has_table(name)) {
-                    cvds.insert(key.clone());
-                }
-            }
+        if sql.is_select() {
+            let mut merged = if cvds.is_empty() {
+                cat.merged_snapshot()
+            } else {
+                cat.merged_subset(&cvds)
+            };
             drop(cat);
-            // A table such a statement creates stays behind in the
-            // auxiliary shard; reserved like any other side table.
-            let side_table = sql.created_table();
-            if let Some(table) = &side_table {
-                self.inner
-                    .catalog_write()
-                    .reserve_side_table(&ShardKey::Aux, table)?;
-            }
-            // The cross-CVD write transaction: one shard transaction under
-            // a shared catalog lock, which pins the shard set. SQL reaches
-            // neither the CVD registry nor the staging area, so there is
-            // nothing to settle in the catalog.
-            let run =
-                |odb: &mut OrpheusDB| under_identity(odb, user, |odb| shard_sql(odb, user, sql));
-            let result = self.inner.catalog_read().transact(&cvds, run);
-            let result = result.and_then(|(rows, _)| rows);
-            release_reservations(&self.inner, &ShardKey::Aux, None, side_table.as_ref());
-            return result;
+            return shard_sql(&mut merged, user, sql);
         }
-        let mut merged = if cvds.is_empty() {
-            cat.merged_snapshot()
-        } else {
-            cat.merged_subset(&cvds)
-        };
-        drop(cat);
-        shard_sql(&mut merged, user, sql)
+        if let Some(table) = sql.created_table() {
+            cat.check_table_name(&table)?;
+        }
+        // The cross-CVD write transaction: one shard transaction under the
+        // shared catalog lock, which pins the shard set and keeps a
+        // checkout from reserving the name of a table created here. A
+        // created table ends in the auxiliary shard, where a duplicate is
+        // the engine's `TableExists`. SQL reaches neither the CVD registry
+        // nor the staging area, so there is nothing to settle in the
+        // catalog.
+        let run = |odb: &mut OrpheusDB| under_identity(odb, user, |odb| shard_sql(odb, user, sql));
+        cat.transact(&cvds, run).and_then(|(rows, _)| rows)
     }
 
     // -- catalog-level requests ----------------------------------------------
@@ -1898,7 +1831,8 @@ mod tests {
         let shared = shared_with_two_cvds();
         let s = shared.session("u").unwrap();
         s.checkout("left", &[Vid(1)], "w").unwrap();
-        // Routes to shard `left` and creates an unregistered table there.
+        // Reads shard `left` and leaves an unregistered table in the
+        // auxiliary shard.
         s.sql("SELECT * INTO clash FROM w").unwrap();
         let err = s.checkout("right", &[Vid(1)], "clash").unwrap_err();
         assert!(err.to_string().contains("already exists"), "{err}");
@@ -1925,18 +1859,15 @@ mod tests {
         s.checkout("left", &[Vid(1)], "lw").unwrap();
         s.checkout("right", &[Vid(1)], "rw").unwrap();
         s.sql("SELECT * INTO x FROM lw").unwrap();
-        let err = s.sql("SELECT * INTO x FROM rw").unwrap_err();
-        assert!(err.to_string().contains("table x already exists"), "{err}");
-        // `CREATE TABLE` lands in the auxiliary shard — a third place.
-        let err = s.sql("CREATE TABLE x (k INT)").unwrap_err();
-        assert!(err.to_string().contains("table x already exists"), "{err}");
-        // Reservations last only as long as their statement, granted or
-        // refused...
-        assert!(shared.inner.catalog_read().creating.is_empty());
-        // ...and the shard that would hold a table decides about its own
-        // names when the statement runs, so dropping and re-creating a
-        // table in one batch works — looped by a session, and as one
-        // submission through an async handle.
+        // Every side table is created in the auxiliary shard, under its
+        // lock, so the engine there refuses a second one of the name —
+        // whichever shard the statement reads, and for `CREATE TABLE`.
+        let exists = CoreError::Engine(EngineError::TableExists("x".into()));
+        assert_eq!(s.sql("SELECT * INTO x FROM rw").unwrap_err(), exists);
+        assert_eq!(s.sql("CREATE TABLE x (k INT)").unwrap_err(), exists);
+        // That shard decides about its names when the statement runs, so
+        // dropping and re-creating a table in one batch works — looped by
+        // a session, and as one submission through an async handle.
         s.sql("CREATE TABLE y (k INT)").unwrap();
         let recreate = || -> Vec<Request> {
             vec![
@@ -1960,13 +1891,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// ROADMAP item 8: a side table that `SELECT … INTO` left in a CVD's
-    /// shard was readable, but no routing rule names that shard, so
-    /// `INSERT` and `DROP TABLE` locked the auxiliary shard alone and
-    /// answered `TableNotFound`. The fallback write path also locks the
-    /// shards whose published snapshot holds a name the statement uses.
+    /// ROADMAP item 8: a side table `SELECT … INTO` made from a CVD's
+    /// version takes `INSERT` and `DROP TABLE` routed to the auxiliary
+    /// shard alone, and its name can be created again from either CVD or
+    /// with `CREATE TABLE`.
     #[test]
-    fn a_side_table_left_in_a_cvd_shard_takes_writes_and_drops() {
+    fn a_side_table_selected_from_a_cvd_takes_writes_and_drops() {
         let shared = shared_with_two_cvds();
         let s = shared.session("u").unwrap();
         s.sql("SELECT * INTO side FROM VERSION 1 OF CVD left")
@@ -1981,8 +1911,35 @@ mod tests {
             .unwrap();
         s.sql("DROP TABLE side").unwrap();
         s.sql("CREATE TABLE side (k INT)").unwrap();
-        assert!(shared.inner.catalog_read().creating.is_empty());
         shared.read(|odb| assert!(odb.engine.has_table("side")));
+    }
+
+    /// Every table outside a CVD's `<cvd>__` namespace and the staged
+    /// index lives in the auxiliary shard, whichever shard the statement
+    /// that created it read.
+    #[test]
+    fn tables_created_through_sql_live_in_the_auxiliary_shard() {
+        let shared = shared_with_two_cvds();
+        let s = shared.session("u").unwrap();
+        s.checkout("left", &[Vid(1)], "w").unwrap();
+        for sql in [
+            "SELECT * INTO a FROM VERSION 1 OF CVD left",
+            "SELECT * INTO b FROM w",
+            "CREATE TABLE c (k INT)",
+            "CREATE TABLE IF NOT EXISTS d (k INT)",
+            "CREATE TABLE IF NOT EXISTS d (k INT)",
+        ] {
+            s.sql(sql).unwrap();
+        }
+        let cat = shared.inner.catalog_read();
+        for table in ["a", "b", "c", "d"] {
+            let aux = cat.aux.snapshot.load();
+            assert!(aux.engine.has_table(table), "{table} not in aux");
+            for (key, shard) in &cat.shards {
+                let snapshot = shard.snapshot.load();
+                assert!(!snapshot.engine.has_table(table), "{table} in {key}");
+            }
+        }
     }
 
     #[test]
@@ -2184,11 +2141,11 @@ mod tests {
         SharedOrpheusDB::new(odb)
     }
 
-    /// A quiesce works in place. The reservations a `SELECT … INTO` and a
-    /// checkout take before they lock their shard survive a `write` and a
-    /// checkpoint, so no other shard can take the reserved names in the
-    /// meantime, and a shard resolved before the quiesce is still the
-    /// catalog's after it, so the statements finish where they reserved.
+    /// A quiesce works in place. The reservation a checkout takes before it
+    /// locks its shard survives a `write` and a checkpoint, so no other
+    /// shard can take the reserved name in the meantime, and a shard
+    /// resolved before the quiesce is still the catalog's after it, so the
+    /// checkout finishes where it reserved.
     #[test]
     fn reservations_and_resolved_shards_survive_a_write_and_a_checkpoint() {
         type Quiesce = fn(&SharedOrpheusDB);
@@ -2205,11 +2162,6 @@ mod tests {
             let (left, right) = (ShardKey::Cvd("left".into()), ShardKey::Cvd("right".into()));
             let left_shard = shared.inner.shard_by_key(&left).unwrap();
             let right_shard = shared.inner.shard_by_key(&right).unwrap();
-            shared
-                .inner
-                .catalog_write()
-                .reserve_side_table(&left, "x")
-                .unwrap();
             let w = shared
                 .inner
                 .catalog_write()
@@ -2218,27 +2170,20 @@ mod tests {
 
             quiesce(&shared);
 
-            {
-                let cat = shared.inner.catalog_read();
-                assert!(cat.creating.contains("x"), "{label}");
-                assert_eq!(cat.staged.get(&w), Some(&right), "{label}");
-            }
+            assert_eq!(
+                shared.inner.catalog_read().staged.get(&w),
+                Some(&right),
+                "{label}"
+            );
             for (key, shard) in [(&left, &left_shard), (&right, &right_shard)] {
                 let now = shared.inner.shard_by_key(key).unwrap();
                 assert!(Arc::ptr_eq(shard, &now), "{label}: {key:?} was replaced");
             }
-            // Another shard cannot take the reserved names.
+            // Another shard cannot take the reserved name.
             let s = shared.session("default").unwrap();
-            let err = s.sql("CREATE TABLE x (k INT)").unwrap_err();
-            assert!(
-                err.to_string().contains("table x already exists"),
-                "{label}: {err}"
-            );
             let err = s.checkout("left", &[Vid(1)], "w").unwrap_err();
             assert!(err.to_string().contains("already staged"), "{label}: {err}");
-            // The statements in flight finish in the shards they resolved.
-            left_shard.write().run("CREATE TABLE x (k INT)").unwrap();
-            release_reservations(&shared.inner, &left, None, Some(&"x".to_string()));
+            // The checkout in flight finishes in the shard it resolved.
             right_shard
                 .write()
                 .checkout("right", &[Vid(1)], "w")
@@ -2246,7 +2191,6 @@ mod tests {
             // The instance-wide paths keep working, and `w` commits
             // through the staged index.
             quiesce(&shared);
-            shared.read(|odb| assert!(odb.engine.has_table("x"), "{label}"));
             assert_eq!(
                 s.commit("w", "after the quiesce").unwrap(),
                 Vid(2),

@@ -451,6 +451,22 @@ impl Cvd {
     }
 }
 
+/// The CVD among `cvds` (lower-cased names) whose `<cvd>__` backing-table
+/// namespace holds `table` (lower-cased), the longest prefix winning, so
+/// a CVD named `a__b` keeps its tables from `a`.
+pub(crate) fn namespace_owner<'a>(
+    cvds: impl IntoIterator<Item = &'a String>,
+    table: &str,
+) -> Option<&'a String> {
+    cvds.into_iter()
+        .filter(|cvd| {
+            table.len() > cvd.len() + 2
+                && table.starts_with(cvd.as_str())
+                && table[cvd.len()..].starts_with("__")
+        })
+        .max_by_key(|cvd| cvd.len())
+}
+
 // -- sorted-rlist set algebra -------------------------------------------------
 //
 // Every rlist in the system is kept sorted (commit sorts before storing,

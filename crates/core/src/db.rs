@@ -10,7 +10,7 @@ use orpheus_engine::{Database, QueryResult, Schema, Value};
 
 use crate::access::AccessController;
 use crate::csv;
-use crate::cvd::{sorted_multiset_difference, Cvd, VersionMeta};
+use crate::cvd::{namespace_owner, sorted_multiset_difference, Cvd, VersionMeta};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::model::{self, CommitData, ModelKind};
@@ -192,16 +192,9 @@ impl OrpheusDB {
         // Claim backing tables by the `<cvd>__` naming convention, with a
         // longest-prefix rule so a CVD whose name extends this one (e.g.
         // `a` vs `a__b`) keeps its own tables.
-        let prefix = format!("{key}__");
         for t in self.engine.table_names() {
-            if !t.starts_with(&prefix) {
-                continue;
-            }
-            let better_claim = self
-                .cvds
-                .keys()
-                .any(|other| other.len() > key.len() && t.starts_with(&format!("{other}__")));
-            if better_claim || self.staging.get(&t, StagedKind::Table).is_ok() {
+            let owner = namespace_owner(self.cvds.keys().chain([&key]), &t);
+            if owner != Some(&key) || self.staging.get(&t, StagedKind::Table).is_ok() {
                 continue;
             }
             shard.engine.add_table(self.engine.take_table(&t)?)?;
@@ -841,9 +834,8 @@ impl OrpheusDB {
     }
 
     /// Records of one version (rid + attribute values), for tooling.
-    pub fn version_rows(&mut self, cvd_name: &str, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
-        let cvd = lookup(&self.cvds, cvd_name)?;
-        model::version_rows(&mut self.engine, cvd, vid)
+    pub fn version_rows(&self, cvd_name: &str, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
+        model::version_rows(&self.engine, self.cvd(cvd_name)?, vid)
     }
 
     /// Total model storage for a CVD in bytes (Figure 3a's metric).

@@ -182,7 +182,7 @@ mod tests {
         let (mut db, mut cvd) = make_cvd(ModelKind::CombinedTable);
         commit(&mut db, &mut cvd, &[record("a", 1), record("b", 2)], &[]);
         commit(&mut db, &mut cvd, &[record("b", 2)], &[Vid(1)]);
-        assert_eq!(model::version_rows(&mut db, &cvd, Vid(2)).unwrap().len(), 1);
+        assert_eq!(model::version_rows(&db, &cvd, Vid(2)).unwrap().len(), 1);
         // The fast path strips the vlist column, like the SQL projection.
         let fast: Vec<(i64, Vec<Value>)> = model::version_row_refs(&db, &cvd, Vid(1))
             .unwrap()
@@ -213,10 +213,8 @@ mod tests {
         let scanned = db.stats.rows_scanned();
         let table = cvd.combined_table();
         let refused = |e: CoreError| matches!(&e, CoreError::Invalid(m) if m.contains(&table));
-        assert!(!model::fast_path_ready(&db, &cvd, Vid(1)));
-        assert!(refused(
-            model::version_rows(&mut db, &cvd, Vid(1)).unwrap_err()
-        ));
+        assert!(!model::version_readable(&db, &cvd, Vid(1)));
+        assert!(refused(model::version_rows(&db, &cvd, Vid(1)).unwrap_err()));
         assert!(refused(
             model::version_rows_absent_from(&db, &cvd, Vid(1), &[]).unwrap_err()
         ));
@@ -250,7 +248,7 @@ mod tests {
         assert_eq!(rows[1][3], Value::Null);
         assert_eq!(rows[1][4], Value::IntArray(vec![1].into()));
         // The rid index was rebuilt with the table: reads resolve again.
-        let read = model::version_rows(&mut db, &cvd, Vid(1)).unwrap();
+        let read = model::version_rows(&db, &cvd, Vid(1)).unwrap();
         assert_eq!(
             read[1].1,
             [Value::Text("b".into()), Value::Int(2), Value::Null]

@@ -196,7 +196,7 @@ mod tests {
         );
         let s2 = storage_bytes(&db, &cvd);
         assert!(s2 - s1 < 64, "empty delta should cost almost nothing");
-        assert_eq!(model::version_rows(&mut db, &cvd, Vid(2)).unwrap().len(), 2);
+        assert_eq!(model::version_rows(&db, &cvd, Vid(2)).unwrap().len(), 2);
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(1)));
-        let rows = model::version_rows(&mut db, &cvd, Vid(2)).unwrap();
+        let rows = model::version_rows(&db, &cvd, Vid(2)).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1[0], Value::Text("a".into()));
     }
@@ -233,7 +233,7 @@ mod tests {
             &[record("a", 7), record("b", 2), record("c", 3)],
             &[Vid(2)],
         );
-        let rows = model::version_rows(&mut db, &cvd, Vid(3)).unwrap();
+        let rows = model::version_rows(&db, &cvd, Vid(3)).unwrap();
         assert_eq!(rows.len(), 3);
         // "a" was modified: its reconstructed score is the new one.
         let a = rows

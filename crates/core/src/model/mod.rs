@@ -331,9 +331,8 @@ pub fn checkout_into_sql(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -
 }
 
 /// The records of a version as owned (rid, data values) pairs: the rows
-/// of [`version_row_refs`], copied. The engine is borrowed mutably, as
-/// by [`version_rows_sql`], so the two are called alike.
-pub fn version_rows(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
+/// of [`version_row_refs`], copied.
+pub fn version_rows(db: &Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
     Ok(version_row_refs(db, cvd, vid)?
         .into_iter()
         .map(|(rid, values)| (rid, values.to_vec()))
@@ -518,7 +517,7 @@ pub(crate) fn checkout_resolved(
 /// Whether the record-access path reads this version: false only when
 /// the version is unknown or a backing table it reads is missing or no
 /// longer matches the CVD schema. Tests use it to assert a layout reads.
-pub fn fast_path_ready(db: &Database, cvd: &Cvd, vid: Vid) -> bool {
+pub fn version_readable(db: &Database, cvd: &Cvd, vid: Vid) -> bool {
     version_row_refs(db, cvd, vid).is_ok()
 }
 

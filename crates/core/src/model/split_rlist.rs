@@ -131,7 +131,7 @@ mod tests {
     fn version_rows_match_rlist() {
         let (mut db, mut cvd) = make_cvd(ModelKind::SplitByRlist);
         commit(&mut db, &mut cvd, &[record("a", 1), record("b", 2)], &[]);
-        let rows = model::version_rows(&mut db, &cvd, Vid(1)).unwrap();
+        let rows = model::version_rows(&db, &cvd, Vid(1)).unwrap();
         assert_eq!(rows.len(), 2);
         let rids: Vec<i64> = rows.iter().map(|(r, _)| *r).collect();
         assert_eq!(rids, cvd.rids_of(Vid(1)).unwrap());
@@ -148,7 +148,7 @@ mod tests {
             &[Vid(1)],
         );
         for v in [Vid(1), Vid(2)] {
-            assert!(model::fast_path_ready(&db, &cvd, v));
+            assert!(model::version_readable(&db, &cvd, v));
             let fast = model::version_row_refs(&db, &cvd, v).unwrap();
             let fast: Vec<(i64, Vec<Value>)> = fast
                 .into_iter()

@@ -107,8 +107,8 @@ mod tests {
             &[record("a", 1), record("b", 2)],
             &[Vid(1)],
         );
-        assert_eq!(model::version_rows(&mut db, &cvd, Vid(1)).unwrap().len(), 1);
-        assert_eq!(model::version_rows(&mut db, &cvd, Vid(2)).unwrap().len(), 2);
+        assert_eq!(model::version_rows(&db, &cvd, Vid(1)).unwrap().len(), 1);
+        assert_eq!(model::version_rows(&db, &cvd, Vid(2)).unwrap().len(), 2);
         // Fast path and containment-scan SQL agree record-for-record.
         for v in [Vid(1), Vid(2)] {
             let fast: Vec<(i64, Vec<Value>)> = model::version_row_refs(&db, &cvd, v)

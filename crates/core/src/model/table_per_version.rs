@@ -91,7 +91,7 @@ mod tests {
         model::checkout_into(&mut db, &cvd, Vid(1), "t1").unwrap();
         let r = db.query("SELECT name, score FROM t1").unwrap();
         assert_eq!(r.rows.len(), 1);
-        assert_eq!(model::version_rows(&mut db, &cvd, Vid(1)).unwrap().len(), 1);
+        assert_eq!(model::version_rows(&db, &cvd, Vid(1)).unwrap().len(), 1);
         // Fast read equals the SELECT * formulation, row for row.
         let fast: Vec<(i64, Vec<Value>)> = version_row_refs(&db, &cvd, Vid(1))
             .unwrap()

@@ -521,7 +521,7 @@ mod tests {
             let parted = db
                 .query(&format!("SELECT * FROM {target} ORDER BY rid"))
                 .unwrap();
-            let plain = model::version_rows(&mut db, &cvd, Vid(v)).unwrap();
+            let plain = model::version_rows(&db, &cvd, Vid(v)).unwrap();
             assert_eq!(parted.rows.len(), plain.len(), "version {v}");
         }
         // With the name free again the same migration goes through.

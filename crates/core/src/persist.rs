@@ -1121,7 +1121,7 @@ mod tests {
         cvd.schema.columns.push(Column::new("extra", DataType::Int));
         assert!(odb.version_rows("c", Vid(1)).is_err());
 
-        let mut back = deserialize(&serialize(&odb)).unwrap();
+        let back = deserialize(&serialize(&odb)).unwrap();
         let cvd = back.cvd("c").unwrap();
         let table = back.engine.table(&cvd.combined_table()).unwrap();
         assert_eq!(*table.schema, crate::model::combined::physical_schema(cvd));

@@ -35,8 +35,8 @@ use crate::model::ModelKind;
 /// One lexing of a SQL statement — the only place the middleware turns
 /// SQL text into tokens. A [`crate::request::Run`] caches one of these, and
 /// everything that has to look at the statement before the engine runs it
-/// (batch routing, the Section 2.3 access guard, side-table reservation,
-/// this module's translator) reads the same token vector, which the
+/// (batch routing, the Section 2.3 access guard, the side-table name
+/// check, this module's translator) reads the same token vector, which the
 /// engine's parser then consumes as it is.
 #[derive(Debug, Clone)]
 pub struct Lexed {
@@ -90,8 +90,8 @@ impl Lexed {
 
     /// The table the statement would create, lower-cased: the target of a
     /// `SELECT … INTO <name>` or a `CREATE TABLE [IF NOT EXISTS] <name>`.
-    /// The shared executor reserves that name across shards before running
-    /// the statement.
+    /// The shared executor runs such a statement as a shard transaction,
+    /// which leaves the table in the auxiliary shard.
     pub fn created_table(&self) -> Option<String> {
         let name_at = if let Some(into) = self.select_into() {
             into + 1

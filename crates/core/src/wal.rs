@@ -128,11 +128,8 @@ pub const HEADER_LEN: u64 = 32;
 /// a frame short), so larger lengths are a typed error, not a torn tail.
 pub const MAX_RECORD: u32 = 1 << 28;
 
-/// Environment variable overriding the checkpoint threshold in bytes.
-pub const CHECKPOINT_BYTES_ENV: &str = "ORPHEUS_CHECKPOINT_BYTES";
-
-/// Default log-segment size that makes [`WalSink::should_checkpoint`]
-/// report true (4 MiB).
+/// Log-segment size that makes [`WalSink::should_checkpoint`] report
+/// true (4 MiB).
 pub const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
 
 // ---------------------------------------------------------------------------
@@ -686,13 +683,9 @@ impl WalSink {
     }
 
     /// Whether the live segment has outgrown the checkpoint threshold
-    /// (`ORPHEUS_CHECKPOINT_BYTES`, default 4 MiB).
+    /// ([`DEFAULT_CHECKPOINT_BYTES`]).
     pub fn should_checkpoint(&self) -> bool {
-        let threshold = std::env::var(CHECKPOINT_BYTES_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_CHECKPOINT_BYTES);
-        self.lock().bytes >= threshold
+        self.lock().bytes >= DEFAULT_CHECKPOINT_BYTES
     }
 
     /// Arm an I/O fault on this sink. Points: `append` (the write

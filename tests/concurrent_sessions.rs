@@ -228,3 +228,71 @@ fn concurrent_mixed_catalog_and_shard_traffic_stays_consistent() {
         }
     });
 }
+
+/// Four creators race for one side-table name each round: `SELECT … INTO`
+/// from two different CVDs, a checkout into the name and `CREATE TABLE`.
+/// Exactly one wins, every loser is told the name is taken, and the
+/// instance-wide paths that merge every shard — `read`, `write` and
+/// `save_to` — keep working, so no name ended up in two shards.
+#[test]
+fn concurrent_side_table_names_have_one_creator() {
+    let names: Vec<String> = (0..2).map(|u| format!("cvd{u}")).collect();
+    let shared = SharedOrpheusDB::new(instance_with_cvds(&names));
+    let rounds = stress(4);
+    type Creator = fn(&Session, &str) -> Result<(), CoreError>;
+    let creators: [Creator; 4] = [
+        |s, x| {
+            s.sql(&format!("SELECT * INTO {x} FROM VERSION 1 OF CVD cvd0"))
+                .map(drop)
+        },
+        |s, x| {
+            s.sql(&format!("SELECT * INTO {x} FROM VERSION 1 OF CVD cvd1"))
+                .map(drop)
+        },
+        |s, x| s.checkout("cvd0", &[Vid(1)], x),
+        |s, x| s.sql(&format!("CREATE TABLE {x} (k INT)")).map(drop),
+    ];
+    let barrier = std::sync::Barrier::new(creators.len());
+    // Outcomes are judged after the join: a thread that panicked inside a
+    // round would leave the others waiting at the barrier.
+    let outcomes: Vec<Vec<Result<(), CoreError>>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = creators
+            .iter()
+            .map(|create| {
+                let (shared, barrier) = (shared.clone(), &barrier);
+                scope.spawn(move || {
+                    let s = shared.session("racer").unwrap();
+                    (0..rounds)
+                        .map(|r| {
+                            barrier.wait();
+                            create(&s, &format!("x{r}"))
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    for r in 0..rounds {
+        let mut winners = 0;
+        for outcome in &outcomes {
+            match &outcome[r] {
+                Ok(()) => winners += 1,
+                Err(e) => assert!(e.to_string().contains("already"), "round {r}: {e}"),
+            }
+        }
+        assert_eq!(winners, 1, "round {r}: {winners} creators of x{r}");
+    }
+    shared.read(|odb| {
+        for r in 0..rounds {
+            assert!(odb.engine.has_table(&format!("x{r}")), "x{r} is missing");
+        }
+    });
+    shared.write(|odb| assert_eq!(odb.ls(), names));
+    let path = std::env::temp_dir().join(format!(
+        "orpheus-one-creator-{}.orpheus",
+        std::process::id()
+    ));
+    shared.save_to(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+}

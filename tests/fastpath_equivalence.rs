@@ -82,11 +82,11 @@ fn version_rows_match_sql_for_all_models_and_versions() {
         for v in 1..=versions as u64 {
             let cvd = odb.cvd("prot").unwrap().clone();
             assert!(
-                model::fast_path_ready(&odb.engine, &cvd, Vid(v)),
+                model::version_readable(&odb.engine, &cvd, Vid(v)),
                 "{} v{v} should be fast-readable",
                 model.name()
             );
-            let fast = sorted_rows(model::version_rows(&mut odb.engine, &cvd, Vid(v)).unwrap());
+            let fast = sorted_rows(model::version_rows(&odb.engine, &cvd, Vid(v)).unwrap());
             let sql = sorted_rows(model::version_rows_sql(&mut odb.engine, &cvd, Vid(v)).unwrap());
             assert_eq!(fast, sql, "{} v{v}", model.name());
             // The rids agree with the version manager's sorted rlist.
@@ -267,7 +267,7 @@ fn reference_merge(odb: &mut OrpheusDB, vids: &[Vid]) -> Vec<Vec<Value>> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
     for &v in vids {
-        for (rid, values) in model::version_rows(&mut odb.engine, &cvd, v).unwrap() {
+        for (rid, values) in model::version_rows(&odb.engine, &cvd, v).unwrap() {
             let key: Vec<Value> = if pk.is_empty() {
                 vec![Value::Int(rid)]
             } else {
@@ -353,7 +353,7 @@ fn diffs_keep_rlist_order_and_multiplicity() {
             let cvd = odb.cvd("prot").unwrap().clone();
             let reference = |odb: &mut OrpheusDB, a: u64, b: u64| -> Vec<Vec<Value>> {
                 let other = cvd.rids_of(Vid(b)).unwrap();
-                model::version_rows(&mut odb.engine, &cvd, Vid(a))
+                model::version_rows(&odb.engine, &cvd, Vid(a))
                     .unwrap()
                     .into_iter()
                     .filter(|(rid, _)| !other.contains(rid))
@@ -434,7 +434,7 @@ fn schema_evolution_keeps_fast_and_sql_paths_equal() {
         let versions = odb.cvd("prot").unwrap().num_versions() as u64;
         for v in 1..=versions {
             let cvd = odb.cvd("prot").unwrap().clone();
-            let fast = sorted_rows(model::version_rows(&mut odb.engine, &cvd, Vid(v)).unwrap());
+            let fast = sorted_rows(model::version_rows(&odb.engine, &cvd, Vid(v)).unwrap());
             let sql = sorted_rows(model::version_rows_sql(&mut odb.engine, &cvd, Vid(v)).unwrap());
             assert_eq!(fast, sql, "{} v{v} after evolution", model.name());
         }
@@ -521,7 +521,7 @@ fn schema_evolution_reaches_the_partitions() {
                 );
             }
             let cvd = parted.cvd("prot").unwrap().clone();
-            let fast = sorted_rows(model::version_rows(&mut parted.engine, &cvd, Vid(v)).unwrap());
+            let fast = sorted_rows(model::version_rows(&parted.engine, &cvd, Vid(v)).unwrap());
             let sql =
                 sorted_rows(model::version_rows_sql(&mut parted.engine, &cvd, Vid(v)).unwrap());
             assert_eq!(

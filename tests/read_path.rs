@@ -99,7 +99,7 @@ fn assert_reads_walk(odb: &mut OrpheusDB, what: &str) {
     for v in 1..=versions {
         let at = format!("{what} v{v}");
         let rows = scans_nothing(odb, &at, |odb| odb.version_rows(CVD, Vid(v)).unwrap());
-        assert!(model::fast_path_ready(&odb.engine, &cvd, Vid(v)), "{at}");
+        assert!(model::version_readable(&odb.engine, &cvd, Vid(v)), "{at}");
         let spec = model::version_rows_sql(&mut odb.engine, &cvd, Vid(v)).unwrap();
         assert_eq!(sorted_rows(rows), sorted_rows(spec), "{at}");
 

@@ -44,7 +44,7 @@ fn bits(id: i64, d: f64, i: i64) -> (i64, u64, i64) {
 /// The records of `vid`, as bit patterns sorted by id.
 fn stored(odb: &mut OrpheusDB, vid: Vid) -> Vec<(i64, u64, i64)> {
     let cvd = odb.cvd(CVD).expect("cvd exists").clone();
-    let mut out: Vec<(i64, u64, i64)> = model::version_rows(&mut odb.engine, &cvd, vid)
+    let mut out: Vec<(i64, u64, i64)> = model::version_rows(&odb.engine, &cvd, vid)
         .expect("version rows")
         .into_iter()
         .map(|(_, values)| match values.as_slice() {
