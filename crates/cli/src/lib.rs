@@ -12,7 +12,7 @@
 //! orpheus --db team.orpheus run "SELECT count(*) FROM VERSION 1 OF CVD protein"
 //! orpheus --db team.orpheus repl        # interactive session
 //! orpheus --db team.orpheus --batch script.txt   # a script as ONE batch
-//! orpheus --db team.orpheus --async --as alice --batch script.txt
+//! orpheus --db team.orpheus --as alice --batch script.txt
 //! orpheus --db team.orpheus --serve 127.0.0.1:7617   # run as a service
 //! orpheus --connect 127.0.0.1:7617 --as alice ls     # ...and talk to it
 //! ```
@@ -32,9 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orpheus_core::commands::{parse_command, run_command, FileAccess, RealFiles};
-use orpheus_core::{
-    recovery, AsyncExecutor, CoreError, Executor, OrpheusDB, Response, Result, SharedOrpheusDB,
-};
+use orpheus_core::{recovery, CoreError, Executor, OrpheusDB, Response, Result, SharedOrpheusDB};
 use orpheus_net::{NetServer, RemoteExecutor, RetryPolicy, DEFAULT_TIMEOUT};
 
 mod render;
@@ -42,7 +40,7 @@ mod render;
 pub use render::{format_result, render_response};
 
 /// Parsed invocation: global options plus the command words.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Invocation {
     /// Snapshot file backing this session, if any.
     pub db_path: Option<PathBuf>,
@@ -55,10 +53,6 @@ pub struct Invocation {
     /// Run as this user through a concurrent session (per-CVD locking)
     /// instead of driving the instance directly.
     pub user: Option<String>,
-    /// Drive everything through an [`AsyncExecutor`] handle (dispatcher
-    /// thread + worker pool) instead of a synchronous executor.
-    /// Combines with `--as <user>` for the handle identity.
-    pub use_async: bool,
     /// Script file submitted as one [`Executor::batch`] call instead of a
     /// command.
     pub batch: Option<PathBuf>,
@@ -81,119 +75,50 @@ pub struct Invocation {
 ///
 /// Recognized global flags, which must precede the command:
 /// `--db <path>` / `-d <path>`, `--wal <dir>` / `-w <dir>`,
-/// `--as <user>` / `-u <user>`, `--async`,
-/// `--batch <file>` / `-b <file>`, `--serve <addr>`, `--connect <addr>`
-/// / `-c <addr>`, `--retry <n>`, `--help` / `-h`, `--version` / `-V`.
+/// `--as <user>` / `-u <user>`, `--batch <file>` / `-b <file>`,
+/// `--serve <addr>`, `--connect <addr>` / `-c <addr>`, `--retry <n>`,
+/// `--help` / `-h`, `--version` / `-V`.
 pub fn parse_args(args: &[String]) -> Result<Invocation> {
-    let mut db_path = None;
-    let mut wal_dir = None;
-    let mut user = None;
-    let mut use_async = false;
-    let mut batch = None;
-    let mut serve = None;
-    let mut connect = None;
-    let mut retry = None;
+    let mut inv = Invocation::default();
     let mut i = 0;
     // Global flags precede the command; command names never start with '-'.
     while i < args.len() && args[i].starts_with('-') {
+        // The word after the flag, or an error saying what it needs.
+        let value = |needs: &str| {
+            args.get(i + 1)
+                .cloned()
+                .ok_or_else(|| CoreError::parse_line(needs))
+        };
         match args[i].as_str() {
-            "--db" | "-d" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| CoreError::parse_line("--db needs a path"))?;
-                db_path = Some(PathBuf::from(path));
-                i += 2;
-            }
-            "--wal" | "-w" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| CoreError::parse_line("--wal needs a directory"))?;
-                wal_dir = Some(PathBuf::from(path));
-                i += 2;
-            }
-            "--as" | "-u" => {
-                let name = args
-                    .get(i + 1)
-                    .ok_or_else(|| CoreError::parse_line("--as needs a user name"))?;
-                user = Some(name.clone());
-                i += 2;
-            }
-            "--async" => {
-                use_async = true;
-                i += 1;
-            }
-            "--batch" | "-b" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| CoreError::parse_line("--batch needs a script file"))?;
-                batch = Some(PathBuf::from(path));
-                i += 2;
-            }
-            "--serve" => {
-                let addr = args
-                    .get(i + 1)
-                    .ok_or_else(|| CoreError::parse_line("--serve needs an address"))?;
-                serve = Some(addr.clone());
-                i += 2;
-            }
-            "--connect" | "-c" => {
-                let addr = args
-                    .get(i + 1)
-                    .ok_or_else(|| CoreError::parse_line("--connect needs an address"))?;
-                connect = Some(addr.clone());
-                i += 2;
-            }
+            "--db" | "-d" => inv.db_path = Some(value("--db needs a path")?.into()),
+            "--wal" | "-w" => inv.wal_dir = Some(value("--wal needs a directory")?.into()),
+            "--as" | "-u" => inv.user = Some(value("--as needs a user name")?),
+            "--batch" | "-b" => inv.batch = Some(value("--batch needs a script file")?.into()),
+            "--serve" => inv.serve = Some(value("--serve needs an address")?),
+            "--connect" | "-c" => inv.connect = Some(value("--connect needs an address")?),
             "--retry" => {
-                let n = args
-                    .get(i + 1)
-                    .ok_or_else(|| CoreError::parse_line("--retry needs a reconnect count"))?;
-                retry = Some(n.parse::<u32>().map_err(|_| {
+                let n = value("--retry needs a reconnect count")?;
+                inv.retry = Some(n.parse::<u32>().map_err(|_| {
                     CoreError::parse_line(format!("--retry needs a number, got {n:?}"))
                 })?);
-                i += 2;
             }
             "--help" | "-h" => {
-                return Ok(Invocation {
-                    db_path,
-                    wal_dir,
-                    user,
-                    use_async,
-                    batch,
-                    serve,
-                    connect,
-                    retry,
-                    command: vec!["help".into()],
-                })
+                inv.command = vec!["help".into()];
+                return Ok(inv);
             }
             "--version" | "-V" => {
-                return Ok(Invocation {
-                    db_path,
-                    wal_dir,
-                    user,
-                    use_async,
-                    batch,
-                    serve,
-                    connect,
-                    retry,
-                    command: vec!["version".into()],
-                })
+                inv.command = vec!["version".into()];
+                return Ok(inv);
             }
             flag => {
                 return Err(CoreError::parse_line(format!("unknown global flag {flag}")));
             }
         }
+        // Every flag that did not return takes one value.
+        i += 2;
     }
-    Ok(Invocation {
-        db_path,
-        wal_dir,
-        user,
-        use_async,
-        batch,
-        serve,
-        connect,
-        retry,
-        command: args[i..].to_vec(),
-    })
+    inv.command = args[i..].to_vec();
+    Ok(inv)
 }
 
 /// Period of the `--serve --wal` checkpoint ticker: every 5 s it folds a
@@ -242,7 +167,7 @@ periodically folded into a fresh snapshot (checkpoint) once it outgrows
 4 MiB; under --serve, a background ticker checks every 5 seconds.
 Mutually exclusive with --db (the directory keeps its own snapshots) and
 --connect (durability lives on the server). Composes with --serve, --as,
---async, and --batch.
+and --batch.
 
 The --as <user> flag runs the command through a concurrent session under
 that identity (registering the account if needed) — the same per-CVD
@@ -250,17 +175,11 @@ locked executor a multi-user deployment uses, so checkout ownership is
 attributed to <user> rather than the instance identity.
 
 The --batch <file> flag submits a script — one command per line, `#`
-comments and blank lines skipped — as a single batch. Under --async or
---connect the batch is one submission, run request by request on one
-worker; otherwise it runs line by line. Responses come back in script order; a failing line is reported
-with its line number and does not abort the lines after it.
-
-The --async flag puts the async executor (a dispatcher thread plus a
-worker pool) in front of the shared instance and drives the command,
-REPL, or --batch script through an async handle, a FIFO queue of
-submissions. Combine with --as <user> to pick the handle identity.
-Results are identical to the synchronous executors. Submissions never
-block the caller on shard locks, and run in the order they were made.
+comments and blank lines skipped — as a single batch. Under --connect
+the batch is one submission, run request by request on one server
+worker; otherwise it runs line by line. Responses come back in script
+order; a failing line is reported with its line number and does not
+abort the lines after it.
 
 network service:
   --serve <addr>       listen for remote clients (port 0 picks a free
@@ -274,8 +193,8 @@ network service:
   --connect <addr>     run the command, REPL, or --batch script against
                        a server instead of a local instance. Composes
                        with --as (the connection identity) but not with
-                       --db or --async: the snapshot and the async
-                       executor live on the server. Dropped connections
+                       --db or --wal: the snapshot and the log live on
+                       the server. Dropped connections
                        are re-established with capped exponential
                        backoff and in-flight requests are replayed
                        idempotently (the server dedups by session +
@@ -342,11 +261,6 @@ pub fn run(
         if inv.db_path.is_some() {
             return Err(CoreError::parse_line(
                 "--connect talks to a server; the snapshot lives there (drop --db)",
-            ));
-        }
-        if inv.use_async {
-            return Err(CoreError::parse_line(
-                "--connect already runs on the server's async executor (drop --async)",
             ));
         }
         if inv.wal_dir.is_some() {
@@ -544,34 +458,20 @@ pub fn run(
         return drive(&mut remote, &mut files, &mode, interactive, input, out, err);
     }
 
-    // With --as or --async, the instance becomes shared: --as drives a
-    // concurrent session (per-CVD locking, session-scoped identity);
-    // --async additionally puts the dispatcher + worker pool in front,
-    // driving everything through an AsyncExecutor handle.
-    if inv.use_async || inv.user.is_some() {
+    // With --as, the instance becomes shared: a concurrent session
+    // (per-CVD locking, session-scoped identity) drives the command.
+    if let Some(user) = &inv.user {
         let shared = SharedOrpheusDB::new(odb);
-        if inv.use_async {
-            let pool = AsyncExecutor::new(shared.clone());
-            // Without --as, the handle carries the instance identity.
-            let user = inv.user.clone().unwrap_or_else(|| shared.instance_user());
-            let mut handle = pool.handle(&user)?;
-            drive(&mut handle, &mut files, &mode, interactive, input, out, err)?;
-            // Join the dispatcher and workers before snapshotting, so the
-            // saved state reflects every accepted submission.
-            drop(pool);
-        } else {
-            let user = inv.user.as_deref().expect("--as checked");
-            let mut session = shared.session(user)?;
-            drive(
-                &mut session,
-                &mut files,
-                &mode,
-                interactive,
-                input,
-                out,
-                err,
-            )?;
-        }
+        let mut session = shared.session(user)?;
+        drive(
+            &mut session,
+            &mut files,
+            &mode,
+            interactive,
+            input,
+            out,
+            err,
+        )?;
         if inv.wal_dir.is_some() {
             // The log already holds every acknowledged mutation; rotate it
             // into a snapshot only if it has outgrown the threshold.
@@ -735,11 +635,11 @@ mod tests {
         assert!(inv.command.is_empty());
         assert!(parse_args(&args(&["--batch"])).is_err());
 
-        let inv = parse_args(&args(&["--async", "--as", "alice", "ls"])).unwrap();
-        assert!(inv.use_async);
+        let inv = parse_args(&args(&["--as", "alice", "ls"])).unwrap();
         assert_eq!(inv.user.as_deref(), Some("alice"));
         assert_eq!(inv.command, vec!["ls"]);
-        assert!(!parse_args(&args(&["ls"])).unwrap().use_async);
+        let e = parse_args(&args(&["--async", "ls"])).unwrap_err();
+        assert!(e.to_string().contains("unknown global flag --async"), "{e}");
 
         let inv = parse_args(&args(&["--serve", "127.0.0.1:0"])).unwrap();
         assert_eq!(inv.serve.as_deref(), Some("127.0.0.1:0"));
@@ -781,10 +681,6 @@ mod tests {
         bad(
             &["--connect", "127.0.0.1:1", "--db", "x.orpheus", "ls"],
             "drop --db",
-        );
-        bad(
-            &["--connect", "127.0.0.1:1", "--async", "ls"],
-            "drop --async",
         );
     }
 
@@ -954,72 +850,6 @@ mod tests {
         server.join().unwrap().unwrap();
         let listing = invoke(&["--db", &db_s, "log", "kv"]).unwrap();
         assert!(listing.contains("remote batch"), "{listing}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn async_flag_drives_commands_through_the_pool() {
-        let dir = tmp_dir("async");
-        let db = dir.join("team.orpheus");
-        let db_s = db.to_str().unwrap();
-        let csv = dir.join("d.csv");
-        let schema = dir.join("s.txt");
-        std::fs::write(&csv, "k,v\n1,10\n2,20\n").unwrap();
-        std::fs::write(&schema, "k:int!pk\nv:int\n").unwrap();
-
-        // One-shot commands under --async behave exactly like the
-        // synchronous path, including snapshot durability.
-        invoke(&[
-            "--db",
-            db_s,
-            "--async",
-            "init",
-            "kv",
-            "-f",
-            csv.to_str().unwrap(),
-            "-s",
-            schema.to_str().unwrap(),
-        ])
-        .unwrap();
-        let out = invoke(&["--db", db_s, "--async", "ls"]).unwrap();
-        assert_eq!(out.trim(), "kv");
-
-        // --async --as attributes checkouts to the handle identity.
-        invoke(&[
-            "--db", db_s, "--async", "--as", "alice", "checkout", "kv", "-v", "1", "-t", "aw",
-        ])
-        .unwrap();
-        let err =
-            invoke(&["--db", db_s, "--as", "bob", "commit", "-t", "aw", "-m", "x"]).unwrap_err();
-        assert!(err.to_string().contains("permission"), "{err}");
-        let out = invoke(&[
-            "--db", db_s, "--async", "--as", "alice", "commit", "-t", "aw", "-m", "hers",
-        ])
-        .unwrap();
-        assert!(out.contains("v2"), "{out}");
-
-        // A batch script through the async pool, responses in order.
-        let script = dir.join("script.txt");
-        std::fs::write(
-            &script,
-            "checkout kv -v 2 -t w2\ncommit -t w2 -m 'async batch'\nlog kv\n",
-        )
-        .unwrap();
-        let mut input = Cursor::new(Vec::new());
-        let (mut out, mut errs) = (Vec::new(), Vec::new());
-        run(
-            &args(&["--db", db_s, "--async", "--batch", script.to_str().unwrap()]),
-            false,
-            &mut input,
-            &mut out,
-            &mut errs,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
-        let checkout_at = out.find("checked out v2").expect(&out);
-        let commit_at = out.find("committed w2 as v3").expect(&out);
-        assert!(checkout_at < commit_at, "{out}");
-        assert!(out.contains("async batch"), "{out}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

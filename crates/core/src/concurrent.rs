@@ -15,9 +15,8 @@
 //!   and staged artifacts), plus an *auxiliary* shard for tables that
 //!   belong to no CVD. Each shard sits behind its own lock.
 //! * The **catalog lock** guards instance-wide state: the user registry,
-//!   the CVD registry (create/drop), the instance configuration, and the
-//!   staged-name index that maps checkout tables and exported CSVs to the
-//!   CVD they came from.
+//!   the CVD registry (create/drop), and the staged-name index that maps
+//!   checkout tables and exported CSVs to the CVD they came from.
 //! * [`ConcurrentExecutor`] routes every [`Request`] to the right lock via
 //!   [`Request::kind`] + [`Request::target`]: catalog requests take the
 //!   catalog lock, CVD-addressed requests take one CVD's lock, staged
@@ -82,9 +81,9 @@
 //!
 //! **Catalog before CVD, and multiple CVD locks only in sorted key order
 //! with the auxiliary shard last** (only a shard transaction holds more
-//! than one). Internal single-shard paths release the catalog
-//! lock before blocking on a CVD lock, so a stalled commit on one CVD
-//! cannot back up into the catalog. A thread-local counter enforces the
+//! than one). Every path but [`SharedOrpheusDB::write`] releases the
+//! catalog lock before blocking on a CVD lock, so a stalled commit on one
+//! CVD cannot back up into the catalog. A thread-local counter enforces the
 //! order in debug builds: acquiring the catalog lock while holding any
 //! CVD lock — or reentering the catalog lock — panics loudly instead of
 //! deadlocking silently (see [`SharedOrpheusDB::read`] /
@@ -102,8 +101,9 @@
 //! lock, then applies to the catalog what its closure changed: CVDs
 //! created or dropped, staged artifacts materialized or consumed, the
 //! registries. A *writing* statement spanning CVDs runs one over the
-//! involved shards under a shared catalog lock (a read-only `SELECT`
-//! spanning CVDs runs on a merged snapshot instead). Other paths see all
+//! involved shards under a shared catalog lock; it waits for a busy shard
+//! without that lock and starts over (a read-only `SELECT` spanning CVDs
+//! runs on a merged snapshot instead). Other paths see all
 //! of a transaction's effects or none. No shard is ever emptied or
 //! replaced: a shard resolved before a transaction is still the catalog's
 //! after it, reservations of statements in flight survive it, and a panic
@@ -136,6 +136,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
+use std::sync::RwLockWriteGuard;
 
 use parking_lot::{ArcSwap, RwLock};
 
@@ -145,12 +146,14 @@ use orpheus_engine::{EngineError, QueryResult, Value};
 use crate::access::AccessController;
 use crate::batch::{route, staged_key, staged_name, BatchRouter, ShardKey};
 use crate::cvd::namespace_owner;
-use crate::db::{OrpheusConfig, OrpheusDB, VersionDiff};
+use crate::db::{OrpheusDB, VersionDiff};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::partition_store::OptimizeReport;
 use crate::query::Lexed;
-use crate::request::{Checkout, Commit, Diff, Discard, Executor, Optimize, Request, Run, Target};
+use crate::request::{
+    Checkout, Commit, Diff, Discard, Executor, Init, InitFromCsv, Optimize, Request, Run, Target,
+};
 use crate::response::Response;
 use crate::staging::StagedKind;
 use crate::wal::{WalOp, WalSink};
@@ -274,11 +277,20 @@ impl Shard {
     /// snapshot when dropped, so everything a writer acknowledged is
     /// visible to subsequent snapshot reads.
     fn write(&self) -> ShardWriteGuard<'_> {
-        let token = LockToken::shard();
+        self.guarded(self.db.write())
+    }
+
+    /// [`Shard::write`] if the lock is free right now, `None` if not.
+    fn try_write(&self) -> Option<ShardWriteGuard<'_>> {
+        self.db.try_write().map(|guard| self.guarded(guard))
+    }
+
+    fn guarded<'a>(&'a self, guard: RwLockWriteGuard<'a, OrpheusDB>) -> ShardWriteGuard<'a> {
+        let _token = LockToken::shard();
         ShardWriteGuard {
             shard: self,
-            guard: self.db.write(),
-            _token: token,
+            guard,
+            _token,
         }
     }
 
@@ -298,7 +310,7 @@ impl Shard {
 /// `Arc`-shared with the shard proper.
 struct ShardWriteGuard<'a> {
     shard: &'a Shard,
-    guard: std::sync::RwLockWriteGuard<'a, OrpheusDB>,
+    guard: RwLockWriteGuard<'a, OrpheusDB>,
     _token: LockToken,
 }
 
@@ -329,7 +341,6 @@ struct Catalog {
     /// User registry and the *instance-level* identity (sessions carry
     /// their own identities; this is what non-session tooling sees).
     access: AccessController,
-    config: OrpheusConfig,
     /// One shard per CVD, keyed by lower-cased CVD name. `BTreeMap` so
     /// snapshot paths acquire shard locks in a deterministic sorted order.
     shards: BTreeMap<String, Arc<Shard>>,
@@ -370,15 +381,15 @@ impl Catalog {
     fn from_instance(odb: OrpheusDB) -> Catalog {
         let mut cat = Catalog {
             access: odb.access.clone(),
-            config: odb.config.clone(),
             wal: odb.wal.clone(),
             shards: BTreeMap::new(),
             aux: Shard::new(odb),
             staged: HashMap::new(),
         };
         let ((), settled) = cat
-            .transact(&BTreeSet::new(), |_| ())
-            .expect("one instance merges with nothing");
+            .transact(&BTreeSet::new(), true, |_| ())
+            .expect("one instance merges with nothing")
+            .expect("a waiting transaction takes every lock");
         cat.settle(settled);
         cat
     }
@@ -471,16 +482,14 @@ impl Catalog {
     }
 
     /// One instance from the auxiliary shard's state `aux` and the CVD
-    /// shards' `parts`, under the catalog's user registry and
-    /// configuration: the merge of every snapshot read and every shard
-    /// transaction.
+    /// shards' `parts`, under the catalog's user registry: the merge of
+    /// every snapshot read and every shard transaction.
     fn merge(
         &self,
         mut aux: OrpheusDB,
         parts: impl Iterator<Item = OrpheusDB>,
     ) -> Result<OrpheusDB> {
         aux.access = self.access.clone();
-        aux.config = self.config.clone();
         for part in parts {
             aux.absorb(part)?;
         }
@@ -492,31 +501,30 @@ impl Catalog {
         self.merge_snapshots(self.shards.values())
     }
 
-    /// Merged snapshot of a *subset* of shards (plus the auxiliary shard),
-    /// for read-only SQL spanning several CVDs. Keys whose CVD was dropped
-    /// since the statement was analyzed are skipped; the statement then
-    /// fails on the missing table.
-    fn merged_subset(&self, keys: &BTreeSet<String>) -> OrpheusDB {
-        self.merge_snapshots(keys.iter().filter_map(|k| self.shards.get(k)))
-    }
-
     /// Run `f` as one shard transaction over the shards of `keys` and the
-    /// auxiliary shard (see the module docs). A shard whose CVD `f`
-    /// dropped keeps its state and is retired before its lock is
+    /// auxiliary shard (see the module docs). Without `wait`, a busy shard
+    /// is handed back in `Err`, unlocked, before `f` runs. A shard whose
+    /// CVD `f` dropped keeps its state and is retired before its lock is
     /// released. What `f` changed outside the locked shards is returned
     /// for [`Catalog::settle`].
     fn transact<T>(
         &self,
         keys: &BTreeSet<String>,
+        wait: bool,
         f: impl FnOnce(&mut OrpheusDB) -> T,
-    ) -> Result<(T, Settled)> {
+    ) -> Result<std::result::Result<(T, Settled), Arc<Shard>>> {
         let shards: Vec<(&String, Arc<Shard>)> = keys
             .iter()
             .map(|k| Ok((k, self.shard(k)?)))
             .collect::<Result<_>>()?;
-        let mut guards: Vec<ShardWriteGuard<'_>> =
-            shards.iter().map(|(_, shard)| shard.write()).collect();
-        let mut aux = self.aux.write();
+        let mut guards = Vec::new();
+        for shard in shards.iter().map(|(_, shard)| shard).chain([&self.aux]) {
+            match shard.try_write().or_else(|| wait.then(|| shard.write())) {
+                Some(guard) => guards.push(guard),
+                None => return Ok(Err(Arc::clone(shard))),
+            }
+        }
+        let mut aux = guards.pop().expect("the auxiliary shard is locked last");
         let parts = guards.iter().map(|guard| OrpheusDB::clone(guard));
         let mut merged = self.merge(OrpheusDB::clone(&aux), parts)?;
         let staged_before = index_entries(&merged).map(|(key, _)| key).collect();
@@ -525,7 +533,6 @@ impl Catalog {
             staged_before,
             staged_after: index_entries(&merged).collect(),
             access: merged.access.clone(),
-            config: merged.config.clone(),
             ..Settled::default()
         };
         for ((key, shard), guard) in shards.iter().zip(guards.iter_mut()) {
@@ -541,7 +548,7 @@ impl Catalog {
             settled.added.push((key, db));
         }
         *aux = merged;
-        Ok((out, settled))
+        Ok(Ok((out, settled)))
     }
 
     /// Apply what a shard transaction changed outside the shards it
@@ -558,7 +565,6 @@ impl Catalog {
             self.shards.insert(key, Shard::new(db));
         }
         self.access = settled.access;
-        self.config = settled.config;
     }
 }
 
@@ -573,7 +579,6 @@ struct Settled {
     staged_before: HashSet<String>,
     staged_after: Vec<(String, ShardKey)>,
     access: AccessController,
-    config: OrpheusConfig,
 }
 
 /// Detach a CVD that `odb` lists. Its tables and staged entries move
@@ -663,10 +668,7 @@ impl SharedOrpheusDB {
     /// A [`ConcurrentExecutor`] for `user`, registering the account if
     /// needed ([`SharedOrpheusDB::session`] under its bus-level name).
     pub fn executor(&self, user: &str) -> Result<ConcurrentExecutor> {
-        {
-            let mut cat = self.inner.catalog_write();
-            cat.access.ensure_user(user)?;
-        }
+        self.inner.catalog_write().access.ensure_user(user)?;
         Ok(ConcurrentExecutor {
             inner: Arc::clone(&self.inner),
             user: user.to_string(),
@@ -697,17 +699,12 @@ impl SharedOrpheusDB {
         let mut cat = self.inner.catalog_write();
         let keys = cat.shards.keys().cloned().collect();
         let (out, settled) = cat
-            .transact(&keys, f)
+            .transact(&keys, true, f)
             // Same invariant as `Catalog::merge_snapshots`.
-            .expect("disjoint shards merge without collisions");
+            .expect("disjoint shards merge without collisions")
+            .expect("a waiting transaction takes every lock");
         cat.settle(settled);
         out
-    }
-
-    /// The instance-level identity (what non-session tooling operates as).
-    pub fn instance_user(&self) -> String {
-        let cat = self.inner.catalog_read();
-        cat.access.whoami().to_string()
     }
 
     /// A [`ConcurrentExecutor`] without user registration — for internal
@@ -727,8 +724,7 @@ impl SharedOrpheusDB {
     /// tests) can arm faults or inspect degraded state on a served
     /// instance.
     pub fn wal_sink(&self) -> Option<WalSink> {
-        let cat = self.inner.catalog_read();
-        cat.wal.clone()
+        self.inner.catalog_read().wal.clone()
     }
 
     /// The recorded I/O failure when the WAL sink has degraded the
@@ -1138,8 +1134,7 @@ impl ConcurrentExecutor {
 
     /// List CVDs (catalog lock only — never blocks behind a commit).
     pub fn ls(&self) -> Vec<String> {
-        let cat = self.inner.catalog_read();
-        cat.shards.keys().cloned().collect()
+        self.inner.catalog_read().shards.keys().cloned().collect()
     }
 
     /// Versioned SQL (`VERSION n OF CVD x`, `CVD x`) or plain SQL.
@@ -1183,9 +1178,11 @@ impl ConcurrentExecutor {
     ) -> Result<Response> {
         let outcome = if read_only {
             // No shard lock, so a writer holding it never delays this.
-            let Ok(mut db) = self.snapshot_of(key) else {
+            // No shard is ever emptied, so the load needs no re-check.
+            let Ok(shard) = self.inner.shard_by_key(key) else {
                 return self.execute_as(user, request);
             };
+            let mut db = shard.load_snapshot();
             execute_in(&mut db, key, user, request)
         } else {
             if let Request::Run(run) = &request {
@@ -1237,12 +1234,6 @@ impl ConcurrentExecutor {
         outcome.unwrap_or_else(|run| self.sql_spanning(user, key, &run).map(Response::Rows))
     }
 
-    /// A private clone of one shard's MVCC snapshot — the lock-free read
-    /// path. No shard is ever emptied, so the load needs no re-check.
-    fn snapshot_of(&self, key: &ShardKey) -> Result<OrpheusDB> {
-        Ok(self.inner.shard_by_key(key)?.load_snapshot())
-    }
-
     /// Execute one request as `user` against live state: a single
     /// [`Executor::execute`], and every request an async worker runs.
     /// Catalog requests run under the catalog lock. Everything else is
@@ -1273,12 +1264,9 @@ impl ConcurrentExecutor {
                 Ok(Response::UserCreated { user: r.user })
             }
             Request::Ls => Ok(Response::CvdList(self.ls())),
-            Request::Init(ref r) => {
-                let name = r.cvd.clone();
-                self.create_cvd(user, &name, request)
-            }
-            Request::InitFromCsv(ref r) => {
-                let name = r.cvd.clone();
+            Request::Init(Init { ref cvd, .. })
+            | Request::InitFromCsv(InitFromCsv { ref cvd, .. }) => {
+                let name = cvd.clone();
                 self.create_cvd(user, &name, request)
             }
             Request::Drop(r) => self.drop_cvd(user, &r.cvd),
@@ -1315,32 +1303,42 @@ impl ConcurrentExecutor {
     /// statement as a cross-CVD write transaction.
     fn sql_spanning(&self, user: &str, home: &ShardKey, run: &Run) -> Result<QueryResult> {
         let sql = run.lexed()?;
-        let cat = self.inner.catalog_read();
-        let mut cvds = analyze_sql(&cat, sql)?;
-        if let ShardKey::Cvd(home) = home {
-            cvds.insert(home.clone());
+        loop {
+            let cat = self.inner.catalog_read();
+            let mut cvds = analyze_sql(&cat, sql)?;
+            if let ShardKey::Cvd(home) = home {
+                cvds.insert(home.clone());
+            }
+            if sql.is_select() {
+                let mut merged = match cvds.is_empty() {
+                    true => cat.merged_snapshot(),
+                    false => cat.merge_snapshots(cvds.iter().filter_map(|k| cat.shards.get(k))),
+                };
+                drop(cat);
+                return shard_sql(&mut merged, user, sql);
+            }
+            if let Some(table) = sql.created_table() {
+                cat.check_table_name(&table)?;
+            }
+            // The cross-CVD write transaction: one shard transaction under
+            // the shared catalog lock, which pins the shard set and keeps a
+            // checkout from reserving the name of a table created here. A
+            // created table ends in the auxiliary shard, where a duplicate
+            // is the engine's `TableExists`. SQL reaches neither the CVD
+            // registry nor the staging area, so there is nothing to settle
+            // in the catalog.
+            let run =
+                |odb: &mut OrpheusDB| under_identity(odb, user, |odb| shard_sql(odb, user, sql));
+            match cat.transact(&cvds, false, run)? {
+                Ok((rows, _)) => return rows,
+                // Wait for a busy shard without the catalog (see
+                // `docs/CONCURRENCY.md`), then start over.
+                Err(busy) => {
+                    drop(cat);
+                    drop(busy.write());
+                }
+            }
         }
-        if sql.is_select() {
-            let mut merged = if cvds.is_empty() {
-                cat.merged_snapshot()
-            } else {
-                cat.merged_subset(&cvds)
-            };
-            drop(cat);
-            return shard_sql(&mut merged, user, sql);
-        }
-        if let Some(table) = sql.created_table() {
-            cat.check_table_name(&table)?;
-        }
-        // The cross-CVD write transaction: one shard transaction under the
-        // shared catalog lock, which pins the shard set and keeps a
-        // checkout from reserving the name of a table created here. A
-        // created table ends in the auxiliary shard, where a duplicate is
-        // the engine's `TableExists`. SQL reaches neither the CVD registry
-        // nor the staging area, so there is nothing to settle in the
-        // catalog.
-        let run = |odb: &mut OrpheusDB| under_identity(odb, user, |odb| shard_sql(odb, user, sql));
-        cat.transact(&cvds, run).and_then(|(rows, _)| rows)
     }
 
     // -- catalog-level requests ----------------------------------------------
@@ -1351,7 +1349,8 @@ impl ConcurrentExecutor {
     /// write, re-checking the name (a lost race surfaces as `CvdExists`).
     fn create_cvd(&self, user: &str, name: &str, request: Request) -> Result<Response> {
         let key = name.to_ascii_lowercase();
-        let (config, access, wal_armed) = {
+        let mut odb = OrpheusDB::new();
+        let wal_armed = {
             let cat = self.inner.catalog_read();
             // Refuse up front while degraded: building the shard is real
             // work, and the append below would refuse it anyway.
@@ -1359,10 +1358,9 @@ impl ConcurrentExecutor {
             if cat.shards.contains_key(&key) {
                 return Err(CoreError::CvdExists(name.to_string()));
             }
-            (cat.config.clone(), cat.access.clone(), cat.wal.is_some())
+            odb.access = cat.access.clone();
+            cat.wal.is_some()
         };
-        let mut odb = OrpheusDB::with_config(config);
-        odb.access = access;
         // The fresh shard is built WAL-less: if the publish below loses
         // its race, nothing must have been logged. The record is
         // appended under the catalog write lock, after the re-check and
@@ -1374,7 +1372,7 @@ impl ConcurrentExecutor {
             return Err(CoreError::CvdExists(name.to_string()));
         }
         if let (Some(wal), Some(request)) = (&cat.wal, logged) {
-            // A fresh shard's clock starts at 0 (see OrpheusDB::with_config).
+            // A fresh shard's clock starts at 0.
             wal.append(user, 0, &WalOp::Request(request))?;
         }
         odb.wal = cat.wal.clone();

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use orpheus_engine::sql::parser::parse_tokens;
 use orpheus_engine::{Database, QueryResult, Schema, Value};
+use orpheus_partition::online::OnlineConfig;
 
 use crate::access::AccessController;
 use crate::csv;
@@ -20,27 +21,6 @@ use crate::request::{CommandKind, Executor, Request};
 use crate::response::{LogEntry, Response};
 use crate::staging::{StagedEntry, StagedKind, StagingArea};
 use crate::wal::{CommitRecord, WalOp, WalSink};
-
-/// Instance-wide configuration.
-#[derive(Debug, Clone)]
-pub struct OrpheusConfig {
-    /// Data model for newly created CVDs.
-    pub default_model: ModelKind,
-    /// Storage threshold γ as a multiple of |R| for `optimize`.
-    pub gamma_factor: f64,
-    /// Migration tolerance factor µ.
-    pub mu: f64,
-}
-
-impl Default for OrpheusConfig {
-    fn default() -> OrpheusConfig {
-        OrpheusConfig {
-            default_model: ModelKind::SplitByRlist,
-            gamma_factor: 2.0,
-            mu: 1.5,
-        }
-    }
-}
 
 /// Result of a `diff` between two versions.
 #[derive(Debug, Clone)]
@@ -60,7 +40,6 @@ pub struct OrpheusDB {
     pub(crate) cvds: HashMap<String, Cvd>,
     pub(crate) staging: StagingArea,
     pub access: AccessController,
-    pub config: OrpheusConfig,
     pub(crate) clock: u64,
     /// Write-ahead log sink, when the instance was opened through
     /// [`crate::recovery::open`]. Every successful mutating operation
@@ -72,13 +51,6 @@ pub struct OrpheusDB {
 impl OrpheusDB {
     pub fn new() -> OrpheusDB {
         OrpheusDB::default()
-    }
-
-    pub fn with_config(config: OrpheusConfig) -> OrpheusDB {
-        OrpheusDB {
-            config,
-            ..OrpheusDB::default()
-        }
     }
 
     fn tick(&mut self) -> u64 {
@@ -172,7 +144,6 @@ impl OrpheusDB {
             .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))?;
         let mut shard = OrpheusDB {
             access: self.access.clone(),
-            config: self.config.clone(),
             clock: self.clock,
             // Shards share the sink: shard-level mutations append inside
             // the shard lock.
@@ -268,7 +239,7 @@ impl OrpheusDB {
         if self.cvds.contains_key(&key) {
             return Err(CoreError::CvdExists(name.to_string()));
         }
-        let model = model.unwrap_or(self.config.default_model);
+        let model = model.unwrap_or_default();
         let clock_before = self.clock;
         // The rows are consumed below; capture the replayable request up
         // front (only when a WAL is attached — the clone is the price of
@@ -767,9 +738,12 @@ impl OrpheusDB {
         Ok(self.engine.execute_statement(statement)?)
     }
 
-    /// `optimize`: run the partition optimizer on a CVD.
+    /// `optimize`: run the partition optimizer on a CVD with the default
+    /// storage threshold γ factor and tolerance µ
+    /// ([`OnlineConfig::default`]).
     pub fn optimize(&mut self, cvd_name: &str) -> Result<OptimizeReport> {
-        self.optimize_weighted(cvd_name, &[])
+        let defaults = OnlineConfig::default();
+        self.optimize_with(cvd_name, defaults.gamma_factor, defaults.mu)
     }
 
     /// `optimize` with explicit parameters (storage threshold γ factor and
@@ -780,29 +754,18 @@ impl OrpheusDB {
         gamma_factor: f64,
         mu: f64,
     ) -> Result<OptimizeReport> {
-        self.optimize_weighted_with(cvd_name, &[], gamma_factor, mu)
+        self.run_optimizer(cvd_name, &[], gamma_factor, mu)
     }
 
-    /// `optimize` for a skewed workload (Appendix C.2): `freqs` maps
-    /// versions to checkout frequencies; versions not listed default to 1.
-    /// The returned report's `cavg` is the *weighted* checkout cost.
-    pub fn optimize_weighted(
-        &mut self,
-        cvd_name: &str,
-        freqs: &[(Vid, u64)],
-    ) -> Result<OptimizeReport> {
-        let (gamma, mu) = (self.config.gamma_factor, self.config.mu);
-        self.optimize_weighted_with(cvd_name, freqs, gamma, mu)
-    }
-
-    /// The one `optimize`: explicit γ factor and µ, and checkout
-    /// frequencies that may be empty. No frequencies means the
-    /// *unweighted* optimizer (LyreSplit on the version tree, `cavg` the
-    /// tree's Cavg) — not weighted LyreSplit with every frequency 1, whose
-    /// `cavg` is the bipartite Cw. The request is logged with `freqs` as
-    /// given and replayed through here, so live and replayed runs pick the
-    /// same optimizer.
-    pub fn optimize_weighted_with(
+    /// The one optimizer run: explicit γ factor and µ, and checkout
+    /// frequencies (Appendix C.2; versions not listed default to 1) that
+    /// may be empty. No frequencies means the *unweighted* optimizer
+    /// (LyreSplit on the version tree, `cavg` the tree's Cavg) — not
+    /// weighted LyreSplit with every frequency 1, whose `cavg` is the
+    /// bipartite Cw. Frequencies arrive only through [`Request::Optimize`],
+    /// which is logged with them as given and replayed through here, so
+    /// live and replayed runs pick the same optimizer.
+    fn run_optimizer(
         &mut self,
         cvd_name: &str,
         freqs: &[(Vid, u64)],
@@ -960,9 +923,10 @@ impl Executor for OrpheusDB {
                 Ok(Response::Dropped { cvd: r.cvd })
             }
             Request::Optimize(r) => {
-                let gamma = r.gamma.unwrap_or(self.config.gamma_factor);
-                let mu = r.mu.unwrap_or(self.config.mu);
-                let report = self.optimize_weighted_with(&r.cvd, &r.weights, gamma, mu)?;
+                let defaults = OnlineConfig::default();
+                let gamma = r.gamma.unwrap_or(defaults.gamma_factor);
+                let mu = r.mu.unwrap_or(defaults.mu);
+                let report = self.run_optimizer(&r.cvd, &r.weights, gamma, mu)?;
                 Ok(Response::Optimized { cvd: r.cvd, report })
             }
             Request::CreateUser(r) => {

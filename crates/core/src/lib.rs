@@ -68,7 +68,7 @@ pub use async_exec::{AsyncExecutor, AsyncHandle, Ticket, TicketFulfiller};
 pub use batch::{BatchRouter, ShardKey};
 pub use concurrent::{ConcurrentExecutor, Session, SharedOrpheusDB};
 pub use cvd::Cvd;
-pub use db::{OrpheusConfig, OrpheusDB, VersionDiff};
+pub use db::{OrpheusDB, VersionDiff};
 pub use error::{CoreError, Result};
 pub use ids::{Rid, Vid};
 pub use model::ModelKind;

@@ -5,46 +5,48 @@
 //!
 //! The paper assumes PostgreSQL's durability; this module supplies the
 //! equivalent for the from-scratch substrate so the `orpheus` command-line
-//! client can span process invocations. The file reuses the engine
-//! snapshot envelope (magic / format version / length / CRC-32, see
-//! [`orpheus_engine::storage`]): the payload begins with a middleware
-//! section marker followed by the embedded engine snapshot and the
-//! serialized middleware state. Corruption anywhere is detected by the
-//! envelope checksum before any state is reconstructed.
+//! client can span process invocations. The file is one engine snapshot
+//! envelope (magic / format version / length / CRC-32, see
+//! [`orpheus_engine::storage`]) around the middleware section: a section
+//! marker and version, the engine database's payload, and the serialized
+//! middleware state. One checksum covers every byte, and corruption
+//! anywhere is detected by it before any state is reconstructed.
 //!
 //! [`save`] — and so every checkpoint — streams the file: a counting pass
-//! learns both envelope lengths, then one encoding pass writes straight
-//! into a buffered temp file while both CRCs are folded in as the bytes
-//! pass. No whole-file buffer exists; [`serialize`] is the same encoder
-//! run into a `Vec`.
+//! learns the envelope length, then one encoding pass writes straight into
+//! a buffered temp file while the CRC is folded in as the bytes pass. No
+//! whole-file buffer exists; [`serialize`] is the same encoder run into a
+//! `Vec`.
 //!
 //! The paper's split-by-rlist model keeps one rlist array per version, and
 //! so does the file: such a CVD's rlists live only in its rlist table
-//! cells, and loading builds the catalog from them. That is
-//! `CORE_VERSION` 2; a version-1 file, which stored every rlist in the
-//! catalog as well, is refused by name.
+//! cells, and loading builds the catalog from them. This is `CORE_VERSION`
+//! 3. Older files are refused by name: version 1 stored every rlist in the
+//! catalog as well; version 2 stored instance settings, wrapped the engine
+//! payload in a second envelope and wrote column types by SQL name.
 //!
-//! The bytes are the engine's one vocabulary, with the codec's version-id
-//! lists and model tags ([`crate::codec`]). The one layout of its own is
-//! the CVD schema, which stores each column's type by SQL name rather than
-//! by tag. Anything the decoders refuse is [`CoreError::Storage`] (or
-//! [`CoreError::Engine`] from the embedded engine snapshot).
+//! The bytes are the engine's one vocabulary — the CVD schema and its
+//! attribute types are the engine's schema encoding and type tags — with
+//! the codec's version-id lists and model tags ([`crate::codec`]).
+//! Anything the decoders refuse is [`CoreError::Storage`] (or
+//! [`CoreError::Engine`] from the embedded engine database).
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
 use orpheus_engine::storage::{
-    self, encoded_len, put_bool, put_envelope, put_f64, put_i64, put_str, put_u32, put_u64,
-    verify_envelope, write_atomically_with, Reader, Sink, ENVELOPE_LEN,
+    self, encoded_len, put_bool, put_dtype, put_envelope, put_f64, put_i64, put_schema, put_str,
+    put_u32, put_u64, read_dtype, read_schema, verify_envelope, write_atomically_with, Reader,
+    Sink, ENVELOPE_LEN,
 };
-use orpheus_engine::{Column, DataType, Database, Schema, Value};
+use orpheus_engine::{Database, Value};
 use orpheus_partition::online::{OnlineConfig, OnlineMaintainer};
 use orpheus_partition::{Partitioning, VersionTree};
 
 use crate::codec::{put_model, put_vids, read_model, read_vids};
 use crate::cvd::{AttrEntry, AttributeRegistry, Cvd, VersionMeta};
-use crate::db::{OrpheusConfig, OrpheusDB};
+use crate::db::OrpheusDB;
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::model::split_rlist::rlist_tuple;
@@ -55,7 +57,7 @@ use crate::staging::{StagedEntry, StagedKind, StagingArea};
 /// Marker distinguishing middleware snapshots from bare engine snapshots.
 const SECTION: &str = "orpheus-core";
 /// Version of the middleware section layout.
-const CORE_VERSION: u32 = 2;
+const CORE_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Encoding helpers.
@@ -102,35 +104,6 @@ fn put_opt_u64<S: Sink + ?Sized>(out: &mut S, v: Option<u64>) {
 
 fn read_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>> {
     Ok(if r.bool()? { Some(r.u64()?) } else { None })
-}
-
-/// The CVD schema, types by SQL name (the engine's encoding tags them).
-fn put_cvd_schema<S: Sink + ?Sized>(out: &mut S, schema: &Schema) {
-    put_u32(out, schema.columns.len() as u32);
-    for c in &schema.columns {
-        put_str(out, &c.name);
-        put_str(out, c.dtype.sql_name());
-        put_bool(out, c.nullable);
-    }
-    put_u32s(out, schema.primary_key.iter().map(|&i| i as u32));
-}
-
-fn read_cvd_schema(r: &mut Reader<'_>) -> Result<Schema> {
-    let ncols = r.count("column")?;
-    let mut cols = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let name = r.str()?;
-        let c = Column::new(name, DataType::parse(&r.str()?)?);
-        cols.push(if r.bool()? { c } else { c.not_null() });
-    }
-    let mut s = Schema::new(cols);
-    for i in read_u32s(r, "primary key column")? {
-        if i as usize >= s.arity() {
-            return Err(corrupt(format!("primary-key index {i} out of range")));
-        }
-        s.primary_key.push(i as usize);
-    }
-    Ok(s)
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +217,7 @@ fn read_partition_state(r: &mut Reader<'_>, tree: VersionTree) -> Result<Partiti
 /// each is stored once, in its version's rlist table cell.
 fn put_cvd<S: Sink + ?Sized>(out: &mut S, cvd: &Cvd) {
     put_str(out, &cvd.name);
-    put_cvd_schema(out, &cvd.schema);
+    put_schema(out, &cvd.schema);
     put_model(out, cvd.model);
     put_u32(out, cvd.versions.len() as u32);
     for m in &cvd.versions {
@@ -260,7 +233,7 @@ fn put_cvd<S: Sink + ?Sized>(out: &mut S, cvd: &Cvd) {
     for e in cvd.attrs.entries() {
         put_u32(out, e.id);
         put_str(out, &e.name);
-        put_str(out, e.dtype.sql_name());
+        put_dtype(out, e.dtype);
     }
     match &cvd.partition {
         Some(p) => {
@@ -275,7 +248,7 @@ fn put_cvd<S: Sink + ?Sized>(out: &mut S, cvd: &Cvd) {
 /// a split-by-rlist CVD's rlists are its rlist table cells.
 fn read_cvd(r: &mut Reader<'_>, engine: &Database) -> Result<Cvd> {
     let name = r.str()?;
-    let schema = read_cvd_schema(r)?;
+    let schema = read_schema(r)?;
     let model = read_model(r)?;
     let nvers = r.count("version")?;
     let mut versions: Vec<std::sync::Arc<VersionMeta>> = Vec::with_capacity(nvers);
@@ -329,7 +302,7 @@ fn read_cvd(r: &mut Reader<'_>, engine: &Database) -> Result<Cvd> {
         entries.push(AttrEntry {
             id: r.u32()?,
             name: r.str()?,
-            dtype: DataType::parse(&r.str()?)?,
+            dtype: read_dtype(r)?,
         });
     }
     cvd.attrs = AttributeRegistry::from_entries(entries);
@@ -370,61 +343,28 @@ fn read_staged(r: &mut Reader<'_>) -> Result<StagedEntry> {
 /// Serialize a full OrpheusDB instance into a checksummed snapshot in
 /// memory: the encoder [`save`] streams to disk, run into a `Vec`.
 pub fn serialize(odb: &OrpheusDB) -> Vec<u8> {
-    let lens = PayloadLens::of(odb);
-    let mut out = Vec::with_capacity((ENVELOPE_LEN + lens.core) as usize);
-    put_snapshot(&mut out, odb, lens);
+    let len = payload_len(odb);
+    let mut out = Vec::with_capacity((ENVELOPE_LEN + len) as usize);
+    put_snapshot(&mut out, odb, len);
     out
 }
 
-/// The payload lengths of the file's two envelopes — the instance
-/// snapshot's and the engine snapshot embedded in it — from one counting
-/// pass over the instance.
-#[derive(Clone, Copy)]
-struct PayloadLens {
-    engine: u64,
-    core: u64,
+/// The length of the file's one envelope payload, from a counting pass.
+fn payload_len(odb: &OrpheusDB) -> u64 {
+    encoded_len(|counter| put_payload(counter, odb))
 }
 
-impl PayloadLens {
-    fn of(odb: &OrpheusDB) -> PayloadLens {
-        let engine = storage::payload_len(&odb.engine);
-        let rest = encoded_len(|counter| {
-            put_head(counter, engine);
-            put_state(counter, odb);
-        });
-        PayloadLens {
-            engine,
-            core: rest + ENVELOPE_LEN + engine,
-        }
-    }
+/// The whole file: the envelope around the `len` payload bytes.
+fn put_snapshot<S: Sink + ?Sized>(out: &mut S, odb: &OrpheusDB, len: u64) {
+    put_envelope(out, len, |payload| put_payload(payload, odb));
 }
 
-/// The whole file: the envelope around the middleware section, which
-/// embeds the engine snapshot (with its own envelope; integrity of the
-/// whole file is still guaranteed by the outer CRC).
-fn put_snapshot<S: Sink + ?Sized>(out: &mut S, odb: &OrpheusDB, lens: PayloadLens) {
-    put_envelope(out, lens.core, |payload| {
-        put_head(payload, lens.engine);
-        storage::put_database(payload, &odb.engine, lens.engine);
-        put_state(payload, odb);
-    });
-}
-
-/// The section marker and version, then the length of the embedded engine
-/// snapshot that follows them.
-fn put_head<S: Sink + ?Sized>(out: &mut S, engine_len: u64) {
+/// The section marker and version, the engine database, then the clock,
+/// users, staging and the CVD catalog.
+fn put_payload<S: Sink + ?Sized>(out: &mut S, odb: &OrpheusDB) {
     put_str(out, SECTION);
     put_u32(out, CORE_VERSION);
-    put_u64(out, ENVELOPE_LEN + engine_len);
-}
-
-/// Everything after the engine snapshot: config, clock, users, staging
-/// and the CVD catalog.
-fn put_state<S: Sink + ?Sized>(out: &mut S, odb: &OrpheusDB) {
-    // Config + logical clock.
-    put_model(out, odb.config.default_model);
-    put_f64(out, odb.config.gamma_factor);
-    put_f64(out, odb.config.mu);
+    storage::put_database(out, &odb.engine);
     put_u64(out, odb.clock);
 
     // Users and session identity.
@@ -483,17 +423,12 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
     }
     if version < CORE_VERSION {
         return Err(CoreError::Storage(format!(
-            "middleware section version {version} is no longer supported: it stored each \
-             split-by-rlist rlist twice; this build reads version {CORE_VERSION} only"
+            "middleware section version {version} is no longer supported; this build \
+             reads version {CORE_VERSION} only"
         )));
     }
 
-    let engine_len = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
-    let engine = storage::deserialize_database(r.bytes(engine_len)?)?;
-
-    let default_model = read_model(&mut r)?;
-    let gamma_factor = r.f64()?;
-    let mu = r.f64()?;
+    let engine = storage::read_database(&mut r)?;
     let clock = r.u64()?;
 
     let nusers = r.count("user")?;
@@ -515,12 +450,10 @@ fn deserialize_payload(payload: &[u8]) -> Result<OrpheusDB> {
     }
     r.finish("the instance snapshot")?;
 
-    let mut odb = OrpheusDB::with_config(OrpheusConfig {
-        default_model,
-        gamma_factor,
-        mu,
-    });
-    odb.engine = engine;
+    let mut odb = OrpheusDB {
+        engine,
+        ..OrpheusDB::default()
+    };
     for u in users {
         if u != "default" {
             odb.access.create_user(&u)?;
@@ -693,8 +626,8 @@ fn checked_rlist(
 }
 
 /// Save an OrpheusDB snapshot to `path` atomically, streamed: a counting
-/// pass sizes the two envelopes, and a second pass encodes straight into
-/// the temp file, computing both CRCs as the bytes pass. An instance whose
+/// pass sizes the envelope, and a second pass encodes straight into the
+/// temp file, computing the CRC as the bytes pass. An instance whose
 /// rlist tables disagree with its catalog (see `rlist_mismatch`) would
 /// not load back, so it is refused and the file at `path` is left as it
 /// was.
@@ -709,9 +642,9 @@ pub fn save(odb: &OrpheusDB, path: &Path) -> Result<()> {
             path.display()
         )));
     }
-    let lens = PayloadLens::of(odb);
-    write_atomically_with(path, ENVELOPE_LEN + lens.core, |file| {
-        put_snapshot(file, odb, lens)
+    let len = payload_len(odb);
+    write_atomically_with(path, ENVELOPE_LEN + len, |file| {
+        put_snapshot(file, odb, len)
     })
     .map_err(CoreError::from)
 }
@@ -727,7 +660,7 @@ pub fn load(path: &Path) -> Result<OrpheusDB> {
 mod tests {
     use super::*;
     use crate::model::ModelKind;
-    use orpheus_engine::Value;
+    use orpheus_engine::{Column, DataType, Schema, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -797,7 +730,11 @@ mod tests {
         assert_eq!(back.ls(), odb.ls());
         assert_eq!(back.access.whoami(), "alice");
         assert_eq!(back.access.users(), odb.access.users());
-        assert_eq!(back.config.gamma_factor, odb.config.gamma_factor);
+        for name in odb.ls() {
+            let (a, b) = (odb.cvd(&name).unwrap(), back.cvd(&name).unwrap());
+            assert_eq!(b.schema, a.schema, "{name}: the schema comes back");
+            assert_eq!(b.attrs.entries(), a.attrs.entries(), "{name}: attributes");
+        }
 
         // Version graph and contents identical.
         let orig = odb.cvd("protein").unwrap();

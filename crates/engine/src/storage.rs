@@ -33,12 +33,12 @@
 //! bounds-checked [`Reader`], the `put_*` writers over any [`Sink`] (a
 //! `Vec<u8>`, a byte [`Counter`], a [`Checksummed`] sink, a [`FileSink`])
 //! and the [`Value`] / [`DataType`] / [`Schema`] encoding. Everything that writes
-//! bytes speaks it — this snapshot, the middleware's instance snapshot, its
-//! wire codec and its write-ahead log — so one layout and one set of
-//! hostile-input checks serve them all. Integers are little-endian,
-//! strings and sequences carry a `u32` length or count, enums a `u8` tag.
-//! The one documented exception is the instance snapshot's CVD schema,
-//! which stores each column's type by SQL name (`orpheus_core::persist`).
+//! bytes speaks it — this snapshot, the middleware's instance snapshot
+//! (which embeds this snapshot's payload, [`put_database`], inside its own
+//! envelope), its wire codec and its write-ahead log — so one layout and
+//! one set of hostile-input checks serve them all. Integers are
+//! little-endian, strings and sequences carry a `u32` length or count,
+//! enums (a [`DataType`] too) a `u8` tag.
 
 use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
@@ -473,17 +473,19 @@ pub fn read_value(r: &mut Reader<'_>) -> Decoded<Value> {
     })
 }
 
-fn dtype_tag(d: DataType) -> u8 {
-    match d {
+/// A data type as its `u8` tag.
+pub fn put_dtype<S: Sink + ?Sized>(out: &mut S, d: DataType) {
+    out.put_u8(match d {
         DataType::Int => 0,
         DataType::Double => 1,
         DataType::Text => 2,
         DataType::Bool => 3,
         DataType::IntArray => 4,
-    }
+    });
 }
 
-fn read_dtype(r: &mut Reader<'_>) -> Decoded<DataType> {
+/// A data type written by [`put_dtype`].
+pub fn read_dtype(r: &mut Reader<'_>) -> Decoded<DataType> {
     Ok(match r.u8()? {
         0 => DataType::Int,
         1 => DataType::Double,
@@ -499,7 +501,7 @@ pub fn put_schema<S: Sink + ?Sized>(out: &mut S, schema: &Schema) {
     put_u32(out, schema.columns.len() as u32);
     for c in &schema.columns {
         put_str(out, &c.name);
-        out.put_u8(dtype_tag(c.dtype));
+        put_dtype(out, c.dtype);
         put_bool(out, c.nullable);
     }
     put_positions(out, &schema.primary_key);
@@ -660,8 +662,10 @@ fn read_table(r: &mut Reader<'_>) -> Result<Table> {
     Ok(table)
 }
 
-/// The snapshot payload of a database (no header/checksum).
-fn put_payload<S: Sink + ?Sized>(out: &mut S, db: &Database) {
+/// The snapshot payload of a database, without an envelope: what
+/// [`serialize_database`] wraps in one, and what the middleware's
+/// instance snapshot embeds inside its own.
+pub fn put_database<S: Sink + ?Sized>(out: &mut S, db: &Database) {
     out.put_u8(join_strategy_tag(db.settings.join_strategy));
     let names = db.table_names();
     put_u32(out, names.len() as u32);
@@ -671,24 +675,17 @@ fn put_payload<S: Sink + ?Sized>(out: &mut S, db: &Database) {
 }
 
 /// The length of a database's snapshot payload, from a counting pass.
-pub fn payload_len(db: &Database) -> u64 {
-    encoded_len(|counter| put_payload(counter, db))
+fn payload_len(db: &Database) -> u64 {
+    encoded_len(|counter| put_database(counter, db))
 }
 
-/// A database's complete snapshot (header + payload + CRC), whose payload
-/// [`payload_len`] has measured as `len`.
-pub fn put_database<S: Sink + ?Sized>(out: &mut S, db: &Database, len: u64) {
-    put_envelope(out, len, |payload| put_payload(payload, db));
-}
-
-fn deserialize_payload(payload: &[u8]) -> Result<Database> {
-    let mut r = Reader::new(payload);
+/// A database written by [`put_database`], read from where `r` stands.
+pub fn read_database(r: &mut Reader<'_>) -> Result<Database> {
     let mut db = Database::new();
-    db.settings.join_strategy = read_join_strategy(&mut r)?;
+    db.settings.join_strategy = read_join_strategy(r)?;
     for _ in 0..r.count("table")? {
-        db.add_table(read_table(&mut r)?)?;
+        db.add_table(read_table(r)?)?;
     }
-    r.finish("the catalog")?;
     Ok(db)
 }
 
@@ -698,14 +695,16 @@ fn deserialize_payload(payload: &[u8]) -> Result<Database> {
 pub fn serialize_database(db: &Database) -> Vec<u8> {
     let len = payload_len(db);
     let mut out = Vec::with_capacity((ENVELOPE_LEN + len) as usize);
-    put_database(&mut out, db, len);
+    put_envelope(&mut out, len, |payload| put_database(payload, db));
     out
 }
 
 /// Parse a complete snapshot produced by [`serialize_database`].
 pub fn deserialize_database(bytes: &[u8]) -> Result<Database> {
-    let payload = verify_envelope(bytes)?;
-    deserialize_payload(payload)
+    let mut r = Reader::new(verify_envelope(bytes)?);
+    let db = read_database(&mut r)?;
+    r.finish("the catalog")?;
+    Ok(db)
 }
 
 /// Validate the snapshot envelope (magic, version, length, checksum) and
@@ -776,7 +775,9 @@ pub fn put_envelope<S: Sink + ?Sized>(
 /// streamed: one pass counts the payload, a second writes it.
 pub fn save_database(db: &Database, path: &Path) -> Result<()> {
     let len = payload_len(db);
-    write_atomically_with(path, ENVELOPE_LEN + len, |file| put_database(file, db, len))
+    write_atomically_with(path, ENVELOPE_LEN + len, |file| {
+        put_envelope(file, len, |payload| put_database(payload, db))
+    })
 }
 
 /// Load a database snapshot from `path`.
@@ -919,7 +920,7 @@ mod tests {
 
     fn serialize_payload(db: &Database) -> Vec<u8> {
         let mut out = Vec::new();
-        put_payload(&mut out, db);
+        put_database(&mut out, db);
         out
     }
 

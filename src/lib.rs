@@ -100,8 +100,8 @@ pub mod prelude {
     pub use orpheus_core::{
         AsyncExecutor, AsyncHandle, Checkout, CheckoutCsv, CommandKind, Commit, CommitCsv,
         ConcurrentExecutor, CoreError, CreateUser, Cvd, Diff, Discard, DropCvd, Executor, Init,
-        InitFromCsv, Log, LogEntry, Login, ModelKind, Optimize, OrpheusConfig, OrpheusDB, Request,
-        Response, Rid, Run, Session, SharedOrpheusDB, Target, Ticket, VersionDiff, Vid,
+        InitFromCsv, Log, LogEntry, Login, ModelKind, Optimize, OrpheusDB, Request, Response, Rid,
+        Run, Session, SharedOrpheusDB, Target, Ticket, VersionDiff, Vid,
     };
     pub use orpheus_engine::{Column, DataType, Database, Schema, Value};
     pub use orpheus_net::{NetServer, RemoteExecutor};

@@ -213,8 +213,7 @@ fn vocabulary_item(generics: &str, params: &str, ret: &str) -> Option<&'static s
 /// The bytes on the wire, in the log and on disk are one vocabulary: the
 /// bounds-checked reader, the string writer and the `Value` / `DataType` /
 /// `Schema` encoders are defined in exactly one module under `crates/*/src`.
-/// The instance snapshot's by-name CVD schema (`persist.rs`) is the one
-/// documented exception. A second encoder is a second dialect coming back.
+/// A second encoder is a second dialect coming back.
 #[test]
 fn the_byte_vocabulary_is_defined_in_exactly_one_module() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -225,17 +224,11 @@ fn the_byte_vocabulary_is_defined_in_exactly_one_module() {
             core_sources(&src, &mut sources);
         }
     }
-    let exempt = [
-        ("persist.rs", "put_cvd_schema"),
-        ("persist.rs", "read_cvd_schema"),
-    ];
     let mut found: Vec<(String, String)> = Vec::new();
     for (path, code) in &sources {
-        let file = path.rsplit('/').next().unwrap_or(path);
         for (name, generics, params, ret) in signatures(code) {
-            let is_exempt = exempt.contains(&(file, name.as_str()));
             let is_writer = name == "put_str" || name == "put_u32";
-            if (vocabulary_item(&generics, &params, &ret).is_some() || is_writer) && !is_exempt {
+            if vocabulary_item(&generics, &params, &ret).is_some() || is_writer {
                 found.push((path.clone(), name));
             }
         }

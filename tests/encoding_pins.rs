@@ -475,7 +475,7 @@ fn fixed_instance() -> OrpheusDB {
     odb
 }
 
-const INSTANCE_PINS: &[Pin] = &[(4177, 2598861472)];
+const INSTANCE_PINS: &[Pin] = &[(4062, 1839356561)];
 
 #[test]
 fn an_instance_snapshot_is_pinned_and_loads_back() {
@@ -498,25 +498,45 @@ fn an_instance_snapshot_is_pinned_and_loads_back() {
     assert_eq!(persist::serialize(&back), bytes);
 }
 
+/// The fixed instance's snapshot with its middleware section version
+/// rewritten to `version` (and the CRC recomputed to match).
+fn instance_snapshot_at_version(version: u32) -> Vec<u8> {
+    let mut bytes = persist::serialize(&fixed_instance());
+    // The payload opens with the section marker (a `u32`-length string),
+    // then the section version.
+    let at = 16 + 4 + "orpheus-core".len();
+    assert_eq!(bytes[at..at + 4], 3u32.to_le_bytes());
+    bytes[at..at + 4].copy_from_slice(&version.to_le_bytes());
+    let end = bytes.len() - 4;
+    let crc = crc32(&bytes[16..end]);
+    bytes[end..].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
 /// An instance snapshot whose middleware section says version 1 — the
 /// layout that stored each split-by-rlist rlist in the catalog as well as
 /// in its rlist table cell — is refused up front, by name.
 #[test]
 fn a_version_one_instance_snapshot_is_refused_by_name() {
-    let mut bytes = persist::serialize(&fixed_instance());
-    // The payload opens with the section marker (a `u32`-length string),
-    // then the section version.
-    let at = 16 + 4 + "orpheus-core".len();
-    assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes());
-    bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
-    let end = bytes.len() - 4;
-    let crc = crc32(&bytes[16..end]);
-    bytes[end..].copy_from_slice(&crc.to_le_bytes());
-
+    let bytes = instance_snapshot_at_version(1);
     let err = persist::deserialize(&bytes).expect_err("a version-1 snapshot is refused");
     let msg = err.to_string();
     assert!(
-        msg.contains("version 1") && msg.contains("version 2"),
+        msg.contains("version 1") && msg.contains("version 3"),
+        "the refusal names both versions: {msg}"
+    );
+}
+
+/// An instance snapshot whose middleware section says version 2 — the
+/// layout with instance settings, a second envelope around the engine
+/// payload and column types by SQL name — is refused up front, by name.
+#[test]
+fn a_version_two_instance_snapshot_is_refused_by_name() {
+    let bytes = instance_snapshot_at_version(2);
+    let err = persist::deserialize(&bytes).expect_err("a version-2 snapshot is refused");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("version 2") && msg.contains("version 3"),
         "the refusal names both versions: {msg}"
     );
 }

@@ -161,6 +161,66 @@ fn mvcc_checkout_waits_for_a_held_commit_while_snapshot_reads_do_not() {
     });
 }
 
+/// A cross-CVD write that waits on a held commit waits without the
+/// catalog lock. Were it to hold the catalog shared while it waits, a
+/// checkout queued for the catalog's write lock would hold back the
+/// routing of every later request — here, a snapshot read of a CVD that
+/// neither touches — until the commit is released.
+#[test]
+fn mvcc_a_write_waiting_on_a_held_commit_does_not_hold_back_routing() {
+    use std::time::Duration;
+    let _serial = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let shared = shared_with_cvds(&["left", "right"]);
+    let writer = shared.session("writer").unwrap();
+    writer.checkout("left", &[Vid(1)], "wl").unwrap();
+    // Opening a session writes the catalog: open every one up front.
+    let copier = shared.session("copier").unwrap();
+    let reader = shared.session("reader").unwrap();
+    let probe = shared.session("probe").unwrap();
+
+    let gate = arm_commit_gate("wl");
+    std::thread::scope(|scope| {
+        let committer = scope.spawn(|| writer.commit("wl", "gated"));
+        gate.wait_entered();
+        // The pauses let the copy reach its wait on `left` and the
+        // checkout queue behind it, the order in which a catalog held
+        // across the wait stalls the read below. No hook reports either
+        // wait, and the read must answer in every order.
+        let copy = scope.spawn(|| copier.sql("SELECT * INTO side_copy FROM VERSION 1 OF CVD left"));
+        std::thread::sleep(Duration::from_millis(100));
+        let checkout = scope.spawn(|| reader.checkout("right", &[Vid(1)], "wr"));
+        std::thread::sleep(Duration::from_millis(100));
+
+        // Not on this thread: if routing stalls, it would wait for a
+        // release only this thread can give.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let read = scope.spawn(move || {
+            let rows = probe.run("SELECT count(*) FROM VERSION 1 OF CVD right");
+            let _ = tx.send(());
+            rows
+        });
+        let answered = rx.recv_timeout(Duration::from_secs(2)).is_ok();
+        let held = !committer.is_finished();
+        gate.release();
+        assert!(
+            answered && held,
+            "a snapshot read of right must answer while the commit on left is held"
+        );
+
+        assert_eq!(scalar(&read.join().expect("read panicked").unwrap()), 10);
+        assert_eq!(
+            committer.join().expect("committer panicked").unwrap(),
+            Vid(2)
+        );
+        copy.join().expect("copy panicked").unwrap();
+        checkout.join().expect("checkout panicked").unwrap();
+    });
+
+    let rows = reader.sql("SELECT count(*) FROM side_copy").unwrap();
+    assert_eq!(scalar(&rows), 10);
+    assert_eq!(scalar(&reader.sql("SELECT count(*) FROM wr").unwrap()), 10);
+}
+
 /// A checkout whose name a writer takes *under the lock the checkout is
 /// waiting for* (`SELECT .. INTO` creates an unregistered table, invisible
 /// to the catalog reservation until it is published) fails for the caller

@@ -133,6 +133,48 @@ fn failed_commit_is_invisible_after_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Each default has one definition: an `Init` without a model builds a
+/// split-by-rlist CVD (`ModelKind::default`), and `optimize` without γ or
+/// µ runs with γ = 2|R| and µ = 1.5 (`OnlineConfig::default`) — the same
+/// run as `optimize_with(cvd, 2.0, 1.5)`, logged with the values it used.
+#[test]
+fn init_and_optimize_take_the_defaults_and_log_what_they_used() {
+    fn seed(odb: &mut OrpheusDB) {
+        odb.execute(Init::cvd("grades").schema(schema()).rows(rows(6)).into())
+            .expect("init without a model");
+        odb.checkout("grades", &[Vid(1)], "w").expect("checkout");
+        odb.execute(Run::sql("DELETE FROM w WHERE id > 2").into())
+            .expect("delete");
+        odb.commit("w", "smaller").expect("commit");
+    }
+    let mut odb = OrpheusDB::new();
+    seed(&mut odb);
+    assert_eq!(odb.cvd("grades").unwrap().model, ModelKind::SplitByRlist);
+    let mut twin = odb.clone();
+    let defaulted = odb.optimize("grades").expect("optimize");
+    let explicit = twin
+        .optimize_with("grades", 2.0, 1.5)
+        .expect("optimize_with");
+    assert_eq!(format!("{defaulted:?}"), format!("{explicit:?}"));
+
+    let dir = tmp_dir("defaults");
+    let mut logged = recovery::open(&dir).expect("open fresh");
+    seed(&mut logged);
+    logged.optimize("grades").expect("optimize");
+    drop(logged);
+    let scan = read_segment(&wal::segment_path(&dir, 1), 1).expect("scan log");
+    let params: Vec<_> = scan
+        .records
+        .iter()
+        .filter_map(|r| match &r.op {
+            WalOp::Request(Request::Optimize(o)) => Some((o.gamma, o.mu)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(params, vec![(Some(2.0), Some(1.5))]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn checkpoint_rotates_generations_and_later_commits_still_replay() {
     let dir = tmp_dir("ckpt");
