@@ -43,15 +43,24 @@
 //! like commit, discard, `optimize` and writing SQL: it takes its shard's
 //! lock. See `docs/CONCURRENCY.md` for the full contract.
 //!
-//! What that costs: **publishing** is an O(tables) clone (a table is
-//! three `Arc`s; version metadata, rlists and staging entries are
-//! `Arc`-shared per element). The **first write after a publish** copies
-//! the chunk directories of the table it touches and then only the heap
-//! chunks and index leaves it lands in (see `orpheus_engine::table`) —
-//! for a commit, the tail of the data table, not the CVD. A **snapshot
-//! read** is another O(tables) clone plus the rows it returns. What
-//! still grows with history is pointer copies — one per version, one per
-//! 64 rows of a written table — never rows, index entries or metadata.
+//! What that costs: **publishing** is an O(tables) clone — a table is
+//! three `Arc`s, a CVD's version metadata and rlists are two
+//! [`ChunkedVec`](crate::cvd::ChunkedVec)s that a clone shares whole, and
+//! its partition state is one `Arc` — with nothing per version. The
+//! **first write after a publish** copies the chunk directories of the
+//! table it touches and then only the heap chunks and index leaves it
+//! lands in (see `orpheus_engine::table`) — for a commit, the tail of the
+//! data table, not the CVD — and a commit also copies the CVD's two
+//! version directories (a pointer per 64 versions) and their tail chunks.
+//! A **snapshot read** is another O(tables) clone plus the rows it
+//! returns. What still grows with history is pointer copies on writes —
+//! one per 64 versions, one per 64 rows of a written table — never rows,
+//! index entries or metadata. Measured by
+//! `crates/bench/examples/publish_probe.rs` at 4 000 versions (2 vCPUs,
+//! five runs of best-of-50/200): a `Session` checkout + discard costs
+//! 4–9 µs more than the same on an `OrpheusDB`, and a `Session` `diff`
+//! 1.4–2.5 µs more — 273–341 µs and 135–165 µs while a publish and a
+//! snapshot read cloned each version list pointer by pointer.
 //!
 //! ```
 //! use orpheus_core::{OrpheusDB, SharedOrpheusDB, Vid};
@@ -296,18 +305,21 @@ impl Shard {
 
     /// A private clone of this shard's MVCC snapshot, the last published
     /// epoch. No shard lock is taken, so a commit holding the write lock
-    /// never delays this. Costs O(tables): the epoch's tables, versions
-    /// and staging entries are all `Arc`-shared, so the clone copies
-    /// pointers, not rows.
+    /// never delays this. Costs O(tables), nothing per version: the
+    /// epoch's tables and staging entries are `Arc`-shared, and each
+    /// CVD's version lists and partition state are shared whole, so the
+    /// clone copies pointers, not rows.
     fn load_snapshot(&self) -> OrpheusDB {
         OrpheusDB::clone(&self.snapshot.load())
     }
 }
 
 /// Write guard of a [`Shard`] that maintains the MVCC snapshot: the new
-/// epoch is published on release — an O(tables) clone, because
-/// everything under a table, a version list or the staging area is
-/// `Arc`-shared with the shard proper.
+/// epoch is published on release — an O(tables) clone with nothing per
+/// version, because everything under a table or the staging area is
+/// `Arc`-shared with the shard proper, and each CVD's version lists and
+/// partition state are shared whole. The epoch it retires is dropped
+/// outside the snapshot cell's lock, so loads never wait on that drop.
 struct ShardWriteGuard<'a> {
     shard: &'a Shard,
     guard: RwLockWriteGuard<'a, OrpheusDB>,
@@ -1848,8 +1860,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// ROADMAP correctness (d): two shards each creating a side table of one
-    /// name used to both succeed, and the next merged read panicked.
+    /// Two shards each creating a side table of one name used to both
+    /// succeed, and the next merged read panicked.
     #[test]
     fn a_side_table_name_is_created_in_one_shard_only() {
         let shared = shared_with_two_cvds();
@@ -1889,10 +1901,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// ROADMAP item 8: a side table `SELECT … INTO` made from a CVD's
-    /// version takes `INSERT` and `DROP TABLE` routed to the auxiliary
-    /// shard alone, and its name can be created again from either CVD or
-    /// with `CREATE TABLE`.
+    /// A side table `SELECT … INTO` made from a CVD's version takes
+    /// `INSERT` and `DROP TABLE` routed to the auxiliary shard alone, and
+    /// its name can be created again from either CVD or with `CREATE
+    /// TABLE`.
     #[test]
     fn a_side_table_selected_from_a_cvd_takes_writes_and_drops() {
         let shared = shared_with_two_cvds();

@@ -120,7 +120,181 @@ pub struct VersionMeta {
     pub base: Option<Vid>,
 }
 
+/// Entries per chunk of a [`ChunkedVec`]: what a push after a clone copies
+/// at most, and how many entries one pointer of its directory covers.
+const CHUNK_LEN: usize = 64;
+
+/// An append-mostly vector whose clones share its entries: an [`Arc`]'d
+/// directory of [`Arc`]'d chunks of 64 entries, every chunk but the last
+/// full — the engine heap's scheme, one entry per slot, with the directory
+/// shared too.
+///
+/// Cloning is one refcount bump. A [`push`](ChunkedVec::push) or
+/// [`pop`](ChunkedVec::pop) goes through [`Arc::make_mut`], on the
+/// directory and then on the tail chunk, so while a clone shares them it
+/// copies the directory (one pointer per 64 entries) and the tail chunk;
+/// every other chunk stays shared. Reads see a flat sequence: `len`,
+/// `get`, `Index`, `iter`, `last`, and `==`/`Debug` agree with a `Vec` of
+/// the same entries.
+#[derive(Clone)]
+pub struct ChunkedVec<T> {
+    chunks: Arc<Vec<Arc<Vec<T>>>>,
+    len: usize,
+}
+
+impl<T> ChunkedVec<T> {
+    pub fn new() -> ChunkedVec<T> {
+        ChunkedVec {
+            chunks: Arc::new(Vec::new()),
+            len: 0,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub fn get(&self, i: usize) -> Option<&T> {
+        (i < self.len).then(|| &self.chunks[i / CHUNK_LEN][i % CHUNK_LEN])
+    }
+
+    pub fn last(&self) -> Option<&T> {
+        self.chunks.last().and_then(|tail| tail.last())
+    }
+
+    pub fn iter(&self) -> ChunkedIter<'_, T> {
+        let entries: ChunkEntries<'_, T> = |chunk| chunk.iter();
+        ChunkedIter {
+            entries: self.chunks.iter().flat_map(entries),
+            left: self.len,
+        }
+    }
+}
+
+/// The entries of one chunk: named, so [`ChunkedIter`] can be.
+type ChunkEntries<'a, T> = fn(&'a Arc<Vec<T>>) -> std::slice::Iter<'a, T>;
+
+/// The entries of a [`ChunkedVec`], in order.
+pub struct ChunkedIter<'a, T> {
+    entries: std::iter::FlatMap<
+        std::slice::Iter<'a, Arc<Vec<T>>>,
+        std::slice::Iter<'a, T>,
+        ChunkEntries<'a, T>,
+    >,
+    left: usize,
+}
+
+impl<'a, T> Iterator for ChunkedIter<'a, T> {
+    type Item = &'a T;
+    fn next(&mut self) -> Option<&'a T> {
+        let value = self.entries.next()?;
+        self.left -= 1;
+        Some(value)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<T> DoubleEndedIterator for ChunkedIter<'_, T> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        let value = self.entries.next_back()?;
+        self.left -= 1;
+        Some(value)
+    }
+}
+
+impl<T> ExactSizeIterator for ChunkedIter<'_, T> {}
+
+impl<T: Clone> ChunkedVec<T> {
+    /// Append `value`, copying the directory and the tail chunk first if
+    /// a clone shares them.
+    pub fn push(&mut self, value: T) {
+        let chunks = Arc::make_mut(&mut self.chunks);
+        if self.len == chunks.len() * CHUNK_LEN {
+            chunks.push(Arc::new(Vec::with_capacity(CHUNK_LEN)));
+        }
+        let tail = chunks.last_mut().expect("a tail chunk");
+        Arc::make_mut(tail).push(value);
+        self.len += 1;
+    }
+
+    /// Remove the last entry, copying the directory and the tail chunk
+    /// first if a clone shares them; a chunk left empty leaves the
+    /// directory.
+    pub fn pop(&mut self) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        let chunks = Arc::make_mut(&mut self.chunks);
+        let tail = chunks.last_mut().expect("a tail chunk");
+        let value = Arc::make_mut(tail).pop();
+        if tail.is_empty() {
+            chunks.pop();
+        }
+        self.len -= 1;
+        value
+    }
+}
+
+impl<T> Default for ChunkedVec<T> {
+    fn default() -> ChunkedVec<T> {
+        ChunkedVec::new()
+    }
+}
+
+impl<T> std::ops::Index<usize> for ChunkedVec<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
+        match self.get(i) {
+            Some(value) => value,
+            None => panic!("index {i} out of range for {} entries", self.len),
+        }
+    }
+}
+
+impl<'a, T> IntoIterator for &'a ChunkedVec<T> {
+    type Item = &'a T;
+    type IntoIter = ChunkedIter<'a, T>;
+    fn into_iter(self) -> ChunkedIter<'a, T> {
+        self.iter()
+    }
+}
+
+impl<T: Clone> FromIterator<T> for ChunkedVec<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> ChunkedVec<T> {
+        let mut out = ChunkedVec::new();
+        for value in iter {
+            out.push(value);
+        }
+        out
+    }
+}
+
+impl<T: PartialEq> PartialEq for ChunkedVec<T> {
+    fn eq(&self, other: &ChunkedVec<T>) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Eq> Eq for ChunkedVec<T> {}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for ChunkedVec<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A collaborative versioned dataset.
+///
+/// Cloning one — the backbone of MVCC snapshot publication — copies its
+/// name and schema and bumps four refcounts: the two version lists, the
+/// attribute registry and the partition state are shared whole.
 #[derive(Debug, Clone)]
 pub struct Cvd {
     pub name: String,
@@ -129,20 +303,21 @@ pub struct Cvd {
     pub model: ModelKind,
     /// Metadata per version. A version's metadata and its rlist (below)
     /// are immutable once it commits and are therefore each stored behind
-    /// an [`Arc`], so cloning a `Cvd` — the backbone of MVCC snapshot
-    /// publication — costs two pointer vectors and a refcount bump per
-    /// version instead of copying every message, parent list and rlist.
+    /// an [`Arc`], in a [`ChunkedVec`] that clones share: the commit after
+    /// a clone copies its directory (one pointer per 64 versions) and its
+    /// tail chunk, never a message, parent list or rlist.
     /// `PartialEq`/persistence see through the `Arc` transparently.
-    pub versions: Vec<Arc<VersionMeta>>,
+    pub versions: ChunkedVec<Arc<VersionMeta>>,
     /// Sorted rid list per version (the version manager's cache of "which
     /// version contains which records"). Under split-by-rlist each entry
     /// is the very buffer of the version's rlist table cell, and of its
     /// partition rlist table cell once partitioned: one rlist per version.
-    pub version_rids: Vec<Arc<Vec<i64>>>,
+    pub version_rids: ChunkedVec<Arc<Vec<i64>>>,
     pub next_rid: u64,
     pub attrs: AttributeRegistry,
-    /// Partitioned physical layout, if `optimize` has run.
-    pub partition: Option<PartitionState>,
+    /// Partitioned physical layout, if `optimize` has run. Behind an
+    /// [`Arc`], so only a commit that places a version copies it.
+    pub partition: Option<Arc<PartitionState>>,
 }
 
 impl Cvd {
@@ -153,8 +328,8 @@ impl Cvd {
             name: name.to_ascii_lowercase(),
             schema,
             model,
-            versions: Vec::new(),
-            version_rids: Vec::new(),
+            versions: ChunkedVec::new(),
+            version_rids: ChunkedVec::new(),
             next_rid: 1,
             attrs,
             partition: None,
@@ -287,6 +462,13 @@ impl Cvd {
     pub fn push_version(&mut self, meta: VersionMeta, rlist: Arc<Vec<i64>>) {
         self.versions.push(Arc::new(meta));
         self.version_rids.push(rlist);
+    }
+
+    /// Undo [`Cvd::push_version`] of the latest version (a commit whose
+    /// finalization failed).
+    pub fn pop_version(&mut self) {
+        self.versions.pop();
+        self.version_rids.pop();
     }
 
     /// Allocate `n` fresh record ids.
@@ -588,6 +770,79 @@ mod tests {
         );
         cvd.next_rid = 5;
         cvd
+    }
+
+    fn chunked(n: usize) -> ChunkedVec<Arc<usize>> {
+        (0..n).map(Arc::new).collect()
+    }
+
+    #[test]
+    fn chunked_vec_pushes_across_a_chunk_boundary() {
+        let mut v = chunked(CHUNK_LEN);
+        assert_eq!((v.len(), v.chunks.len()), (CHUNK_LEN, 1));
+        v.push(Arc::new(CHUNK_LEN));
+        assert_eq!((v.len(), v.chunks.len()), (CHUNK_LEN + 1, 2));
+        assert_eq!(*v[CHUNK_LEN - 1], CHUNK_LEN - 1);
+        assert_eq!(*v[CHUNK_LEN], CHUNK_LEN);
+        assert_eq!(v.last().map(|x| **x), Some(CHUNK_LEN));
+        assert_eq!(v.get(CHUNK_LEN + 1), None);
+        let seen: Vec<usize> = v.iter().map(|x| **x).collect();
+        assert_eq!(seen, (0..=CHUNK_LEN).collect::<Vec<_>>());
+        assert_eq!(v.iter().len(), CHUNK_LEN + 1);
+        assert_eq!(v.iter().next_back().map(|x| **x), Some(CHUNK_LEN));
+    }
+
+    #[test]
+    fn chunked_vec_rollback_empties_the_tail_chunk() {
+        let mut v = chunked(CHUNK_LEN + 1);
+        assert_eq!(v.pop().map(|x| *x), Some(CHUNK_LEN));
+        assert_eq!((v.len(), v.chunks.len()), (CHUNK_LEN, 1));
+        assert_eq!(v.last().map(|x| **x), Some(CHUNK_LEN - 1));
+        // The next push opens a fresh tail chunk again.
+        v.push(Arc::new(7));
+        assert_eq!(
+            (v.len(), v.chunks.len(), *v[CHUNK_LEN]),
+            (CHUNK_LEN + 1, 2, 7)
+        );
+        let mut one = chunked(1);
+        assert_eq!(one.pop().map(|x| *x), Some(0));
+        assert!(one.is_empty() && one.chunks.is_empty());
+        assert_eq!(one.pop(), None);
+    }
+
+    #[test]
+    fn chunked_vec_clones_share_and_stay_unchanged() {
+        let mut v = chunked(2 * CHUNK_LEN + 3);
+        let snapshot = v.clone();
+        assert!(Arc::ptr_eq(&v.chunks, &snapshot.chunks));
+        v.push(Arc::new(1_000));
+        v.pop();
+        v.pop();
+        v.push(Arc::new(2_000));
+        assert_eq!(snapshot, chunked(2 * CHUNK_LEN + 3));
+        assert_eq!(*v[2 * CHUNK_LEN + 2], 2_000);
+        // Only the tail chunk was copied: the full ones are still shared.
+        for k in 0..2 {
+            assert!(Arc::ptr_eq(&v.chunks[k], &snapshot.chunks[k]));
+        }
+        assert!(!Arc::ptr_eq(&v.chunks[2], &snapshot.chunks[2]));
+        // The entries themselves are never copied.
+        assert!(Arc::ptr_eq(&v[CHUNK_LEN + 1], &snapshot[CHUNK_LEN + 1]));
+    }
+
+    #[test]
+    fn chunked_vec_compares_and_prints_like_a_vec() {
+        for n in [0, 1, CHUNK_LEN, CHUNK_LEN + 5] {
+            let flat: Vec<Arc<usize>> = (0..n).map(Arc::new).collect();
+            assert_eq!(format!("{:?}", chunked(n)), format!("{flat:?}"));
+            assert_eq!(format!("{:#?}", chunked(n)), format!("{flat:#?}"));
+            assert_eq!(chunked(n), chunked(n));
+        }
+        assert_ne!(chunked(3), chunked(4));
+        let mut other = chunked(3);
+        other.pop();
+        other.push(Arc::new(9));
+        assert_ne!(chunked(3), other);
     }
 
     #[test]

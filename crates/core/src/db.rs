@@ -612,8 +612,7 @@ impl OrpheusDB {
             });
         if let Err(e) = finalize {
             let cvd = lookup_mut(&mut self.cvds, cvd_key)?;
-            cvd.versions.pop();
-            cvd.version_rids.pop();
+            cvd.pop_version();
             model::rollback_commit(&mut self.engine, cvd, &data);
             partition_store::rollback_placement(&mut self.engine, cvd, vid);
             model::delete_keys(&mut self.engine, &cvd.meta_table(), &[vid.0 as i64]);

@@ -20,6 +20,8 @@
 //! starts as a chunk-sharing clone of its predecessor — and drops G only
 //! once G+1 stands, so a failed migration changes nothing.
 
+use std::sync::Arc;
+
 use orpheus_engine::Database;
 use orpheus_partition::lyresplit::lyresplit_for_budget;
 use orpheus_partition::migration::{plan_migration, plan_naive, MigrationStep};
@@ -173,7 +175,7 @@ pub fn optimize(
         cavg,
         delta: best.delta,
     };
-    let standing = cvd.partition.as_ref();
+    let standing = cvd.partition.as_deref();
     let generation = migrate(db, cvd, standing, &tree, &best.partitioning)?;
     let migrations = standing.map_or(0, |s| s.maintainer.migrations_triggered() + 1);
     let maintainer = OnlineMaintainer::resume(
@@ -184,10 +186,10 @@ pub fn optimize(
         cavg,
         migrations,
     );
-    cvd.partition = Some(PartitionState {
+    cvd.partition = Some(Arc::new(PartitionState {
         maintainer,
         generation,
-    });
+    }));
     Ok(report)
 }
 
@@ -296,10 +298,11 @@ fn build_generation(
 /// success, so an aborted placement never leaves the CVD unpartitioned or
 /// pointing at a half-updated assignment.
 pub fn on_commit(db: &mut Database, cvd: &mut Cvd, vid: Vid) -> Result<()> {
-    let mut state = cvd
-        .partition
-        .clone()
-        .ok_or_else(|| CoreError::Invalid("CVD is not partitioned".into()))?;
+    let mut state = PartitionState::clone(
+        cvd.partition
+            .as_deref()
+            .ok_or_else(|| CoreError::Invalid("CVD is not partitioned".into()))?,
+    );
     let meta = cvd.meta(vid)?;
     if state.assignment().len() != vid.index() {
         return Err(CoreError::Invalid(format!(
@@ -334,7 +337,7 @@ pub fn on_commit(db: &mut Database, cvd: &mut Cvd, vid: Vid) -> Result<()> {
         state.generation = migrate(db, cvd, Some(&state), tree, &target.partitioning)?;
         state.maintainer.apply_migration(target);
     }
-    cvd.partition = Some(state);
+    cvd.partition = Some(Arc::new(state));
     Ok(())
 }
 

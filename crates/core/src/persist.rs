@@ -45,7 +45,7 @@ use orpheus_partition::online::{OnlineConfig, OnlineMaintainer};
 use orpheus_partition::{Partitioning, VersionTree};
 
 use crate::codec::{put_model, put_vids, read_model, read_vids};
-use crate::cvd::{AttrEntry, AttributeRegistry, Cvd, VersionMeta};
+use crate::cvd::{AttrEntry, AttributeRegistry, ChunkedVec, Cvd, VersionMeta};
 use crate::db::OrpheusDB;
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
@@ -251,7 +251,7 @@ fn read_cvd(r: &mut Reader<'_>, engine: &Database) -> Result<Cvd> {
     let schema = read_schema(r)?;
     let model = read_model(r)?;
     let nvers = r.count("version")?;
-    let mut versions: Vec<std::sync::Arc<VersionMeta>> = Vec::with_capacity(nvers);
+    let mut versions: ChunkedVec<Arc<VersionMeta>> = ChunkedVec::new();
     for i in 0..nvers {
         let m = read_version_meta(r)?;
         // The version graph is rebuilt from these: ids are dense and every
@@ -271,7 +271,7 @@ fn read_cvd(r: &mut Reader<'_>, engine: &Database) -> Result<Cvd> {
                 )));
             }
         }
-        versions.push(std::sync::Arc::new(m));
+        versions.push(Arc::new(m));
     }
     let mut cvd = Cvd::new(&name, schema, model);
     cvd.versions = versions;
@@ -280,7 +280,7 @@ fn read_cvd(r: &mut Reader<'_>, engine: &Database) -> Result<Cvd> {
     cvd.version_rids = if model == ModelKind::SplitByRlist {
         cell_rlists(engine, &cvd)?
     } else {
-        let mut version_rids = Vec::with_capacity(nvers);
+        let mut version_rids = ChunkedVec::new();
         for m in &cvd.versions {
             let rids = read_i64s(r)?;
             if m.num_records != rids.len() as u64 {
@@ -307,7 +307,7 @@ fn read_cvd(r: &mut Reader<'_>, engine: &Database) -> Result<Cvd> {
     }
     cvd.attrs = AttributeRegistry::from_entries(entries);
     if r.bool()? {
-        cvd.partition = Some(read_partition_state(r, cvd.version_tree())?);
+        cvd.partition = Some(Arc::new(read_partition_state(r, cvd.version_tree())?));
     }
     Ok(cvd)
 }
@@ -524,7 +524,7 @@ fn rlist_mismatch(engine: &Database, cvd: &Cvd) -> Option<String> {
 /// Refused as corruption: a missing table, a row that is not `(vid,
 /// rlist)`, a cell for a version the catalog lacks, a version with no cell
 /// or two, and a cell whose length is not the version's record count.
-fn cell_rlists(engine: &Database, cvd: &Cvd) -> Result<Vec<Arc<Vec<i64>>>> {
+fn cell_rlists(engine: &Database, cvd: &Cvd) -> Result<ChunkedVec<Arc<Vec<i64>>>> {
     let global = cvd.rlist_table();
     let table = engine.table(&global).map_err(|_| {
         corrupt(format!(

@@ -174,12 +174,15 @@ impl<T> ArcSwap<T> {
     }
 
     /// Atomically publish `value` as the new epoch. Readers that loaded
-    /// the previous epoch keep using it; new loads see `value`.
+    /// the previous epoch keep using it; new loads see `value`. If this
+    /// held the last reference to the previous epoch, it is dropped after
+    /// the internal lock is released, so loads never wait on that drop.
     pub fn store(&self, value: Arc<T>) {
-        *self.cell.lock() = value;
+        drop(self.swap(value));
     }
 
-    /// Publish `value` and return the epoch it replaced.
+    /// Publish `value` and return the epoch it replaced. The internal lock
+    /// is released before this returns.
     pub fn swap(&self, value: Arc<T>) -> Arc<T> {
         std::mem::replace(&mut self.cell.lock(), value)
     }
@@ -286,6 +289,55 @@ mod tests {
         let old = cell.swap(Arc::new(3));
         assert_eq!(*old, 2);
         assert_eq!(*cell.load(), 3);
+    }
+
+    /// Whether a load finished in time, and the thread that made it.
+    type LoadReport = (bool, std::thread::JoinHandle<()>);
+
+    /// A value whose drop loads its own cell from another thread and
+    /// reports whether that load finished within a second. The thread is
+    /// joined by whoever receives the report: joining it here would wait
+    /// forever on a `store` that drops under the lock.
+    struct LoadsOnDrop {
+        cell: std::sync::OnceLock<Arc<ArcSwap<LoadsOnDrop>>>,
+        loaded: std::sync::mpsc::Sender<LoadReport>,
+    }
+
+    impl Drop for LoadsOnDrop {
+        fn drop(&mut self) {
+            let Some(cell) = self.cell.take() else { return };
+            let (done, wait) = std::sync::mpsc::channel();
+            let loader = std::thread::spawn(move || {
+                drop(cell.load());
+                let _ = done.send(());
+            });
+            let in_time = wait.recv_timeout(std::time::Duration::from_secs(1)).is_ok();
+            let _ = self.loaded.send((in_time, loader));
+        }
+    }
+
+    #[test]
+    fn arc_swap_store_drops_the_retired_epoch_outside_its_lock() {
+        let (loaded, outcome) = std::sync::mpsc::channel();
+        let first = Arc::new(LoadsOnDrop {
+            cell: std::sync::OnceLock::new(),
+            loaded: loaded.clone(),
+        });
+        let cell = Arc::new(ArcSwap::new(Arc::clone(&first)));
+        assert!(first.cell.set(Arc::clone(&cell)).is_ok());
+        drop(first);
+        // The cell holds the last reference to `first`: this store drops
+        // it, and its drop's load must not wait for the store to return.
+        cell.store(Arc::new(LoadsOnDrop {
+            cell: std::sync::OnceLock::new(),
+            loaded,
+        }));
+        let (in_time, loader) = outcome.try_recv().expect("the retired epoch was dropped");
+        loader.join().expect("the loading thread finished");
+        assert!(
+            in_time,
+            "a load made while the retired epoch dropped waited on the store"
+        );
     }
 
     #[test]

@@ -414,8 +414,13 @@ fn partitioned_checkout_matches_sql_and_unpartitioned() {
     let cvd = odb.cvd("prot").unwrap();
     assert_eq!(cvd.num_versions(), 5);
     assert_eq!(
-        cvd.version_rids[..4],
-        plain.cvd("prot").unwrap().version_rids[..]
+        cvd.version_rids.iter().take(4).collect::<Vec<_>>(),
+        plain
+            .cvd("prot")
+            .unwrap()
+            .version_rids
+            .iter()
+            .collect::<Vec<_>>()
     );
 }
 
