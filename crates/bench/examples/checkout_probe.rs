@@ -1,0 +1,169 @@
+//! What a checkout, its discard and the staged table's first write cost
+//! on history H (the `perf_ledger` read workloads' history: a
+//! schema-evolving tree of 1 000-row versions that gains a column every 60
+//! versions), replayed to 160 and to 1 100 versions as split-by-rlist on
+//! an in-process `OrpheusDB`.
+//!
+//! At each size, 600 single-version checkouts are drawn from the latest
+//! 160 versions. Each is timed with the discard of the unwritten staged
+//! table; then the draws are checked out again, and each staged table's
+//! first write (one `replace_row` of a staged row with itself, which
+//! stores the selected rows as the staged table's own) is timed with the
+//! discard after it. Printed per size: the p50 of each in raw µs, the
+//! mean bytes the checkout and the first write allocate, and the mean
+//! cells per staged row.
+//!
+//! Also printed, as the next read-path target: the p50 of the workloads'
+//! versioned aggregate, `SELECT count(*), sum(a1) FROM VERSION v OF CVD
+//! diff WHERE a0 < 5000`, against the same fold over the version's rows
+//! borrowed through `model::version_row_refs`.
+//!
+//! It times, so it is a probe, not a test:
+//!
+//! ```sh
+//! cargo run --release -p orpheus-bench --example checkout_probe
+//! ```
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
+use orpheus_bench::differential::{replay, Ctx, CVD};
+use orpheus_bench::generator::{HistoryGen, HistoryParams};
+use orpheus_core::{model, ModelKind, OrpheusDB, Vid};
+use orpheus_engine::Value;
+
+/// Counts the bytes allocated (not net of frees), process-wide.
+struct Counting;
+
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// static atomic, which allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// History H, as `perf_ledger/src/load.rs` defines it.
+fn history_h(versions: usize) -> HistoryParams {
+    HistoryParams {
+        versions,
+        branches: 10,
+        fork_every: 12,
+        base_rows: 1_000,
+        inserts: 20,
+        attrs: 8,
+        insert_fraction: 0.85,
+        merge_prob: 0.0,
+        skew: 0.8,
+        evolve_every: 60,
+        seed: 1,
+    }
+}
+
+const DRAWS: usize = 600;
+const STAGED: &str = "peek";
+
+/// `f` timed, in µs, and the bytes it allocated.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
+    let bytes = ALLOCATED.load(Ordering::Relaxed);
+    let start = Instant::now();
+    let out = f();
+    let us = start.elapsed().as_secs_f64() * 1e6;
+    (out, us, ALLOCATED.load(Ordering::Relaxed) - bytes)
+}
+
+fn p50(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+fn main() {
+    println!(
+        "| versions | cells per row | checkout p50 µs | discard p50 µs | checkout bytes \
+         | first write p50 µs | first-write bytes | discard after it p50 µs | query p50 µs \
+         | `version_row_refs` fold p50 µs |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|---|");
+    for versions in [160, 1_100] {
+        let mut odb = OrpheusDB::new();
+        let ctx = Ctx::for_test("probe", ModelKind::SplitByRlist, 1);
+        let history = HistoryGen::new(history_h(versions));
+        replay(&mut odb, history, ModelKind::SplitByRlist, false, &ctx).unwrap();
+        let draw = |i: usize| Vid((versions - (i * 7_919) % 160) as u64);
+
+        // A checkout and the discard of the unwritten staged table.
+        let (mut checkout, mut discard, mut checkout_bytes) = (Vec::new(), Vec::new(), 0);
+        for i in 0..DRAWS {
+            let ((), us, bytes) = measured(|| odb.checkout(CVD, &[draw(i)], STAGED).unwrap());
+            checkout.push(us);
+            checkout_bytes += bytes;
+            let ((), us, _) = measured(|| odb.discard(STAGED).unwrap());
+            discard.push(us);
+        }
+        // The first write to a checkout, and the discard of what it stored.
+        let (mut write, mut write_discard, mut write_bytes, mut cells) =
+            (Vec::new(), Vec::new(), 0, 0);
+        for i in 0..DRAWS {
+            odb.checkout(CVD, &[draw(i)], STAGED).unwrap();
+            let staged = odb.engine.table_mut(STAGED).unwrap();
+            let first = staged.row(0).to_vec();
+            cells += first.len();
+            let ((), us, bytes) = measured(|| staged.replace_row(0, first).unwrap());
+            write.push(us);
+            write_bytes += bytes;
+            let ((), us, _) = measured(|| odb.discard(STAGED).unwrap());
+            write_discard.push(us);
+        }
+
+        let (mut query, mut fold) = (Vec::new(), Vec::new());
+        for i in 0..DRAWS {
+            let vid = draw(i);
+            let sql = format!(
+                "SELECT count(*), sum(a1) FROM VERSION {} OF CVD {CVD} WHERE a0 < 5000",
+                vid.0
+            );
+            let (rows, us, _) = measured(|| odb.run(&sql).unwrap());
+            query.push(us);
+            let cvd = odb.cvd(CVD).unwrap();
+            let (folded, us, _) = measured(|| {
+                let refs = model::version_row_refs(&odb.engine, cvd, vid).unwrap();
+                refs.iter()
+                    .filter(|(_, row)| matches!(row[0], Value::Int(a0) if a0 < 5_000))
+                    .fold((0i64, 0i64), |(n, sum), (_, row)| {
+                        (n + 1, sum + row[1].as_int().unwrap_or(0))
+                    })
+            });
+            fold.push(us);
+            let want = vec![Value::Int(folded.0), Value::Int(folded.1)];
+            assert_eq!(rows.rows, vec![want], "v{}", vid.0);
+        }
+
+        let mean = |total: u64| total / DRAWS as u64;
+        println!(
+            "| {versions} | {} | {:.1} | {:.1} | {} | {:.1} | {} | {:.1} | {:.1} | {:.1} |",
+            cells / DRAWS,
+            p50(checkout),
+            p50(discard),
+            mean(checkout_bytes),
+            p50(write),
+            mean(write_bytes),
+            p50(write_discard),
+            p50(query),
+            p50(fold),
+        );
+    }
+}

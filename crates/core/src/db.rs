@@ -379,6 +379,13 @@ impl OrpheusDB {
         // shard write lock when called through the concurrent layer) so
         // MVCC snapshot reads can be demonstrated deterministically.
         crate::concurrent::hold_commit_if_gated(table);
+        // A combined-table commit rewrites the `vlist` of every record it
+        // keeps in place. An unwritten checkout is a selection over those
+        // records' chunks and would make each rewrite copy its chunk;
+        // storing the staged rows first copies each record once instead.
+        if lookup(&self.cvds, &entry.cvd)?.model == ModelKind::CombinedTable {
+            self.engine.table_mut(table)?.materialize();
+        }
         let staged_schema = self.engine.table(table)?.schema.clone();
         let clock_before = self.clock;
         let data = self.commit_rows(&entry, &staged_schema, Staged::Table(table), message)?;

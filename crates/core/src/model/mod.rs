@@ -454,7 +454,25 @@ pub(crate) fn row_rid(table: &Table, row: &[Value]) -> Result<i64> {
 fn resolve_rids(table: &Table, rlist: &[i64]) -> Result<Vec<(i64, usize)>> {
     table
         .resolve_int_keys(0, rlist)
-        .ok_or_else(|| CoreError::Invalid(format!("backing table {} has no rid index", table.name)))
+        .ok_or_else(|| no_rid_index(table))
+}
+
+/// Resolve a sorted rlist to the heap slots of its records, in rlist
+/// order, through `table`'s rid index.
+fn resolve_slots(table: &Table, rlist: &[i64]) -> Result<Vec<usize>> {
+    let mut slots = Vec::with_capacity(rlist.len());
+    table
+        .lookup_keys(
+            &[0],
+            rlist.iter().map(|&rid| [Value::Int(rid)]),
+            |_, found| slots.extend_from_slice(found),
+        )
+        .map_err(|_| no_rid_index(table))?;
+    Ok(slots)
+}
+
+fn no_rid_index(table: &Table) -> CoreError {
+    CoreError::Invalid(format!("backing table {} has no rid index", table.name))
 }
 
 /// Resolve a sorted rlist to borrowed rows through `table`'s rid index.
@@ -473,18 +491,20 @@ pub(crate) fn rid_index_rows<'a>(
         .collect())
 }
 
-/// Copy the resolved rows of one version from `source` into a fresh
+/// Stage the resolved rows of one version from `source` as a fresh
 /// `target` with exactly the shape `SELECT .. INTO` produces (source
-/// column types, no primary key, everything nullable). `rlist` of `None`
-/// copies the whole table (a-table-per-version). The rlist resolves by
-/// the positional walk of [`orpheus_engine::Table::resolve_int_keys`]:
-/// one index probe on a data table whose heap ascends in rid, the global
-/// one or a partition's, and a few more where a migration appended records
-/// out of rid order. Each record's cells are then cloned once, out of the
-/// source heap, by [`orpheus_engine::Table::copy_rows`]: the staged schema
-/// takes the source rows as they are, so the write check runs once per
-/// checkout, not per row, and the staged heap allocates per 64-row chunk,
-/// not per record. A source that cannot be read is refused before
+/// column types, no primary key, everything nullable), without copying a
+/// cell: `target` is a selection over `source`'s rows
+/// ([`orpheus_engine::Table::select`]). `rlist` of `None` selects the whole
+/// table (a-table-per-version). The rlist resolves by the positional walk
+/// of [`orpheus_engine::Table::lookup_keys`]: one index probe on a data
+/// table whose heap ascends in rid, the global one or a partition's, and a
+/// few more where a migration appended records out of rid order. So a
+/// checkout costs the rid walk, O(|rlist|) integers and the schema, not
+/// the records' width; a discard frees the slot list. The first write to
+/// `target` stores the selected rows as its own, one chunk-at-a-time copy
+/// of their cells, and until then the selection pins `source`'s chunks as
+/// a snapshot does. A source that cannot be read is refused before
 /// `target` is created.
 pub(crate) fn checkout_resolved(
     db: &mut Database,
@@ -494,23 +514,14 @@ pub(crate) fn checkout_resolved(
     trailing: usize,
     target: &str,
 ) -> Result<()> {
-    // An O(1) clone of the source, so its rows can be borrowed while the
-    // target is written: each record's cells are cloned straight into the
-    // target's chunks, with no row built in between.
-    let t = db.table(source)?.clone();
-    let width = attr_prefix_len(&t, cvd, trailing)?;
-    let slots = rlist.map(|rids| resolve_rids(&t, rids)).transpose()?;
-    let mut schema = t.schema.project(&(0..=width).collect::<Vec<_>>());
-    schema.primary_key.clear();
-    for c in &mut schema.columns {
-        c.nullable = true;
-    }
-    db.create_table(target, schema)?;
-    let staged = db.table_mut(target)?;
-    match slots {
-        Some(pairs) => staged.copy_rows(&t, pairs.into_iter().map(|(_, slot)| slot))?,
-        None => staged.copy_rows(&t, 0..t.len())?,
+    let t = db.table(source)?;
+    let width = attr_prefix_len(t, cvd, trailing)?;
+    let slots = match rlist {
+        Some(rids) => resolve_slots(t, rids)?,
+        None => (0..t.len()).collect(),
     };
+    let staged = t.select(target.to_ascii_lowercase(), 1 + width, slots);
+    db.add_table(staged)?;
     Ok(())
 }
 

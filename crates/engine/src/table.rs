@@ -50,6 +50,19 @@
 //!   [`Table::alter_column_type`] converts the column's cells where they
 //!   lie, and [`Table::cluster_by`] moves the cells into sorted order.
 //!   Each costs O(rows stored), shared or not.
+//! * **A selection** ([`Table::select`]) is a table whose rows are another
+//!   table's rows at chosen slots, cut to a prefix of its columns: the
+//!   shape `SELECT … INTO` gives, without a cell copied. Taking one costs
+//!   one reference-count bump on the source's payload and the slot list,
+//!   O(rows selected) integers whatever the rows' width. Its rows are read
+//!   through the slots, and its byte count is summed on first ask. Its
+//!   first write stores the rows as its own — one chunk-at-a-time copy of
+//!   the selected cells, what [`Table::copy_rows`] of them into an empty
+//!   table costs — and then writes as above; only [`Table::delete_slots`]
+//!   keeps it a selection and drops the slots. Dropping a selection frees
+//!   its slot list. A live selection pins the source payload it was taken
+//!   from, as a clone does: writes to the source copy what they touch and
+//!   leave the selection's rows as they were.
 //!
 //! Readers holding an older clone keep seeing exactly their rows and
 //! index entries; this is what `orpheus-core` builds MVCC snapshot reads
@@ -57,11 +70,11 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{EngineError, Result};
 use crate::index::{Index, IndexKey, Probe};
-use crate::schema::Schema;
+use crate::schema::{Column, Schema};
 use crate::types::Value;
 
 /// Rows per heap chunk: what one write after a clone copies at most, per
@@ -152,6 +165,8 @@ impl Heap {
     fn iter(&self) -> Rows<'_> {
         Rows {
             heap: self,
+            slots: None,
+            width: self.width,
             next: 0,
             end: self.len,
         }
@@ -231,10 +246,16 @@ impl Heap {
 /// Iterator over a table's rows in slot order ([`Table::rows`]), each a
 /// slice of its chunk. It knows its length, so collecting a scan reserves
 /// once, and it folds chunk by chunk, so `for_each`-style consumers run at
-/// slice speed.
+/// slice speed. A selection's rows are read through its slots, each cut
+/// to the selection's width.
 #[derive(Debug, Clone)]
 pub struct Rows<'a> {
     heap: &'a Heap,
+    /// The heap slot of each row of a selection; `None` reads the heap's
+    /// slots in order.
+    slots: Option<&'a [usize]>,
+    /// Cells per row handed out, a prefix of the heap's rows.
+    width: usize,
     next: usize,
     end: usize,
 }
@@ -246,8 +267,10 @@ impl<'a> Iterator for Rows<'a> {
         if self.next == self.end {
             return None;
         }
+        let i = self.next;
         self.next += 1;
-        Some(self.heap.get(self.next - 1))
+        let slot = self.slots.map_or(i, |slots| slots[i]);
+        Some(&self.heap.get(slot)[..self.width])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -256,7 +279,12 @@ impl<'a> Iterator for Rows<'a> {
     }
 
     fn fold<B, F: FnMut(B, &'a [Value]) -> B>(self, init: B, mut f: F) -> B {
-        let (heap, width) = (self.heap, self.heap.width);
+        let (heap, width) = (self.heap, self.width);
+        if let Some(slots) = self.slots {
+            return slots[self.next..self.end]
+                .iter()
+                .fold(init, |acc, &slot| f(acc, &heap.get(slot)[..width]));
+        }
         let (mut acc, mut slot) = (init, self.next);
         while slot < self.end {
             let first = slot % CHUNK_ROWS;
@@ -306,6 +334,94 @@ impl TableData {
     }
 }
 
+/// The rows of a selection ([`Table::select`]): the source's payload,
+/// shared, the source slot of each row, and how many leading cells of a
+/// source row a row is.
+#[derive(Debug)]
+struct Selection {
+    source: Arc<TableData>,
+    slots: Vec<usize>,
+    width: usize,
+    /// The rows' heap bytes, summed on first ask.
+    bytes: OnceLock<usize>,
+}
+
+impl Selection {
+    fn new(source: Arc<TableData>, slots: Vec<usize>, width: usize) -> Selection {
+        debug_assert!(width <= source.rows.width);
+        debug_assert!(slots.iter().all(|&slot| slot < source.rows.len));
+        Selection {
+            source,
+            slots,
+            width,
+            bytes: OnceLock::new(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        &self.source.rows.get(self.slots[i])[..self.width]
+    }
+
+    fn rows(&self) -> Rows<'_> {
+        Rows {
+            heap: &self.source.rows,
+            slots: Some(&self.slots),
+            width: self.width,
+            next: 0,
+            end: self.slots.len(),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        *self
+            .bytes
+            .get_or_init(|| self.rows().fold(0, |bytes, row| bytes + row_bytes(row)))
+    }
+
+    /// The selected rows stored as a table's own, cloned into the heap a
+    /// chunk at a time as [`Table::copy_rows`] clones them: what copying
+    /// them into an empty table without indexes leaves. A byte count
+    /// already summed is kept, not summed again.
+    fn materialize(&self) -> TableData {
+        let mut data = TableData {
+            rows: Heap::new(self.width),
+            ..TableData::default()
+        };
+        data.rows.extend(self.rows());
+        match self.bytes.get() {
+            Some(&bytes) => data.row_bytes_total = bytes,
+            None => data.recompute_bytes(),
+        }
+        data
+    }
+}
+
+/// What a table's rows are: its own payload, or a selection over another
+/// table's until its first write. Either is one `Arc`, so a clone of a
+/// table is O(1) both ways.
+#[derive(Debug, Clone)]
+enum Content {
+    Stored(Arc<TableData>),
+    Selected(Arc<Selection>),
+}
+
+impl Content {
+    /// The copy-on-write escape hatch every mutating method goes through:
+    /// a selection first stores its rows as its own, then [`Arc::make_mut`]
+    /// returns the unique payload, copying its directories first if a
+    /// clone still aliases it. A method on the field, not the table, so
+    /// `name`/`schema` stay readable during a mutation.
+    fn make_mut(&mut self) -> &mut TableData {
+        if let Content::Selected(selection) = self {
+            *self = Content::Stored(Arc::new(selection.materialize()));
+        }
+        match self {
+            Content::Stored(data) => Arc::make_mut(data),
+            Content::Selected(_) => unreachable!("a selection was stored above"),
+        }
+    }
+}
+
 /// A heap table with schema, rows, and secondary indexes. Everything is
 /// `Arc`-shared (see the module docs), so `Table::clone` is O(1) and
 /// clones diverge chunk by chunk.
@@ -313,7 +429,7 @@ impl TableData {
 pub struct Table {
     pub name: Arc<str>,
     pub schema: Arc<Schema>,
-    data: Arc<TableData>,
+    content: Content,
 }
 
 /// Name of the primary-key index [`Table::new`] creates.
@@ -338,54 +454,100 @@ impl Table {
         Table {
             name: name.into(),
             schema: Arc::new(schema),
-            data: Arc::new(data),
+            content: Content::Stored(Arc::new(data)),
         }
+    }
+
+    /// A new table named `name` holding the rows of this one at `slots`, in
+    /// that order, each cut to its first `width` columns, in the shape
+    /// `SELECT <those columns> INTO name` gives: the columns' types, every
+    /// column nullable, no key and no index. No cell is copied: the new
+    /// table is a selection over this one's payload, which it shares as a
+    /// clone does, until its first write (see the module docs). Taking it
+    /// costs O(`slots`) integers and the schema. `width` must not exceed
+    /// this table's column count, nor a slot its row count.
+    pub fn select(&self, name: impl Into<String>, width: usize, slots: Vec<usize>) -> Table {
+        let columns = self.schema.columns[..width]
+            .iter()
+            .map(|c| Column {
+                nullable: true,
+                ..c.clone()
+            })
+            .collect();
+        let (source, slots) = match &self.content {
+            Content::Stored(data) => (Arc::clone(data), slots),
+            Content::Selected(sel) => (
+                Arc::clone(&sel.source),
+                slots.into_iter().map(|i| sel.slots[i]).collect(),
+            ),
+        };
+        Table {
+            name: name.into().into(),
+            schema: Arc::new(Schema::new(columns)),
+            content: Content::Selected(Arc::new(Selection::new(source, slots, width))),
+        }
+    }
+
+    /// Store a selection's rows as the table's own now, as its first write
+    /// would (see the module docs); a table that stores its rows is left
+    /// as it is. For a caller about to rewrite the source in place, which
+    /// would otherwise copy every source chunk the selection pins.
+    pub fn materialize(&mut self) {
+        self.data_mut();
     }
 
     /// Give the table a new name; the primary-key index follows it.
     pub fn rename(&mut self, new_name: &str) {
         let old_pkey = pkey_name(&self.name);
-        if let Some(i) = self.data.indexes.iter().position(|i| i.name == old_pkey) {
+        if let Some(i) = self.indexes().iter().position(|i| i.name == old_pkey) {
             self.data_mut().indexes[i].name = pkey_name(new_name);
         }
         self.name = new_name.into();
     }
 
-    /// The copy-on-write escape hatch every mutating method goes through:
-    /// [`Arc::make_mut`] returns the unique payload, copying its
-    /// directories first if a clone still aliases it. Borrowing only the
-    /// `data` field keeps `self.name`/`self.schema` readable during a
-    /// mutation.
+    /// The payload for writing: see [`Content::make_mut`].
     fn data_mut(&mut self) -> &mut TableData {
-        Arc::make_mut(&mut self.data)
+        self.content.make_mut()
     }
 
     pub fn len(&self) -> usize {
-        self.data.rows.len
+        match &self.content {
+            Content::Stored(data) => data.rows.len,
+            Content::Selected(sel) => sel.slots.len(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.rows.len == 0
+        self.len() == 0
     }
 
     /// Every row, in slot order, borrowed from its chunk.
     pub fn rows(&self) -> Rows<'_> {
-        self.data.rows.iter()
+        match &self.content {
+            Content::Stored(data) => data.rows.iter(),
+            Content::Selected(sel) => sel.rows(),
+        }
     }
 
     /// The row at `slot`, borrowed from its chunk.
     pub fn row(&self, slot: usize) -> &[Value] {
-        self.data.rows.get(slot)
+        match &self.content {
+            Content::Stored(data) => data.rows.get(slot),
+            Content::Selected(sel) => sel.row(slot),
+        }
     }
 
     /// Column indices the heap is currently physically sorted by, if any.
     pub fn clustered_on(&self) -> Option<&[usize]> {
-        self.data.clustered_on.as_deref()
+        match &self.content {
+            Content::Stored(data) => data.clustered_on.as_deref(),
+            Content::Selected(_) => None,
+        }
     }
 
     /// True if the heap is clustered on exactly the given columns.
     pub fn is_clustered_on(&self, cols: &[usize]) -> bool {
-        self.data.clustered_on.as_deref() == Some(cols)
+        self.clustered_on() == Some(cols)
     }
 
     /// Average row width in bytes (used by the page cost model).
@@ -393,17 +555,16 @@ impl Table {
         if self.is_empty() {
             64
         } else {
-            (self.data.row_bytes_total / self.len()).max(1)
+            (self.heap_bytes() / self.len()).max(1)
         }
     }
 
     /// Total storage footprint: heap bytes plus all index bytes, matching
     /// the paper's convention of counting index size in storage numbers.
     pub fn storage_bytes(&self) -> usize {
-        self.data.row_bytes_total
+        self.heap_bytes()
             + self
-                .data
-                .indexes
+                .indexes()
                 .iter()
                 .map(|i| i.storage_bytes())
                 .sum::<usize>()
@@ -411,20 +572,23 @@ impl Table {
 
     /// Heap-only storage footprint.
     pub fn heap_bytes(&self) -> usize {
-        self.data.row_bytes_total
+        match &self.content {
+            Content::Stored(data) => data.row_bytes_total,
+            Content::Selected(sel) => sel.bytes(),
+        }
     }
 
     /// `row`'s key in every index, in index order — built once per write,
     /// for the uniqueness probe and the insert both.
     fn keys_of(&self, row: &[Value]) -> Vec<IndexKey> {
-        self.data.indexes.iter().map(|i| i.key_of(row)).collect()
+        self.indexes().iter().map(|i| i.key_of(row)).collect()
     }
 
     /// Refuse `keys` (from [`Table::keys_of`]) when one of them is already
     /// held, in a unique index, by a slot other than `own_slot`. Checked
     /// on all unique indexes before any is mutated.
     fn check_unique(&self, keys: &[IndexKey], own_slot: Option<usize>) -> Result<()> {
-        for (idx, key) in self.data.indexes.iter().zip(keys) {
+        for (idx, key) in self.indexes().iter().zip(keys) {
             if idx.unique && idx.lookup(key).iter().any(|&s| Some(s) != own_slot) {
                 return Err(EngineError::UniqueViolation(format!(
                     "table {}: duplicate key {:?} for index {}",
@@ -441,7 +605,7 @@ impl Table {
         let row = self.schema.check_row(row.into())?;
         let keys = self.keys_of(&row);
         self.check_unique(&keys, None)?;
-        let data = Arc::make_mut(&mut self.data);
+        let data = self.content.make_mut();
         let slot = data.rows.len;
         for (idx, key) in data.indexes.iter_mut().zip(keys) {
             idx.insert(key, slot)?;
@@ -495,7 +659,7 @@ impl Table {
         if slots.peek().is_none() {
             return Ok(0);
         }
-        let (schema, data) = (&self.schema, Arc::make_mut(&mut self.data));
+        let (schema, data) = (&self.schema, self.content.make_mut());
         let (before, mut bytes) = (data.rows.len, 0);
         data.rows.extend(slots.map(cut).inspect(|row| {
             debug_assert!(
@@ -516,7 +680,7 @@ impl Table {
     /// table's width, passes this table's write check unchanged and
     /// violates no index here (see [`Table::copy_rows`]).
     fn takes_rows_of(&self, source: &Schema) -> bool {
-        self.data.indexes.is_empty()
+        self.indexes().is_empty()
             && self.schema.arity() <= source.arity()
             && self
                 .schema
@@ -540,7 +704,7 @@ impl Table {
         let old_keys = self.keys_of(self.row(slot));
         let old_bytes = row_bytes(self.row(slot));
         let new_bytes = row_bytes(&new_row);
-        let data = Arc::make_mut(&mut self.data);
+        let data = self.content.make_mut();
         let cells = data.rows.get_mut(slot);
         match new_row {
             Cow::Borrowed(row) => cells.clone_from_slice(row),
@@ -561,13 +725,29 @@ impl Table {
     }
 
     /// Delete all rows at the given slots; compacts the heap and rebuilds
-    /// indexes. Returns the number of rows removed.
+    /// indexes. A selection stays one and only drops the slots, and keeps
+    /// its byte count if it was summed. Returns the number of rows removed.
     pub fn delete_slots(&mut self, mut slots: Vec<usize>) -> usize {
         if slots.is_empty() {
             return 0;
         }
         slots.sort_unstable();
         slots.dedup();
+        if let Content::Selected(sel) = &self.content {
+            let mut doomed = slots.iter().peekable();
+            let kept = (sel.slots.iter().enumerate())
+                .filter(|(i, _)| doomed.next_if_eq(&i).is_none())
+                .map(|(_, &slot)| slot)
+                .collect();
+            let mut selection = Selection::new(Arc::clone(&sel.source), kept, sel.width);
+            if let Some(&bytes) = sel.bytes.get() {
+                let gone = slots.iter().filter(|&&i| i < sel.slots.len());
+                let gone: usize = gone.map(|&i| row_bytes(sel.row(i))).sum();
+                selection.bytes = OnceLock::from(bytes - gone);
+            }
+            self.content = Content::Selected(Arc::new(selection));
+            return slots.len();
+        }
         let data = self.data_mut();
         data.rows.remove(&slots);
         let rebuilt = data.rebuild_indexes();
@@ -596,7 +776,7 @@ impl Table {
         unique: bool,
     ) -> Result<()> {
         let index_name = index_name.into();
-        if self.data.indexes.iter().any(|i| i.name == index_name) {
+        if self.indexes().iter().any(|i| i.name == index_name) {
             return Err(EngineError::Invalid(format!(
                 "index {index_name} already exists on {}",
                 self.name
@@ -607,7 +787,7 @@ impl Table {
             .map(|c| self.schema.column_index(c))
             .collect();
         let mut idx = Index::new(index_name, cols?, unique);
-        for (slot, row) in self.data.rows.iter().enumerate() {
+        for (slot, row) in self.rows().enumerate() {
             let key = idx.key_of(row);
             idx.insert(key, slot)?;
         }
@@ -617,16 +797,19 @@ impl Table {
 
     /// Find an index whose leading columns cover exactly `cols`.
     pub fn index_on(&self, cols: &[usize]) -> Option<&Index> {
-        self.data.indexes.iter().find(|i| i.columns == cols)
+        self.indexes().iter().find(|i| i.columns == cols)
     }
 
     /// Find an index by name.
     pub fn index_named(&self, name: &str) -> Option<&Index> {
-        self.data.indexes.iter().find(|i| i.name == name)
+        self.indexes().iter().find(|i| i.name == name)
     }
 
     pub fn indexes(&self) -> &[Index] {
-        &self.data.indexes
+        match &self.content {
+            Content::Stored(data) => &data.indexes,
+            Content::Selected(_) => &[],
+        }
     }
 
     /// Physically sort the heap by the given columns and rebuild indexes,
@@ -659,7 +842,7 @@ impl Table {
 
     /// Add a new nullable column (ALTER TABLE ... ADD COLUMN); existing
     /// rows get NULL, as in the schema-evolution scheme of Section 3.3.
-    pub fn add_column(&mut self, col: crate::schema::Column) -> Result<()> {
+    pub fn add_column(&mut self, col: Column) -> Result<()> {
         if self.schema.has_column(&col.name) {
             return Err(EngineError::Invalid(format!(
                 "column {} already exists on {}",
@@ -702,7 +885,7 @@ impl Table {
         // Convert a clone, which costs three reference counts, and keep it
         // only if every cell converts and every unique index still holds.
         let mut t = self.clone();
-        let data = Arc::make_mut(&mut t.data);
+        let data = t.content.make_mut();
         let width = data.rows.width;
         for chunk in &mut data.rows.chunks {
             for cell in Arc::make_mut(chunk).iter_mut().skip(ci).step_by(width) {
@@ -868,7 +1051,6 @@ fn row_bytes(row: &[Value]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
     use crate::types::DataType;
 
     fn table() -> Table {
@@ -1481,18 +1663,26 @@ mod tests {
         t
     }
 
+    /// The payload of a table that stores its rows.
+    fn stored(t: &Table) -> &TableData {
+        match &t.content {
+            Content::Stored(data) => data,
+            Content::Selected(_) => panic!("{} is a selection", t.name),
+        }
+    }
+
     /// `(heap chunks, index leaves)` that `a` still shares with `b`, and
     /// the same pair counted over all of `a`.
     fn shared(a: &Table, b: &Table) -> ((usize, usize), (usize, usize)) {
+        let (a, b) = (stored(a), stored(b));
         let heap = a
-            .data
             .rows
             .chunks
             .iter()
-            .filter(|c| b.data.rows.chunks.iter().any(|o| Arc::ptr_eq(c, o)))
+            .filter(|c| b.rows.chunks.iter().any(|o| Arc::ptr_eq(c, o)))
             .count();
-        let (leaves, all_leaves) = a.data.indexes[0].shared_leaves(&b.data.indexes[0]);
-        ((heap, leaves), (a.data.rows.chunks.len(), all_leaves))
+        let (leaves, all_leaves) = a.indexes[0].shared_leaves(&b.indexes[0]);
+        ((heap, leaves), (a.rows.chunks.len(), all_leaves))
     }
 
     #[test]

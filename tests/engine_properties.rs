@@ -612,6 +612,196 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A selection (`Table::select`) reads as the table `copy_rows` of the
+    /// same slots builds, whatever is written to it or to its source, in
+    /// any order: after every step its length, rows stepped, folded and by
+    /// slot, storage bytes and average row width equal those of that copy,
+    /// which takes every write the selection takes. Writes to the source
+    /// (insert, `replace_row`, `delete_slots`, `add_column`,
+    /// `alter_column_type`, `cluster_by`) never show through it, and no
+    /// write to the selection, its first included, changes the source.
+    /// Some selections are taken over a selection of the source.
+    #[test]
+    fn a_selection_reads_as_the_copy_it_stands_for(
+        n in 0usize..150,
+        picks in proptest::collection::vec(any::<u16>(), 0..140),
+        width in 1usize..4,
+        nested in any::<bool>(),
+        ops in proptest::collection::vec((0u8..17, any::<u16>(), -50i64..400), 1..24),
+    ) {
+        use orpheusdb::engine::Table;
+
+        fn source_row(t: &Table, rid: i64, k: i64) -> Vec<Value> {
+            let mut row = vec![
+                Value::Int(rid),
+                if k % 5 == 0 { Value::Null } else { Value::Text(format!("t{}", k % 13)) },
+                Value::Int(k % 17),
+                Value::Double(k as f64 / 4.0),
+            ];
+            row.resize(t.schema.arity(), Value::Null);
+            row
+        }
+        fn staged_row(t: &Table, k: i64) -> Vec<Value> {
+            let mut row = vec![Value::Int(k), Value::Text(format!("s{}", k % 7)), Value::Int(k % 5)];
+            row.resize(t.schema.arity(), Value::Null);
+            row
+        }
+        fn rows_of(t: &Table) -> Vec<Vec<Value>> {
+            t.rows().map(<[Value]>::to_vec).collect()
+        }
+        fn agree(sel: &Table, copy: &Table, what: &str) -> Result<(), TestCaseError> {
+            prop_assert!(sel.len() == copy.len(), "{}: {} rows, copy {}", what, sel.len(), copy.len());
+            prop_assert!(sel.schema == copy.schema, "{}: {:?} vs {:?}", what, sel.schema, copy.schema);
+            let rows = rows_of(copy);
+            prop_assert!(sel.rows().eq(copy.rows()), "{}: rows differ", what);
+            prop_assert!(sel.rows().len() == rows.len(), "{}: {:?} vs {:?}", what, sel.rows().len(), rows.len());
+            let folded = sel.rows().fold(Vec::new(), |mut all, row| {
+                all.push(row.to_vec());
+                all
+            });
+            prop_assert!(folded == rows, "{}: folded rows differ", what);
+            for (slot, row) in rows.iter().enumerate() {
+                prop_assert!(sel.row(slot) == &row[..], "{}: slot {}", what, slot);
+            }
+            prop_assert!(sel.heap_bytes() == copy.heap_bytes(), "{}: {:?} vs {:?}", what, sel.heap_bytes(), copy.heap_bytes());
+            prop_assert!(sel.storage_bytes() == copy.storage_bytes(), "{}: {:?} vs {:?}", what, sel.storage_bytes(), copy.storage_bytes());
+            prop_assert!(sel.avg_row_bytes() == copy.avg_row_bytes(), "{}: {:?} vs {:?}", what, sel.avg_row_bytes(), copy.avg_row_bytes());
+            prop_assert!(sel.clustered_on() == copy.clustered_on(), "{}: {:?} vs {:?}", what, sel.clustered_on(), copy.clustered_on());
+            let names = |t: &Table| t.indexes().iter().map(|i| i.name.clone()).collect::<Vec<_>>();
+            prop_assert!(names(sel) == names(copy), "{}: {:?} vs {:?}", what, names(sel), names(copy));
+            Ok(())
+        }
+
+        let schema = Schema::new(vec![
+            Column::new("rid", DataType::Int).not_null(),
+            Column::new("a", DataType::Text),
+            Column::new("b", DataType::Int),
+            Column::new("c", DataType::Double),
+        ])
+        .with_primary_key(&["rid"])
+        .unwrap();
+        let mut source = Table::new("src", schema);
+        for rid in 0..n as i64 {
+            let row = source_row(&source, rid, rid * 7);
+            source.insert(row).unwrap();
+        }
+        let slots: Vec<usize> = if n == 0 {
+            Vec::new()
+        } else {
+            picks.iter().map(|&p| p as usize % n).collect()
+        };
+        let (mut sel, mut copy) = if nested && n > 0 {
+            // A selection of every row, reversed, and one over it.
+            let outer = source.select("outer", 4, (0..n).rev().collect());
+            let sel = outer.select("sel", width, slots.clone());
+            let mut copy = Table::new("sel", (*sel.schema).clone());
+            copy.copy_rows(&outer, slots.iter().copied()).unwrap();
+            (sel, copy)
+        } else {
+            let sel = source.select("sel", width, slots.clone());
+            let mut copy = Table::new("sel", (*sel.schema).clone());
+            copy.copy_rows(&source, slots.iter().copied()).unwrap();
+            (sel, copy)
+        };
+        agree(&sel, &copy, "taken")?;
+
+        let mut next_rid = n as i64;
+        for (step, (kind, a, b)) in ops.into_iter().enumerate() {
+            let a = a as usize;
+            let what = format!("step {step}: op {kind}");
+            if kind < 6 {
+                // A write to the source.
+                match kind {
+                    0 => {
+                        let row = source_row(&source, next_rid, b);
+                        source.insert(row).unwrap();
+                        next_rid += 1;
+                    }
+                    1 if !source.is_empty() => {
+                        let slot = a % source.len();
+                        let rid = source.row(slot)[0].clone();
+                        let mut row = source_row(&source, 0, b);
+                        row[0] = rid;
+                        source.replace_row(slot, row).unwrap();
+                    }
+                    2 if !source.is_empty() => {
+                        source.delete_slots(vec![a % source.len(), (a / 3) % source.len()]);
+                    }
+                    3 => {
+                        let name = format!("x{}", source.schema.arity());
+                        source.add_column(Column::new(name, DataType::Int)).unwrap();
+                    }
+                    4 => {
+                        let (col, to) = if a % 2 == 0 { ("b", DataType::Double) } else { ("c", DataType::Text) };
+                        source.alter_column_type(col, to).unwrap();
+                    }
+                    5 => source.cluster_by(&[["a", "b", "c"][a % 3]]).unwrap(),
+                    _ => {}
+                }
+            } else {
+                // The same write to the selection and to its copy; the
+                // source must not move.
+                let before = (rows_of(&source), source.storage_bytes(), source.schema.clone());
+                let arity = copy.schema.arity();
+                let col = copy.schema.columns[a % arity].name.clone();
+                let (got, want): (Result<String, String>, Result<String, String>) = {
+                    let write = |t: &mut Table| -> Result<String, String> {
+                        let text = |r: orpheusdb::engine::Result<usize>| {
+                            r.map(|n| n.to_string()).map_err(|e| e.to_string())
+                        };
+                        let unit = |r: orpheusdb::engine::Result<()>| text(r.map(|_| 0));
+                        match kind {
+                            6 => unit(t.insert(staged_row(t, b))),
+                            7 => {
+                                let rows = [staged_row(t, b), staged_row(t, b + 1)];
+                                text(t.insert_many(rows.iter().map(Vec::as_slice)))
+                            }
+                            8 if !t.is_empty() => unit(t.replace_row(a % t.len(), staged_row(t, b))),
+                            10 if a % 4 == 0 => {
+                                t.truncate();
+                                Ok(String::new())
+                            }
+                            // About one row in seven, the first row in a
+                            // third of the cases, and one more, unsorted.
+                            9 | 10 if !t.is_empty() => {
+                                let len = t.len();
+                                let mut doomed: Vec<usize> = (0..len)
+                                    .filter(|&i| (i * 3 + a) % 7 == 0 || i == a % 3)
+                                    .collect();
+                                doomed.push(b as usize % len);
+                                doomed.reverse();
+                                Ok(t.delete_slots(doomed).to_string())
+                            }
+                            11 => unit(t.create_index(format!("i{b}"), &[col.as_str()], a % 3 == 0)),
+                            12 => unit(t.cluster_by(&[col.as_str()])),
+                            13 => unit(t.add_column(Column::new(format!("y{}", t.schema.arity()), DataType::Int))),
+                            14 => unit(t.alter_column_type(&col, DataType::Text)),
+                            15 => {
+                                t.rename(&format!("sel{b}"));
+                                Ok(t.name.to_string())
+                            }
+                            16 if !source.is_empty() => {
+                                let from: Vec<usize> = vec![a % source.len(), b as usize % source.len()];
+                                text(t.copy_rows(&source, from))
+                            }
+                            _ => Ok(String::new()),
+                        }
+                    };
+                    (write(&mut sel), write(&mut copy))
+                };
+                prop_assert!(got == want, "{}: {:?} vs {:?}", what, got, want);
+                prop_assert!(rows_of(&source) == before.0, "{}: the source's rows moved", what);
+                prop_assert!(source.storage_bytes() == before.1, "{}: {:?} vs {:?}", what, source.storage_bytes(), before.1);
+                prop_assert!(source.schema == before.2, "{}: {:?} vs {:?}", what, source.schema, before.2);
+            }
+            agree(&sel, &copy, &what)?;
+        }
+    }
+}
+
 /// The payload of an engine or instance snapshot (between the 16-byte
 /// header and the 4-byte CRC).
 fn payload_of(snapshot: &[u8]) -> Vec<u8> {

@@ -623,6 +623,122 @@ fn a_commit_that_deletes_every_row_replays() {
     assert!(rlists[1].is_empty());
 }
 
+/// Check out `version` of `grades` as `w` and write nothing to it: the
+/// staged table is a selection over the data table's rows.
+fn stage(odb: &mut OrpheusDB, version: u64) {
+    odb.execute(
+        Checkout::of("grades")
+            .version(version)
+            .into_table("w")
+            .into(),
+    )
+    .expect("checkout");
+}
+
+/// The schema, rows and byte count of the staged table `w`.
+fn staged_w(odb: &OrpheusDB) -> (Schema, Vec<Vec<Value>>, usize) {
+    let t = odb.engine.table("w").expect("w is staged");
+    let rows = t.rows().map(<[Value]>::to_vec).collect();
+    ((*t.schema).clone(), rows, t.storage_bytes())
+}
+
+/// Committing a checkout nothing wrote to publishes its parent's rlist:
+/// every staged row keeps its record. The commit record replays to the
+/// same version from the log alone, and from a checkpoint cut while the
+/// unwritten checkout was staged plus the log's tail.
+#[test]
+fn an_unedited_checkout_commits_its_parents_rlist_and_replays() {
+    let (log, (_, rlists), rows) = replays_like_the_live_commit(
+        "unedited",
+        |odb| {
+            seed(odb);
+            edit_and_commit(odb, &[1], &["DELETE FROM w WHERE id = 2"]);
+            stage(odb, 2);
+        },
+        |odb| {
+            odb.execute(Commit::table("w").message("as is").into())
+                .expect("commit");
+        },
+    );
+    assert_eq!(log.len(), 3);
+    assert_eq!(rlists[2], rlists[1]);
+    assert_eq!(rlists[1], vec![1, 2, 4, 5, 6]);
+    assert_eq!(rows[2], rows[1]);
+}
+
+/// A checkpoint cut while an unwritten checkout is staged stores its rows
+/// as they read: the reopened instance holds the same schema, rows and
+/// bytes under the staged name, and committing it publishes the parent's
+/// rlist as the live commit would.
+#[test]
+fn a_checkpoint_reloads_an_unwritten_checkout_row_for_row() {
+    let dir = tmp_dir("staged-selection");
+    let mut odb = recovery::open(&dir).expect("open fresh");
+    seed(&mut odb);
+    edit_and_commit(
+        &mut odb,
+        &[1],
+        &[
+            "DELETE FROM w WHERE id >= 4",
+            "INSERT INTO w (id, grade) VALUES (9, 90)",
+        ],
+    );
+    stage(&mut odb, 2);
+    let live = staged_w(&odb);
+    assert_eq!(live.1.len(), 5);
+    recovery::checkpoint(&mut odb).expect("checkpoint");
+    assert_eq!(staged_w(&odb), live, "the checkpoint moved the staged rows");
+    drop(odb);
+
+    let mut again = recovery::open(&dir).expect("reopen");
+    assert_eq!(staged_w(&again), live);
+    again
+        .execute(Commit::table("w").message("as is").into())
+        .expect("commit");
+    let cvd = again.cvd("grades").unwrap();
+    assert_eq!(cvd.rids_of(Vid(3)).unwrap(), cvd.rids_of(Vid(2)).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// In every data model, a commit of an unwritten checkout publishes the
+/// parent's rlist and the parent's records.
+#[test]
+fn an_unedited_checkout_commits_its_parents_rlist_in_every_model() {
+    for model in ModelKind::ALL {
+        let mut odb = OrpheusDB::new();
+        odb.execute(
+            Init::cvd("grades")
+                .schema(schema())
+                .rows(rows(100))
+                .model(model)
+                .into(),
+        )
+        .expect("init");
+        edit_and_commit(
+            &mut odb,
+            &[1],
+            &[
+                "DELETE FROM w WHERE id % 3 = 0",
+                "UPDATE w SET grade = -1 WHERE id % 5 = 0",
+            ],
+        );
+        stage(&mut odb, 2);
+        odb.execute(Commit::table("w").message("as is").into())
+            .expect("commit");
+        let cvd = odb.cvd("grades").unwrap();
+        assert_eq!(
+            cvd.rids_of(Vid(3)).unwrap(),
+            cvd.rids_of(Vid(2)).unwrap(),
+            "{model:?}"
+        );
+        assert_eq!(
+            odb.version_rows("grades", Vid(3)).unwrap(),
+            odb.version_rows("grades", Vid(2)).unwrap(),
+            "{model:?}"
+        );
+    }
+}
+
 /// A commit record whose delta does not fit the recovered parents is
 /// corruption: reopening refuses it with a typed `Protocol` error.
 #[test]
