@@ -5,9 +5,9 @@
 //! (`WorkloadParams::sci(n, 10, 40)`, split-by-rlist).
 //!
 //! A session's write publishes a snapshot of its shard when it releases
-//! the lock, and a session's read runs on a clone of that snapshot, so the
-//! gap between the two columns of a pair is what publishing and
-//! snapshotting cost. Also printed: one `Cvd::clone`, and the bytes the
+//! the lock, and a session's read borrows that snapshot, so the gap
+//! between the two columns of a pair is what publishing and routing
+//! cost. Also printed: one `Cvd::clone`, and the bytes the
 //! session's checkout + discard allocates.
 //!
 //! Each time is the best of 50 runs for checkouts and of 200 for the

@@ -56,11 +56,11 @@ pub trait BatchRouter {
     fn sql_shard(&self, sql: &Lexed) -> Option<ShardKey>;
 }
 
-/// Whether a shard-routed request is a pure read — executable against an
-/// MVCC snapshot of its shard without taking the shard lock. Checkouts
-/// mutate the staging area, commits and discards consume it, `optimize`
-/// rewrites storage; `log`, `diff`, and single-shard SELECTs only read.
-fn is_read_only(request: &Request) -> bool {
+/// Whether a request is a pure read, which [`crate::OrpheusDB::read`]
+/// answers on a borrowed MVCC snapshot of its shard. Checkouts mutate the
+/// staging area, commits and discards consume it, `optimize` rewrites
+/// storage; `log`, `diff`, and SELECTs without `INTO` only read.
+pub(crate) fn is_read_only(request: &Request) -> bool {
     match request {
         Request::Log(_) | Request::Diff(_) => true,
         Request::Run(r) => r.is_select(),

@@ -557,6 +557,7 @@ fn put_engine_error(out: &mut Vec<u8>, e: &EngineError) {
         EngineError::IndexNotFound(m) => (10, m),
         EngineError::Storage(m) => (11, m),
         EngineError::Invalid(m) => (12, m),
+        EngineError::NotAQuery(m) => (13, m),
     };
     out.push(tag);
     put_str(out, msg);
@@ -579,6 +580,7 @@ fn read_engine_error(r: &mut Reader<'_>) -> Result<EngineError> {
         10 => EngineError::IndexNotFound(msg),
         11 => EngineError::Storage(msg),
         12 => EngineError::Invalid(msg),
+        13 => EngineError::NotAQuery(msg),
         t => return Err(bad_tag("engine error", t).into()),
     })
 }

@@ -24,11 +24,10 @@
 //!   it touches. Commits, checkouts, and diffs against different CVDs run
 //!   in parallel; writers to the same CVD still serialize.
 //! * [`Session`] is the same type under its user-facing name: an executor
-//!   bound to one user. Identity-swap semantics are per-request: the
-//!   engine logs the request's user into the shard for the duration of one
-//!   operation and restores the previous identity afterwards, so
-//!   interleaved sessions can never observe or act under each other's
-//!   identity.
+//!   bound to one user. A write logs its request's user into the shard for
+//!   one operation and restores the previous identity afterwards, so
+//!   interleaved sessions never act under each other's identity; a read
+//!   checks no owner and sets no identity.
 //!
 //! # MVCC snapshot reads
 //!
@@ -36,12 +35,13 @@
 //! last acknowledged state through an epoch-swap cell
 //! ([`parking_lot::ArcSwap`]): a write guard republishes the shard on
 //! release, and read-only requests — diffs, `version_rows`, `log`,
-//! single- and multi-CVD `SELECT`s — clone the snapshot instead of taking
-//! the shard lock, so they never wait on a commit in flight: they observe
-//! the epoch published by the last *completed* writer. A checkout
-//! *creates* a table (the paper's `SELECT … INTO T'`), so it is a writer
-//! like commit, discard, `optimize` and writing SQL: it takes its shard's
-//! lock. See `docs/CONCURRENCY.md` for the full contract.
+//! `SELECT`s — borrow it ([`OrpheusDB::read`]; a multi-CVD `SELECT`
+//! reads an owned merge) instead of taking the shard lock, so they never
+//! wait on a commit in flight: they observe the epoch published by the
+//! last *completed* writer. A checkout *creates* a table (the paper's
+//! `SELECT … INTO T'`), so it is a writer like commit, discard,
+//! `optimize` and writing SQL: it takes its shard's lock. See
+//! `docs/CONCURRENCY.md` for the full contract.
 //!
 //! What that costs: **publishing** is an O(tables) clone — a table is
 //! three `Arc`s, a CVD's version metadata and rlists are two
@@ -52,15 +52,11 @@
 //! lands in (see `orpheus_engine::table`) — for a commit, the tail of the
 //! data table, not the CVD — and a commit also copies the CVD's two
 //! version directories (a pointer per 64 versions) and their tail chunks.
-//! A **snapshot read** is another O(tables) clone plus the rows it
-//! returns. What still grows with history is pointer copies on writes —
-//! one per 64 versions, one per 64 rows of a written table — never rows,
-//! index entries or metadata. Measured by
-//! `crates/bench/examples/publish_probe.rs` at 4 000 versions (2 vCPUs,
-//! five runs of best-of-50/200): a `Session` checkout + discard costs
-//! 4–9 µs more than the same on an `OrpheusDB`, and a `Session` `diff`
-//! 1.4–2.5 µs more — 273–341 µs and 135–165 µs while a publish and a
-//! snapshot read cloned each version list pointer by pointer.
+//! A **snapshot read** copies nothing: it pays for one refcount bump and
+//! the rows it returns, whatever the table or partition count. What
+//! still grows with history is pointer copies on writes — one per 64
+//! versions, one per 64 rows of a written table — never rows, index
+//! entries or metadata (`tests/publish_cost.rs` pins both).
 //!
 //! ```
 //! use orpheus_core::{OrpheusDB, SharedOrpheusDB, Vid};
@@ -125,10 +121,10 @@
 //! `ConcurrentExecutor::execute_as`: a session's `execute` (its batch is
 //! the trait's default loop of it) and every request an async worker
 //! ([`crate::async_exec`]) runs. Catalog requests take the catalog lock;
-//! every other request is routed by one rule, [`crate::batch::route`],
-//! under one catalog read. A request routed to a shard takes, for a
+//! every other request is routed by one rule, `batch::route`, under one
+//! catalog read. A request routed to a shard takes, for a
 //! checkout, one reservation of its target name (one catalog write), one
-//! acquisition of the shard's write lock — or one clone of its snapshot,
+//! acquisition of the shard's write lock — or one load of its snapshot,
 //! for a read — and one closing catalog write that settles the
 //! staged-name index. A panic inside the request is contained there: it
 //! fails with [`CoreError::WorkerPanicked`], its reservation is released,
@@ -260,18 +256,20 @@ struct Shard {
     retired: AtomicBool,
     db: RwLock<OrpheusDB>,
     /// The shard's last acknowledged state, republished by every
-    /// [`ShardWriteGuard`] on release. Read-only paths clone this instead
+    /// [`ShardWriteGuard`] on release. Read-only paths borrow this instead
     /// of taking `db`'s lock, so they never wait on a writer.
     snapshot: ArcSwap<OrpheusDB>,
 }
 
 impl Shard {
     fn new(db: OrpheusDB) -> Arc<Shard> {
-        Arc::new(Shard {
+        let shard = Arc::new(Shard {
             retired: AtomicBool::new(false),
-            snapshot: ArcSwap::new(Arc::new(db.clone())),
+            snapshot: ArcSwap::default(),
             db: RwLock::new(db),
-        })
+        });
+        drop(shard.write()); // publishes the first epoch
+        shard
     }
 
     fn retire(&self) {
@@ -301,16 +299,6 @@ impl Shard {
             guard,
             _token,
         }
-    }
-
-    /// A private clone of this shard's MVCC snapshot, the last published
-    /// epoch. No shard lock is taken, so a commit holding the write lock
-    /// never delays this. Costs O(tables), nothing per version: the
-    /// epoch's tables and staging entries are `Arc`-shared, and each
-    /// CVD's version lists and partition state are shared whole, so the
-    /// clone copies pointers, not rows.
-    fn load_snapshot(&self) -> OrpheusDB {
-        OrpheusDB::clone(&self.snapshot.load())
     }
 }
 
@@ -483,7 +471,9 @@ impl Catalog {
     /// last *acknowledged* state (individually consistent); a writer still
     /// inside its critical section is simply not visible yet.
     fn merge_snapshots<'a>(&self, shards: impl Iterator<Item = &'a Arc<Shard>>) -> OrpheusDB {
-        self.merge(self.aux.load_snapshot(), shards.map(|s| s.load_snapshot()))
+        // The merge is owned, so each part is an O(tables) clone.
+        let owned = |shard: &Shard| OrpheusDB::clone(&shard.snapshot.load());
+        self.merge(owned(&self.aux), shards.map(|s| owned(s)))
             // Shards hold disjoint CVDs by construction. Their table names
             // are disjoint because backing tables live in `<cvd>__`
             // namespaces, staged tables are unique through the staged
@@ -762,23 +752,6 @@ impl SharedOrpheusDB {
 // The request engine.
 // ---------------------------------------------------------------------------
 
-/// Swap the shard's identity to `user` for the duration of one operation,
-/// restoring the previous identity afterwards — the per-request
-/// identity-swap that keeps ownership checks session-scoped.
-fn under_identity<T>(
-    odb: &mut OrpheusDB,
-    user: &str,
-    f: impl FnOnce(&mut OrpheusDB) -> Result<T>,
-) -> Result<T> {
-    odb.access.ensure_user(user)?;
-    let prior = odb.access.whoami().to_string();
-    odb.access.login(user)?;
-    let result = f(odb);
-    // Restore the shard-level identity regardless of the outcome.
-    let _ = odb.access.login(&prior);
-    result
-}
-
 /// The CVD keys a statement touches (never the auxiliary shard): `CVD
 /// <name>` patterns, staged-table names, and backing-table names
 /// (`<cvd>__...`). A name is looked up as a table even where it also
@@ -955,43 +928,34 @@ fn release_reservation(inner: &Inner, shard: &ShardKey, reserved: Option<&String
     }
 }
 
-/// The in-shard execution of one `run` statement: the Section 2.3 access
-/// guard plus versioned translation.
-fn shard_sql(odb: &mut OrpheusDB, user: &str, sql: &Lexed) -> Result<QueryResult> {
-    guard_sql(odb, user, sql)?;
-    odb.run_lexed(sql)
-}
-
-/// Run one request against `db` — the shard itself under its write lock,
-/// or a private snapshot clone — as `user` (the caller restores the
-/// shard's identity). A panic while executing the request is contained
-/// here and fails it with [`CoreError::WorkerPanicked`]. `Err` hands back
-/// a statement that failed with `TableNotFound`: it references tables
-/// outside the shard and is retried across shards
-/// ([`ConcurrentExecutor::sql_spanning`]).
-fn execute_in(
-    db: &mut OrpheusDB,
+/// Run one request for `user` on shard `key`'s `db` — the shard under its
+/// write lock, or for a read its published snapshot, borrowed — with `sql`
+/// answering a statement and `other` any other request. A panic while
+/// executing the request is contained here and fails it with
+/// [`CoreError::WorkerPanicked`]. `Err` hands back a statement that failed
+/// with `TableNotFound`: it references tables outside the shard and is
+/// retried across shards ([`ConcurrentExecutor::sql_spanning`]).
+fn execute_in<D: Deref<Target = OrpheusDB>>(
+    db: D,
     key: &ShardKey,
     user: &str,
     request: Request,
+    sql: fn(D, &Lexed) -> Result<QueryResult>,
+    other: fn(D, Request) -> Result<Response>,
 ) -> std::result::Result<Result<Response>, Run> {
-    if let Err(e) = db
-        .access
-        .ensure_user(user)
-        .and_then(|()| db.access.login(user))
-    {
-        return Ok(Err(e));
-    }
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         maybe_injected_panic(&request);
         match request {
             // Run goes through the guarded session surface: the bus must
             // not be a way around the Section 2.3 staged-table access rule.
-            Request::Run(run) => match run.lexed().and_then(|sql| shard_sql(db, user, sql)) {
+            Request::Run(run) => match run.lexed().and_then(|lexed| {
+                guard_sql(&db, user, lexed)?;
+                sql(db, lexed)
+            }) {
                 Err(CoreError::Engine(EngineError::TableNotFound(_))) => Err(run),
-                other => Ok(other.map(Response::Rows)),
+                rows => Ok(rows.map(Response::Rows)),
             },
-            other => Ok(db.execute(other)),
+            request => Ok(other(db, request)),
         }
     }))
     .unwrap_or_else(|_| {
@@ -1026,12 +990,12 @@ impl BatchRouter for Catalog {
     }
 }
 
-/// The shared, multi-user executor with per-CVD lock routing. Each request
-/// runs under this executor's identity (acquired-lock identity swap), so
-/// ownership checks apply per session while many sessions share one
+/// The shared, multi-user executor with per-CVD lock routing. Each write
+/// runs under this executor's identity, swapped in under the shard's lock,
+/// so ownership checks apply per session while many sessions share one
 /// instance.
 ///
-/// There is one request engine and one routing rule ([`route`]): a single
+/// There is one request engine and one routing rule: a single
 /// [`Executor::execute`] is routed under one catalog read, and a batch is
 /// the loop of it. Requests route by [`Request::target`]:
 /// * [`Target::Cvd`] — that CVD's shard; checkouts additionally reserve
@@ -1044,12 +1008,12 @@ impl BatchRouter for Catalog {
 /// * [`Target::Catalog`] — the catalog lock (CVD create/drop, users,
 ///   `ls`).
 ///
-/// A pure read (`log`, `diff`, `SELECT`) runs on a clone of the shard's
-/// MVCC snapshot without any shard lock; every other request — checkouts
-/// included — runs under one acquisition of the shard's write lock. A
-/// multi-CVD `SELECT` runs on a merged lock-free snapshot, a multi-CVD
-/// write as a cross-CVD write transaction that locks every involved shard
-/// in sorted key order (auxiliary shard last).
+/// A pure read (`log`, `diff`, `SELECT`) runs on the shard's published
+/// MVCC snapshot, borrowed, without any shard lock or identity; every
+/// other request — checkouts included — runs under one acquisition of the
+/// shard's write lock. A multi-CVD `SELECT` runs on a merged lock-free
+/// snapshot, a multi-CVD write as a cross-CVD write transaction that
+/// locks every involved shard in sorted key order (auxiliary shard last).
 ///
 /// Two variants get session-level semantics instead of instance-level
 /// ones: `Whoami` reports the executor's user, and `Login` rebinds *this
@@ -1132,8 +1096,7 @@ impl ConcurrentExecutor {
     pub fn version_rows(&self, cvd: &str, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
         // The shard lookup folds case; an unknown CVD is reported as named.
         let shard = self.inner.shard_by_key(&ShardKey::Cvd(cvd.to_string()))?;
-        let snapshot = shard.snapshot.load();
-        snapshot.version_rows(cvd, vid)
+        shard.snapshot.load().version_rows(cvd, vid)
     }
 
     /// Run the partition optimizer.
@@ -1162,18 +1125,10 @@ impl ConcurrentExecutor {
         }
     }
 
-    /// SQL against staged tables: [`ConcurrentExecutor::run`] under the
-    /// name sessions use for plain statements (`run` passes plain SQL
-    /// through untranslated, so it is the same surface; named `sql` so
-    /// the bus-level [`Executor::execute`] keeps the `execute` name).
-    pub fn sql(&self, sql: &str) -> Result<QueryResult> {
-        self.run(sql)
-    }
-
     // -- the engine ---------------------------------------------------------
 
-    /// Run one request on the shard [`route`] sent it to: a read on a
-    /// private clone of the shard's MVCC snapshot; a write between one
+    /// Run one request on the shard [`route`] sent it to: a read on the
+    /// shard's published MVCC snapshot, borrowed; a write between one
     /// catalog write that reserves a checkout's target name and one that
     /// settles the staged-name index, under one acquisition of the
     /// shard's write lock. A statement that creates a table, or needs
@@ -1191,11 +1146,13 @@ impl ConcurrentExecutor {
         let outcome = if read_only {
             // No shard lock, so a writer holding it never delays this.
             // No shard is ever emptied, so the load needs no re-check.
+            // A read checks no owner, so it sets no identity.
             let Ok(shard) = self.inner.shard_by_key(key) else {
                 return self.execute_as(user, request);
             };
-            let mut db = shard.load_snapshot();
-            execute_in(&mut db, key, user, request)
+            let snapshot = shard.snapshot.load();
+            let sql = OrpheusDB::read_sql;
+            execute_in(&*snapshot, key, user, request, sql, OrpheusDB::read)
         } else {
             if let Request::Run(run) = &request {
                 if run.lexed().ok().and_then(Lexed::created_table).is_some() {
@@ -1226,10 +1183,9 @@ impl ConcurrentExecutor {
                 if shard.is_retired() {
                     continue;
                 }
-                let prior = db.access.whoami().to_string();
-                let outcome = execute_in(&mut db, key, user, request);
-                let _ = db.access.login(&prior);
-                break outcome;
+                let (sql, other) = (OrpheusDB::run_lexed, OrpheusDB::execute);
+                let run = |db: &mut OrpheusDB| Ok(execute_in(db, key, user, request, sql, other));
+                break db.under_identity(user, run).unwrap_or_else(|e| Ok(Err(e)));
             };
             // The closing catalog write: drop the index entry of a staged
             // artifact the request consumed, or release the reservation of
@@ -1322,12 +1278,13 @@ impl ConcurrentExecutor {
                 cvds.insert(home.clone());
             }
             if sql.is_select() {
-                let mut merged = match cvds.is_empty() {
+                let merged = match cvds.is_empty() {
                     true => cat.merged_snapshot(),
                     false => cat.merge_snapshots(cvds.iter().filter_map(|k| cat.shards.get(k))),
                 };
                 drop(cat);
-                return shard_sql(&mut merged, user, sql);
+                guard_sql(&merged, user, sql)?;
+                return merged.read_sql(sql);
             }
             if let Some(table) = sql.created_table() {
                 cat.check_table_name(&table)?;
@@ -1339,8 +1296,12 @@ impl ConcurrentExecutor {
             // is the engine's `TableExists`. SQL reaches neither the CVD
             // registry nor the staging area, so there is nothing to settle
             // in the catalog.
-            let run =
-                |odb: &mut OrpheusDB| under_identity(odb, user, |odb| shard_sql(odb, user, sql));
+            let run = |odb: &mut OrpheusDB| {
+                odb.under_identity(user, |odb| {
+                    guard_sql(odb, user, sql)?;
+                    odb.run_lexed(sql)
+                })
+            };
             match cat.transact(&cvds, false, run)? {
                 Ok((rows, _)) => return rows,
                 // Wait for a busy shard without the catalog (see
@@ -1378,7 +1339,7 @@ impl ConcurrentExecutor {
         // appended under the catalog write lock, after the re-check and
         // before the shard becomes reachable.
         let logged = wal_armed.then(|| request.clone());
-        let response = under_identity(&mut odb, user, |odb| odb.execute(request))?;
+        let response = odb.under_identity(user, |odb| odb.execute(request))?;
         let mut cat = self.inner.catalog_write();
         if cat.shards.contains_key(&key) {
             return Err(CoreError::CvdExists(name.to_string()));
@@ -1459,6 +1420,7 @@ fn guard_sql(odb: &OrpheusDB, user: &str, sql: &Lexed) -> Result<()> {
 mod tests {
     use super::*;
     use crate::async_exec::AsyncExecutor;
+    use crate::request::Log;
     use orpheus_engine::{Column, DataType, Schema, Value};
 
     fn shared_with_cvd() -> SharedOrpheusDB {
@@ -1505,14 +1467,14 @@ mod tests {
         assert!(matches!(err, CoreError::PermissionDenied(_)), "{err}");
         let err = bob.discard("alice_work").unwrap_err();
         assert!(matches!(err, CoreError::PermissionDenied(_)), "{err}");
-        let err = bob.sql("SELECT count(*) FROM alice_work").unwrap_err();
+        let err = bob.run("SELECT count(*) FROM alice_work").unwrap_err();
         assert!(matches!(err, CoreError::PermissionDenied(_)), "{err}");
-        let err = bob.sql("UPDATE alice_work SET v = 9").unwrap_err();
+        let err = bob.run("UPDATE alice_work SET v = 9").unwrap_err();
         assert!(matches!(err, CoreError::PermissionDenied(_)), "{err}");
 
         // Alice can do all of the above.
         alice
-            .sql("UPDATE alice_work SET v = 1 WHERE k = 0")
+            .run("UPDATE alice_work SET v = 1 WHERE k = 0")
             .unwrap();
         let vid = alice.commit("alice_work", "mine").unwrap();
         assert_eq!(vid, Vid(2));
@@ -1531,6 +1493,34 @@ mod tests {
         assert_eq!(shared.read(|odb| odb.access.whoami().to_string()), "root");
     }
 
+    /// A served read borrows the shard's published epoch: after a `diff`,
+    /// a `log` and a `SELECT` the shard publishes the very same `Arc` it
+    /// did before them, so none of them wrote, republished or swapped an
+    /// identity into it. A write republishes.
+    #[test]
+    fn a_served_read_leaves_the_published_snapshot_in_place() {
+        let shared = shared_with_cvd();
+        let alice = shared.session("alice").unwrap();
+        let published = || {
+            let cat = shared.inner.catalog_read();
+            cat.shard("data").unwrap().snapshot.load()
+        };
+        let before = published();
+        let d = alice.diff("data", Vid(1), Vid(1)).unwrap();
+        assert!(d.only_in_first.is_empty() && d.only_in_second.is_empty());
+        let mut session = alice.clone();
+        let log = session.execute(Log::of("data").into()).unwrap();
+        assert!(matches!(log, Response::Log { ref entries, .. } if entries.len() == 1));
+        let n = alice
+            .run("SELECT count(*) FROM VERSION 1 OF CVD data")
+            .unwrap();
+        assert_eq!(n.scalar(), Some(&Value::Int(20)));
+        assert!(Arc::ptr_eq(&before, &published()));
+        assert_eq!(before.access.whoami(), "default");
+        alice.checkout("data", &[Vid(1)], "w").unwrap();
+        assert!(!Arc::ptr_eq(&before, &published()));
+    }
+
     #[test]
     fn concurrent_commits_from_many_users_are_all_recorded() {
         let shared = shared_with_cvd();
@@ -1544,7 +1534,7 @@ mod tests {
                     let table = session.private_table("work");
                     session.checkout("data", &[Vid(1)], &table).unwrap();
                     session
-                        .sql(&format!("UPDATE {table} SET v = {u} WHERE k = {u}"))
+                        .run(&format!("UPDATE {table} SET v = {u} WHERE k = {u}"))
                         .unwrap();
                     let vid = session.commit(&table, &format!("edit by user{u}")).unwrap();
                     // Each commit yields a distinct, valid version readable
@@ -1625,7 +1615,7 @@ mod tests {
             .dispatch(Checkout::of("data").version(1u64).into_table("alice_bus"))
             .unwrap();
         assert_eq!(response.summary(), "checked out v1 into table alice_bus");
-        alice.sql("UPDATE alice_bus SET v = 5 WHERE k = 1").unwrap();
+        alice.run("UPDATE alice_bus SET v = 5 WHERE k = 1").unwrap();
         let response = alice
             .dispatch(Commit::table("alice_bus").message("via bus"))
             .unwrap();
@@ -1745,7 +1735,7 @@ mod tests {
                     for i in 0..4 {
                         let t = s.private_table(&format!("{cvd}_{i}"));
                         s.checkout(cvd, &[Vid(1)], &t).unwrap();
-                        s.sql(&format!("UPDATE {t} SET v = {i} WHERE k = 0"))
+                        s.run(&format!("UPDATE {t} SET v = {i} WHERE k = 0"))
                             .unwrap();
                         s.commit(&t, &format!("{u} {i}")).unwrap();
                     }
@@ -1777,11 +1767,11 @@ mod tests {
         // sorted shard locks, one execution, atomically visible.
         session.checkout("left", &[Vid(1)], "lw").unwrap();
         session.checkout("right", &[Vid(1)], "rw").unwrap();
-        session.sql("UPDATE rw SET v = 1 WHERE k < 3").unwrap();
+        session.run("UPDATE rw SET v = 1 WHERE k < 3").unwrap();
         session
-            .sql("UPDATE lw SET v = (SELECT count(*) FROM rw WHERE rw.v = 1)")
+            .run("UPDATE lw SET v = (SELECT count(*) FROM rw WHERE rw.v = 1)")
             .unwrap();
-        let n = session.sql("SELECT sum(v) FROM lw").unwrap();
+        let n = session.run("SELECT sum(v) FROM lw").unwrap();
         assert_eq!(n.scalar(), Some(&Value::Int(30)));
         // Both staged tables commit back to their own CVDs afterwards.
         assert_eq!(session.commit("lw", "cross write").unwrap(), Vid(2));
@@ -1817,7 +1807,7 @@ mod tests {
         // A plain-SQL side table occupies its name globally: a checkout
         // into it is rejected up front (not discovered as a merge panic
         // later).
-        s.sql("CREATE TABLE occupied (k INT)").unwrap();
+        s.run("CREATE TABLE occupied (k INT)").unwrap();
         let err = s.checkout("left", &[Vid(1)], "occupied").unwrap_err();
         assert!(err.to_string().contains("already exists"), "{err}");
         // Another CVD's backing-table namespace is off limits...
@@ -1843,13 +1833,13 @@ mod tests {
         s.checkout("left", &[Vid(1)], "w").unwrap();
         // Reads shard `left` and leaves an unregistered table in the
         // auxiliary shard.
-        s.sql("SELECT * INTO clash FROM w").unwrap();
+        s.run("SELECT * INTO clash FROM w").unwrap();
         let err = s.checkout("right", &[Vid(1)], "clash").unwrap_err();
         assert!(err.to_string().contains("already exists"), "{err}");
         // The reverse order — checkout first, `SELECT … INTO` second — is
         // refused the same way: the staged index holds the name.
         s.checkout("right", &[Vid(1)], "taken").unwrap();
-        let err = s.sql("SELECT * INTO taken FROM w").unwrap_err();
+        let err = s.run("SELECT * INTO taken FROM w").unwrap_err();
         assert!(err.to_string().contains("already staged"), "{err}");
         // Shards still merge: the instance-wide paths keep working.
         shared.read(|odb| assert_eq!(odb.ls().len(), 2));
@@ -1868,17 +1858,17 @@ mod tests {
         let s = shared.session("u").unwrap();
         s.checkout("left", &[Vid(1)], "lw").unwrap();
         s.checkout("right", &[Vid(1)], "rw").unwrap();
-        s.sql("SELECT * INTO x FROM lw").unwrap();
+        s.run("SELECT * INTO x FROM lw").unwrap();
         // Every side table is created in the auxiliary shard, under its
         // lock, so the engine there refuses a second one of the name —
         // whichever shard the statement reads, and for `CREATE TABLE`.
         let exists = CoreError::Engine(EngineError::TableExists("x".into()));
-        assert_eq!(s.sql("SELECT * INTO x FROM rw").unwrap_err(), exists);
-        assert_eq!(s.sql("CREATE TABLE x (k INT)").unwrap_err(), exists);
+        assert_eq!(s.run("SELECT * INTO x FROM rw").unwrap_err(), exists);
+        assert_eq!(s.run("CREATE TABLE x (k INT)").unwrap_err(), exists);
         // That shard decides about its names when the statement runs, so
         // dropping and re-creating a table in one batch works — looped by
         // a session, and as one submission through an async handle.
-        s.sql("CREATE TABLE y (k INT)").unwrap();
+        s.run("CREATE TABLE y (k INT)").unwrap();
         let recreate = || -> Vec<Request> {
             vec![
                 Run::sql("DROP TABLE y").into(),
@@ -1909,18 +1899,18 @@ mod tests {
     fn a_side_table_selected_from_a_cvd_takes_writes_and_drops() {
         let shared = shared_with_two_cvds();
         let s = shared.session("u").unwrap();
-        s.sql("SELECT * INTO side FROM VERSION 1 OF CVD left")
+        s.run("SELECT * INTO side FROM VERSION 1 OF CVD left")
             .unwrap();
-        s.sql("INSERT INTO side VALUES (100, 10, 1)").unwrap();
-        let n = s.sql("SELECT count(*) FROM side").unwrap();
+        s.run("INSERT INTO side VALUES (100, 10, 1)").unwrap();
+        let n = s.run("SELECT count(*) FROM side").unwrap();
         assert_eq!(n.scalar(), Some(&Value::Int(11)));
-        s.sql("DROP TABLE side").unwrap();
-        assert!(s.sql("SELECT count(*) FROM side").is_err());
+        s.run("DROP TABLE side").unwrap();
+        assert!(s.run("SELECT count(*) FROM side").is_err());
         // The name is free again, in a CVD shard and in the auxiliary one.
-        s.sql("SELECT * INTO side FROM VERSION 1 OF CVD right")
+        s.run("SELECT * INTO side FROM VERSION 1 OF CVD right")
             .unwrap();
-        s.sql("DROP TABLE side").unwrap();
-        s.sql("CREATE TABLE side (k INT)").unwrap();
+        s.run("DROP TABLE side").unwrap();
+        s.run("CREATE TABLE side (k INT)").unwrap();
         shared.read(|odb| assert!(odb.engine.has_table("side")));
     }
 
@@ -1939,7 +1929,7 @@ mod tests {
             "CREATE TABLE IF NOT EXISTS d (k INT)",
             "CREATE TABLE IF NOT EXISTS d (k INT)",
         ] {
-            s.sql(sql).unwrap();
+            s.run(sql).unwrap();
         }
         let cat = shared.inner.catalog_read();
         for table in ["a", "b", "c", "d"] {
@@ -1956,21 +1946,21 @@ mod tests {
     fn writes_joining_shard_and_side_tables_run_as_cross_cvd_transactions() {
         let shared = shared_with_two_cvds();
         let s = shared.session("u").unwrap();
-        s.sql("CREATE TABLE side (k INT)").unwrap();
-        s.sql("INSERT INTO side VALUES (7)").unwrap();
+        s.run("CREATE TABLE side (k INT)").unwrap();
+        s.run("INSERT INTO side VALUES (7)").unwrap();
         s.checkout("left", &[Vid(1)], "work").unwrap();
         // A writing statement mixing a staged table (CVD shard) with a
         // side table (auxiliary shard) cannot run under one CVD lock; it
         // retries as a cross-CVD write transaction that merges the routed
         // shard with the auxiliary shard.
-        s.sql("UPDATE work SET v = (SELECT count(*) FROM side)")
+        s.run("UPDATE work SET v = (SELECT count(*) FROM side)")
             .unwrap();
-        let n = s.sql("SELECT count(*) FROM work WHERE v = 1").unwrap();
+        let n = s.run("SELECT count(*) FROM work WHERE v = 1").unwrap();
         assert_eq!(n.scalar(), Some(&Value::Int(10)));
         // The side table stays in the auxiliary shard and the staged table
         // in its CVD's shard: both remain usable afterwards.
-        s.sql("INSERT INTO side VALUES (8)").unwrap();
-        s.sql("UPDATE work SET v = 7 WHERE k = 0").unwrap();
+        s.run("INSERT INTO side VALUES (8)").unwrap();
+        s.run("UPDATE work SET v = 7 WHERE k = 0").unwrap();
         s.commit("work", "fine").unwrap();
     }
 
@@ -1979,9 +1969,9 @@ mod tests {
         let shared = shared_with_two_cvds();
         // A side table that belongs to no CVD lives in the auxiliary shard.
         let s = shared.session("u").unwrap();
-        s.sql("CREATE TABLE side (k INT)").unwrap();
-        s.sql("INSERT INTO side VALUES (1)").unwrap();
-        s.sql("INSERT INTO side VALUES (2)").unwrap();
+        s.run("CREATE TABLE side (k INT)").unwrap();
+        s.run("INSERT INTO side VALUES (1)").unwrap();
+        s.run("INSERT INTO side VALUES (2)").unwrap();
         // Joining it with a CVD's version routes to the CVD shard first,
         // then falls back to the merged snapshot.
         let n = s
@@ -2230,7 +2220,7 @@ mod tests {
         s.checkout("fresh", &[Vid(1)], "w2").unwrap();
         assert_eq!(s.commit("w2", "through a session").unwrap(), Vid(2));
         // ...the table the closure staged commits through the index...
-        s.sql("UPDATE w SET v = 2").unwrap();
+        s.run("UPDATE w SET v = 2").unwrap();
         assert_eq!(s.commit("w", "staged in the closure").unwrap(), Vid(3));
         assert_eq!(s.version_rows("fresh", Vid(3)).unwrap().len(), 1);
         // ...and the dropped CVD is gone from every route.

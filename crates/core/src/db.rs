@@ -5,11 +5,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use orpheus_engine::sql::ast::Statement;
 use orpheus_engine::sql::parser::parse_tokens;
 use orpheus_engine::{Database, QueryResult, Schema, Value};
 use orpheus_partition::online::OnlineConfig;
 
 use crate::access::AccessController;
+use crate::batch::is_read_only;
 use crate::csv;
 use crate::cvd::{namespace_owner, sorted_multiset_difference, Cvd, VersionMeta};
 use crate::error::{CoreError, Result};
@@ -706,7 +708,7 @@ impl OrpheusDB {
     /// The sorted rlists are compared as integers and only the records one
     /// side lacks are copied, so a diff costs what the two versions do not
     /// share — no hash sets, no CVD clone, no copy of either version.
-    pub fn diff(&mut self, cvd_name: &str, a: Vid, b: Vid) -> Result<VersionDiff> {
+    pub fn diff(&self, cvd_name: &str, a: Vid, b: Vid) -> Result<VersionDiff> {
         let cvd = lookup(&self.cvds, cvd_name)?;
         let rids_a = cvd.rids_of(a)?;
         let rids_b = cvd.rids_of(b)?;
@@ -728,8 +730,7 @@ impl OrpheusDB {
     /// split-by-rlist rlist table is refused: its cells are the catalog's
     /// rlists, and a snapshot in which the two differ does not load.
     pub(crate) fn run_lexed(&mut self, sql: &Lexed) -> Result<QueryResult> {
-        let translated = query::translate(self, sql.tokens())?;
-        let statement = parse_tokens(&translated)?;
+        let statement = self.parse_lexed(sql)?;
         if let Some(table) = statement.altered_table() {
             if let Some(cvd) = self.cvds.values().find(|cvd| cvd.is_rlist_table(table)) {
                 return Err(CoreError::bad_request(
@@ -742,6 +743,60 @@ impl OrpheusDB {
             }
         }
         Ok(self.engine.execute_statement(statement)?)
+    }
+
+    /// What [`OrpheusDB::read`] answers a `Run` with, on a shared borrow;
+    /// the engine refuses a statement that writes.
+    pub(crate) fn read_sql(&self, sql: &Lexed) -> Result<QueryResult> {
+        Ok(self.engine.query_statement(self.parse_lexed(sql)?)?)
+    }
+
+    /// Translate a statement's versioned extensions and parse it.
+    fn parse_lexed(&self, sql: &Lexed) -> Result<Statement> {
+        Ok(parse_tokens(&query::translate(self, sql.tokens())?)?)
+    }
+
+    /// Answer a request that only reads — `log`, `diff`, a `SELECT`
+    /// without `INTO`, as routing's `is_read_only` says — on a shared
+    /// borrow: no identity is set and nothing is copied, so a served read
+    /// runs on the published snapshot itself. Any other request is refused
+    /// with [`CoreError::BadRequest`].
+    pub fn read(&self, request: Request) -> Result<Response> {
+        match request {
+            Request::Diff(r) => Ok(Response::Diffed {
+                diff: self.diff(&r.cvd, r.from, r.to)?,
+                cvd: r.cvd,
+                from: r.from,
+                to: r.to,
+            }),
+            Request::Log(r) => Ok(Response::Log {
+                entries: self.log_entries(&r.cvd)?,
+                cvd: r.cvd,
+            }),
+            Request::Run(ref run) if is_read_only(&request) => {
+                Ok(Response::Rows(self.read_sql(run.lexed()?)?))
+            }
+            other => Err(CoreError::bad_request(
+                other.kind(),
+                "only log, diff and a SELECT read",
+            )),
+        }
+    }
+
+    /// Run `f` as `user`, registering the account if needed, and restore
+    /// the previous identity whatever `f` returns: the one place a
+    /// request's user is set. Only writes need it; reads check no owner.
+    pub(crate) fn under_identity<T>(
+        &mut self,
+        user: &str,
+        f: impl FnOnce(&mut OrpheusDB) -> Result<T>,
+    ) -> Result<T> {
+        self.access.ensure_user(user)?;
+        let prior = self.access.whoami().to_string();
+        self.access.login(user)?;
+        let result = f(self);
+        let _ = self.access.login(&prior);
+        result
     }
 
     /// `optimize`: run the partition optimizer on a CVD with the default
@@ -858,6 +913,9 @@ impl OrpheusDB {
 /// tests all drive one bus.
 impl Executor for OrpheusDB {
     fn execute(&mut self, request: Request) -> Result<Response> {
+        if is_read_only(&request) {
+            return self.read(request);
+        }
         match request {
             Request::Init(r) => {
                 let version = self.init_cvd(&r.cvd, r.schema, r.rows, r.model)?;
@@ -906,24 +964,9 @@ impl Executor for OrpheusDB {
                     version,
                 })
             }
-            Request::Diff(r) => {
-                let diff = self.diff(&r.cvd, r.from, r.to)?;
-                Ok(Response::Diffed {
-                    cvd: r.cvd,
-                    from: r.from,
-                    to: r.to,
-                    diff,
-                })
-            }
+            Request::Log(_) | Request::Diff(_) => self.read(request),
             Request::Run(r) => Ok(Response::Rows(self.run_lexed(r.lexed()?)?)),
             Request::Ls => Ok(Response::CvdList(self.ls())),
-            Request::Log(r) => {
-                let entries = self.log_entries(&r.cvd)?;
-                Ok(Response::Log {
-                    cvd: r.cvd,
-                    entries,
-                })
-            }
             Request::Drop(r) => {
                 self.drop_cvd(&r.cvd)?;
                 Ok(Response::Dropped { cvd: r.cvd })
@@ -1585,6 +1628,36 @@ mod tests {
         assert_eq!(d.only_in_second.len(), 1);
         assert_eq!(d.only_in_first[0][0], Value::Text("p4".into()));
         assert_eq!(d.only_in_second[0][0], Value::Text("n1".into()));
+    }
+
+    /// `read` answers on a shared borrow, so it refuses what writes with a
+    /// typed error: a checkout, and a `SELECT … INTO`. Neither leaves a
+    /// table behind.
+    #[test]
+    fn read_refuses_a_request_that_writes() {
+        let odb = setup();
+        let checkout = crate::request::Checkout::of("protein")
+            .version(1u64)
+            .into_table("w");
+        for (request, command) in [
+            (Request::from(checkout), CommandKind::Checkout),
+            (
+                crate::request::Run::sql("SELECT * INTO w FROM VERSION 1 OF CVD protein").into(),
+                CommandKind::Run,
+            ),
+        ] {
+            let err = odb.read(request).unwrap_err();
+            assert!(
+                matches!(err, CoreError::BadRequest { command: c, .. } if c == command),
+                "{err}"
+            );
+        }
+        assert!(!odb.engine.has_table("w") && odb.staged().is_empty());
+        let rows = crate::request::Run::sql("SELECT count(*) FROM VERSION 1 OF CVD protein");
+        match odb.read(rows.into()).unwrap() {
+            Response::Rows(r) => assert_eq!(r.scalar(), Some(&Value::Int(3))),
+            other => panic!("unexpected {}", other.summary()),
+        }
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!   directly or by a [`Session`] over a shared instance via the
 //!   [`Executor`] trait; [`commands`] parses the git-style command lines
 //!   of Section 2.2 into the same requests.
-//! * **Routing** ([`batch`]) — the one rule that sends a request to the
-//!   shard serving it; [`Executor::batch`] runs a request vector with
-//!   per-request outcomes, one request after another.
+//! * **Routing** — one crate-internal rule sends each request a
+//!   [`Session`] runs to the shard serving it; [`Executor::batch`] runs a
+//!   request vector with per-request outcomes, one request after another.
 //! * **Async execution** ([`async_exec`]) — an [`AsyncExecutor`] runs
 //!   requests on a worker pool behind a dispatcher thread; each client's
 //!   [`AsyncHandle`] is a FIFO queue of submissions, and clients wait on
@@ -44,7 +44,7 @@
 
 pub mod access;
 pub mod async_exec;
-pub mod batch;
+pub(crate) mod batch;
 pub mod codec;
 pub mod commands;
 pub mod compress;
@@ -65,7 +65,6 @@ pub mod staging;
 pub mod wal;
 
 pub use async_exec::{AsyncExecutor, AsyncHandle, Ticket, TicketFulfiller};
-pub use batch::{BatchRouter, ShardKey};
 pub use concurrent::{ConcurrentExecutor, Session, SharedOrpheusDB};
 pub use cvd::Cvd;
 pub use db::{OrpheusDB, VersionDiff};

@@ -177,12 +177,7 @@ fn apply(odb: &mut OrpheusDB, record: WalRecord) -> Result<()> {
     if let WalOp::Request(Request::Login(_)) = &record.op {
         return apply_op(odb, record.op);
     }
-    let prior = odb.access.whoami().to_string();
-    odb.access.ensure_user(&record.user)?;
-    odb.access.login(&record.user)?;
-    let outcome = apply_op(odb, record.op);
-    let _ = odb.access.login(&prior);
-    outcome
+    odb.under_identity(&record.user, |odb| apply_op(odb, record.op))
 }
 
 fn apply_op(odb: &mut OrpheusDB, op: WalOp) -> Result<()> {

@@ -10,12 +10,11 @@ use crate::error::{EngineError, Result};
 use crate::exec::{ExecContext, JoinStrategy};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{ColumnDef, InsertSource, Statement};
-use crate::sql::lexer::{tokenize, Token};
-use crate::sql::parser::{parse_script, parse_tokens};
+use crate::sql::parser::{parse_script, parse_statement};
 use crate::sql::planner;
 use crate::stats::ExecStats;
 use crate::table::Table;
-use crate::types::{Row, Value};
+use crate::types::{DataType, Row, Value};
 
 /// Session-level settings.
 #[derive(Debug, Clone, Default)]
@@ -122,14 +121,7 @@ impl Database {
 
     /// Execute a single SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        self.execute_tokens(&tokenize(sql)?)
-    }
-
-    /// Execute a single statement that is already lexed (see
-    /// [`parse_tokens`]).
-    pub fn execute_tokens(&mut self, tokens: &[Token]) -> Result<QueryResult> {
-        let stmt = parse_tokens(tokens)?;
-        self.execute_statement(stmt)
+        self.execute_statement(parse_statement(sql)?)
     }
 
     /// Execute a semicolon-separated script, returning the last result.
@@ -142,56 +134,79 @@ impl Database {
         Ok(last)
     }
 
-    /// Convenience: run a SELECT and return the result.
-    pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
-        self.execute(sql)
+    /// Run one statement that cannot write — a `SELECT` without `INTO`,
+    /// or `EXPLAIN` — on a shared borrow: the one entry for reads. Any
+    /// other statement is refused with [`EngineError::NotAQuery`] and
+    /// leaves the database as it was.
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        self.query_statement(parse_statement(sql)?)
+    }
+
+    /// [`Database::query`] on a statement that is already parsed;
+    /// [`Database::execute_statement`] delegates its reads here.
+    pub fn query_statement(&self, stmt: Statement) -> Result<QueryResult> {
+        let ctx = ExecContext {
+            tables: &self.tables,
+            stats: &self.stats,
+        };
+        match stmt {
+            Statement::Select(sel) if sel.into.is_none() => {
+                let mut chunk = planner::run_select(&sel, &ctx, self.settings.join_strategy)?;
+                Ok(QueryResult {
+                    affected: chunk.rows.len(),
+                    schema: std::mem::take(&mut chunk.schema),
+                    rows: chunk.into_rows(),
+                })
+            }
+            Statement::Explain(sel) => {
+                // Plan only — nothing executes, no statistics accrue.
+                let planned = planner::plan_select(&sel, &ctx, self.settings.join_strategy)?;
+                let lines = crate::exec::explain::render(&planned.plan);
+                let schema = Schema::new(vec![Column::new("QUERY PLAN", DataType::Text)]);
+                let rows: Vec<Row> = lines.into_iter().map(|l| vec![Value::Text(l)]).collect();
+                Ok(QueryResult {
+                    affected: rows.len(),
+                    schema,
+                    rows,
+                })
+            }
+            _ => Err(EngineError::NotAQuery(
+                "only a SELECT without INTO and EXPLAIN can run as a query".into(),
+            )),
+        }
     }
 
     pub fn execute_statement(&mut self, stmt: Statement) -> Result<QueryResult> {
         match stmt {
-            Statement::Select(sel) => {
-                let into = sel.into.clone();
-                let mut chunk = {
-                    let ctx = ExecContext {
-                        tables: &self.tables,
-                        stats: &self.stats,
-                    };
-                    planner::run_select(&sel, &ctx, self.settings.join_strategy)?
-                };
-                let schema = std::mem::take(&mut chunk.schema);
-                match into {
-                    None => Ok(QueryResult {
-                        affected: chunk.rows.len(),
-                        schema,
-                        rows: chunk.into_rows(),
-                    }),
-                    Some(target) => {
-                        // SELECT ... INTO t: materialize as a new table.
-                        // Like PostgreSQL, the result table copies column
-                        // names and types but no constraints: no primary
-                        // key, everything nullable.
-                        if self.has_table(&target) {
-                            return Err(EngineError::TableExists(target));
-                        }
-                        let mut schema = schema;
-                        schema.primary_key.clear();
-                        for c in &mut schema.columns {
-                            c.nullable = true;
-                        }
-                        let mut t = Table::new(target.to_ascii_lowercase(), schema);
-                        let n = chunk.rows.len();
-                        for row in chunk.into_rows() {
-                            t.insert(row)?;
-                        }
-                        self.add_table(t)?;
-                        Ok(QueryResult {
-                            schema: Schema::new(vec![]),
-                            rows: Vec::new(),
-                            affected: n,
-                        })
-                    }
+            Statement::Select(mut sel) if sel.into.is_some() => {
+                // SELECT ... INTO t: materialize the query as a new table.
+                // Like PostgreSQL, the result table copies column names
+                // and types but no constraints: no primary key, everything
+                // nullable.
+                let target = sel.into.take().expect("matched on INTO");
+                let QueryResult {
+                    mut schema, rows, ..
+                } = self.query_statement(Statement::Select(sel))?;
+                if self.has_table(&target) {
+                    return Err(EngineError::TableExists(target));
                 }
+                schema.primary_key.clear();
+                for c in &mut schema.columns {
+                    c.nullable = true;
+                }
+                let mut t = Table::new(target.to_ascii_lowercase(), schema);
+                let n = rows.len();
+                for row in rows {
+                    t.insert(row)?;
+                }
+                self.add_table(t)?;
+                Ok(QueryResult {
+                    schema: Schema::new(vec![]),
+                    rows: Vec::new(),
+                    affected: n,
+                })
             }
+            read @ (Statement::Select(_) | Statement::Explain(_)) => self.query_statement(read),
             Statement::Insert {
                 table,
                 columns,
@@ -272,27 +287,6 @@ impl Database {
                 } else {
                     Err(EngineError::Invalid(format!("unknown setting {name}")))
                 }
-            }
-            Statement::Explain(sel) => {
-                // Plan only — nothing executes, no statistics accrue.
-                let planned = {
-                    let ctx = ExecContext {
-                        tables: &self.tables,
-                        stats: &self.stats,
-                    };
-                    planner::plan_select(&sel, &ctx, self.settings.join_strategy)?
-                };
-                let lines = crate::exec::explain::render(&planned.plan);
-                let schema = Schema::new(vec![Column::new(
-                    "QUERY PLAN",
-                    crate::types::DataType::Text,
-                )]);
-                let rows: Vec<Row> = lines.into_iter().map(|l| vec![Value::Text(l)]).collect();
-                Ok(QueryResult {
-                    affected: rows.len(),
-                    schema,
-                    rows,
-                })
             }
         }
     }
@@ -557,6 +551,26 @@ mod tests {
         db
     }
 
+    /// `query` runs on a shared borrow: a statement that writes — an
+    /// `INSERT`, a `SELECT … INTO` — is refused with `NotAQuery`, and the
+    /// database is left as it was.
+    #[test]
+    fn query_refuses_a_statement_that_writes() {
+        let db = db_with_protein();
+        let count = || db.query("SELECT count(*) FROM combined").unwrap().rows;
+        let before = (db.table_names(), count());
+        for sql in [
+            "INSERT INTO combined VALUES ('a', 'b', 0, 0, 0, ARRAY[5])",
+            "SELECT * INTO t FROM combined",
+        ] {
+            let err = db.query(sql).unwrap_err();
+            assert!(matches!(err, EngineError::NotAQuery(_)), "{sql}: {err}");
+        }
+        assert_eq!((db.table_names(), count()), before);
+        let plan = db.query("EXPLAIN SELECT * FROM combined").unwrap();
+        assert!(!plan.rows.is_empty());
+    }
+
     #[test]
     fn table1_combined_table_checkout_and_commit() {
         let mut db = db_with_protein();
@@ -673,7 +687,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_per_statement() {
-        let mut db = db_with_protein();
+        let db = db_with_protein();
         db.stats.reset();
         db.query("SELECT * FROM combined").unwrap();
         assert_eq!(db.stats.rows_scanned(), 7);

@@ -39,6 +39,9 @@ pub enum EngineError {
     Storage(String),
     /// Catch-all for invalid requests against the engine API.
     Invalid(String),
+    /// A statement that writes, handed to the read-only entry
+    /// ([`crate::Database::query`]).
+    NotAQuery(String),
 }
 
 impl fmt::Display for EngineError {
@@ -57,6 +60,7 @@ impl fmt::Display for EngineError {
             EngineError::IndexNotFound(m) => write!(f, "index not found: {m}"),
             EngineError::Storage(m) => write!(f, "storage error: {m}"),
             EngineError::Invalid(m) => write!(f, "invalid request: {m}"),
+            EngineError::NotAQuery(m) => write!(f, "not a query: {m}"),
         }
     }
 }

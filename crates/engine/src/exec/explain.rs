@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn explain_does_not_execute() {
-        let mut db = setup();
+        let db = setup();
         let before = db.stats.snapshot();
         db.query("EXPLAIN SELECT * FROM d").unwrap();
         // Planning touches no rows; the scan never ran.

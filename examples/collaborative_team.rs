@@ -46,7 +46,7 @@ fn main() {
                     .dispatch(Checkout::of("ppi").version(1u64).into_table(&table))
                     .expect("checkout");
                 session
-                    .sql(&format!(
+                    .run(&format!(
                         "DELETE FROM {table} WHERE coexpression < {}",
                         scientist.len() * 5 // each scientist's own threshold
                     ))
@@ -68,7 +68,7 @@ fn main() {
     alice
         .dispatch(Checkout::of("ppi").version(1u64).into_table("alice_wip"))
         .expect("checkout");
-    let denied = eve.sql("SELECT * FROM alice_wip");
+    let denied = eve.run("SELECT * FROM alice_wip");
     println!("eve reading alice's checkout: {}", denied.unwrap_err());
     // The bus is no way around the rule either: a `Run` request hits the
     // same guard.

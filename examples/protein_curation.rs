@@ -41,7 +41,7 @@ fn main() {
         .dispatch(Checkout::of("string").version(1u64).into_table("c1"))
         .expect("checkout");
     curator1
-        .sql("UPDATE c1 SET coexpression = 83 WHERE protein2 = 'ENSP261890'")
+        .run("UPDATE c1 SET coexpression = 83 WHERE protein2 = 'ENSP261890'")
         .expect("fix");
     let v2 = curator1
         .dispatch(Commit::table("c1").message("fix ENSP261890 coexpression"))
@@ -58,7 +58,7 @@ fn main() {
         .dispatch(Checkout::of("string").version(1u64).into_table("c2"))
         .expect("checkout");
     curator2
-        .sql("DELETE FROM c2 WHERE neighborhood = 0 AND cooccurrence < 100 AND coexpression < 100")
+        .run("DELETE FROM c2 WHERE neighborhood = 0 AND cooccurrence < 100 AND coexpression < 100")
         .expect("prune");
     let v3 = curator2
         .dispatch(Commit::table("c2").message("prune weak interactions"))

@@ -81,7 +81,7 @@
 //! let shared = SharedOrpheusDB::new(odb);
 //! let mut alice = shared.session("alice").unwrap();
 //! alice.dispatch(Checkout::of("data").version(1u64).into_table("w")).unwrap();
-//! alice.sql("INSERT INTO w VALUES (NULL, 2)").unwrap();
+//! alice.run("INSERT INTO w VALUES (NULL, 2)").unwrap();
 //! let v2 = alice.dispatch(Commit::table("w").message("alice's row"))
 //!     .unwrap().version().unwrap();
 //! assert_eq!(v2, Vid(2));

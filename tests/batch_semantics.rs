@@ -356,7 +356,7 @@ fn repeated_checkouts_in_one_batch_each_stage_the_whole_version() {
             );
         }
         let session = shared.session("u").unwrap();
-        session.sql("UPDATE w0 SET v = 1 WHERE k = 3").unwrap();
+        session.run("UPDATE w0 SET v = 1 WHERE k = 3").unwrap();
         let vid = session.commit("w0", "from a batched checkout").unwrap();
         let n = session
             .run(&format!(

@@ -45,7 +45,7 @@ fn edit_rounds(session: &mut Session, cvd: &str, who: &str, rounds: usize) {
             .dispatch(Checkout::of(cvd).version(1u64).into_table(&table))
             .unwrap();
         session
-            .sql(&format!("UPDATE {table} SET v = {i} WHERE k = 0"))
+            .run(&format!("UPDATE {table} SET v = {i} WHERE k = 0"))
             .unwrap();
         session
             .dispatch(Commit::table(&table).message(format!("{who} round {i}")))
@@ -128,7 +128,7 @@ fn concurrent_same_cvd_commits_serialize_with_owner_checks_intact() {
                     let err = rival_session.commit(&mine, "steal").unwrap_err();
                     assert!(matches!(err, CoreError::PermissionDenied(_)), "{err}");
                     let err = rival_session
-                        .sql(&format!("SELECT count(*) FROM {mine}"))
+                        .run(&format!("SELECT count(*) FROM {mine}"))
                         .unwrap_err();
                     assert!(matches!(err, CoreError::PermissionDenied(_)), "{err}");
                     s.commit(&mine, &format!("user{u} round {i}")).unwrap();
@@ -242,15 +242,15 @@ fn concurrent_side_table_names_have_one_creator() {
     type Creator = fn(&Session, &str) -> Result<(), CoreError>;
     let creators: [Creator; 4] = [
         |s, x| {
-            s.sql(&format!("SELECT * INTO {x} FROM VERSION 1 OF CVD cvd0"))
+            s.run(&format!("SELECT * INTO {x} FROM VERSION 1 OF CVD cvd0"))
                 .map(drop)
         },
         |s, x| {
-            s.sql(&format!("SELECT * INTO {x} FROM VERSION 1 OF CVD cvd1"))
+            s.run(&format!("SELECT * INTO {x} FROM VERSION 1 OF CVD cvd1"))
                 .map(drop)
         },
         |s, x| s.checkout("cvd0", &[Vid(1)], x),
-        |s, x| s.sql(&format!("CREATE TABLE {x} (k INT)")).map(drop),
+        |s, x| s.run(&format!("CREATE TABLE {x} (k INT)")).map(drop),
     ];
     let barrier = std::sync::Barrier::new(creators.len());
     // Outcomes are judged after the join: a thread that panicked inside a

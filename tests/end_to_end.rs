@@ -252,7 +252,7 @@ fn shared_session_with_two_users() {
         .dispatch(Checkout::of("scores").version(1u64).into_table("alice_t"))
         .unwrap();
     alice
-        .sql("UPDATE alice_t SET score = 11 WHERE id = 1")
+        .run("UPDATE alice_t SET score = 11 WHERE id = 1")
         .unwrap();
 
     // Bob cannot commit Alice's table.

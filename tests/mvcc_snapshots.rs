@@ -64,7 +64,7 @@ fn mvcc_reads_during_a_held_commit_see_the_old_graph_never_a_torn_one() {
     let shared = shared_with_cvds(&["data"]);
     let writer = shared.session("writer").unwrap();
     writer.checkout("data", &[Vid(1)], "w").unwrap();
-    writer.sql("UPDATE w SET v = 9 WHERE k = 0").unwrap();
+    writer.run("UPDATE w SET v = 9 WHERE k = 0").unwrap();
 
     let gate = arm_commit_gate("w");
     let committed = std::thread::scope(|scope| {
@@ -149,9 +149,9 @@ fn mvcc_checkout_waits_for_a_held_commit_while_snapshot_reads_do_not() {
         checkout.join().expect("checkout panicked").unwrap();
     });
 
-    let count = reader.sql("SELECT count(*) FROM late").unwrap();
+    let count = reader.run("SELECT count(*) FROM late").unwrap();
     assert_eq!(scalar(&count), 10);
-    reader.sql("UPDATE late SET v = 5 WHERE k = 1").unwrap();
+    reader.run("UPDATE late SET v = 5 WHERE k = 1").unwrap();
     assert_eq!(reader.commit("late", "sibling").unwrap(), Vid(3));
     shared.read(|odb| {
         let log = odb.log_entries("data").unwrap();
@@ -186,7 +186,7 @@ fn mvcc_a_write_waiting_on_a_held_commit_does_not_hold_back_routing() {
         // checkout queue behind it, the order in which a catalog held
         // across the wait stalls the read below. No hook reports either
         // wait, and the read must answer in every order.
-        let copy = scope.spawn(|| copier.sql("SELECT * INTO side_copy FROM VERSION 1 OF CVD left"));
+        let copy = scope.spawn(|| copier.run("SELECT * INTO side_copy FROM VERSION 1 OF CVD left"));
         std::thread::sleep(Duration::from_millis(100));
         let checkout = scope.spawn(|| reader.checkout("right", &[Vid(1)], "wr"));
         std::thread::sleep(Duration::from_millis(100));
@@ -216,9 +216,9 @@ fn mvcc_a_write_waiting_on_a_held_commit_does_not_hold_back_routing() {
         checkout.join().expect("checkout panicked").unwrap();
     });
 
-    let rows = reader.sql("SELECT count(*) FROM side_copy").unwrap();
+    let rows = reader.run("SELECT count(*) FROM side_copy").unwrap();
     assert_eq!(scalar(&rows), 10);
-    assert_eq!(scalar(&reader.sql("SELECT count(*) FROM wr").unwrap()), 10);
+    assert_eq!(scalar(&reader.run("SELECT count(*) FROM wr").unwrap()), 10);
 }
 
 /// A checkout whose name a writer takes *under the lock the checkout is
@@ -290,12 +290,12 @@ fn mvcc_cross_cvd_writes_commit_atomically() {
     // One statement reads `rw` (right's shard) while writing `lw` (left's
     // shard): the executor locks both shards in sorted key order.
     session
-        .sql("UPDATE lw SET v = (SELECT count(*) FROM rw) WHERE k = 0")
+        .run("UPDATE lw SET v = (SELECT count(*) FROM rw) WHERE k = 0")
         .unwrap();
-    let joined = session.sql("SELECT count(*) FROM lw WHERE v = 10").unwrap();
+    let joined = session.run("SELECT count(*) FROM lw WHERE v = 10").unwrap();
     assert_eq!(scalar(&joined), 1, "the joined write applied");
 
-    session.sql("UPDATE rw SET v = 1 WHERE k = 3").unwrap();
+    session.run("UPDATE rw SET v = 1 WHERE k = 3").unwrap();
     assert_eq!(session.commit("lw", "left edit").unwrap(), Vid(2));
     assert_eq!(session.commit("rw", "right edit").unwrap(), Vid(2));
     shared.read(|odb| {
@@ -317,11 +317,11 @@ fn mvcc_cross_cvd_write_failure_leaves_both_shards_untouched() {
 
     // Type error: `v` is an int column. The statement routes to both
     // shards (reads rw, writes lw) and must fail without side effects.
-    let err = session.sql("UPDATE lw SET v = (SELECT count(*) FROM rw) + 'x' WHERE k = 0");
+    let err = session.run("UPDATE lw SET v = (SELECT count(*) FROM rw) + 'x' WHERE k = 0");
     assert!(err.is_err(), "the malformed cross-CVD write must fail");
 
-    let left = session.sql("SELECT count(*) FROM lw WHERE v = 0").unwrap();
-    let right = session.sql("SELECT count(*) FROM rw WHERE v = 0").unwrap();
+    let left = session.run("SELECT count(*) FROM lw WHERE v = 0").unwrap();
+    let right = session.run("SELECT count(*) FROM rw WHERE v = 0").unwrap();
     assert_eq!(scalar(&left), 10, "left shard untouched after the failure");
     assert_eq!(
         scalar(&right),
@@ -354,7 +354,7 @@ fn mvcc_opposed_cross_cvd_writers_never_deadlock() {
                     // locks both, always in sorted order regardless of
                     // this thread's textual order.
                     session
-                        .sql(&format!(
+                        .run(&format!(
                             "UPDATE {a} SET v = (SELECT count(*) FROM {b}) WHERE k = 0"
                         ))
                         .unwrap();
@@ -389,7 +389,7 @@ fn mvcc_snapshot_readers_never_disturb_a_streaming_writer() {
                 let table = format!("w{i}");
                 session.checkout("data", &[Vid(1)], &table).unwrap();
                 session
-                    .sql(&format!("UPDATE {table} SET v = {i} WHERE k = 0"))
+                    .run(&format!("UPDATE {table} SET v = {i} WHERE k = 0"))
                     .unwrap();
                 session.commit(&table, &format!("round {i}")).unwrap();
             }
@@ -417,7 +417,7 @@ fn mvcc_snapshot_readers_never_disturb_a_streaming_writer() {
             let table = format!("w{i}");
             session.checkout("data", &[Vid(1)], &table).unwrap();
             session
-                .sql(&format!("UPDATE {table} SET v = {i} WHERE k = 0"))
+                .run(&format!("UPDATE {table} SET v = {i} WHERE k = 0"))
                 .unwrap();
             session.commit(&table, &format!("round {i}")).unwrap();
         }

@@ -4,10 +4,11 @@
 //! on the version being read and the rows being written.
 //!
 //! A `SharedOrpheusDB` publishes an immutable snapshot of a shard after
-//! every write and serves every read from a clone of it. Before the
-//! engine's heap and indexes were chunked, that clone was followed by a
-//! deep copy of every row, index entry and `VersionMeta` of the CVD on
-//! the next write; these tests fail on that design.
+//! every write — a clone of the shard — and serves every read from that
+//! snapshot, borrowed. Before the engine's heap and indexes were chunked,
+//! the publish was followed by a deep copy of every row, index entry and
+//! `VersionMeta` of the CVD on the next write; these tests fail on that
+//! design.
 //!
 //! A commit to a partitioned CVD also pays for the Section 4.3 check: the
 //! maintainer reruns the budget search on every commit (`check_every:
@@ -238,10 +239,11 @@ fn served_bytes(versions: u64) -> [u64; 2] {
 }
 
 /// Every served write publishes a snapshot of its shard and every served
-/// read runs on a clone of one; neither copies a pointer per version. The
-/// bytes a commit cycle and a `diff` allocate agree at 100 and at 4 000
-/// versions: 126 266 and 107 790 B for the cycle, 2 070 B for the `diff`
-/// at both. While each publish and snapshot read cloned the two version
+/// read borrows one; neither copies a pointer per version. The bytes a
+/// commit cycle and a `diff` allocate stay flat from 100 to 4 000
+/// versions: 117 478 and 99 002 B for the cycle, 512 B for the `diff` at
+/// both (2 134 B while each served read ran on a private clone of the
+/// snapshot). While each publish and snapshot read cloned the two version
 /// lists whole, that was 59 B more per version for the cycle and 16 B
 /// more for the `diff`. The allocation-call pin above cannot see it: a
 /// whole-list clone is one call at any length.
@@ -260,7 +262,7 @@ fn a_served_request_allocates_no_bytes_per_version() {
 }
 
 /// Bytes one clone of the CVD's catalog entry allocates — its share of
-/// every publish and every snapshot read — once `optimize` has
+/// every publish — once `optimize` has
 /// partitioned its `versions` versions.
 fn partitioned_clone_bytes(versions: u64) -> u64 {
     let mut odb = grown(versions);
@@ -281,6 +283,45 @@ fn a_partitioned_cvd_clones_without_its_versions() {
     let few = partitioned_clone_bytes(100);
     let many = partitioned_clone_bytes(4_000);
     assert_eq!(few, many, "bytes of one clone at 100 versions and at 4 000");
+}
+
+/// Bytes allocated, on the latest of `versions` versions once `optimize`
+/// has partitioned them, by a served `diff` against its parent and by a
+/// served `SELECT count(*)` of it. Each runs once unmeasured first.
+fn served_partitioned_read_bytes(versions: u64) -> [u64; 2] {
+    let mut odb = grown(versions);
+    odb.optimize(CVD).unwrap();
+    let shared = SharedOrpheusDB::new(odb);
+    let session = shared.session("reader").unwrap();
+    let diff = || drop(session.diff(CVD, Vid(versions), Vid(versions - 1)).unwrap());
+    let sql = format!("SELECT count(*) FROM VERSION {versions} OF CVD {CVD}");
+    // The 50 first rows, and the pairs the last two cycles added.
+    let select = || assert_eq!(session.run(&sql).unwrap().scalar(), Some(&Value::Int(54)));
+    diff();
+    select();
+    [bytes_of(diff), bytes_of(select)]
+}
+
+/// A served read borrows its shard's published snapshot, so what it
+/// allocates does not grow with the shard's table count — which grows
+/// with history here, because LyreSplit gives this chain 4 partitions at
+/// 100 versions and 128 at 4 000, each two engine tables. While every
+/// served read ran on a private clone of the snapshot, a `diff` allocated
+/// 2 646 B at 100 versions and 39 518 B at 4 000, and the `SELECT`
+/// 34 793 B and 71 713 B; borrowing, 512 B at both, and 32 659 B and
+/// 32 707 B.
+#[test]
+fn a_served_read_allocates_no_bytes_per_partition() {
+    let few = served_partitioned_read_bytes(100);
+    let many = served_partitioned_read_bytes(4_000);
+    for (i, what) in ["diff", "SELECT"].into_iter().enumerate() {
+        assert!(
+            (many[i] as f64) < few[i] as f64 * 1.15,
+            "{what}: {} bytes allocated at 100 versions, {} at 4 000",
+            few[i],
+            many[i]
+        );
+    }
 }
 
 /// Allocations per new record of a split-by-rlist commit on a 1 000-row
