@@ -13,6 +13,14 @@
 //! mean bytes the checkout and the first write allocate, and the mean
 //! cells per staged row.
 //!
+//! Then 600 merged checkouts of two of those versions, drawn as the
+//! workloads' `Merged` op draws them (the older listed first), are each
+//! timed without the discard after it; printed are their p50 in raw µs
+//! and the mean bytes they allocate. Each staged table is checked, outside
+//! the timing, against the first-wins merge of the two versions' rows as
+//! `model::version_row_refs` borrows them (H has no primary key, so a rid
+//! staged once stays once).
+//!
 //! Also printed, as the next read-path target: the p50 of the workloads'
 //! versioned aggregate, `SELECT count(*), sum(a1) FROM VERSION v OF CVD
 //! diff WHERE a0 < 5000`, against the same fold over the version's rows
@@ -25,6 +33,7 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -94,10 +103,11 @@ fn p50(mut samples: Vec<f64>) -> f64 {
 fn main() {
     println!(
         "| versions | cells per row | checkout p50 µs | discard p50 µs | checkout bytes \
-         | first write p50 µs | first-write bytes | discard after it p50 µs | query p50 µs \
+         | first write p50 µs | first-write bytes | discard after it p50 µs \
+         | merged checkout p50 µs | merged checkout bytes | query p50 µs \
          | `version_row_refs` fold p50 µs |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
     for versions in [160, 1_100] {
         let mut odb = OrpheusDB::new();
         let ctx = Ctx::for_test("probe", ModelKind::SplitByRlist, 1);
@@ -129,6 +139,38 @@ fn main() {
             write_discard.push(us);
         }
 
+        // A merged checkout of two versions, checked against the
+        // first-wins merge of their borrowed rows.
+        let (mut merged, mut merged_bytes) = (Vec::new(), 0);
+        for i in 0..DRAWS {
+            let (a, b) = (draw(i), draw(i + 1));
+            let vids = [a.min(b), a.max(b)];
+            let ((), us, bytes) = measured(|| odb.checkout(CVD, &vids, STAGED).unwrap());
+            merged.push(us);
+            merged_bytes += bytes;
+            let cvd = odb.cvd(CVD).unwrap();
+            assert!(cvd.schema.primary_key.is_empty(), "H has no primary key");
+            let mut seen = HashSet::new();
+            let mut want = Vec::new();
+            for &vid in &vids {
+                for (rid, values) in model::version_row_refs(&odb.engine, cvd, vid).unwrap() {
+                    if seen.insert(rid) {
+                        let mut row = vec![Value::Int(rid)];
+                        row.extend_from_slice(values);
+                        row.resize(1 + cvd.schema.arity(), Value::Null);
+                        want.push(row);
+                    }
+                }
+            }
+            let staged = odb.engine.table(STAGED).unwrap();
+            assert_eq!(*staged.schema, cvd.staged_schema(), "merge of {vids:?}");
+            assert!(
+                staged.rows().eq(want.iter().map(Vec::as_slice)),
+                "merge of {vids:?}"
+            );
+            odb.discard(STAGED).unwrap();
+        }
+
         let (mut query, mut fold) = (Vec::new(), Vec::new());
         for i in 0..DRAWS {
             let vid = draw(i);
@@ -154,7 +196,8 @@ fn main() {
 
         let mean = |total: u64| total / DRAWS as u64;
         println!(
-            "| {versions} | {} | {:.1} | {:.1} | {} | {:.1} | {} | {:.1} | {:.1} | {:.1} |",
+            "| {versions} | {} | {:.1} | {:.1} | {} | {:.1} | {} | {:.1} | {:.1} | {} | {:.1} \
+             | {:.1} |",
             cells / DRAWS,
             p50(checkout),
             p50(discard),
@@ -162,6 +205,8 @@ fn main() {
             p50(write),
             mean(write_bytes),
             p50(write_discard),
+            p50(merged),
+            mean(merged_bytes),
             p50(query),
             p50(fold),
         );

@@ -11,14 +11,19 @@ use orpheus_engine::{Column, DataType, Schema, Value};
 
 use crate::error::{CoreError, Result};
 
-/// Serialize rows (with header) to CSV text.
-pub fn to_csv(schema: &Schema, rows: &[Vec<Value>]) -> String {
+/// Serialize rows (with header) to CSV text; a short row reads NULL in
+/// the columns it lacks.
+pub fn to_csv<'v, R>(schema: &Schema, rows: impl IntoIterator<Item = R>) -> String
+where
+    R: IntoIterator<Item = &'v Value>,
+{
     let mut out = String::new();
     let header: Vec<String> = schema.columns.iter().map(|c| escape(&c.name)).collect();
     out.push_str(&header.join(","));
     out.push('\n');
     for row in rows {
-        let fields: Vec<String> = row.iter().map(value_to_field).collect();
+        let mut fields: Vec<String> = row.into_iter().map(value_to_field).collect();
+        fields.resize(schema.arity(), String::new());
         out.push_str(&fields.join(","));
         out.push('\n');
     }

@@ -2,18 +2,21 @@
 //! queries, and the partition optimizer hook (Figure 2's middleware,
 //! end to end).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use orpheus_engine::sql::ast::Statement;
 use orpheus_engine::sql::parser::parse_tokens;
-use orpheus_engine::{Database, QueryResult, Schema, Value};
+use orpheus_engine::{Database, QueryResult, Schema, Table, Value};
 use orpheus_partition::online::OnlineConfig;
 
 use crate::access::AccessController;
 use crate::batch::is_read_only;
 use crate::csv;
-use crate::cvd::{namespace_owner, sorted_multiset_difference, Cvd, VersionMeta};
+use crate::cvd::{
+    namespace_owner, sorted_difference, sorted_multiset_difference, Cvd, VersionMeta,
+};
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
 use crate::model::{self, CommitData, ModelKind};
@@ -313,12 +316,13 @@ impl OrpheusDB {
 
     // -- checkout ---------------------------------------------------------------
 
-    /// `checkout [cvd] -v vids -t table`: materialize one or more versions
-    /// into a fresh table. Multiple versions merge with precedence-based
-    /// primary-key conflict resolution (Section 2.2).
-    ///
-    /// The CVD is borrowed in place — only its name is copied for the
-    /// staging entry; `version_rids` is never cloned on this path.
+    /// `checkout [cvd] -v vids -t table`: stage one or more versions as a
+    /// fresh table. Multiple versions merge with precedence-based
+    /// primary-key conflict resolution (Section 2.2, `merge_versions`).
+    /// Merged or not, the staged table is a selection of the slots of the
+    /// table holding the records ([`orpheus_engine::Table::select`]) on
+    /// all layouts but a-table-per-version and delta: no cell is copied
+    /// until its first write. The CVD is borrowed in place.
     pub fn checkout(&mut self, cvd_name: &str, vids: &[Vid], table: &str) -> Result<()> {
         require_versions(vids)?;
         if self.engine.has_table(table) {
@@ -328,22 +332,26 @@ impl OrpheusDB {
         if let [vid] = *vids {
             model::checkout_into(&mut self.engine, cvd, vid, table)?;
         } else {
-            let rows = merge_versions(&self.engine, cvd, vids)?;
-            let schema = cvd.staged_schema();
-            self.engine.create_table(table, schema)?;
-            model::insert_rows(&mut self.engine, table, rows)?;
+            let staged = merged_table(&self.engine, cvd, vids, table)?;
+            self.engine.add_table(staged)?;
         }
         let cvd_key = cvd.name.clone();
         self.register_staged(table, cvd_key, vids, StagedKind::Table)
     }
 
     /// `checkout -f`: export version(s) as CSV text (the caller writes the
-    /// file; keeping I/O outside makes the API testable).
+    /// file; keeping I/O outside makes the API testable), rendered from the
+    /// records a checkout stages (`merge_versions`), borrowed.
     pub fn checkout_csv(&mut self, cvd_name: &str, vids: &[Vid], path: &str) -> Result<String> {
         require_versions(vids)?;
         let cvd = lookup_versions(&self.cvds, cvd_name, vids)?;
-        let rows = merge_versions(&self.engine, cvd, vids)?;
-        let text = csv::to_csv(&cvd.staged_schema(), &rows);
+        let rows = merged_row_refs(&self.engine, cvd, vids)?;
+        let rids: Vec<Value> = rows.iter().map(|&(rid, _)| Value::Int(rid)).collect();
+        let cells = rids
+            .iter()
+            .zip(&rows)
+            .map(|(rid, (_, values))| [rid].into_iter().chain(*values));
+        let text = csv::to_csv(&cvd.staged_schema(), cells);
         let cvd_key = cvd.name.clone();
         self.register_staged(path, cvd_key, vids, StagedKind::Csv)?;
         Ok(text)
@@ -1135,78 +1143,104 @@ fn lookup_mut<'a>(cvds: &'a mut HashMap<String, Cvd>, name: &str) -> Result<&'a 
         .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))
 }
 
-/// Merge multiple versions' records with primary-key precedence (the first
-/// listed version wins) into staged rows: rid first, NULL-padded to the
-/// current schema. Each version's records are borrowed where they lie
-/// through the record-access path ([`model::version_row_refs`]), so each
-/// merged row is built once, straight from the record it copies.
-///
-/// Deduplication allocates nothing per row. Without a primary key a rid
-/// is a duplicate when an earlier listed version's sorted rlist holds it
-/// (binary search), or when this version's rlist lists it twice and its
-/// first copy is merged already. With one, merged rows are chained by the
-/// hash of their key — one head per hash, one link per row — and a
-/// collision compares the key cells in place.
-fn merge_versions(engine: &Database, cvd: &Cvd, vids: &[Vid]) -> Result<Vec<Vec<Value>>> {
-    let pk = &cvd.schema.primary_key;
-    // Versions frozen before a schema evolution read back narrower than
-    // the current schema (table-per-version and delta); the merged staged
-    // table is always current-width, so NULL-extend on the way in.
-    let width = 1 + cvd.schema.columns.len();
-    let mut out: Vec<Vec<Value>> = Vec::new();
-    // Key hash → the last merged row with that hash, and per merged row the
-    // one with the same hash before it. Rows are stored rid-first, so data
-    // column `c` of a merged row lives at `c + 1`.
-    let mut heads: HashMap<u64, usize> = HashMap::new();
-    let mut links: Vec<Option<usize>> = Vec::new();
-    for (i, &vid) in vids.iter().enumerate() {
-        let earlier = vids[..i]
-            .iter()
-            .map(|&v| cvd.rids_of(v))
-            .collect::<Result<Vec<_>>>()?;
-        // The rids this version's multiset rlist repeats, each with
-        // whether a copy of it is merged yet.
-        let mut repeated: Vec<(i64, bool)> = cvd
-            .rids_of(vid)?
-            .windows(2)
-            .filter(|w| w[0] == w[1])
-            .map(|w| (w[0], false))
-            .collect();
-        repeated.dedup();
-        let mut merge = |rid: i64, values: &[Value]| {
-            if pk.is_empty() {
-                if earlier.iter().any(|rids| rids.binary_search(&rid).is_ok()) {
-                    return;
-                }
-                if let Ok(r) = repeated.binary_search_by_key(&rid, |&(r, _)| r) {
-                    if std::mem::replace(&mut repeated[r].1, true) {
-                        return;
-                    }
-                }
-            } else {
-                let hash = hash_values(pk.iter().map(|&c| &values[c]));
-                let head = heads.get(&hash).copied();
-                let mut at = head;
-                while let Some(j) = at {
-                    if pk.iter().all(|&c| out[j][c + 1] == values[c]) {
-                        return;
-                    }
-                    at = links[j];
-                }
-                links.push(head);
-                heads.insert(hash, out.len());
-            }
-            let mut row = Vec::with_capacity(width);
-            row.push(Value::Int(rid));
-            row.extend_from_slice(values);
-            row.resize(width, Value::Null);
-            out.push(row);
-        };
-        for (rid, values) in model::version_row_refs(engine, cvd, vid)? {
-            merge(rid, values);
-        }
+/// Merge the records of `vids` into the picks `T` their checkout stages,
+/// in order (Section 2.2): the first-listed version's records, then each
+/// later version's records whose rids no earlier one holds, each in rid
+/// order and a rid listed twice taken once. With a primary key, a later
+/// record whose key a staged one holds is dropped: the first-listed
+/// version wins (each version holds a key once, as init and commit
+/// check). `resolve(vid, rids, picks)` appends the picks of `vid`'s records
+/// at the sorted `rids`; `values` reads a pick's data values. Beside the
+/// picks, the merge holds O(records the later versions add).
+fn merge_versions<'a, T: Copy>(
+    cvd: &Cvd,
+    vids: &[Vid],
+    mut resolve: impl FnMut(Vid, &[i64], Vec<T>) -> Result<Vec<T>>,
+    values: impl Fn(T) -> &'a [Value],
+) -> Result<Vec<T>> {
+    let rlists: Vec<&[i64]> = vids
+        .iter()
+        .map(|&v| cvd.rids_of(v))
+        .collect::<Result<_>>()?;
+    let mut first = Cow::Borrowed(rlists[0]);
+    if first.windows(2).any(|w| w[0] == w[1]) {
+        first.to_mut().dedup();
     }
-    Ok(out)
+    let added: Vec<Vec<i64>> = (1..vids.len())
+        .map(|i| {
+            let mut rids = sorted_difference(rlists[i], &first);
+            for earlier in &rlists[1..i] {
+                rids = sorted_difference(&rids, earlier);
+            }
+            rids.dedup();
+            rids
+        })
+        .collect();
+    let picks = Vec::with_capacity(first.len() + added.iter().map(Vec::len).sum::<usize>());
+    let mut picks = resolve(vids[0], &first, picks)?;
+    let (pk, values) = (&cvd.schema.primary_key, &values);
+    let key = |pick: T| pk.iter().map(move |&c| &values(pick)[c]);
+    for (&vid, rids) in vids[1..].iter().zip(&added) {
+        let start = picks.len();
+        picks = resolve(vid, rids, picks)?;
+        if pk.is_empty() || picks.len() == start {
+            continue;
+        }
+        // Look each staged record's key up among the new ones', by hash.
+        let mut new: Vec<(u64, usize)> = (start..picks.len())
+            .map(|n| (hash_values(key(picks[n])), n))
+            .collect();
+        new.sort_unstable();
+        let mut dropped = vec![false; new.len()];
+        for &staged in &picks[..start] {
+            let hash = hash_values(key(staged));
+            let same = &new[new.partition_point(|&(h, _)| h < hash)..];
+            for &(_, n) in same.iter().take_while(|&&(h, _)| h == hash) {
+                dropped[n - start] |= key(picks[n]).eq(key(staged));
+            }
+        }
+        let mut drop = std::iter::repeat_n(false, start).chain(dropped);
+        picks.retain(|_| !drop.next().unwrap_or(false));
+    }
+    Ok(picks)
+}
+
+/// The staged table `table` of a checkout of several `vids`: a selection
+/// of the slots of the [`model::rid_table`], if the layout has one, or else
+/// a table of the CVD's staged schema holding the rows the merge picks.
+fn merged_table(engine: &Database, cvd: &Cvd, vids: &[Vid], table: &str) -> Result<Table> {
+    let name = table.to_ascii_lowercase();
+    if let Some((t, width)) = model::rid_table(engine, cvd)? {
+        let resolve = |_, rids: &[i64], slots| model::resolve_slots(t, rids, slots);
+        let slots = merge_versions(cvd, vids, resolve, |slot| &t.row(slot)[1..1 + width])?;
+        return Ok(t.select(name, 1 + width, slots));
+    }
+    let mut staged = Table::new(name, cvd.staged_schema());
+    for (rid, values) in merged_row_refs(engine, cvd, vids)? {
+        let mut row = [&[Value::Int(rid)], values].concat();
+        row.resize(staged.schema.arity(), Value::Null);
+        staged.insert(row)?;
+    }
+    Ok(staged)
+}
+
+/// The borrowed `(rid, data values)` picks of a checkout of `vids`
+/// ([`merge_versions`]), read through [`model::version_row_refs`]; values
+/// frozen before an `ADD COLUMN` are narrower than the schema.
+fn merged_row_refs<'a>(
+    engine: &'a Database,
+    cvd: &Cvd,
+    vids: &[Vid],
+) -> Result<model::RowRefs<'a>> {
+    let resolve = |vid, rids: &[i64], mut picks: model::RowRefs<'a>| {
+        let mut taken = vec![false; rids.len()];
+        let rows = model::version_row_refs(engine, cvd, vid)?.into_iter();
+        picks.extend(rows.filter(|(rid, _)| {
+            (rids.binary_search(rid)).is_ok_and(|i| !std::mem::replace(&mut taken[i], true))
+        }));
+        Ok(picks)
+    };
+    merge_versions(cvd, vids, resolve, |(_, values)| values)
 }
 
 /// Hash a sequence of values with the engine's `Value` hashing rules

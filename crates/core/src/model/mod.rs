@@ -351,16 +351,9 @@ pub fn version_rows_absent_from(
     other: &[i64],
 ) -> Result<Vec<Vec<Value>>> {
     let rlist = cvd.rids_of(vid)?;
-    let refs = match cvd.model {
-        ModelKind::CombinedTable => {
-            let rids = sorted_difference(rlist, other);
-            rid_index_rows(db, &cvd.combined_table(), cvd, &rids, 1)?
-        }
-        ModelKind::SplitByVlist | ModelKind::SplitByRlist => {
-            let rids = sorted_difference(rlist, other);
-            rid_index_rows(db, &cvd.data_table(), cvd, &rids, 0)?
-        }
-        ModelKind::TablePerVersion | ModelKind::DeltaBased => version_row_refs(db, cvd, vid)?,
+    let refs = match rid_table(db, cvd)? {
+        Some((t, width)) => rid_index_rows(t, width, &sorted_difference(rlist, other))?,
+        None => version_row_refs(db, cvd, vid)?,
     };
     Ok(refs
         .into_iter()
@@ -401,14 +394,24 @@ pub type RowRefs<'a> = Vec<(i64, &'a [Value])>;
 /// their SQL `SELECT *` returns; consumers null-extend.
 pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Result<RowRefs<'a>> {
     let rlist = cvd.rids_of(vid)?;
-    match cvd.model {
-        ModelKind::TablePerVersion => table_per_version::version_row_refs(db, cvd, vid),
-        ModelKind::CombinedTable => rid_index_rows(db, &cvd.combined_table(), cvd, rlist, 1),
-        ModelKind::SplitByVlist | ModelKind::SplitByRlist => {
-            rid_index_rows(db, &cvd.data_table(), cvd, rlist, 0)
-        }
-        ModelKind::DeltaBased => delta::version_row_refs(db, cvd, vid),
+    match rid_table(db, cvd)? {
+        Some((t, width)) => rid_index_rows(t, width, rlist),
+        None if cvd.model == ModelKind::DeltaBased => delta::version_row_refs(db, cvd, vid),
+        None => table_per_version::version_row_refs(db, cvd, vid),
     }
+}
+
+/// The one rid-indexed table a layout reads every version from (combined's,
+/// or split-by-vlist's and split-by-rlist's global data table) and its
+/// [`attr_prefix_len`]; `None` for the layouts with a table per version.
+pub(crate) fn rid_table<'a>(db: &'a Database, cvd: &Cvd) -> Result<Option<(&'a Table, usize)>> {
+    let (table, trailing) = match cvd.model {
+        ModelKind::CombinedTable => (cvd.combined_table(), 1),
+        ModelKind::SplitByVlist | ModelKind::SplitByRlist => (cvd.data_table(), 0),
+        ModelKind::TablePerVersion | ModelKind::DeltaBased => return Ok(None),
+    };
+    let t = db.table(&table)?;
+    Ok(Some((t, attr_prefix_len(t, cvd, trailing)?)))
 }
 
 /// Width of the `rid + data attributes` prefix of a backing table's rows:
@@ -449,25 +452,15 @@ pub(crate) fn row_rid(table: &Table, row: &[Value]) -> Result<i64> {
     }
 }
 
-/// Resolve a sorted rlist to `(rid, heap slot)` pairs through `table`'s
-/// rid index.
-fn resolve_rids(table: &Table, rlist: &[i64]) -> Result<Vec<(i64, usize)>> {
-    table
-        .resolve_int_keys(0, rlist)
-        .ok_or_else(|| no_rid_index(table))
-}
-
-/// Resolve a sorted rlist to the heap slots of its records, in rlist
-/// order, through `table`'s rid index.
-fn resolve_slots(table: &Table, rlist: &[i64]) -> Result<Vec<usize>> {
-    let mut slots = Vec::with_capacity(rlist.len());
-    table
-        .lookup_keys(
-            &[0],
-            rlist.iter().map(|&rid| [Value::Int(rid)]),
-            |_, found| slots.extend_from_slice(found),
-        )
-        .map_err(|_| no_rid_index(table))?;
+/// `slots` with the heap slots of a sorted rlist's records appended, in
+/// rlist order, resolved through `t`'s rid index.
+pub(crate) fn resolve_slots(t: &Table, rlist: &[i64], mut slots: Vec<usize>) -> Result<Vec<usize>> {
+    t.lookup_keys(
+        &[0],
+        rlist.iter().map(|&rid| [Value::Int(rid)]),
+        |_, found| slots.extend_from_slice(found),
+    )
+    .map_err(|_| no_rid_index(t))?;
     Ok(slots)
 }
 
@@ -475,17 +468,13 @@ fn no_rid_index(table: &Table) -> CoreError {
     CoreError::Invalid(format!("backing table {} has no rid index", table.name))
 }
 
-/// Resolve a sorted rlist to borrowed rows through `table`'s rid index.
-pub(crate) fn rid_index_rows<'a>(
-    db: &'a Database,
-    table: &str,
-    cvd: &Cvd,
-    rlist: &[i64],
-    trailing: usize,
-) -> Result<RowRefs<'a>> {
-    let t = db.table(table)?;
-    let width = attr_prefix_len(t, cvd, trailing)?;
-    Ok(resolve_rids(t, rlist)?
+/// Resolve a sorted rlist to borrowed rows, their first `width` attributes,
+/// through `t`'s rid index.
+fn rid_index_rows<'a>(t: &'a Table, width: usize, rlist: &[i64]) -> Result<RowRefs<'a>> {
+    let pairs = t
+        .resolve_int_keys(0, rlist)
+        .ok_or_else(|| no_rid_index(t))?;
+    Ok(pairs
         .into_iter()
         .map(|(rid, slot)| (rid, &t.row(slot)[1..1 + width]))
         .collect())
@@ -517,7 +506,7 @@ pub(crate) fn checkout_resolved(
     let t = db.table(source)?;
     let width = attr_prefix_len(t, cvd, trailing)?;
     let slots = match rlist {
-        Some(rids) => resolve_slots(t, rids)?,
+        Some(rids) => resolve_slots(t, rids, Vec::with_capacity(rids.len()))?,
         None => (0..t.len()).collect(),
     };
     let staged = t.select(target.to_ascii_lowercase(), 1 + width, slots);

@@ -409,7 +409,7 @@ impl Database {
             // combined-table commit is exactly this full-scan append).
             self.stats.add_rows_scanned(t.len() as u64);
             self.stats.add_seq_pages(
-                crate::cost::pages_for(t.len(), t.avg_row_bytes()),
+                crate::cost::pages_for(t.len(), t.page_row_bytes()),
                 crate::cost::SEQ_PAGE_COST,
             );
             let mut out = Vec::new();

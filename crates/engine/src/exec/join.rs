@@ -241,7 +241,7 @@ pub fn index_nested_loop_join<'a>(
 
     ctx.stats.add_index_lookups(l.rows.len() as u64);
     let clustered = t.is_clustered_on(right_keys);
-    let io = cost::index_lookup_cost(l.rows.len() as u64, t.len(), t.avg_row_bytes(), clustered);
+    let io = cost::index_lookup_cost(l.rows.len() as u64, t.len(), t.page_row_bytes(), clustered);
     ctx.stats
         .add_random_pages(io / cost::RANDOM_PAGE_COST, cost::RANDOM_PAGE_COST);
 

@@ -230,7 +230,7 @@ fn seq_scan<'a>(table: &str, filter: Option<&Expr>, ctx: &ExecContext<'a>) -> Re
     let n = t.len();
     ctx.stats.add_rows_scanned(n as u64);
     ctx.stats
-        .add_seq_pages(cost::pages_for(n, t.avg_row_bytes()), cost::SEQ_PAGE_COST);
+        .add_seq_pages(cost::pages_for(n, t.page_row_bytes()), cost::SEQ_PAGE_COST);
     let mut rows = Vec::new();
     match filter {
         None => {
@@ -262,7 +262,7 @@ fn index_lookup<'a>(
     let lookups = (keys.len() / cols.len()) as u64;
     ctx.stats.add_index_lookups(lookups);
     let clustered = t.is_clustered_on(cols);
-    let io = cost::index_lookup_cost(lookups, t.len(), t.avg_row_bytes(), clustered);
+    let io = cost::index_lookup_cost(lookups, t.len(), t.page_row_bytes(), clustered);
     // Charge the modeled cost as random pages (the cost fn already blends).
     ctx.stats
         .add_random_pages(io / cost::RANDOM_PAGE_COST, cost::RANDOM_PAGE_COST);

@@ -550,12 +550,24 @@ impl Table {
         self.clustered_on() == Some(cols)
     }
 
-    /// Average row width in bytes (used by the page cost model).
+    /// Average row width in bytes.
     pub fn avg_row_bytes(&self) -> usize {
         if self.is_empty() {
             64
         } else {
             (self.heap_bytes() / self.len()).max(1)
+        }
+    }
+
+    /// The row width the page cost model charges: the average, except that
+    /// a selection charges its source's, from the source's running total,
+    /// so a scan never sums the selected cells.
+    pub fn page_row_bytes(&self) -> usize {
+        match &self.content {
+            Content::Selected(sel) if !self.is_empty() => {
+                (sel.source.row_bytes_total / sel.source.rows.len).max(1)
+            }
+            _ => self.avg_row_bytes(),
         }
     }
 
@@ -1336,6 +1348,32 @@ mod tests {
             let idx = t.index_named("t_k").unwrap();
             assert_eq!(idx.lookup(&idx.key_of(t.row(0))), &[0, 1]);
         }
+    }
+
+    /// A scan, filtered or not, charges pages at the table's page row
+    /// width; a selection's is its source's, from the source's running
+    /// total, so the scan leaves the selection's own byte count unsummed,
+    /// and `avg_row_bytes` and `heap_bytes` still sum the selected rows.
+    #[test]
+    fn a_scan_leaves_a_selection_byte_count_unsummed() {
+        let mut t = table();
+        for (k, val) in [(0, "ab"), (1, "abcdef"), (2, "abcd")] {
+            t.insert(vec![Value::Int(k), val.into()]).unwrap();
+        }
+        let mut db = crate::db::Database::new();
+        db.add_table(t.select("sel", 2, vec![2, 1])).unwrap();
+        db.add_table(t).unwrap();
+        db.query("SELECT count(*) FROM sel").unwrap();
+        db.query("SELECT * FROM sel WHERE val = 'abcd'").unwrap();
+        let sel = db.table("sel").unwrap();
+        let unsummed =
+            |t: &Table| matches!(&t.content, Content::Selected(s) if s.bytes.get().is_none());
+        assert!(unsummed(sel));
+        // Text costs 4 bytes plus its length.
+        assert_eq!(sel.page_row_bytes(), (8 + 6 + 8 + 10 + 8 + 8) / 3);
+        assert!(unsummed(sel));
+        assert_eq!(sel.heap_bytes(), 8 + 8 + 8 + 10);
+        assert_eq!(sel.avg_row_bytes(), (8 + 8 + 8 + 10) / 2);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use orpheusdb::bench::differential::{replay, Ctx, CVD};
 use orpheusdb::bench::generator::{HistoryGen, HistoryParams};
 use orpheusdb::core::model::{self, ModelKind};
+use orpheusdb::core::persist;
 use orpheusdb::prelude::*;
 
 fn schema() -> Schema {
@@ -326,6 +327,93 @@ fn merged_checkouts_keep_rows_order_and_precedence() {
                 // staged cells must keep their types too.
                 assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}: {vids:?}");
             }
+        }
+    }
+}
+
+/// The rows of staged table `table`, typed: `Value` equality lets 1 and
+/// 1.0 pass for each other.
+fn staged_rows(odb: &OrpheusDB, table: &str) -> String {
+    let rows: Vec<&[Value]> = odb.engine.table(table).unwrap().rows().collect();
+    format!("{rows:?}")
+}
+
+/// A merged checkout on a layout that reads every version from one
+/// rid-indexed table (split-by-rlist, a partitioned one included,
+/// split-by-vlist, combined) is a selection of that table's slots, and
+/// must stand for the copy of the merge it replaced — a table of the
+/// staged schema holding the reference merge's rows. While it is live,
+/// another commit appends records to the table it selects from and
+/// widens that table (`ADD COLUMN`): the checkout still reads exactly the
+/// merge it took, as does a snapshot reloaded from the instance. Then a
+/// `DELETE` and an `INSERT` on it commit the version that the same edit
+/// of the copy commits. With and without a primary key.
+#[test]
+fn a_merged_checkout_reads_and_commits_as_the_copy_it_stands_for() {
+    let layouts = [
+        (ModelKind::SplitByRlist, false),
+        (ModelKind::SplitByRlist, true),
+        (ModelKind::SplitByVlist, false),
+        (ModelKind::CombinedTable, false),
+    ];
+    let vids = [Vid(3), Vid(4)];
+    for (model, partitioned) in layouts {
+        for with_pk in [true, false] {
+            let what = format!("{} partitioned={partitioned} pk={with_pk}", model.name());
+            // One history twice: `odb` stages the merge itself, `copy`
+            // stages the reference merge's rows as a copy.
+            let [mut odb, mut copy] = [(); 2].map(|()| {
+                let mut odb = merge_history(model, with_pk);
+                if partitioned {
+                    odb.optimize("prot").unwrap();
+                }
+                odb
+            });
+            odb.checkout("prot", &vids, "m").unwrap();
+            let want = reference_merge(&mut odb, &vids);
+            let schema = odb.cvd("prot").unwrap().staged_schema();
+            assert_eq!(*odb.engine.table("m").unwrap().schema, schema, "{what}");
+            copy.checkout("prot", &vids, "m").unwrap();
+            copy.engine.drop_table("m").unwrap();
+            copy.engine.create_table("m", schema).unwrap();
+            let staged = copy.engine.table_mut("m").unwrap();
+            staged.insert_many(want.iter().map(Vec::as_slice)).unwrap();
+            let want = format!("{:?}", want.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            assert_eq!(staged_rows(&odb, "m"), want, "{what}: as taken");
+            for odb in [&mut odb, &mut copy] {
+                odb.checkout("prot", &[Vid(2)], "w5").unwrap();
+                for sql in [
+                    "INSERT INTO w5 VALUES (NULL, 'n5', 'm5', 50, 5)",
+                    "INSERT INTO w5 VALUES (NULL, 'n6', 'm6', 60, 6)",
+                    "ALTER TABLE w5 ADD COLUMN later INT",
+                ] {
+                    odb.engine.execute(sql).unwrap();
+                }
+                assert_eq!(odb.commit("w5", "append and widen").unwrap(), Vid(5));
+            }
+            assert_eq!(staged_rows(&odb, "m"), want, "{what}: after a commit");
+            let reloaded = persist::deserialize(&persist::serialize(&odb)).unwrap();
+            assert_eq!(staged_rows(&reloaded, "m"), want, "{what}: reloaded");
+            for odb in [&mut odb, &mut copy] {
+                for sql in [
+                    "DELETE FROM m WHERE protein1 = 'p4'",
+                    "INSERT INTO m VALUES (NULL, 'n9', 'm9', 90, 9)",
+                ] {
+                    odb.engine.execute(sql).unwrap();
+                }
+                assert_eq!(odb.commit("m", "edit the merge").unwrap(), Vid(6));
+            }
+            let version = |odb: &OrpheusDB| {
+                let cvd = odb.cvd("prot").unwrap();
+                let meta = cvd.meta(Vid(6)).unwrap();
+                let rows = model::version_rows(&odb.engine, cvd, Vid(6)).unwrap();
+                format!(
+                    "{:?} {:?} {rows:?}",
+                    meta.parents,
+                    cvd.rids_of(Vid(6)).unwrap()
+                )
+            };
+            assert_eq!(version(&odb), version(&copy), "{what}: the committed merge");
         }
     }
 }

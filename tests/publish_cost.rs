@@ -654,12 +654,10 @@ fn a_versioned_query_does_not_pay_for_other_versions_records() {
     );
 }
 
-/// `(allocation calls, rows staged)` of a checkout of `vids` from a CVD of
-/// 8 INT attributes (keyed on `a0` when `with_pk`) whose v1 holds `rows`
-/// records and whose v2 rewrote half of them, so they carry fresh rids.
-/// An unmeasured checkout of the same versions runs first, so lazily sized
-/// buffers are warm.
-fn checkout_cost(rows: i64, with_pk: bool, vids: &[Vid]) -> (u64, usize) {
+/// A CVD of 8 INT attributes (keyed on `a0` when `with_pk`) whose v1
+/// holds `rows` records and whose v2 rewrote the first `rewrite` of them,
+/// so they carry fresh rids.
+fn rewritten(rows: i64, rewrite: i64, with_pk: bool) -> OrpheusDB {
     let schema = Schema::new(
         (0..8)
             .map(|i| Column::new(format!("a{i}"), DataType::Int))
@@ -677,9 +675,21 @@ fn checkout_cost(rows: i64, with_pk: bool, vids: &[Vid]) -> (u64, usize) {
     odb.init_cvd(CVD, schema, records, None).unwrap();
     odb.checkout(CVD, &[Vid(1)], "work").unwrap();
     odb.engine
-        .execute(&format!("UPDATE work SET a1 = -1 WHERE a0 < {}", rows * 4))
+        .execute(&format!(
+            "UPDATE work SET a1 = -1 WHERE a0 < {}",
+            rewrite * 8
+        ))
         .unwrap();
-    odb.commit("work", "rewrite half").unwrap();
+    odb.commit("work", "rewrite").unwrap();
+    odb
+}
+
+/// `(allocation calls, rows staged)` of a checkout of `vids` from a CVD
+/// whose v2 rewrote half of v1's `rows` records ([`rewritten`]). An
+/// unmeasured checkout of the same versions runs first, so lazily sized
+/// buffers are warm.
+fn checkout_cost(rows: i64, with_pk: bool, vids: &[Vid]) -> (u64, usize) {
+    let mut odb = rewritten(rows, rows / 2, with_pk);
     odb.checkout(CVD, vids, "warm").unwrap();
     odb.discard("warm").unwrap();
     let allocs = allocs_of(|| odb.checkout(CVD, vids, "peek").unwrap());
@@ -768,10 +778,13 @@ fn a_checkout_and_its_discard_take_a_constant_number_of_allocation_calls() {
     );
 }
 
-/// A merged checkout builds each merged row once from the records it
-/// borrows and moves its cells into the staged table: one allocation per
-/// record staged — 5.04 while the merge copied each record, gave it a hash
-/// bucket and rebuilt it.
+/// A merged checkout copies no record: it stages a selection of the data
+/// table's slots, so its allocation calls do not grow with the records
+/// staged (see the pin below) — 1.04 per record while it built each
+/// merged row once and inserted it, 5.04 while the merge copied each
+/// record, gave it a hash bucket and rebuilt it. Here v2 rewrote half of
+/// v1, so with a primary key the merge resolves that half of v1 again and
+/// drops it.
 #[test]
 fn a_checkout_copies_each_record_once() {
     for with_pk in [true, false] {
@@ -780,6 +793,53 @@ fn a_checkout_copies_each_record_once() {
             per_record <= 1.1,
             "merged checkout (primary key: {with_pk}): {per_record:.2} allocation calls \
              per record staged"
+        );
+    }
+}
+
+/// `(allocation calls, bytes allocated, rows staged)` of a merged checkout
+/// of v2 and v1 and its discard, on a CVD whose v2 rewrote 10 of v1's
+/// `rows` records ([`rewritten`]). An unmeasured checkout and discard run
+/// first, so lazily sized buffers are warm.
+fn merged_checkout_cost(rows: i64, with_pk: bool) -> (u64, u64, usize) {
+    let mut odb = rewritten(rows, 10, with_pk);
+    let mut staged = 0;
+    let mut stage = || {
+        odb.checkout(CVD, &[Vid(2), Vid(1)], "peek").unwrap();
+        staged = odb.engine.table("peek").unwrap().len();
+        odb.discard("peek").unwrap();
+    };
+    stage();
+    let allocs = allocs_of(&mut stage);
+    let bytes = bytes_of(stage);
+    (allocs, bytes, staged)
+}
+
+/// A merged checkout stages a selection of the data table's slots, as a
+/// single-version one does: the merge walks the rlists as integers,
+/// resolves the records it keeps straight into the slot list, and checks
+/// a primary key by hashing only the records the later version adds. So
+/// it and its discard take the same allocation calls at 100 records and
+/// at 1 000, and what the larger allocates beyond the smaller is its
+/// longer slot list: one `usize` per extra record staged. While the merge
+/// built each staged row as its own vector and inserted it, both grew by
+/// about one allocation call, and a vector of the row's cells, per
+/// record.
+#[test]
+fn a_merged_checkout_allocates_its_slot_list_and_no_more_per_record() {
+    for with_pk in [true, false] {
+        let (small, small_bytes, small_rows) = merged_checkout_cost(100, with_pk);
+        let (large, large_bytes, large_rows) = merged_checkout_cost(1_000, with_pk);
+        let slot_list = std::mem::size_of::<usize>() * (large_rows - small_rows);
+        assert_eq!(
+            small, large,
+            "merged checkout + discard (primary key: {with_pk}): {small} allocation calls \
+             at 100 records, {large} at 1 000"
+        );
+        assert!(
+            large_bytes - small_bytes <= slot_list as u64,
+            "merged checkout + discard (primary key: {with_pk}): {small_bytes} bytes at 100 \
+             records, {large_bytes} at 1 000, {slot_list} more bytes of slot list"
         );
     }
 }
