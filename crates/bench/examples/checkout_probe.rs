@@ -7,11 +7,11 @@
 //! At each size, 600 single-version checkouts are drawn from the latest
 //! 160 versions. Each is timed with the discard of the unwritten staged
 //! table; then the draws are checked out again, and each staged table's
-//! first write (one `replace_row` of a staged row with itself, which
-//! stores the selected rows as the staged table's own) is timed with the
-//! discard after it. Printed per size: the p50 of each in raw µs, the
-//! mean bytes the checkout and the first write allocate, and the mean
-//! cells per staged row.
+//! first write (one `replace_row` of a staged row with itself, which puts
+//! one row in the overlay's tail) is timed with the discard after it.
+//! Printed per size: the p50 of each in raw µs, the mean bytes the
+//! checkout and the first write allocate, and the mean cells per staged
+//! row.
 //!
 //! Then 600 merged checkouts of two of those versions, drawn as the
 //! workloads' `Merged` op draws them (the older listed first), are each
@@ -25,6 +25,15 @@
 //! versioned aggregate, `SELECT count(*), sum(a1) FROM VERSION v OF CVD
 //! diff WHERE a0 < 5000`, against the same fold over the version's rows
 //! borrowed through `model::version_row_refs`.
+//!
+//! Last, a second table: 200 commit cycles per size on the same draws,
+//! each a checkout, a `DELETE` of 20 of its records by rid, an `INSERT` of
+//! 20 new ones and the commit, and beside each the commit of an unwritten
+//! checkout of the same version. Printed are the p50 of each step and of
+//! the whole 40-record cycle, in raw µs. Each committed version is
+//! checked, outside the timing, against the oracle: its parent's records
+//! as `model::version_rows` reads them, minus the deleted ones, plus the
+//! inserted rows under fresh rids, in insert order.
 //!
 //! It times, so it is a probe, not a test:
 //!
@@ -84,6 +93,7 @@ fn history_h(versions: usize) -> HistoryParams {
 }
 
 const DRAWS: usize = 600;
+const CYCLES: usize = 200;
 const STAGED: &str = "peek";
 
 /// `f` timed, in µs, and the bytes it allocated.
@@ -108,6 +118,7 @@ fn main() {
          | `version_row_refs` fold p50 µs |"
     );
     println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
+    let mut cycles = Vec::new();
     for versions in [160, 1_100] {
         let mut odb = OrpheusDB::new();
         let ctx = Ctx::for_test("probe", ModelKind::SplitByRlist, 1);
@@ -210,5 +221,88 @@ fn main() {
             p50(query),
             p50(fold),
         );
+        cycles.push(commit_cycles(&mut odb, versions, draw));
     }
+    println!();
+    println!(
+        "| versions | commit of an unwritten checkout p50 µs | checkout p50 µs \
+         | `DELETE` 20 p50 µs | `INSERT` 20 p50 µs | commit after them p50 µs \
+         | 40-record cycle p50 µs |"
+    );
+    println!("|---|---|---|---|---|---|---|");
+    for line in cycles {
+        println!("{line}");
+    }
+}
+
+/// [`CYCLES`] commit cycles on the draws (see the module docs), each
+/// version checked against the oracle; the row of the second table.
+fn commit_cycles(odb: &mut OrpheusDB, versions: usize, draw: impl Fn(usize) -> Vid) -> String {
+    let (mut bare, mut checkout, mut delete, mut insert, mut commit, mut cycle) =
+        (vec![], vec![], vec![], vec![], vec![], vec![]);
+    for i in 0..CYCLES {
+        let parent = draw(i);
+        let cvd = odb.cvd(CVD).unwrap();
+        let before = model::version_rows(&odb.engine, cvd, parent).unwrap();
+        let width = cvd.schema.arity();
+
+        odb.checkout(CVD, &[parent], STAGED).unwrap();
+        let (vid, us, _) = measured(|| odb.commit(STAGED, "unwritten").unwrap());
+        bare.push(us);
+        let cvd = odb.cvd(CVD).unwrap();
+        assert_eq!(model::version_rows(&odb.engine, cvd, vid).unwrap(), before);
+
+        let doomed: Vec<i64> = (0..20).map(|k| before[k * before.len() / 20].0).collect();
+        let rids: Vec<String> = doomed.iter().map(i64::to_string).collect();
+        let delete_sql = format!("DELETE FROM {STAGED} WHERE rid IN ({})", rids.join(", "));
+        let inserted: Vec<Vec<Value>> = (0..20)
+            .map(|k| {
+                (0..width)
+                    .map(|c| Value::Int(-((i * 20 + k) as i64) * 100 - c as i64))
+                    .collect()
+            })
+            .collect();
+        let tuples: Vec<String> = inserted
+            .iter()
+            .map(|row| {
+                let cells: Vec<String> = row.iter().map(Value::to_string).collect();
+                format!("(NULL, {})", cells.join(", "))
+            })
+            .collect();
+        let insert_sql = format!("INSERT INTO {STAGED} VALUES {}", tuples.join(", "));
+        let ((), a, _) = measured(|| odb.checkout(CVD, &[parent], STAGED).unwrap());
+        let (_, b, _) = measured(|| odb.run(&delete_sql).unwrap());
+        let (_, c, _) = measured(|| odb.run(&insert_sql).unwrap());
+        let (vid, d, _) = measured(|| odb.commit(STAGED, "edit").unwrap());
+        checkout.push(a);
+        delete.push(b);
+        insert.push(c);
+        commit.push(d);
+        cycle.push(a + b + c + d);
+
+        // The oracle: the parent's records minus the deleted ones, then
+        // the inserted rows under fresh rids, ascending in insert order.
+        let cvd = odb.cvd(CVD).unwrap();
+        let got = model::version_rows(&odb.engine, cvd, vid).unwrap();
+        let newest = before.iter().map(|&(rid, _)| rid).max().unwrap_or(0);
+        let (kept, fresh): (Vec<_>, Vec<_>) = got.into_iter().partition(|(rid, _)| *rid <= newest);
+        let want: Vec<_> = before
+            .into_iter()
+            .filter(|(rid, _)| !doomed.contains(rid))
+            .collect();
+        assert_eq!(kept, want, "v{}: the kept records", vid.0);
+        assert!(fresh.windows(2).all(|w| w[0].0 < w[1].0), "v{}", vid.0);
+        let fresh: Vec<Vec<Value>> = fresh.into_iter().map(|(_, row)| row).collect();
+        assert_eq!(fresh, inserted, "v{}: the inserted records", vid.0);
+        assert_eq!(cvd.meta(vid).unwrap().parents, vec![parent]);
+    }
+    format!(
+        "| {versions} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} |",
+        p50(bare),
+        p50(checkout),
+        p50(delete),
+        p50(insert),
+        p50(commit),
+        p50(cycle),
+    )
 }

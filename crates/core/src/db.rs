@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use orpheus_engine::sql::ast::Statement;
 use orpheus_engine::sql::parser::parse_tokens;
-use orpheus_engine::{Database, QueryResult, Schema, Table, Value};
+use orpheus_engine::{Database, Held, QueryResult, Schema, Table, Value};
 use orpheus_partition::online::OnlineConfig;
 
 use crate::access::AccessController;
@@ -262,7 +262,10 @@ impl OrpheusDB {
         cvd.create_meta_tables(&mut self.engine)?;
 
         let pk: Vec<Option<usize>> = cvd.schema.primary_key.iter().map(|&c| Some(c)).collect();
-        check_pk_duplicates(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>(), &pk)?;
+        check_pk_duplicates(
+            &rows.iter().map(|row| Held::Tail(row)).collect::<Vec<_>>(),
+            &pk,
+        )?;
         let rids = Arc::new(cvd.alloc_rids(rows.len()));
         let data = CommitData {
             vid: Vid(1),
@@ -319,14 +322,21 @@ impl OrpheusDB {
     /// `checkout [cvd] -v vids -t table`: stage one or more versions as a
     /// fresh table. Multiple versions merge with precedence-based
     /// primary-key conflict resolution (Section 2.2, `merge_versions`).
-    /// Merged or not, the staged table is a selection of the slots of the
+    /// Merged or not, the staged table is an overlay of the slots of the
     /// table holding the records ([`orpheus_engine::Table::select`]) on
-    /// all layouts but a-table-per-version and delta: no cell is copied
-    /// until its first write. The CVD is borrowed in place.
+    /// every layout but delta (a-table-per-version only for one version):
+    /// no cell is copied, later writes copy only the rows they write, and
+    /// the commit keeps the rows never written by their rids. The CVD is
+    /// borrowed in place.
     pub fn checkout(&mut self, cvd_name: &str, vids: &[Vid], table: &str) -> Result<()> {
         require_versions(vids)?;
         if self.engine.has_table(table) {
             return Err(CoreError::Invalid(format!("table {table} already exists")));
+        }
+        // A staged name whose table was dropped by hand stays staged: the
+        // checkout is refused before it adds a table under that name.
+        if self.staging.get(table, StagedKind::Table).is_ok() {
+            return Err(CoreError::Invalid(format!("{table} is already staged")));
         }
         let cvd = lookup_versions(&self.cvds, cvd_name, vids)?;
         if let [vid] = *vids {
@@ -380,7 +390,8 @@ impl OrpheusDB {
     // -- commit -----------------------------------------------------------------
 
     /// `commit -t table -m msg`: add the staged table back to its CVD as a
-    /// new version.
+    /// new version. The table leaves the engine for the commit, and a
+    /// commit that fails puts it back.
     pub fn commit(&mut self, table: &str, message: &str) -> Result<Vid> {
         self.ensure_writable()?;
         let entry = self.staging.get(table, StagedKind::Table)?.clone();
@@ -389,17 +400,27 @@ impl OrpheusDB {
         // shard write lock when called through the concurrent layer) so
         // MVCC snapshot reads can be demonstrated deterministically.
         crate::concurrent::hold_commit_if_gated(table);
-        // A combined-table commit rewrites the `vlist` of every record it
-        // keeps in place. An unwritten checkout is a selection over those
-        // records' chunks and would make each rewrite copy its chunk;
-        // storing the staged rows first copies each record once instead.
-        if lookup(&self.cvds, &entry.cvd)?.model == ModelKind::CombinedTable {
-            self.engine.table_mut(table)?.materialize();
-        }
-        let staged_schema = self.engine.table(table)?.schema.clone();
+        let mut staged = Staged::Table(self.engine.take_table(table)?);
+        let Staged::Table(t) = &staged else {
+            unreachable!("staged as a table above")
+        };
+        let (name, staged_schema) = (t.name.to_string(), t.schema.clone());
         let clock_before = self.clock;
-        let data = self.commit_rows(&entry, &staged_schema, Staged::Table(table), message)?;
-        self.engine.drop_table(table)?;
+        let published = self
+            .classify_commit(&entry, &staged_schema, &mut staged)
+            .and_then(|(cvd_key, kept, new_rows)| {
+                self.publish(&entry, &cvd_key, kept, new_rows, message)
+            });
+        let data = match published {
+            Ok(data) => data,
+            Err(e) => {
+                let cvd = lookup(&self.cvds, &entry.cvd)?;
+                let parents = &entry.parents;
+                let table = staged.into_table(&self.engine, cvd, parents, &name, &staged_schema)?;
+                self.engine.add_table(table)?;
+                return Err(e);
+            }
+        };
         self.staging.remove(table, StagedKind::Table)?;
         self.log_commit(clock_before, entry, &staged_schema, data, message)
     }
@@ -451,7 +472,9 @@ impl OrpheusDB {
         let (header, raw) = csv::parse_csv(csv_text)?;
         let rows = csv::typed_rows(&staged_schema, &header, &raw)?;
         let clock_before = self.clock;
-        let data = self.commit_rows(&entry, &staged_schema, Staged::Rows(&rows), message)?;
+        let (cvd_key, kept, new_rows) =
+            self.classify_commit(&entry, &staged_schema, &mut Staged::Rows(&rows))?;
+        let data = self.publish(&entry, &cvd_key, kept, new_rows, message)?;
         self.staging.remove(path, StagedKind::Csv)?;
         self.log_commit(clock_before, entry, &staged_schema, data, message)
     }
@@ -494,21 +517,28 @@ impl OrpheusDB {
     }
 
     /// Shared commit core of `commit` and `commit -f`: plan the schema
-    /// evolution, refuse duplicate keys, classify the staged rows against
-    /// the parents and [`OrpheusDB::publish`] the result. Returns what was
-    /// published, for the log.
+    /// evolution, refuse bad rids and duplicate keys, evolve the schema and
+    /// classify the staged rows against the parents. Returns the CVD's
+    /// catalog key, the kept rids, sorted, and the new rows in CVD column
+    /// order, for [`OrpheusDB::publish`].
     ///
     /// Nothing here copies the staged version. Staged rows are borrowed
     /// where they live (the staged table, or the rows a CSV commit parsed)
     /// and read through `col_map` in the CVD's column order; only the rows
-    /// that need fresh rids are copied out.
-    fn commit_rows(
+    /// that need fresh rids are copied out. A staged overlay keeps each
+    /// source row it has not written by its rid, without reading its other
+    /// cells ([`keeps_by_identity`]), and classifies only the rows it
+    /// wrote: its commit costs O(delta) plus one rid per unwritten row.
+    /// Once its rows are checked it is detached ([`Staged::detached`]), so
+    /// no chunk of its source is pinned while the schema evolves and the
+    /// version is written (a combined-table commit rewrites the `vlist` of
+    /// each record it keeps in place).
+    fn classify_commit(
         &mut self,
         entry: &StagedEntry,
         staged_schema: &Schema,
-        staged: Staged<'_>,
-        message: &str,
-    ) -> Result<CommitData> {
+        staged: &mut Staged<'_>,
+    ) -> Result<(String, Vec<i64>, Vec<Vec<Value>>)> {
         let cvd_key = entry.cvd.to_ascii_lowercase();
         let cvd = lookup(&self.cvds, &cvd_key)?;
         // Plan any schema evolution first (Section 3.3) and check the
@@ -518,20 +548,24 @@ impl OrpheusDB {
         let schema = evolved.as_ref().unwrap_or(&cvd.schema);
         let col_map = column_map(schema, staged_schema);
         let pk: Vec<Option<usize>> = schema.primary_key.iter().map(|&c| col_map[c]).collect();
-        {
-            let rows = staged.rows(&self.engine)?;
+        let by_identity = matches!(staged, Staged::Table(t) if keeps_by_identity(t, cvd));
+        let detached = {
+            let rows = staged.rows(by_identity);
             for row in &rows {
-                staged_rid(row)?;
+                staged_rid(row.cells())?;
             }
             check_pk_duplicates(&rows, &pk)?;
+            by_identity.then(|| Staged::detached(&rows))
+        };
+        if let Some(detached) = detached {
+            *staged = detached;
         }
         if let Some(new_schema) = evolved {
             self.apply_schema(&cvd_key, new_schema)?;
         }
         let cvd = lookup(&self.cvds, &cvd_key)?;
-        let (kept, new_rows) =
-            classify_staged(&self.engine, cvd, &entry.parents, staged, &col_map)?;
-        self.publish(entry, &cvd_key, kept, new_rows, message)
+        let (kept, new_rows) = classify_split(&self.engine, cvd, &entry.parents, staged, &col_map)?;
+        Ok((cvd_key, kept, new_rows))
     }
 
     /// Publish a classified commit as the next version: fresh rids for
@@ -1205,7 +1239,7 @@ fn merge_versions<'a, T: Copy>(
     Ok(picks)
 }
 
-/// The staged table `table` of a checkout of several `vids`: a selection
+/// The staged table `table` of a checkout of several `vids`: an overlay
 /// of the slots of the [`model::rid_table`], if the layout has one, or else
 /// a table of the CVD's staged schema holding the rows the merge picks.
 fn merged_table(engine: &Database, cvd: &Cvd, vids: &[Vid], table: &str) -> Result<Table> {
@@ -1257,30 +1291,154 @@ fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
 /// The value a missing cell reads as.
 static NULL: Value = Value::Null;
 
-/// Where a commit's staged rows live: a staged table in the engine, or the
-/// rows a CSV commit parsed.
-#[derive(Clone, Copy)]
+/// A commit's staged rows: the staged table, out of the engine for the
+/// commit; the rows a CSV commit parsed; or a staged overlay detached from
+/// its source ([`Staged::detached`]).
 enum Staged<'a> {
-    Table(&'a str),
+    Table(Table),
     Rows(&'a [Vec<Value>]),
+    /// An overlay whose unwritten source rows are kept by identity
+    /// ([`keeps_by_identity`]): the rid of each unwritten source row, in
+    /// order, and a copy of every other row with its place among the
+    /// rows. A source row's first `source_width` cells (rid included) are
+    /// what the overlay read; it pins none of its source's chunks any more.
+    Detached {
+        kept: Vec<i64>,
+        written: Vec<(usize, Vec<Value>)>,
+        source_width: usize,
+    },
 }
 
-impl<'a> Staged<'a> {
-    /// The staged rows, borrowed where they live, rid first.
-    fn rows<'e>(self, engine: &'e Database) -> Result<Vec<&'e [Value]>>
-    where
-        'a: 'e,
-    {
-        Ok(match self {
-            Staged::Table(name) => {
-                let table = engine.table(name)?;
-                let mut rows = Vec::with_capacity(table.len());
-                rows.extend(table.rows());
-                rows
-            }
-            Staged::Rows(rows) => rows.iter().map(Vec::as_slice).collect(),
-        })
+impl Staged<'_> {
+    /// The staged rows, borrowed where they live, rid first. With
+    /// `by_identity`, an overlay's rows are given as it holds them; every
+    /// other row is [`Held::Tail`], a row to classify.
+    fn rows(&self, by_identity: bool) -> Vec<Held<'_>> {
+        match self {
+            Staged::Table(table) => match table.overlay_rows().filter(|_| by_identity) {
+                Some(rows) => rows.collect(),
+                None => table.rows().map(Held::Tail).collect(),
+            },
+            Staged::Rows(rows) => rows.iter().map(|row| Held::Tail(row)).collect(),
+            Staged::Detached { .. } => unreachable!("a detached overlay is read by split"),
+        }
     }
+
+    /// An overlay's rows ([`Staged::rows`]) detached from it: the rid of
+    /// each unwritten source row with an INT rid, and a copy of every
+    /// other row. O(rows) integers and the written rows' cells; what lets
+    /// the schema evolve and the version be written with the overlay's
+    /// table dropped, so none of its source's chunks is pinned.
+    fn detached(rows: &[Held<'_>]) -> Staged<'static> {
+        let (mut kept, mut written) = (Vec::with_capacity(rows.len()), Vec::new());
+        let mut source_width = 0;
+        for (i, row) in rows.iter().enumerate() {
+            match (row, row.cells().first()) {
+                (Held::Source(cells), Some(&Value::Int(rid))) => {
+                    source_width = cells.len();
+                    kept.push(rid);
+                }
+                _ => written.push((i, row.cells().to_vec())),
+            }
+        }
+        Staged::Detached {
+            kept,
+            written,
+            source_width,
+        }
+    }
+
+    /// The rids kept by identity and the rows to classify, in order.
+    fn split(&self) -> (Vec<i64>, Vec<&[Value]>) {
+        match self {
+            Staged::Table(table) => (Vec::new(), table.rows().collect()),
+            Staged::Rows(rows) => (Vec::new(), rows.iter().map(Vec::as_slice).collect()),
+            Staged::Detached { kept, written, .. } => (
+                kept.clone(),
+                written.iter().map(|(_, row)| row.as_slice()).collect(),
+            ),
+        }
+    }
+
+    /// The staged table again, after a commit that failed: the table
+    /// itself, or, for a detached overlay, a table of the same name, schema
+    /// and rows in the same order, its unwritten rows read back from the
+    /// parents' records.
+    fn into_table(
+        self,
+        engine: &Database,
+        cvd: &Cvd,
+        parents: &[Vid],
+        name: &str,
+        schema: &Schema,
+    ) -> Result<Table> {
+        let (kept, written, source_width) = match self {
+            Staged::Table(table) => return Ok(table),
+            Staged::Rows(_) => unreachable!("a CSV commit stages no table"),
+            Staged::Detached {
+                kept,
+                written,
+                source_width,
+            } => (kept, written, source_width),
+        };
+        let mut records = (parents.iter())
+            .map(|&p| model::version_row_refs(engine, cvd, p))
+            .collect::<Result<Vec<_>>>()?;
+        for refs in &mut records {
+            refs.sort_unstable_by_key(|&(rid, _)| rid);
+        }
+        let mut table = Table::new(name, schema.clone());
+        let (mut kept, mut written) = (kept.into_iter(), written.into_iter().peekable());
+        for i in 0..kept.len() + written.len() {
+            let mut row = match written.next_if(|&(at, _)| at == i) {
+                Some((_, cells)) => cells,
+                None => {
+                    let rid = kept.next().expect("a row is kept or written");
+                    let record = (records.iter())
+                        .find_map(|refs| {
+                            let i = refs.binary_search_by_key(&rid, |&(r, _)| r).ok()?;
+                            Some(refs[i].1)
+                        })
+                        .ok_or_else(|| {
+                            CoreError::Storage(format!("record {rid} of {name} is gone"))
+                        })?;
+                    let values = &record[..record.len().min(source_width.saturating_sub(1))];
+                    [&[Value::Int(rid)], values].concat()
+                }
+            };
+            row.resize(schema.arity(), Value::Null);
+            table.insert(row)?;
+        }
+        Ok(table)
+    }
+}
+
+/// Whether a commit may keep each source row a staged overlay has not
+/// written by its rid, without comparing its cells: the staged table is an
+/// overlay, and each column it reads from its source still has the name
+/// and type the CVD gives it. Such a row is a record of a parent, which
+/// the checkout selected from an immutable payload, so it equals that
+/// record; an `ADD COLUMN` since reads NULL on both sides. A type widened
+/// since the checkout (Section 3.3) may have changed the parent record's
+/// values, and then every row is classified.
+fn keeps_by_identity(staged: &Table, cvd: &Cvd) -> bool {
+    let Some(mut rows) = staged.overlay_rows() else {
+        return false;
+    };
+    let width = rows.find_map(|row| match row {
+        Held::Source(cells) => Some(cells.len()),
+        Held::Tail(_) => None,
+    });
+    let source = &staged.schema.columns[..width.unwrap_or(0)];
+    source.len() <= 1 + cvd.schema.arity()
+        && source
+            .first()
+            .is_none_or(|c| c.name.eq_ignore_ascii_case("rid"))
+        && source
+            .iter()
+            .skip(1)
+            .zip(&cvd.schema.columns)
+            .all(|(s, c)| s.name.eq_ignore_ascii_case(&c.name) && s.dtype == c.dtype)
 }
 
 /// The rid a staged row carries in its first column: `None` for a NULL
@@ -1309,6 +1467,24 @@ fn column_map(schema: &Schema, staged: &Schema) -> Vec<Option<usize>> {
         .collect()
 }
 
+/// Classify a commit's staged rows ([`Staged::split`]): a detached
+/// overlay's unwritten rows are kept by their rids, and every other row
+/// goes to [`classify_staged`]. Returns the kept rids, sorted, and the new
+/// rows.
+fn classify_split(
+    engine: &Database,
+    cvd: &Cvd,
+    parents: &[Vid],
+    staged: &Staged<'_>,
+    col_map: &[Option<usize>],
+) -> Result<(Vec<i64>, Vec<Vec<Value>>)> {
+    let (mut kept, written) = staged.split();
+    let (also_kept, new_rows) = classify_staged(engine, cvd, parents, &written, col_map)?;
+    kept.extend(also_kept);
+    kept.sort_unstable();
+    Ok((kept, new_rows))
+}
+
 /// Classify staged rows against the parents (the no-cross-version-diff
 /// rule of §2.2): a row keeps its rid when the first parent holding that
 /// rid has a record equal to it value for value, the row read in CVD
@@ -1318,37 +1494,41 @@ fn column_map(schema: &Schema, staged: &Schema) -> Vec<Option<usize>> {
 /// copied out in CVD column order — the only rows that are copied.
 ///
 /// Parent records are borrowed in place through the record-access path
-/// ([`model::version_row_refs`]). A staged table is usually a
-/// checkout edited in place, its rows in rid order, so each parent is
-/// walked with a cursor at the record after its last match, and searched
-/// by rid only when the cursor misses. When the staged columns after the
-/// rid are the CVD's in order, a row of the schema's width is compared
-/// with its parent record as one slice.
+/// ([`model::version_row_refs`]), read only once a row carries a rid: rows
+/// inserted with a NULL rid are new whatever the parents hold. A staged
+/// table is usually a checkout edited in place, its rows in rid order, so
+/// each parent is walked with a cursor at the record after its last
+/// match, and searched by rid only when the cursor misses. When the
+/// staged columns after the rid are the CVD's in order, a row of the
+/// schema's width is compared with its parent record as one slice.
 fn classify_staged(
     engine: &Database,
     cvd: &Cvd,
     parents: &[Vid],
-    staged: Staged<'_>,
+    rows: &[&[Value]],
     col_map: &[Option<usize>],
 ) -> Result<(Vec<i64>, Vec<Vec<Value>>)> {
     // Per parent: its records, and the walk's cursor into them.
-    let mut parent_rows: Vec<(model::RowRefs<'_>, usize)> = parents
+    let mut parent_rows: Vec<(model::RowRefs<'_>, usize)> = Vec::new();
+    if rows
         .iter()
-        .map(|&p| Ok((model::version_row_refs(engine, cvd, p)?, 0)))
-        .collect::<Result<_>>()?;
-    // The rid-index paths return rid order already; a table-per-version
-    // heap may not.
-    for (rows, _) in &mut parent_rows {
-        if !rows.windows(2).all(|w| w[0].0 <= w[1].0) {
-            rows.sort_unstable_by_key(|(rid, _)| *rid);
+        .any(|row| matches!(row.first(), Some(Value::Int(_))))
+    {
+        for &p in parents {
+            let mut rows = model::version_row_refs(engine, cvd, p)?;
+            // The rid-index paths return rid order already; a
+            // table-per-version heap may not.
+            if !rows.windows(2).all(|w| w[0].0 <= w[1].0) {
+                rows.sort_unstable_by_key(|(rid, _)| *rid);
+            }
+            parent_rows.push((rows, 0));
         }
     }
     let width = col_map.len();
     let in_order = col_map.iter().enumerate().all(|(c, &i)| i == Some(c + 1));
-    let rows = staged.rows(engine)?;
     let mut kept = Vec::with_capacity(rows.len());
     let mut new_rows = Vec::new();
-    for row in rows {
+    for &row in rows {
         let cell = |c: usize| col_map[c].and_then(|i| row.get(i)).unwrap_or(&NULL);
         let unchanged = staged_rid(row)?.filter(|&rid| {
             parent_rows
@@ -1440,20 +1620,35 @@ pub(crate) fn base_parent(parents: &[Vid], weights: &[u64]) -> Option<Vid> {
 /// column of each key attribute within a row; `None` reads as NULL (a key
 /// column the staged table lacks). Rows are compared in place through
 /// their key hashes, sorted, so the check allocates one buffer however
-/// many rows there are.
-fn check_pk_duplicates(rows: &[&[Value]], pk: &[Option<usize>]) -> Result<()> {
-    fn key<'r>(row: &'r [Value], pk: &'r [Option<usize>]) -> impl Iterator<Item = &'r Value> {
+/// many rows there are. An overlay's unwritten source rows
+/// ([`Held::Source`]) are parent records, staged key-unique by the
+/// checkout, so a duplicate takes a written row: a source row is hashed
+/// only when some written row was, and compared only when it shares a
+/// written row's hash.
+fn check_pk_duplicates(rows: &[Held<'_>], pk: &[Option<usize>]) -> Result<()> {
+    fn key<'r>(row: Held<'r>, pk: &'r [Option<usize>]) -> impl Iterator<Item = &'r Value> {
         pk.iter()
-            .map(move |c| c.and_then(|i| row.get(i)).unwrap_or(&NULL))
+            .map(move |c| c.and_then(|i| row.cells().get(i)).unwrap_or(&NULL))
     }
     if pk.is_empty() {
         return Ok(());
     }
-    let mut hashed: Vec<(u64, usize)> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, row)| (hash_values(key(row, pk)), i))
+    let mut hashed: Vec<(u64, usize)> = (rows.iter().enumerate())
+        .filter(|(_, row)| matches!(row, Held::Tail(_)))
+        .map(|(i, &row)| (hash_values(key(row, pk)), i))
         .collect();
+    if hashed.len() < rows.len() && !hashed.is_empty() {
+        let mut written: Vec<u64> = hashed.iter().map(|&(hash, _)| hash).collect();
+        written.sort_unstable();
+        for (i, &row) in rows.iter().enumerate() {
+            if let Held::Source(_) = row {
+                let hash = hash_values(key(row, pk));
+                if written.binary_search(&hash).is_ok() {
+                    hashed.push((hash, i));
+                }
+            }
+        }
+    }
     hashed.sort_unstable();
     let mut first_duplicate: Option<usize> = None;
     for run in hashed.chunk_by(|a, b| a.0 == b.0) {
@@ -1754,14 +1949,23 @@ mod tests {
         // scratch clone used to.
         let mut odb = setup();
         odb.checkout("protein", &[Vid(1)], "w").unwrap();
+        for sql in [
+            "ALTER TABLE w ADD COLUMN note TEXT",
+            "UPDATE w SET note = 'edited' WHERE cooccurrence = 87",
+            "INSERT INTO w VALUES (NULL, 'NEW', 'ROW', 7, 'added')",
+        ] {
+            odb.engine.execute(sql).unwrap();
+        }
+        let staged = |odb: &OrpheusDB| odb.engine.query("SELECT * FROM w").unwrap().rows;
+        let before = staged(&odb);
         odb.engine.drop_table("protein__meta").unwrap();
         assert!(odb.commit("w", "doomed").is_err());
         let cvd = odb.cvd("protein").unwrap();
         assert_eq!(cvd.num_versions(), 1);
         assert_eq!(cvd.version_rids.len(), 1);
         assert!(odb.version_rows("protein", Vid(2)).is_err());
-        // The staged table survives the failed commit.
-        assert!(odb.engine.has_table("w"));
+        // The staged table survives the failed commit, rows and order.
+        assert_eq!(staged(&odb), before);
         // Backing storage was rolled back too: once the cause is repaired,
         // the retried commit reuses the vid without colliding with
         // leftovers from the aborted attempt.
@@ -1773,7 +1977,7 @@ mod tests {
             .unwrap();
         let v2 = odb.commit("w", "retry").unwrap();
         assert_eq!(v2, Vid(2));
-        assert_eq!(odb.version_rows("protein", Vid(2)).unwrap().len(), 3);
+        assert_eq!(odb.version_rows("protein", Vid(2)).unwrap().len(), 4);
     }
 
     #[test]
@@ -2033,10 +2237,17 @@ mod tests {
         }
         let cvd = lookup(&odb.cvds, "kv").unwrap();
         let col_map = column_map(&cvd.schema, &staged_schema);
-        let walked =
-            classify_staged(&odb.engine, cvd, parents, Staged::Table("w"), &col_map).unwrap();
+        let classify = |by_identity| {
+            let mut staged = Staged::Table(odb.engine.table("w").unwrap().clone());
+            if by_identity {
+                staged = Staged::detached(&staged.rows(true));
+            }
+            classify_split(&odb.engine, cvd, parents, &staged, &col_map).unwrap()
+        };
+        let (walked, overlaid) = (classify(false), classify(true));
         let searched = classify_by_search(&mut odb.engine, cvd, parents, "w", &col_map);
         assert_eq!(walked, searched, "{what}, {}", cvd.model.name());
+        assert_eq!(overlaid, searched, "{what}, {}", cvd.model.name());
         odb.commit("w", what).unwrap();
         walked.0
     }

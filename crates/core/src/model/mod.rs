@@ -483,18 +483,18 @@ fn rid_index_rows<'a>(t: &'a Table, width: usize, rlist: &[i64]) -> Result<RowRe
 /// Stage the resolved rows of one version from `source` as a fresh
 /// `target` with exactly the shape `SELECT .. INTO` produces (source
 /// column types, no primary key, everything nullable), without copying a
-/// cell: `target` is a selection over `source`'s rows
+/// cell: `target` is an overlay over `source`'s rows
 /// ([`orpheus_engine::Table::select`]). `rlist` of `None` selects the whole
 /// table (a-table-per-version). The rlist resolves by the positional walk
 /// of [`orpheus_engine::Table::lookup_keys`]: one index probe on a data
 /// table whose heap ascends in rid, the global one or a partition's, and a
 /// few more where a migration appended records out of rid order. So a
 /// checkout costs the rid walk, O(|rlist|) integers and the schema, not
-/// the records' width; a discard frees the slot list. The first write to
-/// `target` stores the selected rows as its own, one chunk-at-a-time copy
-/// of their cells, and until then the selection pins `source`'s chunks as
-/// a snapshot does. A source that cannot be read is refused before
-/// `target` is created.
+/// the records' width; a discard frees the slot list. Writes to `target`
+/// copy only the rows they write, into the overlay's tail, and the
+/// overlay pins `source`'s chunks as a snapshot does until its commit
+/// detaches it. A source that cannot be read is refused before `target`
+/// is created.
 pub(crate) fn checkout_resolved(
     db: &mut Database,
     source: &str,

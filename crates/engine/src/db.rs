@@ -9,7 +9,7 @@ use std::sync::Arc;
 use crate::error::{EngineError, Result};
 use crate::exec::{ExecContext, JoinStrategy};
 use crate::schema::{Column, Schema};
-use crate::sql::ast::{ColumnDef, InsertSource, Statement};
+use crate::sql::ast::{ColumnDef, InsertSource, SqlExpr, Statement};
 use crate::sql::parser::{parse_script, parse_statement};
 use crate::sql::planner;
 use crate::stats::ExecStats;
@@ -323,12 +323,20 @@ impl Database {
                     stats: &self.stats,
                 };
                 let mut out = Vec::with_capacity(value_rows.len());
-                for exprs in &value_rows {
+                for exprs in value_rows {
                     let mut row = Vec::with_capacity(exprs.len());
                     for e in exprs {
-                        let lowered =
-                            planner::lower_standalone_expr(e, &ctx, self.settings.join_strategy)?;
-                        row.push(lowered.eval(&[])?);
+                        // A literal is its value; any other cell is
+                        // lowered and evaluated.
+                        row.push(match e {
+                            SqlExpr::Literal(v) => v,
+                            e => planner::lower_standalone_expr(
+                                &e,
+                                &ctx,
+                                self.settings.join_strategy,
+                            )?
+                            .eval(&[])?,
+                        });
                     }
                     out.push(row);
                 }

@@ -47,5 +47,5 @@ pub use error::{EngineError, Result};
 pub use exec::join::JoinStrategy;
 pub use schema::{Column, Schema};
 pub use stats::ExecStats;
-pub use table::Table;
+pub use table::{Held, Table};
 pub use types::{DataType, Row, Value};

@@ -77,15 +77,20 @@ impl Parser<'_> {
 
     fn next(&mut self) -> Token {
         let t = self.tokens[self.pos].clone();
+        self.advance();
+        t
+    }
+
+    /// Step past the current token (never past `Eof`) without copying it.
+    fn advance(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn eat(&mut self, t: &Token) -> bool {
         if self.peek() == t {
-            self.next();
+            self.advance();
             true
         } else {
             false
@@ -105,7 +110,7 @@ impl Parser<'_> {
 
     fn eat_kw(&mut self, kw: &str) -> bool {
         if self.peek().is_kw(kw) {
-            self.next();
+            self.advance();
             true
         } else {
             false
@@ -366,14 +371,14 @@ impl Parser<'_> {
             self.expect(&Token::RParen)?;
         }
         if self.eat_kw("values") {
-            let mut rows = Vec::new();
+            let mut rows: Vec<Vec<SqlExpr>> = Vec::new();
             loop {
                 self.expect(&Token::LParen)?;
-                let mut row = Vec::new();
+                let mut row = Vec::with_capacity(rows.first().map_or(0, Vec::len));
                 if self.peek() != &Token::RParen {
-                    row.push(self.expr()?);
+                    row.push(self.value()?);
                     while self.eat(&Token::Comma) {
-                        row.push(self.expr()?);
+                        row.push(self.value()?);
                     }
                 }
                 self.expect(&Token::RParen)?;
@@ -598,6 +603,35 @@ impl Parser<'_> {
 
     // -- expressions --------------------------------------------------------
 
+    /// A cell of a `VALUES` row. A number, signed or not, or `NULL`, right
+    /// before the `,` or `)` that ends the cell — the commonest cell by far
+    /// — is read as the literal the expression grammar would fold it to,
+    /// without descending the grammar; any other cell is an expression.
+    fn value(&mut self) -> Result<SqlExpr> {
+        let sign = usize::from(self.peek() == &Token::Minus);
+        if matches!(self.peek_ahead(sign + 1), Token::Comma | Token::RParen) {
+            let literal = match self.peek_ahead(sign) {
+                Token::Number(n) if n.contains('.') => n
+                    .parse()
+                    .ok()
+                    .map(|d: f64| Value::Double(if sign == 1 { -d } else { d })),
+                Token::Number(n) => n
+                    .parse()
+                    .ok()
+                    .map(|i: i64| Value::Int(if sign == 1 { -i } else { i })),
+                Token::Ident(word) if sign == 0 && word.eq_ignore_ascii_case("null") => {
+                    Some(Value::Null)
+                }
+                _ => None,
+            };
+            if let Some(literal) = literal {
+                (0..=sign).for_each(|_| self.advance());
+                return Ok(SqlExpr::Literal(literal));
+            }
+        }
+        self.expr()
+    }
+
     fn expr(&mut self) -> Result<SqlExpr> {
         self.or_expr()
     }
@@ -749,21 +783,18 @@ impl Parser<'_> {
     }
 
     fn primary(&mut self) -> Result<SqlExpr> {
+        // A number, the commonest primary, is read in place.
+        if let Token::Number(n) = self.peek() {
+            let bad = || EngineError::Parse(format!("bad number {n}"));
+            let literal = if n.contains('.') {
+                Value::Double(n.parse::<f64>().map_err(|_| bad())?)
+            } else {
+                Value::Int(n.parse::<i64>().map_err(|_| bad())?)
+            };
+            self.advance();
+            return Ok(SqlExpr::Literal(literal));
+        }
         match self.peek().clone() {
-            Token::Number(n) => {
-                self.next();
-                if n.contains('.') {
-                    let d = n
-                        .parse::<f64>()
-                        .map_err(|_| EngineError::Parse(format!("bad number {n}")))?;
-                    Ok(SqlExpr::Literal(Value::Double(d)))
-                } else {
-                    let i = n
-                        .parse::<i64>()
-                        .map_err(|_| EngineError::Parse(format!("bad number {n}")))?;
-                    Ok(SqlExpr::Literal(Value::Int(i)))
-                }
-            }
             Token::Str(s) => {
                 self.next();
                 Ok(SqlExpr::Literal(Value::Text(s)))
@@ -881,6 +912,50 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each `VALUES` cell parses to what the expression grammar makes of
+    /// it: the literal cells read without descending it, and every other.
+    #[test]
+    fn values_cells_parse_as_expressions() {
+        let cells = [
+            "1",
+            "-2",
+            "3.5",
+            "-4.25",
+            "-0.0",
+            "NULL",
+            "null",
+            "- 7",
+            "-x",
+            "1 + 2",
+            "-3 * 2",
+            "-NULL",
+            "'s'",
+            "(4)",
+            "9223372036854775807",
+        ];
+        let sql = format!("INSERT INTO t VALUES ({}), (5)", cells.join(", "));
+        let Statement::Insert {
+            source: InsertSource::Values(rows),
+            ..
+        } = parse_statement(&sql).unwrap()
+        else {
+            panic!("an INSERT")
+        };
+        assert_eq!(rows[0].len(), cells.len());
+        for (cell, got) in cells.iter().zip(&rows[0]) {
+            let tokens = tokenize(cell).unwrap();
+            let want = Parser {
+                tokens: &tokens,
+                pos: 0,
+            }
+            .expr()
+            .unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{cell}");
+        }
+        assert!(parse_statement("INSERT INTO t VALUES (-9223372036854775808)").is_err());
+        assert!(parse_statement("INSERT INTO t VALUES (1,)").is_err());
+    }
 
     fn roundtrip(sql: &str) {
         let stmt = parse_statement(sql).unwrap();

@@ -50,19 +50,29 @@
 //!   [`Table::alter_column_type`] converts the column's cells where they
 //!   lie, and [`Table::cluster_by`] moves the cells into sorted order.
 //!   Each costs O(rows stored), shared or not.
-//! * **A selection** ([`Table::select`]) is a table whose rows are another
-//!   table's rows at chosen slots, cut to a prefix of its columns: the
-//!   shape `SELECT … INTO` gives, without a cell copied. Taking one costs
-//!   one reference-count bump on the source's payload and the slot list,
-//!   O(rows selected) integers whatever the rows' width. Its rows are read
-//!   through the slots, and its byte count is summed on first ask. Its
-//!   first write stores the rows as its own — one chunk-at-a-time copy of
-//!   the selected cells, what [`Table::copy_rows`] of them into an empty
-//!   table costs — and then writes as above; only [`Table::delete_slots`]
-//!   keeps it a selection and drops the slots. Dropping a selection frees
-//!   its slot list. A live selection pins the source payload it was taken
-//!   from, as a clone does: writes to the source copy what they touch and
-//!   leave the selection's rows as they were.
+//! * **An overlay** ([`Table::select`]) is a table whose rows are another
+//!   table's rows at chosen slots, cut to a prefix of their columns — the
+//!   shape `SELECT … INTO` gives, without a cell copied — plus a tail heap
+//!   of rows it wrote itself. Taking one costs one reference-count bump on
+//!   the source's payload and the row list, O(rows selected) integers
+//!   whatever the rows' width. Its rows are read through the row list, and
+//!   its byte count is summed on first ask. Its writes copy only what they
+//!   write: [`Table::insert`] and [`Table::copy_rows`] append to the tail,
+//!   [`Table::replace_row`] of a source row puts a tail row at its place
+//!   (so the rows keep their order), [`Table::delete_slots`] drops entries
+//!   of the row list, [`Table::truncate`] starts an empty table, and
+//!   [`Table::add_column`] widens the tail, the source rows reading NULL
+//!   past their cells. Until the next write, a read of an overlay so
+//!   widened pads its rows into a stored copy once, because a row is
+//!   handed out as one slice of the table's width. The rarer writes
+//!   (indexes, clustering, type changes) store the rows as the table's own
+//!   first — one chunk-at-a-time copy, what [`Table::copy_rows`] of them
+//!   into an empty table costs — and then write as above.
+//!   [`Table::overlay_rows`] tells the source rows still unwritten from
+//!   the tail's, so a commit keeps the former by identity. A live overlay
+//!   pins the source payload it was taken from, as a clone does: writes to
+//!   the source copy what they touch and leave the overlay's rows as they
+//!   were. Dropping an overlay frees its row list and tail.
 //!
 //! Readers holding an older clone keep seeing exactly their rows and
 //! index entries; this is what `orpheus-core` builds MVCC snapshot reads
@@ -141,10 +151,11 @@ impl Heap {
         });
     }
 
-    /// Append checked rows of `width` cells each, cloned into the tail
-    /// chunk and then into fresh ones: one copy-on-write check and one
-    /// reservation per chunk filled, not per row.
-    fn extend<'a>(&mut self, rows: impl Iterator<Item = &'a [Value]>) {
+    /// Append checked rows, each `cells` followed by `pad` NULLs to make
+    /// `width` cells, cloned into the tail chunk and then into fresh ones:
+    /// one copy-on-write check and one reservation per chunk filled, not
+    /// per row.
+    fn extend<'a>(&mut self, rows: impl Iterator<Item = (&'a [Value], usize)>) {
         let room = CHUNK_ROWS * self.width;
         let mut rows = rows.peekable();
         while rows.peek().is_some() {
@@ -154,9 +165,10 @@ impl Heap {
             let free = self.chunks.len() * CHUNK_ROWS - self.len;
             let tail = Arc::make_mut(self.chunks.last_mut().expect("a tail chunk"));
             tail.reserve_exact(room - tail.len());
-            for row in rows.by_ref().take(free) {
-                debug_assert_eq!(row.len(), self.width);
-                tail.extend_from_slice(row);
+            for (cells, pad) in rows.by_ref().take(free) {
+                debug_assert_eq!(cells.len() + pad, self.width);
+                tail.extend_from_slice(cells);
+                tail.extend(std::iter::repeat_n(Value::Null, pad));
                 self.len += 1;
             }
         }
@@ -165,7 +177,7 @@ impl Heap {
     fn iter(&self) -> Rows<'_> {
         Rows {
             heap: self,
-            slots: None,
+            overlay: None,
             width: self.width,
             next: 0,
             end: self.len,
@@ -224,7 +236,8 @@ impl Heap {
 
     /// Give every row one more cell, `Value::Null`, at the end: each
     /// chunk is rebuilt one cell per row wider, with room for a full
-    /// chunk.
+    /// chunk. A chunk nobody else holds gives up its cells; a shared one
+    /// is read in place, so each cell is copied once either way.
     fn widen(&mut self) {
         let width = self.width;
         self.width += 1;
@@ -232,12 +245,23 @@ impl Heap {
         for chunk in &mut self.chunks {
             let rows = left.min(CHUNK_ROWS);
             left -= rows;
-            let buf = Arc::make_mut(chunk);
-            let old = std::mem::replace(buf, Vec::with_capacity(CHUNK_ROWS * (width + 1)));
-            let mut cells = old.into_iter();
-            for _ in 0..rows {
-                buf.extend(cells.by_ref().take(width));
-                buf.push(Value::Null);
+            let mut buf = Vec::with_capacity(CHUNK_ROWS * (width + 1));
+            match Arc::get_mut(chunk) {
+                Some(cells) => {
+                    let mut old = std::mem::take(cells).into_iter();
+                    for _ in 0..rows {
+                        buf.extend(old.by_ref().take(width));
+                        buf.push(Value::Null);
+                    }
+                    *cells = buf;
+                }
+                None => {
+                    for row in 0..rows {
+                        buf.extend_from_slice(&chunk[row * width..(row + 1) * width]);
+                        buf.push(Value::Null);
+                    }
+                    *chunk = Arc::new(buf);
+                }
             }
         }
     }
@@ -246,18 +270,30 @@ impl Heap {
 /// Iterator over a table's rows in slot order ([`Table::rows`]), each a
 /// slice of its chunk. It knows its length, so collecting a scan reserves
 /// once, and it folds chunk by chunk, so `for_each`-style consumers run at
-/// slice speed. A selection's rows are read through its slots, each cut
-/// to the selection's width.
+/// slice speed. An overlay's rows are read through its row list: a source
+/// row cut to the overlay's source width, or a row of its tail.
 #[derive(Debug, Clone)]
 pub struct Rows<'a> {
     heap: &'a Heap,
-    /// The heap slot of each row of a selection; `None` reads the heap's
-    /// slots in order.
-    slots: Option<&'a [usize]>,
+    /// An overlay's row list and tail; `None` reads the heap's slots in
+    /// order.
+    overlay: Option<(&'a [usize], &'a Heap)>,
     /// Cells per row handed out, a prefix of the heap's rows.
     width: usize,
     next: usize,
     end: usize,
+}
+
+impl<'a> Rows<'a> {
+    fn get(&self, i: usize) -> &'a [Value] {
+        match self.overlay {
+            None => self.heap.get(i),
+            Some((rows, tail)) => match rows[i] {
+                held if held & TAIL != 0 => tail.get(held & !TAIL),
+                slot => &self.heap.get(slot)[..self.width],
+            },
+        }
+    }
 }
 
 impl<'a> Iterator for Rows<'a> {
@@ -267,10 +303,8 @@ impl<'a> Iterator for Rows<'a> {
         if self.next == self.end {
             return None;
         }
-        let i = self.next;
         self.next += 1;
-        let slot = self.slots.map_or(i, |slots| slots[i]);
-        Some(&self.heap.get(slot)[..self.width])
+        Some(self.get(self.next - 1))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -279,12 +313,10 @@ impl<'a> Iterator for Rows<'a> {
     }
 
     fn fold<B, F: FnMut(B, &'a [Value]) -> B>(self, init: B, mut f: F) -> B {
-        let (heap, width) = (self.heap, self.width);
-        if let Some(slots) = self.slots {
-            return slots[self.next..self.end]
-                .iter()
-                .fold(init, |acc, &slot| f(acc, &heap.get(slot)[..width]));
+        if self.overlay.is_some() {
+            return (self.next..self.end).fold(init, |acc, i| f(acc, self.get(i)));
         }
+        let (heap, width) = (self.heap, self.width);
         let (mut acc, mut slot) = (init, self.next);
         while slot < self.end {
             let first = slot % CHUNK_ROWS;
@@ -334,90 +366,258 @@ impl TableData {
     }
 }
 
-/// The rows of a selection ([`Table::select`]): the source's payload,
-/// shared, the source slot of each row, and how many leading cells of a
-/// source row a row is.
-#[derive(Debug)]
-struct Selection {
+/// Tags an entry of an overlay's row list as a tail row: `TAIL | k` is row
+/// `k` of the tail, any other entry a slot of the source.
+const TAIL: usize = 1 << (usize::BITS - 1);
+
+/// The rows of an overlay ([`Table::select`]): rows of the source's
+/// payload, shared and cut to a prefix of their columns, plus a tail heap
+/// of rows the overlay wrote itself, in the order the row list gives.
+#[derive(Debug, Clone)]
+struct Overlay {
     source: Arc<TableData>,
-    slots: Vec<usize>,
-    width: usize,
-    /// The rows' heap bytes, summed on first ask.
-    bytes: OnceLock<usize>,
+    /// Each row in order: a source slot, or `TAIL | k` for tail row `k`.
+    /// Every tail row is named exactly once.
+    rows: Vec<usize>,
+    /// Cells of a source row a row shows: a prefix of the source's columns.
+    base_width: usize,
+    /// The rows written here, inserted or updated, at the table's width.
+    tail: Heap,
+    tail_bytes: usize,
+    /// The source rows' bytes, cut to `base_width`, summed on first ask.
+    base_bytes: OnceLock<usize>,
+    /// Once `ADD COLUMN` made the table wider than `base_width`, a read
+    /// must hand out rows of the table's width: the rows, NULL-padded and
+    /// stored, built on the first read. Every write discards it.
+    padded: OnceLock<TableData>,
 }
 
-impl Selection {
-    fn new(source: Arc<TableData>, slots: Vec<usize>, width: usize) -> Selection {
+impl Overlay {
+    fn new(source: Arc<TableData>, rows: Vec<usize>, width: usize) -> Overlay {
         debug_assert!(width <= source.rows.width);
-        debug_assert!(slots.iter().all(|&slot| slot < source.rows.len));
-        Selection {
+        debug_assert!(rows.iter().all(|&slot| slot < source.rows.len));
+        Overlay {
             source,
-            slots,
-            width,
-            bytes: OnceLock::new(),
+            rows,
+            base_width: width,
+            tail: Heap::new(width),
+            tail_bytes: 0,
+            base_bytes: OnceLock::new(),
+            padded: OnceLock::new(),
         }
+    }
+
+    fn width(&self) -> usize {
+        self.tail.width
+    }
+
+    /// Rows read from the source: those not in the tail.
+    fn source_rows(&self) -> usize {
+        self.rows.len() - self.tail.len
+    }
+
+    fn held(&self, i: usize) -> Held<'_> {
+        match self.rows[i] {
+            held if held & TAIL != 0 => Held::Tail(self.tail.get(held & !TAIL)),
+            slot => Held::Source(&self.source.rows.get(slot)[..self.base_width]),
+        }
+    }
+
+    /// The rows stored as a table's own, NULL-padded to the table's width:
+    /// what copying them into an empty table without indexes leaves.
+    fn store(&self) -> TableData {
+        if let Some(padded) = self.padded.get() {
+            return padded.clone();
+        }
+        let mut data = TableData {
+            rows: Heap::new(self.width()),
+            row_bytes_total: self.bytes(),
+            ..TableData::default()
+        };
+        let pad = self.width() - self.base_width;
+        data.rows
+            .extend((0..self.rows.len()).map(|i| match self.held(i) {
+                Held::Source(cells) => (cells, pad),
+                Held::Tail(cells) => (cells, 0),
+            }));
+        data
+    }
+
+    /// The stored rows a read hands out when the table is wider than its
+    /// source rows, `None` when the rows are read in place.
+    fn padded(&self) -> Option<&TableData> {
+        (self.width() > self.base_width).then(|| self.padded.get_or_init(|| self.store()))
     }
 
     fn row(&self, i: usize) -> &[Value] {
-        &self.source.rows.get(self.slots[i])[..self.width]
+        match self.padded() {
+            Some(data) => data.rows.get(i),
+            None => self.held(i).cells(),
+        }
     }
 
     fn rows(&self) -> Rows<'_> {
-        Rows {
-            heap: &self.source.rows,
-            slots: Some(&self.slots),
-            width: self.width,
-            next: 0,
-            end: self.slots.len(),
+        match self.padded() {
+            Some(data) => data.rows.iter(),
+            None => Rows {
+                heap: &self.source.rows,
+                overlay: Some((&self.rows, &self.tail)),
+                width: self.base_width,
+                next: 0,
+                end: self.rows.len(),
+            },
         }
     }
 
+    /// Heap bytes: the source rows' cells, a NULL for each column added
+    /// since, and the tail's cells.
     fn bytes(&self) -> usize {
-        *self
-            .bytes
-            .get_or_init(|| self.rows().fold(0, |bytes, row| bytes + row_bytes(row)))
+        let base = *self.base_bytes.get_or_init(|| {
+            (self.rows.iter().filter(|&&held| held & TAIL == 0))
+                .map(|&slot| row_bytes(&self.source.rows.get(slot)[..self.base_width]))
+                .sum()
+        });
+        base + self.source_rows() * self.null_bytes() + self.tail_bytes
     }
 
-    /// The selected rows stored as a table's own, cloned into the heap a
-    /// chunk at a time as [`Table::copy_rows`] clones them: what copying
-    /// them into an empty table without indexes leaves. A byte count
-    /// already summed is kept, not summed again.
-    fn materialize(&self) -> TableData {
-        let mut data = TableData {
-            rows: Heap::new(self.width),
-            ..TableData::default()
-        };
-        data.rows.extend(self.rows());
-        match self.bytes.get() {
-            Some(&bytes) => data.row_bytes_total = bytes,
-            None => data.recompute_bytes(),
+    /// The bytes of the NULLs a source row reads past `base_width`.
+    fn null_bytes(&self) -> usize {
+        (self.width() - self.base_width) * Value::Null.storage_bytes()
+    }
+
+    /// Account for source row `slot` leaving the table.
+    fn forget(&mut self, slot: usize) {
+        if let Some(bytes) = self.base_bytes.get_mut() {
+            *bytes -= row_bytes(&self.source.rows.get(slot)[..self.base_width]);
         }
-        data
+    }
+
+    /// Append checked rows to the tail.
+    fn extend<'r>(&mut self, rows: impl Iterator<Item = Cow<'r, [Value]>>) {
+        self.padded = OnceLock::new();
+        for row in rows {
+            self.tail_bytes += row_bytes(&row);
+            self.rows.push(TAIL | self.tail.len);
+            self.tail.push(row);
+        }
+    }
+
+    /// Replace row `i` with a checked row: a tail row is overwritten, a
+    /// source row is replaced by a new tail row at its place.
+    fn replace(&mut self, i: usize, row: Cow<'_, [Value]>) {
+        self.padded = OnceLock::new();
+        self.tail_bytes += row_bytes(&row);
+        match self.rows[i] {
+            held if held & TAIL != 0 => {
+                let cells = self.tail.get_mut(held & !TAIL);
+                self.tail_bytes -= row_bytes(cells);
+                overwrite(cells, row);
+            }
+            slot => {
+                self.forget(slot);
+                self.rows[i] = TAIL | self.tail.len;
+                self.tail.push(row);
+            }
+        }
+    }
+
+    /// Drop the rows at `doomed` (ascending, distinct; positions past the
+    /// end are ignored). Tail rows are removed from the tail, and the
+    /// tail rows after them renumbered.
+    fn remove(&mut self, doomed: &[usize]) {
+        self.padded = OnceLock::new();
+        let mut doomed = doomed.iter().peekable();
+        let (mut i, mut dead) = (0, Vec::new());
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.retain(|&held| {
+            i += 1;
+            if doomed.next_if_eq(&&(i - 1)).is_none() {
+                return true;
+            }
+            match held {
+                held if held & TAIL != 0 => dead.push(held & !TAIL),
+                slot => self.forget(slot),
+            }
+            false
+        });
+        if !dead.is_empty() {
+            dead.sort_unstable();
+            self.tail_bytes -= dead
+                .iter()
+                .map(|&k| row_bytes(self.tail.get(k)))
+                .sum::<usize>();
+            self.tail.remove(&dead);
+            for held in rows.iter_mut().filter(|held| **held & TAIL != 0) {
+                *held -= dead.partition_point(|&k| k < *held & !TAIL);
+            }
+        }
+        self.rows = rows;
+    }
+
+    /// `ADD COLUMN`: the tail gains a NULL cell per row; the source rows
+    /// read NULL past `base_width`.
+    fn widen(&mut self) {
+        self.padded = OnceLock::new();
+        self.tail.widen();
+        self.tail_bytes += self.tail.len * Value::Null.storage_bytes();
     }
 }
 
-/// What a table's rows are: its own payload, or a selection over another
-/// table's until its first write. Either is one `Arc`, so a clone of a
-/// table is O(1) both ways.
+/// A row of an overlay as the overlay holds it ([`Table::overlay_rows`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Held<'a> {
+    /// A source row the overlay has not written: its cells as the source
+    /// holds them, cut to the width the overlay was selected at. A table
+    /// widened since reads NULL past them.
+    Source(&'a [Value]),
+    /// A row the overlay wrote (inserted, or updated from a source row),
+    /// at the table's width.
+    Tail(&'a [Value]),
+}
+
+impl<'a> Held<'a> {
+    pub fn cells(self) -> &'a [Value] {
+        match self {
+            Held::Source(cells) | Held::Tail(cells) => cells,
+        }
+    }
+}
+
+/// What a table's rows are: its own payload, or an overlay over another
+/// table's. Either is one `Arc`, so a clone of a table is O(1) both ways.
 #[derive(Debug, Clone)]
 enum Content {
     Stored(Arc<TableData>),
-    Selected(Arc<Selection>),
+    Overlay(Arc<Overlay>),
 }
 
 impl Content {
-    /// The copy-on-write escape hatch every mutating method goes through:
-    /// a selection first stores its rows as its own, then [`Arc::make_mut`]
-    /// returns the unique payload, copying its directories first if a
-    /// clone still aliases it. A method on the field, not the table, so
-    /// `name`/`schema` stay readable during a mutation.
+    /// The copy-on-write escape hatch every write an overlay does not take
+    /// goes through: an overlay first stores its rows as its own, then
+    /// [`Arc::make_mut`] returns the unique payload, copying its
+    /// directories first if a clone still aliases it. A method on the
+    /// field, not the table, so `name`/`schema` stay readable during a
+    /// mutation.
     fn make_mut(&mut self) -> &mut TableData {
-        if let Content::Selected(selection) = self {
-            *self = Content::Stored(Arc::new(selection.materialize()));
+        if let Content::Overlay(overlay) = self {
+            *self = Content::Stored(Arc::new(overlay.store()));
         }
         match self {
             Content::Stored(data) => Arc::make_mut(data),
-            Content::Selected(_) => unreachable!("a selection was stored above"),
+            Content::Overlay(_) => unreachable!("an overlay was stored above"),
+        }
+    }
+}
+
+/// Write a checked row over `cells`: an owned row's cells are moved in, a
+/// borrowed row's cloned.
+fn overwrite(cells: &mut [Value], row: Cow<'_, [Value]>) {
+    match row {
+        Cow::Borrowed(row) => cells.clone_from_slice(row),
+        Cow::Owned(row) => {
+            for (cell, v) in cells.iter_mut().zip(row) {
+                *cell = v;
+            }
         }
     }
 }
@@ -462,10 +662,10 @@ impl Table {
     /// that order, each cut to its first `width` columns, in the shape
     /// `SELECT <those columns> INTO name` gives: the columns' types, every
     /// column nullable, no key and no index. No cell is copied: the new
-    /// table is a selection over this one's payload, which it shares as a
-    /// clone does, until its first write (see the module docs). Taking it
-    /// costs O(`slots`) integers and the schema. `width` must not exceed
-    /// this table's column count, nor a slot its row count.
+    /// table is an overlay over this one's payload, which it shares as a
+    /// clone does (see the module docs). Taking it costs O(`slots`)
+    /// integers and the schema. `width` must not exceed this table's
+    /// column count, nor a slot its row count.
     pub fn select(&self, name: impl Into<String>, width: usize, slots: Vec<usize>) -> Table {
         let columns = self.schema.columns[..width]
             .iter()
@@ -476,24 +676,18 @@ impl Table {
             .collect();
         let (source, slots) = match &self.content {
             Content::Stored(data) => (Arc::clone(data), slots),
-            Content::Selected(sel) => (
-                Arc::clone(&sel.source),
-                slots.into_iter().map(|i| sel.slots[i]).collect(),
+            // An overlay that holds only source rows, read in place.
+            Content::Overlay(o) if o.tail.len == 0 && o.width() == o.base_width => (
+                Arc::clone(&o.source),
+                slots.into_iter().map(|i| o.rows[i]).collect(),
             ),
+            Content::Overlay(o) => (Arc::new(o.store()), slots),
         };
         Table {
             name: name.into().into(),
             schema: Arc::new(Schema::new(columns)),
-            content: Content::Selected(Arc::new(Selection::new(source, slots, width))),
+            content: Content::Overlay(Arc::new(Overlay::new(source, slots, width))),
         }
-    }
-
-    /// Store a selection's rows as the table's own now, as its first write
-    /// would (see the module docs); a table that stores its rows is left
-    /// as it is. For a caller about to rewrite the source in place, which
-    /// would otherwise copy every source chunk the selection pins.
-    pub fn materialize(&mut self) {
-        self.data_mut();
     }
 
     /// Give the table a new name; the primary-key index follows it.
@@ -510,10 +704,19 @@ impl Table {
         self.content.make_mut()
     }
 
+    /// The overlay for writing, copied first if a clone still aliases it;
+    /// `None` for a table that stores its rows.
+    fn overlay_mut(&mut self) -> Option<&mut Overlay> {
+        match &mut self.content {
+            Content::Overlay(overlay) => Some(Arc::make_mut(overlay)),
+            Content::Stored(_) => None,
+        }
+    }
+
     pub fn len(&self) -> usize {
         match &self.content {
             Content::Stored(data) => data.rows.len,
-            Content::Selected(sel) => sel.slots.len(),
+            Content::Overlay(overlay) => overlay.rows.len(),
         }
     }
 
@@ -525,7 +728,7 @@ impl Table {
     pub fn rows(&self) -> Rows<'_> {
         match &self.content {
             Content::Stored(data) => data.rows.iter(),
-            Content::Selected(sel) => sel.rows(),
+            Content::Overlay(overlay) => overlay.rows(),
         }
     }
 
@@ -533,7 +736,18 @@ impl Table {
     pub fn row(&self, slot: usize) -> &[Value] {
         match &self.content {
             Content::Stored(data) => data.rows.get(slot),
-            Content::Selected(sel) => sel.row(slot),
+            Content::Overlay(overlay) => overlay.row(slot),
+        }
+    }
+
+    /// An overlay's rows in order, each as the overlay holds it: a source
+    /// row it has not written, or a row of its tail (see the module docs).
+    /// `None` for a table that stores its rows. What a commit reads to
+    /// keep the unwritten rows by identity and classify only the others.
+    pub fn overlay_rows(&self) -> Option<impl ExactSizeIterator<Item = Held<'_>> + '_> {
+        match &self.content {
+            Content::Stored(_) => None,
+            Content::Overlay(overlay) => Some((0..overlay.rows.len()).map(|i| overlay.held(i))),
         }
     }
 
@@ -541,7 +755,7 @@ impl Table {
     pub fn clustered_on(&self) -> Option<&[usize]> {
         match &self.content {
             Content::Stored(data) => data.clustered_on.as_deref(),
-            Content::Selected(_) => None,
+            Content::Overlay(_) => None,
         }
     }
 
@@ -560,12 +774,16 @@ impl Table {
     }
 
     /// The row width the page cost model charges: the average, except that
-    /// a selection charges its source's, from the source's running total,
-    /// so a scan never sums the selected cells.
+    /// an overlay charges each source row its source's average, from the
+    /// source's running total, so a scan never sums the source rows' cells.
     pub fn page_row_bytes(&self) -> usize {
         match &self.content {
-            Content::Selected(sel) if !self.is_empty() => {
-                (sel.source.row_bytes_total / sel.source.rows.len).max(1)
+            Content::Overlay(o) if !self.is_empty() => {
+                let source = match o.source.rows.len {
+                    0 => 0,
+                    n => o.source.row_bytes_total / n + o.null_bytes(),
+                };
+                ((source * o.source_rows() + o.tail_bytes) / o.rows.len()).max(1)
             }
             _ => self.avg_row_bytes(),
         }
@@ -586,7 +804,7 @@ impl Table {
     pub fn heap_bytes(&self) -> usize {
         match &self.content {
             Content::Stored(data) => data.row_bytes_total,
-            Content::Selected(sel) => sel.bytes(),
+            Content::Overlay(overlay) => overlay.bytes(),
         }
     }
 
@@ -612,9 +830,14 @@ impl Table {
     }
 
     /// Insert one row, owned or borrowed, validated and coerced against
-    /// the schema where its cells lie (see the module docs).
+    /// the schema where its cells lie (see the module docs). An overlay
+    /// appends it to its tail.
     pub fn insert<'r>(&mut self, row: impl Into<Cow<'r, [Value]>>) -> Result<()> {
         let row = self.schema.check_row(row.into())?;
+        if let Some(overlay) = self.overlay_mut() {
+            overlay.extend(std::iter::once(row));
+            return Ok(());
+        }
         let keys = self.keys_of(&row);
         self.check_unique(&keys, None)?;
         let data = self.content.make_mut();
@@ -652,8 +875,9 @@ impl Table {
     /// when each column of this table has its source column's type and is
     /// nullable or fed by a NOT NULL column, and this table has no index
     /// to keep unique or in step. The cells are then cloned into the heap
-    /// a chunk at a time, with no per-row check. Any other pair of tables
-    /// goes through [`Table::insert_many`], with its coercions and errors.
+    /// (an overlay's tail) a chunk at a time, with no per-row check. Any
+    /// other pair of tables goes through [`Table::insert_many`], with its
+    /// coercions and errors.
     pub fn copy_rows(
         &mut self,
         source: &Table,
@@ -671,15 +895,26 @@ impl Table {
         if slots.peek().is_none() {
             return Ok(0);
         }
-        let (schema, data) = (&self.schema, self.content.make_mut());
-        let (before, mut bytes) = (data.rows.len, 0);
-        data.rows.extend(slots.map(cut).inspect(|row| {
+        let (schema, name) = (&self.schema, &self.name);
+        let rows = slots.map(cut).inspect(|row| {
             debug_assert!(
                 matches!(schema.check_row(Cow::Borrowed(row)), Ok(Cow::Borrowed(_))),
-                "{row:?} is not a valid row of {}",
-                self.name
+                "{row:?} is not a valid row of {name}",
             );
+        });
+        let data = match &mut self.content {
+            Content::Overlay(overlay) => {
+                let overlay = Arc::make_mut(overlay);
+                let before = overlay.rows.len();
+                overlay.extend(rows.map(Cow::Borrowed));
+                return Ok(overlay.rows.len() - before);
+            }
+            stored => stored.make_mut(),
+        };
+        let (before, mut bytes) = (data.rows.len, 0);
+        data.rows.extend(rows.map(|row| {
             bytes += row_bytes(row);
+            (row, 0)
         }));
         data.row_bytes_total += bytes;
         if data.rows.len > 1 {
@@ -703,13 +938,18 @@ impl Table {
     }
 
     /// Replace the row at `slot` (owned or borrowed, checked like an
-    /// insert), keeping indexes in sync.
+    /// insert), keeping indexes in sync. An overlay puts a source row's
+    /// replacement in its tail, at the row's place.
     pub fn replace_row<'r>(
         &mut self,
         slot: usize,
         new_row: impl Into<Cow<'r, [Value]>>,
     ) -> Result<()> {
         let new_row = self.schema.check_row(new_row.into())?;
+        if let Some(overlay) = self.overlay_mut() {
+            overlay.replace(slot, new_row);
+            return Ok(());
+        }
         // Uniqueness: the new key must not collide with a *different* slot.
         let new_keys = self.keys_of(&new_row);
         self.check_unique(&new_keys, Some(slot))?;
@@ -717,15 +957,7 @@ impl Table {
         let old_bytes = row_bytes(self.row(slot));
         let new_bytes = row_bytes(&new_row);
         let data = self.content.make_mut();
-        let cells = data.rows.get_mut(slot);
-        match new_row {
-            Cow::Borrowed(row) => cells.clone_from_slice(row),
-            Cow::Owned(row) => {
-                for (cell, v) in cells.iter_mut().zip(row) {
-                    *cell = v;
-                }
-            }
-        }
+        overwrite(data.rows.get_mut(slot), new_row);
         for ((idx, old_key), new_key) in data.indexes.iter_mut().zip(old_keys).zip(new_keys) {
             if old_key != new_key {
                 idx.remove(&old_key, slot);
@@ -737,27 +969,17 @@ impl Table {
     }
 
     /// Delete all rows at the given slots; compacts the heap and rebuilds
-    /// indexes. A selection stays one and only drops the slots, and keeps
-    /// its byte count if it was summed. Returns the number of rows removed.
+    /// indexes. An overlay stays one: it drops the slots from its row list
+    /// and the tail rows among them from its tail, and keeps its byte
+    /// count if it was summed. Returns the number of rows removed.
     pub fn delete_slots(&mut self, mut slots: Vec<usize>) -> usize {
         if slots.is_empty() {
             return 0;
         }
         slots.sort_unstable();
         slots.dedup();
-        if let Content::Selected(sel) = &self.content {
-            let mut doomed = slots.iter().peekable();
-            let kept = (sel.slots.iter().enumerate())
-                .filter(|(i, _)| doomed.next_if_eq(&i).is_none())
-                .map(|(_, &slot)| slot)
-                .collect();
-            let mut selection = Selection::new(Arc::clone(&sel.source), kept, sel.width);
-            if let Some(&bytes) = sel.bytes.get() {
-                let gone = slots.iter().filter(|&&i| i < sel.slots.len());
-                let gone: usize = gone.map(|&i| row_bytes(sel.row(i))).sum();
-                selection.bytes = OnceLock::from(bytes - gone);
-            }
-            self.content = Content::Selected(Arc::new(selection));
+        if let Some(overlay) = self.overlay_mut() {
+            overlay.remove(&slots);
             return slots.len();
         }
         let data = self.data_mut();
@@ -769,8 +991,17 @@ impl Table {
         slots.len()
     }
 
-    /// Remove every row, keeping schema and index definitions.
+    /// Remove every row, keeping schema and index definitions. An overlay
+    /// becomes an empty table of its own, with nothing copied.
     pub fn truncate(&mut self) {
+        if let Content::Overlay(overlay) = &self.content {
+            let rows = Heap::new(overlay.width());
+            self.content = Content::Stored(Arc::new(TableData {
+                rows,
+                ..TableData::default()
+            }));
+            return;
+        }
         let data = self.data_mut();
         data.rows = Heap::new(data.rows.width);
         for idx in &mut data.indexes {
@@ -820,7 +1051,7 @@ impl Table {
     pub fn indexes(&self) -> &[Index] {
         match &self.content {
             Content::Stored(data) => &data.indexes,
-            Content::Selected(_) => &[],
+            Content::Overlay(_) => &[],
         }
     }
 
@@ -867,6 +1098,10 @@ impl Table {
             ));
         }
         Arc::make_mut(&mut self.schema).columns.push(col);
+        if let Some(overlay) = self.overlay_mut() {
+            overlay.widen();
+            return Ok(());
+        }
         let data = self.data_mut();
         data.rows.widen();
         data.row_bytes_total += data.rows.len; // 1 byte per NULL
@@ -1367,7 +1602,7 @@ mod tests {
         db.query("SELECT * FROM sel WHERE val = 'abcd'").unwrap();
         let sel = db.table("sel").unwrap();
         let unsummed =
-            |t: &Table| matches!(&t.content, Content::Selected(s) if s.bytes.get().is_none());
+            |t: &Table| matches!(&t.content, Content::Overlay(o) if o.base_bytes.get().is_none());
         assert!(unsummed(sel));
         // Text costs 4 bytes plus its length.
         assert_eq!(sel.page_row_bytes(), (8 + 6 + 8 + 10 + 8 + 8) / 3);
@@ -1705,7 +1940,7 @@ mod tests {
     fn stored(t: &Table) -> &TableData {
         match &t.content {
             Content::Stored(data) => data,
-            Content::Selected(_) => panic!("{} is a selection", t.name),
+            Content::Overlay(_) => panic!("{} is an overlay", t.name),
         }
     }
 
@@ -1939,6 +2174,96 @@ mod tests {
                 &|m| m.push(wide()),
             );
         }
+    }
+
+    /// The tail rows an overlay holds, and whether the table is one.
+    fn tail_rows(t: &Table) -> Option<usize> {
+        t.overlay_rows()
+            .map(|rows| rows.filter(|row| matches!(row, Held::Tail(_))).count())
+    }
+
+    #[test]
+    fn an_overlay_keeps_its_rows_through_every_write() {
+        let source = filled(3 * CHUNK_ROWS + 5);
+        let slots: Vec<usize> = (0..source.len()).rev().step_by(2).collect();
+        let mut t = source.select("o", 2, slots.clone());
+        let mut model: Vec<Vec<Value>> = slots.iter().map(|&s| source.row(s).to_vec()).collect();
+        let row = |k: i64| vec![Value::Int(k), Value::Text(format!("n{k}"))];
+        let mut step = |what: &str,
+                        write: &dyn Fn(&mut Table),
+                        edit: &dyn Fn(&mut Vec<Vec<Value>>),
+                        tail: Option<usize>| {
+            write(&mut t);
+            edit(&mut model);
+            assert_holds(&t, &model, what);
+            assert_eq!(tail_rows(&t), tail, "{what}");
+        };
+        step("taken", &|_| {}, &|_| {}, Some(0));
+        step(
+            "inserts",
+            &|t| (0..4).for_each(|k| t.insert(row(-k)).unwrap()),
+            &|m| m.extend((0..4).map(|k| row(-k))),
+            Some(4),
+        );
+        step(
+            "update a source row and a tail row",
+            &|t| {
+                t.replace_row(3, row(100)).unwrap();
+                let last = t.len() - 1;
+                t.replace_row(last, row(101)).unwrap();
+            },
+            &|m| {
+                m[3] = row(100);
+                let last = m.len() - 1;
+                m[last] = row(101);
+            },
+            Some(5),
+        );
+        let doomed = |t: &Table| vec![0, 3, 5, t.len() - 4, t.len() - 2];
+        step(
+            "delete source and tail rows",
+            &|t| assert_eq!(t.delete_slots(doomed(t)), 5),
+            &|m| {
+                let gone = [0, 3, 5, m.len() - 4, m.len() - 2];
+                *m = std::mem::take(m)
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(i, _)| !gone.contains(i))
+                    .map(|(_, r)| r)
+                    .collect();
+            },
+            Some(2),
+        );
+        step(
+            "add_column",
+            &|t| t.add_column(Column::new("extra", DataType::Int)).unwrap(),
+            &|m| m.iter_mut().for_each(|r| r.push(Value::Null)),
+            Some(2),
+        );
+        let wide = |k: i64| vec![Value::Int(k), Value::Text("w".into()), Value::Int(k)];
+        step(
+            "writes after widening",
+            &|t| {
+                t.insert(wide(200)).unwrap();
+                t.replace_row(1, wide(201)).unwrap();
+                t.delete_slots(vec![t.len() - 3]);
+            },
+            &|m| {
+                m.push(wide(200));
+                m[1] = wide(201);
+                let gone = m.len() - 3;
+                m.remove(gone);
+            },
+            Some(3),
+        );
+        step(
+            "create_index stores it",
+            &|t| t.create_index("o_val", &["val"], false).unwrap(),
+            &|_| {},
+            None,
+        );
+        // The source never moved.
+        assert!(source.rows().eq(filled(3 * CHUNK_ROWS + 5).rows()));
     }
 
     #[test]

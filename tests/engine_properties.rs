@@ -615,15 +615,19 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// A selection (`Table::select`) reads as the table `copy_rows` of the
+    /// An overlay (`Table::select`) reads as the table `copy_rows` of the
     /// same slots builds, whatever is written to it or to its source, in
     /// any order: after every step its length, rows stepped, folded and by
-    /// slot, storage bytes and average row width equal those of that copy,
-    /// which takes every write the selection takes. Writes to the source
-    /// (insert, `replace_row`, `delete_slots`, `add_column`,
-    /// `alter_column_type`, `cluster_by`) never show through it, and no
-    /// write to the selection, its first included, changes the source.
-    /// Some selections are taken over a selection of the source.
+    /// slot, storage bytes, average row width, clustering and indexes
+    /// (names and lookups) equal those of that copy, which takes every
+    /// write the overlay takes — inserts and updates into its tail,
+    /// deletes, `ADD COLUMN`, and the writes that store it. Its page row
+    /// width is the copy's once no unwritten source row is left, and until
+    /// then charges each source row the source's average (the cost model's
+    /// rule). Writes to the source (insert, `replace_row`, `delete_slots`,
+    /// `add_column`, `alter_column_type`, `cluster_by`) never show through
+    /// it, and no write to the overlay changes the source. Some overlays
+    /// are taken over an overlay of the source.
     #[test]
     fn a_selection_reads_as_the_copy_it_stands_for(
         n in 0usize..150,
@@ -632,7 +636,7 @@ proptest! {
         nested in any::<bool>(),
         ops in proptest::collection::vec((0u8..17, any::<u16>(), -50i64..400), 1..24),
     ) {
-        use orpheusdb::engine::Table;
+        use orpheusdb::engine::{Held, Table};
 
         fn source_row(t: &Table, rid: i64, k: i64) -> Vec<Value> {
             let mut row = vec![
@@ -652,7 +656,7 @@ proptest! {
         fn rows_of(t: &Table) -> Vec<Vec<Value>> {
             t.rows().map(<[Value]>::to_vec).collect()
         }
-        fn agree(sel: &Table, copy: &Table, what: &str) -> Result<(), TestCaseError> {
+        fn agree(sel: &Table, copy: &Table, source_avg: usize, what: &str) -> Result<(), TestCaseError> {
             prop_assert!(sel.len() == copy.len(), "{}: {} rows, copy {}", what, sel.len(), copy.len());
             prop_assert!(sel.schema == copy.schema, "{}: {:?} vs {:?}", what, sel.schema, copy.schema);
             let rows = rows_of(copy);
@@ -672,6 +676,28 @@ proptest! {
             prop_assert!(sel.clustered_on() == copy.clustered_on(), "{}: {:?} vs {:?}", what, sel.clustered_on(), copy.clustered_on());
             let names = |t: &Table| t.indexes().iter().map(|i| i.name.clone()).collect::<Vec<_>>();
             prop_assert!(names(sel) == names(copy), "{}: {:?} vs {:?}", what, names(sel), names(copy));
+            for idx in copy.indexes() {
+                let own = sel.index_named(&idx.name).unwrap();
+                for row in &rows {
+                    let key = idx.key_of(row);
+                    prop_assert!(own.lookup(&key) == idx.lookup(&key), "{}: {} at {:?}", what, idx.name, key);
+                }
+            }
+            // The page row width: the copy's, or with unwritten source
+            // rows left, the source's average for each of them (plus the
+            // NULLs it reads past its cells) and the tail rows' own bytes.
+            let held: Vec<Held> = sel.overlay_rows().map_or_else(Vec::new, Iterator::collect);
+            let sources = held.iter().filter(|h| matches!(h, Held::Source(_))).count();
+            let page_row_bytes = if sources == 0 {
+                copy.page_row_bytes()
+            } else {
+                let charged: usize = held.iter().map(|h| match h {
+                    Held::Source(cells) => source_avg + sel.schema.arity() - cells.len(),
+                    Held::Tail(cells) => cells.iter().map(Value::storage_bytes).sum(),
+                }).sum();
+                (charged / held.len()).max(1)
+            };
+            prop_assert!(sel.page_row_bytes() == page_row_bytes, "{}: {} vs {}", what, sel.page_row_bytes(), page_row_bytes);
             Ok(())
         }
 
@@ -706,7 +732,9 @@ proptest! {
             copy.copy_rows(&source, slots.iter().copied()).unwrap();
             (sel, copy)
         };
-        agree(&sel, &copy, "taken")?;
+        // The average row width of the payload every overlay here reads.
+        let source_avg = source.heap_bytes().checked_div(source.len()).unwrap_or(0);
+        agree(&sel, &copy, source_avg, "taken")?;
 
         let mut next_rid = n as i64;
         for (step, (kind, a, b)) in ops.into_iter().enumerate() {
@@ -797,7 +825,7 @@ proptest! {
                 prop_assert!(source.storage_bytes() == before.1, "{}: {:?} vs {:?}", what, source.storage_bytes(), before.1);
                 prop_assert!(source.schema == before.2, "{}: {:?} vs {:?}", what, source.schema, before.2);
             }
-            agree(&sel, &copy, &what)?;
+            agree(&sel, &copy, source_avg, &what)?;
         }
     }
 }

@@ -216,11 +216,17 @@ fn merge_checkout_precedence_is_first_listed_wins() {
 /// the rid and refuses the duplicate; [`lists_a_rid_twice`] says where
 /// v3 holds it.
 fn merge_history(model: ModelKind, with_pk: bool) -> OrpheusDB {
+    let mut odb = OrpheusDB::new();
+    merge_history_into(&mut odb, model, with_pk);
+    odb
+}
+
+/// [`merge_history`], built in `odb`.
+fn merge_history_into(odb: &mut OrpheusDB, model: ModelKind, with_pk: bool) {
     let mut schema = schema();
     if !with_pk {
         schema.primary_key.clear();
     }
-    let mut odb = OrpheusDB::new();
     odb.init_cvd("prot", schema, rows(), Some(model)).unwrap();
     odb.checkout("prot", &[Vid(1)], "w2").unwrap();
     for sql in [
@@ -249,7 +255,6 @@ fn merge_history(model: ModelKind, with_pk: bool) -> OrpheusDB {
         .execute("UPDATE w4 SET extra = 1 WHERE protein1 = 'p3'")
         .unwrap();
     odb.commit("w4", "evolve").unwrap();
-    odb
 }
 
 /// Whether [`merge_history`]'s v3 keeps a record twice.
@@ -414,6 +419,139 @@ fn a_merged_checkout_reads_and_commits_as_the_copy_it_stands_for() {
                 )
             };
             assert_eq!(version(&odb), version(&copy), "{what}: the committed merge");
+        }
+    }
+}
+
+/// `vid` of the CVD `prot` as its parents, rlist and records.
+fn committed(odb: &OrpheusDB, vid: Vid) -> String {
+    let cvd = odb.cvd("prot").unwrap();
+    let meta = cvd.meta(vid).unwrap();
+    let rows = model::version_rows(&odb.engine, cvd, vid).unwrap();
+    format!(
+        "{:?} {:?} {rows:?}",
+        meta.parents,
+        cvd.rids_of(vid).unwrap()
+    )
+}
+
+/// Replace the staged table `table` by a table of the same schema that
+/// stores the same rows: the copy a checkout stood for before staged
+/// tables were overlays.
+fn store_staged(odb: &mut OrpheusDB, table: &str) {
+    let staged = odb.engine.table(table).unwrap();
+    let schema = (*staged.schema).clone();
+    let rows: Vec<Vec<Value>> = staged.rows().map(<[Value]>::to_vec).collect();
+    odb.engine.drop_table(table).unwrap();
+    odb.engine.create_table(table, schema).unwrap();
+    let copy = odb.engine.table_mut(table).unwrap();
+    copy.insert_many(rows.iter().map(Vec::as_slice)).unwrap();
+    assert!(copy.overlay_rows().is_none());
+}
+
+/// A commit of a staged overlay keeps its unwritten rows by their rids and
+/// classifies only the rows it wrote; it must publish exactly the version
+/// the same edits of the stored copy publish, whose every row is compared
+/// with its parent record. For all five models (a-table-per-version stages
+/// an overlay of its version table, delta a stored table), with and
+/// without a primary key, on a history that widened the schema: edits
+/// that delete, insert, update, and update a row back to its values (it
+/// keeps its rid), then the same after an `ADD COLUMN`. The instance is a
+/// snapshot round trip of one opened on a write-ahead log, and its commits
+/// replay from that log to the same versions. A written row whose key an
+/// unwritten one holds is refused with the copy's error, and the table
+/// stays staged.
+#[test]
+fn an_overlay_commit_publishes_the_version_its_copy_commits() {
+    let edits: [&[&str]; 2] = [
+        &[
+            "DELETE FROM w WHERE protein1 = 'p4'",
+            "INSERT INTO w VALUES (NULL, 'n7', 'm7', 70, 7)",
+            "UPDATE w SET score = 61 WHERE protein1 = 'p6'",
+            "UPDATE w SET score = 60 WHERE protein1 = 'p6'",
+            "UPDATE w SET extra = 8 WHERE protein1 = 'p8'",
+        ],
+        &[
+            "ALTER TABLE w ADD COLUMN z INT",
+            "UPDATE w SET z = 9 WHERE protein1 = 'p9'",
+            "INSERT INTO w VALUES (NULL, 'n8', 'm8', 80, 8, 88)",
+            "DELETE FROM w WHERE protein1 = 'p7'",
+        ],
+    ];
+    for model in ModelKind::ALL {
+        for with_pk in [true, false] {
+            let what = format!("{} pk={with_pk}", model.name());
+            let dir = std::env::temp_dir().join(format!(
+                "orpheus-overlay-commit-{}-{with_pk}-{}",
+                model.name(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut logged = orpheusdb::core::recovery::open(&dir).unwrap();
+            merge_history_into(&mut logged, model, with_pk);
+            let mut copy = persist::deserialize(&persist::serialize(&logged)).unwrap();
+            let mut odb = persist::deserialize(&persist::serialize(&logged)).unwrap();
+            for (round, edits) in edits.iter().enumerate() {
+                let vid = Vid(5 + round as u64);
+                for (odb, stored) in [(&mut logged, false), (&mut odb, false), (&mut copy, true)] {
+                    odb.checkout("prot", &[Vid(4)], "w").unwrap();
+                    if stored {
+                        store_staged(odb, "w");
+                    }
+                    for sql in *edits {
+                        odb.engine.execute(sql).unwrap();
+                    }
+                    assert_eq!(odb.commit("w", "edit").unwrap(), vid, "{what}");
+                }
+                assert_eq!(committed(&odb, vid), committed(&copy, vid), "{what}: {vid}");
+                assert_eq!(
+                    committed(&logged, vid),
+                    committed(&copy, vid),
+                    "{what}: {vid}"
+                );
+            }
+            // The row updated back to its values kept its rid.
+            let cvd = copy.cvd("prot").unwrap();
+            let rid_of = |vid: Vid| {
+                let rows = model::version_rows(&copy.engine, cvd, vid).unwrap();
+                rows.iter().find(|(_, r)| r[0] == "p6".into()).unwrap().0
+            };
+            assert_eq!(rid_of(Vid(5)), rid_of(Vid(4)), "{what}: an update undone");
+            drop(logged);
+            let replayed = orpheusdb::core::recovery::open(&dir).unwrap();
+            for vid in [Vid(5), Vid(6)] {
+                assert_eq!(
+                    committed(&replayed, vid),
+                    committed(&copy, vid),
+                    "{what}: replayed"
+                );
+            }
+            drop(replayed);
+            let _ = std::fs::remove_dir_all(&dir);
+            if !with_pk {
+                continue;
+            }
+            let refused: Vec<String> = [(&mut odb, false), (&mut copy, true)]
+                .into_iter()
+                .map(|(odb, stored)| {
+                    odb.checkout("prot", &[Vid(6)], "d").unwrap();
+                    if stored {
+                        store_staged(odb, "d");
+                    }
+                    odb.engine
+                        .execute("INSERT INTO d VALUES (NULL, 'p5', 'q5', 1, 1, 1)")
+                        .unwrap();
+                    let err = odb.commit("d", "duplicate").unwrap_err().to_string();
+                    assert!(odb.engine.has_table("d"), "{what}: the table stays staged");
+                    err
+                })
+                .collect();
+            assert!(
+                refused[0].contains("duplicate key"),
+                "{what}: {}",
+                refused[0]
+            );
+            assert_eq!(refused[0], refused[1], "{what}");
         }
     }
 }
