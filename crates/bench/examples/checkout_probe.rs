@@ -18,13 +18,13 @@
 //! timed without the discard after it; printed are their p50 in raw µs
 //! and the mean bytes they allocate. Each staged table is checked, outside
 //! the timing, against the first-wins merge of the two versions' rows as
-//! `model::version_row_refs` borrows them (H has no primary key, so a rid
+//! their `model::VersionView`s borrow them (H has no primary key, so a rid
 //! staged once stays once).
 //!
 //! Also printed, as the next read-path target: the p50 of the workloads'
 //! versioned aggregate, `SELECT count(*), sum(a1) FROM VERSION v OF CVD
 //! diff WHERE a0 < 5000`, against the same fold over the version's rows
-//! borrowed through `model::version_row_refs`.
+//! borrowed through its `model::VersionView`.
 //!
 //! Last, a second table: 200 commit cycles per size on the same draws,
 //! each a checkout, a `DELETE` of 20 of its records by rid, an `INSERT` of
@@ -48,7 +48,8 @@ use std::time::Instant;
 
 use orpheus_bench::differential::{replay, Ctx, CVD};
 use orpheus_bench::generator::{HistoryGen, HistoryParams};
-use orpheus_core::{model, ModelKind, OrpheusDB, Vid};
+use orpheus_core::model::{self, VersionView};
+use orpheus_core::{ModelKind, OrpheusDB, Vid};
 use orpheus_engine::Value;
 
 /// Counts the bytes allocated (not net of frees), process-wide.
@@ -115,7 +116,7 @@ fn main() {
         "| versions | cells per row | checkout p50 µs | discard p50 µs | checkout bytes \
          | first write p50 µs | first-write bytes | discard after it p50 µs \
          | merged checkout p50 µs | merged checkout bytes | query p50 µs \
-         | `version_row_refs` fold p50 µs |"
+         | `VersionView` fold p50 µs |"
     );
     println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
     let mut cycles = Vec::new();
@@ -164,7 +165,7 @@ fn main() {
             let mut seen = HashSet::new();
             let mut want = Vec::new();
             for &vid in &vids {
-                for (rid, values) in model::version_row_refs(&odb.engine, cvd, vid).unwrap() {
+                for (rid, values) in VersionView::new(&odb.engine, cvd, vid).unwrap().iter() {
                     if seen.insert(rid) {
                         let mut row = vec![Value::Int(rid)];
                         row.extend_from_slice(values);
@@ -193,8 +194,8 @@ fn main() {
             query.push(us);
             let cvd = odb.cvd(CVD).unwrap();
             let (folded, us, _) = measured(|| {
-                let refs = model::version_row_refs(&odb.engine, cvd, vid).unwrap();
-                refs.iter()
+                let view = VersionView::new(&odb.engine, cvd, vid).unwrap();
+                view.iter()
                     .filter(|(_, row)| matches!(row[0], Value::Int(a0) if a0 < 5_000))
                     .fold((0i64, 0i64), |(n, sum), (_, row)| {
                         (n + 1, sum + row[1].as_int().unwrap_or(0))

@@ -378,8 +378,12 @@ impl Cvd {
     /// generation `generation`: a partition *is* a split-by-rlist table
     /// pair, under its own names.
     pub fn partition_pair(&self, generation: usize, k: usize) -> (String, String) {
-        let table = |role| format!("{}__g{}p{}_{role}", self.name, generation, k);
+        let table = |role| self.partition_table(generation, k, role);
         (table("data"), table("rlist"))
+    }
+
+    fn partition_table(&self, generation: usize, k: usize, role: &str) -> String {
+        format!("{}__g{}p{}_{role}", self.name, generation, k)
     }
 
     /// Every partition's table pair (none until `optimize` has run).
@@ -413,6 +417,18 @@ impl Cvd {
         match &self.partition {
             Some(state) => Ok(self.partition_pair(state.generation, state.partition_of(vid)?)),
             None => Ok((self.data_table(), self.rlist_table())),
+        }
+    }
+
+    /// The data table of [`Cvd::rlist_pair`]: the one a read of version
+    /// `vid`'s records resolves its rlist in.
+    pub fn data_table_of(&self, vid: Vid) -> Result<String> {
+        match &self.partition {
+            Some(state) => {
+                let k = state.partition_of(vid)?;
+                Ok(self.partition_table(state.generation, k, "data"))
+            }
+            None => Ok(self.data_table()),
         }
     }
 

@@ -19,7 +19,7 @@ use crate::cvd::{
 };
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
-use crate::model::{self, CommitData, ModelKind};
+use crate::model::{self, CommitData, ModelKind, ParentRecords, VersionView};
 use crate::partition_store::{self, OptimizeReport};
 use crate::query::{self, Lexed};
 use crate::request::{CommandKind, Executor, Request};
@@ -342,7 +342,7 @@ impl OrpheusDB {
         if let [vid] = *vids {
             model::checkout_into(&mut self.engine, cvd, vid, table)?;
         } else {
-            let staged = merged_table(&self.engine, cvd, vids, table)?;
+            let staged = model::stage(cvd, model::merge_versions(&self.engine, cvd, vids)?, table)?;
             self.engine.add_table(staged)?;
         }
         let cvd_key = cvd.name.clone();
@@ -355,12 +355,12 @@ impl OrpheusDB {
     pub fn checkout_csv(&mut self, cvd_name: &str, vids: &[Vid], path: &str) -> Result<String> {
         require_versions(vids)?;
         let cvd = lookup_versions(&self.cvds, cvd_name, vids)?;
-        let rows = merged_row_refs(&self.engine, cvd, vids)?;
-        let rids: Vec<Value> = rows.iter().map(|&(rid, _)| Value::Int(rid)).collect();
-        let cells = rids
-            .iter()
-            .zip(&rows)
-            .map(|(rid, (_, values))| [rid].into_iter().chain(*values));
+        let views = model::merge_versions(&self.engine, cvd, vids)?;
+        let records = || views.iter().flat_map(VersionView::iter);
+        let rids: Vec<Value> = records().map(|(rid, _)| Value::Int(rid)).collect();
+        let cells = (rids.iter())
+            .zip(records())
+            .map(|(rid, (_, values))| [rid].into_iter().chain(values));
         let text = csv::to_csv(&cvd.staged_schema(), cells);
         let cvd_key = cvd.name.clone();
         self.register_staged(path, cvd_key, vids, StagedKind::Csv)?;
@@ -564,7 +564,8 @@ impl OrpheusDB {
             self.apply_schema(&cvd_key, new_schema)?;
         }
         let cvd = lookup(&self.cvds, &cvd_key)?;
-        let (kept, new_rows) = classify_split(&self.engine, cvd, &entry.parents, staged, &col_map)?;
+        let (kept, new_rows) =
+            classify_staged(&self.engine, cvd, &entry.parents, staged, &col_map)?;
         Ok((cvd_key, kept, new_rows))
     }
 
@@ -746,17 +747,23 @@ impl OrpheusDB {
 
     // -- diff, queries, optimizer ------------------------------------------------
 
-    /// `diff`: records in one version but not the other (by record id).
-    /// The sorted rlists are compared as integers and only the records one
-    /// side lacks are copied, so a diff costs what the two versions do not
-    /// share — no hash sets, no CVD clone, no copy of either version.
+    /// `diff`: records in one version but not the other (by record id), in
+    /// rlist order and multiplicity. The sorted rlists are compared as
+    /// integers and each side reads and copies only the records the other
+    /// lacks (a [`VersionView`] of those rids), so a diff costs what the two
+    /// versions do not share — no hash sets, no CVD clone, no copy of
+    /// either version.
     pub fn diff(&self, cvd_name: &str, a: Vid, b: Vid) -> Result<VersionDiff> {
         let cvd = lookup(&self.cvds, cvd_name)?;
-        let rids_a = cvd.rids_of(a)?;
-        let rids_b = cvd.rids_of(b)?;
+        let (rids_a, rids_b) = (cvd.rids_of(a)?, cvd.rids_of(b)?);
+        let absent = |vid, rids, other| -> Result<Vec<Vec<Value>>> {
+            let rids = Cow::Owned(sorted_difference(rids, other));
+            let view = VersionView::of(&self.engine, cvd, vid, rids)?;
+            Ok(view.iter().map(|(_, values)| values.to_vec()).collect())
+        };
         Ok(VersionDiff {
-            only_in_first: model::version_rows_absent_from(&self.engine, cvd, a, rids_b)?,
-            only_in_second: model::version_rows_absent_from(&self.engine, cvd, b, rids_a)?,
+            only_in_first: absent(a, rids_a, rids_b)?,
+            only_in_second: absent(b, rids_b, rids_a)?,
         })
     }
 
@@ -1177,117 +1184,6 @@ fn lookup_mut<'a>(cvds: &'a mut HashMap<String, Cvd>, name: &str) -> Result<&'a 
         .ok_or_else(|| CoreError::CvdNotFound(name.to_string()))
 }
 
-/// Merge the records of `vids` into the picks `T` their checkout stages,
-/// in order (Section 2.2): the first-listed version's records, then each
-/// later version's records whose rids no earlier one holds, each in rid
-/// order and a rid listed twice taken once. With a primary key, a later
-/// record whose key a staged one holds is dropped: the first-listed
-/// version wins (each version holds a key once, as init and commit
-/// check). `resolve(vid, rids, picks)` appends the picks of `vid`'s records
-/// at the sorted `rids`; `values` reads a pick's data values. Beside the
-/// picks, the merge holds O(records the later versions add).
-fn merge_versions<'a, T: Copy>(
-    cvd: &Cvd,
-    vids: &[Vid],
-    mut resolve: impl FnMut(Vid, &[i64], Vec<T>) -> Result<Vec<T>>,
-    values: impl Fn(T) -> &'a [Value],
-) -> Result<Vec<T>> {
-    let rlists: Vec<&[i64]> = vids
-        .iter()
-        .map(|&v| cvd.rids_of(v))
-        .collect::<Result<_>>()?;
-    let mut first = Cow::Borrowed(rlists[0]);
-    if first.windows(2).any(|w| w[0] == w[1]) {
-        first.to_mut().dedup();
-    }
-    let added: Vec<Vec<i64>> = (1..vids.len())
-        .map(|i| {
-            let mut rids = sorted_difference(rlists[i], &first);
-            for earlier in &rlists[1..i] {
-                rids = sorted_difference(&rids, earlier);
-            }
-            rids.dedup();
-            rids
-        })
-        .collect();
-    let picks = Vec::with_capacity(first.len() + added.iter().map(Vec::len).sum::<usize>());
-    let mut picks = resolve(vids[0], &first, picks)?;
-    let (pk, values) = (&cvd.schema.primary_key, &values);
-    let key = |pick: T| pk.iter().map(move |&c| &values(pick)[c]);
-    for (&vid, rids) in vids[1..].iter().zip(&added) {
-        let start = picks.len();
-        picks = resolve(vid, rids, picks)?;
-        if pk.is_empty() || picks.len() == start {
-            continue;
-        }
-        // Look each staged record's key up among the new ones', by hash.
-        let mut new: Vec<(u64, usize)> = (start..picks.len())
-            .map(|n| (hash_values(key(picks[n])), n))
-            .collect();
-        new.sort_unstable();
-        let mut dropped = vec![false; new.len()];
-        for &staged in &picks[..start] {
-            let hash = hash_values(key(staged));
-            let same = &new[new.partition_point(|&(h, _)| h < hash)..];
-            for &(_, n) in same.iter().take_while(|&&(h, _)| h == hash) {
-                dropped[n - start] |= key(picks[n]).eq(key(staged));
-            }
-        }
-        let mut drop = std::iter::repeat_n(false, start).chain(dropped);
-        picks.retain(|_| !drop.next().unwrap_or(false));
-    }
-    Ok(picks)
-}
-
-/// The staged table `table` of a checkout of several `vids`: an overlay
-/// of the slots of the [`model::rid_table`], if the layout has one, or else
-/// a table of the CVD's staged schema holding the rows the merge picks.
-fn merged_table(engine: &Database, cvd: &Cvd, vids: &[Vid], table: &str) -> Result<Table> {
-    let name = table.to_ascii_lowercase();
-    if let Some((t, width)) = model::rid_table(engine, cvd)? {
-        let resolve = |_, rids: &[i64], slots| model::resolve_slots(t, rids, slots);
-        let slots = merge_versions(cvd, vids, resolve, |slot| &t.row(slot)[1..1 + width])?;
-        return Ok(t.select(name, 1 + width, slots));
-    }
-    let mut staged = Table::new(name, cvd.staged_schema());
-    for (rid, values) in merged_row_refs(engine, cvd, vids)? {
-        let mut row = [&[Value::Int(rid)], values].concat();
-        row.resize(staged.schema.arity(), Value::Null);
-        staged.insert(row)?;
-    }
-    Ok(staged)
-}
-
-/// The borrowed `(rid, data values)` picks of a checkout of `vids`
-/// ([`merge_versions`]), read through [`model::version_row_refs`]; values
-/// frozen before an `ADD COLUMN` are narrower than the schema.
-fn merged_row_refs<'a>(
-    engine: &'a Database,
-    cvd: &Cvd,
-    vids: &[Vid],
-) -> Result<model::RowRefs<'a>> {
-    let resolve = |vid, rids: &[i64], mut picks: model::RowRefs<'a>| {
-        let mut taken = vec![false; rids.len()];
-        let rows = model::version_row_refs(engine, cvd, vid)?.into_iter();
-        picks.extend(rows.filter(|(rid, _)| {
-            (rids.binary_search(rid)).is_ok_and(|i| !std::mem::replace(&mut taken[i], true))
-        }));
-        Ok(picks)
-    };
-    merge_versions(cvd, vids, resolve, |(_, values)| values)
-}
-
-/// Hash a sequence of values with the engine's `Value` hashing rules
-/// (numerically equal ints and doubles hash identically).
-fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for v in values {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
 /// The value a missing cell reads as.
 static NULL: Value = Value::Null;
 
@@ -1349,12 +1245,12 @@ impl Staged<'_> {
     }
 
     /// The rids kept by identity and the rows to classify, in order.
-    fn split(&self) -> (Vec<i64>, Vec<&[Value]>) {
+    fn split(&self) -> (&[i64], Vec<&[Value]>) {
         match self {
-            Staged::Table(table) => (Vec::new(), table.rows().collect()),
-            Staged::Rows(rows) => (Vec::new(), rows.iter().map(Vec::as_slice).collect()),
+            Staged::Table(table) => (&[], table.rows().collect()),
+            Staged::Rows(rows) => (&[], rows.iter().map(Vec::as_slice).collect()),
             Staged::Detached { kept, written, .. } => (
-                kept.clone(),
+                kept,
                 written.iter().map(|(_, row)| row.as_slice()).collect(),
             ),
         }
@@ -1381,12 +1277,7 @@ impl Staged<'_> {
                 source_width,
             } => (kept, written, source_width),
         };
-        let mut records = (parents.iter())
-            .map(|&p| model::version_row_refs(engine, cvd, p))
-            .collect::<Result<Vec<_>>>()?;
-        for refs in &mut records {
-            refs.sort_unstable_by_key(|&(rid, _)| rid);
-        }
+        let mut records = ParentRecords::new(engine, cvd, parents)?;
         let mut table = Table::new(name, schema.clone());
         let (mut kept, mut written) = (kept.into_iter(), written.into_iter().peekable());
         for i in 0..kept.len() + written.len() {
@@ -1394,14 +1285,9 @@ impl Staged<'_> {
                 Some((_, cells)) => cells,
                 None => {
                     let rid = kept.next().expect("a row is kept or written");
-                    let record = (records.iter())
-                        .find_map(|refs| {
-                            let i = refs.binary_search_by_key(&rid, |&(r, _)| r).ok()?;
-                            Some(refs[i].1)
-                        })
-                        .ok_or_else(|| {
-                            CoreError::Storage(format!("record {rid} of {name} is gone"))
-                        })?;
+                    let record = records.record(rid).ok_or_else(|| {
+                        CoreError::Storage(format!("record {rid} of {name} is gone"))
+                    })?;
                     let values = &record[..record.len().min(source_width.saturating_sub(1))];
                     [&[Value::Int(rid)], values].concat()
                 }
@@ -1467,88 +1353,54 @@ fn column_map(schema: &Schema, staged: &Schema) -> Vec<Option<usize>> {
         .collect()
 }
 
-/// Classify a commit's staged rows ([`Staged::split`]): a detached
-/// overlay's unwritten rows are kept by their rids, and every other row
-/// goes to [`classify_staged`]. Returns the kept rids, sorted, and the new
-/// rows.
-fn classify_split(
+/// Classify a commit's staged rows ([`Staged::split`]) against the
+/// parents (the no-cross-version-diff rule of §2.2): a detached overlay's
+/// unwritten rows are kept by their rids, and any other row keeps its rid
+/// when the first parent holding that rid has a record equal to it value
+/// for value, the row read in CVD column order through `col_map`; a parent
+/// record narrower than the schema (a table frozen before an `ADD COLUMN`)
+/// matches NULLs in the columns it predates. Returns the kept rids,
+/// sorted, and the other rows copied out in CVD column order — the only
+/// rows that are copied.
+///
+/// Parent records are borrowed in place through the parents' views
+/// ([`ParentRecords`]), read only once a row carries a rid: rows inserted
+/// with a NULL rid are new whatever the parents hold. A staged table is
+/// usually a checkout edited in place, its rows in rid order, which is
+/// the order those views find rids fastest in. When the staged columns
+/// after the rid are the CVD's in order, a row of the schema's width is
+/// compared with its parent record as one slice.
+fn classify_staged(
     engine: &Database,
     cvd: &Cvd,
     parents: &[Vid],
     staged: &Staged<'_>,
     col_map: &[Option<usize>],
 ) -> Result<(Vec<i64>, Vec<Vec<Value>>)> {
-    let (mut kept, written) = staged.split();
-    let (also_kept, new_rows) = classify_staged(engine, cvd, parents, &written, col_map)?;
-    kept.extend(also_kept);
-    kept.sort_unstable();
-    Ok((kept, new_rows))
-}
-
-/// Classify staged rows against the parents (the no-cross-version-diff
-/// rule of §2.2): a row keeps its rid when the first parent holding that
-/// rid has a record equal to it value for value, the row read in CVD
-/// column order through `col_map`; a parent record narrower than the
-/// schema (a table frozen before an `ADD COLUMN`) matches NULLs in the
-/// columns it predates. Returns the kept rids, sorted, and the other rows
-/// copied out in CVD column order — the only rows that are copied.
-///
-/// Parent records are borrowed in place through the record-access path
-/// ([`model::version_row_refs`]), read only once a row carries a rid: rows
-/// inserted with a NULL rid are new whatever the parents hold. A staged
-/// table is usually a checkout edited in place, its rows in rid order, so
-/// each parent is walked with a cursor at the record after its last
-/// match, and searched by rid only when the cursor misses. When the
-/// staged columns after the rid are the CVD's in order, a row of the
-/// schema's width is compared with its parent record as one slice.
-fn classify_staged(
-    engine: &Database,
-    cvd: &Cvd,
-    parents: &[Vid],
-    rows: &[&[Value]],
-    col_map: &[Option<usize>],
-) -> Result<(Vec<i64>, Vec<Vec<Value>>)> {
-    // Per parent: its records, and the walk's cursor into them.
-    let mut parent_rows: Vec<(model::RowRefs<'_>, usize)> = Vec::new();
-    if rows
-        .iter()
-        .any(|row| matches!(row.first(), Some(Value::Int(_))))
-    {
-        for &p in parents {
-            let mut rows = model::version_row_refs(engine, cvd, p)?;
-            // The rid-index paths return rid order already; a
-            // table-per-version heap may not.
-            if !rows.windows(2).all(|w| w[0].0 <= w[1].0) {
-                rows.sort_unstable_by_key(|(rid, _)| *rid);
-            }
-            parent_rows.push((rows, 0));
-        }
-    }
+    let (by_identity, rows) = staged.split();
+    let carries_rid = |row: &&[Value]| matches!(row.first(), Some(Value::Int(_)));
+    let read = if rows.iter().any(carries_rid) {
+        parents
+    } else {
+        &[]
+    };
+    let mut held = ParentRecords::new(engine, cvd, read)?;
     let width = col_map.len();
     let in_order = col_map.iter().enumerate().all(|(c, &i)| i == Some(c + 1));
-    let mut kept = Vec::with_capacity(rows.len());
+    let mut kept = Vec::with_capacity(by_identity.len() + rows.len());
+    kept.extend_from_slice(by_identity);
     let mut new_rows = Vec::new();
-    for &row in rows {
+    for row in rows {
         let cell = |c: usize| col_map[c].and_then(|i| row.get(i)).unwrap_or(&NULL);
         let unchanged = staged_rid(row)?.filter(|&rid| {
-            parent_rows
-                .iter_mut()
-                .find_map(|(rows, next)| {
-                    let i = match rows.get(*next) {
-                        Some(&(r, _)) if r == rid => *next,
-                        _ => rows.binary_search_by_key(&rid, |(r, _)| *r).ok()?,
-                    };
-                    *next = i + 1;
-                    Some(rows[i].1)
-                })
-                .is_some_and(|parent| {
-                    if in_order && parent.len() == width && row.len() == width + 1 {
-                        parent == &row[1..]
-                    } else {
-                        parent.len() <= width
-                            && (0..width).all(|c| parent.get(c).unwrap_or(&NULL) == cell(c))
-                    }
-                })
+            held.record(rid).is_some_and(|parent| {
+                if in_order && parent.len() == width && row.len() == width + 1 {
+                    parent == &row[1..]
+                } else {
+                    parent.len() <= width
+                        && (0..width).all(|c| parent.get(c).unwrap_or(&NULL) == cell(c))
+                }
+            })
         });
         match unchanged {
             Some(rid) => kept.push(rid),
@@ -1635,14 +1487,14 @@ fn check_pk_duplicates(rows: &[Held<'_>], pk: &[Option<usize>]) -> Result<()> {
     }
     let mut hashed: Vec<(u64, usize)> = (rows.iter().enumerate())
         .filter(|(_, row)| matches!(row, Held::Tail(_)))
-        .map(|(i, &row)| (hash_values(key(row, pk)), i))
+        .map(|(i, &row)| (model::hash_values(key(row, pk)), i))
         .collect();
     if hashed.len() < rows.len() && !hashed.is_empty() {
         let mut written: Vec<u64> = hashed.iter().map(|&(hash, _)| hash).collect();
         written.sort_unstable();
         for (i, &row) in rows.iter().enumerate() {
             if let Held::Source(_) = row {
-                let hash = hash_values(key(row, pk));
+                let hash = model::hash_values(key(row, pk));
                 if written.binary_search(&hash).is_ok() {
                     hashed.push((hash, i));
                 }
@@ -2242,7 +2094,7 @@ mod tests {
             if by_identity {
                 staged = Staged::detached(&staged.rows(true));
             }
-            classify_split(&odb.engine, cvd, parents, &staged, &col_map).unwrap()
+            classify_staged(&odb.engine, cvd, parents, &staged, &col_map).unwrap()
         };
         let (walked, overlaid) = (classify(false), classify(true));
         let searched = classify_by_search(&mut odb.engine, cvd, parents, "w", &col_map);

@@ -3,7 +3,7 @@
 //! checkout is a containment scan; commit appends the new vid to every
 //! inherited record's vlist — the expensive operation that motivates the
 //! split models (Section 3.2). Reads resolve the version's rlist through
-//! the rid index ([`crate::model::version_row_refs`]), which needs the
+//! the rid index ([`crate::model::VersionView`]), which needs the
 //! layout to stay [`physical_schema`]: schema evolution keeps `vlist` last
 //! (`keep_vlist_last`).
 
@@ -184,11 +184,7 @@ mod tests {
         commit(&mut db, &mut cvd, &[record("b", 2)], &[Vid(1)]);
         assert_eq!(model::version_rows(&db, &cvd, Vid(2)).unwrap().len(), 1);
         // The fast path strips the vlist column, like the SQL projection.
-        let fast: Vec<(i64, Vec<Value>)> = model::version_row_refs(&db, &cvd, Vid(1))
-            .unwrap()
-            .into_iter()
-            .map(|(r, vals)| (r, vals.to_vec()))
-            .collect();
+        let fast = model::version_rows(&db, &cvd, Vid(1)).unwrap();
         let mut sql = version_rows_sql(&mut db, &cvd, Vid(1)).unwrap();
         sql.sort_by_key(|(r, _)| *r);
         assert_eq!(fast, sql);
@@ -215,9 +211,8 @@ mod tests {
         let refused = |e: CoreError| matches!(&e, CoreError::Invalid(m) if m.contains(&table));
         assert!(!model::version_readable(&db, &cvd, Vid(1)));
         assert!(refused(model::version_rows(&db, &cvd, Vid(1)).unwrap_err()));
-        assert!(refused(
-            model::version_rows_absent_from(&db, &cvd, Vid(1), &[]).unwrap_err()
-        ));
+        let view = model::VersionView::of(&db, &cvd, Vid(1), Default::default());
+        assert!(refused(view.err().unwrap()));
         assert!(refused(
             model::checkout_into(&mut db, &cvd, Vid(1), "drift_t").unwrap_err()
         ));

@@ -5,12 +5,13 @@
 //!
 //! Checkout replays the lineage from the version back to the root,
 //! discarding records already seen (deleted-or-superseded semantics):
-//! reads walk the delta-table heaps ([`version_row_refs`]); the
-//! per-table `SELECT *` replay ([`reconstruct`]) is the spec.
+//! reads walk the delta-table heaps (`view`); the per-table `SELECT *`
+//! replay ([`reconstruct`]) is the spec.
 //! Advanced cross-version queries cannot be rewritten against this model
 //! without reconstructing versions — the qualitative drawback the paper
 //! weighs against its storage economy.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 use orpheus_engine::{Column, DataType, Database, Schema, Value};
@@ -18,7 +19,7 @@ use orpheus_engine::{Column, DataType, Database, Schema, Value};
 use crate::cvd::Cvd;
 use crate::error::{CoreError, Result};
 use crate::ids::Vid;
-use crate::model::{self, insert_rows, CommitData};
+use crate::model::{self, insert_rows, CommitData, VersionView, ViewRows};
 
 /// Schema of a delta table: rid PK ++ attrs ++ tombstone flag.
 pub fn delta_schema(cvd: &Cvd) -> Schema {
@@ -78,15 +79,9 @@ pub fn persist(db: &mut Database, cvd: &Cvd, parents: &[Vid], data: &CommitData)
 /// (Section 3.1: "if an incoming record has occurred before, it is
 /// discarded; otherwise, if it is marked as insert, insert it").
 pub fn reconstruct(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
-    let mut chain = Vec::new();
-    let mut cur = Some(vid);
-    while let Some(v) = cur {
-        chain.push(v);
-        cur = cvd.meta(v)?.base;
-    }
     let mut seen: HashSet<i64> = HashSet::new();
     let mut out: Vec<(i64, Vec<Value>)> = Vec::new();
-    for v in chain {
+    for v in lineage(cvd, vid)? {
         let r = db.query(&format!("SELECT * FROM {}", cvd.delta_table(v)))?;
         for mut row in r.rows {
             let tombstone = row.pop().expect("tombstone column").as_bool()?;
@@ -101,74 +96,70 @@ pub fn reconstruct(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, V
     Ok(out)
 }
 
-/// The record-access lineage replay: the same base-chain walk as
-/// [`reconstruct`], reading delta-table heaps directly through the table
-/// API — no SQL parse/plan per chain link. A chain table that is missing
-/// or has drifted from the delta layout is an error naming it.
-pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Result<model::RowRefs<'a>> {
-    let mut chain = Vec::new();
-    let mut cur = Some(vid);
-    while let Some(v) = cur {
-        chain.push(v);
-        cur = cvd.meta(v)?.base;
-    }
+/// The view of `vid`'s records at the sorted `rids`: the record-access
+/// lineage replay, the same base-chain walk as [`reconstruct`] reading
+/// the delta-table heaps directly through the table API — no SQL
+/// parse/plan per chain link — and then the replayed record of each rid.
+/// A chain table that is missing or has drifted from the delta layout, or
+/// a rid the replay lacks, is an error naming the table.
+pub(crate) fn view<'a>(
+    db: &'a Database,
+    cvd: &Cvd,
+    vid: Vid,
+    rids: Cow<'a, [i64]>,
+) -> Result<VersionView<'a>> {
     let mut seen: HashSet<i64> = HashSet::new();
-    let mut out: model::RowRefs<'a> = Vec::new();
-    for v in chain {
+    let mut replayed: Vec<(i64, &'a [Value])> = Vec::new();
+    for v in lineage(cvd, vid)? {
         let t = db.table(&cvd.delta_table(v))?;
         let width = model::attr_prefix_len(t, cvd, 1)?;
         for row in t.rows() {
-            let rid = model::row_rid(t, row)?;
-            let Value::Bool(tombstone) = row[width + 1] else {
+            let (Value::Int(rid), Value::Bool(tombstone)) = (&row[0], &row[width + 1]) else {
                 return Err(CoreError::Invalid(format!(
-                    "delta table {} holds a row whose tombstone is not a BOOL",
+                    "delta table {} holds a row whose rid is not an INT or whose \
+                     tombstone is not a BOOL",
                     t.name
                 )));
             };
-            if seen.insert(rid) && !tombstone {
-                out.push((rid, &row[1..1 + width]));
+            if seen.insert(*rid) && !tombstone {
+                replayed.push((*rid, &row[1..=width]));
             }
         }
     }
-    out.sort_by_key(|(rid, _)| *rid);
-    Ok(out)
+    replayed.sort_unstable_by_key(|&(rid, _)| rid);
+    let mut rows = Vec::with_capacity(rids.len());
+    for &rid in rids.iter() {
+        let i = replayed.partition_point(|&(r, _)| r < rid);
+        match replayed.get(i) {
+            Some(&(r, values)) if r == rid => rows.push(values),
+            _ => return Err(model::lacks(&cvd.delta_table(vid))),
+        }
+    }
+    let rows = ViewRows::Replayed(rows);
+    Ok(VersionView { rids, rows })
 }
 
-/// Checkout: the lineage replay of [`version_row_refs`], materialized.
-pub fn checkout(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
-    let rows = staged_rows(cvd, version_row_refs(db, cvd, vid)?);
-    db.create_table(target, cvd.staged_schema())?;
-    insert_rows(db, target, rows)
+/// `vid` and its base chain back to the root, newest first.
+fn lineage(cvd: &Cvd, vid: Vid) -> Result<Vec<Vid>> {
+    let mut chain = vec![vid];
+    while let Some(base) = cvd.meta(chain[chain.len() - 1])?.base {
+        chain.push(base);
+    }
+    Ok(chain)
 }
 
 /// The SQL-layer checkout formulation: lineage replay through per-table
 /// `SELECT *` statements (the delta model has no single Table 1
-/// statement), materialized like [`checkout`].
+/// statement), materialized as the record-access checkout stages a
+/// replayed version.
 pub fn checkout_sql_replay(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
     let records = reconstruct(db, cvd, vid)?;
-    let rows = staged_rows(cvd, records.iter().map(|(rid, v)| (*rid, v.as_slice())));
-    db.create_table(target, cvd.staged_schema())?;
-    insert_rows(db, target, rows)
-}
-
-/// Staged-table rows of replayed records: rid first, each null-extended
-/// to the current schema — records replayed from tables frozen before a
-/// schema evolution are narrower.
-fn staged_rows<'v>(
-    cvd: &Cvd,
-    records: impl IntoIterator<Item = (i64, &'v [Value])>,
-) -> Vec<Vec<Value>> {
-    let width = cvd.schema.arity() + 1;
-    records
-        .into_iter()
-        .map(|(rid, values)| {
-            let mut row = Vec::with_capacity(width);
-            row.push(Value::Int(rid));
-            row.extend_from_slice(values);
-            row.resize(width, Value::Null);
-            row
-        })
-        .collect()
+    let records = records
+        .iter()
+        .map(|(rid, values)| (*rid, values.as_slice()));
+    let staged = model::staged_table(cvd, target.to_ascii_lowercase(), records)?;
+    db.add_table(staged)?;
+    Ok(())
 }
 
 /// The replay read via the SQL layer ([`reconstruct`]) — the spec path.
@@ -242,7 +233,7 @@ mod tests {
             .unwrap();
         assert_eq!(a.1[1], Value::Int(7));
 
-        checkout(&mut db, &cvd, Vid(3), "t3").unwrap();
+        model::checkout_into(&mut db, &cvd, Vid(3), "t3").unwrap();
         let r = db.query("SELECT count(*) FROM t3").unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(3)));
     }

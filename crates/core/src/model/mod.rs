@@ -16,15 +16,16 @@
 //! benchmark, which check the runtime path against them
 //! (`tests/fastpath_equivalence.rs` pins row-for-row equality,
 //! `tests/table1_sql.rs` the commit side). Every runtime read takes the
-//! **record-access path** ([`version_row_refs`], [`checkout_into`]): a
-//! version's sorted rlist resolves to heap slots through the backing
-//! table's rid index and rows are borrowed in place, with no SQL
-//! parse/plan/join; delta replays its lineage over the delta-table heaps.
-//! The path is total: every layout the models create reads this way —
+//! **record-access path**, a [`VersionView`]: a version's sorted rlist
+//! resolves to heap slots through the backing table's rid index, one slot
+//! per rid, and rows are borrowed in place, with no SQL parse/plan/join;
+//! delta replays its lineage over the delta-table heaps. The path is
+//! total: every layout the models create reads this way —
 //! combined keeps `vlist` last through schema evolution and snapshot
 //! loads (`combined::keep_vlist_last`) — and a backing table whose
 //! columns no longer match the CVD schema (only a hand-run `ALTER` makes
-//! one) is refused with [`CoreError::Invalid`] naming it.
+//! one) or that lacks a record a version lists (a hand-run `DELETE`) is
+//! refused with [`CoreError::Invalid`] naming it.
 //!
 //! Writes have one path: [`persist_commit`] hands `Value`s to the engine's
 //! table API (`Table::insert`, `replace_row`, `delete_slots`), which runs
@@ -38,6 +39,7 @@ pub mod split_rlist;
 pub mod split_vlist;
 pub mod table_per_version;
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use orpheus_engine::{Database, Table, Value};
@@ -165,41 +167,26 @@ pub fn persist_commit(db: &mut Database, cvd: &Cvd, data: &CommitData, _bulk: bo
 }
 
 /// The records of the sorted `rids`, each read from the first of
-/// `parents` that holds it and null-extended to the CVD's current width:
-/// what a-table-per-version and delta copy for the records a version
-/// keeps.
+/// `parents` that holds it ([`ParentRecords`]) and null-extended to the
+/// CVD's current width: what a-table-per-version and delta copy for the
+/// records a version keeps.
 pub(crate) fn kept_records(
-    db: &mut Database,
+    db: &Database,
     cvd: &Cvd,
     parents: &[Vid],
     rids: &[i64],
 ) -> Result<Vec<(i64, Vec<Value>)>> {
     let width = cvd.schema.arity();
-    let mut found: Vec<Option<Vec<Value>>> = vec![None; rids.len()];
-    for &parent in parents {
-        if found.iter().all(Option::is_some) {
-            break;
-        }
-        let mut rows = version_rows(db, cvd, parent)?;
-        rows.sort_by_key(|(rid, _)| *rid);
-        for (slot, rid) in found.iter_mut().zip(rids) {
-            if slot.is_none() {
-                if let Ok(i) = rows.binary_search_by_key(rid, |(r, _)| *r) {
-                    let mut values = rows[i].1.clone();
-                    values.resize(width, Value::Null);
-                    *slot = Some(values);
-                }
-            }
-        }
-    }
+    let mut held = ParentRecords::new(db, cvd, parents)?;
     rids.iter()
-        .zip(found)
-        .map(|(&rid, values)| {
-            let values = values.ok_or_else(|| {
+        .map(|&rid| {
+            let record = held.record(rid).ok_or_else(|| {
                 CoreError::Invalid(format!(
                     "kept record {rid} is in none of the parents {parents:?}"
                 ))
             })?;
+            let mut values = record.to_vec();
+            values.resize(width, Value::Null);
             Ok((rid, values))
         })
         .collect()
@@ -284,23 +271,12 @@ fn strip_vid_from_vlists(db: &mut Database, table: &str, vid: Vid) {
 }
 
 /// Materialize a single version into `target` (the checkout of Table 1)
-/// by the record-access path: the version's records are copied out of the
-/// table that holds them — the version's own table for
-/// a-table-per-version, the rlist's records of the rid-indexed table
-/// otherwise, less combined's trailing `vlist` — or, for delta, replayed
-/// from its lineage ([`delta::checkout`]). [`checkout_into_sql`] is the
-/// spec it must match.
+/// by the record-access path: the version's [`VersionView`], staged
+/// (`stage`). [`checkout_into_sql`] is the spec it must match.
 pub fn checkout_into(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -> Result<()> {
-    let rlist = cvd.rids_of(vid)?;
-    let (source, rlist, trailing) = match cvd.model {
-        ModelKind::TablePerVersion => (cvd.version_table(vid), None, 0),
-        ModelKind::CombinedTable => (cvd.combined_table(), Some(rlist), 1),
-        ModelKind::SplitByVlist => (cvd.data_table(), Some(rlist), 0),
-        // Only the pair holding the version is touched.
-        ModelKind::SplitByRlist => (cvd.rlist_pair(vid)?.0, Some(rlist), 0),
-        ModelKind::DeltaBased => return delta::checkout(db, cvd, vid, target),
-    };
-    checkout_resolved(db, &source, cvd, rlist, trailing, target)
+    let staged = stage(cvd, [VersionView::new(db, cvd, vid)?], target)?;
+    db.add_table(staged)?;
+    Ok(())
 }
 
 /// The checkout of Table 1 executed verbatim through the SQL layer — the
@@ -330,35 +306,13 @@ pub fn checkout_into_sql(db: &mut Database, cvd: &Cvd, vid: Vid, target: &str) -
     Ok(())
 }
 
-/// The records of a version as owned (rid, data values) pairs: the rows
-/// of [`version_row_refs`], copied.
+/// The records of a version as owned (rid, data values) pairs, in rlist
+/// order: the rows of its [`VersionView`], copied.
 pub fn version_rows(db: &Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i64, Vec<Value>)>> {
-    Ok(version_row_refs(db, cvd, vid)?
-        .into_iter()
+    let view = VersionView::new(db, cvd, vid)?;
+    Ok(view
+        .iter()
         .map(|(rid, values)| (rid, values.to_vec()))
-        .collect())
-}
-
-/// The data values of the records of `vid` whose rids sorted `other` lacks,
-/// in rlist order and with the rlist's multiplicity: [`version_rows`]
-/// filtered by rid, at the cost of the records kept. The rid-indexed
-/// layouts resolve only the rids `other` lacks; the others borrow the
-/// version through [`version_row_refs`] and copy only what they keep.
-pub fn version_rows_absent_from(
-    db: &Database,
-    cvd: &Cvd,
-    vid: Vid,
-    other: &[i64],
-) -> Result<Vec<Vec<Value>>> {
-    let rlist = cvd.rids_of(vid)?;
-    let refs = match rid_table(db, cvd)? {
-        Some((t, width)) => rid_index_rows(t, width, &sorted_difference(rlist, other))?,
-        None => version_row_refs(db, cvd, vid)?,
-    };
-    Ok(refs
-        .into_iter()
-        .filter(|(rid, _)| other.binary_search(rid).is_err())
-        .map(|(_, values)| values.to_vec())
         .collect())
 }
 
@@ -378,33 +332,309 @@ pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i
 
 // -- the record-access path -----------------------------------------------------
 
-/// Borrowed `(rid, data values)` pairs — the return shape of the
-/// record-access path.
-pub type RowRefs<'a> = Vec<(i64, &'a [Value])>;
+/// The records of one version where they lie — what every runtime read of
+/// a version takes (checkout, merge, diff, commit classification,
+/// [`version_rows`]): its sorted rids and one row per rid, in rlist order
+/// and multiplicity. On every layout but delta a row is a heap slot of one
+/// table (the combined table, the data table — the version's partition's
+/// once optimized — or a-table-per-version's table of the version) from a
+/// single walk of its rid index, so rid `i` is `rids[i]` and no rid cell
+/// is read; delta replays its lineage over the delta-table heaps. A
+/// backing table that is missing, has no rid index, no longer matches the
+/// CVD schema or lacks a record of the version is an error naming it. A
+/// row is the record's data values: in a table frozen before an `ADD
+/// COLUMN` (a-table-per-version, delta) narrower than the schema, as the
+/// table's `SELECT *` returns; consumers null-extend.
+pub struct VersionView<'a> {
+    rids: Cow<'a, [i64]>,
+    rows: ViewRows<'a>,
+}
 
-/// Borrowed `(rid, data values)` pairs of one version, resolved without
-/// SQL: the rlist comes from the version manager's sorted cache
-/// ([`Cvd::rids_of`]), records from direct heap-slot lookup through the
-/// backing table's rid index ([`orpheus_engine::Table::resolve_int_keys`]).
-/// A backing table that is missing, has no rid index or no longer matches
-/// the CVD schema is an error naming it.
-///
-/// Value slices may be *narrower* than the current schema for models that
-/// freeze per-version tables (a-table-per-version, delta) — exactly what
-/// their SQL `SELECT *` returns; consumers null-extend.
-pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Result<RowRefs<'a>> {
-    let rlist = cvd.rids_of(vid)?;
-    match rid_table(db, cvd)? {
-        Some((t, width)) => rid_index_rows(t, width, rlist),
-        None if cvd.model == ModelKind::DeltaBased => delta::version_row_refs(db, cvd, vid),
-        None => table_per_version::version_row_refs(db, cvd, vid),
+enum ViewRows<'a> {
+    /// Row `i` is the `width` data values of `table`'s row `slots[i]`.
+    Slots {
+        table: &'a Table,
+        width: usize,
+        slots: Vec<usize>,
+    },
+    /// Row `i` is the record delta's lineage replay reads for `rids[i]`.
+    Replayed(Vec<&'a [Value]>),
+}
+
+impl<'a> VersionView<'a> {
+    /// The records of `vid`.
+    pub fn new(db: &'a Database, cvd: &'a Cvd, vid: Vid) -> Result<VersionView<'a>> {
+        VersionView::of(db, cvd, vid, Cow::Borrowed(cvd.rids_of(vid)?))
+    }
+
+    /// The records of `vid` at `rids`, a sorted sub-list of its rlist: what
+    /// a diff or a merge reads of a version.
+    pub fn of(
+        db: &'a Database,
+        cvd: &Cvd,
+        vid: Vid,
+        rids: Cow<'a, [i64]>,
+    ) -> Result<VersionView<'a>> {
+        cvd.check_version(vid)?;
+        let (table, trailing) = match cvd.model {
+            ModelKind::TablePerVersion => (cvd.version_table(vid), 0),
+            ModelKind::CombinedTable => (cvd.combined_table(), 1),
+            ModelKind::SplitByVlist => (cvd.data_table(), 0),
+            // Only the pair holding the version is touched.
+            ModelKind::SplitByRlist => (cvd.data_table_of(vid)?, 0),
+            ModelKind::DeltaBased => return delta::view(db, cvd, vid, rids),
+        };
+        let t = db.table(&table)?;
+        let width = attr_prefix_len(t, cvd, trailing)?;
+        let slots = Vec::with_capacity(rids.len());
+        VersionView::in_table(t, width, rids, slots)
+    }
+
+    /// The records at the sorted `rids` of `table`, whose rows are `[rid,
+    /// width data values, ..]`: the one walk that resolves an rlist to heap
+    /// slots, into `slots`, an empty buffer (a merged checkout reserves the
+    /// first version's for the whole merge).
+    fn in_table(
+        table: &'a Table,
+        width: usize,
+        rids: Cow<'a, [i64]>,
+        mut slots: Vec<usize>,
+    ) -> Result<VersionView<'a>> {
+        table
+            .lookup_keys(
+                &[0],
+                rids.iter().map(|&rid| [Value::Int(rid)]),
+                |_, found| slots.extend_from_slice(found),
+            )
+            .map_err(|_| no_rid_index(table))?;
+        if slots.len() != rids.len() {
+            return Err(lacks(&table.name));
+        }
+        let rows = ViewRows::Slots {
+            table,
+            width,
+            slots,
+        };
+        Ok(VersionView { rids, rows })
+    }
+
+    pub fn len(&self) -> usize {
+        self.rids.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rids.is_empty()
+    }
+
+    /// The data values of the `i`-th record.
+    pub fn row(&self, i: usize) -> &'a [Value] {
+        match &self.rows {
+            ViewRows::Slots {
+                table,
+                width,
+                slots,
+            } => &table.row(slots[i])[1..=*width],
+            ViewRows::Replayed(rows) => rows[i],
+        }
+    }
+
+    /// `(rid, data values)` of each record, in rid order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (i64, &'a [Value])> + '_ {
+        (0..self.len()).map(|i| (self.rids[i], self.row(i)))
+    }
+
+    /// Drop the `i`-th record wherever `dropped[i]`.
+    fn drop_where(&mut self, dropped: &[bool]) {
+        fn retain<T>(items: &mut Vec<T>, dropped: &[bool]) {
+            let mut dropped = dropped.iter();
+            items.retain(|_| dropped.next() != Some(&true));
+        }
+        retain(self.rids.to_mut(), dropped);
+        match &mut self.rows {
+            ViewRows::Slots { slots, .. } => retain(slots, dropped),
+            ViewRows::Replayed(rows) => retain(rows, dropped),
+        }
     }
 }
 
-/// The one rid-indexed table a layout reads every version from (combined's,
-/// or split-by-vlist's and split-by-rlist's global data table) and its
-/// [`attr_prefix_len`]; `None` for the layouts with a table per version.
-pub(crate) fn rid_table<'a>(db: &'a Database, cvd: &Cvd) -> Result<Option<(&'a Table, usize)>> {
+/// Stage the records of `views`, one view after another, as the fresh
+/// table `target`. When every view reads one table — a version on every
+/// layout but delta, a merge on those whose versions share a table
+/// ([`rid_table`]) — `target` is an overlay of its slots, in the shape
+/// `SELECT .. INTO` gives ([`orpheus_engine::Table::select`]), and the
+/// first view's slot buffer is its slot list: a checkout costs the rid
+/// walk and O(|rlist|) integers, not the records' width, and writes to
+/// `target` copy only what they write. Otherwise `target` holds a copy of
+/// the views' rows, null-extended to the CVD's staged schema.
+pub(crate) fn stage<'a>(
+    cvd: &Cvd,
+    views: impl IntoIterator<Item = VersionView<'a>>,
+    target: &str,
+) -> Result<Table> {
+    let name = target.to_ascii_lowercase();
+    let mut views = views.into_iter();
+    let first = views.next().expect("a checkout stages a version");
+    let later: Vec<VersionView<'a>> = views.collect();
+    let reads = |view: &VersionView<'_>, source| match view.rows {
+        ViewRows::Slots { table, .. } => std::ptr::eq(table, source),
+        ViewRows::Replayed(_) => false,
+    };
+    match first.rows {
+        ViewRows::Slots {
+            table,
+            width,
+            mut slots,
+        } if later.iter().all(|view| reads(view, table)) => {
+            for view in later {
+                if let ViewRows::Slots { slots: more, .. } = view.rows {
+                    slots.extend(more);
+                }
+            }
+            Ok(table.select(name, 1 + width, slots))
+        }
+        rows => {
+            let first = VersionView {
+                rids: first.rids,
+                rows,
+            };
+            let views = std::iter::once(&first).chain(&later);
+            staged_table(cvd, name, views.flat_map(VersionView::iter))
+        }
+    }
+}
+
+/// A table `name` of the CVD's staged schema holding `records`, rid first
+/// and each null-extended to the current schema.
+pub(crate) fn staged_table<'v>(
+    cvd: &Cvd,
+    name: String,
+    records: impl Iterator<Item = (i64, &'v [Value])>,
+) -> Result<Table> {
+    let mut staged = Table::new(name, cvd.staged_schema());
+    let width = staged.schema.arity();
+    staged.insert_many(records.map(|(rid, values)| {
+        let mut row = Vec::with_capacity(width);
+        row.push(Value::Int(rid));
+        row.extend_from_slice(values);
+        row.resize(width, Value::Null);
+        row
+    }))?;
+    Ok(staged)
+}
+
+/// The views a checkout of `vids` stages, in order (Section 2.2): the
+/// first-listed version's records, then each later version's records
+/// whose rids no earlier one holds, each in rid order and a rid listed
+/// twice taken once. With a primary key, a later record whose key a staged
+/// one holds is dropped: the first-listed version wins (each version holds
+/// a key once, as init and commit check). On the layouts whose versions
+/// share one table ([`rid_table`]) every view reads it, the first
+/// into a slot buffer reserved for the whole merge, so [`stage`]
+/// selects them all as one overlay. Beside the views, the merge holds
+/// O(records the later versions add).
+pub(crate) fn merge_versions<'a>(
+    engine: &'a Database,
+    cvd: &'a Cvd,
+    vids: &[Vid],
+) -> Result<Vec<VersionView<'a>>> {
+    let rlists: Vec<&[i64]> = vids
+        .iter()
+        .map(|&v| cvd.rids_of(v))
+        .collect::<Result<_>>()?;
+    let mut first = Cow::Borrowed(rlists[0]);
+    if first.windows(2).any(|w| w[0] == w[1]) {
+        first.to_mut().dedup();
+    }
+    let added: Vec<Vec<i64>> = (1..vids.len())
+        .map(|i| {
+            let mut rids = sorted_difference(rlists[i], &first);
+            for earlier in &rlists[1..i] {
+                rids = sorted_difference(&rids, earlier);
+            }
+            rids.dedup();
+            rids
+        })
+        .collect();
+    let shared = rid_table(engine, cvd)?;
+    let view = |vid, rids: Cow<'a, [i64]>, capacity| match shared {
+        Some((t, width)) => VersionView::in_table(t, width, rids, Vec::with_capacity(capacity)),
+        None => VersionView::of(engine, cvd, vid, rids),
+    };
+    let capacity = first.len() + added.iter().map(Vec::len).sum::<usize>();
+    let mut views = Vec::with_capacity(vids.len());
+    views.push(view(vids[0], first, capacity)?);
+    let pk = &cvd.schema.primary_key;
+    let key = |values: &'a [Value]| pk.iter().map(move |&c| &values[c]);
+    for (&vid, rids) in vids[1..].iter().zip(added) {
+        let capacity = rids.len();
+        let mut later = view(vid, Cow::Owned(rids), capacity)?;
+        if !pk.is_empty() && !later.is_empty() {
+            // Look each staged record's key up among the new ones', by hash.
+            let mut new: Vec<(u64, usize)> = (0..later.len())
+                .map(|i| (hash_values(key(later.row(i))), i))
+                .collect();
+            new.sort_unstable();
+            let mut dropped = vec![false; new.len()];
+            for (_, staged) in views.iter().flat_map(VersionView::iter) {
+                let hash = hash_values(key(staged));
+                let same = &new[new.partition_point(|&(h, _)| h < hash)..];
+                for &(_, i) in same.iter().take_while(|&&(h, _)| h == hash) {
+                    dropped[i] |= key(later.row(i)).eq(key(staged));
+                }
+            }
+            later.drop_where(&dropped);
+        }
+        views.push(later);
+    }
+    Ok(views)
+}
+
+/// Hash a sequence of values with the engine's `Value` hashing rules
+/// (numerically equal ints and doubles hash identically).
+pub(crate) fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for v in values {
+        v.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// The records of a version's parents, each rid read from the first parent
+/// holding it (Section 2.2's precedence): what a commit compares a staged
+/// row with and what the copying layouts keep. Each parent's view is
+/// walked with a cursor after its last match and searched by rid only when
+/// the cursor misses, so ascending rids cost one comparison each.
+pub(crate) struct ParentRecords<'a> {
+    parents: Vec<(VersionView<'a>, usize)>,
+}
+
+impl<'a> ParentRecords<'a> {
+    pub(crate) fn new(db: &'a Database, cvd: &'a Cvd, parents: &[Vid]) -> Result<Self> {
+        let parents = (parents.iter())
+            .map(|&p| Ok((VersionView::new(db, cvd, p)?, 0)))
+            .collect::<Result<_>>()?;
+        Ok(ParentRecords { parents })
+    }
+
+    /// The data values of `rid` in the first parent that holds it.
+    pub(crate) fn record(&mut self, rid: i64) -> Option<&'a [Value]> {
+        self.parents.iter_mut().find_map(|(view, next)| {
+            let i = match view.rids.get(*next) {
+                Some(&r) if r == rid => *next,
+                _ => view.rids.binary_search(&rid).ok()?,
+            };
+            *next = i + 1;
+            Some(view.row(i))
+        })
+    }
+}
+
+/// The one rid-indexed table a layout can read every version from
+/// (combined's, or the split models' global data table) and its
+/// [`attr_prefix_len`], which a merged checkout reads all its versions in;
+/// `None` for the layouts with a table per version.
+fn rid_table<'a>(db: &'a Database, cvd: &Cvd) -> Result<Option<(&'a Table, usize)>> {
     let (table, trailing) = match cvd.model {
         ModelKind::CombinedTable => (cvd.combined_table(), 1),
         ModelKind::SplitByVlist | ModelKind::SplitByRlist => (cvd.data_table(), 0),
@@ -441,84 +671,22 @@ pub(crate) fn attr_prefix_len(table: &Table, cvd: &Cvd, trailing: usize) -> Resu
         })
 }
 
-/// A backing table's row: its rid, checked to be an INT.
-pub(crate) fn row_rid(table: &Table, row: &[Value]) -> Result<i64> {
-    match row[0] {
-        Value::Int(rid) => Ok(rid),
-        _ => Err(CoreError::Invalid(format!(
-            "backing table {} holds a row whose rid is not an INT",
-            table.name
-        ))),
-    }
-}
-
-/// `slots` with the heap slots of a sorted rlist's records appended, in
-/// rlist order, resolved through `t`'s rid index.
-pub(crate) fn resolve_slots(t: &Table, rlist: &[i64], mut slots: Vec<usize>) -> Result<Vec<usize>> {
-    t.lookup_keys(
-        &[0],
-        rlist.iter().map(|&rid| [Value::Int(rid)]),
-        |_, found| slots.extend_from_slice(found),
-    )
-    .map_err(|_| no_rid_index(t))?;
-    Ok(slots)
-}
-
 fn no_rid_index(table: &Table) -> CoreError {
     CoreError::Invalid(format!("backing table {} has no rid index", table.name))
 }
 
-/// Resolve a sorted rlist to borrowed rows, their first `width` attributes,
-/// through `t`'s rid index.
-fn rid_index_rows<'a>(t: &'a Table, width: usize, rlist: &[i64]) -> Result<RowRefs<'a>> {
-    let pairs = t
-        .resolve_int_keys(0, rlist)
-        .ok_or_else(|| no_rid_index(t))?;
-    Ok(pairs
-        .into_iter()
-        .map(|(rid, slot)| (rid, &t.row(slot)[1..1 + width]))
-        .collect())
+/// The error of a read whose backing `table` lacks records the version
+/// lists.
+pub(crate) fn lacks(table: &str) -> CoreError {
+    CoreError::Invalid(format!(
+        "backing table {table} lacks records of the version"
+    ))
 }
 
-/// Stage the resolved rows of one version from `source` as a fresh
-/// `target` with exactly the shape `SELECT .. INTO` produces (source
-/// column types, no primary key, everything nullable), without copying a
-/// cell: `target` is an overlay over `source`'s rows
-/// ([`orpheus_engine::Table::select`]). `rlist` of `None` selects the whole
-/// table (a-table-per-version). The rlist resolves by the positional walk
-/// of [`orpheus_engine::Table::lookup_keys`]: one index probe on a data
-/// table whose heap ascends in rid, the global one or a partition's, and a
-/// few more where a migration appended records out of rid order. So a
-/// checkout costs the rid walk, O(|rlist|) integers and the schema, not
-/// the records' width; a discard frees the slot list. Writes to `target`
-/// copy only the rows they write, into the overlay's tail, and the
-/// overlay pins `source`'s chunks as a snapshot does until its commit
-/// detaches it. A source that cannot be read is refused before `target`
-/// is created.
-pub(crate) fn checkout_resolved(
-    db: &mut Database,
-    source: &str,
-    cvd: &Cvd,
-    rlist: Option<&[i64]>,
-    trailing: usize,
-    target: &str,
-) -> Result<()> {
-    let t = db.table(source)?;
-    let width = attr_prefix_len(t, cvd, trailing)?;
-    let slots = match rlist {
-        Some(rids) => resolve_slots(t, rids, Vec::with_capacity(rids.len()))?,
-        None => (0..t.len()).collect(),
-    };
-    let staged = t.select(target.to_ascii_lowercase(), 1 + width, slots);
-    db.add_table(staged)?;
-    Ok(())
-}
-
-/// Whether the record-access path reads this version: false only when
-/// the version is unknown or a backing table it reads is missing or no
-/// longer matches the CVD schema. Tests use it to assert a layout reads.
+/// Whether the record-access path reads this version ([`VersionView`]).
+/// Tests use it to assert a layout reads.
 pub fn version_readable(db: &Database, cvd: &Cvd, vid: Vid) -> bool {
-    version_row_refs(db, cvd, vid).is_ok()
+    VersionView::new(db, cvd, vid).is_ok()
 }
 
 /// Total backing storage (heap + indexes) in bytes.

@@ -7,7 +7,7 @@
 //! the primary-key index on `vid`, unnests it, and hash-joins with the data
 //! table (Table 1, right column). That join is the spec; reads short-circuit
 //! it: the sorted rlist resolves to data-table heap slots directly through
-//! the rid primary-key index ([`crate::model::version_row_refs`]).
+//! the rid primary-key index ([`crate::model::VersionView`]).
 
 use std::sync::Arc;
 
@@ -149,11 +149,7 @@ mod tests {
         );
         for v in [Vid(1), Vid(2)] {
             assert!(model::version_readable(&db, &cvd, v));
-            let fast = model::version_row_refs(&db, &cvd, v).unwrap();
-            let fast: Vec<(i64, Vec<Value>)> = fast
-                .into_iter()
-                .map(|(r, vals)| (r, vals.to_vec()))
-                .collect();
+            let fast = model::version_rows(&db, &cvd, v).unwrap();
             let mut sql = version_rows_sql(&mut db, &cvd, v).unwrap();
             sql.sort_by_key(|(r, _)| *r);
             assert_eq!(fast, sql, "{v}");

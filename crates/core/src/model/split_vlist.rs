@@ -5,7 +5,7 @@
 //! versioning table with a containment check, then joins with the data
 //! table. Reads resolve the version's sorted rlist — the membership that
 //! scan would discover — through the data table's rid index instead
-//! ([`crate::model::version_row_refs`]).
+//! ([`crate::model::VersionView`]).
 
 use orpheus_engine::{Database, Value};
 
@@ -111,11 +111,7 @@ mod tests {
         assert_eq!(model::version_rows(&db, &cvd, Vid(2)).unwrap().len(), 2);
         // Fast path and containment-scan SQL agree record-for-record.
         for v in [Vid(1), Vid(2)] {
-            let fast: Vec<(i64, Vec<Value>)> = model::version_row_refs(&db, &cvd, v)
-                .unwrap()
-                .into_iter()
-                .map(|(r, vals)| (r, vals.to_vec()))
-                .collect();
+            let fast = model::version_rows(&db, &cvd, v).unwrap();
             let mut sql = version_rows_sql(&mut db, &cvd, v).unwrap();
             sql.sort_by_key(|(r, _)| *r);
             assert_eq!(fast, sql, "{v}");

@@ -35,18 +35,6 @@ pub fn version_rows_sql(db: &mut Database, cvd: &Cvd, vid: Vid) -> Result<Vec<(i
     rows_to_records(r.rows)
 }
 
-/// The record-access read: the version's table holds exactly its
-/// records; borrow them in heap order (what `SELECT *` returns). Old
-/// tables frozen before a schema evolution yield narrower slices, as their
-/// SQL reads do.
-pub fn version_row_refs<'a>(db: &'a Database, cvd: &Cvd, vid: Vid) -> Result<model::RowRefs<'a>> {
-    let t = db.table(&cvd.version_table(vid))?;
-    let width = model::attr_prefix_len(t, cvd, 0)?;
-    t.rows()
-        .map(|row| Ok((model::row_rid(t, row)?, &row[1..1 + width])))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,11 +81,7 @@ mod tests {
         assert_eq!(r.rows.len(), 1);
         assert_eq!(model::version_rows(&db, &cvd, Vid(1)).unwrap().len(), 1);
         // Fast read equals the SELECT * formulation, row for row.
-        let fast: Vec<(i64, Vec<Value>)> = version_row_refs(&db, &cvd, Vid(1))
-            .unwrap()
-            .into_iter()
-            .map(|(r, vals)| (r, vals.to_vec()))
-            .collect();
+        let fast = model::version_rows(&db, &cvd, Vid(1)).unwrap();
         assert_eq!(fast, version_rows_sql(&mut db, &cvd, Vid(1)).unwrap());
     }
 }

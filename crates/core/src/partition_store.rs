@@ -4,11 +4,13 @@
 //! records of every version also live in the pair of the version's
 //! partition ([`Cvd::partition_pair`]: a data table and an rlist table
 //! named by migration generation `G` and partition `k`), and
-//! [`Cvd::rlist_pair`] sends every split-by-rlist read — checkout, the
-//! Table 1 statements, versioned queries — to the pair holding the
-//! version, so the irrelevant records a Table 1 statement walks past drop
-//! from |R| to |Rk| (checkout's fast path and versioned queries probe the
-//! rid index and read the version's |Rv| records on either layout). This
+//! [`Cvd::rlist_pair`] sends every split-by-rlist read — a version's
+//! view ([`Cvd::data_table_of`]), the Table 1 statements, versioned
+//! queries — to the pair holding the version, so the irrelevant records a
+//! Table 1 statement walks past drop from |R| to |Rk| (the view and
+//! versioned queries probe the rid index and read the version's |Rv|
+//! records on either layout; a merged checkout reads the global data
+//! table, so that it stays one overlay). This
 //! module only moves records between pairs; it has no read path of its
 //! own.
 //!

@@ -1275,12 +1275,12 @@ impl Table {
     }
 
     /// Resolve many integer keys to heap slots in one call through the
-    /// index covering `col` — the multi-key point-lookup that turns an
-    /// rlist into row slots without going through SQL, by the positional
-    /// walk of [`Table::lookup_keys`]. Returns the matched `(key, slot)`
-    /// pairs in key order (keys without a match are skipped, keys matching
-    /// several slots emit one pair per slot), or `None` when no index
-    /// covers `col`.
+    /// index covering `col`, by the positional walk of
+    /// [`Table::lookup_keys`], for a caller that asks which of the keys the
+    /// table holds (a partition's records, a rollback's rows). Returns the
+    /// matched `(key, slot)` pairs in key order (keys without a match are
+    /// skipped, keys matching several slots emit one pair per slot), or
+    /// `None` when no index covers `col`.
     pub fn resolve_int_keys(&self, col: usize, keys: &[i64]) -> Option<Vec<(i64, usize)>> {
         let mut out = Vec::with_capacity(keys.len());
         self.lookup_keys(&[col], keys.iter().map(|&k| [Value::Int(k)]), |i, slots| {

@@ -1094,14 +1094,55 @@ fn diff_allocs(shared: i64) -> u64 {
 
 /// A diff walks the two rlists as integers and copies only the records
 /// one side lacks: what it costs follows the 20 records that differ, not
-/// the 1 000 or 10 000 the versions share (36 allocation calls on both;
-/// 2 034 and 20 034 while both versions were copied whole and then
-/// filtered).
+/// the 1 000 or 10 000 the versions share (36 allocation calls on both:
+/// per side, the rids the other lacks, the data table's name and its
+/// catalog key, the view's slot list, the result and one vector per
+/// record; 2 034 and 20 034 while both versions were copied whole and
+/// then filtered).
 #[test]
 fn a_diff_does_not_pay_for_the_records_both_versions_share() {
     assert_within_15_percent(
         "diff, 1k vs 10k shared records",
         diff_allocs(1_000),
         diff_allocs(10_000),
+    );
+}
+
+/// Heap bytes the commit of a checkout of version 1 allocates after one of
+/// its `rows` records was `UPDATE`d: a written row that carries a rid, so
+/// the commit reads the parent's records to classify it. An unmeasured
+/// cycle on a copy of the CVD runs first, so lazily sized buffers are warm.
+fn classifying_commit_bytes(rows: i64) -> u64 {
+    let mut odb = one_version(rows);
+    let cycle = |odb: &mut OrpheusDB| {
+        odb.checkout(CVD, &[Vid(1)], "work").unwrap();
+        odb.run("UPDATE work SET v = -1 WHERE k = 0").unwrap();
+        bytes_of(|| {
+            odb.commit("work", "one update").unwrap();
+        })
+    };
+    cycle(&mut odb.clone());
+    cycle(&mut odb)
+}
+
+/// A commit that classifies a written row reads its parent through the
+/// parent's view: one 8-byte slot per parent record, borrowed rows, no
+/// re-sort. What the commit allocates per record of the parent is then
+/// 56 bytes between a 1 000-record and a 2 000-record parent: the slot,
+/// and the 48 bytes of kept rids and row lists a commit that classifies
+/// no row builds too. It was 88 while the parent's records were resolved
+/// to 16-byte `(rid, slot)` pairs and then to 24-byte borrowed `(rid,
+/// values)` rows.
+#[test]
+fn a_classifying_commit_reads_its_parent_as_one_slot_per_record() {
+    let (small, large) = (
+        classifying_commit_bytes(1_000),
+        classifying_commit_bytes(2_000),
+    );
+    let per_record = (large as f64 - small as f64) / 1_000.0;
+    assert!(
+        per_record <= 64.0,
+        "commit of one UPDATE: {per_record:.1} bytes per parent record \
+         ({small} at 1 000 records, {large} at 2 000)"
     );
 }

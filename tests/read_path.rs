@@ -4,7 +4,9 @@
 //! checkout, a diff and a commit run no SQL scan (`rows_scanned` does not
 //! move), and what they read equals the Table 1 SQL spec — before and
 //! after a snapshot round trip. A combined table keeps `vlist` last
-//! through the evolution, so its reads stay O(|version|), not O(|R|).
+//! through the evolution, so its reads stay O(|version|), not O(|R|). A
+//! layout torn by hand — a record's row deleted under the version
+//! manager — is refused by every read, with an error naming the table.
 
 use orpheusdb::core::model::{self, ModelKind};
 use orpheusdb::prelude::*;
@@ -168,4 +170,46 @@ fn a_combined_table_keeps_vlist_last_through_evolution() {
         ["rid", "protein1", "protein2", "score", "extra", "vlist"]
     );
     assert_eq!(*table.schema, model::combined::physical_schema(cvd));
+}
+
+/// A read of a version whose backing table lacks one of its records — a
+/// row deleted by hand, under the version manager — is refused with an
+/// error naming that table, for all five models: a checkout, a merged
+/// checkout, a diff and `version_rows` alike, none returning fewer records
+/// than the rlist names. The torn record is the one the evolving commit
+/// rewrote, so v5 is the only version holding it.
+#[test]
+fn a_read_of_a_torn_layout_is_refused_naming_the_table() {
+    for model in ModelKind::ALL {
+        let mut odb = evolved_history(model);
+        let (v1, v4, v5) = (Vid(1), Vid(4), Vid(5));
+        let cvd = odb.cvd(CVD).unwrap();
+        let held_by_v4 = cvd.rids_of(v4).unwrap();
+        let rewritten = *(cvd.rids_of(v5).unwrap().iter())
+            .find(|rid| !held_by_v4.contains(rid))
+            .unwrap();
+        let table = match model {
+            ModelKind::TablePerVersion => cvd.version_table(v5),
+            ModelKind::CombinedTable => cvd.combined_table(),
+            ModelKind::SplitByVlist | ModelKind::SplitByRlist => cvd.data_table(),
+            ModelKind::DeltaBased => cvd.delta_table(v5),
+        };
+        let t = odb.engine.table_mut(&table).unwrap();
+        let slot = t.index_lookup(&[0], &[Value::Int(rewritten)]).unwrap()[0];
+        t.delete_slots(vec![slot]);
+
+        let at = model.name();
+        let names_it = |what: &str, err: CoreError| {
+            let message = err.to_string();
+            assert!(message.contains(&table), "{at} {what}: {message}");
+        };
+        names_it("checkout", odb.checkout(CVD, &[v5], "torn").unwrap_err());
+        assert!(!odb.engine.has_table("torn"), "{at}");
+        names_it("merge", odb.checkout(CVD, &[v5, v1], "torn").unwrap_err());
+        assert!(!odb.engine.has_table("torn"), "{at}");
+        names_it("diff", odb.diff(CVD, v1, v5).unwrap_err());
+        names_it("version_rows", odb.version_rows(CVD, v5).unwrap_err());
+        let cvd = odb.cvd(CVD).unwrap();
+        assert!(!model::version_readable(&odb.engine, cvd, v5), "{at}");
+    }
 }
